@@ -3,9 +3,9 @@
 .PHONY: all build vet lint lint-fast test race fmt bench bench-kernels bench-e2e bench-scale bench-stream bench-smoke replay-smoke trace-smoke fuzz-smoke byz-smoke exec-smoke scale-smoke stream-smoke ci
 
 # The kernel micro-benchmark set (bench_kernels_test.go at the repo
-# root): simnet scheduling, wire framing, erasure coding, merkle, and
-# signature hot paths.
-KERNEL_BENCH = BenchmarkSimnet|BenchmarkWire|BenchmarkErasure|BenchmarkMerkle|BenchmarkEd25519|BenchmarkHashConcat
+# root): simnet scheduling, wire framing, erasure coding, merkle,
+# signature hot paths, and the execution plane's block commit.
+KERNEL_BENCH = BenchmarkSimnet|BenchmarkWire|BenchmarkErasure|BenchmarkMerkle|BenchmarkEd25519|BenchmarkHashConcat|BenchmarkExecCommit
 
 all: ci
 
@@ -59,10 +59,13 @@ race:
 fmt:
 	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
-# bench: kernel micro-benchmarks, converted to BENCH_kernels.json by
-# tools/benchjson so results can be committed and diffed across changes.
-# Figure-level benchmarks remain available via `go test -bench=Fig`.
-bench:
+# bench-kernels (alias: bench): kernel micro-benchmarks, converted to
+# BENCH_kernels.json by tools/benchjson so results can be committed and
+# diffed across changes. Figure-level benchmarks remain available via
+# `go test -bench=Fig`.
+bench: bench-kernels
+
+bench-kernels:
 	go test -run '^$$' -bench '$(KERNEL_BENCH)' -benchmem . \
 		| go run ./tools/benchjson -o BENCH_kernels.json
 	@echo wrote BENCH_kernels.json
@@ -146,13 +149,15 @@ replay-smoke:
 	go test -race -run 'TestReplayWorkers' ./internal/harness/
 	go run ./tools/replaydiff
 
-# fuzz-smoke: a short coverage-guided run of the wire frame-decoding
-# fuzzer on top of its checked-in seed corpus (testdata/fuzz). Unmarshal
-# guards every receive path, so "never panics, consumes one frame,
-# re-marshals canonically" gets continuous adversarial pressure, not just
-# the fixed seeds.
+# fuzz-smoke: short coverage-guided runs on top of the checked-in seed
+# corpora (testdata/fuzz). Unmarshal guards every receive path, so "never
+# panics, consumes one frame, re-marshals canonically" gets continuous
+# adversarial pressure, not just the fixed seeds; the state commitment
+# must match its from-scratch oracle after any batches of writes and be
+# blind to how they were batched.
 fuzz-smoke:
 	go test ./internal/wire/ -run '^$$' -fuzz FuzzUnmarshal -fuzztime 10s
+	go test ./internal/exec/ -run '^$$' -fuzz FuzzStateCommitment -fuzztime 5s
 
 # byz-smoke: the Byzantine-robustness gate, two halves. First the
 # byzantine experiment under the race detector: scripted data-plane

@@ -1,9 +1,10 @@
 // Kernel micro-benchmarks for the hot paths on the simulator's profile:
 // event scheduling and delivery (simnet), message framing (wire),
-// Reed–Solomon striping (erasure), Merkle tree construction, and
-// signature checking. `make bench` runs these and converts the output to
-// BENCH_kernels.json via tools/benchjson so kernel regressions are
-// tracked alongside the figure-level benchmarks in bench_test.go.
+// Reed–Solomon striping (erasure), Merkle tree construction, signature
+// checking, and the execution plane's block commit. `make bench` runs
+// these and converts the output to BENCH_kernels.json via
+// tools/benchjson so kernel regressions are tracked alongside the
+// figure-level benchmarks in bench_test.go.
 //
 // Sizes follow the paper's configuration: 512-byte transactions
 // (§V "every transaction has a size of 512 B"), 50-tx bundles, and the
@@ -20,10 +21,12 @@ import (
 	"predis/internal/crypto"
 	"predis/internal/env"
 	"predis/internal/erasure"
+	"predis/internal/exec"
 	"predis/internal/merkle"
 	"predis/internal/simnet"
 	"predis/internal/types"
 	"predis/internal/wire"
+	"predis/internal/workload"
 )
 
 // benchBlob is a minimal registered message carrying an opaque payload,
@@ -263,4 +266,49 @@ func BenchmarkHashConcatShort(b *testing.B) {
 			b.Fatal("zero digest")
 		}
 	}
+}
+
+// BenchmarkExecCommit executes one 256-transaction Zipf(0.9) block —
+// levelize, kernels, cache merge, incremental state root — on a machine
+// whose 16 384 accounts have all been written, the exec_skew shape.
+// hashes/op is the digests the commitment computed for the block: it
+// scales with the block's distinct writes, not with the 16 k accounts.
+func BenchmarkExecCommit(b *testing.B) {
+	const accounts, blockTxs = 16384, 256
+	ops := workload.NewZipfOps(workload.ZipfConfig{
+		Accounts: accounts, Theta: 0.9, RMWFrac: 0.1, Amount: 50, Seed: 1,
+	})
+	seq := uint64(0)
+	block := func(op func() types.Op) []*types.Transaction {
+		txs := make([]*types.Transaction, blockTxs)
+		for i := range txs {
+			txs[i] = types.NewTransaction(1, seq, types.DefaultTxSize, 0).WithOp(op())
+			seq++
+		}
+		return txs
+	}
+	m := exec.NewMachine(1 << 40) // no account drains: every iteration writes alike
+	h := uint64(0)
+	for m.Touched() < accounts { // write every account once
+		h++
+		m.ExecuteBlock(nil, h, block(func() types.Op {
+			return types.Op{Kind: types.OpRMW, Writes: []uint64{seq}, Delta: 1}
+		}))
+	}
+	blocks := make([][]*types.Transaction, 64)
+	for i := range blocks {
+		blocks[i] = block(func() types.Op { return ops.Op(1, seq) })
+		h++
+		m.ExecuteBlock(nil, h, blocks[i])
+	}
+	hashes := m.Stats().Hashes
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h++
+		if m.ExecuteBlock(nil, h, blocks[i%len(blocks)]).StateRoot.IsZero() {
+			b.Fatal("zero state root")
+		}
+	}
+	b.ReportMetric(float64(m.Stats().Hashes-hashes)/float64(b.N), "hashes/op")
 }

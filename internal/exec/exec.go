@@ -25,6 +25,14 @@
 // serial reference committer that applies transactions strictly in
 // commit order.
 //
+// The base state is a radix-4 Merkle tree over the account keys
+// (commitment.go) that is its own commitment: the flush rehashes only
+// the paths of the block's writes, so a commit costs O(writes · log n)
+// digests whatever the ledger's size, and the state root is a cached
+// value. Everything a commit needs — cache, leveler tables, effect slots
+// and the write arena — is machine-owned scratch, so a steady-state
+// block allocates nothing.
+//
 // Like every protocol component, a Machine is driven from the single
 // simulator goroutine; only the kernels handed to Pool.Map run
 // elsewhere, and they touch nothing but their Snapshot and their own
@@ -33,9 +41,6 @@
 package exec
 
 import (
-	"encoding/binary"
-	"sort"
-
 	"predis/internal/compute"
 	"predis/internal/crypto"
 	"predis/internal/types"
@@ -46,10 +51,12 @@ type WriteOp struct {
 	Key, Val uint64
 }
 
-// effect is one transaction's buffered outcome: its writes, or a
-// deterministic abort (insufficient balance) with no writes.
+// effect is one transaction's buffered outcome: a window of the level's
+// write arena (sized from the declared write set before the kernel runs,
+// n of it filled by the kernel), or a deterministic abort (insufficient
+// balance) with no writes.
 type effect struct {
-	writes  []WriteOp
+	off, n  int32
 	aborted bool
 }
 
@@ -59,70 +66,64 @@ type effect struct {
 // Pool.Map fork-join — merges happen only at event-loop join points —
 // so workers may read it concurrently.
 type Snapshot struct {
-	base    map[uint64]uint64
-	cache   map[uint64]uint64
+	base    *stateTree
+	cache   map[uint64]versioned
 	genesis uint64
 }
 
 // Get returns the balance of an account, falling back to the genesis
 // default for accounts never written.
 func (s Snapshot) Get(key uint64) uint64 {
-	if v, ok := s.cache[key]; ok {
-		return v
+	if e, ok := s.cache[key]; ok {
+		return e.val
 	}
-	if v, ok := s.base[key]; ok {
+	if v, ok := s.base.get(key); ok {
 		return v
 	}
 	return s.genesis
 }
 
+// versioned is one cached balance and the level that wrote it.
+type versioned struct {
+	val   uint64
+	level int
+}
+
 // MVCache is the multi-version state cache of one block's execution:
 // each dependency level's writes merge into it at the level's join
 // point, tagged with the level as their version, and the whole cache
-// flushes into the base state once at block commit. Only the event loop
-// may call its methods; offloaded kernels read through Snapshot (the
-// purecompute analyzer rejects MVCache calls inside closures handed to
-// the pool).
+// flushes into the base state once at block commit. A machine owns one
+// and clears it per block. Only the event loop may call its methods;
+// offloaded kernels read through Snapshot (the purecompute analyzer
+// rejects MVCache calls inside closures handed to the pool).
 type MVCache struct {
-	vals    map[uint64]uint64
-	version map[uint64]int
+	entries map[uint64]versioned
 }
 
 // NewMVCache builds an empty cache.
 func NewMVCache() *MVCache {
-	return &MVCache{
-		vals:    make(map[uint64]uint64),
-		version: make(map[uint64]int),
-	}
+	return &MVCache{entries: make(map[uint64]versioned)}
 }
 
 // Merge applies one level's buffered writes, recording the level as the
 // written keys' version. Call only at the level's join point.
 func (c *MVCache) Merge(level int, writes []WriteOp) {
 	for _, w := range writes {
-		c.vals[w.Key] = w.Val
-		c.version[w.Key] = level
+		c.entries[w.Key] = versioned{val: w.Val, level: level}
 	}
 }
 
 // Version returns the level that last wrote key, or -1 when the cache
 // holds no version for it.
 func (c *MVCache) Version(key uint64) int {
-	if v, ok := c.version[key]; ok {
-		return v
+	if e, ok := c.entries[key]; ok {
+		return e.level
 	}
 	return -1
 }
 
 // Len returns the number of distinct keys written.
-func (c *MVCache) Len() int { return len(c.vals) }
-
-// flushInto folds the cached values into the base state.
-func (c *MVCache) flushInto(state map[uint64]uint64) {
-	for k, v := range c.vals {
-		state[k] = v
-	}
-}
+func (c *MVCache) Len() int { return len(c.entries) }
 
 // Result summarizes one block's execution.
 type Result struct {
@@ -144,6 +145,12 @@ type Result struct {
 type Stats struct {
 	Blocks, Txs, Applied, Aborted int
 	Levels, MaxWidth              int
+	// Gaps counts blocks whose height did not follow the machine's last
+	// executed one. After the first the machine's state is no longer the
+	// chain's, and it reports a zero state root.
+	Gaps int
+	// Hashes counts the digests the state commitment computed.
+	Hashes int
 }
 
 // MeanWidth returns the lifetime mean dependency-level width.
@@ -154,23 +161,57 @@ func (s Stats) MeanWidth() float64 {
 	return float64(s.Txs) / float64(s.Levels)
 }
 
+// lastAccess is the leveler's per-key record: one past the latest level
+// that read and that wrote the key in the current unit, 0 for never.
+type lastAccess struct {
+	read, write int32
+}
+
 // Machine is the account state machine one node maintains. All methods
 // run on the event loop; a machine is never shared between nodes (each
 // replica executes its own copy of the committed sequence).
 type Machine struct {
 	genesis uint64
-	state   map[uint64]uint64
-	height  uint64
-	stats   Stats
+	// state holds every written account and its Merkle commitment.
+	state  stateTree
+	root   crypto.Hash // commitment to genesis and state; zero after a gap
+	height uint64
+	stats  Stats
 
-	// scratch buffers reused across blocks by the leveler.
+	// cache is the block in flight; cleared at commit.
+	cache *MVCache
+
+	// Leveler scratch, reused across blocks: the semantic indices, the
+	// per-key access record, each semantic transaction's level, and the
+	// level-ordered index array that levels holds windows of.
+	sem        []int
+	last       map[uint64]lastAccess
 	rbuf, wbuf []uint64
+	levelOf    []int32
+	levelEnd   []int
+	order      []int
+	levels     [][]int
+
+	// The level being executed: kernels read txs, idxs and snap and
+	// write their own effects slot and arena window.
+	txs     []*types.Transaction
+	idxs    []int
+	snap    Snapshot
+	effects []effect
+	arena   []WriteOp
 }
 
 // NewMachine builds a machine whose accounts all start at the genesis
 // balance.
 func NewMachine(genesis uint64) *Machine {
-	return &Machine{genesis: genesis, state: make(map[uint64]uint64)}
+	m := &Machine{
+		genesis: genesis,
+		cache:   NewMVCache(),
+		last:    make(map[uint64]lastAccess),
+	}
+	m.snap = Snapshot{base: &m.state, cache: m.cache.entries, genesis: genesis}
+	m.root = m.state.rootHash(genesis)
+	return m
 }
 
 // Height returns the last executed block height.
@@ -179,46 +220,35 @@ func (m *Machine) Height() uint64 { return m.height }
 // Balance returns an account's balance (genesis default when never
 // written).
 func (m *Machine) Balance(key uint64) uint64 {
-	if v, ok := m.state[key]; ok {
-		return v
-	}
-	return m.genesis
+	return m.snap.Get(key) // the cache is empty between blocks
 }
 
 // Touched returns how many accounts have been written since genesis.
-func (m *Machine) Touched() int { return len(m.state) }
+func (m *Machine) Touched() int { return int(m.state.nl) }
 
 // Stats returns the lifetime execution counters.
-func (m *Machine) Stats() Stats { return m.stats }
-
-// StateRoot returns the commitment to the full account state: the hash
-// of the genesis balance followed by every written (account, balance)
-// pair in ascending account order. Two machines agree on the root iff
-// they agree on every balance.
-func (m *Machine) StateRoot() crypto.Hash {
-	keys := make([]uint64, 0, len(m.state))
-	for k := range m.state {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	buf := make([]byte, 0, 8+16*len(keys))
-	buf = binary.BigEndian.AppendUint64(buf, m.genesis)
-	for _, k := range keys {
-		buf = binary.BigEndian.AppendUint64(buf, k)
-		buf = binary.BigEndian.AppendUint64(buf, m.state[k])
-	}
-	return crypto.HashBytes(buf)
+func (m *Machine) Stats() Stats {
+	s := m.stats
+	s.Hashes = m.state.hashes
+	return s
 }
 
-// semantic returns the indices of the block's non-opaque transactions.
-func semantic(txs []*types.Transaction) []int {
-	out := make([]int, 0, len(txs))
+// StateRoot returns the commitment to the full account state as of the
+// last executed block: the genesis balance bound to the Merkle root of
+// every written (account, balance) pair. Two machines agree on the root
+// iff they agree on every balance. It is zero once the machine has
+// executed across a height gap.
+func (m *Machine) StateRoot() crypto.Hash { return m.root }
+
+// semantic collects the indices of the block's non-opaque transactions.
+func (m *Machine) semantic(txs []*types.Transaction) []int {
+	m.sem = m.sem[:0]
 	for i, tx := range txs {
 		if !tx.Op.IsNoop() {
-			out = append(out, i)
+			m.sem = append(m.sem, i)
 		}
 	}
-	return out
+	return m.sem
 }
 
 // levelize groups the block's semantic transactions into dependency
@@ -227,78 +257,147 @@ func semantic(txs []*types.Transaction) []int {
 // reads (RAW), and past both the last writer (WAW) and the last reader
 // (WAR) of anything it writes. Within a level, write sets are disjoint
 // and no transaction reads a level-mate's writes, so level-internal
-// execution order cannot matter.
+// execution order cannot matter. The returned levels alias machine
+// scratch and are valid until the next call.
 func (m *Machine) levelize(txs []*types.Transaction, sem []int) [][]int {
-	lastRead := make(map[uint64]int, len(sem)*2)
-	lastWrite := make(map[uint64]int, len(sem)*2)
-	var levels [][]int
+	clear(m.last)
+	m.levelOf = m.levelOf[:0]
+	m.levelEnd = m.levelEnd[:0]
 	for _, ti := range sem {
 		op := &txs[ti].Op
 		m.rbuf = op.ReadKeys(m.rbuf[:0])
 		m.wbuf = op.WriteKeys(m.wbuf[:0])
-		lvl := 0
+		var lvl int32
 		for _, k := range m.rbuf {
-			if w, ok := lastWrite[k]; ok && w+1 > lvl {
-				lvl = w + 1
-			}
+			lvl = max(lvl, m.last[k].write)
 		}
 		for _, k := range m.wbuf {
-			if w, ok := lastWrite[k]; ok && w+1 > lvl {
-				lvl = w + 1
-			}
-			if r, ok := lastRead[k]; ok && r+1 > lvl {
-				lvl = r + 1
-			}
+			a := m.last[k]
+			lvl = max(lvl, a.write, a.read)
 		}
 		for _, k := range m.rbuf {
-			if r, ok := lastRead[k]; !ok || lvl > r {
-				lastRead[k] = lvl
-			}
+			a := m.last[k]
+			a.read = max(a.read, lvl+1)
+			m.last[k] = a
 		}
 		for _, k := range m.wbuf {
-			lastWrite[k] = lvl // strictly increasing per key (WAW ordered)
+			a := m.last[k]
+			a.write = lvl + 1 // strictly increasing per key (WAW ordered)
+			m.last[k] = a
 		}
-		for lvl >= len(levels) {
-			levels = append(levels, nil)
+		m.levelOf = append(m.levelOf, lvl)
+		for int(lvl) >= len(m.levelEnd) {
+			m.levelEnd = append(m.levelEnd, 0)
 		}
-		levels[lvl] = append(levels[lvl], ti)
+		m.levelEnd[lvl]++
 	}
-	return levels
+	// Counting sort by level, stable in commit order: levelEnd turns
+	// from per-level counts into each level's fill position.
+	pos := 0
+	for l, n := range m.levelEnd {
+		m.levelEnd[l] = pos
+		pos += n
+	}
+	if cap(m.order) < len(sem) {
+		m.order = make([]int, len(sem))
+	}
+	m.order = m.order[:len(sem)]
+	for i, l := range m.levelOf {
+		m.order[m.levelEnd[l]] = sem[i]
+		m.levelEnd[l]++
+	}
+	m.levels = m.levels[:0]
+	start := 0
+	for _, end := range m.levelEnd {
+		m.levels = append(m.levels, m.order[start:end])
+		start = end
+	}
+	return m.levels
 }
 
-// applyOp executes one semantic operation against the snapshot and
-// returns its buffered effect. It is a pure kernel: it reads only snap
-// and the op and writes only its own return value, so the compute pool
-// may run a level's kernels in any order on any worker count. Both
-// committers (parallel and serial) apply ops through this one function,
-// so their per-op semantics cannot drift.
-func applyOp(snap Snapshot, op *types.Op) effect {
+// writeCap is the most writes an operation can buffer: the size of its
+// declared write set.
+func writeCap(op *types.Op) int {
+	switch op.Kind {
+	case types.OpTransfer:
+		return 2
+	case types.OpRMW:
+		return len(op.Writes)
+	}
+	return 0
+}
+
+// applyOp executes one semantic operation against the snapshot, buffers
+// its writes into out (at least writeCap(op) long) and returns how many
+// it wrote. It is a pure kernel: it reads only snap and the op and
+// writes only out and its return values, so the compute pool may run a
+// level's kernels in any order on any worker count. Both committers
+// (parallel and serial) apply ops through this one function, so their
+// per-op semantics cannot drift.
+func applyOp(snap Snapshot, op *types.Op, out []WriteOp) (n int, aborted bool) {
 	switch op.Kind {
 	case types.OpTransfer:
 		if op.From == op.To {
-			return effect{} // self-transfer: applies, moves nothing
+			return 0, false // self-transfer: applies, moves nothing
 		}
 		from := snap.Get(op.From)
 		if from < op.Amount {
-			return effect{aborted: true}
+			return 0, true
 		}
-		return effect{writes: []WriteOp{
-			{Key: op.From, Val: from - op.Amount},
-			{Key: op.To, Val: snap.Get(op.To) + op.Amount},
-		}}
+		out[0] = WriteOp{Key: op.From, Val: from - op.Amount}
+		out[1] = WriteOp{Key: op.To, Val: snap.Get(op.To) + op.Amount}
+		return 2, false
 	case types.OpRMW:
 		var fold uint64
 		for _, k := range op.Reads {
 			fold ^= snap.Get(k) // the read half: observe, don't write
 		}
 		_ = fold
-		writes := make([]WriteOp, 0, len(op.Writes))
-		for _, k := range op.Writes {
-			writes = append(writes, WriteOp{Key: k, Val: snap.Get(k) + op.Delta})
+		for i, k := range op.Writes {
+			out[i] = WriteOp{Key: k, Val: snap.Get(k) + op.Delta}
 		}
-		return effect{writes: writes}
+		return len(op.Writes), false
 	}
-	return effect{}
+	return 0, false
+}
+
+// stage sizes the current level's effect slots and arena windows from
+// the declared write sets of txs[idxs...].
+func (m *Machine) stage(txs []*types.Transaction, idxs []int) {
+	m.txs, m.idxs = txs, idxs
+	m.effects = m.effects[:0]
+	off := 0
+	for _, ti := range idxs {
+		m.effects = append(m.effects, effect{off: int32(off)})
+		off += writeCap(&txs[ti].Op)
+	}
+	if cap(m.arena) < off {
+		m.arena = make([]WriteOp, off)
+	}
+	m.arena = m.arena[:off]
+}
+
+// kernel executes the i-th transaction of the staged level into its own
+// effect slot and arena window.
+func (m *Machine) kernel(i int) {
+	e := &m.effects[i]
+	n, aborted := applyOp(m.snap, &m.txs[m.idxs[i]].Op, m.arena[e.off:])
+	e.n, e.aborted = int32(n), aborted
+}
+
+// join merges the staged level's effects into the block's cache in
+// index order (order is immaterial — write sets are disjoint — but
+// fixed order keeps the loop boring to reason about).
+func (m *Machine) join(level int, res *Result) {
+	for i := range m.effects {
+		e := &m.effects[i]
+		if e.aborted {
+			res.Aborted++
+		} else {
+			res.Applied++
+		}
+		m.cache.Merge(level, m.arena[e.off:e.off+e.n])
+	}
 }
 
 // ExecuteBlock runs the two-phase parallel committer over one committed
@@ -309,12 +408,11 @@ func applyOp(snap Snapshot, op *types.Op) effect {
 // ExecuteBlockSerial's on the same machine state and transaction
 // sequence.
 func (m *Machine) ExecuteBlock(pool *compute.Pool, height uint64, txs []*types.Transaction) Result {
-	sem := semantic(txs)
+	sem := m.semantic(txs)
 	levels := m.levelize(txs, sem)
-	cache := NewMVCache()
 	res := Result{Height: height, Txs: len(sem), Levels: len(levels)}
-	m.runLevels(pool, txs, levels, cache, 0, &res)
-	m.commit(cache, &res)
+	m.runLevels(pool, txs, levels, 0, &res)
+	m.commit(&res)
 	return res
 }
 
@@ -323,27 +421,21 @@ func (m *Machine) ExecuteBlock(pool *compute.Pool, height uint64, txs []*types.T
 // several leveling units (per-bundle streaming) keep cache versions
 // monotonic across units.
 func (m *Machine) runLevels(pool *compute.Pool, txs []*types.Transaction, levels [][]int,
-	cache *MVCache, lvlBase int, res *Result) {
+	lvlBase int, res *Result) {
 	for lvl, idxs := range levels {
 		if len(idxs) > res.MaxWidth {
 			res.MaxWidth = len(idxs)
 		}
-		snap := Snapshot{base: m.state, cache: cache.vals, genesis: m.genesis}
-		out := make([]effect, len(idxs))
-		pool.Map(len(idxs), func(i int) {
-			out[i] = applyOp(snap, &txs[idxs[i]].Op)
-		})
-		// Join point: the fork-join completed, merge the level in index
-		// order (order is immaterial — write sets are disjoint — but
-		// fixed order keeps the loop boring to reason about).
-		for i := range out {
-			if out[i].aborted {
-				res.Aborted++
-			} else {
-				res.Applied++
+		m.stage(txs, idxs)
+		if pool.Active() {
+			pool.Map(len(idxs), func(i int) { m.kernel(i) })
+		} else { // inline, without the closure Map would need
+			for i := range idxs {
+				m.kernel(i)
 			}
-			cache.Merge(lvlBase+lvl, out[i].writes)
 		}
+		// Join point: the fork-join completed.
+		m.join(lvlBase+lvl, res)
 	}
 }
 
@@ -356,18 +448,17 @@ func (m *Machine) runLevels(pool *compute.Pool, txs []*types.Transaction, levels
 // commit order does — so the state root equals ExecuteBlock's over the
 // flattened transaction sequence, for any worker count.
 func (m *Machine) ExecuteBlockBundles(pool *compute.Pool, height uint64, bundles [][]*types.Transaction) Result {
-	cache := NewMVCache()
 	res := Result{Height: height}
 	lvlBase := 0
 	for _, txs := range bundles {
-		sem := semantic(txs)
+		sem := m.semantic(txs)
 		levels := m.levelize(txs, sem)
 		res.Txs += len(sem)
 		res.Levels += len(levels)
-		m.runLevels(pool, txs, levels, cache, lvlBase, &res)
+		m.runLevels(pool, txs, levels, lvlBase, &res)
 		lvlBase += len(levels)
 	}
-	m.commit(cache, &res)
+	m.commit(&res)
 	return res
 }
 
@@ -376,32 +467,39 @@ func (m *Machine) ExecuteBlockBundles(pool *compute.Pool, height uint64, bundles
 // exists to pin the parallel committer's semantics (identical state
 // roots) and as the contention experiment's baseline.
 func (m *Machine) ExecuteBlockSerial(height uint64, txs []*types.Transaction) Result {
-	sem := semantic(txs)
-	cache := NewMVCache()
+	sem := m.semantic(txs)
 	res := Result{Height: height, Txs: len(sem), Levels: len(sem)}
 	if len(sem) > 0 {
 		res.MaxWidth = 1
 	}
-	for i, ti := range sem {
-		snap := Snapshot{base: m.state, cache: cache.vals, genesis: m.genesis}
-		eff := applyOp(snap, &txs[ti].Op)
-		if eff.aborted {
-			res.Aborted++
-		} else {
-			res.Applied++
-		}
-		cache.Merge(i, eff.writes)
+	for i := range sem {
+		m.stage(txs, sem[i:i+1])
+		m.kernel(0)
+		m.join(i, &res)
 	}
-	m.commit(cache, &res)
+	m.commit(&res)
 	return res
 }
 
-// commit flushes the block's cache into the base state and finalizes
-// the result and lifetime stats.
-func (m *Machine) commit(cache *MVCache, res *Result) {
-	cache.flushInto(m.state)
+// commit flushes the block's cache into the state tree, rehashes the
+// touched paths, and finalizes the result and lifetime stats.
+//
+//predis:hotpath
+func (m *Machine) commit(res *Result) {
+	if m.height != 0 && res.Height != m.height+1 {
+		m.stats.Gaps++
+	}
 	m.height = res.Height
-	res.StateRoot = m.StateRoot()
+	for k, e := range m.cache.entries {
+		m.state.set(k, e.val)
+	}
+	clear(m.cache.entries)
+	if m.stats.Gaps == 0 {
+		m.root = m.state.rootHash(m.genesis)
+	} else {
+		m.root = crypto.ZeroHash
+	}
+	res.StateRoot = m.root
 	m.stats.Blocks++
 	m.stats.Txs += res.Txs
 	m.stats.Applied += res.Applied

@@ -28,7 +28,7 @@ func opaque(seq uint64) *types.Transaction {
 
 // levelsOf extracts each transaction's level index for comparison.
 func levelsOf(m *Machine, txs []*types.Transaction) map[uint64]int {
-	sem := semantic(txs)
+	sem := m.semantic(txs)
 	got := map[uint64]int{}
 	for lvl, idxs := range m.levelize(txs, sem) {
 		for _, ti := range idxs {
@@ -110,10 +110,12 @@ func TestMVCacheVersioning(t *testing.T) {
 	if c.Version(7) != 2 || c.Version(8) != 0 || c.Len() != 2 {
 		t.Fatalf("versions = %d,%d len %d", c.Version(7), c.Version(8), c.Len())
 	}
-	state := map[uint64]uint64{8: 1}
-	c.flushInto(state)
-	if state[7] != 20 || state[8] != 11 {
-		t.Fatalf("flush kept stale values: %v", state)
+	base := &stateTree{}
+	base.set(8, 1)
+	base.set(9, 2)
+	snap := Snapshot{base: base, cache: c.entries, genesis: genesis}
+	if snap.Get(7) != 20 || snap.Get(8) != 11 || snap.Get(9) != 2 || snap.Get(10) != genesis {
+		t.Fatal("snapshot must read cache, then base, then genesis")
 	}
 }
 

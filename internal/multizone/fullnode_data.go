@@ -365,8 +365,11 @@ func (f *FullNode) tryCompleteBlocksFrom(sender wire.NodeID) {
 				progress = true
 				// Execute before persisting so the ledger entry commits
 				// to the post-block account state, not just the ordering.
+				// After a skip-sync the executor has missed blocks: it
+				// reports a zero root, and that is what gets persisted.
 				var stateRoot crypto.Hash
 				if f.cfg.Executor != nil {
+					intact := f.cfg.Executor.Stats().Gaps == 0
 					var r exec.Result
 					if f.cfg.ExecSerial {
 						r = f.cfg.Executor.ExecuteBlockSerial(blk.Height, txs)
@@ -374,6 +377,10 @@ func (f *FullNode) tryCompleteBlocksFrom(sender wire.NodeID) {
 						r = f.cfg.Executor.ExecuteBlock(compute.PoolOf(f.ctx), blk.Height, txs)
 					}
 					stateRoot = r.StateRoot
+					if intact && stateRoot.IsZero() {
+						f.ctx.Logf("multizone: node %d executes height %d across a gap; its state roots are zero from here on",
+							f.cfg.Self, blk.Height)
+					}
 					now := f.ctx.Now()
 					f.cfg.Trace.Span(obs.StageExecuted,
 						obs.BlockKey(blk.Height), f.cfg.Self, now, now)

@@ -77,6 +77,76 @@ func TestRestartedFullNodeCatchesUp(t *testing.T) {
 		vfn.LastHeight(), liveHead, len(heights), gaps)
 }
 
+// TestSkipSyncZeroesStateRoots forces a skip-sync on a full node that
+// executes: bundle retention is cut to a few bundles per chain, so after
+// a three-second outage the blocks the victim missed can no longer be
+// served and it fast-forwards to an anchor. Its executor has then missed
+// blocks, so every root it reports from the gap on — to OnExecute and
+// into ledger entries — must be zero, never a root computed on stale
+// state.
+func TestSkipSyncZeroesStateRoots(t *testing.T) {
+	cfg := zoneConfig{
+		nc: 4, f: 1, zones: 1, perZone: 4,
+		rate: 300, duration: 12 * time.Second,
+		keepConfirmed: 8, exec: true,
+	}
+	zc := buildZoneCluster(t, cfg)
+	victim := fullNodeID(0, 3)
+	faults.Install(zc.net, faults.Schedule{Seed: 3, Actions: []faults.Action{
+		faults.CrashWindow{Node: victim, From: 4 * time.Second, To: 7 * time.Second},
+	}})
+	zc.net.Start()
+	zc.net.Run(cfg.duration)
+
+	results := zc.executed[victim]
+	gapAt := -1
+	for i := 1; i < len(results); i++ {
+		if results[i].Height != results[i-1].Height+1 {
+			gapAt = i
+			break
+		}
+	}
+	if gapAt < 0 {
+		t.Fatalf("no skip-sync forced: victim executed %d consecutive blocks", len(results))
+	}
+	for i, r := range results {
+		if (i >= gapAt) != r.StateRoot.IsZero() {
+			t.Fatalf("height %d (gap before height %d): state root %s",
+				r.Height, results[gapAt].Height, r.StateRoot.Short())
+		}
+	}
+	if len(results) == gapAt+1 {
+		t.Fatal("victim executed nothing after the skip-sync")
+	}
+	var vfn *FullNode
+	for _, fn := range zc.fulls {
+		if fn.cfg.Self == victim {
+			vfn = fn
+		}
+	}
+	if gaps := vfn.cfg.Executor.Stats().Gaps; gaps != 1 {
+		t.Fatalf("executor counted %d gaps, want 1", gaps)
+	}
+	led := zc.ledgers[victim]
+	for h := uint64(1); h <= uint64(led.Len()); h++ {
+		e, err := led.Get(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Height >= results[gapAt].Height && !e.StateRoot.IsZero() {
+			t.Fatalf("ledger height %d carries root %s after the gap", e.Height, e.StateRoot.Short())
+		}
+	}
+	// A peer that never skipped keeps stamping real roots.
+	for _, r := range zc.executed[fullNodeID(0, 0)] {
+		if r.StateRoot.IsZero() {
+			t.Fatalf("healthy peer reported a zero root at height %d", r.Height)
+		}
+	}
+	t.Logf("victim executed %d blocks, skip-sync %d → %d, ledger holds %d entries",
+		len(results), results[gapAt-1].Height, results[gapAt].Height, led.Len())
+}
+
 // TestRestartedRelayerRejoins crashes a converged relayer, restarts it,
 // and asserts it re-runs the subscription bootstrap: it ends with stripe
 // senders for every stripe, catches up the missed blocks, and its old

@@ -7,6 +7,7 @@ import (
 	"predis/internal/core"
 	"predis/internal/crypto"
 	"predis/internal/env"
+	"predis/internal/exec"
 	"predis/internal/ledger"
 	"predis/internal/node"
 	"predis/internal/simnet"
@@ -25,6 +26,10 @@ type zoneCluster struct {
 	collector *workload.Collector
 	completed map[wire.NodeID][]uint64 // block heights completed per full node
 	commits   int
+	// With zoneConfig.exec: every full node's executor results in
+	// execution order, and its ledger.
+	executed map[wire.NodeID][]exec.Result
+	ledgers  map[wire.NodeID]*ledger.Ledger
 }
 
 type zoneConfig struct {
@@ -43,6 +48,11 @@ type zoneConfig struct {
 	// FullNodeConfig.StarveRewireAfter); zero leaves it off, as in
 	// production defaults.
 	starveRewire int
+	// keepConfirmed overrides the full nodes' bundle retention (0 keeps
+	// the default); small values force skip-syncs after an outage.
+	keepConfirmed int
+	// exec attaches an executor and an in-memory ledger to every full node.
+	exec bool
 }
 
 func fullNodeID(zone, idx int) wire.NodeID {
@@ -74,6 +84,8 @@ func buildZoneCluster(t testing.TB, cfg zoneConfig) *zoneCluster {
 		striper:   striper,
 		collector: workload.NewCollector(warm, end),
 		completed: make(map[wire.NodeID][]uint64),
+		executed:  make(map[wire.NodeID][]exec.Result),
+		ledgers:   make(map[wire.NodeID]*ledger.Ledger),
 	}
 	suite := crypto.NewSimSuite(cfg.nc, 17)
 	pipeline := 0
@@ -122,7 +134,7 @@ func buildZoneCluster(t testing.TB, cfg zoneConfig) *zoneCluster {
 			if cfg.zones > 1 {
 				backups = append(backups, fullNodeID((z+1)%cfg.zones, k%cfg.perZone))
 			}
-			fn, err := NewFullNode(FullNodeConfig{
+			fcfg := FullNodeConfig{
 				Self:              self,
 				Zone:              z,
 				JoinSeq:           uint64(z*cfg.perZone + k),
@@ -136,10 +148,20 @@ func buildZoneCluster(t testing.TB, cfg zoneConfig) *zoneCluster {
 				AliveInterval:     200 * time.Millisecond,
 				StarveRewireAfter: cfg.starveRewire,
 				DigestInterval:    time.Second,
+				KeepConfirmed:     cfg.keepConfirmed,
 				OnBlockComplete: func(blk *core.PredisBlock, txs int) {
 					zc.completed[self] = append(zc.completed[self], blk.Height)
 				},
-			})
+			}
+			if cfg.exec {
+				zc.ledgers[self] = ledger.New()
+				fcfg.Ledger = zc.ledgers[self]
+				fcfg.Executor = exec.NewMachine(1000)
+				fcfg.OnExecute = func(r exec.Result) {
+					zc.executed[self] = append(zc.executed[self], r)
+				}
+			}
+			fn, err := NewFullNode(fcfg)
 			if err != nil {
 				t.Fatal(err)
 			}
