@@ -1,6 +1,6 @@
 # Same gates as .github/workflows/ci.yml.
 
-.PHONY: all build vet lint lint-fast test race fmt bench bench-kernels bench-e2e bench-scale bench-stream bench-smoke replay-smoke trace-smoke fuzz-smoke byz-smoke exec-smoke scale-smoke stream-smoke ci
+.PHONY: all build vet lint lint-fast test race fmt bench bench-kernels bench-e2e bench-scale bench-stream bench-smoke replay-smoke trace-smoke fuzz-smoke byz-smoke exec-smoke scale-smoke stream-smoke perf-smoke ci
 
 # The kernel micro-benchmark set (bench_kernels_test.go at the repo
 # root): simnet scheduling, wire framing, erasure coding, merkle,
@@ -117,6 +117,13 @@ stream-smoke:
 	go run ./tools/replaydiff latfloor
 	go run ./tools/replaydiff quickstart -mode stream
 
+# perf-smoke: the repository benchmark's own tests (cmd/predis-perf, read
+# only): every workload at -smoke size must pass the correctness gate and
+# deliver the same messages traced and untraced, the metric names must
+# match BENCHMARK.json, and -compare must judge as documented. ~4 s.
+perf-smoke:
+	go test -count=1 ./cmd/predis-perf/
+
 # scale-smoke: the population-scale CI gate — the quick scale sweep
 # (N ∈ {100, 1k, 10k}, four tree shapes each, aggregated client flows)
 # must finish inside a 60 s budget. Before flow aggregation and the
@@ -193,4 +200,4 @@ trace-smoke:
 	go run ./tools/tracecheck bin/trace-smoke.json
 	@rm -f bin/trace-smoke.json bin/trace-smoke-stages.csv
 
-ci: fmt build vet lint race trace-smoke bench-smoke replay-smoke fuzz-smoke byz-smoke exec-smoke scale-smoke stream-smoke
+ci: fmt build vet lint race trace-smoke bench-smoke replay-smoke fuzz-smoke byz-smoke exec-smoke scale-smoke stream-smoke perf-smoke

@@ -177,9 +177,11 @@ func (h *BundleHeader) Hash() crypto.Hash {
 // snapshot taken on the event loop (the unsigned fields are immutable
 // once packed or decoded; only the memo fields mutate lazily).
 func (h *BundleHeader) HashStateless() crypto.Hash {
-	e := wire.NewEncoder(h.EncodedSize())
+	e := wire.GetEncoder()
 	h.encodeUnsigned(e)
-	return crypto.HashBytes(e.Bytes())
+	hash := crypto.HashBytes(e.Bytes())
+	wire.PutEncoder(e)
+	return hash
 }
 
 // PrimeHash installs a hash computed elsewhere (a compute-pool worker via
@@ -309,21 +311,7 @@ func PackBundle(signer crypto.Signer, producer wire.NodeID, parent *BundleHeader
 // body before signing.
 func PackBundleStriped(signer crypto.Signer, producer wire.NodeID, parent *BundleHeader,
 	txs []*types.Transaction, tips TipList, stripeRoot crypto.Hash) *Bundle {
-	h := BundleHeader{
-		Producer:   producer,
-		Height:     1,
-		TxRoot:     TxMerkleRoot(txs),
-		StripeRoot: stripeRoot,
-		TxCount:    uint32(len(txs)),
-		TxBytes:    uint32(types.TotalBytes(txs)),
-		Tips:       tips.Clone(),
-	}
-	if parent != nil {
-		h.Height = parent.Height + 1
-		h.Parent = parent.Hash()
-	}
-	h.Sig = signer.Sign(h.Hash())
-	return &Bundle{Header: h, Txs: txs}
+	return PackBundleStripedPooled(nil, signer, producer, parent, txs, tips, stripeRoot)
 }
 
 // PackBundleStripedPooled is PackBundleStriped with the transaction Merkle
@@ -352,12 +340,18 @@ func TxMerkleRoot(txs []*types.Transaction) crypto.Hash {
 	if len(txs) == 0 {
 		return crypto.ZeroHash
 	}
-	leaves := make([]crypto.Hash, len(txs))
-	for i, t := range txs {
-		h := t.Hash()
-		leaves[i] = merkle.HashLeaf(h[:])
+	// Bundles up to the paper's default size (50) root without touching the
+	// heap; stream mode seals one-transaction bundles at the submit rate.
+	var stack [64]crypto.Hash
+	leaves := stack[:0]
+	if len(txs) > len(stack) {
+		leaves = make([]crypto.Hash, 0, len(txs)) //predis:allocok bundles above the default size
 	}
-	return merkle.RootOfHashes(leaves)
+	for _, t := range txs {
+		h := t.Hash()
+		leaves = append(leaves, merkle.HashLeaf(h[:]))
+	}
+	return merkle.RootInPlace(leaves)
 }
 
 // txChunk is the fork-join granularity for per-transaction hashing: small

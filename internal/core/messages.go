@@ -269,9 +269,11 @@ func decodePredisBlock(d *wire.Decoder) (wire.Message, error) {
 
 // Hash returns the block identity (all fields except the signature).
 func (m *PredisBlock) Hash() crypto.Hash {
-	e := wire.NewEncoder(m.WireSize())
+	e := wire.GetEncoder()
 	m.encodeUnsigned(e)
-	return crypto.HashBytes(e.Bytes())
+	h := crypto.HashBytes(e.Bytes())
+	wire.PutEncoder(e)
+	return h
 }
 
 // CatchupRequest asks a peer for committed Predis blocks above the

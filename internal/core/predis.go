@@ -325,7 +325,7 @@ func (p *Predis) produceBundle() {
 			obs.BundleKey(p.opts.Self, b.Header.Height), p.opts.Self, firstQueued, now)
 		p.mSealLatency.ObserveDuration(now.Sub(firstQueued))
 	}
-	p.lastAdvertised = b.Header.Tips.Clone()
+	p.lastAdvertised = b.Header.Tips // private to the sealed header, which is immutable
 	p.disseminate(b)
 	p.poke()
 }

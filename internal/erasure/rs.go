@@ -253,13 +253,13 @@ func (c *Coder) Verify(shards [][]byte) (bool, error) {
 
 func (c *Coder) checkShards(shards [][]byte, all bool) error {
 	if len(shards) != c.TotalShards() {
-		return fmt.Errorf("%w: got %d, want %d", ErrShardCount, len(shards), c.TotalShards())
+		return fmt.Errorf("%w: got %d, want %d", ErrShardCount, len(shards), c.TotalShards()) //predis:allocok caller bug, never steady state
 	}
 	size := -1
 	for i, s := range shards {
 		if s == nil {
 			if all {
-				return fmt.Errorf("%w: shard %d is nil", ErrShardSize, i)
+				return fmt.Errorf("%w: shard %d is nil", ErrShardSize, i) //predis:allocok caller bug, never steady state
 			}
 			continue
 		}

@@ -26,6 +26,9 @@ import (
 type ReplayTrace struct {
 	h hash.Hash
 	n uint64
+	// buf is record's scratch: a local array would escape through the
+	// hash.Hash interface, one heap allocation per delivered message.
+	buf [28]byte
 }
 
 // NewReplayTrace returns an empty trace.
@@ -45,14 +48,15 @@ func (t *ReplayTrace) Attach(net *simnet.Network) {
 	}
 }
 
+//predis:hotpath
 func (t *ReplayTrace) record(from, to wire.NodeID, m wire.Message, at time.Time) {
-	var buf [28]byte
+	buf := t.buf[:]
 	binary.LittleEndian.PutUint32(buf[0:], uint32(from))
 	binary.LittleEndian.PutUint32(buf[4:], uint32(to))
 	binary.LittleEndian.PutUint16(buf[8:], uint16(m.Type()))
 	binary.LittleEndian.PutUint64(buf[10:], uint64(m.WireSize()))
 	binary.LittleEndian.PutUint64(buf[18:], uint64(at.Sub(simnet.Epoch)))
-	t.h.Write(buf[:])
+	t.h.Write(buf)
 	t.n++
 }
 

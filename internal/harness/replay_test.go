@@ -7,6 +7,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"predis/internal/core"
+	"predis/internal/simnet"
 )
 
 // TestReplayQuickstartDeterministic runs the quickstart-style experiment
@@ -146,5 +149,27 @@ func TestReplayRecoveryDeterministic(t *testing.T) {
 	}
 	if s1 != s2 {
 		t.Fatalf("same-seed recovery state diverged:\n  %s\n  %s", s1, s2)
+	}
+}
+
+// TestReplayTraceRecordAllocs: record runs once per delivered message on
+// every workload, so it must not allocate — and holding its scratch in
+// the struct must not change the digest.
+func TestReplayTraceRecordAllocs(t *testing.T) {
+	tr := NewReplayTrace()
+	m := &core.BundleRequest{Producer: 1, From: 2, To: 3}
+	at := simnet.Epoch.Add(time.Second)
+	if a := testing.AllocsPerRun(100, func() { tr.record(4, 5, m, at) }); a != 0 {
+		t.Errorf("ReplayTrace.record allocates %.1f per delivery, want 0", a)
+	}
+	a, b := NewReplayTrace(), NewReplayTrace()
+	a.record(4, 5, m, at)
+	b.record(4, 5, m, at)
+	if a.Sum() != b.Sum() || a.Deliveries() != 1 {
+		t.Fatal("identical deliveries must fold to identical digests")
+	}
+	b.record(5, 4, m, at)
+	if a.Sum() == b.Sum() {
+		t.Fatal("digest ignored a delivery")
 	}
 }

@@ -41,7 +41,7 @@ func HashLeaf(data []byte) crypto.Hash {
 // its own slot — a natural unit to fork-join over a compute pool.
 func HashLeaves(dst []crypto.Hash, leaves [][]byte) []crypto.Hash {
 	if dst == nil {
-		dst = make([]crypto.Hash, len(leaves))
+		dst = make([]crypto.Hash, len(leaves)) //predis:allocok only for callers that pass no destination
 	}
 	for i, l := range leaves {
 		dst[i] = HashLeaf(l)
@@ -64,7 +64,7 @@ func Root(leaves [][]byte) crypto.Hash {
 	for i, l := range leaves {
 		level[i] = HashLeaf(l)
 	}
-	return rootOfLevel(level)
+	return RootInPlace(level)
 }
 
 // RootOfHashes computes the Merkle root over pre-hashed leaves. The caller
@@ -75,10 +75,13 @@ func RootOfHashes(leaves []crypto.Hash) crypto.Hash {
 	}
 	level := make([]crypto.Hash, len(leaves))
 	copy(level, leaves)
-	return rootOfLevel(level)
+	return RootInPlace(level)
 }
 
-func rootOfLevel(level []crypto.Hash) crypto.Hash {
+// RootInPlace is RootOfHashes for a caller that no longer needs the leaf
+// digests: the reduction overwrites level, so nothing is allocated. level
+// must be non-empty.
+func RootInPlace(level []crypto.Hash) crypto.Hash {
 	for len(level) > 1 {
 		next := level[:0]
 		for i := 0; i < len(level); i += 2 {
@@ -157,6 +160,49 @@ func (t *Tree) Proof(i int) ([]crypto.Hash, error) {
 		idx >>= 1
 	}
 	return proof, nil
+}
+
+// ProofsOfHashes returns the root over pre-hashed leaves and every leaf's
+// sibling path, each exactly what NewTreeFromHashes(leaves).Proof(i) would
+// return. The interior nodes and all paths are carved out of one slab, so
+// a caller that hands every leaf its proof (the stripe encoder) pays two
+// allocations per tree instead of one per level plus one per leaf. The
+// paths alias the slab and must be treated as read-only.
+func ProofsOfHashes(leaves []crypto.Hash) (crypto.Hash, [][]crypto.Hash) {
+	n := len(leaves)
+	if n == 0 {
+		return crypto.ZeroHash, nil
+	}
+	// Fewer than n interior nodes, and at most ⌈log2 n⌉ siblings per path.
+	slab := make([]crypto.Hash, n+n*bits.Len(uint(n-1))) //predis:allocok the per-tree slab
+	var levels [bits.UintSize + 1][]crypto.Hash          // levels[0] = leaves, last = [root]
+	depth := 1
+	levels[0] = leaves
+	for level := leaves; len(level) > 1; depth++ {
+		next := slab[: 0 : (len(level)+1)/2]
+		slab = slab[cap(next):]
+		for i := 0; i < len(level); i += 2 {
+			if i+1 < len(level) {
+				next = append(next, hashNode(level[i], level[i+1]))
+			} else {
+				next = append(next, level[i]) // promote odd node
+			}
+		}
+		levels[depth] = next
+		level = next
+	}
+	proofs := make([][]crypto.Hash, n) //predis:allocok the result
+	for i := range proofs {
+		proof := slab[:0]
+		for lvl, idx := 0, i; lvl < depth-1; lvl, idx = lvl+1, idx>>1 {
+			if sib := idx ^ 1; sib < len(levels[lvl]) {
+				proof = append(proof, levels[lvl][sib])
+			}
+		}
+		proofs[i] = proof[:len(proof):len(proof)]
+		slab = slab[len(proof):]
+	}
+	return levels[depth-1][0], proofs
 }
 
 // ProofSize returns the wire size in bytes of a proof for a tree of n

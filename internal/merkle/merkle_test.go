@@ -206,3 +206,52 @@ func BenchmarkProofVerify(b *testing.B) {
 		}
 	}
 }
+
+// TestProofsOfHashesMatchesTree: the slab-backed proof set is exactly
+// the tree's root and per-leaf paths, for every shape up to 33 leaves
+// (odd promotions at several levels included), and the paths verify.
+func TestProofsOfHashesMatchesTree(t *testing.T) {
+	if root, proofs := ProofsOfHashes(nil); root != crypto.ZeroHash || proofs != nil {
+		t.Fatal("empty leaf set must yield the zero root and no proofs")
+	}
+	for n := 1; n <= 33; n++ {
+		leaves := make([]crypto.Hash, n)
+		for i := range leaves {
+			leaves[i] = HashLeaf([]byte{byte(n), byte(i)})
+		}
+		tree := NewTreeFromHashes(leaves)
+		root, proofs := ProofsOfHashes(leaves)
+		if root != tree.Root() || len(proofs) != n {
+			t.Fatalf("n=%d: root or proof count differs from the tree", n)
+		}
+		for i := 0; i < n; i++ {
+			want, _ := tree.Proof(i)
+			if len(proofs[i]) != len(want) || len(proofs[i])*crypto.HashSize != ProofSize(n, i) {
+				t.Fatalf("n=%d leaf %d: path length %d, tree says %d", n, i, len(proofs[i]), len(want))
+			}
+			for j := range want {
+				if proofs[i][j] != want[j] {
+					t.Fatalf("n=%d leaf %d: sibling %d differs", n, i, j)
+				}
+			}
+			if !VerifyHash(root, leaves[i], i, n, proofs[i]) {
+				t.Fatalf("n=%d leaf %d: path does not verify", n, i)
+			}
+			// A path is capped at its own length: appending to it must not
+			// overwrite its neighbour in the slab.
+			_ = append(proofs[i], crypto.Hash{})
+		}
+		for i := 0; i < n; i++ {
+			if !VerifyHash(root, leaves[i], i, n, proofs[i]) {
+				t.Fatalf("n=%d leaf %d: path corrupted by an append to a neighbour", n, i)
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { _, _ = ProofsOfHashes(make([]crypto.Hash, 0)) }); a != 0 {
+		t.Errorf("empty set allocates %.1f", a)
+	}
+	leaves := make([]crypto.Hash, 4)
+	if a := testing.AllocsPerRun(100, func() { _, _ = ProofsOfHashes(leaves) }); a != 2 {
+		t.Errorf("ProofsOfHashes allocates %.1f for 4 leaves, want 2 (slab + path headers)", a)
+	}
+}

@@ -1,0 +1,262 @@
+package multizone
+
+import (
+	"bytes"
+	"math/rand"
+	"sort"
+	"testing"
+	"time"
+
+	"predis/internal/core"
+	"predis/internal/crypto"
+	"predis/internal/node"
+	"predis/internal/simnet"
+	"predis/internal/wire"
+)
+
+// relayRig is one full node (200) relaying every stripe to two
+// subscribers, fed by hand with the stripes of a producer-0 bundle chain.
+type relayRig struct {
+	net     *simnet.Network
+	fn      *FullNode
+	striper *Striper
+	suite   *crypto.SignerSuite
+	bundles []*core.Bundle
+	stripes [][]*StripeMsg // [bundle][index]
+	now     time.Duration
+}
+
+// drain delivers everything in flight (1 ms links); the node's periodic
+// timers keep the queue from ever going idle, so it runs a fixed step.
+func (r *relayRig) drain() {
+	r.now += 10 * time.Millisecond
+	r.net.Run(r.now)
+}
+
+func newRelayRig(t testing.TB, bundles int) *relayRig {
+	t.Helper()
+	node.RegisterAllMessages()
+	RegisterMessages()
+	r := &relayRig{suite: crypto.NewSimSuite(4, 31)}
+	r.striper, _ = NewStriper(4, 1)
+	r.net = simnet.New(simnet.Config{Latency: simnet.UniformLatency(time.Millisecond)})
+	fn, err := NewFullNode(FullNodeConfig{
+		Self: 200, NC: 4, F: 1, Striper: r.striper, Signer: r.suite.Signer(0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.fn = fn
+	r.net.AddNode(200, fn)
+	sink := func(wire.NodeID, wire.Message) {}
+	for _, id := range []wire.NodeID{0, 1, 2, 3, 300, 301} {
+		r.net.AddNode(id, &recHandler{onRecv: sink})
+	}
+	r.net.Start()
+	for s := uint8(0); s < 4; s++ {
+		fn.subscribers[s] = map[wire.NodeID]bool{300: true, 301: true}
+		fn.subCount += 2
+	}
+	fn.subsChanged()
+	r.addChain(t, 0, bundles)
+	return r
+}
+
+// addChain appends a producer's chain of n one-transaction bundles, and
+// their stripes, to the rig.
+func (r *relayRig) addChain(t testing.TB, producer wire.NodeID, n int) {
+	t.Helper()
+	var parent *core.BundleHeader
+	for h := 0; h < n; h++ {
+		txs := mkTxs(1, uint64(producer)*1000+uint64(h))
+		set, err := r.striper.Encode(txs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := core.PackBundleStriped(r.suite.Signer(int(producer)), producer, parent, txs, make(core.TipList, 4), set.Root)
+		parent = &b.Header
+		msgs := make([]*StripeMsg, 4)
+		for i := range msgs {
+			msgs[i], _ = set.Stripe(b.Header, i)
+		}
+		r.bundles = append(r.bundles, b)
+		r.stripes = append(r.stripes, msgs)
+	}
+}
+
+// hashes lists the open partials in a reproducible order.
+func (r *relayRig) hashes() []crypto.Hash {
+	var out []crypto.Hash
+	for h := range r.fn.partials {
+		out = append(out, h)
+	}
+	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i][:], out[j][:]) < 0 })
+	return out
+}
+
+// TestRelayPathAllocs pins the steady-state stripe relay path of a full
+// node with subscribers: a duplicate stripe, the first stripe of a bundle
+// on a warm free list and a middle stripe allocate nothing; the stripe
+// that completes a bundle another node already reassembled pays only the
+// mempool's amortized growth.
+func TestRelayPathAllocs(t *testing.T) {
+	const n = 128
+	r := newRelayRig(t, n)
+	fn := r.fn
+	// Warm-up lap: size the partials map, the event queue and the free list.
+	for _, st := range r.stripes {
+		fn.onStripe(0, st[0])
+	}
+	r.drain()
+	fn.dropPartials(r.hashes()...)
+	if len(fn.freePartials) != n {
+		t.Fatalf("free list holds %d partials after the warm-up lap, want %d", len(fn.freePartials), n)
+	}
+
+	i := 0
+	if a := testing.AllocsPerRun(n-1, func() { fn.onStripe(0, r.stripes[i][0]); i++ }); a != 0 {
+		t.Errorf("first stripe of a bundle on a warm free list allocates %.2f, want 0", a)
+	}
+	if len(fn.freePartials) != 0 || len(fn.partials) != n {
+		t.Fatalf("free %d, partials %d after reopening every bundle", len(fn.freePartials), len(fn.partials))
+	}
+	r.drain()
+	if a := testing.AllocsPerRun(100, func() { fn.onStripe(0, r.stripes[7][0]) }); a != 0 {
+		t.Errorf("duplicate stripe allocates %.2f, want 0", a)
+	}
+	i = 0
+	if a := testing.AllocsPerRun(n-1, func() { fn.onStripe(1, r.stripes[i][1]); i++ }); a != 0 {
+		t.Errorf("middle stripe allocates %.2f, want 0", a)
+	}
+	r.drain()
+
+	// Another node reassembled every bundle first: the memo rides on the
+	// shared stripe messages.
+	for h, st := range r.stripes {
+		if _, err := r.striper.Reassemble(r.bundles[h].Header, st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { _, _ = r.striper.Reassemble(r.bundles[3].Header, r.stripes[3]) }); a != 0 {
+		t.Errorf("Reassemble on a memo hit allocates %.2f, want 0", a)
+	}
+	i = 0
+	// (The mempool's chain slice and maps grow by doubling; AllocsPerRun
+	// reports the integral average, which that amortizes to 0.)
+	if a := testing.AllocsPerRun(n-1, func() { fn.onStripe(2, r.stripes[i][2]); i++ }); a != 0 {
+		t.Errorf("completing stripe on a memo hit allocates %.2f, want 0", a)
+	}
+	if _, got, _ := fn.Stats(); got != n {
+		t.Fatalf("assembled %d bundles, want %d", got, n)
+	}
+}
+
+// TestRecycledPartialCarriesNothingOver: a partialBundle coming off the
+// free list has no stripes, no done flag, no count and no coordinates from
+// its previous life.
+func TestRecycledPartialCarriesNothingOver(t *testing.T) {
+	r := newRelayRig(t, 2)
+	fn := r.fn
+	for i := 0; i < 3; i++ {
+		fn.onStripe(wire.NodeID(i), r.stripes[0][i])
+	}
+	h0 := r.bundles[0].Header.Hash()
+	old := fn.partials[h0]
+	if old == nil || !old.done {
+		t.Fatal("bundle 0 did not assemble")
+	}
+	fn.dropPartials(h0)
+	if len(fn.freePartials) != 1 || fn.freePartials[0] != old {
+		t.Fatal("dropped partial did not reach the free list")
+	}
+	if old.done || old.have != 0 || old.height != 0 || old.producer != 0 || old.first != 0 || len(old.stripes) != 4 {
+		t.Fatalf("recycled partial not reset: %+v", old)
+	}
+	for i, st := range old.stripes {
+		if st != nil {
+			t.Fatalf("recycled partial still holds stripe %d", i)
+		}
+	}
+	fn.onStripe(1, r.stripes[1][1])
+	p := fn.partials[r.bundles[1].Header.Hash()]
+	if p != old {
+		t.Fatal("free partial was not reused")
+	}
+	if p.done || p.have != 1 || p.stripes[1] != r.stripes[1][1] || p.stripes[0] != nil ||
+		p.producer != 0 || p.height != 2 || p.first != 1 {
+		t.Fatalf("reused partial in a wrong state: %+v", p)
+	}
+	// The late fourth stripe of bundle 0 (its partial is gone, the bundle
+	// is in the mempool) is forwarded, not re-opened.
+	fn.onStripe(3, r.stripes[0][3])
+	if _, again := fn.partials[h0]; again {
+		t.Fatal("late stripe of a stored bundle re-opened a partial")
+	}
+}
+
+// scanInflight is the full scan prefetchSpec used to run per ZoneSpec.
+func scanInflight(f *FullNode) []uint64 {
+	out := make([]uint64, f.cfg.NC)
+	for _, p := range f.partials {
+		if int(p.producer) < len(out) && p.height > out[p.producer] {
+			out[p.producer] = p.height
+		}
+	}
+	return out
+}
+
+// TestInflightHighWaterMatchesFullScan: after any interleaving of stripe
+// arrival, completion, confirmation + sweep and unreconstructable delete,
+// the incrementally maintained per-producer high-water equals the full
+// scan — including when the current maximum is the entry removed.
+func TestInflightHighWaterMatchesFullScan(t *testing.T) {
+	swept := 0
+	defer func() {
+		if swept == 0 {
+			t.Error("no sweep ever removed a partial: the test did not exercise the sweep path")
+		}
+	}()
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const n = 24
+		r := newRelayRig(t, n)
+		fn := r.fn
+		r.addChain(t, 2, n) // a second producer, so the per-producer split is exercised
+		for step := 0; step < 400; step++ {
+			switch op := rng.Intn(10); {
+			case op < 7: // a stripe arrives (maybe a duplicate, maybe completing)
+				b := rng.Intn(len(r.stripes))
+				i := rng.Intn(4)
+				fn.onStripe(wire.NodeID(i), r.stripes[b][i])
+			case op < 8: // chains confirm up to their tips, then the sweep runs
+				for _, prod := range []wire.NodeID{0, 2} {
+					fn.mp.MarkConfirmed(prod, fn.mp.Tips()[prod])
+				}
+				before := len(fn.partials)
+				fn.sweepDataPlane()
+				swept += before - len(fn.partials)
+			case op < 9: // an unreconstructable bundle is deleted
+				if hs := r.hashes(); len(hs) > 0 {
+					fn.dropPartials(hs[rng.Intn(len(hs))])
+				}
+			default: // the maximum itself goes
+				best, bestH := crypto.Hash{}, uint64(0)
+				for _, h := range r.hashes() {
+					if p := fn.partials[h]; p.height > bestH {
+						best, bestH = h, p.height
+					}
+				}
+				if bestH > 0 {
+					fn.dropPartials(best)
+				}
+			}
+			want := scanInflight(fn)
+			for i := range want {
+				if fn.inflightHigh[i] != want[i] {
+					t.Fatalf("seed %d step %d: inflightHigh[%d] = %d, full scan says %d",
+						seed, step, i, fn.inflightHigh[i], want[i])
+				}
+			}
+		}
+	}
+}

@@ -140,12 +140,17 @@ type relayerInfo struct {
 // are not active).
 func (r *relayerInfo) active() bool { return len(r.stripes) > 0 }
 
-// partialBundle accumulates stripes for one bundle header.
+// partialBundle accumulates stripes for one bundle header. It stays in
+// the dedup map until the bundle is confirmed, so it holds the bundle's
+// coordinates, not a copy of the header: stripes[first] carries the header
+// whose signature was checked, until assembly clears the stripes.
 type partialBundle struct {
-	header  core.BundleHeader
-	stripes []*StripeMsg
-	have    int
-	done    bool
+	producer wire.NodeID
+	height   uint64
+	stripes  []*StripeMsg
+	have     int
+	first    uint8
+	done     bool
 }
 
 // FullNode is a Multi-Zone full node: it subscribes to stripes, forwards
@@ -162,13 +167,20 @@ type FullNode struct {
 	subscribers  map[uint8]map[wire.NodeID]bool // who we forward each stripe to
 	subCount     int                            // total subscriptions accepted
 	subsSorted   []wire.NodeID                  // memoized sortedSubscribers view; nil = dirty
+	subsByStripe [][]wire.NodeID                // memoized stripeSubscribers views by stripe; nil = dirty
 	consensusDir map[uint8]bool                 // stripes we take straight from consensus (our "relayed stripes")
 	isRelayer    bool
 	zoneRelayers map[wire.NodeID]*relayerInfo
 	aliveVersion uint64 // our own announcement version counter
 
 	// Data plane.
-	partials   map[crypto.Hash]*partialBundle // by header hash
+	partials map[crypto.Hash]*partialBundle // by header hash
+	// freePartials recycles entries that left partials (reset, stripes
+	// slice kept); inflightHigh[i] is the highest bundle height of
+	// producer i with an entry in partials, assembled or not.
+	freePartials []*partialBundle
+	inflightHigh []uint64
+	// Block plane.
 	lastCuts   []uint64
 	lastBlock  crypto.Hash
 	lastHeight uint64
@@ -232,6 +244,7 @@ func NewFullNode(cfg FullNodeConfig) (*FullNode, error) {
 		consensusDir: make(map[uint8]bool),
 		zoneRelayers: make(map[wire.NodeID]*relayerInfo),
 		partials:     make(map[crypto.Hash]*partialBundle),
+		inflightHigh: make([]uint64, c.NC),
 		pulls:        make(map[wire.NodeID]*pullState),
 		seenBlocks:   make(map[crypto.Hash]uint64),
 		lastSeen:     make(map[wire.NodeID]time.Time),
@@ -795,9 +808,36 @@ func (f *FullNode) armHeartbeat() {
 	})
 }
 
-// subsChanged invalidates the memoized sorted-subscriber view; every
+// subsChanged invalidates the memoized sorted-subscriber views; every
 // mutation of f.subscribers must call it.
-func (f *FullNode) subsChanged() { f.subsSorted = nil }
+func (f *FullNode) subsChanged() {
+	f.subsSorted = nil
+	clear(f.subsByStripe)
+}
+
+// stripeSubscribers returns stripe s's subscribers in ascending ID order,
+// memoized like sortedSubscribers: the relay path walks it once per
+// stripe per hop. Callers must not retain or mutate the returned slice.
+func (f *FullNode) stripeSubscribers(s uint8) []wire.NodeID {
+	if int(s) < len(f.subsByStripe) && f.subsByStripe[s] != nil {
+		return f.subsByStripe[s]
+	}
+	return f.sortStripeSubscribers(s)
+}
+
+//predis:coldpath
+func (f *FullNode) sortStripeSubscribers(s uint8) []wire.NodeID {
+	for int(s) >= len(f.subsByStripe) {
+		f.subsByStripe = append(f.subsByStripe, nil)
+	}
+	out := make([]wire.NodeID, 0, len(f.subscribers[s]))
+	for id := range f.subscribers[s] {
+		out = append(out, id)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	f.subsByStripe[s] = out
+	return out
+}
 
 // sortedSubscribers returns the distinct subscriber IDs across all stripes
 // in ascending order (deterministic fan-out helper). The view is memoized

@@ -17,7 +17,9 @@ import (
 
 // onStripe handles the stripe data plane (§IV-D): verify, store, forward
 // down the subscription tree, and reassemble the bundle once n_c−f stripes
-// arrived.
+// arrived. Up to completeBundle it allocates nothing in steady state.
+//
+//predis:hotpath
 func (f *FullNode) onStripe(from wire.NodeID, m *StripeMsg) {
 	// Starvation liveness, before any dedup: a subscribed sender whose
 	// stripes systematically arrive after the n_c−f fastest is still
@@ -37,69 +39,117 @@ func (f *FullNode) onStripe(from wire.NodeID, m *StripeMsg) {
 		return
 	}
 	if err := f.cfg.Striper.VerifyStripe(m); err != nil {
-		f.ctx.Logf("multizone: bad stripe from %d: %v", from, err)
-		f.rejected++
-		f.recordOffense(from)
-		// Re-request the damaged bundle from an alternate holder — but
-		// only when the header itself is authentic (a partial we already
-		// signature-checked, or one that verifies now); a forged header's
-		// coordinates are not worth chasing.
-		if p != nil || f.headerAuthentic(&m.Header) {
-			f.scheduleRefetch(m.Header, from)
-		}
+		f.rejectStripe(from, m, p != nil, err)
 		return
 	}
 	if p == nil {
 		// Verify the header signature once per bundle.
 		if !f.headerAuthentic(&m.Header) {
-			f.ctx.Logf("multizone: stripe with bad header signature from %d", from)
-			f.rejected++
-			f.recordOffense(from)
+			f.rejectStripe(from, m, false, nil)
 			return
 		}
-		p = &partialBundle{header: m.Header, stripes: make([]*StripeMsg, f.cfg.NC)}
-		f.partials[headerHash] = p
+		p = f.newPartial(headerHash, m)
 	}
 	p.stripes[m.Index] = m
 	p.have++
 	f.stripesIn++
 	f.forwardStripe(from, m)
-
 	if p.have >= f.cfg.Striper.MinStripes() {
-		b, err := f.cfg.Striper.Reassemble(p.header, p.stripes)
-		if err != nil {
-			// Possible with exactly n_c−f stripes if one was forged with a
-			// colliding proof; wait for more stripes.
-			if p.have >= f.cfg.NC {
-				f.ctx.Logf("multizone: bundle %s unreconstructable: %v", headerHash.Short(), err)
-				delete(f.partials, headerHash)
-			}
-			return
-		}
-		p.done = true
-		f.noteStarvation(p)
-		p.stripes = nil // free shard memory; header stays to dedupe
-		f.storeBundle(b, false)
-		f.tryCompleteBlocks()
+		f.completeBundle(headerHash, p)
 	}
+}
+
+// rejectStripe charges the sender of a stripe that failed verification: a
+// bad Merkle proof (err non-nil) or, on a bundle's first stripe, a bad
+// header signature.
+//
+//predis:coldpath
+func (f *FullNode) rejectStripe(from wire.NodeID, m *StripeMsg, known bool, err error) {
+	if err == nil {
+		f.ctx.Logf("multizone: stripe with bad header signature from %d", from)
+	} else {
+		f.ctx.Logf("multizone: bad stripe from %d: %v", from, err)
+	}
+	f.rejected++
+	f.recordOffense(from)
+	// Re-request the damaged bundle from an alternate holder — but only
+	// when the header itself is authentic (a partial we already
+	// signature-checked, or one that verifies now); a forged header's
+	// coordinates are not worth chasing.
+	if err != nil && (known || f.headerAuthentic(&m.Header)) {
+		f.scheduleRefetch(m.Header, from)
+	}
+}
+
+// newPartial opens the partial for the bundle whose first stripe — header
+// signature checked — is m, reusing a recycled entry when one is free.
+func (f *FullNode) newPartial(headerHash crypto.Hash, m *StripeMsg) *partialBundle {
+	var p *partialBundle
+	if n := len(f.freePartials); n > 0 {
+		p, f.freePartials = f.freePartials[n-1], f.freePartials[:n-1]
+	} else {
+		p = &partialBundle{stripes: make([]*StripeMsg, f.cfg.NC)} //predis:allocok free-list miss
+	}
+	p.producer, p.height, p.first = m.Header.Producer, m.Header.Height, m.Index
+	f.partials[headerHash] = p
+	f.raiseInflight(p)
+	return p
+}
+
+func (f *FullNode) raiseInflight(p *partialBundle) {
+	if i := int(p.producer); i < len(f.inflightHigh) && p.height > f.inflightHigh[i] {
+		f.inflightHigh[i] = p.height
+	}
+}
+
+// dropPartials removes entries from partials, resets them onto the free
+// list (no stripes, coordinates or flags survive into the next life) and
+// recomputes inflightHigh from what is left.
+func (f *FullNode) dropPartials(hashes ...crypto.Hash) {
+	for _, h := range hashes {
+		p := f.partials[h]
+		delete(f.partials, h)
+		clear(p.stripes)
+		*p = partialBundle{stripes: p.stripes}
+		f.freePartials = append(f.freePartials, p)
+	}
+	clear(f.inflightHigh)
+	for _, p := range f.partials {
+		f.raiseInflight(p)
+	}
+}
+
+// completeBundle reassembles a bundle that has n_c−f stripes and stores
+// it. It runs once per bundle, and the mempool insert, block completion
+// and — on the first node to assemble it — the body decode allocate by
+// design, so the relay path's zero-allocation region ends here.
+//
+//predis:coldpath
+func (f *FullNode) completeBundle(headerHash crypto.Hash, p *partialBundle) {
+	b, err := f.cfg.Striper.Reassemble(p.stripes[p.first].Header, p.stripes)
+	if err != nil {
+		// Possible with exactly n_c−f stripes if one was forged with a
+		// colliding proof; wait for more stripes.
+		if p.have >= f.cfg.NC {
+			f.ctx.Logf("multizone: bundle %s unreconstructable: %v", headerHash.Short(), err)
+			f.dropPartials(headerHash)
+		}
+		return
+	}
+	p.done = true
+	f.noteStarvation(p)
+	clear(p.stripes) // free shard memory; the entry stays to dedupe
+	f.storeBundle(b, false)
+	f.tryCompleteBlocks()
 }
 
 // forwardStripe relays a stripe to this node's subscribers for its index
 // (in ID order, so map iteration never affects the wire).
 func (f *FullNode) forwardStripe(from wire.NodeID, m *StripeMsg) {
-	subs := f.subscribers[m.Index]
-	if len(subs) == 0 {
-		return
-	}
-	ids := make([]wire.NodeID, 0, len(subs))
-	for id := range subs {
+	for _, id := range f.stripeSubscribers(m.Index) {
 		if id != from {
-			ids = append(ids, id)
+			f.ctx.Send(id, m)
 		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		f.ctx.Send(id, m)
 	}
 }
 
@@ -241,19 +291,13 @@ func (f *FullNode) onSpecBlock(from wire.NodeID, blk *core.PredisBlock) {
 // bundle already has a partial (stripes ship at bundle-store time, ahead
 // of the proposal), so the pre-fetch stays silent and costs nothing.
 func (f *FullNode) prefetchSpec(from wire.NodeID, blk *core.PredisBlock) {
-	inflight := make(map[wire.NodeID]uint64) // producer → highest height with stripes in flight
-	for _, p := range f.partials {
-		if h := p.header.Height; h > inflight[p.header.Producer] {
-			inflight[p.header.Producer] = h
-		}
-	}
 	tips := f.mp.Tips()
 	for i, c := range blk.Cuts {
 		if i >= len(tips) {
 			break
 		}
 		have := tips[i]
-		if fl := inflight[wire.NodeID(i)]; fl > have {
+		if fl := f.inflightHigh[i]; fl > have {
 			have = fl
 		}
 		if c.Height > have {
@@ -486,14 +530,14 @@ func (f *FullNode) onDigest(from wire.NodeID, m *BlockDigest) {
 // entries whose bundles are confirmed (or pruned) leave the dedup map, and
 // ancient block-hash entries age out once the chain moves past them.
 func (f *FullNode) sweepDataPlane() {
+	var swept []crypto.Hash
 	for h, p := range f.partials {
-		if !p.done {
-			continue
+		if p.done && p.height <= f.mp.ConfirmedHeight(p.producer) {
+			swept = append(swept, h)
 		}
-		conf := f.mp.ConfirmedHeight(p.header.Producer)
-		if p.header.Height <= conf {
-			delete(f.partials, h)
-		}
+	}
+	if len(swept) > 0 {
+		f.dropPartials(swept...)
 	}
 	const keepBlocks = 128
 	if f.lastHeight > keepBlocks {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"predis/internal/crypto"
 	"predis/internal/node"
 	"predis/internal/simnet"
 	"predis/internal/wire"
@@ -114,4 +115,71 @@ func TestFullNodeSortedSubscribersMemoized(t *testing.T) {
 	if f.subCount != 2 {
 		t.Fatalf("subCount = %d, want 2", f.subCount)
 	}
+}
+
+// TestFullNodeStripeSubscribersMemoized: the per-stripe sorted views the
+// relay path walks are memoized like the global view and invalidated by
+// every mutation it is: subscribe, unsubscribe, quarantine sever,
+// heartbeat TTL expiry and crash-reset.
+func TestFullNodeStripeSubscribersMemoized(t *testing.T) {
+	node.RegisterAllMessages()
+	RegisterMessages()
+	striper, _ := NewStriper(4, 1)
+	net := simnet.New(simnet.Config{Latency: simnet.UniformLatency(time.Millisecond)})
+	fn, err := NewFullNode(FullNodeConfig{
+		Self: 200, NC: 4, F: 1, Striper: striper, Signer: crypto.NewSimSuite(4, 9).Signer(0),
+		HeartbeatInterval: 100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.AddNode(200, fn)
+	for _, id := range []wire.NodeID{0, 1, 2, 3, 300, 301, 302, 303} {
+		net.AddNode(id, &recHandler{onRecv: func(wire.NodeID, wire.Message) {}})
+	}
+	net.Start()
+	net.Run(60 * time.Millisecond) // Algorithm 1 ran: every stripe has a pending sender, so subscriptions are accepted
+	check := func(step string, s uint8, want ...wire.NodeID) {
+		t.Helper()
+		got := fn.stripeSubscribers(s)
+		if !idsEqual(got, want...) {
+			t.Fatalf("%s: stripeSubscribers(%d) = %v, want %v", step, s, got, want)
+		}
+		if len(got) > 0 && !sameBacking(got, fn.stripeSubscribers(s)) {
+			t.Fatalf("%s: unchanged view of stripe %d was rebuilt", step, s)
+		}
+		all := map[wire.NodeID]bool{}
+		for i := uint8(0); i < 4; i++ {
+			for _, id := range fn.stripeSubscribers(i) {
+				all[id] = true
+			}
+		}
+		if len(all) != len(fn.sortedSubscribers()) {
+			t.Fatalf("%s: per-stripe views hold %d distinct IDs, the global view %d", step, len(all), len(fn.sortedSubscribers()))
+		}
+	}
+
+	fn.Receive(301, &Subscribe{Stripes: []uint8{0}})
+	check("first subscribe", 0, 301)
+	fn.Receive(300, &Subscribe{Stripes: []uint8{0, 1}})
+	check("subscribe", 0, 300, 301)
+	check("subscribe", 1, 300)
+	fn.Receive(300, &Unsubscribe{Stripes: []uint8{0}})
+	check("unsubscribe", 0, 301)
+	check("unsubscribe", 1, 300)
+	fn.quarantine(301)
+	check("quarantine sever", 0)
+	check("quarantine sever", 1, 300)
+
+	// 300 and 302 go silent: three missed heartbeat intervals expire them.
+	fn.Receive(302, &Subscribe{Stripes: []uint8{2}})
+	check("late subscribe", 2, 302)
+	net.Run(600 * time.Millisecond)
+	check("heartbeat expiry", 1)
+	check("heartbeat expiry", 2)
+
+	fn.Receive(303, &Subscribe{Stripes: []uint8{3}})
+	check("resubscribe", 3, 303)
+	fn.OnRestart()
+	check("crash-reset", 3)
 }

@@ -59,54 +59,64 @@ func (s *Striper) NC() int { return s.nc }
 // MinStripes returns how many stripes reconstruct a bundle (n_c − f).
 func (s *Striper) MinStripes() int { return s.nc - s.f }
 
-// encodeBody serializes a bundle body exactly as the wire codec does, so
-// reassembled bundles decode with the standard path.
-func encodeBody(txs []*types.Transaction) []byte {
-	e := wire.NewEncoder(types.SizeTxs(txs))
-	types.EncodeTxs(e, txs)
-	return e.Bytes()
-}
-
-// StripeSet is the encoded form of one bundle: the shards plus the Merkle
-// tree over them.
+// StripeSet is the encoded form of one bundle: the shards plus every
+// shard's Merkle proof. It is immutable once built and owns two slabs —
+// Shards slice one byte slab (the body, zero-padded, then the parity), the
+// proofs slice one digest slab — which live as long as any stripe message
+// cut from the set is referenced.
 type StripeSet struct {
 	Shards     [][]byte
 	PayloadLen int
 	Root       crypto.Hash
-	tree       *merkle.Tree
+	proofs     [][]crypto.Hash
 }
 
 // Encode erasure-codes a bundle body into n_c shards and builds the stripe
-// Merkle tree. Call it before signing the header so StripeRoot can be
-// embedded (core.Options.StripeRoot does this).
+// Merkle proofs. Call it before signing the header so StripeRoot can be
+// embedded (core.Options.StripeRoot does this). The body is serialized
+// exactly as the wire codec does, so reassembled bundles decode with the
+// standard path.
+//
+//predis:hotpath
 func (s *Striper) Encode(txs []*types.Transaction) (*StripeSet, error) {
-	body := encodeBody(txs)
-	shards := s.coder.Split(body)
-	tree, err := s.encodeTree(shards)
+	e := wire.GetEncoder()
+	types.EncodeTxs(e, txs)
+	payloadLen := e.Len()
+	size := s.coder.StripeSize(payloadLen)
+	slab := make([]byte, size*s.nc) //predis:allocok the per-bundle shard slab: every stripe's payload is a sub-slice of it
+	copy(slab, e.Bytes())
+	wire.PutEncoder(e)
+	shards := make([][]byte, s.nc) //predis:allocok per-bundle shard headers
+	for i := range shards {
+		shards[i] = slab[i*size : (i+1)*size : (i+1)*size]
+	}
+	leaves, err := s.encodeLeaves(shards)
 	if err != nil {
 		return nil, err
 	}
-	return &StripeSet{
-		Shards:     shards,
-		PayloadLen: len(body),
-		Root:       tree.Root(),
-		tree:       tree,
-	}, nil
+	root, proofs := merkle.ProofsOfHashes(leaves)
+	return &StripeSet{Shards: shards, PayloadLen: payloadLen, Root: root, proofs: proofs}, nil //predis:allocok the result
 }
 
-// encodeTree fills the parity shards and builds the stripe Merkle tree.
-// With an active pool the parity encode and the data-shard leaf hashing
-// fork-join (they touch disjoint shards); the tree it returns is
-// byte-identical to the serial merkle.NewTree(shards) result.
-func (s *Striper) encodeTree(shards [][]byte) (*merkle.Tree, error) {
+// encodeLeaves fills the parity shards and hashes every shard. With an
+// active pool the parity encode and the data-shard leaf hashing fork-join
+// (they touch disjoint shards); the digests are byte-identical to the
+// serial result.
+func (s *Striper) encodeLeaves(shards [][]byte) ([]crypto.Hash, error) {
 	data := s.coder.DataShards()
+	leaves := make([]crypto.Hash, len(shards)) //predis:allocok per-bundle leaf digests, level 0 of the proof tree
 	if !s.pool.Active() || data < 2 {
 		if err := s.coder.Encode(shards); err != nil {
 			return nil, err
 		}
-		return merkle.NewTree(shards), nil
+		return merkle.HashLeaves(leaves, shards), nil
 	}
-	leaves := make([]crypto.Hash, len(shards))
+	return leaves, s.encodeLeavesPooled(shards, leaves)
+}
+
+//predis:coldpath
+func (s *Striper) encodeLeavesPooled(shards [][]byte, leaves []crypto.Hash) error {
+	data := s.coder.DataShards()
 	var encErr error
 	// Task 0 computes every parity shard (writes shards[data:]); tasks
 	// 1..data hash the data shards (read shards[:data], write disjoint
@@ -118,15 +128,12 @@ func (s *Striper) encodeTree(shards [][]byte) (*merkle.Tree, error) {
 		}
 		leaves[i-1] = merkle.HashLeaf(shards[i-1])
 	})
-	if encErr != nil {
-		return nil, encErr
-	}
 	// Parity leaves need the encoded parity; hash them after the join
 	// (f is small — 1 at the paper's scale).
-	for i := data; i < len(shards); i++ {
+	for i := data; i < len(shards) && encErr == nil; i++ {
 		leaves[i] = merkle.HashLeaf(shards[i])
 	}
-	return merkle.NewTreeFromHashes(leaves), nil
+	return encErr
 }
 
 // Stripe extracts stripe i as a wire message for the given bundle header.
@@ -134,16 +141,12 @@ func (set *StripeSet) Stripe(header core.BundleHeader, i int) (*StripeMsg, error
 	if i < 0 || i >= len(set.Shards) {
 		return nil, fmt.Errorf("multizone: stripe index %d out of range", i)
 	}
-	proof, err := set.tree.Proof(i)
-	if err != nil {
-		return nil, err
-	}
 	return &StripeMsg{
 		Header:     header,
 		Index:      uint8(i),
 		PayloadLen: uint32(set.PayloadLen),
 		Shard:      set.Shards[i],
-		Proof:      proof,
+		Proof:      set.proofs[i],
 	}, nil
 }
 
@@ -165,7 +168,7 @@ func (s *Striper) VerifyStripe(m *StripeMsg) error {
 		return nil
 	}
 	if int(m.Index) >= s.nc {
-		return fmt.Errorf("%w: index %d of %d", ErrStripeProof, m.Index, s.nc)
+		return fmt.Errorf("%w: index %d of %d", ErrStripeProof, m.Index, s.nc) //predis:allocok reject path
 	}
 	ok, joined := m.joinSpec(s.nc)
 	if !joined {
@@ -181,32 +184,47 @@ func (s *Striper) VerifyStripe(m *StripeMsg) error {
 // Reassemble reconstructs a bundle from any n_c−f verified stripes of the
 // same header. stripes is indexed by stripe index; nil entries are
 // missing.
+//
+//predis:hotpath
 func (s *Striper) Reassemble(header core.BundleHeader, stripes []*StripeMsg) (*core.Bundle, error) {
-	shards := make([][]byte, s.nc)
 	have := 0
 	payloadLen := -1
-	for i, st := range stripes {
+	for _, st := range stripes {
 		if st == nil {
 			continue
 		}
-		shards[i] = st.Shard
 		have++
 		if payloadLen < 0 {
 			payloadLen = int(st.PayloadLen)
 		}
 	}
 	if have < s.MinStripes() || payloadLen < 0 {
-		return nil, fmt.Errorf("%w: have %d, need %d", ErrStripeCount, have, s.MinStripes())
+		return nil, fmt.Errorf("%w: have %d, need %d", ErrStripeCount, have, s.MinStripes()) //predis:allocok caller bug
 	}
 	// With enough stripes in hand, a bundle another node already
 	// reconstructed from a set containing one of them is exactly what
 	// decoding would produce: every valid n_c−f subset yields the same
 	// body (Reed–Solomon), and the memo was checked against the header's
-	// commitments before caching.
+	// commitments before caching. In the simulator all but the first full
+	// node to assemble a bundle leave here, having allocated nothing.
 	headerHash := header.Hash()
 	for _, st := range stripes {
 		if st != nil && st.assembled != nil && st.assembled.Header.Hash() == headerHash {
 			return st.assembled, nil
+		}
+	}
+	return s.decode(header, stripes, payloadLen)
+}
+
+// decode is Reassemble's slow half: erasure-decode the body, parse it and
+// check it against the header.
+//
+//predis:coldpath
+func (s *Striper) decode(header core.BundleHeader, stripes []*StripeMsg, payloadLen int) (*core.Bundle, error) {
+	shards := make([][]byte, s.nc)
+	for i, st := range stripes {
+		if st != nil {
+			shards[i] = st.Shard
 		}
 	}
 	// Only the data shards are needed to Join the body back together;

@@ -1,6 +1,7 @@
 package multizone
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 	"time"
@@ -232,5 +233,68 @@ func TestQuickStripeReassembly(t *testing.T) {
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReassembleForeignShardIsErrStripeBundle: with exactly n_c−f stripes,
+// one of them carrying another bundle's shard under this header, the
+// erasure decode succeeds but the body does not match the header — the
+// result must be ErrStripeBundle and no stripe may be left holding an
+// assembled memo that later callers would trust.
+func TestReassembleForeignShardIsErrStripeBundle(t *testing.T) {
+	s, _ := NewStriper(4, 1)
+	suite := crypto.NewSimSuite(4, 82)
+	txs := mkTxs(10, 0)
+	set, _ := s.Encode(txs)
+	b := core.PackBundleStriped(suite.Signer(0), 0, nil, txs, make(core.TipList, 4), set.Root)
+	other, _ := s.Encode(mkTxs(10, 500))
+	stripes := make([]*StripeMsg, 4)
+	stripes[0], _ = set.Stripe(b.Header, 0)
+	stripes[1], _ = set.Stripe(b.Header, 1)
+	stripes[2], _ = other.Stripe(b.Header, 2) // this header, the other bundle's shard and proof
+	got, err := s.Reassemble(b.Header, stripes)
+	if !errors.Is(err, ErrStripeBundle) || got != nil {
+		t.Fatalf("Reassemble = (%v, %v), want ErrStripeBundle", got, err)
+	}
+	for i, st := range stripes {
+		if st != nil && st.assembled != nil {
+			t.Fatalf("failed reassembly left an assembled memo on stripe %d", i)
+		}
+	}
+	// The honest fourth stripe makes a valid subset available again.
+	stripes[2], _ = set.Stripe(b.Header, 2)
+	if _, err := s.Reassemble(b.Header, stripes); err != nil {
+		t.Fatalf("honest stripes after the failed attempt: %v", err)
+	}
+}
+
+// TestReassembleMemoHitReturnsSameBundle: once any node has reassembled a
+// bundle, every later reassembly from a set sharing one of its stripes
+// returns the identical *core.Bundle — including from a different subset.
+func TestReassembleMemoHitReturnsSameBundle(t *testing.T) {
+	s, _ := NewStriper(4, 1)
+	suite := crypto.NewSimSuite(4, 83)
+	txs := mkTxs(10, 0)
+	set, _ := s.Encode(txs)
+	b := core.PackBundleStriped(suite.Signer(0), 0, nil, txs, make(core.TipList, 4), set.Root)
+	all := make([]*StripeMsg, 4)
+	for i := range all {
+		all[i], _ = set.Stripe(b.Header, i)
+	}
+	first, err := s.Reassemble(b.Header, []*StripeMsg{all[0], all[1], all[2], nil})
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := s.Reassemble(b.Header, []*StripeMsg{all[0], all[1], all[2], nil})
+	if err != nil || again != first {
+		t.Fatalf("second reassembly = (%p, %v), want the memoized %p", again, err, first)
+	}
+	subset, err := s.Reassemble(b.Header, []*StripeMsg{nil, all[1], all[2], all[3]})
+	if err != nil || subset != first {
+		t.Fatalf("reassembly from another subset = (%p, %v), want the memoized %p", subset, err, first)
+	}
+	// Too few stripes is still an error, memo or not.
+	if _, err := s.Reassemble(b.Header, []*StripeMsg{all[0], all[1], nil, nil}); !errors.Is(err, ErrStripeCount) {
+		t.Fatalf("two stripes with a memo = %v, want ErrStripeCount", err)
 	}
 }

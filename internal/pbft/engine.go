@@ -95,7 +95,10 @@ type Engine struct {
 
 	lastExec    uint64
 	lastPayload wire.Message // payload executed at lastExec (parent link)
-	instances   map[uint64]*instance
+	// window holds the live instances in ascending seq order. It is kept
+	// ordered as it is mutated (it is small: Pipeline slots plus whatever
+	// votes ran ahead), so every walk is deterministic without a sort.
+	window []*instance
 
 	// view change state
 	inViewChange bool
@@ -144,7 +147,6 @@ func New(cfg Config) (*Engine, error) {
 		cfg:         c,
 		f:           consensus.FaultBound(c.N),
 		quo:         consensus.Quorum(c.N),
-		instances:   make(map[uint64]*instance),
 		viewChanges: make(map[uint64]map[wire.NodeID]*ViewChange),
 		evidenced:   make(map[uint64]bool),
 		peers:       peers,
@@ -185,10 +187,16 @@ func (e *Engine) Poke() {
 	if e.ctx == nil {
 		return
 	}
-	for _, seq := range e.sortedSeqs() {
-		if inst := e.instances[seq]; inst != nil && inst.pendingValid {
-			e.validateInstance(inst)
+	// validateInstance can execute and drop slots, and re-enter Poke
+	// through the app, so the cursor is a sequence number, not an index.
+	for i := 0; i < len(e.window); {
+		inst := e.window[i]
+		if !inst.pendingValid {
+			i++
+			continue
 		}
+		e.validateInstance(inst)
+		i, _ = e.find(inst.seq + 1)
 	}
 	e.tryExecute() // a freshly validated instance may now be executable
 	e.tryPropose()
@@ -217,7 +225,7 @@ func (e *Engine) armSuspicion() {
 	timeout := e.cfg.ViewTimeout << uint(e.vcBackoff)
 	e.suspicion = e.ctx.After(timeout, func() {
 		e.suspicion = nil
-		if e.hasPendingWork() || len(e.instances) > 0 {
+		if e.hasPendingWork() || len(e.window) > 0 {
 			e.startViewChange(e.view + 1)
 		}
 	})
@@ -242,7 +250,7 @@ func (e *Engine) tryPropose() {
 	}
 	parent := e.lastPayload
 	for seq := e.lastExec + 1; seq <= e.lastExec+uint64(e.cfg.Pipeline); seq++ {
-		if inst, ok := e.instances[seq]; ok && inst.view >= e.view {
+		if inst := e.instance(seq); inst != nil && inst.view >= e.view {
 			if inst.payload == nil {
 				return // votes-only slot: no payload to chain the next slot onto
 			}
@@ -274,7 +282,11 @@ func (e *Engine) proposeAt(seq uint64, digest crypto.Hash, payload wire.Message)
 }
 
 func (e *Engine) getInstance(seq, view uint64, digest crypto.Hash) *instance {
-	inst, ok := e.instances[seq]
+	i, ok := e.find(seq)
+	var inst *instance
+	if ok {
+		inst = e.window[i]
+	}
 	if ok && inst.view == view && inst.digest == digest {
 		return inst
 	}
@@ -284,6 +296,9 @@ func (e *Engine) getInstance(seq, view uint64, digest crypto.Hash) *instance {
 	// New instance, or a re-proposal in a higher view supersedes the old.
 	if ok {
 		e.evictInstance(inst)
+	} else {
+		e.window = append(e.window, nil)
+		copy(e.window[i+1:], e.window[i:])
 	}
 	inst = &instance{
 		view:     view,
@@ -292,8 +307,41 @@ func (e *Engine) getInstance(seq, view uint64, digest crypto.Hash) *instance {
 		prepares: make(map[wire.NodeID]struct{}),
 		commits:  make(map[wire.NodeID]struct{}),
 	}
-	e.instances[seq] = inst
+	e.window[i] = inst
 	return inst
+}
+
+// find returns where seq sits (or would be inserted) in the window and
+// whether it is live.
+//
+//predis:hotpath
+func (e *Engine) find(seq uint64) (int, bool) {
+	lo, hi := 0, len(e.window)
+	for lo < hi {
+		if mid := (lo + hi) / 2; e.window[mid].seq < seq {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(e.window) && e.window[lo].seq == seq
+}
+
+// instance returns the live instance at seq, or nil.
+func (e *Engine) instance(seq uint64) *instance {
+	if i, ok := e.find(seq); ok {
+		return e.window[i]
+	}
+	return nil
+}
+
+// dropInstances removes the live instances with lo ≤ seq ≤ hi.
+func (e *Engine) dropInstances(lo, hi uint64) {
+	i, _ := e.find(lo)
+	j, _ := e.find(hi + 1)
+	n := copy(e.window[i:], e.window[j:])
+	clear(e.window[i+n:])
+	e.window = e.window[:i+n]
 }
 
 // evictInstance tells a ProposalEvicter application that the engine is
@@ -307,17 +355,6 @@ func (e *Engine) evictInstance(inst *instance) {
 	if ev, ok := e.cfg.App.(consensus.ProposalEvicter); ok {
 		ev.OnProposalEvicted(inst.seq, inst.payload)
 	}
-}
-
-// sortedSeqs returns the live instance sequence numbers in ascending
-// order, so map iteration never leaks into message send order.
-func (e *Engine) sortedSeqs() []uint64 {
-	seqs := make([]uint64, 0, len(e.instances))
-	for seq := range e.instances {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs
 }
 
 // Receive implements env.Handler.
@@ -375,7 +412,7 @@ func (e *Engine) onPrePrepare(from wire.NodeID, m *PrePrepare) {
 		if inst.payload != nil || inst.prepared || inst.commitQuorum {
 			return
 		}
-		delete(e.instances, m.Seq)
+		e.dropInstances(m.Seq, m.Seq)
 		inst = e.getInstance(m.Seq, m.View, m.Digest)
 	}
 	if inst.ppSig == nil && inst.view == m.View {
@@ -407,7 +444,7 @@ func (e *Engine) validateInstance(inst *instance) {
 		// retries). With a pipeline window the parent slot may still be in
 		// flight — chain validation through its payload, which is safe
 		// because the slot's digest binds the payload to that parent.
-		pinst := e.instances[inst.seq-1]
+		pinst := e.instance(inst.seq - 1)
 		if e.cfg.Pipeline <= 1 || pinst == nil || !pinst.validated || pinst.payload == nil {
 			inst.pendingValid = true
 			return
@@ -539,8 +576,8 @@ func (e *Engine) onProposalProof(from wire.NodeID, m *ProposalProof) {
 	if !e.cfg.Signer.Verify(int(m.Leader), voteDigest(kindPrePrepare, m.View, m.Seq, m.Digest), m.Sig) {
 		return
 	}
-	inst, ok := e.instances[m.Seq]
-	if !ok || inst.ppSig == nil || inst.view != m.View || inst.ppDigest == m.Digest {
+	inst := e.instance(m.Seq)
+	if inst == nil || inst.ppSig == nil || inst.view != m.View || inst.ppDigest == m.Digest {
 		return // no conflicting half here; nothing to prove
 	}
 	e.foundEquivocation(m.View, m.Seq, m.Leader, inst.ppDigest, inst.ppSig, m.Digest, m.Sig)
@@ -579,8 +616,8 @@ func (e *Engine) recordCommit(inst *instance, replica wire.NodeID) {
 // until the app can validate it — Poke retries.
 func (e *Engine) tryExecute() {
 	for {
-		inst, ok := e.instances[e.lastExec+1]
-		if !ok || !inst.commitQuorum {
+		inst := e.instance(e.lastExec + 1)
+		if inst == nil || !inst.commitQuorum {
 			return
 		}
 		if !inst.validated {
@@ -592,7 +629,7 @@ func (e *Engine) tryExecute() {
 				return
 			}
 		}
-		delete(e.instances, inst.seq)
+		e.dropInstances(inst.seq, inst.seq)
 		delete(e.evidenced, inst.seq)
 		e.lastExec = inst.seq
 		e.lastPayload = inst.payload
@@ -616,8 +653,8 @@ func (e *Engine) startViewChange(newView uint64) {
 	e.resetTimersForViewChange()
 
 	vc := &ViewChange{NewViewNum: newView, LastExec: e.lastExec, Replica: e.cfg.Self}
-	for _, seq := range e.sortedSeqs() {
-		if inst := e.instances[seq]; inst.prepared && inst.payload != nil {
+	for _, inst := range e.window {
+		if inst.prepared && inst.payload != nil {
 			vc.Prepared = append(vc.Prepared, &PreparedEntry{
 				Seq: inst.seq, View: inst.view, Digest: inst.digest, Payload: inst.payload,
 			})
@@ -728,11 +765,7 @@ func (e *Engine) FastForward(height uint64, payload wire.Message) {
 	}
 	e.lastExec = height
 	e.lastPayload = payload
-	for seq := range e.instances {
-		if seq <= height {
-			delete(e.instances, seq)
-		}
-	}
+	e.dropInstances(0, height)
 	e.resetSuspicion()
 	e.Poke()
 }
@@ -808,16 +841,19 @@ func (e *Engine) adoptView(newView uint64) {
 	e.resetTimersForViewChange()
 	e.vcBackoff = 0
 	// Ascending-seq order: eviction callbacks can emit messages (spec
-	// discards), so map iteration order must not leak into the schedule.
-	for _, seq := range e.sortedSeqs() {
-		inst := e.instances[seq]
+	// discards). They do not re-enter the engine, so the window is
+	// compacted in place.
+	kept := e.window[:0]
+	for _, inst := range e.window {
 		if inst.commitQuorum {
-			continue // committed instances survive view changes
+			kept = append(kept, inst) // committed instances survive view changes
+			continue
 		}
 		// Drop stale vote state; the new leader re-proposes.
 		e.evictInstance(inst)
-		delete(e.instances, seq)
 	}
+	clear(e.window[len(kept):])
+	e.window = kept
 	for v := range e.viewChanges {
 		if v <= newView {
 			delete(e.viewChanges, v)

@@ -12,6 +12,7 @@
 package pbft
 
 import (
+	"encoding/binary"
 	"sync"
 
 	"predis/internal/crypto"
@@ -46,12 +47,12 @@ const (
 
 // voteDigest derives the signing digest for a phase vote.
 func voteDigest(kind voteKind, view, seq uint64, d crypto.Hash) crypto.Hash {
-	e := wire.NewEncoder(1 + 8 + 8 + 32)
-	e.U8(byte(kind))
-	e.U64(view)
-	e.U64(seq)
-	e.Bytes32(d)
-	return crypto.HashBytes(e.Bytes())
+	var buf [1 + 8 + 8 + 32]byte
+	buf[0] = byte(kind)
+	binary.BigEndian.PutUint64(buf[1:], view)
+	binary.BigEndian.PutUint64(buf[9:], seq)
+	copy(buf[17:], d[:])
+	return crypto.HashBytes(buf[:])
 }
 
 // PrePrepare is the leader's proposal for (view, seq). The payload is a

@@ -457,3 +457,77 @@ func TestPBFTEquivocatingLeaderDetectedAndOutrun(t *testing.T) {
 		}
 	}
 }
+
+// TestPokeFullWindowAllocs: in stream mode the app pokes the engine once
+// per stored bundle. With the pipeline window full and nothing pending,
+// a poke walks the seq-ordered window in place and allocates nothing.
+func TestPokeFullWindowAllocs(t *testing.T) {
+	registerPayload()
+	RegisterMessages()
+	const pipeline = 16
+	net := simnet.New(simnet.Config{Latency: simnet.UniformLatency(5 * time.Millisecond), Seed: 3})
+	suite := crypto.NewSimSuite(4, 5)
+	app := &echoApp{max: 1000, pendOnce: map[uint64]bool{}}
+	e, err := New(Config{N: 4, Self: 0, App: app, Signer: suite.Signer(0), Pipeline: pipeline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.AddNode(0, e)
+	net.Start() // the view-0 leader fills its window on Start
+	if len(e.window) != pipeline {
+		t.Fatalf("window holds %d instances, want %d", len(e.window), pipeline)
+	}
+	for i, inst := range e.window {
+		if inst.seq != uint64(i+1) {
+			t.Fatalf("window[%d].seq = %d: not in ascending seq order", i, inst.seq)
+		}
+	}
+	if a := testing.AllocsPerRun(100, e.Poke); a != 0 {
+		t.Errorf("Poke with a full window and nothing pending allocates %.1f, want 0", a)
+	}
+	if app.next != pipeline {
+		t.Fatalf("poking a full window built %d proposals, want %d", app.next, pipeline)
+	}
+}
+
+// TestWindowStaysOrdered: votes that run ahead, supersession, execution
+// and fast-forward all leave the window in ascending seq order with no
+// duplicates, and lookups agree with a linear scan.
+func TestWindowStaysOrdered(t *testing.T) {
+	e, err := New(Config{N: 4, Self: 1, App: &echoApp{}, Signer: crypto.NewSimSuite(4, 5).Signer(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string, want ...uint64) {
+		t.Helper()
+		if len(e.window) != len(want) {
+			t.Fatalf("%s: window holds %d instances, want %v", step, len(e.window), want)
+		}
+		for i, seq := range want {
+			if e.window[i].seq != seq || e.instance(seq) != e.window[i] {
+				t.Fatalf("%s: window[%d].seq = %d, want %d", step, i, e.window[i].seq, seq)
+			}
+		}
+		if e.instance(4) != nil || e.instance(1000) != nil { // never inserted
+			t.Fatalf("%s: lookup of an absent seq returned an instance", step)
+		}
+	}
+	d := crypto.HashBytes([]byte("d"))
+	for _, seq := range []uint64{7, 3, 9, 5, 3, 8} {
+		e.getInstance(seq, 0, d)
+	}
+	check("out-of-order inserts", 3, 5, 7, 8, 9)
+	old := e.instance(5)
+	if e.getInstance(5, 1, d) == old {
+		t.Fatal("a higher view must supersede the slot")
+	}
+	check("supersession in place", 3, 5, 7, 8, 9)
+	e.dropInstances(7, 7)
+	check("single drop", 3, 5, 8, 9)
+	e.dropInstances(6, 6)
+	check("drop of an absent seq", 3, 5, 8, 9)
+	e.dropInstances(0, 5)
+	check("fast-forward drop", 8, 9)
+	e.dropInstances(0, 100)
+	check("drop everything")
+}

@@ -32,15 +32,18 @@ var encPool = sync.Pool{
 // pooledBufCap bounds the capacity of buffers returned to encPool.
 const pooledBufCap = 1 << 20
 
-// getEncoder returns a pooled scratch encoder with an empty buffer.
-func getEncoder() *Encoder {
+// GetEncoder returns a pooled scratch encoder with an empty buffer, for
+// transient encodes whose bytes are consumed (hashed, copied) before the
+// matching PutEncoder.
+func GetEncoder() *Encoder {
 	e := encPool.Get().(*Encoder)
 	e.buf = e.buf[:0]
 	return e
 }
 
-// putEncoder returns a scratch encoder to the pool.
-func putEncoder(e *Encoder) {
+// PutEncoder returns a scratch encoder to the pool; its Bytes must not be
+// used afterwards.
+func PutEncoder(e *Encoder) {
 	if cap(e.buf) > pooledBufCap {
 		return
 	}
@@ -54,10 +57,10 @@ func putEncoder(e *Encoder) {
 //
 //predis:hotpath
 func WithFrame(m Message, fn func(frame []byte)) {
-	e := getEncoder()
+	e := GetEncoder()
 	e.buf = MarshalAppend(e.buf, m)
 	fn(e.buf)
-	putEncoder(e)
+	PutEncoder(e)
 }
 
 // EncCache memoizes a message's marshaled frame so that encoding happens

@@ -197,9 +197,9 @@ func Unmarshal(data []byte) (Message, int, error) {
 //
 //predis:coldpath
 func Roundtrip(m Message) (Message, error) {
-	e := getEncoder()
+	e := GetEncoder()
 	out, buf, err := RoundtripAppend(e.buf, m)
 	e.buf = buf
-	putEncoder(e)
+	PutEncoder(e)
 	return out, err
 }
