@@ -121,6 +121,9 @@ func (m *Mempool) Tips() TipList {
 	return out
 }
 
+// Tip returns the highest contiguous bundle height held on one chain.
+func (m *Mempool) Tip(producer wire.NodeID) uint64 { return m.chains[producer].tip() }
+
 // Confirmed returns the confirmed height of each chain.
 func (m *Mempool) Confirmed() []uint64 {
 	out := make([]uint64, len(m.chains))
@@ -398,6 +401,19 @@ func (m *Mempool) Range(producer wire.NodeID, from, to uint64) []*Bundle {
 		out = append(out, b)
 	}
 	return out
+}
+
+// LowestBuffered returns the lowest height parked out of order on a chain
+// (0 when nothing is): the hole above the tip ends just below it, and a
+// fetch that ran past it would ask for bundles already held.
+func (m *Mempool) LowestBuffered(producer wire.NodeID) uint64 {
+	var low uint64
+	for _, b := range m.chains[producer].buffered {
+		if low == 0 || b.Header.Height < low {
+			low = b.Header.Height
+		}
+	}
+	return low
 }
 
 // BufferedCount returns how many out-of-order bundles are parked on a

@@ -175,6 +175,12 @@ func Quickstart(o Options) ([]*stats.Table, error) {
 	sampler.Start(horizon)
 	net.Start()
 	net.Run(horizon)
+	// The fetch plane's counters, per full node (see FullNode.PullStats).
+	for _, fn := range fulls {
+		requests, bundles, _, _ := fn.PullStats()
+		registry.Counter("multizone.pull_requests", fn.ID()).Add(requests)
+		registry.Counter("multizone.pull_bundles", fn.ID()).Add(bundles)
+	}
 
 	if o.Obs != nil {
 		o.Obs.Trace = tracer

@@ -70,6 +70,13 @@ type Engine struct {
 
 	blocks map[crypto.Hash]*blockEnt
 
+	// pendingVotes holds, in (view, hash) order, the blocks of the tree a
+	// vote may still be owed to (see awaitsVote); every proposal enters it
+	// and retryPendingVotes drops what stopped qualifying. voteScratch is
+	// the walk's snapshot buffer.
+	pendingVotes []*blockEnt
+	voteScratch  []*blockEnt
+
 	// execHead is the hash of the last executed block; execHeight its
 	// height. Committed-but-unexecuted blocks (pending app validation)
 	// queue behind it in chain order.
@@ -340,6 +347,7 @@ func (e *Engine) onProposal(from wire.NodeID, m *Proposal) {
 	}
 	ent := &blockEnt{block: b, hash: hash}
 	e.blocks[hash] = ent
+	e.addPendingVote(ent)
 
 	// block_proposed: this replica learned an authenticated proposal for
 	// the height (first learn wins).
@@ -388,25 +396,68 @@ func (e *Engine) tryVote(ent *blockEnt) {
 	}
 }
 
+// awaitsVote reports whether a vote may still be owed to ent: it sits in
+// the tree unvalidated, undecided and uncommitted, in a view that has not
+// passed. Every clause is monotone — once false it stays false.
+func (e *Engine) awaitsVote(ent *blockEnt) bool {
+	return !ent.validated && !ent.invalid && !ent.committed &&
+		ent.block.View >= e.curView && e.blocks[ent.hash] == ent
+}
+
+// addPendingVote files a new tree entry in (view, hash) order; proposals
+// arrive in view order, so the scan from the back ends at once.
+func (e *Engine) addPendingVote(ent *blockEnt) {
+	i := len(e.pendingVotes)
+	for i > 0 {
+		p := e.pendingVotes[i-1]
+		if p.block.View < ent.block.View ||
+			(p.block.View == ent.block.View && bytes.Compare(p.hash[:], ent.hash[:]) < 0) {
+			break
+		}
+		i--
+	}
+	e.pendingVotes = append(e.pendingVotes, nil)
+	copy(e.pendingVotes[i+1:], e.pendingVotes[i:])
+	e.pendingVotes[i] = ent
+}
+
 // retryPendingVotes revisits blocks whose validation was pending (missing
-// bundles) and votes if the view is still current. Blocks are visited in
-// (view, hash) order so map iteration never affects the wire.
+// bundles) and votes if the view is still current. It runs on every Poke —
+// once per stored bundle — and with nothing pending it is one length check.
+//
+//predis:hotpath
 func (e *Engine) retryPendingVotes() {
-	pending := make([]*blockEnt, 0, 4)
-	for _, ent := range e.blocks {
-		if ent.block != nil && !ent.validated && !ent.invalid && !ent.committed && ent.block.View >= e.curView {
-			pending = append(pending, ent)
+	if len(e.pendingVotes) > 0 {
+		e.votePending()
+	}
+}
+
+// votePending drops the entries that stopped qualifying and offers the
+// rest to tryVote in (view, hash) order, so map iteration never affects
+// the wire. A vote can commit, and a commit re-enters Poke, so the walk is
+// over a snapshot: the scratch buffer is taken for the duration, and only
+// a nested walk that still finds something pending allocates its own.
+//
+//predis:coldpath
+func (e *Engine) votePending() {
+	kept := e.pendingVotes[:0]
+	for _, ent := range e.pendingVotes {
+		if e.awaitsVote(ent) {
+			kept = append(kept, ent)
 		}
 	}
-	sort.Slice(pending, func(i, j int) bool {
-		if pending[i].block.View != pending[j].block.View {
-			return pending[i].block.View < pending[j].block.View
-		}
-		return bytes.Compare(pending[i].hash[:], pending[j].hash[:]) < 0
-	})
-	for _, ent := range pending {
+	clear(e.pendingVotes[len(kept):])
+	e.pendingVotes = kept
+	if len(kept) == 0 {
+		return
+	}
+	snap := append(e.voteScratch[:0], kept...)
+	e.voteScratch = nil
+	for _, ent := range snap {
 		e.tryVote(ent)
 	}
+	clear(snap)
+	e.voteScratch = snap[:0]
 }
 
 // OnRestart implements env.Restartable: a crash suppressed the repropose

@@ -1,7 +1,11 @@
 package hotstuff
 
 import (
+	"bytes"
 	"errors"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -20,6 +24,8 @@ type chainApp struct {
 	commits  []uint64
 	wantWork bool
 	pendOnce map[uint64]bool
+	// hold, when set, keeps validation of the heights it accepts pending.
+	hold func(height uint64) bool
 }
 
 type payloadMsg struct {
@@ -74,6 +80,9 @@ func (a *chainApp) ValidateProposal(height uint64, payload, parent wire.Message)
 	}
 	if a.pendOnce != nil && a.pendOnce[height] {
 		delete(a.pendOnce, height)
+		return crypto.ZeroHash, consensus.ErrPending
+	}
+	if a.hold != nil && a.hold(height) {
 		return crypto.ZeroHash, consensus.ErrPending
 	}
 	return crypto.HashBytes(wire.Marshal(p)), nil
@@ -213,6 +222,105 @@ func TestHotStuffPendingValidation(t *testing.T) {
 	for j, h := range r.apps[2].commits {
 		if h != uint64(j+1) {
 			t.Fatalf("node 2 order broken: %v", r.apps[2].commits)
+		}
+	}
+}
+
+// scanPendingVotes is the whole-tree scan retryPendingVotes used to run on
+// every Poke: every entry a vote may still be owed to, in (view, hash)
+// order.
+func scanPendingVotes(e *Engine) []*blockEnt {
+	var out []*blockEnt
+	for _, ent := range e.blocks {
+		if !ent.validated && !ent.invalid && !ent.committed && ent.block.View >= e.curView {
+			out = append(out, ent)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].block.View != out[j].block.View {
+			return out[i].block.View < out[j].block.View
+		}
+		return bytes.Compare(out[i].hash[:], out[j].hash[:]) < 0
+	})
+	return out
+}
+
+// TestPendingVoteListMatchesTreeScan: through proposals whose validation
+// stays pending for random stretches, votes, commits, view changes after a
+// leader crash and tree pruning, the entries of the maintained list that
+// still qualify are exactly what the whole-tree scan finds, in its order.
+func TestPendingVoteListMatchesTreeScan(t *testing.T) {
+	r := newHSRig(t, 4, 120)
+	rng := rand.New(rand.NewSource(5))
+	held := make([]uint64, len(r.apps)) // app i pends heights above held[i]; 0 = none
+	for i, a := range r.apps {
+		i := i
+		a.wantWork = true
+		a.hold = func(height uint64) bool { return held[i] != 0 && height > held[i] }
+	}
+	faults.Install(r.net, faults.Schedule{Seed: 7, Actions: []faults.Action{
+		faults.CrashWindow{Node: 1, From: time.Second, To: 2 * time.Second},
+	}})
+	r.net.Start()
+	pendingSeen := 0
+	for step := 1; step <= 800; step++ {
+		r.net.Run(time.Duration(step) * 5 * time.Millisecond)
+		if step%5 == 0 { // one replica starts or stops withholding validation
+			if i := rng.Intn(len(held)); held[i] == 0 {
+				held[i] = r.engines[i].LastExecuted() + uint64(rng.Intn(3))
+			} else {
+				held[i] = 0
+			}
+		}
+		for i, e := range r.engines {
+			if r.net.Crashed(wire.NodeID(i)) {
+				continue
+			}
+			want := scanPendingVotes(e)
+			var got []*blockEnt
+			for _, ent := range e.pendingVotes {
+				if e.awaitsVote(ent) {
+					got = append(got, ent)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("step %d replica %d: list holds %d qualifying entries, the scan finds %d (or another order)",
+					step, i, len(got), len(want))
+			}
+			pendingSeen += len(want)
+			e.Poke()
+		}
+	}
+	t.Logf("%d pending entries compared; commits %d %d %d %d", pendingSeen, len(r.apps[0].commits), len(r.apps[1].commits), len(r.apps[2].commits), len(r.apps[3].commits))
+	if pendingSeen < 50 {
+		t.Fatalf("only %d pending entries seen: the test did not exercise the list", pendingSeen)
+	}
+	for i, a := range r.apps {
+		if len(a.commits) < 20 {
+			t.Fatalf("replica %d committed %d blocks", i, len(a.commits))
+		}
+	}
+}
+
+// TestPokeWithNothingPendingAllocatesNothing pins the per-stored-bundle
+// cost of the pending-vote retry: with no vote owed, Poke does not allocate.
+func TestPokeWithNothingPendingAllocatesNothing(t *testing.T) {
+	r := newHSRig(t, 4, 20)
+	for _, a := range r.apps {
+		a.wantWork = true
+	}
+	r.net.Start()
+	r.net.Run(10 * time.Second)
+	for i, e := range r.engines {
+		if len(r.apps[i].commits) < 17 {
+			t.Fatalf("replica %d committed %d blocks", i, len(r.apps[i].commits))
+		}
+		e.Poke() // drops what the last proposals left on the list
+		if n := len(e.pendingVotes); n != 0 {
+			t.Fatalf("replica %d: %d entries still pending on a quiet chain", i, n)
+		}
+		if a := testing.AllocsPerRun(100, e.Poke); a != 0 {
+			t.Errorf("replica %d: Poke with nothing pending allocates %.1f, want 0", i, a)
 		}
 	}
 }

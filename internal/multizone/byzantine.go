@@ -1,18 +1,15 @@
 package multizone
 
 import (
-	"sort"
-
 	"predis/internal/core"
-	"predis/internal/crypto"
 	"predis/internal/wire"
 )
 
 // Byzantine hardening for the zone data plane (the paper's §IV-B threat
 // model). Full nodes count cryptographic offenses per peer — stripes
 // whose Merkle proof or bundle-header signature fails verification —
-// re-request the damaged bundle from alternate holders with the same
-// capped backoff as crash-recovery pulls, and quarantine repeat offenders
+// state a fetch need for the damaged bundle that leaves the offender out
+// of the holder rotation (fetch.go), and quarantine repeat offenders
 // behind a TTL blacklist that feeds every peer-selection path: the
 // Receive gate, Algorithm 1's candidate order, relayer announcements,
 // bootstrap tables, and the memoized subscriber fan-out. Withholding is
@@ -23,10 +20,11 @@ import (
 // quarantines at exactly zero.
 
 // ByzStats returns the Byzantine-hardening counters: stripes rejected on
-// verification failure, bundle refetch requests sent to alternate
-// holders, peers quarantined, and stripe subscriptions rewired away from
-// starving senders. All four are zero on benign runs (rewires requires
-// the opt-in StarveRewireAfter; the rest require a verification failure).
+// verification failure, damaged bundles whose refetch opened a holder
+// rotation without the offender, peers quarantined, and stripe
+// subscriptions rewired away from starving senders. All four are zero on
+// benign runs (rewires requires the opt-in StarveRewireAfter; the rest
+// require a verification failure).
 func (f *FullNode) ByzStats() (rejected, refetches, quarantines, rewires uint64) {
 	return f.rejected, f.refetches, f.quarantines, f.rewires
 }
@@ -95,6 +93,7 @@ func (f *FullNode) quarantine(id wire.NodeID) {
 	}
 	f.ctx.Logf("multizone: node %d quarantined %d for %v",
 		f.cfg.Self, id, f.cfg.QuarantineTTL)
+	f.resetFetches(id)
 	f.runSubscription()
 }
 
@@ -105,82 +104,11 @@ func (f *FullNode) headerAuthentic(h *core.BundleHeader) bool {
 		f.cfg.Signer.Verify(int(h.Producer), h.Hash(), h.Sig)
 }
 
-// maxRefetchAttempts bounds one damaged bundle's re-request loop; past it
-// the periodic digest/catch-up machinery owns recovery.
-const maxRefetchAttempts = 5
-
 // starveGraceIntervals is the starvation detector's silence threshold in
 // units of AliveInterval: a subscribed sender is only chargeable as
 // starving once it has delivered no stripe-s traffic for this long
 // (see noteStarvation).
 const starveGraceIntervals = 2
-
-// scheduleRefetch re-requests a bundle whose stripe failed verification
-// from alternate holders — never the offender — rotating targets across
-// attempts and pacing them with the crash-recovery backoff. At most one
-// loop runs per bundle; it stops as soon as the bundle is locally held.
-func (f *FullNode) scheduleRefetch(hdr core.BundleHeader, offender wire.NodeID) {
-	h := hdr.Hash()
-	if f.refetching[h] {
-		return
-	}
-	f.refetching[h] = true
-	f.fireRefetch(hdr, h, offender, 0)
-}
-
-func (f *FullNode) fireRefetch(hdr core.BundleHeader, h crypto.Hash, offender wire.NodeID, attempt int) {
-	if f.mp.Bundle(hdr.Producer, hdr.Height) != nil || attempt >= maxRefetchAttempts {
-		delete(f.refetching, h)
-		return
-	}
-	targets := f.refetchTargets(hdr.Producer, offender)
-	if len(targets) == 0 {
-		delete(f.refetching, h)
-		return
-	}
-	f.ctx.Send(targets[attempt%len(targets)], &core.BundleRequest{
-		Producer: hdr.Producer, From: hdr.Height, To: hdr.Height,
-	})
-	f.refetches++
-	delay := f.cfg.Retry.Delay(attempt, f.ctx.Rand())
-	f.ctx.After(delay, func() {
-		f.fireRefetch(hdr, h, offender, attempt+1)
-	})
-}
-
-// refetchTargets lists candidate holders for a damaged bundle in
-// preference order: other zone relayers serving the producer's stripe
-// (earliest join first), then the crash-recovery pull targets — always
-// excluding the offender, ourselves, and anyone quarantined.
-func (f *FullNode) refetchTargets(producer, offender wire.NodeID) []wire.NodeID {
-	out := make([]wire.NodeID, 0, 4)
-	seen := map[wire.NodeID]bool{offender: true, f.cfg.Self: true}
-	add := func(id wire.NodeID) {
-		if !seen[id] && !f.isQuarantined(id) {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	s := uint8(producer) % uint8(f.cfg.NC)
-	type cand struct {
-		id      wire.NodeID
-		joinSeq uint64
-	}
-	cands := make([]cand, 0, len(f.zoneRelayers))
-	for id, info := range f.zoneRelayers {
-		if info.active() && containsStripe(info.stripes, s) {
-			cands = append(cands, cand{id, info.joinSeq})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].joinSeq < cands[j].joinSeq })
-	for _, c := range cands {
-		add(c.id)
-	}
-	for _, id := range f.pullTargets(producer) {
-		add(id)
-	}
-	return out
-}
 
 // noteStarvation runs when a bundle reassembles: a stripe missing at
 // assembly time is charged one starvation point only when its subscribed

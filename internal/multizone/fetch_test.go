@@ -1,0 +1,276 @@
+package multizone
+
+import (
+	"testing"
+	"time"
+
+	"predis/internal/core"
+	"predis/internal/simnet"
+	"predis/internal/wire"
+)
+
+// pullTap records the fetch plane's traffic as the network delivers it.
+type pullTap struct {
+	reqs  []pullReq
+	resps []pullResp
+}
+
+type pullReq struct {
+	at         time.Time
+	from, to   wire.NodeID
+	producer   wire.NodeID
+	first, end uint64
+}
+
+type pullResp struct {
+	at       time.Time
+	from, to wire.NodeID
+}
+
+func (p *pullTap) attach(net *simnet.Network) {
+	net.OnDeliver = func(from, to wire.NodeID, m wire.Message, at time.Time) {
+		switch msg := m.(type) {
+		case *core.BundleRequest:
+			p.reqs = append(p.reqs, pullReq{at, from, to, msg.Producer, msg.From, msg.To})
+		case *core.BundleResponse:
+			p.resps = append(p.resps, pullResp{at, from, to})
+		}
+	}
+}
+
+// answered reports whether holder delivered a BundleResponse to node
+// inside (after, before].
+func (p *pullTap) answered(holder, node wire.NodeID, after, before time.Time) bool {
+	for _, r := range p.resps {
+		if r.from == holder && r.to == node && r.at.After(after) && !r.at.After(before) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestFetchPlaneUnderOverload saturates both relayers of a zone: each takes
+// half of the stripes through the other, so relayed stripes cross two
+// backlogged downlinks and blocks overtake them — the wan16_ladder overload
+// in small. The fetch plane must not ask any holder twice for a bundle
+// inside one backoff delay unless that holder answered in between (it
+// answered short, and what was missing goes to the next holder), and the
+// pulls must spread over the consensus nodes by producer. At the parent
+// commit the same deployment asks consensus node 0 for 47 % and node 1 for
+// none of 1 042 bundles; here it is 582 bundles, 24–26 % each.
+func TestFetchPlaneUnderOverload(t *testing.T) {
+	slow := simnet.Mbps100 / 6
+	cfg := zoneConfig{
+		nc: 4, f: 1, zones: 1, perZone: 2,
+		rate: 2000, duration: 8 * time.Second,
+		throttle: map[wire.NodeID]simnet.Bandwidth{fullNodeID(0, 0): slow, fullNodeID(0, 1): slow},
+	}
+	zc := buildZoneCluster(t, cfg)
+	var tap pullTap
+	tap.attach(zc.net)
+	zc.net.Start()
+	zc.net.Run(cfg.duration)
+
+	minDelay := time.Duration(float64(zc.fulls[0].cfg.Retry.Base) * (1 - zc.fulls[0].cfg.Retry.Jitter))
+	type ask struct {
+		node, producer wire.NodeID
+		height         uint64
+	}
+	last := make(map[ask]pullReq)
+	perConsensus := make([]uint64, cfg.nc)
+	var pulled uint64
+	for _, r := range tap.reqs {
+		if int(r.to) < cfg.nc {
+			perConsensus[r.to] += r.end - r.first + 1
+			pulled += r.end - r.first + 1
+		}
+		for h := r.first; h <= r.end; h++ {
+			k := ask{r.from, r.producer, h}
+			if prev, seen := last[k]; seen && prev.to == r.to && r.at.Sub(prev.at) < minDelay &&
+				!tap.answered(prev.to, r.from, prev.at, r.at) {
+				t.Fatalf("node %d asked %d for bundle (%d,%d) at %v and again at %v, inside one backoff delay and with no answer in between",
+					r.from, r.to, r.producer, h, prev.at.Sub(simnet.Epoch), r.at.Sub(simnet.Epoch))
+			}
+			last[k] = r
+		}
+	}
+	if pulled < 200 {
+		t.Fatalf("only %d bundles pulled from consensus nodes: the deployment is not overloaded", pulled)
+	}
+	// By-producer spreading follows which producers' bundles were missed,
+	// so the split is even up to that noise: the fair share plus 5 %.
+	limit := (pulled+uint64(cfg.nc)-1)/uint64(cfg.nc) + pulled/20
+	for i, n := range perConsensus {
+		if n > limit {
+			t.Errorf("consensus node %d was asked for %d of %d pulled bundles, more than %d: %v", i, n, pulled, limit, perConsensus)
+		}
+	}
+	var requests, suppressed uint64
+	for _, fn := range zc.fulls {
+		r, _, s, _ := fn.PullStats()
+		requests += r
+		suppressed += s
+		if fn.LastHeight() == 0 {
+			t.Errorf("full node %d completed nothing", fn.ID())
+		}
+	}
+	// One request per producer and node may still be in flight at the end.
+	if d := uint64(len(tap.reqs)); requests < d || requests > d+uint64(cfg.nc*len(zc.fulls)) {
+		t.Errorf("PullStats counts %d requests, the network delivered %d", requests, d)
+	}
+	if suppressed == 0 {
+		t.Error("no need was ever suppressed: the deployment did not exercise rule 2")
+	}
+	t.Logf("%d requests for %d bundles from consensus %v, %d needs suppressed", requests, pulled, perConsensus, suppressed)
+}
+
+// TestFetchLiveness: every stripe of one bundle is lost on the way to a
+// relayer. The block that names it triggers the pull — to the producer,
+// which a relayer asks first — and completes one round trip later. With
+// the producer deaf to the request the retry goes, one backoff delay
+// later, to the next consensus node of the ring.
+func TestFetchLiveness(t *testing.T) {
+	for _, deaf := range []bool{false, true} {
+		cfg := zoneConfig{nc: 4, f: 1, zones: 1, perZone: 1, rate: 400, duration: 4 * time.Second}
+		zc := buildZoneCluster(t, cfg)
+		fn := zc.fulls[0]
+		const victim, lostHeight = wire.NodeID(2), uint64(60)
+		zc.net.SetDropFilter(func(from, to wire.NodeID, m wire.Message) bool {
+			switch msg := m.(type) {
+			case *StripeMsg:
+				return to == fn.ID() && msg.Header.Producer == victim && msg.Header.Height == lostHeight
+			case *core.BundleRequest:
+				return deaf && to == victim
+			}
+			return false
+		})
+		var tap pullTap
+		tap.attach(zc.net)
+		var blockAt, doneAt time.Time
+		prev := zc.net.OnDeliver
+		zc.net.OnDeliver = func(from, to wire.NodeID, m wire.Message, at time.Time) {
+			prev(from, to, m, at)
+			if zb, ok := m.(*ZoneBlock); ok && to == fn.ID() && blockAt.IsZero() &&
+				zb.Block.Cuts[victim].Height >= lostHeight {
+				blockAt = at
+				inner := fn.cfg.OnBlockComplete
+				fn.cfg.OnBlockComplete = func(blk *core.PredisBlock, txs int) {
+					inner(blk, txs)
+					if doneAt.IsZero() && blk.Height == zb.Block.Height {
+						doneAt = zc.net.Now()
+					}
+				}
+			}
+		}
+		zc.net.Start()
+		zc.net.Run(cfg.duration)
+
+		if blockAt.IsZero() || doneAt.IsZero() {
+			t.Fatalf("deaf=%v: block naming the lost bundle arrived %v, completed %v", deaf, blockAt, doneAt)
+		}
+		var asked []wire.NodeID
+		for _, r := range tap.reqs {
+			if r.producer == victim && r.first <= lostHeight && lostHeight <= r.end {
+				asked = append(asked, r.to)
+			}
+		}
+		rtt := 2 * 25 * time.Millisecond
+		took := doneAt.Sub(blockAt)
+		_, _, _, retries := fn.PullStats()
+		if !deaf {
+			if len(asked) != 1 || asked[0] != victim {
+				t.Fatalf("lost bundle asked of %v, want the producer %d once", asked, victim)
+			}
+			if took > rtt+10*time.Millisecond || retries != 0 {
+				t.Fatalf("block completed %v after it arrived (%d retries), want one round trip", took, retries)
+			}
+			continue
+		}
+		// The producer never hears the request, so the tap sees only the
+		// retry: to the next node of the ring, one delay later.
+		if len(asked) != 1 || asked[0] != (victim+1)%4 || retries != 1 {
+			t.Fatalf("with the producer deaf the lost bundle was asked of %v (%d retries), want node %d", asked, retries, (victim+1)%4)
+		}
+		if limit := fn.cfg.Retry.Delay(0, nil)*5/4 + rtt + 10*time.Millisecond; took > limit {
+			t.Fatalf("block completed %v after it arrived, want within one backoff delay and a round trip (%v)", took, limit)
+		}
+	}
+}
+
+// TestPartialFinishedByPullIsSwept: a bundle stored through a
+// BundleResponse while its partial is still short of n_c−f stripes leaves
+// that partial unfinishable — later stripes take the "already assembled"
+// branch. The sweep must free it once the bundle is confirmed, together
+// with its stripe references and its hold on inflightHigh.
+func TestPartialFinishedByPullIsSwept(t *testing.T) {
+	r := newRelayRig(t, 2)
+	fn := r.fn
+	fn.onStripe(0, r.stripes[1][0]) // bundle 2 opens a partial, one stripe of the three it needs
+	fn.Receive(0, &core.BundleResponse{Bundles: r.bundles})
+	fn.onStripe(1, r.stripes[1][1]) // already stored: forwarded, never counted
+	h := r.bundles[1].Header.Hash()
+	if p := fn.partials[h]; p == nil || p.done || p.have != 1 {
+		t.Fatalf("partial after pull-before-assembly: %+v", fn.partials[h])
+	}
+	if fn.inflightHigh[0] != 2 {
+		t.Fatalf("inflightHigh[0] = %d, want 2", fn.inflightHigh[0])
+	}
+	fn.mp.MarkConfirmed(0, 2)
+	fn.sweepDataPlane()
+	if len(fn.partials) != 0 || len(fn.freePartials) != 1 || fn.inflightHigh[0] != 0 {
+		t.Fatalf("after the sweep: %d partials, %d free, inflightHigh[0] = %d; want 0, 1, 0",
+			len(fn.partials), len(fn.freePartials), fn.inflightHigh[0])
+	}
+	for i, st := range fn.freePartials[0].stripes {
+		if st != nil {
+			t.Fatalf("swept partial still pins stripe %d", i)
+		}
+	}
+}
+
+// TestRestartAndQuarantineResetFetches: a restart forgets every fetch (its
+// timers died with the crash); quarantining the holder of an outstanding
+// request re-states the need to a rotation without it, and leaves fetches
+// outstanding elsewhere alone.
+func TestRestartAndQuarantineResetFetches(t *testing.T) {
+	r := newRelayRig(t, 1)
+	fn := r.fn
+	var sent []pullReq
+	r.net.OnDeliver = func(from, to wire.NodeID, m wire.Message, at time.Time) {
+		if req, ok := m.(*core.BundleRequest); ok {
+			sent = append(sent, pullReq{at, from, to, req.Producer, req.From, req.To})
+		}
+	}
+	fn.cfg.BackupPeers = []wire.NodeID{300}
+	fn.fetch(1, 5, wire.NoNode, wire.NoNode) // a guess: the backup peer
+	fn.fetch(2, 7, 2, wire.NoNode)           // a known holder: the producer
+	r.drain()
+	if len(sent) != 2 || sent[0].to != 300 || sent[1].to != 2 {
+		t.Fatalf("requests %+v, want producer 1 asked of 300 and producer 2 of 2", sent)
+	}
+
+	fn.quarantine(300)
+	r.drain()
+	if len(sent) != 3 || sent[2].to == 300 || sent[2].producer != 1 || sent[2].first != 1 || sent[2].end != 5 {
+		t.Fatalf("after quarantining the holder: requests %+v, want bundles (1, 1..5) asked of someone else", sent)
+	}
+	if st := fn.fetches[1]; st.asked != 5 || st.attempt != 0 || st.holders[0] == 300 {
+		t.Fatalf("producer 1 after quarantine: %+v", st)
+	}
+	if st := fn.fetches[2]; st.asked != 7 || st.holders[0] != 2 {
+		t.Fatalf("producer 2 was disturbed by the quarantine of 300: %+v", st)
+	}
+
+	fn.OnRestart()
+	for p, st := range fn.fetches {
+		if st.want != 0 || st.asked != 0 || st.holders != nil || st.attempt != 0 || st.silent != 0 || st.sure || st.timer != nil {
+			t.Fatalf("fetch state of producer %d survived the restart: %+v", p, st)
+		}
+	}
+	before := len(sent)
+	r.now += 5 * time.Second // past every backoff delay: no retry timer may fire
+	r.net.Run(r.now)
+	if len(sent) != before {
+		t.Fatalf("a fetch timer fired after the restart: %+v", sent[before:])
+	}
+}

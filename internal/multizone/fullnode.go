@@ -186,8 +186,8 @@ type FullNode struct {
 	lastHeight uint64
 	seenBlocks map[crypto.Hash]uint64 // block hash → height, pruned as the chain advances
 	pendBlocks []*core.PredisBlock    // completable once bundles arrive, in arrival order
-	pulls      map[wire.NodeID]*pullState
-	recentBlks []*core.PredisBlock // retention ring serving BlockRequests
+	fetches    []fetchState           // the fetch plane's state, by producer (see fetch.go)
+	recentBlks []*core.PredisBlock    // retention ring serving BlockRequests
 	catchup    *zoneCatchup
 	// specBlocks buffers speculatively pushed *proposed* blocks (streaming
 	// commit) by block hash until the ordered copy finalizes them, a
@@ -208,7 +208,6 @@ type FullNode struct {
 	quarantined map[wire.NodeID]time.Time // blacklist expiry per peer
 	starve      map[uint8]int             // consecutive starved assemblies per stripe
 	stripeSeen  map[uint8]time.Time       // last stripe-s traffic from its subscribed sender
-	refetching  map[crypto.Hash]bool      // damaged bundles with a live refetch loop
 
 	// Stats.
 	bundles     uint64
@@ -220,6 +219,8 @@ type FullNode struct {
 	rewires     uint64
 	specHits    uint64 // speculative blocks the ordered chain finalized
 	specWaste   uint64 // speculative blocks discarded, superseded, or expired
+	// Fetch plane (see PullStats).
+	pullRequests, pullBundles, pullSuppressed, pullRetries uint64
 }
 
 var _ env.Handler = (*FullNode)(nil)
@@ -245,14 +246,13 @@ func NewFullNode(cfg FullNodeConfig) (*FullNode, error) {
 		zoneRelayers: make(map[wire.NodeID]*relayerInfo),
 		partials:     make(map[crypto.Hash]*partialBundle),
 		inflightHigh: make([]uint64, c.NC),
-		pulls:        make(map[wire.NodeID]*pullState),
+		fetches:      make([]fetchState, c.NC),
 		seenBlocks:   make(map[crypto.Hash]uint64),
 		lastSeen:     make(map[wire.NodeID]time.Time),
 		offenses:     make(map[wire.NodeID]int),
 		quarantined:  make(map[wire.NodeID]time.Time),
 		starve:       make(map[uint8]int),
 		stripeSeen:   make(map[uint8]time.Time),
-		refetching:   make(map[crypto.Hash]bool),
 		specBlocks:   make(map[crypto.Hash]*specEntry),
 		lastCuts:     core.ZeroCuts(c.NC),
 	}, nil
@@ -447,10 +447,15 @@ func (f *FullNode) Receive(from wire.NodeID, m wire.Message) {
 	case *core.BundleRequest:
 		f.onBundleRequest(from, msg)
 	case *core.BundleResponse:
+		// A request names one producer, so an answer carries one chain.
+		fresh := false
 		for _, b := range msg.Bundles {
-			f.storeBundle(b, true)
+			fresh = f.storeBundle(b, true) || fresh
 		}
-		f.reconcilePulls()
+		if len(msg.Bundles) > 0 {
+			f.settle(msg.Bundles[0].Header.Producer, from, fresh)
+		}
+		f.stillAnswering(from)
 		f.tryCompleteBlocks()
 	default:
 		f.ctx.Logf("multizone: unexpected %s from %d", wire.TypeName(m.Type()), from)

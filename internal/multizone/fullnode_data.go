@@ -77,7 +77,7 @@ func (f *FullNode) rejectStripe(from wire.NodeID, m *StripeMsg, known bool, err 
 	// signature-checked, or one that verifies now); a forged header's
 	// coordinates are not worth chasing.
 	if err != nil && (known || f.headerAuthentic(&m.Header)) {
-		f.scheduleRefetch(m.Header, from)
+		f.fetch(m.Header.Producer, m.Header.Height, wire.NoNode, from)
 	}
 }
 
@@ -153,24 +153,21 @@ func (f *FullNode) forwardStripe(from wire.NodeID, m *StripeMsg) {
 	}
 }
 
-// storeBundle inserts an assembled or pulled bundle into the local chains.
-// Out-of-order arrivals are buffered by the mempool and linked when the
-// gap fills; verify selects full verification for pulled bundles (stripe
-// reassembly already verified body and signature).
-func (f *FullNode) storeBundle(b *core.Bundle, verify bool) {
+// storeBundle inserts an assembled or pulled bundle into the local chains
+// and reports whether it was new. Out-of-order arrivals are buffered by the
+// mempool and linked when the gap fills; verify selects full verification
+// for pulled bundles (stripe reassembly already verified body and
+// signature).
+func (f *FullNode) storeBundle(b *core.Bundle, verify bool) bool {
 	res, _, miss, err := f.mp.AddBundle(b, verify)
 	switch {
 	case err != nil:
 		if !errors.Is(err, core.ErrBannedProducer) {
 			f.ctx.Logf("multizone: bundle rejected: %v", err)
 		}
-		return
 	case res == core.Buffered && miss != nil:
-		// Pull the gap over the backup path, with capped-backoff retries
-		// rotating across candidate holders (backup peers first — they are
-		// in another zone, so correlated loss is unlikely — then the stripe
-		// sender, then the producing consensus node).
-		f.schedulePull(miss.Producer, miss.From, miss.To)
+		f.fetch(miss.Producer, miss.To, wire.NoNode, wire.NoNode)
+		return true
 	case res == core.Added:
 		f.bundles++
 		// stripe_distributed: distributor anchor → bundle assembled at this
@@ -180,31 +177,9 @@ func (f *FullNode) storeBundle(b *core.Bundle, verify bool) {
 		if f.cfg.OnBundle != nil {
 			f.cfg.OnBundle(b)
 		}
+		return true
 	}
-}
-
-// pullTargets lists candidate holders for a producer's bundles in
-// preference order; schedulePull rotates through them across retries.
-func (f *FullNode) pullTargets(producer wire.NodeID) []wire.NodeID {
-	out := make([]wire.NodeID, 0, len(f.cfg.BackupPeers)+2)
-	seen := make(map[wire.NodeID]bool, len(f.cfg.BackupPeers)+2)
-	add := func(id wire.NodeID) {
-		if id != f.cfg.Self && !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	if len(f.cfg.BackupPeers) > 0 {
-		add(f.cfg.BackupPeers[int(producer)%len(f.cfg.BackupPeers)])
-	}
-	if sd, ok := f.stripeSender[uint8(producer)%uint8(f.cfg.NC)]; ok {
-		add(sd)
-	}
-	for _, p := range f.cfg.BackupPeers {
-		add(p)
-	}
-	add(producer % wire.NodeID(f.cfg.NC))
-	return out
+	return false
 }
 
 // onBlock handles a Predis block arriving over the relayer tree: verify,
@@ -238,7 +213,7 @@ func (f *FullNode) onBlock(from wire.NodeID, blk *core.PredisBlock) {
 		}
 	}
 	f.pendBlocks = append(f.pendBlocks, blk)
-	f.tryCompleteBlocksFrom(from)
+	f.tryCompleteBlocks()
 }
 
 // specEntry is one speculatively delivered proposed block.
@@ -281,7 +256,7 @@ func (f *FullNode) onSpecBlock(from wire.NodeID, blk *core.PredisBlock) {
 			f.ctx.Send(id, msg)
 		}
 	}
-	f.prefetchSpec(from, blk)
+	f.prefetchSpec(blk)
 }
 
 // prefetchSpec pulls bundles a speculative block references that are
@@ -290,20 +265,13 @@ func (f *FullNode) onSpecBlock(from wire.NodeID, blk *core.PredisBlock) {
 // instead of starting after commit. In the common case every referenced
 // bundle already has a partial (stripes ship at bundle-store time, ahead
 // of the proposal), so the pre-fetch stays silent and costs nothing.
-func (f *FullNode) prefetchSpec(from wire.NodeID, blk *core.PredisBlock) {
-	tips := f.mp.Tips()
+func (f *FullNode) prefetchSpec(blk *core.PredisBlock) {
 	for i, c := range blk.Cuts {
-		if i >= len(tips) {
+		if i >= f.cfg.NC {
 			break
 		}
-		have := tips[i]
-		if fl := f.inflightHigh[i]; fl > have {
-			have = fl
-		}
-		if c.Height > have {
-			f.ctx.Send(from, &core.BundleRequest{
-				Producer: wire.NodeID(i), From: have + 1, To: c.Height,
-			})
+		if c.Height > max(f.mp.Tip(wire.NodeID(i)), f.inflightHigh[i]) {
+			f.fetch(wire.NodeID(i), c.Height, wire.NoNode, wire.NoNode)
 		}
 	}
 }
@@ -377,12 +345,10 @@ func (f *FullNode) discardSpec(now time.Time, lose func(*specEntry) bool) {
 	}
 }
 
-// tryCompleteBlocks retries pending blocks after new bundles arrived.
-func (f *FullNode) tryCompleteBlocks() { f.tryCompleteBlocksFrom(wire.NoNode) }
-
-// tryCompleteBlocksFrom additionally knows who sent the newest block, so
-// missing bundles can be pulled from the block sender (§IV-D).
-func (f *FullNode) tryCompleteBlocksFrom(sender wire.NodeID) {
+// tryCompleteBlocks completes every pending block whose bundles are all
+// held, in chain order, and states a fetch need for what the next one
+// still misses.
+func (f *FullNode) tryCompleteBlocks() {
 	progress := true
 	for progress {
 		progress = false
@@ -452,14 +418,8 @@ func (f *FullNode) tryCompleteBlocksFrom(sender wire.NodeID) {
 					f.cfg.OnBlockComplete(blk, len(txs))
 				}
 			case errors.Is(err, core.ErrBlockMissing):
-				target := sender
-				if target == wire.NoNode {
-					continue
-				}
 				for _, ms := range missing {
-					f.ctx.Send(target, &core.BundleRequest{
-						Producer: ms.Producer, From: ms.From, To: ms.To,
-					})
+					f.fetch(ms.Producer, ms.To, f.source(ms.Producer), wire.NoNode)
 				}
 			default:
 				f.ctx.Logf("multizone: block %d invalid: %v", blk.Height, err)
@@ -484,11 +444,10 @@ func (f *FullNode) onBundleRequest(from wire.NodeID, req *core.BundleRequest) {
 	if int(req.Producer) >= f.cfg.NC || req.From == 0 || req.To < req.From {
 		return
 	}
-	const maxServe = 64
-	to := req.To
-	if to-req.From+1 > maxServe {
-		to = req.From + maxServe - 1
-	}
+	// Serve the prefix we hold: a peer one bundle behind the requester's
+	// need still answers with the rest, instead of staying silent and
+	// costing the requester a retry delay.
+	to := min(req.To, req.From+maxServe-1, f.mp.Tip(req.Producer))
 	bundles := f.mp.Range(req.Producer, req.From-1, to)
 	if len(bundles) > 0 {
 		f.ctx.Send(from, &core.BundleResponse{Bundles: bundles})
@@ -510,29 +469,26 @@ func (f *FullNode) armDigest() {
 // also reveals we are behind on blocks (e.g. the relayer tree dropped a
 // ZoneBlock, or we just restarted), request the missing block run too.
 func (f *FullNode) onDigest(from wire.NodeID, m *BlockDigest) {
-	tips := f.mp.Tips()
 	for i, remote := range m.Tips {
-		if i >= len(tips) {
+		if i >= f.cfg.NC {
 			break
 		}
-		if remote > tips[i] {
-			f.ctx.Send(from, &core.BundleRequest{
-				Producer: wire.NodeID(i), From: tips[i] + 1, To: remote,
-			})
-		}
+		f.fetch(wire.NodeID(i), remote, from, wire.NoNode)
 	}
 	if m.Height > f.lastHeight {
 		f.ctx.Send(from, &BlockRequest{Height: f.lastHeight})
 	}
 }
 
-// sweepDataPlane bounds memory on long runs: finished partial-bundle
-// entries whose bundles are confirmed (or pruned) leave the dedup map, and
-// ancient block-hash entries age out once the chain moves past them.
+// sweepDataPlane bounds memory on long runs: partial-bundle entries whose
+// bundles are confirmed (or pruned) leave the dedup map — assembled or not:
+// a bundle that arrived by pull leaves its partial short of n_c−f stripes
+// for good — and ancient block-hash entries age out once the chain moves
+// past them.
 func (f *FullNode) sweepDataPlane() {
 	var swept []crypto.Hash
 	for h, p := range f.partials {
-		if p.done && p.height <= f.mp.ConfirmedHeight(p.producer) {
+		if p.height <= f.mp.ConfirmedHeight(p.producer) {
 			swept = append(swept, h)
 		}
 	}

@@ -36,13 +36,6 @@ type zoneCatchup struct {
 	target uint64
 }
 
-// pullState is one producer's outstanding bundle-gap pull.
-type pullState struct {
-	attempt  int
-	from, to uint64
-	timer    env.Timer
-}
-
 // CatchingUp reports whether a restart block catch-up is in flight.
 func (f *FullNode) CatchingUp() bool { return f.catchup != nil }
 
@@ -76,10 +69,7 @@ func (f *FullNode) OnRestart() {
 	f.isRelayer = false
 	f.zoneRelayers = make(map[wire.NodeID]*relayerInfo)
 	f.lastSeen = make(map[wire.NodeID]time.Time)
-	// Pull retry timers died with the crash.
-	for producer := range f.pulls {
-		delete(f.pulls, producer)
-	}
+	f.resetFetches(wire.NoNode)
 	f.bootstrap()
 	// (3) Catch up the blocks committed while we were down.
 	f.StartCatchup()
@@ -237,24 +227,35 @@ func (f *FullNode) onBlockResponse(from wire.NodeID, resp *BlockResponse) {
 	if resp.Anchor != nil {
 		f.adoptAnchor(from, resp.Anchor)
 	}
+	var last *core.PredisBlock
 	for _, blk := range resp.Blocks {
 		if blk == nil || blk.Height <= f.lastHeight {
 			continue
 		}
 		h := blk.Hash()
-		if _, seen := f.seenBlocks[h]; seen {
-			continue
+		if _, seen := f.seenBlocks[h]; !seen {
+			if int(blk.Leader) >= f.cfg.NC ||
+				!f.cfg.Signer.Verify(int(blk.Leader), h, blk.Sig) {
+				f.ctx.Logf("multizone: catchup block with bad signature from %d", from)
+				return
+			}
+			f.seenBlocks[h] = blk.Height
+			f.pendBlocks = append(f.pendBlocks, blk)
 		}
-		if int(blk.Leader) >= f.cfg.NC ||
-			!f.cfg.Signer.Verify(int(blk.Leader), h, blk.Sig) {
-			f.ctx.Logf("multizone: catchup block with bad signature from %d", from)
-			return
-		}
-		f.seenBlocks[h] = blk.Height
-		f.pendBlocks = append(f.pendBlocks, blk)
+		last = blk
 	}
-	// Validate/complete; missing bundles are pulled from the responder.
-	f.tryCompleteBlocksFrom(from)
+	// The responder completed every block it served, so it holds their
+	// bundles: ask it for the whole run now, not block by block — these are
+	// old bundles, which the consensus nodes have pruned before any full
+	// node does.
+	if last != nil {
+		for i, c := range last.Cuts {
+			if i < f.cfg.NC {
+				f.fetch(wire.NodeID(i), c.Height, from, wire.NoNode)
+			}
+		}
+	}
+	f.tryCompleteBlocks()
 }
 
 // adoptAnchor fast-forwards to a snapshot anchor: the bundles below its
@@ -282,8 +283,10 @@ func (f *FullNode) adoptAnchor(from wire.NodeID, anchor *core.PredisBlock) {
 	f.lastHeight = anchor.Height
 	f.seenBlocks[h] = anchor.Height
 	f.pushRecentBlock(anchor)
-	// Blocks pending below the anchor can never complete anymore; pulls
-	// for pruned ranges will reconcile against the fast-forwarded tips.
+	// Blocks pending below the anchor can never complete anymore, and what
+	// was being fetched is pruned: the needs above the anchor are stated
+	// afresh — at once, and to the peer that served it, because the anchor
+	// sits at that peer's pruning edge and the edge moves with every commit.
 	kept := f.pendBlocks[:0]
 	for _, blk := range f.pendBlocks {
 		if blk != nil && blk.Height > anchor.Height {
@@ -291,7 +294,7 @@ func (f *FullNode) adoptAnchor(from wire.NodeID, anchor *core.PredisBlock) {
 		}
 	}
 	f.pendBlocks = kept
-	f.reconcilePulls()
+	f.resetFetches(wire.NoNode)
 }
 
 // checkCatchupDone finishes catch-up once the chain head reached the
@@ -307,70 +310,6 @@ func (f *FullNode) checkCatchupDone() {
 	f.catchup = nil
 	f.ctx.Logf("multizone: node %d caught up at height %d after %d rounds",
 		f.cfg.Self, f.lastHeight, cu.attempt)
-}
-
-// --- bundle-gap pulls with backoff and holder rotation ---
-
-// schedulePull starts (or extends) the retried pull of one producer's
-// bundle gap. A single in-flight pull per producer suffices: the mempool
-// reports the full gap each time, and retries re-read it.
-func (f *FullNode) schedulePull(producer wire.NodeID, from, to uint64) {
-	if st := f.pulls[producer]; st != nil {
-		if to > st.to {
-			st.to = to
-		}
-		if from < st.from {
-			st.from = from
-		}
-		return // retry timer already running
-	}
-	st := &pullState{from: from, to: to}
-	f.pulls[producer] = st
-	f.firePull(producer, st)
-}
-
-func (f *FullNode) firePull(producer wire.NodeID, st *pullState) {
-	targets := f.pullTargets(producer)
-	if len(targets) == 0 {
-		delete(f.pulls, producer)
-		return
-	}
-	target := targets[st.attempt%len(targets)]
-	f.ctx.Send(target, &core.BundleRequest{Producer: producer, From: st.from, To: st.to})
-	st.attempt++
-	delay := f.cfg.Retry.Delay(st.attempt-1, f.ctx.Rand())
-	st.timer = f.ctx.After(delay, func() {
-		if f.pulls[producer] != st {
-			return
-		}
-		// Re-read the gap: earlier heights may have arrived meanwhile.
-		tips := f.mp.Tips()
-		if int(producer) < len(tips) && tips[producer] >= st.to {
-			delete(f.pulls, producer)
-			return
-		}
-		if int(producer) < len(tips) && tips[producer]+1 > st.from {
-			st.from = tips[producer] + 1
-		}
-		f.firePull(producer, st)
-	})
-}
-
-// reconcilePulls clears pulls whose gaps have been filled (called after a
-// BundleResponse lands, so a satisfied pull stops retrying immediately).
-func (f *FullNode) reconcilePulls() {
-	if len(f.pulls) == 0 {
-		return
-	}
-	tips := f.mp.Tips()
-	for producer, st := range f.pulls {
-		if int(producer) < len(tips) && tips[producer] >= st.to {
-			if st.timer != nil {
-				st.timer.Stop()
-			}
-			delete(f.pulls, producer)
-		}
-	}
 }
 
 // --- recent-block retention ring ---

@@ -77,6 +77,35 @@ func TestRestartedFullNodeCatchesUp(t *testing.T) {
 		vfn.LastHeight(), liveHead, len(heights), gaps)
 }
 
+// TestRestartedRelayerCatchesUpWithoutBackups: one zone, so no backup
+// peers, and the first-joined relayer sleeps through more than the bundle
+// retention. Only zone peers still hold what it missed — consensus nodes
+// prune first — and the skip-sync anchor a peer offers sits at that peer's
+// pruning edge: the bundles above it have to be asked of that very peer,
+// at once, or they are gone too. (At the parent commit the victim is still
+// 40 blocks behind when the run ends.)
+func TestRestartedRelayerCatchesUpWithoutBackups(t *testing.T) {
+	cfg := zoneConfig{
+		nc: 4, f: 1, zones: 1, perZone: 6,
+		rate: 150, duration: 12 * time.Second, joinSpacing: 20 * time.Millisecond,
+	}
+	zc := buildZoneCluster(t, cfg)
+	victim := zc.fulls[0]
+	faults.Install(zc.net, faults.Schedule{Seed: 3, Actions: []faults.Action{
+		faults.CrashWindow{Node: victim.ID(), From: 4 * time.Second, To: 7 * time.Second},
+	}})
+	zc.net.Start()
+	zc.net.Run(cfg.duration)
+	live := zc.fulls[1].LastHeight()
+	if live < 100 {
+		t.Fatalf("zone made no progress: live head %d", live)
+	}
+	if victim.LastHeight()+3 < live || victim.CatchingUp() {
+		t.Fatalf("restarted relayer at height %d (catching up: %v), live head %d",
+			victim.LastHeight(), victim.CatchingUp(), live)
+	}
+}
+
 // TestSkipSyncZeroesStateRoots forces a skip-sync on a full node that
 // executes: bundle retention is cut to a few bundles per chain, so after
 // a three-second outage the blocks the victim missed can no longer be

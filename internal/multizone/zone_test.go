@@ -53,6 +53,8 @@ type zoneConfig struct {
 	keepConfirmed int
 	// exec attaches an executor and an in-memory ledger to every full node.
 	exec bool
+	// throttle replaces the 100 Mbps downlink of the listed full nodes.
+	throttle map[wire.NodeID]simnet.Bandwidth
 }
 
 func fullNodeID(zone, idx int) wire.NodeID {
@@ -167,7 +169,11 @@ func buildZoneCluster(t testing.TB, cfg zoneConfig) *zoneCluster {
 			}
 			zc.fulls = append(zc.fulls, fn)
 			delay := time.Duration(z*cfg.perZone+k) * cfg.joinSpacing
-			net.AddNode(self, &Delayed{Inner: fn, Delay: delay})
+			if down, slow := cfg.throttle[self]; slow {
+				net.AddNodeRates(self, &Delayed{Inner: fn, Delay: delay}, simnet.Mbps100, down)
+			} else {
+				net.AddNode(self, &Delayed{Inner: fn, Delay: delay})
+			}
 		}
 	}
 
