@@ -223,7 +223,7 @@ func runOne(e harness.Experiment, opts harness.Options, c cli) int {
 // export writes the observability artifacts an experiment deposited in
 // the sink. Experiments without observability leave the sink empty.
 func export(id string, sink *harness.ObsSink, c cli) int {
-	if sink.Trace == nil {
+	if sink.Trace == nil && (sink.Metrics == nil || !c.metrics) {
 		fmt.Printf("(%s does not support -trace/-metrics; nothing exported)\n", id)
 		return 0
 	}
@@ -245,7 +245,7 @@ func export(id string, sink *harness.ObsSink, c cli) int {
 	if prefix == "" {
 		prefix = id
 	}
-	if c.trace {
+	if c.trace && sink.Trace != nil {
 		path := c.traceOut
 		if path == "" {
 			path = id + "-trace.json"
@@ -258,7 +258,7 @@ func export(id string, sink *harness.ObsSink, c cli) int {
 	}
 	// The per-stage latency breakdown accompanies both flags: it is the
 	// CSV companion to the trace as well as the headline metrics table.
-	if c.trace || c.metrics {
+	if sink.Trace != nil {
 		if code := writeFile(prefix+"-stages.csv", func(f *os.File) error {
 			return sink.Trace.WriteStageCSV(f)
 		}); code != 0 {
@@ -298,10 +298,11 @@ Usage:
   predis-bench [-quick] [-seed N] all
   predis-bench [-quick] [-seed N] <id>... [-trace] [-metrics]
 
-Observability (quickstart, recovery):
+Observability (quickstart, recovery; latfloor: -metrics only):
   -trace writes Chrome trace-event JSON plus the stage-latency CSV;
   -metrics writes stage-latency, metric, NIC/queue-sample, and per-link
-  byte CSVs. Flags and ids may be interleaved.
+  byte CSVs (latfloor: the metric CSV of its busiest LAN stream point,
+  with the PBFT proposal pace). Flags and ids may be interleaved.
 
 Flags:
   -quick         shrink durations and sweeps (~1 minute total)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"predis/internal/crypto"
+	"predis/internal/merkle"
 	"predis/internal/types"
 )
 
@@ -50,5 +51,52 @@ func TestSealPathAllocs(t *testing.T) {
 		}
 	}); a != 0 {
 		t.Errorf("BundleHeader.HashStateless allocates %.1f, want 0", a)
+	}
+}
+
+// TestBlockPathAllocs pins the per-block steps every proposal, validation
+// and commit repeats, on a 20-bundle cut: both know their length up front,
+// so the bundle list is one allocation and the block root — hashed in a
+// stack scratch up to 64 bundles — none.
+func TestBlockPathAllocs(t *testing.T) {
+	r := newRig(t, 4, 1, 50)
+	for round := 0; round < 5; round++ {
+		for p := range r.pools {
+			r.giveAll(r.pack(p, 1))
+		}
+	}
+	mp, prev := r.pools[0], ZeroCuts(4)
+	blk, ok := mp.BuildPredisBlockStream(1, crypto.ZeroHash, prev, 0, false)
+	if !ok || newlyCut(prev, blk.Cuts) != 20 {
+		t.Fatalf("block cuts %d bundles, want 20", newlyCut(prev, blk.Cuts))
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if mp.blockRoot(prev, blk.Cuts) != blk.TxRoot {
+			t.Fatal("blockRoot is not stable")
+		}
+	}); a != 0 {
+		t.Errorf("blockRoot(20 bundles) allocates %.1f, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if len(mp.BlockBundles(blk, prev)) != 20 {
+			t.Fatal("BlockBundles lost bundles")
+		}
+	}); a != 1 {
+		t.Errorf("BlockBundles(20 bundles) allocates %.1f, want 1", a)
+	}
+	// Above the scratch the root costs one allocation and is the same tree.
+	for round := 0; round < 15; round++ {
+		for p := range r.pools {
+			r.giveAll(r.pack(p, 1))
+		}
+	}
+	big, _ := mp.BuildPredisBlockStream(1, crypto.ZeroHash, prev, 0, false)
+	var leaves []crypto.Hash
+	for _, b := range mp.BlockBundles(big, prev) {
+		hh := b.Header.Hash()
+		leaves = append(leaves, merkle.HashLeaf(hh[:]))
+	}
+	if len(leaves) != 80 || big.TxRoot != merkle.RootOfHashes(leaves) {
+		t.Fatalf("block root over %d bundles differs between the stack and heap leaf arrays", len(leaves))
 	}
 }

@@ -153,7 +153,15 @@ func (m *Mempool) packBlock(height uint64, parentHash crypto.Hash, prev []uint64
 // bundle's TxRoot, so the root binds the block's full transaction set
 // (Theorem 3.3's "identical candidate blocks").
 func (m *Mempool) blockRoot(prev []uint64, cuts []Cut) crypto.Hash {
-	var leaves []crypto.Hash
+	n := newlyCut(prev, cuts)
+	if n == 0 {
+		return crypto.ZeroHash
+	}
+	var stack [64]crypto.Hash // as in TxMerkleRoot
+	leaves := stack[:0]
+	if n > len(stack) {
+		leaves = make([]crypto.Hash, 0, n) //predis:allocok blocks above 64 bundles
+	}
 	for i, c := range cuts {
 		ch := m.chains[i]
 		for h := prev[i] + 1; h <= c.Height; h++ {
@@ -161,7 +169,18 @@ func (m *Mempool) blockRoot(prev []uint64, cuts []Cut) crypto.Hash {
 			leaves = append(leaves, merkle.HashLeaf(hh[:]))
 		}
 	}
-	return merkle.RootOfHashes(leaves)
+	return merkle.RootInPlace(leaves)
+}
+
+// newlyCut returns how many bundles cuts confirm beyond the baseline prev.
+func newlyCut(prev []uint64, cuts []Cut) int {
+	n := 0
+	for i, c := range cuts {
+		if c.Height > prev[i] {
+			n += int(c.Height - prev[i])
+		}
+	}
+	return n
 }
 
 // ValidatePredisBlock runs the replica-side checks (§III-B) against the
@@ -195,6 +214,9 @@ func (m *Mempool) ValidatePredisBlock(blk *PredisBlock, wantParent crypto.Hash,
 			return nil, fmt.Errorf("%w: chain %d", ErrBlockBanned, i)
 		}
 		if c.Height > ch.tip() {
+			if missing == nil {
+				missing = make([]MissingRange, 0, len(blk.Cuts)-i)
+			}
 			missing = append(missing, MissingRange{
 				Producer: wire.NodeID(i), From: ch.tip() + 1, To: c.Height,
 			})
@@ -217,7 +239,7 @@ func (m *Mempool) ValidatePredisBlock(blk *PredisBlock, wantParent crypto.Hash,
 // baseline cuts prev, in (chain, height) order, or nil if some are
 // missing locally.
 func (m *Mempool) BlockBundles(blk *PredisBlock, prev []uint64) []*Bundle {
-	var out []*Bundle
+	out := make([]*Bundle, 0, newlyCut(prev, blk.Cuts))
 	for i, c := range blk.Cuts {
 		ch := m.chains[i]
 		for h := prev[i] + 1; h <= c.Height; h++ {

@@ -311,7 +311,10 @@ func (m *Mempool) link(c *chain, b *Bundle) (AddResult, *ConflictEvidence, error
 func (m *Mempool) HasUnconfirmedPayload() bool { return m.liveTxBundles > 0 }
 
 // MarkConfirmed advances a chain's confirmed height (called at commit) and
-// prunes bundles deeper than KeepConfirmed below it.
+// prunes bundles deeper than KeepConfirmed below it. Pruning clears the
+// dropped slots (their bundles become collectable) and re-slices; the
+// append that next outgrows the array compacts, copying only the live
+// part — O(1) amortised, not O(KeepConfirmed) per commit.
 func (m *Mempool) MarkConfirmed(producer wire.NodeID, height uint64) {
 	c := m.chains[producer]
 	if height > c.confirmed {
@@ -326,7 +329,8 @@ func (m *Mempool) MarkConfirmed(producer wire.NodeID, height uint64) {
 				drop = uint64(len(c.bundles))
 				newBase = c.base + drop
 			}
-			c.bundles = append([]*Bundle(nil), c.bundles[drop:]...)
+			clear(c.bundles[:drop])
+			c.bundles = c.bundles[drop:]
 			c.base = newBase
 		}
 	}

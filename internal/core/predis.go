@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"predis/internal/compute"
@@ -84,6 +85,13 @@ type Options struct {
 	// per-instance engines (PBFT) commit each slot independently and
 	// leave this off.
 	StreamDrain bool
+	// SealOnProposal, in stream mode under an engine that paces its
+	// proposals (pipelined PBFT), clocks sealing on them: a transaction
+	// seals on arrival only if nothing was sealed since the last proposal
+	// this node built or validated; otherwise the queue seals right after
+	// the node has answered the next one (BundleSize and the tick still
+	// apply). Bundle size is 1 when idle and grows with load.
+	SealOnProposal bool
 	// OnProposal, in stream mode, fires for every cursor block this node
 	// builds or successfully validates — before any quorum forms — so
 	// Multi-Zone distributors can begin speculative distribution. May
@@ -130,6 +138,11 @@ type Predis struct {
 	queueTimes     []time.Time
 	produceTimer   env.Timer
 	lastAdvertised TipList
+	// sealed: a payload bundle was sealed since the last proposal this
+	// node built or validated. sealLater is sealQueue bound once, as the
+	// zero-delay timer callback.
+	sealed    bool
+	sealLater func()
 
 	lastHeight    uint64
 	lastBlockHash crypto.Hash
@@ -229,6 +242,7 @@ func (p *Predis) LastHeight() uint64 { return p.lastHeight }
 // Start arms the bundle production timer.
 func (p *Predis) Start(ctx env.Context) {
 	p.ctx = ctx
+	p.sealLater = p.sealQueue
 	p.armProduceTimer()
 }
 
@@ -244,23 +258,47 @@ func (p *Predis) armProduceTimer() {
 
 // SubmitTx enqueues a client transaction for bundling; full bundles are
 // emitted immediately (without waiting for the interval timer). In stream
-// mode every submission seals immediately: the bundle-chain cursor
-// advances at transaction granularity and the interval timer only paces
-// heartbeats.
+// mode a submission seals on arrival — the bundle-chain cursor advances at
+// transaction granularity — unless sealing is proposal-clocked and this
+// node already sealed since the last proposal: then it waits for the next
+// one (proposalSeen), a full bundle, or the tick.
 func (p *Predis) SubmitTx(tx *types.Transaction) {
 	if p.opts.Fault == FaultSilent {
 		return
 	}
 	p.queue = append(p.queue, tx)
 	p.queueTimes = append(p.queueTimes, p.ctx.Now())
-	if p.opts.Stream {
-		for len(p.queue) > 0 {
-			p.produceBundle()
-		}
+	if p.opts.Stream && !(p.opts.SealOnProposal && p.sealed) {
+		p.sealQueue()
 		return
 	}
 	for len(p.queue) >= p.mp.params.BundleSize {
 		p.produceBundle()
+	}
+}
+
+// sealQueue seals everything queued.
+func (p *Predis) sealQueue() {
+	for len(p.queue) > 0 {
+		p.produceBundle()
+	}
+}
+
+// proposalSeen runs for every block this node built or validated. In
+// stream mode it announces the block for speculative distribution and,
+// when sealing is proposal-clocked, opens the next sealing slot. What is
+// queued seals from a zero-delay timer — after the engine has sent its
+// answer, so the vote is ahead of the bundle on the FIFO uplink and the
+// leader's engine is not re-entered mid-proposal.
+//
+//predis:hotpath
+func (p *Predis) proposalSeen(blk *PredisBlock) {
+	if p.opts.Stream && p.opts.OnProposal != nil {
+		p.opts.OnProposal(blk)
+	}
+	p.sealed = false
+	if p.opts.Stream && p.opts.SealOnProposal && len(p.queue) > 0 {
+		p.ctx.After(0, p.sealLater)
 	}
 }
 
@@ -293,12 +331,14 @@ func (p *Predis) produceBundle() {
 	if n > len(p.queue) {
 		n = len(p.queue)
 	}
-	txs := p.queue[:n:n]
-	p.queue = p.queue[n:]
+	// The bundle owns its slice; the queue keeps its arrays, index-aligned.
+	txs := slices.Clone(p.queue[:n])
 	var firstQueued time.Time
 	if n > 0 {
 		firstQueued = p.queueTimes[0]
-		p.queueTimes = p.queueTimes[n:]
+		p.sealed = true
+		p.queue = slices.Delete(p.queue, 0, n)
+		p.queueTimes = slices.Delete(p.queueTimes, 0, n)
 	}
 
 	tips := p.mp.Tips()
@@ -585,9 +625,7 @@ func (p *Predis) BuildProposal(height uint64, parent wire.Message) (wire.Message
 	if !ok {
 		return nil, crypto.ZeroHash, false
 	}
-	if p.opts.Stream && p.opts.OnProposal != nil {
-		p.opts.OnProposal(blk)
-	}
+	p.proposalSeen(blk)
 	return blk, blk.Hash(), true
 }
 
@@ -635,9 +673,7 @@ func (p *Predis) ValidateProposal(height uint64, payload, parent wire.Message) (
 	if err != nil {
 		return crypto.ZeroHash, err
 	}
-	if p.opts.Stream && p.opts.OnProposal != nil {
-		p.opts.OnProposal(blk)
-	}
+	p.proposalSeen(blk)
 	return blk.Hash(), nil
 }
 

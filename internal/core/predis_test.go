@@ -20,6 +20,17 @@ type predisNet struct {
 
 func newPredisNet(t *testing.T, nc, f int, faults map[int]FaultMode) *predisNet {
 	t.Helper()
+	return newPredisNetWith(t, nc, f, func(i int, o *Options) {
+		if faults != nil {
+			o.Fault = faults[i]
+		}
+	})
+}
+
+// newPredisNetWith is newPredisNet with a per-node hook that adjusts the
+// options (BundleSize 10, BundleInterval 10 ms, honest) before building.
+func newPredisNetWith(t *testing.T, nc, f int, adjust func(i int, o *Options)) *predisNet {
+	t.Helper()
 	RegisterMessages()
 	types.RegisterMessages()
 	net := simnet.New(simnet.Config{
@@ -33,11 +44,7 @@ func newPredisNet(t *testing.T, nc, f int, faults map[int]FaultMode) *predisNet 
 	}
 	pn := &predisNet{net: net}
 	for i := 0; i < nc; i++ {
-		fault := FaultNone
-		if faults != nil {
-			fault = faults[i]
-		}
-		p, err := NewPredis(Options{
+		opts := Options{
 			Params: Params{
 				NC: nc, F: f, BundleSize: 10,
 				BundleInterval: 10 * time.Millisecond,
@@ -45,8 +52,9 @@ func newPredisNet(t *testing.T, nc, f int, faults map[int]FaultMode) *predisNet 
 			},
 			Self:  wire.NodeID(i),
 			Peers: ids,
-			Fault: fault,
-		})
+		}
+		adjust(i, &opts)
+		p, err := NewPredis(opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -155,3 +155,139 @@ func TestQuickBlockRootDeterministic(t *testing.T) {
 		t.Fatal("tx roots differ for identical content")
 	}
 }
+
+// refChain is the reference model for chain pruning: the implementation
+// MarkConfirmed had before it stopped copying — a fresh slice holding
+// exactly the retained bundles after every prune.
+type refChain struct {
+	base, confirmed uint64
+	bundles         []*Bundle
+}
+
+func (c *refChain) tip() uint64 { return c.base + uint64(len(c.bundles)) }
+
+func (c *refChain) at(h uint64) *Bundle {
+	if h <= c.base || h > c.tip() {
+		return nil
+	}
+	return c.bundles[h-c.base-1]
+}
+
+func (c *refChain) markConfirmed(height, keep uint64) {
+	if height > c.confirmed {
+		c.confirmed = height
+	}
+	if c.confirmed > keep && c.confirmed-keep > c.base {
+		drop := min(c.confirmed-keep-c.base, uint64(len(c.bundles)))
+		c.bundles = append([]*Bundle(nil), c.bundles[drop:]...)
+		c.base += drop
+	}
+}
+
+func (c *refChain) fastForward(cut uint64) {
+	if cut > c.tip() {
+		c.bundles, c.base = nil, cut
+	}
+	if cut > c.confirmed {
+		c.confirmed = cut
+	}
+}
+
+// TestQuickPruningMatchesReference drives one chain through random
+// appends, confirmations (with pruning), fast-forwards and lookups, and
+// checks after every step that the re-slicing MarkConfirmed is
+// indistinguishable from the copying reference — every height, every
+// Range, tip, base and confirmed height — and that pruned slots are
+// cleared in the shared backing array, so pruned bundles are collectable.
+func TestQuickPruningMatchesReference(t *testing.T) {
+	const nc, keep = 4, 5
+	suite := crypto.NewSimSuite(nc, 31)
+	run := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		mp, err := NewMempool(Params{NC: nc, F: 1, BundleSize: 4, Signer: suite.Signer(0), KeepConfirmed: keep})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := &refChain{}
+		c := mp.chains[0]
+		var tail *BundleHeader
+		for step := 0; step < 300; step++ {
+			switch op := r.Intn(10); {
+			case op < 6: // append 1–3 bundles at the tip
+				for n := 1 + r.Intn(3); n > 0; n-- {
+					tips := mp.Tips()
+					tips[0]++
+					b := PackBundle(suite.Signer(0), 0, tail, nil, tips)
+					tail = &b.Header
+					if res, _, _, err := mp.AddBundle(b, false); err != nil || res != Added {
+						t.Logf("seed %d step %d: AddBundle at %d: res=%d err=%v", seed, step, b.Header.Height, res, err)
+						return false
+					}
+					ref.bundles = append(ref.bundles, b)
+				}
+			case op < 9: // confirm somewhere between the confirmed height and the tip
+				if ref.tip() == ref.confirmed {
+					continue
+				}
+				h := ref.confirmed + 1 + uint64(r.Int63n(int64(ref.tip()-ref.confirmed)))
+				before := c.bundles
+				oldBase := c.base
+				mp.MarkConfirmed(0, h)
+				ref.markConfirmed(h, keep)
+				for i := uint64(0); i < c.base-oldBase; i++ {
+					if before[i] != nil {
+						t.Logf("seed %d step %d: pruned slot %d still references its bundle", seed, step, i)
+						return false
+					}
+				}
+			default: // skip-sync to a cut at or beyond the tip
+				cut := ref.tip() + uint64(r.Intn(4))
+				if cut > ref.tip() { // the chain restarts above a gap: any parent links
+					tail = &BundleHeader{Producer: 0, Height: cut, Tips: make(TipList, nc)}
+				}
+				cuts := mp.Confirmed()
+				cuts[0] = cut
+				mp.FastForward(cuts)
+				ref.fastForward(cut)
+			}
+			if c.tip() != ref.tip() || c.base != ref.base || c.confirmed != ref.confirmed ||
+				mp.Bases()[0] != ref.base || mp.ConfirmedHeight(0) != ref.confirmed {
+				t.Logf("seed %d step %d: (tip, base, confirmed) = (%d, %d, %d), reference (%d, %d, %d)",
+					seed, step, c.tip(), c.base, c.confirmed, ref.tip(), ref.base, ref.confirmed)
+				return false
+			}
+			for h := uint64(0); h <= ref.tip()+2; h++ {
+				if mp.Bundle(0, h) != ref.at(h) {
+					t.Logf("seed %d step %d: Bundle(%d) differs from the reference", seed, step, h)
+					return false
+				}
+			}
+			from := uint64(r.Int63n(int64(ref.tip() + 2)))
+			to := from + uint64(r.Intn(8))
+			got := mp.Range(0, from, to)
+			var want []*Bundle
+			if servable := to <= ref.tip() && from >= ref.base; servable {
+				want = ref.bundles[from-ref.base : to-ref.base]
+			} else if got != nil {
+				t.Logf("seed %d step %d: Range(%d, %d) served outside (base, tip] = (%d, %d]", seed, step, from, to, ref.base, ref.tip())
+				return false
+			}
+			if len(got) != len(want) {
+				t.Logf("seed %d step %d: Range(%d, %d) = %d bundles, reference %d", seed, step, from, to, len(got), len(want))
+				return false
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Logf("seed %d step %d: Range(%d, %d)[%d] differs from the reference", seed, step, from, to, i)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		if !run(seed) {
+			t.Fatalf("seed %d: pruning diverged from the reference", seed)
+		}
+	}
+}

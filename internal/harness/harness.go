@@ -9,11 +9,14 @@ import (
 	"time"
 
 	"predis/internal/compute"
+	"predis/internal/consensus"
 	"predis/internal/core"
 	"predis/internal/crypto"
 	"predis/internal/env"
 	"predis/internal/multizone"
 	"predis/internal/node"
+	"predis/internal/obs"
+	"predis/internal/pbft"
 	"predis/internal/simnet"
 	"predis/internal/stats"
 	"predis/internal/types"
@@ -81,6 +84,11 @@ type PointSpec struct {
 	// Trace, when non-nil, folds every delivery into a replay hash so
 	// tests can assert two same-seed runs are byte-identical.
 	Trace *ReplayTrace
+	// Metrics, when non-nil, receives the nodes' per-node counters
+	// (Predis mode) and, after the run, each PBFT engine's proposal pace.
+	Metrics *obs.Registry
+	// OnCommit, when non-nil, observes every commit at node 0.
+	OnCommit func(at time.Time, txs int)
 	// Compute, when active, offloads pure crypto/erasure work inside the
 	// simulated point; results and replay hashes are identical for any
 	// pool, including nil.
@@ -182,9 +190,13 @@ func RunPoint(spec PointSpec) (PointResult, error) {
 			Stream:         s.Stream,
 			Pipeline:       s.Pipeline,
 			ReplyToClients: true,
+			Metrics:        s.Metrics,
 			OnCommit: func(height uint64, txs []*types.Transaction) {
 				if i == 0 {
 					col.RecordNodeCommit(net.Now(), len(txs))
+					if s.OnCommit != nil {
+						s.OnCommit(net.Now(), len(txs))
+					}
 				}
 			},
 		}
@@ -238,12 +250,26 @@ func RunPoint(spec PointSpec) (PointResult, error) {
 		Blocks:           blocks,
 		SpecEvictions:    evictions,
 	}
+	for i, n := range nodes {
+		publishPace(s.Metrics, wire.NodeID(i), n.Engine())
+	}
 	// Engine diagnostics from node 0.
 	switch e := nodes[0].Engine().(type) {
 	case interface{ Stats() (uint64, uint64) }:
 		_, res.ViewOrTimeouts = e.Stats()
 	}
 	return res, nil
+}
+
+// publishPace records a pipelined PBFT engine's proposal pace (see
+// pbft.Engine.Pace) in the registry; other engines publish nothing.
+func publishPace(reg *obs.Registry, id wire.NodeID, e consensus.Engine) {
+	if p, ok := e.(*pbft.Engine); ok {
+		gap, delayed, delay := p.Pace()
+		reg.Gauge("pbft.pace_gap_ms", id).Set(gap.Seconds() * 1e3)
+		reg.Counter("pbft.pace_delayed", id).Add(delayed)
+		reg.Gauge("pbft.pace_delay_ms", id).Set(delay.Seconds() * 1e3)
+	}
 }
 
 // parRun evaluates fn(0..n-1) over up to `workers` goroutines (see

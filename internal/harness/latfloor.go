@@ -3,6 +3,7 @@ package harness
 import (
 	"time"
 
+	"predis/internal/obs"
 	"predis/internal/stats"
 )
 
@@ -67,6 +68,12 @@ func LatencyFloor(o Options) ([]*stats.Table, error) {
 	flat := make([]PointSpec, 0, 4*len(loads))
 	for _, row := range grid {
 		flat = append(flat, row...)
+	}
+	if o.Obs != nil {
+		// -metrics: the registry of the busiest LAN stream point, which
+		// carries the producers' seal counters and the PBFT proposal pace.
+		o.Obs.Metrics = obs.NewRegistry()
+		flat[2*len(loads)-1].Metrics = o.Obs.Metrics
 	}
 	workers := o.workers()
 	if o.Replay != nil {

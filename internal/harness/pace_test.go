@@ -1,0 +1,162 @@
+package harness
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"predis/internal/obs"
+	"predis/internal/simnet"
+	"predis/internal/wire"
+)
+
+// pacedPoint is what the paced-stream tests read off one run.
+type pacedPoint struct {
+	res    PointResult
+	replay string
+	// gap is the leader's pace gap at the end of the run and commitGap
+	// the longest interval between two commits at node 0 after warm-up;
+	// sealed counts payload bundles across all producers and sealWaitMS
+	// sums, over them, the time their first transaction waited to be
+	// sealed; committed is node 0's committed transaction count.
+	gap, commitGap time.Duration
+	sealed         uint64
+	sealWaitMS     float64
+	committed      uint64
+}
+
+// pacedStreamPoint runs one P-PBFT streaming point: 16-slot paced window,
+// proposal-clocked sealing, 2 simulated seconds.
+func pacedStreamPoint(t *testing.T, offered float64, clients int) pacedPoint {
+	t.Helper()
+	tr, reg := NewReplayTrace(), obs.NewRegistry()
+	var last time.Time
+	var commitGap time.Duration
+	res, err := RunPoint(PointSpec{
+		System: SysPPBFT, NC: 4, Offered: offered, Clients: clients, Duration: 2 * time.Second,
+		Seed: 42, Stream: true, Pipeline: 16, Trace: tr, Metrics: reg,
+		OnCommit: func(at time.Time, txs int) {
+			if at.Sub(simnet.Epoch) >= 500*time.Millisecond { // RunPoint's warm-up: a quarter of the run
+				if !last.IsZero() {
+					commitGap = max(commitGap, at.Sub(last))
+				}
+				last = at
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pacedPoint{
+		res:       res,
+		commitGap: commitGap,
+		replay:    fmt.Sprintf("%s %d %+v", tr.Sum(), tr.Deliveries(), res),
+		gap:       time.Duration(reg.Gauge("pbft.pace_gap_ms", 0).Value() * float64(time.Millisecond)),
+		committed: reg.Counter("txs_committed", 0).Value(),
+	}
+	for i := wire.NodeID(0); i < 4; i++ {
+		h := reg.Histogram("bundle_seal_ms", i, nil)
+		p.sealed += h.Count()
+		p.sealWaitMS += h.Sum()
+	}
+	if p.sealed == 0 || p.committed == 0 {
+		t.Fatalf("%d payload bundles sealed, %d transactions committed", p.sealed, p.committed)
+	}
+	return p
+}
+
+// TestPacedStreamUnderLoad: at 4 000 tx/s the self-clocked pipeline
+// commits evenly — after warm-up no two commits are further apart than
+// two pace gaps, where the ack-clocked window stalled for most of a round
+// — and batches with load (≥ 3 transactions per bundle); the run replays.
+func TestPacedStreamUnderLoad(t *testing.T) {
+	p := pacedStreamPoint(t, 4000, 4)
+	if p.gap < 4*time.Millisecond || p.gap > 6*time.Millisecond {
+		t.Fatalf("pace gap %v, want ≈ 75 ms / 16 slots", p.gap)
+	}
+	if p.commitGap == 0 || p.commitGap > 2*p.gap {
+		t.Errorf("longest inter-commit gap %v, want within 2 × the pace gap %v", p.commitGap, p.gap)
+	}
+	// Sealed counts the uncommitted tail too, so this understates.
+	if perBundle := float64(p.committed) / float64(p.sealed); perBundle < 3 {
+		t.Errorf("%.2f transactions per bundle at 4000 tx/s, want ≥ 3", perBundle)
+	}
+	if again := pacedStreamPoint(t, 4000, 4); again.replay != p.replay {
+		t.Errorf("same-seed runs diverged:\n  %s\n  %s", p.replay, again.replay)
+	}
+}
+
+// TestPacedStreamIdle: at 200 tx/s sealing stays per transaction and
+// latency stays where seal-on-arrival and the ack-clocked window had it
+// (means at the parent commit, same points). Two client layouts, because
+// RunPoint's clients tick in lockstep: one client delivers a pair of
+// transactions to two producers every 10 ms — nothing ever queues behind
+// a seal, every bundle holds one transaction, and the second of each pair
+// pays part of one pace gap at the leader; the default four clients hit
+// one producer with a burst of four every 20 ms — momentary load, which
+// batches (the transactions behind the first wait for the next proposal)
+// at no cost in latency.
+func TestPacedStreamIdle(t *testing.T) {
+	within := func(name string, got, parent time.Duration, pct int64) {
+		t.Helper()
+		if d := (got - parent).Abs(); d*100 > parent*time.Duration(pct) {
+			t.Errorf("%s: confirmed mean %v, want within %d%% of the parent's %v", name, got, pct, parent)
+		}
+	}
+	one := pacedStreamPoint(t, 200, 1)
+	// Only in the first 75 ms, before any proposal has come round, can a
+	// transaction wait — for the 20 ms tick at most.
+	if one.sealWaitMS > 20 || one.sealed < one.committed {
+		t.Errorf("one client: %d bundles for %d committed transactions, %.3f ms waited for a seal in total; want one bundle per transaction, sealed on arrival",
+			one.sealed, one.committed, one.sealWaitMS)
+	}
+	within("one client", one.res.Latency.Mean, 144644763*time.Nanosecond, 2)
+	four := pacedStreamPoint(t, 200, 4)
+	within("four lockstep clients", four.res.Latency.Mean, 149065161*time.Nanosecond, 1)
+}
+
+// TestSingleSlotReplayPinned: with Pipeline 1 the pace code is never
+// entered, so classic PBFT keeps the schedule it had before pacing
+// existed. The digests are those of the commit before the paced window
+// (quickstart-style P-PBFT point; recovery with the view-0 leader crashed
+// and a view change in block mode); two runs each must reproduce them. A
+// change that moves the block-mode model on purpose re-pins them.
+func TestSingleSlotReplayPinned(t *testing.T) {
+	point := func() string {
+		tr := NewReplayTrace()
+		if _, err := RunPoint(PointSpec{
+			System: SysPPBFT, NC: 4, Offered: 1000, Duration: 1500 * time.Millisecond, Seed: 42, Trace: tr,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%s %d", tr.Sum(), tr.Deliveries())
+	}
+	recovery := func() string {
+		tr := NewReplayTrace()
+		if _, err := runRecovery(recoverySpec{
+			nc: 4, f: 1, zones: 2, perZone: 3,
+			offered: 1500, duration: 6 * time.Second,
+			bucket: 500 * time.Millisecond, seed: 7,
+			crashFrom: 2 * time.Second, crashTo: 3500 * time.Millisecond,
+			victimConsensus: true,
+			trace:           tr,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%s %d", tr.Sum(), tr.Deliveries())
+	}
+	for _, c := range []struct {
+		name string
+		run  func() string
+		want string
+	}{
+		{"P-PBFT point", point, "a290c0b0e39bd9c37ea0b96f53aaef1dccbd3b2faa85bf65760c37314568ba25 2966"},
+		{"leader-crash recovery", recovery, "6a079f84dafe844d5270db0d07afc56be205af720f22c15b92c915a1d8d1d1f1 39517"},
+	} {
+		for run := 1; run <= 2; run++ {
+			if got := c.run(); got != c.want {
+				t.Errorf("%s, run %d: replay %s, want %s", c.name, run, got, c.want)
+			}
+		}
+	}
+}

@@ -84,6 +84,7 @@ func Quickstart(o Options) ([]*stats.Table, error) {
 	// Options.Stream the same deployment runs in streaming-commit mode:
 	// eager cuts, speculative stripe distribution at proposal time, and
 	// per-bundle execution merges.
+	hosts := make([]*multizone.ConsensusHost, nc)
 	for i := 0; i < nc; i++ {
 		i := i
 		host, err := multizone.NewConsensusHost(multizone.HostConfig{
@@ -108,6 +109,7 @@ func Quickstart(o Options) ([]*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		hosts[i] = host
 		net.AddNode(wire.NodeID(i), host)
 	}
 
@@ -180,6 +182,9 @@ func Quickstart(o Options) ([]*stats.Table, error) {
 		requests, bundles, _, _ := fn.PullStats()
 		registry.Counter("multizone.pull_requests", fn.ID()).Add(requests)
 		registry.Counter("multizone.pull_bundles", fn.ID()).Add(bundles)
+	}
+	for i, host := range hosts {
+		publishPace(registry, wire.NodeID(i), host.Node.Engine())
 	}
 
 	if o.Obs != nil {

@@ -8,6 +8,7 @@ import (
 	"predis/internal/crypto"
 	"predis/internal/node"
 	"predis/internal/obs"
+	"predis/internal/pbft"
 	"predis/internal/simnet"
 	"predis/internal/wire"
 )
@@ -175,45 +176,70 @@ func TestFullNodeSpecBufferLifecycle(t *testing.T) {
 }
 
 // TestViewChangeMidStreamDiscards runs a streaming Multi-Zone cluster,
-// crashes the PBFT leader mid-stream, and checks that full nodes both
-// discarded retracted speculative blocks (waste observed network-wide)
-// and kept finalizing speculation after the view change — while every
-// node still completes a gap-free chain.
+// crashes the PBFT leader mid-stream, and drives the discard path end to
+// end: full nodes retract the speculative blocks the view change evicted
+// (waste observed network-wide) and keep finalizing speculation after it,
+// while every node still completes a gap-free chain. Under paced
+// proposals a clean crash leaves nothing to retract — every in-flight
+// pre-prepare has reached all replicas, and the three survivors are a
+// quorum — so the evictions are made deterministically: for the last
+// 50 ms before the crash the leader's pre-prepares reach replica 1 only,
+// which speculates on proposals that can never gather a quorum.
 func TestViewChangeMidStreamDiscards(t *testing.T) {
-	cfg := zoneConfig{
-		nc: 4, f: 1, zones: 1, perZone: 6,
-		rate: 300, duration: 8 * time.Second,
-		stream: true,
-	}
-	zc := buildZoneCluster(t, cfg)
-	zc.net.Start()
-	zc.net.Run(3 * time.Second)
-	zc.net.Crash(0) // PBFT view-0 leader dies mid-stream
-	zc.net.Run(cfg.duration - 3*time.Second)
-
-	var hits, waste uint64
-	for _, fn := range zc.fulls {
-		h, w := fn.SpecStats()
-		hits += h
-		waste += w
-		if _, _, blocks := fn.Stats(); blocks == 0 {
-			t.Fatalf("full node %d completed no blocks", fn.cfg.Self)
+	const crashAt = 3 * time.Second
+	run := func(starve bool) (hits, waste uint64) {
+		cfg := zoneConfig{
+			nc: 4, f: 1, zones: 1, perZone: 6,
+			rate: 300, duration: 8 * time.Second,
+			stream: true,
 		}
-	}
-	if hits == 0 {
-		t.Fatal("no full node finalized a speculative block")
-	}
-	if waste == 0 {
-		t.Fatal("leader crash produced no speculative discards")
-	}
-	t.Logf("spec hits=%d waste=%d", hits, waste)
+		zc := buildZoneCluster(t, cfg)
+		zc.net.Start()
+		if starve {
+			zc.net.At(crashAt-50*time.Millisecond, func() {
+				zc.net.SetDropFilter(func(from, to wire.NodeID, m wire.Message) bool {
+					_, pp := m.(*pbft.PrePrepare)
+					return pp && from == 0 && (to == 2 || to == 3)
+				})
+			})
+		}
+		zc.net.Run(crashAt)
+		zc.net.Crash(0) // PBFT view-0 leader dies mid-stream
+		zc.net.SetDropFilter(nil)
+		var hitsAtCrash uint64
+		for _, fn := range zc.fulls {
+			h, _ := fn.SpecStats()
+			hitsAtCrash += h
+		}
+		zc.net.Run(cfg.duration)
 
-	// Chains stay gap-free through the view change.
-	for id, heights := range zc.completed {
-		for i, h := range heights {
-			if h != uint64(i+1) {
-				t.Fatalf("node %d completed heights %v (gap at %d)", id, heights[:i+1], i)
+		for _, fn := range zc.fulls {
+			h, w := fn.SpecStats()
+			hits += h
+			waste += w
+			if _, _, blocks := fn.Stats(); blocks == 0 {
+				t.Fatalf("full node %d completed no blocks", fn.cfg.Self)
 			}
 		}
+		if hitsAtCrash == 0 || hits == hitsAtCrash {
+			t.Fatalf("speculative blocks finalized: %d before the crash, %d after the view change; want both > 0",
+				hitsAtCrash, hits-hitsAtCrash)
+		}
+		t.Logf("starve=%v: spec hits=%d waste=%d", starve, hits, waste)
+		// Chains stay gap-free through the view change.
+		for id, heights := range zc.completed {
+			for i, h := range heights {
+				if h != uint64(i+1) {
+					t.Fatalf("node %d completed heights %v (gap at %d)", id, heights[:i+1], i)
+				}
+			}
+		}
+		return hits, waste
+	}
+	if _, waste := run(true); waste == 0 {
+		t.Fatal("pre-prepares starved of a quorum before the crash produced no speculative discards")
+	}
+	if _, waste := run(false); waste != 0 {
+		t.Fatalf("a clean leader crash retracted %d speculative blocks, want 0", waste)
 	}
 }

@@ -6,7 +6,7 @@ package node
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"predis/internal/compute"
@@ -200,6 +200,7 @@ func New(cfg Config) (*Node, error) {
 			Fault:          cfg.Fault,
 			Stream:         cfg.Stream,
 			StreamDrain:    cfg.Stream && cfg.Engine == EngineHotStuff,
+			SealOnProposal: cfg.Stream && cfg.Engine == EnginePBFT && cfg.Pipeline > 1,
 			OnProposal:     cfg.OnBlockPropose,
 			OnEvict:        cfg.OnBlockEvict,
 			Disseminate:    cfg.Disseminate,
@@ -211,7 +212,7 @@ func New(cfg Config) (*Node, error) {
 				if cfg.OnBlockCommit != nil {
 					cfg.OnBlockCommit(ci.Block)
 				}
-				if cfg.Stream {
+				if cfg.Stream && cfg.Executor != nil {
 					// Streaming execution consumes the block at bundle
 					// granularity: per-bundle leveling with cache merges
 					// at bundle joins.
@@ -402,22 +403,35 @@ func (n *Node) execCommit(height uint64, txs []*types.Transaction, bundles [][]*
 	if !n.cfg.ReplyToClients || n.ctx == nil {
 		return
 	}
-	// One batched BlockReply per client (replies are real traffic; §III-F).
-	// Send in client-ID order so map iteration never affects the wire.
-	byClient := make(map[wire.NodeID][]uint64)
+	// One batched BlockReply per client (replies are real traffic; §III-F),
+	// in client-ID order so map iteration never affects the wire: a counting
+	// sort, next holding each client's count, then its offset in one slab.
+	next := make(map[wire.NodeID]int, 8)
 	clients := make([]wire.NodeID, 0, 8)
 	for _, tx := range txs {
-		if _, ok := byClient[tx.Client]; !ok {
+		if _, ok := next[tx.Client]; !ok {
 			clients = append(clients, tx.Client)
 		}
-		byClient[tx.Client] = append(byClient[tx.Client], tx.Seq)
+		next[tx.Client]++
 	}
-	sort.Slice(clients, func(i, j int) bool { return clients[i] < clients[j] })
+	slices.Sort(clients)
+	off := 0
 	for _, client := range clients {
+		off, next[client] = off+next[client], off
+	}
+	seqs := make([]uint64, len(txs))
+	for _, tx := range txs {
+		seqs[next[tx.Client]] = tx.Seq
+		next[tx.Client]++
+	}
+	off = 0
+	for _, client := range clients {
+		end := next[client]
 		n.ctx.Send(client, &types.BlockReply{
 			Height:  height,
 			Replica: n.cfg.Self,
-			Seqs:    byClient[client],
+			Seqs:    seqs[off:end:end],
 		})
+		off = end
 	}
 }

@@ -36,6 +36,7 @@ type Config struct {
 	// earlier slots run their prepare/commit rounds; execution stays
 	// strictly sequential, and replicas chain-validate a slot against the
 	// in-flight parent payload instead of waiting for it to execute.
+	// A pipelined leader also paces itself (see Engine.paceOpen).
 	Pipeline int
 	// Trace, when non-nil, records the block_proposed (proposal learned →
 	// prepare quorum) and prepare_commit (prepare quorum → execution)
@@ -82,6 +83,9 @@ type instance struct {
 	ppSig    []byte
 	// proofSent throttles the ProposalProof broadcast to once per slot.
 	proofSent bool
+	// proposedAt is when this replica, as a pipelined leader, sent the
+	// slot's pre-prepare; its execution samples the pace estimate.
+	proposedAt time.Time
 }
 
 // Engine is a PBFT replica. It implements consensus.Engine and is driven
@@ -109,6 +113,15 @@ type Engine struct {
 	suspicion env.Timer
 	repropose env.Timer
 
+	// Pace of a pipelined leader (see paceOpen): the smoothed
+	// propose→execute latency of its own slots in this view (0 = no
+	// estimate), when its last pre-prepare left, when the pace timer fires
+	// (past = none pending), and that timer's callback, bound once.
+	paceLat     time.Duration
+	lastPropose time.Time
+	paceDue     time.Time
+	propose     func()
+
 	// statusViews collects view claims from StatusReply messages after a
 	// restart; nil while no status sync is running.
 	statusViews map[wire.NodeID]uint64
@@ -124,6 +137,8 @@ type Engine struct {
 	viewChanged   uint64
 	restarts      uint64
 	equivocations uint64
+	paceDelayed   uint64
+	paceDelay     time.Duration
 }
 
 var _ consensus.Engine = (*Engine)(nil)
@@ -168,6 +183,12 @@ func (e *Engine) Stats() (committed, viewChanges uint64) {
 // proven, first-hand or through received evidence.
 func (e *Engine) Equivocations() uint64 { return e.equivocations }
 
+// Pace returns a pipelined leader's current proposal gap (0 without an
+// estimate), how many proposals waited for the pace timer and for how long.
+func (e *Engine) Pace() (gap time.Duration, delayed uint64, delay time.Duration) {
+	return e.paceLat / time.Duration(e.cfg.Pipeline), e.paceDelayed, e.paceDelay
+}
+
 // Leader returns the current view's leader.
 func (e *Engine) Leader() wire.NodeID { return consensus.LeaderOf(e.view, e.cfg.N) }
 
@@ -176,6 +197,7 @@ func (e *Engine) isLeader() bool { return e.Leader() == e.cfg.Self }
 // Start implements env.Handler.
 func (e *Engine) Start(ctx env.Context) {
 	e.ctx = ctx
+	e.propose = e.tryPropose
 	e.armRepropose()
 	e.tryPropose()
 }
@@ -243,7 +265,7 @@ func (e *Engine) resetSuspicion() {
 // view change, filling the pipeline window: classic PBFT (Pipeline=1)
 // allows one in-flight instance; streaming mode lets the leader keep
 // proposing later slots, each extending the previous in-flight payload,
-// while earlier slots run their vote rounds.
+// while earlier slots run their vote rounds — one pace gap apart.
 func (e *Engine) tryPropose() {
 	if e.ctx == nil || !e.isLeader() || e.inViewChange {
 		return
@@ -257,6 +279,9 @@ func (e *Engine) tryPropose() {
 			parent = inst.payload
 			continue // already proposed / in flight
 		}
+		if e.cfg.Pipeline > 1 && !e.paceOpen() {
+			return
+		}
 		payload, digest, ok := e.cfg.App.BuildProposal(seq, parent)
 		if !ok {
 			return
@@ -264,6 +289,29 @@ func (e *Engine) tryPropose() {
 		e.proposeAt(seq, digest, payload)
 		parent = payload
 	}
+}
+
+// paceOpen reports whether a pipelined leader may propose now. A window
+// that proposes whenever a slot is free is ack-clocked: it burns its slots
+// in one burst of tiny blocks, then stalls until the first commits return.
+// Proposals one gap apart — propose→execute latency over Pipeline — keep
+// exactly the window in flight: a leader whose last proposal is a gap old
+// proposes at once; inside the gap the first caller arms the pace timer
+// and later ones return. No estimate (a new view) means no gap. See
+// DESIGN.md, "Self-clocked stream pipeline", for numbers and liveness.
+//
+//predis:hotpath
+func (e *Engine) paceOpen() bool {
+	now := e.ctx.Now()
+	gap, _, _ := e.Pace()
+	wait := gap - now.Sub(e.lastPropose)
+	if wait > 0 && !e.paceDue.After(now) {
+		e.paceDelayed++
+		e.paceDelay += wait
+		e.paceDue = now.Add(wait)
+		e.ctx.After(wait, e.propose)
+	}
+	return wait <= 0
 }
 
 // proposeAt broadcasts a pre-prepare for (view, seq) with the payload.
@@ -275,7 +323,11 @@ func (e *Engine) proposeAt(seq uint64, digest crypto.Hash, payload wire.Message)
 	inst.validated = true // leader trusts its own proposal
 	inst.ppDigest = digest
 	inst.ppSig = pp.Sig
-	e.cfg.Trace.Begin(obs.StageBlockProposed, obs.BlockKey(seq), e.cfg.Self, e.ctx.Now())
+	now := e.ctx.Now()
+	if e.cfg.Pipeline > 1 {
+		inst.proposedAt, e.lastPropose = now, now
+	}
+	e.cfg.Trace.Begin(obs.StageBlockProposed, obs.BlockKey(seq), e.cfg.Self, now)
 	env.Multicast(e.ctx, e.peers, pp)
 	// The leader's pre-prepare doubles as its prepare.
 	e.recordPrepare(inst, e.cfg.Self)
@@ -635,6 +687,13 @@ func (e *Engine) tryExecute() {
 		e.lastPayload = inst.payload
 		e.committed++
 		e.resetSuspicion()
+		if !inst.proposedAt.IsZero() { // a pipelined leader's own slot: sample the pace (EWMA, 1/8)
+			sample := e.ctx.Now().Sub(inst.proposedAt)
+			if e.paceLat == 0 {
+				e.paceLat = sample
+			}
+			e.paceLat += (sample - e.paceLat) / 8
+		}
 		e.cfg.Trace.End(obs.StagePrepareCommit, obs.BlockKey(inst.seq), e.cfg.Self, e.ctx.Now())
 		e.cfg.App.OnCommit(inst.seq, inst.payload)
 		e.tryPropose()
@@ -839,6 +898,7 @@ func (e *Engine) adoptView(newView uint64) {
 	e.proposedView = newView
 	e.viewChanged++
 	e.resetTimersForViewChange()
+	e.paceLat = 0 // the old view's latency must not delay the new leader
 	e.vcBackoff = 0
 	// Ascending-seq order: eviction callbacks can emit messages (spec
 	// discards). They do not re-enter the engine, so the window is

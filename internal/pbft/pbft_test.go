@@ -21,6 +21,9 @@ type echoApp struct {
 	pendOnce map[uint64]bool // heights that return ErrPending on first try
 	rejectAt uint64          // height whose validation always fails (0 = none)
 	wantWork bool            // report pending work (arms leader suspicion)
+	// clock, when set, stamps every built proposal into builtAt.
+	clock   func() time.Time
+	builtAt []time.Time
 }
 
 // payloadMsg is a minimal consensus payload.
@@ -47,6 +50,9 @@ func (a *echoApp) BuildProposal(height uint64, parent wire.Message) (wire.Messag
 		return nil, crypto.ZeroHash, false
 	}
 	a.next++
+	if a.clock != nil {
+		a.builtAt = append(a.builtAt, a.clock())
+	}
 	p := &payloadMsg{N: height}
 	return p, digestOf(p), true
 }
@@ -86,16 +92,23 @@ type rig struct {
 
 func newPBFTRig(t *testing.T, n int, maxBlocks uint64) *rig {
 	t.Helper()
+	return newPipelinedRig(t, n, maxBlocks, 1)
+}
+
+// newPipelinedRig is newPBFTRig with an in-flight window; every app stamps
+// the proposals it builds with the virtual clock.
+func newPipelinedRig(t *testing.T, n int, maxBlocks uint64, pipeline int) *rig {
+	t.Helper()
 	registerPayload()
 	RegisterMessages()
 	net := simnet.New(simnet.Config{Latency: simnet.UniformLatency(5 * time.Millisecond), Seed: 3})
 	suite := crypto.NewSimSuite(n, 5)
 	r := &rig{net: net}
 	for i := 0; i < n; i++ {
-		app := &echoApp{max: maxBlocks, pendOnce: map[uint64]bool{}}
+		app := &echoApp{max: maxBlocks, pendOnce: map[uint64]bool{}, clock: net.Now}
 		e, err := New(Config{
 			N: n, Self: wire.NodeID(i), App: app, Signer: suite.Signer(i),
-			ViewTimeout: 500 * time.Millisecond,
+			ViewTimeout: 500 * time.Millisecond, Pipeline: pipeline,
 		})
 		if err != nil {
 			t.Fatal(err)
