@@ -1,6 +1,6 @@
 # Same gates as .github/workflows/ci.yml.
 
-.PHONY: all build vet lint lint-fast test race fmt bench bench-kernels bench-e2e bench-scale bench-stream bench-smoke replay-smoke trace-smoke fuzz-smoke byz-smoke exec-smoke scale-smoke stream-smoke perf-smoke ci
+.PHONY: all build vet lint lint-fast test race fmt bench bench-kernels bench-scale bench-stream bench-smoke replay-smoke trace-smoke fuzz-smoke byz-smoke exec-smoke scale-smoke stream-smoke perf-smoke ci
 
 # The kernel micro-benchmark set (bench_kernels_test.go at the repo
 # root): simnet scheduling, wire framing, erasure coding, merkle,
@@ -70,17 +70,6 @@ bench-kernels:
 		| go run ./tools/benchjson -o BENCH_kernels.json
 	@echo wrote BENCH_kernels.json
 
-# bench-e2e: end-to-end wall-clock benchmarks (bench_e2e_test.go) over
-# whole experiments at compute-pool worker counts 0/1/4, converted to
-# BENCH_e2e.json so the offload speedup (the workers=0 vs workers=4
-# ratio of the same experiment) is committed and diffable. The "cpus"
-# metric in each row records how much hardware parallelism was
-# available when the numbers were taken.
-bench-e2e:
-	go test -run '^$$' -bench 'BenchmarkE2E' -benchmem . \
-		| go run ./tools/benchjson -o BENCH_e2e.json
-	@echo wrote BENCH_e2e.json
-
 # bench-scale: the population-scale benchmark pair (bench_scale_test.go)
 # — the naive shape (one workload.Client and star-copy fan-out per
 # logical client) against the aggregated-flow + shared-tree shape at 1k
@@ -106,12 +95,11 @@ bench-stream:
 # floor headline and the stream determinism tests under the race
 # detector: on LAN at equal load, streaming commit must cut mean and p99
 # confirmed latency ≥40% vs block mode with committed throughput within
-# 5%, and stream replay hashes must be invariant across compute-pool
-# sizes. Then replaydiff cross-process: the latfloor grid and a
-# streaming quickstart must be byte-identical between -workers 0 and
-# -workers 4 -parallel 2 runs in separate processes. Block-mode output
-# stays guarded by replay-smoke — the default -mode block schedule is
-# untouched by the streaming machinery.
+# 5%, and same-seed stream runs must replay. Then replaydiff
+# cross-process: the latfloor grid and a streaming quickstart must be
+# byte-identical between -parallel 1 and -parallel 4 runs in separate
+# processes. Block-mode output stays guarded by replay-smoke — the
+# default -mode block schedule is untouched by the streaming machinery.
 stream-smoke:
 	go test -race -run 'TestStream|TestLatencyFloor' ./internal/harness/
 	go run ./tools/replaydiff latfloor
@@ -135,25 +123,19 @@ scale-smoke:
 	@echo scale-smoke: quick sweep finished inside the 60s budget
 
 # bench-smoke: the CI gate — every kernel benchmark must run (once) and
-# the benchjson converter must accept the output. The E2E set rides
+# the benchjson converter must accept the output. The stream set rides
 # along at one iteration so regressions in experiment wiring surface
-# here, not only in the slower `make bench-e2e`.
+# here, not only in the slower `make bench-stream`.
 bench-smoke:
 	go test -run '^$$' -bench '$(KERNEL_BENCH)' -benchtime=1x -benchmem . \
-		| go run ./tools/benchjson -o /dev/null
-	go test -run '^$$' -bench 'BenchmarkE2E' -benchtime=1x . \
 		| go run ./tools/benchjson -o /dev/null
 	go test -run '^$$' -bench 'BenchmarkStream' -benchtime=1x . \
 		| go run ./tools/benchjson -o /dev/null
 
-# replay-smoke: the compute-plane determinism gate — the replay hash,
-# delivery count, and experiment results must be byte-identical across
-# -workers 0/1/4, both in-process and across child processes (re-exec),
-# with the race detector watching the pool. Also replays quickstart via
-# predis-bench at -workers 4 -parallel 2 and diffs its replay hash
-# against a -workers 0 run of the same binary.
+# replay-smoke: the cross-process determinism gate — replays quickstart
+# via a -race build of predis-bench at -parallel 4 and diffs its replay
+# hash and terminal output against a -parallel 1 run of the same binary.
 replay-smoke:
-	go test -race -run 'TestReplayWorkers' ./internal/harness/
 	go run ./tools/replaydiff
 
 # fuzz-smoke: short coverage-guided runs on top of the checked-in seed
@@ -179,12 +161,12 @@ byz-smoke:
 	go run ./tools/replaydiff recovery
 
 # exec-smoke: the execution-plane gate, two halves. First the executor
-# and ledger under the race detector: dependency leveling, worker-count
-# invariance of state roots, serial-vs-parallel equality, and the
+# and ledger under the race detector: dependency leveling, same-seed
+# equality of state roots, serial-vs-levelized equality, and the
 # write-before-visibility ordering of ledger.Append. Then replaydiff on
 # the contention experiment: replay hash, per-height state roots, and
-# terminal output must be byte-identical between -workers 0 and
-# -workers 4 in separate processes.
+# terminal output must be byte-identical between -parallel 1 and
+# -parallel 4 in separate processes.
 exec-smoke:
 	go test -race ./internal/exec/ ./internal/ledger/
 	go test -race -run 'TestContention' ./internal/harness/

@@ -8,22 +8,18 @@
 package predis
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
-	"predis/internal/compute"
 	"predis/internal/harness"
 )
 
 // benchStreamPoint runs one P-PBFT measurement point per iteration —
 // the latfloor LAN configuration at 2000 tx/s — in block or streaming
-// mode on a pool with the given worker count.
-func benchStreamPoint(b *testing.B, stream bool, workers int) {
+// mode.
+func benchStreamPoint(b *testing.B, stream bool) {
 	b.Helper()
-	pool := compute.NewPool(workers)
-	defer pool.Close()
 	spec := harness.PointSpec{
 		System:         harness.SysPPBFT,
 		NC:             4,
@@ -32,7 +28,6 @@ func benchStreamPoint(b *testing.B, stream bool, workers int) {
 		Duration:       2 * time.Second,
 		Seed:           1,
 		BundleInterval: 50 * time.Millisecond,
-		Compute:        pool,
 	}
 	if stream {
 		spec.Stream = true
@@ -52,15 +47,12 @@ func benchStreamPoint(b *testing.B, stream bool, workers int) {
 }
 
 // BenchmarkStreamPoint contrasts block and streaming commit on the same
-// deployment: the mode dimension is the virtual-time latency cut, the
-// workers dimension the compute-offload effect on wall-clock.
+// deployment: the mode dimension is the virtual-time latency cut.
 func BenchmarkStreamPoint(b *testing.B) {
 	for _, mode := range []string{"block", "stream"} {
-		for _, workers := range []int{0, 4} {
-			b.Run(fmt.Sprintf("mode=%s/workers=%d", mode, workers), func(b *testing.B) {
-				benchStreamPoint(b, mode == "stream", workers)
-			})
-		}
+		b.Run("mode="+mode, func(b *testing.B) {
+			benchStreamPoint(b, mode == "stream")
+		})
 	}
 }
 
@@ -70,7 +62,7 @@ func BenchmarkStreamPoint(b *testing.B) {
 func BenchmarkStreamLatfloor(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := harness.LatencyFloor(harness.Options{
-			Quick: true, Seed: 1, Workers: 4,
+			Quick: true, Seed: 1, Parallel: 4,
 		}); err != nil {
 			b.Fatal(err)
 		}

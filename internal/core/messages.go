@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 
-	"predis/internal/compute"
 	"predis/internal/crypto"
 	"predis/internal/wire"
 )
@@ -34,13 +33,6 @@ func (m *BundleMsg) WireSize() int { return wire.FrameOverhead + m.Bundle.Encode
 
 // EncodeBody implements wire.Message.
 func (m *BundleMsg) EncodeBody(e *wire.Encoder) { m.Bundle.EncodeTo(e) }
-
-// Precompute implements compute.Speculative: when the message is scheduled
-// on the network, the bundle's body verification starts on the compute
-// pool so VerifyBody at delivery forces a (usually finished) future.
-func (m *BundleMsg) Precompute(p *compute.Pool) { m.Bundle.Precompute(p) }
-
-var _ compute.Speculative = (*BundleMsg)(nil)
 
 func decodeBundleMsg(d *wire.Decoder) (wire.Message, error) {
 	b, err := DecodeBundle(d)

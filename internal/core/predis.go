@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"predis/internal/compute"
 	"predis/internal/consensus"
 	"predis/internal/crypto"
 	"predis/internal/env"
@@ -348,8 +347,7 @@ func (p *Predis) produceBundle() {
 	if p.opts.StripeRoot != nil {
 		stripeRoot = p.opts.StripeRoot(txs)
 	}
-	b := PackBundleStripedPooled(compute.PoolOf(p.ctx),
-		p.mp.params.Signer, p.opts.Self, parent, txs, tips, stripeRoot)
+	b := PackBundleStriped(p.mp.params.Signer, p.opts.Self, parent, txs, tips, stripeRoot)
 	// Self-insertion skips signature/body verification.
 	if _, _, _, err := p.mp.AddBundle(b, false); err != nil {
 		p.ctx.Logf("predis: self bundle rejected: %v", err)

@@ -33,10 +33,8 @@ func HashBytes(b []byte) Hash { return sha256.Sum256(b) }
 
 // HashBatch digests every input into dst (dst[i] = SHA-256(srcs[i])) and
 // returns dst, allocating it when nil. It is the batched kernel entry
-// point for Merkle leaf hashing and speculative digest offload: one call
-// per stripe set or transaction list instead of one call per element,
-// and a natural unit for fork-join over a compute pool (each index
-// writes only its own slot).
+// point for Merkle leaf hashing: one call per stripe set or transaction
+// list instead of one call per element.
 func HashBatch(dst []Hash, srcs [][]byte) []Hash {
 	if dst == nil {
 		dst = make([]Hash, len(srcs))

@@ -162,7 +162,7 @@ func TestRootHistoryIndependent(t *testing.T) {
 	parallel := func(m *Machine, h uint64, blk []*types.Transaction) { m.ExecuteBlock(nil, h, blk) }
 	serial := func(m *Machine, h uint64, blk []*types.Transaction) { m.ExecuteBlockSerial(h, blk) }
 	bundles := func(m *Machine, h uint64, blk []*types.Transaction) {
-		m.ExecuteBlockBundles(nil, h, [][]*types.Transaction{blk[:len(blk)/3], blk[len(blk)/3:]})
+		m.ExecuteBlockBundles(h, [][]*types.Transaction{blk[:len(blk)/3], blk[len(blk)/3:]})
 	}
 	forward := rand.New(rand.NewSource(1)).Perm(len(txs))
 	shuffled := rand.New(rand.NewSource(2)).Perm(len(txs))

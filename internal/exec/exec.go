@@ -1,7 +1,8 @@
 // Package exec is the deterministic execution plane: an account state
 // machine over the semantic operations carried by types.Transaction
 // (transfer / read-modify-write with declared read and write sets) and a
-// two-phase parallel committer in the Octopus/DAG style.
+// two-phase levelized committer in the Octopus/DAG style: the model of
+// a parallel committer, run inline.
 //
 // Phase one runs on the event loop and is pure bookkeeping: the block's
 // committed transactions are grouped into dependency levels by
@@ -11,19 +12,15 @@
 // no two transactions write the same key, and no transaction reads a
 // key a level-mate writes. Every kernel of a level therefore sees
 // exactly the pre-level state, and the level's write sets are disjoint
-// — so the merge result is independent of execution order and worker
-// count.
+// — so the merge result is independent of execution order.
 //
-// Phase two executes each level's transactions as pure kernels on the
-// compute pool (compute.Pool.Map): each kernel reads an immutable
-// Snapshot and buffers its writes into its own output slot. At the
-// fork-join's deterministic join point — back on the event loop — the
-// buffered writes merge into the block's multi-version state cache
-// (MVCache), versioned by level; the cache flushes into the base state
-// once per block. The resulting state root is byte-identical for any
-// -workers count, including the nil inline pool, and identical to the
-// serial reference committer that applies transactions strictly in
-// commit order.
+// Phase two executes each level's transactions as pure kernels: each
+// kernel reads an immutable Snapshot and buffers its writes into its own
+// output slot. At the level's join point the buffered writes merge into
+// the block's multi-version state cache (MVCache), versioned by level;
+// the cache flushes into the base state once per block. The resulting
+// state root is identical to the serial reference committer's, which
+// applies transactions strictly in commit order.
 //
 // The base state is a radix-4 Merkle tree over the account keys
 // (commitment.go) that is its own commitment: the flush rehashes only
@@ -34,10 +31,7 @@
 // block allocates nothing.
 //
 // Like every protocol component, a Machine is driven from the single
-// simulator goroutine; only the kernels handed to Pool.Map run
-// elsewhere, and they touch nothing but their Snapshot and their own
-// output slot (enforced statically by the purecompute analyzer, which
-// also rejects MVCache use inside offloaded closures).
+// simulator goroutine.
 package exec
 
 import (
@@ -60,11 +54,10 @@ type effect struct {
 	aborted bool
 }
 
-// Snapshot is the read-only state view offloaded kernels execute
+// Snapshot is the read-only state view a level's kernels execute
 // against: the committed base state plus the multi-version cache of all
-// previously merged levels. It is immutable for the duration of a
-// Pool.Map fork-join — merges happen only at event-loop join points —
-// so workers may read it concurrently.
+// previously merged levels. It does not change while a level runs —
+// merges happen only at the level's join point.
 type Snapshot struct {
 	base    *stateTree
 	cache   map[uint64]versioned
@@ -93,9 +86,7 @@ type versioned struct {
 // each dependency level's writes merge into it at the level's join
 // point, tagged with the level as their version, and the whole cache
 // flushes into the base state once at block commit. A machine owns one
-// and clears it per block. Only the event loop may call its methods;
-// offloaded kernels read through Snapshot (the purecompute analyzer
-// rejects MVCache calls inside closures handed to the pool).
+// and clears it per block. Kernels read it through Snapshot.
 type MVCache struct {
 	entries map[uint64]versioned
 }
@@ -330,10 +321,9 @@ func writeCap(op *types.Op) int {
 // applyOp executes one semantic operation against the snapshot, buffers
 // its writes into out (at least writeCap(op) long) and returns how many
 // it wrote. It is a pure kernel: it reads only snap and the op and
-// writes only out and its return values, so the compute pool may run a
-// level's kernels in any order on any worker count. Both committers
-// (parallel and serial) apply ops through this one function, so their
-// per-op semantics cannot drift.
+// writes only out and its return values, so a level's kernels may run
+// in any order. Both committers (levelized and serial) apply ops through
+// this one function, so their per-op semantics cannot drift.
 func applyOp(snap Snapshot, op *types.Op, out []WriteOp) (n int, aborted bool) {
 	switch op.Kind {
 	case types.OpTransfer:
@@ -400,18 +390,17 @@ func (m *Machine) join(level int, res *Result) {
 	}
 }
 
-// ExecuteBlock runs the two-phase parallel committer over one committed
-// block: levelize, then execute each level's kernels on the pool (nil
-// pool = inline) and merge their buffered writes through the
-// multi-version cache at the level's join point. The returned state
-// root is byte-identical for any worker count and equal to
-// ExecuteBlockSerial's on the same machine state and transaction
-// sequence.
-func (m *Machine) ExecuteBlock(pool *compute.Pool, height uint64, txs []*types.Transaction) Result {
+// ExecuteBlock runs the two-phase levelized committer over one committed
+// block: levelize, then execute each level's kernels and merge their
+// buffered writes through the multi-version cache at the level's join
+// point. The returned state root is equal to ExecuteBlockSerial's on the
+// same machine state and transaction sequence. The pool is ignored: the
+// parameter is held for cmd/predis-perf (see package compute).
+func (m *Machine) ExecuteBlock(_ *compute.Pool, height uint64, txs []*types.Transaction) Result {
 	sem := m.semantic(txs)
 	levels := m.levelize(txs, sem)
 	res := Result{Height: height, Txs: len(sem), Levels: len(levels)}
-	m.runLevels(pool, txs, levels, 0, &res)
+	m.runLevels(txs, levels, 0, &res)
 	m.commit(&res)
 	return res
 }
@@ -420,21 +409,15 @@ func (m *Machine) ExecuteBlock(pool *compute.Pool, height uint64, txs []*types.T
 // merged writes with lvlBase+level so callers that execute a block in
 // several leveling units (per-bundle streaming) keep cache versions
 // monotonic across units.
-func (m *Machine) runLevels(pool *compute.Pool, txs []*types.Transaction, levels [][]int,
-	lvlBase int, res *Result) {
+func (m *Machine) runLevels(txs []*types.Transaction, levels [][]int, lvlBase int, res *Result) {
 	for lvl, idxs := range levels {
 		if len(idxs) > res.MaxWidth {
 			res.MaxWidth = len(idxs)
 		}
 		m.stage(txs, idxs)
-		if pool.Active() {
-			pool.Map(len(idxs), func(i int) { m.kernel(i) })
-		} else { // inline, without the closure Map would need
-			for i := range idxs {
-				m.kernel(i)
-			}
+		for i := range idxs {
+			m.kernel(i)
 		}
-		// Join point: the fork-join completed.
 		m.join(lvlBase+lvl, res)
 	}
 }
@@ -446,8 +429,8 @@ func (m *Machine) runLevels(pool *compute.Pool, txs []*types.Transaction, levels
 // need no analysis — a later bundle's snapshot already contains every
 // earlier bundle's merged writes, which serializes bundles exactly as
 // commit order does — so the state root equals ExecuteBlock's over the
-// flattened transaction sequence, for any worker count.
-func (m *Machine) ExecuteBlockBundles(pool *compute.Pool, height uint64, bundles [][]*types.Transaction) Result {
+// flattened transaction sequence.
+func (m *Machine) ExecuteBlockBundles(height uint64, bundles [][]*types.Transaction) Result {
 	res := Result{Height: height}
 	lvlBase := 0
 	for _, txs := range bundles {
@@ -455,7 +438,7 @@ func (m *Machine) ExecuteBlockBundles(pool *compute.Pool, height uint64, bundles
 		levels := m.levelize(txs, sem)
 		res.Txs += len(sem)
 		res.Levels += len(levels)
-		m.runLevels(pool, txs, levels, lvlBase, &res)
+		m.runLevels(txs, levels, lvlBase, &res)
 		lvlBase += len(levels)
 	}
 	m.commit(&res)

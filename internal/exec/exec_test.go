@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"predis/internal/compute"
 	"predis/internal/crypto"
 	"predis/internal/types"
 	"predis/internal/wire"
@@ -166,25 +165,25 @@ func foldResults(rs []Result) crypto.Hash {
 	return h
 }
 
-func runBlocks(pool *compute.Pool, serial bool, blocks [][]*types.Transaction) ([]Result, crypto.Hash, *Machine) {
+func runBlocks(serial bool, blocks [][]*types.Transaction) ([]Result, crypto.Hash, *Machine) {
 	m := NewMachine(genesis)
 	var rs []Result
 	for i, blk := range blocks {
 		if serial {
 			rs = append(rs, m.ExecuteBlockSerial(uint64(i+1), blk))
 		} else {
-			rs = append(rs, m.ExecuteBlock(pool, uint64(i+1), blk))
+			rs = append(rs, m.ExecuteBlock(nil, uint64(i+1), blk))
 		}
 	}
 	return rs, m.StateRoot(), m
 }
 
-// TestWorkerInvariance is the determinism pin: the same block sequence
-// executed with the inline pool, one worker, and four workers must
-// produce byte-identical state roots and result counters, on both a
-// high-conflict and a conflict-free schedule — and all must equal the
+// TestLevelizedMatchesSerial is the determinism pin: the same block
+// sequence executed twice by the levelized committer must produce
+// byte-identical state roots and result counters, on both a
+// high-conflict and a conflict-free schedule — and both must equal the
 // serial reference committer.
-func TestWorkerInvariance(t *testing.T) {
+func TestLevelizedMatchesSerial(t *testing.T) {
 	blocks := [][]*types.Transaction{
 		highConflictBlock(64),
 		uniformBlock(64),
@@ -192,29 +191,27 @@ func TestWorkerInvariance(t *testing.T) {
 		{opaque(0), opaque(1)}, // all-opaque block
 		{},                     // empty block
 	}
-	serialRes, serialRoot, _ := runBlocks(nil, true, blocks)
-	serialFold := foldResults(serialRes)
+	serialRes, serialRoot, _ := runBlocks(true, blocks)
 
-	for _, workers := range []int{0, 1, 4} {
-		pool := compute.NewPool(workers)
-		rs, root, m := runBlocks(pool, false, blocks)
-		pool.Close()
+	var fold crypto.Hash
+	for run := 1; run <= 2; run++ {
+		rs, root, m := runBlocks(false, blocks)
 		if root != serialRoot {
-			t.Fatalf("workers=%d: state root %s != serial %s", workers, root.Short(), serialRoot.Short())
+			t.Fatalf("run %d: state root %s != serial %s", run, root.Short(), serialRoot.Short())
 		}
 		for i := range rs {
 			if rs[i].StateRoot != serialRes[i].StateRoot ||
 				rs[i].Applied != serialRes[i].Applied ||
 				rs[i].Aborted != serialRes[i].Aborted {
-				t.Fatalf("workers=%d block %d: %+v != serial %+v", workers, i+1, rs[i], serialRes[i])
+				t.Fatalf("run %d block %d: %+v != serial %+v", run, i+1, rs[i], serialRes[i])
 			}
 		}
-		// Parallel runs share one fold too (serial differs only in the
+		// Levelized runs share one fold too (serial differs only in the
 		// Levels/MaxWidth shape counters, checked separately below).
-		if workers == 0 {
-			serialFold = foldResults(rs)
-		} else if f := foldResults(rs); f != serialFold {
-			t.Fatalf("workers=%d: result fold diverged", workers)
+		if run == 1 {
+			fold = foldResults(rs)
+		} else if f := foldResults(rs); f != fold {
+			t.Fatalf("run %d: result fold diverged", run)
 		}
 		if m.Stats().Aborted == 0 {
 			t.Fatal("schedule must exercise deterministic aborts")
@@ -225,7 +222,7 @@ func TestWorkerInvariance(t *testing.T) {
 // TestBundleCommitterEquivalence pins the streaming committer: executing
 // a block bundle-by-bundle must yield the same state root and
 // applied/aborted counts as executing the flattened block at once, and as
-// the serial reference, for every worker count.
+// the serial reference.
 func TestBundleCommitterEquivalence(t *testing.T) {
 	bundles := [][]*types.Transaction{
 		highConflictBlock(17),
@@ -241,29 +238,24 @@ func TestBundleCommitterEquivalence(t *testing.T) {
 	ref := NewMachine(genesis)
 	refRes := ref.ExecuteBlockSerial(1, flat)
 
-	for _, workers := range []int{0, 1, 4} {
-		pool := compute.NewPool(workers)
-		whole := NewMachine(genesis)
-		wres := whole.ExecuteBlock(pool, 1, flat)
-		byBundle := NewMachine(genesis)
-		bres := byBundle.ExecuteBlockBundles(pool, 1, bundles)
-		pool.Close()
-		if bres.StateRoot != wres.StateRoot || bres.StateRoot != refRes.StateRoot {
-			t.Fatalf("workers=%d: bundle root %s, block root %s, serial root %s",
-				workers, bres.StateRoot.Short(), wres.StateRoot.Short(), refRes.StateRoot.Short())
-		}
-		if bres.Txs != wres.Txs || bres.Applied != wres.Applied || bres.Aborted != wres.Aborted {
-			t.Fatalf("workers=%d: bundle counters %+v != block %+v", workers, bres, wres)
-		}
-		if byBundle.Height() != 1 {
-			t.Fatalf("workers=%d: Height = %d", workers, byBundle.Height())
-		}
-		// Per-bundle leveling cannot be flatter than whole-block leveling
-		// (it forgoes cross-bundle width), and never exceeds the tx count.
-		if bres.Levels < wres.Levels || bres.Levels > bres.Txs {
-			t.Fatalf("workers=%d: bundle levels %d outside [%d, %d]",
-				workers, bres.Levels, wres.Levels, bres.Txs)
-		}
+	whole := NewMachine(genesis)
+	wres := whole.ExecuteBlock(nil, 1, flat)
+	byBundle := NewMachine(genesis)
+	bres := byBundle.ExecuteBlockBundles(1, bundles)
+	if bres.StateRoot != wres.StateRoot || bres.StateRoot != refRes.StateRoot {
+		t.Fatalf("bundle root %s, block root %s, serial root %s",
+			bres.StateRoot.Short(), wres.StateRoot.Short(), refRes.StateRoot.Short())
+	}
+	if bres.Txs != wres.Txs || bres.Applied != wres.Applied || bres.Aborted != wres.Aborted {
+		t.Fatalf("bundle counters %+v != block %+v", bres, wres)
+	}
+	if byBundle.Height() != 1 {
+		t.Fatalf("Height = %d", byBundle.Height())
+	}
+	// Per-bundle leveling cannot be flatter than whole-block leveling
+	// (it forgoes cross-bundle width), and never exceeds the tx count.
+	if bres.Levels < wres.Levels || bres.Levels > bres.Txs {
+		t.Fatalf("bundle levels %d outside [%d, %d]", bres.Levels, wres.Levels, bres.Txs)
 	}
 }
 

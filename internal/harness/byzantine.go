@@ -169,7 +169,6 @@ func Byzantine(o Options) ([]*stats.Table, error) {
 		bucket:    500 * time.Millisecond,
 		seed:      o.seed(),
 		crashFrom: 6 * time.Second, crashTo: 9 * time.Second,
-		pool: o.Compute,
 	}
 	if o.Quick {
 		spec.perZone = 4

@@ -89,7 +89,6 @@ func runContention(o Options, zipf workload.ZipfConfig, serial bool) (contention
 	net := simnet.New(simnet.Config{
 		Uplink: simnet.Mbps100, Downlink: simnet.Mbps100,
 		Latency: simnet.LANLatency(), Seed: seed,
-		Compute: o.Compute,
 	})
 	if o.Replay != nil {
 		o.Replay.Attach(net)

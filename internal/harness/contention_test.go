@@ -5,21 +5,17 @@ import (
 	"sort"
 	"testing"
 
-	"predis/internal/compute"
 	"predis/internal/workload"
 )
 
 // contentionOnce runs one small contention deployment (skewed semantic
-// workload, parallel committer) on a pool of the given worker count and
-// returns the replay digest plus a rendering of every execution-visible
-// output: per-height state roots, agreement flags, and the observer
-// machine's counters.
-func contentionOnce(t *testing.T, workers int, serial bool) (string, string) {
+// workload, levelized or serial committer) and returns the replay trace
+// plus a rendering of every execution-visible output: per-height state
+// roots, agreement flags, and the observer machine's counters.
+func contentionOnce(t *testing.T, serial bool) (*ReplayTrace, string) {
 	t.Helper()
-	pool := compute.NewPool(workers)
-	defer pool.Close()
 	tr := NewReplayTrace()
-	res, err := runContention(Options{Quick: true, Seed: 11, Compute: pool, Replay: tr},
+	res, err := runContention(Options{Quick: true, Seed: 11, Replay: tr},
 		workload.ZipfConfig{
 			Accounts: 128, Theta: 0.9, HotFrac: 0.2, RMWFrac: 0.2,
 			Amount: contentionAmount, Seed: 11,
@@ -38,32 +34,29 @@ func contentionOnce(t *testing.T, workers int, serial bool) (string, string) {
 		root := res.roots[h]
 		state += fmt.Sprintf("%d:%x\n", h, root[:8])
 	}
-	return tr.Sum(), state
+	return tr, state
 }
 
-// TestContentionWorkersInvariant pins the executor's end-to-end
-// determinism inside the full deployment: replay digest, per-height
-// state roots, abort counts, and level shape are byte-identical for
-// worker counts 0, 1, and 4.
-func TestContentionWorkersInvariant(t *testing.T) {
-	h0, s0 := contentionOnce(t, 0, false)
-	for _, w := range []int{1, 4} {
-		h, s := contentionOnce(t, w, false)
-		if h != h0 {
-			t.Fatalf("workers=%d replay digest diverged: %s vs %s", w, h, h0)
-		}
-		if s != s0 {
-			t.Fatalf("workers=%d execution state diverged:\n  inline: %s\n  pooled: %s", w, s0, s)
-		}
+// TestContentionDeterministic pins the executor's end-to-end determinism
+// inside the full deployment: replay digest, per-height state roots,
+// abort counts, and level shape are byte-identical across same-seed runs.
+func TestContentionDeterministic(t *testing.T) {
+	tr0, s0 := contentionOnce(t, false)
+	tr, s := contentionOnce(t, false)
+	if tr.Sum() != tr0.Sum() {
+		t.Fatalf("replay digest diverged: %s vs %s", tr.Sum(), tr0.Sum())
+	}
+	if s != s0 {
+		t.Fatalf("execution state diverged:\n  first: %s\n  second: %s", s0, s)
 	}
 }
 
-// TestContentionSerialMatchesParallel pins the two-phase committer to
+// TestContentionSerialMatchesParallel pins the levelized committer to
 // the serial reference inside the full deployment: same seed, same
 // committed sequence, identical per-height state roots.
 func TestContentionSerialMatchesParallel(t *testing.T) {
-	_, par := contentionOnce(t, 4, false)
-	_, ser := contentionOnce(t, 0, true)
+	_, par := contentionOnce(t, false)
+	_, ser := contentionOnce(t, true)
 	// The serial run executes one tx per level, so the shape counters
 	// (Levels/MaxWidth) legitimately differ; compare only the roots.
 	cut := func(s string) string {
@@ -86,8 +79,7 @@ func TestContentionSerialMatchesParallel(t *testing.T) {
 // TestContentionFindsParallelism asserts the leveler exposes width on a
 // low-conflict workload: mean dependency-level width must exceed 1.
 func TestContentionFindsParallelism(t *testing.T) {
-	pool := compute.NewPool(0)
-	res, err := runContention(Options{Quick: true, Seed: 3, Compute: pool},
+	res, err := runContention(Options{Quick: true, Seed: 3},
 		workload.ZipfConfig{Accounts: 4096, Theta: 0, RMWFrac: 0.1,
 			Amount: contentionAmount, Seed: 3}, false)
 	if err != nil {

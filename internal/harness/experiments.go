@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"predis/internal/compute"
 	"predis/internal/stats"
 )
 
@@ -19,24 +18,17 @@ type Options struct {
 	// metrics registry, simnet sampler) from experiments that support
 	// them; see ObsSink.
 	Obs *ObsSink
-	// Workers caps how many independent experiment points run
+	// Parallel caps how many independent experiment points run
 	// concurrently (wall-clock only; each point owns its own
 	// simnet.Network, so per-point results and replay hashes are
 	// unaffected). 0 or 1 means sequential.
-	Workers int
-	// Compute, when active, is the intra-point compute pool: pure
-	// crypto/erasure kernels are offloaded to it and joined only at
-	// deterministic points, so per-point results, terminal output, and
-	// replay hashes are identical for any pool, including nil (fully
-	// inline). It composes with Workers: concurrently running points
-	// share the one pool.
-	Compute *compute.Pool
+	Parallel int
 	// Replay, when non-nil, is attached to the network of experiments
 	// that support it (quickstart, recovery, latfloor): every delivery is
 	// folded into the trace so external callers (predis-bench -replay,
 	// tools/replaydiff) can assert cross-process hash equality. The
 	// sweep experiments leave it untouched — their points run
-	// concurrently under Workers, so a single shared trace would fold
+	// concurrently under Parallel, so a single shared trace would fold
 	// deliveries in nondeterministic order. latfloor drops to sequential
 	// execution when Replay is set, for the same reason.
 	Replay *ReplayTrace
@@ -57,11 +49,11 @@ func (o Options) seed() int64 {
 	return o.Seed
 }
 
-func (o Options) workers() int {
-	if o.Workers < 1 {
+func (o Options) parallel() int {
+	if o.Parallel < 1 {
 		return 1
 	}
-	return o.Workers
+	return o.Parallel
 }
 
 // Experiment regenerates one figure.

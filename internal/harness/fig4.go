@@ -52,7 +52,7 @@ func fig4SizeVariants(o Options, baseline, predis System, title string) ([]*stat
 	tput := &stats.Table{Title: title + " — throughput (tx/s) vs offered load", XLabel: "offered"}
 	lat := &stats.Table{Title: title + " — latency (ms) vs throughput", XLabel: "tput"}
 	type sweep struct{ tl, lat *stats.Series }
-	sweeps, err := parRun(len(variants), o.workers(), func(i int) (sweep, error) {
+	sweeps, err := parRun(len(variants), o.parallel(), func(i int) (sweep, error) {
 		v := variants[i]
 		base := PointSpec{
 			System:     v.sys,
@@ -62,7 +62,6 @@ func fig4SizeVariants(o Options, baseline, predis System, title string) ([]*stat
 			BatchSize:  v.batch,
 			Duration:   fig4Duration(o),
 			Seed:       o.seed(),
-			Compute:    o.Compute,
 		}
 		ts, ls, err := LoadSweep(base, fig4Loads(o, v.bundle > 0), 1)
 		if err != nil {
@@ -120,11 +119,10 @@ func fig4Scalability(o Options, baseline, predis System, title string) ([]*stats
 				Clients:  nc,
 				Duration: fig4Duration(o),
 				Seed:     o.seed(),
-				Compute:  o.Compute,
 			})
 		}
 	}
-	results, err := RunPoints(specs, o.workers())
+	results, err := RunPoints(specs, o.parallel())
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@ func fig5(o Options, wan bool, title string) ([]*stats.Table, error) {
 	tput := &stats.Table{Title: title + " — throughput (tx/s) vs offered load", XLabel: "offered"}
 	lat := &stats.Table{Title: title + " — latency (ms) vs throughput", XLabel: "tput"}
 	type sweep struct{ tl, lat *stats.Series }
-	sweeps, err := parRun(len(systems), o.workers(), func(i int) (sweep, error) {
+	sweeps, err := parRun(len(systems), o.parallel(), func(i int) (sweep, error) {
 		sys := systems[i]
 		base := PointSpec{
 			System:     sys,
@@ -29,7 +29,6 @@ func fig5(o Options, wan bool, title string) ([]*stats.Table, error) {
 			BundleSize: 50,
 			Duration:   duration,
 			Seed:       o.seed(),
-			Compute:    o.Compute,
 		}
 		ts, ls, err := LoadSweep(base, loads, 1)
 		if err != nil {

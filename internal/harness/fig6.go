@@ -60,11 +60,10 @@ func Fig6(o Options) ([]*stats.Table, error) {
 				Duration: duration,
 				Seed:     o.seed(),
 				Faults:   faults,
-				Compute:  o.Compute,
 			})
 		}
 	}
-	results, err := RunPoints(specs, o.workers())
+	results, err := RunPoints(specs, o.parallel())
 	if err != nil {
 		return nil, err
 	}

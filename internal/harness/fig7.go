@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"predis/internal/compute"
 	"predis/internal/crypto"
 	"predis/internal/env"
 	"predis/internal/multizone"
@@ -41,7 +40,6 @@ type fig7Spec struct {
 	offered   float64
 	duration  time.Duration
 	seed      int64
-	pool      *compute.Pool
 }
 
 // runFig7Point measures consensus throughput with full-node distribution
@@ -54,7 +52,6 @@ func runFig7Point(spec fig7Spec) (float64, error) {
 	net := simnet.New(simnet.Config{
 		Uplink: simnet.Mbps100, Downlink: simnet.Mbps100,
 		Latency: simnet.LANLatency(), Seed: spec.seed,
-		Compute: spec.pool,
 	})
 	joinWindow := time.Duration(spec.fullNodes)*20*time.Millisecond + 200*time.Millisecond
 	warm := simnet.Epoch.Add(joinWindow + spec.duration/4)
@@ -217,12 +214,12 @@ func Fig7(o Options) ([]*stats.Table, error) {
 		for _, n := range fullCounts {
 			specs = append(specs,
 				fig7Spec{nc: nc, f: f, fullNodes: n, zones: 0,
-					offered: offered, duration: duration, seed: o.seed(), pool: o.Compute},
+					offered: offered, duration: duration, seed: o.seed()},
 				fig7Spec{nc: nc, f: f, fullNodes: n, zones: zones,
-					offered: offered, duration: duration, seed: o.seed(), pool: o.Compute})
+					offered: offered, duration: duration, seed: o.seed()})
 		}
 	}
-	results, err := parRun(len(specs), o.workers(), func(i int) (float64, error) {
+	results, err := parRun(len(specs), o.parallel(), func(i int) (float64, error) {
 		return runFig7Point(specs[i])
 	})
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"time"
 
-	"predis/internal/compute"
 	"predis/internal/consensus"
 	"predis/internal/core"
 	"predis/internal/crypto"
@@ -89,10 +88,6 @@ type PointSpec struct {
 	Metrics *obs.Registry
 	// OnCommit, when non-nil, observes every commit at node 0.
 	OnCommit func(at time.Time, txs int)
-	// Compute, when active, offloads pure crypto/erasure work inside the
-	// simulated point; results and replay hashes are identical for any
-	// pool, including nil.
-	Compute *compute.Pool
 }
 
 func (s *PointSpec) withDefaults() PointSpec {
@@ -157,7 +152,6 @@ func RunPoint(spec PointSpec) (PointResult, error) {
 		Downlink: simnet.Mbps100,
 		Latency:  latency,
 		Seed:     s.Seed,
-		Compute:  s.Compute,
 	})
 	if s.Trace != nil {
 		s.Trace.Attach(net)

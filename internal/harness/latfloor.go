@@ -25,7 +25,6 @@ func latfloorSpecs(o Options, wan bool, stream bool, loads []float64, duration t
 			Duration: duration,
 			Seed:     o.seed(),
 			Stream:   stream,
-			Compute:  o.Compute,
 			// A moderate production batching interval (Fabric defaults to
 			// hundreds of ms; 50 ms is generous). Block mode's latency
 			// floor includes it — transactions wait for the seal tick —
@@ -75,7 +74,7 @@ func LatencyFloor(o Options) ([]*stats.Table, error) {
 		o.Obs.Metrics = obs.NewRegistry()
 		flat[2*len(loads)-1].Metrics = o.Obs.Metrics
 	}
-	workers := o.workers()
+	workers := o.parallel()
 	if o.Replay != nil {
 		// Replay hashes fold every delivery into one running digest, so
 		// the points must run (and attach) in a fixed order: sequential.

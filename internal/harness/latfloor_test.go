@@ -10,7 +10,7 @@ import (
 // throughput within 5%. The simulation is virtual-time deterministic, so
 // these are exact regression bounds, not flaky wall-clock measurements.
 func TestLatencyFloorHeadline(t *testing.T) {
-	tables, err := LatencyFloor(Options{Quick: true, Seed: 1, Workers: 4})
+	tables, err := LatencyFloor(Options{Quick: true, Seed: 1, Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"predis/internal/crypto"
 	"predis/internal/obs"
 	"predis/internal/simnet"
 	"predis/internal/wire"
@@ -115,13 +116,17 @@ func TestPacedStreamIdle(t *testing.T) {
 	within("four lockstep clients", four.res.Latency.Mean, 149065161*time.Nanosecond, 1)
 }
 
-// TestSingleSlotReplayPinned: with Pipeline 1 the pace code is never
-// entered, so classic PBFT keeps the schedule it had before pacing
-// existed. The digests are those of the commit before the paced window
-// (quickstart-style P-PBFT point; recovery with the view-0 leader crashed
-// and a view change in block mode); two runs each must reproduce them. A
-// change that moves the block-mode model on purpose re-pins them.
-func TestSingleSlotReplayPinned(t *testing.T) {
+// TestReplayPinned holds the model still: golden replay digests
+// ("<sha256> <deliveries>") for one run of each schedule family — a
+// block-mode P-PBFT point (Pipeline 1 never enters the pace code),
+// recovery with the view-0 leader crashed and a view change, a paced
+// 16-slot stream point, quick quickstart (P-HS, Multi-Zone, full nodes)
+// in block and in stream mode, and quick contention, whose row also
+// carries a digest of every per-height state root. Two runs each must
+// reproduce them. A change that moves the model on purpose re-pins the
+// rows it moves; a host-only change must leave all of them alone.
+func TestReplayPinned(t *testing.T) {
+	sum := func(tr *ReplayTrace) string { return fmt.Sprintf("%s %d", tr.Sum(), tr.Deliveries()) }
 	point := func() string {
 		tr := NewReplayTrace()
 		if _, err := RunPoint(PointSpec{
@@ -129,7 +134,11 @@ func TestSingleSlotReplayPinned(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		return fmt.Sprintf("%s %d", tr.Sum(), tr.Deliveries())
+		return sum(tr)
+	}
+	streamPoint := func() string {
+		digest, deliveries, _ := streamReplayOnce(t)
+		return fmt.Sprintf("%s %d", digest, deliveries)
 	}
 	recovery := func() string {
 		tr := NewReplayTrace()
@@ -143,7 +152,20 @@ func TestSingleSlotReplayPinned(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		return fmt.Sprintf("%s %d", tr.Sum(), tr.Deliveries())
+		return sum(tr)
+	}
+	quickstart := func(stream bool) func() string {
+		return func() string {
+			tr := NewReplayTrace()
+			if _, err := Quickstart(Options{Quick: true, Seed: 1, Stream: stream, Replay: tr}); err != nil {
+				t.Fatal(err)
+			}
+			return sum(tr)
+		}
+	}
+	contention := func() string {
+		tr, state := contentionOnce(t, false)
+		return fmt.Sprintf("%s roots %s", sum(tr), crypto.HashBytes([]byte(state)))
 	}
 	for _, c := range []struct {
 		name string
@@ -152,6 +174,10 @@ func TestSingleSlotReplayPinned(t *testing.T) {
 	}{
 		{"P-PBFT point", point, "a290c0b0e39bd9c37ea0b96f53aaef1dccbd3b2faa85bf65760c37314568ba25 2966"},
 		{"leader-crash recovery", recovery, "6a079f84dafe844d5270db0d07afc56be205af720f22c15b92c915a1d8d1d1f1 39517"},
+		{"stream P-PBFT point", streamPoint, "9b7f0cf7cb282a2335bb8d2736c893d63a97eac02cfbf63848b8956906bc2b1c 14208"},
+		{"quickstart", quickstart(false), "7307c5b9ff89a76605d63a2fb659aba1c07e2a0d78240665fa546506f9b6d256 24176"},
+		{"stream quickstart", quickstart(true), "ae6d3bf61fe28f8de0a7f7454a873f78adbf63d5cc451b5672504d5c2b8faed1 164872"},
+		{"contention", contention, "a0deeb870829759e069798f2e7e88ce537fb0e3f797d806dff84c020dae8d39f 6625 roots 47a0edeaa534521ab31badcfbc342cfe0aab5b6c9117a5c97cb92403d9a49a3b"},
 	} {
 		for run := 1; run <= 2; run++ {
 			if got := c.run(); got != c.want {

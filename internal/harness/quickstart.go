@@ -54,7 +54,6 @@ func Quickstart(o Options) ([]*stats.Table, error) {
 	net := simnet.New(simnet.Config{
 		Uplink: simnet.Mbps100, Downlink: simnet.Mbps100,
 		Latency: simnet.LANLatency(), Seed: seed,
-		Compute: o.Compute,
 	})
 	if o.Replay != nil {
 		o.Replay.Attach(net)

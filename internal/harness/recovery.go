@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"predis/internal/compute"
 	"predis/internal/core"
 	"predis/internal/crypto"
 	"predis/internal/faults"
@@ -52,9 +51,6 @@ type recoverySpec struct {
 	// experiment can render a per-stage latency breakdown around the
 	// crash window.
 	obsTrace *obs.Tracer
-	// pool, when active, is the intra-point compute pool (replay hashes
-	// are pool-invariant).
-	pool *compute.Pool
 }
 
 // recoveryResult is one run's outcome.
@@ -93,7 +89,6 @@ func runRecovery(spec recoverySpec) (recoveryResult, error) {
 	net := simnet.New(simnet.Config{
 		Uplink: simnet.Mbps100, Downlink: simnet.Mbps100,
 		Latency: simnet.LANLatency(), Seed: spec.seed,
-		Compute: spec.pool,
 	})
 
 	if spec.trace != nil {
@@ -330,7 +325,6 @@ func Recovery(o Options) ([]*stats.Table, error) {
 		bucket:    500 * time.Millisecond,
 		seed:      o.seed(),
 		crashFrom: 6 * time.Second, crashTo: 9 * time.Second,
-		pool: o.Compute,
 	}
 	if o.Quick {
 		spec.perZone = 4

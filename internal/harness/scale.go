@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"predis/internal/compute"
 	"predis/internal/env"
 	"predis/internal/simnet"
 	"predis/internal/stats"
@@ -40,7 +39,6 @@ type scaleSpec struct {
 	// logical client population equals n.
 	clientRate float64
 	seed       int64
-	pool       *compute.Pool
 }
 
 // scaleResult is one point's measurement.
@@ -90,7 +88,6 @@ func runScalePoint(spec scaleSpec) (scaleResult, error) {
 		Uplink: simnet.Mbps100, Downlink: simnet.Mbps100,
 		Latency: simnet.UniformLatency(latency),
 		Seed:    spec.seed,
-		Compute: spec.pool,
 	})
 
 	k := spec.fanout
@@ -197,7 +194,7 @@ func Scale(o Options) ([]*stats.Table, error) {
 			jobs = append(jobs, job{n, v})
 		}
 	}
-	results, err := parRun(len(jobs), o.workers(), func(i int) (scaleResult, error) {
+	results, err := parRun(len(jobs), o.parallel(), func(i int) (scaleResult, error) {
 		j := jobs[i]
 		return runScalePoint(scaleSpec{
 			n:          j.n,
@@ -206,7 +203,6 @@ func Scale(o Options) ([]*stats.Table, error) {
 			blocks:     blocks,
 			clientRate: 0.2,
 			seed:       o.seed(),
-			pool:       o.Compute,
 		})
 	})
 	if err != nil {

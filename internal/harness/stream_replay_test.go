@@ -5,18 +5,13 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"predis/internal/compute"
 )
 
 // streamReplayOnce runs one streaming-commit P-PBFT point — eager cuts,
-// a 16-slot pipeline, per-bundle execution merges — on a pool of the
-// given worker count and returns its replay digest, delivery count, and
-// formatted result.
-func streamReplayOnce(t *testing.T, workers int) (string, uint64, string) {
+// a 16-slot pipeline, per-bundle execution merges — and returns its
+// replay digest, delivery count, and formatted result.
+func streamReplayOnce(t *testing.T) (string, uint64, string) {
 	t.Helper()
-	pool := compute.NewPool(workers)
-	defer pool.Close()
 	tr := NewReplayTrace()
 	res, err := RunPoint(PointSpec{
 		System:   SysPPBFT,
@@ -27,7 +22,6 @@ func streamReplayOnce(t *testing.T, workers int) (string, uint64, string) {
 		Stream:   true,
 		Pipeline: 16,
 		Trace:    tr,
-		Compute:  pool,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -37,33 +31,16 @@ func streamReplayOnce(t *testing.T, workers int) (string, uint64, string) {
 
 // TestStreamReplayDeterministic asserts streaming commit keeps the replay
 // contract block mode has always had: two same-seed runs are
-// byte-identical, and the digest is invariant across compute-pool sizes
-// (0 = inline, 1, 4) — speculative pipelining must not let wall-clock
+// byte-identical — speculative pipelining must not let wall-clock
 // scheduling leak into the virtual-time schedule.
 func TestStreamReplayDeterministic(t *testing.T) {
-	type run struct {
-		sum   string
-		n     uint64
-		state string
-	}
-	runs := make(map[int][]run)
-	for _, workers := range []int{0, 1, 4} {
-		for i := 0; i < 2; i++ {
-			sum, n, state := streamReplayOnce(t, workers)
-			runs[workers] = append(runs[workers], run{sum, n, state})
-		}
-	}
-	base := runs[0][0]
-	if base.n == 0 {
+	sum, n, state := streamReplayOnce(t)
+	if n == 0 {
 		t.Fatal("stream point delivered no messages")
 	}
-	for _, workers := range []int{0, 1, 4} {
-		for i, r := range runs[workers] {
-			if r != base {
-				t.Errorf("workers=%d run=%d diverged:\n got %q n=%d %s\nwant %q n=%d %s",
-					workers, i, r.sum, r.n, r.state, base.sum, base.n, base.state)
-			}
-		}
+	if sum2, n2, state2 := streamReplayOnce(t); sum2 != sum || n2 != n || state2 != state {
+		t.Errorf("same-seed stream runs diverged:\n got %q n=%d %s\nwant %q n=%d %s",
+			sum2, n2, state2, sum, n, state)
 	}
 }
 
@@ -78,7 +55,7 @@ func TestStreamBlockModesDiverge(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	sum, _, _ := streamReplayOnce(t, 0)
+	sum, _, _ := streamReplayOnce(t)
 	if tr.Sum() == sum {
 		t.Fatal("block and stream modes produced identical schedules")
 	}
@@ -86,16 +63,14 @@ func TestStreamBlockModesDiverge(t *testing.T) {
 
 // TestStreamQuickstartDeterministic runs the full streaming pipeline —
 // speculative Multi-Zone distribution, spec-buffer settlement, per-bundle
-// execution on every consensus host — twice per compute-pool size and
-// asserts byte-identical observability exports, like the block-mode
-// determinism test it mirrors.
+// execution on every consensus host — twice and asserts byte-identical
+// observability exports, like the block-mode determinism test it
+// mirrors.
 func TestStreamQuickstartDeterministic(t *testing.T) {
-	run := func(workers int) (string, string, string) {
-		pool := compute.NewPool(workers)
-		defer pool.Close()
+	run := func() (string, string, string) {
 		sink := &ObsSink{}
 		if _, err := Quickstart(Options{
-			Quick: true, Seed: 3, Stream: true, Obs: sink, Compute: pool,
+			Quick: true, Seed: 3, Stream: true, Obs: sink,
 		}); err != nil {
 			t.Fatalf("stream quickstart: %v", err)
 		}
@@ -111,17 +86,15 @@ func TestStreamQuickstartDeterministic(t *testing.T) {
 		}
 		return trace.String(), metrics.String(), stages.String()
 	}
-	t1, m1, s1 := run(0)
-	for _, workers := range []int{0, 4} {
-		t2, m2, s2 := run(workers)
-		if t1 != t2 {
-			t.Errorf("workers=%d: chrome traces differ between same-seed stream runs", workers)
-		}
-		if m1 != m2 {
-			t.Errorf("workers=%d: metrics CSVs differ between same-seed stream runs", workers)
-		}
-		if s1 != s2 {
-			t.Errorf("workers=%d: stage CSVs differ between same-seed stream runs", workers)
-		}
+	t1, m1, s1 := run()
+	t2, m2, s2 := run()
+	if t1 != t2 {
+		t.Error("chrome traces differ between same-seed stream runs")
+	}
+	if m1 != m2 {
+		t.Error("metrics CSVs differ between same-seed stream runs")
+	}
+	if s1 != s2 {
+		t.Error("stage CSVs differ between same-seed stream runs")
 	}
 }

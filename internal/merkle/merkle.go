@@ -37,8 +37,7 @@ func HashLeaf(data []byte) crypto.Hash {
 
 // HashLeaves fills dst[i] = HashLeaf(leaves[i]) and returns dst,
 // allocating it when nil. It is the batched leaf kernel: one call per
-// stripe set or transaction list, and — because each index writes only
-// its own slot — a natural unit to fork-join over a compute pool.
+// stripe set or transaction list.
 func HashLeaves(dst []crypto.Hash, leaves [][]byte) []crypto.Hash {
 	if dst == nil {
 		dst = make([]crypto.Hash, len(leaves)) //predis:allocok only for callers that pass no destination

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"predis/internal/compute"
 	"predis/internal/core"
 	"predis/internal/crypto"
 	"predis/internal/env"
@@ -97,11 +96,9 @@ func (d *Distributor) SetSubscriberTTL(ttl time.Duration) { d.ttl = ttl }
 // SetTrace arms lifecycle tracing (nil disables it).
 func (d *Distributor) SetTrace(tr *obs.Tracer) { d.trace = tr }
 
-// Start records the runtime context (call from the host's Start) and
-// hands the runtime's compute pool to the striper.
+// Start records the runtime context (call from the host's Start).
 func (d *Distributor) Start(ctx env.Context) {
 	d.ctx = ctx
-	d.striper.SetPool(compute.PoolOf(ctx))
 }
 
 // Subscribers returns the current subscriber count.

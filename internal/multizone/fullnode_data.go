@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"predis/internal/compute"
 	"predis/internal/core"
 	"predis/internal/crypto"
 	"predis/internal/exec"
@@ -384,7 +383,7 @@ func (f *FullNode) tryCompleteBlocks() {
 					if f.cfg.ExecSerial {
 						r = f.cfg.Executor.ExecuteBlockSerial(blk.Height, txs)
 					} else {
-						r = f.cfg.Executor.ExecuteBlock(compute.PoolOf(f.ctx), blk.Height, txs)
+						r = f.cfg.Executor.ExecuteBlock(nil, blk.Height, txs)
 					}
 					stateRoot = r.StateRoot
 					if intact && stateRoot.IsZero() {

@@ -70,11 +70,8 @@ func (t *Transaction) Hash() crypto.Hash {
 }
 
 // HashStateless computes the transaction identity without reading or
-// writing the memo, so it is safe to call from compute-pool workers
-// while the event loop concurrently memoizes Hash() on the same
-// transaction (the memo fields are disjoint from the identity fields).
-// The identity covers the op: two transactions differing only in their
-// semantic effect must not collide.
+// writing the memo. The identity covers the op: two transactions
+// differing only in their semantic effect must not collide.
 func (t *Transaction) HashStateless() crypto.Hash {
 	var arr [txFixedLen + maxOpPayload]byte
 	b := arr[:0]
@@ -96,18 +93,6 @@ func (t *Transaction) WithOp(op Op) *Transaction {
 		t.Size = uint32(min)
 	}
 	return t
-}
-
-// PrimeHash installs a hash computed elsewhere (a compute-pool worker
-// via HashStateless) into the memo. Call it only from the goroutine
-// that owns the transaction's memo — in the simulator, the event loop
-// at a deterministic join point — and only with the value
-// HashStateless returns; an already-set memo is left untouched.
-func (t *Transaction) PrimeHash(h crypto.Hash) {
-	if !t.hashSet {
-		t.hash = h
-		t.hashSet = true
-	}
 }
 
 // EncodedSize returns the wire size of the transaction body (no frame).

@@ -123,12 +123,12 @@ func ExportFacts(p *Program) *FactSet {
 
 // TrustedSegments are import-path segments of packages that sit outside
 // the sim-visible determinism scope: the real-time runtime, the
-// simulator, the runtime interface, command binaries, the seeded fault
-// injector, and the compute plane. Interface methods declared by these
-// packages (env.Context.Now, env.Timer, ...) are sanctioned contract
-// boundaries: their implementations legitimately wrap the wall clock
-// and are audited separately, so taint never flows through them.
-var TrustedSegments = []string{"rtnet", "simnet", "env", "cmd", "faults", "compute"}
+// simulator, the runtime interface, command binaries, and the seeded
+// fault injector. Interface methods declared by these packages
+// (env.Context.Now, env.Timer, ...) are sanctioned contract boundaries:
+// their implementations legitimately wrap the wall clock and are audited
+// separately, so taint never flows through them.
+var TrustedSegments = []string{"rtnet", "simnet", "env", "cmd", "faults"}
 
 // StandardFollow is the determinism-taint traversal policy: follow
 // every edge except interface dispatch through an interface declared in

@@ -7,12 +7,10 @@
 // recording.
 //
 // Scope: every package except those with an import-path segment in
-// {rtnet, simnet, env, cmd, faults, compute} — the real-time runtime,
-// the simulator itself, the runtime interface (which wraps wall-clock
-// machinery), command binaries, the fault injector (which owns a seeded
-// rand.Rand by construction), and the compute plane (whose worker pool
-// is goroutine-based by design; its own purecompute analyzer polices
-// what may run on those goroutines). _test.go files are exempt: tests
+// {rtnet, simnet, env, cmd, faults} — the real-time runtime, the
+// simulator itself, the runtime interface (which wraps wall-clock
+// machinery), command binaries, and the fault injector (which owns a
+// seeded rand.Rand by construction). _test.go files are exempt: tests
 // may use wall-clock timeouts because they run outside the simulator.
 package determinism
 
@@ -34,7 +32,7 @@ var Analyzer = &analysis.Analyzer{
 
 // exemptSegments are import-path segments that place a package outside
 // the sim-visible scope.
-var exemptSegments = []string{"rtnet", "simnet", "env", "cmd", "faults", "compute"}
+var exemptSegments = []string{"rtnet", "simnet", "env", "cmd", "faults"}
 
 // forbiddenTime are time package functions that read or act on the wall
 // clock. Pure constructors/converters (Date, Unix, Duration arithmetic,

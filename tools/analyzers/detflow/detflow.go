@@ -18,7 +18,7 @@
 //     emission name appears syntactically in the range body.
 //
 // Scope matches the determinism analyzer: packages outside the trusted
-// runtime segments (rtnet, simnet, env, cmd, faults, compute), non-test
+// runtime segments (rtnet, simnet, env, cmd, faults), non-test
 // functions only. Taint does not cross interfaces declared by trusted
 // packages (env.Context.Now is the sanctioned clock boundary).
 package detflow

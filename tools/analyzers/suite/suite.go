@@ -11,7 +11,6 @@ import (
 	"predis/tools/analyzers/handlercomplete"
 	"predis/tools/analyzers/hotalloc"
 	"predis/tools/analyzers/lockorder"
-	"predis/tools/analyzers/purecompute"
 	"predis/tools/analyzers/wiresym"
 )
 
@@ -25,7 +24,6 @@ func All() []*analysis.Analyzer {
 		handlercomplete.Analyzer,
 		hotalloc.Analyzer,
 		lockorder.Analyzer,
-		purecompute.Analyzer,
 		wiresym.Analyzer,
 	}
 }

@@ -1,13 +1,12 @@
-// Command replaydiff is the cross-process determinism gate for the
-// compute plane: it builds cmd/predis-bench with the race detector,
-// runs the quickstart experiment in two separate processes — once fully
-// inline (-workers 0) and once offloaded and point-parallel
-// (-workers 4 -parallel 2) — and asserts that the delivery replay hash
-// AND the entire terminal output (modulo the wall-clock timing line)
-// are byte-identical. Any scheduling leakage from the worker pool into
-// simulation results shows up here as a diff, in a different process
-// than the one that produced the reference, with the race detector
-// watching the pool the whole time.
+// Command replaydiff is the cross-process determinism gate: it builds
+// cmd/predis-bench with the race detector, runs the quickstart
+// experiment in two separate processes — once sequential (-parallel 1)
+// and once point-parallel (-parallel 4) — and asserts that the delivery
+// replay hash AND the entire terminal output (modulo the wall-clock
+// timing line) are byte-identical. Any leakage of map order, host
+// scheduling or the wall clock into simulation results shows up here as
+// a diff, in a different process than the one that produced the
+// reference, with the race detector watching the whole time.
 //
 // Usage: go run ./tools/replaydiff [experiment-id] [extra flags...]
 //
@@ -70,8 +69,8 @@ func run(args []string) error {
 		name string
 		args []string
 	}{
-		{"workers=0", append([]string{"-quick", "-seed", "1", "-replay", "-workers", "0"}, append(extra, id)...)},
-		{"workers=4,parallel=2", append([]string{"-quick", "-seed", "1", "-replay", "-workers", "4", "-parallel", "2"}, append(extra, id)...)},
+		{"parallel=1", append([]string{"-quick", "-seed", "1", "-replay", "-parallel", "1"}, append(extra, id)...)},
+		{"parallel=4", append([]string{"-quick", "-seed", "1", "-replay", "-parallel", "4"}, append(extra, id)...)},
 	}
 	outs := make([]string, len(runs))
 	hashes := make([]string, len(runs))
@@ -86,7 +85,7 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("%s %s: %w", id, r.name, err)
 		}
-		fmt.Printf("replaydiff: %s %-22s hash=%s deliveries=%d\n", id, r.name, hash[:16], n)
+		fmt.Printf("replaydiff: %s %-10s hash=%s deliveries=%d\n", id, r.name, hash[:16], n)
 		outs[i], hashes[i] = out, hash
 	}
 
