@@ -91,19 +91,14 @@ bench-stream:
 		| go run ./tools/benchjson -o BENCH_stream.json
 	@echo wrote BENCH_stream.json
 
-# stream-smoke: the streaming-commit gate, two halves. First the latency-
-# floor headline and the stream determinism tests under the race
-# detector: on LAN at equal load, streaming commit must cut mean and p99
-# confirmed latency ≥40% vs block mode with committed throughput within
-# 5%, and same-seed stream runs must replay. Then replaydiff
-# cross-process: the latfloor grid and a streaming quickstart must be
-# byte-identical between -parallel 1 and -parallel 4 runs in separate
-# processes. Block-mode output stays guarded by replay-smoke — the
-# default -mode block schedule is untouched by the streaming machinery.
+# stream-smoke: the streaming-commit gate — the latency-floor headline
+# and the stream determinism tests under the race detector: on LAN at
+# equal load, streaming commit must cut mean and p99 confirmed latency
+# ≥40% vs block mode with committed throughput within 5%, and same-seed
+# stream runs must replay. Cross-process byte-identity of the latfloor
+# grid and the streaming quickstart is replay-smoke's.
 stream-smoke:
 	go test -race -run 'TestStream|TestLatencyFloor' ./internal/harness/
-	go run ./tools/replaydiff latfloor
-	go run ./tools/replaydiff quickstart -mode stream
 
 # perf-smoke: the repository benchmark's own tests (cmd/predis-perf, read
 # only): every workload at -smoke size must pass the correctness gate and
@@ -132,11 +127,17 @@ bench-smoke:
 	go test -run '^$$' -bench 'BenchmarkStream' -benchtime=1x . \
 		| go run ./tools/benchjson -o /dev/null
 
-# replay-smoke: the cross-process determinism gate — replays quickstart
-# via a -race build of predis-bench at -parallel 4 and diffs its replay
-# hash and terminal output against a -parallel 1 run of the same binary.
+# replay-smoke: the cross-process determinism gate, one table. replaydiff
+# builds predis-bench -race once and, per target, diffs replay hashes and
+# terminal output between a -parallel 1 and a -parallel 4 process. `all`
+# is every experiment in one transcript — quickstart, recovery (an empty
+# Byzantine schedule must leave the hardening hooks invisible), byzantine,
+# contention (per-height state roots ride in its table) and latfloor fold
+# replay hashes, the sweeps compare as text — and that transcript must
+# also still be the committed quick_results.txt; the streaming quickstart
+# is the one schedule -quick all does not run.
 replay-smoke:
-	go run ./tools/replaydiff
+	go run ./tools/replaydiff all "quickstart -mode stream"
 
 # fuzz-smoke: short coverage-guided runs on top of the checked-in seed
 # corpora (testdata/fuzz). Unmarshal guards every receive path, so "never
@@ -148,29 +149,22 @@ fuzz-smoke:
 	go test ./internal/wire/ -run '^$$' -fuzz FuzzUnmarshal -fuzztime 10s
 	go test ./internal/exec/ -run '^$$' -fuzz FuzzStateCommitment -fuzztime 5s
 
-# byz-smoke: the Byzantine-robustness gate, two halves. First the
-# byzantine experiment under the race detector: scripted data-plane
-# adversaries (stripe corruption, withholding, garbage frames, leader
-# equivocation) must be detected by the right counters and outrun —
-# post-attack throughput within 5% of baseline — while the Eq. 4 sweep
-# tracks the paper's delivery-probability prediction. Then replaydiff on
-# the recovery experiment: with an empty Byzantine schedule the hardening
-# hooks must leave every existing replay hash byte-identical.
+# byz-smoke: the Byzantine-robustness gate — the byzantine experiment
+# under the race detector: scripted data-plane adversaries (stripe
+# corruption, withholding, garbage frames, leader equivocation) must be
+# detected by the right counters and outrun — post-attack throughput
+# within 5% of baseline — while the Eq. 4 sweep tracks the paper's
+# delivery-probability prediction.
 byz-smoke:
 	go run -race ./cmd/predis-bench -quick byzantine >/dev/null
-	go run ./tools/replaydiff recovery
 
-# exec-smoke: the execution-plane gate, two halves. First the executor
-# and ledger under the race detector: dependency leveling, same-seed
-# equality of state roots, serial-vs-levelized equality, and the
-# write-before-visibility ordering of ledger.Append. Then replaydiff on
-# the contention experiment: replay hash, per-height state roots, and
-# terminal output must be byte-identical between -parallel 1 and
-# -parallel 4 in separate processes.
+# exec-smoke: the execution-plane gate — the executor and ledger under
+# the race detector: dependency leveling, same-seed equality of state
+# roots, serial-vs-levelized equality, and the write-before-visibility
+# ordering of ledger.Append.
 exec-smoke:
 	go test -race ./internal/exec/ ./internal/ledger/
 	go test -race -run 'TestContention' ./internal/harness/
-	go run ./tools/replaydiff contention
 
 # trace-smoke: run the quickstart experiment with -trace and validate the
 # emitted Chrome trace JSON parses and records at least one span for every

@@ -38,9 +38,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"predis/internal/harness"
@@ -77,7 +79,7 @@ func parse(argv []string) (cli, []string, error) {
 	fs.StringVar(&c.mode, "mode", "block", "commit mode for mode-aware experiments (quickstart): block = classic block-granularity commit, stream = streaming commit (seal→order→distribute→execute pipelined at bundle granularity); latfloor always contrasts both")
 	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile to this file at exit")
-	fs.BoolVar(&c.replay, "replay", false, "print the delivery replay hash for supporting experiments (quickstart, recovery, byzantine, contention, latfloor); identical for any -parallel setting")
+	fs.BoolVar(&c.replay, "replay", false, "print the delivery replay hash for supporting experiments (listed at harness.Options.Replay); identical for any -parallel setting")
 	fs.BoolVar(&c.trace, "trace", false, "write Chrome trace-event JSON for supporting experiments")
 	fs.StringVar(&c.traceOut, "trace-out", "", "trace output path (default <id>-trace.json)")
 	fs.BoolVar(&c.metrics, "metrics", false, "write stage/metric/sample CSVs for supporting experiments")
@@ -149,12 +151,7 @@ func run(argv []string) int {
 		}
 		return 0
 	case "all":
-		for _, e := range harness.Registry() {
-			if code := runOne(e, opts, c); code != 0 {
-				return code
-			}
-		}
-		return 0
+		return runAll(harness.Registry(), opts, c, os.Stderr)
 	case "run":
 		args = args[1:]
 		if len(args) == 0 {
@@ -164,21 +161,37 @@ func run(argv []string) int {
 		fallthrough
 	default:
 		// Bare experiment ids: `predis-bench -quick quickstart -trace`.
-		for _, id := range args {
-			e, err := harness.Lookup(id)
-			if err != nil {
+		exps := make([]harness.Experiment, len(args))
+		for i, id := range args {
+			if exps[i], err = harness.Lookup(id); err != nil {
 				fmt.Fprintln(os.Stderr, "predis-bench:", err)
 				return 2
 			}
-			if code := runOne(e, opts, c); code != 0 {
-				return code
-			}
 		}
-		return 0
+		return runAll(exps, opts, c, os.Stderr)
 	}
 }
 
-func runOne(e harness.Experiment, opts harness.Options, c cli) int {
+// runAll runs the experiments in order. A failure does not hide the
+// experiments after it: each is reported on errw as it happens, the rest
+// still run, and the exit code is 1 if any failed.
+func runAll(exps []harness.Experiment, opts harness.Options, c cli, errw io.Writer) int {
+	var failed []string
+	for _, e := range exps {
+		if err := runOne(e, opts, c); err != nil {
+			fmt.Fprintf(errw, "FAILED %s: %v\n", e.ID, err)
+			failed = append(failed, e.ID)
+		}
+	}
+	if len(failed) > 0 {
+		fmt.Fprintf(errw, "predis-bench: %d of %d experiments failed: %s\n",
+			len(failed), len(exps), strings.Join(failed, " "))
+		return 1
+	}
+	return 0
+}
+
+func runOne(e harness.Experiment, opts harness.Options, c cli) error {
 	fmt.Printf("### %s — %s\n", e.ID, e.Title)
 	var sink *harness.ObsSink
 	if c.trace || c.metrics {
@@ -193,8 +206,7 @@ func runOne(e harness.Experiment, opts harness.Options, c cli) int {
 	start := time.Now()
 	tables, err := e.Run(opts)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "predis-bench: %s: %v\n", e.ID, err)
-		return 1
+		return err
 	}
 	for _, t := range tables {
 		fmt.Println(t.Render())
@@ -207,34 +219,32 @@ func runOne(e harness.Experiment, opts harness.Options, c cli) int {
 		}
 	}
 	if sink != nil {
-		if code := export(e.ID, sink, c); code != 0 {
-			return code
+		if err := export(e.ID, sink, c); err != nil {
+			return err
 		}
 	}
 	fmt.Printf("(%s in %.1fs)\n\n", e.ID, time.Since(start).Seconds())
-	return 0
+	return nil
 }
 
 // export writes the observability artifacts an experiment deposited in
 // the sink. Experiments without observability leave the sink empty.
-func export(id string, sink *harness.ObsSink, c cli) int {
+func export(id string, sink *harness.ObsSink, c cli) error {
 	if sink.Trace == nil && (sink.Metrics == nil || !c.metrics) {
 		fmt.Printf("(%s does not support -trace/-metrics; nothing exported)\n", id)
-		return 0
+		return nil
 	}
-	writeFile := func(path string, write func(f *os.File) error) int {
+	writeFile := func(path string, write func(f *os.File) error) error {
 		f, err := os.Create(path)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "predis-bench: %v\n", err)
-			return 1
+			return err
 		}
 		defer f.Close()
 		if err := write(f); err != nil {
-			fmt.Fprintf(os.Stderr, "predis-bench: write %s: %v\n", path, err)
-			return 1
+			return fmt.Errorf("write %s: %w", path, err)
 		}
 		fmt.Printf("wrote %s\n", path)
-		return 0
+		return nil
 	}
 	prefix := c.metricsOut
 	if prefix == "" {
@@ -245,43 +255,43 @@ func export(id string, sink *harness.ObsSink, c cli) int {
 		if path == "" {
 			path = id + "-trace.json"
 		}
-		if code := writeFile(path, func(f *os.File) error {
+		if err := writeFile(path, func(f *os.File) error {
 			return sink.Trace.WriteChrome(f, sink.Sampler)
-		}); code != 0 {
-			return code
+		}); err != nil {
+			return err
 		}
 	}
 	// The per-stage latency breakdown accompanies both flags: it is the
 	// CSV companion to the trace as well as the headline metrics table.
 	if sink.Trace != nil {
-		if code := writeFile(prefix+"-stages.csv", func(f *os.File) error {
+		if err := writeFile(prefix+"-stages.csv", func(f *os.File) error {
 			return sink.Trace.WriteStageCSV(f)
-		}); code != 0 {
-			return code
+		}); err != nil {
+			return err
 		}
 	}
 	if c.metrics {
 		if sink.Metrics != nil {
-			if code := writeFile(prefix+"-metrics.csv", func(f *os.File) error {
+			if err := writeFile(prefix+"-metrics.csv", func(f *os.File) error {
 				return sink.Metrics.WriteCSV(f)
-			}); code != 0 {
-				return code
+			}); err != nil {
+				return err
 			}
 		}
 		if sink.Sampler != nil {
-			if code := writeFile(prefix+"-samples.csv", func(f *os.File) error {
+			if err := writeFile(prefix+"-samples.csv", func(f *os.File) error {
 				return sink.Sampler.WriteCSV(f)
-			}); code != 0 {
-				return code
+			}); err != nil {
+				return err
 			}
-			if code := writeFile(prefix+"-links.csv", func(f *os.File) error {
+			if err := writeFile(prefix+"-links.csv", func(f *os.File) error {
 				return sink.Sampler.WriteLinkCSV(f)
-			}); code != 0 {
-				return code
+			}); err != nil {
+				return err
 			}
 		}
 	}
-	return 0
+	return nil
 }
 
 func usage() {
@@ -316,8 +326,8 @@ Flags:
   -metrics       write stage/metric/sample/link CSVs
   -metrics-out P CSV path prefix (default <id>)
   -replay        print "replay <id> <sha256> <deliveries>" for supporting
-                 experiments (quickstart, recovery, byzantine, contention, latfloor);
-                 the hash is identical for any -parallel setting
+                 experiments (listed at harness.Options.Replay); the hash is
+                 identical for any -parallel setting
   -cpuprofile P  write a CPU profile (inspect with go tool pprof)
   -memprofile P  write a heap profile at exit
 `)

@@ -163,22 +163,9 @@ func Byzantine(o Options) ([]*stats.Table, error) {
 		return nil, err
 	}
 
-	spec := recoverySpec{
-		nc: 4, f: 1, zones: 2, perZone: 5,
-		offered: 6000, duration: 16 * time.Second,
-		bucket:    500 * time.Millisecond,
-		seed:      o.seed(),
-		crashFrom: 6 * time.Second, crashTo: 9 * time.Second,
-	}
-	if o.Quick {
-		spec.perZone = 4
-		spec.offered = 3000
-		spec.duration = 12 * time.Second
-		spec.crashFrom, spec.crashTo = 4*time.Second, 6*time.Second
-	}
-	warm := time.Duration(spec.zones*spec.perZone)*20*time.Millisecond + 700*time.Millisecond
-	relayer := wire.NodeID(100) // first joiner of zone 0: claims stripes, relays
-	suite := crypto.NewSimSuite(spec.nc, uint64(spec.seed)+7)
+	spec := faultRig(o, 12*time.Second)
+	warm := spec.loadStart() + 500*time.Millisecond
+	relayer := spec.Fulls[0].ID // first joiner of zone 0: claims stripes, relays
 
 	scenarios := []struct {
 		name      string
@@ -226,7 +213,7 @@ func Byzantine(o Options) ([]*stats.Table, error) {
 			name:      "equivocate-leader",
 			consensus: true,
 			actions: []faults.Action{faults.EquivocateLeader{
-				Node: 0, Signer: suite.Signer(0),
+				Node: 0, Signer: spec.suite().Signer(0),
 				Victims: []wire.NodeID{2, 3},
 				From:    spec.crashFrom, To: spec.crashTo}},
 			check: func(r recoveryResult) error {
@@ -257,27 +244,15 @@ func Byzantine(o Options) ([]*stats.Table, error) {
 		s.victimConsensus = sc.consensus
 		s.actions = sc.actions
 		s.starveRewire = sc.starve
-		s.trace = o.Replay // scenarios run sequentially: folding all is deterministic
 		res, err := runRecovery(s)
 		if err != nil {
 			return nil, fmt.Errorf("byzantine %s: %w", sc.name, err)
-		}
-		if res.liveHead == 0 {
-			return nil, fmt.Errorf("byzantine %s: cluster made no progress", sc.name)
 		}
 		if err := sc.check(res); err != nil {
 			return nil, fmt.Errorf("byzantine %s: %w", sc.name, err)
 		}
 
-		ts := &stats.Series{Name: sc.name}
-		for i, v := range res.buckets {
-			end := time.Duration(i+1) * s.bucket
-			if end > s.duration {
-				break
-			}
-			ts.Add(end.Seconds(), v/s.bucket.Seconds())
-		}
-		timeline.Series = append(timeline.Series, ts)
+		timeline.Series = append(timeline.Series, timelineSeries(sc.name, res.buckets, s.bucket, s.end()))
 
 		baseline, floor, dip, ttr := recoveryMetrics(res.buckets, s.bucket, warm, s.crashFrom, s.crashTo)
 		if baseline <= 0 {
@@ -286,20 +261,11 @@ func Byzantine(o Options) ([]*stats.Table, error) {
 		// Self-healing acceptance: committed throughput after the window
 		// (skipping one settle bucket) must come back to within 5% of the
 		// pre-attack baseline.
-		var tailSum float64
-		tailN := 0
-		for i := range res.buckets {
-			start := time.Duration(i) * s.bucket
-			end := start + s.bucket
-			if start >= s.crashTo+s.bucket && end <= s.duration {
-				tailSum += res.buckets[i] / s.bucket.Seconds()
-				tailN++
-			}
-		}
+		tail, tailN := meanRate(res.buckets, s.bucket, s.crashTo+s.bucket, s.end())
 		if tailN == 0 {
 			return nil, fmt.Errorf("byzantine %s: no post-attack buckets", sc.name)
 		}
-		tailPct := 100 * (tailSum / float64(tailN)) / baseline
+		tailPct := 100 * tail / baseline
 		if tailPct < 95 {
 			return nil, fmt.Errorf("byzantine %s: throughput stuck at %.1f%% of baseline after the attack window",
 				sc.name, tailPct)

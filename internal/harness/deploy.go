@@ -1,0 +1,280 @@
+package harness
+
+import (
+	"time"
+
+	"predis/internal/crypto"
+	"predis/internal/multizone"
+	"predis/internal/node"
+	"predis/internal/obs"
+	"predis/internal/simnet"
+	"predis/internal/topology"
+	"predis/internal/types"
+	"predis/internal/wire"
+	"predis/internal/workload"
+)
+
+// Deploy describes the paper's testbed (§V): NC consensus nodes running
+// Predis on 100 Mbps LAN links, zones of full nodes joining one by one,
+// and NC open-loop clients that start once the last full node has joined.
+// Every Multi-Zone experiment is one Deploy value; Build turns it into a
+// network. A value is a field here only because two experiments set it
+// differently — what they all agree on (bundle size 50, a 20 ms seal
+// interval, f = (NC-1)/3, clients 5000+k replied to by every node) is a
+// constant of the builder, and what one experiment observes or plugs in
+// (commit bucketing, executors, a ledger, subscriber caps) goes through
+// the Host and Full callbacks.
+type Deploy struct {
+	Engine node.EngineKind
+	NC     int
+	// Fulls places the full nodes, in join order (see zoneMajor and
+	// roundRobin); the wiring between them follows from it (zoneWiring).
+	Fulls []Slot
+	// Stream runs the consensus group in streaming-commit mode.
+	Stream      bool
+	ViewTimeout time.Duration
+	// AliveInterval and DigestInterval are the full nodes' relayer
+	// heartbeat and block-digest reconcile periods (0 = no digests).
+	AliveInterval  time.Duration
+	DigestInterval time.Duration
+	// JoinSpacing separates consecutive full-node joins.
+	JoinSpacing time.Duration
+	// Offered is the total load in tx/s, shared evenly by the clients, and
+	// Load how long they generate it.
+	Offered float64
+	Load    time.Duration
+	Seed    int64
+	// Ops, when non-nil, attaches a semantic operation to every
+	// transaction (see workload.ClientConfig.Ops).
+	Ops func(client wire.NodeID, seq uint64) types.Op
+	// Replay, when non-nil, folds every delivery into its hash; Trace,
+	// when non-nil, records lifecycle stages at hosts, full nodes and
+	// clients.
+	Replay *ReplayTrace
+	Trace  *obs.Tracer
+	// Host and Full, when non-nil, see each node's finished configuration
+	// before the node is built and may change it.
+	Host func(*multizone.HostConfig)
+	Full func(*multizone.FullNodeConfig)
+}
+
+// Deployment is a built Deploy: the nodes are added, nothing has started.
+type Deployment struct {
+	Net   *simnet.Network
+	Hosts []*multizone.ConsensusHost
+	Fulls []*multizone.FullNode
+	// Col measures the last three quarters of the load; consensus node 0
+	// reports its commits to it unless Deploy.Host replaced OnCommit.
+	Col *workload.Collector
+	// LoadStart and End bound the load, as offsets from simnet.Epoch; End
+	// is also how long to run.
+	LoadStart, End time.Duration
+}
+
+// Slot is one full node's place in a deployment: its ID and its zone.
+type Slot struct {
+	ID   wire.NodeID
+	Zone int
+}
+
+// zoneMajor fills zone after zone: IDs 100+100z+k, zone 0 joins first.
+func zoneMajor(zones, perZone int) []Slot {
+	slots := make([]Slot, 0, zones*perZone)
+	for z := 0; z < zones; z++ {
+		for k := 0; k < perZone; k++ {
+			slots = append(slots, Slot{wire.NodeID(100 + 100*z + k), z})
+		}
+	}
+	return slots
+}
+
+// roundRobin deals n full nodes, IDs 100+i, over the zones in turn (the
+// Fig. 7 and Fig. 8 shape; zone sizes may differ by one).
+func roundRobin(n, zones int) []Slot {
+	slots := make([]Slot, n)
+	for i := range slots {
+		slots[i] = Slot{wire.NodeID(100 + i), i % zones}
+	}
+	return slots
+}
+
+// wiring is what the join order decides for one full node; its index in
+// zoneWiring's result is its join sequence number.
+type wiring struct {
+	Slot
+	Peers, Backups []wire.NodeID
+	// Delay is when the node joins, after the network starts.
+	Delay time.Duration
+}
+
+// zoneWiring derives every full node's neighbours and join time from the
+// join order: its zone peers are the zone's other members, in join order,
+// its one backup is member join % len of the next zone (none with a single
+// zone), and it joins spacing after the node before it.
+func zoneWiring(slots []Slot, spacing time.Duration) []wiring {
+	var members [][]wire.NodeID
+	for _, s := range slots {
+		for len(members) <= s.Zone {
+			members = append(members, nil)
+		}
+		members[s.Zone] = append(members[s.Zone], s.ID)
+	}
+	out := make([]wiring, len(slots))
+	for join, s := range slots {
+		w := wiring{Slot: s, Delay: time.Duration(join) * spacing}
+		for _, id := range members[s.Zone] {
+			if id != s.ID {
+				w.Peers = append(w.Peers, id)
+			}
+		}
+		if next := members[(s.Zone+1)%len(members)]; len(members) > 1 && len(next) > 0 {
+			w.Backups = []wire.NodeID{next[join%len(next)]}
+		}
+		out[join] = w
+	}
+	return out
+}
+
+// newNet returns the testbed's empty network — 100 Mbps NICs, LAN or WAN
+// latency — with every message type registered and replay attached.
+func newNet(seed int64, wan bool, replay *ReplayTrace) *simnet.Network {
+	node.RegisterAllMessages()
+	multizone.RegisterMessages()
+	topology.RegisterMessages()
+	latency := simnet.LANLatency()
+	if wan {
+		latency = simnet.WANLatency()
+	}
+	net := simnet.New(simnet.Config{
+		Uplink: simnet.Mbps100, Downlink: simnet.Mbps100,
+		Latency: latency, Seed: seed,
+	})
+	if replay != nil {
+		replay.Attach(net)
+	}
+	return net
+}
+
+// f is the fault bound every experiment runs its group size at.
+func (d Deploy) f() int { return (d.NC - 1) / 3 }
+
+// suite is the deployment's signer set; an experiment that scripts a
+// signing adversary derives the same keys from it.
+func (d Deploy) suite() *crypto.SignerSuite {
+	return crypto.NewSimSuite(d.NC, uint64(d.Seed)+7)
+}
+
+// loadStart is when the clients start: 200 ms after the last join.
+func (d Deploy) loadStart() time.Duration {
+	return time.Duration(len(d.Fulls))*d.JoinSpacing + 200*time.Millisecond
+}
+
+// end is when the load stops and the run with it.
+func (d Deploy) end() time.Duration { return d.loadStart() + d.Load }
+
+// addZones adds the full nodes to net, wired and timed by zoneWiring.
+func (d Deploy) addZones(net *simnet.Network, striper *multizone.Striper, signer crypto.Signer) ([]*multizone.FullNode, error) {
+	fulls := make([]*multizone.FullNode, 0, len(d.Fulls))
+	for join, w := range zoneWiring(d.Fulls, d.JoinSpacing) {
+		cfg := multizone.FullNodeConfig{
+			Self: w.ID, Zone: w.Zone, JoinSeq: uint64(join),
+			NC: d.NC, F: d.f(),
+			Striper:        striper,
+			Signer:         signer,
+			ZonePeers:      w.Peers,
+			BackupPeers:    w.Backups,
+			AliveInterval:  d.AliveInterval,
+			DigestInterval: d.DigestInterval,
+			Trace:          d.Trace,
+		}
+		if d.Full != nil {
+			d.Full(&cfg)
+		}
+		fn, err := multizone.NewFullNode(cfg)
+		if err != nil {
+			return nil, err
+		}
+		fulls = append(fulls, fn)
+		net.AddNode(w.ID, &multizone.Delayed{Inner: fn, Delay: w.Delay})
+	}
+	return fulls, nil
+}
+
+// addClients adds n open-loop clients base..base+n-1 that share offered
+// tx/s over the nc consensus nodes. The rest of their configuration —
+// policy, f, the generation window, collector, ops, trace — is the
+// caller's, in tmpl.
+func addClients(net *simnet.Network, base wire.NodeID, n, nc int, offered float64, tmpl workload.ClientConfig) {
+	tmpl.Targets = make([]wire.NodeID, nc)
+	for i := range tmpl.Targets {
+		tmpl.Targets[i] = wire.NodeID(i)
+	}
+	tmpl.Rate = offered / float64(n)
+	tmpl.TxSize = types.DefaultTxSize
+	tmpl.Epoch = simnet.Epoch
+	for k := 0; k < n; k++ {
+		tmpl.Self = base + wire.NodeID(k)
+		net.AddNode(tmpl.Self, workload.NewClient(tmpl))
+	}
+}
+
+// addLoad adds the deployment's clients — 5000+k, one per consensus node,
+// submitting round-robin from loadStart to end — and returns the collector
+// they report to, which measures the last three quarters of the load.
+func (d Deploy) addLoad(net *simnet.Network) *workload.Collector {
+	start, end := simnet.Epoch.Add(d.loadStart()), simnet.Epoch.Add(d.end())
+	col := workload.NewCollector(start.Add(d.Load/4), end)
+	addClients(net, 5000, d.NC, d.NC, d.Offered, workload.ClientConfig{
+		Policy:    workload.RoundRobin,
+		F:         d.f(),
+		GenStart:  start,
+		GenStop:   end,
+		Collector: col,
+		Ops:       d.Ops,
+		Trace:     d.Trace,
+	})
+	return col
+}
+
+// Build adds the consensus group, the zones and the clients to a fresh
+// network. The caller installs what is its own (faults, samplers), then
+// starts the network and runs it to End.
+func (d Deploy) Build() (*Deployment, error) {
+	striper, err := multizone.NewStriper(d.NC, d.f())
+	if err != nil {
+		return nil, err
+	}
+	suite := d.suite()
+	dep := &Deployment{Net: newNet(d.Seed, false, d.Replay), LoadStart: d.loadStart(), End: d.end()}
+	for i := 0; i < d.NC; i++ {
+		cfg := multizone.HostConfig{
+			NC: d.NC, F: d.f(), Self: wire.NodeID(i),
+			Signer:         suite.Signer(i),
+			Engine:         d.Engine,
+			BundleSize:     50,
+			BundleInterval: 20 * time.Millisecond,
+			ViewTimeout:    d.ViewTimeout,
+			Stream:         d.Stream,
+			Striper:        striper,
+			ReplyToClients: true,
+			Trace:          d.Trace,
+		}
+		if i == 0 {
+			cfg.OnCommit = func(_ uint64, txs int) { dep.Col.RecordNodeCommit(dep.Net.Now(), txs) }
+		}
+		if d.Host != nil {
+			d.Host(&cfg)
+		}
+		host, err := multizone.NewConsensusHost(cfg)
+		if err != nil {
+			return nil, err
+		}
+		dep.Hosts = append(dep.Hosts, host)
+		dep.Net.AddNode(cfg.Self, host)
+	}
+	if dep.Fulls, err = d.addZones(dep.Net, striper, suite.Signer(0)); err != nil {
+		return nil, err
+	}
+	dep.Col = d.addLoad(dep.Net)
+	return dep, nil
+}

@@ -24,10 +24,11 @@ type Options struct {
 	// unaffected). 0 or 1 means sequential.
 	Parallel int
 	// Replay, when non-nil, is attached to the network of experiments
-	// that support it (quickstart, recovery, latfloor): every delivery is
-	// folded into the trace so external callers (predis-bench -replay,
-	// tools/replaydiff) can assert cross-process hash equality. The
-	// sweep experiments leave it untouched — their points run
+	// that support it — quickstart, recovery, byzantine, contention and
+	// latfloor; predis-bench -replay refers here for the list — so every
+	// delivery is folded into the trace and external callers (predis-bench
+	// -replay, tools/replaydiff) can assert cross-process hash equality.
+	// The sweep experiments leave it untouched — their points run
 	// concurrently under Parallel, so a single shared trace would fold
 	// deliveries in nondeterministic order. latfloor drops to sequential
 	// execution when Replay is set, for the same reason.

@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"predis/internal/crypto"
 	"predis/internal/env"
-	"predis/internal/multizone"
 	"predis/internal/node"
-	"predis/internal/simnet"
 	"predis/internal/stats"
 	"predis/internal/topology"
 	"predis/internal/types"
@@ -32,158 +29,57 @@ func (h *starHost) Start(ctx env.Context) {
 
 func (h *starHost) Receive(from wire.NodeID, m wire.Message) { h.n.Receive(from, m) }
 
-// fig7Spec is one configuration point of Fig. 7.
-type fig7Spec struct {
-	nc, f     int
-	fullNodes int
-	zones     int // 0 = star topology
-	offered   float64
-	duration  time.Duration
-	seed      int64
-}
-
 // runFig7Point measures consensus throughput with full-node distribution
-// attached, for either topology.
-func runFig7Point(spec fig7Spec) (float64, error) {
-	node.RegisterAllMessages()
-	multizone.RegisterMessages()
-	topology.RegisterMessages()
-
-	net := simnet.New(simnet.Config{
-		Uplink: simnet.Mbps100, Downlink: simnet.Mbps100,
-		Latency: simnet.LANLatency(), Seed: spec.seed,
-	})
-	joinWindow := time.Duration(spec.fullNodes)*20*time.Millisecond + 200*time.Millisecond
-	warm := simnet.Epoch.Add(joinWindow + spec.duration/4)
-	end := simnet.Epoch.Add(joinWindow + spec.duration)
-	col := workload.NewCollector(warm, end)
-
-	suite := crypto.NewSimSuite(spec.nc, uint64(spec.seed)+7)
-	fullIDs := make([]wire.NodeID, spec.fullNodes)
-	for i := range fullIDs {
-		fullIDs[i] = wire.NodeID(100 + i)
-	}
-
-	if spec.zones == 0 {
-		// Star: attach full nodes round-robin to consensus nodes; each
-		// consensus node sends complete blocks to its attachments.
-		attached := make([][]wire.NodeID, spec.nc)
-		for i, id := range fullIDs {
-			attached[i%spec.nc] = append(attached[i%spec.nc], id)
-		}
-		for i := 0; i < spec.nc; i++ {
-			i := i
-			src := topology.NewStarSource(attached[i])
-			n, err := node.New(node.Config{
-				Mode: node.ModePredis, Engine: node.EnginePBFT,
-				NC: spec.nc, F: spec.f, Self: wire.NodeID(i),
-				Signer:         suite.Signer(i),
-				BundleSize:     50,
-				BundleInterval: 20 * time.Millisecond,
-				ViewTimeout:    2 * time.Second,
-				ReplyToClients: true,
-				OnCommit: func(height uint64, txs []*types.Transaction) {
-					src.Publish(height, wire.NodeID(i), types.TotalBytes(txs))
-					if i == 0 {
-						col.RecordNodeCommit(net.Now(), len(txs))
-					}
-				},
-			})
-			if err != nil {
-				return 0, err
-			}
-			net.AddNode(wire.NodeID(i), &starHost{n: n, src: src})
-		}
-		for _, id := range fullIDs {
-			net.AddNode(id, topology.NewSink(nil))
-		}
-	} else {
-		striper, err := multizone.NewStriper(spec.nc, spec.f)
+// attached: Multi-Zone as d describes it, or — star — the same group,
+// load and timeline with every consensus node shipping complete blocks to
+// the full nodes attached to it round-robin (their zones play no part).
+func runFig7Point(d Deploy, star bool) (float64, error) {
+	if !star {
+		dep, err := d.Build()
 		if err != nil {
 			return 0, err
 		}
-		for i := 0; i < spec.nc; i++ {
-			i := i
-			host, err := multizone.NewConsensusHost(multizone.HostConfig{
-				NC: spec.nc, F: spec.f, Self: wire.NodeID(i),
-				Signer:         suite.Signer(i),
-				Engine:         node.EnginePBFT,
-				BundleSize:     50,
-				BundleInterval: 20 * time.Millisecond,
-				ViewTimeout:    2 * time.Second,
-				Striper:        striper,
-				ReplyToClients: true,
-				OnCommit: func(height uint64, txs int) {
-					if i == 0 {
-						col.RecordNodeCommit(net.Now(), txs)
-					}
-				},
-			})
-			if err != nil {
-				return 0, err
-			}
-			net.AddNode(wire.NodeID(i), host)
-		}
-		// Full nodes spread over the zones, joining incrementally.
-		perZone := make([][]wire.NodeID, spec.zones)
-		for i, id := range fullIDs {
-			z := i % spec.zones
-			perZone[z] = append(perZone[z], id)
-		}
-		for i, id := range fullIDs {
-			z := i % spec.zones
-			peers := make([]wire.NodeID, 0, len(perZone[z])-1)
-			for _, p := range perZone[z] {
-				if p != id {
-					peers = append(peers, p)
-				}
-			}
-			var backups []wire.NodeID
-			if spec.zones > 1 {
-				other := perZone[(z+1)%spec.zones]
-				if len(other) > 0 {
-					backups = append(backups, other[i%len(other)])
-				}
-			}
-			fn, err := multizone.NewFullNode(multizone.FullNodeConfig{
-				Self: id, Zone: z, JoinSeq: uint64(i),
-				NC: spec.nc, F: spec.f,
-				Striper:        striper,
-				Signer:         suite.Signer(0),
-				ZonePeers:      peers,
-				BackupPeers:    backups,
-				AliveInterval:  300 * time.Millisecond,
-				DigestInterval: 2 * time.Second,
-			})
-			if err != nil {
-				return 0, err
-			}
-			net.AddNode(id, &multizone.Delayed{Inner: fn, Delay: time.Duration(i) * 20 * time.Millisecond})
-		}
+		dep.Net.Start()
+		dep.Net.Run(dep.End)
+		return dep.Col.Throughput(), nil
 	}
 
-	targets := make([]wire.NodeID, spec.nc)
-	for i := range targets {
-		targets[i] = wire.NodeID(i)
+	net := newNet(d.Seed, false, nil)
+	var col *workload.Collector
+	suite := d.suite()
+	attached := make([][]wire.NodeID, d.NC)
+	for i, s := range d.Fulls {
+		attached[i%d.NC] = append(attached[i%d.NC], s.ID)
 	}
-	clients := spec.nc
-	for k := 0; k < clients; k++ {
-		net.AddNode(wire.NodeID(5000+k), workload.NewClient(workload.ClientConfig{
-			Self:      wire.NodeID(5000 + k),
-			Targets:   targets,
-			Policy:    workload.RoundRobin,
-			Rate:      spec.offered / float64(clients),
-			TxSize:    types.DefaultTxSize,
-			F:         spec.f,
-			Epoch:     simnet.Epoch,
-			GenStart:  simnet.Epoch.Add(joinWindow),
-			GenStop:   end,
-			Collector: col,
-		}))
+	for i := 0; i < d.NC; i++ {
+		i := i
+		src := topology.NewStarSource(attached[i])
+		n, err := node.New(node.Config{
+			Mode: node.ModePredis, Engine: d.Engine,
+			NC: d.NC, F: d.f(), Self: wire.NodeID(i),
+			Signer:         suite.Signer(i),
+			BundleSize:     50,
+			BundleInterval: 20 * time.Millisecond,
+			ViewTimeout:    d.ViewTimeout,
+			ReplyToClients: true,
+			OnCommit: func(height uint64, txs []*types.Transaction) {
+				src.Publish(height, wire.NodeID(i), types.TotalBytes(txs))
+				if i == 0 {
+					col.RecordNodeCommit(net.Now(), len(txs))
+				}
+			},
+		})
+		if err != nil {
+			return 0, err
+		}
+		net.AddNode(wire.NodeID(i), &starHost{n: n, src: src})
 	}
-
+	for _, s := range d.Fulls {
+		net.AddNode(s.ID, topology.NewSink(nil))
+	}
+	col = d.addLoad(net)
 	net.Start()
-	net.Run(joinWindow + spec.duration)
+	net.Run(d.end())
 	return col.Throughput(), nil
 }
 
@@ -208,19 +104,20 @@ func Fig7(o Options) ([]*stats.Table, error) {
 	}
 	// Flatten (nc × fullCount × {star, multizone}) into one batch for the
 	// worker pool; each point is an independent simulation.
-	var specs []fig7Spec
+	var points []Deploy
 	for _, nc := range ncs {
-		f := (nc - 1) / 3
 		for _, n := range fullCounts {
-			specs = append(specs,
-				fig7Spec{nc: nc, f: f, fullNodes: n, zones: 0,
-					offered: offered, duration: duration, seed: o.seed()},
-				fig7Spec{nc: nc, f: f, fullNodes: n, zones: zones,
-					offered: offered, duration: duration, seed: o.seed()})
+			points = append(points, Deploy{
+				Engine: node.EnginePBFT, NC: nc, Fulls: roundRobin(n, zones),
+				ViewTimeout:   2 * time.Second,
+				AliveInterval: 300 * time.Millisecond, DigestInterval: 2 * time.Second,
+				JoinSpacing: 20 * time.Millisecond,
+				Offered:     offered, Load: duration, Seed: o.seed(),
+			})
 		}
 	}
-	results, err := parRun(len(specs), o.parallel(), func(i int) (float64, error) {
-		return runFig7Point(specs[i])
+	results, err := parRun(2*len(points), o.parallel(), func(i int) (float64, error) {
+		return runFig7Point(points[i/2], i%2 == 0)
 	})
 	if err != nil {
 		return nil, err

@@ -10,8 +10,6 @@ import (
 	"predis/internal/env"
 	"predis/internal/gossip"
 	"predis/internal/multizone"
-	"predis/internal/node"
-	"predis/internal/simnet"
 	"predis/internal/stats"
 	"predis/internal/topology"
 	"predis/internal/types"
@@ -61,11 +59,7 @@ type fig8Spec struct {
 // runFig8Star publishes complete blocks from consensus nodes to attached
 // full nodes and reports per-coverage latency averaged over blocks.
 func runFig8Star(spec fig8Spec) (map[float64]time.Duration, error) {
-	topology.RegisterMessages()
-	net := simnet.New(simnet.Config{
-		Uplink: simnet.Mbps100, Downlink: simnet.Mbps100,
-		Latency: simnet.LANLatency(), Seed: spec.seed,
-	})
+	net := newNet(spec.seed, false, nil)
 	arrivals := make(map[uint64][]time.Duration)
 	published := make(map[uint64]time.Time)
 
@@ -73,8 +67,6 @@ func runFig8Star(spec fig8Spec) (map[float64]time.Duration, error) {
 	for i := 0; i < spec.fullNodes; i++ {
 		id := wire.NodeID(100 + i)
 		attached[i%spec.nc] = append(attached[i%spec.nc], id)
-		h := uint64(0)
-		_ = h
 		net.AddNode(id, topology.NewSink(func(height uint64, at time.Time) {
 			arrivals[height] = append(arrivals[height], at.Sub(published[height]))
 		}))
@@ -112,11 +104,7 @@ func (s *sourceShell) Receive(from wire.NodeID, m wire.Message) {}
 // runFig8Random disseminates complete blocks over a degree-8 random graph
 // with FEG-style gossip (fanout 4 + digest/pull).
 func runFig8Random(spec fig8Spec) (map[float64]time.Duration, error) {
-	topology.RegisterMessages()
-	net := simnet.New(simnet.Config{
-		Uplink: simnet.Mbps100, Downlink: simnet.Mbps100,
-		Latency: simnet.LANLatency(), Seed: spec.seed,
-	})
+	net := newNet(spec.seed, false, nil)
 	total := spec.nc + spec.fullNodes
 	adj := randomAdjacency(total, 8, spec.seed)
 	arrivals := make(map[uint64][]time.Duration)
@@ -195,16 +183,11 @@ func randomAdjacency(n, d int, seed int64) [][]wire.NodeID {
 // how long a tiny Predis block plus local reassembly takes to complete a
 // block at every full node.
 func runFig8MultiZone(spec fig8Spec, zones int) (map[float64]time.Duration, error) {
-	node.RegisterAllMessages()
-	multizone.RegisterMessages()
 	striper, err := multizone.NewStriper(spec.nc, spec.f)
 	if err != nil {
 		return nil, err
 	}
-	net := simnet.New(simnet.Config{
-		Uplink: simnet.Mbps100, Downlink: simnet.Mbps100,
-		Latency: simnet.LANLatency(), Seed: spec.seed,
-	})
+	net := newNet(spec.seed, false, nil)
 	suite := crypto.NewSimSuite(spec.nc, uint64(spec.seed)+31)
 
 	arrivals := make(map[uint64][]time.Duration)
@@ -226,53 +209,26 @@ func runFig8MultiZone(spec fig8Spec, zones int) (map[float64]time.Duration, erro
 		net.AddNode(wire.NodeID(i), src)
 	}
 
-	// Full nodes over the zones, joining incrementally.
-	perZone := make([][]wire.NodeID, zones)
-	for i := 0; i < spec.fullNodes; i++ {
-		id := wire.NodeID(100 + i)
-		perZone[i%zones] = append(perZone[i%zones], id)
-	}
-	joinSpacing := 15 * time.Millisecond
-	for i := 0; i < spec.fullNodes; i++ {
-		id := wire.NodeID(100 + i)
-		z := i % zones
-		peers := make([]wire.NodeID, 0)
-		for _, p := range perZone[z] {
-			if p != id {
-				peers = append(peers, p)
-			}
-		}
-		var backups []wire.NodeID
-		if zones > 1 {
-			other := perZone[(z+1)%zones]
-			if len(other) > 0 {
-				backups = append(backups, other[i%len(other)])
-			}
-		}
-		fn, err := multizone.NewFullNode(multizone.FullNodeConfig{
-			Self: id, Zone: z, JoinSeq: uint64(i),
-			NC: spec.nc, F: spec.f,
-			Striper:        striper,
-			Signer:         suite.Signer(0),
-			ZonePeers:      peers,
-			BackupPeers:    backups,
-			MaxSubscribers: 24, // §V-B: equalize bandwidth with the random topology
-			AliveInterval:  300 * time.Millisecond,
-			DigestInterval: 2 * time.Second,
-			OnBlockComplete: func(blk *core.PredisBlock, txs int) {
+	// Full nodes dealt over the zones, joining incrementally.
+	zoned := Deploy{
+		NC: spec.nc, Fulls: roundRobin(spec.fullNodes, zones),
+		AliveInterval: 300 * time.Millisecond, DigestInterval: 2 * time.Second,
+		JoinSpacing: 15 * time.Millisecond,
+		Full: func(cfg *multizone.FullNodeConfig) {
+			cfg.MaxSubscribers = 24 // §V-B: equalize bandwidth with the random topology
+			cfg.OnBlockComplete = func(blk *core.PredisBlock, txs int) {
 				if pub, ok := published[blk.Height]; ok {
 					arrivals[blk.Height] = append(arrivals[blk.Height], net.Now().Sub(pub))
 				}
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		net.AddNode(id, &multizone.Delayed{Inner: fn, Delay: time.Duration(i) * joinSpacing})
+			}
+		},
+	}
+	if _, err := zoned.addZones(net, striper, suite.Signer(0)); err != nil {
+		return nil, err
 	}
 	net.Start()
 	// Let the subscription mesh settle.
-	settle := time.Duration(spec.fullNodes)*joinSpacing + 2*time.Second
+	settle := time.Duration(spec.fullNodes)*zoned.JoinSpacing + 2*time.Second
 	net.Run(settle)
 
 	bundleBytes := 50 * types.DefaultTxSize

@@ -12,7 +12,6 @@ import (
 	"predis/internal/core"
 	"predis/internal/crypto"
 	"predis/internal/env"
-	"predis/internal/multizone"
 	"predis/internal/node"
 	"predis/internal/obs"
 	"predis/internal/pbft"
@@ -140,22 +139,7 @@ func RunPoint(spec PointSpec) (PointResult, error) {
 	if err != nil {
 		return PointResult{}, err
 	}
-	node.RegisterAllMessages()
-	multizone.RegisterMessages()
-
-	latency := simnet.LANLatency()
-	if s.WAN {
-		latency = simnet.WANLatency()
-	}
-	net := simnet.New(simnet.Config{
-		Uplink:   simnet.Mbps100,
-		Downlink: simnet.Mbps100,
-		Latency:  latency,
-		Seed:     s.Seed,
-	})
-	if s.Trace != nil {
-		s.Trace.Attach(net)
-	}
+	net := newNet(s.Seed, s.WAN, s.Trace)
 	warm := simnet.Epoch.Add(s.Duration / 4)
 	end := simnet.Epoch.Add(s.Duration)
 	col := workload.NewCollector(warm, end)
@@ -207,36 +191,22 @@ func RunPoint(spec PointSpec) (PointResult, error) {
 		net.AddNode(wire.NodeID(i), n)
 	}
 
-	targets := make([]wire.NodeID, s.NC)
-	for i := range targets {
-		targets[i] = wire.NodeID(i)
-	}
 	policy := workload.RoundRobin
 	if mode == node.ModeBaseline {
 		policy = workload.Broadcast
 	}
-	perClient := s.Offered / float64(s.Clients)
-	for k := 0; k < s.Clients; k++ {
-		cl := workload.NewClient(workload.ClientConfig{
-			Self:      wire.NodeID(1000 + k),
-			Targets:   targets,
-			Policy:    policy,
-			Rate:      perClient,
-			TxSize:    types.DefaultTxSize,
-			F:         s.F,
-			Epoch:     simnet.Epoch,
-			GenStart:  simnet.Epoch.Add(50 * time.Millisecond),
-			GenStop:   end,
-			Collector: col,
-		})
-		net.AddNode(wire.NodeID(1000+k), cl)
-	}
+	addClients(net, 1000, s.Clients, s.NC, s.Offered, workload.ClientConfig{
+		Policy:    policy,
+		F:         s.F,
+		GenStart:  simnet.Epoch.Add(50 * time.Millisecond),
+		GenStop:   end,
+		Collector: col,
+	})
 
 	net.Start()
 	net.Run(s.Duration)
 
-	_, _, committed, blocks := col.Counts()
-	_ = committed
+	_, _, _, blocks := col.Counts()
 	res := PointResult{
 		Throughput:       col.Throughput(),
 		ClientThroughput: col.ClientThroughput(),

@@ -2,12 +2,14 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"predis/internal/crypto"
 	"predis/internal/obs"
 	"predis/internal/simnet"
+	"predis/internal/stats"
 	"predis/internal/wire"
 )
 
@@ -123,8 +125,13 @@ func TestPacedStreamIdle(t *testing.T) {
 // 16-slot stream point, quick quickstart (P-HS, Multi-Zone, full nodes)
 // in block and in stream mode, and quick contention, whose row also
 // carries a digest of every per-height state root. Two runs each must
-// reproduce them. A change that moves the model on purpose re-pins the
-// rows it moves; a host-only change must leave all of them alone.
+// reproduce them. The experiment rows — quick recovery and byzantine
+// through Options.Replay, and fig7 and fig8, which take no trace, as a
+// SHA-256 of their rendered quick tables — run once: same-seed
+// determinism is the first six rows' and TestReplayRecoveryDeterministic's
+// business, these hold every Multi-Zone deployment shape still. A change
+// that moves the model on purpose re-pins the rows it moves; a host-only
+// change must leave all of them alone.
 func TestReplayPinned(t *testing.T) {
 	sum := func(tr *ReplayTrace) string { return fmt.Sprintf("%s %d", tr.Sum(), tr.Deliveries()) }
 	point := func() string {
@@ -142,13 +149,12 @@ func TestReplayPinned(t *testing.T) {
 	}
 	recovery := func() string {
 		tr := NewReplayTrace()
+		d := recoveryDeploy(3, 1500, 6*time.Second, 7)
+		d.Replay = tr
 		if _, err := runRecovery(recoverySpec{
-			nc: 4, f: 1, zones: 2, perZone: 3,
-			offered: 1500, duration: 6 * time.Second,
-			bucket: 500 * time.Millisecond, seed: 7,
+			Deploy: d, bucket: 500 * time.Millisecond,
 			crashFrom: 2 * time.Second, crashTo: 3500 * time.Millisecond,
 			victimConsensus: true,
-			trace:           tr,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -167,19 +173,47 @@ func TestReplayPinned(t *testing.T) {
 		tr, state := contentionOnce(t, false)
 		return fmt.Sprintf("%s roots %s", sum(tr), crypto.HashBytes([]byte(state)))
 	}
+	// experiment runs a registered experiment at -quick -seed 1: its replay
+	// digest where it takes a trace, else a digest of its rendered tables.
+	experiment := func(run func(Options) ([]*stats.Table, error), replay bool) func() string {
+		return func() string {
+			tr := NewReplayTrace()
+			o := Options{Quick: true, Seed: 1}
+			if replay {
+				o.Replay = tr
+			}
+			tables, err := run(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if replay {
+				return sum(tr)
+			}
+			var out strings.Builder
+			for _, tbl := range tables {
+				out.WriteString(tbl.Render())
+			}
+			return crypto.HashBytes([]byte(out.String())).String()
+		}
+	}
 	for _, c := range []struct {
 		name string
+		runs int
 		run  func() string
 		want string
 	}{
-		{"P-PBFT point", point, "a290c0b0e39bd9c37ea0b96f53aaef1dccbd3b2faa85bf65760c37314568ba25 2966"},
-		{"leader-crash recovery", recovery, "6a079f84dafe844d5270db0d07afc56be205af720f22c15b92c915a1d8d1d1f1 39517"},
-		{"stream P-PBFT point", streamPoint, "9b7f0cf7cb282a2335bb8d2736c893d63a97eac02cfbf63848b8956906bc2b1c 14208"},
-		{"quickstart", quickstart(false), "7307c5b9ff89a76605d63a2fb659aba1c07e2a0d78240665fa546506f9b6d256 24176"},
-		{"stream quickstart", quickstart(true), "ae6d3bf61fe28f8de0a7f7454a873f78adbf63d5cc451b5672504d5c2b8faed1 164872"},
-		{"contention", contention, "a0deeb870829759e069798f2e7e88ce537fb0e3f797d806dff84c020dae8d39f 6625 roots 47a0edeaa534521ab31badcfbc342cfe0aab5b6c9117a5c97cb92403d9a49a3b"},
+		{"P-PBFT point", 2, point, "a290c0b0e39bd9c37ea0b96f53aaef1dccbd3b2faa85bf65760c37314568ba25 2966"},
+		{"leader-crash recovery", 2, recovery, "6a079f84dafe844d5270db0d07afc56be205af720f22c15b92c915a1d8d1d1f1 39517"},
+		{"stream P-PBFT point", 2, streamPoint, "9b7f0cf7cb282a2335bb8d2736c893d63a97eac02cfbf63848b8956906bc2b1c 14208"},
+		{"quickstart", 2, quickstart(false), "7307c5b9ff89a76605d63a2fb659aba1c07e2a0d78240665fa546506f9b6d256 24176"},
+		{"stream quickstart", 2, quickstart(true), "ae6d3bf61fe28f8de0a7f7454a873f78adbf63d5cc451b5672504d5c2b8faed1 164872"},
+		{"contention", 2, contention, "a0deeb870829759e069798f2e7e88ce537fb0e3f797d806dff84c020dae8d39f 6625 roots 47a0edeaa534521ab31badcfbc342cfe0aab5b6c9117a5c97cb92403d9a49a3b"},
+		{"quick recovery", 1, experiment(Recovery, true), "dd00ae34f7fe4fc58c222ff62e1141acdbd5014c5d7b6acd85173b7f56f0ef00 248955"},
+		{"quick byzantine", 1, experiment(Byzantine, true), "c649020d0ce454fce7cb4cdd5fe538c008f053e7541654cbc80787d20d034780 531024"},
+		{"quick fig7 tables", 1, experiment(Fig7, false), "f349fd0c13c818eb7c06d96f2b9fbfee923a2b2d93c7376ca039af96110e7ffe"},
+		{"quick fig8 tables", 1, experiment(Fig8, false), "59eb3f31d953be28f604dc400d7b6a207480dfdfd0d8d9fea7679f57230f3f4c"},
 	} {
-		for run := 1; run <= 2; run++ {
+		for run := 1; run <= c.runs; run++ {
 			if got := c.run(); got != c.want {
 				t.Errorf("%s, run %d: replay %s, want %s", c.name, run, got, c.want)
 			}

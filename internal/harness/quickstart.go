@@ -3,16 +3,13 @@ package harness
 import (
 	"time"
 
-	"predis/internal/crypto"
 	"predis/internal/exec"
 	"predis/internal/multizone"
 	"predis/internal/node"
 	"predis/internal/obs"
 	"predis/internal/simnet"
 	"predis/internal/stats"
-	"predis/internal/types"
 	"predis/internal/wire"
-	"predis/internal/workload"
 )
 
 // ObsSink receives the observability artifacts of an experiment run:
@@ -38,25 +35,9 @@ type ObsSink struct {
 // the paper's dataflow argument is about: consensus-side stages stay
 // flat while dissemination rides on pre-distribution.
 func Quickstart(o Options) ([]*stats.Table, error) {
-	nc, f := 4, 1
-	zones, perZone := 2, 3
-	offered := 4000.0
-	duration := 6 * time.Second
+	offered, load := 4000.0, 6*time.Second
 	if o.Quick {
-		offered = 2000
-		duration = 3 * time.Second
-	}
-	seed := o.seed()
-
-	node.RegisterAllMessages()
-	multizone.RegisterMessages()
-
-	net := simnet.New(simnet.Config{
-		Uplink: simnet.Mbps100, Downlink: simnet.Mbps100,
-		Latency: simnet.LANLatency(), Seed: seed,
-	})
-	if o.Replay != nil {
-		o.Replay.Attach(net)
+		offered, load = 2000, 3*time.Second
 	}
 
 	// Observability: tracer and metrics flow through every layer; the
@@ -65,124 +46,38 @@ func Quickstart(o Options) ([]*stats.Table, error) {
 	// tracing is passive and cannot perturb the schedule.
 	tracer := obs.NewTracer(simnet.Epoch)
 	registry := obs.NewRegistry()
-	sampler := obs.NewSampler(net, 100*time.Millisecond, registry)
 
-	joinWindow := time.Duration(zones*perZone)*20*time.Millisecond + 200*time.Millisecond
-	horizon := joinWindow + duration
-	warm := simnet.Epoch.Add(joinWindow + duration/4)
-	end := simnet.Epoch.Add(horizon)
-	col := workload.NewCollector(warm, end)
-
-	suite := crypto.NewSimSuite(nc, uint64(seed)+7)
-	striper, err := multizone.NewStriper(nc, f)
+	// P-HS with Multi-Zone distribution hooks, two zones of three full
+	// nodes with one cross-zone backup each (the Fig. 7 deployment shape,
+	// scaled down). With Options.Stream the same deployment runs in
+	// streaming-commit mode: eager cuts, speculative stripe distribution
+	// at proposal time, and per-bundle execution merges.
+	dep, err := Deploy{
+		Engine: node.EngineHotStuff, NC: 4, Fulls: zoneMajor(2, 3),
+		Stream: o.Stream, ViewTimeout: 2 * time.Second,
+		AliveInterval: 300 * time.Millisecond, DigestInterval: 2 * time.Second,
+		JoinSpacing: 20 * time.Millisecond,
+		Offered:     offered, Load: load, Seed: o.seed(),
+		Replay: o.Replay, Trace: tracer,
+		Host: func(cfg *multizone.HostConfig) {
+			cfg.Metrics = registry
+			cfg.Executor = exec.NewMachine(execGenesis)
+		},
+	}.Build()
 	if err != nil {
 		return nil, err
 	}
-
-	// Consensus group: P-HS with Multi-Zone distribution hooks. With
-	// Options.Stream the same deployment runs in streaming-commit mode:
-	// eager cuts, speculative stripe distribution at proposal time, and
-	// per-bundle execution merges.
-	hosts := make([]*multizone.ConsensusHost, nc)
-	for i := 0; i < nc; i++ {
-		i := i
-		host, err := multizone.NewConsensusHost(multizone.HostConfig{
-			NC: nc, F: f, Self: wire.NodeID(i),
-			Signer:         suite.Signer(i),
-			Engine:         node.EngineHotStuff,
-			BundleSize:     50,
-			BundleInterval: 20 * time.Millisecond,
-			ViewTimeout:    2 * time.Second,
-			Stream:         o.Stream,
-			Striper:        striper,
-			ReplyToClients: true,
-			Trace:          tracer,
-			Metrics:        registry,
-			Executor:       exec.NewMachine(execGenesis),
-			OnCommit: func(height uint64, txs int) {
-				if i == 0 {
-					col.RecordNodeCommit(net.Now(), txs)
-				}
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		hosts[i] = host
-		net.AddNode(wire.NodeID(i), host)
-	}
-
-	// Zones of full nodes joining incrementally, with one cross-zone
-	// backup peer each (the Fig. 7 deployment shape, scaled down).
-	fullID := func(z, k int) wire.NodeID { return wire.NodeID(100 + z*100 + k) }
-	fulls := make([]*multizone.FullNode, 0, zones*perZone)
-	join := 0
-	for z := 0; z < zones; z++ {
-		for k := 0; k < perZone; k++ {
-			id := fullID(z, k)
-			peers := make([]wire.NodeID, 0, perZone-1)
-			for p := 0; p < perZone; p++ {
-				if p != k {
-					peers = append(peers, fullID(z, p))
-				}
-			}
-			var backups []wire.NodeID
-			if zones > 1 {
-				backups = append(backups, fullID((z+1)%zones, k%perZone))
-			}
-			fn, err := multizone.NewFullNode(multizone.FullNodeConfig{
-				Self: id, Zone: z, JoinSeq: uint64(join),
-				NC: nc, F: f,
-				Striper:        striper,
-				Signer:         suite.Signer(0),
-				ZonePeers:      peers,
-				BackupPeers:    backups,
-				AliveInterval:  300 * time.Millisecond,
-				DigestInterval: 2 * time.Second,
-				Trace:          tracer,
-			})
-			if err != nil {
-				return nil, err
-			}
-			fulls = append(fulls, fn)
-			net.AddNode(id, &multizone.Delayed{Inner: fn, Delay: time.Duration(join) * 20 * time.Millisecond})
-			join++
-		}
-	}
-
-	// Open-loop clients, round-robin over consensus nodes (every node
-	// packs bundles in Predis).
-	targets := make([]wire.NodeID, nc)
-	for i := range targets {
-		targets[i] = wire.NodeID(i)
-	}
-	clients := nc
-	for k := 0; k < clients; k++ {
-		net.AddNode(wire.NodeID(5000+k), workload.NewClient(workload.ClientConfig{
-			Self:      wire.NodeID(5000 + k),
-			Targets:   targets,
-			Policy:    workload.RoundRobin,
-			Rate:      offered / float64(clients),
-			TxSize:    types.DefaultTxSize,
-			F:         f,
-			Epoch:     simnet.Epoch,
-			GenStart:  simnet.Epoch.Add(joinWindow),
-			GenStop:   end,
-			Collector: col,
-			Trace:     tracer,
-		}))
-	}
-
-	sampler.Start(horizon)
-	net.Start()
-	net.Run(horizon)
+	sampler := obs.NewSampler(dep.Net, 100*time.Millisecond, registry)
+	sampler.Start(dep.End)
+	dep.Net.Start()
+	dep.Net.Run(dep.End)
 	// The fetch plane's counters, per full node (see FullNode.PullStats).
-	for _, fn := range fulls {
+	for _, fn := range dep.Fulls {
 		requests, bundles, _, _ := fn.PullStats()
 		registry.Counter("multizone.pull_requests", fn.ID()).Add(requests)
 		registry.Counter("multizone.pull_bundles", fn.ID()).Add(bundles)
 	}
-	for i, host := range hosts {
+	for i, host := range dep.Hosts {
 		publishPace(registry, wire.NodeID(i), host.Node.Engine())
 	}
 
@@ -193,6 +88,7 @@ func Quickstart(o Options) ([]*stats.Table, error) {
 	}
 
 	// Headline numbers plus the per-stage latency breakdown.
+	col := dep.Col
 	lat := col.Latency()
 	title := "Quickstart: P-HS + Multi-Zone (rows: 1=committed tx/s, " +
 		"2=confirmed tx/s, 3=mean latency ms, 4=p99 latency ms, 5=blocks, " +
@@ -216,7 +112,7 @@ func Quickstart(o Options) ([]*stats.Table, error) {
 	sum.Add(7, float64(lat.P90)/float64(time.Millisecond))
 	if o.Stream {
 		var hits, waste uint64
-		for _, fn := range fulls {
+		for _, fn := range dep.Fulls {
 			h, w := fn.SpecStats()
 			hits += h
 			waste += w

@@ -1,37 +1,33 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"predis/internal/core"
-	"predis/internal/crypto"
 	"predis/internal/faults"
 	"predis/internal/multizone"
 	"predis/internal/node"
 	"predis/internal/obs"
 	"predis/internal/simnet"
 	"predis/internal/stats"
-	"predis/internal/types"
 	"predis/internal/wire"
-	"predis/internal/workload"
 )
 
 // recoverySpec describes one crash-recovery measurement over the full
 // Multi-Zone deployment: a P-PBFT consensus group with striped zones of
-// full nodes, a declarative fault schedule crashing either the view-0
-// consensus leader or the zone's first-joining full node (which, by the
-// subscription protocol of §IV-C, claims stripes and relays), and a
-// restart inside the run so catch-up is exercised end to end.
+// full nodes (see recoveryDeploy), a declarative fault schedule crashing
+// either the view-0 consensus leader or the zone's first-joining full node
+// (which, by the subscription protocol of §IV-C, claims stripes and
+// relays), and a restart inside the run so catch-up is exercised end to
+// end. Deploy.Replay and Deploy.Trace, when set, fold the replay hash and
+// record the lifecycle stages around the crash window.
 type recoverySpec struct {
-	nc, f          int
-	zones, perZone int
-	offered        float64
-	duration       time.Duration
-	bucket         time.Duration
-	seed           int64
-	crashFrom      time.Duration
-	crashTo        time.Duration
+	Deploy
+	bucket    time.Duration
+	crashFrom time.Duration
+	crashTo   time.Duration
 	// victimConsensus selects the scenario: true crashes consensus node 0
 	// (the PBFT view-0 leader, forcing a view change and later a replica
 	// catch-up); false crashes the first-joined full node of zone 0 (a
@@ -44,13 +40,40 @@ type recoverySpec struct {
 	// starveRewire arms FullNodeConfig.StarveRewireAfter on every full
 	// node (0 leaves the opt-in withholding detector off).
 	starveRewire int
-	// trace, when non-nil, accumulates the replay hash of every delivery
-	// (see ReplayTrace).
-	trace *ReplayTrace
-	// obsTrace, when non-nil, records block/bundle lifecycle stages so the
-	// experiment can render a per-stage latency breakdown around the
-	// crash window.
-	obsTrace *obs.Tracer
+}
+
+// recoveryDeploy is the deployment the fault experiments run on: P-PBFT
+// with a 1 s view timeout and two zones of perZone full nodes on fast
+// heartbeats. Fault windows are absolute times, so run is the length of
+// the whole run and the load fills what the join window leaves of it.
+func recoveryDeploy(perZone int, offered float64, run time.Duration, seed int64) Deploy {
+	d := Deploy{
+		Engine: node.EnginePBFT, NC: 4, Fulls: zoneMajor(2, perZone),
+		ViewTimeout:   1 * time.Second,
+		AliveInterval: 200 * time.Millisecond, DigestInterval: 1 * time.Second,
+		JoinSpacing: 20 * time.Millisecond,
+		Offered:     offered, Seed: seed,
+	}
+	d.Load = run - d.loadStart()
+	return d
+}
+
+// faultRig is the rig Recovery and Byzantine share: recoveryDeploy under
+// one fault window, 6–9 s of a 16 s run (quick: 4–6 s of quickRun).
+func faultRig(o Options, quickRun time.Duration) recoverySpec {
+	spec := recoverySpec{
+		Deploy:    recoveryDeploy(5, 6000, 16*time.Second, o.seed()),
+		bucket:    500 * time.Millisecond,
+		crashFrom: 6 * time.Second, crashTo: 9 * time.Second,
+	}
+	if o.Quick {
+		spec.Deploy = recoveryDeploy(4, 3000, quickRun, o.seed())
+		spec.crashFrom, spec.crashTo = 4*time.Second, 6*time.Second
+	}
+	// Scenarios run sequentially, so folding all of them into one trace is
+	// deterministic.
+	spec.Replay = o.Replay
+	return spec
 }
 
 // recoveryResult is one run's outcome.
@@ -83,118 +106,49 @@ type recoveryResult struct {
 // runRecovery builds the deployment, installs the fault schedule, runs
 // it, and reports the bucketed throughput plus chain-head positions.
 func runRecovery(spec recoverySpec) (recoveryResult, error) {
-	node.RegisterAllMessages()
-	multizone.RegisterMessages()
-
-	net := simnet.New(simnet.Config{
-		Uplink: simnet.Mbps100, Downlink: simnet.Mbps100,
-		Latency: simnet.LANLatency(), Seed: spec.seed,
-	})
-
-	if spec.trace != nil {
-		spec.trace.Attach(net)
-	}
-
-	nBuckets := int(spec.duration/spec.bucket) + 1
-	buckets := make([]float64, nBuckets)
-	record := func(at time.Time, txs int) {
-		i := int(at.Sub(simnet.Epoch) / spec.bucket)
-		if i >= 0 && i < nBuckets {
+	d := spec.Deploy
+	var dep *Deployment
+	buckets := make([]float64, int(d.end()/spec.bucket)+1)
+	record := func(txs int) {
+		if i := int(dep.Net.Elapsed() / spec.bucket); i < len(buckets) {
 			buckets[i] += float64(txs)
 		}
 	}
 
-	suite := crypto.NewSimSuite(spec.nc, uint64(spec.seed)+7)
-	striper, err := multizone.NewStriper(spec.nc, spec.f)
+	// In the leader scenario the bucket recorder is the last consensus node
+	// (which never crashes); in the relayer scenario it is a healthy full
+	// node in the victim's zone, so the timeline shows the zone's
+	// completion rate through heartbeat expiry, relayer re-election, and
+	// catch-up. Per-node last-commit heights feed the leader scenario's
+	// head comparison.
+	lastCommit := make([]uint64, d.NC)
+	d.Host = func(cfg *multizone.HostConfig) {
+		i := int(cfg.Self)
+		cfg.OnCommit = func(height uint64, txs int) {
+			if height > lastCommit[i] {
+				lastCommit[i] = height
+			}
+			if spec.victimConsensus && i == d.NC-1 {
+				record(txs)
+			}
+		}
+	}
+	d.Full = func(cfg *multizone.FullNodeConfig) {
+		cfg.StarveRewireAfter = spec.starveRewire
+		if !spec.victimConsensus && cfg.JoinSeq == 1 {
+			// Zone-side observer: a healthy peer of the crashed relayer.
+			cfg.OnBlockComplete = func(blk *core.PredisBlock, txs int) { record(txs) }
+		}
+	}
+	dep, err := d.Build()
 	if err != nil {
 		return recoveryResult{}, err
 	}
-
-	// Consensus group. In the leader scenario the bucket recorder is the
-	// last consensus node (which never crashes); in the relayer scenario
-	// it is a healthy full node in the victim's zone, so the timeline
-	// shows the zone's completion rate through heartbeat expiry, relayer
-	// re-election, and catch-up. Per-node last-commit heights feed the
-	// leader scenario's head comparison.
-	lastCommit := make([]uint64, spec.nc)
-	hosts := make([]*multizone.ConsensusHost, 0, spec.nc)
-	for i := 0; i < spec.nc; i++ {
-		i := i
-		host, err := multizone.NewConsensusHost(multizone.HostConfig{
-			NC: spec.nc, F: spec.f, Self: wire.NodeID(i),
-			Signer:         suite.Signer(i),
-			Engine:         node.EnginePBFT,
-			BundleSize:     50,
-			BundleInterval: 20 * time.Millisecond,
-			ViewTimeout:    1 * time.Second,
-			Striper:        striper,
-			ReplyToClients: true,
-			Trace:          spec.obsTrace,
-			OnCommit: func(height uint64, txs int) {
-				if height > lastCommit[i] {
-					lastCommit[i] = height
-				}
-				if spec.victimConsensus && i == spec.nc-1 {
-					record(net.Now(), txs)
-				}
-			},
-		})
-		if err != nil {
-			return recoveryResult{}, err
-		}
-		hosts = append(hosts, host)
-		net.AddNode(wire.NodeID(i), host)
-	}
-
-	// Zones of full nodes joining incrementally, cross-zone backups as in
-	// the Fig. 7 deployment.
-	fullID := func(z, k int) wire.NodeID { return wire.NodeID(100 + z*100 + k) }
-	fulls := make([]*multizone.FullNode, 0, spec.zones*spec.perZone)
-	join := 0
-	for z := 0; z < spec.zones; z++ {
-		for k := 0; k < spec.perZone; k++ {
-			id := fullID(z, k)
-			peers := make([]wire.NodeID, 0, spec.perZone-1)
-			for p := 0; p < spec.perZone; p++ {
-				if p != k {
-					peers = append(peers, fullID(z, p))
-				}
-			}
-			var backups []wire.NodeID
-			if spec.zones > 1 {
-				backups = append(backups, fullID((z+1)%spec.zones, k%spec.perZone))
-			}
-			fcfg := multizone.FullNodeConfig{
-				Self: id, Zone: z, JoinSeq: uint64(join),
-				NC: spec.nc, F: spec.f,
-				Striper:           striper,
-				Signer:            suite.Signer(0),
-				ZonePeers:         peers,
-				BackupPeers:       backups,
-				AliveInterval:     200 * time.Millisecond,
-				DigestInterval:    1 * time.Second,
-				StarveRewireAfter: spec.starveRewire,
-				Trace:             spec.obsTrace,
-			}
-			if !spec.victimConsensus && z == 0 && k == 1 {
-				// Zone-side observer: a healthy peer of the crashed relayer.
-				fcfg.OnBlockComplete = func(blk *core.PredisBlock, txs int) {
-					record(net.Now(), txs)
-				}
-			}
-			fn, err := multizone.NewFullNode(fcfg)
-			if err != nil {
-				return recoveryResult{}, err
-			}
-			fulls = append(fulls, fn)
-			net.AddNode(id, &multizone.Delayed{Inner: fn, Delay: time.Duration(join) * 20 * time.Millisecond})
-			join++
-		}
-	}
+	net, hosts, fulls := dep.Net, dep.Hosts, dep.Fulls
 
 	// Fault schedule: one crash window on the chosen victim unless the
 	// caller scripted its own actions (Byzantine scenarios).
-	victim := fullID(0, 0) // first joiner of zone 0: claims stripes, relays
+	victim := d.Fulls[0].ID // first joiner of zone 0: claims stripes, relays
 	if spec.victimConsensus {
 		victim = wire.NodeID(0) // PBFT view-0 leader
 	}
@@ -204,32 +158,10 @@ func runRecovery(spec recoverySpec) (recoveryResult, error) {
 			faults.CrashWindow{Node: victim, From: spec.crashFrom, To: spec.crashTo},
 		}
 	}
-	inj := faults.Install(net, faults.Schedule{Seed: spec.seed, Actions: actions})
-
-	// Load.
-	targets := make([]wire.NodeID, spec.nc)
-	for i := range targets {
-		targets[i] = wire.NodeID(i)
-	}
-	joinWindow := time.Duration(spec.zones*spec.perZone)*20*time.Millisecond + 200*time.Millisecond
-	clients := spec.nc
-	for k := 0; k < clients; k++ {
-		net.AddNode(wire.NodeID(5000+k), workload.NewClient(workload.ClientConfig{
-			Self:     wire.NodeID(5000 + k),
-			Targets:  targets,
-			Policy:   workload.RoundRobin,
-			Rate:     spec.offered / float64(clients),
-			TxSize:   types.DefaultTxSize,
-			F:        spec.f,
-			Epoch:    simnet.Epoch,
-			GenStart: simnet.Epoch.Add(joinWindow),
-			GenStop:  simnet.Epoch.Add(spec.duration),
-			Trace:    spec.obsTrace,
-		}))
-	}
+	inj := faults.Install(net, faults.Schedule{Seed: d.Seed, Actions: actions})
 
 	net.Start()
-	net.Run(spec.duration)
+	net.Run(dep.End)
 
 	res := recoveryResult{buckets: buckets, trace: inj.TraceString()}
 	for _, fn := range fulls {
@@ -249,7 +181,7 @@ func runRecovery(spec recoverySpec) (recoveryResult, error) {
 	}
 	if spec.victimConsensus {
 		res.victimHead = lastCommit[0]
-		for i := 1; i < spec.nc; i++ {
+		for i := 1; i < d.NC; i++ {
 			if lastCommit[i] > res.liveHead {
 				res.liveHead = lastCommit[i]
 			}
@@ -266,7 +198,41 @@ func runRecovery(spec recoverySpec) (recoveryResult, error) {
 			}
 		}
 	}
+	if res.liveHead == 0 {
+		return res, errors.New("cluster made no progress")
+	}
 	return res, nil
+}
+
+// meanRate averages the tx/s of the whole buckets inside [from, to); n is
+// how many there were.
+func meanRate(buckets []float64, bucket, from, to time.Duration) (mean float64, n int) {
+	var sum float64
+	for i := range buckets {
+		start := time.Duration(i) * bucket
+		if start >= from && start+bucket <= to {
+			sum += buckets[i] / bucket.Seconds()
+			n++
+		}
+	}
+	if n > 0 {
+		mean = sum / float64(n)
+	}
+	return mean, n
+}
+
+// timelineSeries renders the buckets that ended inside the run as tx/s
+// against the bucket's end time in seconds.
+func timelineSeries(name string, buckets []float64, bucket, run time.Duration) *stats.Series {
+	ts := &stats.Series{Name: name}
+	for i, v := range buckets {
+		end := time.Duration(i+1) * bucket
+		if end > run {
+			break
+		}
+		ts.Add(end.Seconds(), v/bucket.Seconds())
+	}
+	return ts
 }
 
 // recoveryMetrics reduces a bucketed throughput series to the headline
@@ -275,19 +241,7 @@ func runRecovery(spec recoverySpec) (recoveryResult, error) {
 // throughput first regains 90% of baseline (-1 when it never does).
 func recoveryMetrics(buckets []float64, bucket, warm, crashFrom, crashTo time.Duration) (baseline, floor, dipPct, ttrMS float64) {
 	rate := func(i int) float64 { return buckets[i] / bucket.Seconds() }
-	var sum float64
-	n := 0
-	for i := range buckets {
-		start := time.Duration(i) * bucket
-		end := start + bucket
-		if start >= warm && end <= crashFrom {
-			sum += rate(i)
-			n++
-		}
-	}
-	if n > 0 {
-		baseline = sum / float64(n)
-	}
+	baseline, _ = meanRate(buckets, bucket, warm, crashFrom)
 	floor = baseline
 	for i := range buckets {
 		start := time.Duration(i) * bucket
@@ -319,20 +273,8 @@ func recoveryMetrics(buckets []float64, bucket, warm, crashFrom, crashTo time.Du
 // must catch back up to the live head (small slack for blocks committed
 // in the final instants); a stuck victim is an error, not a data point.
 func Recovery(o Options) ([]*stats.Table, error) {
-	spec := recoverySpec{
-		nc: 4, f: 1, zones: 2, perZone: 5,
-		offered: 6000, duration: 16 * time.Second,
-		bucket:    500 * time.Millisecond,
-		seed:      o.seed(),
-		crashFrom: 6 * time.Second, crashTo: 9 * time.Second,
-	}
-	if o.Quick {
-		spec.perZone = 4
-		spec.offered = 3000
-		spec.duration = 10 * time.Second
-		spec.crashFrom, spec.crashTo = 4*time.Second, 6*time.Second
-	}
-	warm := time.Duration(spec.zones*spec.perZone)*20*time.Millisecond + 700*time.Millisecond
+	spec := faultRig(o, 10*time.Second)
+	warm := spec.loadStart() + 500*time.Millisecond
 
 	timeline := &stats.Table{
 		Title:  "Recovery: committed throughput (tx/s) per 500ms bucket around the crash window",
@@ -357,14 +299,10 @@ func Recovery(o Options) ([]*stats.Table, error) {
 	for _, sc := range scenarios {
 		s := spec
 		s.victimConsensus = sc.consensus
-		s.trace = o.Replay // scenarios run sequentially: folding both is deterministic
-		s.obsTrace = obs.NewTracer(simnet.Epoch)
+		s.Trace = obs.NewTracer(simnet.Epoch)
 		res, err := runRecovery(s)
 		if err != nil {
 			return nil, fmt.Errorf("recovery %s: %w", sc.name, err)
-		}
-		if res.liveHead == 0 {
-			return nil, fmt.Errorf("recovery %s: cluster made no progress", sc.name)
 		}
 		// Hard acceptance: the restarted node reaches the live head.
 		const slack = 4
@@ -375,15 +313,7 @@ func Recovery(o Options) ([]*stats.Table, error) {
 		if res.catchingUp {
 			return nil, fmt.Errorf("recovery %s: catch-up still in flight at end of run", sc.name)
 		}
-		ts := &stats.Series{Name: sc.name}
-		for i, v := range res.buckets {
-			end := time.Duration(i+1) * s.bucket
-			if end > s.duration {
-				break
-			}
-			ts.Add(end.Seconds(), v/s.bucket.Seconds())
-		}
-		timeline.Series = append(timeline.Series, ts)
+		timeline.Series = append(timeline.Series, timelineSeries(sc.name, res.buckets, s.bucket, s.end()))
 
 		baseline, floor, dip, ttr := recoveryMetrics(res.buckets, s.bucket, warm, s.crashFrom, s.crashTo)
 		sum := &stats.Series{Name: sc.name}
@@ -407,11 +337,11 @@ func Recovery(o Options) ([]*stats.Table, error) {
 		// Per-stage latency breakdown: dissemination stages absorb the
 		// outage (stripe_distributed/fullnode_delivered tails stretch while
 		// the victim is down) without moving the consensus-side stages.
-		st := s.obsTrace.StageTable()
+		st := s.Trace.StageTable()
 		st.Title = sc.name + " — " + st.Title
 		stageTables = append(stageTables, st)
 		if o.Obs != nil {
-			o.Obs.Trace = s.obsTrace
+			o.Obs.Trace = s.Trace
 		}
 	}
 	return append([]*stats.Table{timeline, summary}, stageTables...), nil

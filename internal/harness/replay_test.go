@@ -122,13 +122,12 @@ func TestReplayCrossProcessDeterministic(t *testing.T) {
 func TestReplayRecoveryDeterministic(t *testing.T) {
 	run := func() (string, uint64, string) {
 		tr := NewReplayTrace()
+		d := recoveryDeploy(3, 1500, 6*time.Second, 7)
+		d.Replay = tr
 		res, err := runRecovery(recoverySpec{
-			nc: 4, f: 1, zones: 2, perZone: 3,
-			offered: 1500, duration: 6 * time.Second,
-			bucket: 500 * time.Millisecond, seed: 7,
+			Deploy: d, bucket: 500 * time.Millisecond,
 			crashFrom: 2 * time.Second, crashTo: 3500 * time.Millisecond,
 			victimConsensus: false,
-			trace:           tr,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -1,22 +1,26 @@
 // Command replaydiff is the cross-process determinism gate: it builds
-// cmd/predis-bench with the race detector, runs the quickstart
-// experiment in two separate processes — once sequential (-parallel 1)
-// and once point-parallel (-parallel 4) — and asserts that the delivery
-// replay hash AND the entire terminal output (modulo the wall-clock
-// timing line) are byte-identical. Any leakage of map order, host
-// scheduling or the wall clock into simulation results shows up here as
-// a diff, in a different process than the one that produced the
-// reference, with the race detector watching the whole time.
+// cmd/predis-bench with the race detector once, then for every target
+// runs the experiment in two separate processes — once sequential
+// (-parallel 1) and once point-parallel (-parallel 4) — and asserts that
+// the delivery replay hash AND the entire terminal output (modulo the
+// wall-clock timing lines and scale's machine-cost table) are
+// byte-identical. Any leakage of map order, host scheduling or the wall
+// clock into simulation results shows up here as a diff, in a different
+// process than the one that produced the reference, with the race
+// detector watching the whole time.
 //
-// Usage: go run ./tools/replaydiff [experiment-id] [extra flags...]
+// Usage: go run ./tools/replaydiff [target...]
 //
-// The default experiment is quickstart; any further arguments are passed
-// to predis-bench verbatim in both runs, so e.g.
-// `go run ./tools/replaydiff quickstart -mode stream` gates the
-// streaming-commit schedule the same way.
+// A target is an experiment id, optionally followed in the same argument
+// by flags that predis-bench gets verbatim in both runs, so
+// `go run ./tools/replaydiff recovery "quickstart -mode stream"` gates
+// recovery and the streaming-commit quickstart schedule. The default
+// target is quickstart. The target `all` additionally diffs the
+// sequential transcript, without its replay lines, against the committed
+// quick_results.txt (run from the repository root).
 //
-// Exit status 0 means the two runs matched and at least one delivery
-// was folded into the hash; anything else is a failure with the diff on
+// Exit status 0 means every target matched and folded at least one
+// delivery into its hash; anything else is a failure with the diff on
 // stderr.
 package main
 
@@ -29,29 +33,33 @@ import (
 	"strings"
 )
 
-// timingLine matches predis-bench's per-experiment wall-clock footer,
-// the only legitimately nondeterministic line in its output.
+// timingLine matches predis-bench's per-experiment wall-clock footer.
 var timingLine = regexp.MustCompile(`^\([a-z0-9]+ in [0-9.]+s\)$`)
+
+// machineCostTitle opens the scale experiment's wall-clock and RSS table,
+// the other legitimately nondeterministic part of the output; it runs to
+// the next blank line.
+const machineCostTitle = "== Scale: machine cost"
 
 // replayLine captures the "replay <id> <sha256> <n>" line emitted by
 // predis-bench -replay.
 var replayLine = regexp.MustCompile(`^replay ([a-z0-9]+) ([0-9a-f]{64}) ([0-9]+)$`)
 
+// committedTranscript is `predis-bench -quick all` as committed.
+const committedTranscript = "quick_results.txt"
+
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	targets := os.Args[1:]
+	if len(targets) == 0 {
+		targets = []string{"quickstart"}
+	}
+	if err := run(targets); err != nil {
 		fmt.Fprintln(os.Stderr, "replaydiff:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
-	id := "quickstart"
-	var extra []string
-	if len(args) > 0 {
-		id = args[0]
-		extra = args[1:]
-	}
-
+func run(targets []string) error {
 	dir, err := os.MkdirTemp("", "replaydiff")
 	if err != nil {
 		return err
@@ -65,27 +73,42 @@ func run(args []string) error {
 		return fmt.Errorf("build -race predis-bench: %w", err)
 	}
 
-	runs := []struct {
-		name string
-		args []string
-	}{
-		{"parallel=1", append([]string{"-quick", "-seed", "1", "-replay", "-parallel", "1"}, append(extra, id)...)},
-		{"parallel=4", append([]string{"-quick", "-seed", "1", "-replay", "-parallel", "4"}, append(extra, id)...)},
+	var failed []string
+	for _, target := range targets {
+		if err := check(bin, target); err != nil {
+			fmt.Fprintf(os.Stderr, "replaydiff: FAILED %s: %v\n", target, err)
+			failed = append(failed, target)
+		}
 	}
-	outs := make([]string, len(runs))
-	hashes := make([]string, len(runs))
-	for i, r := range runs {
-		cmd := exec.Command(bin, r.args...)
+	if len(failed) > 0 {
+		return fmt.Errorf("%d of %d targets failed: %s", len(failed), len(targets), strings.Join(failed, ", "))
+	}
+	return nil
+}
+
+// check runs one target at -parallel 1 and -parallel 4 and compares.
+func check(bin, target string) error {
+	fields := strings.Fields(target)
+	if len(fields) == 0 {
+		return fmt.Errorf("empty target")
+	}
+	id, extra := fields[0], fields[1:]
+	var outs, hashes [2]string
+	for i, parallel := range []string{"1", "4"} {
+		name := "parallel=" + parallel
+		args := append([]string{"-quick", "-seed", "1", "-replay", "-parallel", parallel}, append(extra, id)...)
+		cmd := exec.Command(bin, args...)
 		cmd.Stderr = os.Stderr
 		raw, err := cmd.Output()
 		if err != nil {
-			return fmt.Errorf("%s %s: %w", id, r.name, err)
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		out, hash, n, err := scrub(string(raw))
+		out := scrub(string(raw))
+		hash, n, err := lastReplay(out)
 		if err != nil {
-			return fmt.Errorf("%s %s: %w", id, r.name, err)
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		fmt.Printf("replaydiff: %s %-10s hash=%s deliveries=%d\n", id, r.name, hash[:16], n)
+		fmt.Printf("replaydiff: %s %-10s hash=%s deliveries=%d\n", target, name, hash[:16], n)
 		outs[i], hashes[i] = out, hash
 	}
 
@@ -95,34 +118,73 @@ func run(args []string) error {
 	if outs[0] != outs[1] {
 		fmt.Fprintln(os.Stderr, "--- terminal output diverged ---")
 		diffLines(os.Stderr, outs[0], outs[1])
-		return fmt.Errorf("terminal output diverged between %s and %s", runs[0].name, runs[1].name)
+		return fmt.Errorf("terminal output diverged between parallel=1 and parallel=4")
 	}
-	fmt.Printf("replaydiff: OK — %s is byte-identical across processes at %s and %s\n",
-		id, runs[0].name, runs[1].name)
+	fmt.Printf("replaydiff: OK — %s is byte-identical across processes at parallel=1 and parallel=4\n", target)
+
+	if id != "all" {
+		return nil
+	}
+	committed, err := os.ReadFile(committedTranscript)
+	if err != nil {
+		return err
+	}
+	if got, want := dropReplayLines(outs[0]), scrub(string(committed)); got != want {
+		fmt.Fprintf(os.Stderr, "--- output differs from %s (A: committed, B: this run) ---\n", committedTranscript)
+		diffLines(os.Stderr, want, got)
+		return fmt.Errorf("-quick all no longer prints %s; regenerate it if the change is meant", committedTranscript)
+	}
+	fmt.Printf("replaydiff: OK — %s matches the -quick all transcript\n", committedTranscript)
 	return nil
 }
 
-// scrub drops the timing footer, extracts the replay line, and requires
-// a non-zero delivery count (a hash over nothing proves nothing).
-func scrub(raw string) (out, hash string, n uint64, err error) {
+// scrub drops the nondeterministic parts of a transcript: the timing
+// footers and the machine-cost table.
+func scrub(raw string) string {
 	var kept []string
+	inMachineCost := false
 	for _, line := range strings.Split(raw, "\n") {
-		if timingLine.MatchString(line) {
+		if strings.HasPrefix(line, machineCostTitle) {
+			inMachineCost = true
+		}
+		if inMachineCost {
+			inMachineCost = line != ""
 			continue
 		}
+		if !timingLine.MatchString(line) {
+			kept = append(kept, line)
+		}
+	}
+	return strings.Join(kept, "\n")
+}
+
+// lastReplay extracts the last replay line and requires a non-zero
+// delivery count (a hash over nothing proves nothing).
+func lastReplay(out string) (hash string, n uint64, err error) {
+	for _, line := range strings.Split(out, "\n") {
 		if m := replayLine.FindStringSubmatch(line); m != nil {
 			hash = m[2]
 			fmt.Sscanf(m[3], "%d", &n)
 		}
-		kept = append(kept, line)
 	}
 	if hash == "" {
-		return "", "", 0, fmt.Errorf("no replay line in output (is -replay supported for this experiment?)")
+		return "", 0, fmt.Errorf("no replay line in output (is -replay supported for this experiment?)")
 	}
 	if n == 0 {
-		return "", "", 0, fmt.Errorf("replay trace folded zero deliveries")
+		return "", 0, fmt.Errorf("replay trace folded zero deliveries")
 	}
-	return strings.Join(kept, "\n"), hash, n, nil
+	return hash, n, nil
+}
+
+// dropReplayLines removes what -replay adds to a transcript.
+func dropReplayLines(out string) string {
+	var kept []string
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.HasPrefix(line, "replay ") {
+			kept = append(kept, line)
+		}
+	}
+	return strings.Join(kept, "\n")
 }
 
 // diffLines prints the first few differing lines of two outputs.
