@@ -75,8 +75,8 @@ const bundleBytes = 50 * types.DefaultTxSize // one sealed bundle
 
 // BenchmarkSimnetSendDrain measures one Send plus the full event-queue
 // cycle behind it (schedule, 4-ary heap push/pop, NIC serialization
-// bookkeeping, delivery dispatch, event recycle). Steady state is
-// allocation-free; the benchmark's allocs/op pins that.
+// bookkeeping, the arrival and delivery stages, event recycle). Steady
+// state is allocation-free; the benchmark's allocs/op pins that.
 func BenchmarkSimnetSendDrain(b *testing.B) {
 	registerBenchBlob()
 	n := simnet.New(simnet.Config{

@@ -67,11 +67,11 @@ func BenchmarkFig4aPBFTBundleBatch(b *testing.B) { runExperiment(b, "fig4a") }
 func BenchmarkFig4bHotStuffBundleBatch(b *testing.B) { runExperiment(b, "fig4b") }
 
 // BenchmarkFig4cPBFTScalability regenerates Fig. 4(c): PBFT vs P-PBFT
-// saturated throughput at nc ∈ {4, 8, 16}.
+// sustained throughput at nc ∈ {4, 8, 16}.
 func BenchmarkFig4cPBFTScalability(b *testing.B) { runExperiment(b, "fig4c") }
 
 // BenchmarkFig4dHotStuffScalability regenerates Fig. 4(d): HotStuff vs
-// P-HS saturated throughput at nc ∈ {4, 8, 16}.
+// P-HS sustained throughput at nc ∈ {4, 8, 16}.
 func BenchmarkFig4dHotStuffScalability(b *testing.B) { runExperiment(b, "fig4d") }
 
 // BenchmarkFig5WAN regenerates Fig. 5(a,b): Predis vs Narwhal vs Stratus

@@ -286,9 +286,9 @@ func (p *Predis) sealQueue() {
 // proposalSeen runs for every block this node built or validated. In
 // stream mode it announces the block for speculative distribution and,
 // when sealing is proposal-clocked, opens the next sealing slot. What is
-// queued seals from a zero-delay timer — after the engine has sent its
-// answer, so the vote is ahead of the bundle on the FIFO uplink and the
-// leader's engine is not re-entered mid-proposal.
+// queued seals from a zero-delay timer, so the leader's engine is not
+// re-entered mid-proposal. (The vote no longer needs the head start: it
+// takes the uplink's consensus lane and never waits behind bundle bytes.)
 //
 //predis:hotpath
 func (p *Predis) proposalSeen(blk *PredisBlock) {

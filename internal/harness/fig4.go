@@ -92,48 +92,78 @@ func Fig4b(o Options) ([]*stats.Table, error) {
 	return fig4SizeVariants(o, SysHotStuff, SysPHS, "Fig.4(b) HotStuff family")
 }
 
-// fig4Scalability measures saturated throughput for nc ∈ {4,8,16}.
+// fig4Rungs is the ascending offered-load ladder fig4Scalability climbs,
+// spaced to place each family's knee: the baselines saturate one leader's
+// uplink at a few thousand tx/s, Predis the consensus group's at tens of
+// thousands.
+func fig4Rungs(predis bool) []float64 {
+	if predis {
+		return []float64{8000, 12000, 16000, 20000, 24000, 28000, 32000}
+	}
+	return []float64{500, 1000, 1500, 2000, 3000, 4000, 6000, 8000}
+}
+
+// fig4Sustained is the share of the offered load a rung must commit to
+// count as sustained.
+const fig4Sustained = 0.97
+
+// fig4Scalability measures capacity for nc ∈ {4,8,16}: the highest rung of
+// an ascending ladder that the system still commits in full, below the
+// first it does not. Goodput at one fixed overload point is not capacity —
+// past the knee a run is chaotic in every detail of the model (P-PBFT at
+// nc = 4 offered 30 000 tx/s commits anything from 9 000 to 13 000 while
+// it sustains 24 000), and a faster network admits more doomed traffic.
 func fig4Scalability(o Options, baseline, predis System, title string) ([]*stats.Table, error) {
 	ncs := []int{4, 8, 16}
 	if o.Quick {
 		ncs = []int{4, 8}
 	}
-	tbl := &stats.Table{Title: title + " — saturated throughput (tx/s) vs nc", XLabel: "nc"}
+	tbl := &stats.Table{Title: title + " — sustained throughput (tx/s) vs nc", XLabel: "nc"}
 	systems := []System{baseline, predis}
-	// Flatten (system × nc) into one worker-pool batch; results merge
-	// back by index, so series order matches the sequential loop.
-	specs := make([]PointSpec, 0, len(systems)*len(ncs))
-	for _, sys := range systems {
-		for _, nc := range ncs {
-			// Offer more than either system can absorb so the measurement
-			// reflects capacity, not load.
-			offered := 30000.0
-			if sys == baseline {
-				offered = 12000
-			}
-			specs = append(specs, PointSpec{
-				System:   sys,
-				NC:       nc,
-				WAN:      true,
-				Offered:  offered,
-				Clients:  nc,
-				Duration: fig4Duration(o),
-				Seed:     o.seed(),
-			})
-		}
-	}
-	results, err := RunPoints(specs, o.parallel())
+	// One ladder per (system, nc), climbed in order; the ladders run side
+	// by side and merge back by index, so series order matches the
+	// sequential loop.
+	caps, err := parRun(len(systems)*len(ncs), o.parallel(), func(i int) (float64, error) {
+		sys, nc := systems[i/len(ncs)], ncs[i%len(ncs)]
+		return capacity(PointSpec{
+			System:   sys,
+			NC:       nc,
+			WAN:      true,
+			Clients:  nc,
+			Duration: fig4Duration(o),
+			Seed:     o.seed(),
+		}, fig4Rungs(sys == predis), RunPoint)
+	})
 	if err != nil {
 		return nil, err
 	}
-	for si, sys := range systems {
+	for i, sys := range systems {
 		series := &stats.Series{Name: string(sys)}
-		for ni, nc := range ncs {
-			series.Add(float64(nc), results[si*len(ncs)+ni].Throughput)
+		for j, nc := range ncs {
+			series.Add(float64(nc), caps[i*len(ncs)+j])
 		}
 		tbl.Series = append(tbl.Series, series)
 	}
 	return []*stats.Table{tbl}, nil
+}
+
+// capacity climbs an ascending ladder of offered loads and returns the
+// highest that was sustained, below the first that was not (0 when the
+// first fails). Rungs past the first miss are not run.
+func capacity(base PointSpec, rungs []float64, run func(PointSpec) (PointResult, error)) (float64, error) {
+	best := 0.0
+	for _, offered := range rungs {
+		base.Offered = offered
+		res, err := run(base)
+		if err != nil {
+			return 0, err
+		}
+		if res.Throughput < fig4Sustained*offered {
+			break
+		}
+		best = offered
+	}
+	return best, nil
 }
 
 // Fig4c reproduces Fig. 4(c): PBFT vs P-PBFT as nc grows.

@@ -217,6 +217,7 @@ func RunPoint(spec PointSpec) (PointResult, error) {
 	for i, n := range nodes {
 		publishPace(s.Metrics, wire.NodeID(i), n.Engine())
 	}
+	publishLane(s.Metrics, net)
 	// Engine diagnostics from node 0.
 	switch e := nodes[0].Engine().(type) {
 	case interface{ Stats() (uint64, uint64) }:
@@ -234,6 +235,15 @@ func publishPace(reg *obs.Registry, id wire.NodeID, e consensus.Engine) {
 		reg.Counter("pbft.pace_delayed", id).Add(delayed)
 		reg.Gauge("pbft.pace_delay_ms", id).Set(delay.Seconds() * 1e3)
 	}
+}
+
+// publishLane records the network's consensus-lane traffic (see
+// simnet.LaneStats) in the registry.
+func publishLane(reg *obs.Registry, net *simnet.Network) {
+	st := net.LaneStats()
+	reg.Counter("simnet.lane_frames", wire.NoNode).Add(st.Frames)
+	reg.Counter("simnet.lane_bytes", wire.NoNode).Add(st.Bytes)
+	reg.Gauge("simnet.lane_max_share", wire.NoNode).Set(st.MaxShare)
 }
 
 // parRun evaluates fn(0..n-1) over up to `workers` goroutines (see

@@ -182,6 +182,34 @@ func TestTableRendering(t *testing.T) {
 	t.Logf("\n%s", out)
 }
 
+// TestCapacityStopsAtFirstMiss pins the rule behind fig4c/fig4d: capacity is
+// the last rung sustained before the first that is not, and the climb ends
+// there — a rung that would clear the bar past the knee is never run.
+func TestCapacityStopsAtFirstMiss(t *testing.T) {
+	rungs := []float64{1000, 2000, 3000, 4000}
+	for _, c := range []struct {
+		tput []float64
+		want float64
+		runs int
+	}{
+		{[]float64{1000, 1990, 2500, 3990}, 2000, 3},
+		{[]float64{900, 2000, 3000, 4000}, 0, 1},
+		{[]float64{1000, 2000, 2950, 3880}, 4000, 4},
+	} {
+		runs := 0
+		got, err := capacity(PointSpec{}, rungs, func(s PointSpec) (PointResult, error) {
+			if s.Offered != rungs[runs] {
+				t.Errorf("run %d offered %v, want %v", runs, s.Offered, rungs[runs])
+			}
+			runs++
+			return PointResult{Throughput: c.tput[runs-1]}, nil
+		})
+		if err != nil || got != c.want || runs != c.runs {
+			t.Errorf("committed %v: capacity %v after %d runs (err %v), want %v after %d", c.tput, got, runs, err, c.want, c.runs)
+		}
+	}
+}
+
 // TestFig5QuickShape runs the Fig. 5 WAN comparison at reduced scale and
 // asserts the paper's ordering: Predis and Stratus beat Narwhal on
 // throughput, and Narwhal has the worst latency.

@@ -131,7 +131,9 @@ func TestPacedStreamIdle(t *testing.T) {
 // determinism is the first six rows' and TestReplayRecoveryDeterministic's
 // business, these hold every Multi-Zone deployment shape still. A change
 // that moves the model on purpose re-pins the rows it moves; a host-only
-// change must leave all of them alone.
+// change must leave all of them alone. (All ten rows last moved together
+// with simnet's NIC model: the arrival-ordered downlink and the consensus
+// lane re-time every delivery.)
 func TestReplayPinned(t *testing.T) {
 	sum := func(tr *ReplayTrace) string { return fmt.Sprintf("%s %d", tr.Sum(), tr.Deliveries()) }
 	point := func() string {
@@ -202,16 +204,16 @@ func TestReplayPinned(t *testing.T) {
 		run  func() string
 		want string
 	}{
-		{"P-PBFT point", 2, point, "a290c0b0e39bd9c37ea0b96f53aaef1dccbd3b2faa85bf65760c37314568ba25 2966"},
-		{"leader-crash recovery", 2, recovery, "6a079f84dafe844d5270db0d07afc56be205af720f22c15b92c915a1d8d1d1f1 39517"},
-		{"stream P-PBFT point", 2, streamPoint, "9b7f0cf7cb282a2335bb8d2736c893d63a97eac02cfbf63848b8956906bc2b1c 14208"},
-		{"quickstart", 2, quickstart(false), "7307c5b9ff89a76605d63a2fb659aba1c07e2a0d78240665fa546506f9b6d256 24176"},
-		{"stream quickstart", 2, quickstart(true), "ae6d3bf61fe28f8de0a7f7454a873f78adbf63d5cc451b5672504d5c2b8faed1 164872"},
-		{"contention", 2, contention, "a0deeb870829759e069798f2e7e88ce537fb0e3f797d806dff84c020dae8d39f 6625 roots 47a0edeaa534521ab31badcfbc342cfe0aab5b6c9117a5c97cb92403d9a49a3b"},
-		{"quick recovery", 1, experiment(Recovery, true), "dd00ae34f7fe4fc58c222ff62e1141acdbd5014c5d7b6acd85173b7f56f0ef00 248955"},
-		{"quick byzantine", 1, experiment(Byzantine, true), "c649020d0ce454fce7cb4cdd5fe538c008f053e7541654cbc80787d20d034780 531024"},
-		{"quick fig7 tables", 1, experiment(Fig7, false), "f349fd0c13c818eb7c06d96f2b9fbfee923a2b2d93c7376ca039af96110e7ffe"},
-		{"quick fig8 tables", 1, experiment(Fig8, false), "59eb3f31d953be28f604dc400d7b6a207480dfdfd0d8d9fea7679f57230f3f4c"},
+		{"P-PBFT point", 2, point, "2b99bcdc2610a1094c3621927ef686ddf98fef6a3d5b79d34d25e346dd6fa78f 2966"},
+		{"leader-crash recovery", 2, recovery, "3cd3c74a151cd26da335442ac61307690831122707ece40797d4908ef55fd0a5 39796"},
+		{"stream P-PBFT point", 2, streamPoint, "6f74a9271d481dd0c1b29c2e31e322a58906e3e493a7808b934555c2c48b611f 14439"},
+		{"quickstart", 2, quickstart(false), "bd2f302d64c991c6862ab37a812346da948bc4a196ba5b3846319b4d7910dd06 24242"},
+		{"stream quickstart", 2, quickstart(true), "8bcbc820683c78bced83fc229967ecbc817c3b634b1581689cfa163ae61b88ce 165277"},
+		{"contention", 2, contention, "350bf63e70e23761b8233ec4322a93681288ce0fffb3e49f940407fc34da2bb1 6623 roots 47a0edeaa534521ab31badcfbc342cfe0aab5b6c9117a5c97cb92403d9a49a3b"},
+		{"quick recovery", 1, experiment(Recovery, true), "a1bc09a94122614d00fa5477fc1a78c30c450899eb59bf858ad2f5ba1bb4bd23 263110"},
+		{"quick byzantine", 1, experiment(Byzantine, true), "678b3a1c306a79113a72e4770bc228c4b8501d4ab8b345d06f452bc218a3f7cd 527794"},
+		{"quick fig7 tables", 1, experiment(Fig7, false), "4005cb20c7e84a58610865db73d2f425ddda1d9c5631e369441091970fc809bd"},
+		{"quick fig8 tables", 1, experiment(Fig8, false), "7343fd4bf123f025c17ba5a1d005de4e28cdd44ea8af36299255db9edce62c9a"},
 	} {
 		for run := 1; run <= c.runs; run++ {
 			if got := c.run(); got != c.want {

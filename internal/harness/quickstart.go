@@ -80,6 +80,7 @@ func Quickstart(o Options) ([]*stats.Table, error) {
 	for i, host := range dep.Hosts {
 		publishPace(registry, wire.NodeID(i), host.Node.Engine())
 	}
+	publishLane(registry, dep.Net)
 
 	if o.Obs != nil {
 		o.Obs.Trace = tracer

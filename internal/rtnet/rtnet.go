@@ -7,6 +7,13 @@
 // into the handler are serialized by a mutex, honoring the env contract;
 // timers run through time.AfterFunc and take the same lock.
 //
+// Every peer has two outbound queues, the same discipline simnet models on
+// the uplink: frames for which wire.ConsensusFrame holds (votes, metadata-
+// only proposals) take the consensus lane, which the write loop drains
+// before it takes the next bulk frame, so agreement traffic does not wait
+// behind queued bundle bytes. Inbound traffic has no lane — no application
+// controls the order in which other machines' bytes arrive.
+//
 // Lifecycle: New binds the listener (so Addr is known immediately and
 // peers can be registered with AddPeer before any traffic), Start launches
 // the accept loop and calls the handler's Start, Close tears everything
@@ -42,8 +49,8 @@ type Config struct {
 	Seed int64
 	// LogWriter receives Logf output when non-nil.
 	LogWriter io.Writer
-	// SendQueue bounds per-peer outbound queues (default 4096 messages);
-	// overflow drops, which the env contract allows.
+	// SendQueue bounds each of a peer's two outbound queues (default 4096
+	// messages); overflow drops, which the env contract allows.
 	SendQueue int
 	// DialTimeout bounds connection attempts (default 3s).
 	DialTimeout time.Duration
@@ -78,9 +85,30 @@ type Runtime struct {
 }
 
 type peerConn struct {
-	id    wire.NodeID
-	addr  string
-	queue chan []byte
+	id   wire.NodeID
+	addr string
+	// lane holds consensus frames, bulk everything else; next drains lane
+	// first.
+	lane, bulk chan []byte
+}
+
+// next blocks for the peer's next outbound frame: a lane frame whenever one
+// is queued, otherwise whichever queue gets one first. It reports false
+// once stop closes.
+func (pc *peerConn) next(stop <-chan struct{}) ([]byte, bool) {
+	select {
+	case frame := <-pc.lane:
+		return frame, true
+	default:
+	}
+	select {
+	case frame := <-pc.lane:
+		return frame, true
+	case frame := <-pc.bulk:
+		return frame, true
+	case <-stop:
+		return nil, false
+	}
 }
 
 // New creates a runtime for the handler and binds the listener (when
@@ -155,7 +183,8 @@ func (r *Runtime) Addr() net.Addr {
 	return r.listener.Addr()
 }
 
-// Close shuts the runtime down and waits for its goroutines. Idempotent.
+// Close shuts the runtime down and waits for its goroutines; frames still
+// queued for a peer are dropped (the env contract permits loss). Idempotent.
 func (r *Runtime) Close() {
 	r.connMu.Lock()
 	if r.closed {
@@ -169,9 +198,6 @@ func (r *Runtime) Close() {
 	}
 	for c := range r.inbound {
 		_ = c.Close()
-	}
-	for _, pc := range r.conns {
-		close(pc.queue)
 	}
 	r.conns = make(map[wire.NodeID]*peerConn)
 	r.connMu.Unlock()
@@ -264,7 +290,8 @@ func (r *Runtime) peer(id wire.NodeID) *peerConn {
 	if !ok {
 		return nil
 	}
-	pc := &peerConn{id: id, addr: addr, queue: make(chan []byte, r.cfg.SendQueue)}
+	pc := &peerConn{id: id, addr: addr,
+		lane: make(chan []byte, r.cfg.SendQueue), bulk: make(chan []byte, r.cfg.SendQueue)}
 	r.conns[id] = pc
 	r.wg.Add(1)
 	go r.writeLoop(pc)
@@ -272,7 +299,8 @@ func (r *Runtime) peer(id wire.NodeID) *peerConn {
 }
 
 // writeLoop dials (with the configured redial backoff) and drains the
-// peer's queue.
+// peer's queues, lane first. It connects before it takes a frame, so
+// whatever queued while the peer was unreachable leaves in lane order too.
 func (r *Runtime) writeLoop(pc *peerConn) {
 	defer r.wg.Done()
 	var c net.Conn
@@ -287,7 +315,7 @@ func (r *Runtime) writeLoop(pc *peerConn) {
 	rng := rand.New(rand.NewSource(r.cfg.Seed ^
 		int64(r.cfg.Self+1)*0x5851f42d4c957f2d ^ int64(pc.id+1)*0x2545f4914f6cdd1d))
 	attempt := 0
-	for frame := range pc.queue {
+	for {
 		for c == nil {
 			select {
 			case <-r.stop:
@@ -314,6 +342,10 @@ func (r *Runtime) writeLoop(pc *peerConn) {
 			}
 			c = conn
 			attempt = 0
+		}
+		frame, ok := pc.next(r.stop)
+		if !ok {
+			return
 		}
 		if _, err := c.Write(frame); err != nil {
 			r.logf("write to %d: %v", pc.id, err)
@@ -358,8 +390,12 @@ func (c *rtContext) Send(to wire.NodeID, m wire.Message) {
 		return
 	}
 	frame := wire.Marshal(m)
+	queue := pc.bulk
+	if wire.ConsensusFrame(m, len(frame)) {
+		queue = pc.lane
+	}
 	select {
-	case pc.queue <- frame:
+	case queue <- frame:
 	default:
 		r.logf("queue to %d full; dropping %s", to, wire.TypeName(m.Type()))
 	}

@@ -11,36 +11,66 @@ import (
 // TestSendScheduleZeroAlloc pins the fast-path acceptance criterion:
 // once the free list, heap slice, and link-byte map are warm, a
 // Send+drain cycle — which internally exercises schedule, the 4-ary
-// heap, dispatch, and recycle — performs zero allocations.
+// heap, the arrival and delivery stages, and recycle — performs zero
+// allocations, on the bulk queue and on the consensus lane alike, and the
+// arrival stage re-pushes its own event instead of taking a second one.
 func TestSendScheduleZeroAlloc(t *testing.T) {
 	registerTestTypes()
-	n := New(Config{
-		Uplink:   Mbps100,
-		Downlink: Mbps100,
-		Latency:  UniformLatency(time.Millisecond),
-	})
-	a := &recorder{}
-	b := &recorder{}
-	n.AddNode(0, a)
-	n.AddNode(1, b)
-	n.Start()
-	msg := &ping{Seq: 1, Size: 64}
+	for _, c := range []struct {
+		name string
+		msg  wire.Message
+		lane bool
+	}{
+		{"bulk", &ping{Seq: 1, Size: 64}, false},
+		{"lane", &vote{Size: 112}, true},
+	} {
+		n := New(Config{
+			Uplink:   Mbps100,
+			Downlink: Mbps100,
+			Latency:  UniformLatency(time.Millisecond),
+		})
+		a := &recorder{}
+		b := &recorder{}
+		n.AddNode(0, a)
+		n.AddNode(1, b)
+		n.Start()
 
-	// Warm-up: populate the linkBytes key, grow the heap slice and the
-	// free list, and let the recorder's got slice reach capacity.
-	for i := 0; i < 64; i++ {
-		a.ctx.Send(1, msg)
-		n.RunUntilIdle(0)
-	}
-	b.got = b.got[:0]
-
-	allocs := testing.AllocsPerRun(200, func() {
-		a.ctx.Send(1, msg)
-		n.RunUntilIdle(0)
+		// Warm-up: populate the linkBytes key, grow the heap slice and the
+		// free list, and let the recorder's got slice reach capacity.
+		for i := 0; i < 64; i++ {
+			a.ctx.Send(1, c.msg)
+			n.RunUntilIdle(0)
+		}
 		b.got = b.got[:0]
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Send+drain allocates %v allocs/op, want 0", allocs)
+
+		allocs := testing.AllocsPerRun(200, func() {
+			a.ctx.Send(1, c.msg)
+			n.RunUntilIdle(0)
+			b.got = b.got[:0]
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: steady-state Send+drain allocates %v allocs/op, want 0", c.name, allocs)
+		}
+		if got := n.LaneStats().Frames; (got > 0) != c.lane {
+			t.Fatalf("%s: %d lane frames", c.name, got)
+		}
+
+		// One event per message in flight: between arrival and delivery
+		// the message still holds the event Send took, and the free list
+		// has not been touched.
+		free := len(n.q.free)
+		a.ctx.Send(1, c.msg)
+		if n.QueueLen() != 1 || len(n.q.free) != free-1 {
+			t.Fatalf("%s: after Send: %d queued, free list %d -> %d", c.name, n.QueueLen(), free, len(n.q.free))
+		}
+		if ran := n.RunUntilIdle(1); ran != 1 || n.QueueLen() != 1 || len(n.q.free) != free-1 || len(b.got) != 0 {
+			t.Fatalf("%s: after the arrival stage: ran %d, %d queued, free list %d, %d delivered; want the same event re-queued",
+				c.name, ran, n.QueueLen(), len(n.q.free), len(b.got))
+		}
+		n.RunUntilIdle(0)
+		if len(b.got) != 1 || len(n.q.free) != free {
+			t.Fatalf("%s: after delivery: %d delivered, free list %d, want 1 and %d", c.name, len(b.got), len(n.q.free), free)
+		}
 	}
 }
 
@@ -142,7 +172,8 @@ func TestTimerStopAfterFireIsInert(t *testing.T) {
 // TestEventQueuePopOrder cross-checks the 4-ary heap against a sorted
 // reference on a randomized workload with duplicate timestamps: pop
 // order must be exactly (at, seq) — the property that makes the heap
-// swap replay-invisible.
+// swap replay-invisible. Every so often the head is re-keyed later in
+// place instead of popped, as the arrival stage does.
 func TestEventQueuePopOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(991))
 	var q eventQueue
@@ -152,7 +183,9 @@ func TestEventQueuePopOrder(t *testing.T) {
 		seq uint64
 	}
 	want := make([]key, 0, N)
-	for seq := uint64(1); seq <= N; seq++ {
+	seq := uint64(0)
+	for seq < N {
+		seq++
 		at := int64(rng.Intn(50)) // heavy timestamp collisions
 		ev := q.alloc()
 		ev.at, ev.seq = at, seq
@@ -160,7 +193,6 @@ func TestEventQueuePopOrder(t *testing.T) {
 		want = append(want, key{at, seq})
 		// Interleave pops to exercise siftDown on partially drained heaps.
 		if rng.Intn(4) == 0 && q.len() > 0 {
-			got := q.popHead()
 			min := 0
 			for i := range want {
 				if want[i].at < want[min].at ||
@@ -168,9 +200,19 @@ func TestEventQueuePopOrder(t *testing.T) {
 					min = i
 				}
 			}
+			got := q.head()
 			if got.at != want[min].at || got.seq != want[min].seq {
-				t.Fatalf("pop (%d,%d), want (%d,%d)", got.at, got.seq, want[min].at, want[min].seq)
+				t.Fatalf("head (%d,%d), want (%d,%d)", got.at, got.seq, want[min].at, want[min].seq)
 			}
+			if rng.Intn(3) == 0 {
+				seq++
+				got.at += int64(rng.Intn(20))
+				got.seq = seq
+				want[min] = key{got.at, got.seq}
+				q.fixHead()
+				continue
+			}
+			q.popHead()
 			want = append(want[:min], want[min+1:]...)
 			q.recycle(got)
 		}

@@ -17,6 +17,10 @@ const (
 	// evTimer runs fn unless the owning node is crashed at fire time.
 	// Used by simNode.After and by the OnRestart hook.
 	evTimer
+	// evArrive is the first bit of a message reaching the receiver: the
+	// downlink is reserved here, in arrival order, and the same event is
+	// re-keyed as evDeliver for the moment the last bit is in.
+	evArrive
 	// evDeliver is a message delivery: no closure, the message and
 	// endpoints live in the event itself.
 	evDeliver
@@ -39,11 +43,15 @@ type event struct {
 
 	fn func() // evGeneric, evTimer
 
-	// evDeliver payload: endpoints by node pointer, so dispatch touches no
-	// map and no ID→node translation.
-	msg wire.Message
-	src *simNode
-	dst *simNode
+	// evArrive/evDeliver payload: endpoints by node pointer, so dispatch
+	// touches no map and no ID→node translation. size is the frame's wire
+	// size and lastBit the time its last bit reaches the receiver's NIC
+	// (sendEnd + latency); both are read by the arrival stage only.
+	msg     wire.Message
+	src     *simNode
+	dst     *simNode
+	size    int
+	lastBit int64
 }
 
 // eventLess is the (at, seq) strict total order shared by every queue
@@ -101,6 +109,10 @@ func (q *eventQueue) popHead() *event {
 	}
 	return top
 }
+
+// fixHead restores heap order after the head event's key grew in place:
+// one sift-down, where a pop and a push would cost a sift each way.
+func (q *eventQueue) fixHead() { q.siftDown(q.heap[0]) }
 
 // siftDown places ev starting from the root, moving the hole toward the
 // leaves. The children of i are 4i+1 .. 4i+4.

@@ -2,9 +2,11 @@
 //
 // It substitutes for the paper's Alibaba ECS testbed (§V): every node has an
 // uplink and a downlink with finite bandwidth, every pair of nodes has a
-// propagation latency, and message transfer time is
+// propagation latency, and a message is timed in two stages:
 //
-//	queueing(uplink) + size/uplink  ∥  latency  ∥  queueing(downlink) + size/downlink
+//	sendStart = max(now, uplink free)            sendEnd = sendStart + size/uplink
+//	recvStart = max(sendStart + latency, downlink free)   — decided on arrival
+//	delivery  = max(recvStart + size/downlink, sendEnd + latency)
 //
 // with cut-through pipelining (bits arrive `latency` after they leave, and
 // both NICs are occupied for their serialization time). Since every figure
@@ -15,6 +17,28 @@
 // The simulator executes protocol handlers (env.Handler) inline on a single
 // goroutine in timestamp order, so runs are reproducible bit-for-bit given
 // the same seed.
+//
+// # NIC model
+//
+// The downlink is a FIFO in arrival order: Send schedules the first bit's
+// arrival at sendStart + latency and the receiver's downlink is reserved
+// when that event runs, behind whatever arrived before it. The link is
+// therefore work-conserving — it never idles while a frame that has reached
+// it waits — whatever order the sends were issued in and however far away
+// each sender is.
+//
+// The uplink has two queues. A frame for which wire.ConsensusFrame holds (a
+// small PBFT or HotStuff message: a vote, a metadata-only proposal) takes
+// the consensus lane: it starts at max(now, lane free), serializes against
+// other lane frames only, and pushes the bulk clock back by its own
+// serialization time, so bulk sent afterwards pays for it. Everything else
+// is bulk and queues FIFO as before. This approximates a NIC that
+// interleaves the two queues packet by packet; bulk frames already reserved
+// keep their slots, so for the length of the queued burst the link carries
+// the lane frame's bytes on top — an over-commit bounded by the lane's
+// share of the uplink's bytes (LaneStats.MaxShare, well under 1 % for
+// Predis traffic). The downlink has no lane: no application controls the
+// order in which other machines' bytes reach it.
 //
 // # Dense node indexing
 //
@@ -36,15 +60,17 @@
 // the packet will die. Crashed senders emit nothing and are charged
 // nothing. Every charged message either reaches a handler (counted by
 // Delivered) or increments exactly one cause in Dropped(): Unknown
-// (unregistered destination), Crashed (receiver dead at send time, or
-// either endpoint dead at delivery time), Partitioned, Filtered, or Lost
-// (random loss). So after the network quiesces,
+// (unregistered destination), Crashed (receiver dead at send time or when
+// the first bit arrives, or either endpoint dead at delivery time),
+// Partitioned, Filtered, or Lost (random loss). So after the network
+// quiesces,
 //
 //	Sends() == Delivered() + Dropped().Total()
 //
 // holds as an invariant. Downlink busy time and per-node receive bytes are
-// charged when the message is scheduled onto the receiver's NIC (i.e. only
-// for messages that survive the send-time drop checks).
+// charged when the first bit arrives at a live receiver (i.e. only for
+// messages that survive the send-time drop checks and find the NIC up); a
+// receiver that crashes between arrival and delivery keeps the charge.
 package simnet
 
 import (
@@ -109,8 +135,9 @@ func UniformLatency(d time.Duration) func(from, to wire.NodeID) time.Duration {
 type DropCounts struct {
 	// Unknown counts sends to destinations that were never registered.
 	Unknown uint64
-	// Crashed counts messages whose receiver was crashed at send time, or
-	// whose sender or receiver crashed while the message was in flight.
+	// Crashed counts messages whose receiver was crashed at send time or at
+	// first-bit arrival, or whose sender or receiver crashed while the
+	// message was in flight.
 	Crashed uint64
 	// Partitioned counts messages dropped by the partition filter.
 	Partitioned uint64
@@ -203,8 +230,11 @@ type simNode struct {
 	handler  env.Handler
 	up, down Bandwidth
 	// upFree/downFree are the times (ns since Epoch) at which each NIC
-	// finishes its currently reserved serialization work.
+	// finishes its currently reserved serialization work; laneFree is the
+	// same clock for the uplink's consensus lane, which serializes only
+	// against itself.
 	upFree   int64
+	laneFree int64
 	downFree int64
 	started  bool
 
@@ -212,6 +242,9 @@ type simNode struct {
 	// counters, unlike the upFree/downFree reservations which reset).
 	upBusy, downBusy   time.Duration
 	bytesUp, bytesDown uint64
+	// laneFrames/laneBytes are the part of bytesUp that took the consensus
+	// lane.
+	laneFrames, laneBytes uint64
 }
 
 var _ env.Context = (*simNode)(nil)
@@ -322,6 +355,32 @@ func (n *Network) NodeBytes(id wire.NodeID) (sent, received uint64) {
 	return sn.bytesUp, sn.bytesDown
 }
 
+// LaneStats is the consensus lane's share of the traffic so far.
+type LaneStats struct {
+	// Frames and Bytes count what every uplink sent on its lane.
+	Frames, Bytes uint64
+	// MaxShare is the largest fraction of any one uplink's bytes that took
+	// the lane. It bounds how far that uplink was over-committed: bulk
+	// frames reserved before a lane frame keep their slots.
+	MaxShare float64
+}
+
+// LaneStats sums the consensus-lane counters over every node.
+func (n *Network) LaneStats() LaneStats {
+	var st LaneStats
+	for _, sn := range n.nodes {
+		if sn.laneBytes == 0 {
+			continue
+		}
+		st.Frames += sn.laneFrames
+		st.Bytes += sn.laneBytes
+		if share := float64(sn.laneBytes) / float64(sn.bytesUp); share > st.MaxShare {
+			st.MaxShare = share
+		}
+	}
+	return st
+}
+
 // LinkLoads returns cumulative per-link traffic sorted by (from, to) —
 // a deterministic order independent of map iteration.
 func (n *Network) LinkLoads() []LinkLoad {
@@ -355,6 +414,7 @@ func (n *Network) AddNodeRates(id wire.NodeID, h env.Handler, up, down Bandwidth
 		up:       up,
 		down:     down,
 		upFree:   n.nowNs,
+		laneFree: n.nowNs,
 		downFree: n.nowNs,
 	}
 	n.nodes = append(n.nodes, sn)
@@ -386,41 +446,14 @@ func (n *Network) setNow(ns int64) {
 	n.now = Epoch.Add(time.Duration(ns))
 }
 
-// dispatch runs one (non-canceled) event. The event is still owned by
-// the caller, which recycles it after dispatch returns.
+// dispatch runs one popped (non-canceled) event. The event is still owned
+// by the caller, which recycles it after dispatch returns.
 //
 //predis:hotpath
 func (n *Network) dispatch(ev *event) {
 	switch ev.kind {
 	case evDeliver:
-		if n.crashed.get(ev.dst.idx) || n.crashed.get(ev.src.idx) {
-			// Sender or receiver died while the message was in flight.
-			n.drops.Crashed++
-			return
-		}
-		msg := ev.msg
-		if d, ok := msg.(wire.Defective); ok && d.Defective() {
-			// Undecodable frame: a real runtime drops it at the codec, so
-			// the zero-copy fast path must never hand it to a handler.
-			n.drops.Undecodable++
-			return
-		}
-		if n.cfg.CopyOnDeliver {
-			cp, err := wire.Roundtrip(msg)
-			if err != nil {
-				// Same degradation as the real runtime: count the drop and
-				// move on. Panicking here would let one garbage frame kill
-				// the whole simulation.
-				n.drops.Undecodable++
-				return
-			}
-			msg = cp
-		}
-		n.delivered++
-		if n.OnDeliver != nil {
-			n.OnDeliver(ev.src.id, ev.dst.id, msg, n.now)
-		}
-		ev.dst.handler.Receive(ev.src.id, msg)
+		n.deliver(ev)
 	case evTimer:
 		if !n.crashed.get(ev.nodeIdx) {
 			ev.fn()
@@ -428,6 +461,101 @@ func (n *Network) dispatch(ev *event) {
 	default:
 		ev.fn()
 	}
+}
+
+// arrive is the first-bit stage of a message: the receiver's downlink is
+// reserved now, behind whatever arrived earlier, so the link serves frames
+// in arrival order and never idles while one is waiting. It re-keys the
+// event as the message's delivery and reports false if the receiver is
+// down instead.
+//
+//predis:hotpath
+func (n *Network) arrive(ev *event) bool {
+	dst := ev.dst
+	if n.crashed.get(dst.idx) {
+		// A dead NIC receives nothing and is charged nothing.
+		n.drops.Crashed++
+		return false
+	}
+	recvStart := later(n.nowNs, dst.downFree)
+	recvEnd := recvStart + int64(txTime(ev.size, dst.down))
+	dst.downFree = recvEnd
+	dst.downBusy += time.Duration(recvEnd - recvStart)
+	dst.bytesDown += uint64(ev.size)
+	// Cut-through: delivery waits for the downlink to finish and for the
+	// sender's last bit to cross the wire, whichever is later.
+	n.seq++
+	ev.at = later(recvEnd, ev.lastBit)
+	ev.seq = n.seq
+	ev.kind = evDeliver
+	return true
+}
+
+// deliver hands a fully received message to its handler.
+//
+//predis:hotpath
+func (n *Network) deliver(ev *event) {
+	if n.crashed.get(ev.dst.idx) || n.crashed.get(ev.src.idx) {
+		// Sender or receiver died while the message was in flight.
+		n.drops.Crashed++
+		return
+	}
+	msg := ev.msg
+	if d, ok := msg.(wire.Defective); ok && d.Defective() {
+		// Undecodable frame: a real runtime drops it at the codec, so
+		// the zero-copy fast path must never hand it to a handler.
+		n.drops.Undecodable++
+		return
+	}
+	if n.cfg.CopyOnDeliver {
+		cp, err := wire.Roundtrip(msg)
+		if err != nil {
+			// Same degradation as the real runtime: count the drop and
+			// move on. Panicking here would let one garbage frame kill
+			// the whole simulation.
+			n.drops.Undecodable++
+			return
+		}
+		msg = cp
+	}
+	n.delivered++
+	if n.OnDeliver != nil {
+		n.OnDeliver(ev.src.id, ev.dst.id, msg, n.now)
+	}
+	ev.dst.handler.Receive(ev.src.id, msg)
+}
+
+// step runs the head event and reports whether it ran (a canceled event is
+// only recycled). An arrival becomes its message's delivery in place: the
+// same event is re-queued a transfer time ahead — one event per message in
+// flight, no allocation and no free-list round trip.
+//
+//predis:hotpath
+func (n *Network) step() (ran bool) {
+	ev := n.q.head()
+	if ev.kind == evArrive {
+		n.setNow(ev.at)
+		switch {
+		case !n.arrive(ev):
+			n.q.recycle(n.q.popHead())
+		case ev.at > n.nowNs:
+			n.q.fixHead()
+		default:
+			// Unlimited NICs: the frame is already in.
+			n.q.popHead()
+			n.deliver(ev)
+			n.q.recycle(ev)
+		}
+		return true
+	}
+	n.q.popHead()
+	ran = !ev.canceled
+	if ran {
+		n.setNow(ev.at)
+		n.dispatch(ev)
+	}
+	n.q.recycle(ev)
+	return ran
 }
 
 // Run processes events until the virtual deadline (relative to the epoch)
@@ -438,18 +566,13 @@ func (n *Network) Run(until time.Duration) int {
 	deadline := int64(until)
 	count := 0
 	for n.q.len() > 0 {
-		ev := n.q.head()
-		if ev.at > deadline {
+		if n.q.head().at > deadline {
 			n.setNow(deadline)
 			return count
 		}
-		n.q.popHead()
-		if !ev.canceled {
-			n.setNow(ev.at)
-			n.dispatch(ev)
+		if n.step() {
 			count++
 		}
-		n.q.recycle(ev)
 	}
 	if n.nowNs < deadline {
 		n.setNow(deadline)
@@ -465,13 +588,9 @@ func (n *Network) Run(until time.Duration) int {
 func (n *Network) RunUntilIdle(maxEvents int) int {
 	count := 0
 	for n.q.len() > 0 {
-		ev := n.q.popHead()
-		if !ev.canceled {
-			n.setNow(ev.at)
-			n.dispatch(ev)
+		if n.step() {
 			count++
 		}
-		n.q.recycle(ev)
 		if maxEvents > 0 && count >= maxEvents {
 			break
 		}
@@ -525,6 +644,7 @@ func (n *Network) Restart(id wire.NodeID) {
 	n.crashed.clear(idx)
 	sn := n.nodes[idx]
 	sn.upFree = n.nowNs
+	sn.laneFree = n.nowNs
 	sn.downFree = n.nowNs
 	if r, ok := sn.handler.(env.Restartable); ok {
 		// evTimer dispatch already suppresses the callback if the node
@@ -607,10 +727,11 @@ func (s *simNode) Logf(format string, args ...any) {
 	}
 }
 
-// Send implements env.Context. It charges the sender's uplink and the
-// receiver's downlink for the message's WireSize and schedules delivery.
-// The charging policy is uniform across every drop path — see "Send
-// accounting" in the package comment.
+// Send implements env.Context. It charges the sender's uplink for the
+// message's WireSize — on the consensus lane or behind the bulk queue —
+// and schedules the first bit's arrival at the receiver, where the
+// downlink is charged. The charging policy is uniform across every drop
+// path — see "Send accounting" in the package comment.
 //
 //predis:hotpath
 func (s *simNode) Send(to wire.NodeID, m wire.Message) {
@@ -627,10 +748,24 @@ func (s *simNode) Send(to wire.NodeID, m wire.Message) {
 	// cannot know it will die downstream.
 	net.bytesSent += uint64(size)
 	s.bytesUp += uint64(size)
-	sendStart := later(net.nowNs, s.upFree)
-	sendEnd := sendStart + int64(txTime(size, s.up))
-	s.upFree = sendEnd
-	s.upBusy += time.Duration(sendEnd - sendStart)
+	tx := int64(txTime(size, s.up))
+	var sendStart int64
+	if wire.ConsensusFrame(m, size) {
+		// Consensus lane: the frame goes out between the packets of
+		// whatever bulk is queued, waiting only for earlier lane frames.
+		// Bulk already reserved keeps its slot (see "NIC model"); bulk
+		// sent from now on queues behind the lane frame's bytes as well.
+		sendStart = later(net.nowNs, s.laneFree)
+		s.laneFree = sendStart + tx
+		s.upFree = later(net.nowNs, s.upFree) + tx
+		s.laneFrames++
+		s.laneBytes += uint64(size)
+	} else {
+		sendStart = later(net.nowNs, s.upFree)
+		s.upFree = sendStart + tx
+	}
+	sendEnd := sendStart + tx
+	s.upBusy += time.Duration(tx)
 
 	dstIdx, ok := net.index[to]
 	if !ok {
@@ -657,30 +792,25 @@ func (s *simNode) Send(to wire.NodeID, m wire.Message) {
 	}
 	if net.mutator != nil {
 		// Content substitution only: bandwidth was already charged for the
-		// frame the sender serialized, and transfer time below keeps using
+		// frame the sender serialized, and the arrival stage keeps using
 		// that size, so a mutator changes what arrives, never when.
 		if mm := net.mutator(s.id, to, m); mm != nil {
 			m = mm
 		}
 	}
 
-	dst := net.nodes[dstIdx]
+	// Closure-free transfer: the message, endpoints and timing ride in the
+	// event itself, so Send allocates nothing in steady state. The
+	// receiver's downlink is reserved when the first bit gets there, not
+	// now: frames from near and far senders take the link in the order
+	// they arrive.
 	lat := int64(net.latency(s.id, to))
-	// Downlink serialization with cut-through: reception can begin once the
-	// first bits arrive and the NIC is free.
-	recvStart := later(sendStart+lat, dst.downFree)
-	recvEnd := recvStart + int64(txTime(size, dst.down))
-	dst.downFree = recvEnd
-	dst.downBusy += time.Duration(recvEnd - recvStart)
-	dst.bytesDown += uint64(size)
-	deliverAt := later(recvEnd, sendEnd+lat)
-
-	// Closure-free delivery: the message and endpoints ride in the event
-	// itself, so Send allocates nothing in steady state.
-	ev := net.schedule(deliverAt, dstIdx, evDeliver, nil)
+	ev := net.schedule(sendStart+lat, dstIdx, evArrive, nil)
 	ev.msg = m
 	ev.src = s
-	ev.dst = dst
+	ev.dst = net.nodes[dstIdx]
+	ev.size = size
+	ev.lastBit = sendEnd + lat
 }
 
 // After implements env.Context. The crash guard lives in evTimer

@@ -78,6 +78,7 @@ type Flow struct {
 	clientSeqs []uint64
 
 	pending map[uint64]*pendingTx
+	replies replySlab
 }
 
 var _ env.Handler = (*Flow)(nil)
@@ -146,7 +147,7 @@ func (f *Flow) submitOne(now time.Time) {
 	if f.cfg.Ops != nil {
 		tx.WithOp(f.cfg.Ops(f.cfg.FirstClient+wire.NodeID(offset), f.clientSeqs[offset]))
 	}
-	f.pending[f.seq] = &pendingTx{tx: tx, submitted: now, lastSent: now}
+	f.pending[f.seq] = &pendingTx{tx: tx, submitted: now, lastSent: now, replies: f.replies.take(f.cfg.F + 1)}
 	f.cfg.Trace.Mark(obs.StageSubmit, obs.TxKey(f.cfg.Self, f.seq), now)
 	switch f.cfg.Policy {
 	case Broadcast:

@@ -156,6 +156,7 @@ type Client struct {
 	frac float64
 
 	pending   map[uint64]*pendingTx
+	replies   replySlab
 	resubmits uint64
 
 	// Resubmission deadline index (only populated when ResubmitAfter > 0).
@@ -175,12 +176,31 @@ type pendingTx struct {
 	lastSent  time.Time
 	target    int // index into Targets of the last submission
 	resubmits int
-	replies   []wire.NodeID // distinct repliers so far (quorum is small: F+1)
+	replies   []wire.NodeID // distinct repliers so far, sized F+1 at submit
 	done      bool
 }
 
+// replySlab carves the F+1-slot reply sets of pending transactions out of
+// shared blocks, so a transaction's quorum bookkeeping costs 1/replySlabSets
+// of an allocation instead of one per slice doubling (four at F+1 = 6). A
+// block is collected once every transaction cut from it has confirmed.
+type replySlab struct{ free []wire.NodeID }
+
+// replySlabSets is how many reply sets one slab block holds.
+const replySlabSets = 256
+
+// take returns an empty reply set with room for n repliers.
+func (s *replySlab) take(n int) []wire.NodeID {
+	if len(s.free) < n {
+		s.free = make([]wire.NodeID, n*replySlabSets)
+	}
+	set := s.free[:0:n]
+	s.free = s.free[n:]
+	return set
+}
+
 // addReply records a distinct replier. The quorum is tiny (F+1), so a
-// linear scan over a lazily grown slice beats a per-transaction map both
+// linear scan over a preallocated slice beats a per-transaction map both
 // in allocation count and in lookup cost.
 func (p *pendingTx) addReply(id wire.NodeID) {
 	for _, r := range p.replies {
@@ -289,6 +309,7 @@ func (c *Client) submitOne(now time.Time) {
 		tx:        tx,
 		submitted: now,
 		lastSent:  now,
+		replies:   c.replies.take(c.cfg.F + 1),
 	}
 	c.pending[c.seq] = p
 	if c.cfg.ResubmitAfter > 0 {

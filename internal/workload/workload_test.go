@@ -317,3 +317,33 @@ func TestCollectorWindowing(t *testing.T) {
 		t.Fatalf("latency samples = %d", col.Latency().Count)
 	}
 }
+
+// TestReplySetSizedAtSubmit pins the quorum bookkeeping's allocation cost:
+// a pending transaction's reply set is cut from the client's slab with room
+// for F+1 repliers, so collecting the quorum never grows it and a
+// transaction's share of the slab is 1/replySlabSets of an allocation
+// (growing by append cost four at F+1 = 6).
+func TestReplySetSizedAtSubmit(t *testing.T) {
+	const f = 5
+	var slab replySlab
+	allocs := testing.AllocsPerRun(10*replySlabSets, func() {
+		p := pendingTx{replies: slab.take(f + 1)}
+		for id := wire.NodeID(0); id <= f; id++ {
+			p.addReply(id)
+			p.addReply(id) // a duplicate reply takes no slot
+		}
+		if len(p.replies) != f+1 || cap(p.replies) != f+1 {
+			t.Fatalf("reply set len %d cap %d, want %d and %d", len(p.replies), cap(p.replies), f+1, f+1)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("collecting a quorum allocates %v times per transaction, want 0 (one slab block per %d)", allocs, replySlabSets)
+	}
+	// Neighbouring sets do not share slots.
+	a, b := slab.take(2), slab.take(2)
+	a = append(a, 1, 2)
+	b = append(b, 3)
+	if a[0] != 1 || a[1] != 2 || b[0] != 3 || len(a) != 2 {
+		t.Fatalf("reply sets overlap: %v %v", a, b)
+	}
+}
