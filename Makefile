@@ -1,13 +1,13 @@
-# Same gates as .github/workflows/ci.yml.
+# The gate. .github/workflows/ci.yml calls these targets and nothing else.
 
-.PHONY: all build vet lint lint-fast test race fmt bench bench-kernels bench-scale bench-stream bench-smoke replay-smoke trace-smoke fuzz-smoke byz-smoke exec-smoke scale-smoke stream-smoke perf-smoke ci
-
-# The kernel micro-benchmark set (bench_kernels_test.go at the repo
-# root): simnet scheduling, wire framing, erasure coding, merkle,
-# signature hot paths, and the execution plane's block commit.
-KERNEL_BENCH = BenchmarkSimnet|BenchmarkWire|BenchmarkErasure|BenchmarkMerkle|BenchmarkEd25519|BenchmarkHashConcat|BenchmarkExecCommit
+.PHONY: all build vet lint lint-fast test race fmt smoke ci
 
 all: ci
+
+ci: fmt build vet lint test race smoke
+
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 build:
 	go build ./...
@@ -20,9 +20,7 @@ vet:
 # round-trip symmetry, lock discipline in sim-visible code, and
 # dropped-error hygiene; the interprocedural analyzers (detflow,
 # hotalloc, handlercomplete) chase taint and allocations through the
-# whole-program call graph. Also usable as: go vet -vettool=$(shell
-# pwd)/bin/predis-lint ./... after `go build -o bin/predis-lint
-# ./cmd/predis-lint`.
+# whole-program call graph.
 lint:
 	go run ./cmd/predis-lint ./...
 
@@ -30,9 +28,8 @@ lint:
 # origin/main (committed, staged, or untracked). Fixture packages under
 # testdata carry intentional violations and are skipped; when
 # origin/main is unavailable (fresh or shallow clone) the full suite
-# runs instead. Note the interprocedural analyzers still load each
-# changed package's dependencies, so cross-package taint is intact —
-# only unrelated packages are skipped.
+# runs instead. The call graph covers the linted packages only, so a
+# chain that leaves them is `make lint`'s to find.
 lint-fast:
 	@base=$$(git merge-base origin/main HEAD 2>/dev/null); \
 	if [ -z "$$base" ]; then \
@@ -50,130 +47,51 @@ lint-fast:
 	echo "lint-fast:" $$pkgs; \
 	go run ./cmd/predis-lint $$pkgs
 
+# test is tier-1; race is the same suite under the detector (the
+# raceEnabled-guarded allocation pins run only in the former).
 test:
 	go test ./...
 
 race:
 	go test -race ./...
 
-fmt:
-	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
+# smoke: the checks no `go test` runs, one row each. `make smoke` runs
+# every row and names the one that failed; `make smoke ROW=replay` runs one.
+SMOKE_ROWS = trace bench replay fuzz scale
+ROW ?= $(SMOKE_ROWS)
 
-# bench-kernels (alias: bench): kernel micro-benchmarks, converted to
-# BENCH_kernels.json by tools/benchjson so results can be committed and
-# diffed across changes. Figure-level benchmarks remain available via
-# `go test -bench=Fig`.
-bench: bench-kernels
+# trace: the exported Chrome trace of a quickstart run parses and has a
+# span for every pipeline stage (submit … fullnode_delivered).
+smoke_trace = go run ./cmd/predis-bench -quick quickstart -trace \
+		-trace-out bin/trace-smoke.json -metrics-out bin/trace-smoke >/dev/null \
+	&& go run ./tools/tracecheck bin/trace-smoke.json
 
-bench-kernels:
-	go test -run '^$$' -bench '$(KERNEL_BENCH)' -benchmem . \
-		| go run ./tools/benchjson -o BENCH_kernels.json
-	@echo wrote BENCH_kernels.json
+# bench: every root benchmark (bench_*_test.go: kernels, figures, scale,
+# stream) still builds and survives one iteration.
+smoke_bench = go test -run '^$$' -bench . -benchtime=1x .
 
-# bench-scale: the population-scale benchmark pair (bench_scale_test.go)
-# — the naive shape (one workload.Client and star-copy fan-out per
-# logical client) against the aggregated-flow + shared-tree shape at 1k
-# and 10k nodes — converted to BENCH_scale.json so the allocs/op ratio
-# between ScaleNaive1k and ScaleFlow1k stays committed and diffable.
-bench-scale:
-	go test -run '^$$' -bench 'BenchmarkScale' -benchmem . \
-		| go run ./tools/benchjson -o BENCH_scale.json
-	@echo wrote BENCH_scale.json
-
-# bench-stream: the streaming-commit benchmark set (bench_stream_test.go)
-# — block vs stream on the latfloor LAN point (the confirmed-mean-ms
-# metric records the virtual-time latency cut next to the wall-clock
-# cost), plus the quick latfloor grid and the streaming quickstart —
-# converted to BENCH_stream.json so both dimensions stay committed and
-# diffable.
-bench-stream:
-	go test -run '^$$' -bench 'BenchmarkStream' -benchmem . \
-		| go run ./tools/benchjson -o BENCH_stream.json
-	@echo wrote BENCH_stream.json
-
-# stream-smoke: the streaming-commit gate — the latency-floor headline
-# and the stream determinism tests under the race detector: on LAN at
-# equal load, streaming commit must cut mean and p99 confirmed latency
-# ≥40% vs block mode with committed throughput within 5%, and same-seed
-# stream runs must replay. Cross-process byte-identity of the latfloor
-# grid and the streaming quickstart is replay-smoke's.
-stream-smoke:
-	go test -race -run 'TestStream|TestLatencyFloor' ./internal/harness/
-
-# perf-smoke: the repository benchmark's own tests (cmd/predis-perf, read
-# only): every workload at -smoke size must pass the correctness gate and
-# deliver the same messages traced and untraced, the metric names must
-# match BENCHMARK.json, and -compare must judge as documented. ~4 s.
-perf-smoke:
-	go test -count=1 ./cmd/predis-perf/
-
-# scale-smoke: the population-scale CI gate — the quick scale sweep
-# (N ∈ {100, 1k, 10k}, four tree shapes each, aggregated client flows)
-# must finish inside a 60 s budget. Before flow aggregation and the
-# dense-index simnet paths, the 10k points alone blew through this.
-scale-smoke:
-	@mkdir -p bin
-	go build -o bin/predis-bench ./cmd/predis-bench
-	timeout 60 ./bin/predis-bench -quick -parallel 4 scale >/dev/null
-	@echo scale-smoke: quick sweep finished inside the 60s budget
-
-# bench-smoke: the CI gate — every kernel benchmark must run (once) and
-# the benchjson converter must accept the output. The stream set rides
-# along at one iteration so regressions in experiment wiring surface
-# here, not only in the slower `make bench-stream`.
-bench-smoke:
-	go test -run '^$$' -bench '$(KERNEL_BENCH)' -benchtime=1x -benchmem . \
-		| go run ./tools/benchjson -o /dev/null
-	go test -run '^$$' -bench 'BenchmarkStream' -benchtime=1x . \
-		| go run ./tools/benchjson -o /dev/null
-
-# replay-smoke: the cross-process determinism gate, one table. replaydiff
-# builds predis-bench -race once and, per target, diffs replay hashes and
-# terminal output between a -parallel 1 and a -parallel 4 process. `all`
-# is every experiment in one transcript — quickstart, recovery (an empty
-# Byzantine schedule must leave the hardening hooks invisible), byzantine,
-# contention (per-height state roots ride in its table) and latfloor fold
-# replay hashes, the sweeps compare as text — and that transcript must
-# also still be the committed quick_results.txt; the streaming quickstart
+# replay: cross-process determinism. replaydiff builds predis-bench -race
+# once and, per target, diffs replay hashes and terminal output between a
+# -parallel 1 and a -parallel 4 process; `all` is every -quick experiment
+# (recovery and byzantine included, a non-zero exit fails the row) and
+# must still be the committed quick_results.txt; the streaming quickstart
 # is the one schedule -quick all does not run.
-replay-smoke:
-	go run ./tools/replaydiff all "quickstart -mode stream"
+smoke_replay = go run ./tools/replaydiff all "quickstart -mode stream"
 
-# fuzz-smoke: short coverage-guided runs on top of the checked-in seed
-# corpora (testdata/fuzz). Unmarshal guards every receive path, so "never
-# panics, consumes one frame, re-marshals canonically" gets continuous
-# adversarial pressure, not just the fixed seeds; the state commitment
-# must match its from-scratch oracle after any batches of writes and be
-# blind to how they were batched.
-fuzz-smoke:
-	go test ./internal/wire/ -run '^$$' -fuzz FuzzUnmarshal -fuzztime 10s
-	go test ./internal/exec/ -run '^$$' -fuzz FuzzStateCommitment -fuzztime 5s
+# fuzz: short coverage-guided runs on top of the checked-in corpora
+# (testdata/fuzz): Unmarshal never panics and re-marshals canonically;
+# the state commitment matches its from-scratch oracle however the
+# writes were batched.
+smoke_fuzz = go test ./internal/wire/ -run '^$$' -fuzz FuzzUnmarshal -fuzztime 10s \
+	&& go test ./internal/exec/ -run '^$$' -fuzz FuzzStateCommitment -fuzztime 5s
 
-# byz-smoke: the Byzantine-robustness gate — the byzantine experiment
-# under the race detector: scripted data-plane adversaries (stripe
-# corruption, withholding, garbage frames, leader equivocation) must be
-# detected by the right counters and outrun — post-attack throughput
-# within 5% of baseline — while the Eq. 4 sweep tracks the paper's
-# delivery-probability prediction.
-byz-smoke:
-	go run -race ./cmd/predis-bench -quick byzantine >/dev/null
+# scale: the quick population sweep (N ∈ {100, 1k, 10k}, four tree
+# shapes each) finishes inside a 60 s budget.
+smoke_scale = go build -o bin/predis-bench ./cmd/predis-bench \
+	&& timeout 60 ./bin/predis-bench -quick -parallel 4 scale >/dev/null
 
-# exec-smoke: the execution-plane gate — the executor and ledger under
-# the race detector: dependency leveling, same-seed equality of state
-# roots, serial-vs-levelized equality, and the write-before-visibility
-# ordering of ledger.Append.
-exec-smoke:
-	go test -race ./internal/exec/ ./internal/ledger/
-	go test -race -run 'TestContention' ./internal/harness/
-
-# trace-smoke: run the quickstart experiment with -trace and validate the
-# emitted Chrome trace JSON parses and records at least one span for every
-# pipeline stage (submit, bundle_sealed, block_proposed, prepare_commit,
-# executed, stripe_distributed, fullnode_delivered).
-trace-smoke:
+smoke:
 	@mkdir -p bin
-	go run ./cmd/predis-bench -quick quickstart -trace -trace-out bin/trace-smoke.json -metrics-out bin/trace-smoke >/dev/null
-	go run ./tools/tracecheck bin/trace-smoke.json
-	@rm -f bin/trace-smoke.json bin/trace-smoke-stages.csv
-
-ci: fmt build vet lint race trace-smoke bench-smoke replay-smoke fuzz-smoke byz-smoke exec-smoke scale-smoke stream-smoke perf-smoke
+	@$(foreach r,$(ROW),$(if $(smoke_$(r)),,$(error smoke: no row '$(r)' (rows: $(SMOKE_ROWS)))) \
+		echo "== smoke $(r)"; \
+		{ $(smoke_$(r)); } || { echo "smoke: row '$(r)' FAILED"; exit 1; };)

@@ -1,10 +1,9 @@
 // Kernel micro-benchmarks for the hot paths on the simulator's profile:
 // event scheduling and delivery (simnet), message framing (wire),
 // Reed–Solomon striping (erasure), Merkle tree construction, signature
-// checking, and the execution plane's block commit. `make bench` runs
-// these and converts the output to BENCH_kernels.json via
-// tools/benchjson so kernel regressions are tracked alongside the
-// figure-level benchmarks in bench_test.go.
+// checking, and the execution plane's block commit. Plain `go test -bench`
+// benchmarks: `make smoke ROW=bench` runs each once so they keep
+// building; the tracked kernel numbers are predis-perf's kernel pass.
 //
 // Sizes follow the paper's configuration: 512-byte transactions
 // (§V "every transaction has a size of 512 B"), 50-tx bundles, and the

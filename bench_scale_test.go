@@ -9,7 +9,7 @@ package predis_test
 // list. BenchmarkScaleFlow1k/10k drive the same offered load through one
 // aggregated Poisson flow per thousands of logical clients and a shared
 // child-index multicast tree. The allocs/op ratio between the two 1k rows
-// is the headline tracked in BENCH_scale.json (make bench-scale).
+// is the headline (go test -run '^$' -bench Scale -benchmem .).
 
 import (
 	"testing"

@@ -1,10 +1,10 @@
-// Wall-clock benchmarks for streaming commit (bench_stream_test.go →
-// BENCH_stream.json via `make bench-stream`), complementing the virtual-
-// time latency contrast the latfloor experiment reports: these rows track
-// what the streaming machinery itself costs the simulator host. Each
-// point also reports the virtual-time confirmed-latency mean, so the
-// committed JSON records the block-vs-stream latency cut alongside the
-// wall-clock numbers it was paid for with.
+// Wall-clock benchmarks for streaming commit (go test -run '^$' -bench
+// Stream .), complementing the virtual-time latency contrast the latfloor
+// experiment reports: these rows show what the streaming machinery itself
+// costs the simulator host. Each point also reports the virtual-time
+// confirmed-latency mean, so the block-vs-stream latency cut prints
+// alongside the wall-clock numbers it was paid for with. The tracked
+// numbers are predis-perf's stream_lan / block_lan workloads.
 package predis
 
 import (

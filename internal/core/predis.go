@@ -31,6 +31,17 @@ const (
 	FaultPartial
 )
 
+const (
+	// maxFetchBundles bounds bundles per BundleResponse.
+	maxFetchBundles = 64
+	// catchupWindow is how many committed Predis blocks are retained to
+	// serve crash-recovery CatchupRequests. A restarted node that fell
+	// further behind its peers cannot catch up from them.
+	catchupWindow = 1024
+	// maxCatchupBlocks bounds blocks per CatchupResponse.
+	maxCatchupBlocks = 256
+)
+
 // Options configures a Predis instance (the active component wrapping a
 // Mempool).
 type Options struct {
@@ -42,13 +53,9 @@ type Options struct {
 	Peers []wire.NodeID
 	// OnCommit, when non-nil, receives every committed block in order.
 	OnCommit func(CommitInfo)
-	// Disseminate overrides how freshly produced bundles leave the node.
-	// Nil means multicast the BundleMsg to all consensus peers (the plain
-	// Predis deployment); Multi-Zone installs stripe encoding here.
-	Disseminate func(ctx env.Context, b *Bundle)
 	// StripeRoot, when non-nil, computes the stripe Merkle root of a
 	// bundle body so it can be committed in the header before signing
-	// (required when Disseminate erasure-codes bundles).
+	// (Multi-Zone: full nodes verify stripes against it).
 	StripeRoot func(txs []*types.Transaction) crypto.Hash
 	// OnBundleStored, when non-nil, fires for every bundle that links
 	// into the mempool (own and peer bundles alike); Multi-Zone ships
@@ -56,18 +63,6 @@ type Options struct {
 	OnBundleStored func(b *Bundle)
 	// Fault selects a Byzantine behaviour.
 	Fault FaultMode
-	// MaxFetchBundles bounds bundles per BundleResponse (default 64).
-	MaxFetchBundles int
-	// CatchupWindow is how many committed Predis blocks are retained to
-	// serve crash-recovery CatchupRequests (default 1024; ≤ 0 keeps the
-	// default). A restarted node that fell more than CatchupWindow blocks
-	// behind its peers cannot catch up from them.
-	CatchupWindow int
-	// MaxCatchupBlocks bounds blocks per CatchupResponse (default 256).
-	MaxCatchupBlocks int
-	// Retry is the backoff policy for missing-bundle fetches and catch-up
-	// rounds. The zero value selects env.DefaultBackoff(2×BundleInterval).
-	Retry env.Backoff
 	// Stream enables streaming commit mode (StreamChain-style): every
 	// submitted transaction seals into a bundle immediately instead of
 	// waiting for the BundleInterval tick, and proposals cut chains
@@ -148,7 +143,8 @@ type Predis struct {
 
 	// fetches tracks one outstanding fetch per producer chain.
 	fetches map[wire.NodeID]*fetchState
-	// retry is the shared backoff policy for fetches and catch-up rounds.
+	// retry is the shared backoff policy for missing-bundle fetches and
+	// catch-up rounds: env.DefaultBackoff(2×BundleInterval).
 	retry env.Backoff
 
 	// catchup is the in-flight crash-recovery state (nil when live).
@@ -187,18 +183,6 @@ func NewPredis(opts Options) (*Predis, error) {
 	if len(opts.Peers) != opts.Params.NC {
 		return nil, fmt.Errorf("core: %d peers for NC=%d", len(opts.Peers), opts.Params.NC)
 	}
-	if opts.MaxFetchBundles <= 0 {
-		opts.MaxFetchBundles = 64
-	}
-	if opts.CatchupWindow <= 0 {
-		opts.CatchupWindow = 1024
-	}
-	if opts.MaxCatchupBlocks <= 0 {
-		opts.MaxCatchupBlocks = 256
-	}
-	if opts.Retry.Base <= 0 {
-		opts.Retry = env.DefaultBackoff(2 * opts.Params.BundleInterval)
-	}
 	mp, err := NewMempool(opts.Params)
 	if err != nil {
 		return nil, err
@@ -210,7 +194,7 @@ func NewPredis(opts Options) (*Predis, error) {
 		opts:            opts,
 		mp:              mp,
 		fetches:         make(map[wire.NodeID]*fetchState),
-		retry:           opts.Retry,
+		retry:           env.DefaultBackoff(2 * opts.Params.BundleInterval),
 		mBundleProduced: opts.Metrics.Counter("bundle_produced", opts.Self),
 		mBundleAccepted: opts.Metrics.Counter("bundle_accepted", opts.Self),
 		mTxsCommitted:   opts.Metrics.Counter("txs_committed", opts.Self),
@@ -381,10 +365,6 @@ func tipsEqual(a, b TipList) bool {
 }
 
 func (p *Predis) disseminate(b *Bundle) {
-	if p.opts.Disseminate != nil {
-		p.opts.Disseminate(p.ctx, b)
-		return
-	}
 	msg := &BundleMsg{Bundle: b}
 	if p.opts.Fault == FaultPartial {
 		// Send to a random subset of n_c−f−1 peers (Fig. 6 case 2).
@@ -459,8 +439,8 @@ func (p *Predis) onBundleRequest(from wire.NodeID, req *BundleRequest) {
 		return
 	}
 	to := req.To
-	if to-req.From+1 > uint64(p.opts.MaxFetchBundles) {
-		to = req.From + uint64(p.opts.MaxFetchBundles) - 1
+	if to-req.From+1 > maxFetchBundles {
+		to = req.From + maxFetchBundles - 1
 	}
 	bundles := p.mp.Range(req.Producer, req.From-1, to)
 	if len(bundles) == 0 {

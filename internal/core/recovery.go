@@ -124,7 +124,7 @@ func (p *Predis) onCatchupRequest(from wire.NodeID, req *CatchupRequest) {
 			break
 		}
 		resp.Blocks = append(resp.Blocks, blk)
-		if len(resp.Blocks) >= p.opts.MaxCatchupBlocks {
+		if len(resp.Blocks) >= maxCatchupBlocks {
 			break
 		}
 	}
@@ -241,22 +241,19 @@ func (p *Predis) finishCatchup() {
 // pushRecent records a committed block in the retention ring serving
 // CatchupRequests.
 func (p *Predis) pushRecent(blk *PredisBlock) {
-	if p.opts.CatchupWindow <= 0 {
-		return
-	}
 	if p.recent == nil {
-		p.recent = make([]*PredisBlock, p.opts.CatchupWindow)
+		p.recent = make([]*PredisBlock, catchupWindow)
 	}
-	p.recent[int(blk.Height)%p.opts.CatchupWindow] = blk
+	p.recent[int(blk.Height)%catchupWindow] = blk
 }
 
 // recentBlock returns the retained committed block at the given height,
 // or nil when it has been evicted (or was never committed here).
 func (p *Predis) recentBlock(height uint64) *PredisBlock {
-	if p.opts.CatchupWindow <= 0 || len(p.recent) == 0 || height == 0 {
+	if len(p.recent) == 0 || height == 0 {
 		return nil
 	}
-	blk := p.recent[int(height)%p.opts.CatchupWindow]
+	blk := p.recent[int(height)%catchupWindow]
 	if blk == nil || blk.Height != height {
 		return nil
 	}

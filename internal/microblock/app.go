@@ -37,9 +37,14 @@ func (s Scheme) String() string {
 	}
 }
 
-// DefaultMaxIDs is the identifier cap per proposal; 1000 is the default of
-// both open-source systems per §V-A.
-const DefaultMaxIDs = 1000
+const (
+	// maxIDs is the identifier cap per proposal; 1000 is the default of
+	// both open-source systems per §V-A.
+	maxIDs = 1000
+	// certTimeout bounds how long a certificate waits for a piggyback
+	// before being broadcast standalone.
+	certTimeout = 100 * time.Millisecond
+)
 
 // Options configures an App.
 type Options struct {
@@ -54,11 +59,6 @@ type Options struct {
 	MBSize int
 	// MBInterval is the production tick.
 	MBInterval time.Duration
-	// MaxIDs caps identifiers per proposal.
-	MaxIDs int
-	// CertTimeout bounds how long a certificate waits for a piggyback
-	// before being broadcast standalone.
-	CertTimeout time.Duration
 	// OnCommit receives committed transactions in order.
 	OnCommit func(height uint64, txs []*types.Transaction)
 }
@@ -108,14 +108,8 @@ func New(opts Options) (*App, error) {
 	if opts.NC <= 0 || opts.F < 0 || opts.Signer == nil || opts.MBSize <= 0 {
 		return nil, errors.New("microblock: NC, Signer, and MBSize are required")
 	}
-	if opts.MaxIDs <= 0 {
-		opts.MaxIDs = DefaultMaxIDs
-	}
 	if opts.MBInterval <= 0 {
 		opts.MBInterval = 20 * time.Millisecond
-	}
-	if opts.CertTimeout <= 0 {
-		opts.CertTimeout = 100 * time.Millisecond
 	}
 	peers := make([]wire.NodeID, opts.NC)
 	for i := range peers {
@@ -290,7 +284,7 @@ func (a *App) onCertified(cert *Cert) {
 		a.tryProduce()
 		if !a.certCarried {
 			d := cert.Digest
-			a.ctx.After(a.opts.CertTimeout, func() {
+			a.ctx.After(certTimeout, func() {
 				if a.lastCert != nil && a.lastCert.Digest == d && !a.certCarried {
 					env.Multicast(a.ctx, a.peers, &CertMsg{Cert: cert})
 					a.certCarried = true
@@ -352,13 +346,13 @@ func (a *App) HasPendingWork() bool {
 
 // --- consensus.Application ---
 
-// BuildProposal implements consensus.Application: propose up to MaxIDs
+// BuildProposal implements consensus.Application: propose up to maxIDs
 // certified, uncommitted, not-in-flight identifiers.
 func (a *App) BuildProposal(height uint64, parent wire.Message) (wire.Message, crypto.Hash, bool) {
 	a.releaseInflight()
-	ids := make([]crypto.Hash, 0, a.opts.MaxIDs)
+	ids := make([]crypto.Hash, 0, maxIDs)
 	for _, id := range a.certOrder {
-		if len(ids) >= a.opts.MaxIDs {
+		if len(ids) >= maxIDs {
 			break
 		}
 		if _, done := a.committed[id]; done {
@@ -399,7 +393,7 @@ func (a *App) ValidateProposal(height uint64, payload, parent wire.Message) (cry
 	if list.Height != height {
 		return crypto.ZeroHash, fmt.Errorf("microblock: payload height %d at %d", list.Height, height)
 	}
-	if len(list.IDs) == 0 || len(list.IDs) > a.opts.MaxIDs {
+	if len(list.IDs) == 0 || len(list.IDs) > maxIDs {
 		return crypto.ZeroHash, fmt.Errorf("microblock: %d ids out of bounds", len(list.IDs))
 	}
 	var missing []crypto.Hash

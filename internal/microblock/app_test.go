@@ -29,12 +29,8 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{Scheme: SchemeNarwhal, NC: 4, MBSize: 50}); err == nil {
 		t.Fatal("nil signer accepted")
 	}
-	a, err := New(Options{Scheme: SchemeStratus, NC: 4, F: 1, Signer: s, MBSize: 50})
-	if err != nil {
+	if _, err := New(Options{Scheme: SchemeStratus, NC: 4, F: 1, Signer: s, MBSize: 50}); err != nil {
 		t.Fatal(err)
-	}
-	if a.opts.MaxIDs != DefaultMaxIDs {
-		t.Fatalf("MaxIDs default = %d", a.opts.MaxIDs)
 	}
 }
 
@@ -155,7 +151,7 @@ func TestIDListDigestOrderSensitive(t *testing.T) {
 // proposal at the 1000-id default is tens of kilobytes, while a Predis
 // block is constant-size.
 func TestProposalSizeGrowsLinearly(t *testing.T) {
-	ids := make([]crypto.Hash, DefaultMaxIDs)
+	ids := make([]crypto.Hash, maxIDs)
 	for i := range ids {
 		ids[i] = crypto.HashBytes([]byte{byte(i), byte(i >> 8)})
 	}

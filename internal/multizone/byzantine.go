@@ -45,20 +45,17 @@ func (f *FullNode) isQuarantined(id wire.NodeID) bool {
 }
 
 // recordOffense charges one cryptographic offense against a peer and
-// quarantines it once the configured threshold is reached. Only forged
+// quarantines it once quarantineAfter is reached. Only forged
 // proofs and bad signatures are ever charged — never gaps, timeouts, or
 // losses — so an honest-but-unlucky peer cannot cross the threshold.
 func (f *FullNode) recordOffense(from wire.NodeID) {
-	if f.cfg.QuarantineAfter < 0 {
-		return
-	}
 	f.offenses[from]++
-	if f.offenses[from] >= f.cfg.QuarantineAfter {
+	if f.offenses[from] >= quarantineAfter {
 		f.quarantine(from)
 	}
 }
 
-// quarantine blacklists a peer for QuarantineTTL and severs every role it
+// quarantine blacklists a peer for quarantineTTL and severs every role it
 // plays in this node's topology: stripe sender, subscriber, pending
 // subscription target, and relayer-table entry (tombstoned, so a
 // post-expiry honest announcement still versions monotonically).
@@ -66,7 +63,7 @@ func (f *FullNode) recordOffense(from wire.NodeID) {
 func (f *FullNode) quarantine(id wire.NodeID) {
 	f.quarantines++
 	delete(f.offenses, id)
-	f.quarantined[id] = f.ctx.Now().Add(f.cfg.QuarantineTTL)
+	f.quarantined[id] = f.ctx.Now().Add(f.quarantineTTL())
 	for s, sd := range f.stripeSender {
 		if sd == id {
 			delete(f.stripeSender, s)
@@ -92,7 +89,7 @@ func (f *FullNode) quarantine(id wire.NodeID) {
 		info.stripes = nil // tombstone: no longer a candidate, version preserved
 	}
 	f.ctx.Logf("multizone: node %d quarantined %d for %v",
-		f.cfg.Self, id, f.cfg.QuarantineTTL)
+		f.cfg.Self, id, f.quarantineTTL())
 	f.resetFetches(id)
 	f.runSubscription()
 }

@@ -129,7 +129,7 @@ func (f *FullNode) armFetch(producer wire.NodeID) {
 	if st.timer != nil {
 		st.timer.Stop()
 	}
-	st.timer = f.ctx.After(f.cfg.Retry.Delay(st.silent, f.ctx.Rand()), func() {
+	st.timer = f.ctx.After(f.retry.Delay(st.silent, f.ctx.Rand()), func() {
 		f.settle(producer, wire.NoNode, false)
 	})
 }

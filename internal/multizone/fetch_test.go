@@ -71,7 +71,7 @@ func TestFetchPlaneUnderOverload(t *testing.T) {
 	zc.net.Start()
 	zc.net.Run(cfg.duration)
 
-	minDelay := time.Duration(float64(zc.fulls[0].cfg.Retry.Base) * (1 - zc.fulls[0].cfg.Retry.Jitter))
+	minDelay := time.Duration(float64(zc.fulls[0].retry.Base) * (1 - zc.fulls[0].retry.Jitter))
 	type ask struct {
 		node, producer wire.NodeID
 		height         uint64
@@ -191,7 +191,7 @@ func TestFetchLiveness(t *testing.T) {
 		if len(asked) != 1 || asked[0] != (victim+1)%4 || retries != 1 {
 			t.Fatalf("with the producer deaf the lost bundle was asked of %v (%d retries), want node %d", asked, retries, (victim+1)%4)
 		}
-		if limit := fn.cfg.Retry.Delay(0, nil)*5/4 + rtt + 10*time.Millisecond; took > limit {
+		if limit := fn.retry.Delay(0, nil)*5/4 + rtt + 10*time.Millisecond; took > limit {
 			t.Fatalf("block completed %v after it arrived, want within one backoff delay and a round trip (%v)", took, limit)
 		}
 	}

@@ -67,19 +67,6 @@ type FullNodeConfig struct {
 	OnExecute func(r exec.Result)
 	// KeepConfirmed bounds retained bundles per chain.
 	KeepConfirmed int
-	// Retry paces bundle-pull retries and restart catch-up rounds. The
-	// zero value selects env.DefaultBackoff(AliveInterval).
-	Retry env.Backoff
-	// QuarantineAfter is how many cryptographic offenses (a stripe whose
-	// Merkle proof or bundle-header signature fails verification) a peer
-	// may commit before this node blacklists it. Only proof/signature
-	// failures count — gaps, timeouts, and losses never do — so benign
-	// runs are unaffected. Default 3; negative disables quarantine.
-	QuarantineAfter int
-	// QuarantineTTL is how long a quarantined peer stays blacklisted
-	// before it may serve or receive stripes again. Default
-	// 8×AliveInterval.
-	QuarantineTTL time.Duration
 	// StarveRewireAfter rewires a stripe subscription to an alternate
 	// source after this many consecutively assembled bundles were missing
 	// that stripe at assembly time while its sender had been silent for
@@ -89,15 +76,28 @@ type FullNodeConfig struct {
 	// path loss, so the rewire heuristic is opt-in: zero (the default)
 	// disables it, and the Byzantine harness enables it.
 	StarveRewireAfter int
-	// CatchupWindow bounds the ring of completed blocks retained to serve
-	// BlockRequests from restarting peers (default 512, <0 disables).
-	CatchupWindow int
 	// Trace, when non-nil, closes the stripe_distributed and
 	// fullnode_delivered lifecycle spans (anchored by the consensus-side
 	// distributor) when bundles assemble and blocks complete here. Nil
 	// disables tracing at zero cost.
 	Trace *obs.Tracer
 }
+
+const (
+	// quarantineAfter is how many cryptographic offenses (a stripe whose
+	// Merkle proof or bundle-header signature fails verification) a peer
+	// may commit before a full node blacklists it. Only proof/signature
+	// failures count — gaps, timeouts, and losses never do — so benign
+	// runs are unaffected.
+	quarantineAfter = 3
+	// blockCatchupWindow bounds the ring of completed blocks retained to
+	// serve BlockRequests from restarting peers.
+	blockCatchupWindow = 512
+)
+
+// quarantineTTL is how long a quarantined peer stays blacklisted before
+// it may serve or receive stripes again.
+func (f *FullNode) quarantineTTL() time.Duration { return 8 * f.cfg.AliveInterval }
 
 func (c *FullNodeConfig) withDefaults() FullNodeConfig {
 	out := *c
@@ -109,18 +109,6 @@ func (c *FullNodeConfig) withDefaults() FullNodeConfig {
 	}
 	if out.HeartbeatInterval <= 0 {
 		out.HeartbeatInterval = time.Second
-	}
-	if out.Retry == (env.Backoff{}) {
-		out.Retry = env.DefaultBackoff(out.AliveInterval)
-	}
-	if out.QuarantineAfter == 0 {
-		out.QuarantineAfter = 3
-	}
-	if out.QuarantineTTL <= 0 {
-		out.QuarantineTTL = 8 * out.AliveInterval
-	}
-	if out.CatchupWindow == 0 {
-		out.CatchupWindow = 512
 	}
 	return out
 }
@@ -159,6 +147,9 @@ type FullNode struct {
 	cfg FullNodeConfig
 	ctx env.Context
 	mp  *core.Mempool
+	// retry paces bundle-pull retries and restart catch-up rounds:
+	// env.DefaultBackoff(AliveInterval).
+	retry env.Backoff
 
 	// Subscription state.
 	stripeSender map[uint8]wire.NodeID          // who sends us each stripe
@@ -238,6 +229,7 @@ func NewFullNode(cfg FullNodeConfig) (*FullNode, error) {
 	return &FullNode{
 		cfg:          c,
 		mp:           mp,
+		retry:        env.DefaultBackoff(c.AliveInterval),
 		stripeSender: make(map[uint8]wire.NodeID),
 		pendingSub:   make(map[uint8]wire.NodeID),
 		subscribers:  make(map[uint8]map[wire.NodeID]bool),

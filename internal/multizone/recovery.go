@@ -130,15 +130,16 @@ func (f *FullNode) sendCatchupRound() {
 		f.ctx.Send(peer, req)
 	}
 	cu.attempt++
-	delay := f.cfg.Retry.Delay(cu.attempt-1, f.ctx.Rand())
+	delay := f.retry.Delay(cu.attempt-1, f.ctx.Rand())
 	cu.timer = f.ctx.After(delay, f.sendCatchupRound)
 }
 
 // onBlockRequest serves completed blocks from the retention ring. When
 // the requester's next block (or the bundle bodies it references) has
-// already been pruned here, the response carries a snapshot anchor: the
-// lowest retained block whose bundle suffix this node can still serve in
-// full, so the requester can fast-forward and replay from there.
+// already been pruned here, the response carries a snapshot anchor: a
+// retained block whose bundle suffix this node can still serve in full
+// (see findAnchor), so the requester can fast-forward and replay from
+// there.
 func (f *FullNode) onBlockRequest(from wire.NodeID, req *BlockRequest) {
 	const maxBlocks = 64
 	resp := &BlockResponse{Head: f.lastHeight}
@@ -191,8 +192,11 @@ func (f *FullNode) servableFrom(s uint64) bool {
 	return true
 }
 
-// findAnchor returns the lowest retained block above s that this node
-// can serve a complete bundle suffix for, or nil.
+// findAnchor returns a retained block above s that this node can serve a
+// complete bundle suffix for, or nil. The lowest such block sits on the
+// pruning edge, which moves past it before the requester's first bundle
+// pull arrives one round trip later, so the anchor is the retained block
+// one above it when there is one.
 func (f *FullNode) findAnchor(s uint64) *core.PredisBlock {
 	bases := f.mp.Bases()
 	for h := s + 1; h <= f.lastHeight; h++ {
@@ -209,6 +213,9 @@ func (f *FullNode) findAnchor(s uint64) *core.PredisBlock {
 			}
 		}
 		if ok {
+			if next := f.recentBlock(h + 1); next != nil {
+				return next
+			}
 			return blk
 		}
 	}
@@ -316,21 +323,18 @@ func (f *FullNode) checkCatchupDone() {
 
 // pushRecentBlock records a completed block for BlockRequest service.
 func (f *FullNode) pushRecentBlock(blk *core.PredisBlock) {
-	if f.cfg.CatchupWindow <= 0 {
-		return
-	}
 	if f.recentBlks == nil {
-		f.recentBlks = make([]*core.PredisBlock, f.cfg.CatchupWindow)
+		f.recentBlks = make([]*core.PredisBlock, blockCatchupWindow)
 	}
-	f.recentBlks[int(blk.Height)%f.cfg.CatchupWindow] = blk
+	f.recentBlks[int(blk.Height)%blockCatchupWindow] = blk
 }
 
 // recentBlock returns the retained block at a height, or nil if evicted.
 func (f *FullNode) recentBlock(height uint64) *core.PredisBlock {
-	if f.cfg.CatchupWindow <= 0 || len(f.recentBlks) == 0 || height == 0 {
+	if len(f.recentBlks) == 0 || height == 0 {
 		return nil
 	}
-	blk := f.recentBlks[int(height)%f.cfg.CatchupWindow]
+	blk := f.recentBlks[int(height)%blockCatchupWindow]
 	if blk == nil || blk.Height != height {
 		return nil
 	}

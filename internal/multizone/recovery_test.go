@@ -89,20 +89,28 @@ func TestRestartedRelayerCatchesUpWithoutBackups(t *testing.T) {
 		nc: 4, f: 1, zones: 1, perZone: 6,
 		rate: 150, duration: 12 * time.Second, joinSpacing: 20 * time.Millisecond,
 	}
+	relayerOutage(t, cfg, 4*time.Second)
+}
+
+// relayerOutage runs cfg's cluster with its first-joined relayer down for
+// 3 s from the given instant and fails the test unless the relayer is
+// back at the zone's live head, catch-up finished, when the run ends.
+func relayerOutage(t *testing.T, cfg zoneConfig, from time.Duration) {
+	t.Helper()
 	zc := buildZoneCluster(t, cfg)
 	victim := zc.fulls[0]
 	faults.Install(zc.net, faults.Schedule{Seed: 3, Actions: []faults.Action{
-		faults.CrashWindow{Node: victim.ID(), From: 4 * time.Second, To: 7 * time.Second},
+		faults.CrashWindow{Node: victim.ID(), From: from, To: from + 3*time.Second},
 	}})
 	zc.net.Start()
 	zc.net.Run(cfg.duration)
 	live := zc.fulls[1].LastHeight()
 	if live < 100 {
-		t.Fatalf("zone made no progress: live head %d", live)
+		t.Fatalf("crash at %v: zone made no progress: live head %d", from, live)
 	}
 	if victim.LastHeight()+3 < live || victim.CatchingUp() {
-		t.Fatalf("restarted relayer at height %d (catching up: %v), live head %d",
-			victim.LastHeight(), victim.CatchingUp(), live)
+		t.Errorf("crash at %v: restarted relayer at height %d (catching up: %v), live head %d",
+			from, victim.LastHeight(), victim.CatchingUp(), live)
 	}
 }
 
@@ -280,5 +288,24 @@ func TestZoneRecoveryDeterministic(t *testing.T) {
 	}
 	if d1 == 0 || h1 == 0 {
 		t.Fatal("empty run")
+	}
+}
+
+// TestSkipSyncAtAnyCrashInstant sweeps the instant a relayer crashes over
+// 30 ms in 1 ms steps. Retention (128 bundles of 20 ms per chain, on
+// consensus and full nodes alike) is shorter than the 3 s outage, so every
+// restart skip-syncs to an anchor a zone peer offers, and whether that
+// anchor's bundles are still retained when the victim's pulls arrive one
+// round trip later must not depend on where in a block interval the crash
+// fell: the victim reaches the live head on every offset. (With the
+// anchor on the pruning edge — the lowest servable block — the +10 ms run
+// chases anchor after anchor and never lands.)
+func TestSkipSyncAtAnyCrashInstant(t *testing.T) {
+	cfg := zoneConfig{
+		nc: 4, f: 1, zones: 1, perZone: 4,
+		rate: 150, duration: 12 * time.Second, joinSpacing: 20 * time.Millisecond,
+	}
+	for off := 0; off < 30; off++ {
+		relayerOutage(t, cfg, 4*time.Second+time.Duration(off)*time.Millisecond)
 	}
 }

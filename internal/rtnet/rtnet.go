@@ -34,6 +34,14 @@ import (
 	"predis/internal/wire"
 )
 
+const (
+	// sendQueue bounds each of a peer's two outbound queues, in messages;
+	// overflow drops, which the env contract allows.
+	sendQueue = 4096
+	// dialTimeout bounds connection attempts.
+	dialTimeout = 3 * time.Second
+)
+
 // Config parameterizes a runtime.
 type Config struct {
 	// Self is this node's ID.
@@ -49,11 +57,6 @@ type Config struct {
 	Seed int64
 	// LogWriter receives Logf output when non-nil.
 	LogWriter io.Writer
-	// SendQueue bounds each of a peer's two outbound queues (default 4096
-	// messages); overflow drops, which the env contract allows.
-	SendQueue int
-	// DialTimeout bounds connection attempts (default 3s).
-	DialTimeout time.Duration
 	// Redial is the backoff policy for outbound redials. The zero value
 	// selects env.DefaultBackoff(100ms) capped at 5s: 100ms doubling to
 	// 1.6s nominal with ±25% jitter, hard-capped at 5s, so a flapping
@@ -116,12 +119,6 @@ func (pc *peerConn) next(stop <-chan struct{}) ([]byte, bool) {
 func New(cfg Config, h env.Handler) (*Runtime, error) {
 	if h == nil {
 		return nil, errors.New("rtnet: handler is required")
-	}
-	if cfg.SendQueue <= 0 {
-		cfg.SendQueue = 4096
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 3 * time.Second
 	}
 	if cfg.Redial.Base <= 0 {
 		cfg.Redial = env.DefaultBackoff(100 * time.Millisecond)
@@ -291,7 +288,7 @@ func (r *Runtime) peer(id wire.NodeID) *peerConn {
 		return nil
 	}
 	pc := &peerConn{id: id, addr: addr,
-		lane: make(chan []byte, r.cfg.SendQueue), bulk: make(chan []byte, r.cfg.SendQueue)}
+		lane: make(chan []byte, sendQueue), bulk: make(chan []byte, sendQueue)}
 	r.conns[id] = pc
 	r.wg.Add(1)
 	go r.writeLoop(pc)
@@ -322,7 +319,7 @@ func (r *Runtime) writeLoop(pc *peerConn) {
 				return
 			default:
 			}
-			conn, err := net.DialTimeout("tcp", pc.addr, r.cfg.DialTimeout)
+			conn, err := net.DialTimeout("tcp", pc.addr, dialTimeout)
 			if err != nil {
 				delay := r.cfg.Redial.Delay(attempt, rng)
 				attempt++

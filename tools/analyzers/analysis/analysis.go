@@ -66,7 +66,7 @@ type Pass struct {
 }
 
 // Program returns the whole-program interprocedural view (call graph,
-// taint engine, imported facts) over every package of the current Run,
+// taint engine) over every package of the current Run,
 // built lazily on first use and shared by all analyzers of the run.
 func (p *Pass) Program() *Program { return p.prog() }
 
@@ -97,20 +97,13 @@ func (p *Pass) IsTestFile(f *ast.File) bool {
 // Run executes the analyzers over the loaded packages and returns all
 // diagnostics sorted by position. Analyzer errors abort the run.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunWithFacts(pkgs, analyzers, nil)
-}
-
-// RunWithFacts is Run with imported vetx-style facts made available to
-// interprocedural analyzers through Pass.Program (unit-checking mode
-// hands each package the summaries of its dependencies this way).
-func RunWithFacts(pkgs []*Package, analyzers []*Analyzer, facts *FactSet) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	// One shared whole-program view per run, built only if an analyzer
 	// asks for it.
 	var prog *Program
 	lazyProg := func() *Program {
 		if prog == nil {
-			prog = NewProgram(pkgs, facts)
+			prog = NewProgram(pkgs)
 		}
 		return prog
 	}

@@ -136,25 +136,19 @@ type FuncNode struct {
 	Ranges []MapRange
 }
 
-// Program is the whole-program view over one Run's loaded packages plus
-// any imported vetx-style facts for functions outside the load.
+// Program is the whole-program view over one Run's loaded packages.
 type Program struct {
 	pkgs    []*Package
 	nodes   map[string]*FuncNode
 	order   []*FuncNode            // deterministic iteration order
 	callers map[string][]*FuncNode // callee key -> caller nodes (deduped)
-	facts   *FactSet               // external summaries; never nil
 }
 
-// NewProgram builds the call graph over pkgs. facts may be nil.
-func NewProgram(pkgs []*Package, facts *FactSet) *Program {
-	if facts == nil {
-		facts = NewFactSet()
-	}
+// NewProgram builds the call graph over pkgs.
+func NewProgram(pkgs []*Package) *Program {
 	p := &Program{
 		pkgs:  pkgs,
 		nodes: make(map[string]*FuncNode),
-		facts: facts,
 	}
 	b := &graphBuilder{prog: p}
 	for _, pkg := range pkgs {
@@ -164,9 +158,6 @@ func NewProgram(pkgs []*Package, facts *FactSet) *Program {
 	p.finish()
 	return p
 }
-
-// Facts returns the external fact set the program was built with.
-func (p *Program) Facts() *FactSet { return p.facts }
 
 // Node returns the function node with the given key, or nil.
 func (p *Program) Node(key string) *FuncNode { return p.nodes[key] }

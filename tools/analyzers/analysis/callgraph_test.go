@@ -14,7 +14,7 @@ func loadCallgraphFixture(t *testing.T) *Program {
 	if err != nil {
 		t.Fatalf("loading callgraph fixture: %v", err)
 	}
-	return NewProgram(pkgs, nil)
+	return NewProgram(pkgs)
 }
 
 func mustNode(t *testing.T, p *Program, key string) *FuncNode {
@@ -132,7 +132,7 @@ func TestCallGraphClosureCapturesReceiver(t *testing.T) {
 
 func TestTaintFixpointTerminatesOnRecursion(t *testing.T) {
 	p := loadCallgraphFixture(t)
-	wall := p.Propagate(FactWallClock, DirectWallClock, StandardFollow)
+	wall := p.Propagate(DirectWallClock, StandardFollow)
 
 	for _, fn := range []string{"pingPong", "pong"} {
 		n := mustNode(t, p, cgPkg+"."+fn)
@@ -147,7 +147,7 @@ func TestTaintFixpointTerminatesOnRecursion(t *testing.T) {
 
 func TestTaintThroughIfaceAndBoundEdges(t *testing.T) {
 	p := loadCallgraphFixture(t)
-	wall := p.Propagate(FactWallClock, DirectWallClock, StandardFollow)
+	wall := p.Propagate(DirectWallClock, StandardFollow)
 
 	for _, fn := range []string{"viaIface", "viaMethodValue"} {
 		if !wall.Tainted(mustNode(t, p, cgPkg+"."+fn)) {
@@ -159,43 +159,5 @@ func TestTaintThroughIfaceAndBoundEdges(t *testing.T) {
 	}
 	if wall.Tainted(mustNode(t, p, cgPkg+".clean")) {
 		t.Errorf("clean tainted: static call to fixedTicker.tick must not reach the clock")
-	}
-}
-
-func TestFactsRoundtripThroughEncode(t *testing.T) {
-	p := loadCallgraphFixture(t)
-	facts := ExportFacts(p)
-	if facts.Len() == 0 {
-		t.Fatal("fixture exported no facts")
-	}
-	if _, ok := facts.Get(FactWallClock, cgPkg+".pingPong"); !ok {
-		t.Error("pingPong wallclock fact not exported")
-	}
-
-	enc, err := facts.Encode()
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	dec, err := DecodeFacts(enc)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if dec.Len() != facts.Len() {
-		t.Fatalf("roundtrip lost facts: %d != %d", dec.Len(), facts.Len())
-	}
-	enc2, err := dec.Encode()
-	if err != nil {
-		t.Fatalf("re-encode: %v", err)
-	}
-	if string(enc) != string(enc2) {
-		t.Error("fact encoding is not byte-stable across a roundtrip")
-	}
-
-	// A program built elsewhere sees the imported facts as external
-	// taint seeds.
-	empty := NewProgram(nil, dec)
-	wall := empty.Propagate(FactWallClock, DirectWallClock, StandardFollow)
-	if !wall.TaintedKey(cgPkg + ".pingPong") {
-		t.Error("imported fact not visible through TaintedKey")
 	}
 }

@@ -1,33 +1,12 @@
-// Forward dataflow over the call graph: per-function summary bits
-// ("facts") seeded at direct sites and propagated caller-ward to a
-// fixpoint. Cycles (mutual recursion) terminate because facts are
-// monotone booleans over a finite node set — the worklist re-enqueues a
-// caller only when its fact set actually grows.
+// Forward dataflow over the call graph: a per-function taint bit seeded
+// at direct sites and propagated caller-ward to a fixpoint. Cycles
+// (mutual recursion) terminate because the bit is monotone over a finite
+// node set — the worklist enqueues a caller only when it becomes tainted.
 package analysis
 
 import (
 	"go/token"
 	"strings"
-)
-
-// Standard fact names. These are the summaries cached as vetx-style
-// facts in `go vet -vettool` mode, so that per-package unit checking
-// sees through dependency packages whose bodies are not reloaded.
-const (
-	// FactWallClock: the function (transitively) reads the wall clock
-	// via the forbidden time package functions.
-	FactWallClock = "wallclock"
-	// FactGlobalRand: the function (transitively) draws from the global
-	// math/rand source.
-	FactGlobalRand = "globalrand"
-	// FactEmission: the function (transitively) emits sim-visible
-	// events: a call named Send/After/Multicast/Record*.
-	FactEmission = "emission"
-	// FactAllocates: the function (transitively, through static calls,
-	// cold paths excluded) performs an unwaived heap allocation.
-	FactAllocates = "allocates"
-	// FactColdPath: the function carries a predis:coldpath directive.
-	FactColdPath = "coldpath"
 )
 
 // WallClockSources are the time package functions that read or act on
@@ -81,10 +60,82 @@ func IsEmissionName(name string) bool {
 	return strings.HasPrefix(name, "Record")
 }
 
-// Taint is the result of one fact's propagation over the program.
+// TrustedSegments are import-path segments of packages that sit outside
+// the sim-visible determinism scope: the real-time runtime, the
+// simulator, the runtime interface, command binaries, and the seeded
+// fault injector. Interface methods declared by these packages
+// (env.Context.Now, env.Timer, ...) are sanctioned contract boundaries:
+// their implementations legitimately wrap the wall clock and are audited
+// separately, so taint never flows through them.
+var TrustedSegments = []string{"rtnet", "simnet", "env", "cmd", "faults"}
+
+// StandardFollow is the determinism-taint traversal policy: follow
+// every edge except interface dispatch through an interface declared in
+// a trusted runtime package.
+func StandardFollow(n *FuncNode, site *CallSite, calleeKey string) bool {
+	if site.Kind == CallIface && site.IfacePkg != "" &&
+		PathHasSegment(site.IfacePkg, TrustedSegments...) {
+		return false
+	}
+	return true
+}
+
+// AllocFollowIn is the hot-path traversal policy for prog: static and
+// locally-bound calls only (dynamic dispatch leaves the statically
+// guarded region), never into predis:coldpath functions or test helpers.
+func AllocFollowIn(p *Program) FollowFunc {
+	return func(n *FuncNode, site *CallSite, calleeKey string) bool {
+		if site.Kind != CallStatic && site.Kind != CallBound {
+			return false
+		}
+		callee := p.Node(calleeKey)
+		return callee != nil && !callee.Cold && !callee.IsTest
+	}
+}
+
+// directSource seeds a taint from call or capture sites whose callee key
+// match recognizes. Captured values are flagged like calls: taking
+// time.Now as a func value smuggles the wall clock past any per-call
+// check.
+func directSource(n *FuncNode, match func(key string) (string, bool)) (string, token.Pos) {
+	for _, site := range n.Calls {
+		for _, key := range site.Targets {
+			if desc, ok := match(key); ok {
+				if site.Kind == CallRef {
+					desc += " (captured as a function value)"
+				}
+				return desc, site.Pos
+			}
+		}
+	}
+	return "", token.NoPos
+}
+
+// DirectWallClock seeds the wall-clock taint: a call to — or a captured
+// value of — a forbidden time package function.
+func DirectWallClock(n *FuncNode) (string, token.Pos) {
+	return directSource(n, IsWallClockKey)
+}
+
+// DirectGlobalRand seeds the global-rand taint: use of a global-source
+// math/rand package-level function.
+func DirectGlobalRand(n *FuncNode) (string, token.Pos) {
+	return directSource(n, IsGlobalRandKey)
+}
+
+// DirectEmission seeds the emission taint: an emission-named call site.
+func DirectEmission(n *FuncNode) (string, token.Pos) {
+	for _, site := range n.Calls {
+		if site.Kind != CallRef && IsEmissionName(site.Name) {
+			return site.Name, site.Pos
+		}
+	}
+	return "", token.NoPos
+}
+
+// Taint is the result of one propagation over the program.
 type Taint struct {
 	prog *Program
-	fact string
 	// hops maps a tainted node to how taint reached it.
 	hops map[*FuncNode]taintHop
 }
@@ -107,35 +158,17 @@ type FollowFunc func(n *FuncNode, site *CallSite, calleeKey string) bool
 // ("" if none) with its position.
 type DirectFunc func(n *FuncNode) (string, token.Pos)
 
-// Propagate computes the fixpoint of fact over the program: direct
-// seeds each node, then taint flows callee->caller along every edge
-// follow admits. External facts (imported vetx summaries) participate
-// as always-tainted callee keys.
-func (p *Program) Propagate(fact string, direct DirectFunc, follow FollowFunc) *Taint {
-	t := &Taint{prog: p, fact: fact, hops: make(map[*FuncNode]taintHop)}
+// Propagate computes the taint fixpoint over the program: direct seeds
+// each node, then taint flows callee->caller along every edge follow
+// admits.
+func (p *Program) Propagate(direct DirectFunc, follow FollowFunc) *Taint {
+	t := &Taint{prog: p, hops: make(map[*FuncNode]taintHop)}
 	var work []*FuncNode
 
-	// Seed: direct sources and edges to external tainted keys.
 	for _, n := range p.Nodes() {
 		if desc, pos := direct(n); desc != "" {
 			t.hops[n] = taintHop{direct: desc, pos: pos}
 			work = append(work, n)
-			continue
-		}
-		for _, site := range n.Calls {
-			for _, key := range site.Targets {
-				if p.nodes[key] != nil {
-					continue // internal: handled by propagation
-				}
-				if _, ok := p.facts.Get(fact, key); ok && (follow == nil || follow(n, site, key)) {
-					t.hops[n] = taintHop{via: key, pos: site.Pos}
-					work = append(work, n)
-					break
-				}
-			}
-			if _, tainted := t.hops[n]; tainted {
-				break
-			}
 		}
 	}
 
@@ -170,20 +203,17 @@ func (p *Program) Propagate(fact string, direct DirectFunc, follow FollowFunc) *
 	return t
 }
 
-// Tainted reports whether n carries the fact.
+// Tainted reports whether n is tainted.
 func (t *Taint) Tainted(n *FuncNode) bool {
 	_, ok := t.hops[n]
 	return ok
 }
 
-// TaintedKey reports whether the function with the given key carries
-// the fact, consulting external facts for functions outside the load.
+// TaintedKey reports whether the function with the given key is
+// tainted; functions outside the load never are.
 func (t *Taint) TaintedKey(key string) bool {
-	if n := t.prog.nodes[key]; n != nil {
-		return t.Tainted(n)
-	}
-	_, ok := t.prog.facts.Get(t.fact, key)
-	return ok
+	n := t.prog.nodes[key]
+	return n != nil && t.Tainted(n)
 }
 
 // Direct returns the description of n's own source site, or "".
@@ -208,34 +238,19 @@ func (t *Taint) Chain(n *FuncNode) string {
 			break
 		}
 		seen[hop.via] = true
-		next := t.prog.nodes[hop.via]
-		if next == nil {
-			// External function: splice in its recorded witness.
-			if w, ok := t.prog.facts.Get(t.fact, hop.via); ok && w != "" {
-				parts = append(parts, shortKey(hop.via)+" -> "+w)
-			} else {
-				parts = append(parts, shortKey(hop.via))
-			}
-			break
-		}
 		parts = append(parts, shortKey(hop.via))
-		cur = next
+		cur = t.prog.nodes[hop.via]
 	}
 	return strings.Join(parts, " -> ")
 }
 
 // ChainKey renders the witness path for the function with the given
-// key, prefixed by the function's own short name. External functions
-// render their recorded fact witness.
+// key, prefixed by the function's own short name.
 func (t *Taint) ChainKey(key string) string {
 	if n := t.prog.nodes[key]; n != nil {
 		if rest := t.Chain(n); rest != "" {
 			return shortKey(key) + " -> " + rest
 		}
-		return shortKey(key)
-	}
-	if w, ok := t.prog.facts.Get(t.fact, key); ok && w != "" {
-		return shortKey(key) + " -> " + w
 	}
 	return shortKey(key)
 }

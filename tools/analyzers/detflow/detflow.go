@@ -40,9 +40,9 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	prog := pass.Program()
-	wall := prog.Propagate(analysis.FactWallClock, analysis.DirectWallClock, analysis.StandardFollow)
-	grand := prog.Propagate(analysis.FactGlobalRand, analysis.DirectGlobalRand, analysis.StandardFollow)
-	emit := prog.Propagate(analysis.FactEmission, analysis.DirectEmission, analysis.StandardFollow)
+	wall := prog.Propagate(analysis.DirectWallClock, analysis.StandardFollow)
+	grand := prog.Propagate(analysis.DirectGlobalRand, analysis.StandardFollow)
+	emit := prog.Propagate(analysis.DirectEmission, analysis.StandardFollow)
 
 	for _, n := range prog.Nodes() {
 		if n.Pkg.PkgPath != pass.PkgPath || n.IsTest {

@@ -13,10 +13,7 @@
 //   - capturing closures and method values (which box their receivers)
 //
 // A single site can be waived with a same-line `//predis:allocok`
-// comment (free-list misses, amortized slab refills). Calls into
-// functions outside the load are checked against their imported
-// "allocates" vetx facts, so per-package unit mode keeps seeing through
-// dependency boundaries.
+// comment (free-list misses, amortized slab refills).
 //
 // Unlike the runtime benchmarks this is a static guarantee: a new
 // allocation anywhere under a hot root fails `make lint` even when no
@@ -63,24 +60,6 @@ func run(pass *analysis.Pass) error {
 			}
 			pass.Reportf(a.Pos, "%s (%s) on hot path %s",
 				a.Kind, a.Detail, analysis.RootChain(reached, n))
-		}
-		// External callees known (via imported facts) to allocate.
-		for _, site := range n.Calls {
-			if site.Kind != analysis.CallStatic && site.Kind != analysis.CallBound {
-				continue
-			}
-			for _, key := range site.Targets {
-				if prog.Node(key) != nil {
-					continue // in-load: its own sites are reported above
-				}
-				if _, cold := prog.Facts().Get(analysis.FactColdPath, key); cold {
-					continue // traversal stops at cold boundaries
-				}
-				if w, ok := prog.Facts().Get(analysis.FactAllocates, key); ok {
-					pass.Reportf(site.Pos, "call to %s allocates (%s) on hot path %s",
-						site.Name, w, analysis.RootChain(reached, n))
-				}
-			}
 		}
 	}
 	return nil
