@@ -161,22 +161,22 @@ func (c *Coder) reconstruct(shards [][]byte, parity bool) error {
 	}
 
 	// The decode matrix is determined by which rows feed the
-	// reconstruction — the first `data` present shards.
-	idx := make([]byte, 0, c.data)
-	srcRows := make([][]byte, 0, c.data)
+	// reconstruction — the first `data` present shards. (A Coder has at
+	// most 256 shards, so the index list lives on the stack.)
+	var buf [256]byte
+	idx := buf[:0]
 	for i := 0; i < c.TotalShards() && len(idx) < c.data; i++ {
-		if shards[i] == nil {
-			continue
+		if shards[i] != nil {
+			idx = append(idx, byte(i))
 		}
-		idx = append(idx, byte(i))
-		srcRows = append(srcRows, shards[i])
 	}
 	dec, err := c.decodeMatrix(idx)
 	if err != nil {
 		return err
 	}
 
-	// Recover missing data shards: dataShard[d] = dec.row(d) · srcRows.
+	// Recover missing data shards: dataShard[d] = dec.row(d) · survivors.
+	// Only nil entries are filled, so shards[idx[k]] stays the survivor.
 	for d := 0; d < c.data; d++ {
 		if shards[d] != nil {
 			continue
@@ -184,7 +184,7 @@ func (c *Coder) reconstruct(shards [][]byte, parity bool) error {
 		out := make([]byte, size)
 		row := dec.row(d)
 		for k := 0; k < c.data; k++ {
-			mulAndAdd(out, srcRows[k], row[k])
+			mulAndAdd(out, shards[idx[k]], row[k])
 		}
 		shards[d] = out
 	}

@@ -271,13 +271,19 @@ func TestEdgeKeysCoexist(t *testing.T) {
 
 // TestHeightGapZeroesRoot pins the gap rule: a machine that is handed a
 // non-consecutive height counts it and reports a zero root from then
-// on, instead of a root no peer computed.
+// on, instead of a root no peer computed. A fresh machine's state is the
+// chain's only before block 1, so a first block above height 1 — the
+// first block of a node that skip-synced from height 0 — is a gap too.
 func TestHeightGapZeroesRoot(t *testing.T) {
-	m := NewMachine(genesis)
-	if r := m.ExecuteBlock(nil, 5, uniformBlock(4)); r.StateRoot.IsZero() {
-		t.Fatal("a machine may start at any height")
+	late := NewMachine(genesis)
+	if r := late.ExecuteBlock(nil, 5, uniformBlock(4)); !r.StateRoot.IsZero() || late.Stats().Gaps != 1 {
+		t.Fatalf("a machine starting at height 5 reports root %s, %d gaps", r.StateRoot.Short(), late.Stats().Gaps)
 	}
-	if r := m.ExecuteBlock(nil, 6, uniformBlock(4)); r.StateRoot.IsZero() || m.Stats().Gaps != 0 {
+	m := NewMachine(genesis)
+	if r := m.ExecuteBlock(nil, 1, uniformBlock(4)); r.StateRoot.IsZero() || m.Stats().Gaps != 0 {
+		t.Fatal("height 1 on a fresh machine treated as a gap")
+	}
+	if r := m.ExecuteBlock(nil, 2, uniformBlock(4)); r.StateRoot.IsZero() || m.Stats().Gaps != 0 {
 		t.Fatal("consecutive height treated as a gap")
 	}
 	if r := m.ExecuteBlock(nil, 9, uniformBlock(4)); !r.StateRoot.IsZero() {

@@ -137,8 +137,9 @@ type Stats struct {
 	Blocks, Txs, Applied, Aborted int
 	Levels, MaxWidth              int
 	// Gaps counts blocks whose height did not follow the machine's last
-	// executed one. After the first the machine's state is no longer the
-	// chain's, and it reports a zero state root.
+	// executed one — for a fresh machine, a first block above height 1.
+	// After the first the machine's state is no longer the chain's, and it
+	// reports a zero state root.
 	Gaps int
 	// Hashes counts the digests the state commitment computed.
 	Hashes int
@@ -469,7 +470,7 @@ func (m *Machine) ExecuteBlockSerial(height uint64, txs []*types.Transaction) Re
 //
 //predis:hotpath
 func (m *Machine) commit(res *Result) {
-	if m.height != 0 && res.Height != m.height+1 {
+	if res.Height != m.height+1 {
 		m.stats.Gaps++
 	}
 	m.height = res.Height

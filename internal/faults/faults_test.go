@@ -288,8 +288,8 @@ func TestScheduleDeterminism(t *testing.T) {
 		}})
 		n.Start()
 		n.Run(400 * time.Millisecond)
-		state := fmt.Sprintf("a=%v@%v b=%v@%v delivered=%d lost=%d",
-			a.got, a.gotAt, b.got, b.gotAt, n.Delivered(), n.Lost())
+		state := fmt.Sprintf("a=%v@%v b=%v@%v delivered=%d filtered=%d",
+			a.got, a.gotAt, b.got, b.gotAt, n.Delivered(), n.Dropped().Filtered)
 		return inj.TraceString(), state
 	}
 	t1, s1 := run()

@@ -57,7 +57,7 @@ func (s *stripeSink) Receive(from wire.NodeID, m wire.Message) {
 	if !s.signer.Verify(int(sm.Header.Producer), sm.Header.Hash(), sm.Header.Sig) {
 		return
 	}
-	if s.striper.VerifyStripe(sm) == nil {
+	if s.striper.VerifyStripe(sm.Header.StripeRoot, sm) == nil {
 		s.ok = true
 	}
 }
@@ -116,7 +116,9 @@ func byzDeliverySweep(o Options) (*stats.Table, error) {
 		return nil, err
 	}
 	bundle := core.PackBundleStriped(suite.Signer(1), 1, nil, txs, make(core.TipList, 4), set.Root)
-	msg, err := set.Stripe(bundle.Header, 0)
+	// The producer's own stripe: a carrier of the signed header the sink
+	// checks first.
+	msg, err := set.Stripe(bundle.Header, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -131,9 +131,11 @@ func TestPacedStreamIdle(t *testing.T) {
 // determinism is the first six rows' and TestReplayRecoveryDeterministic's
 // business, these hold every Multi-Zone deployment shape still. A change
 // that moves the model on purpose re-pins the rows it moves; a host-only
-// change must leave all of them alone. (All ten rows last moved together
-// with simnet's NIC model: the arrival-ordered downlink and the consensus
-// lane re-time every delivery.)
+// change must leave all of them alone. (All ten rows moved together with
+// simnet's NIC model, which re-timed every delivery; seven moved again
+// with ISSUE 25 — Predis blocks on the consensus lane, stripe headers on
+// f+1 carriers, two-relayer subscription loops broken — while the two bare
+// consensus points and fig8's tables did not.)
 func TestReplayPinned(t *testing.T) {
 	sum := func(tr *ReplayTrace) string { return fmt.Sprintf("%s %d", tr.Sum(), tr.Deliveries()) }
 	point := func() string {
@@ -205,14 +207,14 @@ func TestReplayPinned(t *testing.T) {
 		want string
 	}{
 		{"P-PBFT point", 2, point, "2b99bcdc2610a1094c3621927ef686ddf98fef6a3d5b79d34d25e346dd6fa78f 2966"},
-		{"leader-crash recovery", 2, recovery, "3cd3c74a151cd26da335442ac61307690831122707ece40797d4908ef55fd0a5 39796"},
+		{"leader-crash recovery", 2, recovery, "b5204050678d70d4d1a223213a76cbc847672cf4062bf350c0ae15e73f930daa 39872"},
 		{"stream P-PBFT point", 2, streamPoint, "6f74a9271d481dd0c1b29c2e31e322a58906e3e493a7808b934555c2c48b611f 14439"},
-		{"quickstart", 2, quickstart(false), "bd2f302d64c991c6862ab37a812346da948bc4a196ba5b3846319b4d7910dd06 24242"},
-		{"stream quickstart", 2, quickstart(true), "8bcbc820683c78bced83fc229967ecbc817c3b634b1581689cfa163ae61b88ce 165277"},
-		{"contention", 2, contention, "350bf63e70e23761b8233ec4322a93681288ce0fffb3e49f940407fc34da2bb1 6623 roots 47a0edeaa534521ab31badcfbc342cfe0aab5b6c9117a5c97cb92403d9a49a3b"},
-		{"quick recovery", 1, experiment(Recovery, true), "a1bc09a94122614d00fa5477fc1a78c30c450899eb59bf858ad2f5ba1bb4bd23 263110"},
-		{"quick byzantine", 1, experiment(Byzantine, true), "678b3a1c306a79113a72e4770bc228c4b8501d4ab8b345d06f452bc218a3f7cd 527794"},
-		{"quick fig7 tables", 1, experiment(Fig7, false), "4005cb20c7e84a58610865db73d2f425ddda1d9c5631e369441091970fc809bd"},
+		{"quickstart", 2, quickstart(false), "8666fa728d407635ef2462de61267361bb682a451e12e29e076e6bd14f9f78b1 24304"},
+		{"stream quickstart", 2, quickstart(true), "99569b60a8fbba76c8609104b73f7f5cf67b133d4cc9e1795e3285ef39910535 165969"},
+		{"contention", 2, contention, "061e10caf255e6e9273460ed4109aef4bc0daff08e8fab83356ba0f5e10ca868 7670 roots 5a36f00b9c4ad521518349b8cb6870ff1e09462797ced566b176fd8a32475467"},
+		{"quick recovery", 1, experiment(Recovery, true), "d2c6a784e3ebfc391ef63532122e83d47eabd0903be49b93a7f1a454c5e9ff54 208984"},
+		{"quick byzantine", 1, experiment(Byzantine, true), "a671fb60781fd04972906a40682074c0b769607264f051033a0916ac3edb2fdd 529861"},
+		{"quick fig7 tables", 1, experiment(Fig7, false), "6942a4d630345b1d819b9732c057b7234dec1a846a45fa65e0f8f359c6979ee2"},
 		{"quick fig8 tables", 1, experiment(Fig8, false), "7343fd4bf123f025c17ba5a1d005de4e28cdd44ea8af36299255db9edce62c9a"},
 	} {
 		for run := 1; run <= c.runs; run++ {

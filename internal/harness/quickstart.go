@@ -71,11 +71,17 @@ func Quickstart(o Options) ([]*stats.Table, error) {
 	sampler.Start(dep.End)
 	dep.Net.Start()
 	dep.Net.Run(dep.End)
-	// The fetch plane's counters, per full node (see FullNode.PullStats).
+	// The fetch plane's and the parked references' counters, per full node
+	// (see FullNode.PullStats and ParkStats).
 	for _, fn := range dep.Fulls {
 		requests, bundles, _, _ := fn.PullStats()
 		registry.Counter("multizone.pull_requests", fn.ID()).Add(requests)
 		registry.Counter("multizone.pull_bundles", fn.ID()).Add(bundles)
+		parked, resolved, expired, wait := fn.ParkStats()
+		registry.Counter("multizone.parked", fn.ID()).Add(parked)
+		registry.Counter("multizone.park_resolved", fn.ID()).Add(resolved)
+		registry.Counter("multizone.park_expired", fn.ID()).Add(expired)
+		registry.Gauge("multizone.park_wait_max_ms", fn.ID()).Set(wait.Seconds() * 1e3)
 	}
 	for i, host := range dep.Hosts {
 		publishPace(registry, wire.NodeID(i), host.Node.Engine())

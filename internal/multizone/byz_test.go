@@ -55,10 +55,11 @@ func lastHeights(zc *zoneCluster) map[wire.NodeID]uint64 {
 func TestByzCountersZeroOnBenignRuns(t *testing.T) {
 	cfg := zoneConfig{
 		nc: 4, f: 1, zones: 1, perZone: 6,
-		rate: 300, duration: 8 * time.Second, loss: 0.03,
+		rate: 300, duration: 8 * time.Second,
 	}
 	zc := buildZoneCluster(t, cfg)
 	faults.Install(zc.net, faults.Schedule{Seed: 7, Actions: []faults.Action{
+		lossEverywhere(0.03, cfg),
 		faults.CrashWindow{Node: fullNodeID(0, 4), From: 3 * time.Second, To: 5 * time.Second},
 	}})
 	zc.net.Start()

@@ -9,6 +9,7 @@ import (
 
 	"predis/internal/core"
 	"predis/internal/crypto"
+	"predis/internal/env"
 	"predis/internal/node"
 	"predis/internal/simnet"
 	"predis/internal/wire"
@@ -95,16 +96,20 @@ func (r *relayRig) hashes() []crypto.Hash {
 }
 
 // TestRelayPathAllocs pins the steady-state stripe relay path of a full
-// node with subscribers: a duplicate stripe, the first stripe of a bundle
-// on a warm free list and a middle stripe allocate nothing; the stripe
-// that completes a bundle another node already reassembled pays only the
-// mempool's amortized growth.
+// node with subscribers: a reference parked as the first stripe of a bundle
+// on a warm free list, a duplicate of it, the carrier that resolves and
+// relays it, and a duplicate of an accepted stripe allocate nothing; the
+// stripe that completes a bundle another node already reassembled pays
+// only the mempool's amortized growth. (Producer 0's carriers are stripes
+// 0 and 2, its references 1 and 3.)
 func TestRelayPathAllocs(t *testing.T) {
 	const n = 128
 	r := newRelayRig(t, n)
 	fn := r.fn
-	// Warm-up lap: size the partials map, the event queue and the free list.
+	// Warm-up lap: size the partials map, the event queue and the free
+	// list, whose entries keep the senders slice parking gave them.
 	for _, st := range r.stripes {
+		fn.onStripe(1, st[1])
 		fn.onStripe(0, st[0])
 	}
 	r.drain()
@@ -114,19 +119,23 @@ func TestRelayPathAllocs(t *testing.T) {
 	}
 
 	i := 0
-	if a := testing.AllocsPerRun(n-1, func() { fn.onStripe(0, r.stripes[i][0]); i++ }); a != 0 {
-		t.Errorf("first stripe of a bundle on a warm free list allocates %.2f, want 0", a)
+	if a := testing.AllocsPerRun(n-1, func() {
+		fn.onStripe(1, r.stripes[i][1])
+		fn.onStripe(1, r.stripes[i][1])
+		fn.onStripe(0, r.stripes[i][0])
+		i++
+	}); a != 0 {
+		t.Errorf("a reference parked on a warm free list, its duplicate and the carrier resolving it allocate %.2f, want 0", a)
 	}
 	if len(fn.freePartials) != 0 || len(fn.partials) != n {
 		t.Fatalf("free %d, partials %d after reopening every bundle", len(fn.freePartials), len(fn.partials))
 	}
+	if parked, resolved, _, _ := fn.ParkStats(); parked != 2*n || resolved != 2*n {
+		t.Fatalf("parked %d, resolved %d, want %d each", parked, resolved, 2*n)
+	}
 	r.drain()
 	if a := testing.AllocsPerRun(100, func() { fn.onStripe(0, r.stripes[7][0]) }); a != 0 {
 		t.Errorf("duplicate stripe allocates %.2f, want 0", a)
-	}
-	i = 0
-	if a := testing.AllocsPerRun(n-1, func() { fn.onStripe(1, r.stripes[i][1]); i++ }); a != 0 {
-		t.Errorf("middle stripe allocates %.2f, want 0", a)
 	}
 	r.drain()
 
@@ -169,7 +178,7 @@ func TestRecycledPartialCarriesNothingOver(t *testing.T) {
 	if len(fn.freePartials) != 1 || fn.freePartials[0] != old {
 		t.Fatal("dropped partial did not reach the free list")
 	}
-	if old.done || old.have != 0 || old.height != 0 || old.producer != 0 || old.first != 0 || len(old.stripes) != 4 {
+	if old.done || old.known || old.have != 0 || old.parked != 0 || old.height != 0 || old.producer != 0 || old.first != 0 || len(old.stripes) != 4 {
 		t.Fatalf("recycled partial not reset: %+v", old)
 	}
 	for i, st := range old.stripes {
@@ -177,13 +186,13 @@ func TestRecycledPartialCarriesNothingOver(t *testing.T) {
 			t.Fatalf("recycled partial still holds stripe %d", i)
 		}
 	}
-	fn.onStripe(1, r.stripes[1][1])
+	fn.onStripe(2, r.stripes[1][2])
 	p := fn.partials[r.bundles[1].Header.Hash()]
 	if p != old {
 		t.Fatal("free partial was not reused")
 	}
-	if p.done || p.have != 1 || p.stripes[1] != r.stripes[1][1] || p.stripes[0] != nil ||
-		p.producer != 0 || p.height != 2 || p.first != 1 {
+	if p.done || !p.known || p.have != 1 || p.parked != 0 || p.stripes[2] != r.stripes[1][2] || p.stripes[0] != nil ||
+		p.producer != 0 || p.height != 2 || p.first != 2 {
 		t.Fatalf("reused partial in a wrong state: %+v", p)
 	}
 	// The late fourth stripe of bundle 0 (its partial is gone, the bundle
@@ -194,11 +203,12 @@ func TestRecycledPartialCarriesNothingOver(t *testing.T) {
 	}
 }
 
-// scanInflight is the full scan prefetchSpec used to run per ZoneSpec.
+// scanInflight is the full scan prefetchSpec used to run per ZoneSpec,
+// over the partials whose header is known.
 func scanInflight(f *FullNode) []uint64 {
 	out := make([]uint64, f.cfg.NC)
 	for _, p := range f.partials {
-		if int(p.producer) < len(out) && p.height > out[p.producer] {
+		if p.known && int(p.producer) < len(out) && p.height > out[p.producer] {
 			out[p.producer] = p.height
 		}
 	}
@@ -257,6 +267,147 @@ func TestInflightHighWaterMatchesFullScan(t *testing.T) {
 						seed, step, i, fn.inflightHigh[i], want[i])
 				}
 			}
+		}
+	}
+}
+
+// burstSender sends its messages to one peer, in order, when it starts.
+type burstSender struct {
+	to   wire.NodeID
+	msgs []wire.Message
+}
+
+func (s *burstSender) Start(ctx env.Context) {
+	for _, m := range s.msgs {
+		ctx.Send(s.to, m)
+	}
+}
+func (s *burstSender) Receive(wire.NodeID, wire.Message) {}
+
+// TestZoneBlockOvertakesStripeBurst: a consensus node's uplink holds a
+// burst of stripes for a relayer when a Predis block commits. The block is
+// metadata and leaves on the consensus lane, so the relayer has it before
+// the first stripe of the burst; the stripes follow in send order. (At
+// the parent commit the block waited behind all sixteen.)
+func TestZoneBlockOvertakesStripeBurst(t *testing.T) {
+	r := newRelayRig(t, 1)
+	set, err := r.striper.Encode(mkTxs(50, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := core.PackBundleStriped(r.suite.Signer(1), 1, nil, mkTxs(50, 7), make(core.TipList, 4), set.Root)
+	blk := &core.PredisBlock{Height: 1, Leader: 1, Cuts: make([]core.Cut, 4)}
+	blk.Sig = r.suite.Signer(1).Sign(blk.Hash())
+	src := &burstSender{to: 2}
+	for i := 0; i < 16; i++ {
+		st, _ := set.Stripe(b.Header, i%4)
+		src.msgs = append(src.msgs, st)
+	}
+	src.msgs = append(src.msgs, &ZoneBlock{Block: blk})
+
+	net := simnet.New(simnet.Config{Uplink: simnet.Mbps100, Latency: simnet.UniformLatency(time.Millisecond)})
+	var got []wire.Message
+	net.AddNode(1, src)
+	net.AddNode(2, &recHandler{onRecv: func(_ wire.NodeID, m wire.Message) { got = append(got, m) }})
+	net.Start()
+	net.Run(time.Second)
+	if len(got) != len(src.msgs) {
+		t.Fatalf("received %d of %d messages", len(got), len(src.msgs))
+	}
+	if _, ok := got[0].(*ZoneBlock); !ok {
+		t.Fatalf("first delivery is %T, want the block queued behind %d stripes", got[0], len(src.msgs)-1)
+	}
+	for i, m := range got[1:] {
+		if m != src.msgs[i] {
+			t.Fatalf("delivery %d is not stripe %d of the burst", i+1, i)
+		}
+	}
+}
+
+// TestTamperedReferenceChargedOnceHeaderLands: a reference whose proof was
+// replaced (faults' TamperProof) arrives before its header. It is parked —
+// not relayed, not counted, not yet charged — and when the carrier lands it
+// fails against the carrier's StripeRoot: its sender is charged one offense,
+// its slot is freed for the honest copy, and no subscriber ever sees it.
+func TestTamperedReferenceChargedOnceHeaderLands(t *testing.T) {
+	r := newRelayRig(t, 1)
+	fn := r.fn
+	honest := r.stripes[0][1]
+	bad := honest.TamperProof(99).(*StripeMsg)
+	var relayed []wire.Message
+	r.net.OnDeliver = func(from, to wire.NodeID, m wire.Message, at time.Time) {
+		if _, ok := m.(*StripeMsg); ok && from == fn.ID() {
+			relayed = append(relayed, m)
+		}
+	}
+	const liar = 3
+	fn.onStripe(liar, bad)
+	r.drain()
+	if parked, _, _, _ := fn.ParkStats(); parked != 1 || fn.rejected != 0 || fn.offenses[liar] != 0 || len(relayed) != 0 {
+		t.Fatalf("parked %d, rejected %d, offenses %d, relayed %d; want the reference parked and nothing else",
+			parked, fn.rejected, fn.offenses[liar], len(relayed))
+	}
+	fn.onStripe(0, r.stripes[0][0]) // the carrier
+	r.drain()
+	p := fn.partials[r.bundles[0].Header.Hash()]
+	if fn.rejected != 1 || fn.offenses[liar] != 1 || p == nil || p.stripes[1] != nil || p.have != 1 {
+		t.Fatalf("after the carrier: rejected %d, offenses %d, partial %+v", fn.rejected, fn.offenses[liar], p)
+	}
+	for _, m := range relayed {
+		if m == wire.Message(bad) {
+			t.Fatal("the tampered reference was relayed")
+		}
+	}
+	fn.onStripe(1, honest)
+	if p.stripes[1] != honest || p.have != 2 {
+		t.Fatalf("honest reference after the tampered one was charged: %+v", p)
+	}
+}
+
+// TestOrphanReferenceFloodCapped: a peer floods references to headers that
+// do not exist. Each opens a header-less partial until the producer's cap,
+// then they are dropped; none raises inflightHigh, and carriers keep
+// working. Orphans at heights the chain confirms leave with the sweep at
+// the confirmed height, and the rest — claims above any real height — once
+// they are older than staleAfter.
+func TestOrphanReferenceFloodCapped(t *testing.T) {
+	r := newRelayRig(t, 2)
+	fn := r.fn
+	for k := 0; k < 10*maxHeaderless; k++ {
+		h := uint64(1 << 40)
+		if k < maxHeaderless/2 {
+			h = 1 + uint64(k%2) // heights the chain confirms below
+		}
+		fn.onStripe(300, &StripeMsg{
+			Header: core.BundleHeader{Producer: 0, Height: h}, Ref: true,
+			RefHash: crypto.HashBytes([]byte{byte(k), byte(k >> 8)}), Index: 1,
+			Shard: make([]byte, 32), Proof: make([]crypto.Hash, 2),
+		})
+	}
+	if got := len(fn.partials); got != maxHeaderless || fn.headerless[0] != maxHeaderless || fn.inflightHigh[0] != 0 {
+		t.Fatalf("%d partials, %d header-less, inflightHigh %d after the flood; want %d, %d, 0",
+			got, fn.headerless[0], fn.inflightHigh[0], maxHeaderless, maxHeaderless)
+	}
+	for i := 0; i < 3; i++ {
+		fn.onStripe(wire.NodeID(i), r.stripes[0][i])
+	}
+	if _, got, _ := fn.Stats(); got != 1 || fn.rejected != 0 {
+		t.Fatalf("assembled %d bundles, rejected %d stripes beside the flood; want 1, 0", got, fn.rejected)
+	}
+	fn.mp.MarkConfirmed(0, 2)
+	fn.sweepDataPlane()
+	if fn.headerless[0] != maxHeaderless/2 {
+		t.Fatalf("%d header-less partials after the confirmed-height sweep, want %d", fn.headerless[0], maxHeaderless/2)
+	}
+	r.now += fn.staleAfter() + fn.cfg.AliveInterval
+	r.net.Run(r.now) // the alive timer sweeps
+	if _, _, expired, _ := fn.ParkStats(); fn.headerless[0] != 0 || expired != maxHeaderless {
+		t.Fatalf("%d header-less partials, %d expired stripes once the orphans went stale; want 0, %d",
+			fn.headerless[0], expired, maxHeaderless)
+	}
+	for _, p := range fn.partials {
+		if !p.known {
+			t.Fatalf("a header-less partial survived: %+v", p)
 		}
 	}
 }

@@ -55,9 +55,12 @@ func (p *pullTap) answered(holder, node wire.NodeID, after, before time.Time) bo
 // in small. The fetch plane must not ask any holder twice for a bundle
 // inside one backoff delay unless that holder answered in between (it
 // answered short, and what was missing goes to the next holder), and the
-// pulls must spread over the consensus nodes by producer. At the parent
-// commit the same deployment asks consensus node 0 for 47 % and node 1 for
-// none of 1 042 bundles; here it is 582 bundles, 24–26 % each.
+// pulls must spread over the consensus nodes by producer. Before ISSUE 18
+// the same deployment asked consensus node 0 for 47 % and node 1 for none
+// of 1 042 bundles; it is 645 bundles now, 24–26 % each. (With stripe
+// headers that spread holds only because every relayer gets a header
+// carrier of every producer first hand — see headerCarrier — and because
+// the two relayers no longer lose a stripe to a subscription loop.)
 func TestFetchPlaneUnderOverload(t *testing.T) {
 	slow := simnet.Mbps100 / 6
 	cfg := zoneConfig{

@@ -93,11 +93,22 @@ const (
 	// blockCatchupWindow bounds the ring of completed blocks retained to
 	// serve BlockRequests from restarting peers.
 	blockCatchupWindow = 512
+	// maxHeaderless caps a producer's header-less partials — bundles whose
+	// references arrived before any carrier. An honest one waits about one
+	// relay hop for its carrier (in 6-s predis-perf runs at most 51 ms on
+	// fanout_lan, 334 ms across crash_lan's relayer crash), so a handful
+	// are open at a time and no benchmark workload reaches the cap; it
+	// bounds what a peer sending references to made-up headers can pin.
+	maxHeaderless = 16
 )
 
 // quarantineTTL is how long a quarantined peer stays blacklisted before
 // it may serve or receive stripes again.
 func (f *FullNode) quarantineTTL() time.Duration { return 8 * f.cfg.AliveInterval }
+
+// staleAfter is how long a speculative block, or a header-less partial,
+// may wait for what finalizes it before the sweep expires it.
+func (f *FullNode) staleAfter() time.Duration { return 8 * f.cfg.AliveInterval }
 
 func (c *FullNodeConfig) withDefaults() FullNodeConfig {
 	out := *c
@@ -129,16 +140,26 @@ func (r *relayerInfo) active() bool { return len(r.stripes) > 0 }
 
 // partialBundle accumulates stripes for one bundle header. It stays in
 // the dedup map until the bundle is confirmed, so it holds the bundle's
-// coordinates, not a copy of the header: stripes[first] carries the header
-// whose signature was checked, until assembly clears the stripes.
+// coordinates, not a copy of the header: once known, stripes[first] is the
+// carrier whose header signature was checked, until assembly clears the
+// stripes. Until then the partial is header-less: its coordinates are what
+// the references claim, and every stripe in it is parked, sent by
+// senders[index] and waiting since parkedAt.
 type partialBundle struct {
 	producer wire.NodeID
 	height   uint64
 	stripes  []*StripeMsg
+	senders  []wire.NodeID
+	parkedAt time.Time
 	have     int
+	parked   int
 	first    uint8
+	known    bool
 	done     bool
 }
+
+// root is the StripeRoot of a known partial's header.
+func (p *partialBundle) root() crypto.Hash { return p.stripes[p.first].Header.StripeRoot }
 
 // FullNode is a Multi-Zone full node: it subscribes to stripes, forwards
 // them down its subscription tree, reassembles bundles, and reconstructs
@@ -167,9 +188,11 @@ type FullNode struct {
 	partials map[crypto.Hash]*partialBundle // by header hash
 	// freePartials recycles entries that left partials (reset, stripes
 	// slice kept); inflightHigh[i] is the highest bundle height of
-	// producer i with an entry in partials, assembled or not.
+	// producer i with a known entry in partials, assembled or not;
+	// headerless[i] counts producer i's header-less entries.
 	freePartials []*partialBundle
 	inflightHigh []uint64
+	headerless   []int
 	// Block plane.
 	lastCuts   []uint64
 	lastBlock  crypto.Hash
@@ -211,6 +234,9 @@ type FullNode struct {
 	specWaste   uint64 // speculative blocks discarded, superseded, or expired
 	// Fetch plane (see PullStats).
 	pullRequests, pullBundles, pullSuppressed, pullRetries uint64
+	// Parked reference stripes (see ParkStats).
+	parkedIn, parkResolved, parkExpired uint64
+	parkWaitMax                         time.Duration
 }
 
 var _ env.Handler = (*FullNode)(nil)
@@ -237,6 +263,7 @@ func NewFullNode(cfg FullNodeConfig) (*FullNode, error) {
 		zoneRelayers: make(map[wire.NodeID]*relayerInfo),
 		partials:     make(map[crypto.Hash]*partialBundle),
 		inflightHigh: make([]uint64, c.NC),
+		headerless:   make([]int, c.NC),
 		fetches:      make([]fetchState, c.NC),
 		seenBlocks:   make(map[crypto.Hash]uint64),
 		lastSeen:     make(map[wire.NodeID]time.Time),
@@ -273,6 +300,14 @@ func (f *FullNode) Stats() (stripes, bundles, blocks uint64) {
 // chain finalized (hits) and how many were discarded, superseded, or
 // expired unused (waste).
 func (f *FullNode) SpecStats() (hits, waste uint64) { return f.specHits, f.specWaste }
+
+// ParkStats returns how many reference stripes arrived before their
+// header and were parked, how many of those a carrier resolved (checked,
+// then relayed or rejected) and how many were swept unresolved, and the
+// longest a header-less partial waited for its carrier.
+func (f *FullNode) ParkStats() (parked, resolved, expired uint64, maxWait time.Duration) {
+	return f.parkedIn, f.parkResolved, f.parkExpired, f.parkWaitMax
+}
 
 // ID returns this node's wire identity.
 func (f *FullNode) ID() wire.NodeID { return f.cfg.Self }
@@ -494,6 +529,15 @@ func (f *FullNode) onAcceptSubscribe(from wire.NodeID, m *AcceptSubscribe) {
 			continue
 		}
 		delete(f.pendingSub, s)
+		if f.subscribers[s][from] && f.orphaned(s) {
+			// from takes s from us, and no one in the zone takes s from
+			// consensus or could still be promoted to: with from as our
+			// sender too, neither of us would ever receive s. Cancel and go
+			// to the source; from sees the same loop if it was waiting on us.
+			f.ctx.Send(from, &Unsubscribe{Stripes: []uint8{s}})
+			f.sendSubscribe(wire.NodeID(s), []uint8{s})
+			continue
+		}
 		f.stripeSender[s] = from
 		f.stripeSeen[s] = f.ctx.Now() // fresh sender: full starvation grace
 		if m.FromConsensus {
@@ -936,6 +980,24 @@ func intersectStripes(a, b []uint8) []uint8 {
 		}
 	}
 	return out
+}
+
+// orphaned reports whether stripe s has no way into the zone: no known
+// relayer announces taking it from consensus, and every zone peer is a
+// relayer already, so the promotion of armAlive — which hands uncovered
+// stripes to a node that relays nothing — has no one left to promote.
+func (f *FullNode) orphaned(s uint8) bool {
+	for _, info := range f.zoneRelayers {
+		if containsStripe(info.stripes, s) {
+			return false
+		}
+	}
+	for _, p := range f.cfg.ZonePeers {
+		if info := f.zoneRelayers[p]; info == nil || !info.active() {
+			return false
+		}
+	}
+	return true
 }
 
 func containsStripe(ss []uint8, s uint8) bool {

@@ -16,10 +16,16 @@ import (
 
 // onStripe handles the stripe data plane (§IV-D): verify, store, forward
 // down the subscription tree, and reassemble the bundle once n_c−f stripes
-// arrived. Up to completeBundle it allocates nothing in steady state.
+// arrived. A reference stripe that arrives before any carrier of its
+// header is parked until one does. Up to completeBundle it allocates
+// nothing in steady state.
 //
 //predis:hotpath
 func (f *FullNode) onStripe(from wire.NodeID, m *StripeMsg) {
+	if int(m.Index) >= f.cfg.NC {
+		f.rejectStripe(from, m, false, ErrStripeProof)
+		return
+	}
 	// Starvation liveness, before any dedup: a subscribed sender whose
 	// stripes systematically arrive after the n_c−f fastest is still
 	// contributing — only silence marks a withholder (forgeries are charged
@@ -27,39 +33,57 @@ func (f *FullNode) onStripe(from wire.NodeID, m *StripeMsg) {
 	if sd, ok := f.stripeSender[m.Index]; ok && sd == from {
 		f.stripeSeen[m.Index] = f.ctx.Now()
 	}
-	headerHash := m.Header.Hash()
+	headerHash := m.BundleHash()
 	p := f.partials[headerHash]
 	if p != nil && (p.done || p.stripes[m.Index] != nil) {
-		return // duplicate stripe
+		return // duplicate stripe, or one parked at this index already
 	}
 	// Already assembled via another path (bundle pull)?
 	if f.mp.Bundle(m.Header.Producer, m.Header.Height) != nil {
 		f.forwardStripe(from, m)
 		return
 	}
-	if err := f.cfg.Striper.VerifyStripe(m); err != nil {
-		f.rejectStripe(from, m, p != nil, err)
+	switch {
+	case p != nil && p.known:
+		if err := f.cfg.Striper.VerifyStripe(p.root(), m); err != nil {
+			f.rejectStripe(from, m, true, err)
+			return
+		}
+		f.accept(p, from, m)
+	case m.Ref:
+		f.park(p, headerHash, from, m)
 		return
-	}
-	if p == nil {
+	default:
+		if err := f.cfg.Striper.VerifyStripe(m.Header.StripeRoot, m); err != nil {
+			f.rejectStripe(from, m, false, err)
+			return
+		}
 		// Verify the header signature once per bundle.
 		if !f.headerAuthentic(&m.Header) {
 			f.rejectStripe(from, m, false, nil)
 			return
 		}
-		p = f.newPartial(headerHash, m)
+		p = f.openPartial(p, headerHash, m)
+		f.accept(p, from, m)
+		if p.parked > 0 {
+			f.resolveParked(p, p.root())
+		}
 	}
-	p.stripes[m.Index] = m
-	p.have++
-	f.stripesIn++
-	f.forwardStripe(from, m)
 	if p.have >= f.cfg.Striper.MinStripes() {
 		f.completeBundle(headerHash, p)
 	}
 }
 
+// accept stores a verified stripe in its partial, counts it and relays it.
+func (f *FullNode) accept(p *partialBundle, from wire.NodeID, m *StripeMsg) {
+	p.stripes[m.Index] = m
+	p.have++
+	f.stripesIn++
+	f.forwardStripe(from, m)
+}
+
 // rejectStripe charges the sender of a stripe that failed verification: a
-// bad Merkle proof (err non-nil) or, on a bundle's first stripe, a bad
+// bad Merkle proof (err non-nil) or, on a bundle's first carrier, a bad
 // header signature.
 //
 //predis:coldpath
@@ -80,36 +104,103 @@ func (f *FullNode) rejectStripe(from wire.NodeID, m *StripeMsg, known bool, err 
 	}
 }
 
-// newPartial opens the partial for the bundle whose first stripe — header
-// signature checked — is m, reusing a recycled entry when one is free.
-func (f *FullNode) newPartial(headerHash crypto.Hash, m *StripeMsg) *partialBundle {
+// park holds a reference stripe whose header has not arrived in the
+// header-less partial its header hash opens, until a carrier authenticates
+// it (see resolveParked). A parked stripe is neither forwarded nor counted.
+// What a reference claims is unauthenticated, so a producer has at most
+// maxHeaderless header-less partials, and a reference at one of its
+// carrier indices — which an honest node never sends — is dropped.
+func (f *FullNode) park(p *partialBundle, headerHash crypto.Hash, from wire.NodeID, m *StripeMsg) {
+	producer := m.Header.Producer
+	if int(producer) >= f.cfg.NC || headerCarrier(int(m.Index), producer, f.cfg.NC, f.cfg.F) {
+		return
+	}
+	if p == nil {
+		if f.headerless[producer] >= maxHeaderless {
+			return
+		}
+		f.headerless[producer]++
+		p = f.newPartial(headerHash)
+		p.producer, p.height, p.parkedAt = producer, m.Header.Height, f.ctx.Now()
+	}
+	if p.senders == nil {
+		p.senders = make([]wire.NodeID, f.cfg.NC) //predis:allocok once per partial, kept across recycling
+	}
+	p.stripes[m.Index], p.senders[m.Index] = m, from
+	p.parked++
+	f.parkedIn++
+}
+
+// resolveParked runs once an authenticated header with the given
+// StripeRoot arrived for p — on a carrier, or with the whole bundle pulled:
+// the references parked in p are checked against the root in index order,
+// then relayed and counted, or charged to their senders.
+func (f *FullNode) resolveParked(p *partialBundle, root crypto.Hash) {
+	for i, st := range p.stripes {
+		if st == nil || p.known && i == int(p.first) {
+			continue
+		}
+		p.stripes[i] = nil
+		if err := f.cfg.Striper.VerifyStripe(root, st); err != nil {
+			f.rejectStripe(p.senders[i], st, true, err)
+			continue
+		}
+		f.accept(p, p.senders[i], st)
+	}
+	f.parkResolved += uint64(p.parked)
+	f.parkWaitMax = max(f.parkWaitMax, f.ctx.Now().Sub(p.parkedAt))
+	p.parked = 0
+}
+
+// newPartial enters a partial for headerHash, reusing a recycled entry
+// when one is free; the caller fills in what it knows.
+func (f *FullNode) newPartial(headerHash crypto.Hash) *partialBundle {
 	var p *partialBundle
 	if n := len(f.freePartials); n > 0 {
 		p, f.freePartials = f.freePartials[n-1], f.freePartials[:n-1]
 	} else {
 		p = &partialBundle{stripes: make([]*StripeMsg, f.cfg.NC)} //predis:allocok free-list miss
 	}
-	p.producer, p.height, p.first = m.Header.Producer, m.Header.Height, m.Index
 	f.partials[headerHash] = p
+	return p
+}
+
+// openPartial makes p — nil, or a header-less partial of parked references
+// — the partial of the bundle whose carrier m has just been authenticated.
+// The coordinates are the header's: a reference's claims are not trusted.
+func (f *FullNode) openPartial(p *partialBundle, headerHash crypto.Hash, m *StripeMsg) *partialBundle {
+	if p == nil {
+		p = f.newPartial(headerHash)
+	} else {
+		f.headerless[p.producer]--
+	}
+	p.producer, p.height, p.first, p.known = m.Header.Producer, m.Header.Height, m.Index, true
 	f.raiseInflight(p)
 	return p
 }
 
+// raiseInflight folds an authenticated partial into inflightHigh; a
+// header-less one never raises it.
 func (f *FullNode) raiseInflight(p *partialBundle) {
-	if i := int(p.producer); i < len(f.inflightHigh) && p.height > f.inflightHigh[i] {
+	if i := int(p.producer); p.known && i < len(f.inflightHigh) && p.height > f.inflightHigh[i] {
 		f.inflightHigh[i] = p.height
 	}
 }
 
 // dropPartials removes entries from partials, resets them onto the free
-// list (no stripes, coordinates or flags survive into the next life) and
-// recomputes inflightHigh from what is left.
+// list (no stripes, coordinates or flags survive into the next life; a
+// header-less entry's parked stripes count as expired) and recomputes
+// inflightHigh from what is left.
 func (f *FullNode) dropPartials(hashes ...crypto.Hash) {
 	for _, h := range hashes {
 		p := f.partials[h]
 		delete(f.partials, h)
+		if !p.known {
+			f.headerless[p.producer]--
+			f.parkExpired += uint64(p.parked)
+		}
 		clear(p.stripes)
-		*p = partialBundle{stripes: p.stripes}
+		*p = partialBundle{stripes: p.stripes, senders: p.senders}
 		f.freePartials = append(f.freePartials, p)
 	}
 	clear(f.inflightHigh)
@@ -169,6 +260,13 @@ func (f *FullNode) storeBundle(b *core.Bundle, verify bool) bool {
 		return true
 	case res == core.Added:
 		f.bundles++
+		// A pulled bundle authenticates the references parked for it like a
+		// carrier: relay them, so the subscribers are not left short, and
+		// let the stored bundle answer the stripes still to come.
+		if p := f.partials[b.Header.Hash()]; p != nil && !p.known {
+			f.resolveParked(p, b.Header.StripeRoot)
+			f.dropPartials(b.Header.Hash())
+		}
 		// stripe_distributed: distributor anchor → bundle assembled at this
 		// full node (first completion wins per node).
 		f.cfg.Trace.SpanSinceMark(obs.StageStripeDistributed,
@@ -482,12 +580,15 @@ func (f *FullNode) onDigest(from wire.NodeID, m *BlockDigest) {
 // sweepDataPlane bounds memory on long runs: partial-bundle entries whose
 // bundles are confirmed (or pruned) leave the dedup map — assembled or not:
 // a bundle that arrived by pull leaves its partial short of n_c−f stripes
-// for good — and ancient block-hash entries age out once the chain moves
-// past them.
+// for good — as do header-less partials no carrier came for within
+// staleAfter (their heights are unauthenticated claims, so the confirmed
+// height alone would not bound them); ancient block-hash entries age out
+// once the chain moves past them.
 func (f *FullNode) sweepDataPlane() {
+	now := f.ctx.Now()
 	var swept []crypto.Hash
 	for h, p := range f.partials {
-		if p.height <= f.mp.ConfirmedHeight(p.producer) {
+		if p.height <= f.mp.ConfirmedHeight(p.producer) || !p.known && now.Sub(p.parkedAt) > f.staleAfter() {
 			swept = append(swept, h)
 		}
 	}
@@ -507,10 +608,8 @@ func (f *FullNode) sweepDataPlane() {
 	// discard was lost, or the height completed via catch-up) age out as
 	// waste, so a lossy stream can never grow the buffer without bound.
 	if len(f.specBlocks) > 0 {
-		now := f.ctx.Now()
-		ttl := 8 * f.cfg.AliveInterval
 		f.discardSpec(now, func(ent *specEntry) bool {
-			return ent.blk.Height <= f.lastHeight || now.Sub(ent.at) > ttl
+			return ent.blk.Height <= f.lastHeight || now.Sub(ent.at) > f.staleAfter()
 		})
 	}
 }

@@ -30,11 +30,20 @@ const (
 	TypeSpecDiscard     = wire.TypeRangeZone + 16
 )
 
-// StripeMsg carries one erasure-coded stripe of a bundle plus the bundle
-// header and the Merkle proof that makes the stripe self-verifying
-// (§IV-D).
+// StripeMsg carries one erasure-coded stripe of a bundle and the Merkle
+// proof that makes it self-verifying against the bundle header's
+// StripeRoot (§IV-D). Only the f+1 carrier stripes of a bundle ship the
+// signed header (see headerCarrier); the others are references that name
+// it by hash, so a full node receives each header f+1 times instead of
+// n_c. Any n_c−f stripes still include a carrier.
 type StripeMsg struct {
-	Header     core.BundleHeader
+	// Header is the producer-signed bundle header on a carrier. A reference
+	// fills only Header.Producer and Header.Height.
+	Header core.BundleHeader
+	// Ref marks a reference stripe, and RefHash is then its bundle's
+	// header hash.
+	Ref        bool
+	RefHash    crypto.Hash
 	Index      uint8
 	PayloadLen uint32
 	Shard      []byte
@@ -55,18 +64,58 @@ type StripeMsg struct {
 
 var _ wire.Message = (*StripeMsg)(nil)
 
+// refSize is what a reference stripe sends instead of the header:
+// producer, height and header hash.
+const refSize = 4 + 8 + crypto.HashSize
+
+// headerCarrier reports whether stripe i of a bundle from producer carries
+// the signed header: whether d = (i − producer) mod n_c is one of the f+1
+// offsets ⌊j·n_c/(f+1)⌋, j = 0…f, spread evenly around the ring. Any f+1
+// distinct indices would do for reassembly — the n_c−f stripes it needs
+// always include one of them — and offset 0 makes the producer's own
+// stripe, which it sends at seal time ahead of the others, a carrier. The
+// spread is what keeps relaying fast: Algorithm 1 splits a zone's stripes
+// between relayers in contiguous runs, and a relayer that takes no carrier
+// of a producer first hand must hold that producer's references until a
+// peer relays one (see FullNode.park), so a run of f+1 consecutive carriers
+// inside one relayer's half would make its peers wait two relay hops.
+func headerCarrier(i int, producer wire.NodeID, nc, f int) bool {
+	d := (i - int(producer)%nc + nc) % nc
+	j := (d*(f+1) + nc - 1) / nc // the one j whose offset can equal d
+	return j <= f && j*nc/(f+1) == d
+}
+
+// BundleHash returns the hash of the header the stripe belongs to.
+func (m *StripeMsg) BundleHash() crypto.Hash {
+	if m.Ref {
+		return m.RefHash
+	}
+	return m.Header.Hash()
+}
+
 // Type implements wire.Message.
 func (m *StripeMsg) Type() wire.Type { return TypeStripe }
 
 // WireSize implements wire.Message.
 func (m *StripeMsg) WireSize() int {
-	return wire.FrameOverhead + m.Header.EncodedSize() + 1 + 4 +
-		wire.SizeVarBytes(m.Shard) + 4 + crypto.HashSize*len(m.Proof)
+	n := wire.FrameOverhead + 1 + 1 + 4 + wire.SizeVarBytes(m.Shard) + 4 + crypto.HashSize*len(m.Proof)
+	if m.Ref {
+		return n + refSize
+	}
+	return n + m.Header.EncodedSize()
 }
 
-// EncodeBody implements wire.Message.
+// EncodeBody implements wire.Message. One presence bit selects between the
+// signed header and the reference to it.
 func (m *StripeMsg) EncodeBody(e *wire.Encoder) {
-	m.Header.EncodeTo(e)
+	e.Bool(!m.Ref)
+	if m.Ref {
+		e.Node(m.Header.Producer)
+		e.U64(m.Header.Height)
+		e.Bytes32(m.RefHash)
+	} else {
+		m.Header.EncodeTo(e)
+	}
 	e.U8(m.Index)
 	e.U32(m.PayloadLen)
 	e.VarBytes(m.Shard)
@@ -77,11 +126,18 @@ func (m *StripeMsg) EncodeBody(e *wire.Encoder) {
 }
 
 func decodeStripe(d *wire.Decoder) (wire.Message, error) {
-	h, err := core.DecodeBundleHeader(d)
-	if err != nil {
-		return nil, err
+	m := &StripeMsg{}
+	if d.Bool() {
+		h, err := core.DecodeBundleHeader(d)
+		if err != nil {
+			return nil, err
+		}
+		m.Header = *h
+	} else {
+		m.Ref = true
+		m.Header.Producer, m.Header.Height, m.RefHash = d.Node(), d.U64(), d.Bytes32()
 	}
-	m := &StripeMsg{Header: *h, Index: d.U8(), PayloadLen: d.U32(), Shard: d.VarBytes()}
+	m.Index, m.PayloadLen, m.Shard = d.U8(), d.U32(), d.VarBytes()
 	n := int(d.U32())
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -106,7 +162,7 @@ var _ = merkle.Verify // keep import stable for documentation references
 // The original is untouched: the simulator shares one pointer across all
 // recipients of a multicast.
 func (m *StripeMsg) TamperShard(i int) wire.Message {
-	cp := &StripeMsg{Header: m.Header, Index: m.Index, PayloadLen: m.PayloadLen, Proof: m.Proof}
+	cp := &StripeMsg{Header: m.Header, Ref: m.Ref, RefHash: m.RefHash, Index: m.Index, PayloadLen: m.PayloadLen, Proof: m.Proof}
 	cp.Shard = append([]byte(nil), m.Shard...)
 	if len(cp.Shard) > 0 {
 		if i < 0 {
@@ -122,7 +178,7 @@ func (m *StripeMsg) TamperShard(i int) wire.Message {
 // Merkle proof derived deterministically from seed. Receivers that verify
 // proofs reject it exactly like a corrupted payload.
 func (m *StripeMsg) TamperProof(seed uint64) wire.Message {
-	cp := &StripeMsg{Header: m.Header, Index: m.Index, PayloadLen: m.PayloadLen, Shard: m.Shard}
+	cp := &StripeMsg{Header: m.Header, Ref: m.Ref, RefHash: m.RefHash, Index: m.Index, PayloadLen: m.PayloadLen, Shard: m.Shard}
 	cp.Proof = make([]crypto.Hash, len(m.Proof))
 	var b [16]byte
 	binary.LittleEndian.PutUint64(b[:8], seed)
@@ -327,12 +383,17 @@ func (m *Heartbeat) EncodeBody(e *wire.Encoder) {}
 
 func decodeHeartbeat(d *wire.Decoder) (wire.Message, error) { return &Heartbeat{}, nil }
 
-// ZoneBlock carries a Predis block through the relayer tree.
+// ZoneBlock carries a Predis block through the relayer tree. It is
+// metadata (wire.Metadata): every uplink sends it on the consensus lane, so
+// it never waits behind the stripes queued for the same subscribers.
 type ZoneBlock struct {
 	Block *core.PredisBlock
 }
 
-var _ wire.Message = (*ZoneBlock)(nil)
+var _ wire.Metadata = (*ZoneBlock)(nil)
+
+// Metadata implements wire.Metadata.
+func (m *ZoneBlock) Metadata() {}
 
 // Type implements wire.Message.
 func (m *ZoneBlock) Type() wire.Type { return TypeZoneBlock }
@@ -566,7 +627,11 @@ type ZoneSpec struct {
 	Block *core.PredisBlock
 }
 
-var _ wire.Message = (*ZoneSpec)(nil)
+var _ wire.Metadata = (*ZoneSpec)(nil)
+
+// Metadata implements wire.Metadata: a ZoneSpec takes the consensus lane
+// like the ZoneBlock that finalizes it.
+func (m *ZoneSpec) Metadata() {}
 
 // Type implements wire.Message.
 func (m *ZoneSpec) Type() wire.Type { return TypeSpec }
@@ -597,7 +662,10 @@ type ZoneSpecDiscard struct {
 	Hash   crypto.Hash
 }
 
-var _ wire.Message = (*ZoneSpecDiscard)(nil)
+var _ wire.Metadata = (*ZoneSpecDiscard)(nil)
+
+// Metadata implements wire.Metadata.
+func (m *ZoneSpecDiscard) Metadata() {}
 
 // Type implements wire.Message.
 func (m *ZoneSpecDiscard) Type() wire.Type { return TypeSpecDiscard }

@@ -120,7 +120,9 @@ func relayerOutage(t *testing.T, cfg zoneConfig, from time.Duration) {
 // served and it fast-forwards to an anchor. Its executor has then missed
 // blocks, so every root it reports from the gap on — to OnExecute and
 // into ledger entries — must be zero, never a root computed on stale
-// state.
+// state. A second node joins only after the same seven seconds, so its
+// very first block arrives by skip-sync (height 0 → anchor): it has
+// executed nothing the chain did, and every root it reports is zero too.
 func TestSkipSyncZeroesStateRoots(t *testing.T) {
 	cfg := zoneConfig{
 		nc: 4, f: 1, zones: 1, perZone: 4,
@@ -128,9 +130,10 @@ func TestSkipSyncZeroesStateRoots(t *testing.T) {
 		keepConfirmed: 8, exec: true,
 	}
 	zc := buildZoneCluster(t, cfg)
-	victim := fullNodeID(0, 3)
+	victim, late := fullNodeID(0, 3), fullNodeID(0, 2)
 	faults.Install(zc.net, faults.Schedule{Seed: 3, Actions: []faults.Action{
 		faults.CrashWindow{Node: victim, From: 4 * time.Second, To: 7 * time.Second},
+		faults.CrashWindow{Node: late, From: 0, To: 7 * time.Second},
 	}})
 	zc.net.Start()
 	zc.net.Run(cfg.duration)
@@ -178,6 +181,16 @@ func TestSkipSyncZeroesStateRoots(t *testing.T) {
 	for _, r := range zc.executed[fullNodeID(0, 0)] {
 		if r.StateRoot.IsZero() {
 			t.Fatalf("healthy peer reported a zero root at height %d", r.Height)
+		}
+	}
+	lateRes := zc.executed[late]
+	if len(lateRes) == 0 || lateRes[0].Height == 1 {
+		t.Fatalf("late joiner did not skip-sync from height 0: executed %d blocks", len(lateRes))
+	}
+	for _, r := range lateRes {
+		if !r.StateRoot.IsZero() {
+			t.Fatalf("late joiner, first block %d by skip-sync, reports root %s at height %d",
+				lateRes[0].Height, r.StateRoot.Short(), r.Height)
 		}
 	}
 	t.Logf("victim executed %d blocks, skip-sync %d → %d, ledger holds %d entries",

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"predis/internal/faults"
 )
 
 // TestEq3FailureProbability checks the paper's approximation p_c ≈ f/N.
@@ -152,19 +154,19 @@ func TestStripesSurviveMessageLoss(t *testing.T) {
 	cfg := zoneConfig{
 		nc: 4, f: 1, zones: 2, perZone: 5,
 		rate: 300, duration: 10 * time.Second,
-		loss: 0.02,
 	}
 	zc := buildZoneCluster(t, cfg)
+	faults.Install(zc.net, faults.Schedule{Seed: 5, Actions: []faults.Action{lossEverywhere(0.02, cfg)}})
 	zc.net.Start()
 	zc.net.Run(cfg.duration)
-	if zc.net.Lost() == 0 {
-		t.Fatal("loss model dropped nothing; test misconfigured")
+	lost := zc.net.Dropped().Filtered
+	if lost == 0 {
+		t.Fatal("loss window dropped nothing; test misconfigured")
 	}
 	for _, fn := range zc.fulls {
 		if _, _, blocks := fn.Stats(); blocks == 0 {
 			t.Fatalf("node %d completed no blocks under 2%% loss", fn.cfg.Self)
 		}
 	}
-	t.Logf("lost %d messages; all %d full nodes still completed blocks",
-		zc.net.Lost(), len(zc.fulls))
+	t.Logf("lost %d messages; all %d full nodes still completed blocks", lost, len(zc.fulls))
 }

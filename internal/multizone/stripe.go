@@ -58,6 +58,7 @@ type StripeSet struct {
 	PayloadLen int
 	Root       crypto.Hash
 	proofs     [][]crypto.Hash
+	f          int // the striper's f, which picks the header carriers
 }
 
 // Encode erasure-codes a bundle body into n_c shards and builds the stripe
@@ -84,21 +85,28 @@ func (s *Striper) Encode(txs []*types.Transaction) (*StripeSet, error) {
 	}
 	leaves := make([]crypto.Hash, len(shards)) //predis:allocok per-bundle leaf digests, level 0 of the proof tree
 	root, proofs := merkle.ProofsOfHashes(merkle.HashLeaves(leaves, shards))
-	return &StripeSet{Shards: shards, PayloadLen: payloadLen, Root: root, proofs: proofs}, nil //predis:allocok the result
+	return &StripeSet{Shards: shards, PayloadLen: payloadLen, Root: root, proofs: proofs, f: s.f}, nil //predis:allocok the result
 }
 
-// Stripe extracts stripe i as a wire message for the given bundle header.
+// Stripe extracts stripe i as a wire message for the given bundle header:
+// a carrier of the header or a reference to it, as headerCarrier decides.
 func (set *StripeSet) Stripe(header core.BundleHeader, i int) (*StripeMsg, error) {
 	if i < 0 || i >= len(set.Shards) {
 		return nil, fmt.Errorf("multizone: stripe index %d out of range", i)
 	}
-	return &StripeMsg{
-		Header:     header,
+	m := &StripeMsg{
 		Index:      uint8(i),
 		PayloadLen: uint32(set.PayloadLen),
 		Shard:      set.Shards[i],
 		Proof:      set.proofs[i],
-	}, nil
+	}
+	if headerCarrier(i, header.Producer, len(set.Shards), set.f) {
+		m.Header = header
+	} else {
+		m.Header.Producer, m.Header.Height = header.Producer, header.Height
+		m.Ref, m.RefHash = true, header.Hash()
+	}
+	return m, nil
 }
 
 // Errors from stripe verification and reassembly.
@@ -108,18 +116,20 @@ var (
 	ErrStripeBundle = errors.New("multizone: reassembled bundle does not match header")
 )
 
-// VerifyStripe checks a stripe against its header's StripeRoot. Success
-// is memoized on the message: the simulator delivers one *StripeMsg to
-// every recipient, so the Merkle proof is checked once per stripe rather
-// than once per full node.
-func (s *Striper) VerifyStripe(m *StripeMsg) error {
+// VerifyStripe checks a stripe against root, the StripeRoot of the
+// authenticated header whose hash the stripe names (a carrier's own
+// header, or the one a reference points to). Success is memoized on the
+// message: the simulator delivers one *StripeMsg to every recipient, and
+// the header hash the message names fixes the root, so the Merkle proof is
+// checked once per stripe rather than once per full node.
+func (s *Striper) VerifyStripe(root crypto.Hash, m *StripeMsg) error {
 	if m.verified {
 		return nil
 	}
 	if int(m.Index) >= s.nc {
 		return fmt.Errorf("%w: index %d of %d", ErrStripeProof, m.Index, s.nc) //predis:allocok reject path
 	}
-	if !merkle.Verify(m.Header.StripeRoot, m.Shard, int(m.Index), s.nc, m.Proof) {
+	if !merkle.Verify(root, m.Shard, int(m.Index), s.nc, m.Proof) {
 		return ErrStripeProof
 	}
 	m.verified = true

@@ -2,6 +2,7 @@ package multizone
 
 import (
 	"errors"
+	"math/bits"
 	"testing"
 	"testing/quick"
 	"time"
@@ -55,7 +56,7 @@ func TestStripeRoundtripAllLossPatterns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.VerifyStripe(m); err != nil {
+		if err := s.VerifyStripe(b.Header.StripeRoot, m); err != nil {
 			t.Fatalf("stripe %d failed verification: %v", i, err)
 		}
 		all[i] = m
@@ -96,18 +97,26 @@ func TestVerifyStripeRejectsTampering(t *testing.T) {
 	tampered := *m
 	tampered.Shard = append([]byte(nil), m.Shard...)
 	tampered.Shard[0] ^= 1
-	if err := s.VerifyStripe(&tampered); err == nil {
+	root := b.Header.StripeRoot
+	if err := s.VerifyStripe(root, &tampered); err == nil {
 		t.Fatal("tampered shard accepted")
 	}
 	wrongIdx := *m
 	wrongIdx.Index = 3
-	if err := s.VerifyStripe(&wrongIdx); err == nil {
+	if err := s.VerifyStripe(root, &wrongIdx); err == nil {
 		t.Fatal("stripe with wrong index accepted")
 	}
 	oob := *m
 	oob.Index = 9
-	if err := s.VerifyStripe(&oob); err == nil {
+	if err := s.VerifyStripe(root, &oob); err == nil {
 		t.Fatal("out-of-range index accepted")
+	}
+	other, _ := s.Encode(mkTxs(10, 500))
+	if err := s.VerifyStripe(other.Root, m); err == nil {
+		t.Fatal("stripe accepted against another bundle's root")
+	}
+	if err := s.VerifyStripe(root, m); err != nil {
+		t.Fatalf("honest stripe rejected: %v", err)
 	}
 }
 
@@ -120,6 +129,10 @@ func TestStripeRootHookMatchesEncode(t *testing.T) {
 	}
 }
 
+// TestStripeMsgCodec round-trips both stripe kinds of one bundle: producer
+// 1's own stripe and stripe 3, across the ring, carry the signed header,
+// stripes 0 and 2 only its hash, and each comes back with what it carried
+// and a WireSize that is the frame's length.
 func TestStripeMsgCodec(t *testing.T) {
 	RegisterMessages()
 	core.RegisterMessages()
@@ -128,17 +141,62 @@ func TestStripeMsgCodec(t *testing.T) {
 	txs := mkTxs(20, 0)
 	set, _ := s.Encode(txs)
 	b := core.PackBundleStriped(suite.Signer(1), 1, nil, txs, make(core.TipList, 4), set.Root)
-	m, _ := set.Stripe(b.Header, 0)
-	got, err := wire.Roundtrip(m)
-	if err != nil {
-		t.Fatal(err)
+	for i, wantRef := range []bool{true, false, true, false} {
+		m, _ := set.Stripe(b.Header, i)
+		if m.Ref != wantRef {
+			t.Fatalf("stripe %d: Ref = %v, want %v", i, m.Ref, wantRef)
+		}
+		got, err := wire.Roundtrip(m)
+		if err != nil {
+			t.Fatalf("stripe %d: %v", i, err)
+		}
+		gm := got.(*StripeMsg)
+		if gm.Ref != m.Ref || gm.BundleHash() != b.Header.Hash() || gm.Index != m.Index ||
+			gm.PayloadLen != m.PayloadLen || gm.Header.Producer != 1 || gm.Header.Height != b.Header.Height {
+			t.Fatalf("stripe %d changed in the round trip: %+v", i, gm)
+		}
+		if !wantRef && !suite.Signer(0).Verify(1, gm.Header.Hash(), gm.Header.Sig) {
+			t.Fatalf("carrier %d lost its header signature", i)
+		}
+		if err := s.VerifyStripe(b.Header.StripeRoot, gm); err != nil {
+			t.Fatalf("stripe %d invalid after roundtrip: %v", i, err)
+		}
+		if n := len(wire.Marshal(m)); n != m.WireSize() {
+			t.Fatalf("stripe %d: WireSize %d, frame %d", i, m.WireSize(), n)
+		}
 	}
-	gm := got.(*StripeMsg)
-	if err := s.VerifyStripe(gm); err != nil {
-		t.Fatalf("stripe invalid after roundtrip: %v", err)
+	carrier, _ := set.Stripe(b.Header, 1)
+	ref, _ := set.Stripe(b.Header, 0)
+	if saved := carrier.WireSize() - ref.WireSize(); saved != b.Header.EncodedSize()-refSize {
+		t.Fatalf("a reference saves %d B, want the header's %d less the %d B reference",
+			saved, b.Header.EncodedSize(), refSize)
 	}
-	if len(wire.Marshal(m)) != m.WireSize() {
-		t.Fatalf("StripeMsg WireSize %d vs %d", m.WireSize(), len(wire.Marshal(m)))
+}
+
+// TestHeaderCarriersCoverEveryQuorum: for every n_c ≤ 16, every f < n_c
+// and every producer, each set of n_c−f stripe indices — every set a
+// bundle reassembles from — holds at least one header carrier, and there
+// are exactly f+1 carriers, the producer's own index among them.
+func TestHeaderCarriersCoverEveryQuorum(t *testing.T) {
+	for nc := 1; nc <= 16; nc++ {
+		for f := 0; f < nc; f++ {
+			for k := 0; k < nc; k++ {
+				var carriers uint32
+				for i := 0; i < nc; i++ {
+					if headerCarrier(i, wire.NodeID(k), nc, f) {
+						carriers |= 1 << i
+					}
+				}
+				if bits.OnesCount32(carriers) != f+1 || carriers&(1<<k) == 0 {
+					t.Fatalf("nc=%d f=%d producer %d: carriers %b", nc, f, k, carriers)
+				}
+				for set := uint32(0); set < 1<<nc; set++ {
+					if bits.OnesCount32(set) == nc-f && set&carriers == 0 {
+						t.Fatalf("nc=%d f=%d producer %d: stripes %b hold no carrier", nc, f, k, set)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"predis/internal/crypto"
 	"predis/internal/env"
 	"predis/internal/exec"
+	"predis/internal/faults"
 	"predis/internal/ledger"
 	"predis/internal/node"
 	"predis/internal/simnet"
@@ -40,7 +41,6 @@ type zoneConfig struct {
 	duration    time.Duration
 	maxSubs     int
 	joinSpacing time.Duration
-	loss        float64
 	// stream enables streaming commit on the consensus hosts (speculative
 	// proposed-block pushes plus PBFT pipelining).
 	stream bool
@@ -61,6 +61,12 @@ func fullNodeID(zone, idx int) wire.NodeID {
 	return wire.NodeID(100 + zone*100 + idx)
 }
 
+// lossEverywhere drops each message on every link with probability p for
+// the whole run.
+func lossEverywhere(p float64, cfg zoneConfig) faults.Action {
+	return faults.LossWindow{From: wire.NoNode, To: wire.NoNode, Prob: p, End: cfg.duration}
+}
+
 func buildZoneCluster(t testing.TB, cfg zoneConfig) *zoneCluster {
 	t.Helper()
 	node.RegisterAllMessages()
@@ -73,11 +79,10 @@ func buildZoneCluster(t testing.TB, cfg zoneConfig) *zoneCluster {
 		t.Fatal(err)
 	}
 	net := simnet.New(simnet.Config{
-		Uplink:          simnet.Mbps100,
-		Downlink:        simnet.Mbps100,
-		Latency:         simnet.LANLatency(),
-		Seed:            5,
-		LossProbability: cfg.loss,
+		Uplink:   simnet.Mbps100,
+		Downlink: simnet.Mbps100,
+		Latency:  simnet.LANLatency(),
+		Seed:     5,
 	})
 	warm := simnet.Epoch.Add(cfg.duration / 4)
 	end := simnet.Epoch.Add(cfg.duration)
@@ -542,5 +547,35 @@ func TestFullNodeLedgerIntegration(t *testing.T) {
 	}
 	if led.TotalTxs() == 0 {
 		t.Fatal("ledger recorded zero transactions")
+	}
+}
+
+// TestTwoRelayerZoneCoversEveryStripe: in a zone of two full nodes both
+// end up relayers, each asking the other for stripes while the other asks
+// it. Accepting a peer's request for a stripe one is still waiting on that
+// peer for closes a loop neither end ever receives the stripe on, and with
+// no third node left to promote nothing repairs it — at the parent commit
+// this deployment relays stripe 1 to no one for the whole run. Every stripe
+// must reach the zone from consensus, and no two nodes may feed each other
+// the same stripe.
+func TestTwoRelayerZoneCoversEveryStripe(t *testing.T) {
+	cfg := zoneConfig{nc: 4, f: 1, zones: 1, perZone: 2, rate: 1000, duration: 2 * time.Second}
+	zc := buildZoneCluster(t, cfg)
+	zc.net.Start()
+	zc.net.Run(cfg.duration)
+	covered := make(map[uint8]bool)
+	for _, fn := range zc.fulls {
+		for _, s := range fn.RelayedStripes() {
+			covered[s] = true
+		}
+	}
+	if len(covered) != cfg.nc {
+		t.Fatalf("stripes taken from consensus in the zone: %v, want all %d", covered, cfg.nc)
+	}
+	a, b := zc.fulls[0], zc.fulls[1]
+	for s := uint8(0); s < uint8(cfg.nc); s++ {
+		if a.stripeSender[s] == b.ID() && b.stripeSender[s] == a.ID() {
+			t.Fatalf("stripe %d: %d and %d are each other's sender", s, a.ID(), b.ID())
+		}
 	}
 }

@@ -8,11 +8,12 @@
 // timers run through time.AfterFunc and take the same lock.
 //
 // Every peer has two outbound queues, the same discipline simnet models on
-// the uplink: frames for which wire.ConsensusFrame holds (votes, metadata-
-// only proposals) take the consensus lane, which the write loop drains
-// before it takes the next bulk frame, so agreement traffic does not wait
-// behind queued bundle bytes. Inbound traffic has no lane — no application
-// controls the order in which other machines' bytes arrive.
+// the uplink: frames for which wire.LaneFrame holds (votes, metadata-only
+// proposals, Predis blocks bound for full nodes) take the consensus lane,
+// which the write loop drains before it takes the next bulk frame, so
+// agreement traffic does not wait behind queued bundle bytes. Inbound
+// traffic has no lane — no application controls the order in which other
+// machines' bytes arrive.
 //
 // Lifecycle: New binds the listener (so Addr is known immediately and
 // peers can be registered with AddPeer before any traffic), Start launches
@@ -388,7 +389,7 @@ func (c *rtContext) Send(to wire.NodeID, m wire.Message) {
 	}
 	frame := wire.Marshal(m)
 	queue := pc.bulk
-	if wire.ConsensusFrame(m, len(frame)) {
+	if wire.LaneFrame(m, len(frame)) {
 		queue = pc.lane
 	}
 	select {

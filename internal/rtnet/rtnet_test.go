@@ -6,9 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"predis/internal/core"
 	"predis/internal/crypto"
 	"predis/internal/env"
 	"predis/internal/hotstuff"
+	"predis/internal/multizone"
 	"predis/internal/node"
 	"predis/internal/types"
 	"predis/internal/wire"
@@ -302,65 +304,107 @@ func TestListenerRestartDeliveryResumes(t *testing.T) {
 	t.Logf("delivery resumed after %d post-restart sends", seq-3)
 }
 
-// TestLaneFrameWrittenFirst queues eight bulk frames and then a vote for a
-// peer that is not listening yet: once the peer comes up, the write loop
-// must put the vote on the wire first and the bulk frames after it, in the
-// order they were sent.
+// TestLaneFrameWrittenFirst queues eight bulk frames and then a lane frame
+// for a peer that is not listening yet — a vote behind client replies, and
+// a Predis block on its way to full nodes behind a burst of stripes: once
+// the peer comes up, the write loop must put the lane frame on the wire
+// first and the bulk frames after it, in the order they were sent.
 func TestLaneFrameWrittenFirst(t *testing.T) {
 	node.RegisterAllMessages()
-	// A fresh runtime's listener reserves an address, then frees it.
-	probe, err := New(Config{Self: 0, Listen: "127.0.0.1:0"}, &echoHandler{})
-	if err != nil {
-		t.Fatal(err)
+	multizone.RegisterMessages()
+	blk := &core.PredisBlock{Height: 7, Cuts: make([]core.Cut, 4), Sig: make([]byte, crypto.SignatureSize)}
+	cases := []struct {
+		name string
+		bulk func(seq uint64) wire.Message
+		seq  func(m wire.Message) (uint64, bool)
+		lane wire.Message
+		isIt func(m wire.Message) bool
+	}{
+		{
+			name: "vote behind replies",
+			bulk: func(seq uint64) wire.Message { return &types.BlockReply{Height: seq, Replica: 1} },
+			seq: func(m wire.Message) (uint64, bool) {
+				if r, ok := m.(*types.BlockReply); ok {
+					return r.Height, true
+				}
+				return 0, false
+			},
+			lane: &hotstuff.Vote{View: 7, Replica: 1, Sig: make([]byte, crypto.SignatureSize)},
+			isIt: func(m wire.Message) bool { v, ok := m.(*hotstuff.Vote); return ok && v.View == 7 },
+		},
+		{
+			name: "zone block behind stripes",
+			bulk: func(seq uint64) wire.Message {
+				return &multizone.StripeMsg{Header: core.BundleHeader{Producer: 1, Height: seq}, Ref: true,
+					Index: uint8(seq % 4), Shard: make([]byte, 8<<10)}
+			},
+			seq: func(m wire.Message) (uint64, bool) {
+				if st, ok := m.(*multizone.StripeMsg); ok {
+					return st.Header.Height, true
+				}
+				return 0, false
+			},
+			lane: &multizone.ZoneBlock{Block: blk},
+			isIt: func(m wire.Message) bool { zb, ok := m.(*multizone.ZoneBlock); return ok && zb.Block.Height == 7 },
+		},
 	}
-	addr := probe.Addr().String()
-	probe.Close()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			// A fresh runtime's listener reserves an address, then frees it.
+			probe, err := New(Config{Self: 0, Listen: "127.0.0.1:0"}, &echoHandler{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := probe.Addr().String()
+			probe.Close()
 
-	hb := &echoHandler{}
-	rb, err := New(Config{
-		Self:   1,
-		Peers:  map[wire.NodeID]string{0: addr},
-		Redial: env.Backoff{Base: 10 * time.Millisecond, Max: 40 * time.Millisecond, Factor: 2},
-	}, hb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rb.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer rb.Close()
+			hb := &echoHandler{}
+			rb, err := New(Config{
+				Self:   1,
+				Peers:  map[wire.NodeID]string{0: addr},
+				Redial: env.Backoff{Base: 10 * time.Millisecond, Max: 40 * time.Millisecond, Factor: 2},
+			}, hb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rb.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer rb.Close()
 
-	const bulk = 8
-	for h := uint64(1); h <= bulk; h++ {
-		hb.ctx.Send(0, &types.BlockReply{Height: h, Replica: 1})
-	}
-	hb.ctx.Send(0, &hotstuff.Vote{View: 7, Replica: 1, Sig: make([]byte, crypto.SignatureSize)})
+			const bulk = 8
+			for h := uint64(1); h <= bulk; h++ {
+				hb.ctx.Send(0, c.bulk(h))
+			}
+			hb.ctx.Send(0, c.lane)
 
-	ha := &echoHandler{}
-	ra, err := New(Config{Self: 0, Listen: addr}, ha)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ra.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer ra.Close()
+			ha := &echoHandler{}
+			ra, err := New(Config{Self: 0, Listen: addr}, ha)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ra.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer ra.Close()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for ha.count() < bulk+1 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	ha.mu.Lock()
-	defer ha.mu.Unlock()
-	if len(ha.got) != bulk+1 {
-		t.Fatalf("received %d of %d frames", len(ha.got), bulk+1)
-	}
-	if v, ok := ha.got[0].(*hotstuff.Vote); !ok || v.View != 7 {
-		t.Fatalf("first frame on the wire is %T, want the vote queued behind %d bulk frames", ha.got[0], bulk)
-	}
-	for i, m := range ha.got[1:] {
-		if r, ok := m.(*types.BlockReply); !ok || r.Height != uint64(i+1) {
-			t.Fatalf("frame %d is %T %+v, want bulk frame %d in send order", i+1, m, m, i+1)
-		}
+			deadline := time.Now().Add(5 * time.Second)
+			for ha.count() < bulk+1 && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			ha.mu.Lock()
+			defer ha.mu.Unlock()
+			if len(ha.got) != bulk+1 {
+				t.Fatalf("received %d of %d frames", len(ha.got), bulk+1)
+			}
+			if !c.isIt(ha.got[0]) {
+				t.Fatalf("first frame on the wire is %T, want the lane frame queued behind %d bulk frames", ha.got[0], bulk)
+			}
+			for i, m := range ha.got[1:] {
+				if seq, ok := c.seq(m); !ok || seq != uint64(i+1) {
+					t.Fatalf("frame %d is %T, want bulk frame %d in send order", i+1, m, i+1)
+				}
+			}
+		})
 	}
 }

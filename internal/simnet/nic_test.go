@@ -237,7 +237,9 @@ func TestCrashAroundArrival(t *testing.T) {
 // a mid-run crash and checks the accounting identity after quiesce.
 func TestLaneAndBulkInvariant(t *testing.T) {
 	registerTestTypes()
-	n := New(Config{Uplink: Mbps100, Downlink: Mbps100, Latency: UniformLatency(3 * time.Millisecond), LossProbability: 0.1, Seed: 3})
+	n := New(Config{Uplink: Mbps100, Downlink: Mbps100, Latency: UniformLatency(3 * time.Millisecond), Seed: 3})
+	loss := rand.New(rand.NewSource(3))
+	n.SetDropFilter(func(from, to wire.NodeID, m wire.Message) bool { return loss.Float64() < 0.1 })
 	nodes := make([]*recorder, 4)
 	for i := range nodes {
 		nodes[i] = &recorder{}
@@ -261,7 +263,7 @@ func TestLaneAndBulkInvariant(t *testing.T) {
 	if n.Sends() == 0 || n.Sends() != n.Delivered()+n.Dropped().Total() {
 		t.Fatalf("invariant broken: sends=%d delivered=%d drops=%+v", n.Sends(), n.Delivered(), n.Dropped())
 	}
-	if d := n.Dropped(); d.Crashed == 0 || d.Lost == 0 {
+	if d := n.Dropped(); d.Crashed == 0 || d.Filtered == 0 {
 		t.Fatalf("want crash and loss drops, got %+v", d)
 	}
 }

@@ -27,18 +27,22 @@
 // it waits — whatever order the sends were issued in and however far away
 // each sender is.
 //
-// The uplink has two queues. A frame for which wire.ConsensusFrame holds (a
-// small PBFT or HotStuff message: a vote, a metadata-only proposal) takes
-// the consensus lane: it starts at max(now, lane free), serializes against
-// other lane frames only, and pushes the bulk clock back by its own
-// serialization time, so bulk sent afterwards pays for it. Everything else
-// is bulk and queues FIFO as before. This approximates a NIC that
-// interleaves the two queues packet by packet; bulk frames already reserved
-// keep their slots, so for the length of the queued burst the link carries
-// the lane frame's bytes on top — an over-commit bounded by the lane's
-// share of the uplink's bytes (LaneStats.MaxShare, well under 1 % for
-// Predis traffic). The downlink has no lane: no application controls the
-// order in which other machines' bytes reach it.
+// The uplink has two queues. A frame for which wire.LaneFrame holds (a
+// small PBFT or HotStuff message — a vote, a metadata-only proposal — or a
+// Predis block on its way to full nodes) takes the consensus lane: it
+// starts at max(now, lane free), serializes against other lane frames
+// only, and pushes the bulk clock back by its own serialization time, so
+// bulk sent afterwards pays for it. Everything else is bulk and queues
+// FIFO as before. This approximates a NIC that interleaves the two queues
+// packet by packet; bulk frames already reserved keep their slots, so for
+// the length of the queued burst the link carries the lane frame's bytes
+// on top — an over-commit bounded by the lane's share of the uplink's
+// bytes (LaneStats.MaxShare: 1.4 % on predis-perf's wan16_ladder). An
+// uplink that carries little besides Predis blocks — a full node forwarding
+// them to its subscribers — has most of its bytes on the lane, and little
+// bulk queued for them to overtake (84 % on fanout_lan). The downlink has
+// no lane: no application controls the order in which other machines'
+// bytes reach it.
 //
 // # Dense node indexing
 //
@@ -62,8 +66,8 @@
 // Delivered) or increments exactly one cause in Dropped(): Unknown
 // (unregistered destination), Crashed (receiver dead at send time or when
 // the first bit arrives, or either endpoint dead at delivery time),
-// Partitioned, Filtered, or Lost (random loss). So after the network
-// quiesces,
+// Partitioned, Filtered (the drop filter, through which package faults also
+// loses messages at random) or Undecodable. So after the network quiesces,
 //
 //	Sends() == Delivered() + Dropped().Total()
 //
@@ -108,11 +112,6 @@ type Config struct {
 	Latency func(from, to wire.NodeID) time.Duration
 	// Seed drives all per-node random sources.
 	Seed int64
-	// LossProbability drops each message independently with the given
-	// probability (0 disables). It models the network-layer failure
-	// probability of §IV-B; bandwidth is still charged for lost messages
-	// (the sender cannot know).
-	LossProbability float64
 	// CopyOnDeliver marshals and unmarshals every message on delivery.
 	// Slower, but catches codec bugs and accidental aliasing between
 	// sender and receiver state; tests enable it.
@@ -143,8 +142,6 @@ type DropCounts struct {
 	Partitioned uint64
 	// Filtered counts messages dropped by the message-level drop filter.
 	Filtered uint64
-	// Lost counts messages dropped by the random loss model.
-	Lost uint64
 	// Undecodable counts messages whose wire frame failed to decode at the
 	// receiver. A real runtime cannot hand a handler a frame it cannot
 	// parse, so a garbage frame degrades to a counted drop, never a panic.
@@ -153,7 +150,7 @@ type DropCounts struct {
 
 // Total returns the sum over all causes.
 func (d DropCounts) Total() uint64 {
-	return d.Unknown + d.Crashed + d.Partitioned + d.Filtered + d.Lost + d.Undecodable
+	return d.Unknown + d.Crashed + d.Partitioned + d.Filtered + d.Undecodable
 }
 
 // linkKey identifies a directed sender→receiver pair by node ID. It is
@@ -200,7 +197,6 @@ type Network struct {
 	partition  func(from, to wire.NodeID) bool
 	dropFilter func(from, to wire.NodeID, m wire.Message) bool
 	mutator    func(from, to wire.NodeID, m wire.Message) wire.Message
-	lossRng    *rand.Rand
 
 	// sends counts Send calls by live senders; delivered counts messages
 	// handed to handlers; drops splits the difference by cause; bytesSent
@@ -252,15 +248,11 @@ var _ env.Context = (*simNode)(nil)
 // New creates an empty network.
 func New(cfg Config) *Network {
 	return &Network{
-		cfg:     cfg,
-		now:     Epoch,
-		index:   make(map[wire.NodeID]int32),
-		lossRng: rand.New(rand.NewSource(cfg.Seed ^ 0x10551055)),
+		cfg:   cfg,
+		now:   Epoch,
+		index: make(map[wire.NodeID]int32),
 	}
 }
-
-// Lost returns how many messages the loss model dropped.
-func (n *Network) Lost() uint64 { return n.drops.Lost }
 
 // Sends returns how many Send calls live senders have made (each is either
 // delivered or counted in exactly one Dropped cause).
@@ -750,7 +742,7 @@ func (s *simNode) Send(to wire.NodeID, m wire.Message) {
 	s.bytesUp += uint64(size)
 	tx := int64(txTime(size, s.up))
 	var sendStart int64
-	if wire.ConsensusFrame(m, size) {
+	if wire.LaneFrame(m, size) {
 		// Consensus lane: the frame goes out between the packets of
 		// whatever bulk is queued, waiting only for earlier lane frames.
 		// Bulk already reserved keeps its slot (see "NIC model"); bulk
@@ -784,10 +776,6 @@ func (s *simNode) Send(to wire.NodeID, m wire.Message) {
 	}
 	if net.dropFilter != nil && net.dropFilter(s.id, to, m) {
 		net.drops.Filtered++
-		return
-	}
-	if net.cfg.LossProbability > 0 && net.lossRng.Float64() < net.cfg.LossProbability {
-		net.drops.Lost++
 		return
 	}
 	if net.mutator != nil {

@@ -39,10 +39,11 @@ func batch() *txpool.Batch {
 	return b
 }
 
-// TestConsensusFrame pins the lane rule: Predis proposals and every vote
+// TestLaneFrame pins the lane rule: Predis proposals, every vote and the
+// Predis block on its way to full nodes (ordered, speculative or retracted)
 // ride the consensus lane; a proposal that carries its batch, and every
-// data-plane, zone and client frame, is bulk.
-func TestConsensusFrame(t *testing.T) {
+// other data-plane, zone and client frame, is bulk.
+func TestLaneFrame(t *testing.T) {
 	sig := make([]byte, crypto.SignatureSize)
 	lane := map[string]wire.Message{
 		"P-HS proposal nc=16":   hsProposal(16, predisBlock(16)),
@@ -54,9 +55,13 @@ func TestConsensusFrame(t *testing.T) {
 		"HotStuff new-view":     &hotstuff.NewViewMsg{HighQC: hsProposal(16, predisBlock(16)).Block.Justify, Sig: sig},
 		"PBFT status request":   &pbft.StatusRequest{},
 		"HotStuff genesis vote": &hotstuff.Vote{},
+		"zone block nc=16":      &multizone.ZoneBlock{Block: predisBlock(16)},
+		"zone block nc=80":      &multizone.ZoneBlock{Block: predisBlock(80)},
+		"zone spec":             &multizone.ZoneSpec{Block: predisBlock(16)},
+		"zone spec discard":     &multizone.ZoneSpecDiscard{Height: 9},
 	}
 	for name, m := range lane {
-		if !wire.ConsensusFrame(m, m.WireSize()) {
+		if !wire.LaneFrame(m, m.WireSize()) {
 			t.Errorf("%s (%d B): bulk, want the consensus lane", name, m.WireSize())
 		}
 	}
@@ -65,28 +70,31 @@ func TestConsensusFrame(t *testing.T) {
 	}
 
 	bulk := map[string]wire.Message{
-		"PBFT pre-prepare with a batch":     &pbft.PrePrepare{Payload: batch(), Sig: sig},
-		"HotStuff proposal with a batch":    hsProposal(4, batch()),
-		"bundle request":                    &core.BundleRequest{},
-		"bare Predis block":                 predisBlock(16),
-		"zone block":                        &multizone.ZoneBlock{Block: predisBlock(16)},
-		"zone heartbeat":                    &multizone.Heartbeat{},
-		"client submit":                     &types.SubmitTx{Tx: types.NewTransaction(5000, 1, 512, 0)},
-		"client reply":                      &types.BlockReply{},
-		"transaction batch outside a block": batch(),
+		"PBFT pre-prepare with a batch":      &pbft.PrePrepare{Payload: batch(), Sig: sig},
+		"HotStuff proposal with a batch":     hsProposal(4, batch()),
+		"bundle request":                     &core.BundleRequest{},
+		"bare Predis block":                  predisBlock(16),
+		"zone block of a 100-producer group": &multizone.ZoneBlock{Block: predisBlock(100)},
+		"stripe":                             &multizone.StripeMsg{Shard: make([]byte, 1024)},
+		"catch-up block response":            &multizone.BlockResponse{Blocks: []*core.PredisBlock{predisBlock(16)}},
+		"zone heartbeat":                     &multizone.Heartbeat{},
+		"client submit":                      &types.SubmitTx{Tx: types.NewTransaction(5000, 1, 512, 0)},
+		"client reply":                       &types.BlockReply{},
+		"transaction batch outside a block":  batch(),
 	}
 	for name, m := range bulk {
-		if wire.ConsensusFrame(m, m.WireSize()) {
+		if wire.LaneFrame(m, m.WireSize()) {
 			t.Errorf("%s (%d B): consensus lane, want bulk", name, m.WireSize())
 		}
 	}
 	if got := (&pbft.PrePrepare{Payload: batch(), Sig: sig}).WireSize(); got < 400_000 {
 		t.Errorf("batch-carrying pre-prepare is %d B, want the 400 kB the lane bound is argued against", got)
 	}
-	// Every registered core, zone and client type is bulk at any size.
+	// A core, zone or client type tag alone puts nothing on the lane: only
+	// the Metadata marker does.
 	for _, r := range []wire.Type{wire.TypeRangeCore, wire.TypeRangeZone, wire.TypeRangeClient, wire.TypeRangeTxPool, wire.TypeRangeNarwhal, wire.TypeRangeGossip} {
 		for low := wire.Type(0); low < 0x100; low++ {
-			if wire.ConsensusFrame(typeOnly(r+low), 64) {
+			if wire.LaneFrame(typeOnly(r+low), 64) {
 				t.Errorf("type %#04x: consensus lane, want bulk", uint16(r+low))
 			}
 		}

@@ -61,27 +61,41 @@ type Message interface {
 // 4-byte body length.
 const FrameOverhead = 6
 
-// consensusFrameMax is the largest frame the consensus lane carries. A
-// Predis proposal is metadata: a P-HS proposal with a list QC is 1 760 B at
-// n_c = 16 and 3 192 B at n_c = 32 (one 40 B cut per producer plus one 72 B
+// laneFrameMax is the largest frame the consensus lane carries. A Predis
+// proposal is metadata: a P-HS proposal with a list QC is 1 760 B at n_c =
+// 16 and 3 192 B at n_c = 32 (one 40 B cut per producer plus one 72 B
 // signature share per quorum member), and a vote is 118 B. A baseline
 // pre-prepare carrying its transaction batch is 400 kB: it is bulk data
 // under a consensus type tag and must queue with the bulk, which is the
 // paper's point about what coupling costs.
-const consensusFrameMax = 4096
+const laneFrameMax = 4096
 
-// ConsensusFrame reports whether a frame of the given wire size belongs on
-// a NIC's consensus lane: a PBFT or HotStuff message small enough to be
-// agreement metadata rather than payload. It is the one lane rule, shared
-// by the simulator's uplink model and the TCP runtime's write loop.
-// Everything else — bundles, stripes, zone control, fetches, client
-// traffic — is bulk.
-func ConsensusFrame(m Message, size int) bool {
-	if size > consensusFrameMax {
+// Metadata marks a message type outside the consensus ranges that is
+// agreement metadata all the same: the ordered Predis block on its way down
+// the relayer tree (2.5 KB at n_c = 80 in the paper's §V-A), its
+// speculative push and that push's retraction. The interface lets the lane
+// rule name them without importing the package that defines them.
+type Metadata interface {
+	Message
+	// Metadata is a marker; it is never called.
+	Metadata()
+}
+
+// LaneFrame reports whether a frame of the given wire size belongs on a
+// NIC's consensus lane: a PBFT or HotStuff message, or a Metadata message,
+// small enough to be agreement metadata rather than payload. It is the one
+// lane rule, shared by the simulator's uplink model and the TCP runtime's
+// write loop. Everything else — bundles, stripes, zone control, fetches,
+// client traffic — is bulk.
+func LaneFrame(m Message, size int) bool {
+	if size > laneFrameMax {
 		return false
 	}
-	r := m.Type() & 0xff00
-	return r == TypeRangePBFT || r == TypeRangeHotStuff
+	if r := m.Type() & 0xff00; r == TypeRangePBFT || r == TypeRangeHotStuff {
+		return true
+	}
+	_, ok := m.(Metadata)
+	return ok
 }
 
 // Defective marks adversarial messages whose frames cannot be decoded: the
