@@ -70,9 +70,8 @@ func BenchmarkStreamLatfloor(b *testing.B) {
 	b.ReportMetric(float64(runtime.NumCPU()), "cpus")
 }
 
-// BenchmarkStreamQuickstart runs the streaming quickstart — the full
-// Multi-Zone pipeline with speculative distribution and spec-buffer
-// settlement — per iteration.
+// BenchmarkStreamQuickstart runs the streaming quickstart — P-HS with
+// drain blocks feeding the full Multi-Zone pipeline — per iteration.
 func BenchmarkStreamQuickstart(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := harness.Quickstart(harness.Options{

@@ -317,10 +317,10 @@ Flags:
                  and replay hashes match -parallel 1 exactly)
   -mode M        block (default) or stream. Stream switches mode-aware
                  experiments (quickstart) to streaming commit: bundles
-                 seal per transaction, consensus orders bundle-chain
-                 cursor advances, Multi-Zone distributes speculatively at
-                 proposal time, execution merges per bundle. latfloor
-                 contrasts both modes regardless of -mode.
+                 seal per transaction and consensus orders bundle-chain
+                 cursor advances; full nodes receive each block at
+                 commit, as in block mode. latfloor contrasts both modes
+                 regardless of -mode.
   -trace         write Chrome trace-event JSON + stage-latency CSV
   -trace-out P   trace output path (default <id>-trace.json)
   -metrics       write stage/metric/sample/link CSVs

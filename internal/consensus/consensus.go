@@ -65,22 +65,6 @@ type WorkReporter interface {
 	HasPendingWork() bool
 }
 
-// ProposalEvicter is an optional Application extension for streaming
-// commit mode. Engines call it when they abandon a proposal payload that
-// will never commit under the current history — PBFT deletes in-flight
-// instances on a view change, chained HotStuff prunes forks abandoned by
-// the committed chain — so the application can retract any speculative
-// side effects (Predis tells Multi-Zone distributors to push a spec
-// discard to full nodes). Eviction is advisory: the same payload may be
-// re-proposed later and commit, so implementations must key retraction by
-// payload identity, not by slot. Engines never call it for payloads they
-// have already delivered via OnCommit.
-type ProposalEvicter interface {
-	// OnProposalEvicted reports that the engine dropped the payload it
-	// was ordering at the given height without committing it.
-	OnProposalEvicted(height uint64, payload wire.Message)
-}
-
 // Engine is the surface a node uses to drive a consensus instance.
 type Engine interface {
 	env.Handler

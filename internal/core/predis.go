@@ -86,17 +86,6 @@ type Options struct {
 	// the node has answered the next one (BundleSize and the tick still
 	// apply). Bundle size is 1 when idle and grows with load.
 	SealOnProposal bool
-	// OnProposal, in stream mode, fires for every cursor block this node
-	// builds or successfully validates — before any quorum forms — so
-	// Multi-Zone distributors can begin speculative distribution. May
-	// fire more than once per block (build + validate, re-proposals);
-	// consumers dedupe by block hash. Never fires in block mode.
-	OnProposal func(blk *PredisBlock)
-	// OnEvict, in stream mode, fires when the consensus engine abandons
-	// a proposed cursor block without committing it (view change, fork
-	// prune) so speculative distribution can be retracted. Never fires in
-	// block mode.
-	OnEvict func(blk *PredisBlock)
 	// Trace, when non-nil, records the bundle_sealed lifecycle stage
 	// (first queued transaction → bundle packed and signed). Nil disables
 	// tracing at zero cost.
@@ -109,10 +98,9 @@ type Options struct {
 
 // CommitInfo describes one committed Predis block.
 type CommitInfo struct {
-	Height  uint64
-	Block   *PredisBlock
-	Bundles []*Bundle
-	Txs     []*types.Transaction
+	Height uint64
+	Block  *PredisBlock
+	Txs    []*types.Transaction
 }
 
 // Predis is the per-node data production component (§III). It owns the
@@ -267,18 +255,14 @@ func (p *Predis) sealQueue() {
 	}
 }
 
-// proposalSeen runs for every block this node built or validated. In
-// stream mode it announces the block for speculative distribution and,
-// when sealing is proposal-clocked, opens the next sealing slot. What is
+// proposalSeen runs for every block this node built or validated. When
+// sealing is proposal-clocked it opens the next sealing slot. What is
 // queued seals from a zero-delay timer, so the leader's engine is not
 // re-entered mid-proposal. (The vote no longer needs the head start: it
 // takes the uplink's consensus lane and never waits behind bundle bytes.)
 //
 //predis:hotpath
-func (p *Predis) proposalSeen(blk *PredisBlock) {
-	if p.opts.Stream && p.opts.OnProposal != nil {
-		p.opts.OnProposal(blk)
-	}
+func (p *Predis) proposalSeen() {
 	p.sealed = false
 	if p.opts.Stream && p.opts.SealOnProposal && len(p.queue) > 0 {
 		p.ctx.After(0, p.sealLater)
@@ -582,7 +566,7 @@ func (p *Predis) parentState(parent wire.Message) ([]uint64, crypto.Hash, error)
 // to the parent block and pack a Predis block. Block mode cuts by the
 // §III-B receipt rule; stream mode cuts eagerly at this node's own tips
 // (and, with StreamDrain, emits empty drain blocks while proposed cuts
-// await commit), announcing the proposal for speculative distribution.
+// await commit).
 func (p *Predis) BuildProposal(height uint64, parent wire.Message) (wire.Message, crypto.Hash, bool) {
 	if p.opts.Fault != FaultNone {
 		return nil, crypto.ZeroHash, false
@@ -603,7 +587,7 @@ func (p *Predis) BuildProposal(height uint64, parent wire.Message) (wire.Message
 	if !ok {
 		return nil, crypto.ZeroHash, false
 	}
-	p.proposalSeen(blk)
+	p.proposalSeen()
 	return blk, blk.Hash(), true
 }
 
@@ -651,39 +635,8 @@ func (p *Predis) ValidateProposal(height uint64, payload, parent wire.Message) (
 	if err != nil {
 		return crypto.ZeroHash, err
 	}
-	p.proposalSeen(blk)
+	p.proposalSeen()
 	return blk.Hash(), nil
-}
-
-// OnProposalEvicted implements consensus.ProposalEvicter: the engine
-// abandoned an ordered-but-uncommitted cursor block (view change, fork
-// prune), so retract its speculative distribution. Retraction is keyed by
-// payload identity, not slot: a payload that committed at its height —
-// possibly through another path (catch-up, competing fork) — must never
-// be retracted, so the block hash is compared against what actually
-// committed there. When the committed block at an old height is no longer
-// retained the eviction is conservatively dropped; full-node spec-buffer
-// TTL sweeps reclaim any leak.
-func (p *Predis) OnProposalEvicted(height uint64, payload wire.Message) {
-	if !p.opts.Stream || p.opts.OnEvict == nil {
-		return
-	}
-	blk, ok := payload.(*PredisBlock)
-	if !ok {
-		return
-	}
-	switch {
-	case height == p.lastHeight:
-		if blk.Hash() == p.lastBlockHash {
-			return // this exact payload committed
-		}
-	case height < p.lastHeight:
-		committed := p.recentBlock(height)
-		if committed == nil || committed.Hash() == blk.Hash() {
-			return // committed, or unverifiable — do not retract
-		}
-	}
-	p.opts.OnEvict(blk)
 }
 
 // OnCommit implements consensus.Application.
@@ -717,6 +670,6 @@ func (p *Predis) commitBlock(height uint64, blk *PredisBlock) {
 	p.mTxsCommitted.Add(uint64(len(txs)))
 	p.pushRecent(blk)
 	if p.opts.OnCommit != nil {
-		p.opts.OnCommit(CommitInfo{Height: height, Block: blk, Bundles: bundles, Txs: txs})
+		p.opts.OnCommit(CommitInfo{Height: height, Block: blk, Txs: txs})
 	}
 }

@@ -161,9 +161,6 @@ func TestRootHistoryIndependent(t *testing.T) {
 	}
 	parallel := func(m *Machine, h uint64, blk []*types.Transaction) { m.ExecuteBlock(nil, h, blk) }
 	serial := func(m *Machine, h uint64, blk []*types.Transaction) { m.ExecuteBlockSerial(h, blk) }
-	bundles := func(m *Machine, h uint64, blk []*types.Transaction) {
-		m.ExecuteBlockBundles(h, [][]*types.Transaction{blk[:len(blk)/3], blk[len(blk)/3:]})
-	}
 	forward := rand.New(rand.NewSource(1)).Perm(len(txs))
 	shuffled := rand.New(rand.NewSource(2)).Perm(len(txs))
 	ref := run(forward, len(txs), parallel)
@@ -172,10 +169,9 @@ func TestRootHistoryIndependent(t *testing.T) {
 		t.Fatal("reference run differs from oracle")
 	}
 	for name, m := range map[string]*Machine{
-		"one tx per block":     run(forward, 1, parallel),
-		"shuffled, blocks 17":  run(shuffled, 17, parallel),
-		"shuffled, serial":     run(shuffled, 40, serial),
-		"shuffled, per bundle": run(shuffled, 64, bundles),
+		"one tx per block":    run(forward, 1, parallel),
+		"shuffled, blocks 17": run(shuffled, 17, parallel),
+		"shuffled, serial":    run(shuffled, 40, serial),
 	} {
 		if m.StateRoot() != want {
 			t.Fatalf("%s: root %s, want %s", name, m.StateRoot().Short(), want.Short())

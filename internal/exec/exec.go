@@ -401,16 +401,6 @@ func (m *Machine) ExecuteBlock(_ *compute.Pool, height uint64, txs []*types.Tran
 	sem := m.semantic(txs)
 	levels := m.levelize(txs, sem)
 	res := Result{Height: height, Txs: len(sem), Levels: len(levels)}
-	m.runLevels(txs, levels, 0, &res)
-	m.commit(&res)
-	return res
-}
-
-// runLevels executes dependency levels against the block's cache, tagging
-// merged writes with lvlBase+level so callers that execute a block in
-// several leveling units (per-bundle streaming) keep cache versions
-// monotonic across units.
-func (m *Machine) runLevels(txs []*types.Transaction, levels [][]int, lvlBase int, res *Result) {
 	for lvl, idxs := range levels {
 		if len(idxs) > res.MaxWidth {
 			res.MaxWidth = len(idxs)
@@ -419,28 +409,7 @@ func (m *Machine) runLevels(txs []*types.Transaction, levels [][]int, lvlBase in
 		for i := range idxs {
 			m.kernel(i)
 		}
-		m.join(lvlBase+lvl, res)
-	}
-}
-
-// ExecuteBlockBundles is the streaming-mode committer: it executes one
-// committed block's transactions bundle by bundle, levelizing each bundle
-// independently and merging its levels into the shared per-block cache at
-// bundle joins instead of one block-wide join. Cross-bundle conflicts
-// need no analysis — a later bundle's snapshot already contains every
-// earlier bundle's merged writes, which serializes bundles exactly as
-// commit order does — so the state root equals ExecuteBlock's over the
-// flattened transaction sequence.
-func (m *Machine) ExecuteBlockBundles(height uint64, bundles [][]*types.Transaction) Result {
-	res := Result{Height: height}
-	lvlBase := 0
-	for _, txs := range bundles {
-		sem := m.semantic(txs)
-		levels := m.levelize(txs, sem)
-		res.Txs += len(sem)
-		res.Levels += len(levels)
-		m.runLevels(txs, levels, lvlBase, &res)
-		lvlBase += len(levels)
+		m.join(lvl, &res)
 	}
 	m.commit(&res)
 	return res

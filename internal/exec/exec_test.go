@@ -219,46 +219,6 @@ func TestLevelizedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBundleCommitterEquivalence pins the streaming committer: executing
-// a block bundle-by-bundle must yield the same state root and
-// applied/aborted counts as executing the flattened block at once, and as
-// the serial reference.
-func TestBundleCommitterEquivalence(t *testing.T) {
-	bundles := [][]*types.Transaction{
-		highConflictBlock(17),
-		uniformBlock(23),
-		{},                     // empty bundle (stream heartbeat)
-		{opaque(0), opaque(1)}, // all-opaque bundle
-		highConflictBlock(9),
-	}
-	var flat []*types.Transaction
-	for _, b := range bundles {
-		flat = append(flat, b...)
-	}
-	ref := NewMachine(genesis)
-	refRes := ref.ExecuteBlockSerial(1, flat)
-
-	whole := NewMachine(genesis)
-	wres := whole.ExecuteBlock(nil, 1, flat)
-	byBundle := NewMachine(genesis)
-	bres := byBundle.ExecuteBlockBundles(1, bundles)
-	if bres.StateRoot != wres.StateRoot || bres.StateRoot != refRes.StateRoot {
-		t.Fatalf("bundle root %s, block root %s, serial root %s",
-			bres.StateRoot.Short(), wres.StateRoot.Short(), refRes.StateRoot.Short())
-	}
-	if bres.Txs != wres.Txs || bres.Applied != wres.Applied || bres.Aborted != wres.Aborted {
-		t.Fatalf("bundle counters %+v != block %+v", bres, wres)
-	}
-	if byBundle.Height() != 1 {
-		t.Fatalf("Height = %d", byBundle.Height())
-	}
-	// Per-bundle leveling cannot be flatter than whole-block leveling
-	// (it forgoes cross-bundle width), and never exceeds the tx count.
-	if bres.Levels < wres.Levels || bres.Levels > bres.Txs {
-		t.Fatalf("bundle levels %d outside [%d, %d]", bres.Levels, wres.Levels, bres.Txs)
-	}
-}
-
 // TestParallelismAvailable checks the leveler actually finds width: the
 // conflict-free schedule must collapse to one wide level, the
 // high-conflict one must stay narrow.

@@ -34,10 +34,10 @@ type Options struct {
 	// execution when Replay is set, for the same reason.
 	Replay *ReplayTrace
 	// Stream switches mode-aware experiments (quickstart) to streaming
-	// commit: producers expose running bundle-chain cursors, consensus
-	// orders cursor advances, distribution starts speculatively at seal
-	// time, and execution merges per bundle. Off (the default), every
-	// experiment is byte-for-byte its historical block-mode self.
+	// commit: producers expose running bundle-chain cursors and consensus
+	// orders cursor advances; full nodes receive each block at commit, as
+	// in block mode. Off (the default), every experiment is byte-for-byte
+	// its historical block-mode self.
 	// Experiments that contrast both modes themselves (latfloor) ignore
 	// this flag.
 	Stream bool
@@ -83,7 +83,7 @@ func Registry() []Experiment {
 		// New experiments append at the end: quick_results.txt refreshes
 		// add their sections without perturbing the existing ones.
 		{"scale", "Scale: 10⁴–10⁵-node population — delivery latency and flow throughput, deep vs shallow trees", Scale},
-		{"latfloor", "Latency floor: block vs streaming commit (P-PBFT, LAN+WAN) — confirmed latency, throughput parity, speculation waste", LatencyFloor},
+		{"latfloor", "Latency floor: block vs streaming commit (P-PBFT, LAN+WAN) — confirmed latency, throughput parity", LatencyFloor},
 	}
 }
 

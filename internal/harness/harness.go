@@ -72,9 +72,8 @@ type PointSpec struct {
 	// (default 20ms, the value every experiment used historically).
 	BundleInterval time.Duration
 	// Stream enables streaming commit (see node.Config.Stream): bundles
-	// seal per transaction, cuts are eager, consensus pipelines, and
-	// execution merges at bundle joins. Off, the point is byte-for-byte
-	// the historical block-mode measurement.
+	// seal per transaction, cuts are eager, and consensus pipelines. Off,
+	// the point is byte-for-byte the historical block-mode measurement.
 	Stream bool
 	// Pipeline is the PBFT in-flight instance window; meaningful with
 	// Stream (default 1 = classic single-slot PBFT).
@@ -124,12 +123,9 @@ type PointResult struct {
 	ClientThroughput float64 // client-confirmed tx/s
 	Latency          stats.Summary
 	Blocks           int
-	ViewOrTimeouts   uint64
-	// SpecEvictions counts stream-mode proposal retractions across all
-	// nodes — the speculation-waste signal: each one is a block that was
-	// speculatively announced (and, under Multi-Zone, speculatively
-	// distributed) but did not commit as proposed. Always 0 in block mode.
-	SpecEvictions uint64
+	// ViewOrTimeouts is the most view changes (PBFT) or pacemaker
+	// timeouts (HotStuff) any one engine counted.
+	ViewOrTimeouts uint64
 }
 
 // RunPoint builds the deployment for one spec, runs it, and measures.
@@ -146,7 +142,6 @@ func RunPoint(spec PointSpec) (PointResult, error) {
 
 	suite := crypto.NewSimSuite(s.NC, uint64(s.Seed)+100)
 	nodes := make([]*node.Node, s.NC)
-	var evictions uint64
 	for i := 0; i < s.NC; i++ {
 		i := i
 		fault := core.FaultNone
@@ -178,11 +173,6 @@ func RunPoint(spec PointSpec) (PointResult, error) {
 				}
 			},
 		}
-		if s.Stream {
-			// Count retractions as the speculation-waste signal (the
-			// simulation runs on one goroutine, so a bare counter is safe).
-			cfg.OnBlockEvict = func(*core.PredisBlock) { evictions++ }
-		}
 		n, err := node.New(cfg)
 		if err != nil {
 			return PointResult{}, err
@@ -212,17 +202,15 @@ func RunPoint(spec PointSpec) (PointResult, error) {
 		ClientThroughput: col.ClientThroughput(),
 		Latency:          col.Latency(),
 		Blocks:           blocks,
-		SpecEvictions:    evictions,
 	}
 	for i, n := range nodes {
 		publishPace(s.Metrics, wire.NodeID(i), n.Engine())
+		if e, ok := n.Engine().(interface{ Stats() (uint64, uint64) }); ok {
+			_, changes := e.Stats()
+			res.ViewOrTimeouts = max(res.ViewOrTimeouts, changes)
+		}
 	}
 	publishLane(s.Metrics, net)
-	// Engine diagnostics from node 0.
-	switch e := nodes[0].Engine().(type) {
-	case interface{ Stats() (uint64, uint64) }:
-		_, res.ViewOrTimeouts = e.Stats()
-	}
 	return res, nil
 }
 

@@ -40,15 +40,24 @@ func latfloorSpecs(o Options, wan bool, stream bool, loads []float64, duration t
 }
 
 // LatencyFloor contrasts block-granularity commit with streaming commit
-// (seal→order→distribute→execute pipelined at bundle granularity) on the
+// (per-transaction seals, eager cuts, pipelined PBFT instances) on the
 // same P-PBFT deployment, on LAN and WAN, across offered loads. It
-// reports mean/p50/p99 confirmed-transaction latency per mode, the
-// throughput-parity series, and the speculation-waste counter (stream
-// proposals retracted by view changes or fork abandonment). This is the
-// experiment behind the streaming-commit claim: the latency floor drops
-// from "wait for the next block" to "wait for the next bundle" while
-// committed throughput stays equal.
+// reports mean/p50/p99 confirmed-transaction latency per mode and the
+// throughput-parity series. This is the experiment behind the
+// streaming-commit claim: the latency floor drops from "wait for the next
+// block" to "wait for the next bundle" while committed throughput stays
+// equal.
 func LatencyFloor(o Options) ([]*stats.Table, error) {
+	loads, rows, err := latfloorRun(o)
+	if err != nil {
+		return nil, err
+	}
+	return latfloorTables(loads, rows), nil
+}
+
+// latfloorRun measures LatencyFloor's grid: the offered loads, and one row
+// of results per load for LAN block, LAN stream, WAN block and WAN stream.
+func latfloorRun(o Options) ([]float64, [][]PointResult, error) {
 	loads := []float64{500, 1000, 2000, 4000}
 	duration := 8 * time.Second
 	if o.Quick {
@@ -85,15 +94,19 @@ func LatencyFloor(o Options) ([]*stats.Table, error) {
 	}
 	results, err := RunPoints(flat, workers)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	rows := [][]PointResult{
+	return loads, [][]PointResult{
 		results[0*len(loads) : 1*len(loads)],
 		results[1*len(loads) : 2*len(loads)],
 		results[2*len(loads) : 3*len(loads)],
 		results[3*len(loads) : 4*len(loads)],
-	}
+	}, nil
+}
 
+// latfloorTables renders latfloorRun's grid: the LAN and WAN latency
+// tables, then throughput parity.
+func latfloorTables(loads []float64, rows [][]PointResult) []*stats.Table {
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	latTable := func(name string, block, stream []PointResult) *stats.Table {
 		t := &stats.Table{
@@ -124,26 +137,13 @@ func LatencyFloor(o Options) ([]*stats.Table, error) {
 	}
 
 	parity := &stats.Table{
-		Title: "Latency floor: committed throughput parity and speculation " +
-			"waste (retracted stream proposals) vs offered tx/s",
+		Title:  "Latency floor: committed throughput parity vs offered tx/s",
 		XLabel: "offered tx/s",
 	}
-	paritySeries := []struct {
-		name string
-		row  []PointResult
-		pick func(PointResult) float64
-	}{
-		{"LAN block tx/s", rows[0], func(r PointResult) float64 { return r.Throughput }},
-		{"LAN stream tx/s", rows[1], func(r PointResult) float64 { return r.Throughput }},
-		{"WAN block tx/s", rows[2], func(r PointResult) float64 { return r.Throughput }},
-		{"WAN stream tx/s", rows[3], func(r PointResult) float64 { return r.Throughput }},
-		{"LAN stream retractions", rows[1], func(r PointResult) float64 { return float64(r.SpecEvictions) }},
-		{"WAN stream retractions", rows[3], func(r PointResult) float64 { return float64(r.SpecEvictions) }},
-	}
-	for _, sp := range paritySeries {
-		s := &stats.Series{Name: sp.name}
+	for r, name := range []string{"LAN block tx/s", "LAN stream tx/s", "WAN block tx/s", "WAN stream tx/s"} {
+		s := &stats.Series{Name: name}
 		for i, load := range loads {
-			s.Add(load, sp.pick(sp.row[i]))
+			s.Add(load, rows[r][i].Throughput)
 		}
 		parity.Series = append(parity.Series, s)
 	}
@@ -152,5 +152,5 @@ func LatencyFloor(o Options) ([]*stats.Table, error) {
 		latTable("LAN", rows[0], rows[1]),
 		latTable("WAN", rows[2], rows[3]),
 		parity,
-	}, nil
+	}
 }

@@ -10,27 +10,22 @@ import (
 // throughput within 5%. The simulation is virtual-time deterministic, so
 // these are exact regression bounds, not flaky wall-clock measurements.
 func TestLatencyFloorHeadline(t *testing.T) {
-	tables, err := LatencyFloor(Options{Quick: true, Seed: 1, Parallel: 4})
+	loads, rows, err := latfloorRun(Options{Quick: true, Seed: 1, Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tables := latfloorTables(loads, rows)
 	if len(tables) != 3 {
 		t.Fatalf("tables = %d, want 3 (LAN latency, WAN latency, parity)", len(tables))
 	}
 	lan := tables[0]
 	series := make(map[string][]float64)
-	var loads []float64
 	for _, s := range lan.Series {
 		ys := make([]float64, len(s.Points))
 		for i, p := range s.Points {
 			ys[i] = p.Y
 		}
 		series[s.Name] = ys
-		if loads == nil {
-			for _, p := range s.Points {
-				loads = append(loads, p.X)
-			}
-		}
 	}
 	for _, stat := range []string{"mean", "p99"} {
 		block, stream := series["block "+stat], series["stream "+stat]
@@ -62,11 +57,12 @@ func TestLatencyFloorHeadline(t *testing.T) {
 			}
 		}
 	}
-	// Fault-free runs speculate without waste: no proposal retractions.
-	for _, net := range []string{"LAN", "WAN"} {
-		for i, v := range parity[net+" stream retractions"] {
-			if v != 0 {
-				t.Errorf("%s @ %.0f tx/s: %v retractions in a fault-free run", net, loads[i], v)
+	// Fault-free runs keep their leader: no engine changes view in either
+	// mode, on either network.
+	for r, name := range []string{"LAN block", "LAN stream", "WAN block", "WAN stream"} {
+		for i, res := range rows[r] {
+			if res.ViewOrTimeouts != 0 {
+				t.Errorf("%s @ %.0f tx/s: %d view changes in a fault-free run", name, loads[i], res.ViewOrTimeouts)
 			}
 		}
 	}

@@ -135,7 +135,8 @@ func TestPacedStreamIdle(t *testing.T) {
 // simnet's NIC model, which re-timed every delivery; seven moved again
 // with ISSUE 25 — Predis blocks on the consensus lane, stripe headers on
 // f+1 carriers, two-relayer subscription loops broken — while the two bare
-// consensus points and fig8's tables did not.)
+// consensus points and fig8's tables did not. Stream quickstart alone
+// moved when stream mode stopped pushing proposed blocks to full nodes.)
 func TestReplayPinned(t *testing.T) {
 	sum := func(tr *ReplayTrace) string { return fmt.Sprintf("%s %d", tr.Sum(), tr.Deliveries()) }
 	point := func() string {
@@ -210,7 +211,7 @@ func TestReplayPinned(t *testing.T) {
 		{"leader-crash recovery", 2, recovery, "b5204050678d70d4d1a223213a76cbc847672cf4062bf350c0ae15e73f930daa 39872"},
 		{"stream P-PBFT point", 2, streamPoint, "6f74a9271d481dd0c1b29c2e31e322a58906e3e493a7808b934555c2c48b611f 14439"},
 		{"quickstart", 2, quickstart(false), "8666fa728d407635ef2462de61267361bb682a451e12e29e076e6bd14f9f78b1 24304"},
-		{"stream quickstart", 2, quickstart(true), "99569b60a8fbba76c8609104b73f7f5cf67b133d4cc9e1795e3285ef39910535 165969"},
+		{"stream quickstart", 2, quickstart(true), "b71a5e9275d26c0f7b83a269e3973754f0aa275727bf835176285613cede02e8 164987"},
 		{"contention", 2, contention, "061e10caf255e6e9273460ed4109aef4bc0daff08e8fab83356ba0f5e10ca868 7670 roots 5a36f00b9c4ad521518349b8cb6870ff1e09462797ced566b176fd8a32475467"},
 		{"quick recovery", 1, experiment(Recovery, true), "d2c6a784e3ebfc391ef63532122e83d47eabd0903be49b93a7f1a454c5e9ff54 208984"},
 		{"quick byzantine", 1, experiment(Byzantine, true), "a671fb60781fd04972906a40682074c0b769607264f051033a0916ac3edb2fdd 529861"},

@@ -30,10 +30,10 @@ type ObsSink struct {
 // set — lifecycle tracing plus NIC/queue sampling. It is the smallest
 // deployment in which all seven pipeline stages fire (submit,
 // bundle_sealed, block_proposed, prepare_commit, executed,
-// stripe_distributed, fullnode_delivered), and it renders the per-stage
-// latency breakdown
-// the paper's dataflow argument is about: consensus-side stages stay
-// flat while dissemination rides on pre-distribution.
+// stripe_distributed, fullnode_delivered), in either commit mode, and it
+// renders the per-stage latency breakdown the paper's dataflow argument is
+// about: consensus-side stages stay flat while dissemination rides on
+// pre-distribution.
 func Quickstart(o Options) ([]*stats.Table, error) {
 	offered, load := 4000.0, 6*time.Second
 	if o.Quick {
@@ -50,8 +50,8 @@ func Quickstart(o Options) ([]*stats.Table, error) {
 	// P-HS with Multi-Zone distribution hooks, two zones of three full
 	// nodes with one cross-zone backup each (the Fig. 7 deployment shape,
 	// scaled down). With Options.Stream the same deployment runs in
-	// streaming-commit mode: eager cuts, speculative stripe distribution
-	// at proposal time, and per-bundle execution merges.
+	// streaming-commit mode: per-transaction seals and eager cuts; full
+	// nodes are served exactly as in block mode.
 	dep, err := Deploy{
 		Engine: node.EngineHotStuff, NC: 4, Fulls: zoneMajor(2, 3),
 		Stream: o.Stream, ViewTimeout: 2 * time.Second,
@@ -97,13 +97,12 @@ func Quickstart(o Options) ([]*stats.Table, error) {
 	// Headline numbers plus the per-stage latency breakdown.
 	col := dep.Col
 	lat := col.Latency()
-	title := "Quickstart: P-HS + Multi-Zone (rows: 1=committed tx/s, " +
-		"2=confirmed tx/s, 3=mean latency ms, 4=p99 latency ms, 5=blocks, " +
-		"6=p50 latency ms, 7=p90 latency ms"
-	if o.Stream {
-		title += ", 8=spec finalized, 9=spec wasted"
+	summary := &stats.Table{
+		Title: "Quickstart: P-HS + Multi-Zone (rows: 1=committed tx/s, " +
+			"2=confirmed tx/s, 3=mean latency ms, 4=p99 latency ms, 5=blocks, " +
+			"6=p50 latency ms, 7=p90 latency ms)",
+		XLabel: "row",
 	}
-	summary := &stats.Table{Title: title + ")", XLabel: "row"}
 	name := "P-HS+MZ"
 	if o.Stream {
 		name = "P-HS+MZ stream"
@@ -117,16 +116,6 @@ func Quickstart(o Options) ([]*stats.Table, error) {
 	sum.Add(5, float64(blocks))
 	sum.Add(6, float64(lat.P50)/float64(time.Millisecond))
 	sum.Add(7, float64(lat.P90)/float64(time.Millisecond))
-	if o.Stream {
-		var hits, waste uint64
-		for _, fn := range dep.Fulls {
-			h, w := fn.SpecStats()
-			hits += h
-			waste += w
-		}
-		sum.Add(8, float64(hits))
-		sum.Add(9, float64(waste))
-	}
 	summary.Series = append(summary.Series, sum)
 
 	return []*stats.Table{summary, tracer.StageTable()}, nil

@@ -9,50 +9,50 @@ import (
 	"predis/internal/obs"
 )
 
-// TestQuickstartAllStagesFire runs the quickstart deployment and asserts
-// every pipeline stage recorded at least one span — the property the
-// trace-smoke CI target also checks from the CLI side.
+// TestQuickstartAllStagesFire runs the quickstart deployment in both
+// commit modes and asserts every pipeline stage recorded at least one span
+// — the property the trace row of `make smoke` also checks from the CLI
+// side.
 func TestQuickstartAllStagesFire(t *testing.T) {
-	sink := &ObsSink{}
-	tables, err := Quickstart(Options{Quick: true, Seed: 1, Obs: sink})
-	if err != nil {
-		t.Fatalf("quickstart: %v", err)
-	}
-	if len(tables) != 2 {
-		t.Fatalf("tables = %d, want 2 (summary + stage breakdown)", len(tables))
-	}
-	if sink.Trace == nil || sink.Metrics == nil || sink.Sampler == nil {
-		t.Fatalf("sink not populated: %+v", sink)
-	}
-	for _, stage := range obs.Stages() {
-		if stage.Optional() {
-			continue // mode-dependent (spec_distributed fires only in stream mode)
-		}
-		if s := sink.Trace.StageSummary(stage); s.Count == 0 {
-			t.Errorf("stage %s recorded no spans", stage)
-		}
-	}
-	// The exported Chrome trace parses and carries every stage name.
-	var buf bytes.Buffer
-	if err := sink.Trace.WriteChrome(&buf, sink.Sampler); err != nil {
-		t.Fatalf("WriteChrome: %v", err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("chrome trace does not parse: %v", err)
-	}
-	if len(doc.TraceEvents) == 0 {
-		t.Fatal("chrome trace has no events")
-	}
-	for _, stage := range obs.Stages() {
-		if stage.Optional() {
-			continue
-		}
-		if name := stage.String(); !strings.Contains(buf.String(), `"`+name+`"`) {
-			t.Errorf("chrome trace missing stage %q", name)
-		}
+	for _, stream := range []bool{false, true} {
+		name := map[bool]string{false: "block", true: "stream"}[stream]
+		t.Run(name, func(t *testing.T) {
+			sink := &ObsSink{}
+			tables, err := Quickstart(Options{Quick: true, Seed: 1, Stream: stream, Obs: sink})
+			if err != nil {
+				t.Fatalf("quickstart: %v", err)
+			}
+			if len(tables) != 2 {
+				t.Fatalf("tables = %d, want 2 (summary + stage breakdown)", len(tables))
+			}
+			if sink.Trace == nil || sink.Metrics == nil || sink.Sampler == nil {
+				t.Fatalf("sink not populated: %+v", sink)
+			}
+			for _, stage := range obs.Stages() {
+				if s := sink.Trace.StageSummary(stage); s.Count == 0 {
+					t.Errorf("stage %s recorded no spans", stage)
+				}
+			}
+			// The exported Chrome trace parses and carries every stage name.
+			var buf bytes.Buffer
+			if err := sink.Trace.WriteChrome(&buf, sink.Sampler); err != nil {
+				t.Fatalf("WriteChrome: %v", err)
+			}
+			var doc struct {
+				TraceEvents []map[string]any `json:"traceEvents"`
+			}
+			if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+				t.Fatalf("chrome trace does not parse: %v", err)
+			}
+			if len(doc.TraceEvents) == 0 {
+				t.Fatal("chrome trace has no events")
+			}
+			for _, stage := range obs.Stages() {
+				if name := stage.String(); !strings.Contains(buf.String(), `"`+name+`"`) {
+					t.Errorf("chrome trace missing stage %q", name)
+				}
+			}
+		})
 	}
 }
 

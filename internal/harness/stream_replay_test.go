@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// streamReplayOnce runs one streaming-commit P-PBFT point — eager cuts,
-// a 16-slot pipeline, per-bundle execution merges — and returns its
+// streamReplayOnce runs one streaming-commit P-PBFT point — per-transaction
+// seals, eager cuts, a 16-slot pipeline — and returns its
 // replay digest, delivery count, and formatted result.
 func streamReplayOnce(t *testing.T) (string, uint64, string) {
 	t.Helper()
@@ -31,8 +31,8 @@ func streamReplayOnce(t *testing.T) (string, uint64, string) {
 
 // TestStreamReplayDeterministic asserts streaming commit keeps the replay
 // contract block mode has always had: two same-seed runs are
-// byte-identical — speculative pipelining must not let wall-clock
-// scheduling leak into the virtual-time schedule.
+// byte-identical — pipelining must not let wall-clock scheduling leak
+// into the virtual-time schedule.
 func TestStreamReplayDeterministic(t *testing.T) {
 	sum, n, state := streamReplayOnce(t)
 	if n == 0 {
@@ -62,8 +62,8 @@ func TestStreamBlockModesDiverge(t *testing.T) {
 }
 
 // TestStreamQuickstartDeterministic runs the full streaming pipeline —
-// speculative Multi-Zone distribution, spec-buffer settlement, per-bundle
-// execution on every consensus host — twice and asserts byte-identical
+// P-HS with drain blocks, Multi-Zone distribution, execution on every
+// consensus host — twice and asserts byte-identical
 // observability exports, like the block-mode determinism test it
 // mirrors.
 func TestStreamQuickstartDeterministic(t *testing.T) {

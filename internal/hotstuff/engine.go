@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"predis/internal/consensus"
@@ -745,7 +744,6 @@ func (e *Engine) tryExecute() {
 		e.resetPacemaker()
 		e.cfg.Trace.End(obs.StagePrepareCommit, obs.BlockKey(ent.block.Height), e.cfg.Self, e.ctx.Now())
 		e.cfg.App.OnCommit(ent.block.Height, ent.block.Payload)
-		e.evictSiblings(ent)
 		e.pruneBelow(ent.block.Height)
 		if e.hasPendingWork() || len(e.commitQueue) > 0 {
 			e.armPacemaker()
@@ -753,36 +751,8 @@ func (e *Engine) tryExecute() {
 	}
 }
 
-// evictSiblings reports fork blocks abandoned by the execution of a
-// competing block at the same height to a ProposalEvicter application, so
-// speculative side effects keyed to them can be retracted. Every fork
-// block is visited exactly once — at its own height's execution — and
-// siblings are walked in hash order so the callback's side effects
-// (spec-discard messages) never depend on map iteration.
-func (e *Engine) evictSiblings(executed *blockEnt) {
-	ev, ok := e.cfg.App.(consensus.ProposalEvicter)
-	if !ok {
-		return
-	}
-	var losers []*blockEnt
-	for _, ent := range e.blocks {
-		if ent.block != nil && ent.block.Height == executed.block.Height &&
-			ent.hash != executed.hash && !ent.committed && ent.block.Payload != nil {
-			losers = append(losers, ent)
-		}
-	}
-	sort.Slice(losers, func(i, j int) bool {
-		return bytes.Compare(losers[i].hash[:], losers[j].hash[:]) < 0
-	})
-	for _, ent := range losers {
-		ev.OnProposalEvicted(ent.block.Height, ent.block.Payload)
-	}
-}
-
 // pruneBelow drops block-tree entries well below the executed height to
 // bound memory; a margin is kept for late votes and ancestor walks.
-// Uncommitted entries pruned here were already reported to the
-// ProposalEvicter when their height executed, so no callback fires.
 func (e *Engine) pruneBelow(height uint64) {
 	const margin = 64
 	if height <= margin {

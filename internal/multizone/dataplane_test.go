@@ -2,7 +2,6 @@ package multizone
 
 import (
 	"bytes"
-	"math/rand"
 	"sort"
 	"testing"
 	"time"
@@ -203,74 +202,6 @@ func TestRecycledPartialCarriesNothingOver(t *testing.T) {
 	}
 }
 
-// scanInflight is the full scan prefetchSpec used to run per ZoneSpec,
-// over the partials whose header is known.
-func scanInflight(f *FullNode) []uint64 {
-	out := make([]uint64, f.cfg.NC)
-	for _, p := range f.partials {
-		if p.known && int(p.producer) < len(out) && p.height > out[p.producer] {
-			out[p.producer] = p.height
-		}
-	}
-	return out
-}
-
-// TestInflightHighWaterMatchesFullScan: after any interleaving of stripe
-// arrival, completion, confirmation + sweep and unreconstructable delete,
-// the incrementally maintained per-producer high-water equals the full
-// scan — including when the current maximum is the entry removed.
-func TestInflightHighWaterMatchesFullScan(t *testing.T) {
-	swept := 0
-	defer func() {
-		if swept == 0 {
-			t.Error("no sweep ever removed a partial: the test did not exercise the sweep path")
-		}
-	}()
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		const n = 24
-		r := newRelayRig(t, n)
-		fn := r.fn
-		r.addChain(t, 2, n) // a second producer, so the per-producer split is exercised
-		for step := 0; step < 400; step++ {
-			switch op := rng.Intn(10); {
-			case op < 7: // a stripe arrives (maybe a duplicate, maybe completing)
-				b := rng.Intn(len(r.stripes))
-				i := rng.Intn(4)
-				fn.onStripe(wire.NodeID(i), r.stripes[b][i])
-			case op < 8: // chains confirm up to their tips, then the sweep runs
-				for _, prod := range []wire.NodeID{0, 2} {
-					fn.mp.MarkConfirmed(prod, fn.mp.Tips()[prod])
-				}
-				before := len(fn.partials)
-				fn.sweepDataPlane()
-				swept += before - len(fn.partials)
-			case op < 9: // an unreconstructable bundle is deleted
-				if hs := r.hashes(); len(hs) > 0 {
-					fn.dropPartials(hs[rng.Intn(len(hs))])
-				}
-			default: // the maximum itself goes
-				best, bestH := crypto.Hash{}, uint64(0)
-				for _, h := range r.hashes() {
-					if p := fn.partials[h]; p.height > bestH {
-						best, bestH = h, p.height
-					}
-				}
-				if bestH > 0 {
-					fn.dropPartials(best)
-				}
-			}
-			want := scanInflight(fn)
-			for i := range want {
-				if fn.inflightHigh[i] != want[i] {
-					t.Fatalf("seed %d step %d: inflightHigh[%d] = %d, full scan says %d",
-						seed, step, i, fn.inflightHigh[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 // burstSender sends its messages to one peer, in order, when it starts.
 type burstSender struct {
 	to   wire.NodeID
@@ -366,8 +297,7 @@ func TestTamperedReferenceChargedOnceHeaderLands(t *testing.T) {
 
 // TestOrphanReferenceFloodCapped: a peer floods references to headers that
 // do not exist. Each opens a header-less partial until the producer's cap,
-// then they are dropped; none raises inflightHigh, and carriers keep
-// working. Orphans at heights the chain confirms leave with the sweep at
+// then they are dropped, and carriers keep working. Orphans at heights the chain confirms leave with the sweep at
 // the confirmed height, and the rest — claims above any real height — once
 // they are older than staleAfter.
 func TestOrphanReferenceFloodCapped(t *testing.T) {
@@ -384,9 +314,9 @@ func TestOrphanReferenceFloodCapped(t *testing.T) {
 			Shard: make([]byte, 32), Proof: make([]crypto.Hash, 2),
 		})
 	}
-	if got := len(fn.partials); got != maxHeaderless || fn.headerless[0] != maxHeaderless || fn.inflightHigh[0] != 0 {
-		t.Fatalf("%d partials, %d header-less, inflightHigh %d after the flood; want %d, %d, 0",
-			got, fn.headerless[0], fn.inflightHigh[0], maxHeaderless, maxHeaderless)
+	if got := len(fn.partials); got != maxHeaderless || fn.headerless[0] != maxHeaderless {
+		t.Fatalf("%d partials, %d header-less after the flood; want %d, %d",
+			got, fn.headerless[0], maxHeaderless, maxHeaderless)
 	}
 	for i := 0; i < 3; i++ {
 		fn.onStripe(wire.NodeID(i), r.stripes[0][i])

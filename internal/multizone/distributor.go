@@ -46,20 +46,9 @@ type Distributor struct {
 	// the cache key.
 	cacheSet *StripeSet
 
-	// spec tracks speculative block pushes (streaming commit), keyed by
-	// block hash. An entry exists once the block has been pushed via
-	// ZoneSpec; discarded flips when the proposal was evicted and a
-	// ZoneSpecDiscard retracted it. A later re-proposal of the same block
-	// (discarded entry) is pushed again — exactly once per discard — so
-	// full nodes that dropped the buffer recover the latency win.
-	// Committed heights prune their entries in OnBlockCommit.
-	spec map[crypto.Hash]*specState
-
 	// stats
 	stripesOut uint64
 	blocksOut  uint64
-	specOut    uint64
-	discardOut uint64
 	// unexpected counts non-zone-plane messages reaching the distributor.
 	// Stripes only flow outward here, so a Byzantine peer cannot corrupt
 	// consensus-side state — unexpected traffic is counted and ignored.
@@ -78,14 +67,7 @@ func NewDistributor(self wire.NodeID, nc int, striper *Striper, maxSubs int) *Di
 		subscribers: make(map[wire.NodeID]bool),
 		lastSeen:    make(map[wire.NodeID]time.Time),
 		maxSubs:     maxSubs,
-		spec:        make(map[crypto.Hash]*specState),
 	}
-}
-
-// specState is the speculative-push state of one proposed block.
-type specState struct {
-	height    uint64
-	discarded bool
 }
 
 // SetSubscriberTTL arms subscriber expiry: a subscriber not heard from for
@@ -107,8 +89,10 @@ func (d *Distributor) Subscribers() int { return len(d.subscribers) }
 // Stats returns (stripes sent, blocks sent).
 func (d *Distributor) Stats() (stripes, blocks uint64) { return d.stripesOut, d.blocksOut }
 
-// SpecStats returns (speculative block pushes, discards sent).
-func (d *Distributor) SpecStats() (specs, discards uint64) { return d.specOut, d.discardOut }
+// SpecStats returns zeros: distributors no longer push proposed blocks
+// ahead of commit. It is held only for cmd/predis-perf, whose
+// consensus.spec_evictions metric still calls it.
+func (d *Distributor) SpecStats() (specs, discards uint64) { return 0, 0 }
 
 // Unexpected returns how many non-zone-plane messages reached this
 // distributor (zero on benign runs).
@@ -165,68 +149,10 @@ func (d *Distributor) OnBundleStored(b *core.Bundle) {
 	}
 }
 
-// OnBlockPropose implements the node's streaming-commit proposal hook:
-// push the proposed block to subscribers speculatively, before the
-// consensus decision, so full nodes can pre-fetch and pre-validate. The
-// same block may be observed many times (every replica validates it,
-// re-proposals after a view change revisit it); the spec map dedupes so
-// each block is pushed once per proposal lifetime — and exactly once
-// more after a discard retracted it.
-func (d *Distributor) OnBlockPropose(blk *core.PredisBlock) {
-	if d.ctx == nil {
-		return
-	}
-	h := blk.Hash()
-	if st, ok := d.spec[h]; ok && !st.discarded {
-		return
-	}
-	d.spec[h] = &specState{height: blk.Height}
-	// Anchor the spec_distributed stage at first speculative push
-	// (earliest mark wins across consensus nodes); full nodes open the
-	// span on arrival and close it when the ordered block finalizes the
-	// buffer — or Discard it when the proposal is retracted.
-	d.trace.Mark(obs.StageSpecDistributed, obs.BlockKey(blk.Height), d.ctx.Now())
-	msg := &ZoneSpec{Block: blk}
-	for _, id := range d.liveSubscribers() {
-		d.ctx.Send(id, msg)
-		d.specOut++
-	}
-}
-
-// OnBlockEvict implements the node's streaming-commit eviction hook: the
-// consensus engine abandoned the proposal (view change, fork loss), so
-// retract the speculative push. Only blocks actually pushed — and not
-// already retracted — produce a discard, so full nodes never see a
-// discard for a block they were never sent.
-func (d *Distributor) OnBlockEvict(blk *core.PredisBlock) {
-	if d.ctx == nil {
-		return
-	}
-	h := blk.Hash()
-	st, ok := d.spec[h]
-	if !ok || st.discarded {
-		return
-	}
-	st.discarded = true
-	msg := &ZoneSpecDiscard{Height: blk.Height, Hash: h}
-	for _, id := range d.liveSubscribers() {
-		d.ctx.Send(id, msg)
-		d.discardOut++
-	}
-}
-
 // OnBlockCommit pushes a committed Predis block to subscribers.
 func (d *Distributor) OnBlockCommit(blk *core.PredisBlock) {
 	if d.ctx == nil {
 		return
-	}
-	// Speculative pushes at or below the committed height are settled:
-	// full nodes resolve them against the ordered block, so the dedupe
-	// entries can go.
-	for h, st := range d.spec {
-		if st.height <= blk.Height {
-			delete(d.spec, h)
-		}
 	}
 	msg := &ZoneBlock{Block: blk}
 	// Anchor the fullnode_delivered stage at block push time; full nodes

@@ -9,8 +9,8 @@ import (
 )
 
 // The fetch plane: the one place a full node asks for bundles. Block
-// completion, out-of-order gaps, speculative pre-fetch, digest reconcile,
-// catch-up and damaged-stripe refetch all state a need through fetch —
+// completion, out-of-order gaps, digest reconcile, catch-up and
+// damaged-stripe refetch all state a need through fetch —
 // "producer's chain up to height h" — and the scheduler turns needs into
 // requests under three rules:
 //

@@ -204,7 +204,7 @@ func TestFetchLiveness(t *testing.T) {
 // BundleResponse while its partial is still short of n_c−f stripes leaves
 // that partial unfinishable — later stripes take the "already assembled"
 // branch. The sweep must free it once the bundle is confirmed, together
-// with its stripe references and its hold on inflightHigh.
+// with its stripe references.
 func TestPartialFinishedByPullIsSwept(t *testing.T) {
 	r := newRelayRig(t, 2)
 	fn := r.fn
@@ -215,14 +215,11 @@ func TestPartialFinishedByPullIsSwept(t *testing.T) {
 	if p := fn.partials[h]; p == nil || p.done || p.have != 1 {
 		t.Fatalf("partial after pull-before-assembly: %+v", fn.partials[h])
 	}
-	if fn.inflightHigh[0] != 2 {
-		t.Fatalf("inflightHigh[0] = %d, want 2", fn.inflightHigh[0])
-	}
 	fn.mp.MarkConfirmed(0, 2)
 	fn.sweepDataPlane()
-	if len(fn.partials) != 0 || len(fn.freePartials) != 1 || fn.inflightHigh[0] != 0 {
-		t.Fatalf("after the sweep: %d partials, %d free, inflightHigh[0] = %d; want 0, 1, 0",
-			len(fn.partials), len(fn.freePartials), fn.inflightHigh[0])
+	if len(fn.partials) != 0 || len(fn.freePartials) != 1 {
+		t.Fatalf("after the sweep: %d partials, %d free; want 0, 1",
+			len(fn.partials), len(fn.freePartials))
 	}
 	for i, st := range fn.freePartials[0].stripes {
 		if st != nil {

@@ -106,8 +106,8 @@ const (
 // it may serve or receive stripes again.
 func (f *FullNode) quarantineTTL() time.Duration { return 8 * f.cfg.AliveInterval }
 
-// staleAfter is how long a speculative block, or a header-less partial,
-// may wait for what finalizes it before the sweep expires it.
+// staleAfter is how long a header-less partial may wait for a carrier of
+// its header before the sweep expires it.
 func (f *FullNode) staleAfter() time.Duration { return 8 * f.cfg.AliveInterval }
 
 func (c *FullNodeConfig) withDefaults() FullNodeConfig {
@@ -187,11 +187,8 @@ type FullNode struct {
 	// Data plane.
 	partials map[crypto.Hash]*partialBundle // by header hash
 	// freePartials recycles entries that left partials (reset, stripes
-	// slice kept); inflightHigh[i] is the highest bundle height of
-	// producer i with a known entry in partials, assembled or not;
-	// headerless[i] counts producer i's header-less entries.
+	// slice kept); headerless[i] counts producer i's header-less entries.
 	freePartials []*partialBundle
-	inflightHigh []uint64
 	headerless   []int
 	// Block plane.
 	lastCuts   []uint64
@@ -202,10 +199,6 @@ type FullNode struct {
 	fetches    []fetchState           // the fetch plane's state, by producer (see fetch.go)
 	recentBlks []*core.PredisBlock    // retention ring serving BlockRequests
 	catchup    *zoneCatchup
-	// specBlocks buffers speculatively pushed *proposed* blocks (streaming
-	// commit) by block hash until the ordered copy finalizes them, a
-	// ZoneSpecDiscard retracts them, or the TTL sweep expires them.
-	specBlocks map[crypto.Hash]*specEntry
 
 	// Periodic timers, stored so a restart can re-arm them (the fires
 	// suppressed during a crash permanently kill a self-re-arming chain).
@@ -230,8 +223,6 @@ type FullNode struct {
 	refetches   uint64
 	quarantines uint64
 	rewires     uint64
-	specHits    uint64 // speculative blocks the ordered chain finalized
-	specWaste   uint64 // speculative blocks discarded, superseded, or expired
 	// Fetch plane (see PullStats).
 	pullRequests, pullBundles, pullSuppressed, pullRetries uint64
 	// Parked reference stripes (see ParkStats).
@@ -262,7 +253,6 @@ func NewFullNode(cfg FullNodeConfig) (*FullNode, error) {
 		consensusDir: make(map[uint8]bool),
 		zoneRelayers: make(map[wire.NodeID]*relayerInfo),
 		partials:     make(map[crypto.Hash]*partialBundle),
-		inflightHigh: make([]uint64, c.NC),
 		headerless:   make([]int, c.NC),
 		fetches:      make([]fetchState, c.NC),
 		seenBlocks:   make(map[crypto.Hash]uint64),
@@ -271,7 +261,6 @@ func NewFullNode(cfg FullNodeConfig) (*FullNode, error) {
 		quarantined:  make(map[wire.NodeID]time.Time),
 		starve:       make(map[uint8]int),
 		stripeSeen:   make(map[uint8]time.Time),
-		specBlocks:   make(map[crypto.Hash]*specEntry),
 		lastCuts:     core.ZeroCuts(c.NC),
 	}, nil
 }
@@ -296,10 +285,10 @@ func (f *FullNode) Stats() (stripes, bundles, blocks uint64) {
 	return f.stripesIn, f.bundles, f.blocks
 }
 
-// SpecStats returns how many speculatively delivered blocks the ordered
-// chain finalized (hits) and how many were discarded, superseded, or
-// expired unused (waste).
-func (f *FullNode) SpecStats() (hits, waste uint64) { return f.specHits, f.specWaste }
+// SpecStats returns zeros: full nodes receive a block only once it is
+// committed, so there is no speculation to hit or waste. It is held only
+// for cmd/predis-perf, whose multizone.spec_hit_frac metric still calls it.
+func (f *FullNode) SpecStats() (hits, waste uint64) { return 0, 0 }
 
 // ParkStats returns how many reference stripes arrived before their
 // header and were parked, how many of those a carrier resolved (checked,
@@ -441,10 +430,6 @@ func (f *FullNode) Receive(from wire.NodeID, m wire.Message) {
 		f.onStripe(from, msg)
 	case *ZoneBlock:
 		f.onBlock(from, msg.Block)
-	case *ZoneSpec:
-		f.onSpecBlock(from, msg.Block)
-	case *ZoneSpecDiscard:
-		f.onSpecDiscard(from, msg)
 	case *Subscribe:
 		f.onSubscribe(from, msg)
 	case *AcceptSubscribe:

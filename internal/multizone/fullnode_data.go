@@ -1,10 +1,7 @@
 package multizone
 
 import (
-	"bytes"
 	"errors"
-	"sort"
-	"time"
 
 	"predis/internal/core"
 	"predis/internal/crypto"
@@ -175,22 +172,12 @@ func (f *FullNode) openPartial(p *partialBundle, headerHash crypto.Hash, m *Stri
 		f.headerless[p.producer]--
 	}
 	p.producer, p.height, p.first, p.known = m.Header.Producer, m.Header.Height, m.Index, true
-	f.raiseInflight(p)
 	return p
 }
 
-// raiseInflight folds an authenticated partial into inflightHigh; a
-// header-less one never raises it.
-func (f *FullNode) raiseInflight(p *partialBundle) {
-	if i := int(p.producer); p.known && i < len(f.inflightHigh) && p.height > f.inflightHigh[i] {
-		f.inflightHigh[i] = p.height
-	}
-}
-
-// dropPartials removes entries from partials, resets them onto the free
-// list (no stripes, coordinates or flags survive into the next life; a
-// header-less entry's parked stripes count as expired) and recomputes
-// inflightHigh from what is left.
+// dropPartials removes entries from partials and resets them onto the free
+// list: no stripes, coordinates or flags survive into the next life, and a
+// header-less entry's parked stripes count as expired.
 func (f *FullNode) dropPartials(hashes ...crypto.Hash) {
 	for _, h := range hashes {
 		p := f.partials[h]
@@ -202,10 +189,6 @@ func (f *FullNode) dropPartials(hashes ...crypto.Hash) {
 		clear(p.stripes)
 		*p = partialBundle{stripes: p.stripes, senders: p.senders}
 		f.freePartials = append(f.freePartials, p)
-	}
-	clear(f.inflightHigh)
-	for _, p := range f.partials {
-		f.raiseInflight(p)
 	}
 }
 
@@ -313,135 +296,6 @@ func (f *FullNode) onBlock(from wire.NodeID, blk *core.PredisBlock) {
 	f.tryCompleteBlocks()
 }
 
-// specEntry is one speculatively delivered proposed block.
-type specEntry struct {
-	blk *core.PredisBlock
-	at  time.Time
-}
-
-// onSpecBlock buffers a *proposed* block pushed ahead of the consensus
-// decision (streaming commit): verify the leader signature, open the
-// speculation window, forward down the subscription tree, and pre-fetch
-// any referenced bundles with no stripes in flight. The buffer never
-// completes a block — only the ordered ZoneBlock does — so a Byzantine
-// leader pushing garbage proposals costs bandwidth, not safety.
-func (f *FullNode) onSpecBlock(from wire.NodeID, blk *core.PredisBlock) {
-	h := blk.Hash()
-	if _, seen := f.seenBlocks[h]; seen {
-		return // the ordered copy already arrived; nothing left to speculate on
-	}
-	if blk.Height <= f.lastHeight {
-		return // stale proposal below our completed head
-	}
-	if _, ok := f.specBlocks[h]; ok {
-		return // duplicate push
-	}
-	if int(blk.Leader) >= f.cfg.NC ||
-		!f.cfg.Signer.Verify(int(blk.Leader), h, blk.Sig) {
-		f.ctx.Logf("multizone: speculative block with bad signature from %d", from)
-		return
-	}
-	f.specBlocks[h] = &specEntry{blk: blk, at: f.ctx.Now()}
-	// Open the speculation window on this node's timeline; it closes when
-	// the ordered block finalizes the buffer (End) or the proposal is
-	// retracted (Discard). First proposal wins per (height, node).
-	f.cfg.Trace.Begin(obs.StageSpecDistributed, obs.BlockKey(blk.Height),
-		f.cfg.Self, f.ctx.Now())
-	msg := &ZoneSpec{Block: blk}
-	for _, id := range f.sortedSubscribers() {
-		if id != from {
-			f.ctx.Send(id, msg)
-		}
-	}
-	f.prefetchSpec(blk)
-}
-
-// prefetchSpec pulls bundles a speculative block references that are
-// neither assembled nor being assembled locally: when the stripes for a
-// cut were lost, the pull overlaps the remaining consensus rounds
-// instead of starting after commit. In the common case every referenced
-// bundle already has a partial (stripes ship at bundle-store time, ahead
-// of the proposal), so the pre-fetch stays silent and costs nothing.
-func (f *FullNode) prefetchSpec(blk *core.PredisBlock) {
-	for i, c := range blk.Cuts {
-		if i >= f.cfg.NC {
-			break
-		}
-		if c.Height > max(f.mp.Tip(wire.NodeID(i)), f.inflightHigh[i]) {
-			f.fetch(wire.NodeID(i), c.Height, wire.NoNode, wire.NoNode)
-		}
-	}
-}
-
-// onSpecDiscard retracts a buffered speculative block: the consensus
-// engine evicted the proposal (view change, fork loss). The discard is
-// unauthenticated — forging one costs the victim only the speculation
-// latency win, never safety or liveness, since finalization always rides
-// the ordered ZoneBlock (and a re-proposal is pushed afresh).
-func (f *FullNode) onSpecDiscard(from wire.NodeID, m *ZoneSpecDiscard) {
-	ent, ok := f.specBlocks[m.Hash]
-	if !ok || ent.blk.Height != m.Height {
-		return
-	}
-	delete(f.specBlocks, m.Hash)
-	f.specWaste++
-	f.cfg.Trace.Discard(obs.StageSpecDistributed, obs.BlockKey(m.Height),
-		f.cfg.Self, f.ctx.Now())
-	// Forward the retraction along the same tree the spec travelled; the
-	// buffered-entry guard above makes re-forwarding loop-free.
-	for _, id := range f.sortedSubscribers() {
-		if id != from {
-			f.ctx.Send(id, m)
-		}
-	}
-}
-
-// settleSpec resolves the speculative buffer against a completed block:
-// the matching entry is a hit (its speculation window closes), and every
-// other entry at or below the committed height lost its race — the chain
-// moved past it, so it is waste.
-func (f *FullNode) settleSpec(blk *core.PredisBlock) {
-	if len(f.specBlocks) == 0 {
-		return
-	}
-	now := f.ctx.Now()
-	if h := blk.Hash(); f.specBlocks[h] != nil {
-		delete(f.specBlocks, h)
-		f.specHits++
-		f.cfg.Trace.End(obs.StageSpecDistributed, obs.BlockKey(blk.Height),
-			f.cfg.Self, now)
-	}
-	f.discardSpec(now, func(ent *specEntry) bool {
-		return ent.blk.Height <= blk.Height
-	})
-}
-
-// discardSpec drops every spec-buffer entry matching lose as waste. Losers
-// are collected first and discarded in (height, hash) order so the trace
-// spans record identically regardless of map iteration order.
-func (f *FullNode) discardSpec(now time.Time, lose func(*specEntry) bool) {
-	var losers []crypto.Hash
-	for h, ent := range f.specBlocks {
-		if lose(ent) {
-			losers = append(losers, h)
-		}
-	}
-	sort.Slice(losers, func(i, j int) bool {
-		a, b := f.specBlocks[losers[i]], f.specBlocks[losers[j]]
-		if a.blk.Height != b.blk.Height {
-			return a.blk.Height < b.blk.Height
-		}
-		return bytes.Compare(losers[i][:], losers[j][:]) < 0
-	})
-	for _, h := range losers {
-		ent := f.specBlocks[h]
-		delete(f.specBlocks, h)
-		f.specWaste++
-		f.cfg.Trace.Discard(obs.StageSpecDistributed, obs.BlockKey(ent.blk.Height),
-			f.cfg.Self, now)
-	}
-}
-
 // tryCompleteBlocks completes every pending block whose bundles are all
 // held, in chain order, and states a fetch need for what the next one
 // still misses.
@@ -468,7 +322,6 @@ func (f *FullNode) tryCompleteBlocks() {
 				f.blocks++
 				f.pendBlocks[i] = nil
 				f.pushRecentBlock(blk)
-				f.settleSpec(blk)
 				progress = true
 				// Execute before persisting so the ledger entry commits
 				// to the post-block account state, not just the ordering.
@@ -603,13 +456,5 @@ func (f *FullNode) sweepDataPlane() {
 				delete(f.seenBlocks, h)
 			}
 		}
-	}
-	// Speculative blocks that neither finalized nor were retracted (their
-	// discard was lost, or the height completed via catch-up) age out as
-	// waste, so a lossy stream can never grow the buffer without bound.
-	if len(f.specBlocks) > 0 {
-		f.discardSpec(now, func(ent *specEntry) bool {
-			return ent.blk.Height <= f.lastHeight || now.Sub(ent.at) > f.staleAfter()
-		})
 	}
 }

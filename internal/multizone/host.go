@@ -34,10 +34,9 @@ type HostConfig struct {
 	BundleSize     int
 	BundleInterval time.Duration
 	ViewTimeout    time.Duration
-	// Stream enables streaming commit (see node.Config): the distributor
-	// additionally pushes each proposed block to its subscribers the
-	// moment consensus first handles it — before the ordering decision —
-	// and retracts pushes whose proposal the engine evicted.
+	// Stream enables streaming commit (see node.Config). Full nodes are
+	// served as in block mode: stripes as bundles are stored, each block
+	// once it commits.
 	Stream bool
 	// Pipeline is the PBFT in-flight instance window (see pbft.Config);
 	// meaningful with Stream.
@@ -89,8 +88,6 @@ func NewConsensusHost(cfg HostConfig) (*ConsensusHost, error) {
 		StripeRoot:     dist.StripeRoot,
 		OnBundleStored: dist.OnBundleStored,
 		OnBlockCommit:  dist.OnBlockCommit,
-		OnBlockPropose: dist.OnBlockPropose,
-		OnBlockEvict:   dist.OnBlockEvict,
 		Trace:          cfg.Trace,
 		Metrics:        cfg.Metrics,
 		Executor:       cfg.Executor,

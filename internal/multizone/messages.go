@@ -26,8 +26,8 @@ const (
 	TypeRelayersInfo    = wire.TypeRangeZone + 12
 	TypeBlockRequest    = wire.TypeRangeZone + 13
 	TypeBlockResponse   = wire.TypeRangeZone + 14
-	TypeSpec            = wire.TypeRangeZone + 15
-	TypeSpecDiscard     = wire.TypeRangeZone + 16
+	// TypeRangeZone+15 and +16 were the retired speculative block push and
+	// its retraction; they stay unused so no old frame decodes as a new type.
 )
 
 // StripeMsg carries one erasure-coded stripe of a bundle and the Merkle
@@ -617,72 +617,6 @@ func decodeBlockResponse(d *wire.Decoder) (wire.Message, error) {
 	return m, d.Err()
 }
 
-// ZoneSpec pushes a *proposed* Predis block to full nodes before the
-// consensus decision (streaming commit). Receivers buffer it
-// speculatively — verifying the leader signature and pre-fetching the
-// bundles its cuts reference — and finalize only when the matching
-// ordered ZoneBlock arrives. A ZoneSpecDiscard (or a committed block
-// with a different hash at the same height) retracts it.
-type ZoneSpec struct {
-	Block *core.PredisBlock
-}
-
-var _ wire.Metadata = (*ZoneSpec)(nil)
-
-// Metadata implements wire.Metadata: a ZoneSpec takes the consensus lane
-// like the ZoneBlock that finalizes it.
-func (m *ZoneSpec) Metadata() {}
-
-// Type implements wire.Message.
-func (m *ZoneSpec) Type() wire.Type { return TypeSpec }
-
-// WireSize implements wire.Message.
-func (m *ZoneSpec) WireSize() int {
-	// Same body as the inner block, under this message's own frame.
-	return m.Block.WireSize()
-}
-
-// EncodeBody implements wire.Message.
-func (m *ZoneSpec) EncodeBody(e *wire.Encoder) { m.Block.EncodeBody(e) }
-
-func decodeZoneSpec(d *wire.Decoder) (wire.Message, error) {
-	blk, err := core.DecodePredisBlockBody(d)
-	if err != nil {
-		return nil, err
-	}
-	return &ZoneSpec{Block: blk}, nil
-}
-
-// ZoneSpecDiscard retracts a previously pushed ZoneSpec: the consensus
-// engine evicted the proposal (view change or fork loss), so full nodes
-// must drop the buffered speculative block. The block is re-distributed
-// via a fresh ZoneSpec if it is later proposed again.
-type ZoneSpecDiscard struct {
-	Height uint64
-	Hash   crypto.Hash
-}
-
-var _ wire.Metadata = (*ZoneSpecDiscard)(nil)
-
-// Metadata implements wire.Metadata.
-func (m *ZoneSpecDiscard) Metadata() {}
-
-// Type implements wire.Message.
-func (m *ZoneSpecDiscard) Type() wire.Type { return TypeSpecDiscard }
-
-// WireSize implements wire.Message.
-func (m *ZoneSpecDiscard) WireSize() int { return wire.FrameOverhead + 8 + crypto.HashSize }
-
-// EncodeBody implements wire.Message.
-func (m *ZoneSpecDiscard) EncodeBody(e *wire.Encoder) {
-	e.U64(m.Height)
-	e.Bytes32(m.Hash)
-}
-
-func decodeZoneSpecDiscard(d *wire.Decoder) (wire.Message, error) {
-	return &ZoneSpecDiscard{Height: d.U64(), Hash: d.Bytes32()}, d.Err()
-}
-
 var registerOnce sync.Once
 
 // RegisterMessages registers Multi-Zone message types; idempotent.
@@ -702,7 +636,5 @@ func RegisterMessages() {
 		wire.Register(TypeRelayersInfo, "zone.relayers_info", decodeRelayersInfo)
 		wire.Register(TypeBlockRequest, "zone.block_request", decodeBlockRequest)
 		wire.Register(TypeBlockResponse, "zone.block_response", decodeBlockResponse)
-		wire.Register(TypeSpec, "zone.spec", decodeZoneSpec)
-		wire.Register(TypeSpecDiscard, "zone.spec_discard", decodeZoneSpecDiscard)
 	})
 }

@@ -225,8 +225,6 @@ func TestZoneMessageCodecs(t *testing.T) {
 		&BlockRequest{Height: 4},
 		&BlockResponse{Head: 9, Anchor: blk, Blocks: []*core.PredisBlock{blk}},
 		&BlockResponse{Head: 9, Blocks: []*core.PredisBlock{blk}}, // catch-up without a skip-sync anchor
-		&ZoneSpec{Block: blk},
-		&ZoneSpecDiscard{Height: 3, Hash: blk.Hash()},
 	}
 	for _, m := range msgs {
 		got, err := wire.Roundtrip(m)
@@ -248,17 +246,6 @@ func TestZoneMessageCodecs(t *testing.T) {
 	}
 	if !suite.Signer(0).Verify(1, gb.Hash(), gb.Sig) {
 		t.Fatal("inner block signature lost")
-	}
-
-	// Same for the speculative push, and field fidelity for its retraction.
-	gotSpec, _ := wire.Roundtrip(&ZoneSpec{Block: blk})
-	if gs := gotSpec.(*ZoneSpec).Block; gs.Hash() != blk.Hash() ||
-		!suite.Signer(0).Verify(1, gs.Hash(), gs.Sig) {
-		t.Fatal("ZoneSpec changed the inner block")
-	}
-	disc := &ZoneSpecDiscard{Height: 3, Hash: blk.Hash()}
-	if got, err := wire.Roundtrip(disc); err != nil || *got.(*ZoneSpecDiscard) != *disc {
-		t.Fatalf("ZoneSpecDiscard fidelity: got %+v err %v", got, err)
 	}
 }
 

@@ -41,8 +41,8 @@ type zoneConfig struct {
 	duration    time.Duration
 	maxSubs     int
 	joinSpacing time.Duration
-	// stream enables streaming commit on the consensus hosts (speculative
-	// proposed-block pushes plus PBFT pipelining).
+	// stream enables streaming commit on the consensus hosts
+	// (per-transaction seals plus PBFT pipelining).
 	stream bool
 	// starveRewire arms the opt-in withholding detector (see
 	// FullNodeConfig.StarveRewireAfter); zero leaves it off, as in

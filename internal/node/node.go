@@ -87,21 +87,13 @@ type Config struct {
 	Fault core.FaultMode
 	// Stream enables streaming commit mode (Predis mode): producers seal
 	// bundles per transaction, leaders cut eagerly at their own tips,
-	// PBFT pipelines instances (see Pipeline), HotStuff drains ordered
-	// cuts with empty blocks, and execution merges per bundle. Off, every
-	// component behaves byte-for-byte as block mode.
+	// PBFT pipelines instances (see Pipeline), and HotStuff drains ordered
+	// cuts with empty blocks. Commit and execution are block mode's. Off,
+	// every component behaves byte-for-byte as block mode.
 	Stream bool
 	// Pipeline is the PBFT in-flight instance window; meaningful with
 	// Stream. Default 1 (classic single-slot PBFT).
 	Pipeline int
-	// OnBlockPropose observes stream-mode proposals the moment they are
-	// built or validated — before commit. Multi-Zone starts speculative
-	// stripe distribution here. The same block may be observed many times.
-	OnBlockPropose func(blk *core.PredisBlock)
-	// OnBlockEvict observes stream-mode proposal evictions (view change,
-	// fork abandonment): the block was speculatively announced and will
-	// not commit as-is. Multi-Zone pushes spec discards here.
-	OnBlockEvict func(blk *core.PredisBlock)
 	// ReplyToClients controls whether commits generate BlockReply
 	// messages to transaction submitters (they consume bandwidth, as the
 	// paper notes in §III-F).
@@ -194,8 +186,6 @@ func New(cfg Config) (*Node, error) {
 			Stream:         cfg.Stream,
 			StreamDrain:    cfg.Stream && cfg.Engine == EngineHotStuff,
 			SealOnProposal: cfg.Stream && cfg.Engine == EnginePBFT && cfg.Pipeline > 1,
-			OnProposal:     cfg.OnBlockPropose,
-			OnEvict:        cfg.OnBlockEvict,
 			StripeRoot:     cfg.StripeRoot,
 			OnBundleStored: cfg.OnBundleStored,
 			Trace:          cfg.Trace,
@@ -203,13 +193,6 @@ func New(cfg Config) (*Node, error) {
 			OnCommit: func(ci core.CommitInfo) {
 				if cfg.OnBlockCommit != nil {
 					cfg.OnBlockCommit(ci.Block)
-				}
-				if cfg.Stream && cfg.Executor != nil {
-					// Streaming execution consumes the block at bundle
-					// granularity: per-bundle leveling with cache merges
-					// at bundle joins.
-					n.execCommit(ci.Height, ci.Txs, bundleTxGroups(ci.Bundles))
-					return
 				}
 				n.handleCommit(ci.Height, ci.Txs)
 			},
@@ -352,33 +335,15 @@ func (n *Node) Submit(tx *types.Transaction) {
 	}
 }
 
-// bundleTxGroups projects a committed block's bundles onto their
-// transaction lists, the unit the streaming committer merges at.
-func bundleTxGroups(bundles []*core.Bundle) [][]*types.Transaction {
-	out := make([][]*types.Transaction, len(bundles))
-	for i, b := range bundles {
-		out[i] = b.Txs
-	}
-	return out
-}
-
 // handleCommit executes a committed block on the node's state machine
-// and fans it out to measurement hooks and client replies.
+// and fans it out to measurement hooks and client replies. Every mode and
+// engine commits through it.
 func (n *Node) handleCommit(height uint64, txs []*types.Transaction) {
-	n.execCommit(height, txs, nil)
-}
-
-// execCommit is the commit tail shared by block and stream mode: bundles
-// non-nil selects the per-bundle streaming committer.
-func (n *Node) execCommit(height uint64, txs []*types.Transaction, bundles [][]*types.Transaction) {
 	if n.cfg.Executor != nil {
 		var r exec.Result
-		switch {
-		case n.cfg.ExecSerial:
+		if n.cfg.ExecSerial {
 			r = n.cfg.Executor.ExecuteBlockSerial(height, txs)
-		case bundles != nil:
-			r = n.cfg.Executor.ExecuteBlockBundles(height, bundles)
-		default:
+		} else {
 			r = n.cfg.Executor.ExecuteBlock(nil, height, txs)
 		}
 		if n.cfg.Trace != nil && n.ctx != nil {

@@ -77,21 +77,14 @@ func (t *Tracer) WriteChrome(w io.Writer, sampler *Sampler) error {
 	}
 
 	// Complete events, one per closed span, in Spans() order (sorted by
-	// start time, node, stage, key — deterministic). Discarded spans
-	// (speculation abandoned on view change) carry a flag so the viewer
-	// can tell abandoned work from completed work; the flag is omitted on
-	// completed spans, keeping block-mode trace files unchanged.
+	// start time, node, stage, key — deterministic).
 	for _, sp := range spans {
-		args := `"args":{"key":` + strconv.FormatUint(sp.Key, 10)
-		if sp.Discarded {
-			args += `,"discarded":1`
-		}
 		cw.event(`{"name":"` + sp.Stage.String() +
 			`","cat":"stage","ph":"X","ts":` + chromeTS(epoch, sp.Start) +
 			`,"dur":` + chromeDur(sp.Duration()) +
 			`,"pid":` + strconv.FormatUint(uint64(sp.Node), 10) +
 			`,"tid":` + strconv.Itoa(int(sp.Stage)+1) +
-			`,` + args + `}}`)
+			`,"args":{"key":` + strconv.FormatUint(sp.Key, 10) + `}}`)
 	}
 
 	// Counter events from the sampler: simulator-wide track first, then

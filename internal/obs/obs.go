@@ -47,12 +47,8 @@ import (
 // Stage identifies one pipeline stage.
 type Stage uint8
 
-// The seven block-mode pipeline stages, in data-flow order, plus the
-// streaming-mode speculative-distribution stage. spec_distributed is
-// appended after the original seven (not inserted at its data-flow
-// position between prepare_commit and fullnode_delivered) so existing
-// stage indices — and with them every export and table rendered from a
-// block-mode run — are unchanged.
+// The seven pipeline stages, in data-flow order. Both commit modes record
+// all seven.
 const (
 	StageSubmit Stage = iota
 	StageBundleSealed
@@ -61,12 +57,6 @@ const (
 	StageExecuted
 	StageStripeDistributed
 	StageFullNodeDelivered
-	// StageSpecDistributed spans a cursor block's speculative push
-	// (distributor ships it at proposal time, before final order) to its
-	// finalization on a full node. Blocks evicted by a view change never
-	// finalize; their spans are terminated with Tracer.Discard instead of
-	// leaking open. Only streaming mode records this stage.
-	StageSpecDistributed
 	numStages
 )
 
@@ -80,13 +70,7 @@ var StageNames = [...]string{
 	"executed",
 	"stripe_distributed",
 	"fullnode_delivered",
-	"spec_distributed",
 }
-
-// Optional reports whether the stage only fires in some operating modes
-// (streaming commit); verifiers like tools/tracecheck require at least one
-// span for every non-optional stage but tolerate absent optional ones.
-func (s Stage) Optional() bool { return s == StageSpecDistributed }
 
 // String returns the export name of the stage.
 func (s Stage) String() string {

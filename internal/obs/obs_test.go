@@ -109,98 +109,6 @@ func TestTracerMarkAndSpanSinceMark(t *testing.T) {
 	}
 }
 
-// TestTracerDiscard is the regression test for the speculative-span leak:
-// a bundle or cursor block that is speculatively distributed but never
-// finalized used to leave its span open forever — invisible in Spans(),
-// uncounted in drop accounting. Discard terminates such spans as
-// abandoned: they export (flagged), they count in DiscardedCount, and
-// they stay out of StageDurations.
-func TestTracerDiscard(t *testing.T) {
-	tr := NewTracer(epoch)
-
-	// A speculation that finalizes normally.
-	tr.Begin(StageSpecDistributed, 1, 100, at(10*time.Millisecond))
-	tr.End(StageSpecDistributed, 1, 100, at(30*time.Millisecond))
-	// A speculation evicted by a view change: begun, never finalized.
-	tr.Begin(StageSpecDistributed, 2, 100, at(12*time.Millisecond))
-	tr.Discard(StageSpecDistributed, 2, 100, at(40*time.Millisecond))
-	// Discard after completion is ignored — completion wins.
-	tr.Discard(StageSpecDistributed, 1, 100, at(99*time.Millisecond))
-	// Discard with only a remote Mark anchor (the distributor marked the
-	// push; this node never began a span) still records the drop.
-	tr.Mark(StageSpecDistributed, 3, at(20*time.Millisecond))
-	tr.Discard(StageSpecDistributed, 3, 101, at(50*time.Millisecond))
-	// Discard with no prior state at all: zero-length drop record.
-	tr.Discard(StageSpecDistributed, 4, 102, at(60*time.Millisecond))
-
-	spans := tr.Spans()
-	if len(spans) != 4 {
-		t.Fatalf("got %d closed spans, want 4 (no span may leak open): %+v", len(spans), spans)
-	}
-	if got := tr.DiscardedCount(StageSpecDistributed); got != 3 {
-		t.Fatalf("DiscardedCount = %d, want 3", got)
-	}
-	for _, sp := range spans {
-		switch sp.Key {
-		case 1:
-			if sp.Discarded {
-				t.Fatal("completed span 1 must not be discarded (completion wins)")
-			}
-		case 2:
-			if !sp.Discarded || sp.Duration() != 28*time.Millisecond {
-				t.Fatalf("span 2 must be discarded with its open lifetime: %+v", sp)
-			}
-		case 3:
-			if !sp.Discarded || sp.Duration() != 30*time.Millisecond {
-				t.Fatalf("span 3 must anchor at the mark: %+v", sp)
-			}
-		case 4:
-			if !sp.Discarded || sp.Duration() != 0 {
-				t.Fatalf("span 4 must be a zero-length drop record: %+v", sp)
-			}
-		}
-	}
-
-	// Latency statistics see only the completed span.
-	durs := tr.StageDurations(StageSpecDistributed)
-	if len(durs) != 1 || durs[0] != 20*time.Millisecond {
-		t.Fatalf("StageDurations must exclude discards: %v", durs)
-	}
-
-	// The Chrome export flags exactly the discarded spans.
-	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(buf.String(), `"discarded":1`); got != 3 {
-		t.Fatalf("Chrome export flags %d discarded spans, want 3", got)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("Chrome export with discards does not parse: %v", err)
-	}
-
-	// Stage tables and CSV omit stages that recorded nothing, so
-	// block-mode output never grows a spec_distributed row.
-	empty := NewTracer(epoch)
-	empty.Span(StageSubmit, 1, 1, at(0), at(time.Millisecond))
-	tblTitle := empty.StageTable().Title
-	if strings.Contains(tblTitle, "spec_distributed") {
-		t.Fatalf("silent stage leaked into table title: %q", tblTitle)
-	}
-	var csv bytes.Buffer
-	if err := empty.WriteStageCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(csv.String(), "spec_distributed") {
-		t.Fatalf("silent stage leaked into CSV: %q", csv.String())
-	}
-	// ...but a discard alone is enough to surface the stage.
-	if !strings.Contains(tr.StageTable().Title, "spec_distributed") {
-		t.Fatal("stage with discards must appear in the table")
-	}
-}
-
 func TestNilRecorders(t *testing.T) {
 	var tr *Tracer
 	tr.Begin(StageSubmit, 1, 1, at(0))
@@ -208,8 +116,7 @@ func TestNilRecorders(t *testing.T) {
 	tr.Span(StageSubmit, 1, 1, at(0), at(0))
 	tr.Mark(StageSubmit, 1, at(0))
 	tr.SpanSinceMark(StageSubmit, 1, 1, at(0))
-	tr.Discard(StageSubmit, 1, 1, at(0))
-	if tr.Spans() != nil || tr.SpanCount() != 0 || tr.DiscardedCount(StageSubmit) != 0 {
+	if tr.Spans() != nil || tr.SpanCount() != 0 {
 		t.Fatal("nil tracer must be inert")
 	}
 	if got := tr.StageSummary(StageSubmit); got.Count != 0 {
@@ -324,9 +231,6 @@ func TestStageCSV(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[int(StageFullNodeDelivered)+1], "fullnode_delivered,1,7,") {
 		t.Fatalf("fullnode_delivered row: %q", lines[int(StageFullNodeDelivered)+1])
-	}
-	if !strings.HasPrefix(lines[int(StageSpecDistributed)+1], "spec_distributed,1,8,") {
-		t.Fatalf("spec_distributed row: %q", lines[int(StageSpecDistributed)+1])
 	}
 	tbl := tr.StageTable()
 	out := tbl.Render()

@@ -17,12 +17,7 @@ type Span struct {
 	Node  wire.NodeID
 	Start time.Time
 	End   time.Time
-	// Discarded marks a span terminated by Tracer.Discard: the tracked
-	// work was abandoned (a speculatively distributed cursor block evicted
-	// by a view change) rather than completed. Discarded spans appear in
-	// exports flagged as such but are excluded from latency statistics.
-	Discarded bool
-	open      bool
+	open  bool
 }
 
 // Duration returns the span length.
@@ -152,52 +147,6 @@ func (t *Tracer) SpanSinceMark(stage Stage, key uint64, node wire.NodeID, end ti
 	t.Span(stage, key, node, start, end)
 }
 
-// Discard terminates the (stage, key) span on node's timeline as
-// abandoned: the span closes at `at` with Discarded set, so it neither
-// leaks open (open spans vanish from Spans() and every export) nor
-// pollutes the stage's latency statistics. Without a matching Begin, a
-// zero-length discarded span anchored at the stage's Mark (or at `at`
-// when no anchor exists) is recorded, so speculative work that was only
-// anchored remotely still shows up in drop accounting. Discarding an
-// already-closed span is ignored — completion wins.
-func (t *Tracer) Discard(stage Stage, key uint64, node wire.NodeID, at time.Time) {
-	if t == nil {
-		return
-	}
-	sk := spanKey{stage, key, node}
-	if sp, ok := t.byKey[sk]; ok {
-		if !sp.open {
-			return
-		}
-		sp.End = at
-		sp.open = false
-		sp.Discarded = true
-		return
-	}
-	start, ok := t.marks[markKey{stage, key}]
-	if !ok || start.After(at) {
-		start = at
-	}
-	sp := &Span{Stage: stage, Key: key, Node: node, Start: start, End: at, Discarded: true}
-	t.byKey[sk] = sp
-	t.order = append(t.order, sp)
-}
-
-// DiscardedCount returns how many spans of the stage were terminated via
-// Discard.
-func (t *Tracer) DiscardedCount(stage Stage) int {
-	if t == nil {
-		return 0
-	}
-	n := 0
-	for _, sp := range t.order {
-		if sp.Discarded && sp.Stage == stage {
-			n++
-		}
-	}
-	return n
-}
-
 // SpanCount returns how many spans were recorded (open and closed).
 func (t *Tracer) SpanCount() int {
 	if t == nil {
@@ -238,16 +187,14 @@ func (t *Tracer) Spans() []Span {
 // ascending (ready for percentiles). It scans the raw recording order
 // rather than the sorted Spans() view: the duration multiset is
 // order-independent, and the final ascending sort makes the result
-// deterministic without paying for a full span sort per stage. Discarded
-// spans are excluded — an abandoned speculation's lifetime is drop
-// accounting, not stage latency.
+// deterministic without paying for a full span sort per stage.
 func (t *Tracer) StageDurations(stage Stage) []time.Duration {
 	if t == nil {
 		return nil
 	}
 	var out []time.Duration
 	for _, sp := range t.order {
-		if !sp.open && !sp.Discarded && sp.Stage == stage {
+		if !sp.open && sp.Stage == stage {
 			out = append(out, sp.Duration())
 		}
 	}
@@ -271,31 +218,14 @@ func (t *Tracer) stageHistogram(stage Stage) *stats.Histogram {
 	return h
 }
 
-// stageSilent reports whether a stage recorded nothing at all — no closed
-// spans and no discards — so mode-dependent stages (spec_distributed only
-// fires in streaming mode) can be dropped from tables and CSV instead of
-// rendering all-zero rows.
-func (t *Tracer) stageSilent(stage Stage) bool {
-	for _, sp := range t.order {
-		if sp.Stage == stage && (!sp.open || sp.Discarded) {
-			return false
-		}
-	}
-	return true
-}
-
 // WriteStageCSV writes the per-stage latency breakdown as CSV, one row
-// per pipeline stage in data-flow order. Optional (mode-dependent) stages
-// that recorded nothing are omitted; always-on stages render zero rows so
-// their absence stays visible.
+// per pipeline stage in data-flow order. A stage that recorded nothing
+// renders a zero row, so its absence stays visible.
 func (t *Tracer) WriteStageCSV(w io.Writer) error {
 	if _, err := io.WriteString(w, "stage,count,mean_ms,p50_ms,p90_ms,p99_ms,max_ms\n"); err != nil {
 		return err
 	}
 	for _, stage := range Stages() {
-		if stage.Optional() && t.stageSilent(stage) {
-			continue
-		}
 		s := t.StageSummary(stage)
 		h := t.stageHistogram(stage)
 		if _, err := fmt.Fprintf(w, "%s,%d,%s,%s,%s,%s,%s\n",
@@ -311,11 +241,9 @@ func (t *Tracer) WriteStageCSV(w io.Writer) error {
 
 // StageTable renders the per-stage latency breakdown as a stats.Table for
 // terminal output: one row per stage (X = position in the pipeline), one
-// column per statistic. Optional stages that recorded nothing — closed
-// spans and discards both zero — are omitted, so block-mode runs never
-// render the streaming-only spec_distributed row; always-on stages keep
-// their zero rows, matching the historical output. Mean and p99 are
-// exact (Summarize); p50/p90 come from the streaming stats.Histogram.
+// column per statistic; a stage that recorded nothing keeps its zero row.
+// Mean and p99 are exact (Summarize); p50/p90 come from the streaming
+// stats.Histogram.
 func (t *Tracer) StageTable() *stats.Table {
 	title := "Stage latency breakdown (rows:"
 	tbl := &stats.Table{XLabel: "stage"}
@@ -325,9 +253,6 @@ func (t *Tracer) StageTable() *stats.Table {
 	p90 := &stats.Series{Name: "p90_ms"}
 	p99 := &stats.Series{Name: "p99_ms"}
 	for _, stage := range Stages() {
-		if stage.Optional() && t.stageSilent(stage) {
-			continue
-		}
 		s := t.StageSummary(stage)
 		h := t.stageHistogram(stage)
 		x := float64(stage) + 1

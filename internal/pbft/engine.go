@@ -344,9 +344,7 @@ func (e *Engine) getInstance(seq, view uint64, digest crypto.Hash) *instance {
 		return inst // caller must check digest; committed slots never reset
 	}
 	// New instance, or a re-proposal in a higher view supersedes the old.
-	if ok {
-		e.evictInstance(inst)
-	} else {
+	if !ok {
 		e.window = append(e.window, nil)
 		copy(e.window[i+1:], e.window[i:])
 	}
@@ -392,19 +390,6 @@ func (e *Engine) dropInstances(lo, hi uint64) {
 	n := copy(e.window[i:], e.window[j:])
 	clear(e.window[i+n:])
 	e.window = e.window[:i+n]
-}
-
-// evictInstance tells a ProposalEvicter application that the engine is
-// dropping an uncommitted in-flight payload (view change or supersession),
-// so speculative side effects keyed to it can be retracted. Committed
-// slots and payload-less (votes-only) slots are never reported.
-func (e *Engine) evictInstance(inst *instance) {
-	if inst == nil || inst.payload == nil || inst.commitQuorum {
-		return
-	}
-	if ev, ok := e.cfg.App.(consensus.ProposalEvicter); ok {
-		ev.OnProposalEvicted(inst.seq, inst.payload)
-	}
 }
 
 // Receive implements env.Handler.
@@ -898,17 +883,13 @@ func (e *Engine) adoptView(newView uint64) {
 	e.resetTimersForViewChange()
 	e.paceLat = 0 // the old view's latency must not delay the new leader
 	e.vcBackoff = 0
-	// Ascending-seq order: eviction callbacks can emit messages (spec
-	// discards). They do not re-enter the engine, so the window is
-	// compacted in place.
+	// Committed instances survive view changes; the rest drop their stale
+	// vote state and the new leader re-proposes.
 	kept := e.window[:0]
 	for _, inst := range e.window {
 		if inst.commitQuorum {
-			kept = append(kept, inst) // committed instances survive view changes
-			continue
+			kept = append(kept, inst)
 		}
-		// Drop stale vote state; the new leader re-proposes.
-		e.evictInstance(inst)
 	}
 	clear(e.window[len(kept):])
 	e.window = kept

@@ -40,8 +40,7 @@ func batch() *txpool.Batch {
 }
 
 // TestLaneFrame pins the lane rule: Predis proposals, every vote and the
-// Predis block on its way to full nodes (ordered, speculative or retracted)
-// ride the consensus lane; a proposal that carries its batch, and every
+// Predis block on its way to full nodes ride the consensus lane; a proposal that carries its batch, and every
 // other data-plane, zone and client frame, is bulk.
 func TestLaneFrame(t *testing.T) {
 	sig := make([]byte, crypto.SignatureSize)
@@ -57,8 +56,6 @@ func TestLaneFrame(t *testing.T) {
 		"HotStuff genesis vote": &hotstuff.Vote{},
 		"zone block nc=16":      &multizone.ZoneBlock{Block: predisBlock(16)},
 		"zone block nc=80":      &multizone.ZoneBlock{Block: predisBlock(80)},
-		"zone spec":             &multizone.ZoneSpec{Block: predisBlock(16)},
-		"zone spec discard":     &multizone.ZoneSpecDiscard{Height: 9},
 	}
 	for name, m := range lane {
 		if !wire.LaneFrame(m, m.WireSize()) {

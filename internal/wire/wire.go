@@ -72,9 +72,8 @@ const laneFrameMax = 4096
 
 // Metadata marks a message type outside the consensus ranges that is
 // agreement metadata all the same: the ordered Predis block on its way down
-// the relayer tree (2.5 KB at n_c = 80 in the paper's §V-A), its
-// speculative push and that push's retraction. The interface lets the lane
-// rule name them without importing the package that defines them.
+// the relayer tree (2.5 KB at n_c = 80 in the paper's §V-A). The interface
+// lets the lane rule name it without importing the package that defines it.
 type Metadata interface {
 	Message
 	// Metadata is a marker; it is never called.

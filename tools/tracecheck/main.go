@@ -1,7 +1,8 @@
 // Command tracecheck validates a Chrome trace-event JSON file emitted by
 // predis-bench -trace: the file must parse, and every pipeline stage must
-// have recorded at least one complete ("X") span event. It is the
-// verifier behind `make trace-smoke`.
+// have recorded at least one complete ("X") span event, whichever commit
+// mode the run used. It is the verifier behind the trace row of
+// `make smoke`.
 //
 // Usage: tracecheck <trace.json>
 package main
@@ -49,12 +50,7 @@ func run() int {
 		}
 	}
 	missing := 0
-	required := 0
-	for i, name := range obs.StageNames {
-		if obs.Stage(i).Optional() {
-			continue // streaming-only stages are absent from block-mode traces
-		}
-		required++
+	for _, name := range obs.StageNames {
 		if spans[name] == 0 {
 			fmt.Fprintf(os.Stderr, "tracecheck: stage %q has no spans\n", name)
 			missing++
@@ -64,11 +60,8 @@ func run() int {
 		return 1
 	}
 	fmt.Printf("tracecheck: %s OK — %d events, all %d pipeline stages present (",
-		os.Args[1], len(doc.TraceEvents), required)
+		os.Args[1], len(doc.TraceEvents), len(obs.StageNames))
 	for i, name := range obs.StageNames {
-		if obs.Stage(i).Optional() && spans[name] == 0 {
-			continue
-		}
 		if i > 0 {
 			fmt.Print(" ")
 		}
