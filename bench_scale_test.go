@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"predis/internal/harness"
 	"predis/internal/simnet"
 	"predis/internal/topology"
 	"predis/internal/types"
@@ -127,11 +128,11 @@ func runScaleFlow(b *testing.B, nodes, clients int) {
 	for i := range order {
 		order[i] = wire.NodeID(i) // position 0 (id 0) is the root
 	}
-	tree := topology.NewTree(order, 8)
-	root := &flowRoot{relay: topology.NewTreeRelay(tree, nil)}
+	tree := harness.NewTree(order, 8)
+	root := &flowRoot{relay: harness.NewTreeRelay(tree, nil)}
 	net.AddNode(order[0], root)
 	for _, id := range order[1:] {
-		net.AddNode(id, topology.NewTreeRelay(tree, nil))
+		net.AddNode(id, harness.NewTreeRelay(tree, nil))
 	}
 
 	end := simnet.Epoch.Add(time.Second)
@@ -161,7 +162,7 @@ func runScaleFlow(b *testing.B, nodes, clients int) {
 
 // flowRoot is the tree root plus transaction sink.
 type flowRoot struct {
-	relay *topology.TreeRelay
+	relay *harness.TreeRelay
 	txs   uint64
 }
 

@@ -3,7 +3,9 @@ package erasure
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
+	"sync/atomic"
 )
 
 // Errors returned by the coder.
@@ -20,7 +22,7 @@ var tablesOnce sync.Once
 // Coder encodes data into data+parity shards and reconstructs missing
 // shards from any `data` survivors. A Coder's parameters and encoding
 // matrix are immutable and it is safe for concurrent use; the decode
-// cache below is a sync.Map so concurrent Reconstruct calls stay safe.
+// cache below is copy-on-write so concurrent decodes stay safe.
 type Coder struct {
 	data, parity int
 	// enc is the (data+parity)×data encoding matrix whose top square is the
@@ -31,8 +33,9 @@ type Coder struct {
 	// (Multi-Zone reassembles from whichever n_c−f relayers answer, and
 	// the same subset keeps answering), so the Gauss–Jordan inversion —
 	// the dominant per-Reconstruct cost at paper shard counts — runs
-	// once per distinct survivor set.
-	decCache sync.Map // string(survivor row indices) → *matrix
+	// once per distinct survivor set. Writers copy the map, so a lookup
+	// takes no lock and, keyed by string(idx), allocates nothing.
+	decCache atomic.Pointer[map[string]*matrix] // string(survivor row indices) → inverse
 }
 
 // New creates a coder producing `data` data shards and `parity` parity
@@ -109,72 +112,16 @@ func (c *Coder) EncodeBatch(batch [][][]byte) error {
 // Reconstruct fills in nil shards in place. At least `data` shards must be
 // present. Present shards are never modified.
 func (c *Coder) Reconstruct(shards [][]byte) error {
-	return c.reconstruct(shards, true)
-}
-
-// ReconstructData is Reconstruct restricted to the data shards: missing
-// parity shards are left nil. Callers that only Join the payload back
-// together (bundle reassembly) skip the parity recompute entirely —
-// with f parity shards lost that saves f full matrix rows of GF math
-// per bundle.
-func (c *Coder) ReconstructData(shards [][]byte) error {
-	return c.reconstruct(shards, false)
-}
-
-func (c *Coder) reconstruct(shards [][]byte, parity bool) error {
-	if len(shards) != c.TotalShards() {
-		return fmt.Errorf("%w: got %d, want %d", ErrShardCount, len(shards), c.TotalShards())
+	size, err := c.survivors(shards)
+	if err != nil || size < 0 {
+		return err
 	}
-	size := -1
-	present := 0
-	for _, s := range shards {
-		if s == nil {
-			continue
-		}
-		present++
-		if size < 0 {
-			size = len(s)
-		} else if len(s) != size {
-			return ErrShardSize
-		}
-	}
-	if present == len(shards) {
-		return nil // nothing missing
-	}
-	if present < c.data {
-		return fmt.Errorf("%w: have %d, need %d", ErrTooFewShards, present, c.data)
-	}
-	if !parity {
-		missingData := false
-		for d := 0; d < c.data; d++ {
-			if shards[d] == nil {
-				missingData = true
-				break
-			}
-		}
-		if !missingData {
-			return nil // all data present; parity not wanted
-		}
-	}
-	if size <= 0 {
-		return ErrShortData
-	}
-
-	// The decode matrix is determined by which rows feed the
-	// reconstruction — the first `data` present shards. (A Coder has at
-	// most 256 shards, so the index list lives on the stack.)
 	var buf [256]byte
-	idx := buf[:0]
-	for i := 0; i < c.TotalShards() && len(idx) < c.data; i++ {
-		if shards[i] != nil {
-			idx = append(idx, byte(i))
-		}
-	}
+	idx := c.decodeRows(shards, buf[:0])
 	dec, err := c.decodeMatrix(idx)
 	if err != nil {
 		return err
 	}
-
 	// Recover missing data shards: dataShard[d] = dec.row(d) · survivors.
 	// Only nil entries are filled, so shards[idx[k]] stays the survivor.
 	for d := 0; d < c.data; d++ {
@@ -187,9 +134,6 @@ func (c *Coder) reconstruct(shards [][]byte, parity bool) error {
 			mulAndAdd(out, shards[idx[k]], row[k])
 		}
 		shards[d] = out
-	}
-	if !parity {
-		return nil
 	}
 	// Recompute missing parity shards from the (now complete) data shards.
 	for p := 0; p < c.parity; p++ {
@@ -207,13 +151,95 @@ func (c *Coder) reconstruct(shards [][]byte, parity bool) error {
 	return nil
 }
 
+// DecodeData returns the original byte string of length outLen from any
+// `data` of the shards, rebuilding missing data shards straight into the
+// result: bundle reassembly needs neither the parity shards nor a copy of
+// a rebuilt shard. No shard is modified.
+func (c *Coder) DecodeData(shards [][]byte, outLen int) ([]byte, error) {
+	size, err := c.survivors(shards)
+	if err != nil {
+		return nil, err
+	}
+	if size < 0 {
+		size = len(shards[0]) // all present
+	}
+	if size*c.data < outLen {
+		return nil, fmt.Errorf("erasure: shards hold %d bytes, need %d", size*c.data, outLen)
+	}
+	out := make([]byte, size*c.data)
+	var buf [256]byte
+	idx := c.decodeRows(shards, buf[:0])
+	var dec *matrix
+	for d := 0; d < c.data; d++ {
+		dst := out[d*size : (d+1)*size]
+		if shards[d] != nil {
+			copy(dst, shards[d])
+			continue
+		}
+		if dec == nil {
+			if dec, err = c.decodeMatrix(idx); err != nil {
+				return nil, err
+			}
+		}
+		row := dec.row(d)
+		for k := 0; k < c.data; k++ {
+			mulAndAdd(dst, shards[idx[k]], row[k])
+		}
+	}
+	return out[:outLen], nil
+}
+
+// survivors checks a shard set for reconstruction and returns the shard
+// size, or -1 when no shard is missing.
+func (c *Coder) survivors(shards [][]byte) (int, error) {
+	if len(shards) != c.TotalShards() {
+		return 0, fmt.Errorf("%w: got %d, want %d", ErrShardCount, len(shards), c.TotalShards())
+	}
+	size := -1
+	present := 0
+	for _, s := range shards {
+		if s == nil {
+			continue
+		}
+		present++
+		if size < 0 {
+			size = len(s)
+		} else if len(s) != size {
+			return 0, ErrShardSize
+		}
+	}
+	if present == len(shards) {
+		return -1, nil // nothing missing
+	}
+	if present < c.data {
+		return 0, fmt.Errorf("%w: have %d, need %d", ErrTooFewShards, present, c.data)
+	}
+	if size <= 0 {
+		return 0, ErrShortData
+	}
+	return size, nil
+}
+
+// decodeRows appends to idx the rows that feed a reconstruction — the
+// first `data` present shards — which determine the decode matrix. (A
+// Coder has at most 256 shards, so callers keep idx on the stack.)
+func (c *Coder) decodeRows(shards [][]byte, idx []byte) []byte {
+	for i := 0; i < c.TotalShards() && len(idx) < c.data; i++ {
+		if shards[i] != nil {
+			idx = append(idx, byte(i))
+		}
+	}
+	return idx
+}
+
 // decodeMatrix returns the inverse of the encoding sub-matrix formed by
 // the given survivor row indices, memoized per distinct index set. The
 // returned matrix is shared and must be treated as read-only.
 func (c *Coder) decodeMatrix(idx []byte) (*matrix, error) {
-	key := string(idx)
-	if v, ok := c.decCache.Load(key); ok {
-		return v.(*matrix), nil
+	if cache := c.decCache.Load(); cache != nil {
+		if dec := (*cache)[string(idx)]; dec != nil {
+			return dec, nil
+		}
 	}
 	sub := newMatrix(c.data, c.data)
 	for r, i := range idx {
@@ -223,8 +249,17 @@ func (c *Coder) decodeMatrix(idx []byte) (*matrix, error) {
 	if !ok {
 		return nil, errors.New("erasure: decode matrix singular")
 	}
-	c.decCache.Store(key, dec)
-	return dec, nil
+	for {
+		old := c.decCache.Load()
+		next := make(map[string]*matrix)
+		if old != nil {
+			maps.Copy(next, *old)
+		}
+		next[string(idx)] = dec
+		if c.decCache.CompareAndSwap(old, &next) {
+			return dec, nil
+		}
+	}
 }
 
 // Verify recomputes parity from the data shards and reports whether every

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -275,6 +276,11 @@ func TestQuickRoundtrip(t *testing.T) {
 		r := rand.New(rand.NewSource(int64(lossSeed)))
 		for _, i := range r.Perm(c.TotalShards())[:parity] {
 			shards[i] = nil
+		}
+		// DecodeData rebuilds the payload and fills in no shard.
+		direct, err := c.DecodeData(shards, len(payload))
+		if err != nil || !bytes.Equal(direct, payload) || slices.IndexFunc(shards, func(b []byte) bool { return b == nil }) < 0 {
+			return false
 		}
 		if err := c.Reconstruct(shards); err != nil {
 			return false

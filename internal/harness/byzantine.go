@@ -24,7 +24,7 @@ import (
 // scripted attack windows (stripe corruption, withholding, garbage
 // frames, leader equivocation) over the full Multi-Zone deployment and
 // measures the throughput dip, the time to recover, and the hardening
-// counters (rejected stripes, refetches, quarantines, rewires, proven
+// counters (rejected stripes, refetches, quarantines, spares, proven
 // equivocations) while the blacklist heals the distribution tree.
 
 // stripePusher sends one prepared stripe to a subscriber at a fixed
@@ -172,7 +172,6 @@ func Byzantine(o Options) ([]*stats.Table, error) {
 	scenarios := []struct {
 		name      string
 		consensus bool // observe consensus commits instead of zone completions
-		starve    int
 		actions   []faults.Action
 		check     func(recoveryResult) error
 	}{
@@ -189,13 +188,12 @@ func Byzantine(o Options) ([]*stats.Table, error) {
 			},
 		},
 		{
-			name:   "withhold-stripes",
-			starve: 3,
+			name: "withhold-stripes",
 			actions: []faults.Action{faults.WithholdStripes{
 				Node: relayer, From: spec.crashFrom, To: spec.crashTo}},
 			check: func(r recoveryResult) error {
-				if r.rewires == 0 {
-					return fmt.Errorf("starved subscribers never rewired")
+				if r.spares == 0 {
+					return fmt.Errorf("the withholder's subscribers never took a spare")
 				}
 				return nil
 			},
@@ -238,14 +236,13 @@ func Byzantine(o Options) ([]*stats.Table, error) {
 	}
 	counters := &stats.Table{
 		Title: "Byzantine hardening counters (rows: 1=stripes rejected, 2=refetches, " +
-			"3=quarantines, 4=rewires, 5=undecodable frames, 6=proven equivocations)",
+			"3=quarantines, 4=spares, 5=undecodable frames, 6=proven equivocations)",
 		XLabel: "row",
 	}
 	for _, sc := range scenarios {
 		s := spec
 		s.victimConsensus = sc.consensus
 		s.actions = sc.actions
-		s.starveRewire = sc.starve
 		res, err := runRecovery(s)
 		if err != nil {
 			return nil, fmt.Errorf("byzantine %s: %w", sc.name, err)
@@ -285,7 +282,7 @@ func Byzantine(o Options) ([]*stats.Table, error) {
 		cs.Add(1, float64(res.rejected))
 		cs.Add(2, float64(res.refetches))
 		cs.Add(3, float64(res.quarantines))
-		cs.Add(4, float64(res.rewires))
+		cs.Add(4, float64(res.spares))
 		cs.Add(5, float64(res.undecodable))
 		cs.Add(6, float64(res.equivocations))
 		counters.Series = append(counters.Series, cs)

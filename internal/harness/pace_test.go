@@ -136,7 +136,10 @@ func TestPacedStreamIdle(t *testing.T) {
 // with ISSUE 25 — Predis blocks on the consensus lane, stripe headers on
 // f+1 carriers, two-relayer subscription loops broken — while the two bare
 // consensus points and fig8's tables did not. Stream quickstart alone
-// moved when stream mode stopped pushing proposed blocks to full nodes.)
+// moved when stream mode stopped pushing proposed blocks to full nodes.
+// Seven moved again when full nodes began receiving n_c − f stripe indices
+// instead of n_c — every row with full nodes, fig8's tables included —
+// while the two bare consensus points and fig7's tables did not.)
 func TestReplayPinned(t *testing.T) {
 	sum := func(tr *ReplayTrace) string { return fmt.Sprintf("%s %d", tr.Sum(), tr.Deliveries()) }
 	point := func() string {
@@ -208,15 +211,15 @@ func TestReplayPinned(t *testing.T) {
 		want string
 	}{
 		{"P-PBFT point", 2, point, "2b99bcdc2610a1094c3621927ef686ddf98fef6a3d5b79d34d25e346dd6fa78f 2966"},
-		{"leader-crash recovery", 2, recovery, "b5204050678d70d4d1a223213a76cbc847672cf4062bf350c0ae15e73f930daa 39872"},
+		{"leader-crash recovery", 2, recovery, "a8fe85b9b1df9df71d29261c16c243497f5475eccea5290cfe90d188f8ab2c43 33943"},
 		{"stream P-PBFT point", 2, streamPoint, "6f74a9271d481dd0c1b29c2e31e322a58906e3e493a7808b934555c2c48b611f 14439"},
-		{"quickstart", 2, quickstart(false), "8666fa728d407635ef2462de61267361bb682a451e12e29e076e6bd14f9f78b1 24304"},
-		{"stream quickstart", 2, quickstart(true), "b71a5e9275d26c0f7b83a269e3973754f0aa275727bf835176285613cede02e8 164987"},
-		{"contention", 2, contention, "061e10caf255e6e9273460ed4109aef4bc0daff08e8fab83356ba0f5e10ca868 7670 roots 5a36f00b9c4ad521518349b8cb6870ff1e09462797ced566b176fd8a32475467"},
-		{"quick recovery", 1, experiment(Recovery, true), "d2c6a784e3ebfc391ef63532122e83d47eabd0903be49b93a7f1a454c5e9ff54 208984"},
-		{"quick byzantine", 1, experiment(Byzantine, true), "a671fb60781fd04972906a40682074c0b769607264f051033a0916ac3edb2fdd 529861"},
+		{"quickstart", 2, quickstart(false), "597d80c3c9a8890adfe7f148bd19fe657e076849f38d5bda50ed399532ea6075 20670"},
+		{"stream quickstart", 2, quickstart(true), "f96acee73cdc94b2e0a352a65da82b25d7e39652dfacea47cfd5510481cec09a 131284"},
+		{"contention", 2, contention, "5f76e37759dfcf096267aafa1e4280a5ffb55bcc6d2326051bb218bbb48c07b3 6875 roots 17e061a1ef6bf248f4dfb1bf9073861720cbe6f762e60614de89e13f457b10c3"},
+		{"quick recovery", 1, experiment(Recovery, true), "cd9f7952e4ae03c7f47e50637f969c0ab507e5d6073ad10abc397277658721d5 178941"},
+		{"quick byzantine", 1, experiment(Byzantine, true), "cde67eda445877dd0c8697175209c8861fda8c00d24aa9c88a91359eb6002bd5 443676"},
 		{"quick fig7 tables", 1, experiment(Fig7, false), "6942a4d630345b1d819b9732c057b7234dec1a846a45fa65e0f8f359c6979ee2"},
-		{"quick fig8 tables", 1, experiment(Fig8, false), "7343fd4bf123f025c17ba5a1d005de4e28cdd44ea8af36299255db9edce62c9a"},
+		{"quick fig8 tables", 1, experiment(Fig8, false), "782007a019dc0eef73e56b4cd5540e882a98e7162d548754cb7edbc038725c60"},
 	} {
 		for run := 1; run <= c.runs; run++ {
 			if got := c.run(); got != c.want {

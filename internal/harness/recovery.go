@@ -37,9 +37,6 @@ type recoverySpec struct {
 	// custom fault schedule (the Byzantine experiment reuses this rig
 	// with adversarial actions instead of a crash).
 	actions []faults.Action
-	// starveRewire arms FullNodeConfig.StarveRewireAfter on every full
-	// node (0 leaves the opt-in withholding detector off).
-	starveRewire int
 }
 
 // recoveryDeploy is the deployment the fault experiments run on: P-PBFT
@@ -92,9 +89,11 @@ type recoveryResult struct {
 	// flight when the run ended (relayer scenario only).
 	catchingUp bool
 	// Byzantine-hardening counters, summed across all full nodes. On a
-	// benign schedule (crashes, loss) every one of these is zero:
-	// verification never fails without an adversary.
-	rejected, refetches, quarantines, rewires uint64
+	// benign schedule (crashes, loss) the first three are zero:
+	// verification never fails without an adversary. spares counts the
+	// spare indices full nodes took while a sender was silent, which a
+	// crash causes as much as withholding does.
+	rejected, refetches, quarantines, spares uint64
 	// undecodable counts frames the network dropped because their body
 	// would not decode (garbage-wire attacks; zero on benign runs).
 	undecodable uint64
@@ -134,7 +133,6 @@ func runRecovery(spec recoverySpec) (recoveryResult, error) {
 		}
 	}
 	d.Full = func(cfg *multizone.FullNodeConfig) {
-		cfg.StarveRewireAfter = spec.starveRewire
 		if !spec.victimConsensus && cfg.JoinSeq == 1 {
 			// Zone-side observer: a healthy peer of the crashed relayer.
 			cfg.OnBlockComplete = func(blk *core.PredisBlock, txs int) { record(txs) }
@@ -165,11 +163,11 @@ func runRecovery(spec recoverySpec) (recoveryResult, error) {
 
 	res := recoveryResult{buckets: buckets, trace: inj.TraceString()}
 	for _, fn := range fulls {
-		rj, rf, q, rw := fn.ByzStats()
+		rj, rf, q, sp := fn.ByzStats()
 		res.rejected += rj
 		res.refetches += rf
 		res.quarantines += q
-		res.rewires += rw
+		res.spares += sp
 	}
 	res.undecodable = net.Dropped().Undecodable
 	for _, h := range hosts {
@@ -283,8 +281,8 @@ func Recovery(o Options) ([]*stats.Table, error) {
 	summary := &stats.Table{
 		Title: "Recovery summary (rows: 1=baseline tx/s, 2=dip floor tx/s, " +
 			"3=dip depth %, 4=time-to-recover ms, 5=victim head, 6=live head, " +
-			"7=stripes rejected, 8=refetches, 9=quarantines, 10=rewires — " +
-			"rows 7-10 are the Byzantine-hardening counters and must be zero " +
+			"7=stripes rejected, 8=refetches, 9=quarantines, 10=spares taken — " +
+			"rows 7-9 are the Byzantine-hardening counters and must be zero " +
 			"on these benign crash scenarios)",
 		XLabel: "row",
 	}
@@ -326,9 +324,9 @@ func Recovery(o Options) ([]*stats.Table, error) {
 		sum.Add(7, float64(res.rejected))
 		sum.Add(8, float64(res.refetches))
 		sum.Add(9, float64(res.quarantines))
-		sum.Add(10, float64(res.rewires))
+		sum.Add(10, float64(res.spares))
 		summary.Series = append(summary.Series, sum)
-		if n := res.rejected + res.refetches + res.quarantines + res.rewires +
+		if n := res.rejected + res.refetches + res.quarantines +
 			res.undecodable + res.equivocations; n != 0 {
 			return nil, fmt.Errorf("recovery %s: benign crash moved Byzantine counters (%d)",
 				sc.name, n)

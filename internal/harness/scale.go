@@ -31,7 +31,7 @@ import (
 // scaleSpec configures one (N, fanout) population point.
 type scaleSpec struct {
 	n      int
-	fanout int // 0 = bandwidth-aware auto (topology.BestFanout)
+	fanout int // 0 = bandwidth-aware auto (BestFanout)
 	// blockBytes and blocks describe the root's block publications.
 	blockBytes int
 	blocks     int
@@ -56,7 +56,7 @@ type scaleResult struct {
 // scaleRoot is the root handler: a tree relay that also absorbs the
 // aggregated flows' transactions.
 type scaleRoot struct {
-	relay *topology.TreeRelay
+	relay *TreeRelay
 	txs   uint64
 }
 
@@ -92,13 +92,13 @@ func runScalePoint(spec scaleSpec) (scaleResult, error) {
 
 	k := spec.fanout
 	if k == 0 {
-		k = topology.BestFanout(spec.n, spec.blockBytes, float64(simnet.Mbps100), latency)
+		k = BestFanout(spec.n, spec.blockBytes, float64(simnet.Mbps100), latency)
 	}
 	order := make([]wire.NodeID, spec.n)
 	for i := range order {
 		order[i] = wire.NodeID(i)
 	}
-	tree := topology.NewTree(order, k)
+	tree := NewTree(order, k)
 
 	// Delivery latency sinks into a fixed-memory histogram: at 5·10⁴
 	// nodes a sorted-sample summary would hold every delivery.
@@ -109,10 +109,10 @@ func runScalePoint(spec scaleSpec) (scaleResult, error) {
 		hist.Observe(at.Sub(published[height]))
 		coverage++
 	}
-	root := &scaleRoot{relay: topology.NewTreeRelay(tree, nil)}
+	root := &scaleRoot{relay: NewTreeRelay(tree, nil)}
 	net.AddNode(order[0], root)
 	for _, id := range order[1:] {
-		net.AddNode(id, topology.NewTreeRelay(tree, onBlock))
+		net.AddNode(id, NewTreeRelay(tree, onBlock))
 	}
 
 	// Aggregated flows: 1000 logical clients per generator, all

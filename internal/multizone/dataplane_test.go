@@ -99,12 +99,20 @@ func (r *relayRig) hashes() []crypto.Hash {
 // on a warm free list, a duplicate of it, the carrier that resolves and
 // relays it, and a duplicate of an accepted stripe allocate nothing; the
 // stripe that completes a bundle another node already reassembled pays
-// only the mempool's amortized growth. (Producer 0's carriers are stripes
-// 0 and 2, its references 1 and 3.)
+// only the mempool's amortized growth. The node holds exactly n_c − f
+// indices, each from its consensus node, so every stripe also feeds the
+// silence rule's bookkeeping. (Producer 0's carriers are stripes 0 and 2,
+// its references 1 and 3.)
 func TestRelayPathAllocs(t *testing.T) {
 	const n = 128
 	r := newRelayRig(t, n)
 	fn := r.fn
+	for s := uint8(0); s < 3; s++ {
+		fn.stripeSender[s] = wire.NodeID(s)
+	}
+	fn.subCount -= len(fn.subscribers[3])
+	delete(fn.subscribers, 3)
+	fn.subsChanged()
 	// Warm-up lap: size the partials map, the event queue and the free
 	// list, whose entries keep the senders slice parking gave them.
 	for _, st := range r.stripes {
@@ -156,6 +164,9 @@ func TestRelayPathAllocs(t *testing.T) {
 	}
 	if _, got, _ := fn.Stats(); got != n {
 		t.Fatalf("assembled %d bundles, want %d", got, n)
+	}
+	if len(fn.stripeSeen) != 3 || len(fn.spares) != 0 {
+		t.Fatalf("senders heard %v, spares %v: want all three indices heard and no spare", fn.stripeSeen, fn.spares)
 	}
 }
 

@@ -1,6 +1,8 @@
 package multizone
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 	"time"
 
@@ -67,15 +69,6 @@ type FullNodeConfig struct {
 	OnExecute func(r exec.Result)
 	// KeepConfirmed bounds retained bundles per chain.
 	KeepConfirmed int
-	// StarveRewireAfter rewires a stripe subscription to an alternate
-	// source after this many consecutively assembled bundles were missing
-	// that stripe at assembly time while its sender had been silent for
-	// 2×AliveInterval (lateness alone is never charged: bundles assemble
-	// at n_c−f stripes, so the slowest sender is routinely absent at
-	// assembly). A single receiver cannot distinguish withholding from
-	// path loss, so the rewire heuristic is opt-in: zero (the default)
-	// disables it, and the Byzantine harness enables it.
-	StarveRewireAfter int
 	// Trace, when non-nil, closes the stripe_distributed and
 	// fullnode_delivered lifecycle spans (anchored by the consensus-side
 	// distributor) when bundles assemble and blocks complete here. Nil
@@ -141,16 +134,16 @@ func (r *relayerInfo) active() bool { return len(r.stripes) > 0 }
 // partialBundle accumulates stripes for one bundle header. It stays in
 // the dedup map until the bundle is confirmed, so it holds the bundle's
 // coordinates, not a copy of the header: once known, stripes[first] is the
-// carrier whose header signature was checked, until assembly clears the
-// stripes. Until then the partial is header-less: its coordinates are what
-// the references claim, and every stripe in it is parked, sent by
-// senders[index] and waiting since parkedAt.
+// carrier whose header signature was checked. Until then the partial is
+// header-less: its coordinates are what the references claim, and every
+// stripe in it is parked, sent by senders[index]. since is when its first
+// stripe arrived.
 type partialBundle struct {
 	producer wire.NodeID
 	height   uint64
 	stripes  []*StripeMsg
 	senders  []wire.NodeID
-	parkedAt time.Time
+	since    time.Time
 	have     int
 	parked   int
 	first    uint8
@@ -212,8 +205,14 @@ type FullNode struct {
 	// Byzantine hardening (see byzantine.go).
 	offenses    map[wire.NodeID]int       // cryptographic offenses per peer
 	quarantined map[wire.NodeID]time.Time // blacklist expiry per peer
-	starve      map[uint8]int             // consecutive starved assemblies per stripe
-	stripeSeen  map[uint8]time.Time       // last stripe-s traffic from its subscribed sender
+	stripeSeen  map[uint8]heardAt         // last stripe-s traffic from its subscribed sender
+
+	// The silence rule (see spare.go).
+	spares []spare             // indices taken beyond n_c−f while a subscribed index holds assembly up
+	opened uint64              // partials opened: bundles that began to arrive
+	asked  map[uint8]time.Time // when a silent index was last asked for again
+	// silenceAt is when onStripe next runs checkSilence.
+	silenceAt time.Time
 
 	// Stats.
 	bundles     uint64
@@ -222,7 +221,7 @@ type FullNode struct {
 	rejected    uint64
 	refetches   uint64
 	quarantines uint64
-	rewires     uint64
+	sparesTaken uint64
 	// Fetch plane (see PullStats).
 	pullRequests, pullBundles, pullSuppressed, pullRetries uint64
 	// Parked reference stripes (see ParkStats).
@@ -259,8 +258,8 @@ func NewFullNode(cfg FullNodeConfig) (*FullNode, error) {
 		lastSeen:     make(map[wire.NodeID]time.Time),
 		offenses:     make(map[wire.NodeID]int),
 		quarantined:  make(map[wire.NodeID]time.Time),
-		starve:       make(map[uint8]int),
-		stripeSeen:   make(map[uint8]time.Time),
+		stripeSeen:   make(map[uint8]heardAt),
+		asked:        make(map[uint8]time.Time),
 		lastCuts:     core.ZeroCuts(c.NC),
 	}, nil
 }
@@ -335,19 +334,11 @@ func (f *FullNode) bootstrap() {
 	f.ctx.After(50*time.Millisecond, f.runSubscription)
 }
 
-// runSubscription is Algorithm 1: subscribe up to half of each relayer's
-// relayed stripes, then take the remainder straight from consensus nodes
-// (becoming a relayer).
+// runSubscription is Algorithm 1 over the indices wanted (see wanted):
+// subscribe up to half of each relayer's relayed stripes, then take the
+// remainder straight from consensus nodes (becoming a relayer).
 func (f *FullNode) runSubscription() {
-	needed := make([]uint8, 0, f.cfg.NC)
-	for s := 0; s < f.cfg.NC; s++ {
-		si := uint8(s)
-		if _, have := f.stripeSender[si]; !have {
-			if _, pend := f.pendingSub[si]; !pend {
-				needed = append(needed, si)
-			}
-		}
-	}
+	needed := f.wanted()
 	if len(needed) == 0 {
 		return
 	}
@@ -399,13 +390,105 @@ func (f *FullNode) runSubscription() {
 	}
 }
 
+// wanted lists the indices to subscribe now. Any n_c − f stripes rebuild a
+// bundle (§IV-D), so a node receives n_c − f indices: those it relays or
+// forwards, then the fewest others. Indices no zone relayer takes from
+// consensus come first, so every index enters the zone; the rest follow a
+// rotation that starts at JoinSeq, so nodes skip different indices. A spare
+// (spare.go) is not counted, but while one flows it takes the place of an
+// index that left before anything new is asked for.
+func (f *FullNode) wanted() []uint8 {
+	short := f.cfg.NC - f.cfg.F
+	var out []uint8
+	for s := 0; s < f.cfg.NC; s++ {
+		si := uint8(s)
+		switch {
+		case f.isSpare(si):
+		case f.held(si):
+			short--
+		case len(f.subscribers[si]) > 0:
+			out = append(out, si)
+			short--
+		}
+	}
+	for ; short > 0 && len(f.spares) > 0; short-- {
+		f.keepSpare(0)
+	}
+	if short <= 0 {
+		return out
+	}
+	covered := make([]bool, f.cfg.NC)
+	for s := range f.consensusDir {
+		covered[s] = true
+	}
+	for id, info := range f.zoneRelayers {
+		if info.active() && !f.isQuarantined(id) {
+			for _, s := range info.stripes {
+				if int(s) < f.cfg.NC {
+					covered[s] = true
+				}
+			}
+		}
+	}
+	for _, uncovered := range []bool{true, false} {
+		for k := 0; k < f.cfg.NC && short > 0; k++ {
+			s := f.rotation(k)
+			if covered[s] != uncovered && !f.held(s) && !slices.Contains(out, s) {
+				out = append(out, s)
+				short--
+			}
+		}
+	}
+	return out
+}
+
+// rotation is the k-th index of this node's preference order. It starts at
+// the base-2 radical inverse of JoinSeq scaled to the ring (0, ½, ¼, ¾, …
+// of n_c), so consecutive joiners start far apart.
+func (f *FullNode) rotation(k int) uint8 {
+	start, _ := bits.Mul64(bits.Reverse64(f.cfg.JoinSeq), uint64(f.cfg.NC))
+	return uint8((start + uint64(k)) % uint64(f.cfg.NC))
+}
+
+// held reports whether stripe s arrives here, or has been asked for.
+func (f *FullNode) held(s uint8) bool {
+	if _, ok := f.stripeSender[s]; ok {
+		return true
+	}
+	_, ok := f.pendingSub[s]
+	return ok
+}
+
+// trimSubscriptions drops indices received beyond n_c − f that this node
+// neither relays nor forwards, last in its rotation first: promotion, a
+// forwarding duty or a spare turned regular can leave it one over.
+func (f *FullNode) trimSubscriptions() {
+	excess := f.cfg.F - f.cfg.NC
+	for s := 0; s < f.cfg.NC; s++ {
+		if f.held(uint8(s)) && !f.isSpare(uint8(s)) {
+			excess++
+		}
+	}
+	for k := f.cfg.NC - 1; k >= 0 && excess > 0; k-- {
+		s := f.rotation(k)
+		sd, ok := f.stripeSender[s]
+		if _, pend := f.pendingSub[s]; !ok || pend || f.consensusDir[s] || len(f.subscribers[s]) > 0 ||
+			f.isSpare(s) || f.hasSpare(s) {
+			continue
+		}
+		f.ctx.Send(sd, &Unsubscribe{Stripes: []uint8{s}})
+		delete(f.stripeSender, s)
+		excess--
+	}
+}
+
 func (f *FullNode) sendSubscribe(to wire.NodeID, stripes []uint8) {
 	for _, s := range stripes {
 		f.pendingSub[s] = to
 	}
 	f.ctx.Send(to, &Subscribe{Stripes: stripes})
 	// Re-run the algorithm if the subscription goes unanswered.
-	f.ctx.After(4*f.cfg.AliveInterval, func() {
+	f.ctx.After(f.resubscribeAfter(), func() {
 		stale := false
 		for _, s := range stripes {
 			if f.pendingSub[s] == to {
@@ -484,14 +567,22 @@ func (f *FullNode) onSubscribe(from wire.NodeID, m *Subscribe) {
 		f.ctx.Send(from, &RejectSubscribe{Stripes: m.Stripes, Children: children})
 		return
 	}
-	var accepted []uint8
+	var accepted, fresh, refused []uint8
+	unheld := false
 	for _, s := range m.Stripes {
-		// We can serve a stripe we receive ourselves (or will receive).
-		if _, have := f.stripeSender[s]; !have && !f.consensusDir[s] {
-			if _, pend := f.pendingSub[s]; !pend {
-				continue
-			}
+		if int(s) >= f.cfg.NC {
+			continue
 		}
+		if f.stripeSender[s] == from || f.pendingSub[s] == from {
+			// from feeds us s, or is about to: feeding it back would close
+			// a loop no stripe enters. (Longer loops the silence rule
+			// breaks.)
+			refused = append(refused, s)
+			continue
+		}
+		// A stripe we do not receive yet becomes ours to receive: we
+		// forward it now (see wanted).
+		unheld = unheld || !f.held(s)
 		if f.subscribers[s] == nil {
 			f.subscribers[s] = make(map[wire.NodeID]bool)
 		}
@@ -499,11 +590,19 @@ func (f *FullNode) onSubscribe(from wire.NodeID, m *Subscribe) {
 			f.subscribers[s][from] = true
 			f.subCount++
 			f.subsChanged()
+			fresh = append(fresh, s)
 		}
 		accepted = append(accepted, s)
 	}
 	if len(accepted) > 0 {
 		f.ctx.Send(from, &AcceptSubscribe{Stripes: accepted, FromConsensus: false})
+	}
+	if len(refused) > 0 {
+		f.ctx.Send(from, &RejectSubscribe{Stripes: refused})
+	}
+	f.backfill(from, fresh)
+	if unheld {
+		f.runSubscription()
 	}
 }
 
@@ -514,18 +613,14 @@ func (f *FullNode) onAcceptSubscribe(from wire.NodeID, m *AcceptSubscribe) {
 			continue
 		}
 		delete(f.pendingSub, s)
-		if f.subscribers[s][from] && f.orphaned(s) {
-			// from takes s from us, and no one in the zone takes s from
-			// consensus or could still be promoted to: with from as our
-			// sender too, neither of us would ever receive s. Cancel and go
-			// to the source; from sees the same loop if it was waiting on us.
-			f.ctx.Send(from, &Unsubscribe{Stripes: []uint8{s}})
-			f.sendSubscribe(wire.NodeID(s), []uint8{s})
-			continue
+		if old, ok := f.stripeSender[s]; !ok || old != from {
+			if ok {
+				f.ctx.Send(old, &Unsubscribe{Stripes: []uint8{s}})
+			}
+			f.stripeSeen[s] = heardAt{f.ctx.Now(), f.opened} // a new sender gets a full silence grace
 		}
 		f.stripeSender[s] = from
-		f.stripeSeen[s] = f.ctx.Now() // fresh sender: full starvation grace
-		if m.FromConsensus {
+		if m.FromConsensus && !f.isSpare(s) {
 			f.consensusDir[s] = true
 			became = true
 		}
@@ -645,12 +740,13 @@ func (f *FullNode) onRelayerAlive(from wire.NodeID, m *RelayerAlive) {
 		for _, s := range shared {
 			myCount := len(f.consensusDir)
 			if myCount > theirCount || (myCount == theirCount && f.cfg.JoinSeq > m.JoinSeq) {
-				f.handOffStripe(s, m.Relayer)
+				f.handOffStripe(s)
 				yielded = true
 			}
 		}
 		if yielded {
 			f.broadcastAlive()
+			f.runSubscription()
 		}
 		// Lines 14-18: if our sender for a stripe no longer relays it, and
 		// this relayer does, resubscribe to it.
@@ -659,7 +755,8 @@ func (f *FullNode) onRelayerAlive(from wire.NodeID, m *RelayerAlive) {
 			if !ok || sd == m.Relayer || f.consensusDir[s] {
 				continue
 			}
-			if info, known := f.zoneRelayers[sd]; known && info.active() && !containsStripe(info.stripes, s) {
+			if info, known := f.zoneRelayers[sd]; known && info.active() && !containsStripe(info.stripes, s) &&
+				f.pendingSub[s] != m.Relayer {
 				f.resubscribe(s, m.Relayer)
 			}
 		}
@@ -680,15 +777,15 @@ func (f *FullNode) onRelayerAlive(from wire.NodeID, m *RelayerAlive) {
 	}
 }
 
-// handOffStripe stops taking a stripe from its consensus node and
-// subscribes to the given relayer instead (Alg. 2's redundancy squeeze).
-func (f *FullNode) handOffStripe(s uint8, to wire.NodeID) {
+// handOffStripe stops taking a stripe from its consensus node (Alg. 2's
+// redundancy squeeze); Algorithm 1 then takes it from the relayer that
+// keeps it if this node still wants it.
+func (f *FullNode) handOffStripe(s uint8) {
 	if f.consensusDir[s] {
 		delete(f.consensusDir, s)
 		f.ctx.Send(wire.NodeID(s), &Unsubscribe{Stripes: []uint8{s}})
 	}
 	delete(f.stripeSender, s)
-	f.sendSubscribe(to, []uint8{s})
 }
 
 // resubscribe moves one stripe to a new sender.
@@ -748,6 +845,7 @@ func (f *FullNode) armAlive() {
 		}
 		f.broadcastAlive()
 		f.sweepDataPlane()
+		f.tryCompleteBlocks() // restates the needs of blocks still waiting
 		count := 0
 		for _, info := range f.zoneRelayers {
 			if info.active() {
@@ -758,31 +856,53 @@ func (f *FullNode) armAlive() {
 			count++
 		}
 		if count < f.cfg.NC && !f.isRelayer {
-			// Become a new relayer: take over stripes with no live relayer,
-			// or stripe (JoinSeq mod NC) as a deterministic fallback.
-			covered := make(map[uint8]bool)
-			for _, info := range f.zoneRelayers {
-				for _, s := range info.stripes {
-					covered[s] = true
-				}
-			}
-			promoted := false
-			for s := 0; s < f.cfg.NC; s++ {
-				if !covered[uint8(s)] {
-					f.sendSubscribe(wire.NodeID(s), []uint8{uint8(s)})
-					promoted = true
-				}
-			}
-			if !promoted {
-				s := uint8(f.cfg.JoinSeq % uint64(f.cfg.NC))
-				f.sendSubscribe(wire.NodeID(s), []uint8{s})
-			}
+			f.promote()
 		}
-		// Subscription repair: any stripe without a sender or pending
-		// request gets re-run through Algorithm 1.
+		// Subscription repair: the node tops its received set up to n_c − f
+		// through Algorithm 1, or trims what it holds beyond that.
 		f.runSubscription()
+		f.trimSubscriptions()
 		f.armAlive()
 	})
+}
+
+// promote makes this node a relayer when its zone has fewer than n_c
+// (§IV-E): it takes every index no live relayer announces or, when all
+// are covered, one index of the relayer announcing the most — the overlap
+// rule (onRelayerAlive) has that relayer yield it, so each promotion leaves
+// the zone one relayer nearer to n_c relayers of one index each.
+func (f *FullNode) promote() {
+	covered := make([]bool, f.cfg.NC)
+	var most wire.NodeID = wire.NoNode
+	for id, info := range f.zoneRelayers {
+		for _, s := range info.stripes {
+			if int(s) < f.cfg.NC {
+				covered[s] = true
+			}
+		}
+		if m := f.zoneRelayers[most]; !f.isQuarantined(id) && (m == nil || len(info.stripes) > len(m.stripes) ||
+			len(info.stripes) == len(m.stripes) && info.joinSeq > m.joinSeq) {
+			most = id
+		}
+	}
+	var take []uint8
+	for s := 0; s < f.cfg.NC; s++ {
+		if !covered[s] {
+			take = append(take, uint8(s))
+		}
+	}
+	if len(take) == 0 && most != wire.NoNode && len(f.zoneRelayers[most].stripes) > 1 {
+		for k := 0; k < f.cfg.NC && len(take) == 0; k++ {
+			if s := f.rotation(k); containsStripe(f.zoneRelayers[most].stripes, s) {
+				take = append(take, s)
+			}
+		}
+	}
+	for _, s := range take {
+		if f.pendingSub[s] != wire.NodeID(s) {
+			f.sendSubscribe(wire.NodeID(s), []uint8{s})
+		}
+	}
 }
 
 func (f *FullNode) armHeartbeat() {
@@ -965,24 +1085,6 @@ func intersectStripes(a, b []uint8) []uint8 {
 		}
 	}
 	return out
-}
-
-// orphaned reports whether stripe s has no way into the zone: no known
-// relayer announces taking it from consensus, and every zone peer is a
-// relayer already, so the promotion of armAlive — which hands uncovered
-// stripes to a node that relays nothing — has no one left to promote.
-func (f *FullNode) orphaned(s uint8) bool {
-	for _, info := range f.zoneRelayers {
-		if containsStripe(info.stripes, s) {
-			return false
-		}
-	}
-	for _, p := range f.cfg.ZonePeers {
-		if info := f.zoneRelayers[p]; info == nil || !info.active() {
-			return false
-		}
-	}
-	return true
 }
 
 func containsStripe(ss []uint8, s uint8) bool {

@@ -23,20 +23,25 @@ func (f *FullNode) onStripe(from wire.NodeID, m *StripeMsg) {
 		f.rejectStripe(from, m, false, ErrStripeProof)
 		return
 	}
-	// Starvation liveness, before any dedup: a subscribed sender whose
-	// stripes systematically arrive after the n_c−f fastest is still
-	// contributing — only silence marks a withholder (forgeries are charged
-	// by the offense counter below, never by the starvation detector).
+	// Liveness of the subscribed sender, before any dedup: a late stripe
+	// still counts, only silence takes a spare (forgeries are charged by the
+	// offense counter below, never by the silence rule).
+	now := f.ctx.Now()
 	if sd, ok := f.stripeSender[m.Index]; ok && sd == from {
-		f.stripeSeen[m.Index] = f.ctx.Now()
+		f.stripeSeen[m.Index] = heardAt{now, f.opened}
+	}
+	if !now.Before(f.silenceAt) {
+		f.checkSilence(now)
 	}
 	headerHash := m.BundleHash()
 	p := f.partials[headerHash]
-	if p != nil && (p.done || p.stripes[m.Index] != nil) {
+	if p != nil && p.stripes[m.Index] != nil {
 		return // duplicate stripe, or one parked at this index already
 	}
-	// Already assembled via another path (bundle pull)?
-	if f.mp.Bundle(m.Header.Producer, m.Header.Height) != nil {
+	// Already assembled via another path (bundle pull)? (A bundle assembled
+	// here still takes the stripes that come late, below: this node's
+	// subscribers of that index take exactly n_c − f indices too.)
+	if (p == nil || !p.done) && f.mp.Bundle(m.Header.Producer, m.Header.Height) != nil {
 		f.forwardStripe(from, m)
 		return
 	}
@@ -66,7 +71,7 @@ func (f *FullNode) onStripe(from wire.NodeID, m *StripeMsg) {
 			f.resolveParked(p, p.root())
 		}
 	}
-	if p.have >= f.cfg.Striper.MinStripes() {
+	if !p.done && p.have >= f.cfg.Striper.MinStripes() {
 		f.completeBundle(headerHash, p)
 	}
 }
@@ -118,7 +123,7 @@ func (f *FullNode) park(p *partialBundle, headerHash crypto.Hash, from wire.Node
 		}
 		f.headerless[producer]++
 		p = f.newPartial(headerHash)
-		p.producer, p.height, p.parkedAt = producer, m.Header.Height, f.ctx.Now()
+		p.producer, p.height, p.since = producer, m.Header.Height, f.ctx.Now()
 	}
 	if p.senders == nil {
 		p.senders = make([]wire.NodeID, f.cfg.NC) //predis:allocok once per partial, kept across recycling
@@ -145,7 +150,7 @@ func (f *FullNode) resolveParked(p *partialBundle, root crypto.Hash) {
 		f.accept(p, p.senders[i], st)
 	}
 	f.parkResolved += uint64(p.parked)
-	f.parkWaitMax = max(f.parkWaitMax, f.ctx.Now().Sub(p.parkedAt))
+	f.parkWaitMax = max(f.parkWaitMax, f.ctx.Now().Sub(p.since))
 	p.parked = 0
 }
 
@@ -159,6 +164,7 @@ func (f *FullNode) newPartial(headerHash crypto.Hash) *partialBundle {
 		p = &partialBundle{stripes: make([]*StripeMsg, f.cfg.NC)} //predis:allocok free-list miss
 	}
 	f.partials[headerHash] = p
+	f.opened++
 	return p
 }
 
@@ -168,6 +174,7 @@ func (f *FullNode) newPartial(headerHash crypto.Hash) *partialBundle {
 func (f *FullNode) openPartial(p *partialBundle, headerHash crypto.Hash, m *StripeMsg) *partialBundle {
 	if p == nil {
 		p = f.newPartial(headerHash)
+		p.since = f.ctx.Now()
 	} else {
 		f.headerless[p.producer]--
 	}
@@ -209,9 +216,9 @@ func (f *FullNode) completeBundle(headerHash crypto.Hash, p *partialBundle) {
 		}
 		return
 	}
+	// The entry stays to dedupe, and keeps its stripes for a subscriber that
+	// arrives before the bundle is confirmed (see backfill).
 	p.done = true
-	f.noteStarvation(p)
-	clear(p.stripes) // free shard memory; the entry stays to dedupe
 	f.storeBundle(b, false)
 	f.tryCompleteBlocks()
 }
@@ -239,7 +246,9 @@ func (f *FullNode) storeBundle(b *core.Bundle, verify bool) bool {
 			f.ctx.Logf("multizone: bundle rejected: %v", err)
 		}
 	case res == core.Buffered && miss != nil:
-		f.fetch(miss.Producer, miss.To, wire.NoNode, wire.NoNode)
+		if !f.arriving(miss.Producer, miss.From) {
+			f.fetch(miss.Producer, miss.To, wire.NoNode, wire.NoNode)
+		}
 		return true
 	case res == core.Added:
 		f.bundles++
@@ -293,6 +302,9 @@ func (f *FullNode) onBlock(from wire.NodeID, blk *core.PredisBlock) {
 		}
 	}
 	f.pendBlocks = append(f.pendBlocks, blk)
+	// Before the block states its needs: a bundle it waits for may be
+	// stuck, and the spare that takes gives its stripes a new way in.
+	f.checkSilence(f.ctx.Now())
 	f.tryCompleteBlocks()
 }
 
@@ -369,7 +381,9 @@ func (f *FullNode) tryCompleteBlocks() {
 				}
 			case errors.Is(err, core.ErrBlockMissing):
 				for _, ms := range missing {
-					f.fetch(ms.Producer, ms.To, f.source(ms.Producer), wire.NoNode)
+					if !f.arriving(ms.Producer, ms.From) {
+						f.fetch(ms.Producer, ms.To, f.source(ms.Producer), wire.NoNode)
+					}
 				}
 			default:
 				f.ctx.Logf("multizone: block %d invalid: %v", blk.Height, err)
@@ -386,6 +400,44 @@ func (f *FullNode) tryCompleteBlocks() {
 	}
 	f.pendBlocks = kept
 	f.checkCatchupDone()
+}
+
+// arriving reports whether producer's bundle at height is arriving as
+// stripes: a partial of it (header-less ones go by the coordinates their
+// references claim) is short of an index whose sender this node still
+// hears, or that a spare stands in for, and has waited less than an alive
+// interval — since its first stripe, or since that spare was taken, which
+// gave the stripe a new way in. A node takes exactly n_c − f indices, so a
+// bundle waits for its slowest one, and pulling it whole from a sender that
+// is merely late only adds to the load that made it late. A need for it is
+// stated once the wait is over (the alive tick restates a block's needs),
+// at once if the index it lacks went silent with no spare, or if nothing
+// of it has arrived.
+func (f *FullNode) arriving(producer wire.NodeID, height uint64) bool {
+	now := f.ctx.Now()
+	for _, p := range f.partials {
+		if p.done || p.producer != producer || p.height != height {
+			continue
+		}
+		for s, st := range p.stripes {
+			if _, ok := f.stripeSender[uint8(s)]; !ok || st != nil {
+				continue
+			}
+			since := p.since
+			if at, ok := f.spareFor(uint8(s)); ok {
+				if since.Before(at) {
+					since = at
+				}
+			} else if !f.heard(uint8(s), now) {
+				continue
+			}
+			if now.Sub(since) < f.cfg.AliveInterval {
+				return true
+			}
+		}
+		return false
+	}
+	return false
 }
 
 // onBundleRequest serves bundle pulls from peers (backup connections and
@@ -441,7 +493,7 @@ func (f *FullNode) sweepDataPlane() {
 	now := f.ctx.Now()
 	var swept []crypto.Hash
 	for h, p := range f.partials {
-		if p.height <= f.mp.ConfirmedHeight(p.producer) || !p.known && now.Sub(p.parkedAt) > f.staleAfter() {
+		if p.height <= f.mp.ConfirmedHeight(p.producer) || !p.known && now.Sub(p.since) > f.staleAfter() {
 			swept = append(swept, h)
 		}
 	}

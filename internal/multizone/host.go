@@ -72,6 +72,17 @@ func NewConsensusHost(cfg HostConfig) (*ConsensusHost, error) {
 	dist := NewDistributor(cfg.Self, cfg.NC, cfg.Striper, cfg.MaxSubscribers)
 	dist.SetSubscriberTTL(cfg.SubscriberTTL)
 	dist.SetTrace(cfg.Trace)
+	var n *node.Node
+	// A node catching up after a restart stores the bundles it missed, which
+	// the zones already hold; striping them would queue its fresh stripes
+	// behind the stale ones. Until it is live its index is silent for its
+	// peers' bundles, and full nodes cover it with a spare; its own bundles
+	// are fresh, and only it stripes them at its index.
+	onStored := func(b *core.Bundle) {
+		if b.Header.Producer == cfg.Self || !n.Predis().CatchingUp() {
+			dist.OnBundleStored(b)
+		}
+	}
 	n, err := node.New(node.Config{
 		Mode:           node.ModePredis,
 		Engine:         cfg.Engine,
@@ -86,7 +97,7 @@ func NewConsensusHost(cfg HostConfig) (*ConsensusHost, error) {
 		Pipeline:       cfg.Pipeline,
 		ReplyToClients: cfg.ReplyToClients,
 		StripeRoot:     dist.StripeRoot,
-		OnBundleStored: dist.OnBundleStored,
+		OnBundleStored: onStored,
 		OnBlockCommit:  dist.OnBlockCommit,
 		Trace:          cfg.Trace,
 		Metrics:        cfg.Metrics,

@@ -66,6 +66,7 @@ func (f *FullNode) OnRestart() {
 	f.subCount = 0
 	f.subsChanged()
 	f.consensusDir = make(map[uint8]bool)
+	f.spares = nil
 	f.isRelayer = false
 	f.zoneRelayers = make(map[wire.NodeID]*relayerInfo)
 	f.lastSeen = make(map[wire.NodeID]time.Time)

@@ -1,0 +1,195 @@
+package multizone
+
+import (
+	"testing"
+	"time"
+
+	"predis/internal/simnet"
+	"predis/internal/wire"
+)
+
+// holders returns the full nodes that receive stripe index s.
+func holders(zc *zoneCluster, s uint8) []*FullNode {
+	var out []*FullNode
+	for _, fn := range zc.fulls {
+		if _, ok := fn.stripeSender[s]; ok {
+			out = append(out, fn)
+		}
+	}
+	return out
+}
+
+// TestConsensusCrashCoveredBySpare crashes consensus node s for 1.5 s in a
+// two-zone deployment whose zones settle on one relayer per index. Every
+// full node receiving index s finds it silent and takes one spare from a
+// zone relayer, whose backfill covers the bundles in flight. A node that
+// skips s takes one too: its relayer of another index held s as its only
+// header carrier for some producer, so it parks their references until its
+// own spare brings another carrier, and the node's bundles stall one
+// stripe short meanwhile. Every full node keeps completing blocks in
+// order, ends the outage back at n_c − f indices, and pulls nothing from a
+// consensus node.
+func TestConsensusCrashCoveredBySpare(t *testing.T) {
+	const s = 2
+	cfg := zoneConfig{nc: 4, f: 1, zones: 2, perZone: 4, rate: 400, duration: 9 * time.Second}
+	zc := buildZoneCluster(t, cfg)
+	var tap pullTap
+	tap.attach(zc.net)
+	zc.net.Start()
+	zc.net.Run(3 * time.Second)
+
+	if n := len(holders(zc, s)); n == 0 || n == len(zc.fulls) {
+		t.Fatalf("%d of %d full nodes receive index %d: the rotation does not spread the skipped index",
+			n, len(zc.fulls), s)
+	}
+	before := lastHeights(zc)
+	taken := make(map[wire.NodeID]uint64)
+	for _, fn := range zc.fulls {
+		_, _, _, taken[fn.ID()] = fn.ByzStats()
+	}
+
+	zc.net.Crash(s)
+	zc.net.Run(4500 * time.Millisecond)
+	zc.net.Restart(s)
+	zc.net.Run(cfg.duration)
+
+	for _, fn := range zc.fulls {
+		_, _, _, spares := fn.ByzStats()
+		if spares -= taken[fn.ID()]; spares != 1 {
+			t.Errorf("node %d took %d spares, want 1", fn.ID(), spares)
+		}
+		if len(fn.spares) != 0 || len(fn.stripeSender) != cfg.nc-cfg.f {
+			t.Errorf("node %d ends with spares %v and senders %v, want n_c − f indices and no spare",
+				fn.ID(), fn.spares, fn.stripeSender)
+		}
+		hs := zc.completed[fn.ID()]
+		for i, h := range hs {
+			if h != uint64(i+1) {
+				t.Fatalf("node %d completed heights out of order at %d: %v", fn.ID(), i, hs[max(0, i-3):i+1])
+			}
+		}
+		if len(hs) == 0 || hs[len(hs)-1] <= before[fn.ID()]+20 {
+			t.Errorf("node %d stalled around the crash: height %d before, %v after", fn.ID(), before[fn.ID()], hs[len(hs)-1:])
+		}
+	}
+	for _, r := range tap.reqs {
+		if int(r.from) >= cfg.nc && int(r.to) < cfg.nc {
+			t.Errorf("node %d pulled (%d, %d..%d) from consensus node %d at %v",
+				r.from, r.producer, r.first, r.end, r.to, r.at.Sub(simnet.Epoch))
+		}
+	}
+}
+
+// TestSilenceRepairsStripeLoop builds a three-node loop on one index — A
+// takes it from B, B from C, C from A — that nobody takes from consensus,
+// so no stripe of it ever enters. The index comes from the relayer that
+// announces two, so every node stays a relayer and promotion, which only a
+// node relaying nothing runs, cannot repair it: the silence rule must. The
+// first node to find the index silent takes a spare and, with no relayer
+// announcing the index, goes to its consensus node — whose stripes then
+// flow round the old loop — and the overlap rule leaves one relayer of it.
+// Every node keeps completing blocks in order and ends with n_c − f indices
+// and no loop.
+func TestSilenceRepairsStripeLoop(t *testing.T) {
+	cfg := zoneConfig{nc: 4, f: 1, zones: 1, perZone: 3, rate: 400, duration: 8 * time.Second}
+	zc := buildZoneCluster(t, cfg)
+	zc.net.Start()
+	zc.net.Run(3 * time.Second)
+
+	var owner *FullNode
+	for _, fn := range zc.fulls {
+		if !fn.IsRelayer() {
+			t.Fatalf("node %d relays nothing in a zone of %d with n_c = %d", fn.ID(), cfg.perZone, cfg.nc)
+		}
+		if len(fn.RelayedStripes()) == 2 {
+			owner = fn
+		}
+	}
+	if owner == nil {
+		t.Fatal("no relayer announces two indices")
+	}
+	// The owner stops relaying the index, and every peer already knows its
+	// new announcement, so the older ones still in flight are stale.
+	s := owner.RelayedStripes()[0]
+	owner.handOffStripe(s)
+	owner.broadcastAlive()
+	for _, fn := range zc.fulls {
+		if fn != owner {
+			fn.zoneRelayers[owner.ID()] = &relayerInfo{joinSeq: owner.cfg.JoinSeq, version: owner.aliveVersion,
+				stripes: owner.RelayedStripes(), lastAlive: zc.net.Now()}
+		}
+	}
+	a, b, c := zc.fulls[0], zc.fulls[1], zc.fulls[2]
+	for _, fn := range zc.fulls {
+		fn.subCount -= len(fn.subscribers[s])
+		delete(fn.subscribers, s)
+		delete(fn.pendingSub, s)
+		fn.subsChanged()
+	}
+	for _, l := range [][2]*FullNode{{a, b}, {b, c}, {c, a}} {
+		to, from := l[0], l[1]
+		to.stripeSender[s] = from.ID()
+		to.stripeSeen[s] = heardAt{zc.net.Now(), to.opened}
+		from.subscribers[s] = map[wire.NodeID]bool{to.ID(): true}
+		from.subCount++
+		from.subsChanged()
+	}
+	before := lastHeights(zc)
+	taken := make(map[wire.NodeID]uint64)
+	for _, fn := range zc.fulls {
+		_, _, _, taken[fn.ID()] = fn.ByzStats()
+	}
+	zc.net.Run(cfg.duration)
+
+	relayers, took := 0, uint64(0)
+	for _, fn := range zc.fulls {
+		if containsStripe(fn.RelayedStripes(), s) {
+			relayers++
+		}
+		_, _, _, spares := fn.ByzStats()
+		took += spares - taken[fn.ID()]
+		if len(fn.spares) != 0 || len(fn.stripeSender) != cfg.nc-cfg.f {
+			t.Errorf("node %d ends with spares %v and senders %v, want n_c − f indices and no spare",
+				fn.ID(), fn.spares, fn.stripeSender)
+		}
+		hs := zc.completed[fn.ID()]
+		for i, h := range hs {
+			if h != uint64(i+1) {
+				t.Fatalf("node %d completed heights out of order at %d", fn.ID(), i)
+			}
+		}
+		if len(hs) == 0 || hs[len(hs)-1] <= before[fn.ID()]+20 {
+			t.Errorf("node %d stalled in the loop at height %d", fn.ID(), before[fn.ID()])
+		}
+	}
+	if took == 0 {
+		t.Error("no node took a spare: the silence rule did not see the loop")
+	}
+	if relayers != 1 {
+		t.Errorf("%d relayers take index %d from consensus, want 1", relayers, s)
+	}
+	for _, fn := range zc.fulls {
+		seen := map[wire.NodeID]bool{}
+		for at := fn; at != nil && !seen[at.ID()]; {
+			seen[at.ID()] = true
+			sd, ok := at.stripeSender[s]
+			if !ok || int(sd) < cfg.nc {
+				break
+			}
+			at = zc.fullNode(sd)
+			if at == fn {
+				t.Fatalf("index %d still loops through node %d", s, fn.ID())
+			}
+		}
+	}
+}
+
+// fullNode returns the full node with the given ID, or nil.
+func (zc *zoneCluster) fullNode(id wire.NodeID) *FullNode {
+	for _, fn := range zc.fulls {
+		if fn.ID() == id {
+			return fn
+		}
+	}
+	return nil
+}

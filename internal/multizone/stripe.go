@@ -182,13 +182,7 @@ func (s *Striper) decode(header core.BundleHeader, stripes []*StripeMsg, payload
 			shards[i] = st.Shard
 		}
 	}
-	// Only the data shards are needed to Join the body back together;
-	// skipping the parity recompute saves f full matrix rows of GF math
-	// per reassembled bundle.
-	if err := s.coder.ReconstructData(shards); err != nil {
-		return nil, err
-	}
-	body, err := s.coder.Join(shards, payloadLen)
+	body, err := s.coder.DecodeData(shards, payloadLen)
 	if err != nil {
 		return nil, err
 	}

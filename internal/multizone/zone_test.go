@@ -44,10 +44,6 @@ type zoneConfig struct {
 	// stream enables streaming commit on the consensus hosts
 	// (per-transaction seals plus PBFT pipelining).
 	stream bool
-	// starveRewire arms the opt-in withholding detector (see
-	// FullNodeConfig.StarveRewireAfter); zero leaves it off, as in
-	// production defaults.
-	starveRewire int
 	// keepConfirmed overrides the full nodes' bundle retention (0 keeps
 	// the default); small values force skip-syncs after an outage.
 	keepConfirmed int
@@ -142,20 +138,19 @@ func buildZoneCluster(t testing.TB, cfg zoneConfig) *zoneCluster {
 				backups = append(backups, fullNodeID((z+1)%cfg.zones, k%cfg.perZone))
 			}
 			fcfg := FullNodeConfig{
-				Self:              self,
-				Zone:              z,
-				JoinSeq:           uint64(z*cfg.perZone + k),
-				NC:                cfg.nc,
-				F:                 cfg.f,
-				Striper:           striper,
-				Signer:            suite.Signer(0),
-				ZonePeers:         peers,
-				BackupPeers:       backups,
-				MaxSubscribers:    cfg.maxSubs,
-				AliveInterval:     200 * time.Millisecond,
-				StarveRewireAfter: cfg.starveRewire,
-				DigestInterval:    time.Second,
-				KeepConfirmed:     cfg.keepConfirmed,
+				Self:           self,
+				Zone:           z,
+				JoinSeq:        uint64(z*cfg.perZone + k),
+				NC:             cfg.nc,
+				F:              cfg.f,
+				Striper:        striper,
+				Signer:         suite.Signer(0),
+				ZonePeers:      peers,
+				BackupPeers:    backups,
+				MaxSubscribers: cfg.maxSubs,
+				AliveInterval:  200 * time.Millisecond,
+				DigestInterval: time.Second,
+				KeepConfirmed:  cfg.keepConfirmed,
 				OnBlockComplete: func(blk *core.PredisBlock, txs int) {
 					zc.completed[self] = append(zc.completed[self], blk.Height)
 				},
@@ -553,11 +548,10 @@ func TestFullNodeLedgerIntegration(t *testing.T) {
 // TestTwoRelayerZoneCoversEveryStripe: in a zone of two full nodes both
 // end up relayers, each asking the other for stripes while the other asks
 // it. Accepting a peer's request for a stripe one is still waiting on that
-// peer for closes a loop neither end ever receives the stripe on, and with
-// no third node left to promote nothing repairs it — at the parent commit
-// this deployment relays stripe 1 to no one for the whole run. Every stripe
-// must reach the zone from consensus, and no two nodes may feed each other
-// the same stripe.
+// peer for closes a loop neither end ever receives the stripe on. Every
+// stripe must reach the zone from consensus, no two nodes may feed each
+// other the same stripe, and each node receives exactly n_c − f indices:
+// the ones it relays, plus the fewest others.
 func TestTwoRelayerZoneCoversEveryStripe(t *testing.T) {
 	cfg := zoneConfig{nc: 4, f: 1, zones: 1, perZone: 2, rate: 1000, duration: 2 * time.Second}
 	zc := buildZoneCluster(t, cfg)
@@ -576,6 +570,15 @@ func TestTwoRelayerZoneCoversEveryStripe(t *testing.T) {
 	for s := uint8(0); s < uint8(cfg.nc); s++ {
 		if a.stripeSender[s] == b.ID() && b.stripeSender[s] == a.ID() {
 			t.Fatalf("stripe %d: %d and %d are each other's sender", s, a.ID(), b.ID())
+		}
+	}
+	for _, fn := range zc.fulls {
+		if len(fn.stripeSender) != cfg.nc-cfg.f || len(fn.pendingSub) != 0 || len(fn.spares) != 0 {
+			t.Errorf("node %d receives %v (pending %v, spares %v), want exactly %d indices",
+				fn.ID(), fn.stripeSender, fn.pendingSub, fn.spares, cfg.nc-cfg.f)
+		}
+		if _, bundles, blocks := fn.Stats(); bundles == 0 || blocks == 0 {
+			t.Errorf("node %d assembled %d bundles and %d blocks", fn.ID(), bundles, blocks)
 		}
 	}
 }
