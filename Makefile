@@ -57,7 +57,7 @@ race:
 
 # smoke: the checks no `go test` runs, one row each. `make smoke` runs
 # every row and names the one that failed; `make smoke ROW=replay` runs one.
-SMOKE_ROWS = trace bench replay fuzz scale
+SMOKE_ROWS = trace bench replay fuzz scale examples
 ROW ?= $(SMOKE_ROWS)
 
 # trace: the exported Chrome trace of a quickstart run parses and has a
@@ -89,6 +89,11 @@ smoke_fuzz = go test ./internal/wire/ -run '^$$' -fuzz FuzzUnmarshal -fuzztime 1
 # shapes each) finishes inside a 60 s budget.
 smoke_scale = go build -o bin/predis-bench ./cmd/predis-bench \
 	&& timeout 60 ./bin/predis-bench -quick -parallel 4 scale >/dev/null
+
+# examples: the narrated failure scenarios (partition, leader crash,
+# relayer outage, corrupting relayer) assert internally and exit non-zero on
+# a violation; scenario 3's skip-sync anchor is sensitive to pull timing.
+smoke_examples = go run ./examples/faults >/dev/null
 
 smoke:
 	@mkdir -p bin

@@ -195,16 +195,19 @@ type Bundle struct {
 	// any to keep core free of a multizone dependency). Erasure encoding
 	// is deterministic in Txs, so every consensus node would compute the
 	// same shards; caching them on the shared *Bundle makes the encode run
-	// once network-wide instead of once per distributor.
+	// once network-wide instead of once per distributor. The memo lives
+	// until the bundle first commits on some node (Predis.commitBlock):
+	// a distributor that stores the bundle later re-encodes it, into
+	// identical shards.
 	stripeCache any
 }
 
 // StripeCache returns the value stored by SetStripeCache (nil if unset).
 func (b *Bundle) StripeCache() any { return b.stripeCache }
 
-// SetStripeCache memoizes the erasure-coded form of this bundle. The
-// value must be a pure function of b's contents so the cache stays
-// value-identical across nodes.
+// SetStripeCache memoizes the erasure-coded form of this bundle (nil
+// releases it). The value must be a pure function of b's contents so the
+// cache stays value-identical across nodes.
 func (b *Bundle) SetStripeCache(v any) { b.stripeCache = v }
 
 // PackBundle builds and signs a bundle extending parent (nil for a genesis

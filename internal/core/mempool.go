@@ -251,9 +251,22 @@ func (m *Mempool) AddBundle(b *Bundle, verify bool) (AddResult, *ConflictEvidenc
 		return Added, nil, nil, nil
 	default: // gap: buffer and report what is missing
 		c.buffered[b.Header.Parent] = b
-		miss := &MissingRange{Producer: p, From: c.tip() + 1, To: h - 1}
-		return Buffered, nil, miss, nil
+		return Buffered, nil, m.Hole(p), nil
 	}
+}
+
+// Hole returns the gap between a chain's tip and the lowest bundle buffered
+// above tip+1, or nil when nothing waits there. The heights above the gap
+// are held, so a run buffered one bundle at a time keeps naming the same
+// hole instead of widening it, and a fetch never asks for what is here.
+func (m *Mempool) Hole(producer wire.NodeID) *MissingRange {
+	c := m.chains[producer]
+	from := c.tip() + 1
+	low := c.lowestBufferedAbove(from)
+	if low == 0 {
+		return nil
+	}
+	return &MissingRange{Producer: producer, From: from, To: low - 1}
 }
 
 // checkExisting handles a bundle at or below the chain tip: duplicate or
@@ -411,10 +424,16 @@ func (m *Mempool) Range(producer wire.NodeID, from, to uint64) []*Bundle {
 // (0 when nothing is): the hole above the tip ends just below it, and a
 // fetch that ran past it would ask for bundles already held.
 func (m *Mempool) LowestBuffered(producer wire.NodeID) uint64 {
+	return m.chains[producer].lowestBufferedAbove(0)
+}
+
+// lowestBufferedAbove returns the lowest buffered height above h (0 when
+// there is none).
+func (c *chain) lowestBufferedAbove(h uint64) uint64 {
 	var low uint64
-	for _, b := range m.chains[producer].buffered {
-		if low == 0 || b.Header.Height < low {
-			low = b.Header.Height
+	for _, b := range c.buffered {
+		if bh := b.Header.Height; bh > h && (low == 0 || bh < low) {
+			low = bh
 		}
 	}
 	return low

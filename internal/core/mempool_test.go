@@ -193,6 +193,46 @@ func TestAddBundleOutOfOrderBuffersAndCascades(t *testing.T) {
 	}
 }
 
+// TestMissingRangeEndsBelowBufferedRun: the gap reported for a bundle
+// buffered above the tip ends below the lowest height already buffered, so
+// a run that grows one bundle at a time keeps naming the same hole and a
+// fetch never asks for bundles the node holds.
+func TestMissingRangeEndsBelowBufferedRun(t *testing.T) {
+	r := newRig(t, 4, 1, 50)
+	bs := make([]*Bundle, 10) // bs[h] is height h
+	for h := 1; h < len(bs); h++ {
+		bs[h] = r.pack(0, 1)
+	}
+	mp := r.pools[1]
+	r.give(1, bs[1])
+	for _, step := range []struct{ h, from, to uint64 }{
+		{4, 2, 3}, // hole 2–3
+		{5, 2, 3}, // the run above grows: the hole does not
+		{6, 2, 3},
+		{3, 2, 2}, // a bundle inside the hole shrinks it
+		{9, 2, 2}, // a second hole opens above the run; the first is named
+	} {
+		res, _, miss, err := mp.AddBundle(bs[step.h], true)
+		if err != nil || res != Buffered {
+			t.Fatalf("height %d: res=%d err=%v", step.h, res, err)
+		}
+		if miss == nil || miss.From != step.from || miss.To != step.to {
+			t.Fatalf("height %d: missing range %+v, want %d–%d", step.h, miss, step.from, step.to)
+		}
+		if low := mp.LowestBuffered(0); miss.To >= low {
+			t.Fatalf("height %d: range ends at %d, at or above buffered height %d", step.h, miss.To, low)
+		}
+	}
+	r.give(1, bs[2]) // fills the first hole: the run links through 6
+	if tip := mp.Tip(0); tip != 6 {
+		t.Fatalf("tip after filling the hole = %d, want 6", tip)
+	}
+	_, _, miss, _ := mp.AddBundle(bs[8], true)
+	if miss == nil || miss.From != 7 || miss.To != 7 {
+		t.Fatalf("second hole: missing range %+v, want 7–7", miss)
+	}
+}
+
 func TestAddBundleTipMonotonicity(t *testing.T) {
 	r := newRig(t, 4, 1, 50)
 	b1 := r.pack(0, 1)

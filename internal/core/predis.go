@@ -410,6 +410,8 @@ func (p *Predis) onBundle(from wire.NodeID, b *Bundle) {
 		p.bundlesAccepted++
 		p.mBundleAccepted.Inc()
 		p.clearSatisfiedFetch(b.Header.Producer)
+		// The run linked up to the next hole, if bundles wait above one.
+		p.requestMissing(p.mp.Hole(b.Header.Producer))
 		if p.catchup != nil {
 			// A catch-up block may have been waiting on this body.
 			p.advanceCatchup()
@@ -659,9 +661,14 @@ func (p *Predis) OnCommit(height uint64, payload wire.Message) {
 }
 
 // commitBlock applies one committed block: the shared tail of the engine
-// commit path and the catch-up replay path.
+// commit path and the catch-up replay path. A committed bundle's stripes
+// have shipped, so its stripe-set memo goes here rather than at pruning,
+// KeepConfirmed heights later.
 func (p *Predis) commitBlock(height uint64, blk *PredisBlock) {
 	bundles := p.mp.BlockBundles(blk, p.mp.Confirmed())
+	for _, b := range bundles {
+		b.SetStripeCache(nil)
+	}
 	txs := BlockTxs(bundles)
 	p.mp.ApplyCommit(blk)
 	p.lastHeight = height

@@ -116,6 +116,84 @@ func TestPredisFetchRepairsPartialSends(t *testing.T) {
 	}
 }
 
+// TestPredisFetchesEachHoleOnce: bundles arriving one at a time above a
+// hole leave the hole unchanged, so the node sends one request round for it
+// (to the producer and one holder) and asks again only when its retry timer
+// fires — never a widening re-request per buffered bundle. Once the hole
+// fills, the next one above the linked run is asked for at once.
+func TestPredisFetchesEachHoleOnce(t *testing.T) {
+	pn := newPredisNet(t, 4, 1, nil)
+	type sent struct {
+		to  wire.NodeID
+		req *BundleRequest
+	}
+	var reqs []sent
+	pn.net.OnDeliver = func(from, to wire.NodeID, m wire.Message, _ time.Time) {
+		if req, ok := m.(*BundleRequest); ok && from == 0 {
+			reqs = append(reqs, sent{to, req})
+		}
+	}
+	pn.net.Start()
+	// Producer 1's chain, heights 1–8, reaches only node 0, which misses
+	// heights 1–2 and 5: nobody can answer, so the holes stay open.
+	suite := crypto.NewSimSuite(4, 23)
+	var parent *BundleHeader
+	chain := []*Bundle{nil} // chain[h] is height h
+	for h := 1; h <= 8; h++ {
+		tips := make(TipList, 4)
+		tips[1] = uint64(h)
+		b := PackBundle(suite.Signer(1), 1, parent, []*types.Transaction{types.NewTransaction(9, uint64(h), 512, 0)}, tips)
+		chain, parent = append(chain, b), &b.Header
+	}
+	deliver := func(heights ...int) {
+		for _, h := range heights { // one per millisecond
+			pn.peers[0].Receive(1, &BundleMsg{Bundle: chain[h]})
+			pn.net.Run(pn.net.Now().Sub(simnet.Epoch) + time.Millisecond)
+		}
+	}
+	// check asserts every request since reqs[since] asks for heights
+	// from–to, and returns how many there were.
+	check := func(since int, from, to uint64) int {
+		t.Helper()
+		for _, s := range reqs[since:] {
+			if s.req.Producer != 1 || s.req.From != from || s.req.To != to {
+				t.Fatalf("request %+v, want producer 1 heights %d–%d", *s.req, from, to)
+			}
+		}
+		return len(reqs) - since
+	}
+	// oneRound asserts the requests since reqs[since] are one round: one to
+	// the producer, one to a holder.
+	oneRound := func(since int, what string) {
+		t.Helper()
+		toProducer := 0
+		for _, s := range reqs[since:] {
+			if s.to == 1 {
+				toProducer++
+			}
+		}
+		if n := len(reqs) - since; n != 2 || toProducer != 1 {
+			t.Fatalf("%s sent %d requests, %d to the producer; want one round: the producer and one holder", what, n, toProducer)
+		}
+	}
+
+	// Requests take 5 ms to land; the first retry fires after 15–25 ms.
+	deliver(3, 4, 6, 7, 8)
+	pn.net.Run(12 * time.Millisecond)
+	check(0, 1, 2)
+	oneRound(0, "a buffered run of five")
+	pn.net.Run(100 * time.Millisecond)
+	if check(0, 1, 2) <= 2 {
+		t.Fatal("the retry timer never re-asked for the hole")
+	}
+
+	mark := len(reqs)
+	deliver(1, 2) // the run links through 4; the hole at 5 is next
+	pn.net.Run(pn.net.Now().Sub(simnet.Epoch) + 8*time.Millisecond)
+	check(mark, 5, 5)
+	oneRound(mark, "filling the first hole")
+}
+
 func TestPredisEvidencePropagation(t *testing.T) {
 	pn := newPredisNet(t, 4, 1, nil)
 	pn.net.Start()
