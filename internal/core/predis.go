@@ -32,8 +32,6 @@ const (
 )
 
 const (
-	// maxFetchBundles bounds bundles per BundleResponse.
-	maxFetchBundles = 64
 	// catchupWindow is how many committed Predis blocks are retained to
 	// serve crash-recovery CatchupRequests. A restarted node that fell
 	// further behind its peers cannot catch up from them.
@@ -129,8 +127,8 @@ type Predis struct {
 	lastHeight    uint64
 	lastBlockHash crypto.Hash
 
-	// fetches tracks one outstanding fetch per producer chain.
-	fetches map[wire.NodeID]*fetchState
+	// fetch asks for the bundles this node misses (fetch.go).
+	fetch *FetchPlane
 	// retry is the shared backoff policy for missing-bundle fetches and
 	// catch-up rounds: env.DefaultBackoff(2×BundleInterval).
 	retry env.Backoff
@@ -138,7 +136,7 @@ type Predis struct {
 	// catchup is the in-flight crash-recovery state (nil when live).
 	catchup *catchupState
 	// recent is the committed-block retention ring serving catch-up.
-	recent []*PredisBlock
+	recent BlockRing
 
 	engine consensus.Engine
 
@@ -152,12 +150,6 @@ type Predis struct {
 	mBundleAccepted *obs.Counter
 	mTxsCommitted   *obs.Counter
 	mSealLatency    *obs.Histogram
-}
-
-type fetchState struct {
-	to      uint64 // highest height requested
-	attempt int
-	timer   env.Timer
 }
 
 var _ consensus.Application = (*Predis)(nil)
@@ -178,16 +170,18 @@ func NewPredis(opts Options) (*Predis, error) {
 	if opts.OnBundleStored != nil {
 		mp.SetOnLink(opts.OnBundleStored)
 	}
-	return &Predis{
+	p := &Predis{
 		opts:            opts,
 		mp:              mp,
-		fetches:         make(map[wire.NodeID]*fetchState),
 		retry:           env.DefaultBackoff(2 * opts.Params.BundleInterval),
+		recent:          NewBlockRing(catchupWindow),
 		mBundleProduced: opts.Metrics.Counter("bundle_produced", opts.Self),
 		mBundleAccepted: opts.Metrics.Counter("bundle_accepted", opts.Self),
 		mTxsCommitted:   opts.Metrics.Counter("txs_committed", opts.Self),
 		mSealLatency:    opts.Metrics.Histogram("bundle_seal_ms", opts.Self, obs.DefaultLatencyBucketsMS),
-	}, nil
+	}
+	p.fetch = NewFetchPlane(mp, p.retry, p.holders)
+	return p, nil
 }
 
 // Mempool exposes the underlying mempool (read-mostly; external mutation
@@ -203,6 +197,11 @@ func (p *Predis) Stats() (produced, accepted, committed uint64) {
 	return p.bundlesProduced, p.bundlesAccepted, p.txsCommitted
 }
 
+// PullStats returns the fetch plane's counters (see FetchPlane.PullStats).
+func (p *Predis) PullStats() (requests, bundles, suppressed, retries uint64) {
+	return p.fetch.PullStats()
+}
+
 // QueueLen returns the number of transactions awaiting bundling.
 func (p *Predis) QueueLen() int { return len(p.queue) }
 
@@ -213,6 +212,7 @@ func (p *Predis) LastHeight() uint64 { return p.lastHeight }
 // Start arms the bundle production timer.
 func (p *Predis) Start(ctx env.Context) {
 	p.ctx = ctx
+	p.fetch.Start(ctx)
 	p.sealLater = p.sealQueue
 	p.armProduceTimer()
 }
@@ -375,11 +375,13 @@ func (p *Predis) Receive(from wire.NodeID, m wire.Message) {
 	case *BundleMsg:
 		p.onBundle(from, msg.Bundle)
 	case *BundleRequest:
-		p.onBundleRequest(from, msg)
+		ServeBundles(p.ctx, p.mp, from, msg)
 	case *BundleResponse:
+		fresh := false
 		for _, b := range msg.Bundles {
-			p.onBundle(from, b)
+			fresh = p.onBundle(from, b) || fresh
 		}
+		p.fetch.Answered(from, msg.Bundles, fresh)
 	case *ConflictEvidence:
 		p.onEvidence(from, msg)
 	case *CatchupRequest:
@@ -391,48 +393,33 @@ func (p *Predis) Receive(from wire.NodeID, m wire.Message) {
 	}
 }
 
-func (p *Predis) onBundle(from wire.NodeID, b *Bundle) {
+// onBundle stores a peer's bundle and reports whether it linked into its
+// chain.
+func (p *Predis) onBundle(from wire.NodeID, b *Bundle) bool {
 	res, ev, miss, err := p.mp.AddBundle(b, true)
 	switch {
 	case err != nil:
 		if !errors.Is(err, ErrBannedProducer) {
 			p.ctx.Logf("predis: bundle from %d rejected: %v", from, err)
 		}
-		return
 	case res == Conflicting:
 		// Spread the evidence so every honest node bans the producer.
 		env.Multicast(p.ctx, p.opts.Peers, ev)
-		return
 	case res == Buffered:
-		p.requestMissing(miss)
-		return
+		p.need(miss)
 	case res == Added:
 		p.bundlesAccepted++
 		p.mBundleAccepted.Inc()
-		p.clearSatisfiedFetch(b.Header.Producer)
 		// The run linked up to the next hole, if bundles wait above one.
-		p.requestMissing(p.mp.Hole(b.Header.Producer))
+		p.need(p.mp.Hole(b.Header.Producer))
 		if p.catchup != nil {
 			// A catch-up block may have been waiting on this body.
 			p.advanceCatchup()
 		}
 		p.poke()
+		return true
 	}
-}
-
-func (p *Predis) onBundleRequest(from wire.NodeID, req *BundleRequest) {
-	if int(req.Producer) >= p.mp.params.NC || req.From == 0 || req.To < req.From {
-		return
-	}
-	to := req.To
-	if to-req.From+1 > maxFetchBundles {
-		to = req.From + maxFetchBundles - 1
-	}
-	bundles := p.mp.Range(req.Producer, req.From-1, to)
-	if len(bundles) == 0 {
-		return
-	}
-	p.ctx.Send(from, &BundleResponse{Bundles: bundles})
+	return false
 }
 
 func (p *Predis) onEvidence(from wire.NodeID, ev *ConflictEvidence) {
@@ -448,99 +435,36 @@ func (p *Predis) onEvidence(from wire.NodeID, ev *ConflictEvidence) {
 	env.Multicast(p.ctx, p.opts.Peers, ev)
 }
 
-// requestMissing issues (or extends) the fetch for a chain's gap. The
-// first attempt asks the producer itself; retries rotate over other peers
-// (§III-D: missing bundles are obtainable from n_c−2f honest nodes).
-func (p *Predis) requestMissing(miss *MissingRange) {
-	if miss == nil {
-		return
-	}
-	st := p.fetches[miss.Producer]
-	if st != nil && st.to >= miss.To {
-		return // an outstanding fetch already covers the gap
-	}
-	if st == nil {
-		st = &fetchState{}
-		p.fetches[miss.Producer] = st
-	} else if st.timer != nil {
-		st.timer.Stop()
-	}
-	st.to = miss.To
-	p.sendFetch(miss.Producer, st)
-}
-
-func (p *Predis) sendFetch(producer wire.NodeID, st *fetchState) {
-	from := p.mp.chains[producer].tip() + 1
-	if from > st.to {
-		p.clearFetch(producer)
-		return
-	}
-	req := &BundleRequest{Producer: producer, From: from, To: st.to}
-	// First attempt asks the producer plus one proven holder in parallel:
-	// the cutting rule guarantees n_c−2f honest holders (§III-D), so a
-	// second target hides a slow or uncooperative producer. Retries rotate
-	// over the holders — peers whose advertised tip lists prove they hold
-	// the gap — with capped exponential backoff, so a single unresponsive
-	// peer can never stall the fetch.
-	candidates := p.fetchHolders(producer, from)
-	if st.attempt == 0 {
-		p.ctx.Send(producer, req)
-		if len(candidates) > 0 {
-			p.ctx.Send(candidates[p.ctx.Rand().Intn(len(candidates))], req)
-		}
-	} else if len(candidates) > 0 {
-		p.ctx.Send(candidates[(st.attempt-1)%len(candidates)], req)
-	} else {
-		p.ctx.Send(producer, req)
-	}
-	st.attempt++
-	retry := p.retry.Delay(st.attempt-1, p.ctx.Rand())
-	st.timer = p.ctx.After(retry, func() { p.sendFetch(producer, st) })
-}
-
-// fetchHolders returns the peers whose advertised tips prove they hold
-// the producer's chain at height need (candidates for a bundle fetch),
-// falling back to every peer when the tip matrix has no proof yet —
-// tips propagate on bundles and can lag the bundles themselves.
-func (p *Predis) fetchHolders(producer wire.NodeID, need uint64) []wire.NodeID {
-	matrix := p.mp.TipMatrix(p.opts.Self)
-	holders := make([]wire.NodeID, 0, len(p.opts.Peers))
-	for _, peer := range p.opts.Peers {
-		if peer == p.opts.Self || peer == producer {
-			continue
-		}
-		if int(peer) < len(matrix) && matrix[peer][producer] >= need {
-			holders = append(holders, peer)
-		}
-	}
-	if len(holders) > 0 {
-		return holders
-	}
-	for _, peer := range p.opts.Peers {
-		if peer != p.opts.Self && peer != producer {
-			holders = append(holders, peer)
-		}
-	}
-	return holders
-}
-
-func (p *Predis) clearSatisfiedFetch(producer wire.NodeID) {
-	st := p.fetches[producer]
-	if st == nil {
-		return
-	}
-	if p.mp.chains[producer].tip() >= st.to {
-		p.clearFetch(producer)
+// need states a missing range to the fetch plane (nil: nothing missing).
+func (p *Predis) need(miss *MissingRange) {
+	if miss != nil {
+		p.fetch.Need(miss.Producer, miss.To, wire.NoNode, wire.NoNode)
 	}
 }
 
-func (p *Predis) clearFetch(producer wire.NodeID) {
-	if st := p.fetches[producer]; st != nil {
-		if st.timer != nil {
-			st.timer.Stop()
-		}
-		delete(p.fetches, producer)
+// holders is a consensus node's rotation for producer's bundles: the
+// producer, the one node certain to hold them; then the peers whose
+// advertised tip lists prove they hold the next missing height (§III-D: the
+// cutting rule leaves n_c−2f honest holders); then the rest, each group in
+// ring order from the producer. Tips ride on bundles and can lag the
+// bundles themselves, so an unproven peer may hold them too.
+func (p *Predis) holders(producer, _, _ wire.NodeID) []wire.NodeID {
+	nc := p.mp.params.NC
+	need := p.mp.Tip(producer) + 1
+	out := make([]wire.NodeID, 0, nc)
+	if producer != p.opts.Self {
+		out = append(out, producer)
 	}
+	for _, proven := range []bool{true, false} {
+		for i := 1; i < nc; i++ {
+			id := wire.NodeID((int(producer) + i) % nc)
+			th := p.mp.TipHeader(id)
+			if id != p.opts.Self && (th != nil && th.Tips[producer] >= need) == proven {
+				out = append(out, id)
+			}
+		}
+	}
+	return out
 }
 
 func (p *Predis) poke() {
@@ -630,7 +554,7 @@ func (p *Predis) ValidateProposal(height uint64, payload, parent wire.Message) (
 	missing, err := p.mp.ValidatePredisBlock(blk, parentHash, prev)
 	if errors.Is(err, ErrBlockMissing) {
 		for i := range missing {
-			p.requestMissing(&missing[i])
+			p.need(&missing[i])
 		}
 		return crypto.ZeroHash, consensus.ErrPending
 	}
@@ -675,7 +599,7 @@ func (p *Predis) commitBlock(height uint64, blk *PredisBlock) {
 	p.lastBlockHash = blk.Hash()
 	p.txsCommitted += uint64(len(txs))
 	p.mTxsCommitted.Add(uint64(len(txs)))
-	p.pushRecent(blk)
+	p.recent.Push(blk)
 	if p.opts.OnCommit != nil {
 		p.opts.OnCommit(CommitInfo{Height: height, Block: blk, Txs: txs})
 	}

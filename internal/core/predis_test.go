@@ -117,10 +117,10 @@ func TestPredisFetchRepairsPartialSends(t *testing.T) {
 }
 
 // TestPredisFetchesEachHoleOnce: bundles arriving one at a time above a
-// hole leave the hole unchanged, so the node sends one request round for it
-// (to the producer and one holder) and asks again only when its retry timer
-// fires — never a widening re-request per buffered bundle. Once the hole
-// fills, the next one above the linked run is asked for at once.
+// hole leave the hole unchanged, so the node sends one request for it (to
+// the producer) and asks again only when its retry timer fires — never a
+// widening re-request per buffered bundle. Once the hole fills, the next
+// one above the linked run is asked for at once.
 func TestPredisFetchesEachHoleOnce(t *testing.T) {
 	pn := newPredisNet(t, 4, 1, nil)
 	type sent struct {
@@ -162,18 +162,11 @@ func TestPredisFetchesEachHoleOnce(t *testing.T) {
 		}
 		return len(reqs) - since
 	}
-	// oneRound asserts the requests since reqs[since] are one round: one to
-	// the producer, one to a holder.
+	// oneRound asserts the requests since reqs[since] are one request.
 	oneRound := func(since int, what string) {
 		t.Helper()
-		toProducer := 0
-		for _, s := range reqs[since:] {
-			if s.to == 1 {
-				toProducer++
-			}
-		}
-		if n := len(reqs) - since; n != 2 || toProducer != 1 {
-			t.Fatalf("%s sent %d requests, %d to the producer; want one round: the producer and one holder", what, n, toProducer)
+		if n := len(reqs) - since; n != 1 {
+			t.Fatalf("%s sent %d requests; want one", what, n)
 		}
 	}
 
@@ -182,8 +175,11 @@ func TestPredisFetchesEachHoleOnce(t *testing.T) {
 	pn.net.Run(12 * time.Millisecond)
 	check(0, 1, 2)
 	oneRound(0, "a buffered run of five")
+	if reqs[0].to != 1 {
+		t.Fatalf("the hole was asked of %d; want the producer first", reqs[0].to)
+	}
 	pn.net.Run(100 * time.Millisecond)
-	if check(0, 1, 2) <= 2 {
+	if check(0, 1, 2) < 2 {
 		t.Fatal("the retry timer never re-asked for the hole")
 	}
 

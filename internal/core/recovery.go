@@ -56,9 +56,7 @@ func (p *Predis) OnRestart() {
 		p.produceTimer.Stop()
 	}
 	p.armProduceTimer()
-	for producer := range p.fetches {
-		p.clearFetch(producer)
-	}
+	p.fetch.Reset()
 	p.lastAdvertised = nil
 	p.StartCatchup()
 }
@@ -115,7 +113,7 @@ func (p *Predis) sendCatchupRound() {
 func (p *Predis) onCatchupRequest(from wire.NodeID, req *CatchupRequest) {
 	resp := &CatchupResponse{Head: p.lastHeight}
 	for h := req.Height + 1; h <= p.lastHeight; h++ {
-		blk := p.recentBlock(h)
+		blk := p.recent.At(h)
 		if blk == nil {
 			// The requested height left our retention window; without the
 			// contiguous prefix the requester cannot validate anything we
@@ -174,7 +172,7 @@ func (p *Predis) advanceCatchup() {
 		missing, err := p.mp.ValidatePredisBlock(blk, p.lastBlockHash, p.mp.Confirmed())
 		if errors.Is(err, ErrBlockMissing) {
 			for i := range missing {
-				p.requestMissing(&missing[i])
+				p.need(&missing[i])
 			}
 			return // resume from onBundle once the bodies arrive
 		}
@@ -236,24 +234,27 @@ func (p *Predis) finishCatchup() {
 	p.poke()
 }
 
-// --- recent-block ring ---
-
-// pushRecent records a committed block in the retention ring serving
-// CatchupRequests.
-func (p *Predis) pushRecent(blk *PredisBlock) {
-	if p.recent == nil {
-		p.recent = make([]*PredisBlock, catchupWindow)
-	}
-	p.recent[int(blk.Height)%catchupWindow] = blk
+// BlockRing retains the most recent committed blocks by height, for
+// serving catch-up requests (consensus nodes' CatchupRequests, full nodes'
+// BlockRequests).
+type BlockRing struct {
+	blocks []*PredisBlock
 }
 
-// recentBlock returns the retained committed block at the given height,
-// or nil when it has been evicted (or was never committed here).
-func (p *Predis) recentBlock(height uint64) *PredisBlock {
-	if len(p.recent) == 0 || height == 0 {
-		return nil
-	}
-	blk := p.recent[int(height)%catchupWindow]
+// NewBlockRing builds a ring that keeps the last window heights.
+func NewBlockRing(window int) BlockRing {
+	return BlockRing{blocks: make([]*PredisBlock, window)}
+}
+
+// Push records a committed block, evicting the one window heights below.
+func (r *BlockRing) Push(blk *PredisBlock) {
+	r.blocks[int(blk.Height)%len(r.blocks)] = blk
+}
+
+// At returns the retained block at height, or nil when it has been evicted
+// (or was never recorded).
+func (r *BlockRing) At(height uint64) *PredisBlock {
+	blk := r.blocks[int(height)%len(r.blocks)]
 	if blk == nil || blk.Height != height {
 		return nil
 	}

@@ -80,13 +80,7 @@ func (s *blockSource) Receive(from wire.NodeID, m wire.Message) {
 			s.ctx.Logf("source: bundle rejected: %v", err)
 		}
 	case *core.BundleRequest:
-		if msg.From == 0 || msg.To < msg.From {
-			return
-		}
-		bundles := s.mp.Range(msg.Producer, msg.From-1, msg.To)
-		if len(bundles) > 0 {
-			s.ctx.Send(from, &core.BundleResponse{Bundles: bundles})
-		}
+		core.ServeBundles(s.ctx, s.mp, from, msg)
 	case *multizone.ZoneBlock:
 		s.applyBlock(msg.Block)
 		s.dist.OnBlockCommit(msg.Block)

@@ -9,7 +9,7 @@ import (
 // model). Full nodes count cryptographic offenses per peer — stripes
 // whose Merkle proof or bundle-header signature fails verification —
 // state a fetch need for the damaged bundle that leaves the offender out
-// of the holder rotation (fetch.go), and quarantine repeat offenders
+// of the holder rotation (FullNode.holders), and quarantine repeat offenders
 // behind a TTL blacklist that feeds every peer-selection path: the
 // Receive gate, Algorithm 1's candidate order, relayer announcements,
 // bootstrap tables, and the memoized subscriber fan-out. Withholding is
@@ -90,7 +90,7 @@ func (f *FullNode) quarantine(id wire.NodeID) {
 	}
 	f.ctx.Logf("multizone: node %d quarantined %d for %v",
 		f.cfg.Self, id, f.quarantineTTL())
-	f.resetFetches(id)
+	f.fetch.DropHolder(id)
 	f.runSubscription()
 }
 

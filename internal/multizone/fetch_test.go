@@ -227,50 +227,3 @@ func TestPartialFinishedByPullIsSwept(t *testing.T) {
 		}
 	}
 }
-
-// TestRestartAndQuarantineResetFetches: a restart forgets every fetch (its
-// timers died with the crash); quarantining the holder of an outstanding
-// request re-states the need to a rotation without it, and leaves fetches
-// outstanding elsewhere alone.
-func TestRestartAndQuarantineResetFetches(t *testing.T) {
-	r := newRelayRig(t, 1)
-	fn := r.fn
-	var sent []pullReq
-	r.net.OnDeliver = func(from, to wire.NodeID, m wire.Message, at time.Time) {
-		if req, ok := m.(*core.BundleRequest); ok {
-			sent = append(sent, pullReq{at, from, to, req.Producer, req.From, req.To})
-		}
-	}
-	fn.cfg.BackupPeers = []wire.NodeID{300}
-	fn.fetch(1, 5, wire.NoNode, wire.NoNode) // a guess: the backup peer
-	fn.fetch(2, 7, 2, wire.NoNode)           // a known holder: the producer
-	r.drain()
-	if len(sent) != 2 || sent[0].to != 300 || sent[1].to != 2 {
-		t.Fatalf("requests %+v, want producer 1 asked of 300 and producer 2 of 2", sent)
-	}
-
-	fn.quarantine(300)
-	r.drain()
-	if len(sent) != 3 || sent[2].to == 300 || sent[2].producer != 1 || sent[2].first != 1 || sent[2].end != 5 {
-		t.Fatalf("after quarantining the holder: requests %+v, want bundles (1, 1..5) asked of someone else", sent)
-	}
-	if st := fn.fetches[1]; st.asked != 5 || st.attempt != 0 || st.holders[0] == 300 {
-		t.Fatalf("producer 1 after quarantine: %+v", st)
-	}
-	if st := fn.fetches[2]; st.asked != 7 || st.holders[0] != 2 {
-		t.Fatalf("producer 2 was disturbed by the quarantine of 300: %+v", st)
-	}
-
-	fn.OnRestart()
-	for p, st := range fn.fetches {
-		if st.want != 0 || st.asked != 0 || st.holders != nil || st.attempt != 0 || st.silent != 0 || st.sure || st.timer != nil {
-			t.Fatalf("fetch state of producer %d survived the restart: %+v", p, st)
-		}
-	}
-	before := len(sent)
-	r.now += 5 * time.Second // past every backoff delay: no retry timer may fire
-	r.net.Run(r.now)
-	if len(sent) != before {
-		t.Fatalf("a fetch timer fired after the restart: %+v", sent[before:])
-	}
-}

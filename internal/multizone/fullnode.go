@@ -189,8 +189,8 @@ type FullNode struct {
 	lastHeight uint64
 	seenBlocks map[crypto.Hash]uint64 // block hash → height, pruned as the chain advances
 	pendBlocks []*core.PredisBlock    // completable once bundles arrive, in arrival order
-	fetches    []fetchState           // the fetch plane's state, by producer (see fetch.go)
-	recentBlks []*core.PredisBlock    // retention ring serving BlockRequests
+	fetch      *core.FetchPlane       // asks for bundles stripes did not bring (see holders)
+	recent     core.BlockRing         // retention ring serving BlockRequests
 	catchup    *zoneCatchup
 
 	// Periodic timers, stored so a restart can re-arm them (the fires
@@ -222,8 +222,6 @@ type FullNode struct {
 	refetches   uint64
 	quarantines uint64
 	sparesTaken uint64
-	// Fetch plane (see PullStats).
-	pullRequests, pullBundles, pullSuppressed, pullRetries uint64
 	// Parked reference stripes (see ParkStats).
 	parkedIn, parkResolved, parkExpired uint64
 	parkWaitMax                         time.Duration
@@ -242,7 +240,7 @@ func NewFullNode(cfg FullNodeConfig) (*FullNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FullNode{
+	f := &FullNode{
 		cfg:          c,
 		mp:           mp,
 		retry:        env.DefaultBackoff(c.AliveInterval),
@@ -253,7 +251,7 @@ func NewFullNode(cfg FullNodeConfig) (*FullNode, error) {
 		zoneRelayers: make(map[wire.NodeID]*relayerInfo),
 		partials:     make(map[crypto.Hash]*partialBundle),
 		headerless:   make([]int, c.NC),
-		fetches:      make([]fetchState, c.NC),
+		recent:       core.NewBlockRing(blockCatchupWindow),
 		seenBlocks:   make(map[crypto.Hash]uint64),
 		lastSeen:     make(map[wire.NodeID]time.Time),
 		offenses:     make(map[wire.NodeID]int),
@@ -261,7 +259,9 @@ func NewFullNode(cfg FullNodeConfig) (*FullNode, error) {
 		stripeSeen:   make(map[uint8]heardAt),
 		asked:        make(map[uint8]time.Time),
 		lastCuts:     core.ZeroCuts(c.NC),
-	}, nil
+	}
+	f.fetch = core.NewFetchPlane(mp, f.retry, f.holders)
+	return f, nil
 }
 
 // IsRelayer reports whether this node currently relays stripes from
@@ -297,6 +297,11 @@ func (f *FullNode) ParkStats() (parked, resolved, expired uint64, maxWait time.D
 	return f.parkedIn, f.parkResolved, f.parkExpired, f.parkWaitMax
 }
 
+// PullStats returns the fetch plane's counters (see core.FetchPlane.PullStats).
+func (f *FullNode) PullStats() (requests, bundles, suppressed, retries uint64) {
+	return f.fetch.PullStats()
+}
+
 // ID returns this node's wire identity.
 func (f *FullNode) ID() wire.NodeID { return f.cfg.Self }
 
@@ -310,6 +315,7 @@ func (f *FullNode) Mempool() *core.Mempool { return f.mp }
 // Algorithm 1.
 func (f *FullNode) Start(ctx env.Context) {
 	f.ctx = ctx
+	f.fetch.Start(ctx)
 	f.bootstrap()
 	f.armAlive()
 	f.armHeartbeat()
@@ -538,17 +544,13 @@ func (f *FullNode) Receive(from wire.NodeID, m wire.Message) {
 	case *BlockResponse:
 		f.onBlockResponse(from, msg)
 	case *core.BundleRequest:
-		f.onBundleRequest(from, msg)
+		core.ServeBundles(f.ctx, f.mp, from, msg)
 	case *core.BundleResponse:
-		// A request names one producer, so an answer carries one chain.
 		fresh := false
 		for _, b := range msg.Bundles {
 			fresh = f.storeBundle(b, true) || fresh
 		}
-		if len(msg.Bundles) > 0 {
-			f.settle(msg.Bundles[0].Header.Producer, from, fresh)
-		}
-		f.stillAnswering(from)
+		f.fetch.Answered(from, msg.Bundles, fresh)
 		f.tryCompleteBlocks()
 	default:
 		f.ctx.Logf("multizone: unexpected %s from %d", wire.TypeName(m.Type()), from)

@@ -2,6 +2,7 @@ package multizone
 
 import (
 	"errors"
+	"slices"
 
 	"predis/internal/core"
 	"predis/internal/crypto"
@@ -101,8 +102,9 @@ func (f *FullNode) rejectStripe(from wire.NodeID, m *StripeMsg, known bool, err 
 	// when the header itself is authentic (a partial we already
 	// signature-checked, or one that verifies now); a forged header's
 	// coordinates are not worth chasing.
-	if err != nil && (known || f.headerAuthentic(&m.Header)) {
-		f.fetch(m.Header.Producer, m.Header.Height, wire.NoNode, from)
+	if err != nil && (known || f.headerAuthentic(&m.Header)) &&
+		f.fetch.Need(m.Header.Producer, m.Header.Height, wire.NoNode, from) {
+		f.refetches++
 	}
 }
 
@@ -247,7 +249,7 @@ func (f *FullNode) storeBundle(b *core.Bundle, verify bool) bool {
 		}
 	case res == core.Buffered && miss != nil:
 		if !f.arriving(miss.Producer, miss.From) {
-			f.fetch(miss.Producer, miss.To, wire.NoNode, wire.NoNode)
+			f.fetch.Need(miss.Producer, miss.To, wire.NoNode, wire.NoNode)
 		}
 		return true
 	case res == core.Added:
@@ -333,7 +335,7 @@ func (f *FullNode) tryCompleteBlocks() {
 				f.lastHeight = blk.Height
 				f.blocks++
 				f.pendBlocks[i] = nil
-				f.pushRecentBlock(blk)
+				f.recent.Push(blk)
 				progress = true
 				// Execute before persisting so the ledger entry commits
 				// to the post-block account state, not just the ordering.
@@ -382,7 +384,7 @@ func (f *FullNode) tryCompleteBlocks() {
 			case errors.Is(err, core.ErrBlockMissing):
 				for _, ms := range missing {
 					if !f.arriving(ms.Producer, ms.From) {
-						f.fetch(ms.Producer, ms.To, f.source(ms.Producer), wire.NoNode)
+						f.fetch.Need(ms.Producer, ms.To, f.source(ms.Producer), wire.NoNode)
 					}
 				}
 			default:
@@ -440,20 +442,50 @@ func (f *FullNode) arriving(producer wire.NodeID, height uint64) bool {
 	return false
 }
 
-// onBundleRequest serves bundle pulls from peers (backup connections and
-// block-completion fetches).
-func (f *FullNode) onBundleRequest(from wire.NodeID, req *core.BundleRequest) {
-	if int(req.Producer) >= f.cfg.NC || req.From == 0 || req.To < req.From {
-		return
+// source names who is asked first for a bundle a live block is waiting
+// for — a fresh bundle, which peers may not hold yet. A relayer is its
+// zone's link to the consensus group and asks the producer, the one node
+// certain to hold it; every other node stays inside the zone and asks the
+// peer that feeds it the producer's stripe. Consensus nodes thus serve at
+// most the relayers of a zone, each its own bundles.
+func (f *FullNode) source(producer wire.NodeID) wire.NodeID {
+	if sd, ok := f.stripeSender[uint8(producer)]; ok && !f.isRelayer {
+		return sd
 	}
-	// Serve the prefix we hold: a peer one bundle behind the requester's
-	// need still answers with the rest, instead of staying silent and
-	// costing the requester a retry delay.
-	to := min(req.To, req.From+maxServe-1, f.mp.Tip(req.Producer))
-	bundles := f.mp.Range(req.Producer, req.From-1, to)
-	if len(bundles) > 0 {
-		f.ctx.Send(from, &core.BundleResponse{Bundles: bundles})
+	return producer
+}
+
+// holders is a full node's fetch rotation for producer's bundles (the
+// core.HolderFunc of its fetch plane): first; the backup peer this producer
+// maps to (another zone, so correlated loss is unlikely); the node that
+// feeds us the producer's stripe (a zone peer, or the producer itself for a
+// stripe we relay); the other backup peers; the producer and the remaining
+// consensus nodes in ring order. Never ourselves, avoid, or a quarantined
+// peer. Starting from the holder a need names, not from whoever sent the
+// block, spreads a zone's misses over all n_c consensus nodes by producer.
+func (f *FullNode) holders(producer, first, avoid wire.NodeID) []wire.NodeID {
+	nc := wire.NodeID(f.cfg.NC)
+	out := make([]wire.NodeID, 0, len(f.cfg.BackupPeers)+f.cfg.NC+2)
+	add := func(id wire.NodeID) {
+		if id != wire.NoNode && id != f.cfg.Self && id != avoid &&
+			!f.isQuarantined(id) && !slices.Contains(out, id) {
+			out = append(out, id)
+		}
 	}
+	add(first)
+	if n := len(f.cfg.BackupPeers); n > 0 {
+		add(f.cfg.BackupPeers[int(producer)%n])
+	}
+	if sd, ok := f.stripeSender[uint8(producer)]; ok {
+		add(sd)
+	}
+	for _, p := range f.cfg.BackupPeers {
+		add(p)
+	}
+	for i := wire.NodeID(0); i < nc; i++ {
+		add((producer + i) % nc)
+	}
+	return out
 }
 
 // armDigest exchanges ledger digests over backup connections (§IV-F).
@@ -475,7 +507,7 @@ func (f *FullNode) onDigest(from wire.NodeID, m *BlockDigest) {
 		if i >= f.cfg.NC {
 			break
 		}
-		f.fetch(wire.NodeID(i), remote, from, wire.NoNode)
+		f.fetch.Need(wire.NodeID(i), remote, from, wire.NoNode)
 	}
 	if m.Height > f.lastHeight {
 		f.ctx.Send(from, &BlockRequest{Height: f.lastHeight})

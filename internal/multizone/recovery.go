@@ -70,7 +70,7 @@ func (f *FullNode) OnRestart() {
 	f.isRelayer = false
 	f.zoneRelayers = make(map[wire.NodeID]*relayerInfo)
 	f.lastSeen = make(map[wire.NodeID]time.Time)
-	f.resetFetches(wire.NoNode)
+	f.fetch.Reset()
 	f.bootstrap()
 	// (3) Catch up the blocks committed while we were down.
 	f.StartCatchup()
@@ -155,7 +155,7 @@ func (f *FullNode) onBlockRequest(from wire.NodeID, req *BlockRequest) {
 		}
 	}
 	for h := start + 1; h <= f.lastHeight; h++ {
-		blk := f.recentBlock(h)
+		blk := f.recent.At(h)
 		if blk == nil {
 			break
 		}
@@ -175,14 +175,14 @@ func (f *FullNode) servableFrom(s uint64) bool {
 	var cuts []uint64
 	if s == 0 {
 		cuts = core.ZeroCuts(f.cfg.NC)
-	} else if blk := f.recentBlock(s); blk != nil {
+	} else if blk := f.recent.At(s); blk != nil {
 		cuts = blk.CutHeights()
 	} else if s == f.lastHeight {
 		return true // nothing above s to serve
 	} else {
 		return false // block s evicted: cannot prove continuity
 	}
-	if s < f.lastHeight && f.recentBlock(s+1) == nil {
+	if s < f.lastHeight && f.recent.At(s+1) == nil {
 		return false
 	}
 	for i, base := range f.mp.Bases() {
@@ -201,7 +201,7 @@ func (f *FullNode) servableFrom(s uint64) bool {
 func (f *FullNode) findAnchor(s uint64) *core.PredisBlock {
 	bases := f.mp.Bases()
 	for h := s + 1; h <= f.lastHeight; h++ {
-		blk := f.recentBlock(h)
+		blk := f.recent.At(h)
 		if blk == nil {
 			continue
 		}
@@ -214,7 +214,7 @@ func (f *FullNode) findAnchor(s uint64) *core.PredisBlock {
 			}
 		}
 		if ok {
-			if next := f.recentBlock(h + 1); next != nil {
+			if next := f.recent.At(h + 1); next != nil {
 				return next
 			}
 			return blk
@@ -259,7 +259,7 @@ func (f *FullNode) onBlockResponse(from wire.NodeID, resp *BlockResponse) {
 	if last != nil {
 		for i, c := range last.Cuts {
 			if i < f.cfg.NC {
-				f.fetch(wire.NodeID(i), c.Height, from, wire.NoNode)
+				f.fetch.Need(wire.NodeID(i), c.Height, from, wire.NoNode)
 			}
 		}
 	}
@@ -290,7 +290,7 @@ func (f *FullNode) adoptAnchor(from wire.NodeID, anchor *core.PredisBlock) {
 	f.lastBlock = h
 	f.lastHeight = anchor.Height
 	f.seenBlocks[h] = anchor.Height
-	f.pushRecentBlock(anchor)
+	f.recent.Push(anchor)
 	// Blocks pending below the anchor can never complete anymore, and what
 	// was being fetched is pruned: the needs above the anchor are stated
 	// afresh — at once, and to the peer that served it, because the anchor
@@ -302,7 +302,7 @@ func (f *FullNode) adoptAnchor(from wire.NodeID, anchor *core.PredisBlock) {
 		}
 	}
 	f.pendBlocks = kept
-	f.resetFetches(wire.NoNode)
+	f.fetch.Reset()
 }
 
 // checkCatchupDone finishes catch-up once the chain head reached the
@@ -318,26 +318,4 @@ func (f *FullNode) checkCatchupDone() {
 	f.catchup = nil
 	f.ctx.Logf("multizone: node %d caught up at height %d after %d rounds",
 		f.cfg.Self, f.lastHeight, cu.attempt)
-}
-
-// --- recent-block retention ring ---
-
-// pushRecentBlock records a completed block for BlockRequest service.
-func (f *FullNode) pushRecentBlock(blk *core.PredisBlock) {
-	if f.recentBlks == nil {
-		f.recentBlks = make([]*core.PredisBlock, blockCatchupWindow)
-	}
-	f.recentBlks[int(blk.Height)%blockCatchupWindow] = blk
-}
-
-// recentBlock returns the retained block at a height, or nil if evicted.
-func (f *FullNode) recentBlock(height uint64) *core.PredisBlock {
-	if len(f.recentBlks) == 0 || height == 0 {
-		return nil
-	}
-	blk := f.recentBlks[int(height)%blockCatchupWindow]
-	if blk == nil || blk.Height != height {
-		return nil
-	}
-	return blk
 }
