@@ -10,10 +10,11 @@
 // elects the next leader, and the system resumes committing.
 //
 // Scenario 3 — relayer crash (§IV-C/IV-F): a zone's relayer fail-stops
-// under a declarative fault schedule. Heartbeats expire, the consensus
-// distributors promote a replacement for the orphaned stripes, and when
-// the crashed node restarts it re-runs the subscription bootstrap and
-// catches up the blocks it missed. The example prints the timeline.
+// under a declarative fault schedule. Its lease lapses at the consensus
+// distributors, which stop streaming to it, the zone promotes a replacement
+// for the orphaned stripes, and when the crashed node restarts it re-runs
+// the subscription bootstrap and catches up the blocks it missed. The
+// example prints the timeline, with each distributor's subscribers.
 //
 // Scenario 4 — corrupting relayer (§IV-B): the network forges every
 // stripe a relayer sends during an attack window. Subscribers reject the
@@ -28,6 +29,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -218,6 +220,7 @@ func relayerCrash() error {
 	if err != nil {
 		return err
 	}
+	hosts := make([]*multizone.ConsensusHost, nc)
 	for i := 0; i < nc; i++ {
 		host, err := multizone.NewConsensusHost(multizone.HostConfig{
 			NC: nc, F: f, Self: wire.NodeID(i),
@@ -232,6 +235,7 @@ func relayerCrash() error {
 		if err != nil {
 			return err
 		}
+		hosts[i] = host
 		net.AddNode(wire.NodeID(i), host)
 	}
 	fullID := func(k int) wire.NodeID { return wire.NodeID(100 + k) }
@@ -276,8 +280,26 @@ func relayerCrash() error {
 		GenStop:  simnet.Epoch.Add(duration),
 	}))
 
-	// Timeline probe: every second, report who relays and where the
-	// victim's chain head is relative to the zone.
+	// Timeline probe: every second, report who relays, whom each consensus
+	// node streams to, and where the victim's chain head is relative to the
+	// zone. A finer probe records whether any distributor that streamed to
+	// the victim before the crash dropped it during the outage.
+	var streamed []int
+	net.At(crashAt-time.Millisecond, func() {
+		for i, h := range hosts {
+			if slices.Contains(h.Dist.Subscribers(), victim) {
+				streamed = append(streamed, i)
+			}
+		}
+	})
+	dropped := false
+	for at := crashAt; at < restartAt; at += 10 * time.Millisecond {
+		net.At(at, func() {
+			for _, i := range streamed {
+				dropped = dropped || !slices.Contains(hosts[i].Dist.Subscribers(), victim)
+			}
+		})
+	}
 	relayers := func() []wire.NodeID {
 		var ids []wire.NodeID
 		for _, fn := range fulls {
@@ -305,8 +327,12 @@ func relayerCrash() error {
 			case v.CatchingUp():
 				state = "catching up"
 			}
-			fmt.Printf("  t=%2.0fs  relayers=%v  victim head=%3d (%s)  live head=%3d\n",
-				at.Seconds(), relayers(), v.LastHeight(), state, live)
+			streams := make([][]wire.NodeID, nc)
+			for i, h := range hosts {
+				streams[i] = h.Dist.Subscribers()
+			}
+			fmt.Printf("  t=%2.0fs  relayers=%v  streams=%v  victim head=%3d (%s)  live head=%3d\n",
+				at.Seconds(), relayers(), streams, v.LastHeight(), state, live)
 		})
 	}
 
@@ -324,6 +350,10 @@ func relayerCrash() error {
 			live = fn.LastHeight()
 		}
 	}
+	if len(streamed) == 0 || !dropped {
+		return fmt.Errorf("consensus nodes %v streamed to victim %d and never dropped it during its outage", streamed, victim)
+	}
+	fmt.Printf("  consensus nodes %v dropped the crashed relayer within its outage\n", streamed)
 	v := fulls[0]
 	if v.LastHeight()+3 < live {
 		return fmt.Errorf("victim stuck at height %d, live head %d", v.LastHeight(), live)

@@ -54,7 +54,7 @@ func newBlockSource(cfg blockSourceConfig) (*blockSource, error) {
 	s := &blockSource{
 		cfg:      cfg,
 		mp:       mp,
-		dist:     multizone.NewDistributor(cfg.self, cfg.nc, cfg.striper, 0),
+		dist:     multizone.NewDistributor(cfg.self, cfg.striper),
 		lastCuts: core.ZeroCuts(cfg.nc),
 	}
 	for i := 0; i < cfg.nc; i++ {

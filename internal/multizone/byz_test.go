@@ -150,8 +150,8 @@ func TestWithheldStripesStarveThenRewire(t *testing.T) {
 	before := lastHeights(zc)
 	var victims []*FullNode
 	for _, fn := range zc.fulls {
-		for _, sd := range fn.stripeSender {
-			if sd == evil.ID() {
+		for _, l := range fn.links {
+			if l.sender == evil.ID() {
 				victims = append(victims, fn)
 				break
 			}

@@ -12,7 +12,7 @@ import (
 // of the holder rotation (FullNode.holders), and quarantine repeat offenders
 // behind a TTL blacklist that feeds every peer-selection path: the
 // Receive gate, Algorithm 1's candidate order, relayer announcements,
-// bootstrap tables, and the memoized subscriber fan-out. Withholding is
+// bootstrap tables, and the subscription table. Withholding is
 // handled separately: a sender that stays alive but never contributes its
 // stripe fails no verification, so the silence rule (spare.go) works
 // around it with a spare index and never quarantines it — benign
@@ -64,26 +64,15 @@ func (f *FullNode) quarantine(id wire.NodeID) {
 	f.quarantines++
 	delete(f.offenses, id)
 	f.quarantined[id] = f.ctx.Now().Add(f.quarantineTTL())
-	for s, sd := range f.stripeSender {
-		if sd == id {
-			delete(f.stripeSender, s)
-			delete(f.consensusDir, s)
+	for s := range f.links {
+		l := &f.links[s]
+		if l.sender == id {
+			l.sender, l.direct = wire.NoNode, false
 		}
-	}
-	for s, to := range f.pendingSub {
-		if to == id {
-			delete(f.pendingSub, s)
+		if l.pending == id {
+			l.pending = wire.NoNode
 		}
-	}
-	for s, subs := range f.subscribers {
-		if subs[id] {
-			delete(subs, id)
-			f.subCount--
-			f.subsChanged()
-		}
-		if len(subs) == 0 {
-			delete(f.subscribers, s)
-		}
+		f.setSubscriber(uint8(s), id, false)
 	}
 	if info := f.zoneRelayers[id]; info != nil {
 		info.stripes = nil // tombstone: no longer a candidate, version preserved

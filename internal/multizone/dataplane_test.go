@@ -2,6 +2,7 @@ package multizone
 
 import (
 	"bytes"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -54,10 +55,9 @@ func newRelayRig(t testing.TB, bundles int) *relayRig {
 	}
 	r.net.Start()
 	for s := uint8(0); s < 4; s++ {
-		fn.subscribers[s] = map[wire.NodeID]bool{300: true, 301: true}
-		fn.subCount += 2
+		fn.setSubscriber(s, 300, true)
+		fn.setSubscriber(s, 301, true)
 	}
-	fn.subsChanged()
 	r.addChain(t, 0, bundles)
 	return r
 }
@@ -108,11 +108,10 @@ func TestRelayPathAllocs(t *testing.T) {
 	r := newRelayRig(t, n)
 	fn := r.fn
 	for s := uint8(0); s < 3; s++ {
-		fn.stripeSender[s] = wire.NodeID(s)
+		fn.links[s].sender = wire.NodeID(s)
 	}
-	fn.subCount -= len(fn.subscribers[3])
-	delete(fn.subscribers, 3)
-	fn.subsChanged()
+	fn.setSubscriber(3, 300, false)
+	fn.setSubscriber(3, 301, false)
 	// Warm-up lap: size the partials map, the event queue and the free
 	// list, whose entries keep the senders slice parking gave them.
 	for _, st := range r.stripes {
@@ -165,9 +164,43 @@ func TestRelayPathAllocs(t *testing.T) {
 	if _, got, _ := fn.Stats(); got != n {
 		t.Fatalf("assembled %d bundles, want %d", got, n)
 	}
-	if len(fn.stripeSeen) != 3 || len(fn.spares) != 0 {
-		t.Fatalf("senders heard %v, spares %v: want all three indices heard and no spare", fn.stripeSeen, fn.spares)
+	heard := 0
+	for _, l := range fn.links {
+		if !l.heard.at.IsZero() {
+			heard++
+		}
 	}
+	if heard != 3 || len(fn.spares) != 0 {
+		t.Fatalf("%d indices heard, spares %v: want all three indices heard and no spare", heard, fn.spares)
+	}
+
+	// The first relay after a subscribe, and after an unsubscribe, walks the
+	// edited subscriber list as it is: there is no view to rebuild. (A
+	// duplicate first runs the silence check, if due, outside the count.)
+	relay := func(step string, h int) {
+		t.Helper()
+		fn.onStripe(1, r.stripes[h][1])
+		if a := mallocs(func() { fn.onStripe(3, r.stripes[h][3]) }); a != 0 {
+			t.Errorf("the first relay after %s allocates %d, want 0", step, a)
+		}
+	}
+	fn.Receive(300, &Subscribe{Stripes: []uint8{3}})
+	fn.Receive(301, &Subscribe{Stripes: []uint8{3}})
+	r.drain()
+	relay("a subscribe", 0)
+	fn.Receive(301, &Unsubscribe{Stripes: []uint8{3}})
+	r.drain()
+	relay("an unsubscribe", 1)
+}
+
+// mallocs counts the heap allocations one call of run makes.
+func mallocs(run func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // TestRecycledPartialCarriesNothingOver: a partialBundle coming off the

@@ -1,7 +1,8 @@
 package multizone
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"predis/internal/core"
@@ -21,20 +22,15 @@ import (
 // of full nodes.
 type Distributor struct {
 	self    wire.NodeID
-	nc      int
 	striper *Striper
 	ctx     env.Context
 
-	subscribers map[wire.NodeID]bool
-	lastSeen    map[wire.NodeID]time.Time
-	// subsSorted memoizes the ascending-ID view of subscribers so the
-	// per-bundle and per-block fan-outs do not re-sort an unchanged set;
-	// any mutation of subscribers nils it (see subsChanged).
-	subsSorted []wire.NodeID
-	maxSubs    int
-	// ttl expires subscribers that stopped heartbeating (0 disables); a
-	// crashed relayer would otherwise receive stripes forever.
-	ttl time.Duration
+	// subs are the subscribers in ascending ID order, each leased: one
+	// silent for leaseAfter is dropped (see expire), so a crashed relayer
+	// stops receiving stripes.
+	subs []lease
+	// expireAt is when the next fan-out runs expire.
+	expireAt time.Time
 
 	// trace, when non-nil, anchors the stripe_distributed and
 	// fullnode_delivered lifecycle stages at fan-out time (full nodes close
@@ -55,25 +51,16 @@ type Distributor struct {
 	unexpected uint64
 }
 
-// NewDistributor builds a distributor for consensus node self.
-func NewDistributor(self wire.NodeID, nc int, striper *Striper, maxSubs int) *Distributor {
-	if maxSubs <= 0 {
-		maxSubs = 1 << 30 // consensus nodes accept every relayer by default
-	}
-	return &Distributor{
-		self:        self,
-		nc:          nc,
-		striper:     striper,
-		subscribers: make(map[wire.NodeID]bool),
-		lastSeen:    make(map[wire.NodeID]time.Time),
-		maxSubs:     maxSubs,
-	}
+// lease is one subscriber of a distributor and when it was last heard.
+type lease struct {
+	id   wire.NodeID
+	seen time.Time
 }
 
-// SetSubscriberTTL arms subscriber expiry: a subscriber not heard from for
-// ttl (heartbeats count) is dropped before the next stripe/block fan-out.
-// Zero disables expiry.
-func (d *Distributor) SetSubscriberTTL(ttl time.Duration) { d.ttl = ttl }
+// NewDistributor builds a distributor for consensus node self.
+func NewDistributor(self wire.NodeID, striper *Striper) *Distributor {
+	return &Distributor{self: self, striper: striper}
+}
 
 // SetTrace arms lifecycle tracing (nil disables it).
 func (d *Distributor) SetTrace(tr *obs.Tracer) { d.trace = tr }
@@ -83,8 +70,23 @@ func (d *Distributor) Start(ctx env.Context) {
 	d.ctx = ctx
 }
 
-// Subscribers returns the current subscriber count.
-func (d *Distributor) Subscribers() int { return len(d.subscribers) }
+// Subscribers returns the current subscribers in ascending ID order.
+func (d *Distributor) Subscribers() []wire.NodeID {
+	out := make([]wire.NodeID, len(d.subs))
+	for i, l := range d.subs {
+		out[i] = l.id
+	}
+	return out
+}
+
+// OnRestart renews every subscriber's lease: the heartbeats sent while this
+// node was down are lost, so silence cannot be judged until a lease after
+// the restart.
+func (d *Distributor) OnRestart() {
+	for i := range d.subs {
+		d.subs[i].seen = d.ctx.Now()
+	}
+}
 
 // Stats returns (stripes sent, blocks sent).
 func (d *Distributor) Stats() (stripes, blocks uint64) { return d.stripesOut, d.blocksOut }
@@ -112,7 +114,7 @@ func (d *Distributor) StripeRoot(txs []*types.Transaction) crypto.Hash {
 // OnBundleStored implements core's bundle hook: ship our stripe of every
 // bundle that enters the mempool (own or peer-produced) to subscribers.
 func (d *Distributor) OnBundleStored(b *core.Bundle) {
-	if d.ctx == nil || len(d.subscribers) == 0 {
+	if d.ctx == nil || len(d.subs) == 0 {
 		return
 	}
 	// Resolve the stripe set: the bundle-attached cache first (another
@@ -143,8 +145,9 @@ func (d *Distributor) OnBundleStored(b *core.Bundle) {
 	// bundle enters their store.
 	d.trace.Mark(obs.StageStripeDistributed,
 		obs.BundleKey(b.Header.Producer, b.Header.Height), d.ctx.Now())
-	for _, id := range d.liveSubscribers() {
-		d.ctx.Send(id, msg)
+	d.expire()
+	for _, l := range d.subs {
+		d.ctx.Send(l.id, msg)
 		d.stripesOut++
 	}
 }
@@ -159,54 +162,44 @@ func (d *Distributor) OnBlockCommit(blk *core.PredisBlock) {
 	// close the span when they assemble the block's transactions.
 	d.trace.Mark(obs.StageFullNodeDelivered,
 		obs.BlockKey(blk.Height), d.ctx.Now())
-	for _, id := range d.liveSubscribers() {
-		d.ctx.Send(id, msg)
+	d.expire()
+	for _, l := range d.subs {
+		d.ctx.Send(l.id, msg)
 		d.blocksOut++
 	}
 }
 
-// subsChanged invalidates the memoized sorted-subscriber view; every
-// mutation of d.subscribers must call it.
-func (d *Distributor) subsChanged() { d.subsSorted = nil }
+// expire drops the subscribers silent for longer than a lease. Fan-outs
+// call it, and it runs at most once per heartbeat interval.
+func (d *Distributor) expire() {
+	now := d.ctx.Now()
+	if now.Before(d.expireAt) {
+		return
+	}
+	d.expireAt = now.Add(heartbeatInterval)
+	d.subs = slices.DeleteFunc(d.subs, func(l lease) bool { return now.Sub(l.seen) > leaseAfter })
+}
 
-// liveSubscribers expires stale subscribers (when a TTL is set) and
-// returns the survivors in ascending ID order, so map iteration never
-// affects wire traffic. The sorted view is memoized across calls: fan-out
-// runs once per bundle and once per block, so rebuilding it only when the
-// subscriber set actually changes removes an alloc+sort from the hot
-// path. Callers must not retain or mutate the returned slice.
-func (d *Distributor) liveSubscribers() []wire.NodeID {
-	if d.ttl > 0 {
-		now := d.ctx.Now()
-		for id := range d.subscribers {
-			if seen, ok := d.lastSeen[id]; ok && now.Sub(seen) > d.ttl {
-				delete(d.subscribers, id)
-				delete(d.lastSeen, id)
-				d.subsChanged()
-			}
-		}
-	}
-	if d.subsSorted == nil {
-		out := make([]wire.NodeID, 0, len(d.subscribers))
-		for id := range d.subscribers {
-			out = append(out, id)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		d.subsSorted = out
-	}
-	return d.subsSorted
+// find returns where id is, or would be, in subs.
+func (d *Distributor) find(id wire.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(d.subs, id, func(l lease, id wire.NodeID) int { return cmp.Compare(l.id, id) })
 }
 
 // Receive handles zone-plane control messages addressed to the consensus
-// node (subscribe/unsubscribe from relayers).
+// node (subscribe/unsubscribe from relayers). Anything a subscriber sends
+// renews its lease.
 func (d *Distributor) Receive(from wire.NodeID, m wire.Message) {
-	d.lastSeen[from] = d.ctx.Now()
+	i, subscribed := d.find(from)
+	if subscribed {
+		d.subs[i].seen = d.ctx.Now()
+	}
 	switch msg := m.(type) {
 	case *Subscribe:
 		d.onSubscribe(from, msg)
 	case *Unsubscribe:
-		delete(d.subscribers, from)
-		d.subsChanged()
+		if subscribed {
+			d.subs = slices.Delete(d.subs, i, i+1)
+		}
 	case *Heartbeat:
 		// Liveness only.
 	default:
@@ -217,27 +210,13 @@ func (d *Distributor) Receive(from wire.NodeID, m wire.Message) {
 
 func (d *Distributor) onSubscribe(from wire.NodeID, m *Subscribe) {
 	// A consensus node serves exactly its own stripe index.
-	serves := false
-	for _, s := range m.Stripes {
-		if wire.NodeID(s) == d.self {
-			serves = true
-			break
-		}
-	}
-	if !serves {
+	if !slices.Contains(m.Stripes, uint8(d.self)) {
 		d.ctx.Send(from, &RejectSubscribe{Stripes: m.Stripes})
 		return
 	}
-	if len(d.subscribers) >= d.maxSubs && !d.subscribers[from] {
-		children := d.liveSubscribers()
-		if len(children) > 4 {
-			children = children[:4]
-		}
-		d.ctx.Send(from, &RejectSubscribe{Stripes: m.Stripes, Children: children})
-		return
+	if i, subscribed := d.find(from); !subscribed {
+		d.subs = slices.Insert(d.subs, i, lease{from, d.ctx.Now()})
 	}
-	d.subscribers[from] = true
-	d.subsChanged()
 	d.ctx.Send(from, &AcceptSubscribe{
 		Stripes:       []uint8{uint8(d.self)},
 		FromConsensus: true,

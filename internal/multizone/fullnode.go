@@ -44,10 +44,9 @@ type FullNodeConfig struct {
 	// MaxSubscribers caps total subscriptions this node accepts (Fig. 8
 	// uses 24 to equalize bandwidth with the random topology).
 	MaxSubscribers int
-	// AliveInterval paces relayerAlive broadcasts and relayer-count
-	// checks; HeartbeatInterval paces liveness probes.
-	AliveInterval     time.Duration
-	HeartbeatInterval time.Duration
+	// AliveInterval paces relayerAlive broadcasts and relayer-count checks.
+	// (Zone links are leased on a fixed clock: see heartbeatInterval.)
+	AliveInterval time.Duration
 	// DigestInterval paces backup-connection digests (0 disables).
 	DigestInterval time.Duration
 	// OnBlockComplete fires when this node has reconstructed a full block
@@ -93,6 +92,12 @@ const (
 	// are open at a time and no benchmark workload reaches the cap; it
 	// bounds what a peer sending references to made-up headers can pin.
 	maxHeaderless = 16
+	// heartbeatInterval paces the heartbeats a full node sends over every
+	// zone link, to its senders and its subscribers; a peer silent for
+	// leaseAfter is dropped from the link, at full nodes and distributors
+	// alike.
+	heartbeatInterval = time.Second
+	leaseAfter        = 3 * heartbeatInterval
 )
 
 // quarantineTTL is how long a quarantined peer stays blacklisted before
@@ -111,10 +116,35 @@ func (c *FullNodeConfig) withDefaults() FullNodeConfig {
 	if out.AliveInterval <= 0 {
 		out.AliveInterval = 500 * time.Millisecond
 	}
-	if out.HeartbeatInterval <= 0 {
-		out.HeartbeatInterval = time.Second
-	}
 	return out
+}
+
+// link is one stripe index of a full node's subscription table: who feeds
+// it to this node and whom this node feeds it to.
+type link struct {
+	sender  wire.NodeID   // who sends us the index; NoNode: nobody
+	pending wire.NodeID   // where a subscribe for it is outstanding; NoNode: nowhere (see pendingAt)
+	direct  bool          // taken straight from its consensus node: one of our relayed stripes
+	heard   heardAt       // last traffic on it from its sender (see heard)
+	asked   time.Time     // when it was last asked for again while silent
+	subs    []wire.NodeID // who we forward it to, ascending
+}
+
+// pendingAt reports whether a subscribe for the index is outstanding at id.
+// A link with nothing outstanding reads as outstanding at node 0, as the
+// per-index map this table replaced read a missing key; the replies and
+// timers of subscribes sent to consensus node 0 depend on it (ROADMAP).
+func (l *link) pendingAt(id wire.NodeID) bool {
+	return l.pending == id || l.pending == wire.NoNode && id == 0
+}
+
+// newLinks returns an empty table of nc links.
+func newLinks(nc int) []link {
+	links := make([]link, nc)
+	for s := range links {
+		links[s].sender, links[s].pending = wire.NoNode, wire.NoNode
+	}
+	return links
 }
 
 // relayerInfo tracks one known relayer of this node's zone. An entry with
@@ -165,14 +195,10 @@ type FullNode struct {
 	// env.DefaultBackoff(AliveInterval).
 	retry env.Backoff
 
-	// Subscription state.
-	stripeSender map[uint8]wire.NodeID          // who sends us each stripe
-	pendingSub   map[uint8]wire.NodeID          // outstanding subscribe requests
-	subscribers  map[uint8]map[wire.NodeID]bool // who we forward each stripe to
-	subCount     int                            // total subscriptions accepted
-	subsSorted   []wire.NodeID                  // memoized sortedSubscribers view; nil = dirty
-	subsByStripe [][]wire.NodeID                // memoized stripeSubscribers views by stripe; nil = dirty
-	consensusDir map[uint8]bool                 // stripes we take straight from consensus (our "relayed stripes")
+	// Subscription state: links[s] is stripe index s (see setSubscriber).
+	links        []link
+	subscribers  []wire.NodeID // every subscriber of any index, ascending
+	subCount     int           // total subscriptions accepted
 	isRelayer    bool
 	zoneRelayers map[wire.NodeID]*relayerInfo
 	aliveVersion uint64 // our own announcement version counter
@@ -205,12 +231,10 @@ type FullNode struct {
 	// Byzantine hardening (see byzantine.go).
 	offenses    map[wire.NodeID]int       // cryptographic offenses per peer
 	quarantined map[wire.NodeID]time.Time // blacklist expiry per peer
-	stripeSeen  map[uint8]heardAt         // last stripe-s traffic from its subscribed sender
 
 	// The silence rule (see spare.go).
-	spares []spare             // indices taken beyond n_c−f while a subscribed index holds assembly up
-	opened uint64              // partials opened: bundles that began to arrive
-	asked  map[uint8]time.Time // when a silent index was last asked for again
+	spares []spare // indices taken beyond n_c−f while a subscribed index holds assembly up
+	opened uint64  // partials opened: bundles that began to arrive
 	// silenceAt is when onStripe next runs checkSilence.
 	silenceAt time.Time
 
@@ -244,10 +268,7 @@ func NewFullNode(cfg FullNodeConfig) (*FullNode, error) {
 		cfg:          c,
 		mp:           mp,
 		retry:        env.DefaultBackoff(c.AliveInterval),
-		stripeSender: make(map[uint8]wire.NodeID),
-		pendingSub:   make(map[uint8]wire.NodeID),
-		subscribers:  make(map[uint8]map[wire.NodeID]bool),
-		consensusDir: make(map[uint8]bool),
+		links:        newLinks(c.NC),
 		zoneRelayers: make(map[wire.NodeID]*relayerInfo),
 		partials:     make(map[crypto.Hash]*partialBundle),
 		headerless:   make([]int, c.NC),
@@ -256,8 +277,6 @@ func NewFullNode(cfg FullNodeConfig) (*FullNode, error) {
 		lastSeen:     make(map[wire.NodeID]time.Time),
 		offenses:     make(map[wire.NodeID]int),
 		quarantined:  make(map[wire.NodeID]time.Time),
-		stripeSeen:   make(map[uint8]heardAt),
-		asked:        make(map[uint8]time.Time),
 		lastCuts:     core.ZeroCuts(c.NC),
 	}
 	f.fetch = core.NewFetchPlane(mp, f.retry, f.holders)
@@ -271,11 +290,12 @@ func (f *FullNode) IsRelayer() bool { return f.isRelayer }
 // RelayedStripes returns the stripes this node takes directly from
 // consensus nodes (the paper's RelayedStripes()).
 func (f *FullNode) RelayedStripes() []uint8 {
-	out := make([]uint8, 0, len(f.consensusDir))
-	for s := range f.consensusDir {
-		out = append(out, s)
+	var out []uint8
+	for s, l := range f.links {
+		if l.direct {
+			out = append(out, uint8(s))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -348,7 +368,7 @@ func (f *FullNode) runSubscription() {
 	if len(needed) == 0 {
 		return
 	}
-	neededSet := make(map[uint8]bool, len(needed))
+	neededSet := make([]bool, f.cfg.NC)
 	for _, s := range needed {
 		neededSet[s] = true
 	}
@@ -372,27 +392,21 @@ func (f *FullNode) runSubscription() {
 			if len(take) >= max {
 				break
 			}
-			if neededSet[s] {
+			if int(s) < len(neededSet) && neededSet[s] {
 				take = append(take, s)
-				delete(neededSet, s)
+				neededSet[s] = false
 			}
 		}
 		if len(take) > 0 {
 			f.sendSubscribe(c.id, take)
 		}
 	}
-	// Alg. 1 lines 9-12: leftover stripes go straight to consensus node s
-	// (in stripe order, so map iteration never affects the wire).
-	leftover := make([]uint8, 0, len(neededSet))
-	for s := range neededSet {
-		leftover = append(leftover, s)
-	}
-	sort.Slice(leftover, func(i, j int) bool { return leftover[i] < leftover[j] })
-	for _, s := range leftover {
-		if f.isQuarantined(wire.NodeID(s)) {
-			continue // retried once the blacklist TTL expires
+	// Alg. 1 lines 9-12: leftover stripes go straight to consensus node s.
+	for s, left := range neededSet {
+		if !left || f.isQuarantined(wire.NodeID(s)) {
+			continue // a quarantined source is retried once the blacklist TTL expires
 		}
-		f.sendSubscribe(wire.NodeID(s), []uint8{s})
+		f.sendSubscribe(wire.NodeID(s), []uint8{uint8(s)})
 	}
 }
 
@@ -412,7 +426,7 @@ func (f *FullNode) wanted() []uint8 {
 		case f.isSpare(si):
 		case f.held(si):
 			short--
-		case len(f.subscribers[si]) > 0:
+		case len(f.links[si].subs) > 0:
 			out = append(out, si)
 			short--
 		}
@@ -424,8 +438,8 @@ func (f *FullNode) wanted() []uint8 {
 		return out
 	}
 	covered := make([]bool, f.cfg.NC)
-	for s := range f.consensusDir {
-		covered[s] = true
+	for s, l := range f.links {
+		covered[s] = l.direct
 	}
 	for id, info := range f.zoneRelayers {
 		if info.active() && !f.isQuarantined(id) {
@@ -458,11 +472,8 @@ func (f *FullNode) rotation(k int) uint8 {
 
 // held reports whether stripe s arrives here, or has been asked for.
 func (f *FullNode) held(s uint8) bool {
-	if _, ok := f.stripeSender[s]; ok {
-		return true
-	}
-	_, ok := f.pendingSub[s]
-	return ok
+	l := &f.links[s]
+	return l.sender != wire.NoNode || l.pending != wire.NoNode
 }
 
 // trimSubscriptions drops indices received beyond n_c − f that this node
@@ -477,28 +488,28 @@ func (f *FullNode) trimSubscriptions() {
 	}
 	for k := f.cfg.NC - 1; k >= 0 && excess > 0; k-- {
 		s := f.rotation(k)
-		sd, ok := f.stripeSender[s]
-		if _, pend := f.pendingSub[s]; !ok || pend || f.consensusDir[s] || len(f.subscribers[s]) > 0 ||
+		l := &f.links[s]
+		if l.sender == wire.NoNode || l.pending != wire.NoNode || l.direct || len(l.subs) > 0 ||
 			f.isSpare(s) || f.hasSpare(s) {
 			continue
 		}
-		f.ctx.Send(sd, &Unsubscribe{Stripes: []uint8{s}})
-		delete(f.stripeSender, s)
+		f.ctx.Send(l.sender, &Unsubscribe{Stripes: []uint8{s}})
+		l.sender = wire.NoNode
 		excess--
 	}
 }
 
 func (f *FullNode) sendSubscribe(to wire.NodeID, stripes []uint8) {
 	for _, s := range stripes {
-		f.pendingSub[s] = to
+		f.links[s].pending = to
 	}
 	f.ctx.Send(to, &Subscribe{Stripes: stripes})
 	// Re-run the algorithm if the subscription goes unanswered.
 	f.ctx.After(f.resubscribeAfter(), func() {
 		stale := false
 		for _, s := range stripes {
-			if f.pendingSub[s] == to {
-				delete(f.pendingSub, s)
+			if l := &f.links[s]; l.pendingAt(to) {
+				l.pending = wire.NoNode
 				stale = true
 			}
 		}
@@ -562,10 +573,7 @@ func (f *FullNode) Receive(from wire.NodeID, m wire.Message) {
 func (f *FullNode) onSubscribe(from wire.NodeID, m *Subscribe) {
 	if f.subCount+len(m.Stripes) > f.cfg.MaxSubscribers {
 		// Refer the requester to our own subscribers (§IV-D).
-		children := f.sortedSubscribers()
-		if len(children) > 4 {
-			children = children[:4]
-		}
+		children := slices.Clone(f.subscribers[:min(len(f.subscribers), 4)])
 		f.ctx.Send(from, &RejectSubscribe{Stripes: m.Stripes, Children: children})
 		return
 	}
@@ -575,7 +583,7 @@ func (f *FullNode) onSubscribe(from wire.NodeID, m *Subscribe) {
 		if int(s) >= f.cfg.NC {
 			continue
 		}
-		if f.stripeSender[s] == from || f.pendingSub[s] == from {
+		if l := &f.links[s]; l.sender == from || l.pendingAt(from) {
 			// from feeds us s, or is about to: feeding it back would close
 			// a loop no stripe enters. (Longer loops the silence rule
 			// breaks.)
@@ -585,13 +593,7 @@ func (f *FullNode) onSubscribe(from wire.NodeID, m *Subscribe) {
 		// A stripe we do not receive yet becomes ours to receive: we
 		// forward it now (see wanted).
 		unheld = unheld || !f.held(s)
-		if f.subscribers[s] == nil {
-			f.subscribers[s] = make(map[wire.NodeID]bool)
-		}
-		if !f.subscribers[s][from] {
-			f.subscribers[s][from] = true
-			f.subCount++
-			f.subsChanged()
+		if f.setSubscriber(s, from, true) {
 			fresh = append(fresh, s)
 		}
 		accepted = append(accepted, s)
@@ -611,19 +613,20 @@ func (f *FullNode) onSubscribe(from wire.NodeID, m *Subscribe) {
 func (f *FullNode) onAcceptSubscribe(from wire.NodeID, m *AcceptSubscribe) {
 	became := false
 	for _, s := range m.Stripes {
-		if f.pendingSub[s] != from {
+		if int(s) >= len(f.links) || !f.links[s].pendingAt(from) {
 			continue
 		}
-		delete(f.pendingSub, s)
-		if old, ok := f.stripeSender[s]; !ok || old != from {
-			if ok {
-				f.ctx.Send(old, &Unsubscribe{Stripes: []uint8{s}})
+		l := &f.links[s]
+		l.pending = wire.NoNode
+		if l.sender != from {
+			if l.sender != wire.NoNode {
+				f.ctx.Send(l.sender, &Unsubscribe{Stripes: []uint8{s}})
 			}
-			f.stripeSeen[s] = heardAt{f.ctx.Now(), f.opened} // a new sender gets a full silence grace
+			l.heard = heardAt{f.ctx.Now(), f.opened} // a new sender gets a full silence grace
 		}
-		f.stripeSender[s] = from
+		l.sender = from
 		if m.FromConsensus && !f.isSpare(s) {
-			f.consensusDir[s] = true
+			l.direct = true
 			became = true
 		}
 	}
@@ -638,10 +641,10 @@ func (f *FullNode) onAcceptSubscribe(from wire.NodeID, m *AcceptSubscribe) {
 func (f *FullNode) onRejectSubscribe(from wire.NodeID, m *RejectSubscribe) {
 	// Try the suggested children, else fall back to consensus.
 	for _, s := range m.Stripes {
-		if f.pendingSub[s] != from {
+		if int(s) >= len(f.links) || !f.links[s].pendingAt(from) {
 			continue
 		}
-		delete(f.pendingSub, s)
+		f.links[s].pending = wire.NoNode
 		if len(m.Children) > 0 {
 			child := m.Children[int(s)%len(m.Children)]
 			if child != f.cfg.Self && !f.isQuarantined(child) {
@@ -655,10 +658,8 @@ func (f *FullNode) onRejectSubscribe(from wire.NodeID, m *RejectSubscribe) {
 
 func (f *FullNode) onUnsubscribe(from wire.NodeID, m *Unsubscribe) {
 	for _, s := range m.Stripes {
-		if subs := f.subscribers[s]; subs != nil && subs[from] {
-			delete(subs, from)
-			f.subCount--
-			f.subsChanged()
+		if int(s) < len(f.links) {
+			f.setSubscriber(s, from, false)
 		}
 	}
 }
@@ -740,7 +741,7 @@ func (f *FullNode) onRelayerAlive(from wire.NodeID, m *RelayerAlive) {
 		theirCount := len(m.Stripes)
 		yielded := false
 		for _, s := range shared {
-			myCount := len(f.consensusDir)
+			myCount := len(f.RelayedStripes())
 			if myCount > theirCount || (myCount == theirCount && f.cfg.JoinSeq > m.JoinSeq) {
 				f.handOffStripe(s)
 				yielded = true
@@ -753,12 +754,15 @@ func (f *FullNode) onRelayerAlive(from wire.NodeID, m *RelayerAlive) {
 		// Lines 14-18: if our sender for a stripe no longer relays it, and
 		// this relayer does, resubscribe to it.
 		for _, s := range m.Stripes {
-			sd, ok := f.stripeSender[s]
-			if !ok || sd == m.Relayer || f.consensusDir[s] {
+			if int(s) >= len(f.links) {
 				continue
 			}
-			if info, known := f.zoneRelayers[sd]; known && info.active() && !containsStripe(info.stripes, s) &&
-				f.pendingSub[s] != m.Relayer {
+			l := &f.links[s]
+			if l.sender == wire.NoNode || l.sender == m.Relayer || l.direct {
+				continue
+			}
+			if info, known := f.zoneRelayers[l.sender]; known && info.active() && !containsStripe(info.stripes, s) &&
+				!l.pendingAt(m.Relayer) {
 				f.resubscribe(s, m.Relayer)
 			}
 		}
@@ -774,7 +778,7 @@ func (f *FullNode) onRelayerAlive(from wire.NodeID, m *RelayerAlive) {
 	}
 
 	// Lines 21-23: demote ourselves if we relay nothing anymore.
-	if f.isRelayer && len(f.consensusDir) == 0 {
+	if f.isRelayer && len(f.RelayedStripes()) == 0 {
 		f.demote()
 	}
 }
@@ -783,32 +787,30 @@ func (f *FullNode) onRelayerAlive(from wire.NodeID, m *RelayerAlive) {
 // redundancy squeeze); Algorithm 1 then takes it from the relayer that
 // keeps it if this node still wants it.
 func (f *FullNode) handOffStripe(s uint8) {
-	if f.consensusDir[s] {
-		delete(f.consensusDir, s)
+	l := &f.links[s]
+	if l.direct {
+		l.direct = false
 		f.ctx.Send(wire.NodeID(s), &Unsubscribe{Stripes: []uint8{s}})
 	}
-	delete(f.stripeSender, s)
+	l.sender = wire.NoNode
 }
 
 // resubscribe moves one stripe to a new sender.
 func (f *FullNode) resubscribe(s uint8, to wire.NodeID) {
-	if old, ok := f.stripeSender[s]; ok {
-		f.ctx.Send(old, &Unsubscribe{Stripes: []uint8{s}})
-		delete(f.stripeSender, s)
+	if l := &f.links[s]; l.sender != wire.NoNode {
+		f.ctx.Send(l.sender, &Unsubscribe{Stripes: []uint8{s}})
+		l.sender = wire.NoNode
 	}
 	f.sendSubscribe(to, []uint8{s})
 }
 
 func (f *FullNode) demote() {
 	f.isRelayer = false
-	direct := make([]uint8, 0, len(f.consensusDir))
-	for s := range f.consensusDir {
-		direct = append(direct, s)
-	}
-	sort.Slice(direct, func(i, j int) bool { return direct[i] < direct[j] })
-	for _, s := range direct {
-		f.ctx.Send(wire.NodeID(s), &Unsubscribe{Stripes: []uint8{s}})
-		delete(f.consensusDir, s)
+	for s := range f.links {
+		if l := &f.links[s]; l.direct {
+			f.ctx.Send(wire.NodeID(s), &Unsubscribe{Stripes: []uint8{uint8(s)}})
+			l.direct = false
+		}
 	}
 	f.aliveVersion++
 	alive := &RelayerAlive{
@@ -901,111 +903,76 @@ func (f *FullNode) promote() {
 		}
 	}
 	for _, s := range take {
-		if f.pendingSub[s] != wire.NodeID(s) {
+		if !f.links[s].pendingAt(wire.NodeID(s)) {
 			f.sendSubscribe(wire.NodeID(s), []uint8{s})
 		}
 	}
 }
 
+// armHeartbeat runs the lease rule on this node's zone links (§IV-E): a
+// heartbeat to every sender and subscriber each heartbeatInterval, and a
+// sender or subscriber silent for leaseAfter is dropped — a dead sender's
+// index is then asked for again, and a crashed child stops costing a
+// subscription slot and forwarding bandwidth.
 func (f *FullNode) armHeartbeat() {
-	f.heartbeatTimer = f.ctx.After(f.cfg.HeartbeatInterval, func() {
+	f.heartbeatTimer = f.ctx.After(heartbeatInterval, func() {
 		hb := &Heartbeat{}
-		sent := make(map[wire.NodeID]bool)
-		targets := make([]wire.NodeID, 0, len(f.stripeSender)+f.subCount)
-		for _, sd := range f.stripeSender {
-			if !sent[sd] {
-				sent[sd] = true
-				targets = append(targets, sd)
+		targets := slices.Clone(f.subscribers)
+		for _, l := range f.links {
+			if i, found := slices.BinarySearch(targets, l.sender); l.sender != wire.NoNode && !found {
+				targets = slices.Insert(targets, i, l.sender)
 			}
 		}
-		for _, id := range f.sortedSubscribers() {
-			if !sent[id] {
-				sent[id] = true
-				targets = append(targets, id)
-			}
-		}
-		sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
 		for _, id := range targets {
 			f.ctx.Send(id, hb)
 		}
-		// Expire dead senders and resubscribe (§IV-E).
 		now := f.ctx.Now()
-		for s, sd := range f.stripeSender {
-			if seen, ok := f.lastSeen[sd]; ok && now.Sub(seen) > 3*f.cfg.HeartbeatInterval {
-				delete(f.stripeSender, s)
-				delete(f.consensusDir, s)
+		for s := range f.links {
+			l := &f.links[s]
+			if f.lapsed(l.sender, now) {
+				l.sender, l.direct = wire.NoNode, false
 			}
-		}
-		// Expire dead subscribers too: a crashed child would otherwise keep
-		// consuming a subscription slot (and forwarding bandwidth) forever.
-		for s, subs := range f.subscribers {
-			for id := range subs {
-				if seen, ok := f.lastSeen[id]; ok && now.Sub(seen) > 3*f.cfg.HeartbeatInterval {
-					delete(subs, id)
-					f.subCount--
-					f.subsChanged()
+			for i := len(l.subs) - 1; i >= 0; i-- {
+				if id := l.subs[i]; f.lapsed(id, now) {
+					f.setSubscriber(uint8(s), id, false)
 				}
-			}
-			if len(subs) == 0 {
-				delete(f.subscribers, s)
 			}
 		}
 		f.armHeartbeat()
 	})
 }
 
-// subsChanged invalidates the memoized sorted-subscriber views; every
-// mutation of f.subscribers must call it.
-func (f *FullNode) subsChanged() {
-	f.subsSorted = nil
-	clear(f.subsByStripe)
+// lapsed reports whether peer id, once heard from, has been silent for
+// longer than a lease.
+func (f *FullNode) lapsed(id wire.NodeID, now time.Time) bool {
+	seen, ok := f.lastSeen[id]
+	return ok && now.Sub(seen) > leaseAfter
 }
 
-// stripeSubscribers returns stripe s's subscribers in ascending ID order,
-// memoized like sortedSubscribers: the relay path walks it once per
-// stripe per hop. Callers must not retain or mutate the returned slice.
-func (f *FullNode) stripeSubscribers(s uint8) []wire.NodeID {
-	if int(s) < len(f.subsByStripe) && f.subsByStripe[s] != nil {
-		return f.subsByStripe[s]
+// setSubscriber makes id a subscriber of index s (on) or not, and reports
+// whether that changed anything. It is the one place subscribers change, so
+// subCount and the union view f.subscribers are kept here.
+func (f *FullNode) setSubscriber(s uint8, id wire.NodeID, on bool) bool {
+	l := &f.links[s]
+	i, found := slices.BinarySearch(l.subs, id)
+	if found == on {
+		return false
 	}
-	return f.sortStripeSubscribers(s)
-}
-
-//predis:coldpath
-func (f *FullNode) sortStripeSubscribers(s uint8) []wire.NodeID {
-	for int(s) >= len(f.subsByStripe) {
-		f.subsByStripe = append(f.subsByStripe, nil)
+	if on {
+		l.subs = slices.Insert(l.subs, i, id)
+		f.subCount++
+	} else {
+		l.subs = slices.Delete(l.subs, i, i+1)
+		f.subCount--
 	}
-	out := make([]wire.NodeID, 0, len(f.subscribers[s]))
-	for id := range f.subscribers[s] {
-		out = append(out, id)
+	j, listed := slices.BinarySearch(f.subscribers, id)
+	switch {
+	case on && !listed:
+		f.subscribers = slices.Insert(f.subscribers, j, id)
+	case !on && !slices.ContainsFunc(f.links, func(l link) bool { return slices.Contains(l.subs, id) }):
+		f.subscribers = slices.Delete(f.subscribers, j, j+1)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	f.subsByStripe[s] = out
-	return out
-}
-
-// sortedSubscribers returns the distinct subscriber IDs across all stripes
-// in ascending order (deterministic fan-out helper). The view is memoized
-// between subscription changes: block fan-out, heartbeats, and digests all
-// walk it, so rebuilding the dedup map + sort per call shows up in
-// profiles. Callers must not retain or mutate the returned slice.
-func (f *FullNode) sortedSubscribers() []wire.NodeID {
-	if f.subsSorted == nil {
-		seen := make(map[wire.NodeID]bool, f.subCount)
-		out := make([]wire.NodeID, 0, f.subCount)
-		for _, subs := range f.subscribers {
-			for id := range subs {
-				if !seen[id] {
-					seen[id] = true
-					out = append(out, id)
-				}
-			}
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		f.subsSorted = out
-	}
-	return f.subsSorted
+	return true
 }
 
 // Leave announces departure and hands relayer duty to the earliest
@@ -1016,43 +983,25 @@ func (f *FullNode) Leave() {
 	}
 	msg := &Leave{IsRelayer: f.isRelayer}
 	if f.isRelayer {
-		if first, ok := f.earliestSubscriber(); ok {
-			f.ctx.Send(first, msg)
+		if len(f.subscribers) > 0 {
+			f.ctx.Send(f.subscribers[0], msg)
 		}
 		return
 	}
-	for _, id := range f.sortedSubscribers() {
+	for _, id := range f.subscribers {
 		f.ctx.Send(id, msg)
 	}
-}
-
-func (f *FullNode) earliestSubscriber() (wire.NodeID, bool) {
-	best := wire.NoNode
-	for _, subs := range f.subscribers {
-		for id := range subs {
-			if best == wire.NoNode || id < best {
-				best = id
-			}
-		}
-	}
-	return best, best != wire.NoNode
 }
 
 func (f *FullNode) onLeave(from wire.NodeID, m *Leave) {
 	// Our sender is going away: resubscribe its stripes. If it was a
 	// relayer, we take its place by going straight to consensus (§IV-E).
-	lost := make([]uint8, 0, 4)
-	for s, sd := range f.stripeSender {
-		if sd == from {
-			lost = append(lost, s)
-		}
-	}
-	sort.Slice(lost, func(i, j int) bool { return lost[i] < lost[j] })
-	for _, s := range lost {
-		delete(f.stripeSender, s)
-		delete(f.consensusDir, s)
-		if m.IsRelayer {
-			f.sendSubscribe(wire.NodeID(s), []uint8{s})
+	for s := range f.links {
+		if l := &f.links[s]; l.sender == from {
+			l.sender, l.direct = wire.NoNode, false
+			if m.IsRelayer {
+				f.sendSubscribe(wire.NodeID(s), []uint8{uint8(s)})
+			}
 		}
 	}
 	delete(f.zoneRelayers, from)

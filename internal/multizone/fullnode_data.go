@@ -28,8 +28,8 @@ func (f *FullNode) onStripe(from wire.NodeID, m *StripeMsg) {
 	// still counts, only silence takes a spare (forgeries are charged by the
 	// offense counter below, never by the silence rule).
 	now := f.ctx.Now()
-	if sd, ok := f.stripeSender[m.Index]; ok && sd == from {
-		f.stripeSeen[m.Index] = heardAt{now, f.opened}
+	if l := &f.links[m.Index]; l.sender == from {
+		l.heard = heardAt{now, f.opened}
 	}
 	if !now.Before(f.silenceAt) {
 		f.checkSilence(now)
@@ -225,10 +225,10 @@ func (f *FullNode) completeBundle(headerHash crypto.Hash, p *partialBundle) {
 	f.tryCompleteBlocks()
 }
 
-// forwardStripe relays a stripe to this node's subscribers for its index
-// (in ID order, so map iteration never affects the wire).
+// forwardStripe relays a stripe to this node's subscribers for its index,
+// in ID order.
 func (f *FullNode) forwardStripe(from wire.NodeID, m *StripeMsg) {
-	for _, id := range f.stripeSubscribers(m.Index) {
+	for _, id := range f.links[m.Index].subs {
 		if id != from {
 			f.ctx.Send(id, m)
 		}
@@ -298,7 +298,7 @@ func (f *FullNode) onBlock(from wire.NodeID, blk *core.PredisBlock) {
 	}
 	// Forward to every subscriber (each at most once, in ID order).
 	msg := &ZoneBlock{Block: blk}
-	for _, id := range f.sortedSubscribers() {
+	for _, id := range f.subscribers {
 		if id != from {
 			f.ctx.Send(id, msg)
 		}
@@ -422,7 +422,7 @@ func (f *FullNode) arriving(producer wire.NodeID, height uint64) bool {
 			continue
 		}
 		for s, st := range p.stripes {
-			if _, ok := f.stripeSender[uint8(s)]; !ok || st != nil {
+			if f.links[s].sender == wire.NoNode || st != nil {
 				continue
 			}
 			since := p.since
@@ -449,7 +449,7 @@ func (f *FullNode) arriving(producer wire.NodeID, height uint64) bool {
 // peer that feeds it the producer's stripe. Consensus nodes thus serve at
 // most the relayers of a zone, each its own bundles.
 func (f *FullNode) source(producer wire.NodeID) wire.NodeID {
-	if sd, ok := f.stripeSender[uint8(producer)]; ok && !f.isRelayer {
+	if sd := f.links[producer].sender; sd != wire.NoNode && !f.isRelayer {
 		return sd
 	}
 	return producer
@@ -476,9 +476,7 @@ func (f *FullNode) holders(producer, first, avoid wire.NodeID) []wire.NodeID {
 	if n := len(f.cfg.BackupPeers); n > 0 {
 		add(f.cfg.BackupPeers[int(producer)%n])
 	}
-	if sd, ok := f.stripeSender[uint8(producer)]; ok {
-		add(sd)
-	}
+	add(f.links[producer].sender)
 	for _, p := range f.cfg.BackupPeers {
 		add(p)
 	}

@@ -43,16 +43,9 @@ type HostConfig struct {
 	Pipeline int
 	// Striper must match the full nodes'.
 	Striper *Striper
-	// MaxSubscribers caps relayer subscriptions at this consensus node
-	// (0 = unlimited).
-	MaxSubscribers int
 	// ReplyToClients / OnCommit: measurement hooks as in node.Config.
 	ReplyToClients bool
 	OnCommit       func(height uint64, txs int)
-	// SubscriberTTL expires relayer subscriptions that stopped
-	// heartbeating (0 disables; 3× the full nodes' HeartbeatInterval is a
-	// sensible value).
-	SubscriberTTL time.Duration
 	// Trace, when non-nil, records block/bundle lifecycle stages across
 	// the node and the distributor. Nil disables tracing at zero cost.
 	Trace *obs.Tracer
@@ -69,8 +62,7 @@ type HostConfig struct {
 // NewConsensusHost builds the host. Multi-Zone always runs Predis (the
 // paper's deployment: Predis on BFT-SMaRt with Multi-Zone distribution).
 func NewConsensusHost(cfg HostConfig) (*ConsensusHost, error) {
-	dist := NewDistributor(cfg.Self, cfg.NC, cfg.Striper, cfg.MaxSubscribers)
-	dist.SetSubscriberTTL(cfg.SubscriberTTL)
+	dist := NewDistributor(cfg.Self, cfg.Striper)
 	dist.SetTrace(cfg.Trace)
 	var n *node.Node
 	// A node catching up after a restart stores the bundles it missed, which
@@ -125,9 +117,12 @@ func (h *ConsensusHost) Start(ctx env.Context) {
 var _ env.Restartable = (*ConsensusHost)(nil)
 
 // OnRestart implements env.Restartable: the consensus node re-arms its
-// timers and catches up; the distributor is stateless between sends and
-// keeps its subscriber set (relayers re-subscribe if they expired us).
-func (h *ConsensusHost) OnRestart() { h.Node.OnRestart() }
+// timers and catches up; the distributor keeps its subscribers and renews
+// their leases (relayers re-subscribe if they expired us).
+func (h *ConsensusHost) OnRestart() {
+	h.Dist.OnRestart()
+	h.Node.OnRestart()
+}
 
 // Receive implements env.Handler.
 func (h *ConsensusHost) Receive(from wire.NodeID, m wire.Message) {

@@ -59,13 +59,13 @@ func (f *FullNode) OnRestart() {
 	// upstream senders have expired us, our subscribers have resubscribed
 	// elsewhere, and relayer liveness info is outdated. Demotion is
 	// deliberate — Algorithm 1 re-promotes us if the zone is short of
-	// relayers. aliveVersion is retained so announcements stay monotonic.
-	f.stripeSender = make(map[uint8]wire.NodeID)
-	f.pendingSub = make(map[uint8]wire.NodeID)
-	f.subscribers = make(map[uint8]map[wire.NodeID]bool)
-	f.subCount = 0
-	f.subsChanged()
-	f.consensusDir = make(map[uint8]bool)
+	// relayers. aliveVersion is retained so announcements stay monotonic,
+	// and each link's silence bookkeeping (heard, asked) is kept too.
+	for s := range f.links {
+		l := &f.links[s]
+		l.sender, l.pending, l.direct, l.subs = wire.NoNode, wire.NoNode, false, nil
+	}
+	f.subscribers, f.subCount = nil, 0
 	f.spares = nil
 	f.isRelayer = false
 	f.zoneRelayers = make(map[wire.NodeID]*relayerInfo)

@@ -231,8 +231,7 @@ func TestRestartedRelayerRejoins(t *testing.T) {
 	// consensus-direct route) for every stripe.
 	missing := 0
 	for s := 0; s < cfg.nc; s++ {
-		si := uint8(s)
-		if _, ok := victim.stripeSender[si]; !ok && !victim.consensusDir[si] {
+		if l := victim.links[s]; l.sender == wire.NoNode && !l.direct {
 			missing++
 		}
 	}

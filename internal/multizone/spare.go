@@ -68,7 +68,7 @@ type heardAt struct {
 // (the load paused, or only the tail of the last ones is still being
 // relayed) an index that is not heard is not missed.
 func (f *FullNode) heard(s uint8, now time.Time) bool {
-	h := f.stripeSeen[s]
+	h := f.links[s].heard
 	return now.Sub(h.at) <= f.silenceAfter() || f.opened-h.opened < uint64(f.cfg.NC)
 }
 
@@ -164,9 +164,9 @@ func (f *FullNode) checkSilence(now time.Time) {
 		}
 	}
 	for s := 0; s < f.cfg.NC; s++ {
-		si := uint8(s)
-		sd, ok := f.stripeSender[si]
-		if _, pend := f.pendingSub[si]; !ok || pend || f.isSpare(si) {
+		si, l := uint8(s), &f.links[s]
+		sd := l.sender
+		if sd == wire.NoNode || l.pending != wire.NoNode || f.isSpare(si) {
 			continue
 		}
 		silent := !f.heard(si, now)
@@ -176,10 +176,10 @@ func (f *FullNode) checkSilence(now time.Time) {
 		if !f.hasSpare(si) && len(f.spares) < f.cfg.F {
 			f.takeSpare(si, sd, silent)
 		}
-		if !silent || sd == wire.NodeID(si) || now.Sub(f.asked[si]) <= f.resubscribeAfter() {
-			continue // a late sender is live; the source itself keeps its subscribers across a restart; or it was just asked
+		if !silent || sd == wire.NodeID(si) || now.Sub(l.asked) <= f.resubscribeAfter() {
+			continue // a late sender is live; the source itself renews its subscribers' leases at a restart; or it was just asked
 		}
-		f.asked[si] = now
+		l.asked = now
 		switch r := f.relayerOf(si, sd); {
 		case r != wire.NoNode:
 			f.resubscribe(si, r)
@@ -259,18 +259,17 @@ func (f *FullNode) announces(id wire.NodeID, s uint8) bool {
 // regular one (trimSubscriptions settles the count).
 func (f *FullNode) dropSpare(i int) {
 	idx := f.spares[i].index
-	if len(f.subscribers[idx]) > 0 {
+	l := &f.links[idx]
+	if len(l.subs) > 0 {
 		f.keepSpare(i)
 		return
 	}
 	f.spares = slices.Delete(f.spares, i, i+1)
-	if sd, ok := f.stripeSender[idx]; ok {
-		f.ctx.Send(sd, &Unsubscribe{Stripes: []uint8{idx}})
-		delete(f.stripeSender, idx)
-	}
-	if to, ok := f.pendingSub[idx]; ok {
-		f.ctx.Send(to, &Unsubscribe{Stripes: []uint8{idx}})
-		delete(f.pendingSub, idx)
+	for _, to := range []*wire.NodeID{&l.sender, &l.pending} {
+		if *to != wire.NoNode {
+			f.ctx.Send(*to, &Unsubscribe{Stripes: []uint8{idx}})
+			*to = wire.NoNode
+		}
 	}
 }
 
@@ -280,8 +279,8 @@ func (f *FullNode) dropSpare(i int) {
 func (f *FullNode) keepSpare(i int) {
 	idx := f.spares[i].index
 	f.spares = slices.Delete(f.spares, i, i+1)
-	if sd, ok := f.stripeSender[idx]; ok && sd == wire.NodeID(idx) {
-		f.consensusDir[idx], f.isRelayer = true, true
+	if l := &f.links[idx]; l.sender == wire.NodeID(idx) {
+		l.direct, f.isRelayer = true, true
 	}
 }
 

@@ -1,6 +1,7 @@
 package multizone
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -12,8 +13,19 @@ import (
 func holders(zc *zoneCluster, s uint8) []*FullNode {
 	var out []*FullNode
 	for _, fn := range zc.fulls {
-		if _, ok := fn.stripeSender[s]; ok {
+		if fn.links[s].sender != wire.NoNode {
 			out = append(out, fn)
+		}
+	}
+	return out
+}
+
+// senders maps each index fn receives to its sender.
+func senders(fn *FullNode) map[uint8]wire.NodeID {
+	out := map[uint8]wire.NodeID{}
+	for s, l := range fn.links {
+		if l.sender != wire.NoNode {
+			out[uint8(s)] = l.sender
 		}
 	}
 	return out
@@ -58,9 +70,9 @@ func TestConsensusCrashCoveredBySpare(t *testing.T) {
 		if spares -= taken[fn.ID()]; spares != 1 {
 			t.Errorf("node %d took %d spares, want 1", fn.ID(), spares)
 		}
-		if len(fn.spares) != 0 || len(fn.stripeSender) != cfg.nc-cfg.f {
+		if len(fn.spares) != 0 || len(senders(fn)) != cfg.nc-cfg.f {
 			t.Errorf("node %d ends with spares %v and senders %v, want n_c − f indices and no spare",
-				fn.ID(), fn.spares, fn.stripeSender)
+				fn.ID(), fn.spares, senders(fn))
 		}
 		hs := zc.completed[fn.ID()]
 		for i, h := range hs {
@@ -121,18 +133,16 @@ func TestSilenceRepairsStripeLoop(t *testing.T) {
 	}
 	a, b, c := zc.fulls[0], zc.fulls[1], zc.fulls[2]
 	for _, fn := range zc.fulls {
-		fn.subCount -= len(fn.subscribers[s])
-		delete(fn.subscribers, s)
-		delete(fn.pendingSub, s)
-		fn.subsChanged()
+		for _, id := range slices.Clone(fn.links[s].subs) {
+			fn.setSubscriber(s, id, false)
+		}
+		fn.links[s].pending = wire.NoNode
 	}
 	for _, l := range [][2]*FullNode{{a, b}, {b, c}, {c, a}} {
 		to, from := l[0], l[1]
-		to.stripeSender[s] = from.ID()
-		to.stripeSeen[s] = heardAt{zc.net.Now(), to.opened}
-		from.subscribers[s] = map[wire.NodeID]bool{to.ID(): true}
-		from.subCount++
-		from.subsChanged()
+		to.links[s].sender = from.ID()
+		to.links[s].heard = heardAt{zc.net.Now(), to.opened}
+		from.setSubscriber(s, to.ID(), true)
 	}
 	before := lastHeights(zc)
 	taken := make(map[wire.NodeID]uint64)
@@ -148,9 +158,9 @@ func TestSilenceRepairsStripeLoop(t *testing.T) {
 		}
 		_, _, _, spares := fn.ByzStats()
 		took += spares - taken[fn.ID()]
-		if len(fn.spares) != 0 || len(fn.stripeSender) != cfg.nc-cfg.f {
+		if len(fn.spares) != 0 || len(senders(fn)) != cfg.nc-cfg.f {
 			t.Errorf("node %d ends with spares %v and senders %v, want n_c − f indices and no spare",
-				fn.ID(), fn.spares, fn.stripeSender)
+				fn.ID(), fn.spares, senders(fn))
 		}
 		hs := zc.completed[fn.ID()]
 		for i, h := range hs {
@@ -172,8 +182,8 @@ func TestSilenceRepairsStripeLoop(t *testing.T) {
 		seen := map[wire.NodeID]bool{}
 		for at := fn; at != nil && !seen[at.ID()]; {
 			seen[at.ID()] = true
-			sd, ok := at.stripeSender[s]
-			if !ok || int(sd) < cfg.nc {
+			sd := at.links[s].sender
+			if sd == wire.NoNode || int(sd) < cfg.nc {
 				break
 			}
 			at = zc.fullNode(sd)

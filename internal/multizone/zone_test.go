@@ -1,6 +1,7 @@
 package multizone
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -265,7 +266,7 @@ func TestMultiZoneEndToEnd(t *testing.T) {
 	// must stay far below the full-node population (that is Multi-Zone's
 	// whole point — Θ(zones·n_c), not Θ(N)).
 	for i, h := range zc.hosts {
-		subs := h.Dist.Subscribers()
+		subs := len(h.Dist.Subscribers())
 		if subs > cfg.zones*cfg.nc+cfg.zones {
 			t.Fatalf("consensus node %d has %d subscribers (> zones·nc budget)", i, subs)
 		}
@@ -305,7 +306,7 @@ func TestDistributorSubscribeProtocol(t *testing.T) {
 	RegisterMessages()
 	striper, _ := NewStriper(4, 1)
 	net := simnet.New(simnet.Config{Latency: simnet.UniformLatency(time.Millisecond)})
-	d := NewDistributor(2, 4, striper, 2)
+	d := NewDistributor(2, striper)
 
 	type recorded struct {
 		from wire.NodeID
@@ -328,9 +329,9 @@ func TestDistributorSubscribeProtocol(t *testing.T) {
 	distHost.inject(50, &Subscribe{Stripes: []uint8{2}})
 	// Node 51 asks for the wrong stripe → rejected.
 	distHost.inject(51, &Subscribe{Stripes: []uint8{0}})
-	// Node 51 then asks correctly → accepted (cap is 2).
+	// Node 51 then asks correctly → accepted, and so is node 52: a
+	// consensus node accepts every relayer.
 	distHost.inject(51, &Subscribe{Stripes: []uint8{2}})
-	// Node 52 exceeds the cap → rejected with children.
 	distHost.inject(52, &Subscribe{Stripes: []uint8{2}})
 	net.Run(time.Second)
 
@@ -346,16 +347,16 @@ func TestDistributorSubscribeProtocol(t *testing.T) {
 			rejects++
 		}
 	}
-	if accepts != 2 || rejects != 2 {
-		t.Fatalf("accepts=%d rejects=%d, want 2/2", accepts, rejects)
+	if accepts != 3 || rejects != 1 {
+		t.Fatalf("accepts=%d rejects=%d, want 3/1", accepts, rejects)
 	}
-	if d.Subscribers() != 2 {
-		t.Fatalf("Subscribers = %d", d.Subscribers())
+	if got := d.Subscribers(); !slices.Equal(got, []wire.NodeID{50, 51, 52}) {
+		t.Fatalf("Subscribers = %v", got)
 	}
 	// Unsubscribe shrinks the set.
 	distHost.inject(50, &Unsubscribe{Stripes: []uint8{2}})
-	if d.Subscribers() != 1 {
-		t.Fatalf("after unsubscribe Subscribers = %d", d.Subscribers())
+	if got := d.Subscribers(); !slices.Equal(got, []wire.NodeID{51, 52}) {
+		t.Fatalf("after unsubscribe Subscribers = %v", got)
 	}
 }
 
@@ -568,14 +569,15 @@ func TestTwoRelayerZoneCoversEveryStripe(t *testing.T) {
 	}
 	a, b := zc.fulls[0], zc.fulls[1]
 	for s := uint8(0); s < uint8(cfg.nc); s++ {
-		if a.stripeSender[s] == b.ID() && b.stripeSender[s] == a.ID() {
+		if a.links[s].sender == b.ID() && b.links[s].sender == a.ID() {
 			t.Fatalf("stripe %d: %d and %d are each other's sender", s, a.ID(), b.ID())
 		}
 	}
 	for _, fn := range zc.fulls {
-		if len(fn.stripeSender) != cfg.nc-cfg.f || len(fn.pendingSub) != 0 || len(fn.spares) != 0 {
+		pending := slices.ContainsFunc(fn.links, func(l link) bool { return l.pending != wire.NoNode })
+		if len(senders(fn)) != cfg.nc-cfg.f || pending || len(fn.spares) != 0 {
 			t.Errorf("node %d receives %v (pending %v, spares %v), want exactly %d indices",
-				fn.ID(), fn.stripeSender, fn.pendingSub, fn.spares, cfg.nc-cfg.f)
+				fn.ID(), senders(fn), pending, fn.spares, cfg.nc-cfg.f)
 		}
 		if _, bundles, blocks := fn.Stats(); bundles == 0 || blocks == 0 {
 			t.Errorf("node %d assembled %d bundles and %d blocks", fn.ID(), bundles, blocks)
