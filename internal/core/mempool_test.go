@@ -466,28 +466,4 @@ func TestMessageCodecs(t *testing.T) {
 	if len(wire.Marshal(ev)) != ev.WireSize() {
 		t.Fatal("ConflictEvidence WireSize mismatch")
 	}
-
-	creq := &CatchupRequest{Height: 12}
-	if got, err := wire.Roundtrip(creq); err != nil || *got.(*CatchupRequest) != *creq {
-		t.Fatalf("CatchupRequest roundtrip: %v", err)
-	}
-	if len(wire.Marshal(creq)) != creq.WireSize() {
-		t.Fatal("CatchupRequest WireSize mismatch")
-	}
-
-	cuts := []Cut{{Height: 7, Head: crypto.HashBytes([]byte("cut"))}, {}, {}, {}}
-	blk := &PredisBlock{Height: 5, Leader: 1, Cuts: cuts}
-	blk.Sig = r.suite.Signer(1).Sign(blk.Hash())
-	cresp := &CatchupResponse{Head: 9, Blocks: []*PredisBlock{blk}}
-	got4, err := wire.Roundtrip(cresp)
-	if err != nil {
-		t.Fatalf("CatchupResponse roundtrip: %v", err)
-	}
-	gr := got4.(*CatchupResponse)
-	if gr.Head != 9 || len(gr.Blocks) != 1 || gr.Blocks[0].Hash() != blk.Hash() {
-		t.Fatal("CatchupResponse roundtrip changed the payload")
-	}
-	if len(wire.Marshal(cresp)) != cresp.WireSize() {
-		t.Fatal("CatchupResponse WireSize mismatch")
-	}
 }

@@ -268,10 +268,8 @@ func (m *PredisBlock) Hash() crypto.Hash {
 	return h
 }
 
-// CatchupRequest asks a peer for committed Predis blocks above the
-// sender's ledger head (crash recovery, ISSUE 1 tentpole 2). Height is
-// the sender's last executed consensus height; the responder answers with
-// consecutive blocks Height+1, Height+2, ...
+// CatchupRequest asks a peer for the committed Predis blocks above Height,
+// the sender's chain head (see catchup.go).
 type CatchupRequest struct {
 	Height uint64
 }
@@ -292,12 +290,17 @@ func decodeCatchupRequest(d *wire.Decoder) (wire.Message, error) {
 	return m, d.Err()
 }
 
-// CatchupResponse returns the responder's head height plus consecutive
-// committed blocks starting right above the requested height (empty when
-// the responder has nothing newer, or when the requested height has
-// already left its retention window).
+// CatchupResponse answers a CatchupRequest with the responder's head and a
+// contiguous run of committed blocks just above the asked height. When the
+// requester is so far behind that the bundles its next blocks reference
+// are pruned (§III-D), the responder instead names a recent Anchor block
+// whose bundle suffix it can still serve in full, and the run starts above
+// the anchor: the requester fast-forwards its chains to the anchor's cuts
+// and replays from there (snapshot-style sync; the skipped history stays
+// available from archival ledgers only).
 type CatchupResponse struct {
 	Head   uint64
+	Anchor *PredisBlock // nil unless a skip-sync is needed
 	Blocks []*PredisBlock
 }
 
@@ -306,9 +309,13 @@ var _ wire.Message = (*CatchupResponse)(nil)
 // Type implements wire.Message.
 func (m *CatchupResponse) Type() wire.Type { return TypeCatchupResponse }
 
-// WireSize implements wire.Message.
+// WireSize implements wire.Message. Embedded blocks are encoded body-only,
+// so their own frame overhead is not counted.
 func (m *CatchupResponse) WireSize() int {
-	n := wire.FrameOverhead + 8 + 4
+	n := wire.FrameOverhead + 8 + 1 + 4
+	if m.Anchor != nil {
+		n += m.Anchor.WireSize() - wire.FrameOverhead
+	}
 	for _, b := range m.Blocks {
 		n += b.WireSize() - wire.FrameOverhead
 	}
@@ -318,19 +325,34 @@ func (m *CatchupResponse) WireSize() int {
 // EncodeBody implements wire.Message.
 func (m *CatchupResponse) EncodeBody(e *wire.Encoder) {
 	e.U64(m.Head)
+	e.Bool(m.Anchor != nil)
+	if m.Anchor != nil {
+		m.Anchor.EncodeBody(e)
+	}
 	e.U32(uint32(len(m.Blocks)))
 	for _, b := range m.Blocks {
 		b.EncodeBody(e)
 	}
 }
 
+// minBlockBody is the encoded size of the smallest Predis block body: no
+// cuts, no signature.
+const minBlockBody = 8 + 32 + 4 + 4 + 32 + 4
+
 func decodeCatchupResponse(d *wire.Decoder) (wire.Message, error) {
 	m := &CatchupResponse{Head: d.U64()}
+	if d.Bool() {
+		anchor, err := DecodePredisBlockBody(d)
+		if err != nil {
+			return nil, err
+		}
+		m.Anchor = anchor
+	}
 	n := int(d.U32())
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if n > d.Remaining()/40 {
+	if n > d.Remaining()/minBlockBody {
 		return nil, wire.ErrTruncated
 	}
 	for i := 0; i < n; i++ {

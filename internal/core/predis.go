@@ -31,15 +31,6 @@ const (
 	FaultPartial
 )
 
-const (
-	// catchupWindow is how many committed Predis blocks are retained to
-	// serve crash-recovery CatchupRequests. A restarted node that fell
-	// further behind its peers cannot catch up from them.
-	catchupWindow = 1024
-	// maxCatchupBlocks bounds blocks per CatchupResponse.
-	maxCatchupBlocks = 256
-)
-
 // Options configures a Predis instance (the active component wrapping a
 // Mempool).
 type Options struct {
@@ -133,10 +124,9 @@ type Predis struct {
 	// catch-up rounds: env.DefaultBackoff(2×BundleInterval).
 	retry env.Backoff
 
-	// catchup is the in-flight crash-recovery state (nil when live).
-	catchup *catchupState
-	// recent is the committed-block retention ring serving catch-up.
-	recent BlockRing
+	// catchup recovers the blocks this node missed, and serves its peers'
+	// (catchup.go, recovery.go).
+	catchup *Catchup
 
 	engine consensus.Engine
 
@@ -174,13 +164,13 @@ func NewPredis(opts Options) (*Predis, error) {
 		opts:            opts,
 		mp:              mp,
 		retry:           env.DefaultBackoff(2 * opts.Params.BundleInterval),
-		recent:          NewBlockRing(catchupWindow),
 		mBundleProduced: opts.Metrics.Counter("bundle_produced", opts.Self),
 		mBundleAccepted: opts.Metrics.Counter("bundle_accepted", opts.Self),
 		mTxsCommitted:   opts.Metrics.Counter("txs_committed", opts.Self),
 		mSealLatency:    opts.Metrics.Histogram("bundle_seal_ms", opts.Self, obs.DefaultLatencyBucketsMS),
 	}
 	p.fetch = NewFetchPlane(mp, p.retry, p.holders)
+	p.catchup = NewCatchup(mp, p.retry, p.catchupOwner())
 	return p, nil
 }
 
@@ -213,6 +203,7 @@ func (p *Predis) LastHeight() uint64 { return p.lastHeight }
 func (p *Predis) Start(ctx env.Context) {
 	p.ctx = ctx
 	p.fetch.Start(ctx)
+	p.catchup.Start(ctx)
 	p.sealLater = p.sealQueue
 	p.armProduceTimer()
 }
@@ -385,9 +376,9 @@ func (p *Predis) Receive(from wire.NodeID, m wire.Message) {
 	case *ConflictEvidence:
 		p.onEvidence(from, msg)
 	case *CatchupRequest:
-		p.onCatchupRequest(from, msg)
+		p.catchup.ServeBlocks(from, msg)
 	case *CatchupResponse:
-		p.onCatchupResponse(from, msg)
+		p.catchup.Answered(from, msg)
 	default:
 		p.ctx.Logf("predis: unexpected message %s from %d", wire.TypeName(m.Type()), from)
 	}
@@ -412,10 +403,8 @@ func (p *Predis) onBundle(from wire.NodeID, b *Bundle) bool {
 		p.mBundleAccepted.Inc()
 		// The run linked up to the next hole, if bundles wait above one.
 		p.need(p.mp.Hole(b.Header.Producer))
-		if p.catchup != nil {
-			// A catch-up block may have been waiting on this body.
-			p.advanceCatchup()
-		}
+		// A catch-up block may have been waiting on this body.
+		p.advanceCatchup()
 		p.poke()
 		return true
 	}
@@ -599,7 +588,7 @@ func (p *Predis) commitBlock(height uint64, blk *PredisBlock) {
 	p.lastBlockHash = blk.Hash()
 	p.txsCommitted += uint64(len(txs))
 	p.mTxsCommitted.Add(uint64(len(txs)))
-	p.recent.Push(blk)
+	p.catchup.Retain(blk)
 	if p.opts.OnCommit != nil {
 		p.opts.OnCommit(CommitInfo{Height: height, Block: blk, Txs: txs})
 	}

@@ -213,13 +213,13 @@ func TestReplayPinned(t *testing.T) {
 		want string
 	}{
 		{"P-PBFT point", 2, point, "2b99bcdc2610a1094c3621927ef686ddf98fef6a3d5b79d34d25e346dd6fa78f 2966"},
-		{"leader-crash recovery", 2, recovery, "33a5b572007610aa4e9c08cb16cec48126653b9b4d87a6de3994131581b36463 34051"},
+		{"leader-crash recovery", 2, recovery, "ec6ccb2ad5102306f2cf656a79193fa0af3eb89622d07535bb1c613a28adb3cb 34051"},
 		{"stream P-PBFT point", 2, streamPoint, "8c2f8bd883313664b38fbdaa80e61a47a6a53ac8d871f7c507e045eaff24a16d 14369"},
 		{"quickstart", 2, quickstart(false), "597d80c3c9a8890adfe7f148bd19fe657e076849f38d5bda50ed399532ea6075 20670"},
 		{"stream quickstart", 2, quickstart(true), "8754e7f6eea8588af3f6ae7ed4537cba7257c258d5a29547735347145bc06584 131260"},
 		{"contention", 2, contention, "5f76e37759dfcf096267aafa1e4280a5ffb55bcc6d2326051bb218bbb48c07b3 6875 roots 17e061a1ef6bf248f4dfb1bf9073861720cbe6f762e60614de89e13f457b10c3"},
-		{"quick recovery", 1, experiment(Recovery, true), "75626719be41331c4cb8aeda0681a5232633ac394220b567750b9e853404ba2f 178190"},
-		{"quick byzantine", 1, experiment(Byzantine, true), "cde67eda445877dd0c8697175209c8861fda8c00d24aa9c88a91359eb6002bd5 443676"},
+		{"quick recovery", 1, experiment(Recovery, true), "7485ee8c65ca9ce1e9be44c8a783c4d4f709142d4ac93f884c14402882c318ff 178190"},
+		{"quick byzantine", 1, experiment(Byzantine, true), "9f0334a90e1b18f69679d480e60a28c9c4fb8666f6fa78bbe0d238b428ebb922 443676"},
 		{"quick fig7 tables", 1, experiment(Fig7, false), "6942a4d630345b1d819b9732c057b7234dec1a846a45fa65e0f8f359c6979ee2"},
 		{"quick fig8 tables", 1, experiment(Fig8, false), "782007a019dc0eef73e56b4cd5540e882a98e7162d548754cb7edbc038725c60"},
 	} {

@@ -82,9 +82,6 @@ const (
 	// failures count — gaps, timeouts, and losses never do — so benign
 	// runs are unaffected.
 	quarantineAfter = 3
-	// blockCatchupWindow bounds the ring of completed blocks retained to
-	// serve BlockRequests from restarting peers.
-	blockCatchupWindow = 512
 	// maxHeaderless caps a producer's header-less partials — bundles whose
 	// references arrived before any carrier. An honest one waits about one
 	// relay hop for its carrier (in 6-s predis-perf runs at most 51 ms on
@@ -191,7 +188,7 @@ type FullNode struct {
 	cfg FullNodeConfig
 	ctx env.Context
 	mp  *core.Mempool
-	// retry paces bundle-pull retries and restart catch-up rounds:
+	// retry paces bundle-pull retries and catch-up rounds:
 	// env.DefaultBackoff(AliveInterval).
 	retry env.Backoff
 
@@ -216,8 +213,7 @@ type FullNode struct {
 	seenBlocks map[crypto.Hash]uint64 // block hash → height, pruned as the chain advances
 	pendBlocks []*core.PredisBlock    // completable once bundles arrive, in arrival order
 	fetch      *core.FetchPlane       // asks for bundles stripes did not bring (see holders)
-	recent     core.BlockRing         // retention ring serving BlockRequests
-	catchup    *zoneCatchup
+	catchup    *core.Catchup          // recovers missed blocks, serves peers' (recovery.go)
 
 	// Periodic timers, stored so a restart can re-arm them (the fires
 	// suppressed during a crash permanently kill a self-re-arming chain).
@@ -272,7 +268,6 @@ func NewFullNode(cfg FullNodeConfig) (*FullNode, error) {
 		zoneRelayers: make(map[wire.NodeID]*relayerInfo),
 		partials:     make(map[crypto.Hash]*partialBundle),
 		headerless:   make([]int, c.NC),
-		recent:       core.NewBlockRing(blockCatchupWindow),
 		seenBlocks:   make(map[crypto.Hash]uint64),
 		lastSeen:     make(map[wire.NodeID]time.Time),
 		offenses:     make(map[wire.NodeID]int),
@@ -280,6 +275,7 @@ func NewFullNode(cfg FullNodeConfig) (*FullNode, error) {
 		lastCuts:     core.ZeroCuts(c.NC),
 	}
 	f.fetch = core.NewFetchPlane(mp, f.retry, f.holders)
+	f.catchup = core.NewCatchup(mp, f.retry, f.catchupOwner())
 	return f, nil
 }
 
@@ -336,6 +332,7 @@ func (f *FullNode) Mempool() *core.Mempool { return f.mp }
 func (f *FullNode) Start(ctx env.Context) {
 	f.ctx = ctx
 	f.fetch.Start(ctx)
+	f.catchup.Start(ctx)
 	f.bootstrap()
 	f.armAlive()
 	f.armHeartbeat()
@@ -550,10 +547,10 @@ func (f *FullNode) Receive(from wire.NodeID, m wire.Message) {
 		// lastSeen already updated above.
 	case *BlockDigest:
 		f.onDigest(from, msg)
-	case *BlockRequest:
-		f.onBlockRequest(from, msg)
-	case *BlockResponse:
-		f.onBlockResponse(from, msg)
+	case *core.CatchupRequest:
+		f.catchup.ServeBlocks(from, msg)
+	case *core.CatchupResponse:
+		f.catchup.Answered(from, msg)
 	case *core.BundleRequest:
 		core.ServeBundles(f.ctx, f.mp, from, msg)
 	case *core.BundleResponse:

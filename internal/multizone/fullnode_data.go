@@ -292,9 +292,7 @@ func (f *FullNode) onBlock(from wire.NodeID, blk *core.PredisBlock) {
 	// peers never even sends.
 	if blk.Height > f.lastHeight+1 {
 		f.StartCatchup()
-		if cu := f.catchup; cu != nil && blk.Height-1 > cu.target {
-			cu.target = blk.Height - 1
-		}
+		f.catchup.Claim(from, blk.Height-1)
 	}
 	// Forward to every subscriber (each at most once, in ID order).
 	msg := &ZoneBlock{Block: blk}
@@ -335,7 +333,7 @@ func (f *FullNode) tryCompleteBlocks() {
 				f.lastHeight = blk.Height
 				f.blocks++
 				f.pendBlocks[i] = nil
-				f.recent.Push(blk)
+				f.catchup.Retain(blk)
 				progress = true
 				// Execute before persisting so the ledger entry commits
 				// to the post-block account state, not just the ordering.
@@ -401,7 +399,7 @@ func (f *FullNode) tryCompleteBlocks() {
 		}
 	}
 	f.pendBlocks = kept
-	f.checkCatchupDone()
+	f.catchup.Check()
 }
 
 // arriving reports whether producer's bundle at height is arriving as
@@ -508,7 +506,7 @@ func (f *FullNode) onDigest(from wire.NodeID, m *BlockDigest) {
 		f.fetch.Need(wire.NodeID(i), remote, from, wire.NoNode)
 	}
 	if m.Height > f.lastHeight {
-		f.ctx.Send(from, &BlockRequest{Height: f.lastHeight})
+		f.catchup.Ask(from)
 	}
 }
 

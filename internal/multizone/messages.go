@@ -24,10 +24,10 @@ const (
 	TypeBlockDigest     = wire.TypeRangeZone + 10
 	TypeGetRelayers     = wire.TypeRangeZone + 11
 	TypeRelayersInfo    = wire.TypeRangeZone + 12
-	TypeBlockRequest    = wire.TypeRangeZone + 13
-	TypeBlockResponse   = wire.TypeRangeZone + 14
-	// TypeRangeZone+15 and +16 were the retired speculative block push and
-	// its retraction; they stay unused so no old frame decodes as a new type.
+	// TypeRangeZone+13 and +14 were the full nodes' own catch-up pair (now
+	// core's CatchupRequest/CatchupResponse), +15 and +16 the retired
+	// speculative block push and its retraction; they stay unused so no old
+	// frame decodes as a new type.
 )
 
 // StripeMsg carries one erasure-coded stripe of a bundle and the Merkle
@@ -519,104 +519,6 @@ func decodeRelayersInfo(d *wire.Decoder) (wire.Message, error) {
 	return m, d.Err()
 }
 
-// BlockRequest asks a zone/backup peer for completed Predis blocks above
-// the sender's chain head. Full nodes use it to catch up after a restart
-// (and to close gaps a digest reveals): peers answer from their retained
-// recent-block window.
-type BlockRequest struct {
-	Height uint64 // requester's last completed height
-}
-
-var _ wire.Message = (*BlockRequest)(nil)
-
-// Type implements wire.Message.
-func (m *BlockRequest) Type() wire.Type { return TypeBlockRequest }
-
-// WireSize implements wire.Message.
-func (m *BlockRequest) WireSize() int { return wire.FrameOverhead + 8 }
-
-// EncodeBody implements wire.Message.
-func (m *BlockRequest) EncodeBody(e *wire.Encoder) { e.U64(m.Height) }
-
-func decodeBlockRequest(d *wire.Decoder) (wire.Message, error) {
-	return &BlockRequest{Height: d.U64()}, d.Err()
-}
-
-// BlockResponse answers BlockRequest with a contiguous run of completed
-// blocks starting just above the requested height, plus the responder's
-// own head. When the requester is so far behind that the bundles its
-// missing blocks reference have been pruned network-wide (§III-D), the
-// responder instead picks a recent Anchor block whose bundle suffix it
-// can still fully serve: the requester fast-forwards its chains to the
-// anchor's cut heights and replays only from there (snapshot-style sync;
-// the skipped history stays available from archival ledgers only).
-type BlockResponse struct {
-	Head   uint64
-	Anchor *core.PredisBlock // nil unless a skip-sync is needed
-	Blocks []*core.PredisBlock
-}
-
-var _ wire.Message = (*BlockResponse)(nil)
-
-// Type implements wire.Message.
-func (m *BlockResponse) Type() wire.Type { return TypeBlockResponse }
-
-// WireSize implements wire.Message.
-func (m *BlockResponse) WireSize() int {
-	// Embedded blocks are encoded body-only (EncodeBody), so their own
-	// frame overhead must not be counted — the simulator charges exactly
-	// WireSize bytes of bandwidth, and the catch-up path would otherwise
-	// be billed 6 spurious bytes per block (caught by wiresym's round-trip
-	// coverage requirement).
-	n := wire.FrameOverhead + 8 + 1 + 4
-	if m.Anchor != nil {
-		n += m.Anchor.WireSize() - wire.FrameOverhead
-	}
-	for _, b := range m.Blocks {
-		n += b.WireSize() - wire.FrameOverhead
-	}
-	return n
-}
-
-// EncodeBody implements wire.Message.
-func (m *BlockResponse) EncodeBody(e *wire.Encoder) {
-	e.U64(m.Head)
-	e.Bool(m.Anchor != nil)
-	if m.Anchor != nil {
-		m.Anchor.EncodeBody(e)
-	}
-	e.U32(uint32(len(m.Blocks)))
-	for _, b := range m.Blocks {
-		b.EncodeBody(e)
-	}
-}
-
-func decodeBlockResponse(d *wire.Decoder) (wire.Message, error) {
-	m := &BlockResponse{Head: d.U64()}
-	if d.Bool() {
-		anchor, err := core.DecodePredisBlockBody(d)
-		if err != nil {
-			return nil, err
-		}
-		m.Anchor = anchor
-	}
-	n := int(d.U32())
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if n > d.Remaining() {
-		return nil, wire.ErrTruncated
-	}
-	for i := 0; i < n; i++ {
-		blk, err := core.DecodePredisBlockBody(d)
-		if err != nil {
-			return nil, err
-		}
-		m.Blocks = append(m.Blocks, blk)
-	}
-	return m, d.Err()
-}
-
 var registerOnce sync.Once
 
 // RegisterMessages registers Multi-Zone message types; idempotent.
@@ -634,7 +536,5 @@ func RegisterMessages() {
 		wire.Register(TypeBlockDigest, "zone.block_digest", decodeBlockDigest)
 		wire.Register(TypeGetRelayers, "zone.get_relayers", decodeGetRelayers)
 		wire.Register(TypeRelayersInfo, "zone.relayers_info", decodeRelayersInfo)
-		wire.Register(TypeBlockRequest, "zone.block_request", decodeBlockRequest)
-		wire.Register(TypeBlockResponse, "zone.block_response", decodeBlockResponse)
 	})
 }

@@ -3,49 +3,18 @@ package multizone
 import (
 	"testing"
 
-	"predis/internal/core"
-	"predis/internal/crypto"
 	"predis/internal/wire"
 )
 
 // TestRefetchQuarantineCodecFidelity pins field-level round-trip
-// fidelity for the refetch/quarantine message set. The zone codec table
-// test (TestZoneMessageCodecs) asserts these decode successfully and
+// fidelity for the digest and relayer-discovery messages. The zone codec
+// table test (TestZoneMessageCodecs) asserts these decode successfully and
 // that WireSize is exact; this test additionally asserts the decoded
 // values equal what was encoded, so a decoder reading fields in the
 // wrong order (which still consumes the right number of bytes when the
 // widths happen to line up) cannot slip through.
 func TestRefetchQuarantineCodecFidelity(t *testing.T) {
 	RegisterMessages()
-	core.RegisterMessages()
-	suite := crypto.NewSimSuite(4, 93)
-	blk := &core.PredisBlock{
-		Height: 6, Leader: 2,
-		Cuts: []core.Cut{{Height: 11, Head: crypto.HashBytes([]byte("cut"))}, {}, {}, {}},
-	}
-	blk.Sig = suite.Signer(2).Sign(blk.Hash())
-
-	req := &BlockRequest{Height: 41}
-	if got, err := wire.Roundtrip(req); err != nil || *got.(*BlockRequest) != *req {
-		t.Fatalf("BlockRequest fidelity: got %+v err %v", got, err)
-	}
-
-	resp := &BlockResponse{Head: 44, Anchor: blk, Blocks: []*core.PredisBlock{blk, blk}}
-	got, err := wire.Roundtrip(resp)
-	if err != nil {
-		t.Fatalf("BlockResponse roundtrip: %v", err)
-	}
-	gr := got.(*BlockResponse)
-	if gr.Head != 44 || gr.Anchor == nil || gr.Anchor.Hash() != blk.Hash() {
-		t.Fatalf("BlockResponse head/anchor changed: %+v", gr)
-	}
-	if len(gr.Blocks) != 2 || gr.Blocks[0].Hash() != blk.Hash() || gr.Blocks[1].Hash() != blk.Hash() {
-		t.Fatalf("BlockResponse blocks changed: %+v", gr.Blocks)
-	}
-	if !suite.Signer(0).Verify(2, gr.Blocks[0].Hash(), gr.Blocks[0].Sig) {
-		t.Fatal("BlockResponse block signature lost")
-	}
-
 	dig := &BlockDigest{Height: 17, Tips: []uint64{3, 1, 4, 1}}
 	got2, err := wire.Roundtrip(dig)
 	if err != nil {

@@ -222,9 +222,6 @@ func TestZoneMessageCodecs(t *testing.T) {
 		&BlockDigest{Height: 9, Tips: []uint64{1, 2, 3, 4}},
 		&GetRelayers{Zone: 2},
 		&RelayersInfo{Zone: 2, Relayers: []RelayerEntry{{Node: 5, JoinSeq: 1, Stripes: []uint8{0}}}},
-		&BlockRequest{Height: 4},
-		&BlockResponse{Head: 9, Anchor: blk, Blocks: []*core.PredisBlock{blk}},
-		&BlockResponse{Head: 9, Blocks: []*core.PredisBlock{blk}}, // catch-up without a skip-sync anchor
 	}
 	for _, m := range msgs {
 		got, err := wire.Roundtrip(m)

@@ -73,7 +73,7 @@ func TestLaneFrame(t *testing.T) {
 		"bare Predis block":                  predisBlock(16),
 		"zone block of a 100-producer group": &multizone.ZoneBlock{Block: predisBlock(100)},
 		"stripe":                             &multizone.StripeMsg{Shard: make([]byte, 1024)},
-		"catch-up block response":            &multizone.BlockResponse{Blocks: []*core.PredisBlock{predisBlock(16)}},
+		"catch-up block response":            &core.CatchupResponse{Blocks: []*core.PredisBlock{predisBlock(16)}},
 		"zone heartbeat":                     &multizone.Heartbeat{},
 		"client submit":                      &types.SubmitTx{Tx: types.NewTransaction(5000, 1, 512, 0)},
 		"client reply":                       &types.BlockReply{},
