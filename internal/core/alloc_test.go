@@ -78,11 +78,11 @@ func TestBlockPathAllocs(t *testing.T) {
 		t.Errorf("blockRoot(20 bundles) allocates %.1f, want 0", a)
 	}
 	if a := testing.AllocsPerRun(100, func() {
-		if len(mp.BlockBundles(blk, prev)) != 20 {
-			t.Fatal("BlockBundles lost bundles")
+		if len(mp.blockBundles(blk, prev)) != 20 {
+			t.Fatal("blockBundles lost bundles")
 		}
 	}); a != 1 {
-		t.Errorf("BlockBundles(20 bundles) allocates %.1f, want 1", a)
+		t.Errorf("blockBundles(20 bundles) allocates %.1f, want 1", a)
 	}
 	// Above the scratch the root costs one allocation and is the same tree.
 	for round := 0; round < 15; round++ {
@@ -92,7 +92,7 @@ func TestBlockPathAllocs(t *testing.T) {
 	}
 	big, _ := mp.BuildPredisBlockStream(1, crypto.ZeroHash, prev, 0, false)
 	var leaves []crypto.Hash
-	for _, b := range mp.BlockBundles(big, prev) {
+	for _, b := range mp.blockBundles(big, prev) {
 		hh := b.Header.Hash()
 		leaves = append(leaves, merkle.HashLeaf(hh[:]))
 	}

@@ -235,10 +235,10 @@ func (m *Mempool) ValidatePredisBlock(blk *PredisBlock, wantParent crypto.Hash,
 	return nil, nil
 }
 
-// BlockBundles returns every bundle a block newly confirms relative to the
+// blockBundles returns every bundle a block newly confirms relative to the
 // baseline cuts prev, in (chain, height) order, or nil if some are
 // missing locally.
-func (m *Mempool) BlockBundles(blk *PredisBlock, prev []uint64) []*Bundle {
+func (m *Mempool) blockBundles(blk *PredisBlock, prev []uint64) []*Bundle {
 	out := make([]*Bundle, 0, newlyCut(prev, blk.Cuts))
 	for i, c := range blk.Cuts {
 		ch := m.chains[i]
@@ -264,21 +264,4 @@ func BlockTxs(bundles []*Bundle) []*types.Transaction {
 		out = append(out, b.Txs...)
 	}
 	return out
-}
-
-// ApplyCommit advances confirmed heights to the block's cuts and prunes.
-// Blocks must be applied in chain order.
-func (m *Mempool) ApplyCommit(blk *PredisBlock) {
-	for i, c := range blk.Cuts {
-		ch := m.chains[i]
-		if c.Height <= ch.confirmed {
-			continue
-		}
-		for h := ch.confirmed + 1; h <= c.Height; h++ {
-			if b := ch.at(h); b != nil && b.Header.TxCount > 0 {
-				m.liveTxBundles--
-			}
-		}
-		m.MarkConfirmed(wire.NodeID(i), c.Height)
-	}
 }

@@ -148,14 +148,16 @@ func TestBuildValidateCommitRoundtrip(t *testing.T) {
 		if err != nil || missing != nil {
 			t.Fatalf("node %d validate: %v (missing %v)", n, err, missing)
 		}
-		bundles := r.pools[n].BlockBundles(blk, prev)
+		bundles, err := r.pools[n].Commit(blk)
+		if err != nil {
+			t.Fatalf("node %d commit: %v", n, err)
+		}
 		txs := BlockTxs(bundles)
 		if wantTxs == 0 {
 			wantTxs = len(txs)
 		} else if len(txs) != wantTxs {
 			t.Fatalf("node %d reconstructed %d txs, want %d (Theorem 3.3)", n, len(txs), wantTxs)
 		}
-		r.pools[n].ApplyCommit(blk)
 		if r.pools[n].ConfirmedHeight(0) != blk.Cuts[0].Height {
 			t.Fatalf("node %d confirmed not advanced", n)
 		}

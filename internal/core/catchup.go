@@ -19,24 +19,18 @@ import (
 // at least K peers' highest head claims are at or below the node's head
 // and at most K−1 are above it. Answers apply whether or not a round runs.
 
-const (
-	// ringBlocks is how many recent blocks a node retains to serve
-	// catch-up; ServeBlocks serves none whose bundles are pruned, and
-	// bundles go long before 512 blocks do.
-	ringBlocks = 512
-	// maxCatchupBlocks bounds the blocks of one CatchupResponse.
-	maxCatchupBlocks = 64
-)
+// maxCatchupBlocks bounds the blocks of one CatchupResponse.
+const maxCatchupBlocks = 64
 
 // CatchupOwner is what differs between the nodes that catch up.
 type CatchupOwner struct {
 	Peers []wire.NodeID // the candidates, in rotation order (CatchupPeers)
 	K     int           // how many distinct peers must vouch for a block or an anchor
-	Head  func() uint64 // the node's chain head height
 	// Apply takes the blocks of one answer that K peers vouch for, in the
 	// answer's order; it runs for every answer, with none too.
 	Apply func(from wire.NodeID, blocks []*PredisBlock)
-	// Anchor skip-syncs the node to an anchor K peers vouch for.
+	// Anchor skip-syncs the node to an anchor K peers vouch for
+	// (Mempool.FastForward).
 	Anchor func(anchor *PredisBlock)
 }
 
@@ -62,14 +56,14 @@ type vouch struct {
 	peers  []wire.NodeID
 }
 
-// Catchup is one node's catch-up and block server. It must be driven from
-// the owner's serialized executor.
+// Catchup is one node's catch-up and block server; the node's mempool holds
+// its chain head and the blocks it serves. It must be driven from the
+// owner's serialized executor.
 type Catchup struct {
 	ctx   env.Context
 	mp    *Mempool
 	retry env.Backoff
 	own   CatchupOwner
-	ring  [ringBlocks]*PredisBlock // committed blocks by height mod ringBlocks
 
 	running bool
 	attempt int
@@ -113,7 +107,8 @@ func (c *Catchup) round() {
 
 // Ask sends peers a CatchupRequest for the blocks above the node's head.
 func (c *Catchup) Ask(peers ...wire.NodeID) {
-	req := &CatchupRequest{Height: c.own.Head()}
+	head, _ := c.mp.Head()
+	req := &CatchupRequest{Height: head}
 	for _, peer := range peers {
 		c.ctx.Send(peer, req)
 	}
@@ -133,20 +128,21 @@ func (c *Catchup) Claim(peer wire.NodeID, head uint64) {
 // peers vouch for.
 func (c *Catchup) Answered(from wire.NodeID, resp *CatchupResponse) {
 	c.Claim(from, resp.Head)
+	head, _ := c.mp.Head()
 	for h := range c.votes {
-		if h <= c.own.Head() {
+		if h <= head {
 			delete(c.votes, h)
 		}
 	}
-	if a := resp.Anchor; a != nil && a.Height > c.own.Head() {
+	if a := resp.Anchor; a != nil && a.Height > head {
 		if adopted, ok := c.tally(from, a, true); adopted && ok {
 			c.own.Anchor(a)
-			c.Retain(a)
+			head, _ = c.mp.Head()
 		}
 	}
 	var blocks []*PredisBlock
 	for _, blk := range resp.Blocks {
-		if blk.Height <= c.own.Head() {
+		if blk.Height <= head {
 			continue
 		}
 		adopted, ok := c.tally(from, blk, false)
@@ -198,7 +194,7 @@ func (c *Catchup) Check() bool {
 	if !c.running {
 		return false
 	}
-	head := c.own.Head()
+	head, _ := c.mp.Head()
 	at, above := 0, 0
 	for _, claim := range c.claims {
 		if claim <= head {
@@ -216,82 +212,34 @@ func (c *Catchup) Check() bool {
 	return true
 }
 
-// Retain keeps a block the node committed, for ServeBlocks.
-func (c *Catchup) Retain(blk *PredisBlock) { c.ring[blk.Height%ringBlocks] = blk }
-
-// retained returns the kept block at height, or nil.
-func (c *Catchup) retained(height uint64) *PredisBlock {
-	if blk := c.ring[height%ringBlocks]; blk != nil && blk.Height == height {
-		return blk
-	}
-	return nil
-}
-
 // ServeBlocks answers a CatchupRequest, on both kinds of node, with the run
 // of kept blocks above the asked height, at most maxCatchupBlocks. When the
-// requester's next block, or a bundle it references, is no longer held
-// here, the run starts above a snapshot anchor the answer carries (see
-// findAnchor), from which the requester replays; failing that, the answer
-// is the head alone.
+// requester's next bodies are no longer held here, the run starts above a
+// snapshot anchor the answer carries, from which the requester replays: the
+// kept block one above the lowest, which sits on the pruning edge and leaves
+// it before the requester's first bundle pull arrives one round trip later.
+// Above the head, the answer is the head alone.
 func (c *Catchup) ServeBlocks(from wire.NodeID, req *CatchupRequest) {
-	head := c.own.Head()
+	head, _ := c.mp.Head()
 	resp := &CatchupResponse{Head: head}
 	start := req.Height
-	if !c.servableFrom(start, head) {
-		if resp.Anchor = c.findAnchor(start, head); resp.Anchor == nil {
-			c.ctx.Send(from, resp)
-			return
-		}
+	if start < head && !c.servable(start) {
+		low := max(start+1, c.mp.blocks[0].Height)
+		resp.Anchor = c.mp.Block(min(low+1, head))
 		start = resp.Anchor.Height
 	}
 	for h := start + 1; h <= head && len(resp.Blocks) < maxCatchupBlocks; h++ {
-		blk := c.retained(h)
-		if blk == nil {
-			break
-		}
-		resp.Blocks = append(resp.Blocks, blk)
+		resp.Blocks = append(resp.Blocks, c.mp.Block(h))
 	}
 	c.ctx.Send(from, resp)
 }
 
-// servableFrom reports whether this node holds the block run above height
-// s and every bundle it references: block s+1 is kept, and the cuts at s
-// are not below the pruning bases.
-func (c *Catchup) servableFrom(s, head uint64) bool {
-	cuts := ZeroCuts(c.mp.params.NC)
+// servable reports whether the blocks above s are kept here with every
+// bundle they reference: block s is kept, or s is the genesis, block 1 is
+// kept and no chain is pruned.
+func (c *Catchup) servable(s uint64) bool {
 	if s > 0 {
-		blk := c.retained(s)
-		if blk == nil {
-			return s == head // nothing above the head to serve; below it, block s is gone
-		}
-		cuts = blk.CutHeights()
+		return c.mp.Block(s) != nil
 	}
-	return (s == head || c.retained(s+1) != nil) && c.cutsHeld(cuts)
-}
-
-// findAnchor returns a kept block above s that this node can serve a
-// complete bundle suffix for, or nil. The lowest such block sits on the
-// pruning edge, which moves past it before the requester's first bundle
-// pull arrives one round trip later, so the anchor is the block one above
-// it when there is one.
-func (c *Catchup) findAnchor(s, head uint64) *PredisBlock {
-	for h := s + 1; h <= head; h++ {
-		if blk := c.retained(h); blk != nil && c.cutsHeld(blk.CutHeights()) {
-			if next := c.retained(h + 1); next != nil {
-				return next
-			}
-			return blk
-		}
-	}
-	return nil
-}
-
-// cutsHeld reports whether no chain is pruned past its cut in cuts.
-func (c *Catchup) cutsHeld(cuts []uint64) bool {
-	for i, base := range c.mp.Bases() {
-		if i < len(cuts) && cuts[i] < base {
-			return false
-		}
-	}
-	return true
+	return c.mp.Block(1) != nil && !slices.ContainsFunc(c.mp.Bases(), func(base uint64) bool { return base > 0 })
 }

@@ -50,12 +50,12 @@ func (c *fakeCtx) Rand() *rand.Rand {
 }
 
 // catchupRig is one Catchup on a fake context, n_c = 3f+1, whose owner
-// records what it is handed.
+// records what it is handed; its head is its mempool's.
 type catchupRig struct {
 	ctx     *fakeCtx
 	c       *Catchup
+	mp      *Mempool
 	suite   *crypto.SignerSuite
-	head    uint64
 	applied []*PredisBlock
 	anchors []*PredisBlock
 }
@@ -67,19 +67,31 @@ func newCatchupRig(t *testing.T, f int, peers []wire.NodeID, k int) *catchupRig 
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &catchupRig{ctx: &fakeCtx{rng: rand.New(rand.NewSource(1))}, suite: suite}
+	r := &catchupRig{ctx: &fakeCtx{rng: rand.New(rand.NewSource(1))}, mp: mp, suite: suite}
 	r.c = NewCatchup(mp, env.DefaultBackoff(10*time.Millisecond), CatchupOwner{
 		Peers: peers,
 		K:     k,
-		Head:  func() uint64 { return r.head },
 		Apply: func(_ wire.NodeID, blocks []*PredisBlock) { r.applied = append(r.applied, blocks...) },
 		Anchor: func(a *PredisBlock) {
 			r.anchors = append(r.anchors, a)
-			r.head = a.Height
+			mp.FastForward(a)
 		},
 	})
 	r.c.Start(r.ctx)
 	return r
+}
+
+// head is the rig's head height.
+func (r *catchupRig) head() uint64 {
+	h, _ := r.mp.Head()
+	return h
+}
+
+// setHead moves the rig's head up to height through an anchor.
+func (r *catchupRig) setHead(height uint64) {
+	if height > 0 {
+		r.mp.FastForward(r.block(height, 0))
+	}
 }
 
 // block is a block at height signed by leader 1; salt tells blocks apart.
@@ -131,14 +143,14 @@ func TestCatchupAnchorsNeedK(t *testing.T) {
 	}
 	r.c.Answered(2, &CatchupResponse{Head: 9, Anchor: a})
 	r.c.Answered(3, &CatchupResponse{Head: 9, Anchor: a})
-	if len(r.anchors) != 1 || r.anchors[0] != a || r.head != 7 {
-		t.Fatalf("two matching anchors: adopted %v, head %d; want the anchor once, head 7", r.anchors, r.head)
+	if len(r.anchors) != 1 || r.anchors[0] != a || r.head() != 7 {
+		t.Fatalf("two matching anchors: adopted %v, head %d; want the anchor once, head 7", r.anchors, r.head())
 	}
 
 	r = newCatchupRig(t, 1, []wire.NodeID{1, 2, 3}, 2)
 	r.c.Answered(1, &CatchupResponse{Head: 9, Anchor: r.block(7, 0)})
 	r.c.Answered(2, &CatchupResponse{Head: 9, Anchor: r.block(7, 1)})
-	if len(r.anchors) != 0 || r.head != 0 {
+	if len(r.anchors) != 0 || r.head() != 0 {
 		t.Fatalf("two differing anchors: adopted %v", r.anchors)
 	}
 }
@@ -243,7 +255,7 @@ func TestCatchupCompletionMatchesParentRules(t *testing.T) {
 		// Consensus node: one claim per answering peer, k = f+1 = 2.
 		r := newCatchupRig(t, 1, []wire.NodeID{1, 2, 3}, 2)
 		r.c.Begin()
-		r.head = head
+		r.setHead(head)
 		agree := 0
 		var claims []uint64
 		for _, peer := range []wire.NodeID{1, 2, 3} {
@@ -265,7 +277,7 @@ func TestCatchupCompletionMatchesParentRules(t *testing.T) {
 		// parent's target started at the head, which only grows.
 		r = newCatchupRig(t, 1, []wire.NodeID{101, 102, 103}, 1)
 		r.c.Begin()
-		r.head = head
+		r.setHead(head)
 		target := uint64(rng.Intn(int(head) + 1))
 		claims = claims[:0]
 		for n := 1 + rng.Intn(5); n > 0; n-- {

@@ -85,6 +85,12 @@ type Mempool struct {
 	// chain (including cascaded out-of-order arrivals). Multi-Zone's
 	// distributor ships stripes from this hook.
 	onLink func(*Bundle)
+
+	// The committed chain (see Commit): the kept blocks, ascending and
+	// contiguous, ending at the head; the head's hash; headCuts' scratch.
+	blocks   []*PredisBlock
+	headHash crypto.Hash
+	prev     []uint64
 }
 
 // SetOnLink installs the bundle-linked observer; pass nil to clear.
@@ -364,20 +370,105 @@ func (m *Mempool) Bases() []uint64 {
 	return out
 }
 
-// FastForward advances the chains to a snapshot cut. For every producer
-// whose cut lies beyond the locally held tip, the chain resets to an
-// empty pruned state at the cut (base = confirmed = cut); chains already
-// at or past the cut are only marked confirmed. A node whose downtime
-// exceeded its peers' bundle retention uses this to resume from a recent
-// block's cut heights instead of replaying bodies the network no longer
-// holds (§III-D pruning: confirmed bundles eventually leave every hot
-// store, exactly like a pruning full node's history gap).
-func (m *Mempool) FastForward(cuts []uint64) {
-	for i, c := range m.chains {
-		if i >= len(cuts) {
-			break
+// Head returns the committed head's height and hash: the last block
+// committed or adopted (0 and the zero hash before the first).
+func (m *Mempool) Head() (uint64, crypto.Hash) {
+	if len(m.blocks) == 0 {
+		return 0, crypto.ZeroHash
+	}
+	return m.blocks[len(m.blocks)-1].Height, m.headHash
+}
+
+// Block returns the kept committed block at height, or nil. A block is kept
+// while none of its cuts is below its chain's pruning base, so the bundles
+// its successors reference are held; the head is always kept.
+func (m *Mempool) Block(height uint64) *PredisBlock {
+	if len(m.blocks) == 0 || height < m.blocks[0].Height {
+		return nil
+	}
+	if i := height - m.blocks[0].Height; i < uint64(len(m.blocks)) {
+		return m.blocks[i]
+	}
+	return nil
+}
+
+// headCuts returns the head's cuts, the confirmed heights, in a scratch
+// slice that the next call overwrites.
+func (m *Mempool) headCuts() []uint64 {
+	m.prev = m.prev[:0]
+	for _, c := range m.chains {
+		m.prev = append(m.prev, c.confirmed)
+	}
+	return m.prev
+}
+
+// ValidateNext runs ValidatePredisBlock for blk as the block after the head.
+func (m *Mempool) ValidateNext(blk *PredisBlock) ([]MissingRange, error) {
+	return m.ValidatePredisBlock(blk, m.headHash, m.headCuts())
+}
+
+// Commit applies the next committed block, which must extend the head. It
+// returns the bundles the block newly confirms, in (chain, height) order
+// (nil when some are not held), and releases their stripe sets, whose
+// stripes have shipped. The chains advance to the block's cuts and prune,
+// the block becomes the head, and kept blocks leave from the front while
+// any of their cuts is below its chain's pruning base.
+func (m *Mempool) Commit(blk *PredisBlock) ([]*Bundle, error) {
+	if height, hash := m.Head(); blk.Height != height+1 || blk.Parent != hash {
+		return nil, fmt.Errorf("%w: block %d does not extend head %d", ErrBlockParent, blk.Height, height)
+	}
+	bundles := m.blockBundles(blk, m.headCuts())
+	for _, b := range bundles {
+		b.SetStripeCache(nil)
+	}
+	for i, c := range blk.Cuts {
+		ch := m.chains[i]
+		if c.Height <= ch.confirmed {
+			continue
 		}
-		cut := cuts[i]
+		for h := ch.confirmed + 1; h <= c.Height; h++ {
+			if b := ch.at(h); b != nil && b.Header.TxCount > 0 {
+				m.liveTxBundles--
+			}
+		}
+		m.MarkConfirmed(wire.NodeID(i), c.Height)
+	}
+	m.blocks = append(m.blocks, blk)
+	m.headHash = blk.Hash()
+	drop := 0
+	for drop < len(m.blocks)-1 && !m.holds(m.blocks[drop]) {
+		drop++
+	}
+	clear(m.blocks[:drop])
+	m.blocks = m.blocks[drop:]
+	return bundles, nil
+}
+
+// holds reports whether no chain is pruned past its cut in blk.
+func (m *Mempool) holds(blk *PredisBlock) bool {
+	for i, c := range blk.Cuts {
+		if c.Height < m.chains[i].base {
+			return false
+		}
+	}
+	return true
+}
+
+// FastForward adopts a snapshot anchor above the head: it becomes the head
+// and the only kept block. For every producer whose cut lies beyond the
+// locally held tip, the chain resets to an empty pruned state at the cut
+// (base = confirmed = cut); chains already at or past the cut are only
+// marked confirmed. A node whose downtime exceeded its peers' bundle
+// retention uses this to resume from a recent block's cuts instead of
+// replaying bodies the network no longer holds (§III-D pruning: confirmed
+// bundles eventually leave every hot store, exactly like a pruning full
+// node's history gap).
+func (m *Mempool) FastForward(anchor *PredisBlock) {
+	if height, _ := m.Head(); anchor.Height <= height || len(anchor.Cuts) != len(m.chains) {
+		return
+	}
+	for i, c := range m.chains {
+		cut := anchor.Cuts[i].Height
 		if cut > c.tip() {
 			// Unconfirmed payload bundles being skipped leave the pending
 			// count (banned chains were already discounted by Ban).
@@ -400,6 +491,9 @@ func (m *Mempool) FastForward(cuts []uint64) {
 			c.confirmed = cut
 		}
 	}
+	clear(m.blocks)
+	m.blocks = append(m.blocks[:0], anchor)
+	m.headHash = anchor.Hash()
 }
 
 // Range returns the bundles (from, to] on a chain if all are present,

@@ -115,9 +115,6 @@ type Predis struct {
 	sealed    bool
 	sealLater func()
 
-	lastHeight    uint64
-	lastBlockHash crypto.Hash
-
 	// fetch asks for the bundles this node misses (fetch.go).
 	fetch *FetchPlane
 	// retry is the shared backoff policy for missing-bundle fetches and
@@ -195,9 +192,12 @@ func (p *Predis) PullStats() (requests, bundles, suppressed, retries uint64) {
 // QueueLen returns the number of transactions awaiting bundling.
 func (p *Predis) QueueLen() int { return len(p.queue) }
 
-// LastHeight returns the last applied consensus height (via engine commit
-// or catch-up replay).
-func (p *Predis) LastHeight() uint64 { return p.lastHeight }
+// LastHeight returns the height of the mempool's committed head (an engine
+// commit, a catch-up replay or an adopted anchor).
+func (p *Predis) LastHeight() uint64 {
+	head, _ := p.mp.Head()
+	return head
+}
 
 // Start arms the bundle production timer.
 func (p *Predis) Start(ctx env.Context) {
@@ -561,35 +561,28 @@ func (p *Predis) OnCommit(height uint64, payload wire.Message) {
 		p.ctx.Logf("predis: commit with payload %T", payload)
 		return
 	}
-	if height <= p.lastHeight {
+	if head, _ := p.mp.Head(); height <= head {
 		// Already applied (catch-up can race a commit quorum that finished
 		// while we were replaying); commits are idempotent by height.
 		return
 	}
-	if height != p.lastHeight+1 {
-		p.ctx.Logf("predis: commit height %d, expected %d", height, p.lastHeight+1)
-	}
-	p.commitBlock(height, blk)
+	p.commitBlock(blk)
 	p.poke()
 }
 
-// commitBlock applies one committed block: the shared tail of the engine
-// commit path and the catch-up replay path. A committed bundle's stripes
-// have shipped, so its stripe-set memo goes here rather than at pruning,
-// KeepConfirmed heights later.
-func (p *Predis) commitBlock(height uint64, blk *PredisBlock) {
-	bundles := p.mp.BlockBundles(blk, p.mp.Confirmed())
-	for _, b := range bundles {
-		b.SetStripeCache(nil)
+// commitBlock applies one committed block through the mempool, which
+// refuses a block that does not extend its head: the shared tail of the
+// engine commit path and the catch-up replay path.
+func (p *Predis) commitBlock(blk *PredisBlock) {
+	bundles, err := p.mp.Commit(blk)
+	if err != nil {
+		p.ctx.Logf("predis: commit refused: %v", err)
+		return
 	}
 	txs := BlockTxs(bundles)
-	p.mp.ApplyCommit(blk)
-	p.lastHeight = height
-	p.lastBlockHash = blk.Hash()
 	p.txsCommitted += uint64(len(txs))
 	p.mTxsCommitted.Add(uint64(len(txs)))
-	p.catchup.Retain(blk)
 	if p.opts.OnCommit != nil {
-		p.opts.OnCommit(CommitInfo{Height: height, Block: blk, Txs: txs})
+		p.opts.OnCommit(CommitInfo{Height: blk.Height, Block: blk, Txs: txs})
 	}
 }

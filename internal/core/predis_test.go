@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -238,7 +240,7 @@ func TestPredisHeartbeatBundlesDriveTips(t *testing.T) {
 		t.Fatal("chain 0 cannot be cut: tip exchange never happened")
 	}
 	// The network must quiesce once nothing is left to confirm: after one
-	// commit-equivalent (ApplyCommit), heartbeats stop.
+	// commit-equivalent (Commit), heartbeats stop.
 	blk, ok := pn.peers[0].Mempool().BuildPredisBlock(1, crypto.ZeroHash, ZeroCuts(4), 0)
 	if !ok {
 		t.Fatal("no block to build")
@@ -270,5 +272,39 @@ func TestPredisSilentFaultProducesNothing(t *testing.T) {
 		if pn.peers[i].Mempool().Tips()[0] != 0 {
 			t.Fatalf("node %d received bundles from the silent node", i)
 		}
+	}
+}
+
+// TestCommitRefusesGap: a committed block must extend the head. One that
+// skips a height is refused and logged, and commits nothing; the missing
+// block, then the refused one, apply in order.
+func TestCommitRefusesGap(t *testing.T) {
+	suite := crypto.NewSimSuite(4, 23)
+	p, err := NewPredis(Options{
+		Params: Params{NC: 4, F: 1, BundleSize: 10, BundleInterval: 10 * time.Millisecond, Signer: suite.Signer(0)},
+		Peers:  []wire.NodeID{0, 1, 2, 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &recCtx{fakeCtx: fakeCtx{rng: rand.New(rand.NewSource(1))}}
+	p.Start(ctx)
+	var blocks []*PredisBlock
+	var parent crypto.Hash
+	for h := uint64(1); h <= 3; h++ {
+		blk := &PredisBlock{Height: h, Parent: parent, Leader: 1, Cuts: make([]Cut, 4)}
+		blk.Sig = suite.Signer(1).Sign(blk.Hash())
+		blocks = append(blocks, blk)
+		parent = blk.Hash()
+	}
+	p.OnCommit(1, blocks[0])
+	p.OnCommit(3, blocks[2])
+	if p.LastHeight() != 1 || len(ctx.logs) != 1 || !strings.Contains(ctx.logs[0], "commit refused") {
+		t.Fatalf("block 3 over head 1: head %d, logs %q; want head 1 and one refusal", p.LastHeight(), ctx.logs)
+	}
+	p.OnCommit(2, blocks[1])
+	p.OnCommit(3, blocks[2])
+	if height, hash := p.Mempool().Head(); height != 3 || hash != blocks[2].Hash() || len(ctx.logs) != 1 {
+		t.Fatalf("head %d after blocks 2 and 3, logs %q; want 3", height, ctx.logs)
 	}
 }

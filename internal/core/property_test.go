@@ -245,9 +245,13 @@ func TestQuickPruningMatchesReference(t *testing.T) {
 				if cut > ref.tip() { // the chain restarts above a gap: any parent links
 					tail = &BundleHeader{Producer: 0, Height: cut, Tips: make(TipList, nc)}
 				}
-				cuts := mp.Confirmed()
-				cuts[0] = cut
-				mp.FastForward(cuts)
+				head, _ := mp.Head()
+				anchor := &PredisBlock{Height: head + 1, Cuts: make([]Cut, nc)}
+				for i, h := range mp.Confirmed() {
+					anchor.Cuts[i].Height = h
+				}
+				anchor.Cuts[0].Height = cut
+				mp.FastForward(anchor)
 				ref.fastForward(cut)
 			}
 			if c.tip() != ref.tip() || c.base != ref.base || c.confirmed != ref.confirmed ||

@@ -20,7 +20,6 @@ func (p *Predis) catchupOwner() CatchupOwner {
 	return CatchupOwner{
 		Peers:  CatchupPeers(p.opts.Self, nil, p.opts.Peers),
 		K:      p.mp.params.F + 1,
-		Head:   func() uint64 { return p.lastHeight },
 		Apply:  func(wire.NodeID, []*PredisBlock) { p.advanceCatchup() },
 		Anchor: p.adoptAnchor,
 	}
@@ -54,8 +53,8 @@ func (p *Predis) StartCatchup() { p.catchup.Begin() }
 // whenever a missing bundle arrives, so a block whose bodies were
 // pruned-and-refetched resumes automatically.
 func (p *Predis) advanceCatchup() {
-	for blk := p.catchup.Adopted(p.lastHeight + 1); blk != nil; blk = p.catchup.Adopted(p.lastHeight + 1) {
-		if missing, err := p.mp.ValidatePredisBlock(blk, p.lastBlockHash, p.mp.Confirmed()); err != nil {
+	for blk := p.catchup.Adopted(p.LastHeight() + 1); blk != nil; blk = p.catchup.Adopted(p.LastHeight() + 1) {
+		if missing, err := p.mp.ValidateNext(blk); err != nil {
 			// Bodies missing: resume from onBundle once they arrive. (f+1
 			// vouchers include an honest one, so no other error can occur
 			// short of a diverged state.)
@@ -64,7 +63,7 @@ func (p *Predis) advanceCatchup() {
 			}
 			return
 		}
-		p.commitBlock(blk.Height, blk)
+		p.commitBlock(blk)
 		if ff, ok := p.engine.(consensus.FastForwarder); ok {
 			ff.FastForward(blk.Height, blk)
 		}
@@ -80,9 +79,8 @@ func (p *Predis) advanceCatchup() {
 // with it. What was being fetched is pruned too.
 func (p *Predis) adoptAnchor(anchor *PredisBlock) {
 	p.ctx.Logf("predis: node %d skip-syncs %d → %d (bundle retention exceeded)",
-		p.opts.Self, p.lastHeight, anchor.Height)
-	p.mp.FastForward(anchor.CutHeights())
-	p.lastHeight, p.lastBlockHash = anchor.Height, anchor.Hash()
+		p.opts.Self, p.LastHeight(), anchor.Height)
+	p.mp.FastForward(anchor)
 	p.fetch.Reset()
 	if ff, ok := p.engine.(consensus.FastForwarder); ok {
 		ff.FastForward(anchor.Height, anchor)

@@ -34,10 +34,7 @@ type blockSource struct {
 
 	peers []wire.NodeID
 
-	txSeq      uint64
-	lastCuts   []uint64
-	lastHash   crypto.Hash
-	lastHeight uint64
+	txSeq uint64
 }
 
 var _ env.Handler = (*blockSource)(nil)
@@ -52,10 +49,9 @@ func newBlockSource(cfg blockSourceConfig) (*blockSource, error) {
 		return nil, err
 	}
 	s := &blockSource{
-		cfg:      cfg,
-		mp:       mp,
-		dist:     multizone.NewDistributor(cfg.self, cfg.striper),
-		lastCuts: core.ZeroCuts(cfg.nc),
+		cfg:  cfg,
+		mp:   mp,
+		dist: multizone.NewDistributor(cfg.self, cfg.striper),
 	}
 	for i := 0; i < cfg.nc; i++ {
 		if wire.NodeID(i) != cfg.self {
@@ -82,7 +78,7 @@ func (s *blockSource) Receive(from wire.NodeID, m wire.Message) {
 	case *core.BundleRequest:
 		core.ServeBundles(s.ctx, s.mp, from, msg)
 	case *multizone.ZoneBlock:
-		s.applyBlock(msg.Block)
+		s.commit(msg.Block)
 		s.dist.OnBlockCommit(msg.Block)
 	default:
 		s.dist.Receive(from, m)
@@ -110,25 +106,23 @@ func (s *blockSource) ProduceBundle() {
 	env.Multicast(s.ctx, s.peers, &core.BundleMsg{Bundle: b})
 }
 
-// BuildBlock cuts the chains and signs a Predis block (leader only).
+// BuildBlock cuts the chains above the committed head and signs a Predis
+// block (leader only).
 func (s *blockSource) BuildBlock() (*core.PredisBlock, bool) {
-	return s.mp.BuildPredisBlock(s.lastHeight+1, s.lastHash, s.lastCuts, s.cfg.self)
+	height, hash := s.mp.Head()
+	return s.mp.BuildPredisBlock(height+1, hash, s.mp.Confirmed(), s.cfg.self)
 }
 
 // PublishBlock applies the block locally, forwards it to the other
 // sources, and pushes it to this source's subscribers.
 func (s *blockSource) PublishBlock(blk *core.PredisBlock) {
-	s.applyBlock(blk)
+	s.commit(blk)
 	env.Multicast(s.ctx, s.peers, &multizone.ZoneBlock{Block: blk})
 	s.dist.OnBlockCommit(blk)
 }
 
-func (s *blockSource) applyBlock(blk *core.PredisBlock) {
-	if blk.Height != s.lastHeight+1 {
-		return
+func (s *blockSource) commit(blk *core.PredisBlock) {
+	if _, err := s.mp.Commit(blk); err != nil {
+		s.ctx.Logf("source: commit refused: %v", err)
 	}
-	s.mp.ApplyCommit(blk)
-	s.lastCuts = blk.CutHeights()
-	s.lastHash = blk.Hash()
-	s.lastHeight = blk.Height
 }

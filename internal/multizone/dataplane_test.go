@@ -385,3 +385,40 @@ func TestOrphanReferenceFloodCapped(t *testing.T) {
 		}
 	}
 }
+
+// TestLateDuplicateBlockDropped: once the head has passed block h by more
+// than 128 heights and the sweep has run, a valid copy of block h is
+// neither forwarded down the subscription tree nor kept pending — it is at
+// or below the head, so the node has it already.
+func TestLateDuplicateBlockDropped(t *testing.T) {
+	r := newRelayRig(t, 0)
+	fn := r.fn
+	forwarded := 0
+	r.net.OnDeliver = func(_, to wire.NodeID, m wire.Message, _ time.Time) {
+		if _, ok := m.(*ZoneBlock); ok && to >= 300 {
+			forwarded++
+		}
+	}
+	var blocks []*core.PredisBlock
+	var parent crypto.Hash
+	const head = 130
+	for h := uint64(1); h <= head; h++ { // empty blocks: each completes on arrival
+		blk := &core.PredisBlock{Height: h, Parent: parent, Leader: 1, Cuts: make([]core.Cut, 4)}
+		blk.Sig = r.suite.Signer(1).Sign(blk.Hash())
+		blocks = append(blocks, blk)
+		parent = blk.Hash()
+		fn.Receive(1, &ZoneBlock{Block: blk})
+	}
+	r.drain()
+	if fn.LastHeight() != head || forwarded != 2*head {
+		t.Fatalf("head %d after %d blocks, %d forwards; want %d and %d", fn.LastHeight(), head, forwarded, head, 2*head)
+	}
+	fn.sweepDataPlane()
+	forwarded = 0
+	fn.Receive(1, &ZoneBlock{Block: blocks[0]})
+	r.drain()
+	if forwarded != 0 || len(fn.pendBlocks) != 0 {
+		t.Fatalf("a late copy of block 1 at head %d: forwarded %d times, %d blocks pending; want neither",
+			fn.LastHeight(), forwarded, len(fn.pendBlocks))
+	}
+}

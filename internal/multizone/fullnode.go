@@ -206,11 +206,8 @@ type FullNode struct {
 	// slice kept); headerless[i] counts producer i's header-less entries.
 	freePartials []*partialBundle
 	headerless   []int
-	// Block plane.
-	lastCuts   []uint64
-	lastBlock  crypto.Hash
-	lastHeight uint64
-	seenBlocks map[crypto.Hash]uint64 // block hash → height, pruned as the chain advances
+	// Block plane; the committed head is the mempool's.
+	seenBlocks map[crypto.Hash]uint64 // block hash → height, for blocks above the head
 	pendBlocks []*core.PredisBlock    // completable once bundles arrive, in arrival order
 	fetch      *core.FetchPlane       // asks for bundles stripes did not bring (see holders)
 	catchup    *core.Catchup          // recovers missed blocks, serves peers' (recovery.go)
@@ -272,7 +269,6 @@ func NewFullNode(cfg FullNodeConfig) (*FullNode, error) {
 		lastSeen:     make(map[wire.NodeID]time.Time),
 		offenses:     make(map[wire.NodeID]int),
 		quarantined:  make(map[wire.NodeID]time.Time),
-		lastCuts:     core.ZeroCuts(c.NC),
 	}
 	f.fetch = core.NewFetchPlane(mp, f.retry, f.holders)
 	f.catchup = core.NewCatchup(mp, f.retry, f.catchupOwner())
@@ -321,8 +317,12 @@ func (f *FullNode) PullStats() (requests, bundles, suppressed, retries uint64) {
 // ID returns this node's wire identity.
 func (f *FullNode) ID() wire.NodeID { return f.cfg.Self }
 
-// LastHeight returns the height of the last completed block.
-func (f *FullNode) LastHeight() uint64 { return f.lastHeight }
+// LastHeight returns the height of the last completed block (or adopted
+// anchor): the mempool's committed head.
+func (f *FullNode) LastHeight() uint64 {
+	head, _ := f.mp.Head()
+	return head
+}
 
 // Mempool exposes the node's bundle store (read-only use).
 func (f *FullNode) Mempool() *core.Mempool { return f.mp }

@@ -276,6 +276,10 @@ func (f *FullNode) storeBundle(b *core.Bundle, verify bool) bool {
 // onBlock handles a Predis block arriving over the relayer tree: verify,
 // forward, and complete once every referenced bundle is locally held.
 func (f *FullNode) onBlock(from wire.NodeID, blk *core.PredisBlock) {
+	head := f.LastHeight()
+	if blk.Height <= head {
+		return // completed here already, or off the committed chain
+	}
 	h := blk.Hash()
 	if _, seen := f.seenBlocks[h]; seen {
 		return
@@ -290,7 +294,7 @@ func (f *FullNode) onBlock(from wire.NodeID, blk *core.PredisBlock) {
 	// late join, or lost stripes): back-fill the gap immediately instead
 	// of waiting for the periodic digest, which a zone without backup
 	// peers never even sends.
-	if blk.Height > f.lastHeight+1 {
+	if blk.Height > head+1 {
 		f.StartCatchup()
 		f.catchup.Claim(from, blk.Height-1)
 	}
@@ -319,21 +323,19 @@ func (f *FullNode) tryCompleteBlocks() {
 			if blk == nil {
 				continue
 			}
-			if blk.Parent != f.lastBlock {
+			if _, head := f.mp.Head(); blk.Parent != head {
 				continue // must complete the parent first
 			}
-			missing, err := f.mp.ValidatePredisBlock(blk, f.lastBlock, f.lastCuts)
+			missing, err := f.mp.ValidateNext(blk)
+			var bundles []*core.Bundle
+			if err == nil {
+				bundles, err = f.mp.Commit(blk)
+			}
 			switch {
 			case err == nil:
-				bundles := f.mp.BlockBundles(blk, f.lastCuts)
 				txs := core.BlockTxs(bundles)
-				f.mp.ApplyCommit(blk)
-				f.lastCuts = blk.CutHeights()
-				f.lastBlock = blk.Hash()
-				f.lastHeight = blk.Height
 				f.blocks++
 				f.pendBlocks[i] = nil
-				f.catchup.Retain(blk)
 				progress = true
 				// Execute before persisting so the ledger entry commits
 				// to the post-block account state, not just the ordering.
@@ -487,7 +489,7 @@ func (f *FullNode) holders(producer, first, avoid wire.NodeID) []wire.NodeID {
 // armDigest exchanges ledger digests over backup connections (§IV-F).
 func (f *FullNode) armDigest() {
 	f.digestTimer = f.ctx.After(f.cfg.DigestInterval, func() {
-		d := &BlockDigest{Height: f.lastHeight, Tips: f.mp.Tips()}
+		d := &BlockDigest{Height: f.LastHeight(), Tips: f.mp.Tips()}
 		for _, p := range f.cfg.BackupPeers {
 			f.ctx.Send(p, d)
 		}
@@ -505,7 +507,7 @@ func (f *FullNode) onDigest(from wire.NodeID, m *BlockDigest) {
 		}
 		f.fetch.Need(wire.NodeID(i), remote, from, wire.NoNode)
 	}
-	if m.Height > f.lastHeight {
+	if m.Height > f.LastHeight() {
 		f.catchup.Ask(from)
 	}
 }
@@ -515,8 +517,8 @@ func (f *FullNode) onDigest(from wire.NodeID, m *BlockDigest) {
 // a bundle that arrived by pull leaves its partial short of n_c−f stripes
 // for good — as do header-less partials no carrier came for within
 // staleAfter (their heights are unauthenticated claims, so the confirmed
-// height alone would not bound them); ancient block-hash entries age out
-// once the chain moves past them.
+// height alone would not bound them); block-hash entries go once the head
+// reaches them, since onBlock drops what is at or below the head anyway.
 func (f *FullNode) sweepDataPlane() {
 	now := f.ctx.Now()
 	var swept []crypto.Hash
@@ -528,13 +530,10 @@ func (f *FullNode) sweepDataPlane() {
 	if len(swept) > 0 {
 		f.dropPartials(swept...)
 	}
-	const keepBlocks = 128
-	if f.lastHeight > keepBlocks {
-		floor := f.lastHeight - keepBlocks
-		for h, height := range f.seenBlocks {
-			if height < floor {
-				delete(f.seenBlocks, h)
-			}
+	head := f.LastHeight()
+	for h, height := range f.seenBlocks {
+		if height <= head {
+			delete(f.seenBlocks, h)
 		}
 	}
 }

@@ -205,24 +205,11 @@ func (m *Subscribe) WireSize() int { return wire.FrameOverhead + 4 + len(m.Strip
 // EncodeBody implements wire.Message.
 func (m *Subscribe) EncodeBody(e *wire.Encoder) { encodeStripeList(e, m.Stripes) }
 
-func encodeStripeList(e *wire.Encoder, ss []uint8) {
-	e.U32(uint32(len(ss)))
-	for _, s := range ss {
-		e.U8(s)
-	}
-}
+// A stripe list is a length-prefixed byte string; a list longer than the
+// frame fails the decode rather than reading as empty.
+func encodeStripeList(e *wire.Encoder, ss []uint8) { e.VarBytes(ss) }
 
-func decodeStripeList(d *wire.Decoder) []uint8 {
-	n := int(d.U32())
-	if d.Err() != nil || n > d.Remaining() {
-		return nil
-	}
-	out := make([]uint8, n)
-	for i := range out {
-		out[i] = d.U8()
-	}
-	return out
-}
+func decodeStripeList(d *wire.Decoder) []uint8 { return d.VarBytes() }
 
 func decodeSubscribe(d *wire.Decoder) (wire.Message, error) {
 	m := &Subscribe{Stripes: decodeStripeList(d)}

@@ -30,7 +30,6 @@ func (f *FullNode) catchupOwner() core.CatchupOwner {
 	return core.CatchupOwner{
 		Peers:  core.CatchupPeers(f.cfg.Self, f.cfg.BackupPeers, f.cfg.ZonePeers),
 		K:      1,
-		Head:   func() uint64 { return f.lastHeight },
 		Apply:  f.applyCaughtUp,
 		Anchor: f.adoptAnchor,
 	}
@@ -113,14 +112,9 @@ func (f *FullNode) applyCaughtUp(from wire.NodeID, blocks []*core.PredisBlock) {
 // and every subsequent block must chain from it and validate, so a bogus
 // anchor dead-ends instead of forking us silently.
 func (f *FullNode) adoptAnchor(anchor *core.PredisBlock) {
-	h := anchor.Hash()
 	f.ctx.Logf("multizone: node %d skip-syncs %d → %d (bundle retention exceeded)",
-		f.cfg.Self, f.lastHeight, anchor.Height)
-	f.mp.FastForward(anchor.CutHeights())
-	f.lastCuts = anchor.CutHeights()
-	f.lastBlock = h
-	f.lastHeight = anchor.Height
-	f.seenBlocks[h] = anchor.Height
+		f.cfg.Self, f.LastHeight(), anchor.Height)
+	f.mp.FastForward(anchor)
 	// Blocks pending below the anchor can never complete anymore, and what
 	// was being fetched is pruned: the needs above the anchor are stated
 	// afresh — at once, and to the peer that served it, because the anchor
