@@ -93,10 +93,16 @@ smoke_fuzz = go test ./internal/wire/ -run '^$$' -fuzz FuzzUnmarshal -fuzztime 1
 smoke_scale = go build -o bin/predis-bench ./cmd/predis-bench \
 	&& timeout 60 ./bin/predis-bench -quick -parallel 4 scale >/dev/null
 
-# examples: the narrated failure scenarios (partition, leader crash,
-# relayer outage, corrupting relayer) assert internally and exit non-zero on
-# a violation; scenario 3's skip-sync anchor is sensitive to pull timing.
-smoke_examples = go run ./examples/faults >/dev/null
+# examples: every example runs and checks its own outcome, exiting non-zero
+# on a violation: quickstart when nothing confirms, bank unless all replicas
+# agree on the balances, multizone when a full node completes no block, and
+# faults' narrated scenarios (partition, leader crash, relayer outage,
+# corrupting relayer) assert internally; scenario 3's skip-sync anchor is
+# sensitive to pull timing.
+smoke_examples = go run ./examples/quickstart >/dev/null \
+	&& go run ./examples/bank >/dev/null \
+	&& go run ./examples/multizone >/dev/null \
+	&& go run ./examples/faults >/dev/null
 
 smoke:
 	@mkdir -p bin

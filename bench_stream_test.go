@@ -29,10 +29,7 @@ func benchStreamPoint(b *testing.B, stream bool) {
 		Seed:           1,
 		BundleInterval: 50 * time.Millisecond,
 	}
-	if stream {
-		spec.Stream = true
-		spec.Pipeline = 16
-	}
+	spec.Stream = stream
 	var mean time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -17,8 +17,9 @@
 // deterministic while its machine-cost table (wall-clock, peak RSS) is
 // inherently host-dependent, so scale does not participate in -replay.
 // The latfloor experiment contrasts block-granularity commit with
-// streaming commit (-mode stream elsewhere) on the same P-PBFT
-// deployment; see EXPERIMENTS.md "Latency floor".
+// streaming commit on the same P-PBFT deployment; see EXPERIMENTS.md
+// "Latency floor". -mode stream switches quickstart alone to streaming
+// commit, and any other experiment exits 2 under it.
 //
 // Observability (experiments that support it: quickstart, recovery):
 //
@@ -42,6 +43,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -76,7 +78,7 @@ func parse(argv []string) (cli, []string, error) {
 	fs.BoolVar(&c.quick, "quick", false, "shrink durations and sweeps (~1 minute total)")
 	fs.Int64Var(&c.seed, "seed", 1, "simulation seed")
 	fs.IntVar(&c.parallel, "parallel", 1, "run up to N independent experiment points concurrently (results are identical to -parallel 1)")
-	fs.StringVar(&c.mode, "mode", "block", "commit mode for mode-aware experiments (quickstart): block = classic block-granularity commit, stream = streaming commit (seal→order→distribute→execute pipelined at bundle granularity); latfloor always contrasts both")
+	fs.StringVar(&c.mode, "mode", "block", "commit mode for "+streamIDs()+": block = classic block-granularity commit, stream = streaming commit (seal→order→distribute→execute pipelined at bundle granularity); latfloor always contrasts both")
 	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile to this file at exit")
 	fs.BoolVar(&c.replay, "replay", false, "print the delivery replay hash for supporting experiments (listed at harness.Options.Replay); identical for any -parallel setting")
@@ -144,6 +146,7 @@ func run(argv []string) int {
 		Stream: c.mode == "stream",
 	}
 
+	var exps []harness.Experiment
 	switch args[0] {
 	case "list":
 		for _, e := range harness.Registry() {
@@ -151,7 +154,7 @@ func run(argv []string) int {
 		}
 		return 0
 	case "all":
-		return runAll(harness.Registry(), opts, c, os.Stderr)
+		exps = harness.Registry()
 	case "run":
 		args = args[1:]
 		if len(args) == 0 {
@@ -161,16 +164,34 @@ func run(argv []string) int {
 		fallthrough
 	default:
 		// Bare experiment ids: `predis-bench -quick quickstart -trace`.
-		exps := make([]harness.Experiment, len(args))
+		exps = make([]harness.Experiment, len(args))
 		for i, id := range args {
 			if exps[i], err = harness.Lookup(id); err != nil {
 				fmt.Fprintln(os.Stderr, "predis-bench:", err)
 				return 2
 			}
 		}
-		return runAll(exps, opts, c, os.Stderr)
 	}
+	if err := checkMode(exps, opts.Stream); err != nil {
+		fmt.Fprintln(os.Stderr, "predis-bench:", err)
+		return 2
+	}
+	return runAll(exps, opts, c, os.Stderr)
 }
+
+// checkMode refuses -mode stream for an experiment it would not switch,
+// instead of printing that experiment's block-mode numbers.
+func checkMode(exps []harness.Experiment, stream bool) error {
+	for _, e := range exps {
+		if stream && !slices.Contains(harness.StreamExperiments, e.ID) {
+			return fmt.Errorf("-mode stream: %s runs block mode only (stream mode: %s)", e.ID, streamIDs())
+		}
+	}
+	return nil
+}
+
+// streamIDs lists the experiments -mode stream applies to.
+func streamIDs() string { return strings.Join(harness.StreamExperiments, ", ") }
 
 // runAll runs the experiments in order. A failure does not hide the
 // experiments after it: each is reported on errw as it happens, the rest
@@ -315,12 +336,12 @@ Flags:
   -parallel N    run up to N experiment points concurrently (wall-clock
                  only; every point owns its own simulation, so results
                  and replay hashes match -parallel 1 exactly)
-  -mode M        block (default) or stream. Stream switches mode-aware
-                 experiments (quickstart) to streaming commit: bundles
-                 seal per transaction and consensus orders bundle-chain
-                 cursor advances; full nodes receive each block at
-                 commit, as in block mode. latfloor contrasts both modes
-                 regardless of -mode.
+  -mode M        block (default) or stream. Stream switches %[1]s
+                 to streaming commit: bundles seal per transaction and
+                 consensus orders bundle-chain cursor advances; full
+                 nodes receive each block at commit, as in block mode.
+                 Any other experiment exits 2 under -mode stream;
+                 latfloor contrasts both modes itself.
   -trace         write Chrome trace-event JSON + stage-latency CSV
   -trace-out P   trace output path (default <id>-trace.json)
   -metrics       write stage/metric/sample/link CSVs
@@ -330,5 +351,5 @@ Flags:
                  identical for any -parallel setting
   -cpuprofile P  write a CPU profile (inspect with go tool pprof)
   -memprofile P  write a heap profile at exit
-`)
+`, streamIDs())
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"predis/internal/harness"
@@ -37,5 +38,33 @@ func TestRunAllContinuesPastFailure(t *testing.T) {
 	errw.Reset()
 	if code := runAll([]harness.Experiment{stub("first", nil), stub("last", nil)}, harness.Options{}, cli{}, &errw); code != 0 || errw.Len() != 0 {
 		t.Errorf("exit code %d and %q with no failure, want 0 and nothing", code, errw.String())
+	}
+}
+
+// TestStreamModeOnlyWhereItApplies: -mode stream used to run every
+// experiment but quickstart in block mode without a word; now it exits 2
+// naming the experiment, before anything runs.
+func TestStreamModeOnlyWhereItApplies(t *testing.T) {
+	for _, id := range harness.StreamExperiments {
+		if _, err := harness.Lookup(id); err != nil {
+			t.Errorf("StreamExperiments names %q: %v", id, err)
+		}
+	}
+	quickstart, _ := harness.Lookup("quickstart")
+	fig4a, _ := harness.Lookup("fig4a")
+	if err := checkMode([]harness.Experiment{quickstart}, true); err != nil {
+		t.Errorf("quickstart -mode stream refused: %v", err)
+	}
+	if err := checkMode([]harness.Experiment{quickstart, fig4a}, false); err != nil {
+		t.Errorf("block mode refused: %v", err)
+	}
+	err := checkMode([]harness.Experiment{quickstart, fig4a}, true)
+	if err == nil || !strings.Contains(err.Error(), "fig4a") {
+		t.Errorf("fig4a -mode stream: %v, want an error naming fig4a", err)
+	}
+	for _, argv := range [][]string{{"-mode", "stream", "fig4a"}, {"-quick", "-mode", "stream", "all"}} {
+		if code := run(argv); code != 2 {
+			t.Errorf("%v exits %d, want 2", argv, code)
+		}
 	}
 }

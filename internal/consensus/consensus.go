@@ -86,6 +86,19 @@ type FastForwarder interface {
 	FastForward(height uint64, payload wire.Message)
 }
 
+// Cadence is an optional Engine extension that says how the engine clocks
+// its blocks. Predis reads it in stream mode: producers seal on a paced
+// engine's proposals, and a proposer drains under a chained one.
+type Cadence interface {
+	// Paced reports whether several instances run at once and the leader
+	// spaces its proposals on a measured gap (pipelined PBFT).
+	Paced() bool
+	// Chained reports whether a block commits only once later blocks
+	// extend it (chained HotStuff), so ordered payload needs follow-up
+	// blocks, empty ones included, before it commits.
+	Chained() bool
+}
+
 // LeaderOf returns the round-robin leader index for a view among n
 // replicas. Both PBFT (view) and HotStuff (view/round) use this schedule.
 func LeaderOf(view uint64, n int) wire.NodeID {

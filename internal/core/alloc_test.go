@@ -55,9 +55,10 @@ func TestSealPathAllocs(t *testing.T) {
 }
 
 // TestBlockPathAllocs pins the per-block steps every proposal, validation
-// and commit repeats, on a 20-bundle cut: both know their length up front,
-// so the bundle list is one allocation and the block root — hashed in a
-// stack scratch up to 64 bundles — none.
+// and commit repeats, on a 20-bundle cut: all know their length up front,
+// so the cuts and the bundle list are one allocation each — the cutting
+// rule reads the tip matrix in place at either quorum — and the block root,
+// hashed in a stack scratch up to 64 bundles, none.
 func TestBlockPathAllocs(t *testing.T) {
 	r := newRig(t, 4, 1, 50)
 	for round := 0; round < 5; round++ {
@@ -66,9 +67,18 @@ func TestBlockPathAllocs(t *testing.T) {
 		}
 	}
 	mp, prev := r.pools[0], ZeroCuts(4)
-	blk, ok := mp.BuildPredisBlockStream(1, crypto.ZeroHash, prev, 0, false)
+	blk, ok := mp.BuildPredisBlock(1, crypto.ZeroHash, prev, 0, 1, false)
 	if !ok || newlyCut(prev, blk.Cuts) != 20 {
 		t.Fatalf("block cuts %d bundles, want 20", newlyCut(prev, blk.Cuts))
+	}
+	for _, quorum := range []int{3, 1} {
+		if a := testing.AllocsPerRun(100, func() {
+			if len(mp.CutChains(0, prev, quorum)) != 4 {
+				t.Fatal("CutChains lost chains")
+			}
+		}); a != 1 {
+			t.Errorf("CutChains(quorum %d) allocates %.1f, want 1", quorum, a)
+		}
 	}
 	if a := testing.AllocsPerRun(100, func() {
 		if mp.blockRoot(prev, blk.Cuts) != blk.TxRoot {
@@ -90,7 +100,7 @@ func TestBlockPathAllocs(t *testing.T) {
 			r.giveAll(r.pack(p, 1))
 		}
 	}
-	big, _ := mp.BuildPredisBlockStream(1, crypto.ZeroHash, prev, 0, false)
+	big, _ := mp.BuildPredisBlock(1, crypto.ZeroHash, prev, 0, 1, false)
 	var leaves []crypto.Hash
 	for _, b := range mp.blockBundles(big, prev) {
 		hh := b.Header.Hash()

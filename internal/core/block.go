@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"predis/internal/crypto"
 	"predis/internal/merkle"
@@ -40,101 +40,77 @@ func (m *PredisBlock) CutHeights() []uint64 {
 
 // CutChains runs the cutting rule (§III-B) relative to a baseline cut
 // vector prev (the parent block's cuts): for every chain, the cut is the
-// highest height that at least n_c−f nodes (including this node) have
-// received according to the tip matrix, clamped to what this node itself
-// holds (it must possess the head header) and never below prev. Banned
-// producers' chains are never advanced.
-func (m *Mempool) CutChains(self wire.NodeID, prev []uint64) []Cut {
-	nc, f := m.params.NC, m.params.F
-	matrix := m.TipMatrix(self)
-	selfTips := m.Tips()
+// highest height that at least quorum nodes (including self) have received
+// according to the tip matrix, clamped to what self holds (it must possess
+// the head header) and never below prev. Banned producers' chains are never
+// advanced. Block mode's quorum is n_c−f; stream mode's is 1, which cuts at
+// self's own tips, since self's row of the matrix is its tips. Replicas
+// that lack a bundle such a cut references fetch it during validation
+// (ErrBlockMissing → consensus.ErrPending): safety is unchanged, and only
+// proposal-time liveness is spent when the leader runs ahead of the swarm.
+//
+// Row j of the matrix is node j's claimed receipt heights: self's local
+// tips, or the tip list of the latest bundle on j's chain with j's own
+// entry raised to that bundle's height (a producer holds its own bundles),
+// or zeros while j's chain is empty. The rule reads them in place; the
+// returned cuts are its only allocation up to 64 nodes.
+func (m *Mempool) CutChains(self wire.NodeID, prev []uint64, quorum int) []Cut {
+	nc := m.params.NC
+	var stack [64]uint64
+	col := stack[:0]
+	if nc > len(stack) {
+		col = make([]uint64, 0, nc) //predis:allocok more than 64 nodes
+	}
 	cuts := make([]Cut, nc)
-	heights := make([]uint64, nc)
-	for i := 0; i < nc; i++ {
+	for i := range cuts {
 		cut := prev[i]
-		if !m.banned[i] {
+		if own := m.chains[i].tip(); !m.banned[i] && own > cut {
+			col = col[:0]
 			for j := 0; j < nc; j++ {
-				heights[j] = matrix[j][i]
+				col = append(col, m.receipt(self, j, i))
 			}
-			sort.Slice(heights, func(a, b int) bool { return heights[a] > heights[b] })
-			// The (n_c−f)-th largest receipt height: at least n_c−f nodes
+			slices.Sort(col)
+			// The quorum-th largest receipt height: at least quorum nodes
 			// claim to hold everything at or below it.
-			candidate := heights[nc-f-1]
-			if candidate > selfTips[i] {
-				candidate = selfTips[i]
-			}
-			if candidate > cut {
-				cut = candidate
-			}
+			cut = max(cut, min(col[nc-quorum], own))
 		}
-		c := Cut{Height: cut}
+		cuts[i] = Cut{Height: cut}
 		if cut > prev[i] {
-			c.Head = m.chains[i].at(cut).Header.Hash()
+			cuts[i].Head = m.chains[i].at(cut).Header.Hash()
 		}
-		cuts[i] = c
 	}
 	return cuts
+}
+
+// receipt is node j's claimed receipt height on chain i: row j, column i
+// of the tip matrix (see CutChains).
+func (m *Mempool) receipt(self wire.NodeID, j, i int) uint64 {
+	if wire.NodeID(j) == self {
+		return m.chains[i].tip()
+	}
+	th := m.chains[j].tipHeader()
+	switch {
+	case th == nil:
+		return 0
+	case i == j:
+		return max(th.Tips[i], th.Height)
+	}
+	return th.Tips[i]
 }
 
 // BuildPredisBlock packs a Predis block at the given consensus height
 // extending a parent block identified by parentHash with baseline cuts
-// prev. It returns ok=false when the cut confirms no new bundles (nothing
-// to propose).
+// prev, cutting at the given quorum (see CutChains). When the cut confirms
+// no new bundles it returns ok=false — unless drain is set, in which case
+// it emits a drain block whose cuts equal prev (zero bundles, TxRoot of an
+// empty leaf set). Drain blocks exist so chained engines (HotStuff) can
+// push already-proposed cuts over their multi-block commit rule without
+// waiting for new payload; ValidatePredisBlock accepts them because
+// freshness is a builder-side rule only.
 func (m *Mempool) BuildPredisBlock(height uint64, parentHash crypto.Hash, prev []uint64,
-	leader wire.NodeID) (*PredisBlock, bool) {
-	return m.packBlock(height, parentHash, prev, m.CutChains(leader, prev), leader, false)
-}
-
-// CutChainsEager runs the streaming-mode cutting rule: every non-banned
-// chain is cut at this node's own tip (clamped to never regress below
-// prev) instead of at the n_c−f quorum receipt height. The leader does not
-// wait for heartbeat rounds to prove dissemination; replicas that lack a
-// referenced bundle fetch it during validation (ErrBlockMissing →
-// consensus.ErrPending), so safety is unchanged and only proposal-time
-// liveness is spent when the leader runs ahead of the swarm.
-func (m *Mempool) CutChainsEager(prev []uint64) []Cut {
-	nc := m.params.NC
-	selfTips := m.Tips()
-	cuts := make([]Cut, nc)
-	for i := 0; i < nc; i++ {
-		cut := prev[i]
-		if !m.banned[i] && selfTips[i] > cut {
-			cut = selfTips[i]
-		}
-		c := Cut{Height: cut}
-		if cut > prev[i] {
-			c.Head = m.chains[i].at(cut).Header.Hash()
-		}
-		cuts[i] = c
-	}
-	return cuts
-}
-
-// BuildPredisBlockStream packs a streaming-mode Predis block using the
-// eager cutting rule. When the eager cut confirms nothing new it returns
-// ok=false — unless allowEmpty is set, in which case it emits a drain
-// block whose cuts equal prev (zero bundles, TxRoot of an empty leaf set).
-// Drain blocks exist so pipelined engines (chained HotStuff) can push
-// already-proposed cuts over their multi-block commit rule without waiting
-// for new payload; ValidatePredisBlock accepts them because freshness is a
-// builder-side rule only.
-func (m *Mempool) BuildPredisBlockStream(height uint64, parentHash crypto.Hash, prev []uint64,
-	leader wire.NodeID, allowEmpty bool) (*PredisBlock, bool) {
-	return m.packBlock(height, parentHash, prev, m.CutChainsEager(prev), leader, allowEmpty)
-}
-
-// packBlock assembles, roots and signs a block over the given cuts,
-// enforcing the builder-side freshness rule unless allowEmpty.
-func (m *Mempool) packBlock(height uint64, parentHash crypto.Hash, prev []uint64,
-	cuts []Cut, leader wire.NodeID, allowEmpty bool) (*PredisBlock, bool) {
-	fresh := false
-	for i, c := range cuts {
-		if c.Height > prev[i] {
-			fresh = true
-			break
-		}
-	}
-	if !fresh && !allowEmpty {
+	leader wire.NodeID, quorum int, drain bool) (*PredisBlock, bool) {
+	cuts := m.CutChains(leader, prev, quorum)
+	if newlyCut(prev, cuts) == 0 && !drain {
 		return nil, false
 	}
 	blk := &PredisBlock{

@@ -2,11 +2,16 @@ package core
 
 import (
 	"errors"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"predis/internal/crypto"
 	"predis/internal/wire"
 )
+
+// blockQuorum is block mode's cut quorum n_c−f for the n_c = 4, f = 1 rigs.
+const blockQuorum = 3
 
 // populate fills every node's mempool: each producer packs `per` bundles of
 // one transaction, delivered to everyone. Tip lists therefore advertise
@@ -30,7 +35,7 @@ func TestCutChainsQuorumRule(t *testing.T) {
 	r := newRig(t, 4, 1, 50)
 	populate(r, 3)
 	prev := ZeroCuts(4)
-	cuts := r.pools[0].CutChains(0, prev)
+	cuts := r.pools[0].CutChains(0, prev, blockQuorum)
 	// All transaction bundles (heights ≤ 3) are quorum-proven by the tip
 	// exchange round, so every chain cuts at least there. The very last
 	// empty bundles may not be provable yet — that is the 2·ls effect of
@@ -55,7 +60,7 @@ func TestCutChainsRespectsLaggards(t *testing.T) {
 		r.give(0, b)
 		r.give(1, b)
 	}
-	cuts := r.pools[0].CutChains(0, ZeroCuts(4))
+	cuts := r.pools[0].CutChains(0, ZeroCuts(4), blockQuorum)
 	if cuts[0].Height != 0 {
 		t.Fatalf("chain 0 cut at %d, want 0 (only 2 receipts claimable)", cuts[0].Height)
 	}
@@ -74,7 +79,7 @@ func TestCutChainsCountsTipListClaims(t *testing.T) {
 		b := r.pack(p, 1)
 		r.giveAll(b)
 	}
-	cuts := r.pools[0].CutChains(0, ZeroCuts(4))
+	cuts := r.pools[0].CutChains(0, ZeroCuts(4), blockQuorum)
 	if cuts[0].Height != 1 {
 		t.Fatalf("chain 0 cut at %d, want 1", cuts[0].Height)
 	}
@@ -105,13 +110,13 @@ func TestCutChainsClampsToSelfHoldings(t *testing.T) {
 		b := r.pack(p, 0)
 		r.giveAll(b)
 	}
-	cuts := r.pools[0].CutChains(0, ZeroCuts(4))
+	cuts := r.pools[0].CutChains(0, ZeroCuts(4), blockQuorum)
 	if cuts[1].Height != 0 {
 		t.Fatalf("chain 1 cut %d, want 0 (node 0 holds nothing)", cuts[1].Height)
 	}
 	// After node 0 receives the first bundle it can cut height 1.
 	r.give(0, firstOf1)
-	cuts = r.pools[0].CutChains(0, ZeroCuts(4))
+	cuts = r.pools[0].CutChains(0, ZeroCuts(4), blockQuorum)
 	if cuts[1].Height != 1 {
 		t.Fatalf("chain 1 cut %d, want 1", cuts[1].Height)
 	}
@@ -121,7 +126,7 @@ func TestCutChainsSkipsBanned(t *testing.T) {
 	r := newRig(t, 4, 1, 50)
 	populate(r, 2)
 	r.pools[0].Ban(2, nil)
-	cuts := r.pools[0].CutChains(0, ZeroCuts(4))
+	cuts := r.pools[0].CutChains(0, ZeroCuts(4), blockQuorum)
 	if cuts[2].Height != 0 {
 		t.Fatalf("banned chain cut at %d, want 0", cuts[2].Height)
 	}
@@ -130,11 +135,183 @@ func TestCutChainsSkipsBanned(t *testing.T) {
 	}
 }
 
+// TestCutChainsReadsEachRow: the rule counts self's local tips as its
+// row, a producer's latest header as its row with its own entry raised to
+// that header's height, and a silent producer as a row of zeros.
+func TestCutChainsReadsEachRow(t *testing.T) {
+	r := newRig(t, 4, 1, 50)
+	// Producer 1 packs two bundles whose tip lists lag on its own entry;
+	// nodes 0 and 1 receive both. Node 2 tells node 0 it holds chain 1 up
+	// to 2. Node 3 is silent.
+	for k := 0; k < 2; k++ {
+		b := PackBundle(r.suite.Signer(1), 1, r.tails[1], r.txs(1), make(TipList, 4))
+		r.tails[1] = &b.Header
+		r.give(0, b)
+		r.give(1, b)
+	}
+	r.give(0, PackBundle(r.suite.Signer(2), 2, nil, nil, TipList{0, 2, 1, 0}))
+	mp, prev := r.pools[0], ZeroCuts(4)
+	// Chain 1's column at node 0: self 2, producer 2, node 2 2, node 3 0.
+	// A zero self row, or the producer's unraised 0, leaves only two.
+	if got := mp.CutChains(0, prev, 3)[1].Height; got != 2 {
+		t.Fatalf("self row and producer row: chain 1 cut at quorum 3 = %d, want 2", got)
+	}
+	if got := mp.CutChains(0, prev, 4)[1].Height; got != 0 {
+		t.Fatalf("silent producer row: chain 1 cut at quorum 4 = %d, want 0", got)
+	}
+	// Chain 2's column: self 1, producer 1 (its header's own entry), and
+	// zeros from node 1's lagging lists and silent node 3.
+	if got := mp.CutChains(0, prev, 2)[2].Height; got != 1 {
+		t.Fatalf("chain 2 cut at quorum 2 = %d, want 1", got)
+	}
+	if got := mp.CutChains(0, prev, 3)[2].Height; got != 0 {
+		t.Fatalf("chain 2 cut at quorum 3 = %d, want 0", got)
+	}
+}
+
+// matrixCuts is the block-mode rule as it stood on a materialised tip
+// matrix: the (n_c−f)-th largest receipt height per chain, clamped to the
+// leader's own tip, never below prev.
+func matrixCuts(m *Mempool, self wire.NodeID, prev []uint64) []Cut {
+	nc, f := m.params.NC, m.params.F
+	matrix := make([]TipList, nc)
+	for j := range matrix {
+		if wire.NodeID(j) == self {
+			matrix[j] = m.Tips()
+		} else if th := m.chains[j].tipHeader(); th != nil {
+			matrix[j] = th.Tips.Clone()
+			if matrix[j][j] < th.Height {
+				matrix[j][j] = th.Height
+			}
+		} else {
+			matrix[j] = make(TipList, nc)
+		}
+	}
+	selfTips := m.Tips()
+	cuts := make([]Cut, nc)
+	for i := range cuts {
+		cut := prev[i]
+		if !m.banned[i] {
+			heights := make([]uint64, nc)
+			for j := range heights {
+				heights[j] = matrix[j][i]
+			}
+			sort.Slice(heights, func(a, b int) bool { return heights[a] > heights[b] })
+			if candidate := min(heights[nc-f-1], selfTips[i]); candidate > cut {
+				cut = candidate
+			}
+		}
+		cuts[i] = Cut{Height: cut}
+		if cut > prev[i] {
+			cuts[i].Head = m.chains[i].at(cut).Header.Hash()
+		}
+	}
+	return cuts
+}
+
+// eagerCuts is the stream-mode rule as it stood: every non-banned chain
+// cut at the leader's own tip, never below prev.
+func eagerCuts(m *Mempool, prev []uint64) []Cut {
+	cuts := make([]Cut, m.params.NC)
+	for i := range cuts {
+		cut := prev[i]
+		if tip := m.chains[i].tip(); !m.banned[i] && tip > cut {
+			cut = tip
+		}
+		cuts[i] = Cut{Height: cut}
+		if cut > prev[i] {
+			cuts[i].Head = m.chains[i].at(cut).Header.Hash()
+		}
+	}
+	return cuts
+}
+
+// TestCutChainsIsBothRules: on random mempool states — random deliveries
+// with gaps, tip lists that sometimes lag on the producer's own entry,
+// banned chains, and baselines at or above some tips — the one rule cuts
+// exactly where the matrix rule does at quorum n_c−f and where the eager
+// rule does at quorum 1.
+func TestCutChainsIsBothRules(t *testing.T) {
+	for _, nc := range []int{4, 16} {
+		f := (nc - 1) / 3
+		suite := crypto.NewSimSuite(nc, 91)
+		for seed := int64(1); seed <= 25; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			pools := make([]*Mempool, nc)
+			for i := range pools {
+				mp, err := NewMempool(Params{NC: nc, F: f, BundleSize: 4, Signer: suite.Signer(i)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				pools[i] = mp
+			}
+			tails := make([]*BundleHeader, nc)
+			for k := 0; k < 6*nc; k++ {
+				p := rng.Intn(nc)
+				tips := pools[p].Tips()
+				if rng.Intn(4) > 0 {
+					tips[p]++
+				}
+				b := PackBundle(suite.Signer(p), wire.NodeID(p), tails[p], nil, tips)
+				tails[p] = &b.Header
+				for n := range pools {
+					if n == p || rng.Intn(3) > 0 {
+						pools[n].AddBundle(b, n != p)
+					}
+				}
+			}
+			for n, mp := range pools {
+				if rng.Intn(3) == 0 {
+					mp.Ban(wire.NodeID(rng.Intn(nc)), nil)
+				}
+				prev := make([]uint64, nc)
+				for i := range prev {
+					if rng.Intn(2) == 0 {
+						prev[i] = uint64(rng.Intn(int(mp.Tip(wire.NodeID(i))) + 3))
+					}
+				}
+				self := wire.NodeID(n)
+				for _, c := range []struct {
+					quorum int
+					want   []Cut
+				}{{nc - f, matrixCuts(mp, self, prev)}, {1, eagerCuts(mp, prev)}} {
+					got := mp.CutChains(self, prev, c.quorum)
+					for i := range got {
+						if got[i] != c.want[i] {
+							t.Fatalf("nc %d seed %d node %d quorum %d: chain %d cut %d %s, want %d %s",
+								nc, seed, n, c.quorum, i, got[i].Height, got[i].Head.Short(),
+								c.want[i].Height, c.want[i].Head.Short())
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDrainBlock: with nothing new to cut a builder emits a block only when
+// asked to drain, and that block repeats prev with an empty root.
+func TestDrainBlock(t *testing.T) {
+	r := newRig(t, 4, 1, 50)
+	populate(r, 1)
+	prev := r.pools[0].Tips()
+	if _, ok := r.pools[0].BuildPredisBlock(2, crypto.ZeroHash, prev, 0, 1, false); ok {
+		t.Fatal("a block with nothing new to cut")
+	}
+	blk, ok := r.pools[0].BuildPredisBlock(2, crypto.ZeroHash, prev, 0, 1, true)
+	if !ok || !blk.TxRoot.IsZero() || newlyCut(prev, blk.Cuts) != 0 {
+		t.Fatalf("drain block %+v, ok %v; want prev's cuts and a zero root", blk, ok)
+	}
+	if _, err := r.pools[1].ValidatePredisBlock(blk, crypto.ZeroHash, prev); err != nil {
+		t.Fatalf("replica rejects the drain block: %v", err)
+	}
+}
+
 func TestBuildValidateCommitRoundtrip(t *testing.T) {
 	r := newRig(t, 4, 1, 50)
 	populate(r, 3)
 	prev := ZeroCuts(4)
-	blk, ok := r.pools[0].BuildPredisBlock(1, crypto.ZeroHash, prev, 0)
+	blk, ok := r.pools[0].BuildPredisBlock(1, crypto.ZeroHash, prev, 0, blockQuorum, false)
 	if !ok {
 		t.Fatal("BuildPredisBlock returned nothing")
 	}
@@ -174,7 +351,7 @@ func TestValidateRejectsBadBlocks(t *testing.T) {
 	r := newRig(t, 4, 1, 50)
 	populate(r, 2)
 	prev := ZeroCuts(4)
-	blk, ok := r.pools[0].BuildPredisBlock(1, crypto.ZeroHash, prev, 0)
+	blk, ok := r.pools[0].BuildPredisBlock(1, crypto.ZeroHash, prev, 0, blockQuorum, false)
 	if !ok {
 		t.Fatal("no block")
 	}
@@ -220,7 +397,7 @@ func TestValidateRejectsBadBlocks(t *testing.T) {
 	t.Run("banned producer", func(t *testing.T) {
 		r2 := newRig(t, 4, 1, 50)
 		populate(r2, 2)
-		blk2, _ := r2.pools[0].BuildPredisBlock(1, crypto.ZeroHash, prev, 0)
+		blk2, _ := r2.pools[0].BuildPredisBlock(1, crypto.ZeroHash, prev, 0, blockQuorum, false)
 		r2.pools[1].Ban(2, nil)
 		if _, err := r2.pools[1].ValidatePredisBlock(blk2, crypto.ZeroHash, prev); !errors.Is(err, ErrBlockBanned) {
 			t.Fatalf("err = %v", err)
@@ -232,7 +409,7 @@ func TestValidateReportsMissingBundles(t *testing.T) {
 	r := newRig(t, 4, 1, 50)
 	populate(r, 3)
 	prev := ZeroCuts(4)
-	blk, _ := r.pools[0].BuildPredisBlock(1, crypto.ZeroHash, prev, 0)
+	blk, _ := r.pools[0].BuildPredisBlock(1, crypto.ZeroHash, prev, 0, blockQuorum, false)
 
 	// A fresh node with an empty mempool must report every chain missing.
 	fresh := newRig(t, 4, 1, 50)
@@ -256,7 +433,7 @@ func TestValidateHeadMismatchAfterEquivocation(t *testing.T) {
 	r := newRig(t, 4, 1, 50)
 	populate(r, 1)
 	prev := ZeroCuts(4)
-	blk, _ := r.pools[0].BuildPredisBlock(1, crypto.ZeroHash, prev, 0)
+	blk, _ := r.pools[0].BuildPredisBlock(1, crypto.ZeroHash, prev, 0, blockQuorum, false)
 
 	// Build a divergent rig with the same signers but different transaction
 	// content, so bundles (and head hashes) differ while signatures verify.
@@ -272,7 +449,7 @@ func TestPredisBlockCodecAndSize(t *testing.T) {
 	RegisterMessages()
 	r := newRig(t, 4, 1, 50)
 	populate(r, 2)
-	blk, _ := r.pools[0].BuildPredisBlock(1, crypto.ZeroHash, ZeroCuts(4), 0)
+	blk, _ := r.pools[0].BuildPredisBlock(1, crypto.ZeroHash, ZeroCuts(4), 0, blockQuorum, false)
 	got, err := wire.Roundtrip(blk)
 	if err != nil {
 		t.Fatal(err)

@@ -538,29 +538,3 @@ func (c *chain) lowestBufferedAbove(h uint64) uint64 {
 func (m *Mempool) BufferedCount(producer wire.NodeID) int {
 	return len(m.chains[producer].buffered)
 }
-
-// TipMatrix assembles the tip-list matrix the cutting rule works from:
-// row j is node j's claimed receipt heights. For peers it is the tip list
-// of the latest bundle on their chain; for self it is the local tips. Rows
-// for chains with no bundles yet are all zero.
-func (m *Mempool) TipMatrix(self wire.NodeID) []TipList {
-	rows := make([]TipList, m.params.NC)
-	localTips := m.Tips()
-	for j := range rows {
-		if wire.NodeID(j) == self {
-			rows[j] = localTips
-			continue
-		}
-		if th := m.chains[j].tipHeader(); th != nil {
-			row := th.Tips.Clone()
-			// A producer trivially holds its own bundles up to its tip.
-			if row[j] < th.Height {
-				row[j] = th.Height
-			}
-			rows[j] = row
-		} else {
-			rows[j] = make(TipList, m.params.NC)
-		}
-	}
-	return rows
-}

@@ -376,32 +376,6 @@ func TestRangeQueries(t *testing.T) {
 	}
 }
 
-func TestTipMatrixSelfAndPeers(t *testing.T) {
-	r := newRig(t, 4, 1, 50)
-	// Producer 1 packs two bundles; node 0 receives both.
-	b1 := r.pack(1, 1)
-	r.give(0, b1)
-	r.give(1, b1)
-	b2 := r.pack(1, 1)
-	r.give(0, b2)
-	r.give(1, b2)
-	matrix := r.pools[0].TipMatrix(0)
-	if matrix[0][1] != 2 {
-		t.Fatalf("self row: matrix[0][1] = %d, want 2", matrix[0][1])
-	}
-	// Row 1 comes from bundle 2's tip list; its own entry is patched to its
-	// height.
-	if matrix[1][1] != 2 {
-		t.Fatalf("producer row: matrix[1][1] = %d, want 2", matrix[1][1])
-	}
-	// Rows for silent producers are zero.
-	for i := range matrix[2] {
-		if matrix[2][i] != 0 {
-			t.Fatalf("matrix[2] should be zero, got %v", matrix[2])
-		}
-	}
-}
-
 func TestHeaderHashExcludesSignature(t *testing.T) {
 	r := newRig(t, 4, 1, 50)
 	b := r.pack(0, 1)

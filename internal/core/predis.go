@@ -54,27 +54,14 @@ type Options struct {
 	Fault FaultMode
 	// Stream enables streaming commit mode (StreamChain-style): every
 	// submitted transaction seals into a bundle immediately instead of
-	// waiting for the BundleInterval tick, and proposals cut chains
-	// eagerly at this node's own tips instead of waiting for n_c−f
-	// receipt confirmations through the tip matrix — replicas that have
-	// not yet received a referenced bundle fall back to the ErrPending
-	// fetch-and-retry path. Off (the default) reproduces block mode
-	// byte-for-byte.
+	// waiting for the BundleInterval tick, and proposals cut chains at
+	// this node's own tips, the cutting rule at a quorum of one, instead of
+	// waiting for n_c−f receipt confirmations through the tip matrix.
+	// Under a paced engine sealing rides on its proposals instead (see
+	// SubmitTx), and under a chained one proposers drain (see
+	// BuildProposal); consensus.Cadence says which. Off (the default)
+	// reproduces block mode byte-for-byte.
 	Stream bool
-	// StreamDrain, in stream mode, lets BuildProposal emit a cursor block
-	// with no cut advance while previously proposed cuts are still
-	// uncommitted. Chained engines (HotStuff) need such drain blocks to
-	// push the commit 3-chain over the tail of traffic at network speed;
-	// per-instance engines (PBFT) commit each slot independently and
-	// leave this off.
-	StreamDrain bool
-	// SealOnProposal, in stream mode under an engine that paces its
-	// proposals (pipelined PBFT), clocks sealing on them: a transaction
-	// seals on arrival only if nothing was sealed since the last proposal
-	// this node built or validated; otherwise the queue seals right after
-	// the node has answered the next one (BundleSize and the tick still
-	// apply). Bundle size is 1 when idle and grows with load.
-	SealOnProposal bool
 	// Trace, when non-nil, records the bundle_sealed lifecycle stage
 	// (first queued transaction → bundle packed and signed). Nil disables
 	// tracing at zero cost.
@@ -114,6 +101,10 @@ type Predis struct {
 	// zero-delay timer callback.
 	sealed    bool
 	sealLater func()
+	// quorum is the cutting rule's: n_c−f, or 1 in stream mode. paced and
+	// drain are stream mode under a paced or a chained engine (SetEngine).
+	quorum       int
+	paced, drain bool
 
 	// fetch asks for the bundles this node misses (fetch.go).
 	fetch *FetchPlane
@@ -160,11 +151,15 @@ func NewPredis(opts Options) (*Predis, error) {
 	p := &Predis{
 		opts:            opts,
 		mp:              mp,
+		quorum:          opts.Params.NC - opts.Params.F,
 		retry:           env.DefaultBackoff(2 * opts.Params.BundleInterval),
 		mBundleProduced: opts.Metrics.Counter("bundle_produced", opts.Self),
 		mBundleAccepted: opts.Metrics.Counter("bundle_accepted", opts.Self),
 		mTxsCommitted:   opts.Metrics.Counter("txs_committed", opts.Self),
 		mSealLatency:    opts.Metrics.Histogram("bundle_seal_ms", opts.Self, obs.DefaultLatencyBucketsMS),
+	}
+	if opts.Stream {
+		p.quorum = 1
 	}
 	p.fetch = NewFetchPlane(mp, p.retry, p.holders)
 	p.catchup = NewCatchup(mp, p.retry, p.catchupOwner())
@@ -175,8 +170,15 @@ func NewPredis(opts Options) (*Predis, error) {
 // is limited to Ban/Unban).
 func (p *Predis) Mempool() *Mempool { return p.mp }
 
-// SetEngine wires the consensus engine for Poke notifications.
-func (p *Predis) SetEngine(e consensus.Engine) { p.engine = e }
+// SetEngine wires the consensus engine for Poke notifications; in stream
+// mode its cadence decides how sealing is clocked and whether proposers
+// drain.
+func (p *Predis) SetEngine(e consensus.Engine) {
+	p.engine = e
+	if c, ok := e.(consensus.Cadence); ok && p.opts.Stream {
+		p.paced, p.drain = c.Paced(), c.Chained()
+	}
+}
 
 // Stats returns (bundles produced, bundles accepted from peers, txs
 // committed).
@@ -221,16 +223,17 @@ func (p *Predis) armProduceTimer() {
 // SubmitTx enqueues a client transaction for bundling; full bundles are
 // emitted immediately (without waiting for the interval timer). In stream
 // mode a submission seals on arrival — the bundle-chain cursor advances at
-// transaction granularity — unless sealing is proposal-clocked and this
-// node already sealed since the last proposal: then it waits for the next
-// one (proposalSeen), a full bundle, or the tick.
+// transaction granularity — unless the engine is paced and this node
+// already sealed since the last proposal: then it waits for the next one
+// (proposalSeen), a full bundle, or the tick. Bundle size is then 1 when
+// idle and grows with load.
 func (p *Predis) SubmitTx(tx *types.Transaction) {
 	if p.opts.Fault == FaultSilent {
 		return
 	}
 	p.queue = append(p.queue, tx)
 	p.queueTimes = append(p.queueTimes, p.ctx.Now())
-	if p.opts.Stream && !(p.opts.SealOnProposal && p.sealed) {
+	if p.opts.Stream && !(p.paced && p.sealed) {
 		p.sealQueue()
 		return
 	}
@@ -246,8 +249,8 @@ func (p *Predis) sealQueue() {
 	}
 }
 
-// proposalSeen runs for every block this node built or validated. When
-// sealing is proposal-clocked it opens the next sealing slot. What is
+// proposalSeen runs for every block this node built or validated. Under a
+// paced engine it opens the next sealing slot. What is
 // queued seals from a zero-delay timer, so the leader's engine is not
 // re-entered mid-proposal. (The vote no longer needs the head start: it
 // takes the uplink's consensus lane and never waits behind bundle bytes.)
@@ -255,7 +258,7 @@ func (p *Predis) sealQueue() {
 //predis:hotpath
 func (p *Predis) proposalSeen() {
 	p.sealed = false
-	if p.opts.Stream && p.opts.SealOnProposal && len(p.queue) > 0 {
+	if p.paced && len(p.queue) > 0 {
 		p.ctx.After(0, p.sealLater)
 	}
 }
@@ -478,10 +481,9 @@ func (p *Predis) parentState(parent wire.Message) ([]uint64, crypto.Hash, error)
 }
 
 // BuildProposal implements consensus.Application: cut the chains relative
-// to the parent block and pack a Predis block. Block mode cuts by the
-// §III-B receipt rule; stream mode cuts eagerly at this node's own tips
-// (and, with StreamDrain, emits empty drain blocks while proposed cuts
-// await commit).
+// to the parent block at this node's quorum and pack a Predis block. Under
+// a chained engine in stream mode it emits empty drain blocks while
+// proposed cuts await commit.
 func (p *Predis) BuildProposal(height uint64, parent wire.Message) (wire.Message, crypto.Hash, bool) {
 	if p.opts.Fault != FaultNone {
 		return nil, crypto.ZeroHash, false
@@ -491,14 +493,8 @@ func (p *Predis) BuildProposal(height uint64, parent wire.Message) (wire.Message
 		p.ctx.Logf("predis: build: %v", err)
 		return nil, crypto.ZeroHash, false
 	}
-	var blk *PredisBlock
-	var ok bool
-	if p.opts.Stream {
-		drain := p.opts.StreamDrain && p.cutsAhead(prev)
-		blk, ok = p.mp.BuildPredisBlockStream(height, parentHash, prev, p.opts.Self, drain)
-	} else {
-		blk, ok = p.mp.BuildPredisBlock(height, parentHash, prev, p.opts.Self)
-	}
+	drain := p.drain && p.cutsAhead(prev)
+	blk, ok := p.mp.BuildPredisBlock(height, parentHash, prev, p.opts.Self, p.quorum, drain)
 	if !ok {
 		return nil, crypto.ZeroHash, false
 	}
@@ -513,9 +509,8 @@ func (p *Predis) BuildProposal(height uint64, parent wire.Message) (wire.Message
 // network quiesces (drain blocks themselves never advance cuts, so they
 // cannot re-arm the gate).
 func (p *Predis) cutsAhead(prev []uint64) bool {
-	committed := p.mp.Confirmed()
-	for i := range prev {
-		if prev[i] > committed[i] {
+	for i, c := range p.mp.chains {
+		if prev[i] > c.confirmed {
 			return true
 		}
 	}

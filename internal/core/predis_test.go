@@ -235,13 +235,13 @@ func TestPredisHeartbeatBundlesDriveTips(t *testing.T) {
 	// the others must still advertise receipt so a leader could cut.
 	pn.submit(0, 10, 0)
 	pn.net.Run(2 * time.Second)
-	cuts := pn.peers[0].Mempool().CutChains(0, ZeroCuts(4))
+	cuts := pn.peers[0].Mempool().CutChains(0, ZeroCuts(4), blockQuorum)
 	if cuts[0].Height == 0 {
 		t.Fatal("chain 0 cannot be cut: tip exchange never happened")
 	}
 	// The network must quiesce once nothing is left to confirm: after one
 	// commit-equivalent (Commit), heartbeats stop.
-	blk, ok := pn.peers[0].Mempool().BuildPredisBlock(1, crypto.ZeroHash, ZeroCuts(4), 0)
+	blk, ok := pn.peers[0].Mempool().BuildPredisBlock(1, crypto.ZeroHash, ZeroCuts(4), 0, blockQuorum, false)
 	if !ok {
 		t.Fatal("no block to build")
 	}

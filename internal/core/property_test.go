@@ -110,7 +110,7 @@ func TestQuickCuttingRuleSafety(t *testing.T) {
 
 		// Every node acting as leader must cut only quorum-held prefixes.
 		for leader := 0; leader < nc; leader++ {
-			cuts := pools[leader].CutChains(wire.NodeID(leader), ZeroCuts(nc))
+			cuts := pools[leader].CutChains(wire.NodeID(leader), ZeroCuts(nc), nc-f)
 			for chain, cut := range cuts {
 				for h := uint64(1); h <= cut.Height; h++ {
 					if len(holders[chain][h]) < nc-f {
@@ -139,8 +139,8 @@ func TestQuickCuttingRuleSafety(t *testing.T) {
 func TestQuickBlockRootDeterministic(t *testing.T) {
 	r1 := newRig(t, 4, 1, 50)
 	populate(r1, 2)
-	blk1, ok1 := r1.pools[0].BuildPredisBlock(1, crypto.ZeroHash, ZeroCuts(4), 0)
-	blk2, ok2 := r1.pools[1].BuildPredisBlock(1, crypto.ZeroHash, ZeroCuts(4), 1)
+	blk1, ok1 := r1.pools[0].BuildPredisBlock(1, crypto.ZeroHash, ZeroCuts(4), 0, blockQuorum, false)
+	blk2, ok2 := r1.pools[1].BuildPredisBlock(1, crypto.ZeroHash, ZeroCuts(4), 1, blockQuorum, false)
 	if !ok1 || !ok2 {
 		t.Fatal("no blocks built")
 	}

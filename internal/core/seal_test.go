@@ -4,9 +4,20 @@ import (
 	"testing"
 	"time"
 
+	"predis/internal/env"
 	"predis/internal/obs"
 	"predis/internal/types"
+	"predis/internal/wire"
 )
+
+// cadenceEngine is an engine that only reports its cadence.
+type cadenceEngine struct{ paced, chained bool }
+
+func (cadenceEngine) Start(env.Context)                 {}
+func (cadenceEngine) Receive(wire.NodeID, wire.Message) {}
+func (cadenceEngine) Poke()                             {}
+func (e cadenceEngine) Paced() bool                     { return e.paced }
+func (e cadenceEngine) Chained() bool                   { return e.chained }
 
 // TestSealOnProposalClock walks one producer through the proposal-clocked
 // sealing rule: the first transaction after a proposal seals on arrival,
@@ -16,10 +27,13 @@ import (
 func TestSealOnProposalClock(t *testing.T) {
 	reg := obs.NewRegistry()
 	pn := newPredisNetWith(t, 4, 1, func(i int, o *Options) {
-		o.Stream, o.SealOnProposal = true, true
+		o.Stream = true
 		o.Params.BundleInterval = 50 * time.Millisecond
 		o.Metrics = reg
 	})
+	for _, p := range pn.peers {
+		p.SetEngine(cadenceEngine{paced: true})
+	}
 	pn.net.Start()
 	p, q := pn.peers[0], pn.peers[1]
 	seq := uint64(0)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"predis/internal/node"
+	"predis/internal/pbft"
 	"predis/internal/simnet"
 	"predis/internal/wire"
 )
@@ -132,6 +133,36 @@ func TestBuildTimeline(t *testing.T) {
 		}
 		if len(dep.Hosts) != 4 || len(dep.Fulls) != len(fulls) || dep.Net.NodeCount() != 4+len(fulls)+4 {
 			t.Errorf("%d full nodes: built %d hosts, %d full nodes, %d nodes in all", len(fulls), len(dep.Hosts), len(dep.Fulls), dep.Net.NodeCount())
+		}
+	}
+}
+
+// TestDeployStreamPBFT: a stream-mode P-PBFT deployment runs the 16-slot
+// paced window. Deploy never passed a window, so before the window
+// followed from Stream it ran single-slot PBFT with per-arrival sealing.
+func TestDeployStreamPBFT(t *testing.T) {
+	for _, stream := range []bool{false, true} {
+		dep, err := Deploy{
+			Engine: node.EnginePBFT, NC: 4, Fulls: zoneMajor(1, 2), Stream: stream,
+			ViewTimeout: time.Second, AliveInterval: 250 * time.Millisecond,
+			JoinSpacing: 20 * time.Millisecond, Offered: 400, Load: time.Second, Seed: 1,
+		}.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 1
+		if stream {
+			want = 16
+		}
+		for i, h := range dep.Hosts {
+			if w := h.Node.Engine().(*pbft.Engine).Window(); w != want {
+				t.Fatalf("stream %v: host %d PBFT window %d, want %d", stream, i, w, want)
+			}
+		}
+		dep.Net.Start()
+		dep.Net.Run(dep.End)
+		if _, confirmed, _, _ := dep.Col.Counts(); confirmed == 0 {
+			t.Fatalf("stream %v: nothing confirmed", stream)
 		}
 	}
 }

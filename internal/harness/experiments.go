@@ -33,15 +33,18 @@ type Options struct {
 	// deliveries in nondeterministic order. latfloor drops to sequential
 	// execution when Replay is set, for the same reason.
 	Replay *ReplayTrace
-	// Stream switches mode-aware experiments (quickstart) to streaming
-	// commit: producers expose running bundle-chain cursors and consensus
-	// orders cursor advances; full nodes receive each block at commit, as
-	// in block mode. Off (the default), every experiment is byte-for-byte
-	// its historical block-mode self.
-	// Experiments that contrast both modes themselves (latfloor) ignore
-	// this flag.
+	// Stream switches the experiments StreamExperiments names to
+	// streaming commit: producers expose running bundle-chain cursors and
+	// consensus orders cursor advances; full nodes receive each block at
+	// commit, as in block mode. Off (the default), every experiment is
+	// byte-for-byte its historical block-mode self. The other experiments
+	// ignore it; latfloor contrasts both modes itself.
 	Stream bool
 }
+
+// StreamExperiments names the experiments that Options.Stream switches to
+// streaming commit.
+var StreamExperiments = []string{"quickstart"}
 
 func (o Options) seed() int64 {
 	if o.Seed == 0 {

@@ -75,9 +75,6 @@ type PointSpec struct {
 	// seal per transaction, cuts are eager, and consensus pipelines. Off,
 	// the point is byte-for-byte the historical block-mode measurement.
 	Stream bool
-	// Pipeline is the PBFT in-flight instance window; meaningful with
-	// Stream (default 1 = classic single-slot PBFT).
-	Pipeline int
 	// Trace, when non-nil, folds every delivery into a replay hash so
 	// tests can assert two same-seed runs are byte-identical.
 	Trace *ReplayTrace
@@ -161,7 +158,6 @@ func RunPoint(spec PointSpec) (PointResult, error) {
 			ViewTimeout:    2 * time.Second,
 			Fault:          fault,
 			Stream:         s.Stream,
-			Pipeline:       s.Pipeline,
 			ReplyToClients: true,
 			Metrics:        s.Metrics,
 			OnCommit: func(height uint64, txs []*types.Transaction) {

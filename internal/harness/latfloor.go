@@ -32,9 +32,6 @@ func latfloorSpecs(o Options, wan bool, stream bool, loads []float64, duration t
 			// Both modes run the identical configuration.
 			BundleInterval: 50 * time.Millisecond,
 		}
-		if stream {
-			specs[i].Pipeline = 16
-		}
 	}
 	return specs
 }

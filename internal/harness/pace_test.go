@@ -37,7 +37,7 @@ func pacedStreamPoint(t *testing.T, offered float64, clients int) pacedPoint {
 	var commitGap time.Duration
 	res, err := RunPoint(PointSpec{
 		System: SysPPBFT, NC: 4, Offered: offered, Clients: clients, Duration: 2 * time.Second,
-		Seed: 42, Stream: true, Pipeline: 16, Trace: tr, Metrics: reg,
+		Seed: 42, Stream: true, Trace: tr, Metrics: reg,
 		OnCommit: func(at time.Time, txs int) {
 			if at.Sub(simnet.Epoch) >= 500*time.Millisecond { // RunPoint's warm-up: a quarter of the run
 				if !last.IsZero() {

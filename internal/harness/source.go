@@ -110,7 +110,8 @@ func (s *blockSource) ProduceBundle() {
 // block (leader only).
 func (s *blockSource) BuildBlock() (*core.PredisBlock, bool) {
 	height, hash := s.mp.Head()
-	return s.mp.BuildPredisBlock(height+1, hash, s.mp.Confirmed(), s.cfg.self)
+	p := s.mp.Params()
+	return s.mp.BuildPredisBlock(height+1, hash, s.mp.Confirmed(), s.cfg.self, p.NC-p.F, false)
 }
 
 // PublishBlock applies the block locally, forwards it to the other

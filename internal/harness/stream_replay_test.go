@@ -20,7 +20,6 @@ func streamReplayOnce(t *testing.T) (string, uint64, string) {
 		Duration: 1500 * time.Millisecond,
 		Seed:     42,
 		Stream:   true,
-		Pipeline: 16,
 		Trace:    tr,
 	})
 	if err != nil {

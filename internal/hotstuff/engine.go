@@ -112,6 +112,7 @@ type Engine struct {
 }
 
 var _ consensus.Engine = (*Engine)(nil)
+var _ consensus.Cadence = (*Engine)(nil)
 
 // New builds a HotStuff replica.
 func New(cfg Config) (*Engine, error) {
@@ -162,6 +163,14 @@ func (e *Engine) Stats() (committed, timeouts uint64) { return e.committed, e.ti
 // Equivocations returns how many leader equivocations this replica has
 // proven, first-hand or through received evidence.
 func (e *Engine) Equivocations() uint64 { return e.equivocations }
+
+// Paced implements consensus.Cadence: a leader proposes as soon as the
+// previous block's QC forms.
+func (e *Engine) Paced() bool { return false }
+
+// Chained implements consensus.Cadence: a block commits once a three-chain
+// of descendants certifies it.
+func (e *Engine) Chained() bool { return true }
 
 // Leader returns the leader of the current view.
 func (e *Engine) Leader() wire.NodeID { return consensus.LeaderOf(e.curView, e.cfg.N) }

@@ -38,8 +38,9 @@ type HostConfig struct {
 	// served as in block mode: stripes as bundles are stored, each block
 	// once it commits.
 	Stream bool
-	// Pipeline is the PBFT in-flight instance window (see pbft.Config);
-	// meaningful with Stream.
+	// Pipeline is unread: the PBFT window follows from Stream (see
+	// node.Config.Stream). It is held only for cmd/predis-perf, which
+	// still sets it, always to the window Stream selects.
 	Pipeline int
 	// Striper must match the full nodes'.
 	Striper *Striper
@@ -86,7 +87,6 @@ func NewConsensusHost(cfg HostConfig) (*ConsensusHost, error) {
 		BundleInterval: cfg.BundleInterval,
 		ViewTimeout:    cfg.ViewTimeout,
 		Stream:         cfg.Stream,
-		Pipeline:       cfg.Pipeline,
 		ReplyToClients: cfg.ReplyToClients,
 		StripeRoot:     dist.StripeRoot,
 		OnBundleStored: onStored,

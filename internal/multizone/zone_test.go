@@ -92,10 +92,6 @@ func buildZoneCluster(t testing.TB, cfg zoneConfig) *zoneCluster {
 		ledgers:   make(map[wire.NodeID]*ledger.Ledger),
 	}
 	suite := crypto.NewSimSuite(cfg.nc, 17)
-	pipeline := 0
-	if cfg.stream {
-		pipeline = 4
-	}
 	for i := 0; i < cfg.nc; i++ {
 		observer := i == 0
 		host, err := NewConsensusHost(HostConfig{
@@ -106,7 +102,6 @@ func buildZoneCluster(t testing.TB, cfg zoneConfig) *zoneCluster {
 			BundleInterval: 20 * time.Millisecond,
 			ViewTimeout:    2 * time.Second,
 			Stream:         cfg.stream,
-			Pipeline:       pipeline,
 			Striper:        striper,
 			OnCommit: func(height uint64, txs int) {
 				if observer {

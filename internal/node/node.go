@@ -86,14 +86,12 @@ type Config struct {
 	// Fault selects Byzantine behaviour (Predis mode; Fig. 6).
 	Fault core.FaultMode
 	// Stream enables streaming commit mode (Predis mode): producers seal
-	// bundles per transaction, leaders cut eagerly at their own tips,
-	// PBFT pipelines instances (see Pipeline), and HotStuff drains ordered
-	// cuts with empty blocks. Commit and execution are block mode's. Off,
-	// every component behaves byte-for-byte as block mode.
+	// bundles per transaction, leaders cut at their own tips, PBFT runs
+	// streamWindow instances at once and seals on its proposals, and
+	// HotStuff drains ordered cuts with empty blocks. Commit and execution
+	// are block mode's. Off, every component behaves byte-for-byte as
+	// block mode.
 	Stream bool
-	// Pipeline is the PBFT in-flight instance window; meaningful with
-	// Stream. Default 1 (classic single-slot PBFT).
-	Pipeline int
 	// ReplyToClients controls whether commits generate BlockReply
 	// messages to transaction submitters (they consume bandwidth, as the
 	// paper notes in §III-F).
@@ -129,6 +127,11 @@ type Config struct {
 	// apply/abort counts, dependency-level shape).
 	OnExecute func(r exec.Result)
 }
+
+// streamWindow is PBFT's in-flight instance window in stream mode; block
+// mode runs the classic single slot. At 8 slots, slot exhaustion added
+// ≈35 ms to the stream p99 above 2 000 tx/s.
+const streamWindow = 16
 
 // Node is a consensus node handler.
 type Node struct {
@@ -184,8 +187,6 @@ func New(cfg Config) (*Node, error) {
 			Peers:          peers,
 			Fault:          cfg.Fault,
 			Stream:         cfg.Stream,
-			StreamDrain:    cfg.Stream && cfg.Engine == EngineHotStuff,
-			SealOnProposal: cfg.Stream && cfg.Engine == EnginePBFT && cfg.Pipeline > 1,
 			StripeRoot:     cfg.StripeRoot,
 			OnBundleStored: cfg.OnBundleStored,
 			Trace:          cfg.Trace,
@@ -232,10 +233,14 @@ func New(cfg Config) (*Node, error) {
 	)
 	switch cfg.Engine {
 	case EnginePBFT:
+		window := 1
+		if cfg.Stream {
+			window = streamWindow
+		}
 		engine, err = pbft.New(pbft.Config{
 			N: cfg.NC, Self: cfg.Self, App: app, Signer: cfg.Signer,
 			ViewTimeout: cfg.ViewTimeout,
-			Pipeline:    cfg.Pipeline,
+			Pipeline:    window,
 			Trace:       cfg.Trace,
 		})
 	case EngineHotStuff:

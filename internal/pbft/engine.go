@@ -141,6 +141,7 @@ type Engine struct {
 
 var _ consensus.Engine = (*Engine)(nil)
 var _ consensus.FastForwarder = (*Engine)(nil)
+var _ consensus.Cadence = (*Engine)(nil)
 var _ env.Restartable = (*Engine)(nil)
 
 // New builds a PBFT replica engine.
@@ -186,6 +187,16 @@ func (e *Engine) Equivocations() uint64 { return e.equivocations }
 func (e *Engine) Pace() (gap time.Duration, delayed uint64, delay time.Duration) {
 	return e.paceLat / time.Duration(e.cfg.Pipeline), e.paceDelayed, e.paceDelay
 }
+
+// Window returns the in-flight instance window (Config.Pipeline).
+func (e *Engine) Window() int { return e.cfg.Pipeline }
+
+// Paced implements consensus.Cadence: a window above one paces the leader
+// (see paceOpen).
+func (e *Engine) Paced() bool { return e.cfg.Pipeline > 1 }
+
+// Chained implements consensus.Cadence: every instance commits on its own.
+func (e *Engine) Chained() bool { return false }
 
 // Leader returns the current view's leader.
 func (e *Engine) Leader() wire.NodeID { return consensus.LeaderOf(e.view, e.cfg.N) }
