@@ -61,10 +61,14 @@ SMOKE_ROWS = trace bench replay fuzz scale examples
 ROW ?= $(SMOKE_ROWS)
 
 # trace: the exported Chrome trace of a quickstart run parses and has a
-# span for every pipeline stage (submit … fullnode_delivered).
-smoke_trace = go run ./cmd/predis-bench -quick quickstart -trace \
+# span for every pipeline stage (submit … fullnode_delivered), and the
+# exported metrics CSV has its header and a non-zero txs_committed for
+# consensus node 0, the counters the harness publishes after the run.
+smoke_trace = go run ./cmd/predis-bench -quick quickstart -trace -metrics \
 		-trace-out bin/trace-smoke.json -metrics-out bin/trace-smoke >/dev/null \
-	&& go run ./tools/tracecheck bin/trace-smoke.json
+	&& go run ./tools/tracecheck bin/trace-smoke.json \
+	&& head -n 1 bin/trace-smoke-metrics.csv | grep -qx 'metric,node,field,value' \
+	&& grep -Eq '^txs_committed,0,value,[1-9]' bin/trace-smoke-metrics.csv
 
 # bench: every root benchmark (bench_*_test.go: kernels, figures, scale,
 # stream) still builds and survives one iteration.

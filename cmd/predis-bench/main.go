@@ -21,7 +21,8 @@
 // "Latency floor". -mode stream switches quickstart alone to streaming
 // commit, and any other experiment exits 2 under it.
 //
-// Observability (experiments that support it: quickstart, recovery):
+// Observability (experiments that support it: quickstart, recovery;
+// latfloor: -metrics only):
 //
 //	-trace        write Chrome trace-event JSON (<id>-trace.json; open in
 //	              chrome://tracing or https://ui.perfetto.dev) plus the

@@ -23,7 +23,6 @@ import (
 	"syscall"
 	"time"
 
-	"predis/internal/core"
 	"predis/internal/crypto"
 	"predis/internal/node"
 	"predis/internal/rtnet"
@@ -164,5 +163,3 @@ func parseEngine(s string) (node.EngineKind, error) {
 		return 0, fmt.Errorf("unknown engine %q", s)
 	}
 }
-
-var _ = core.FaultNone // keep the import for fault flags added by users

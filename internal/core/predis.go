@@ -66,10 +66,6 @@ type Options struct {
 	// (first queued transaction → bundle packed and signed). Nil disables
 	// tracing at zero cost.
 	Trace *obs.Tracer
-	// Metrics, when non-nil, receives per-node counters (bundle_produced,
-	// bundle_accepted, txs_committed) and the bundle_seal_ms histogram.
-	// Metric pointers are resolved once at construction; nil disables.
-	Metrics *obs.Registry
 }
 
 // CommitInfo describes one committed Predis block.
@@ -118,16 +114,13 @@ type Predis struct {
 
 	engine consensus.Engine
 
-	// stats
+	// stats; bundlesSealed counts payload bundles and sealWait sums the
+	// wait of their first queued transactions.
 	bundlesProduced uint64
 	bundlesAccepted uint64
 	txsCommitted    uint64
-
-	// obs metrics (nil-safe recorders; resolved once at construction)
-	mBundleProduced *obs.Counter
-	mBundleAccepted *obs.Counter
-	mTxsCommitted   *obs.Counter
-	mSealLatency    *obs.Histogram
+	bundlesSealed   uint64
+	sealWait        time.Duration
 }
 
 var _ consensus.Application = (*Predis)(nil)
@@ -149,14 +142,10 @@ func NewPredis(opts Options) (*Predis, error) {
 		mp.SetOnLink(opts.OnBundleStored)
 	}
 	p := &Predis{
-		opts:            opts,
-		mp:              mp,
-		quorum:          opts.Params.NC - opts.Params.F,
-		retry:           env.DefaultBackoff(2 * opts.Params.BundleInterval),
-		mBundleProduced: opts.Metrics.Counter("bundle_produced", opts.Self),
-		mBundleAccepted: opts.Metrics.Counter("bundle_accepted", opts.Self),
-		mTxsCommitted:   opts.Metrics.Counter("txs_committed", opts.Self),
-		mSealLatency:    opts.Metrics.Histogram("bundle_seal_ms", opts.Self, obs.DefaultLatencyBucketsMS),
+		opts:   opts,
+		mp:     mp,
+		quorum: opts.Params.NC - opts.Params.F,
+		retry:  env.DefaultBackoff(2 * opts.Params.BundleInterval),
 	}
 	if opts.Stream {
 		p.quorum = 1
@@ -184,6 +173,13 @@ func (p *Predis) SetEngine(e consensus.Engine) {
 // committed).
 func (p *Predis) Stats() (produced, accepted, committed uint64) {
 	return p.bundlesProduced, p.bundlesAccepted, p.txsCommitted
+}
+
+// Seals returns the payload bundles this node sealed and the summed time
+// their first transactions waited in the queue (heartbeat bundles carry
+// no payload and count in neither).
+func (p *Predis) Seals() (sealed uint64, wait time.Duration) {
+	return p.bundlesSealed, p.sealWait
 }
 
 // PullStats returns the fetch plane's counters (see FetchPlane.PullStats).
@@ -316,14 +312,14 @@ func (p *Predis) produceBundle() {
 		return
 	}
 	p.bundlesProduced++
-	p.mBundleProduced.Inc()
 	if n > 0 {
 		// bundle_sealed: first queued transaction → bundle packed and
 		// signed. Heartbeat bundles carry no payload and record nothing.
 		now := p.ctx.Now()
 		p.opts.Trace.Span(obs.StageBundleSealed,
 			obs.BundleKey(p.opts.Self, b.Header.Height), p.opts.Self, firstQueued, now)
-		p.mSealLatency.ObserveDuration(now.Sub(firstQueued))
+		p.bundlesSealed++
+		p.sealWait += now.Sub(firstQueued)
 	}
 	p.lastAdvertised = b.Header.Tips // private to the sealed header, which is immutable
 	p.disseminate(b)
@@ -403,7 +399,6 @@ func (p *Predis) onBundle(from wire.NodeID, b *Bundle) bool {
 		p.need(miss)
 	case res == Added:
 		p.bundlesAccepted++
-		p.mBundleAccepted.Inc()
 		// The run linked up to the next hole, if bundles wait above one.
 		p.need(p.mp.Hole(b.Header.Producer))
 		// A catch-up block may have been waiting on this body.
@@ -576,7 +571,6 @@ func (p *Predis) commitBlock(blk *PredisBlock) {
 	}
 	txs := BlockTxs(bundles)
 	p.txsCommitted += uint64(len(txs))
-	p.mTxsCommitted.Add(uint64(len(txs)))
 	if p.opts.OnCommit != nil {
 		p.opts.OnCommit(CommitInfo{Height: blk.Height, Block: blk, Txs: txs})
 	}

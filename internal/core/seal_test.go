@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"predis/internal/env"
-	"predis/internal/obs"
 	"predis/internal/types"
 	"predis/internal/wire"
 )
@@ -25,11 +24,9 @@ func (e cadenceEngine) Chained() bool                   { return e.chained }
 // answered it, a full bundle and the interval tick never wait, and every
 // bundle_sealed span starts at that bundle's first queued transaction.
 func TestSealOnProposalClock(t *testing.T) {
-	reg := obs.NewRegistry()
 	pn := newPredisNetWith(t, 4, 1, func(i int, o *Options) {
 		o.Stream = true
 		o.Params.BundleInterval = 50 * time.Millisecond
-		o.Metrics = reg
 	})
 	for _, p := range pn.peers {
 		p.SetEngine(cadenceEngine{paced: true})
@@ -79,8 +76,8 @@ func TestSealOnProposalClock(t *testing.T) {
 	// Waits: 0 (on arrival), 2 ms (queued at 0, proposal at 2), 1 ms (full
 	// bundle whose first transaction was queued at 3, filled at 4), 46 ms
 	// (the eleventh, queued at 4, sealed by the tick at 50).
-	if h := reg.Histogram("bundle_seal_ms", 0, nil); h.Count() != 4 || h.Sum() != 0+2+1+46 {
-		t.Fatalf("bundle_seal_ms: %d spans summing to %v ms, want 4 summing to 49", h.Count(), h.Sum())
+	if sealed, wait := p.Seals(); sealed != 4 || wait != (0+2+1+46)*time.Millisecond {
+		t.Fatalf("%d payload bundles sealed, waits summing to %v; want 4 summing to 49ms", sealed, wait)
 	}
 
 	// A replica's clock is the proposals it validates. (It has produced

@@ -61,9 +61,6 @@ func New(data, parity int) (*Coder, error) {
 // DataShards returns the number of data shards.
 func (c *Coder) DataShards() int { return c.data }
 
-// ParityShards returns the number of parity shards.
-func (c *Coder) ParityShards() int { return c.parity }
-
 // TotalShards returns data+parity.
 func (c *Coder) TotalShards() int { return c.data + c.parity }
 
@@ -79,31 +76,6 @@ func (c *Coder) Encode(shards [][]byte) error {
 		mulSet(out, shards[0], row[0])
 		for d := 1; d < c.data; d++ {
 			mulAndAdd(out, shards[d], row[d])
-		}
-	}
-	return nil
-}
-
-// EncodeBatch encodes many shard sets with a single walk of the
-// encoding matrix: the parity-row loop is hoisted outside the batch
-// loop, so each row's coefficient vector is resolved once per batch
-// rather than once per set, and the row kernels run back to back over
-// contiguous shard memory. Every set must satisfy Encode's contract;
-// the result is byte-identical to calling Encode on each set.
-func (c *Coder) EncodeBatch(batch [][][]byte) error {
-	for _, shards := range batch {
-		if err := c.checkShards(shards, true); err != nil {
-			return err
-		}
-	}
-	for p := 0; p < c.parity; p++ {
-		row := c.enc.row(c.data + p)
-		for _, shards := range batch {
-			out := shards[c.data+p]
-			mulSet(out, shards[0], row[0])
-			for d := 1; d < c.data; d++ {
-				mulAndAdd(out, shards[d], row[d])
-			}
 		}
 	}
 	return nil

@@ -128,10 +128,6 @@ func (c CorruptStripe) compile(inj *Injector) {
 		&w.active, &inj.activeMutants)
 }
 
-func (c CorruptStripe) describe() string {
-	return fmt.Sprintf("node %d corrupts stripe payloads during [%s, %s)", c.Node, c.From, c.To)
-}
-
 // BogusProof makes Node serve stripes whose payload is intact but whose
 // Merkle proof is valid-length garbage during [From, To). Receivers that
 // verify proofs reject these exactly like corrupted payloads; receivers
@@ -159,10 +155,6 @@ func (b BogusProof) compile(inj *Injector) {
 		&w.active, &inj.activeMutants)
 }
 
-func (b BogusProof) describe() string {
-	return fmt.Sprintf("node %d serves bogus proofs during [%s, %s)", b.Node, b.From, b.To)
-}
-
 // WithholdStripes makes Node keep its control plane alive (heartbeats,
 // consensus votes, subscriptions all flow) while silently dropping stripe
 // fan-out to Victims during [From, To). Empty Victims withholds from
@@ -185,11 +177,6 @@ func (s WithholdStripes) compile(inj *Injector) {
 		fmt.Sprintf("node %d withholds stripes from %s", s.Node, victimLabel(s.Victims)),
 		fmt.Sprintf("node %d resumes stripe fan-out", s.Node),
 		&w.active, &inj.activeWithholds)
-}
-
-func (s WithholdStripes) describe() string {
-	return fmt.Sprintf("node %d withholds stripes from %s during [%s, %s)",
-		s.Node, victimLabel(s.Victims), s.From, s.To)
 }
 
 func victimLabel(victims []wire.NodeID) string {
@@ -231,11 +218,6 @@ func (e EquivocateLeader) compile(inj *Injector) {
 		&w.active, &inj.activeMutants)
 }
 
-func (e EquivocateLeader) describe() string {
-	return fmt.Sprintf("node %d equivocates to %v during [%s, %s)",
-		e.Node, fmtIDs(e.Victims), e.From, e.To)
-}
-
 // GarbageWire makes every frame Node sends undecodable during [From, To):
 // receivers get a Garbage message of the same wire size whose body fails
 // to decode. A hardened stack counts these as drops at the codec and
@@ -262,10 +244,6 @@ func (g GarbageWire) compile(inj *Injector) {
 		fmt.Sprintf("node %d emits garbage frames", g.Node),
 		fmt.Sprintf("node %d emits valid frames again", g.Node),
 		&w.active, &inj.activeMutants)
-}
-
-func (g GarbageWire) describe() string {
-	return fmt.Sprintf("node %d emits garbage frames during [%s, %s)", g.Node, g.From, g.To)
 }
 
 // TypeGarbage tags the injector's undecodable frame.

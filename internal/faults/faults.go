@@ -38,8 +38,6 @@ import (
 // below; they compile themselves onto the injector at Install time.
 type Action interface {
 	compile(inj *Injector)
-	// describe renders the action for traces and docs.
-	describe() string
 }
 
 // Crash fail-stops Node at time At (virtual, relative to the epoch).
@@ -245,28 +243,20 @@ func (inj *Injector) drop(from, to wire.NodeID, m wire.Message) bool {
 func (c Crash) compile(inj *Injector) {
 	inj.net.At(c.At, func() {
 		inj.net.Crash(c.Node)
-		inj.record(c.At, c.describe())
+		inj.record(c.At, fmt.Sprintf("crash node %d", c.Node))
 	})
 }
-
-func (c Crash) describe() string { return fmt.Sprintf("crash node %d", c.Node) }
 
 func (r Restart) compile(inj *Injector) {
 	inj.net.At(r.At, func() {
 		inj.net.Restart(r.Node)
-		inj.record(r.At, r.describe())
+		inj.record(r.At, fmt.Sprintf("restart node %d", r.Node))
 	})
 }
-
-func (r Restart) describe() string { return fmt.Sprintf("restart node %d", r.Node) }
 
 func (w CrashWindow) compile(inj *Injector) {
 	Crash{Node: w.Node, At: w.From}.compile(inj)
 	Restart{Node: w.Node, At: w.To}.compile(inj)
-}
-
-func (w CrashWindow) describe() string {
-	return fmt.Sprintf("crash node %d during [%s, %s)", w.Node, w.From, w.To)
 }
 
 func (w PartitionWindow) compile(inj *Injector) {
@@ -284,10 +274,6 @@ func (w PartitionWindow) compile(inj *Injector) {
 	})
 }
 
-func (w PartitionWindow) describe() string {
-	return fmt.Sprintf("partition %v | %v during [%s, %s)", fmtIDs(w.A), fmtIDs(w.B), w.From, w.To)
-}
-
 func (w LossWindow) compile(inj *Injector) {
 	lw := &lossWindow{from: w.From, to: w.To, prob: w.Prob}
 	inj.losses = append(inj.losses, lw)
@@ -301,10 +287,6 @@ func (w LossWindow) compile(inj *Injector) {
 		inj.activeLosses--
 		inj.record(w.End, fmt.Sprintf("loss cleared on %s", fmtLink(w.From, w.To)))
 	})
-}
-
-func (w LossWindow) describe() string {
-	return fmt.Sprintf("loss %.0f%% on %s during [%s, %s)", w.Prob*100, fmtLink(w.From, w.To), w.Start, w.End)
 }
 
 func (s Silent) compile(inj *Injector) {
@@ -322,10 +304,6 @@ func (s Silent) compile(inj *Injector) {
 	})
 }
 
-func (s Silent) describe() string {
-	return fmt.Sprintf("node %d silent during [%s, %s)", s.Node, s.From, s.To)
-}
-
 func (s Slow) compile(inj *Injector) {
 	lw := &lossWindow{from: s.Node, to: wire.NoNode, prob: s.DropProb}
 	inj.losses = append(inj.losses, lw)
@@ -339,20 +317,6 @@ func (s Slow) compile(inj *Injector) {
 		inj.activeLosses--
 		inj.record(s.To, fmt.Sprintf("node %d back to full speed", s.Node))
 	})
-}
-
-func (s Slow) describe() string {
-	return fmt.Sprintf("node %d slow (%.0f%% drop) during [%s, %s)", s.Node, s.DropProb*100, s.From, s.To)
-}
-
-// Describe renders the whole schedule, one action per line, in a stable
-// order (useful for experiment banners).
-func (s Schedule) Describe() string {
-	lines := make([]string, 0, len(s.Actions))
-	for _, a := range s.Actions {
-		lines = append(lines, a.describe())
-	}
-	return strings.Join(lines, "\n")
 }
 
 func idSet(ids []wire.NodeID) map[wire.NodeID]bool {

@@ -8,10 +8,10 @@ import (
 	"fmt"
 	"time"
 
-	"predis/internal/consensus"
 	"predis/internal/core"
 	"predis/internal/crypto"
 	"predis/internal/env"
+	"predis/internal/multizone"
 	"predis/internal/node"
 	"predis/internal/obs"
 	"predis/internal/pbft"
@@ -78,8 +78,8 @@ type PointSpec struct {
 	// Trace, when non-nil, folds every delivery into a replay hash so
 	// tests can assert two same-seed runs are byte-identical.
 	Trace *ReplayTrace
-	// Metrics, when non-nil, receives the nodes' per-node counters
-	// (Predis mode) and, after the run, each PBFT engine's proposal pace.
+	// Metrics, when non-nil, receives the nodes' counters after the run
+	// (see publish).
 	Metrics *obs.Registry
 	// OnCommit, when non-nil, observes every commit at node 0.
 	OnCommit func(at time.Time, txs int)
@@ -159,7 +159,6 @@ func RunPoint(spec PointSpec) (PointResult, error) {
 			Fault:          fault,
 			Stream:         s.Stream,
 			ReplyToClients: true,
-			Metrics:        s.Metrics,
 			OnCommit: func(height uint64, txs []*types.Transaction) {
 				if i == 0 {
 					col.RecordNodeCommit(net.Now(), len(txs))
@@ -199,31 +198,56 @@ func RunPoint(spec PointSpec) (PointResult, error) {
 		Latency:          col.Latency(),
 		Blocks:           blocks,
 	}
-	for i, n := range nodes {
-		publishPace(s.Metrics, wire.NodeID(i), n.Engine())
+	for _, n := range nodes {
 		if e, ok := n.Engine().(interface{ Stats() (uint64, uint64) }); ok {
 			_, changes := e.Stats()
 			res.ViewOrTimeouts = max(res.ViewOrTimeouts, changes)
 		}
 	}
-	publishLane(s.Metrics, net)
+	publish(s.Metrics, net, nodes, nil)
 	return res, nil
 }
 
-// publishPace records a pipelined PBFT engine's proposal pace (see
-// pbft.Engine.Pace) in the registry; other engines publish nothing.
-func publishPace(reg *obs.Registry, id wire.NodeID, e consensus.Engine) {
-	if p, ok := e.(*pbft.Engine); ok {
-		gap, delayed, delay := p.Pace()
-		reg.Gauge("pbft.pace_gap_ms", id).Set(gap.Seconds() * 1e3)
-		reg.Counter("pbft.pace_delayed", id).Add(delayed)
-		reg.Gauge("pbft.pace_delay_ms", id).Set(delay.Seconds() * 1e3)
+// publish fills reg, once a run has ended, from the counters the
+// components keep: per consensus node (ID = index) Predis's bundle, commit
+// and seal counts and a pipelined PBFT engine's proposal pace (see
+// pbft.Engine.Pace); per full node the fetch plane's pulls and the parked
+// references (see FullNode.PullStats and ParkStats); and the network's
+// consensus lane (see simnet.LaneStats). It is the only place a run's
+// counts enter a registry. A nil reg publishes nothing.
+func publish(reg *obs.Registry, net *simnet.Network, nodes []*node.Node, fulls []*multizone.FullNode) {
+	if reg == nil {
+		return
 	}
-}
-
-// publishLane records the network's consensus-lane traffic (see
-// simnet.LaneStats) in the registry.
-func publishLane(reg *obs.Registry, net *simnet.Network) {
+	ms := func(d time.Duration) float64 { return d.Seconds() * 1e3 }
+	for i, n := range nodes {
+		id := wire.NodeID(i)
+		if p := n.Predis(); p != nil {
+			produced, accepted, committed := p.Stats()
+			sealed, wait := p.Seals()
+			reg.Counter("bundle_produced", id).Add(produced)
+			reg.Counter("bundle_accepted", id).Add(accepted)
+			reg.Counter("txs_committed", id).Add(committed)
+			reg.Counter("bundle_sealed", id).Add(sealed)
+			reg.Gauge("bundle_seal_wait_ms", id).Set(ms(wait))
+		}
+		if e, ok := n.Engine().(*pbft.Engine); ok {
+			gap, delayed, delay := e.Pace()
+			reg.Gauge("pbft.pace_gap_ms", id).Set(ms(gap))
+			reg.Counter("pbft.pace_delayed", id).Add(delayed)
+			reg.Gauge("pbft.pace_delay_ms", id).Set(ms(delay))
+		}
+	}
+	for _, fn := range fulls {
+		requests, bundles, _, _ := fn.PullStats()
+		reg.Counter("multizone.pull_requests", fn.ID()).Add(requests)
+		reg.Counter("multizone.pull_bundles", fn.ID()).Add(bundles)
+		parked, resolved, expired, wait := fn.ParkStats()
+		reg.Counter("multizone.parked", fn.ID()).Add(parked)
+		reg.Counter("multizone.park_resolved", fn.ID()).Add(resolved)
+		reg.Counter("multizone.park_expired", fn.ID()).Add(expired)
+		reg.Gauge("multizone.park_wait_max_ms", fn.ID()).Set(ms(wait))
+	}
 	st := net.LaneStats()
 	reg.Counter("simnet.lane_frames", wire.NoNode).Add(st.Frames)
 	reg.Counter("simnet.lane_bytes", wire.NoNode).Add(st.Bytes)

@@ -58,9 +58,8 @@ func pacedStreamPoint(t *testing.T, offered float64, clients int) pacedPoint {
 		committed: reg.Counter("txs_committed", 0).Value(),
 	}
 	for i := wire.NodeID(0); i < 4; i++ {
-		h := reg.Histogram("bundle_seal_ms", i, nil)
-		p.sealed += h.Count()
-		p.sealWaitMS += h.Sum()
+		p.sealed += reg.Counter("bundle_sealed", i).Value()
+		p.sealWaitMS += reg.Gauge("bundle_seal_wait_ms", i).Value()
 	}
 	if p.sealed == 0 || p.committed == 0 {
 		t.Fatalf("%d payload bundles sealed, %d transactions committed", p.sealed, p.committed)

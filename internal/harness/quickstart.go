@@ -9,7 +9,6 @@ import (
 	"predis/internal/obs"
 	"predis/internal/simnet"
 	"predis/internal/stats"
-	"predis/internal/wire"
 )
 
 // ObsSink receives the observability artifacts of an experiment run:
@@ -40,10 +39,11 @@ func Quickstart(o Options) ([]*stats.Table, error) {
 		offered, load = 2000, 3*time.Second
 	}
 
-	// Observability: tracer and metrics flow through every layer; the
-	// sampler watches the network itself. All three are created even
-	// without a sink so the stage table below is always rendered —
-	// tracing is passive and cannot perturb the schedule.
+	// Observability: the tracer flows through every layer, the sampler
+	// watches the network itself, and the registry is filled from the
+	// components' counters once the run has ended (publish). All three are
+	// created even without a sink so the stage table below is always
+	// rendered — tracing is passive and cannot perturb the schedule.
 	tracer := obs.NewTracer(simnet.Epoch)
 	registry := obs.NewRegistry()
 
@@ -60,33 +60,21 @@ func Quickstart(o Options) ([]*stats.Table, error) {
 		Offered:     offered, Load: load, Seed: o.seed(),
 		Replay: o.Replay, Trace: tracer,
 		Host: func(cfg *multizone.HostConfig) {
-			cfg.Metrics = registry
 			cfg.Executor = exec.NewMachine(execGenesis)
 		},
 	}.Build()
 	if err != nil {
 		return nil, err
 	}
-	sampler := obs.NewSampler(dep.Net, 100*time.Millisecond, registry)
+	sampler := obs.NewSampler(dep.Net, 100*time.Millisecond)
 	sampler.Start(dep.End)
 	dep.Net.Start()
 	dep.Net.Run(dep.End)
-	// The fetch plane's and the parked references' counters, per full node
-	// (see FullNode.PullStats and ParkStats).
-	for _, fn := range dep.Fulls {
-		requests, bundles, _, _ := fn.PullStats()
-		registry.Counter("multizone.pull_requests", fn.ID()).Add(requests)
-		registry.Counter("multizone.pull_bundles", fn.ID()).Add(bundles)
-		parked, resolved, expired, wait := fn.ParkStats()
-		registry.Counter("multizone.parked", fn.ID()).Add(parked)
-		registry.Counter("multizone.park_resolved", fn.ID()).Add(resolved)
-		registry.Counter("multizone.park_expired", fn.ID()).Add(expired)
-		registry.Gauge("multizone.park_wait_max_ms", fn.ID()).Set(wait.Seconds() * 1e3)
-	}
+	nodes := make([]*node.Node, len(dep.Hosts))
 	for i, host := range dep.Hosts {
-		publishPace(registry, wire.NodeID(i), host.Node.Engine())
+		nodes[i] = host.Node
 	}
-	publishLane(registry, dep.Net)
+	publish(registry, dep.Net, nodes, dep.Fulls)
 
 	if o.Obs != nil {
 		o.Obs.Trace = tracer

@@ -50,8 +50,9 @@ type HostConfig struct {
 	// Trace, when non-nil, records block/bundle lifecycle stages across
 	// the node and the distributor. Nil disables tracing at zero cost.
 	Trace *obs.Tracer
-	// Metrics, when non-nil, receives per-node counters from the wrapped
-	// Predis component.
+	// Metrics is unread: components keep their own counters and the
+	// harness publishes them after a run. It is held only for
+	// cmd/predis-perf, which still sets it.
 	Metrics *obs.Registry
 	// Executor / ExecSerial / OnExecute: execution plane, as in
 	// node.Config (each host owns its own exec.Machine).
@@ -92,7 +93,6 @@ func NewConsensusHost(cfg HostConfig) (*ConsensusHost, error) {
 		OnBundleStored: onStored,
 		OnBlockCommit:  dist.OnBlockCommit,
 		Trace:          cfg.Trace,
-		Metrics:        cfg.Metrics,
 		Executor:       cfg.Executor,
 		ExecSerial:     cfg.ExecSerial,
 		OnExecute:      cfg.OnExecute,

@@ -201,18 +201,3 @@ func (s *Striper) decode(header core.BundleHeader, stripes []*StripeMsg, payload
 	}
 	return b, nil
 }
-
-// StripeRootHook returns a function suitable for core.Options.StripeRoot:
-// it encodes the body and returns the stripe Merkle root so the producer
-// can commit to it before signing. The encoding is recomputed by the
-// distributor at dissemination time; for the bundle sizes in the paper
-// (25 KB) this costs microseconds (§V-B).
-func (s *Striper) StripeRootHook() func(txs []*types.Transaction) crypto.Hash {
-	return func(txs []*types.Transaction) crypto.Hash {
-		set, err := s.Encode(txs)
-		if err != nil {
-			return crypto.ZeroHash
-		}
-		return set.Root
-	}
-}

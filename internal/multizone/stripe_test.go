@@ -120,15 +120,6 @@ func TestVerifyStripeRejectsTampering(t *testing.T) {
 	}
 }
 
-func TestStripeRootHookMatchesEncode(t *testing.T) {
-	s, _ := NewStriper(4, 1)
-	txs := mkTxs(5, 0)
-	set, _ := s.Encode(txs)
-	if got := s.StripeRootHook()(txs); got != set.Root {
-		t.Fatal("StripeRootHook root differs from Encode")
-	}
-}
-
 // TestStripeMsgCodec round-trips both stripe kinds of one bundle: producer
 // 1's own stripe and stripe 3, across the ring, carry the signed header,
 // stripes 0 and 2 only its hash, and each comes back with what it carried

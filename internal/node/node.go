@@ -112,9 +112,6 @@ type Config struct {
 	// bundle/consensus stages in the wrapped components). Nil disables
 	// tracing at zero cost.
 	Trace *obs.Tracer
-	// Metrics, when non-nil, receives per-node counters from the wrapped
-	// components (Predis mode).
-	Metrics *obs.Registry
 	// Executor, when non-nil, applies every committed block's semantic
 	// operations to this node's account state machine before client
 	// replies go out. Each node owns its own machine; determinism of the
@@ -190,7 +187,6 @@ func New(cfg Config) (*Node, error) {
 			StripeRoot:     cfg.StripeRoot,
 			OnBundleStored: cfg.OnBundleStored,
 			Trace:          cfg.Trace,
-			Metrics:        cfg.Metrics,
 			OnCommit: func(ci core.CommitInfo) {
 				if cfg.OnBlockCommit != nil {
 					cfg.OnBlockCommit(ci.Block)

@@ -5,14 +5,12 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"time"
 
 	"predis/internal/wire"
 )
 
-// Counter is a monotonically increasing count. All methods are nil-safe so
-// components can hold an optional counter without guarding every hot-path
-// increment.
+// Counter is a monotonically increasing count. All methods are nil-safe,
+// as a nil Registry hands out nil counters.
 type Counter struct{ v uint64 }
 
 // Inc adds one.
@@ -51,66 +49,6 @@ func (g *Gauge) Value() float64 {
 	return g.v
 }
 
-// Histogram is a fixed-bucket histogram: bounds are upper-inclusive bucket
-// edges; observations above the last bound land in the implicit +Inf
-// bucket. Buckets are allocated once at registration; Observe is a single
-// scan of a small slice (allocation-free).
-type Histogram struct {
-	bounds []float64
-	counts []uint64 // len(bounds)+1; last is +Inf
-	count  uint64
-	sum    float64
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	h.count++
-	h.sum += v
-	for i, b := range h.bounds {
-		if v <= b {
-			h.counts[i]++
-			return
-		}
-	}
-	h.counts[len(h.bounds)]++
-}
-
-// ObserveDuration records a duration in milliseconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(durMS(d)) }
-
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
-// Sum returns the sum of observations (0 on nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
-// Buckets returns (bounds, cumulative-free per-bucket counts); the counts
-// slice has one extra element for the +Inf bucket. Callers must not mutate
-// the returned slices.
-func (h *Histogram) Buckets() ([]float64, []uint64) {
-	if h == nil {
-		return nil, nil
-	}
-	return h.bounds, h.counts
-}
-
-// DefaultLatencyBucketsMS is a sensible fixed-bucket layout for stage and
-// message latencies in milliseconds.
-var DefaultLatencyBucketsMS = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
-
 // metricKey scopes a metric to one node. wire.NoNode scopes a metric to
 // the whole simulation.
 type metricKey struct {
@@ -118,14 +56,13 @@ type metricKey struct {
 	node wire.NodeID
 }
 
-// Registry is a per-simulation registry of per-node metrics. Lookup
-// happens once at wiring time (Counter/Gauge/Histogram return stable
-// pointers); the hot path is a plain field update. Not safe for
-// concurrent use — the simulator serializes all callbacks.
+// Registry is a per-simulation registry of per-node metrics. Components
+// keep their own counters; a run's harness fills the registry from them
+// once the run has ended, and the registry exports them. Not safe for
+// concurrent use.
 type Registry struct {
 	counters map[metricKey]*Counter
 	gauges   map[metricKey]*Gauge
-	hists    map[metricKey]*Histogram
 }
 
 // NewRegistry builds an empty registry.
@@ -133,7 +70,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[metricKey]*Counter),
 		gauges:   make(map[metricKey]*Gauge),
-		hists:    make(map[metricKey]*Histogram),
 	}
 }
 
@@ -166,24 +102,6 @@ func (r *Registry) Gauge(name string, node wire.NodeID) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram for a node, creating it with the
-// given bucket bounds on first use (later calls ignore bounds).
-func (r *Registry) Histogram(name string, node wire.NodeID, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	k := metricKey{name, node}
-	h, ok := r.hists[k]
-	if !ok {
-		h = &Histogram{
-			bounds: append([]float64(nil), bounds...),
-			counts: make([]uint64, len(bounds)+1),
-		}
-		r.hists[k] = h
-	}
-	return h
-}
-
 // metricRow is one exported line.
 type metricRow struct {
 	name  string
@@ -192,15 +110,14 @@ type metricRow struct {
 	value string
 }
 
-// rows flattens every metric into sorted rows: counters and gauges emit a
-// single "value" field; histograms emit count, sum, and one "le:<bound>"
-// field per bucket. Sorting by (name, node, field-order) makes the dump
+// rows flattens every metric into sorted rows, one "value" field each:
+// counters first, then gauges. Sorting by (name, node) makes the dump
 // independent of map iteration and therefore byte-stable across runs.
 func (r *Registry) rows() []metricRow {
 	if r == nil {
 		return nil
 	}
-	out := make([]metricRow, 0, len(r.counters)+len(r.gauges)+len(r.hists))
+	out := make([]metricRow, 0, len(r.counters)+len(r.gauges))
 	keys := make([]metricKey, 0, len(r.counters))
 	for k := range r.counters {
 		keys = append(keys, k)
@@ -217,22 +134,6 @@ func (r *Registry) rows() []metricRow {
 	sortMetricKeys(keys)
 	for _, k := range keys {
 		out = append(out, metricRow{k.name, k.node, "value", formatFloat(r.gauges[k].Value())})
-	}
-	keys = keys[:0]
-	for k := range r.hists {
-		keys = append(keys, k)
-	}
-	sortMetricKeys(keys)
-	for _, k := range keys {
-		h := r.hists[k]
-		out = append(out, metricRow{k.name, k.node, "count", strconv.FormatUint(h.count, 10)})
-		out = append(out, metricRow{k.name, k.node, "sum", formatFloat(h.sum)})
-		for i, b := range h.bounds {
-			out = append(out, metricRow{k.name, k.node, "le:" + formatFloat(b),
-				strconv.FormatUint(h.counts[i], 10)})
-		}
-		out = append(out, metricRow{k.name, k.node, "le:+Inf",
-			strconv.FormatUint(h.counts[len(h.bounds)], 10)})
 	}
 	return out
 }

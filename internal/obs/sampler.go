@@ -49,7 +49,6 @@ type Sample struct {
 type Sampler struct {
 	net      *simnet.Network
 	interval time.Duration
-	reg      *Registry
 
 	samples []Sample
 	// Per-node previous readings, indexed by the network's dense node
@@ -65,17 +64,14 @@ type Sampler struct {
 	lastBytes     uint64
 }
 
-// NewSampler builds a sampler over net. interval is the sampling period;
-// reg, when non-nil, additionally receives per-node NIC gauges and a
-// simulation-wide queue-depth gauge on every tick.
-func NewSampler(net *simnet.Network, interval time.Duration, reg *Registry) *Sampler {
+// NewSampler builds a sampler over net. interval is the sampling period.
+func NewSampler(net *simnet.Network, interval time.Duration) *Sampler {
 	if interval <= 0 {
 		interval = 100 * time.Millisecond
 	}
 	return &Sampler{
 		net:      net,
 		interval: interval,
-		reg:      reg,
 	}
 }
 
@@ -127,10 +123,7 @@ func (s *Sampler) tick() {
 		s.lastSent[idx] = sent
 		s.lastRecv[idx] = recv
 		sm.Nodes = append(sm.Nodes, ns)
-		s.reg.Gauge("nic_up_util", id).Set(ns.UpUtil)
-		s.reg.Gauge("nic_down_util", id).Set(ns.DownUtil)
 	}
-	s.reg.Gauge("queue_depth", wire.NoNode).Set(float64(sm.QueueLen))
 	s.samples = append(s.samples, sm)
 }
 

@@ -50,19 +50,6 @@ func PutEncoder(e *Encoder) {
 	encPool.Put(e)
 }
 
-// WithFrame marshals m into a pooled scratch buffer, invokes fn with the
-// encoded frame, and recycles the buffer. The frame is only valid for
-// the duration of fn and must not be retained (hash it, copy it, write
-// it out — then let go).
-//
-//predis:hotpath
-func WithFrame(m Message, fn func(frame []byte)) {
-	e := GetEncoder()
-	e.buf = MarshalAppend(e.buf, m)
-	fn(e.buf)
-	PutEncoder(e)
-}
-
 // EncCache memoizes a message's marshaled frame so that encoding happens
 // once regardless of how many recipients, phases, or size queries touch
 // the message. Embed one next to a payload field and route EncodeBody /

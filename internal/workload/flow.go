@@ -108,10 +108,6 @@ func (f *Flow) Submitted() uint64 { return f.seq }
 // PendingCount returns in-flight (unconfirmed) transactions.
 func (f *Flow) PendingCount() int { return len(f.pending) }
 
-// ClientSeq returns how many transactions logical client
-// FirstClient+offset has submitted.
-func (f *Flow) ClientSeq(offset int) uint64 { return f.clientSeqs[offset] }
-
 // Start implements env.Handler.
 func (f *Flow) Start(ctx env.Context) {
 	f.ctx = ctx
