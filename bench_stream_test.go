@@ -23,7 +23,6 @@ func benchStreamPoint(b *testing.B, stream bool) {
 	spec := harness.PointSpec{
 		System:         harness.SysPPBFT,
 		NC:             4,
-		F:              1,
 		Offered:        2000,
 		Duration:       2 * time.Second,
 		Seed:           1,

@@ -12,10 +12,11 @@
 //
 // Experiment ids: quickstart fig4a fig4b fig4c fig4d fig5wan fig5lan fig6
 // fig7 fig8 recovery byzantine contention scale latfloor. The scale
-// experiment sweeps 10²..5·10⁴-node populations (aggregated client
-// flows, k-ary multicast trees); its latency/depth/throughput tables are
-// deterministic while its machine-cost table (wall-clock, peak RSS) is
-// inherently host-dependent, so scale does not participate in -replay.
+// experiment sweeps 10²..5·10⁴-node populations (one client per 1000
+// logical clients, k-ary multicast trees); its latency/depth/throughput
+// tables are deterministic while its machine-cost table (wall-clock,
+// peak RSS) is inherently host-dependent, so scale does not participate
+// in -replay.
 // The latfloor experiment contrasts block-granularity commit with
 // streaming commit on the same P-PBFT deployment; see EXPERIMENTS.md
 // "Latency floor". -mode stream switches quickstart alone to streaming

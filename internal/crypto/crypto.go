@@ -5,11 +5,9 @@ package crypto
 
 import (
 	"crypto/ed25519"
-	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 )
 
 // HashSize is the size of a digest in bytes.
@@ -74,15 +72,6 @@ type KeyPair struct {
 	private ed25519.PrivateKey
 }
 
-// GenerateKeyPair creates a fresh random key pair.
-func GenerateKeyPair() (*KeyPair, error) {
-	pub, priv, err := ed25519.GenerateKey(rand.Reader)
-	if err != nil {
-		return nil, fmt.Errorf("crypto: generate key: %w", err)
-	}
-	return &KeyPair{Public: pub, private: priv}, nil
-}
-
 // DeterministicKeyPair derives a key pair from a 64-bit seed. It is intended
 // for tests and simulations where reproducibility matters; never use it with
 // attacker-predictable seeds in production.
@@ -128,13 +117,6 @@ func NewKeyring(pairs []*KeyPair) *Keyring {
 		keys[i] = p.Public
 	}
 	return &Keyring{keys: keys}
-}
-
-// NewKeyringFromPublic builds a keyring from raw public keys.
-func NewKeyringFromPublic(keys []ed25519.PublicKey) *Keyring {
-	cp := make([]ed25519.PublicKey, len(keys))
-	copy(cp, keys)
-	return &Keyring{keys: cp}
 }
 
 // Len returns the number of keys in the ring.

@@ -58,9 +58,6 @@ func New(data, parity int) (*Coder, error) {
 	return &Coder{data: data, parity: parity, enc: vm.mul(topInv)}, nil
 }
 
-// DataShards returns the number of data shards.
-func (c *Coder) DataShards() int { return c.data }
-
 // TotalShards returns data+parity.
 func (c *Coder) TotalShards() int { return c.data + c.parity }
 

@@ -54,7 +54,6 @@ func Fig6(o Options) ([]*stats.Table, error) {
 			specs = append(specs, PointSpec{
 				System:   SysPPBFT,
 				NC:       8,
-				F:        2,
 				Offered:  offered,
 				Clients:  8,
 				Duration: duration,

@@ -7,23 +7,23 @@ import (
 	"predis/internal/env"
 	"predis/internal/node"
 	"predis/internal/stats"
-	"predis/internal/topology"
 	"predis/internal/types"
 	"predis/internal/wire"
 	"predis/internal/workload"
 )
 
-// starHost couples a P-PBFT consensus node with a star-topology source
-// that ships every committed block, in full, to its attached full nodes.
+// starHost couples a P-PBFT consensus node with the root of its star: a
+// one-level Tree that ships every committed block, in full, to the full
+// nodes attached to it.
 type starHost struct {
-	n   *node.Node
-	src *topology.StarSource
+	n     *node.Node
+	relay *TreeRelay
 }
 
 var _ env.Handler = (*starHost)(nil)
 
 func (h *starHost) Start(ctx env.Context) {
-	h.src.Start(ctx)
+	h.relay.Start(ctx)
 	h.n.Start(ctx)
 }
 
@@ -47,13 +47,14 @@ func runFig7Point(d Deploy, star bool) (float64, error) {
 	net := newNet(d.Seed, false, nil)
 	var col *workload.Collector
 	suite := d.suite()
-	attached := make([][]wire.NodeID, d.NC)
+	fulls := make([]wire.NodeID, len(d.Fulls))
 	for i, s := range d.Fulls {
-		attached[i%d.NC] = append(attached[i%d.NC], s.ID)
+		fulls[i] = s.ID
 	}
+	trees := starTrees(d.NC, fulls)
 	for i := 0; i < d.NC; i++ {
 		i := i
-		src := topology.NewStarSource(attached[i])
+		root := NewTreeRelay(trees[i], nil)
 		n, err := node.New(node.Config{
 			Mode: node.ModePredis, Engine: d.Engine,
 			NC: d.NC, F: d.f(), Self: wire.NodeID(i),
@@ -63,7 +64,7 @@ func runFig7Point(d Deploy, star bool) (float64, error) {
 			ViewTimeout:    d.ViewTimeout,
 			ReplyToClients: true,
 			OnCommit: func(height uint64, txs []*types.Transaction) {
-				src.Publish(height, wire.NodeID(i), types.TotalBytes(txs))
+				root.Publish(height, wire.NodeID(i), types.TotalBytes(txs))
 				if i == 0 {
 					col.RecordNodeCommit(net.Now(), len(txs))
 				}
@@ -72,10 +73,10 @@ func runFig7Point(d Deploy, star bool) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		net.AddNode(wire.NodeID(i), &starHost{n: n, src: src})
+		net.AddNode(wire.NodeID(i), &starHost{n: n, relay: root})
 	}
-	for _, s := range d.Fulls {
-		net.AddNode(s.ID, topology.NewSink(nil))
+	for i, id := range fulls {
+		net.AddNode(id, NewTreeRelay(trees[i%d.NC], nil))
 	}
 	col = d.addLoad(net)
 	net.Start()

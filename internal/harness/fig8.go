@@ -7,7 +7,6 @@ import (
 
 	"predis/internal/core"
 	"predis/internal/crypto"
-	"predis/internal/env"
 	"predis/internal/gossip"
 	"predis/internal/multizone"
 	"predis/internal/stats"
@@ -57,25 +56,28 @@ type fig8Spec struct {
 }
 
 // runFig8Star publishes complete blocks from consensus nodes to attached
-// full nodes and reports per-coverage latency averaged over blocks.
+// full nodes — one one-level Tree per consensus node — and reports
+// per-coverage latency averaged over blocks.
 func runFig8Star(spec fig8Spec) (map[float64]time.Duration, error) {
 	net := newNet(spec.seed, false, nil)
 	arrivals := make(map[uint64][]time.Duration)
 	published := make(map[uint64]time.Time)
-
-	attached := make([][]wire.NodeID, spec.nc)
-	for i := 0; i < spec.fullNodes; i++ {
-		id := wire.NodeID(100 + i)
-		attached[i%spec.nc] = append(attached[i%spec.nc], id)
-		net.AddNode(id, topology.NewSink(func(height uint64, at time.Time) {
-			arrivals[height] = append(arrivals[height], at.Sub(published[height]))
-		}))
+	onBlock := func(height uint64, at time.Time) {
+		arrivals[height] = append(arrivals[height], at.Sub(published[height]))
 	}
-	sources := make([]*topology.StarSource, spec.nc)
-	for i := 0; i < spec.nc; i++ {
-		src := topology.NewStarSource(attached[i])
-		sources[i] = src
-		net.AddNode(wire.NodeID(i), &sourceShell{src: src})
+
+	fulls := make([]wire.NodeID, spec.fullNodes)
+	for i := range fulls {
+		fulls[i] = wire.NodeID(100 + i)
+	}
+	trees := starTrees(spec.nc, fulls)
+	for i, id := range fulls {
+		net.AddNode(id, NewTreeRelay(trees[i%spec.nc], onBlock))
+	}
+	roots := make([]*TreeRelay, spec.nc)
+	for i, tree := range trees {
+		roots[i] = NewTreeRelay(tree, nil)
+		net.AddNode(wire.NodeID(i), roots[i])
 	}
 	net.Start()
 
@@ -84,22 +86,14 @@ func runFig8Star(spec fig8Spec) (map[float64]time.Duration, error) {
 	for b := 1; b <= spec.blocks; b++ {
 		h := uint64(b)
 		published[h] = net.Now()
-		for i, src := range sources {
-			src.Publish(h, wire.NodeID(i), size) // every consensus node ships the complete block
+		for i, root := range roots {
+			root.Publish(h, wire.NodeID(i), size) // every consensus node ships the complete block
 		}
 		net.Run(net.Elapsed() + interval)
 	}
 	net.Run(net.Elapsed() + 4*interval)
 	return averageCoverage(arrivals, spec.fullNodes), nil
 }
-
-// sourceShell adapts a StarSource to env.Handler.
-type sourceShell struct {
-	src *topology.StarSource
-}
-
-func (s *sourceShell) Start(ctx env.Context)                    { s.src.Start(ctx) }
-func (s *sourceShell) Receive(from wire.NodeID, m wire.Message) {}
 
 // runFig8Random disseminates complete blocks over a degree-8 random graph
 // with FEG-style gossip (fanout 4 + digest/pull).

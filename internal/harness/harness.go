@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"time"
 
+	"predis/internal/consensus"
 	"predis/internal/core"
 	"predis/internal/crypto"
 	"predis/internal/env"
@@ -59,7 +60,7 @@ func modeEngine(sys System) (node.Mode, node.EngineKind, error) {
 // PointSpec describes one throughput/latency measurement.
 type PointSpec struct {
 	System     System
-	NC, F      int
+	NC         int // consensus group size; the fault bound is (NC−1)/3
 	BundleSize int // bundle / microblock size (Predis, Narwhal, Stratus)
 	BatchSize  int // batch size (baseline PBFT / HotStuff)
 	WAN        bool
@@ -89,9 +90,6 @@ func (s *PointSpec) withDefaults() PointSpec {
 	out := *s
 	if out.NC == 0 {
 		out.NC = 4
-	}
-	if out.F == 0 {
-		out.F = (out.NC - 1) / 3
 	}
 	if out.BundleSize == 0 {
 		out.BundleSize = 50
@@ -128,6 +126,7 @@ type PointResult struct {
 // RunPoint builds the deployment for one spec, runs it, and measures.
 func RunPoint(spec PointSpec) (PointResult, error) {
 	s := spec.withDefaults()
+	f := consensus.FaultBound(s.NC)
 	mode, engine, err := modeEngine(s.System)
 	if err != nil {
 		return PointResult{}, err
@@ -149,7 +148,7 @@ func RunPoint(spec PointSpec) (PointResult, error) {
 			Mode:           mode,
 			Engine:         engine,
 			NC:             s.NC,
-			F:              s.F,
+			F:              f,
 			Self:           wire.NodeID(i),
 			Signer:         suite.Signer(i),
 			BatchSize:      s.BatchSize,
@@ -182,7 +181,7 @@ func RunPoint(spec PointSpec) (PointResult, error) {
 	}
 	addClients(net, 1000, s.Clients, s.NC, s.Offered, workload.ClientConfig{
 		Policy:    policy,
-		F:         s.F,
+		F:         f,
 		GenStart:  simnet.Epoch.Add(50 * time.Millisecond),
 		GenStop:   end,
 		Collector: col,

@@ -44,7 +44,6 @@ func TestRunPointWithFaults(t *testing.T) {
 	res, err := RunPoint(PointSpec{
 		System:   SysPPBFT,
 		NC:       8,
-		F:        2,
 		Offered:  3000,
 		Clients:  8,
 		Duration: 3 * time.Second,
@@ -104,13 +103,13 @@ func TestFig6Shape(t *testing.T) {
 		t.Skip("multi-second simulation")
 	}
 	normal, err := RunPoint(PointSpec{
-		System: SysPPBFT, NC: 8, F: 2, Offered: 8000, Clients: 8, Duration: 4 * time.Second,
+		System: SysPPBFT, NC: 8, Offered: 8000, Clients: 8, Duration: 4 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	silent1, err := RunPoint(PointSpec{
-		System: SysPPBFT, NC: 8, F: 2, Offered: 8000, Clients: 8, Duration: 4 * time.Second,
+		System: SysPPBFT, NC: 8, Offered: 8000, Clients: 8, Duration: 4 * time.Second,
 		Faults: map[wire.NodeID]core.FaultMode{7: core.FaultSilent},
 	})
 	if err != nil {

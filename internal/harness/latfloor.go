@@ -19,7 +19,6 @@ func latfloorSpecs(o Options, wan bool, stream bool, loads []float64, duration t
 		specs[i] = PointSpec{
 			System:   SysPPBFT,
 			NC:       4,
-			F:        1,
 			WAN:      wan,
 			Offered:  load,
 			Duration: duration,

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -125,10 +126,11 @@ func TestPacedStreamIdle(t *testing.T) {
 // in block and in stream mode, and quick contention, whose row also
 // carries a digest of every per-height state root. Two runs each must
 // reproduce them. The experiment rows — quick recovery and byzantine
-// through Options.Replay, and fig7 and fig8, which take no trace, as a
-// SHA-256 of their rendered quick tables — run once: same-seed
-// determinism is the first six rows' and TestReplayRecoveryDeterministic's
-// business, these hold every Multi-Zone deployment shape still. A change
+// through Options.Replay, and fig7, fig8 and scale, which take no trace,
+// as a SHA-256 of their rendered quick tables (scale's without its
+// machine-cost table) — run once: same-seed determinism is the first six
+// rows' and TestReplayRecoveryDeterministic's business, these hold every
+// Multi-Zone deployment shape and the scale sweep still. A change
 // that moves the model on purpose re-pins the rows it moves; a host-only
 // change must leave all of them alone. (All ten rows moved together with
 // simnet's NIC model, which re-timed every delivery; seven moved again
@@ -205,6 +207,14 @@ func TestReplayPinned(t *testing.T) {
 			return crypto.HashBytes([]byte(out.String())).String()
 		}
 	}
+	// scaleTables is Scale without its machine-cost table, the one table
+	// whose figures (wall-clock, peak RSS) differ from run to run.
+	scaleTables := func(o Options) ([]*stats.Table, error) {
+		tables, err := Scale(o)
+		return slices.DeleteFunc(tables, func(tbl *stats.Table) bool {
+			return strings.Contains(tbl.Title, "nondeterministic")
+		}), err
+	}
 	for _, c := range []struct {
 		name string
 		runs int
@@ -221,6 +231,7 @@ func TestReplayPinned(t *testing.T) {
 		{"quick byzantine", 1, experiment(Byzantine, true), "9f0334a90e1b18f69679d480e60a28c9c4fb8666f6fa78bbe0d238b428ebb922 443676"},
 		{"quick fig7 tables", 1, experiment(Fig7, false), "6942a4d630345b1d819b9732c057b7234dec1a846a45fa65e0f8f359c6979ee2"},
 		{"quick fig8 tables", 1, experiment(Fig8, false), "782007a019dc0eef73e56b4cd5540e882a98e7162d548754cb7edbc038725c60"},
+		{"quick scale tables", 1, experiment(scaleTables, false), "3bbb870433738b118300d524b760b1029e3248dbadadd1d0f5be84b3c5f51f9f"},
 	} {
 		for run := 1; run <= c.runs; run++ {
 			if got := c.run(); got != c.want {

@@ -15,12 +15,12 @@ import (
 
 // The scale experiment (ROADMAP 3a) measures what the rest of the suite
 // cannot: population cost. N tree relays at fixed per-node bandwidth
-// receive blocks down a k-ary multicast tree while aggregated client
-// flows (one generator per 1000 logical clients — see workload.Flow)
-// offer transaction load to the root. Sweeping N over 10²..5·10⁴ and the
-// tree fan-out over deep/shallow/auto reproduces the Shallow Overlay
-// Trees trade-off: deep trees pay latency·depth, shallow trees pay
-// k·B/U per level, and the bandwidth-aware optimum sits between.
+// receive blocks down a k-ary multicast tree while open-loop clients
+// (one workload.Client per 1000 logical clients, offering their combined
+// rate) send transaction load to the root. Sweeping N over 10²..5·10⁴
+// and the tree fan-out over deep/shallow/auto reproduces the Shallow
+// Overlay Trees trade-off: deep trees pay latency·depth, shallow trees
+// pay k·B/U per level, and the bandwidth-aware optimum sits between.
 //
 // Two kinds of output: the delivery/throughput/depth tables are
 // deterministic (pure virtual-time measurements), while the machine-cost
@@ -54,7 +54,7 @@ type scaleResult struct {
 }
 
 // scaleRoot is the root handler: a tree relay that also absorbs the
-// aggregated flows' transactions.
+// clients' transactions.
 type scaleRoot struct {
 	relay *TreeRelay
 	txs   uint64
@@ -71,8 +71,8 @@ func (r *scaleRoot) Receive(from wire.NodeID, m wire.Message) {
 	}
 }
 
-// scaleFlowBase keeps flow node IDs clear of any relay population size.
-const scaleFlowBase = 1 << 20
+// scaleClientBase keeps client node IDs clear of any relay population size.
+const scaleClientBase = 1 << 20
 
 // runScalePoint builds and runs one population point. Host machine cost
 // rides along through env.HostMeter — the sanctioned channel for
@@ -115,28 +115,22 @@ func runScalePoint(spec scaleSpec) (scaleResult, error) {
 		net.AddNode(id, NewTreeRelay(tree, onBlock))
 	}
 
-	// Aggregated flows: 1000 logical clients per generator, all
-	// submitting to the root.
-	const clientsPerFlow = 1000
+	// One client per 1000 logical clients, offering their combined rate,
+	// all submitting to the root.
+	const clientsPerGen = 1000
 	interval := time.Second
 	genStop := simnet.Epoch.Add(time.Duration(spec.blocks) * interval)
-	for i, first := 0, 0; first < spec.n; i, first = i+1, first+clientsPerFlow {
-		clients := spec.n - first
-		if clients > clientsPerFlow {
-			clients = clientsPerFlow
-		}
-		net.AddNode(wire.NodeID(scaleFlowBase+i), workload.NewFlow(workload.FlowConfig{
-			Self:        wire.NodeID(scaleFlowBase + i),
-			FirstClient: wire.NodeID(scaleFlowBase + first),
-			Clients:     clients,
-			Targets:     order[:1],
-			Policy:      workload.FirstOnly,
-			Rate:        spec.clientRate * float64(clients),
-			TxSize:      types.DefaultTxSize,
-			Epoch:       simnet.Epoch,
-			GenStart:    simnet.Epoch,
-			GenStop:     genStop,
-			Seed:        uint64(spec.seed)*0x9e3779b97f4a7c15 + uint64(i),
+	for i, first := 0, 0; first < spec.n; i, first = i+1, first+clientsPerGen {
+		clients := min(spec.n-first, clientsPerGen)
+		net.AddNode(wire.NodeID(scaleClientBase+i), workload.NewClient(workload.ClientConfig{
+			Self:     wire.NodeID(scaleClientBase + i),
+			Targets:  order[:1],
+			Policy:   workload.FirstOnly,
+			Rate:     spec.clientRate * float64(clients),
+			TxSize:   types.DefaultTxSize,
+			Epoch:    simnet.Epoch,
+			GenStart: simnet.Epoch,
+			GenStop:  genStop,
 		}))
 	}
 	net.Start()
@@ -150,7 +144,7 @@ func runScalePoint(spec scaleSpec) (scaleResult, error) {
 	net.RunUntilIdle(0)
 
 	// Rate over the generation window, not the (topology-dependent) drain
-	// time — otherwise a slow tree depresses apparent flow throughput.
+	// time — otherwise a slow tree depresses apparent client throughput.
 	genWindow := genStop.Sub(simnet.Epoch)
 	return scaleResult{
 		fanout:   k,

@@ -1,5 +1,6 @@
 // k-ary multicast trees for population-scale block distribution (the
-// scale experiment).
+// scale experiment), and, one level deep, the star topology of Figs. 7
+// and 8 (starTrees).
 //
 // The Shallow Overlay Trees observation (PAPERS.md) is that at 10⁴–10⁵
 // nodes the distribution bottleneck is the product depth × per-hop cost,
@@ -44,6 +45,22 @@ func NewTree(order []wire.NodeID, fanout int) *Tree {
 		fanout = 1
 	}
 	return &Tree{Order: order, Fanout: fanout}
+}
+
+// starTrees is the star topology of §V-B: the full nodes are attached to
+// consensus nodes 0..nc-1 round-robin, and each consensus node roots a
+// one-level Tree over its own, shipping every complete block straight to
+// each of them.
+func starTrees(nc int, fulls []wire.NodeID) []*Tree {
+	trees := make([]*Tree, nc)
+	for i := range trees {
+		order := []wire.NodeID{wire.NodeID(i)}
+		for j := i; j < len(fulls); j += nc {
+			order = append(order, fulls[j])
+		}
+		trees[i] = NewTree(order, len(order)-1)
+	}
+	return trees
 }
 
 // pos returns the tree position of id, or -1. Linear probe kept out of

@@ -120,3 +120,71 @@ func TestTreeRelayDeliversWholePopulation(t *testing.T) {
 		t.Fatalf("delivered %d messages, want %d (one per edge per height)", net.Delivered(), want)
 	}
 }
+
+// TestStarTreeSerializesUplink runs the star topology as a one-level
+// tree: the root ships k copies of a block over its one uplink, so the
+// copies leave in series and the arrivals spread over at least
+// (k−1)·size/rate.
+func TestStarTreeSerializesUplink(t *testing.T) {
+	topology.RegisterMessages()
+	net := simnet.New(simnet.Config{
+		Uplink: simnet.Mbps100, Downlink: simnet.Mbps100,
+		Latency: simnet.UniformLatency(10 * time.Millisecond), Seed: 1,
+	})
+	const leaves = 6
+	fulls := make([]wire.NodeID, leaves)
+	for i := range fulls {
+		fulls[i] = wire.NodeID(10 + i)
+	}
+	tr := starTrees(1, fulls)[0]
+	if got := tr.Children(0); len(got) != leaves || got[0] != fulls[0] || tr.Depth() != 1 {
+		t.Fatalf("star tree: root has children %v at depth %d, want %v at depth 1", got, tr.Depth(), fulls)
+	}
+	arrivals := make(map[wire.NodeID]time.Time)
+	root := NewTreeRelay(tr, nil)
+	net.AddNode(0, root)
+	for _, id := range fulls {
+		id := id
+		net.AddNode(id, NewTreeRelay(tr, func(height uint64, at time.Time) {
+			arrivals[id] = at
+		}))
+	}
+	net.Start()
+	root.Publish(1, 0, 1<<20) // 1 MB
+	net.RunUntilIdle(0)
+
+	if len(arrivals) != leaves {
+		t.Fatalf("%d leaves got the block, want %d", len(arrivals), leaves)
+	}
+	var first, last time.Time
+	for _, at := range arrivals {
+		if first.IsZero() || at.Before(first) {
+			first = at
+		}
+		if at.After(last) {
+			last = at
+		}
+	}
+	perCopy := time.Duration(float64(1<<20) / float64(simnet.Mbps100) * float64(time.Second))
+	minSpread := time.Duration(leaves-1) * perCopy
+	if spread := last.Sub(first); spread < minSpread*9/10 {
+		t.Fatalf("spread %v too small for serialized uplink (want ≥ %v)", spread, minSpread)
+	}
+}
+
+// TestStarTreeLeafDedupes checks that a leaf of a star reports each
+// height once: a repeated height does not fire OnBlock again.
+func TestStarTreeLeafDedupes(t *testing.T) {
+	topology.RegisterMessages()
+	count := 0
+	leaf := NewTreeRelay(starTrees(1, []wire.NodeID{1})[0], func(h uint64, at time.Time) { count++ })
+	net := simnet.New(simnet.Config{})
+	net.AddNode(1, leaf)
+	net.Start()
+	leaf.Receive(0, &topology.BlockData{Height: 5, Size: 100})
+	leaf.Receive(2, &topology.BlockData{Height: 5, Size: 100})
+	leaf.Receive(2, &topology.BlockData{Height: 6, Size: 100})
+	if count != 2 {
+		t.Fatalf("OnBlock fired %d times, want 2", count)
+	}
+}

@@ -13,9 +13,6 @@ import (
 // as a nil Registry hands out nil counters.
 type Counter struct{ v uint64 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
 // Add adds n.
 func (c *Counter) Add(n uint64) {
 	if c != nil {

@@ -124,7 +124,7 @@ func TestNilRecorders(t *testing.T) {
 	}
 
 	var c *Counter
-	c.Inc()
+	c.Add(1)
 	c.Add(5)
 	if c.Value() != 0 {
 		t.Fatal("nil counter must be inert")
@@ -149,7 +149,7 @@ func TestRegistryCSVDeterministic(t *testing.T) {
 		r := NewRegistry()
 		ops := []func(){
 			func() { r.Counter("msgs", 2).Add(7) },
-			func() { r.Counter("msgs", 1).Inc() },
+			func() { r.Counter("msgs", 1).Add(1) },
 			func() { r.Gauge("depth", wire.NoNode).Set(3.5) },
 		}
 		for _, i := range order {

@@ -1,19 +1,15 @@
-// Package topology implements the two baseline network topologies the
-// paper compares Multi-Zone against (§V-B):
-//
-//   - the star topology, where every full node attaches directly to a
-//     consensus node and receives complete blocks from it — consensus
-//     bandwidth therefore grows linearly with the full-node count;
-//   - helpers shared with the random topology (package gossip), notably
-//     the opaque BlockData message that carries a complete block of a
-//     given size.
+// Package topology holds the messages of the two baseline topologies the
+// paper compares Multi-Zone against (§V-B): BlockData, a complete block
+// as an opaque payload of a given size, which both ship; and Digest and
+// Pull, the random topology's FEG gossip (package gossip). The star
+// topology — every full node attached to one consensus node, so consensus
+// bandwidth grows linearly with the full-node count — is a one-level
+// multicast tree of the harness (harness.Tree).
 package topology
 
 import (
 	"sync"
-	"time"
 
-	"predis/internal/env"
 	"predis/internal/wire"
 )
 
@@ -133,67 +129,3 @@ func RegisterMessages() {
 		wire.Register(TypePull, "topo.pull", decodePull)
 	})
 }
-
-// Sink is a full node in the star topology: it records block arrivals and
-// nothing else (star full nodes are pure consumers).
-type Sink struct {
-	ctx env.Context
-	// OnBlock fires on the first arrival of each height.
-	OnBlock func(height uint64, at time.Time)
-	seen    map[uint64]bool
-}
-
-var _ env.Handler = (*Sink)(nil)
-
-// NewSink builds a star full node.
-func NewSink(onBlock func(height uint64, at time.Time)) *Sink {
-	return &Sink{OnBlock: onBlock, seen: make(map[uint64]bool)}
-}
-
-// Start implements env.Handler.
-func (s *Sink) Start(ctx env.Context) { s.ctx = ctx }
-
-// Receive implements env.Handler.
-func (s *Sink) Receive(from wire.NodeID, m wire.Message) {
-	bd, ok := m.(*BlockData)
-	if !ok {
-		return
-	}
-	if s.seen[bd.Height] {
-		return
-	}
-	s.seen[bd.Height] = true
-	if s.OnBlock != nil {
-		s.OnBlock(bd.Height, s.ctx.Now())
-	}
-}
-
-// StarSource fans complete blocks out to attached full nodes; consensus
-// nodes in the star topology use one per node.
-type StarSource struct {
-	ctx      env.Context
-	attached []wire.NodeID
-}
-
-// NewStarSource builds a source for the given attached full nodes.
-func NewStarSource(attached []wire.NodeID) *StarSource {
-	return &StarSource{attached: append([]wire.NodeID(nil), attached...)}
-}
-
-// Start records the context (call from the host handler's Start).
-func (s *StarSource) Start(ctx env.Context) { s.ctx = ctx }
-
-// Publish sends a complete block of the given size to every attached full
-// node.
-func (s *StarSource) Publish(height uint64, origin wire.NodeID, size int) {
-	if s.ctx == nil {
-		return
-	}
-	m := &BlockData{Height: height, Origin: origin, Size: uint32(size)}
-	for _, id := range s.attached {
-		s.ctx.Send(id, m)
-	}
-}
-
-// Attached returns the number of attached full nodes.
-func (s *StarSource) Attached() int { return len(s.attached) }

@@ -2,10 +2,7 @@ package topology
 
 import (
 	"testing"
-	"time"
 
-	"predis/internal/env"
-	"predis/internal/simnet"
 	"predis/internal/wire"
 )
 
@@ -43,75 +40,5 @@ func TestTopologyMessageCodecs(t *testing.T) {
 	}
 	if g := p.(*Pull); len(g.Heights) != 3 || g.Heights[2] != 3 {
 		t.Fatalf("Pull heights changed: %+v", g)
-	}
-}
-
-func TestStarSourceFanout(t *testing.T) {
-	RegisterMessages()
-	net := simnet.New(simnet.Config{
-		Uplink: simnet.Mbps100, Downlink: simnet.Mbps100,
-		Latency: simnet.UniformLatency(10 * time.Millisecond), Seed: 1,
-	})
-	const sinks = 6
-	arrivals := make(map[wire.NodeID]time.Time)
-	for i := 0; i < sinks; i++ {
-		id := wire.NodeID(10 + i)
-		net.AddNode(id, NewSink(func(height uint64, at time.Time) {
-			arrivals[id] = at
-		}))
-	}
-	attached := make([]wire.NodeID, sinks)
-	for i := range attached {
-		attached[i] = wire.NodeID(10 + i)
-	}
-	src := NewStarSource(attached)
-	if src.Attached() != sinks {
-		t.Fatalf("Attached = %d", src.Attached())
-	}
-	host := &hostShell{src: src}
-	net.AddNode(0, host)
-	net.Start()
-	src.Publish(1, 0, 1<<20) // 1 MB
-	net.RunUntilIdle(0)
-
-	if len(arrivals) != sinks {
-		t.Fatalf("%d sinks got the block, want %d", len(arrivals), sinks)
-	}
-	// With a shared uplink, arrivals are strictly serialized: the last
-	// sink waits ≈ sinks × size/rate.
-	var first, last time.Time
-	for _, at := range arrivals {
-		if first.IsZero() || at.Before(first) {
-			first = at
-		}
-		if at.After(last) {
-			last = at
-		}
-	}
-	perCopy := time.Duration(float64(1<<20) / float64(simnet.Mbps100) * float64(time.Second))
-	minSpread := time.Duration(sinks-1) * perCopy
-	if spread := last.Sub(first); spread < minSpread*9/10 {
-		t.Fatalf("spread %v too small for serialized uplink (want ≥ %v)", spread, minSpread)
-	}
-}
-
-// hostShell adapts StarSource to env.Handler for the test.
-type hostShell struct{ src *StarSource }
-
-func (h *hostShell) Start(ctx env.Context)                    { h.src.Start(ctx) }
-func (h *hostShell) Receive(from wire.NodeID, m wire.Message) {}
-
-func TestSinkDedupes(t *testing.T) {
-	RegisterMessages()
-	count := 0
-	s := NewSink(func(h uint64, at time.Time) { count++ })
-	net := simnet.New(simnet.Config{})
-	net.AddNode(0, s)
-	net.Start()
-	s.Receive(1, &BlockData{Height: 5, Size: 100})
-	s.Receive(2, &BlockData{Height: 5, Size: 100})
-	s.Receive(2, &BlockData{Height: 6, Size: 100})
-	if count != 2 {
-		t.Fatalf("OnBlock fired %d times, want 2", count)
 	}
 }
