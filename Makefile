@@ -99,7 +99,8 @@ smoke_scale = go build -o bin/predis-bench ./cmd/predis-bench \
 
 # examples: every example runs and checks its own outcome, exiting non-zero
 # on a violation: quickstart when nothing confirms, bank unless all replicas
-# agree on the balances, multizone when a full node completes no block, and
+# agree on the balances, multizone when a full node completes no block or a
+# zone lacks exactly one relayer per stripe index (the placement rule), and
 # faults' narrated scenarios (partition, leader crash, relayer outage,
 # corrupting relayer) assert internally; scenario 3's skip-sync anchor is
 # sensitive to pull timing.

@@ -11,10 +11,11 @@
 //
 // Scenario 3 — relayer crash (§IV-C/IV-F): a zone's relayer fail-stops
 // under a declarative fault schedule. Its lease lapses at the consensus
-// distributors, which stop streaming to it, the zone promotes a replacement
-// for the orphaned stripes, and when the crashed node restarts it re-runs
-// the subscription bootstrap and catches up the blocks it missed. The
-// example prints the timeline, with each distributor's subscribers.
+// distributors, which stop streaming to it; once its beacon expires, the
+// placement rule hands its stripes to the next member of each stripe's
+// candidate list, and when the crashed node restarts it applies the rule
+// afresh and catches up the blocks it missed. The example prints the
+// timeline, with each distributor's subscribers.
 //
 // Scenario 4 — corrupting relayer (§IV-B): the network forges every
 // stripe a relayer sends during an attack window. Subscribers reject the
@@ -197,10 +198,10 @@ func silentLeader() error {
 
 // relayerCrash runs one Multi-Zone zone over a P-PBFT group, crashes the
 // zone's first relayer through a scripted fault window, and narrates the
-// recovery: heartbeat expiry, stripe re-election, re-subscription after
-// restart, and chain catch-up.
+// recovery: heartbeat expiry, stripe hand-over to the next candidate,
+// re-subscription after restart, and chain catch-up.
 func relayerCrash() error {
-	fmt.Println("scenario 3: relayer crash → re-election → catch-up")
+	fmt.Println("scenario 3: relayer crash → hand-over → catch-up")
 	const (
 		nc, f    = 4, 1
 		perZone  = 6

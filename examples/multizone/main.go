@@ -1,9 +1,11 @@
 // Multizone: a two-zone Multi-Zone network over P-PBFT. Full nodes join
-// one by one, run the subscription protocol (Algorithm 1), elect relayers,
-// exchange erasure-coded stripes, and reconstruct every committed block
+// one by one and place themselves by their zone's membership: member k of
+// a zone relays stripe index k straight from consensus node k, and every
+// other member subscribes each index it wants from that index's relayer.
+// They exchange erasure-coded stripes and reconstruct every committed block
 // from the tiny Predis block plus their local bundle chains. The program
-// prints the relayer topology that emerged and each zone's block
-// completion progress.
+// prints the relayer topology and each zone's block completion progress,
+// and fails unless each zone has exactly one relayer per index.
 //
 //	go run ./examples/multizone
 package main
@@ -131,9 +133,10 @@ func run() error {
 	net.Start()
 	net.Run(duration + 2*time.Second)
 
-	fmt.Printf("\nconsensus committed %d txs; relayer topology that emerged:\n", committed)
+	fmt.Printf("\nconsensus committed %d txs; relayer topology:\n", committed)
 	for z := 0; z < zones; z++ {
 		fmt.Printf("  zone %d:\n", z)
+		relayers := make([]int, nc) // relayers per stripe index
 		for k := 0; k < perZone; k++ {
 			fn := fulls[fullID(z, k)]
 			stripes, bundles, blocks := fn.Stats()
@@ -145,6 +148,14 @@ func run() error {
 				fullID(z, k), role, stripes, bundles, blocks)
 			if blocks == 0 {
 				return fmt.Errorf("node %d completed no blocks", fullID(z, k))
+			}
+			for _, s := range fn.RelayedStripes() {
+				relayers[s]++
+			}
+		}
+		for s, n := range relayers {
+			if n != 1 {
+				return fmt.Errorf("zone %d has %d relayers of stripe %d, want 1", z, n, s)
 			}
 		}
 	}

@@ -73,7 +73,9 @@ func refRoundRobin(fullNodes, zones int, spacing time.Duration) []wiring {
 
 // TestZoneWiring: one wiring rule over a join-ordered list reproduces both
 // hand-written layouts, including the uneven full-mode fig8 shapes that
-// only a ten-minute run exercises. A wiring's index is its JoinSeq.
+// only a ten-minute run exercises. A wiring's index is its JoinSeq, and
+// in both layouts a zone's members join in ascending NodeID order, which is
+// the order the placement rule reads.
 func TestZoneWiring(t *testing.T) {
 	render := func(ws []wiring) []string {
 		out := make([]string, len(ws))
@@ -96,6 +98,15 @@ func TestZoneWiring(t *testing.T) {
 		{"round-robin 100/3", zoneWiring(roundRobin(100, 3), 15*ms), refRoundRobin(100, 3, 15*ms)},
 		{"round-robin 100/12", zoneWiring(roundRobin(100, 12), 15*ms), refRoundRobin(100, 12, 15*ms)},
 	} {
+		// The placement rule orders a zone by NodeID: a zone's members must
+		// join in ascending ID order.
+		last := map[int]wire.NodeID{}
+		for join, w := range c.got {
+			if prev, ok := last[w.Zone]; ok && w.ID <= prev {
+				t.Errorf("%s: join %d is node %d, after node %d of zone %d", c.name, join, w.ID, prev, w.Zone)
+			}
+			last[w.Zone] = w.ID
+		}
 		got, want := render(c.got), render(c.want)
 		if len(got) != len(want) || len(got) == 0 {
 			t.Errorf("%s: %d full nodes wired, want %d", c.name, len(got), len(want))

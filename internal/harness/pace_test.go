@@ -142,7 +142,11 @@ func TestPacedStreamIdle(t *testing.T) {
 // instead of n_c — every row with full nodes, fig8's tables included —
 // while the two bare consensus points and fig7's tables did not. The two
 // recovery rows alone moved when a gap above buffered bundles stopped
-// being re-requested whole each time the buffered run grew.)
+// being re-requested whole each time the buffered run grew. Eight moved
+// when relayer placement became a function of zone membership — every
+// row with full nodes, fig7's table digest included, since consensus
+// nodes' relayer subscriptions changed with it — while the two bare
+// consensus points and scale's tables did not.)
 func TestReplayPinned(t *testing.T) {
 	sum := func(tr *ReplayTrace) string { return fmt.Sprintf("%s %d", tr.Sum(), tr.Deliveries()) }
 	point := func() string {
@@ -222,15 +226,15 @@ func TestReplayPinned(t *testing.T) {
 		want string
 	}{
 		{"P-PBFT point", 2, point, "2b99bcdc2610a1094c3621927ef686ddf98fef6a3d5b79d34d25e346dd6fa78f 2966"},
-		{"leader-crash recovery", 2, recovery, "ec6ccb2ad5102306f2cf656a79193fa0af3eb89622d07535bb1c613a28adb3cb 34051"},
+		{"leader-crash recovery", 2, recovery, "395f87b777194d67d0ea6deb0095b966532c8c1e9126273e37f05e329cbe3e27 34025"},
 		{"stream P-PBFT point", 2, streamPoint, "8c2f8bd883313664b38fbdaa80e61a47a6a53ac8d871f7c507e045eaff24a16d 14369"},
-		{"quickstart", 2, quickstart(false), "597d80c3c9a8890adfe7f148bd19fe657e076849f38d5bda50ed399532ea6075 20670"},
-		{"stream quickstart", 2, quickstart(true), "8754e7f6eea8588af3f6ae7ed4537cba7257c258d5a29547735347145bc06584 131260"},
-		{"contention", 2, contention, "5f76e37759dfcf096267aafa1e4280a5ffb55bcc6d2326051bb218bbb48c07b3 6875 roots 17e061a1ef6bf248f4dfb1bf9073861720cbe6f762e60614de89e13f457b10c3"},
-		{"quick recovery", 1, experiment(Recovery, true), "7485ee8c65ca9ce1e9be44c8a783c4d4f709142d4ac93f884c14402882c318ff 178190"},
-		{"quick byzantine", 1, experiment(Byzantine, true), "9f0334a90e1b18f69679d480e60a28c9c4fb8666f6fa78bbe0d238b428ebb922 443676"},
-		{"quick fig7 tables", 1, experiment(Fig7, false), "6942a4d630345b1d819b9732c057b7234dec1a846a45fa65e0f8f359c6979ee2"},
-		{"quick fig8 tables", 1, experiment(Fig8, false), "782007a019dc0eef73e56b4cd5540e882a98e7162d548754cb7edbc038725c60"},
+		{"quickstart", 2, quickstart(false), "19f96c04326a89ec7b0cabab668b9b5c69588935cfb58a1cee829c9283552cea 20483"},
+		{"stream quickstart", 2, quickstart(true), "53dff27f14203a5de272401351221321cafb2f136f701d555387566632ee9e7b 131072"},
+		{"contention", 2, contention, "d1b1981a6dc7e7c878f1621bce444b1fc003da779695a3f06f95732ec011df1b 6832 roots 47a0edeaa534521ab31badcfbc342cfe0aab5b6c9117a5c97cb92403d9a49a3b"},
+		{"quick recovery", 1, experiment(Recovery, true), "37b3cc17404f1782f57fe06bfb49f919f7db8da9f673f11cdec67f588a859aea 174645"},
+		{"quick byzantine", 1, experiment(Byzantine, true), "49f61acb52f37456992c375c7481ceaa27866bf1b5eba91ca0bf209d1105a715 437888"},
+		{"quick fig7 tables", 1, experiment(Fig7, false), "ac9c141acd77195dcdac0c438b8cbf3f7adb1959643784fe942b494f565073c8"},
+		{"quick fig8 tables", 1, experiment(Fig8, false), "25c836b4b099b21edbf1fcc14feef2ece20fa589b544d9656efc333f22f5bb70"},
 		{"quick scale tables", 1, experiment(scaleTables, false), "3bbb870433738b118300d524b760b1029e3248dbadadd1d0f5be84b3c5f51f9f"},
 	} {
 		for run := 1; run <= c.runs; run++ {

@@ -11,13 +11,13 @@ import (
 // state a fetch need for the damaged bundle that leaves the offender out
 // of the holder rotation (FullNode.holders), and quarantine repeat offenders
 // behind a TTL blacklist that feeds every peer-selection path: the
-// Receive gate, Algorithm 1's candidate order, relayer announcements,
-// bootstrap tables, and the subscription table. Withholding is
-// handled separately: a sender that stays alive but never contributes its
-// stripe fails no verification, so the silence rule (spare.go) works
-// around it with a spare index and never quarantines it — benign
-// crash/loss runs keep rejected, refetches, and quarantines at exactly
-// zero.
+// Receive gate, the placement rule's liveness (a quarantined member relays
+// nothing), spare and referral choice, and the subscription table.
+// Withholding is handled separately: a sender that stays alive but never
+// contributes its stripe fails no verification, so the silence rule
+// (spare.go) works around it with a spare index and never quarantines it
+// — benign crash/loss runs keep rejected, refetches, and quarantines at
+// exactly zero.
 
 // ByzStats returns the Byzantine-hardening counters: stripes rejected on
 // verification failure, damaged bundles whose refetch opened a holder
@@ -56,10 +56,9 @@ func (f *FullNode) recordOffense(from wire.NodeID) {
 }
 
 // quarantine blacklists a peer for quarantineTTL and severs every role it
-// plays in this node's topology: stripe sender, subscriber, pending
-// subscription target, and relayer-table entry (tombstoned, so a
-// post-expiry honest announcement still versions monotonically).
-// Algorithm 1 then re-wires the orphaned stripes through alternates.
+// plays in this node's topology: stripe sender, subscriber and pending
+// subscription target. The placement rule then skips it, so what it
+// relayed is subscribed from the next candidates.
 func (f *FullNode) quarantine(id wire.NodeID) {
 	f.quarantines++
 	delete(f.offenses, id)
@@ -74,13 +73,10 @@ func (f *FullNode) quarantine(id wire.NodeID) {
 		}
 		f.setSubscriber(uint8(s), id, false)
 	}
-	if info := f.zoneRelayers[id]; info != nil {
-		info.stripes = nil // tombstone: no longer a candidate, version preserved
-	}
 	f.ctx.Logf("multizone: node %d quarantined %d for %v",
 		f.cfg.Self, id, f.quarantineTTL())
 	f.fetch.DropHolder(id)
-	f.runSubscription()
+	f.place()
 }
 
 // headerAuthentic checks a bundle header's producer signature (used

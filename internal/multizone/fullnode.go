@@ -3,7 +3,6 @@ package multizone
 import (
 	"math/bits"
 	"slices"
-	"sort"
 	"time"
 
 	"predis/internal/core"
@@ -16,7 +15,7 @@ import (
 )
 
 // FullNodeConfig parameterizes a Multi-Zone full node (relayer or ordinary
-// node; the role is decided dynamically by Algorithm 1).
+// node; the role follows from the zone's membership, see relayerOf).
 type FullNodeConfig struct {
 	// Self is this node's ID.
 	Self wire.NodeID
@@ -35,8 +34,9 @@ type FullNodeConfig struct {
 	// Signer verifies bundle and block signatures (any index works; only
 	// verification is used).
 	Signer crypto.Signer
-	// ZonePeers are the other full nodes of this zone (neighbor set and
-	// relayer bootstrap).
+	// ZonePeers are the other full nodes of this zone: the members the
+	// placement rule (relayerOf) orders. Every builder numbers a zone's
+	// members in join order, so ascending NodeID is join order.
 	ZonePeers []wire.NodeID
 	// BackupPeers are nodes in neighboring zones for digest exchange
 	// (§IV-F).
@@ -44,8 +44,8 @@ type FullNodeConfig struct {
 	// MaxSubscribers caps total subscriptions this node accepts (Fig. 8
 	// uses 24 to equalize bandwidth with the random topology).
 	MaxSubscribers int
-	// AliveInterval paces relayerAlive broadcasts and relayer-count checks.
-	// (Zone links are leased on a fixed clock: see heartbeatInterval.)
+	// AliveInterval paces relayer beacons and placement checks. (Zone
+	// links are leased on a fixed clock: see heartbeatInterval.)
 	AliveInterval time.Duration
 	// DigestInterval paces backup-connection digests (0 disables).
 	DigestInterval time.Duration
@@ -120,43 +120,22 @@ func (c *FullNodeConfig) withDefaults() FullNodeConfig {
 // it to this node and whom this node feeds it to.
 type link struct {
 	sender  wire.NodeID   // who sends us the index; NoNode: nobody
-	pending wire.NodeID   // where a subscribe for it is outstanding; NoNode: nowhere (see pendingAt)
+	pending wire.NodeID   // where a subscribe for it is outstanding; NoNode: nowhere
 	direct  bool          // taken straight from its consensus node: one of our relayed stripes
+	capped  wire.NodeID   // the relayer that referred us elsewhere for want of capacity; NoNode: none
 	heard   heardAt       // last traffic on it from its sender (see heard)
 	asked   time.Time     // when it was last asked for again while silent
 	subs    []wire.NodeID // who we forward it to, ascending
-}
-
-// pendingAt reports whether a subscribe for the index is outstanding at id.
-// A link with nothing outstanding reads as outstanding at node 0, as the
-// per-index map this table replaced read a missing key; the replies and
-// timers of subscribes sent to consensus node 0 depend on it (ROADMAP).
-func (l *link) pendingAt(id wire.NodeID) bool {
-	return l.pending == id || l.pending == wire.NoNode && id == 0
 }
 
 // newLinks returns an empty table of nc links.
 func newLinks(nc int) []link {
 	links := make([]link, nc)
 	for s := range links {
-		links[s].sender, links[s].pending = wire.NoNode, wire.NoNode
+		links[s].sender, links[s].pending, links[s].capped = wire.NoNode, wire.NoNode, wire.NoNode
 	}
 	return links
 }
-
-// relayerInfo tracks one known relayer of this node's zone. An entry with
-// no stripes is a tombstone for a demoted relayer, kept so announcement
-// versions stay monotonic.
-type relayerInfo struct {
-	joinSeq   uint64
-	version   uint64
-	stripes   []uint8
-	lastAlive time.Time
-}
-
-// active reports whether the entry describes a live relayer (tombstones
-// are not active).
-func (r *relayerInfo) active() bool { return len(r.stripes) > 0 }
 
 // partialBundle accumulates stripes for one bundle header. It stays in
 // the dedup map until the bundle is confirmed, so it holds the bundle's
@@ -193,12 +172,15 @@ type FullNode struct {
 	retry env.Backoff
 
 	// Subscription state: links[s] is stripe index s (see setSubscriber).
-	links        []link
-	subscribers  []wire.NodeID // every subscriber of any index, ascending
-	subCount     int           // total subscriptions accepted
-	isRelayer    bool
-	zoneRelayers map[wire.NodeID]*relayerInfo
-	aliveVersion uint64 // our own announcement version counter
+	links       []link
+	subscribers []wire.NodeID // every subscriber of any index, ascending
+	subCount    int           // total subscriptions accepted
+	// Placement (see relayerOf): the zone's members, this node included,
+	// in join order; when each member last sent a relayer beacon; and when
+	// a subscribe to it went unanswered.
+	members []wire.NodeID
+	beacons map[wire.NodeID]time.Time
+	down    map[wire.NodeID]time.Time
 
 	// Data plane.
 	partials map[crypto.Hash]*partialBundle // by header hash
@@ -258,26 +240,31 @@ func NewFullNode(cfg FullNodeConfig) (*FullNode, error) {
 		return nil, err
 	}
 	f := &FullNode{
-		cfg:          c,
-		mp:           mp,
-		retry:        env.DefaultBackoff(c.AliveInterval),
-		links:        newLinks(c.NC),
-		zoneRelayers: make(map[wire.NodeID]*relayerInfo),
-		partials:     make(map[crypto.Hash]*partialBundle),
-		headerless:   make([]int, c.NC),
-		seenBlocks:   make(map[crypto.Hash]uint64),
-		lastSeen:     make(map[wire.NodeID]time.Time),
-		offenses:     make(map[wire.NodeID]int),
-		quarantined:  make(map[wire.NodeID]time.Time),
+		cfg:         c,
+		mp:          mp,
+		retry:       env.DefaultBackoff(c.AliveInterval),
+		links:       newLinks(c.NC),
+		members:     append([]wire.NodeID{c.Self}, c.ZonePeers...),
+		beacons:     make(map[wire.NodeID]time.Time),
+		down:        make(map[wire.NodeID]time.Time),
+		partials:    make(map[crypto.Hash]*partialBundle),
+		headerless:  make([]int, c.NC),
+		seenBlocks:  make(map[crypto.Hash]uint64),
+		lastSeen:    make(map[wire.NodeID]time.Time),
+		offenses:    make(map[wire.NodeID]int),
+		quarantined: make(map[wire.NodeID]time.Time),
 	}
+	slices.Sort(f.members)
 	f.fetch = core.NewFetchPlane(mp, f.retry, f.holders)
 	f.catchup = core.NewCatchup(mp, f.retry, f.catchupOwner())
 	return f, nil
 }
 
-// IsRelayer reports whether this node currently relays stripes from
-// consensus nodes.
-func (f *FullNode) IsRelayer() bool { return f.isRelayer }
+// IsRelayer reports whether this node currently takes stripes straight
+// from consensus nodes.
+func (f *FullNode) IsRelayer() bool {
+	return slices.ContainsFunc(f.links, func(l link) bool { return l.direct })
+}
 
 // RelayedStripes returns the stripes this node takes directly from
 // consensus nodes (the paper's RelayedStripes()).
@@ -287,6 +274,16 @@ func (f *FullNode) RelayedStripes() []uint8 {
 		if l.direct {
 			out = append(out, uint8(s))
 		}
+	}
+	return out
+}
+
+// Senders returns who sends this node each stripe index, NoNode for an
+// index it does not receive.
+func (f *FullNode) Senders() []wire.NodeID {
+	out := make([]wire.NodeID, len(f.links))
+	for s, l := range f.links {
+		out[s] = l.sender
 	}
 	return out
 }
@@ -327,13 +324,12 @@ func (f *FullNode) LastHeight() uint64 {
 // Mempool exposes the node's bundle store (read-only use).
 func (f *FullNode) Mempool() *core.Mempool { return f.mp }
 
-// Start implements env.Handler: bootstrap relayer discovery, then run
-// Algorithm 1.
+// Start implements env.Handler: apply the placement rule, then keep it.
 func (f *FullNode) Start(ctx env.Context) {
 	f.ctx = ctx
 	f.fetch.Start(ctx)
 	f.catchup.Start(ctx)
-	f.bootstrap()
+	f.place()
 	f.armAlive()
 	f.armHeartbeat()
 	if f.cfg.DigestInterval > 0 && len(f.cfg.BackupPeers) > 0 {
@@ -341,79 +337,117 @@ func (f *FullNode) Start(ctx env.Context) {
 	}
 }
 
-// bootstrap runs relayer discovery: ask a few zone peers for the current
-// relayer set (Alg. 1 line 1), give responses a beat to arrive, then
-// subscribe. The first node of a zone finds no relayers and goes straight
-// to the consensus nodes. Also re-run on restart.
-func (f *FullNode) bootstrap() {
-	asked := 0
-	for _, p := range f.cfg.ZonePeers {
-		if asked >= 3 {
-			break
-		}
-		f.ctx.Send(p, &GetRelayers{Zone: uint32(f.cfg.Zone)})
-		asked++
+// relayerOf returns the member that relays index s: the first live member
+// of s's candidate list. In a zone of at least n_c members the list is
+// the members at join positions s, s+n_c, s+2n_c, …, then the remaining
+// members in ring order from s+1, so each index has its own relayer; a
+// smaller zone starts it at position ⌊s·M/n_c⌋ of its M members, which
+// gives each member a contiguous run of indices (see headerCarrier). A
+// failure moves only the failed member's indices. This node is always
+// live in its own view, so some member always relays s.
+func (f *FullNode) relayerOf(s uint8) wire.NodeID {
+	m, nc := len(f.members), f.cfg.NC
+	home := int(s)
+	if m < nc {
+		home = int(s) * m / nc
 	}
-	f.ctx.After(50*time.Millisecond, f.runSubscription)
+	now := f.ctx.Now()
+	for p := home; p < m; p += nc {
+		if id := f.members[p]; f.live(id, now) {
+			return id
+		}
+	}
+	for k := 1; k < m; k++ {
+		if id := f.members[(home+k)%m]; f.live(id, now) {
+			return id
+		}
+	}
+	return f.cfg.Self
 }
 
-// runSubscription is Algorithm 1 over the indices wanted (see wanted):
-// subscribe up to half of each relayer's relayed stripes, then take the
-// remainder straight from consensus nodes (becoming a relayer).
-func (f *FullNode) runSubscription() {
-	needed := f.wanted()
-	if len(needed) == 0 {
-		return
+// upstream returns whom this node takes index s from by the placement
+// rule: s's relayer, or consensus node s when that relayer is this node.
+func (f *FullNode) upstream(s uint8) wire.NodeID {
+	if r := f.relayerOf(s); r != f.cfg.Self {
+		return r
 	}
-	neededSet := make([]bool, f.cfg.NC)
-	for _, s := range needed {
-		neededSet[s] = true
+	return wire.NodeID(s)
+}
+
+// live reports whether zone member id may relay, from the signals this node
+// has anyway: it is not quarantined, its lease has not lapsed, it has been
+// heard from since a subscribe to it last went unanswered for
+// resubscribeAfter (see sendSubscribe), and its relayer beacon, once it
+// sent one, is at most six alive intervals old. A member never heard from
+// is live.
+func (f *FullNode) live(id wire.NodeID, now time.Time) bool {
+	if id == f.cfg.Self {
+		return true
 	}
-	// Deterministic relayer order: by join sequence.
-	type cand struct {
-		id   wire.NodeID
-		info *relayerInfo
+	if f.isQuarantined(id) || f.lapsed(id, now) {
+		return false
 	}
-	cands := make([]cand, 0, len(f.zoneRelayers))
-	for id, info := range f.zoneRelayers {
-		if id != f.cfg.Self && info.active() && !f.isQuarantined(id) {
-			cands = append(cands, cand{id, info})
+	if at, ok := f.down[id]; ok && !f.lastSeen[id].After(at) {
+		return false
+	}
+	at, ok := f.beacons[id]
+	return !ok || now.Sub(at) <= 6*f.cfg.AliveInterval
+}
+
+// relays reports whether the placement rule makes this node a relayer.
+func (f *FullNode) relays() bool {
+	for s := range f.links {
+		if f.relayerOf(uint8(s)) == f.cfg.Self {
+			return true
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].info.joinSeq < cands[j].info.joinSeq })
-	for _, c := range cands {
-		// Alg. 1 line 5: at most half of the relayer's stripes.
-		max := (len(c.info.stripes) + 1) / 2
-		var take []uint8
-		for _, s := range c.info.stripes {
-			if len(take) >= max {
-				break
-			}
-			if int(s) < len(neededSet) && neededSet[s] {
-				take = append(take, s)
-				neededSet[s] = false
-			}
+	return false
+}
+
+// place applies the placement rule. Every index this node relays is taken
+// from its consensus node, announced by a beacon; every other index it
+// holds moves to its relayer, unless that relayer referred it elsewhere
+// for want of capacity (a spare stays where the silence rule put it); and
+// every index still wanted (see wanted) is subscribed from its relayer.
+// So no node is more than two hops below consensus.
+func (f *FullNode) place() {
+	took := false
+	for s := range f.links {
+		si, l := uint8(s), &f.links[s]
+		to := f.upstream(si)
+		relay := to == wire.NodeID(s)
+		if !relay && (!f.held(si) || to == l.capped || f.isSpare(si)) {
+			continue
 		}
-		if len(take) > 0 {
-			f.sendSubscribe(c.id, take)
+		if l.sender != to && l.pending == wire.NoNode && !f.isQuarantined(to) {
+			f.sendSubscribe(to, []uint8{si})
+			took = took || relay
 		}
 	}
-	// Alg. 1 lines 9-12: leftover stripes go straight to consensus node s.
-	for s, left := range neededSet {
-		if !left || f.isQuarantined(wire.NodeID(s)) {
-			continue // a quarantined source is retried once the blacklist TTL expires
+	if took {
+		f.beacon()
+	}
+	for _, s := range f.wanted() {
+		if to := f.upstream(s); !f.isQuarantined(to) {
+			f.sendSubscribe(to, []uint8{s})
 		}
-		f.sendSubscribe(wire.NodeID(s), []uint8{uint8(s)})
+	}
+}
+
+// beacon sends this node's RelayerAlive to every zone peer.
+func (f *FullNode) beacon() {
+	alive := &RelayerAlive{Relayer: f.cfg.Self, Zone: uint32(f.cfg.Zone)}
+	for _, p := range f.cfg.ZonePeers {
+		f.ctx.Send(p, alive)
 	}
 }
 
 // wanted lists the indices to subscribe now. Any n_c − f stripes rebuild a
 // bundle (§IV-D), so a node receives n_c − f indices: those it relays or
-// forwards, then the fewest others. Indices no zone relayer takes from
-// consensus come first, so every index enters the zone; the rest follow a
-// rotation that starts at JoinSeq, so nodes skip different indices. A spare
-// (spare.go) is not counted, but while one flows it takes the place of an
-// index that left before anything new is asked for.
+// forwards, then the fewest others, in a rotation that starts at JoinSeq,
+// so nodes skip different indices. A spare (spare.go) is not counted, but
+// while one flows it takes the place of an index that left before anything
+// new is asked for.
 func (f *FullNode) wanted() []uint8 {
 	short := f.cfg.NC - f.cfg.F
 	var out []uint8
@@ -431,29 +465,10 @@ func (f *FullNode) wanted() []uint8 {
 	for ; short > 0 && len(f.spares) > 0; short-- {
 		f.keepSpare(0)
 	}
-	if short <= 0 {
-		return out
-	}
-	covered := make([]bool, f.cfg.NC)
-	for s, l := range f.links {
-		covered[s] = l.direct
-	}
-	for id, info := range f.zoneRelayers {
-		if info.active() && !f.isQuarantined(id) {
-			for _, s := range info.stripes {
-				if int(s) < f.cfg.NC {
-					covered[s] = true
-				}
-			}
-		}
-	}
-	for _, uncovered := range []bool{true, false} {
-		for k := 0; k < f.cfg.NC && short > 0; k++ {
-			s := f.rotation(k)
-			if covered[s] != uncovered && !f.held(s) && !slices.Contains(out, s) {
-				out = append(out, s)
-				short--
-			}
+	for k := 0; k < f.cfg.NC && short > 0; k++ {
+		if s := f.rotation(k); !f.held(s) && !slices.Contains(out, s) {
+			out = append(out, s)
+			short--
 		}
 	}
 	return out
@@ -474,8 +489,9 @@ func (f *FullNode) held(s uint8) bool {
 }
 
 // trimSubscriptions drops indices received beyond n_c − f that this node
-// neither relays nor forwards, last in its rotation first: promotion, a
-// forwarding duty or a spare turned regular can leave it one over.
+// neither relays nor forwards, last in its rotation first: a relay duty
+// that moved away, a forwarding duty or a spare turned regular can leave it
+// one over.
 func (f *FullNode) trimSubscriptions() {
 	excess := f.cfg.F - f.cfg.NC
 	for s := 0; s < f.cfg.NC; s++ {
@@ -496,22 +512,25 @@ func (f *FullNode) trimSubscriptions() {
 	}
 }
 
+// sendSubscribe asks to for the given indices. If the subscribe goes
+// unanswered for resubscribeAfter, to counts as down until it is heard
+// from again, and the placement is applied afresh.
 func (f *FullNode) sendSubscribe(to wire.NodeID, stripes []uint8) {
 	for _, s := range stripes {
 		f.links[s].pending = to
 	}
 	f.ctx.Send(to, &Subscribe{Stripes: stripes})
-	// Re-run the algorithm if the subscription goes unanswered.
 	f.ctx.After(f.resubscribeAfter(), func() {
 		stale := false
 		for _, s := range stripes {
-			if l := &f.links[s]; l.pendingAt(to) {
+			if l := &f.links[s]; l.pending == to {
 				l.pending = wire.NoNode
 				stale = true
 			}
 		}
 		if stale {
-			f.runSubscription()
+			f.down[to] = f.ctx.Now()
+			f.place()
 		}
 	})
 }
@@ -537,12 +556,8 @@ func (f *FullNode) Receive(from wire.NodeID, m wire.Message) {
 		f.onUnsubscribe(from, msg)
 	case *RelayerAlive:
 		f.onRelayerAlive(from, msg)
-	case *GetRelayers:
-		f.onGetRelayers(from, msg)
-	case *RelayersInfo:
-		f.onRelayersInfo(from, msg)
 	case *Leave:
-		f.onLeave(from, msg)
+		f.onLeave(from)
 	case *Heartbeat:
 		// lastSeen already updated above.
 	case *BlockDigest:
@@ -569,8 +584,12 @@ func (f *FullNode) Receive(from wire.NodeID, m wire.Message) {
 
 func (f *FullNode) onSubscribe(from wire.NodeID, m *Subscribe) {
 	if f.subCount+len(m.Stripes) > f.cfg.MaxSubscribers {
-		// Refer the requester to our own subscribers (§IV-D).
-		children := slices.Clone(f.subscribers[:min(len(f.subscribers), 4)])
+		// Refer the requester to subscribers of what it asks for (§IV-D).
+		var children []wire.NodeID
+		if len(m.Stripes) > 0 && int(m.Stripes[0]) < f.cfg.NC {
+			subs := f.links[m.Stripes[0]].subs
+			children = slices.Clone(subs[:min(len(subs), 4)])
+		}
 		f.ctx.Send(from, &RejectSubscribe{Stripes: m.Stripes, Children: children})
 		return
 	}
@@ -580,7 +599,7 @@ func (f *FullNode) onSubscribe(from wire.NodeID, m *Subscribe) {
 		if int(s) >= f.cfg.NC {
 			continue
 		}
-		if l := &f.links[s]; l.sender == from || l.pendingAt(from) {
+		if l := &f.links[s]; l.sender == from || l.pending == from {
 			// from feeds us s, or is about to: feeding it back would close
 			// a loop no stripe enters. (Longer loops the silence rule
 			// breaks.)
@@ -603,14 +622,13 @@ func (f *FullNode) onSubscribe(from wire.NodeID, m *Subscribe) {
 	}
 	f.backfill(from, fresh)
 	if unheld {
-		f.runSubscription()
+		f.place()
 	}
 }
 
 func (f *FullNode) onAcceptSubscribe(from wire.NodeID, m *AcceptSubscribe) {
-	became := false
 	for _, s := range m.Stripes {
-		if int(s) >= len(f.links) || !f.links[s].pendingAt(from) {
+		if int(s) >= len(f.links) || f.links[s].pending != from {
 			continue
 		}
 		l := &f.links[s]
@@ -622,34 +640,27 @@ func (f *FullNode) onAcceptSubscribe(from wire.NodeID, m *AcceptSubscribe) {
 			l.heard = heardAt{f.ctx.Now(), f.opened} // a new sender gets a full silence grace
 		}
 		l.sender = from
-		if m.FromConsensus && !f.isSpare(s) {
-			l.direct = true
-			became = true
-		}
-	}
-	if became && !f.isRelayer {
-		f.isRelayer = true
-	}
-	if became {
-		f.broadcastAlive()
+		l.direct = m.FromConsensus && !f.isSpare(s)
 	}
 }
 
+// onRejectSubscribe follows a relayer's referral to one of its subscribers
+// when it is at capacity. An index refused without a referral waits for
+// the next placement check.
 func (f *FullNode) onRejectSubscribe(from wire.NodeID, m *RejectSubscribe) {
-	// Try the suggested children, else fall back to consensus.
 	for _, s := range m.Stripes {
-		if int(s) >= len(f.links) || !f.links[s].pendingAt(from) {
+		if int(s) >= len(f.links) || f.links[s].pending != from {
 			continue
 		}
-		f.links[s].pending = wire.NoNode
+		l := &f.links[s]
+		l.pending = wire.NoNode
 		if len(m.Children) > 0 {
 			child := m.Children[int(s)%len(m.Children)]
 			if child != f.cfg.Self && !f.isQuarantined(child) {
+				l.capped = from
 				f.sendSubscribe(child, []uint8{s})
-				continue
 			}
 		}
-		f.sendSubscribe(wire.NodeID(s), []uint8{s})
 	}
 }
 
@@ -661,249 +672,44 @@ func (f *FullNode) onUnsubscribe(from wire.NodeID, m *Unsubscribe) {
 	}
 }
 
-func (f *FullNode) onGetRelayers(from wire.NodeID, m *GetRelayers) {
-	if int(m.Zone) != f.cfg.Zone {
-		return
-	}
-	info := &RelayersInfo{Zone: m.Zone}
-	ids := make([]wire.NodeID, 0, len(f.zoneRelayers))
-	for id := range f.zoneRelayers {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if r := f.zoneRelayers[id]; r.active() {
-			info.Relayers = append(info.Relayers, RelayerEntry{Node: id, JoinSeq: r.joinSeq, Stripes: r.stripes})
-		}
-	}
-	if f.isRelayer {
-		info.Relayers = append(info.Relayers, RelayerEntry{
-			Node: f.cfg.Self, JoinSeq: f.cfg.JoinSeq, Stripes: f.RelayedStripes(),
-		})
-	}
-	f.ctx.Send(from, info)
-}
-
-func (f *FullNode) onRelayersInfo(from wire.NodeID, m *RelayersInfo) {
-	for _, r := range m.Relayers {
-		if r.Node == f.cfg.Self || f.isQuarantined(r.Node) {
-			continue
-		}
-		// Bootstrap info carries no version; only fill gaps so it never
-		// rolls back fresher relayerAlive state.
-		if _, known := f.zoneRelayers[r.Node]; known {
-			continue
-		}
-		f.zoneRelayers[r.Node] = &relayerInfo{
-			joinSeq: r.JoinSeq, stripes: r.Stripes, lastAlive: f.ctx.Now(),
-		}
-	}
-}
-
-// onRelayerAlive is Algorithm 2.
+// onRelayerAlive takes a zone peer's beacon as proof that it is alive
+// (Alg. 2). The first beacon from a member also repeats the subscribes
+// this node left pending there: they may have reached it before it
+// joined. Either way the placement is applied afresh.
 func (f *FullNode) onRelayerAlive(from wire.NodeID, m *RelayerAlive) {
-	if int(m.Zone) != f.cfg.Zone || m.Relayer == f.cfg.Self {
+	if int(m.Zone) != f.cfg.Zone || m.Relayer != from {
 		return
 	}
-	if f.isQuarantined(m.Relayer) {
-		return // a blacklisted relayer cannot advertise itself back into the tree
-	}
-	prev := f.zoneRelayers[m.Relayer]
-	if prev != nil && m.Version <= prev.version {
-		// Stale or duplicate announcement: refresh liveness, never
-		// re-forward (conflicting copies would otherwise circulate and
-		// toggle state forever).
-		if m.Version == prev.version {
-			prev.lastAlive = f.ctx.Now()
-		}
-		return
-	}
-	// Fresh version: store it (demotions keep a tombstone entry so the
-	// version stays monotonic).
-	f.zoneRelayers[m.Relayer] = &relayerInfo{
-		joinSeq: m.JoinSeq, version: m.Version, stripes: m.Stripes,
-		lastAlive: f.ctx.Now(),
-	}
-	changed := prev == nil || !stripesEqual(prev.stripes, m.Stripes)
-
-	if f.isRelayer && len(m.Stripes) > 0 {
-		// Lines 7-13: overlap resolution. The paper's intent (Fig. 3(d))
-		// is one consensus-direct relayer per stripe per zone; redundant
-		// relayers hand shared stripes over and eventually demote. We use
-		// a deterministic pairwise rule both sides can evaluate from the
-		// announcement alone: for each shared stripe, the relayer with
-		// the larger consensus-direct set yields it (join order breaks
-		// ties, later yields), so exactly one side acts.
-		shared := intersectStripes(f.RelayedStripes(), m.Stripes)
-		theirCount := len(m.Stripes)
-		yielded := false
-		for _, s := range shared {
-			myCount := len(f.RelayedStripes())
-			if myCount > theirCount || (myCount == theirCount && f.cfg.JoinSeq > m.JoinSeq) {
-				f.handOffStripe(s)
-				yielded = true
+	if _, known := f.beacons[from]; !known {
+		var again []uint8
+		for s, l := range f.links {
+			if l.pending == from {
+				again = append(again, uint8(s))
 			}
 		}
-		if yielded {
-			f.broadcastAlive()
-			f.runSubscription()
-		}
-		// Lines 14-18: if our sender for a stripe no longer relays it, and
-		// this relayer does, resubscribe to it.
-		for _, s := range m.Stripes {
-			if int(s) >= len(f.links) {
-				continue
-			}
-			l := &f.links[s]
-			if l.sender == wire.NoNode || l.sender == m.Relayer || l.direct {
-				continue
-			}
-			if info, known := f.zoneRelayers[l.sender]; known && info.active() && !containsStripe(info.stripes, s) &&
-				!l.pendingAt(m.Relayer) {
-				f.resubscribe(s, m.Relayer)
-			}
+		if len(again) > 0 {
+			f.ctx.Send(from, &Subscribe{Stripes: again})
 		}
 	}
-
-	// Line 20: forward fresh information to zone neighbors.
-	if changed {
-		for _, p := range f.cfg.ZonePeers {
-			if p != from && p != m.Relayer {
-				f.ctx.Send(p, m)
-			}
-		}
-	}
-
-	// Lines 21-23: demote ourselves if we relay nothing anymore.
-	if f.isRelayer && len(f.RelayedStripes()) == 0 {
-		f.demote()
-	}
+	f.beacons[from] = f.ctx.Now()
+	f.place()
 }
 
-// handOffStripe stops taking a stripe from its consensus node (Alg. 2's
-// redundancy squeeze); Algorithm 1 then takes it from the relayer that
-// keeps it if this node still wants it.
-func (f *FullNode) handOffStripe(s uint8) {
-	l := &f.links[s]
-	if l.direct {
-		l.direct = false
-		f.ctx.Send(wire.NodeID(s), &Unsubscribe{Stripes: []uint8{s}})
-	}
-	l.sender = wire.NoNode
-}
-
-// resubscribe moves one stripe to a new sender.
-func (f *FullNode) resubscribe(s uint8, to wire.NodeID) {
-	if l := &f.links[s]; l.sender != wire.NoNode {
-		f.ctx.Send(l.sender, &Unsubscribe{Stripes: []uint8{s}})
-		l.sender = wire.NoNode
-	}
-	f.sendSubscribe(to, []uint8{s})
-}
-
-func (f *FullNode) demote() {
-	f.isRelayer = false
-	for s := range f.links {
-		if l := &f.links[s]; l.direct {
-			f.ctx.Send(wire.NodeID(s), &Unsubscribe{Stripes: []uint8{uint8(s)}})
-			l.direct = false
-		}
-	}
-	f.aliveVersion++
-	alive := &RelayerAlive{
-		Relayer: f.cfg.Self, JoinSeq: f.cfg.JoinSeq,
-		Version: f.aliveVersion, Zone: uint32(f.cfg.Zone),
-	}
-	for _, p := range f.cfg.ZonePeers {
-		f.ctx.Send(p, alive)
-	}
-}
-
-func (f *FullNode) broadcastAlive() {
-	if !f.isRelayer {
-		return
-	}
-	f.aliveVersion++
-	alive := &RelayerAlive{
-		Relayer: f.cfg.Self, JoinSeq: f.cfg.JoinSeq, Version: f.aliveVersion,
-		Stripes: f.RelayedStripes(), Zone: uint32(f.cfg.Zone),
-	}
-	for _, p := range f.cfg.ZonePeers {
-		f.ctx.Send(p, alive)
-	}
-}
-
-// armAlive runs the periodic relayer maintenance (§IV-E): broadcast
-// relayerAlive, expire dead relayers, and promote ourselves when the zone
-// has fewer than n_c relayers.
+// armAlive runs the periodic zone maintenance (§IV-E): beacon while this
+// node relays, sweep the data plane, apply the placement rule — a relayer
+// whose beacon or lease expired hands its indices to their next candidates
+// — and trim what it holds beyond n_c − f.
 func (f *FullNode) armAlive() {
 	f.aliveTimer = f.ctx.After(f.cfg.AliveInterval, func() {
-		now := f.ctx.Now()
-		for id, info := range f.zoneRelayers {
-			if now.Sub(info.lastAlive) > 6*f.cfg.AliveInterval {
-				delete(f.zoneRelayers, id)
-			}
+		if f.relays() {
+			f.beacon()
 		}
-		f.broadcastAlive()
 		f.sweepDataPlane()
 		f.tryCompleteBlocks() // restates the needs of blocks still waiting
-		count := 0
-		for _, info := range f.zoneRelayers {
-			if info.active() {
-				count++
-			}
-		}
-		if f.isRelayer {
-			count++
-		}
-		if count < f.cfg.NC && !f.isRelayer {
-			f.promote()
-		}
-		// Subscription repair: the node tops its received set up to n_c − f
-		// through Algorithm 1, or trims what it holds beyond that.
-		f.runSubscription()
+		f.place()
 		f.trimSubscriptions()
 		f.armAlive()
 	})
-}
-
-// promote makes this node a relayer when its zone has fewer than n_c
-// (§IV-E): it takes every index no live relayer announces or, when all
-// are covered, one index of the relayer announcing the most — the overlap
-// rule (onRelayerAlive) has that relayer yield it, so each promotion leaves
-// the zone one relayer nearer to n_c relayers of one index each.
-func (f *FullNode) promote() {
-	covered := make([]bool, f.cfg.NC)
-	var most wire.NodeID = wire.NoNode
-	for id, info := range f.zoneRelayers {
-		for _, s := range info.stripes {
-			if int(s) < f.cfg.NC {
-				covered[s] = true
-			}
-		}
-		if m := f.zoneRelayers[most]; !f.isQuarantined(id) && (m == nil || len(info.stripes) > len(m.stripes) ||
-			len(info.stripes) == len(m.stripes) && info.joinSeq > m.joinSeq) {
-			most = id
-		}
-	}
-	var take []uint8
-	for s := 0; s < f.cfg.NC; s++ {
-		if !covered[s] {
-			take = append(take, uint8(s))
-		}
-	}
-	if len(take) == 0 && most != wire.NoNode && len(f.zoneRelayers[most].stripes) > 1 {
-		for k := 0; k < f.cfg.NC && len(take) == 0; k++ {
-			if s := f.rotation(k); containsStripe(f.zoneRelayers[most].stripes, s) {
-				take = append(take, s)
-			}
-		}
-	}
-	for _, s := range take {
-		if !f.links[s].pendingAt(wire.NodeID(s)) {
-			f.sendSubscribe(wire.NodeID(s), []uint8{s})
-		}
-	}
 }
 
 // armHeartbeat runs the lease rule on this node's zone links (§IV-E): a
@@ -972,74 +778,28 @@ func (f *FullNode) setSubscriber(s uint8, id wire.NodeID, on bool) bool {
 	return true
 }
 
-// Leave announces departure and hands relayer duty to the earliest
-// subscriber (§IV-E).
+// Leave announces departure to every zone peer (§IV-E).
 func (f *FullNode) Leave() {
 	if f.ctx == nil {
 		return
 	}
-	msg := &Leave{IsRelayer: f.isRelayer}
-	if f.isRelayer {
-		if len(f.subscribers) > 0 {
-			f.ctx.Send(f.subscribers[0], msg)
-		}
-		return
-	}
-	for _, id := range f.subscribers {
-		f.ctx.Send(id, msg)
+	for _, p := range f.cfg.ZonePeers {
+		f.ctx.Send(p, &Leave{})
 	}
 }
 
-func (f *FullNode) onLeave(from wire.NodeID, m *Leave) {
-	// Our sender is going away: resubscribe its stripes. If it was a
-	// relayer, we take its place by going straight to consensus (§IV-E).
+// onLeave takes a departing peer out of this node's links and out of the
+// placement: whatever it relayed or forwarded is asked of its next
+// candidate at once. (It counts as down until heard from after this
+// message.)
+func (f *FullNode) onLeave(from wire.NodeID) {
+	f.down[from] = f.ctx.Now()
 	for s := range f.links {
-		if l := &f.links[s]; l.sender == from {
+		l := &f.links[s]
+		if l.sender == from {
 			l.sender, l.direct = wire.NoNode, false
-			if m.IsRelayer {
-				f.sendSubscribe(wire.NodeID(s), []uint8{uint8(s)})
-			}
 		}
+		f.setSubscriber(uint8(s), from, false)
 	}
-	delete(f.zoneRelayers, from)
-	if !m.IsRelayer {
-		f.runSubscription()
-	}
-}
-
-// --- helpers ---
-
-func stripesEqual(a, b []uint8) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func intersectStripes(a, b []uint8) []uint8 {
-	set := make(map[uint8]bool, len(b))
-	for _, s := range b {
-		set[s] = true
-	}
-	var out []uint8
-	for _, s := range a {
-		if set[s] {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-func containsStripe(ss []uint8, s uint8) bool {
-	for _, x := range ss {
-		if x == s {
-			return true
-		}
-	}
-	return false
+	f.place()
 }

@@ -449,7 +449,7 @@ func (f *FullNode) arriving(producer wire.NodeID, height uint64) bool {
 // peer that feeds it the producer's stripe. Consensus nodes thus serve at
 // most the relayers of a zone, each its own bundles.
 func (f *FullNode) source(producer wire.NodeID) wire.NodeID {
-	if sd := f.links[producer].sender; sd != wire.NoNode && !f.isRelayer {
+	if sd := f.links[producer].sender; sd != wire.NoNode && !f.IsRelayer() {
 		return sd
 	}
 	return producer

@@ -14,7 +14,7 @@ import (
 var zoneTypes = []wire.Type{
 	TypeStripe, TypeSubscribe, TypeAcceptSubscribe, TypeRejectSubscribe,
 	TypeUnsubscribe, TypeRelayerAlive, TypeLeave, TypeHeartbeat,
-	TypeZoneBlock, TypeBlockDigest, TypeGetRelayers, TypeRelayersInfo,
+	TypeZoneBlock, TypeBlockDigest,
 }
 
 // FuzzZoneMessages decodes arbitrary bytes as the body of every message
@@ -50,13 +50,11 @@ func FuzzZoneMessages(f *testing.F) {
 		&AcceptSubscribe{Stripes: []uint8{1}, FromConsensus: true},
 		&RejectSubscribe{Stripes: []uint8{3}, Children: []wire.NodeID{9, 10}},
 		&Unsubscribe{Stripes: []uint8{0}},
-		&RelayerAlive{Relayer: 42, JoinSeq: 7, Stripes: []uint8{1, 2}, Zone: 3},
-		&Leave{IsRelayer: true},
+		&RelayerAlive{Relayer: 42, Zone: 3},
+		&Leave{},
 		&Heartbeat{},
 		&ZoneBlock{Block: blk},
 		&BlockDigest{Height: 9, Tips: []uint64{1, 2, 3, 4}},
-		&GetRelayers{Zone: 2},
-		&RelayersInfo{Zone: 2, Relayers: []RelayerEntry{{Node: 5, JoinSeq: 1, Stripes: []uint8{0}}}},
 	} {
 		f.Add(wire.Marshal(m)[wire.FrameOverhead:])
 	}

@@ -22,12 +22,11 @@ const (
 	TypeHeartbeat       = wire.TypeRangeZone + 8
 	TypeZoneBlock       = wire.TypeRangeZone + 9
 	TypeBlockDigest     = wire.TypeRangeZone + 10
-	TypeGetRelayers     = wire.TypeRangeZone + 11
-	TypeRelayersInfo    = wire.TypeRangeZone + 12
-	// TypeRangeZone+13 and +14 were the full nodes' own catch-up pair (now
-	// core's CatchupRequest/CatchupResponse), +15 and +16 the retired
-	// speculative block push and its retraction; they stay unused so no old
-	// frame decodes as a new type.
+	// TypeRangeZone+11 and +12 were the relayer-table bootstrap pair
+	// (placement is computed from membership now), +13 and +14 the full
+	// nodes' own catch-up pair (now core's CatchupRequest/CatchupResponse),
+	// +15 and +16 the retired speculative block push and its retraction;
+	// they stay unused so no old frame decodes as a new type.
 )
 
 // StripeMsg carries one erasure-coded stripe of a bundle and the Merkle
@@ -74,8 +73,9 @@ const refSize = 4 + 8 + crypto.HashSize
 // distinct indices would do for reassembly — the n_c−f stripes it needs
 // always include one of them — and offset 0 makes the producer's own
 // stripe, which it sends at seal time ahead of the others, a carrier. The
-// spread is what keeps relaying fast: Algorithm 1 splits a zone's stripes
-// between relayers in contiguous runs, and a relayer that takes no carrier
+// spread is what keeps relaying fast: a zone smaller than n_c splits its
+// stripes between relayers in contiguous runs (see FullNode.relayerOf),
+// and a relayer that takes no carrier
 // of a producer first hand must hold that producer's references until a
 // peer relays one (see FullNode.park), so a run of f+1 consecutive carriers
 // inside one relayer's half would make its peers wait two relay hops.
@@ -220,8 +220,7 @@ func decodeSubscribe(d *wire.Decoder) (wire.Message, error) {
 type AcceptSubscribe struct {
 	Stripes []uint8
 	// FromConsensus reports whether the accepting node is a consensus
-	// node; a node whose subscription a consensus node accepts becomes a
-	// relayer (Alg. 1 line 16).
+	// node, which makes the subscriber a relayer of the listed stripes.
 	FromConsensus bool
 }
 
@@ -293,17 +292,13 @@ func decodeUnsubscribe(d *wire.Decoder) (wire.Message, error) {
 	return m, d.Err()
 }
 
-// RelayerAlive advertises a relayer and the stripes it relays (Alg. 2). An
-// empty stripe list announces demotion to an ordinary node. Version is a
-// per-origin monotonic counter: receivers ignore (and do not re-forward)
-// announcements older than what they already hold, which keeps the
-// forwarding in Alg. 2 line 20 from circulating conflicting copies
-// forever.
+// RelayerAlive is a relayer's beacon (Alg. 2, §IV-E): every alive interval
+// each node that relays an index by the placement rule sends it straight
+// to every zone peer. It carries no stripe list, version or tombstone:
+// every member computes who relays what from the zone's membership, so a
+// beacon only says that its sender is alive, and it is never forwarded.
 type RelayerAlive struct {
 	Relayer wire.NodeID
-	JoinSeq uint64 // network join order (paper: registration order on chain)
-	Version uint64
-	Stripes []uint8
 	Zone    uint32
 }
 
@@ -313,31 +308,22 @@ var _ wire.Message = (*RelayerAlive)(nil)
 func (m *RelayerAlive) Type() wire.Type { return TypeRelayerAlive }
 
 // WireSize implements wire.Message.
-func (m *RelayerAlive) WireSize() int {
-	return wire.FrameOverhead + 4 + 8 + 8 + 4 + len(m.Stripes) + 4
-}
+func (m *RelayerAlive) WireSize() int { return wire.FrameOverhead + 4 + 4 }
 
 // EncodeBody implements wire.Message.
 func (m *RelayerAlive) EncodeBody(e *wire.Encoder) {
 	e.Node(m.Relayer)
-	e.U64(m.JoinSeq)
-	e.U64(m.Version)
-	encodeStripeList(e, m.Stripes)
 	e.U32(m.Zone)
 }
 
 func decodeRelayerAlive(d *wire.Decoder) (wire.Message, error) {
-	m := &RelayerAlive{
-		Relayer: d.Node(), JoinSeq: d.U64(), Version: d.U64(),
-		Stripes: decodeStripeList(d), Zone: d.U32(),
-	}
+	m := &RelayerAlive{Relayer: d.Node(), Zone: d.U32()}
 	return m, d.Err()
 }
 
-// Leave announces departure (§IV-E).
-type Leave struct {
-	IsRelayer bool
-}
+// Leave announces departure (§IV-E): every zone peer takes the sender out
+// of the placement, so its indices move to their next candidates at once.
+type Leave struct{}
 
 var _ wire.Message = (*Leave)(nil)
 
@@ -345,14 +331,12 @@ var _ wire.Message = (*Leave)(nil)
 func (m *Leave) Type() wire.Type { return TypeLeave }
 
 // WireSize implements wire.Message.
-func (m *Leave) WireSize() int { return wire.FrameOverhead + 1 }
+func (m *Leave) WireSize() int { return wire.FrameOverhead }
 
 // EncodeBody implements wire.Message.
-func (m *Leave) EncodeBody(e *wire.Encoder) { e.Bool(m.IsRelayer) }
+func (m *Leave) EncodeBody(e *wire.Encoder) {}
 
-func decodeLeave(d *wire.Decoder) (wire.Message, error) {
-	return &Leave{IsRelayer: d.Bool()}, d.Err()
-}
+func decodeLeave(d *wire.Decoder) (wire.Message, error) { return &Leave{}, nil }
 
 // Heartbeat proves liveness to neighbors (§IV-E).
 type Heartbeat struct{}
@@ -429,83 +413,6 @@ func decodeBlockDigest(d *wire.Decoder) (wire.Message, error) {
 	return m, d.Err()
 }
 
-// GetRelayers asks a neighbor for the zone's current relayer set (Alg. 1
-// line 1).
-type GetRelayers struct {
-	Zone uint32
-}
-
-var _ wire.Message = (*GetRelayers)(nil)
-
-// Type implements wire.Message.
-func (m *GetRelayers) Type() wire.Type { return TypeGetRelayers }
-
-// WireSize implements wire.Message.
-func (m *GetRelayers) WireSize() int { return wire.FrameOverhead + 4 }
-
-// EncodeBody implements wire.Message.
-func (m *GetRelayers) EncodeBody(e *wire.Encoder) { e.U32(m.Zone) }
-
-func decodeGetRelayers(d *wire.Decoder) (wire.Message, error) {
-	return &GetRelayers{Zone: d.U32()}, d.Err()
-}
-
-// RelayersInfo answers GetRelayers: the known relayers of a zone with the
-// stripes each relays.
-type RelayersInfo struct {
-	Zone     uint32
-	Relayers []RelayerEntry
-}
-
-// RelayerEntry describes one relayer.
-type RelayerEntry struct {
-	Node    wire.NodeID
-	JoinSeq uint64
-	Stripes []uint8
-}
-
-var _ wire.Message = (*RelayersInfo)(nil)
-
-// Type implements wire.Message.
-func (m *RelayersInfo) Type() wire.Type { return TypeRelayersInfo }
-
-// WireSize implements wire.Message.
-func (m *RelayersInfo) WireSize() int {
-	n := wire.FrameOverhead + 4 + 4
-	for _, r := range m.Relayers {
-		n += 4 + 8 + 4 + len(r.Stripes)
-	}
-	return n
-}
-
-// EncodeBody implements wire.Message.
-func (m *RelayersInfo) EncodeBody(e *wire.Encoder) {
-	e.U32(m.Zone)
-	e.U32(uint32(len(m.Relayers)))
-	for _, r := range m.Relayers {
-		e.Node(r.Node)
-		e.U64(r.JoinSeq)
-		encodeStripeList(e, r.Stripes)
-	}
-}
-
-func decodeRelayersInfo(d *wire.Decoder) (wire.Message, error) {
-	m := &RelayersInfo{Zone: d.U32()}
-	n := int(d.U32())
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if n > d.Remaining() {
-		return nil, wire.ErrTruncated
-	}
-	for i := 0; i < n; i++ {
-		m.Relayers = append(m.Relayers, RelayerEntry{
-			Node: d.Node(), JoinSeq: d.U64(), Stripes: decodeStripeList(d),
-		})
-	}
-	return m, d.Err()
-}
-
 var registerOnce sync.Once
 
 // RegisterMessages registers Multi-Zone message types; idempotent.
@@ -521,7 +428,5 @@ func RegisterMessages() {
 		wire.Register(TypeHeartbeat, "zone.heartbeat", decodeHeartbeat)
 		wire.Register(TypeZoneBlock, "zone.block", decodeZoneBlock)
 		wire.Register(TypeBlockDigest, "zone.block_digest", decodeBlockDigest)
-		wire.Register(TypeGetRelayers, "zone.get_relayers", decodeGetRelayers)
-		wire.Register(TypeRelayersInfo, "zone.relayers_info", decodeRelayersInfo)
 	})
 }

@@ -11,13 +11,13 @@ import (
 // This file implements full-node crash recovery (ISSUE 1 tentpole 2, zone
 // side). A crashed full node loses every timer chain (alive, heartbeat,
 // digest, pull retries) and every block and stripe sent while it was down;
-// its upstream senders expire it from their subscriber sets and its own
-// relayer view goes stale. On restart the node therefore (1) re-arms its
-// periodic timers, (2) discards its subscription/relayer control state and
-// re-runs the §IV-C bootstrap (GetRelayers + Algorithm 1), and (3) catches
-// up (core.Catchup) the committed blocks it missed, replaying them
-// through the normal block-completion path — which in turn issues ordinary
-// bundle pulls for any bodies it lacks.
+// its upstream senders expire it from their subscriber sets and its view
+// of which members are alive goes stale. On restart the node therefore
+// (1) re-arms its periodic timers, (2) discards its subscriptions and
+// leases and applies the placement rule afresh, as at its join, and
+// (3) catches up (core.Catchup) the committed blocks it missed,
+// replaying them through the normal block-completion path — which in turn
+// issues ordinary bundle pulls for any bodies it lacks.
 
 var _ env.Restartable = (*FullNode)(nil)
 
@@ -55,22 +55,21 @@ func (f *FullNode) OnRestart() {
 		f.armDigest()
 	}
 	// (2) Drop control-plane state that went stale while we were down:
-	// upstream senders have expired us, our subscribers have resubscribed
-	// elsewhere, and relayer liveness info is outdated. Demotion is
-	// deliberate — Algorithm 1 re-promotes us if the zone is short of
-	// relayers. aliveVersion is retained so announcements stay monotonic,
-	// and each link's silence bookkeeping (heard, asked) is kept too.
+	// upstream senders have expired us, and our subscribers have
+	// resubscribed elsewhere. Each link's silence bookkeeping (heard,
+	// asked) is kept, and so are the beacons and unanswered subscribes:
+	// a relayer heard from before the crash counts as live again at its
+	// next beacon, and until then this node takes its indices from
+	// consensus itself. Leases restart.
 	for s := range f.links {
 		l := &f.links[s]
-		l.sender, l.pending, l.direct, l.subs = wire.NoNode, wire.NoNode, false, nil
+		l.sender, l.pending, l.capped, l.direct, l.subs = wire.NoNode, wire.NoNode, wire.NoNode, false, nil
 	}
 	f.subscribers, f.subCount = nil, 0
 	f.spares = nil
-	f.isRelayer = false
-	f.zoneRelayers = make(map[wire.NodeID]*relayerInfo)
 	f.lastSeen = make(map[wire.NodeID]time.Time)
 	f.fetch.Reset()
-	f.bootstrap()
+	f.place()
 	// (3) Catch up the blocks committed while we were down.
 	f.StartCatchup()
 }

@@ -198,9 +198,9 @@ func TestSkipSyncZeroesStateRoots(t *testing.T) {
 }
 
 // TestRestartedRelayerRejoins crashes a converged relayer, restarts it,
-// and asserts it re-runs the subscription bootstrap: it ends with stripe
-// senders for every stripe, catches up the missed blocks, and its old
-// stripes stay covered by the zone throughout.
+// and asserts it applies the placement rule afresh: it ends with stripe
+// senders, catches up the missed blocks, and its old stripes stay covered
+// by the zone throughout.
 func TestRestartedRelayerRejoins(t *testing.T) {
 	cfg := zoneConfig{
 		nc: 4, f: 1, zones: 1, perZone: 7,
@@ -252,8 +252,8 @@ func TestRestartedRelayerRejoins(t *testing.T) {
 		t.Fatalf("catch-up still in flight at height %d (live %d)",
 			victim.LastHeight(), liveHead)
 	}
-	// The crashed relayer's stripes must be covered (by the replacement
-	// promoted while it was down, or by itself after rejoining).
+	// The crashed relayer's stripes must be covered (by the next candidate
+	// while it was down, or by itself after rejoining).
 	covered := make(map[uint8]bool)
 	for _, fn := range zc.fulls {
 		for _, s := range fn.RelayedStripes() {

@@ -24,16 +24,18 @@ import (
 //     and catching up.
 //
 // For an index held up either way the node takes one spare: an index it
-// does not hold, from a live zone relayer that announces it (the rotation
-// spreads nodes over different indices, so their spares land on different
-// relayers). Only a silent index may take its spare from a consensus node,
-// when no zone relayer offers one: a stuck bundle can as well come from the
+// does not hold, from that index's relayer (the rotation spreads nodes
+// over different indices, so their spares land on different relayers).
+// Only a silent index may take its spare from a consensus node, when no
+// other zone member relays one: a stuck bundle can as well come from the
 // node's own downlink being full, and adding a stripe stream to a consensus
 // node's uplink for it would let full-node load reach consensus. The
 // spare's sender backfills the stripes it still holds, so the bundles
-// already in flight assemble too. A silent sender is also replaced:
-// another relayer that announces s takes over, or — when none does and the
-// sender does not relay s itself, as in a loop — s's consensus node. The
+// already in flight assemble too. A silent sender is also asked again, or
+// replaced: s is subscribed from its relayer (from its consensus node if
+// this node relays s), which is the sender itself unless the sender is a
+// stale relayer or a loop; a relayer that leaves that subscribe unanswered
+// counts as down, and the placement moves s to its next candidate. The
 // spare goes once s holds nothing up any more, whether heard from the old
 // sender or its replacement, and no bundle since the spare was taken has
 // gone without it (missed); if s is dropped instead (its sender expired or
@@ -180,17 +182,11 @@ func (f *FullNode) checkSilence(now time.Time) {
 			continue // a late sender is live; the source itself renews its subscribers' leases at a restart; or it was just asked
 		}
 		l.asked = now
-		switch r := f.relayerOf(si, sd); {
-		case r != wire.NoNode:
-			f.resubscribe(si, r)
-		case f.announces(sd, si):
-			// The zone's only relayer of si: its source may be down, or it
-			// restarted and forgot us. Ask again (a withholder just accepts,
-			// and the spare stays).
-			f.sendSubscribe(sd, []uint8{si})
-		case !f.isQuarantined(wire.NodeID(si)):
-			// No one takes si from consensus, as in a loop: go to the source.
-			f.resubscribe(si, wire.NodeID(si))
+		// si's relayer may have restarted and forgotten us, or its source
+		// be down: it is asked again (a withholder just accepts, and the
+		// spare stays). Any other sender is replaced by the relayer.
+		if to := f.upstream(si); !f.isQuarantined(to) {
+			f.sendSubscribe(to, []uint8{si})
 		}
 	}
 }
@@ -210,12 +206,12 @@ func (f *FullNode) takeSpare(s uint8, sd wire.NodeID, silent bool) {
 }
 
 // spareSource picks the spare: the first index of the rotation this node
-// does not hold that a live zone relayer other than sd announces, else,
-// with consensus set, the first such index from its consensus node.
+// does not hold whose relayer is another member than sd, else, with
+// consensus set, the first such index from its consensus node.
 func (f *FullNode) spareSource(sd wire.NodeID, consensus bool) (uint8, wire.NodeID) {
 	for k := 0; k < f.cfg.NC; k++ {
 		if s := f.rotation(k); !f.held(s) {
-			if r := f.relayerOf(s, sd); r != wire.NoNode {
+			if r := f.relayerOf(s); r != sd && r != f.cfg.Self {
 				return s, r
 			}
 		}
@@ -226,33 +222,6 @@ func (f *FullNode) spareSource(sd wire.NodeID, consensus bool) (uint8, wire.Node
 		}
 	}
 	return 0, wire.NoNode
-}
-
-// relayerOf returns the earliest-joined live zone relayer announcing s,
-// other than not, or NoNode. Live means its last announcement is at most
-// two alive intervals old, so a crashed relayer is not picked while its
-// entry waits to expire.
-func (f *FullNode) relayerOf(s uint8, not wire.NodeID) wire.NodeID {
-	best := wire.NoNode
-	var bestSeq uint64
-	now := f.ctx.Now()
-	for id, info := range f.zoneRelayers {
-		if id == not || id == f.cfg.Self || !info.active() || f.isQuarantined(id) ||
-			now.Sub(info.lastAlive) > 2*f.cfg.AliveInterval || !containsStripe(info.stripes, s) {
-			continue
-		}
-		if best == wire.NoNode || info.joinSeq < bestSeq || info.joinSeq == bestSeq && id < best {
-			best, bestSeq = id, info.joinSeq
-		}
-	}
-	return best
-}
-
-// announces reports whether zone relayer id announces taking s from
-// consensus.
-func (f *FullNode) announces(id wire.NodeID, s uint8) bool {
-	info := f.zoneRelayers[id]
-	return info != nil && containsStripe(info.stripes, s)
 }
 
 // dropSpare ends spare i. An index this node now forwards stays, as a
@@ -274,13 +243,13 @@ func (f *FullNode) dropSpare(i int) {
 }
 
 // keepSpare turns spare i into a regular index. One taken from its
-// consensus node makes this node a relayer of it, announced on the next
-// alive tick.
+// consensus node is relayed here until the placement moves it to its
+// relayer.
 func (f *FullNode) keepSpare(i int) {
 	idx := f.spares[i].index
 	f.spares = slices.Delete(f.spares, i, i+1)
 	if l := &f.links[idx]; l.sender == wire.NodeID(idx) {
-		l.direct, f.isRelayer = true, true
+		l.direct = true
 	}
 }
 

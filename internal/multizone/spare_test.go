@@ -92,45 +92,26 @@ func TestConsensusCrashCoveredBySpare(t *testing.T) {
 	}
 }
 
-// TestSilenceRepairsStripeLoop builds a three-node loop on one index — A
+// TestPlacementRepairsStripeLoop builds a three-node loop on one index — A
 // takes it from B, B from C, C from A — that nobody takes from consensus,
-// so no stripe of it ever enters. The index comes from the relayer that
-// announces two, so every node stays a relayer and promotion, which only a
-// node relaying nothing runs, cannot repair it: the silence rule must. The
-// first node to find the index silent takes a spare and, with no relayer
-// announcing the index, goes to its consensus node — whose stripes then
-// flow round the old loop — and the overlap rule leaves one relayer of it.
-// Every node keeps completing blocks in order and ends with n_c − f indices
-// and no loop.
-func TestSilenceRepairsStripeLoop(t *testing.T) {
+// so no stripe of it ever enters. The placement rule repairs it: the
+// index's relayer takes it from consensus again, and every other node that
+// holds it moves to that relayer, whether the silence rule saw the loop
+// first or not. Every node keeps completing blocks in order and ends with
+// n_c − f indices, no spare and no loop.
+func TestPlacementRepairsStripeLoop(t *testing.T) {
 	cfg := zoneConfig{nc: 4, f: 1, zones: 1, perZone: 3, rate: 400, duration: 8 * time.Second}
 	zc := buildZoneCluster(t, cfg)
 	zc.net.Start()
 	zc.net.Run(3 * time.Second)
 
-	var owner *FullNode
-	for _, fn := range zc.fulls {
-		if !fn.IsRelayer() {
-			t.Fatalf("node %d relays nothing in a zone of %d with n_c = %d", fn.ID(), cfg.perZone, cfg.nc)
-		}
-		if len(fn.RelayedStripes()) == 2 {
-			owner = fn
-		}
+	owner := zc.fulls[0] // a zone of 3 with n_c = 4: the first member relays {0, 1}
+	if got := owner.RelayedStripes(); !slices.Equal(got, []uint8{0, 1}) {
+		t.Fatalf("node %d relays %v, want [0 1]", owner.ID(), got)
 	}
-	if owner == nil {
-		t.Fatal("no relayer announces two indices")
-	}
-	// The owner stops relaying the index, and every peer already knows its
-	// new announcement, so the older ones still in flight are stale.
-	s := owner.RelayedStripes()[0]
-	owner.handOffStripe(s)
-	owner.broadcastAlive()
-	for _, fn := range zc.fulls {
-		if fn != owner {
-			fn.zoneRelayers[owner.ID()] = &relayerInfo{joinSeq: owner.cfg.JoinSeq, version: owner.aliveVersion,
-				stripes: owner.RelayedStripes(), lastAlive: zc.net.Now()}
-		}
-	}
+	const s = 0
+	owner.ctx.Send(s, &Unsubscribe{Stripes: []uint8{s}})
+	owner.links[s].direct = false
 	a, b, c := zc.fulls[0], zc.fulls[1], zc.fulls[2]
 	for _, fn := range zc.fulls {
 		for _, id := range slices.Clone(fn.links[s].subs) {
@@ -145,19 +126,15 @@ func TestSilenceRepairsStripeLoop(t *testing.T) {
 		from.setSubscriber(s, to.ID(), true)
 	}
 	before := lastHeights(zc)
-	taken := make(map[wire.NodeID]uint64)
-	for _, fn := range zc.fulls {
-		_, _, _, taken[fn.ID()] = fn.ByzStats()
-	}
 	zc.net.Run(cfg.duration)
 
-	relayers, took := 0, uint64(0)
 	for _, fn := range zc.fulls {
-		if containsStripe(fn.RelayedStripes(), s) {
-			relayers++
+		if takes := slices.Contains(fn.RelayedStripes(), s); takes != (fn == owner) {
+			t.Errorf("node %d takes index %d from consensus: %v", fn.ID(), s, takes)
 		}
-		_, _, _, spares := fn.ByzStats()
-		took += spares - taken[fn.ID()]
+		if sd := fn.links[s].sender; fn != owner && sd != wire.NoNode && sd != owner.ID() {
+			t.Errorf("node %d takes index %d from %d, not its relayer %d", fn.ID(), s, sd, owner.ID())
+		}
 		if len(fn.spares) != 0 || len(senders(fn)) != cfg.nc-cfg.f {
 			t.Errorf("node %d ends with spares %v and senders %v, want n_c − f indices and no spare",
 				fn.ID(), fn.spares, senders(fn))
@@ -170,26 +147,6 @@ func TestSilenceRepairsStripeLoop(t *testing.T) {
 		}
 		if len(hs) == 0 || hs[len(hs)-1] <= before[fn.ID()]+20 {
 			t.Errorf("node %d stalled in the loop at height %d", fn.ID(), before[fn.ID()])
-		}
-	}
-	if took == 0 {
-		t.Error("no node took a spare: the silence rule did not see the loop")
-	}
-	if relayers != 1 {
-		t.Errorf("%d relayers take index %d from consensus, want 1", relayers, s)
-	}
-	for _, fn := range zc.fulls {
-		seen := map[wire.NodeID]bool{}
-		for at := fn; at != nil && !seen[at.ID()]; {
-			seen[at.ID()] = true
-			sd := at.links[s].sender
-			if sd == wire.NoNode || int(sd) < cfg.nc {
-				break
-			}
-			at = zc.fullNode(sd)
-			if at == fn {
-				t.Fatalf("index %d still loops through node %d", s, fn.ID())
-			}
 		}
 	}
 }

@@ -206,13 +206,11 @@ func TestZoneMessageCodecs(t *testing.T) {
 		&AcceptSubscribe{Stripes: []uint8{1}, FromConsensus: true},
 		&RejectSubscribe{Stripes: []uint8{3}, Children: []wire.NodeID{9, 10}},
 		&Unsubscribe{Stripes: []uint8{0}},
-		&RelayerAlive{Relayer: 42, JoinSeq: 7, Stripes: []uint8{1, 2}, Zone: 3},
-		&Leave{IsRelayer: true},
+		&RelayerAlive{Relayer: 42, Zone: 3},
+		&Leave{},
 		&Heartbeat{},
 		&ZoneBlock{Block: blk},
 		&BlockDigest{Height: 9, Tips: []uint64{1, 2, 3, 4}},
-		&GetRelayers{Zone: 2},
-		&RelayersInfo{Zone: 2, Relayers: []RelayerEntry{{Node: 5, JoinSeq: 1, Stripes: []uint8{0}}}},
 	}
 	for _, m := range msgs {
 		got, err := wire.Roundtrip(m)

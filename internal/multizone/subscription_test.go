@@ -145,7 +145,7 @@ func TestFullNodeStripeSubscribersTrackChanges(t *testing.T) {
 		net.AddNode(id, &recHandler{onRecv: func(wire.NodeID, wire.Message) {}})
 	}
 	net.Start()
-	net.Run(60 * time.Millisecond) // Algorithm 1 ran: every stripe has a pending sender, so subscriptions are accepted
+	net.Run(60 * time.Millisecond) // the placement ran: every stripe has a pending sender, so subscriptions are accepted
 	check := func(step string, s uint8, want ...wire.NodeID) {
 		t.Helper()
 		if got := fn.links[s].subs; !slices.Equal(got, want) {
@@ -272,5 +272,42 @@ func TestLeaseSurvivesSourceRestart(t *testing.T) {
 		if len(fn.spares) != 0 {
 			t.Errorf("node %d ends on spares %v", fn.ID(), fn.spares)
 		}
+	}
+}
+
+// TestAcceptWithNothingPendingChangesNothing: an AcceptSubscribe answers a
+// subscribe outstanding at its sender, and nothing else. One from consensus
+// node 0, for an index with no subscribe outstanding anywhere, must leave
+// that index's link as it was — no sender, not relayed.
+func TestAcceptWithNothingPendingChangesNothing(t *testing.T) {
+	node.RegisterAllMessages()
+	RegisterMessages()
+	striper, _ := NewStriper(4, 1)
+	net := simnet.New(simnet.Config{Latency: simnet.UniformLatency(time.Millisecond)})
+	fn, err := NewFullNode(FullNodeConfig{
+		Self: 200, NC: 4, F: 1, Striper: striper, Signer: crypto.NewSimSuite(4, 9).Signer(0),
+		ZonePeers: []wire.NodeID{201, 202, 203},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.AddNode(200, fn)
+	for _, id := range []wire.NodeID{0, 1, 2, 3, 201, 202, 203} {
+		net.AddNode(id, &recHandler{onRecv: func(wire.NodeID, wire.Message) {}})
+	}
+	net.Start()
+	net.Run(60 * time.Millisecond) // nobody answers: subscribes stay outstanding
+	s := slices.IndexFunc(fn.links, func(l link) bool { return l.pending == wire.NoNode && l.sender == wire.NoNode })
+	if s < 0 {
+		t.Fatal("every index has a subscribe outstanding")
+	}
+	before := slices.Clone(fn.links)
+	fn.Receive(0, &AcceptSubscribe{Stripes: []uint8{uint8(s)}, FromConsensus: true})
+	if l := fn.links[s]; l.sender != before[s].sender || l.pending != before[s].pending || l.direct != before[s].direct {
+		t.Fatalf("index %d: accept from node 0 with nothing pending changed sender %d→%d, pending %d→%d, direct %v→%v",
+			s, before[s].sender, l.sender, before[s].pending, l.pending, before[s].direct, l.direct)
+	}
+	if got := fn.RelayedStripes(); len(got) != 0 {
+		t.Fatalf("relays %v after an unasked-for accept", got)
 	}
 }

@@ -242,8 +242,8 @@ func TestMultiZoneEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Each zone must have developed relayers (the paper maintains n_zr =
-	// n_c per zone; with churn-free joins we tolerate ±1).
+	// Each zone must have relayers (the paper maintains n_zr = n_c per
+	// zone; a zone of 6 with n_c = 4 has exactly one per index).
 	relayersPerZone := make(map[int]int)
 	for _, fn := range zc.fulls {
 		if fn.IsRelayer() {
@@ -251,8 +251,8 @@ func TestMultiZoneEndToEnd(t *testing.T) {
 		}
 	}
 	for z := 0; z < cfg.zones; z++ {
-		if relayersPerZone[z] == 0 {
-			t.Fatalf("zone %d has no relayers", z)
+		if relayersPerZone[z] != cfg.nc {
+			t.Fatalf("zone %d has %d relayers, want %d", z, relayersPerZone[z], cfg.nc)
 		}
 	}
 	t.Logf("relayers per zone: %v", relayersPerZone)
@@ -377,9 +377,9 @@ func (h *distHandler) Start(ctx env.Context) {
 func (h *distHandler) Receive(from wire.NodeID, m wire.Message) { h.d.Receive(from, m) }
 func (h *distHandler) inject(from wire.NodeID, m wire.Message)  { h.d.Receive(from, m) }
 
-// TestRelayerCrashPromotesReplacement crashes a converged relayer; the
-// periodic relayer-count check (§IV-E) must promote a replacement so the
-// zone keeps completing blocks.
+// TestRelayerCrashPromotesReplacement crashes a converged relayer; once its
+// beacon expires, the placement rule (§IV-E) must hand its stripes to a
+// replacement so the zone keeps completing blocks.
 func TestRelayerCrashPromotesReplacement(t *testing.T) {
 	cfg := zoneConfig{
 		nc: 4, f: 1, zones: 1, perZone: 7,
