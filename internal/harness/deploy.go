@@ -66,6 +66,8 @@ type Deployment struct {
 	// Col measures the last three quarters of the load; consensus node 0
 	// reports its commits to it unless Deploy.Host replaced OnCommit.
 	Col *workload.Collector
+	// Clients are the open-loop clients, 5000+k.
+	Clients []*workload.Client
 	// LoadStart and End bound the load, as offsets from simnet.Epoch; End
 	// is also how long to run.
 	LoadStart, End time.Duration
@@ -201,10 +203,10 @@ func (d Deploy) addZones(net *simnet.Network, striper *multizone.Striper, signer
 }
 
 // addClients adds n open-loop clients base..base+n-1 that share offered
-// tx/s over the nc consensus nodes. The rest of their configuration —
-// policy, f, the generation window, collector, ops, trace — is the
-// caller's, in tmpl.
-func addClients(net *simnet.Network, base wire.NodeID, n, nc int, offered float64, tmpl workload.ClientConfig) {
+// tx/s over the nc consensus nodes, and returns them. The rest of their
+// configuration — policy, f, the generation window, collector, ops, trace —
+// is the caller's, in tmpl.
+func addClients(net *simnet.Network, base wire.NodeID, n, nc int, offered float64, tmpl workload.ClientConfig) []*workload.Client {
 	tmpl.Targets = make([]wire.NodeID, nc)
 	for i := range tmpl.Targets {
 		tmpl.Targets[i] = wire.NodeID(i)
@@ -212,19 +214,23 @@ func addClients(net *simnet.Network, base wire.NodeID, n, nc int, offered float6
 	tmpl.Rate = offered / float64(n)
 	tmpl.TxSize = types.DefaultTxSize
 	tmpl.Epoch = simnet.Epoch
-	for k := 0; k < n; k++ {
+	clients := make([]*workload.Client, n)
+	for k := range clients {
 		tmpl.Self = base + wire.NodeID(k)
-		net.AddNode(tmpl.Self, workload.NewClient(tmpl))
+		clients[k] = workload.NewClient(tmpl)
+		net.AddNode(tmpl.Self, clients[k])
 	}
+	return clients
 }
 
 // addLoad adds the deployment's clients — 5000+k, one per consensus node,
 // submitting round-robin from loadStart to end — and returns the collector
-// they report to, which measures the last three quarters of the load.
-func (d Deploy) addLoad(net *simnet.Network) *workload.Collector {
+// they report to, which measures the last three quarters of the load, and
+// the clients.
+func (d Deploy) addLoad(net *simnet.Network) (*workload.Collector, []*workload.Client) {
 	start, end := simnet.Epoch.Add(d.loadStart()), simnet.Epoch.Add(d.end())
 	col := workload.NewCollector(start.Add(d.Load/4), end)
-	addClients(net, 5000, d.NC, d.NC, d.Offered, workload.ClientConfig{
+	clients := addClients(net, 5000, d.NC, d.NC, d.Offered, workload.ClientConfig{
 		Policy:    workload.RoundRobin,
 		F:         d.f(),
 		GenStart:  start,
@@ -233,7 +239,7 @@ func (d Deploy) addLoad(net *simnet.Network) *workload.Collector {
 		Ops:       d.Ops,
 		Trace:     d.Trace,
 	})
-	return col
+	return col, clients
 }
 
 // Build adds the consensus group, the zones and the clients to a fresh
@@ -275,6 +281,6 @@ func (d Deploy) Build() (*Deployment, error) {
 	if dep.Fulls, err = d.addZones(dep.Net, striper, suite.Signer(0)); err != nil {
 		return nil, err
 	}
-	dep.Col = d.addLoad(dep.Net)
+	dep.Col, dep.Clients = d.addLoad(dep.Net)
 	return dep, nil
 }

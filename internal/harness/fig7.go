@@ -78,7 +78,7 @@ func runFig7Point(d Deploy, star bool) (float64, error) {
 	for i, id := range fulls {
 		net.AddNode(id, NewTreeRelay(trees[i%d.NC], nil))
 	}
-	col = d.addLoad(net)
+	col, _ = d.addLoad(net)
 	net.Start()
 	net.Run(d.end())
 	return col.Throughput(), nil

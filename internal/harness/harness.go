@@ -179,7 +179,7 @@ func RunPoint(spec PointSpec) (PointResult, error) {
 	if mode == node.ModeBaseline {
 		policy = workload.Broadcast
 	}
-	addClients(net, 1000, s.Clients, s.NC, s.Offered, workload.ClientConfig{
+	clients := addClients(net, 1000, s.Clients, s.NC, s.Offered, workload.ClientConfig{
 		Policy:    policy,
 		F:         f,
 		GenStart:  simnet.Epoch.Add(50 * time.Millisecond),
@@ -203,7 +203,7 @@ func RunPoint(spec PointSpec) (PointResult, error) {
 			res.ViewOrTimeouts = max(res.ViewOrTimeouts, changes)
 		}
 	}
-	publish(s.Metrics, net, nodes, nil)
+	publish(s.Metrics, net, nodes, nil, clients)
 	return res, nil
 }
 
@@ -211,10 +211,11 @@ func RunPoint(spec PointSpec) (PointResult, error) {
 // components keep: per consensus node (ID = index) Predis's bundle, commit
 // and seal counts and a pipelined PBFT engine's proposal pace (see
 // pbft.Engine.Pace); per full node the fetch plane's pulls and the parked
-// references (see FullNode.PullStats and ParkStats); and the network's
+// references (see FullNode.PullStats and ParkStats); per client its
+// resubmissions by cause (see workload.Client.Resubmits); and the network's
 // consensus lane (see simnet.LaneStats). It is the only place a run's
 // counts enter a registry. A nil reg publishes nothing.
-func publish(reg *obs.Registry, net *simnet.Network, nodes []*node.Node, fulls []*multizone.FullNode) {
+func publish(reg *obs.Registry, net *simnet.Network, nodes []*node.Node, fulls []*multizone.FullNode, clients []*workload.Client) {
 	if reg == nil {
 		return
 	}
@@ -246,6 +247,11 @@ func publish(reg *obs.Registry, net *simnet.Network, nodes []*node.Node, fulls [
 		reg.Counter("multizone.park_resolved", fn.ID()).Add(resolved)
 		reg.Counter("multizone.park_expired", fn.ID()).Add(expired)
 		reg.Gauge("multizone.park_wait_max_ms", fn.ID()).Set(ms(wait))
+	}
+	for _, cl := range clients {
+		onEvidence, onTimer := cl.Resubmits()
+		reg.Counter("workload.resubmits_evidence", cl.ID()).Add(onEvidence)
+		reg.Counter("workload.resubmits_timer", cl.ID()).Add(onTimer)
 	}
 	st := net.LaneStats()
 	reg.Counter("simnet.lane_frames", wire.NoNode).Add(st.Frames)

@@ -36,7 +36,7 @@ func TestPublishMatchesAccessors(t *testing.T) {
 		nodes[i] = host.Node
 	}
 	reg := obs.NewRegistry()
-	publish(reg, dep.Net, nodes, dep.Fulls)
+	publish(reg, dep.Net, nodes, dep.Fulls, dep.Clients)
 
 	// want maps "metric,node" to the value its accessor reports.
 	want := map[string]float64{}
@@ -74,13 +74,18 @@ func TestPublishMatchesAccessors(t *testing.T) {
 		put("multizone.park_expired", fn.ID(), float64(expired))
 		put("multizone.park_wait_max_ms", fn.ID(), ms(wait))
 	}
+	for _, cl := range dep.Clients {
+		onEvidence, onTimer := cl.Resubmits()
+		put("workload.resubmits_evidence", cl.ID(), float64(onEvidence))
+		put("workload.resubmits_timer", cl.ID(), float64(onTimer))
+	}
 	lane := dep.Net.LaneStats()
 	put("simnet.lane_frames", wire.NoNode, float64(lane.Frames))
 	put("simnet.lane_bytes", wire.NoNode, float64(lane.Bytes))
 	put("simnet.lane_max_share", wire.NoNode, lane.MaxShare)
-	if committed == 0 || sealed == 0 || lane.Frames == 0 {
-		t.Fatalf("%d transactions committed, %d bundles sealed, %d lane frames: the run did nothing",
-			committed, sealed, lane.Frames)
+	if committed == 0 || sealed == 0 || lane.Frames == 0 || len(dep.Clients) == 0 {
+		t.Fatalf("%d transactions committed, %d bundles sealed, %d lane frames, %d clients: the run did nothing",
+			committed, sealed, lane.Frames, len(dep.Clients))
 	}
 
 	var buf bytes.Buffer

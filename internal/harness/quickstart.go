@@ -74,7 +74,7 @@ func Quickstart(o Options) ([]*stats.Table, error) {
 	for i, host := range dep.Hosts {
 		nodes[i] = host.Node
 	}
-	publish(registry, dep.Net, nodes, dep.Fulls)
+	publish(registry, dep.Net, nodes, dep.Fulls, dep.Clients)
 
 	if o.Obs != nil {
 		o.Obs.Trace = tracer

@@ -246,6 +246,45 @@ func TestRecycledPartialCarriesNothingOver(t *testing.T) {
 	}
 }
 
+// TestInflightTracksKnownPartials: the silence rule scans inflight instead
+// of every partial, so inflight must hold exactly the known partials that
+// are not done, each at its slot, as partials open, complete and are
+// dropped in any order.
+func TestInflightTracksKnownPartials(t *testing.T) {
+	r := newRelayRig(t, 6)
+	fn := r.fn
+	check := func(step string, n int) {
+		t.Helper()
+		want := 0
+		for _, p := range fn.partials {
+			if p.known && !p.done {
+				want++
+				if p.slot >= len(fn.inflight) || fn.inflight[p.slot] != p {
+					t.Fatalf("%s: partial (%d, %d) is not at its slot %d", step, p.producer, p.height, p.slot)
+				}
+			}
+		}
+		if len(fn.inflight) != want || want != n {
+			t.Fatalf("%s: %d partials in flight, %d known and not done, want %d", step, len(fn.inflight), want, n)
+		}
+	}
+	for b := range r.bundles {
+		fn.onStripe(0, r.stripes[b][0]) // a carrier: each partial is known at once
+	}
+	check("six carriers", 6)
+	for _, b := range []int{2, 0, 5} {
+		fn.onStripe(1, r.stripes[b][1])
+		fn.onStripe(2, r.stripes[b][2])
+	}
+	check("three bundles completed", 3)
+	fn.dropPartials(r.bundles[3].Header.Hash(), r.bundles[0].Header.Hash(), r.bundles[1].Header.Hash())
+	check("one done and two in-flight partials dropped", 1)
+	fn.onStripe(0, r.stripes[3][0])
+	check("a dropped bundle reopened", 2)
+	fn.dropPartials(r.hashes()...)
+	check("everything dropped", 0)
+}
+
 // burstSender sends its messages to one peer, in order, when it starts.
 type burstSender struct {
 	to   wire.NodeID

@@ -152,6 +152,7 @@ type partialBundle struct {
 	since    time.Time
 	have     int
 	parked   int
+	slot     int // index in FullNode.inflight while known and not done
 	first    uint8
 	known    bool
 	done     bool
@@ -188,6 +189,9 @@ type FullNode struct {
 	// slice kept); headerless[i] counts producer i's header-less entries.
 	freePartials []*partialBundle
 	headerless   []int
+	// inflight holds the known partials that are not done, in no
+	// particular order: the ones the silence rule asks about.
+	inflight []*partialBundle
 	// Block plane; the committed head is the mempool's.
 	seenBlocks map[crypto.Hash]uint64 // block hash → height, for blocks above the head
 	pendBlocks []*core.PredisBlock    // completable once bundles arrive, in arrival order

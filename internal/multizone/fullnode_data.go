@@ -181,7 +181,19 @@ func (f *FullNode) openPartial(p *partialBundle, headerHash crypto.Hash, m *Stri
 		f.headerless[p.producer]--
 	}
 	p.producer, p.height, p.first, p.known = m.Header.Producer, m.Header.Height, m.Index, true
+	p.slot = len(f.inflight)
+	f.inflight = append(f.inflight, p)
 	return p
+}
+
+// leaveInflight removes a known partial from inflight as it completes or
+// is dropped.
+func (f *FullNode) leaveInflight(p *partialBundle) {
+	n := len(f.inflight) - 1
+	last := f.inflight[n]
+	f.inflight[p.slot], last.slot = last, p.slot
+	f.inflight[n] = nil
+	f.inflight = f.inflight[:n]
 }
 
 // dropPartials removes entries from partials and resets them onto the free
@@ -191,9 +203,12 @@ func (f *FullNode) dropPartials(hashes ...crypto.Hash) {
 	for _, h := range hashes {
 		p := f.partials[h]
 		delete(f.partials, h)
-		if !p.known {
+		switch {
+		case !p.known:
 			f.headerless[p.producer]--
 			f.parkExpired += uint64(p.parked)
+		case !p.done:
+			f.leaveInflight(p)
 		}
 		clear(p.stripes)
 		*p = partialBundle{stripes: p.stripes, senders: p.senders}
@@ -221,6 +236,7 @@ func (f *FullNode) completeBundle(headerHash crypto.Hash, p *partialBundle) {
 	// The entry stays to dedupe, and keeps its stripes for a subscriber that
 	// arrives before the bundle is confirmed (see backfill).
 	p.done = true
+	f.leaveInflight(p)
 	f.storeBundle(b, false)
 	f.tryCompleteBlocks()
 }

@@ -78,11 +78,12 @@ func (f *FullNode) heard(s uint8, now time.Time) bool {
 // for: it has sat silenceAfter one stripe short, without them. Nil means
 // none. (A bundle no block names may never be committed — its producer
 // crashed while disseminating it — and a bundle stored by pull waits for
-// nothing.) One pass over the partials: onBlock asks on every block.
+// nothing.) One pass over the partials in flight: onBlock asks on every
+// block.
 func (f *FullNode) stuckIndices(now time.Time) []bool {
 	var stuck []bool
-	for _, p := range f.partials {
-		if !p.known || p.done || p.have != f.cfg.NC-f.cfg.F-1 || now.Sub(p.since) <= f.silenceAfter() ||
+	for _, p := range f.inflight {
+		if p.have != f.cfg.NC-f.cfg.F-1 || now.Sub(p.since) <= f.silenceAfter() ||
 			!f.awaited(p.producer, p.height) || f.mp.Bundle(p.producer, p.height) != nil {
 			continue
 		}

@@ -232,11 +232,19 @@ func (d *Decoder) Pad(n int) {
 		return
 	}
 	b := d.take(n)
-	for i, c := range b {
-		if c != 0 {
+	// Eight bytes at a time; the word holding a nonzero byte is then
+	// searched bytewise for the exact error.
+	i := 0
+	for ; i+8 <= len(b); i += 8 {
+		if binary.LittleEndian.Uint64(b[i:]) != 0 {
+			break
+		}
+	}
+	for ; i < len(b); i++ {
+		if b[i] != 0 {
 			if d.err == nil {
 				d.err = fmt.Errorf("wire: nonzero padding byte %#02x at offset %d",
-					c, d.off-n+i)
+					b[i], d.off-n+i)
 			}
 			return
 		}

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -170,6 +171,33 @@ func TestDecoderErrorSticky(t *testing.T) {
 	}
 	if b := d.VarBytes(); b != nil {
 		t.Fatalf("post-error VarBytes = %v, want nil", b)
+	}
+}
+
+// TestPadReportsFirstNonzeroByte: Pad checks eight bytes at a time but
+// still names the first nonzero byte and its frame offset exactly, wherever
+// it sits in a word or in the tail after the last whole word.
+func TestPadReportsFirstNonzeroByte(t *testing.T) {
+	const lead, n = 3, 21 // an unaligned start, two words and a 5-byte tail
+	buf := make([]byte, lead+n+1)
+	d := NewDecoder(buf)
+	d.Pad(lead + n)
+	if d.Err() != nil || d.Remaining() != 1 {
+		t.Fatalf("zero padding: err %v, %d bytes left, want nil and 1", d.Err(), d.Remaining())
+	}
+	for i := 0; i < n; i++ {
+		clear(buf)
+		buf[lead+i] = 0x5a
+		if i+1 < n {
+			buf[lead+i+1] = 0x7f // a later nonzero byte is not the one reported
+		}
+		d := NewDecoder(buf)
+		d.Raw(lead)
+		d.Pad(n)
+		want := fmt.Sprintf("wire: nonzero padding byte 0x5a at offset %d", lead+i)
+		if d.Err() == nil || d.Err().Error() != want {
+			t.Fatalf("nonzero byte %d of the padding: err %v, want %q", i, d.Err(), want)
+		}
 	}
 }
 

@@ -1,62 +1,38 @@
 package workload
 
-import "time"
+// sendRec is one send of a pending transaction: its seq and the client's
+// send number n for it.
+type sendRec struct{ seq, n uint64 }
 
-// dueEntry is one resubmission deadline: the transaction identified by seq
-// becomes eligible for resubmission at time at (lastSent + ResubmitAfter).
-type dueEntry struct {
-	at  time.Time
-	seq uint64
+// ring is a FIFO queue of send records in a power-of-two buffer that is
+// reused as records pop and doubles only when full, so a steady stream of
+// sends allocates nothing.
+type ring struct {
+	buf     []sendRec
+	head, n int
 }
 
-// dueLess orders deadlines by (at, seq); the seq tie-break keeps heap
-// behaviour fully deterministic.
-func dueLess(a, b dueEntry) bool {
-	if !a.at.Equal(b.at) {
-		return a.at.Before(b.at)
-	}
-	return a.seq < b.seq
+func (r *ring) len() int { return r.n }
+
+// front returns the oldest record; the ring must not be empty.
+func (r *ring) front() sendRec { return r.buf[r.head] }
+
+// pop removes the oldest record.
+func (r *ring) pop() {
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
 }
 
-// duePush inserts into the deadline min-heap.
-func duePush(h *[]dueEntry, e dueEntry) {
-	s := append(*h, e)
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !dueLess(s[i], s[p]) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
+// push appends a record.
+func (r *ring) push(e sendRec) {
+	if r.n == len(r.buf) {
+		buf := make([]sendRec, max(64, 2*len(r.buf)))
+		k := copy(buf, r.buf[r.head:])
+		copy(buf[k:], r.buf[:r.head])
+		r.buf, r.head = buf, 0
 	}
-	*h = s
-}
-
-// duePop removes and returns the earliest deadline.
-func duePop(h *[]dueEntry) dueEntry {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && dueLess(s[c+1], s[c]) {
-			c++
-		}
-		if !dueLess(s[c], s[i]) {
-			break
-		}
-		s[i], s[c] = s[c], s[i]
-		i = c
-	}
-	*h = s
-	return top
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = e
+	r.n++
 }
 
 // seqPush inserts into the ready min-heap (ordered by sequence number, so

@@ -133,6 +133,17 @@ type ClientConfig struct {
 	// transaction to a different consensus node after the given age — the
 	// paper's censorship-attack counter-measure (§III-E: a transaction is
 	// packed after at most f+1 attempts). Zero disables resubmission.
+	//
+	// It also turns on resubmission on evidence (see resendPassed): once a
+	// transaction sent only to one target confirms, every pending one sent
+	// to that target before it without a single reply is re-sent at once,
+	// not after the timer — it was dropped, as a FIFO link, a FIFO target
+	// queue and in-order inclusion mean that it would otherwise have
+	// committed no later. Predis keeps that order; a microblock leader
+	// proposes certified microblocks in the order their certificates reach
+	// it, which can invert a producer's order, so with that app an early
+	// resend can commit a transaction twice (DESIGN.md, "Client
+	// resubmission"). Broadcast submissions are exempt.
 	ResubmitAfter time.Duration
 	// Collector receives measurements (may be nil).
 	Collector *Collector
@@ -155,28 +166,49 @@ type Client struct {
 	next int // round-robin cursor
 	frac float64
 
-	pending   map[uint64]*pendingTx
-	replies   replySlab
-	resubmits uint64
+	pending map[uint64]*pendingTx
+	replies replySlab
+	// free holds the entries of confirmed transactions, reset for reuse,
+	// so entries are allocated only up to the peak pending count.
+	free []*pendingTx
+	// sends numbers every send; onTimer and onEvidence count the
+	// resubmissions by what queued them.
+	sends               uint64
+	onTimer, onEvidence uint64
 
-	// Resubmission deadline index (only populated when ResubmitAfter > 0).
-	// Every pending transaction has exactly one live entry across the two
-	// queues: dueQ orders not-yet-overdue entries by (deadline, seq) and
-	// readyQ holds overdue ones by seq, so each tick touches only due
-	// entries instead of scanning and sorting the whole pending set.
-	// Entries for confirmed transactions go stale in place and are
-	// discarded lazily on pop (the pending lookup fails).
-	dueQ   []dueEntry
+	// Resubmission state (only populated when ResubmitAfter > 0). dueQ
+	// holds every send in send order; deadlines are lastSent +
+	// ResubmitAfter on a monotonic clock, so they fall due in that order
+	// too. readyQ holds due transactions by seq, so a tick resubmits the
+	// oldest first and each tick touches only due entries. A send record
+	// goes stale in place once its transaction confirms or is sent again
+	// (see current), and is discarded on pop.
+	dueQ   ring
 	readyQ []uint64
+	// sentTo[t] is the order of sends to Targets[t] that no confirmation
+	// has passed yet, and passed[t] the send number of the latest
+	// confirmed first send to Targets[t] (see resendPassed). Both are nil
+	// under Broadcast.
+	sentTo []ring
+	passed []uint64
 }
+
+// Why a pending transaction waits in readyQ.
+const (
+	notQueued uint8 = iota
+	queuedOnTimer
+	queuedOnEvidence
+)
 
 type pendingTx struct {
 	tx        *types.Transaction
 	submitted time.Time
 	lastSent  time.Time
-	target    int // index into Targets of the last submission
+	sent      uint64 // send number of the last send
+	target    int    // index into Targets of the last submission
 	resubmits int
 	replies   []wire.NodeID // distinct repliers so far, sized F+1 at submit
+	queued    uint8         // notQueued, or why it waits in readyQ
 	done      bool
 }
 
@@ -221,8 +253,16 @@ func NewClient(cfg ClientConfig) *Client {
 	if cfg.Policy == 0 {
 		cfg.Policy = RoundRobin
 	}
-	return &Client{cfg: cfg, pending: make(map[uint64]*pendingTx)}
+	c := &Client{cfg: cfg, pending: make(map[uint64]*pendingTx)}
+	if cfg.ResubmitAfter > 0 && cfg.Policy != Broadcast {
+		c.sentTo = make([]ring, len(cfg.Targets))
+		c.passed = make([]uint64, len(cfg.Targets))
+	}
+	return c
 }
+
+// ID returns the client's node ID.
+func (c *Client) ID() wire.NodeID { return c.cfg.Self }
 
 // Submitted returns the number of transactions sent so far.
 func (c *Client) Submitted() uint64 { return c.seq }
@@ -231,7 +271,12 @@ func (c *Client) Submitted() uint64 { return c.seq }
 func (c *Client) PendingCount() int { return len(c.pending) }
 
 // Resubmitted returns how many censorship-escape resubmissions happened.
-func (c *Client) Resubmitted() uint64 { return c.resubmits }
+func (c *Client) Resubmitted() uint64 { return c.onTimer + c.onEvidence }
+
+// Resubmits splits Resubmitted by cause: resends of transactions that the
+// evidence rule found dropped, and resends of transactions that outlived
+// ResubmitAfter.
+func (c *Client) Resubmits() (onEvidence, onTimer uint64) { return c.onEvidence, c.onTimer }
 
 // Start implements env.Handler.
 func (c *Client) Start(ctx env.Context) {
@@ -267,18 +312,23 @@ func (c *Client) tick() {
 
 // resubmitOverdue re-sends unconfirmed transactions to the next consensus
 // node (§III-E): with at most f faulty nodes, f+1 attempts reach an honest
-// packer. A few per tick bounds the extra load. The deadline index makes
-// each tick O(due + resubmitted · log pending) instead of an O(pending)
-// scan-and-sort: entries whose deadline has passed migrate from dueQ to
-// readyQ, and the perTick resubmissions pop readyQ in ascending sequence
-// order — exactly the "smallest seqs among the overdue, oldest first"
-// order the scan produced, and never map order (predis-lint: determinism).
+// packer. A few per tick bounds the extra load. Sends whose deadline has
+// passed move from dueQ to readyQ, where resendPassed also queues the
+// transactions it finds dropped, and the perTick resubmissions pop readyQ
+// in ascending sequence order — never map order (predis-lint:
+// determinism).
 func (c *Client) resubmitOverdue(now time.Time) {
 	const perTick = 8
-	for len(c.dueQ) > 0 && !c.dueQ[0].at.After(now) {
-		e := duePop(&c.dueQ)
-		if p, ok := c.pending[e.seq]; ok && !p.done {
-			seqPush(&c.readyQ, e.seq)
+	for c.dueQ.len() > 0 {
+		r := c.dueQ.front()
+		p := c.current(r)
+		if p != nil && p.lastSent.Add(c.cfg.ResubmitAfter).After(now) {
+			break
+		}
+		c.dueQ.pop()
+		if p != nil && p.queued == notQueued {
+			p.queued = queuedOnTimer
+			seqPush(&c.readyQ, r.seq)
 		}
 	}
 	count := 0
@@ -288,14 +338,75 @@ func (c *Client) resubmitOverdue(now time.Time) {
 		if !ok || p.done {
 			continue // confirmed while waiting in the ready queue
 		}
+		if p.queued == queuedOnEvidence {
+			c.onEvidence++
+		} else {
+			c.onTimer++
+		}
+		p.queued = notQueued
 		p.target = (p.target + 1) % len(c.cfg.Targets)
 		p.lastSent = now
 		p.resubmits++
-		c.resubmits++
+		c.record(seq, p)
 		target := c.cfg.Targets[p.target]
 		c.ctx.Send(target, &types.SubmitTx{Tx: p.tx, Target: target})
-		duePush(&c.dueQ, dueEntry{at: now.Add(c.cfg.ResubmitAfter), seq: seq})
 		count++
+	}
+}
+
+// record numbers p's latest send — to Targets[p.target] at p.lastSent —
+// and files it in the resubmission queues.
+func (c *Client) record(seq uint64, p *pendingTx) {
+	c.sends++
+	p.sent = c.sends
+	if c.cfg.ResubmitAfter <= 0 {
+		return
+	}
+	r := sendRec{seq: seq, n: p.sent}
+	c.dueQ.push(r)
+	if c.sentTo != nil {
+		// Stale records leave the front first, so a target whose first
+		// sends never confirm (down for good, or sent only resends) holds
+		// no more than its sends of the last ResubmitAfter.
+		q := &c.sentTo[p.target]
+		for q.len() > 0 && c.current(q.front()) == nil {
+			q.pop()
+		}
+		q.push(r)
+	}
+}
+
+// current returns the pending transaction r is the latest send of, or nil
+// once r is stale.
+func (c *Client) current(r sendRec) *pendingTx {
+	if p, ok := c.pending[r.seq]; ok && !p.done && p.sent == r.n {
+		return p
+	}
+	return nil
+}
+
+// resendPassed applies the evidence rule after a reply has been processed
+// in full: for each target, every send older than the latest confirmed
+// first send to it leaves sentTo, and a transaction so passed that has no
+// reply at all is queued for resubmission now. It was dropped, not merely
+// late: the link to the target is FIFO, the target queues submissions in
+// arrival order, a block cuts a producer's chain as a prefix, and each
+// replica replies in height order — and only f replicas may skip a block,
+// so one of the f+1 that confirmed the later send has replied for the
+// earlier one, had it committed. A resubmitted transaction is no evidence:
+// an earlier target may have packed it. Each send is popped once, so the
+// rule costs O(1) per send amortized.
+func (c *Client) resendPassed() {
+	for t := range c.sentTo {
+		q := &c.sentTo[t]
+		for q.len() > 0 && q.front().n <= c.passed[t] {
+			r := q.front()
+			q.pop()
+			if p := c.current(r); p != nil && len(p.replies) == 0 && p.queued == notQueued {
+				p.queued = queuedOnEvidence
+				seqPush(&c.readyQ, r.seq)
+			}
+		}
 	}
 }
 
@@ -305,16 +416,19 @@ func (c *Client) submitOne(now time.Time) {
 	if c.cfg.Ops != nil {
 		tx.WithOp(c.cfg.Ops(c.cfg.Self, c.seq))
 	}
-	p := &pendingTx{
-		tx:        tx,
-		submitted: now,
-		lastSent:  now,
-		replies:   c.replies.take(c.cfg.F + 1),
+	var p *pendingTx
+	if n := len(c.free); n > 0 {
+		p, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		p = &pendingTx{replies: c.replies.take(c.cfg.F + 1)}
 	}
+	p.tx, p.submitted, p.lastSent = tx, now, now
 	c.pending[c.seq] = p
-	if c.cfg.ResubmitAfter > 0 {
-		duePush(&c.dueQ, dueEntry{at: now.Add(c.cfg.ResubmitAfter), seq: c.seq})
+	if c.cfg.Policy == RoundRobin {
+		p.target = c.next % len(c.cfg.Targets)
+		c.next++
 	}
+	c.record(c.seq, p)
 	// Anchor the submit stage; the first consensus node to receive the
 	// transaction closes the span (earliest mark wins, so broadcast and
 	// resubmission never distort it).
@@ -324,13 +438,9 @@ func (c *Client) submitOne(now time.Time) {
 		for _, target := range c.cfg.Targets {
 			c.ctx.Send(target, &types.SubmitTx{Tx: tx, Target: target})
 		}
-	case RoundRobin:
-		p.target = c.next % len(c.cfg.Targets)
-		c.next++
+	default: // RoundRobin and FirstOnly: one target
 		target := c.cfg.Targets[p.target]
 		c.ctx.Send(target, &types.SubmitTx{Tx: tx, Target: target})
-	default: // FirstOnly
-		c.ctx.Send(c.cfg.Targets[0], &types.SubmitTx{Tx: tx, Target: c.cfg.Targets[0]})
 	}
 	if c.cfg.Collector != nil {
 		c.cfg.Collector.RecordSubmit(now)
@@ -344,6 +454,7 @@ func (c *Client) Receive(from wire.NodeID, m wire.Message) {
 		return
 	}
 	now := c.ctx.Now()
+	evidence := false
 	for _, seq := range reply.Seqs {
 		p, ok := c.pending[seq]
 		if !ok || p.done {
@@ -355,7 +466,16 @@ func (c *Client) Receive(from wire.NodeID, m wire.Message) {
 			if c.cfg.Collector != nil {
 				c.cfg.Collector.RecordConfirm(p.submitted, now)
 			}
+			if c.passed != nil && p.resubmits == 0 {
+				c.passed[p.target] = max(c.passed[p.target], p.sent)
+				evidence = true
+			}
 			delete(c.pending, seq)
+			*p = pendingTx{replies: p.replies[:0]}
+			c.free = append(c.free, p)
 		}
+	}
+	if evidence {
+		c.resendPassed()
 	}
 }

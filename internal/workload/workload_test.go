@@ -133,69 +133,89 @@ func TestClientConfirmsAtQuorum(t *testing.T) {
 	}
 }
 
-// seqLog records, in delivery order, which target received which
-// transaction sequence number.
-type seqLog struct {
-	entries *[]struct {
-		target wire.NodeID
-		seq    uint64
-	}
-	self wire.NodeID
-	ctx  env.Context
-}
-
-func (s *seqLog) Start(ctx env.Context) { s.ctx = ctx }
-func (s *seqLog) Receive(from wire.NodeID, m wire.Message) {
-	if sub, ok := m.(*types.SubmitTx); ok {
-		*s.entries = append(*s.entries, struct {
-			target wire.NodeID
-			seq    uint64
-		}{s.self, sub.Tx.Seq})
-	}
-}
-
-// buildResubmitNet wires a client with censorship-escape resubmission to
-// nTargets silent consensus nodes (no replies, so nothing ever confirms)
-// and a shared delivery log.
-func buildResubmitNet(t *testing.T, nTargets int, resubmitAfter time.Duration) (*simnet.Network, *Client, *[]struct {
+// delivery is one submission as a target received it.
+type delivery struct {
 	target wire.NodeID
 	seq    uint64
-}) {
+	at     time.Duration
+}
+
+// fifoTarget stands in for a consensus node: it logs every submission in
+// delivery order and, unless down, queues it in arrival order, as a Predis
+// producer does before sealing its queue into bundles. The targets double
+// as the replicas that reply to the client (see reply).
+type fifoTarget struct {
+	id    wire.NodeID
+	ctx   env.Context
+	down  bool
+	queue []uint64
+	log   *[]delivery
+}
+
+func (f *fifoTarget) Start(ctx env.Context) { f.ctx = ctx }
+func (f *fifoTarget) Receive(from wire.NodeID, m wire.Message) {
+	sub, ok := m.(*types.SubmitTx)
+	if !ok {
+		return
+	}
+	*f.log = append(*f.log, delivery{f.id, sub.Tx.Seq, f.ctx.Now().Sub(simnet.Epoch)})
+	if !f.down {
+		f.queue = append(f.queue, sub.Tx.Seq)
+	}
+}
+
+// cut removes and returns the first n transactions of the target's queue:
+// its share of a block.
+func (f *fifoTarget) cut(n int) []uint64 {
+	seqs := f.queue[:n:n]
+	f.queue = f.queue[n:]
+	return seqs
+}
+
+// buildResubmitNet wires a client to four fifoTargets (IDs 0–3) and a
+// shared delivery log. cfg supplies the policy, F and ResubmitAfter; the
+// client generates nothing by itself, so a test submits with submitOne,
+// or injects, and commits with cut and reply.
+func buildResubmitNet(t *testing.T, cfg ClientConfig) (*simnet.Network, *Client, []*fifoTarget, *[]delivery) {
 	t.Helper()
 	types.RegisterMessages()
 	net := simnet.New(simnet.Config{Latency: simnet.UniformLatency(time.Millisecond), Seed: 3})
-	log := &[]struct {
-		target wire.NodeID
-		seq    uint64
-	}{}
-	ids := make([]wire.NodeID, nTargets)
-	for i := 0; i < nTargets; i++ {
-		ids[i] = wire.NodeID(i)
-		net.AddNode(wire.NodeID(i), &seqLog{entries: log, self: wire.NodeID(i)})
+	log := &[]delivery{}
+	targets := make([]*fifoTarget, 4)
+	cfg.Targets = make([]wire.NodeID, len(targets))
+	for i := range targets {
+		targets[i] = &fifoTarget{id: wire.NodeID(i), log: log}
+		cfg.Targets[i] = wire.NodeID(i)
+		net.AddNode(wire.NodeID(i), targets[i])
 	}
-	cl := NewClient(ClientConfig{
-		Self: 100, Targets: ids, Policy: RoundRobin, Rate: 0, TxSize: 512, F: 1,
-		Epoch: simnet.Epoch, GenStart: simnet.Epoch, GenStop: simnet.Epoch,
-		ResubmitAfter: resubmitAfter,
-	})
+	cfg.Self, cfg.TxSize = 100, 512
+	cfg.Epoch, cfg.GenStart, cfg.GenStop = simnet.Epoch, simnet.Epoch, simnet.Epoch
+	cl := NewClient(cfg)
 	net.AddNode(100, cl)
-	return net, cl, log
+	return net, cl, targets, log
+}
+
+// reply has each listed replica report a block of the client's seqs at
+// height h, as node.handleCommit does.
+func reply(targets []*fifoTarget, h uint64, seqs []uint64, replicas ...int) {
+	for _, r := range replicas {
+		targets[r].ctx.Send(100, &types.BlockReply{Height: h, Replica: wire.NodeID(r), Seqs: seqs})
+	}
 }
 
 // inject places an unconfirmed transaction in the client's pending set,
 // as if it had been submitted to Targets[target] at the epoch — including
-// the deadline-index entry submitOne would have pushed.
+// the send record submitOne would have filed.
 func inject(cl *Client, seq uint64, target int, done bool) {
-	cl.pending[seq] = &pendingTx{
+	p := &pendingTx{
 		tx:        types.NewTransaction(100, seq, 512, 0),
 		submitted: simnet.Epoch,
 		lastSent:  simnet.Epoch,
 		target:    target,
 		done:      done,
 	}
-	if cl.cfg.ResubmitAfter > 0 {
-		duePush(&cl.dueQ, dueEntry{at: simnet.Epoch.Add(cl.cfg.ResubmitAfter), seq: seq})
-	}
+	cl.pending[seq] = p
+	cl.record(seq, p)
 }
 
 // TestResubmitRotatesTargetsDeterministically pins §III-E's escape rule:
@@ -203,7 +223,7 @@ func inject(cl *Client, seq uint64, target int, done bool) {
 // node in target order, so after at most f+1 attempts an honest packer
 // sees it — and the rotation is a fixed, replayable sequence.
 func TestResubmitRotatesTargetsDeterministically(t *testing.T) {
-	net, cl, log := buildResubmitNet(t, 4, 100*time.Millisecond)
+	net, cl, _, log := buildResubmitNet(t, ClientConfig{F: 1, ResubmitAfter: 100 * time.Millisecond})
 	net.Start()
 	inject(cl, 1, 0, false) // last sent to target 0 at epoch
 	net.Run(time.Second)
@@ -237,7 +257,7 @@ func TestResubmitRotatesTargetsDeterministically(t *testing.T) {
 // transactions, oldest (lowest sequence) first, bounding the extra load
 // a backlog can inject per interval.
 func TestResubmitPerTickCap(t *testing.T) {
-	net, cl, log := buildResubmitNet(t, 4, time.Millisecond)
+	net, cl, _, log := buildResubmitNet(t, ClientConfig{F: 1, ResubmitAfter: time.Millisecond})
 	net.Start()
 	for seq := uint64(1); seq <= 20; seq++ {
 		inject(cl, seq, 0, false)
@@ -266,7 +286,7 @@ func TestResubmitPerTickCap(t *testing.T) {
 // TestResubmitSkipsConfirmed asserts a transaction that already reached
 // its reply quorum is never resubmitted, no matter how old it is.
 func TestResubmitSkipsConfirmed(t *testing.T) {
-	net, cl, log := buildResubmitNet(t, 4, 50*time.Millisecond)
+	net, cl, _, log := buildResubmitNet(t, ClientConfig{F: 1, ResubmitAfter: 50 * time.Millisecond})
 	net.Start()
 	inject(cl, 1, 0, true)  // confirmed: must never move again
 	inject(cl, 2, 0, false) // stuck: keeps escaping
