@@ -16,11 +16,11 @@ vet:
 	go vet ./...
 
 # predis-lint: the repo's own go/analysis suite (tools/analyzers). The
-# per-function analyzers enforce the simnet determinism contract, wire
-# round-trip symmetry, lock discipline in sim-visible code, and
-# dropped-error hygiene; the interprocedural analyzers (detflow,
-# hotalloc, handlercomplete) chase taint and allocations through the
-# whole-program call graph.
+# per-function analyzers enforce wire round-trip symmetry, lock discipline
+# in sim-visible code, and dropped-error hygiene; the call-graph analyzers
+# enforce the simnet determinism contract (detflow: direct sources and
+# taint through call chains), zero-alloc hot paths (hotalloc) and handler
+# completeness (handlercomplete).
 lint:
 	go run ./cmd/predis-lint ./...
 
@@ -61,14 +61,17 @@ SMOKE_ROWS = trace bench replay fuzz scale examples
 ROW ?= $(SMOKE_ROWS)
 
 # trace: the exported Chrome trace of a quickstart run parses and has a
-# span for every pipeline stage (submit … fullnode_delivered), and the
+# span for every pipeline stage (submit … fullnode_delivered), the
 # exported metrics CSV has its header and a non-zero txs_committed for
-# consensus node 0, the counters the harness publishes after the run.
+# consensus node 0, the counters the harness publishes after the run, and
+# the sampler's per-link CSV has its header and a link that delivered bytes.
 smoke_trace = go run ./cmd/predis-bench -quick quickstart -trace -metrics \
 		-trace-out bin/trace-smoke.json -metrics-out bin/trace-smoke >/dev/null \
 	&& go run ./tools/tracecheck bin/trace-smoke.json \
 	&& head -n 1 bin/trace-smoke-metrics.csv | grep -qx 'metric,node,field,value' \
-	&& grep -Eq '^txs_committed,0,value,[1-9]' bin/trace-smoke-metrics.csv
+	&& grep -Eq '^txs_committed,0,value,[1-9]' bin/trace-smoke-metrics.csv \
+	&& head -n 1 bin/trace-smoke-links.csv | grep -qx 'from,to,bytes' \
+	&& grep -Eq '^[0-9]+,[0-9]+,[1-9]' bin/trace-smoke-links.csv
 
 # bench: every root benchmark (bench_*_test.go: kernels, figures, scale,
 # stream) still builds and survives one iteration.

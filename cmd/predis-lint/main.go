@@ -1,7 +1,7 @@
 // Command predis-lint runs the repository's custom static-analysis suite
-// — per-function checks (determinism, wiresym, lockorder, errchecklite,
-// encodecache) plus the interprocedural analyzers built on
-// the call-graph engine (detflow, hotalloc, handlercomplete) — which
+// — per-function checks (wiresym, lockorder, errchecklite, encodecache)
+// plus the analyzers built on the call-graph engine (detflow, hotalloc,
+// handlercomplete) — which
 // mechanically enforces the simnet determinism contract, the zero-alloc
 // hot-path contract, and the wire-symmetry invariant (see DESIGN.md,
 // "The determinism contract").
@@ -9,7 +9,7 @@
 // Standalone (the Makefile's `make lint`):
 //
 //	go run ./cmd/predis-lint ./...
-//	predis-lint -analyzers determinism,wiresym ./internal/...
+//	predis-lint -analyzers detflow,wiresym ./internal/...
 //	predis-lint -json ./... > findings.json
 //
 // The named packages are loaded and type-checked from source as one

@@ -138,10 +138,6 @@ func silentLeader() error {
 	nodes := make([]*node.Node, nc)
 	for i := 0; i < nc; i++ {
 		i := i
-		fault := core.FaultNone
-		if i == 0 {
-			fault = core.FaultSilent // the view-0 leader says nothing
-		}
 		n, err := node.New(node.Config{
 			Mode:           node.ModePredis,
 			Engine:         node.EnginePBFT,
@@ -152,7 +148,6 @@ func silentLeader() error {
 			BundleSize:     25,
 			BundleInterval: 20 * time.Millisecond,
 			ViewTimeout:    time.Second,
-			Fault:          fault,
 			ReplyToClients: true,
 			OnCommit: func(height uint64, txs []*types.Transaction) {
 				commits[i] += len(txs)
@@ -176,6 +171,9 @@ func silentLeader() error {
 		GenStop:  simnet.Epoch.Add(duration),
 	}))
 
+	// The view-0 leader says nothing for the whole run.
+	faults.Install(net, faults.Schedule{Actions: []faults.Action{
+		faults.Silent{Node: 0, To: duration + time.Second}}})
 	fmt.Println("  node 0 leads view 0 but is silent; followers must replace it…")
 	net.Start()
 	net.Run(duration + time.Second)

@@ -129,7 +129,7 @@ func TestFetchPlaneResetAndDropHolder(t *testing.T) {
 // than it holds answers with the prefix it has, as a full node does, so the
 // requester need not wait out a retry delay for what is there.
 func TestConsensusServesHeldPrefix(t *testing.T) {
-	pn := newPredisNet(t, 4, 1, nil)
+	pn := newPredisNet(t, 4, 1)
 	var got []*Bundle
 	pn.net.OnDeliver = func(from, to wire.NodeID, m wire.Message, _ time.Time) {
 		if resp, ok := m.(*BundleResponse); ok && from == 1 && to == 0 {
@@ -166,7 +166,7 @@ func TestConsensusServesHeldPrefix(t *testing.T) {
 // it asked for being held, or by a backoff delay of silence — it must reach
 // the live tips, and PullStats must account for every request it sent.
 func TestRestartedConsensusNodeFetchesOnePerProducer(t *testing.T) {
-	pn := newPredisNet(t, 4, 1, nil)
+	pn := newPredisNet(t, 4, 1)
 	victim := pn.peers[0]
 	type answer struct {
 		at             time.Time

@@ -14,23 +14,6 @@ import (
 	"predis/internal/wire"
 )
 
-// FaultMode selects a Byzantine behaviour for fault-injection experiments
-// (Fig. 6).
-type FaultMode int
-
-// Fault modes.
-const (
-	// FaultNone is honest behaviour.
-	FaultNone FaultMode = iota
-	// FaultSilent reproduces Fig. 6 case 1: the node neither produces
-	// bundles nor votes.
-	FaultSilent
-	// FaultPartial reproduces Fig. 6 case 2: the node refuses to vote and
-	// sends each bundle to a random subset of n_c−f−1 peers, so the
-	// remaining nodes must fetch the missing bundles.
-	FaultPartial
-)
-
 // Options configures a Predis instance (the active component wrapping a
 // Mempool).
 type Options struct {
@@ -50,8 +33,6 @@ type Options struct {
 	// into the mempool (own and peer bundles alike); Multi-Zone ships
 	// stripes to full nodes from here.
 	OnBundleStored func(b *Bundle)
-	// Fault selects a Byzantine behaviour.
-	Fault FaultMode
 	// Stream enables streaming commit mode (StreamChain-style): every
 	// submitted transaction seals into a bundle immediately instead of
 	// waiting for the BundleInterval tick, and proposals cut chains at
@@ -207,9 +188,6 @@ func (p *Predis) Start(ctx env.Context) {
 }
 
 func (p *Predis) armProduceTimer() {
-	if p.opts.Fault == FaultSilent {
-		return
-	}
 	p.produceTimer = p.ctx.After(p.mp.params.BundleInterval, func() {
 		p.produceBundle()
 		p.armProduceTimer()
@@ -224,9 +202,6 @@ func (p *Predis) armProduceTimer() {
 // (proposalSeen), a full bundle, or the tick. Bundle size is then 1 when
 // idle and grows with load.
 func (p *Predis) SubmitTx(tx *types.Transaction) {
-	if p.opts.Fault == FaultSilent {
-		return
-	}
 	p.queue = append(p.queue, tx)
 	p.queueTimes = append(p.queueTimes, p.ctx.Now())
 	if p.opts.Stream && !(p.paced && p.sealed) {
@@ -272,9 +247,6 @@ func (p *Predis) HasPendingWork() bool {
 // cut). Heartbeats are emitted only while unconfirmed payload exists and
 // our advertised tips are stale, so an idle network quiesces.
 func (p *Predis) produceBundle() {
-	if p.opts.Fault == FaultSilent {
-		return
-	}
 	if len(p.queue) == 0 {
 		if !p.mp.HasUnconfirmedPayload() {
 			return
@@ -339,23 +311,7 @@ func tipsEqual(a, b TipList) bool {
 }
 
 func (p *Predis) disseminate(b *Bundle) {
-	msg := &BundleMsg{Bundle: b}
-	if p.opts.Fault == FaultPartial {
-		// Send to a random subset of n_c−f−1 peers (Fig. 6 case 2).
-		k := p.mp.params.NC - p.mp.params.F - 1
-		perm := p.ctx.Rand().Perm(len(p.opts.Peers))
-		sent := 0
-		for _, idx := range perm {
-			peer := p.opts.Peers[idx]
-			if peer == p.opts.Self || sent >= k {
-				continue
-			}
-			p.ctx.Send(peer, msg)
-			sent++
-		}
-		return
-	}
-	env.Multicast(p.ctx, p.opts.Peers, msg)
+	env.Multicast(p.ctx, p.opts.Peers, &BundleMsg{Bundle: b})
 }
 
 // Receive handles Predis data-plane messages. The node layer routes
@@ -480,9 +436,6 @@ func (p *Predis) parentState(parent wire.Message) ([]uint64, crypto.Hash, error)
 // a chained engine in stream mode it emits empty drain blocks while
 // proposed cuts await commit.
 func (p *Predis) BuildProposal(height uint64, parent wire.Message) (wire.Message, crypto.Hash, bool) {
-	if p.opts.Fault != FaultNone {
-		return nil, crypto.ZeroHash, false
-	}
 	prev, parentHash, err := p.parentState(parent)
 	if err != nil {
 		p.ctx.Logf("predis: build: %v", err)
@@ -514,10 +467,6 @@ func (p *Predis) cutsAhead(prev []uint64) bool {
 
 // ValidateProposal implements consensus.Application.
 func (p *Predis) ValidateProposal(height uint64, payload, parent wire.Message) (crypto.Hash, error) {
-	if p.opts.Fault != FaultNone {
-		// Faulty replicas refuse to vote (Fig. 6).
-		return crypto.ZeroHash, errors.New("core: faulty replica refuses to vote")
-	}
 	blk, ok := payload.(*PredisBlock)
 	if !ok {
 		return crypto.ZeroHash, fmt.Errorf("%w: payload is %T", ErrBlockShape, payload)

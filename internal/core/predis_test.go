@@ -8,6 +8,7 @@ import (
 
 	"predis/internal/crypto"
 	"predis/internal/env"
+	"predis/internal/faults"
 	"predis/internal/simnet"
 	"predis/internal/types"
 	"predis/internal/wire"
@@ -20,13 +21,9 @@ type predisNet struct {
 	peers []*Predis
 }
 
-func newPredisNet(t *testing.T, nc, f int, faults map[int]FaultMode) *predisNet {
+func newPredisNet(t *testing.T, nc, f int) *predisNet {
 	t.Helper()
-	return newPredisNetWith(t, nc, f, func(i int, o *Options) {
-		if faults != nil {
-			o.Fault = faults[i]
-		}
-	})
+	return newPredisNetWith(t, nc, f, func(int, *Options) {})
 }
 
 // newPredisNetWith is newPredisNet with a per-node hook that adjusts the
@@ -75,7 +72,7 @@ func (pn *predisNet) submit(node int, n int, base uint64) {
 var _ env.Handler = (*Predis)(nil)
 
 func TestPredisBundleDissemination(t *testing.T) {
-	pn := newPredisNet(t, 4, 1, nil)
+	pn := newPredisNet(t, 4, 1)
 	pn.net.Start()
 	pn.submit(0, 25, 0) // 2 full bundles + 5 queued
 	pn.net.Run(500 * time.Millisecond)
@@ -94,26 +91,38 @@ func TestPredisBundleDissemination(t *testing.T) {
 	}
 }
 
+// TestPredisFetchRepairsPartialSends: node 3 withholds its bundles from
+// node 1 for a second. The first bundle node 1 then receives sits above a
+// hole; it must fetch the gap and converge on the producer's chain.
 func TestPredisFetchRepairsPartialSends(t *testing.T) {
-	// Node 3 sends each bundle to only n_c−f−1 = 2 random peers (Fig. 6
-	// case 2). The deprived peers must fetch the gaps and converge.
-	pn := newPredisNet(t, 4, 1, map[int]FaultMode{3: FaultPartial})
+	pn := newPredisNet(t, 4, 1)
+	faults.Install(pn.net, faults.Schedule{Actions: []faults.Action{
+		faults.Withhold{Node: 3, Types: []wire.Type{TypeBundle}, Victims: []wire.NodeID{1},
+			From: 0, To: time.Second},
+	}})
 	pn.net.Start()
+	pn.net.Run(0) // open the window before the first bundle
 	pn.submit(3, 50, 0)
 	pn.submit(0, 10, 1000) // honest traffic keeps tips moving
+	pn.net.Run(time.Second)
+	if got := pn.peers[1].Mempool().Tips()[3]; got != 0 {
+		t.Fatalf("victim holds height %d of the withholding producer's chain", got)
+	}
+	withheld := pn.peers[3].Mempool().Tips()[3]
+	if withheld == 0 {
+		t.Fatal("producer made no bundles inside the window")
+	}
+	pn.submit(3, 20, 2000)
 	pn.net.Run(4 * time.Second)
 	tip := pn.peers[3].Mempool().Tips()[3]
-	if tip == 0 {
-		t.Fatal("faulty producer made no bundles")
-	}
-	// The faulty chain emits continuously (heartbeats included), so honest
-	// nodes trail its tip by the fetch round trip; without fetch repair
-	// they would hold only ~2/3 of the chain (random 2-of-3 delivery).
-	// Being within a small constant of the tip proves gaps were repaired.
+	// The chain keeps emitting (heartbeats included), so honest nodes
+	// trail its tip by the fetch round trip. The victim saw none of the
+	// first withheld bundles first hand: reaching past them proves the
+	// hole was fetched.
 	for i := 0; i < 3; i++ {
 		got := pn.peers[i].Mempool().Tips()[3]
-		if got+15 < tip {
-			t.Fatalf("node %d only reached height %d of %d on the faulty chain", i, got, tip)
+		if got <= withheld || got+15 < tip {
+			t.Fatalf("node %d only reached height %d of %d on chain 3 (%d withheld)", i, got, tip, withheld)
 		}
 	}
 }
@@ -124,7 +133,7 @@ func TestPredisFetchRepairsPartialSends(t *testing.T) {
 // widening re-request per buffered bundle. Once the hole fills, the next
 // one above the linked run is asked for at once.
 func TestPredisFetchesEachHoleOnce(t *testing.T) {
-	pn := newPredisNet(t, 4, 1, nil)
+	pn := newPredisNet(t, 4, 1)
 	type sent struct {
 		to  wire.NodeID
 		req *BundleRequest
@@ -193,7 +202,7 @@ func TestPredisFetchesEachHoleOnce(t *testing.T) {
 }
 
 func TestPredisEvidencePropagation(t *testing.T) {
-	pn := newPredisNet(t, 4, 1, nil)
+	pn := newPredisNet(t, 4, 1)
 	pn.net.Start()
 	// Forge an equivocation by node 3's key and hand both bundles to node
 	// 0 only; the ban must spread to every honest node via evidence.
@@ -215,7 +224,7 @@ func TestPredisEvidencePropagation(t *testing.T) {
 }
 
 func TestPredisBogusEvidenceIgnored(t *testing.T) {
-	pn := newPredisNet(t, 4, 1, nil)
+	pn := newPredisNet(t, 4, 1)
 	pn.net.Start()
 	suite := crypto.NewSimSuite(4, 23)
 	tips := make(TipList, 4)
@@ -229,7 +238,7 @@ func TestPredisBogusEvidenceIgnored(t *testing.T) {
 }
 
 func TestPredisHeartbeatBundlesDriveTips(t *testing.T) {
-	pn := newPredisNet(t, 4, 1, nil)
+	pn := newPredisNet(t, 4, 1)
 	pn.net.Start()
 	// One burst of traffic at node 0, then silence: heartbeat bundles from
 	// the others must still advertise receipt so a leader could cut.
@@ -249,7 +258,7 @@ func TestPredisHeartbeatBundlesDriveTips(t *testing.T) {
 }
 
 func TestPredisHasPendingWork(t *testing.T) {
-	pn := newPredisNet(t, 4, 1, nil)
+	pn := newPredisNet(t, 4, 1)
 	pn.net.Start()
 	if pn.peers[0].HasPendingWork() {
 		t.Fatal("fresh node reports pending work")
@@ -257,21 +266,6 @@ func TestPredisHasPendingWork(t *testing.T) {
 	pn.submit(0, 3, 0)
 	if !pn.peers[0].HasPendingWork() {
 		t.Fatal("queued txs not reported as pending work")
-	}
-}
-
-func TestPredisSilentFaultProducesNothing(t *testing.T) {
-	pn := newPredisNet(t, 4, 1, map[int]FaultMode{0: FaultSilent})
-	pn.net.Start()
-	pn.submit(0, 50, 0)
-	pn.net.Run(time.Second)
-	if produced, _, _ := pn.peers[0].Stats(); produced != 0 {
-		t.Fatalf("silent node produced %d bundles", produced)
-	}
-	for i := 1; i < 4; i++ {
-		if pn.peers[i].Mempool().Tips()[0] != 0 {
-			t.Fatalf("node %d received bundles from the silent node", i)
-		}
 	}
 }
 

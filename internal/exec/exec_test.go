@@ -7,6 +7,7 @@ import (
 	"predis/internal/crypto"
 	"predis/internal/types"
 	"predis/internal/wire"
+	"predis/internal/workload"
 )
 
 const genesis = 1000
@@ -215,6 +216,47 @@ func TestLevelizedMatchesSerial(t *testing.T) {
 		}
 		if m.Stats().Aborted == 0 {
 			t.Fatal("schedule must exercise deterministic aborts")
+		}
+	}
+}
+
+// TestLevelizedMatchesSerialSkewShapes runs the contention experiment's
+// four skew shapes (harness's contentionScenarios at seed 1, with its
+// 1 000-unit genesis and 50-unit transfers): Zipf op streams cut into
+// blocks of 128 transactions must give the serial reference's state root
+// and apply/abort counts at every block.
+func TestLevelizedMatchesSerialSkewShapes(t *testing.T) {
+	shapes := []struct {
+		name string
+		cfg  workload.ZipfConfig
+	}{
+		{"uniform-4096", workload.ZipfConfig{Accounts: 4096, Theta: 0, RMWFrac: 0.1, Amount: 50, Seed: 1}},
+		{"zipf0.9-1024", workload.ZipfConfig{Accounts: 1024, Theta: 0.9, RMWFrac: 0.1, Amount: 50, Seed: 1}},
+		{"zipf1.2-256", workload.ZipfConfig{Accounts: 256, Theta: 1.2, RMWFrac: 0.2, Amount: 50, Seed: 1}},
+		{"hotspot-64", workload.ZipfConfig{Accounts: 64, Theta: 0.9, HotFrac: 0.35, RMWFrac: 0.2, Amount: 50, Seed: 1}},
+	}
+	const blockTxs, nblocks = 128, 8
+	for _, sh := range shapes {
+		ops := workload.NewZipfOps(sh.cfg)
+		blocks := make([][]*types.Transaction, nblocks)
+		for i := range blocks {
+			for k := 0; k < blockTxs; k++ {
+				seq := uint64(i*blockTxs + k)
+				client := wire.NodeID(1000 + seq%4)
+				blocks[i] = append(blocks[i], types.NewTransaction(client, seq, types.DefaultTxSize, 0).
+					WithOp(ops.Op(client, seq)))
+			}
+		}
+		serial, _, _ := runBlocks(true, blocks)
+		par, _, m := runBlocks(false, blocks)
+		for i := range par {
+			if par[i].StateRoot != serial[i].StateRoot ||
+				par[i].Applied != serial[i].Applied || par[i].Aborted != serial[i].Aborted {
+				t.Fatalf("%s block %d: %+v != serial %+v", sh.name, i+1, par[i], serial[i])
+			}
+		}
+		if st := m.Stats(); st.Txs != blockTxs*nblocks {
+			t.Fatalf("%s: executed %d semantic txs, want %d", sh.name, st.Txs, blockTxs*nblocks)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Byzantine actions: scripted *malice* rather than unavailability.
 //
 // The actions in this file corrupt message content (CorruptStripe,
-// BogusProof, GarbageWire), suppress it selectively (WithholdStripes), or
-// forge it (EquivocateLeader) — the §IV-B adversary of the paper, where a
+// BogusProof, GarbageWire), suppress it selectively (Withhold), or forge
+// it (EquivocateLeader) — the §IV-B adversary of the paper, where a
 // malicious full node serves consensus correctly but sabotages the data
 // plane it relays for. They compose with the availability windows in
 // faults.go: all draws come from the injector's seeded rng on the
@@ -14,11 +14,13 @@
 // attacks (multizone's tests import faults, so faults importing multizone
 // would be a cycle). Instead it recognises victims structurally:
 // stripe messages implement StripeTamperer and leader proposals implement
-// Equivocator, and the injector asserts those interfaces at mutation time.
+// Equivocator, and the injector asserts those interfaces at mutation time;
+// Withhold's caller names the wire types it suppresses.
 package faults
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -55,10 +57,11 @@ type mutWindow struct {
 	fn     func(from, to wire.NodeID, m wire.Message) wire.Message
 }
 
-// withholdWindow silently drops stripe fan-out from one node to a victim
-// set while letting every control message through.
+// withholdWindow silently drops one node's messages of the listed types
+// to a victim set while letting every other message through.
 type withholdWindow struct {
 	from    wire.NodeID
+	types   []wire.Type
 	victims map[wire.NodeID]bool // nil = all receivers
 	active  bool
 }
@@ -155,33 +158,45 @@ func (b BogusProof) compile(inj *Injector) {
 		&w.active, &inj.activeMutants)
 }
 
-// WithholdStripes makes Node keep its control plane alive (heartbeats,
-// consensus votes, subscriptions all flow) while silently dropping stripe
-// fan-out to Victims during [From, To). Empty Victims withholds from
-// everyone. This is the hardest §IV-B behaviour to detect: the offender
-// looks healthy on every liveness signal.
-type WithholdStripes struct {
+// Withhold makes Node silently drop its messages of the listed Types to
+// Victims during [From, To); empty Victims withholds from everyone. Every
+// other message flows, so the offender looks healthy on every liveness
+// signal. Withholding multizone.TypeStripe is the hardest §IV-B behaviour
+// to detect (heartbeats, votes and subscriptions all flow); withholding
+// the consensus votes and a producer's bundles from some peers is Fig. 6's
+// case-2 adversary. The caller names the types, so the injector needs no
+// protocol import.
+type Withhold struct {
 	Node     wire.NodeID
+	Types    []wire.Type
 	Victims  []wire.NodeID
 	From, To time.Duration
 }
 
-func (s WithholdStripes) compile(inj *Injector) {
+func (s Withhold) compile(inj *Injector) {
 	var victims map[wire.NodeID]bool
 	if len(s.Victims) > 0 {
 		victims = idSet(s.Victims)
 	}
-	w := &withholdWindow{from: s.Node, victims: victims}
+	w := &withholdWindow{from: s.Node, types: s.Types, victims: victims}
 	inj.withholds = append(inj.withholds, w)
 	inj.window(s.From, s.To,
-		fmt.Sprintf("node %d withholds stripes from %s", s.Node, victimLabel(s.Victims)),
-		fmt.Sprintf("node %d resumes stripe fan-out", s.Node),
+		fmt.Sprintf("node %d withholds %s from %s", s.Node, typeLabel(s.Types), victimLabel(s.Victims)),
+		fmt.Sprintf("node %d resumes %s", s.Node, typeLabel(s.Types)),
 		&w.active, &inj.activeWithholds)
+}
+
+func typeLabel(ts []wire.Type) string {
+	names := make([]string, len(ts))
+	for i, t := range ts {
+		names[i] = wire.TypeName(t)
+	}
+	return strings.Join(names, ",")
 }
 
 func victimLabel(victims []wire.NodeID) string {
 	if len(victims) == 0 {
-		return "all subscribers"
+		return "all recipients"
 	}
 	return fmt.Sprintf("%v", fmtIDs(victims))
 }

@@ -215,10 +215,10 @@ func TestBogusProofWindowReplacesProofOnly(t *testing.T) {
 	}
 }
 
-func TestWithholdStripesIsSelective(t *testing.T) {
+func TestWithholdIsSelective(t *testing.T) {
 	n, _, sinks := buildByzNet(9, 2)
 	Install(n, Schedule{Seed: 9, Actions: []Action{
-		WithholdStripes{Node: 0, Victims: []wire.NodeID{1},
+		Withhold{Node: 0, Types: []wire.Type{fakeStripeType}, Victims: []wire.NodeID{1},
 			From: 0, To: 150 * time.Millisecond},
 	}})
 	n.Start()
@@ -246,6 +246,27 @@ func TestWithholdStripesIsSelective(t *testing.T) {
 	}
 	if len(other.stripes) == 0 {
 		t.Fatal("non-victim lost stripes")
+	}
+}
+
+// TestWithholdTypesFromEveryone: with no victims, every listed type is
+// withheld from every recipient, and unlisted types still flow.
+func TestWithholdTypesFromEveryone(t *testing.T) {
+	n, _, sinks := buildByzNet(11, 2)
+	Install(n, Schedule{Seed: 11, Actions: []Action{
+		Withhold{Node: 0, Types: []wire.Type{fakeStripeType, fakeProposalType},
+			From: 0, To: 300 * time.Millisecond},
+	}})
+	n.Start()
+	n.Run(200 * time.Millisecond)
+	for i, k := range sinks {
+		if len(k.stripes) != 0 || len(k.props) != 0 {
+			t.Fatalf("sink %d got %d stripes and %d proposals inside the window",
+				i, len(k.stripes), len(k.props))
+		}
+		if k.ticks == 0 {
+			t.Fatalf("sink %d lost the unlisted tick traffic", i)
+		}
 	}
 }
 
@@ -336,7 +357,7 @@ func TestByzantineScheduleTraceDeterminism(t *testing.T) {
 		inj := Install(n, Schedule{Seed: 42, Actions: []Action{
 			CorruptStripe{Node: 0, From: 20 * time.Millisecond, To: 120 * time.Millisecond},
 			BogusProof{Node: 0, From: 100 * time.Millisecond, To: 180 * time.Millisecond},
-			WithholdStripes{Node: 0, Victims: []wire.NodeID{2},
+			Withhold{Node: 0, Types: []wire.Type{fakeStripeType}, Victims: []wire.NodeID{2},
 				From: 60 * time.Millisecond, To: 200 * time.Millisecond},
 			EquivocateLeader{Node: 0, Signer: suite.Signer(0),
 				Victims: []wire.NodeID{1}, From: 0, To: 250 * time.Millisecond},

@@ -26,6 +26,7 @@ package faults
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -230,7 +231,7 @@ func (inj *Injector) drop(from, to wire.NodeID, m wire.Message) bool {
 			if w.victims != nil && !w.victims[to] {
 				continue
 			}
-			if _, ok := m.(StripeTamperer); ok {
+			if slices.Contains(w.types, m.Type()) {
 				return true
 			}
 		}

@@ -189,8 +189,9 @@ func Byzantine(o Options) ([]*stats.Table, error) {
 		},
 		{
 			name: "withhold-stripes",
-			actions: []faults.Action{faults.WithholdStripes{
-				Node: relayer, From: spec.crashFrom, To: spec.crashTo}},
+			actions: []faults.Action{faults.Withhold{
+				Node: relayer, Types: []wire.Type{multizone.TypeStripe},
+				From: spec.crashFrom, To: spec.crashTo}},
 			check: func(r recoveryResult) error {
 				if r.spares == 0 {
 					return fmt.Errorf("the withholder's subscribers never took a spare")

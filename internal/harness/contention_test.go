@@ -9,17 +9,17 @@ import (
 )
 
 // contentionOnce runs one small contention deployment (skewed semantic
-// workload, levelized or serial committer) and returns the replay trace
+// workload) and returns the replay trace
 // plus a rendering of every execution-visible output: per-height state
 // roots, agreement flags, and the observer machine's counters.
-func contentionOnce(t *testing.T, serial bool) (*ReplayTrace, string) {
+func contentionOnce(t *testing.T) (*ReplayTrace, string) {
 	t.Helper()
 	tr := NewReplayTrace()
 	res, err := runContention(Options{Quick: true, Seed: 11, Replay: tr},
 		workload.ZipfConfig{
 			Accounts: 128, Theta: 0.9, HotFrac: 0.2, RMWFrac: 0.2,
 			Amount: contentionAmount, Seed: 11,
-		}, serial)
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +41,8 @@ func contentionOnce(t *testing.T, serial bool) (*ReplayTrace, string) {
 // inside the full deployment: replay digest, per-height state roots,
 // abort counts, and level shape are byte-identical across same-seed runs.
 func TestContentionDeterministic(t *testing.T) {
-	tr0, s0 := contentionOnce(t, false)
-	tr, s := contentionOnce(t, false)
+	tr0, s0 := contentionOnce(t)
+	tr, s := contentionOnce(t)
 	if tr.Sum() != tr0.Sum() {
 		t.Fatalf("replay digest diverged: %s vs %s", tr.Sum(), tr0.Sum())
 	}
@@ -51,37 +51,12 @@ func TestContentionDeterministic(t *testing.T) {
 	}
 }
 
-// TestContentionSerialMatchesParallel pins the levelized committer to
-// the serial reference inside the full deployment: same seed, same
-// committed sequence, identical per-height state roots.
-func TestContentionSerialMatchesParallel(t *testing.T) {
-	_, par := contentionOnce(t, false)
-	_, ser := contentionOnce(t, true)
-	// The serial run executes one tx per level, so the shape counters
-	// (Levels/MaxWidth) legitimately differ; compare only the roots.
-	cut := func(s string) string {
-		i := 0
-		for ; i < len(s); i++ {
-			if s[i] == '\n' {
-				break
-			}
-		}
-		return s[i:]
-	}
-	if cut(par) != cut(ser) {
-		t.Fatalf("serial committer diverged from parallel:\n  parallel: %s\n  serial: %s", par, ser)
-	}
-	if len(cut(par)) <= 1 {
-		t.Fatal("run committed no blocks with roots")
-	}
-}
-
 // TestContentionFindsParallelism asserts the leveler exposes width on a
 // low-conflict workload: mean dependency-level width must exceed 1.
 func TestContentionFindsParallelism(t *testing.T) {
 	res, err := runContention(Options{Quick: true, Seed: 3},
 		workload.ZipfConfig{Accounts: 4096, Theta: 0, RMWFrac: 0.1,
-			Amount: contentionAmount, Seed: 3}, false)
+			Amount: contentionAmount, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

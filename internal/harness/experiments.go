@@ -82,7 +82,7 @@ func Registry() []Experiment {
 		{"fig8", "Fig. 8: block propagation latency (star/random/Multi-Zone)", Fig8},
 		{"recovery", "Recovery: relayer & leader crash/restart — dip depth and time-to-recover", Recovery},
 		{"byzantine", "Byzantine: data-plane adversaries — Eq. 4 delivery sweep, attack windows, self-healing", Byzantine},
-		{"contention", "Contention: deterministic parallel execution vs serial under workload skew", Contention},
+		{"contention", "Contention: deterministic parallel execution under workload skew", Contention},
 		// New experiments append at the end: quick_results.txt refreshes
 		// add their sections without perturbing the existing ones.
 		{"scale", "Scale: 10⁴–10⁵-node population — delivery latency and flow throughput, deep vs shallow trees", Scale},

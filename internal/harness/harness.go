@@ -9,9 +9,9 @@ import (
 	"time"
 
 	"predis/internal/consensus"
-	"predis/internal/core"
 	"predis/internal/crypto"
 	"predis/internal/env"
+	"predis/internal/faults"
 	"predis/internal/multizone"
 	"predis/internal/node"
 	"predis/internal/obs"
@@ -68,7 +68,9 @@ type PointSpec struct {
 	Clients    int
 	Duration   time.Duration
 	Seed       int64
-	Faults     map[wire.NodeID]core.FaultMode
+	// Faults, when non-empty, is installed on the network before it starts
+	// (the injector draws from Seed).
+	Faults []faults.Action
 	// BundleInterval overrides the producer's bundle seal interval
 	// (default 20ms, the value every experiment used historically).
 	BundleInterval time.Duration
@@ -140,10 +142,6 @@ func RunPoint(spec PointSpec) (PointResult, error) {
 	nodes := make([]*node.Node, s.NC)
 	for i := 0; i < s.NC; i++ {
 		i := i
-		fault := core.FaultNone
-		if s.Faults != nil {
-			fault = s.Faults[wire.NodeID(i)]
-		}
 		cfg := node.Config{
 			Mode:           mode,
 			Engine:         engine,
@@ -155,7 +153,6 @@ func RunPoint(spec PointSpec) (PointResult, error) {
 			BundleSize:     s.BundleSize,
 			BundleInterval: s.BundleInterval,
 			ViewTimeout:    2 * time.Second,
-			Fault:          fault,
 			Stream:         s.Stream,
 			ReplyToClients: true,
 			OnCommit: func(height uint64, txs []*types.Transaction) {
@@ -186,6 +183,9 @@ func RunPoint(spec PointSpec) (PointResult, error) {
 		GenStop:   end,
 		Collector: col,
 	})
+	if len(s.Faults) > 0 {
+		faults.Install(net, faults.Schedule{Seed: s.Seed, Actions: s.Faults})
+	}
 
 	net.Start()
 	net.Run(s.Duration)

@@ -5,9 +5,8 @@ import (
 	"testing"
 	"time"
 
-	"predis/internal/core"
+	"predis/internal/faults"
 	"predis/internal/stats"
-	"predis/internal/wire"
 )
 
 func TestRunPointAllSystems(t *testing.T) {
@@ -47,7 +46,7 @@ func TestRunPointWithFaults(t *testing.T) {
 		Offered:  3000,
 		Clients:  8,
 		Duration: 3 * time.Second,
-		Faults:   map[wire.NodeID]core.FaultMode{7: core.FaultSilent},
+		Faults:   []faults.Action{faults.Silent{Node: 7, To: 3 * time.Second}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +109,7 @@ func TestFig6Shape(t *testing.T) {
 	}
 	silent1, err := RunPoint(PointSpec{
 		System: SysPPBFT, NC: 8, Offered: 8000, Clients: 8, Duration: 4 * time.Second,
-		Faults: map[wire.NodeID]core.FaultMode{7: core.FaultSilent},
+		Faults: []faults.Action{faults.Silent{Node: 7, To: 4 * time.Second}},
 	})
 	if err != nil {
 		t.Fatal(err)

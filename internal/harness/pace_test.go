@@ -185,7 +185,7 @@ func TestReplayPinned(t *testing.T) {
 		}
 	}
 	contention := func() string {
-		tr, state := contentionOnce(t, false)
+		tr, state := contentionOnce(t)
 		return fmt.Sprintf("%s roots %s", sum(tr), crypto.HashBytes([]byte(state)))
 	}
 	// experiment runs a registered experiment at -quick -seed 1: its replay

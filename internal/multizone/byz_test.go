@@ -160,7 +160,7 @@ func TestWithheldStripesStarveThenRewire(t *testing.T) {
 	// The window never closes: recovery must come from the spares, not
 	// from the attacker relenting.
 	faults.Install(zc.net, faults.Schedule{Seed: 19, Actions: []faults.Action{
-		faults.WithholdStripes{Node: evil.cfg.Self,
+		faults.Withhold{Node: evil.cfg.Self, Types: []wire.Type{TypeStripe},
 			From: 4200 * time.Millisecond, To: cfg.duration + time.Second},
 	}})
 	t.Logf("withholding relayer %d (downstream subs: %d)", evil.cfg.Self, evil.subCount)

@@ -62,8 +62,6 @@ type FullNodeConfig struct {
 	// resulting state root is stamped into the ledger entry so the
 	// persisted chain commits to execution, not just ordering.
 	Executor *exec.Machine
-	// ExecSerial forces the reference serial committer (see node.Config).
-	ExecSerial bool
 	// OnExecute observes each executed block's result.
 	OnExecute func(r exec.Result)
 	// KeepConfirmed bounds retained bundles per chain.

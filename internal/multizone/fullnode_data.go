@@ -6,7 +6,6 @@ import (
 
 	"predis/internal/core"
 	"predis/internal/crypto"
-	"predis/internal/exec"
 	"predis/internal/ledger"
 	"predis/internal/obs"
 	"predis/internal/wire"
@@ -360,12 +359,7 @@ func (f *FullNode) tryCompleteBlocks() {
 				var stateRoot crypto.Hash
 				if f.cfg.Executor != nil {
 					intact := f.cfg.Executor.Stats().Gaps == 0
-					var r exec.Result
-					if f.cfg.ExecSerial {
-						r = f.cfg.Executor.ExecuteBlockSerial(blk.Height, txs)
-					} else {
-						r = f.cfg.Executor.ExecuteBlock(nil, blk.Height, txs)
-					}
+					r := f.cfg.Executor.ExecuteBlock(nil, blk.Height, txs)
 					stateRoot = r.StateRoot
 					if intact && stateRoot.IsZero() {
 						f.ctx.Logf("multizone: node %d executes height %d across a gap; its state roots are zero from here on",

@@ -54,11 +54,10 @@ type HostConfig struct {
 	// harness publishes them after a run. It is held only for
 	// cmd/predis-perf, which still sets it.
 	Metrics *obs.Registry
-	// Executor / ExecSerial / OnExecute: execution plane, as in
-	// node.Config (each host owns its own exec.Machine).
-	Executor   *exec.Machine
-	ExecSerial bool
-	OnExecute  func(r exec.Result)
+	// Executor / OnExecute: execution plane, as in node.Config (each host
+	// owns its own exec.Machine).
+	Executor  *exec.Machine
+	OnExecute func(r exec.Result)
 }
 
 // NewConsensusHost builds the host. Multi-Zone always runs Predis (the
@@ -94,7 +93,6 @@ func NewConsensusHost(cfg HostConfig) (*ConsensusHost, error) {
 		OnBlockCommit:  dist.OnBlockCommit,
 		Trace:          cfg.Trace,
 		Executor:       cfg.Executor,
-		ExecSerial:     cfg.ExecSerial,
 		OnExecute:      cfg.OnExecute,
 		OnCommit: func(height uint64, txs []*types.Transaction) {
 			if cfg.OnCommit != nil {
@@ -128,11 +126,6 @@ func (h *ConsensusHost) OnRestart() {
 func (h *ConsensusHost) Receive(from wire.NodeID, m wire.Message) {
 	if m.Type()&0xff00 == wire.TypeRangeZone {
 		h.Dist.Receive(from, m)
-		return
-	}
-	if req, ok := m.(*core.BundleRequest); ok {
-		// Bundle pulls from full nodes are served by the Predis mempool.
-		h.Node.Predis().Receive(from, req)
 		return
 	}
 	h.Node.Receive(from, m)

@@ -83,8 +83,6 @@ type Config struct {
 	BundleInterval time.Duration
 	// ViewTimeout tunes the engine.
 	ViewTimeout time.Duration
-	// Fault selects Byzantine behaviour (Predis mode; Fig. 6).
-	Fault core.FaultMode
 	// Stream enables streaming commit mode (Predis mode): producers seal
 	// bundles per transaction, leaders cut at their own tips, PBFT runs
 	// streamWindow instances at once and seals on its proposals, and
@@ -117,9 +115,6 @@ type Config struct {
 	// replies go out. Each node owns its own machine; determinism of the
 	// committed sequence makes the resulting state roots agree.
 	Executor *exec.Machine
-	// ExecSerial forces the reference serial committer instead of the
-	// two-phase parallel one (baseline for the contention experiment).
-	ExecSerial bool
 	// OnExecute observes each executed block's result (state root,
 	// apply/abort counts, dependency-level shape).
 	OnExecute func(r exec.Result)
@@ -182,7 +177,6 @@ func New(cfg Config) (*Node, error) {
 			},
 			Self:           cfg.Self,
 			Peers:          peers,
-			Fault:          cfg.Fault,
 			Stream:         cfg.Stream,
 			StripeRoot:     cfg.StripeRoot,
 			OnBundleStored: cfg.OnBundleStored,
@@ -341,12 +335,7 @@ func (n *Node) Submit(tx *types.Transaction) {
 // engine commits through it.
 func (n *Node) handleCommit(height uint64, txs []*types.Transaction) {
 	if n.cfg.Executor != nil {
-		var r exec.Result
-		if n.cfg.ExecSerial {
-			r = n.cfg.Executor.ExecuteBlockSerial(height, txs)
-		} else {
-			r = n.cfg.Executor.ExecuteBlock(nil, height, txs)
-		}
+		r := n.cfg.Executor.ExecuteBlock(nil, height, txs)
 		if n.cfg.Trace != nil && n.ctx != nil {
 			now := n.ctx.Now()
 			n.cfg.Trace.Span(obs.StageExecuted, obs.BlockKey(height), n.cfg.Self, now, now)

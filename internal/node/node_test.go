@@ -7,6 +7,8 @@ import (
 
 	"predis/internal/core"
 	"predis/internal/crypto"
+	"predis/internal/faults"
+	"predis/internal/pbft"
 	"predis/internal/simnet"
 	"predis/internal/types"
 	"predis/internal/wire"
@@ -32,7 +34,9 @@ type clusterConfig struct {
 	rate     float64 // offered load per client, tx/s
 	clients  int
 	duration time.Duration
-	fault    map[wire.NodeID]core.FaultMode
+	// schedule, when non-empty, is installed on the network before it
+	// starts (the faulty nodes of Fig. 6 and the censorship test).
+	schedule []faults.Action
 	copyMsgs bool
 }
 
@@ -58,10 +62,6 @@ func buildCluster(t testing.TB, cfg clusterConfig) *cluster {
 	suite := crypto.NewSimSuite(cfg.nc, 7)
 	for i := 0; i < cfg.nc; i++ {
 		i := i
-		fault := core.FaultNone
-		if cfg.fault != nil {
-			fault = cfg.fault[wire.NodeID(i)]
-		}
 		n, err := New(Config{
 			Mode:           cfg.mode,
 			Engine:         cfg.engine,
@@ -73,7 +73,6 @@ func buildCluster(t testing.TB, cfg clusterConfig) *cluster {
 			BundleSize:     50,
 			BundleInterval: 20 * time.Millisecond,
 			ViewTimeout:    1 * time.Second,
-			Fault:          fault,
 			ReplyToClients: true,
 			OnCommit: func(height uint64, txs []*types.Transaction) {
 				c.commits[i] += len(txs)
@@ -121,6 +120,9 @@ func buildCluster(t testing.TB, cfg clusterConfig) *cluster {
 		})
 		c.clients = append(c.clients, cl)
 		net.AddNode(wire.NodeID(1000+k), cl)
+	}
+	if len(cfg.schedule) > 0 {
+		faults.Install(net, faults.Schedule{Seed: 1, Actions: cfg.schedule})
 	}
 	return c
 }
@@ -257,7 +259,7 @@ func TestSilentFaultStillLive(t *testing.T) {
 		mode: ModePredis, engine: EnginePBFT,
 		nc: 4, f: 1, rate: 300, clients: 4,
 		duration: 4 * time.Second,
-		fault:    map[wire.NodeID]core.FaultMode{3: core.FaultSilent},
+		schedule: []faults.Action{faults.Silent{Node: 3, To: 4 * time.Second}},
 	}
 	c := buildCluster(t, cfg)
 	c.run(cfg.duration)
@@ -268,14 +270,21 @@ func TestSilentFaultStillLive(t *testing.T) {
 }
 
 // TestPartialSenderFaultStillLive reproduces Fig. 6 case 2: a node that
-// sends bundles to too few peers and never votes; missing bundles must be
-// fetched and the system keeps committing.
+// never proposes, votes or confirms, and sends its bundles to only
+// n_c−f−1 peers; the deprived peer must fetch them and the system keeps
+// committing.
 func TestPartialSenderFaultStillLive(t *testing.T) {
+	const end = 4 * time.Second
 	cfg := clusterConfig{
 		mode: ModePredis, engine: EnginePBFT,
 		nc: 4, f: 1, rate: 300, clients: 4,
-		duration: 4 * time.Second,
-		fault:    map[wire.NodeID]core.FaultMode{3: core.FaultPartial},
+		duration: end,
+		schedule: []faults.Action{
+			faults.Withhold{Node: 3, To: end, Types: []wire.Type{
+				pbft.TypePrePrepare, pbft.TypePrepare, pbft.TypeCommit, types.TypeBlockReply}},
+			faults.Withhold{Node: 3, To: end, Types: []wire.Type{core.TypeBundle},
+				Victims: []wire.NodeID{1}},
+		},
 	}
 	c := buildCluster(t, cfg)
 	c.run(cfg.duration)
@@ -290,7 +299,7 @@ func TestViewChangeOnSilentLeader(t *testing.T) {
 		mode: ModePredis, engine: EnginePBFT,
 		nc: 4, f: 1, rate: 300, clients: 4,
 		duration: 6 * time.Second,
-		fault:    map[wire.NodeID]core.FaultMode{0: core.FaultSilent},
+		schedule: []faults.Action{faults.Silent{Node: 0, To: 6 * time.Second}},
 	}
 	c := buildCluster(t, cfg)
 	c.run(cfg.duration)
@@ -407,17 +416,12 @@ func TestCensorshipResubmission(t *testing.T) {
 	col := workload.NewCollector(simnet.Epoch, end)
 	suite := crypto.NewSimSuite(nc, 31)
 	for i := 0; i < nc; i++ {
-		fault := core.FaultNone
-		if i == 3 {
-			fault = core.FaultSilent // drops every transaction submitted to it
-		}
 		n, err := New(Config{
 			Mode: ModePredis, Engine: EnginePBFT,
 			NC: nc, F: f, Self: wire.NodeID(i),
 			Signer: suite.Signer(i), BundleSize: 10,
 			BundleInterval: 20 * time.Millisecond,
 			ViewTimeout:    2 * time.Second,
-			Fault:          fault,
 			ReplyToClients: true,
 		})
 		if err != nil {
@@ -439,6 +443,9 @@ func TestCensorshipResubmission(t *testing.T) {
 		Collector:     col,
 	})
 	net.AddNode(2000, cl)
+	// Node 3 censors: what it bundles never leaves it.
+	faults.Install(net, faults.Schedule{Actions: []faults.Action{
+		faults.Silent{Node: 3, To: 6 * time.Second}}})
 	net.Start()
 	net.Run(6 * time.Second)
 

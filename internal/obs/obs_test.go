@@ -362,6 +362,63 @@ func TestWriteLinkCSV(t *testing.T) {
 	}
 }
 
+// burst sends one ping of a distinct size to every peer at start, then
+// nothing: a network of bursts drains.
+type burst struct {
+	peers []wire.NodeID
+	pad   int
+}
+
+func (b *burst) Start(ctx env.Context) {
+	for i, p := range b.peers {
+		if p != ctx.ID() {
+			ctx.Send(p, &pingMsg{Pad: uint32(b.pad + 100*i)})
+		}
+	}
+}
+
+func (b *burst) Receive(wire.NodeID, wire.Message) {}
+
+// TestLinkCSVMatchesReceivedBytes: on a fault-free network drained to idle,
+// the link CSV's bytes into each node sum to the bytes its downlink
+// received.
+func TestLinkCSVMatchesReceivedBytes(t *testing.T) {
+	registerPing()
+	net := simnet.New(simnet.Config{
+		Uplink: simnet.Mbps100, Downlink: simnet.Mbps100,
+		Latency: simnet.UniformLatency(5 * time.Millisecond), Seed: 1,
+	})
+	peers := []wire.NodeID{0, 1, 2, 3}
+	for i, id := range peers {
+		net.AddNode(id, &burst{peers: peers, pad: 1000 * (i + 1)})
+	}
+	s := NewSampler(net, 50*time.Millisecond)
+	s.Start(100 * time.Millisecond)
+	net.Start()
+	net.RunUntilIdle(0)
+	var buf bytes.Buffer
+	if err := s.WriteLinkCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	into := make(map[wire.NodeID]uint64)
+	rows := strings.Split(strings.TrimSpace(buf.String()), "\n")[1:]
+	for _, line := range rows {
+		var from, to, n uint64
+		if _, err := fmt.Sscanf(line, "%d,%d,%d", &from, &to, &n); err != nil {
+			t.Fatalf("malformed link row %q: %v", line, err)
+		}
+		into[wire.NodeID(to)] += n
+	}
+	if len(rows) != len(peers)*(len(peers)-1) {
+		t.Fatalf("%d link rows, want %d:\n%s", len(rows), len(peers)*(len(peers)-1), buf.String())
+	}
+	for _, id := range peers {
+		if _, recv := net.NodeBytes(id); into[id] != recv {
+			t.Fatalf("node %d: links CSV has %d bytes in, its downlink received %d", id, into[id], recv)
+		}
+	}
+}
+
 func TestWriteChromeParsesAndIsDeterministic(t *testing.T) {
 	run := func() string {
 		tr, s := runSampledSim(t)

@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"time"
 
@@ -37,7 +39,8 @@ type Sample struct {
 }
 
 // Sampler periodically reads NIC busy time, per-node byte counters, and
-// event-queue depth from a simnet.Network. Sampling is purely passive —
+// event-queue depth from a simnet.Network, and sums the bytes delivered on
+// every directed link. Sampling is purely passive —
 // the tick callbacks read state and never send, so an instrumented run
 // delivers exactly the same messages as an uninstrumented one (sampler
 // events do change event sequence numbers, but sequence numbers only
@@ -62,7 +65,13 @@ type Sampler struct {
 
 	lastDelivered uint64
 	lastBytes     uint64
+
+	// links sums delivered wire bytes per directed link (see WriteLinkCSV).
+	links map[link]uint64
 }
+
+// link is one directed sender→receiver pair.
+type link struct{ from, to wire.NodeID }
 
 // NewSampler builds a sampler over net. interval is the sampling period.
 func NewSampler(net *simnet.Network, interval time.Duration) *Sampler {
@@ -76,14 +85,24 @@ func NewSampler(net *simnet.Network, interval time.Duration) *Sampler {
 }
 
 // Start schedules sampling ticks at every interval boundary in (0, horizon]
-// (horizon measured from the simulation epoch). All ticks are scheduled up
-// front, so the sampler never keeps an idle network alive.
+// (horizon measured from the simulation epoch) and starts counting link
+// bytes from the network's delivery hook, chaining any hook already
+// present. All ticks are scheduled up front, so the sampler never keeps an
+// idle network alive.
 func (s *Sampler) Start(horizon time.Duration) {
 	if s == nil {
 		return
 	}
 	for at := s.interval; at <= horizon; at += s.interval {
 		s.net.At(at, s.tick)
+	}
+	s.links = make(map[link]uint64)
+	prev := s.net.OnDeliver
+	s.net.OnDeliver = func(from, to wire.NodeID, m wire.Message, at time.Time) {
+		s.links[link{from, to}] += uint64(m.WireSize())
+		if prev != nil {
+			prev(from, to, m, at)
+		}
 	}
 }
 
@@ -136,9 +155,11 @@ func (s *Sampler) Samples() []Sample {
 	return s.samples
 }
 
-// WriteLinkCSV dumps the network's cumulative per-link byte totals as
-// `from,to,bytes`, one row per directed link that carried traffic, in
-// ascending (from, to) order.
+// WriteLinkCSV dumps the cumulative bytes delivered on each directed link
+// since Start as `from,to,bytes`, one row per link that delivered traffic,
+// in ascending (from, to) order. It counts what reached a handler, not what
+// was put on the wire: messages the network dropped (partitioned, filtered,
+// to or from a crashed node, undecodable) are not in it.
 func (s *Sampler) WriteLinkCSV(w io.Writer) error {
 	if _, err := io.WriteString(w, "from,to,bytes\n"); err != nil {
 		return err
@@ -146,8 +167,15 @@ func (s *Sampler) WriteLinkCSV(w io.Writer) error {
 	if s == nil {
 		return nil
 	}
-	for _, l := range s.net.LinkLoads() {
-		if _, err := fmt.Fprintf(w, "%d,%d,%d\n", l.From, l.To, l.Bytes); err != nil {
+	keys := make([]link, 0, len(s.links))
+	for l := range s.links {
+		keys = append(keys, l)
+	}
+	slices.SortFunc(keys, func(a, b link) int {
+		return cmp.Or(cmp.Compare(a.from, b.from), cmp.Compare(a.to, b.to))
+	})
+	for _, l := range keys {
+		if _, err := fmt.Fprintf(w, "%d,%d,%d\n", l.from, l.to, s.links[l]); err != nil {
 			return err
 		}
 	}

@@ -230,7 +230,7 @@ func TestEventQueuePopOrder(t *testing.T) {
 }
 
 // TestSortByMatchesSortNodeIDs pins the shared comparator helper: the
-// generic sortBy used by LinkLoads and sortNodeIDs sorts identically to
+// generic sortBy behind sortNodeIDs sorts identically to
 // a reference insertion order.
 func TestSortByMatchesSortNodeIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))

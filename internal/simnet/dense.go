@@ -1,7 +1,5 @@
 package simnet
 
-import "predis/internal/wire"
-
 // bitset is a grow-only bitset over dense node indices; it backs the
 // crashed set so the Send/dispatch hot paths test liveness with one
 // shift-and-mask instead of a map lookup.
@@ -29,126 +27,3 @@ func (b *bitset) get(i int32) bool {
 
 func (b *bitset) set(i int32)   { b.words[i>>6] |= 1 << (uint(i) & 63) }
 func (b *bitset) clear(i int32) { b.words[i>>6] &^= 1 << (uint(i) & 63) }
-
-// DenseLinkNodeLimit is the node count up to which per-link byte
-// accounting uses a flat n×n matrix (8 MB at the limit). Above it the
-// table degrades to a sparse map keyed by index pair: an n² matrix at
-// 5·10⁴ nodes would be 20 GB, and large-population experiments touch a
-// vanishing fraction of the n² possible links anyway.
-const DenseLinkNodeLimit = 1024
-
-// denseLinkLimit is variable so the sparse-fallback crossover is testable
-// without registering 10³ nodes.
-var denseLinkLimit = DenseLinkNodeLimit
-
-// linkTable accumulates per-directed-link wire bytes. Three regimes:
-// dense flat matrix while the population is small, sparse index-pair map
-// beyond denseLinkLimit nodes, and an ID-keyed overflow map for sends to
-// destinations that were never registered (those have no dense index but
-// are still charged — the sender serialized the frame).
-type linkTable struct {
-	// dense is a stride×stride matrix indexed [from*stride+to]; nil once
-	// the table has migrated to sparse.
-	dense  []uint64
-	stride int
-	sparse map[uint64]uint64 // key fromIdx<<32|toIdx
-	// unknown charges sends to unregistered destinations, keyed by ID
-	// pair since the destination has no index.
-	unknown map[linkKey]uint64
-}
-
-// add charges size bytes to the fromIdx→toIdx link; nodeCount is the
-// current population, which decides dense vs sparse layout.
-//
-//predis:hotpath
-func (t *linkTable) add(fromIdx, toIdx int32, nodeCount int, size uint64) {
-	if t.sparse == nil && nodeCount <= denseLinkLimit {
-		if t.stride < nodeCount {
-			t.regrow(nodeCount)
-		}
-		t.dense[int(fromIdx)*t.stride+int(toIdx)] += size
-		return
-	}
-	if t.sparse == nil {
-		t.migrate()
-	}
-	t.sparse[uint64(uint32(fromIdx))<<32|uint64(uint32(toIdx))] += size
-}
-
-// regrow widens the dense matrix to at least the current population,
-// doubling the stride so growth amortizes. Cold: runs O(log n) times
-// over a network's whole life.
-//
-//predis:coldpath
-func (t *linkTable) regrow(nodeCount int) {
-	stride := t.stride * 2
-	if stride < 16 {
-		stride = 16
-	}
-	for stride < nodeCount {
-		stride *= 2
-	}
-	if stride > denseLinkLimit {
-		stride = denseLinkLimit
-	}
-	fresh := make([]uint64, stride*stride)
-	for f := 0; f < t.stride; f++ {
-		copy(fresh[f*stride:f*stride+t.stride], t.dense[f*t.stride:(f+1)*t.stride])
-	}
-	t.dense = fresh
-	t.stride = stride
-}
-
-// migrate moves dense cells into the sparse map once the population
-// outgrows the dense regime; accumulated counts are preserved. Cold:
-// runs at most once per network.
-//
-//predis:coldpath
-func (t *linkTable) migrate() {
-	t.sparse = make(map[uint64]uint64)
-	for f := 0; f < t.stride; f++ {
-		row := t.dense[f*t.stride : (f+1)*t.stride]
-		for to, b := range row {
-			if b != 0 {
-				t.sparse[uint64(uint32(f))<<32|uint64(uint32(to))] = b
-			}
-		}
-	}
-	t.dense = nil
-	t.stride = 0
-}
-
-// addUnknown charges a send whose destination was never registered.
-// Cold: unknown destinations are a misconfiguration corner, not a
-// steady-state path.
-//
-//predis:coldpath
-func (t *linkTable) addUnknown(from, to wire.NodeID, size uint64) {
-	if t.unknown == nil {
-		t.unknown = make(map[linkKey]uint64)
-	}
-	t.unknown[linkKey{from, to}] += size
-}
-
-// loads flattens every nonzero link into LinkLoad records (unsorted;
-// the caller sorts). nodes translates dense indices back to IDs.
-func (t *linkTable) loads(nodes []*simNode) []LinkLoad {
-	var out []LinkLoad
-	if t.dense != nil {
-		for f := 0; f < t.stride && f < len(nodes); f++ {
-			row := t.dense[f*t.stride : (f+1)*t.stride]
-			for to, b := range row {
-				if b != 0 && to < len(nodes) {
-					out = append(out, LinkLoad{From: nodes[f].id, To: nodes[to].id, Bytes: b})
-				}
-			}
-		}
-	}
-	for k, b := range t.sparse {
-		out = append(out, LinkLoad{From: nodes[k>>32].id, To: nodes[uint32(k)].id, Bytes: b})
-	}
-	for k, b := range t.unknown {
-		out = append(out, LinkLoad{From: k.from, To: k.to, Bytes: b})
-	}
-	return out
-}

@@ -194,8 +194,8 @@ func (t *simTimer) Stop() bool {
 // timerSlabSize is how many simTimer handles are bump-allocated at once.
 const timerSlabSize = 256
 
-// sortBy is the deterministic in-place comparator-driven sort shared by
-// sortNodeIDs and LinkLoads: a plain insertion sort, so the result
+// sortBy is the deterministic in-place comparator-driven sort behind
+// sortNodeIDs: a plain insertion sort, so the result
 // depends only on less (which must be a strict weak order; every caller
 // sorts by a unique key) — never on stdlib sort internals — and sorting
 // allocates nothing.

@@ -48,18 +48,17 @@
 //
 // wire.NodeIDs are sparse (consensus nodes at 0.., full nodes at 100..,
 // clients at 1000..), so the simulator interns every ID to a dense int32
-// index at registration. All per-node hot-path state — the node table, the
-// crashed set (a bitset), per-link byte counters — is indexed by that dense
-// index, so a 10⁴–10⁵-node population costs flat arrays, not hash lookups,
-// on every Send/dispatch. Per-link accounting is a flat [from*n+to] matrix
-// up to DenseLinkNodeLimit nodes and degrades to a sparse index-pair map
-// above it (n² cells at 5·10⁴ nodes would be 20 GB).
+// index at registration. All per-node hot-path state — the node table and
+// the crashed set (a bitset) — is indexed by that dense index, so a
+// 10⁴–10⁵-node population costs flat arrays, not hash lookups, on every
+// Send/dispatch. The simulator keeps no per-link state: a reader that
+// wants per-link bytes sums them from OnDeliver (obs.Sampler does).
 //
 // # Send accounting
 //
 // Send applies one uniform charging policy: whenever a live (non-crashed)
 // sender serializes a message, the sender's uplink busy time and the byte
-// counters (global BytesSent, per-node, per-link) are charged — regardless
+// counters (global BytesSent, per-node) are charged — regardless
 // of whether the message is later dropped, because a sender cannot know
 // the packet will die. Crashed senders emit nothing and are charged
 // nothing. Every charged message either reaches a handler (counted by
@@ -153,19 +152,6 @@ func (d DropCounts) Total() uint64 {
 	return d.Unknown + d.Crashed + d.Partitioned + d.Filtered + d.Undecodable
 }
 
-// linkKey identifies a directed sender→receiver pair by node ID. It is
-// only used for the rare unknown-destination overflow accounting; known
-// links are charged on the dense-index linkTable.
-type linkKey struct {
-	from, to wire.NodeID
-}
-
-// LinkLoad is the cumulative traffic serialized onto one directed link.
-type LinkLoad struct {
-	From, To wire.NodeID
-	Bytes    uint64
-}
-
 // noIndex is the dense-index sentinel for "no node" (Network.At events).
 const noIndex int32 = -1
 
@@ -200,14 +186,11 @@ type Network struct {
 
 	// sends counts Send calls by live senders; delivered counts messages
 	// handed to handlers; drops splits the difference by cause; bytesSent
-	// counts wire bytes charged to uplinks; links is the same total
-	// split per directed sender→receiver pair (dense index matrix with a
-	// sparse fallback at large n).
+	// counts wire bytes charged to uplinks.
 	sends     uint64
 	delivered uint64
 	drops     DropCounts
 	bytesSent uint64
-	links     linkTable
 
 	// OnDeliver, when non-nil, observes every successful delivery just
 	// before the handler runs. The harness uses it to measure propagation.
@@ -371,19 +354,6 @@ func (n *Network) LaneStats() LaneStats {
 		}
 	}
 	return st
-}
-
-// LinkLoads returns cumulative per-link traffic sorted by (from, to) —
-// a deterministic order independent of map iteration.
-func (n *Network) LinkLoads() []LinkLoad {
-	out := n.links.loads(n.nodes)
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].From != out[b].From {
-			return out[a].From < out[b].From
-		}
-		return out[a].To < out[b].To
-	})
-	return out
 }
 
 // AddNode registers a handler under the given ID with the default NIC
@@ -761,11 +731,9 @@ func (s *simNode) Send(to wire.NodeID, m wire.Message) {
 
 	dstIdx, ok := net.index[to]
 	if !ok {
-		net.links.addUnknown(s.id, to, uint64(size))
 		net.drops.Unknown++
 		return
 	}
-	net.links.add(s.idx, dstIdx, len(net.nodes), uint64(size))
 	if net.crashed.get(dstIdx) {
 		net.drops.Crashed++
 		return

