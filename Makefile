@@ -88,9 +88,11 @@ smoke_replay = go run ./tools/replaydiff all "quickstart -mode stream"
 # fuzz: short coverage-guided runs on top of the checked-in corpora
 # (testdata/fuzz): Unmarshal never panics and re-marshals canonically,
 # on arbitrary frames and on arbitrary bodies of every core and zone
-# message; the state commitment matches its from-scratch oracle however
-# the writes were batched.
+# message; a transaction and a transaction list decode and re-encode
+# canonically; the state commitment matches its from-scratch oracle
+# however the writes were batched.
 smoke_fuzz = go test ./internal/wire/ -run '^$$' -fuzz FuzzUnmarshal -fuzztime 10s \
+	&& go test ./internal/types/ -run '^$$' -fuzz FuzzDecodeTx -fuzztime 5s \
 	&& go test ./internal/core/ -run '^$$' -fuzz FuzzCoreMessages -fuzztime 5s \
 	&& go test ./internal/multizone/ -run '^$$' -fuzz FuzzZoneMessages -fuzztime 5s \
 	&& go test ./internal/exec/ -run '^$$' -fuzz FuzzStateCommitment -fuzztime 5s

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"encoding/binary"
+	"runtime"
 	"testing"
 	"time"
 
 	"predis/internal/crypto"
 	"predis/internal/merkle"
 	"predis/internal/types"
+	"predis/internal/wire"
 )
 
 // TestSealPathAllocs pins the hashing steps every seal, proposal and
@@ -56,8 +59,9 @@ func TestSealPathAllocs(t *testing.T) {
 
 // TestBlockPathAllocs pins the per-block steps every proposal, validation
 // and commit repeats, on a 20-bundle cut: all know their length up front,
-// so the cuts and the bundle list are one allocation each — the cutting
-// rule reads the tip matrix in place at either quorum — and the block root,
+// so the cuts and a fresh bundle list are one allocation each, a bundle
+// list into warm scratch (Commit's) none — the cutting rule reads the tip
+// matrix in place at either quorum — and the block root,
 // hashed in a stack scratch up to 64 bundles, none.
 func TestBlockPathAllocs(t *testing.T) {
 	r := newRig(t, 4, 1, 50)
@@ -88,11 +92,19 @@ func TestBlockPathAllocs(t *testing.T) {
 		t.Errorf("blockRoot(20 bundles) allocates %.1f, want 0", a)
 	}
 	if a := testing.AllocsPerRun(100, func() {
-		if len(mp.blockBundles(blk, prev)) != 20 {
+		if len(mp.blockBundles(nil, blk, prev)) != 20 {
 			t.Fatal("blockBundles lost bundles")
 		}
 	}); a != 1 {
 		t.Errorf("blockBundles(20 bundles) allocates %.1f, want 1", a)
+	}
+	scratch := mp.blockBundles(nil, blk, prev)
+	if a := testing.AllocsPerRun(100, func() {
+		if len(mp.blockBundles(scratch, blk, prev)) != 20 {
+			t.Fatal("blockBundles lost bundles")
+		}
+	}); a != 0 {
+		t.Errorf("blockBundles(20 bundles) into a warm scratch allocates %.1f, want 0", a)
 	}
 	// Above the scratch the root costs one allocation and is the same tree.
 	for round := 0; round < 15; round++ {
@@ -102,11 +114,45 @@ func TestBlockPathAllocs(t *testing.T) {
 	}
 	big, _ := mp.BuildPredisBlock(1, crypto.ZeroHash, prev, 0, 1, false)
 	var leaves []crypto.Hash
-	for _, b := range mp.blockBundles(big, prev) {
+	for _, b := range mp.blockBundles(nil, big, prev) {
 		hh := b.Header.Hash()
 		leaves = append(leaves, merkle.HashLeaf(hh[:]))
 	}
 	if len(leaves) != 80 || big.TxRoot != merkle.RootOfHashes(leaves) {
 		t.Fatalf("block root over %d bundles differs between the stack and heap leaf arrays", len(leaves))
 	}
+}
+
+// TestBundleResponseLyingCount: a BundleResponse body whose count claims
+// more bundles than its bytes could hold fails having allocated no more
+// than the frame's size. The smallest bundle encodes to minBundle bytes,
+// which bounds any honest count.
+func TestBundleResponseLyingCount(t *testing.T) {
+	e := wire.NewEncoder(minBundle)
+	(&Bundle{}).EncodeTo(e)
+	if e.Len() != minBundle {
+		t.Fatalf("an empty bundle encodes to %d bytes, minBundle is %d", e.Len(), minBundle)
+	}
+	body := make([]byte, 1<<20)
+	for _, n := range []int{len(body) - 4, (len(body)-4)/minBundle + 1} {
+		binary.BigEndian.PutUint32(body, uint32(n))
+		var err error
+		got := allocBytes(func() { _, err = decodeBundleResponse(wire.NewDecoder(body)) })
+		if err == nil {
+			t.Fatalf("count %d over a %d-byte body decoded", n, len(body))
+		}
+		if got > uint64(len(body)) {
+			t.Errorf("count %d over a %d-byte body allocated %d bytes", n, len(body), got)
+		}
+	}
+}
+
+// allocBytes returns the heap bytes one call of run allocates.
+func allocBytes(run func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

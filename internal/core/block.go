@@ -211,11 +211,15 @@ func (m *Mempool) ValidatePredisBlock(blk *PredisBlock, wantParent crypto.Hash,
 	return nil, nil
 }
 
-// blockBundles returns every bundle a block newly confirms relative to the
-// baseline cuts prev, in (chain, height) order, or nil if some are
-// missing locally.
-func (m *Mempool) blockBundles(blk *PredisBlock, prev []uint64) []*Bundle {
-	out := make([]*Bundle, 0, newlyCut(prev, blk.Cuts))
+// blockBundles appends to dst[:0] every bundle a block newly confirms
+// relative to the baseline cuts prev, in (chain, height) order, or
+// returns nil if some are missing locally. It allocates only when dst is
+// too short.
+func (m *Mempool) blockBundles(dst []*Bundle, blk *PredisBlock, prev []uint64) []*Bundle {
+	out := dst[:0]
+	if n := newlyCut(prev, blk.Cuts); cap(out) < n {
+		out = make([]*Bundle, 0, n)
+	}
 	for i, c := range blk.Cuts {
 		ch := m.chains[i]
 		for h := prev[i] + 1; h <= c.Height; h++ {

@@ -87,10 +87,12 @@ type Mempool struct {
 	onLink func(*Bundle)
 
 	// The committed chain (see Commit): the kept blocks, ascending and
-	// contiguous, ending at the head; the head's hash; headCuts' scratch.
-	blocks   []*PredisBlock
-	headHash crypto.Hash
-	prev     []uint64
+	// contiguous, ending at the head; the head's hash; headCuts' scratch;
+	// the bundles the last Commit returned.
+	blocks    []*PredisBlock
+	headHash  crypto.Hash
+	prev      []uint64
+	committed []*Bundle
 }
 
 // SetOnLink installs the bundle-linked observer; pass nil to clear.
@@ -410,14 +412,22 @@ func (m *Mempool) ValidateNext(blk *PredisBlock) ([]MissingRange, error) {
 // Commit applies the next committed block, which must extend the head. It
 // returns the bundles the block newly confirms, in (chain, height) order
 // (nil when some are not held), and releases their stripe sets, whose
-// stripes have shipped. The chains advance to the block's cuts and prune,
-// the block becomes the head, and kept blocks leave from the front while
-// any of their cuts is below its chain's pruning base.
+// stripes have shipped. The returned slice is the mempool's scratch: it
+// stays valid until the next Commit, so a caller that keeps the bundles
+// copies them. The chains advance to the block's cuts and prune, the
+// block becomes the head, and kept blocks leave from the front while any
+// of their cuts is below its chain's pruning base.
 func (m *Mempool) Commit(blk *PredisBlock) ([]*Bundle, error) {
 	if height, hash := m.Head(); blk.Height != height+1 || blk.Parent != hash {
 		return nil, fmt.Errorf("%w: block %d does not extend head %d", ErrBlockParent, blk.Height, height)
 	}
-	bundles := m.blockBundles(blk, m.headCuts())
+	// The scratch holds no bundle past its block, a tail written by a cut
+	// that found a bundle missing included.
+	clear(m.committed[:cap(m.committed)])
+	bundles := m.blockBundles(m.committed[:0], blk, m.headCuts())
+	if bundles != nil {
+		m.committed = bundles
+	}
 	for _, b := range bundles {
 		b.SetStripeCache(nil)
 	}

@@ -97,12 +97,16 @@ func (m *BundleResponse) EncodeBody(e *wire.Encoder) {
 	}
 }
 
+// minBundle is the encoded size of the smallest bundle: a header with no
+// tips and no signature, and an empty transaction list.
+const minBundle = 4 + 8 + 32 + 32 + 32 + 4 + 4 + 4 + 4 + 4
+
 func decodeBundleResponse(d *wire.Decoder) (wire.Message, error) {
 	n := int(d.U32())
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if n > d.Remaining() { // each bundle is ≥ 1 byte; cheap sanity bound
+	if n > d.Remaining()/minBundle {
 		return nil, wire.ErrTruncated
 	}
 	out := make([]*Bundle, 0, n)

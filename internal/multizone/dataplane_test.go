@@ -10,6 +10,7 @@ import (
 	"predis/internal/core"
 	"predis/internal/crypto"
 	"predis/internal/env"
+	"predis/internal/merkle"
 	"predis/internal/node"
 	"predis/internal/simnet"
 	"predis/internal/wire"
@@ -119,7 +120,7 @@ func TestRelayPathAllocs(t *testing.T) {
 		fn.onStripe(0, st[0])
 	}
 	r.drain()
-	fn.dropPartials(r.hashes()...)
+	dropPartials(fn, r.hashes()...)
 	if len(fn.freePartials) != n {
 		t.Fatalf("free list holds %d partials after the warm-up lap, want %d", len(fn.freePartials), n)
 	}
@@ -193,6 +194,13 @@ func TestRelayPathAllocs(t *testing.T) {
 	relay("an unsubscribe", 1)
 }
 
+// dropPartials drops the partials of the given header hashes.
+func dropPartials(fn *FullNode, hashes ...crypto.Hash) {
+	for _, h := range hashes {
+		fn.dropPartial(h, fn.partials[h])
+	}
+}
+
 // mallocs counts the heap allocations one call of run makes.
 func mallocs(run func()) uint64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -217,7 +225,7 @@ func TestRecycledPartialCarriesNothingOver(t *testing.T) {
 	if old == nil || !old.done {
 		t.Fatal("bundle 0 did not assemble")
 	}
-	fn.dropPartials(h0)
+	dropPartials(fn, h0)
 	if len(fn.freePartials) != 1 || fn.freePartials[0] != old {
 		t.Fatal("dropped partial did not reach the free list")
 	}
@@ -277,11 +285,11 @@ func TestInflightTracksKnownPartials(t *testing.T) {
 		fn.onStripe(2, r.stripes[b][2])
 	}
 	check("three bundles completed", 3)
-	fn.dropPartials(r.bundles[3].Header.Hash(), r.bundles[0].Header.Hash(), r.bundles[1].Header.Hash())
+	dropPartials(fn, r.bundles[3].Header.Hash(), r.bundles[0].Header.Hash(), r.bundles[1].Header.Hash())
 	check("one done and two in-flight partials dropped", 1)
 	fn.onStripe(0, r.stripes[3][0])
 	check("a dropped bundle reopened", 2)
-	fn.dropPartials(r.hashes()...)
+	dropPartials(fn, r.hashes()...)
 	check("everything dropped", 0)
 }
 
@@ -459,5 +467,62 @@ func TestLateDuplicateBlockDropped(t *testing.T) {
 	if forwarded != 0 || len(fn.pendBlocks) != 0 {
 		t.Fatalf("a late copy of block 1 at head %d: forwarded %d times, %d blocks pending; want neither",
 			fn.LastHeight(), forwarded, len(fn.pendBlocks))
+	}
+}
+
+// TestBlockCompletionAllocs pins a full node's block plane without an
+// executor: once warm, a Predis block that confirms a held bundle is
+// verified, relayed, committed and counted without allocating — the
+// mempool hands back its bundles in scratch and no transaction list is
+// flattened — and every subscriber receives the very *ZoneBlock this node
+// received, not a re-wrapped copy.
+func TestBlockCompletionAllocs(t *testing.T) {
+	const n = 128
+	r := newRelayRig(t, n)
+	fn := r.fn
+	for h := range r.bundles {
+		for s := 0; s < 3; s++ {
+			fn.onStripe(wire.NodeID(s), r.stripes[h][s])
+		}
+	}
+	msgs := make([]*ZoneBlock, n)
+	var parent crypto.Hash
+	for h := range msgs {
+		hh := r.bundles[h].Header.Hash()
+		blk := &core.PredisBlock{Height: uint64(h + 1), Parent: parent, Leader: 1, Cuts: make([]core.Cut, 4),
+			TxRoot: merkle.RootOfHashes([]crypto.Hash{merkle.HashLeaf(hh[:])})}
+		blk.Cuts[0] = core.Cut{Height: uint64(h + 1), Head: hh}
+		blk.Sig = r.suite.Signer(1).Sign(blk.Hash())
+		parent = blk.Hash()
+		msgs[h] = &ZoneBlock{Block: blk}
+	}
+	forwards, same := 0, 0
+	r.net.OnDeliver = func(_, to wire.NodeID, m wire.Message, _ time.Time) {
+		if zb, ok := m.(*ZoneBlock); ok && to >= 300 {
+			forwards++
+			if zb == msgs[zb.Block.Height-1] {
+				same++
+			}
+		}
+	}
+	// Warm-up: the first half in one burst sizes the event queue's free
+	// list for the second.
+	for _, m := range msgs[:n/2] {
+		fn.Receive(1, m)
+	}
+	r.drain()
+	i := n / 2
+	// PredisBlock.Hash encodes through the wire encoder pool, whose
+	// sync.Pool drops entries at random under the race detector, so the
+	// count holds only without it.
+	if a := testing.AllocsPerRun(n/2-1, func() { fn.Receive(1, msgs[i]); i++ }); a != 0 && !raceEnabled {
+		t.Errorf("completing a block without an executor allocates %.2f, want 0", a)
+	}
+	r.drain()
+	if _, _, blocks := fn.Stats(); blocks != n || fn.LastHeight() != n {
+		t.Fatalf("completed %d blocks, head %d; want %d", blocks, fn.LastHeight(), n)
+	}
+	if forwards != 2*n || same != forwards {
+		t.Fatalf("%d blocks forwarded, %d of them the message received; want %d, all", forwards, same, 2*n)
 	}
 }

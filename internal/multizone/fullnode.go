@@ -547,7 +547,7 @@ func (f *FullNode) Receive(from wire.NodeID, m wire.Message) {
 	case *StripeMsg:
 		f.onStripe(from, msg)
 	case *ZoneBlock:
-		f.onBlock(from, msg.Block)
+		f.onBlock(from, msg)
 	case *Subscribe:
 		f.onSubscribe(from, msg)
 	case *AcceptSubscribe:

@@ -195,24 +195,21 @@ func (f *FullNode) leaveInflight(p *partialBundle) {
 	f.inflight = f.inflight[:n]
 }
 
-// dropPartials removes entries from partials and resets them onto the free
-// list: no stripes, coordinates or flags survive into the next life, and a
-// header-less entry's parked stripes count as expired.
-func (f *FullNode) dropPartials(hashes ...crypto.Hash) {
-	for _, h := range hashes {
-		p := f.partials[h]
-		delete(f.partials, h)
-		switch {
-		case !p.known:
-			f.headerless[p.producer]--
-			f.parkExpired += uint64(p.parked)
-		case !p.done:
-			f.leaveInflight(p)
-		}
-		clear(p.stripes)
-		*p = partialBundle{stripes: p.stripes, senders: p.senders}
-		f.freePartials = append(f.freePartials, p)
+// dropPartial removes p, the entry for h, from partials and resets it onto
+// the free list: no stripes, coordinates or flags survive into the next
+// life, and a header-less entry's parked stripes count as expired.
+func (f *FullNode) dropPartial(h crypto.Hash, p *partialBundle) {
+	delete(f.partials, h)
+	switch {
+	case !p.known:
+		f.headerless[p.producer]--
+		f.parkExpired += uint64(p.parked)
+	case !p.done:
+		f.leaveInflight(p)
 	}
+	clear(p.stripes)
+	*p = partialBundle{stripes: p.stripes, senders: p.senders}
+	f.freePartials = append(f.freePartials, p)
 }
 
 // completeBundle reassembles a bundle that has n_c−f stripes and stores
@@ -228,7 +225,7 @@ func (f *FullNode) completeBundle(headerHash crypto.Hash, p *partialBundle) {
 		// colliding proof; wait for more stripes.
 		if p.have >= f.cfg.NC {
 			f.ctx.Logf("multizone: bundle %s unreconstructable: %v", headerHash.Short(), err)
-			f.dropPartials(headerHash)
+			f.dropPartial(headerHash, p)
 		}
 		return
 	}
@@ -274,7 +271,7 @@ func (f *FullNode) storeBundle(b *core.Bundle, verify bool) bool {
 		// let the stored bundle answer the stripes still to come.
 		if p := f.partials[b.Header.Hash()]; p != nil && !p.known {
 			f.resolveParked(p, b.Header.StripeRoot)
-			f.dropPartials(b.Header.Hash())
+			f.dropPartial(b.Header.Hash(), p)
 		}
 		// stripe_distributed: distributor anchor → bundle assembled at this
 		// full node (first completion wins per node).
@@ -289,8 +286,10 @@ func (f *FullNode) storeBundle(b *core.Bundle, verify bool) bool {
 }
 
 // onBlock handles a Predis block arriving over the relayer tree: verify,
-// forward, and complete once every referenced bundle is locally held.
-func (f *FullNode) onBlock(from wire.NodeID, blk *core.PredisBlock) {
+// forward the very message received, and complete once every referenced
+// bundle is locally held.
+func (f *FullNode) onBlock(from wire.NodeID, msg *ZoneBlock) {
+	blk := msg.Block
 	head := f.LastHeight()
 	if blk.Height <= head {
 		return // completed here already, or off the committed chain
@@ -314,7 +313,6 @@ func (f *FullNode) onBlock(from wire.NodeID, blk *core.PredisBlock) {
 		f.catchup.Claim(from, blk.Height-1)
 	}
 	// Forward to every subscriber (each at most once, in ID order).
-	msg := &ZoneBlock{Block: blk}
 	for _, id := range f.subscribers {
 		if id != from {
 			f.ctx.Send(id, msg)
@@ -348,7 +346,10 @@ func (f *FullNode) tryCompleteBlocks() {
 			}
 			switch {
 			case err == nil:
-				txs := core.BlockTxs(bundles)
+				txs := 0
+				for _, b := range bundles {
+					txs += len(b.Txs)
+				}
 				f.blocks++
 				f.pendBlocks[i] = nil
 				progress = true
@@ -359,7 +360,7 @@ func (f *FullNode) tryCompleteBlocks() {
 				var stateRoot crypto.Hash
 				if f.cfg.Executor != nil {
 					intact := f.cfg.Executor.Stats().Gaps == 0
-					r := f.cfg.Executor.ExecuteBlock(nil, blk.Height, txs)
+					r := f.cfg.Executor.ExecuteBlock(nil, blk.Height, core.BlockTxs(bundles))
 					stateRoot = r.StateRoot
 					if intact && stateRoot.IsZero() {
 						f.ctx.Logf("multizone: node %d executes height %d across a gap; its state roots are zero from here on",
@@ -379,7 +380,7 @@ func (f *FullNode) tryCompleteBlocks() {
 						Parent:    blk.Parent,
 						TxRoot:    blk.TxRoot,
 						StateRoot: stateRoot,
-						TxCount:   uint32(len(txs)),
+						TxCount:   uint32(txs),
 					}); lerr != nil {
 						f.ctx.Logf("multizone: ledger append: %v", lerr)
 					}
@@ -389,7 +390,7 @@ func (f *FullNode) tryCompleteBlocks() {
 				f.cfg.Trace.SpanSinceMark(obs.StageFullNodeDelivered,
 					obs.BlockKey(blk.Height), f.cfg.Self, f.ctx.Now())
 				if f.cfg.OnBlockComplete != nil {
-					f.cfg.OnBlockComplete(blk, len(txs))
+					f.cfg.OnBlockComplete(blk, txs)
 				}
 			case errors.Is(err, core.ErrBlockMissing):
 				for _, ms := range missing {
@@ -531,14 +532,10 @@ func (f *FullNode) onDigest(from wire.NodeID, m *BlockDigest) {
 // reaches them, since onBlock drops what is at or below the head anyway.
 func (f *FullNode) sweepDataPlane() {
 	now := f.ctx.Now()
-	var swept []crypto.Hash
 	for h, p := range f.partials {
 		if p.height <= f.mp.ConfirmedHeight(p.producer) || !p.known && now.Sub(p.since) > f.staleAfter() {
-			swept = append(swept, h)
+			f.dropPartial(h, p)
 		}
-	}
-	if len(swept) > 0 {
-		f.dropPartials(swept...)
 	}
 	head := f.LastHeight()
 	for h, height := range f.seenBlocks {

@@ -133,6 +133,11 @@ type Node struct {
 	predis *core.Predis
 	pool   *txpool.App
 	mb     *microblock.App
+
+	// handleCommit's reply grouping, cleared per block: each client's
+	// count, then its offset; the clients in the block.
+	replyNext    map[wire.NodeID]int
+	replyClients []wire.NodeID
 }
 
 var _ env.Handler = (*Node)(nil)
@@ -150,7 +155,7 @@ func RegisterAllMessages() {
 
 // New assembles a node.
 func New(cfg Config) (*Node, error) {
-	n := &Node{cfg: cfg}
+	n := &Node{cfg: cfg, replyNext: make(map[wire.NodeID]int)}
 	var app consensus.Application
 	switch cfg.Mode {
 	case ModeBaseline:
@@ -353,8 +358,10 @@ func (n *Node) handleCommit(height uint64, txs []*types.Transaction) {
 	// One batched BlockReply per client (replies are real traffic; §III-F),
 	// in client-ID order so map iteration never affects the wire: a counting
 	// sort, next holding each client's count, then its offset in one slab.
-	next := make(map[wire.NodeID]int, 8)
-	clients := make([]wire.NodeID, 0, 8)
+	// The grouping lives on the node; the seqs slab is per block, since the
+	// replies sent alias it.
+	next, clients := n.replyNext, n.replyClients[:0]
+	clear(next)
 	for _, tx := range txs {
 		if _, ok := next[tx.Client]; !ok {
 			clients = append(clients, tx.Client)
@@ -362,6 +369,7 @@ func (n *Node) handleCommit(height uint64, txs []*types.Transaction) {
 		next[tx.Client]++
 	}
 	slices.Sort(clients)
+	n.replyClients = clients
 	off := 0
 	for _, client := range clients {
 		off, next[client] = off+next[client], off

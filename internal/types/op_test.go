@@ -1,6 +1,7 @@
 package types
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -160,10 +161,11 @@ func TestEncodeToZeroAlloc(t *testing.T) {
 	}
 }
 
-// FuzzDecodeTx throws arbitrary bytes at the transaction decoder: it
-// must never panic, and any successfully decoded transaction must
-// re-encode to exactly the consumed bytes (canonical encoding, op
-// payload and zero padding included).
+// FuzzDecodeTx throws arbitrary bytes at the transaction decoders: they
+// must never panic, a successfully decoded transaction must re-encode to
+// exactly the consumed bytes (canonical encoding, op payload and zero
+// padding included), and so must a successfully decoded list through
+// EncodeTxs.
 func FuzzDecodeTx(f *testing.F) {
 	seed := func(tx *Transaction) {
 		e := wire.NewEncoder(int(tx.Size))
@@ -177,20 +179,43 @@ func FuzzDecodeTx(f *testing.F) {
 		WithOp(Op{Kind: OpRMW, Reads: []uint64{5, 6}, Writes: []uint64{7, 8}, Delta: 2}))
 	seed(NewTransaction(4, 1, MinTxSize, 0))
 	f.Add([]byte{0xff})
+	// Lists: one mixing transfer and RMW ops, and one whose count claims
+	// more transactions than the buffer holds.
+	mixed := []*Transaction{
+		NewTransaction(5, 1, 64, 0).WithOp(Op{Kind: OpTransfer, From: 1, To: 2, Amount: 3}),
+		NewTransaction(5, 2, 128, 0).WithOp(Op{Kind: OpRMW, Reads: []uint64{4}, Writes: []uint64{5, 6}, Delta: 7}),
+		NewTransaction(5, 3, MinTxSize, 0),
+	}
+	e := wire.NewEncoder(SizeTxs(mixed))
+	EncodeTxs(e, mixed)
+	f.Add(append([]byte(nil), e.Bytes()...))
+	lying := append([]byte(nil), e.Bytes()...)
+	binary.BigEndian.PutUint32(lying, uint32(len(mixed)+1))
+	f.Add(lying)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tx, err := DecodeTx(wire.NewDecoder(data))
-		if err != nil {
-			return
+		if tx, err := DecodeTx(wire.NewDecoder(data)); err == nil {
+			e := wire.NewEncoder(int(tx.Size))
+			tx.EncodeTo(e)
+			canonical(t, "tx", data, e.Bytes())
 		}
-		e := wire.NewEncoder(int(tx.Size))
-		tx.EncodeTo(e)
-		if len(data) < e.Len() {
-			t.Fatalf("decoded a %d-byte tx from %d bytes", e.Len(), len(data))
-		}
-		for i, b := range e.Bytes() {
-			if data[i] != b {
-				t.Fatalf("re-encode differs at byte %d: %#02x vs %#02x", i, b, data[i])
-			}
+		if txs, err := DecodeTxs(wire.NewDecoder(data)); err == nil {
+			e := wire.NewEncoder(SizeTxs(txs))
+			EncodeTxs(e, txs)
+			canonical(t, "list", data, e.Bytes())
 		}
 	})
+}
+
+// canonical fails unless data begins with the re-encoding enc of what was
+// decoded from it.
+func canonical(t *testing.T, what string, data, enc []byte) {
+	t.Helper()
+	if len(data) < len(enc) {
+		t.Fatalf("decoded a %d-byte %s from %d bytes", len(enc), what, len(data))
+	}
+	for i, b := range enc {
+		if data[i] != b {
+			t.Fatalf("%s re-encode differs at byte %d: %#02x vs %#02x", what, i, b, data[i])
+		}
+	}
 }

@@ -53,10 +53,17 @@ type Transaction struct {
 // NewTransaction builds a transaction with the given identity and size.
 // Sizes below MinTxSize are raised to it.
 func NewTransaction(client wire.NodeID, seq uint64, size uint32, submitted time.Duration) *Transaction {
+	t := MakeTransaction(client, seq, size, submitted)
+	return &t
+}
+
+// MakeTransaction is NewTransaction by value, for a caller that allocates
+// the transaction inside a larger object.
+func MakeTransaction(client wire.NodeID, seq uint64, size uint32, submitted time.Duration) Transaction {
 	if size < MinTxSize {
 		size = MinTxSize
 	}
-	return &Transaction{Client: client, Seq: seq, Size: size, Submitted: int64(submitted)}
+	return Transaction{Client: client, Seq: seq, Size: size, Submitted: int64(submitted)}
 }
 
 // Hash returns the transaction identity, computed lazily and cached. It
@@ -128,33 +135,40 @@ func (t *Transaction) EncodeTo(e *wire.Encoder) {
 
 // DecodeTx reads one transaction from a decoder.
 func DecodeTx(d *wire.Decoder) (*Transaction, error) {
-	t := &Transaction{
-		Client:    d.Node(),
-		Seq:       d.U64(),
-		Size:      d.U32(),
-		Submitted: int64(d.U64()),
-	}
-	kind := OpKind(d.U8())
-	if err := d.Err(); err != nil {
+	t := new(Transaction)
+	if err := decodeTxInto(t, d); err != nil {
 		return nil, err
 	}
+	return t, nil
+}
+
+// decodeTxInto reads one transaction from a decoder into t.
+func decodeTxInto(t *Transaction, d *wire.Decoder) error {
+	t.Client = d.Node()
+	t.Seq = d.U64()
+	t.Size = d.U32()
+	t.Submitted = int64(d.U64())
+	kind := OpKind(d.U8())
+	if err := d.Err(); err != nil {
+		return err
+	}
 	if kind >= opKindEnd {
-		return nil, fmt.Errorf("types: unknown op kind %d", kind)
+		return fmt.Errorf("types: unknown op kind %d", kind)
 	}
 	op, err := decodeOpPayload(kind, d)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	t.Op = op
 	if t.Size < MinTxSize {
-		return nil, fmt.Errorf("types: transaction size %d below minimum %d", t.Size, MinTxSize)
+		return fmt.Errorf("types: transaction size %d below minimum %d", t.Size, MinTxSize)
 	}
 	pad := int(t.Size) - txFixedLen - op.payloadLen()
 	if pad < 0 {
-		return nil, fmt.Errorf("types: op payload overflows declared size %d", t.Size)
+		return fmt.Errorf("types: op payload overflows declared size %d", t.Size)
 	}
 	d.Pad(pad)
-	return t, d.Err()
+	return d.Err()
 }
 
 // EncodeTxs appends a length-prefixed transaction list.
@@ -165,7 +179,16 @@ func EncodeTxs(e *wire.Encoder, txs []*Transaction) {
 	}
 }
 
-// DecodeTxs reads a length-prefixed transaction list.
+// decodeSlab is the most transactions DecodeTxs allocates at once. A
+// list of up to decodeSlab transactions (a bundle of the paper's 50
+// included) costs two allocations whatever its length, the pointer slice
+// and one slab of values; a count that lies about the body costs at most
+// one slab before the decode fails.
+const decodeSlab = 64
+
+// DecodeTxs reads a length-prefixed transaction list. The transactions
+// are carved out of slabs of decodeSlab values, so they are distinct
+// pointers that share allocations.
 func DecodeTxs(d *wire.Decoder) ([]*Transaction, error) {
 	n := int(d.U32())
 	if err := d.Err(); err != nil {
@@ -174,13 +197,16 @@ func DecodeTxs(d *wire.Decoder) ([]*Transaction, error) {
 	if n > d.Remaining()/MinTxSize {
 		return nil, fmt.Errorf("types: tx count %d exceeds buffer", n)
 	}
-	out := make([]*Transaction, 0, n)
-	for i := 0; i < n; i++ {
-		t, err := DecodeTx(d)
-		if err != nil {
+	out := make([]*Transaction, n)
+	var slab []Transaction
+	for i := range out {
+		if len(slab) == 0 {
+			slab = make([]Transaction, min(n-i, decodeSlab))
+		}
+		out[i], slab = &slab[0], slab[1:]
+		if err := decodeTxInto(out[i], d); err != nil {
 			return nil, err
 		}
-		out = append(out, t)
 	}
 	return out, nil
 }

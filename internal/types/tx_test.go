@@ -1,9 +1,12 @@
 package types
 
 import (
+	"encoding/binary"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"predis/internal/wire"
 )
@@ -89,6 +92,71 @@ func TestDecodeTxsLyingCount(t *testing.T) {
 	if _, err := DecodeTxs(wire.NewDecoder(e.Bytes())); err == nil {
 		t.Fatal("lying count must fail")
 	}
+}
+
+// TestDecodeTxsAllocsPerList pins the list decoder's budget: opaque
+// transactions cost the pointer slice and one slab per decodeSlab of
+// them, so the same two allocations for 1, 50 or 64, and each decoded
+// transaction is a distinct pointer with its source's identity.
+func TestDecodeTxsAllocsPerList(t *testing.T) {
+	for _, n := range []int{1, 50, decodeSlab, 2*decodeSlab + 3} {
+		txs := make([]*Transaction, n)
+		for i := range txs {
+			txs[i] = NewTransaction(wire.NodeID(i%4), uint64(i), DefaultTxSize, time.Duration(i))
+		}
+		e := wire.NewEncoder(SizeTxs(txs))
+		EncodeTxs(e, txs)
+		body := e.Bytes()
+		got, err := DecodeTxs(wire.NewDecoder(body))
+		if err != nil || len(got) != n {
+			t.Fatalf("n=%d: decoded %d, %v", n, len(got), err)
+		}
+		seen := make(map[*Transaction]bool, n)
+		for i, tx := range got {
+			if seen[tx] {
+				t.Fatalf("n=%d: transaction %d shares a pointer with an earlier one", n, i)
+			}
+			seen[tx] = true
+			if tx.Hash() != txs[i].Hash() {
+				t.Fatalf("n=%d: transaction %d hash differs from its source", n, i)
+			}
+		}
+		want := 1 + (n+decodeSlab-1)/decodeSlab
+		if a := testing.AllocsPerRun(50, func() {
+			if _, err := DecodeTxs(wire.NewDecoder(body)); err != nil {
+				t.Fatal(err)
+			}
+		}); a != float64(want) {
+			t.Errorf("DecodeTxs(%d txs) allocates %.1f, want %d", n, a, want)
+		}
+	}
+}
+
+// TestDecodeTxsLyingCountCostsOneSlab: a zero body that claims as many
+// transactions as it could hold fails on the first one, having allocated
+// the pointer slice and one slab, not a slab for the claimed count.
+func TestDecodeTxsLyingCountCostsOneSlab(t *testing.T) {
+	body := make([]byte, 1<<20)
+	n := (len(body) - 4) / MinTxSize
+	binary.BigEndian.PutUint32(body, uint32(n))
+	var err error
+	got := allocBytes(func() { _, err = DecodeTxs(wire.NewDecoder(body)) })
+	if err == nil {
+		t.Fatal("a zero body decoded as transactions")
+	}
+	if limit := uint64(8*n) + uint64(decodeSlab*unsafe.Sizeof(Transaction{})) + 4096; got > limit {
+		t.Fatalf("lying count allocated %d bytes, want at most %d", got, limit)
+	}
+}
+
+// allocBytes returns the heap bytes one call of run allocates.
+func allocBytes(run func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 func TestDecodeTxRejectsTinySize(t *testing.T) {

@@ -26,7 +26,7 @@ func (r *ring) pop() {
 // push appends a record.
 func (r *ring) push(e sendRec) {
 	if r.n == len(r.buf) {
-		buf := make([]sendRec, max(64, 2*len(r.buf)))
+		buf := make([]sendRec, max(64, 2*len(r.buf))) //predis:allocok doubling when full, amortized to nothing
 		k := copy(buf, r.buf[r.head:])
 		copy(buf[k:], r.buf[:r.head])
 		r.buf, r.head = buf, 0

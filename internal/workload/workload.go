@@ -224,7 +224,7 @@ const replySlabSets = 256
 // take returns an empty reply set with room for n repliers.
 func (s *replySlab) take(n int) []wire.NodeID {
 	if len(s.free) < n {
-		s.free = make([]wire.NodeID, n*replySlabSets)
+		s.free = make([]wire.NodeID, n*replySlabSets) //predis:allocok slab refill, amortized to 1/replySlabSets per submit
 	}
 	set := s.free[:0:n]
 	s.free = s.free[n:]
@@ -410,9 +410,22 @@ func (c *Client) resendPassed() {
 	}
 }
 
+// submission is a transaction allocated together with the message that
+// first sends it, so a submit costs one allocation. The message is never
+// reused: a queued copy can outlive its transaction's confirmation.
+type submission struct {
+	tx  types.Transaction
+	msg types.SubmitTx
+}
+
+// submitOne generates, records and sends the next transaction, in one
+// allocation apart from free-list misses and Broadcast's extra targets.
+//
+//predis:hotpath
 func (c *Client) submitOne(now time.Time) {
 	c.seq++
-	tx := types.NewTransaction(c.cfg.Self, c.seq, c.cfg.TxSize, now.Sub(c.cfg.Epoch))
+	s := &submission{tx: types.MakeTransaction(c.cfg.Self, c.seq, c.cfg.TxSize, now.Sub(c.cfg.Epoch))} //predis:allocok the transaction and its first SubmitTx, together
+	tx := &s.tx
 	if c.cfg.Ops != nil {
 		tx.WithOp(c.cfg.Ops(c.cfg.Self, c.seq))
 	}
@@ -420,7 +433,7 @@ func (c *Client) submitOne(now time.Time) {
 	if n := len(c.free); n > 0 {
 		p, c.free = c.free[n-1], c.free[:n-1]
 	} else {
-		p = &pendingTx{replies: c.replies.take(c.cfg.F + 1)}
+		p = &pendingTx{replies: c.replies.take(c.cfg.F + 1)} //predis:allocok free-list miss
 	}
 	p.tx, p.submitted, p.lastSent = tx, now, now
 	c.pending[c.seq] = p
@@ -433,14 +446,14 @@ func (c *Client) submitOne(now time.Time) {
 	// transaction closes the span (earliest mark wins, so broadcast and
 	// resubmission never distort it).
 	c.cfg.Trace.Mark(obs.StageSubmit, obs.TxKey(c.cfg.Self, c.seq), now)
-	switch c.cfg.Policy {
-	case Broadcast:
-		for _, target := range c.cfg.Targets {
-			c.ctx.Send(target, &types.SubmitTx{Tx: tx, Target: target})
-		}
-	default: // RoundRobin and FirstOnly: one target
-		target := c.cfg.Targets[p.target]
-		c.ctx.Send(target, &types.SubmitTx{Tx: tx, Target: target})
+	targets := c.cfg.Targets[p.target : p.target+1] // RoundRobin and FirstOnly: one target
+	if c.cfg.Policy == Broadcast {
+		targets = c.cfg.Targets
+	}
+	s.msg = types.SubmitTx{Tx: tx, Target: targets[0]}
+	c.ctx.Send(targets[0], &s.msg)
+	for _, target := range targets[1:] {
+		c.ctx.Send(target, &types.SubmitTx{Tx: tx, Target: target}) //predis:allocok one message per further Broadcast target
 	}
 	if c.cfg.Collector != nil {
 		c.cfg.Collector.RecordSubmit(now)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -365,5 +366,86 @@ func TestReplySetSizedAtSubmit(t *testing.T) {
 	b = append(b, 3)
 	if a[0] != 1 || a[1] != 2 || b[0] != 3 || len(a) != 2 {
 		t.Fatalf("reply sets overlap: %v %v", a, b)
+	}
+}
+
+// sinkCtx is a context whose sends go nowhere, so a test counts the
+// client's allocations alone.
+type sinkCtx struct {
+	now  time.Time
+	sent []wire.Message // when non-nil, the sends in order (up to its capacity)
+}
+
+func (c *sinkCtx) ID() wire.NodeID { return 100 }
+func (c *sinkCtx) Now() time.Time  { return c.now }
+func (c *sinkCtx) Send(_ wire.NodeID, m wire.Message) {
+	if len(c.sent) < cap(c.sent) {
+		c.sent = append(c.sent, m)
+	}
+}
+func (c *sinkCtx) After(time.Duration, func()) env.Timer { return nil }
+func (c *sinkCtx) Rand() *rand.Rand                      { return nil }
+func (c *sinkCtx) Logf(string, ...any)                   {}
+
+// TestSubmitAllocatesOncePerTransaction pins the client's budget: once its
+// free list is warm, a round-robin submit allocates the transaction and its
+// SubmitTx together, once, and a resend allocates its message alone.
+func TestSubmitAllocatesOncePerTransaction(t *testing.T) {
+	ctx := &sinkCtx{now: simnet.Epoch}
+	cl := NewClient(ClientConfig{
+		Self: 100, Targets: []wire.NodeID{0, 1, 2, 3}, TxSize: 512, F: 1, Epoch: simnet.Epoch,
+	})
+	cl.ctx = ctx
+	replies := []*types.BlockReply{{Replica: 0, Seqs: make([]uint64, 1)}, {Replica: 1, Seqs: make([]uint64, 1)}}
+	submitAndConfirm := func() {
+		cl.submitOne(ctx.now)
+		for _, r := range replies {
+			r.Seqs[0] = cl.seq
+			cl.Receive(r.Replica, r)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		submitAndConfirm()
+	}
+	if cl.PendingCount() != 0 || len(cl.free) != 1 {
+		t.Fatalf("%d pending, %d free after the warm-up, want 0 and 1", cl.PendingCount(), len(cl.free))
+	}
+	if a := testing.AllocsPerRun(200, submitAndConfirm); a != 1 {
+		t.Errorf("a warm round-robin submit allocates %.2f, want 1", a)
+	}
+	ctx.sent = make([]wire.Message, 0, 1)
+	cl.submitOne(ctx.now)
+	p := cl.pending[cl.seq]
+	if m, ok := ctx.sent[0].(*types.SubmitTx); !ok || m.Tx != p.tx || m.Target != cl.cfg.Targets[p.target] {
+		t.Fatalf("submit sent %+v, want the pending transaction for target %d", ctx.sent[0], p.target)
+	}
+
+	// Resends: 32 transactions never confirm, and every round all of them
+	// fall due and go out again (the ready queue drains perTick a call).
+	rs := NewClient(ClientConfig{
+		Self: 100, Targets: []wire.NodeID{0, 1, 2, 3}, TxSize: 512, F: 1, Epoch: simnet.Epoch,
+		ResubmitAfter: time.Second,
+	})
+	rctx := &sinkCtx{now: simnet.Epoch}
+	rs.ctx = rctx
+	const pending = 32
+	for i := 0; i < pending; i++ {
+		rs.submitOne(rctx.now)
+	}
+	round := func() {
+		rctx.now = rctx.now.Add(2 * time.Second)
+		for i := 0; i < pending/8; i++ {
+			rs.resubmitOverdue(rctx.now)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		round()
+	}
+	before := rs.Resubmitted()
+	if a := testing.AllocsPerRun(20, round); a != pending {
+		t.Errorf("a round of %d resends allocates %.2f, want %d", pending, a, pending)
+	}
+	if got := rs.Resubmitted() - before; got != 21*pending {
+		t.Fatalf("%d resends in 21 rounds, want %d", got, 21*pending)
 	}
 }
