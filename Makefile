@@ -78,12 +78,11 @@ smoke_trace = go run ./cmd/predis-bench -quick quickstart -trace -metrics \
 smoke_bench = go test -run '^$$' -bench . -benchtime=1x .
 
 # replay: cross-process determinism. replaydiff builds predis-bench -race
-# once and, per target, diffs replay hashes and terminal output between a
-# -parallel 1 and a -parallel 4 process; `all` is every -quick experiment
-# (recovery and byzantine included, a non-zero exit fails the row) and
-# must still be the committed quick_results.txt; the streaming quickstart
-# is the one schedule -quick all does not run.
-smoke_replay = go run ./tools/replaydiff all "quickstart -mode stream"
+# once and diffs replay hashes and terminal output between a -parallel 1
+# and a -parallel 4 process; `all` is every -quick experiment (recovery,
+# byzantine and the streaming quickstream included, a non-zero exit fails
+# the row) and must still be the committed quick_results.txt.
+smoke_replay = go run ./tools/replaydiff all
 
 # fuzz: short coverage-guided runs on top of the checked-in corpora
 # (testdata/fuzz): Unmarshal never panics and re-marshals canonically,

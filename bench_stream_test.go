@@ -70,8 +70,8 @@ func BenchmarkStreamLatfloor(b *testing.B) {
 // drain blocks feeding the full Multi-Zone pipeline — per iteration.
 func BenchmarkStreamQuickstart(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := harness.Quickstart(harness.Options{
-			Quick: true, Seed: 1, Stream: true,
+		if _, err := harness.QuickstartStream(harness.Options{
+			Quick: true, Seed: 1,
 		}); err != nil {
 			b.Fatal(err)
 		}

@@ -11,7 +11,7 @@
 //	predis-bench [-quick] [-seed N] <experiment-id>... [-trace] [-metrics]
 //
 // Experiment ids: quickstart fig4a fig4b fig4c fig4d fig5wan fig5lan fig6
-// fig7 fig8 recovery byzantine contention scale latfloor. The scale
+// fig7 fig8 recovery byzantine contention scale latfloor quickstream. The scale
 // experiment sweeps 10²..5·10⁴-node populations (one client per 1000
 // logical clients, k-ary multicast trees); its latency/depth/throughput
 // tables are deterministic while its machine-cost table (wall-clock,
@@ -19,11 +19,10 @@
 // in -replay.
 // The latfloor experiment contrasts block-granularity commit with
 // streaming commit on the same P-PBFT deployment; see EXPERIMENTS.md
-// "Latency floor". -mode stream switches quickstart alone to streaming
-// commit, and any other experiment exits 2 under it.
+// "Latency floor". quickstream is quickstart in streaming commit.
 //
-// Observability (experiments that support it: quickstart, recovery;
-// latfloor: -metrics only):
+// Observability (experiments that support it: quickstart, quickstream,
+// recovery; latfloor: -metrics only):
 //
 //	-trace        write Chrome trace-event JSON (<id>-trace.json; open in
 //	              chrome://tracing or https://ui.perfetto.dev) plus the
@@ -45,7 +44,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"strings"
 	"time"
 
@@ -61,7 +59,6 @@ type cli struct {
 	quick      bool
 	seed       int64
 	parallel   int
-	mode       string
 	replay     bool
 	trace      bool
 	traceOut   string
@@ -80,7 +77,6 @@ func parse(argv []string) (cli, []string, error) {
 	fs.BoolVar(&c.quick, "quick", false, "shrink durations and sweeps (~1 minute total)")
 	fs.Int64Var(&c.seed, "seed", 1, "simulation seed")
 	fs.IntVar(&c.parallel, "parallel", 1, "run up to N independent experiment points concurrently (results are identical to -parallel 1)")
-	fs.StringVar(&c.mode, "mode", "block", "commit mode for "+streamIDs()+": block = classic block-granularity commit, stream = streaming commit (seal→order→distribute→execute pipelined at bundle granularity); latfloor always contrasts both")
 	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile to this file at exit")
 	fs.BoolVar(&c.replay, "replay", false, "print the delivery replay hash for supporting experiments (listed at harness.Options.Replay); identical for any -parallel setting")
@@ -139,20 +135,13 @@ func run(argv []string) int {
 			}
 		}()
 	}
-	if c.mode != "block" && c.mode != "stream" {
-		fmt.Fprintf(os.Stderr, "predis-bench: -mode must be block or stream, got %q\n", c.mode)
-		return 2
-	}
-	opts := harness.Options{
-		Quick: c.quick, Seed: c.seed, Parallel: c.parallel,
-		Stream: c.mode == "stream",
-	}
+	opts := harness.Options{Quick: c.quick, Seed: c.seed, Parallel: c.parallel}
 
 	var exps []harness.Experiment
 	switch args[0] {
 	case "list":
 		for _, e := range harness.Registry() {
-			fmt.Printf("%-10s %s\n", e.ID, e.Title)
+			fmt.Printf("%-11s %s\n", e.ID, e.Title)
 		}
 		return 0
 	case "all":
@@ -174,26 +163,8 @@ func run(argv []string) int {
 			}
 		}
 	}
-	if err := checkMode(exps, opts.Stream); err != nil {
-		fmt.Fprintln(os.Stderr, "predis-bench:", err)
-		return 2
-	}
 	return runAll(exps, opts, c, os.Stderr)
 }
-
-// checkMode refuses -mode stream for an experiment it would not switch,
-// instead of printing that experiment's block-mode numbers.
-func checkMode(exps []harness.Experiment, stream bool) error {
-	for _, e := range exps {
-		if stream && !slices.Contains(harness.StreamExperiments, e.ID) {
-			return fmt.Errorf("-mode stream: %s runs block mode only (stream mode: %s)", e.ID, streamIDs())
-		}
-	}
-	return nil
-}
-
-// streamIDs lists the experiments -mode stream applies to.
-func streamIDs() string { return strings.Join(harness.StreamExperiments, ", ") }
 
 // runAll runs the experiments in order. A failure does not hide the
 // experiments after it: each is reported on errw as it happens, the rest
@@ -318,7 +289,7 @@ func export(id string, sink *harness.ObsSink, c cli) error {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `predis-bench regenerates the paper's evaluation figures.
+	fmt.Fprint(os.Stderr, `predis-bench regenerates the paper's evaluation figures.
 
 Usage:
   predis-bench [-quick] [-seed N] list
@@ -326,7 +297,7 @@ Usage:
   predis-bench [-quick] [-seed N] all
   predis-bench [-quick] [-seed N] <id>... [-trace] [-metrics]
 
-Observability (quickstart, recovery; latfloor: -metrics only):
+Observability (quickstart, quickstream, recovery; latfloor: -metrics only):
   -trace writes Chrome trace-event JSON plus the stage-latency CSV;
   -metrics writes stage-latency, metric, NIC/queue-sample, and per-link
   byte CSVs (latfloor: the metric CSV of its busiest LAN stream point,
@@ -338,12 +309,6 @@ Flags:
   -parallel N    run up to N experiment points concurrently (wall-clock
                  only; every point owns its own simulation, so results
                  and replay hashes match -parallel 1 exactly)
-  -mode M        block (default) or stream. Stream switches %[1]s
-                 to streaming commit: bundles seal per transaction and
-                 consensus orders bundle-chain cursor advances; full
-                 nodes receive each block at commit, as in block mode.
-                 Any other experiment exits 2 under -mode stream;
-                 latfloor contrasts both modes itself.
   -trace         write Chrome trace-event JSON + stage-latency CSV
   -trace-out P   trace output path (default <id>-trace.json)
   -metrics       write stage/metric/sample/link CSVs
@@ -353,5 +318,5 @@ Flags:
                  identical for any -parallel setting
   -cpuprofile P  write a CPU profile (inspect with go tool pprof)
   -memprofile P  write a heap profile at exit
-`, streamIDs())
+`)
 }

@@ -178,8 +178,7 @@ func silentLeader() error {
 	net.Start()
 	net.Run(duration + time.Second)
 
-	type viewer interface{ View() uint64 }
-	v := nodes[1].Engine().(viewer).View()
+	v := nodes[1].Engine().View()
 	fmt.Printf("  node 1 is now in view %d (0 would mean no view change)\n", v)
 	if v == 0 {
 		return fmt.Errorf("no view change happened")
@@ -200,84 +199,13 @@ func silentLeader() error {
 // re-subscription after restart, and chain catch-up.
 func relayerCrash() error {
 	fmt.Println("scenario 3: relayer crash → hand-over → catch-up")
-	const (
-		nc, f    = 4, 1
-		perZone  = 6
-		rate     = 300.0
-		duration = 12 * time.Second
-	)
 	crashAt, restartAt := 4*time.Second, 7*time.Second
-
-	node.RegisterAllMessages()
-	multizone.RegisterMessages()
-	net := simnet.New(simnet.Config{
-		Uplink: simnet.Mbps100, Downlink: simnet.Mbps100,
-		Latency: simnet.LANLatency(), Seed: 21,
-	})
-	suite := crypto.NewSimSuite(nc, 31)
-	striper, err := multizone.NewStriper(nc, f)
+	victim := zoneFull(0) // first joiner: claims stripes, relays
+	z, err := buildZone(21, faults.CrashWindow{Node: victim, From: crashAt, To: restartAt})
 	if err != nil {
 		return err
 	}
-	hosts := make([]*multizone.ConsensusHost, nc)
-	for i := 0; i < nc; i++ {
-		host, err := multizone.NewConsensusHost(multizone.HostConfig{
-			NC: nc, F: f, Self: wire.NodeID(i),
-			Signer:         suite.Signer(i),
-			Engine:         node.EnginePBFT,
-			BundleSize:     25,
-			BundleInterval: 20 * time.Millisecond,
-			ViewTimeout:    time.Second,
-			Striper:        striper,
-			ReplyToClients: true,
-		})
-		if err != nil {
-			return err
-		}
-		hosts[i] = host
-		net.AddNode(wire.NodeID(i), host)
-	}
-	fullID := func(k int) wire.NodeID { return wire.NodeID(100 + k) }
-	fulls := make([]*multizone.FullNode, perZone)
-	for k := 0; k < perZone; k++ {
-		peers := make([]wire.NodeID, 0, perZone-1)
-		for p := 0; p < perZone; p++ {
-			if p != k {
-				peers = append(peers, fullID(p))
-			}
-		}
-		fn, err := multizone.NewFullNode(multizone.FullNodeConfig{
-			Self: fullID(k), Zone: 0, JoinSeq: uint64(k),
-			NC: nc, F: f,
-			Striper:        striper,
-			Signer:         suite.Signer(0),
-			ZonePeers:      peers,
-			AliveInterval:  200 * time.Millisecond,
-			DigestInterval: time.Second,
-		})
-		if err != nil {
-			return err
-		}
-		fulls[k] = fn
-		net.AddNode(fullID(k), &multizone.Delayed{Inner: fn, Delay: time.Duration(k) * 20 * time.Millisecond})
-	}
-	victim := fullID(0) // first joiner: claims stripes, relays
-
-	inj := faults.Install(net, faults.Schedule{Seed: 21, Actions: []faults.Action{
-		faults.CrashWindow{Node: victim, From: crashAt, To: restartAt},
-	}})
-
-	targets := make([]wire.NodeID, nc)
-	for i := range targets {
-		targets[i] = wire.NodeID(i)
-	}
-	net.AddNode(400, workload.NewClient(workload.ClientConfig{
-		Self: 400, Targets: targets, Policy: workload.RoundRobin,
-		Rate: rate, TxSize: types.DefaultTxSize, F: f,
-		Epoch:    simnet.Epoch,
-		GenStart: simnet.Epoch.Add(300 * time.Millisecond),
-		GenStop:  simnet.Epoch.Add(duration),
-	}))
+	net, hosts, fulls := z.net, z.hosts, z.fulls
 
 	// Timeline probe: every second, report who relays, whom each consensus
 	// node streams to, and where the victim's chain head is relative to the
@@ -309,7 +237,7 @@ func relayerCrash() error {
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		return ids
 	}
-	for s := 1; s <= int(duration/time.Second); s++ {
+	for s := 1; s <= int(zoneRun/time.Second); s++ {
 		at := time.Duration(s) * time.Second
 		net.At(at, func() {
 			var live uint64
@@ -326,7 +254,7 @@ func relayerCrash() error {
 			case v.CatchingUp():
 				state = "catching up"
 			}
-			streams := make([][]wire.NodeID, nc)
+			streams := make([][]wire.NodeID, len(hosts))
 			for i, h := range hosts {
 				streams[i] = h.Dist.Subscribers()
 			}
@@ -338,10 +266,10 @@ func relayerCrash() error {
 	fmt.Printf("  victim %d is the zone's first relayer; crash window [%v, %v)\n",
 		victim, crashAt, restartAt)
 	net.Start()
-	net.Run(duration)
+	net.Run(zoneRun)
 
 	fmt.Println("  fault schedule trace:")
-	fmt.Print(indent(inj.TraceString(), "    "))
+	fmt.Print(indent(z.inj.TraceString(), "    "))
 
 	var live uint64
 	for _, fn := range fulls {
@@ -370,90 +298,21 @@ func relayerCrash() error {
 // offender, keep completing blocks.
 func corruptingRelayer() error {
 	fmt.Println("scenario 4: corrupting relayer → reject → refetch → quarantine")
-	const (
-		nc, f    = 4, 1
-		perZone  = 6
-		rate     = 300.0
-		duration = 12 * time.Second
-	)
 	attackFrom, attackTo := 4*time.Second, 7*time.Second
-
-	node.RegisterAllMessages()
-	multizone.RegisterMessages()
-	net := simnet.New(simnet.Config{
-		Uplink: simnet.Mbps100, Downlink: simnet.Mbps100,
-		Latency: simnet.LANLatency(), Seed: 23,
-	})
-	suite := crypto.NewSimSuite(nc, 31)
-	striper, err := multizone.NewStriper(nc, f)
+	evil := zoneFull(0) // first joiner: claims stripes, so its forgeries fan out widest
+	z, err := buildZone(23, faults.CorruptStripe{Node: evil, From: attackFrom, To: attackTo})
 	if err != nil {
 		return err
 	}
-	for i := 0; i < nc; i++ {
-		host, err := multizone.NewConsensusHost(multizone.HostConfig{
-			NC: nc, F: f, Self: wire.NodeID(i),
-			Signer:         suite.Signer(i),
-			Engine:         node.EnginePBFT,
-			BundleSize:     25,
-			BundleInterval: 20 * time.Millisecond,
-			ViewTimeout:    time.Second,
-			Striper:        striper,
-			ReplyToClients: true,
-		})
-		if err != nil {
-			return err
-		}
-		net.AddNode(wire.NodeID(i), host)
-	}
-	fullID := func(k int) wire.NodeID { return wire.NodeID(100 + k) }
-	fulls := make([]*multizone.FullNode, perZone)
-	for k := 0; k < perZone; k++ {
-		peers := make([]wire.NodeID, 0, perZone-1)
-		for p := 0; p < perZone; p++ {
-			if p != k {
-				peers = append(peers, fullID(p))
-			}
-		}
-		fn, err := multizone.NewFullNode(multizone.FullNodeConfig{
-			Self: fullID(k), Zone: 0, JoinSeq: uint64(k),
-			NC: nc, F: f,
-			Striper:        striper,
-			Signer:         suite.Signer(0),
-			ZonePeers:      peers,
-			AliveInterval:  200 * time.Millisecond,
-			DigestInterval: time.Second,
-		})
-		if err != nil {
-			return err
-		}
-		fulls[k] = fn
-		net.AddNode(fullID(k), &multizone.Delayed{Inner: fn, Delay: time.Duration(k) * 20 * time.Millisecond})
-	}
-	evil := fullID(0) // first joiner: claims stripes, so its forgeries fan out widest
-
-	inj := faults.Install(net, faults.Schedule{Seed: 23, Actions: []faults.Action{
-		faults.CorruptStripe{Node: evil, From: attackFrom, To: attackTo},
-	}})
-
-	targets := make([]wire.NodeID, nc)
-	for i := range targets {
-		targets[i] = wire.NodeID(i)
-	}
-	net.AddNode(400, workload.NewClient(workload.ClientConfig{
-		Self: 400, Targets: targets, Policy: workload.RoundRobin,
-		Rate: rate, TxSize: types.DefaultTxSize, F: f,
-		Epoch:    simnet.Epoch,
-		GenStart: simnet.Epoch.Add(300 * time.Millisecond),
-		GenStop:  simnet.Epoch.Add(duration),
-	}))
+	net, fulls := z.net, z.fulls
 
 	fmt.Printf("  node %d's outgoing stripes are forged during [%v, %v)\n",
 		evil, attackFrom, attackTo)
 	net.Start()
-	net.Run(duration)
+	net.Run(zoneRun)
 
 	fmt.Println("  fault schedule trace:")
-	fmt.Print(indent(inj.TraceString(), "    "))
+	fmt.Print(indent(z.inj.TraceString(), "    "))
 
 	var rejected, refetches, quarantines uint64
 	for _, fn := range fulls {
@@ -479,6 +338,97 @@ func corruptingRelayer() error {
 	fmt.Printf("  rejected=%d refetched=%d quarantined=%d; zone heads span [%d, %d] ✓\n",
 		rejected, refetches, quarantines, low, high)
 	return nil
+}
+
+// zoneRun is how long scenarios 3 and 4 run their zone.
+const zoneRun = 12 * time.Second
+
+// zoneFull is the ID of the k-th full node to join the zone.
+func zoneFull(k int) wire.NodeID { return wire.NodeID(100 + k) }
+
+// zone is the deployment scenarios 3 and 4 share: four P-PBFT consensus
+// hosts, one zone of six full nodes joining 20 ms apart, one 300 tx/s
+// client, and a fault schedule of one action.
+type zone struct {
+	net   *simnet.Network
+	hosts []*multizone.ConsensusHost
+	fulls []*multizone.FullNode
+	inj   *faults.Injector
+}
+
+// buildZone builds the shared zone deployment; seed drives the network
+// and the fault schedule.
+func buildZone(seed int64, fault faults.Action) (*zone, error) {
+	const (
+		nc, f   = 4, 1
+		perZone = 6
+		rate    = 300.0
+	)
+	node.RegisterAllMessages()
+	multizone.RegisterMessages()
+	z := &zone{net: simnet.New(simnet.Config{
+		Uplink: simnet.Mbps100, Downlink: simnet.Mbps100,
+		Latency: simnet.LANLatency(), Seed: seed,
+	})}
+	suite := crypto.NewSimSuite(nc, 31)
+	striper, err := multizone.NewStriper(nc, f)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < nc; i++ {
+		host, err := multizone.NewConsensusHost(multizone.HostConfig{
+			NC: nc, F: f, Self: wire.NodeID(i),
+			Signer:         suite.Signer(i),
+			Engine:         node.EnginePBFT,
+			BundleSize:     25,
+			BundleInterval: 20 * time.Millisecond,
+			ViewTimeout:    time.Second,
+			Striper:        striper,
+			ReplyToClients: true,
+		})
+		if err != nil {
+			return nil, err
+		}
+		z.hosts = append(z.hosts, host)
+		z.net.AddNode(wire.NodeID(i), host)
+	}
+	for k := 0; k < perZone; k++ {
+		peers := make([]wire.NodeID, 0, perZone-1)
+		for p := 0; p < perZone; p++ {
+			if p != k {
+				peers = append(peers, zoneFull(p))
+			}
+		}
+		fn, err := multizone.NewFullNode(multizone.FullNodeConfig{
+			Self: zoneFull(k), Zone: 0, JoinSeq: uint64(k),
+			NC: nc, F: f,
+			Striper:        striper,
+			Signer:         suite.Signer(0),
+			ZonePeers:      peers,
+			AliveInterval:  200 * time.Millisecond,
+			DigestInterval: time.Second,
+		})
+		if err != nil {
+			return nil, err
+		}
+		z.fulls = append(z.fulls, fn)
+		z.net.AddNode(zoneFull(k), &multizone.Delayed{Inner: fn, Delay: time.Duration(k) * 20 * time.Millisecond})
+	}
+
+	z.inj = faults.Install(z.net, faults.Schedule{Seed: seed, Actions: []faults.Action{fault}})
+
+	targets := make([]wire.NodeID, nc)
+	for i := range targets {
+		targets[i] = wire.NodeID(i)
+	}
+	z.net.AddNode(400, workload.NewClient(workload.ClientConfig{
+		Self: 400, Targets: targets, Policy: workload.RoundRobin,
+		Rate: rate, TxSize: types.DefaultTxSize, F: f,
+		Epoch:    simnet.Epoch,
+		GenStart: simnet.Epoch.Add(300 * time.Millisecond),
+		GenStop:  simnet.Epoch.Add(zoneRun),
+	}))
+	return z, nil
 }
 
 // indent prefixes every line of s.

@@ -53,50 +53,54 @@ type Application interface {
 	// OnCommit delivers a committed payload. Engines call it exactly once
 	// per height, in strictly increasing height order.
 	OnCommit(height uint64, payload wire.Message)
-}
 
-// WorkReporter is an optional Application extension. Engines use it to arm
-// leader-suspicion timers only when the application actually has pending
-// work (§III-D: a node suspects the leader when bundles arrive but no block
-// follows). Without it, engines never suspect an idle leader.
-type WorkReporter interface {
 	// HasPendingWork reports whether uncommitted application work exists
-	// (queued transactions or unconfirmed bundles).
+	// (queued transactions or unconfirmed bundles). Engines arm their
+	// leader-suspicion timers only while it holds (§III-D: a node suspects
+	// the leader when bundles arrive but no block follows), so an idle
+	// leader is never suspected.
 	HasPendingWork() bool
 }
 
 // Engine is the surface a node uses to drive a consensus instance.
 type Engine interface {
 	env.Handler
+	// OnRestart re-arms the engine's timers and resynchronises its view
+	// after a crash (see env.Restartable).
+	env.Restartable
 	// Poke tells the engine that application state changed: a pending
 	// validation may now succeed, or a proposal can now be built. Engines
 	// must tolerate spurious pokes.
 	Poke()
-}
-
-// FastForwarder is an optional Engine extension for crash recovery. When
-// an application learns committed blocks out of band (the Predis catch-up
-// protocol fetches them from f+1 peers after a restart), it fast-forwards
-// the engine past those heights so the engine does not wait for commit
-// quorums that finished while the node was down. payload is the payload
-// executed at height, which becomes the parent link for height+1.
-// Implementations must ignore calls with height ≤ their last executed
-// height.
-type FastForwarder interface {
-	FastForward(height uint64, payload wire.Message)
-}
-
-// Cadence is an optional Engine extension that says how the engine clocks
-// its blocks. Predis reads it in stream mode: producers seal on a paced
-// engine's proposals, and a proposer drains under a chained one.
-type Cadence interface {
 	// Paced reports whether several instances run at once and the leader
-	// spaces its proposals on a measured gap (pipelined PBFT).
+	// spaces its proposals on a measured gap (pipelined PBFT). Predis reads
+	// it in stream mode: producers then seal on the engine's proposals.
 	Paced() bool
 	// Chained reports whether a block commits only once later blocks
 	// extend it (chained HotStuff), so ordered payload needs follow-up
-	// blocks, empty ones included, before it commits.
+	// blocks, empty ones included, before it commits. Predis reads it in
+	// stream mode: proposers then drain.
 	Chained() bool
+	// Stats returns the blocks committed and the view changes completed
+	// (PBFT) or pacemaker timeouts (HotStuff).
+	Stats() (committed, viewChanges uint64)
+	// Equivocations returns how many leader equivocations this replica has
+	// proven, first-hand or through received evidence.
+	Equivocations() uint64
+	// View returns the current view.
+	View() uint64
+}
+
+// FastForwarder is the one optional Engine extension, for crash recovery
+// (PBFT implements it, HotStuff does not). When an application learns
+// committed blocks out of band (the Predis catch-up protocol fetches them
+// from f+1 peers after a restart), it fast-forwards the engine past those
+// heights so the engine does not wait for commit quorums that finished
+// while the node was down. payload is the payload executed at height,
+// which becomes the parent link for height+1. Implementations must ignore
+// calls with height ≤ their last executed height.
+type FastForwarder interface {
+	FastForward(height uint64, payload wire.Message)
 }
 
 // LeaderOf returns the round-robin leader index for a view among n

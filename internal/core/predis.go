@@ -40,8 +40,8 @@ type Options struct {
 	// waiting for n_c−f receipt confirmations through the tip matrix.
 	// Under a paced engine sealing rides on its proposals instead (see
 	// SubmitTx), and under a chained one proposers drain (see
-	// BuildProposal); consensus.Cadence says which. Off (the default)
-	// reproduces block mode byte-for-byte.
+	// BuildProposal); the engine's Paced and Chained say which. Off (the
+	// default) reproduces block mode byte-for-byte.
 	Stream bool
 	// Trace, when non-nil, records the bundle_sealed lifecycle stage
 	// (first queued transaction → bundle packed and signed). Nil disables
@@ -145,8 +145,8 @@ func (p *Predis) Mempool() *Mempool { return p.mp }
 // drain.
 func (p *Predis) SetEngine(e consensus.Engine) {
 	p.engine = e
-	if c, ok := e.(consensus.Cadence); ok && p.opts.Stream {
-		p.paced, p.drain = c.Paced(), c.Chained()
+	if p.opts.Stream {
+		p.paced, p.drain = e.Paced(), e.Chained()
 	}
 }
 
@@ -234,7 +234,7 @@ func (p *Predis) proposalSeen() {
 	}
 }
 
-// HasPendingWork implements consensus.WorkReporter: there is work when
+// HasPendingWork implements consensus.Application: there is work when
 // transactions await bundling or unconfirmed non-empty bundles exist.
 func (p *Predis) HasPendingWork() bool {
 	return len(p.queue) > 0 || p.mp.HasUnconfirmedPayload()

@@ -14,9 +14,13 @@ type cadenceEngine struct{ paced, chained bool }
 
 func (cadenceEngine) Start(env.Context)                 {}
 func (cadenceEngine) Receive(wire.NodeID, wire.Message) {}
+func (cadenceEngine) OnRestart()                        {}
 func (cadenceEngine) Poke()                             {}
 func (e cadenceEngine) Paced() bool                     { return e.paced }
 func (e cadenceEngine) Chained() bool                   { return e.chained }
+func (cadenceEngine) Stats() (uint64, uint64)           { return 0, 0 }
+func (cadenceEngine) Equivocations() uint64             { return 0 }
+func (cadenceEngine) View() uint64                      { return 0 }
 
 // TestSealOnProposalClock walks one producer through the proposal-clocked
 // sealing rule: the first transaction after a proposal seals on arrival,

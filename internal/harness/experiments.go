@@ -24,27 +24,17 @@ type Options struct {
 	// unaffected). 0 or 1 means sequential.
 	Parallel int
 	// Replay, when non-nil, is attached to the network of experiments
-	// that support it — quickstart, recovery, byzantine, contention and
-	// latfloor; predis-bench -replay refers here for the list — so every
-	// delivery is folded into the trace and external callers (predis-bench
-	// -replay, tools/replaydiff) can assert cross-process hash equality.
+	// that support it — quickstart, recovery, byzantine, contention,
+	// latfloor and quickstream; predis-bench -replay refers here for the
+	// list — so every delivery is folded into the trace and external
+	// callers (predis-bench -replay, tools/replaydiff) can assert
+	// cross-process hash equality.
 	// The sweep experiments leave it untouched — their points run
 	// concurrently under Parallel, so a single shared trace would fold
 	// deliveries in nondeterministic order. latfloor drops to sequential
 	// execution when Replay is set, for the same reason.
 	Replay *ReplayTrace
-	// Stream switches the experiments StreamExperiments names to
-	// streaming commit: producers expose running bundle-chain cursors and
-	// consensus orders cursor advances; full nodes receive each block at
-	// commit, as in block mode. Off (the default), every experiment is
-	// byte-for-byte its historical block-mode self. The other experiments
-	// ignore it; latfloor contrasts both modes itself.
-	Stream bool
 }
-
-// StreamExperiments names the experiments that Options.Stream switches to
-// streaming commit.
-var StreamExperiments = []string{"quickstart"}
 
 func (o Options) seed() int64 {
 	if o.Seed == 0 {
@@ -87,6 +77,7 @@ func Registry() []Experiment {
 		// add their sections without perturbing the existing ones.
 		{"scale", "Scale: 10⁴–10⁵-node population — delivery latency and flow throughput, deep vs shallow trees", Scale},
 		{"latfloor", "Latency floor: block vs streaming commit (P-PBFT, LAN+WAN) — confirmed latency, throughput parity", LatencyFloor},
+		{"quickstream", "Quickstart in streaming commit: P-HS + Multi-Zone, per-transaction seals and drain blocks", QuickstartStream},
 	}
 }
 

@@ -198,10 +198,8 @@ func RunPoint(spec PointSpec) (PointResult, error) {
 		Blocks:           blocks,
 	}
 	for _, n := range nodes {
-		if e, ok := n.Engine().(interface{ Stats() (uint64, uint64) }); ok {
-			_, changes := e.Stats()
-			res.ViewOrTimeouts = max(res.ViewOrTimeouts, changes)
-		}
+		_, changes := n.Engine().Stats()
+		res.ViewOrTimeouts = max(res.ViewOrTimeouts, changes)
 	}
 	publish(s.Metrics, net, nodes, nil, clients)
 	return res, nil

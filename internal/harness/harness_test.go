@@ -73,8 +73,8 @@ func TestLoadSweepShape(t *testing.T) {
 
 func TestRegistryAndLookup(t *testing.T) {
 	reg := Registry()
-	if len(reg) != 15 {
-		t.Fatalf("registry has %d experiments, want 15", len(reg))
+	if len(reg) != 16 {
+		t.Fatalf("registry has %d experiments, want 16", len(reg))
 	}
 	seen := make(map[string]bool)
 	for _, e := range reg {

@@ -175,15 +175,6 @@ func TestReplayPinned(t *testing.T) {
 		}
 		return sum(tr)
 	}
-	quickstart := func(stream bool) func() string {
-		return func() string {
-			tr := NewReplayTrace()
-			if _, err := Quickstart(Options{Quick: true, Seed: 1, Stream: stream, Replay: tr}); err != nil {
-				t.Fatal(err)
-			}
-			return sum(tr)
-		}
-	}
 	contention := func() string {
 		tr, state := contentionOnce(t)
 		return fmt.Sprintf("%s roots %s", sum(tr), crypto.HashBytes([]byte(state)))
@@ -228,8 +219,8 @@ func TestReplayPinned(t *testing.T) {
 		{"P-PBFT point", 2, point, "2b99bcdc2610a1094c3621927ef686ddf98fef6a3d5b79d34d25e346dd6fa78f 2966"},
 		{"leader-crash recovery", 2, recovery, "395f87b777194d67d0ea6deb0095b966532c8c1e9126273e37f05e329cbe3e27 34025"},
 		{"stream P-PBFT point", 2, streamPoint, "8c2f8bd883313664b38fbdaa80e61a47a6a53ac8d871f7c507e045eaff24a16d 14369"},
-		{"quickstart", 2, quickstart(false), "19f96c04326a89ec7b0cabab668b9b5c69588935cfb58a1cee829c9283552cea 20483"},
-		{"stream quickstart", 2, quickstart(true), "53dff27f14203a5de272401351221321cafb2f136f701d555387566632ee9e7b 131072"},
+		{"quickstart", 2, experiment(Quickstart, true), "19f96c04326a89ec7b0cabab668b9b5c69588935cfb58a1cee829c9283552cea 20483"},
+		{"stream quickstart", 2, experiment(QuickstartStream, true), "53dff27f14203a5de272401351221321cafb2f136f701d555387566632ee9e7b 131072"},
 		{"contention", 2, contention, "d1b1981a6dc7e7c878f1621bce444b1fc003da779695a3f06f95732ec011df1b 6832 roots 47a0edeaa534521ab31badcfbc342cfe0aab5b6c9117a5c97cb92403d9a49a3b"},
 		{"quick recovery", 1, experiment(Recovery, true), "37b3cc17404f1782f57fe06bfb49f919f7db8da9f673f11cdec67f588a859aea 174645"},
 		{"quick byzantine", 1, experiment(Byzantine, true), "49f61acb52f37456992c375c7481ceaa27866bf1b5eba91ca0bf209d1105a715 437888"},

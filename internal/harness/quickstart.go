@@ -33,7 +33,15 @@ type ObsSink struct {
 // renders the per-stage latency breakdown the paper's dataflow argument is
 // about: consensus-side stages stay flat while dissemination rides on
 // pre-distribution.
-func Quickstart(o Options) ([]*stats.Table, error) {
+func Quickstart(o Options) ([]*stats.Table, error) { return quickstart(o, false) }
+
+// QuickstartStream runs Quickstart's deployment in streaming commit:
+// per-transaction seals and eager cuts, with HotStuff draining ordered
+// cuts through empty blocks; full nodes are served exactly as in block
+// mode.
+func QuickstartStream(o Options) ([]*stats.Table, error) { return quickstart(o, true) }
+
+func quickstart(o Options, stream bool) ([]*stats.Table, error) {
 	offered, load := 4000.0, 6*time.Second
 	if o.Quick {
 		offered, load = 2000, 3*time.Second
@@ -49,12 +57,10 @@ func Quickstart(o Options) ([]*stats.Table, error) {
 
 	// P-HS with Multi-Zone distribution hooks, two zones of three full
 	// nodes with one cross-zone backup each (the Fig. 7 deployment shape,
-	// scaled down). With Options.Stream the same deployment runs in
-	// streaming-commit mode: per-transaction seals and eager cuts; full
-	// nodes are served exactly as in block mode.
+	// scaled down).
 	dep, err := Deploy{
 		Engine: node.EngineHotStuff, NC: 4, Fulls: zoneMajor(2, 3),
-		Stream: o.Stream, ViewTimeout: 2 * time.Second,
+		Stream: stream, ViewTimeout: 2 * time.Second,
 		AliveInterval: 300 * time.Millisecond, DigestInterval: 2 * time.Second,
 		JoinSpacing: 20 * time.Millisecond,
 		Offered:     offered, Load: load, Seed: o.seed(),
@@ -92,7 +98,7 @@ func Quickstart(o Options) ([]*stats.Table, error) {
 		XLabel: "row",
 	}
 	name := "P-HS+MZ"
-	if o.Stream {
+	if stream {
 		name = "P-HS+MZ stream"
 	}
 	sum := &stats.Series{Name: name}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"predis/internal/obs"
+	"predis/internal/stats"
 )
 
 // TestQuickstartAllStagesFire runs the quickstart deployment in both
@@ -14,11 +15,13 @@ import (
 // — the property the trace row of `make smoke` also checks from the CLI
 // side.
 func TestQuickstartAllStagesFire(t *testing.T) {
-	for _, stream := range []bool{false, true} {
-		name := map[bool]string{false: "block", true: "stream"}[stream]
-		t.Run(name, func(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		run  func(Options) ([]*stats.Table, error)
+	}{{"block", Quickstart}, {"stream", QuickstartStream}} {
+		t.Run(c.name, func(t *testing.T) {
 			sink := &ObsSink{}
-			tables, err := Quickstart(Options{Quick: true, Seed: 1, Stream: stream, Obs: sink})
+			tables, err := c.run(Options{Quick: true, Seed: 1, Obs: sink})
 			if err != nil {
 				t.Fatalf("quickstart: %v", err)
 			}

@@ -171,11 +171,7 @@ func runRecovery(spec recoverySpec) (recoveryResult, error) {
 	}
 	res.undecodable = net.Dropped().Undecodable
 	for _, h := range hosts {
-		// Both engine kinds expose proven-equivocation counts; the
-		// interface stays narrow so node.Engine needs no new method.
-		if eq, ok := h.Node.Engine().(interface{ Equivocations() uint64 }); ok {
-			res.equivocations += eq.Equivocations()
-		}
+		res.equivocations += h.Node.Engine().Equivocations()
 	}
 	if spec.victimConsensus {
 		res.victimHead = lastCommit[0]

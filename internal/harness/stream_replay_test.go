@@ -68,8 +68,8 @@ func TestStreamBlockModesDiverge(t *testing.T) {
 func TestStreamQuickstartDeterministic(t *testing.T) {
 	run := func() (string, string, string) {
 		sink := &ObsSink{}
-		if _, err := Quickstart(Options{
-			Quick: true, Seed: 3, Stream: true, Obs: sink,
+		if _, err := QuickstartStream(Options{
+			Quick: true, Seed: 3, Obs: sink,
 		}); err != nil {
 			t.Fatalf("stream quickstart: %v", err)
 		}

@@ -112,7 +112,6 @@ type Engine struct {
 }
 
 var _ consensus.Engine = (*Engine)(nil)
-var _ consensus.Cadence = (*Engine)(nil)
 
 // New builds a HotStuff replica.
 func New(cfg Config) (*Engine, error) {
@@ -164,11 +163,11 @@ func (e *Engine) Stats() (committed, timeouts uint64) { return e.committed, e.ti
 // proven, first-hand or through received evidence.
 func (e *Engine) Equivocations() uint64 { return e.equivocations }
 
-// Paced implements consensus.Cadence: a leader proposes as soon as the
+// Paced implements consensus.Engine: a leader proposes as soon as the
 // previous block's QC forms.
 func (e *Engine) Paced() bool { return false }
 
-// Chained implements consensus.Cadence: a block commits once a three-chain
+// Chained implements consensus.Engine: a block commits once a three-chain
 // of descendants certifies it.
 func (e *Engine) Chained() bool { return true }
 
@@ -194,16 +193,9 @@ func (e *Engine) Poke() {
 	e.tryExecute()
 	e.retryPendingVotes()
 	e.tryPropose()
-	if e.pacemaker == nil && e.hasPendingWork() {
+	if e.pacemaker == nil && e.cfg.App.HasPendingWork() {
 		e.armPacemaker()
 	}
-}
-
-func (e *Engine) hasPendingWork() bool {
-	if wr, ok := e.cfg.App.(consensus.WorkReporter); ok {
-		return wr.HasPendingWork()
-	}
-	return false
 }
 
 func (e *Engine) armRepropose() {
@@ -221,7 +213,7 @@ func (e *Engine) armPacemaker() {
 		if e.curView != view {
 			return // progress happened; a fresh timer was armed
 		}
-		if !e.hasPendingWork() && len(e.commitQueue) == 0 {
+		if !e.cfg.App.HasPendingWork() && len(e.commitQueue) == 0 {
 			return
 		}
 		e.onTimeout()
@@ -258,7 +250,7 @@ func (e *Engine) advanceView(view uint64) {
 	}
 	e.curView = view
 	e.resetPacemaker()
-	if e.hasPendingWork() || len(e.commitQueue) > 0 {
+	if e.cfg.App.HasPendingWork() || len(e.commitQueue) > 0 {
 		e.armPacemaker()
 	}
 }
@@ -482,7 +474,7 @@ func (e *Engine) OnRestart() {
 	e.armRepropose()
 	e.resetPacemaker()
 	e.backoff = 0
-	if e.hasPendingWork() || len(e.commitQueue) > 0 {
+	if e.cfg.App.HasPendingWork() || len(e.commitQueue) > 0 {
 		e.armPacemaker()
 	}
 	e.Poke()
@@ -754,7 +746,7 @@ func (e *Engine) tryExecute() {
 		e.cfg.Trace.End(obs.StagePrepareCommit, obs.BlockKey(ent.block.Height), e.cfg.Self, e.ctx.Now())
 		e.cfg.App.OnCommit(ent.block.Height, ent.block.Payload)
 		e.pruneBelow(ent.block.Height)
-		if e.hasPendingWork() || len(e.commitQueue) > 0 {
+		if e.cfg.App.HasPendingWork() || len(e.commitQueue) > 0 {
 			e.armPacemaker()
 		}
 	}

@@ -89,16 +89,14 @@ type App struct {
 
 	lastCommitted uint64
 	engine        consensus.Engine
+	tick          env.Timer
 
 	// stats
 	produced  uint64
 	txsCommit uint64
 }
 
-var (
-	_ consensus.Application  = (*App)(nil)
-	_ consensus.WorkReporter = (*App)(nil)
-)
+var _ consensus.Application = (*App)(nil)
 
 // New builds the app.
 func New(opts Options) (*App, error) {
@@ -146,8 +144,19 @@ func (a *App) Start(ctx env.Context) {
 	a.armTick()
 }
 
+// OnRestart implements env.Restartable: a crash suppressed the production
+// tick, and nothing else re-arms it, so a queue shorter than MBSize would
+// never seal again.
+func (a *App) OnRestart() {
+	if a.ctx == nil {
+		return
+	}
+	a.tick.Stop()
+	a.armTick()
+}
+
 func (a *App) armTick() {
-	a.ctx.After(a.opts.MBInterval, func() {
+	a.tick = a.ctx.After(a.opts.MBInterval, func() {
 		a.tryProduce()
 		a.armTick()
 	})
@@ -329,7 +338,7 @@ func (a *App) poke() {
 	}
 }
 
-// HasPendingWork implements consensus.WorkReporter.
+// HasPendingWork implements consensus.Application.
 func (a *App) HasPendingWork() bool {
 	if len(a.queue) > 0 {
 		return true

@@ -125,14 +125,31 @@ type Config struct {
 // ≈35 ms to the stream p99 above 2 000 tx/s.
 const streamWindow = 16
 
+// app is a node's data production strategy: the consensus application,
+// which also handles its own message range, re-arms its timers after a
+// crash, takes client transactions, and pokes the engine it is wired to.
+// The baseline pool, Predis and the Narwhal/Stratus shared mempool are the
+// three; node.New picks one by Mode, and nothing else reads the Mode.
+type app interface {
+	consensus.Application
+	env.Handler
+	env.Restartable
+	SubmitTx(tx *types.Transaction)
+	SetEngine(e consensus.Engine)
+}
+
+var (
+	_ app = (*txpool.App)(nil)
+	_ app = (*core.Predis)(nil)
+	_ app = (*microblock.App)(nil)
+)
+
 // Node is a consensus node handler.
 type Node struct {
 	cfg    Config
 	ctx    env.Context
 	engine consensus.Engine
-	predis *core.Predis
-	pool   *txpool.App
-	mb     *microblock.App
+	app    app
 
 	// handleCommit's reply grouping, cleared per block: each client's
 	// count, then its offset; the clients in the block.
@@ -156,24 +173,19 @@ func RegisterAllMessages() {
 // New assembles a node.
 func New(cfg Config) (*Node, error) {
 	n := &Node{cfg: cfg, replyNext: make(map[wire.NodeID]int)}
-	var app consensus.Application
+	var err error
 	switch cfg.Mode {
 	case ModeBaseline:
-		pool, err := txpool.New(txpool.Options{
+		n.app, err = txpool.New(txpool.Options{
 			BatchSize: cfg.BatchSize,
 			OnCommit:  n.handleCommit,
 		})
-		if err != nil {
-			return nil, err
-		}
-		n.pool = pool
-		app = pool
 	case ModePredis:
 		peers := make([]wire.NodeID, cfg.NC)
 		for i := range peers {
 			peers[i] = wire.NodeID(i)
 		}
-		p, err := core.NewPredis(core.Options{
+		n.app, err = core.NewPredis(core.Options{
 			Params: core.Params{
 				NC: cfg.NC, F: cfg.F,
 				BundleSize:     cfg.BundleSize,
@@ -193,17 +205,12 @@ func New(cfg Config) (*Node, error) {
 				n.handleCommit(ci.Height, ci.Txs)
 			},
 		})
-		if err != nil {
-			return nil, err
-		}
-		n.predis = p
-		app = p
 	case ModeNarwhal, ModeStratus:
 		scheme := microblock.SchemeNarwhal
 		if cfg.Mode == ModeStratus {
 			scheme = microblock.SchemeStratus
 		}
-		mb, err := microblock.New(microblock.Options{
+		n.app, err = microblock.New(microblock.Options{
 			Scheme:     scheme,
 			NC:         cfg.NC,
 			F:          cfg.F,
@@ -213,34 +220,28 @@ func New(cfg Config) (*Node, error) {
 			MBInterval: cfg.BundleInterval,
 			OnCommit:   n.handleCommit,
 		})
-		if err != nil {
-			return nil, err
-		}
-		n.mb = mb
-		app = mb
 	default:
-		return nil, fmt.Errorf("node: unknown mode %d", cfg.Mode)
+		err = fmt.Errorf("node: unknown mode %d", cfg.Mode)
+	}
+	if err != nil {
+		return nil, err
 	}
 
-	var (
-		engine consensus.Engine
-		err    error
-	)
 	switch cfg.Engine {
 	case EnginePBFT:
 		window := 1
 		if cfg.Stream {
 			window = streamWindow
 		}
-		engine, err = pbft.New(pbft.Config{
-			N: cfg.NC, Self: cfg.Self, App: app, Signer: cfg.Signer,
+		n.engine, err = pbft.New(pbft.Config{
+			N: cfg.NC, Self: cfg.Self, App: n.app, Signer: cfg.Signer,
 			ViewTimeout: cfg.ViewTimeout,
 			Pipeline:    window,
 			Trace:       cfg.Trace,
 		})
 	case EngineHotStuff:
-		engine, err = hotstuff.New(hotstuff.Config{
-			N: cfg.NC, Self: cfg.Self, App: app, Signer: cfg.Signer,
+		n.engine, err = hotstuff.New(hotstuff.Config{
+			N: cfg.NC, Self: cfg.Self, App: n.app, Signer: cfg.Signer,
 			ViewTimeout: cfg.ViewTimeout,
 			Trace:       cfg.Trace,
 		})
@@ -250,21 +251,15 @@ func New(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n.engine = engine
-	if n.predis != nil {
-		n.predis.SetEngine(engine)
-	}
-	if n.mb != nil {
-		n.mb.SetEngine(engine)
-	}
+	n.app.SetEngine(n.engine)
 	return n, nil
 }
 
-// Predis exposes the Predis component (nil in baseline mode).
-func (n *Node) Predis() *core.Predis { return n.predis }
-
-// Pool exposes the baseline pool (nil in Predis mode).
-func (n *Node) Pool() *txpool.App { return n.pool }
+// Predis exposes the Predis component (nil in the other modes).
+func (n *Node) Predis() *core.Predis {
+	p, _ := n.app.(*core.Predis)
+	return p
+}
 
 // Engine exposes the consensus engine.
 func (n *Node) Engine() consensus.Engine { return n.engine }
@@ -272,41 +267,25 @@ func (n *Node) Engine() consensus.Engine { return n.engine }
 // Start implements env.Handler.
 func (n *Node) Start(ctx env.Context) {
 	n.ctx = ctx
-	if n.predis != nil {
-		n.predis.Start(ctx)
-	}
-	if n.mb != nil {
-		n.mb.Start(ctx)
-	}
+	n.app.Start(ctx)
 	n.engine.Start(ctx)
 }
 
 var _ env.Restartable = (*Node)(nil)
 
 // OnRestart implements env.Restartable: fan the restart out to the
-// engine (timer re-arm + view resync) and the data plane (timer re-arm +
-// committed-block catch-up). Components that are not restart-aware are
-// skipped; they resume with whatever state they kept.
+// engine (timer re-arm + view resync) and the application (timer re-arm,
+// and under Predis the committed-block catch-up).
 func (n *Node) OnRestart() {
-	if r, ok := n.engine.(env.Restartable); ok {
-		r.OnRestart()
-	}
-	if n.predis != nil {
-		n.predis.OnRestart()
-	}
+	n.engine.OnRestart()
+	n.app.OnRestart()
 }
 
 // Receive implements env.Handler: route by message type range.
 func (n *Node) Receive(from wire.NodeID, m wire.Message) {
 	switch m.Type() & 0xff00 {
-	case wire.TypeRangeCore:
-		if n.predis != nil {
-			n.predis.Receive(from, m)
-		}
-	case wire.TypeRangeNarwhal:
-		if n.mb != nil {
-			n.mb.Receive(from, m)
-		}
+	case wire.TypeRangeCore, wire.TypeRangeNarwhal:
+		n.app.Receive(from, m)
 	case wire.TypeRangePBFT, wire.TypeRangeHotStuff:
 		n.engine.Receive(from, m)
 	case wire.TypeRangeClient:
@@ -315,23 +294,10 @@ func (n *Node) Receive(from wire.NodeID, m wire.Message) {
 			// node (first arrival wins; resubmissions are idempotent).
 			n.cfg.Trace.SpanSinceMark(obs.StageSubmit,
 				obs.TxKey(sub.Tx.Client, sub.Tx.Seq), n.cfg.Self, n.ctx.Now())
-			n.Submit(sub.Tx)
+			n.app.SubmitTx(sub.Tx)
 		}
 	default:
 		n.ctx.Logf("node: unroutable message %s from %d", wire.TypeName(m.Type()), from)
-	}
-}
-
-// Submit injects a transaction into the node's data production path.
-func (n *Node) Submit(tx *types.Transaction) {
-	switch {
-	case n.predis != nil:
-		n.predis.SubmitTx(tx)
-	case n.mb != nil:
-		n.mb.SubmitTx(tx)
-	default:
-		n.pool.Submit(tx)
-		n.engine.Poke()
 	}
 }
 

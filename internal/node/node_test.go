@@ -38,6 +38,8 @@ type clusterConfig struct {
 	// starts (the faulty nodes of Fig. 6 and the censorship test).
 	schedule []faults.Action
 	copyMsgs bool
+	// resubmitAfter is the clients' ResubmitAfter (zero: never resubmit).
+	resubmitAfter time.Duration
 }
 
 func buildCluster(t testing.TB, cfg clusterConfig) *cluster {
@@ -107,16 +109,17 @@ func buildCluster(t testing.TB, cfg clusterConfig) *cluster {
 	}
 	for k := 0; k < cfg.clients; k++ {
 		cl := workload.NewClient(workload.ClientConfig{
-			Self:      wire.NodeID(1000 + k),
-			Targets:   targets,
-			Policy:    policy,
-			Rate:      cfg.rate,
-			TxSize:    types.DefaultTxSize,
-			F:         cfg.f,
-			Epoch:     simnet.Epoch,
-			GenStart:  simnet.Epoch.Add(50 * time.Millisecond),
-			GenStop:   end.Add(-cfg.duration / 8),
-			Collector: col,
+			Self:          wire.NodeID(1000 + k),
+			Targets:       targets,
+			Policy:        policy,
+			Rate:          cfg.rate,
+			TxSize:        types.DefaultTxSize,
+			F:             cfg.f,
+			Epoch:         simnet.Epoch,
+			GenStart:      simnet.Epoch.Add(50 * time.Millisecond),
+			GenStop:       end.Add(-cfg.duration / 8),
+			Collector:     col,
+			ResubmitAfter: cfg.resubmitAfter,
 		})
 		c.clients = append(c.clients, cl)
 		net.AddNode(wire.NodeID(1000+k), cl)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"predis/internal/faults"
+	"predis/internal/microblock"
 	"predis/internal/wire"
 )
 
@@ -105,5 +106,70 @@ func TestRecoveryDeterministic(t *testing.T) {
 	}
 	if d1 == 0 {
 		t.Fatal("empty run")
+	}
+}
+
+// TestRestartRearmsEveryApplication crashes replica 3 for [1 s, 2 s) under
+// every data production mode on PBFT. A crash suppresses the timers that
+// fall inside it, so each application must re-arm its own on restart: the
+// replicas agree, and under Predis, baseline and Stratus every transaction
+// confirms (clients re-send what the crash dropped), which needs the
+// restarted Stratus producer to seal a queue shorter than MBSize on its
+// tick again. A restarted Narwhal producer
+// waits for acks to the microblock it had outstanding, which the crash
+// lost and nobody re-sends (DESIGN.md §5), so that row checks agreement
+// only.
+func TestRestartRearmsEveryApplication(t *testing.T) {
+	const victim = 3
+	restart := 2 * time.Second
+	for _, c := range []struct {
+		name       string
+		mode       Mode
+		allConfirm bool
+	}{
+		{"predis", ModePredis, true},
+		{"baseline", ModeBaseline, true},
+		{"narwhal", ModeNarwhal, false},
+		{"stratus", ModeStratus, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := clusterConfig{
+				mode: c.mode, engine: EnginePBFT,
+				nc: 4, f: 1, rate: 50, clients: 4,
+				duration: 8 * time.Second, copyMsgs: true,
+				resubmitAfter: 2 * time.Second,
+				schedule: []faults.Action{
+					faults.CrashWindow{Node: victim, From: time.Second, To: restart},
+				},
+			}
+			cl := buildCluster(t, cfg)
+			produced := func() uint64 {
+				if mb, ok := cl.nodes[victim].app.(*microblock.App); ok {
+					n, _ := mb.Stats()
+					return n
+				}
+				return 0
+			}
+			cl.net.Start()
+			cl.net.Run(restart)
+			atRestart := produced()
+			cl.net.Run(restart + 500*time.Millisecond)
+			if c.mode == ModeStratus && produced() <= atRestart {
+				t.Errorf("victim produced no microblock in the 500 ms after its restart (%d before)", atRestart)
+			}
+			cl.net.Run(cfg.duration)
+			cl.assertAgreement(t, []int{0, 1, 2, victim})
+			var submitted uint64
+			pending := 0
+			for _, client := range cl.clients {
+				submitted += client.Submitted()
+				pending += client.PendingCount()
+			}
+			if c.allConfirm && pending > 0 {
+				t.Errorf("%d of %d transactions never confirmed", pending, submitted)
+			}
+			t.Logf("%d of %d transactions unconfirmed, p99 %v, commits %v, victim microblocks %d → %d",
+				pending, submitted, cl.collector.Latency().P99, cl.commits, atRestart, produced())
+		})
 	}
 }

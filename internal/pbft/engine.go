@@ -141,8 +141,6 @@ type Engine struct {
 
 var _ consensus.Engine = (*Engine)(nil)
 var _ consensus.FastForwarder = (*Engine)(nil)
-var _ consensus.Cadence = (*Engine)(nil)
-var _ env.Restartable = (*Engine)(nil)
 
 // New builds a PBFT replica engine.
 func New(cfg Config) (*Engine, error) {
@@ -191,11 +189,11 @@ func (e *Engine) Pace() (gap time.Duration, delayed uint64, delay time.Duration)
 // Window returns the in-flight instance window (Config.Pipeline).
 func (e *Engine) Window() int { return e.cfg.Pipeline }
 
-// Paced implements consensus.Cadence: a window above one paces the leader
+// Paced implements consensus.Engine: a window above one paces the leader
 // (see paceOpen).
 func (e *Engine) Paced() bool { return e.cfg.Pipeline > 1 }
 
-// Chained implements consensus.Cadence: every instance commits on its own.
+// Chained implements consensus.Engine: every instance commits on its own.
 func (e *Engine) Chained() bool { return false }
 
 // Leader returns the current view's leader.
@@ -231,18 +229,9 @@ func (e *Engine) Poke() {
 	}
 	e.tryExecute() // a freshly validated instance may now be executable
 	e.tryPropose()
-	if !e.isLeader() && !e.inViewChange && e.suspicion == nil && e.hasPendingWork() {
+	if !e.isLeader() && !e.inViewChange && e.suspicion == nil && e.cfg.App.HasPendingWork() {
 		e.armSuspicion()
 	}
-}
-
-// hasPendingWork consults the app when it reports work; engines never
-// suspect a leader that has nothing to order.
-func (e *Engine) hasPendingWork() bool {
-	if wr, ok := e.cfg.App.(consensus.WorkReporter); ok {
-		return wr.HasPendingWork()
-	}
-	return false
 }
 
 func (e *Engine) armRepropose() {
@@ -256,7 +245,7 @@ func (e *Engine) armSuspicion() {
 	timeout := e.cfg.ViewTimeout << uint(e.vcBackoff)
 	e.suspicion = e.ctx.After(timeout, func() {
 		e.suspicion = nil
-		if e.hasPendingWork() || len(e.window) > 0 {
+		if e.cfg.App.HasPendingWork() || len(e.window) > 0 {
 			e.startViewChange(e.view + 1)
 		}
 	})

@@ -12,6 +12,7 @@ import (
 
 	"predis/internal/consensus"
 	"predis/internal/crypto"
+	"predis/internal/env"
 	"predis/internal/merkle"
 	"predis/internal/types"
 	"predis/internal/wire"
@@ -90,19 +91,18 @@ type Options struct {
 // already committed is dropped, and commits executed by other leaders
 // purge the local queue lazily.
 type App struct {
-	opts  Options
-	queue []*types.Transaction
-	seen  map[crypto.Hash]struct{} // pooled or committed
-	done  map[crypto.Hash]struct{} // committed
+	opts   Options
+	ctx    env.Context
+	engine consensus.Engine
+	queue  []*types.Transaction
+	seen   map[crypto.Hash]struct{} // pooled or committed
+	done   map[crypto.Hash]struct{} // committed
 
 	lastHeight uint64
 	committed  uint64
 }
 
-var (
-	_ consensus.Application  = (*App)(nil)
-	_ consensus.WorkReporter = (*App)(nil)
-)
+var _ consensus.Application = (*App)(nil)
 
 // New builds the baseline app.
 func New(opts Options) (*App, error) {
@@ -116,14 +116,35 @@ func New(opts Options) (*App, error) {
 	}, nil
 }
 
-// Submit enqueues a transaction unless it is already pooled or committed.
-func (a *App) Submit(tx *types.Transaction) {
+// SetEngine wires the consensus engine for pokes.
+func (a *App) SetEngine(e consensus.Engine) { a.engine = e }
+
+// Start implements env.Handler. The pool arms no timer; it keeps the
+// context for logging.
+func (a *App) Start(ctx env.Context) { a.ctx = ctx }
+
+// OnRestart implements env.Restartable. The pool arms no timer, so a
+// restart has nothing to re-arm.
+func (a *App) OnRestart() {}
+
+// Receive implements env.Handler. The pool takes transactions only
+// through SubmitTx, so any message routed here is unexpected.
+func (a *App) Receive(from wire.NodeID, m wire.Message) {
+	a.ctx.Logf("txpool: unexpected %s from %d", wire.TypeName(m.Type()), from)
+}
+
+// SubmitTx enqueues a transaction unless it is already pooled or
+// committed, and pokes the engine: a leader may now have a batch to
+// propose.
+func (a *App) SubmitTx(tx *types.Transaction) {
 	h := tx.Hash()
-	if _, ok := a.seen[h]; ok {
-		return
+	if _, ok := a.seen[h]; !ok {
+		a.seen[h] = struct{}{}
+		a.queue = append(a.queue, tx)
 	}
-	a.seen[h] = struct{}{}
-	a.queue = append(a.queue, tx)
+	if a.engine != nil {
+		a.engine.Poke()
+	}
 }
 
 // QueueLen returns the number of pooled transactions.
@@ -132,7 +153,7 @@ func (a *App) QueueLen() int { return len(a.queue) }
 // Committed returns the number of committed transactions.
 func (a *App) Committed() uint64 { return a.committed }
 
-// HasPendingWork implements consensus.WorkReporter.
+// HasPendingWork implements consensus.Application.
 func (a *App) HasPendingWork() bool {
 	a.compact()
 	return len(a.queue) > 0

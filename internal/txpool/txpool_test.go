@@ -30,9 +30,9 @@ func TestNewRejectsZeroBatch(t *testing.T) {
 func TestSubmitDedupes(t *testing.T) {
 	a := mustApp(t, 10)
 	tx := mkTx(1)
-	a.Submit(tx)
-	a.Submit(tx)
-	a.Submit(mkTx(2))
+	a.SubmitTx(tx)
+	a.SubmitTx(tx)
+	a.SubmitTx(mkTx(2))
 	if a.QueueLen() != 2 {
 		t.Fatalf("QueueLen = %d, want 2 (duplicate dropped)", a.QueueLen())
 	}
@@ -41,7 +41,7 @@ func TestSubmitDedupes(t *testing.T) {
 func TestBuildProposalBatches(t *testing.T) {
 	a := mustApp(t, 3)
 	for i := uint64(1); i <= 5; i++ {
-		a.Submit(mkTx(i))
+		a.SubmitTx(mkTx(i))
 	}
 	payload, digest, ok := a.BuildProposal(1, nil)
 	if !ok {
@@ -107,7 +107,7 @@ func TestOnCommitDedupesAcrossBlocks(t *testing.T) {
 func TestCommittedTxsPurgedFromPool(t *testing.T) {
 	a := mustApp(t, 10)
 	tx := mkTx(1)
-	a.Submit(tx)
+	a.SubmitTx(tx)
 	// Another leader committed it first.
 	a.OnCommit(1, &Batch{Height: 1, Txs: []*types.Transaction{tx}})
 	if a.HasPendingWork() {

@@ -11,11 +11,10 @@
 //
 // Usage: go run ./tools/replaydiff [target...]
 //
-// A target is an experiment id, optionally followed in the same argument
-// by flags that predis-bench gets verbatim in both runs, so
-// `go run ./tools/replaydiff recovery "quickstart -mode stream"` gates
-// recovery and the streaming-commit quickstart schedule. The default
-// target is quickstart. The target `all` additionally diffs the
+// A target is an experiment id, so `go run ./tools/replaydiff recovery
+// quickstream` gates recovery and the streaming-commit quickstart
+// schedule. The default target is quickstart. The target `all` (every
+// experiment, both commit modes included) additionally diffs the
 // sequential transcript, without its replay lines, against the committed
 // quick_results.txt (run from the repository root).
 //
@@ -88,16 +87,10 @@ func run(targets []string) error {
 
 // check runs one target at -parallel 1 and -parallel 4 and compares.
 func check(bin, target string) error {
-	fields := strings.Fields(target)
-	if len(fields) == 0 {
-		return fmt.Errorf("empty target")
-	}
-	id, extra := fields[0], fields[1:]
 	var outs, hashes [2]string
 	for i, parallel := range []string{"1", "4"} {
 		name := "parallel=" + parallel
-		args := append([]string{"-quick", "-seed", "1", "-replay", "-parallel", parallel}, append(extra, id)...)
-		cmd := exec.Command(bin, args...)
+		cmd := exec.Command(bin, "-quick", "-seed", "1", "-replay", "-parallel", parallel, target)
 		cmd.Stderr = os.Stderr
 		raw, err := cmd.Output()
 		if err != nil {
@@ -122,7 +115,7 @@ func check(bin, target string) error {
 	}
 	fmt.Printf("replaydiff: OK — %s is byte-identical across processes at parallel=1 and parallel=4\n", target)
 
-	if id != "all" {
+	if target != "all" {
 		return nil
 	}
 	committed, err := os.ReadFile(committedTranscript)
