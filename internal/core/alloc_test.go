@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"predis/internal/crypto"
+	"predis/internal/env"
 	"predis/internal/merkle"
 	"predis/internal/types"
 	"predis/internal/wire"
@@ -122,6 +123,24 @@ func TestBlockPathAllocs(t *testing.T) {
 		t.Fatalf("block root over %d bundles differs between the stack and heap leaf arrays", len(leaves))
 	}
 }
+
+// TestProduceTimerRearmAllocs: the bundle interval timer re-arms with a
+// callback bound once, so a re-arm allocates nothing.
+func TestProduceTimerRearmAllocs(t *testing.T) {
+	pn := newPredisNet(t, 4, 1)
+	pn.net.Start()
+	p := pn.peers[0]
+	p.ctx = &idleCtx{p.ctx}
+	if a := testing.AllocsPerRun(100, p.armProduceTimer); a != 0 {
+		t.Errorf("re-arming the produce timer allocates %.1f, want 0", a)
+	}
+}
+
+// idleCtx wraps a node's context with timers that never fire, so a test
+// counts a re-arm's own allocations, not the runtime's.
+type idleCtx struct{ env.Context }
+
+func (*idleCtx) After(time.Duration, func()) env.Timer { return nil }
 
 // TestBundleResponseLyingCount: a BundleResponse body whose count claims
 // more bundles than its bytes could hold fails having allocated no more

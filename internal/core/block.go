@@ -29,13 +29,12 @@ var (
 // state before the first block).
 func ZeroCuts(nc int) []uint64 { return make([]uint64, nc) }
 
-// CutHeights extracts the height vector from a block's cuts.
-func (m *PredisBlock) CutHeights() []uint64 {
-	out := make([]uint64, len(m.Cuts))
-	for i, c := range m.Cuts {
-		out[i] = c.Height
+// CutHeights appends the height vector of a block's cuts to dst.
+func (m *PredisBlock) CutHeights(dst []uint64) []uint64 {
+	for _, c := range m.Cuts {
+		dst = append(dst, c.Height)
 	}
-	return out
+	return dst
 }
 
 // CutChains runs the cutting rule (§III-B) relative to a baseline cut

@@ -212,7 +212,8 @@ func (b *Bundle) SetStripeCache(v any) { b.stripeCache = v }
 
 // PackBundle builds and signs a bundle extending parent (nil for a genesis
 // bundle) with the given transactions and tip list. The caller's signer
-// must belong to the producer.
+// must belong to the producer. The bundle takes ownership of txs and tips:
+// the caller must not modify either afterwards.
 func PackBundle(signer crypto.Signer, producer wire.NodeID, parent *BundleHeader,
 	txs []*types.Transaction, tips TipList) *Bundle {
 	return PackBundleStriped(signer, producer, parent, txs, tips, crypto.ZeroHash)
@@ -221,24 +222,34 @@ func PackBundle(signer crypto.Signer, producer wire.NodeID, parent *BundleHeader
 // PackBundleStriped is PackBundle with an explicit stripe Merkle root
 // committed in the header, for deployments that erasure-code bundles
 // (Multi-Zone). The root must be computed over the shards of the encoded
-// body before signing.
+// body before signing. Like PackBundle it takes ownership of txs and tips.
 func PackBundleStriped(signer crypto.Signer, producer wire.NodeID, parent *BundleHeader,
 	txs []*types.Transaction, tips TipList, stripeRoot crypto.Hash) *Bundle {
-	h := BundleHeader{
+	b := new(Bundle)
+	b.pack(signer, producer, parent, txs, tips, stripeRoot)
+	return b
+}
+
+// pack fills b as PackBundleStriped's result, so a caller can allocate the
+// bundle together with what carries it.
+func (b *Bundle) pack(signer crypto.Signer, producer wire.NodeID, parent *BundleHeader,
+	txs []*types.Transaction, tips TipList, stripeRoot crypto.Hash) {
+	h := &b.Header
+	*h = BundleHeader{
 		Producer:   producer,
 		Height:     1,
 		TxRoot:     TxMerkleRoot(txs),
 		StripeRoot: stripeRoot,
 		TxCount:    uint32(len(txs)),
 		TxBytes:    uint32(types.TotalBytes(txs)),
-		Tips:       tips.Clone(),
+		Tips:       tips,
 	}
 	if parent != nil {
 		h.Height = parent.Height + 1
 		h.Parent = parent.Hash()
 	}
 	h.Sig = signer.Sign(h.Hash())
-	return &Bundle{Header: h, Txs: txs}
+	b.Txs = txs
 }
 
 // TxMerkleRoot computes the Merkle root over transaction hashes.

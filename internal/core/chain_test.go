@@ -59,14 +59,14 @@ func (r *ringServer) servableFrom(s uint64) bool {
 		if blk == nil {
 			return s == r.head
 		}
-		cuts = blk.CutHeights()
+		cuts = blk.CutHeights(nil)
 	}
 	return (s == r.head || r.retained(s+1) != nil) && r.cutsHeld(cuts)
 }
 
 func (r *ringServer) findAnchor(s uint64) *PredisBlock {
 	for h := s + 1; h <= r.head; h++ {
-		if blk := r.retained(h); blk != nil && r.cutsHeld(blk.CutHeights()) {
+		if blk := r.retained(h); blk != nil && r.cutsHeld(blk.CutHeights(nil)) {
 			if next := r.retained(h + 1); next != nil {
 				return next
 			}
@@ -195,7 +195,7 @@ func (r *chainRig) check(last *PredisBlock) {
 	if height, hash := r.mp.Head(); height != last.Height || hash != last.Hash() {
 		r.t.Fatalf("head %d, want %d, the last block committed or adopted", height, last.Height)
 	}
-	if got, want := r.mp.Confirmed(), last.CutHeights(); !slices.Equal(got, want) {
+	if got, want := r.mp.Confirmed(), last.CutHeights(nil); !slices.Equal(got, want) {
 		r.t.Fatalf("confirmed %v, head cuts %v", got, want)
 	}
 	bases := r.mp.Bases()

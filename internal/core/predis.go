@@ -75,9 +75,13 @@ type Predis struct {
 	lastAdvertised TipList
 	// sealed: a payload bundle was sealed since the last proposal this
 	// node built or validated. sealLater is sealQueue bound once, as the
-	// zero-delay timer callback.
-	sealed    bool
-	sealLater func()
+	// zero-delay timer callback, and produceTick the interval timer's.
+	sealed      bool
+	sealLater   func()
+	produceTick func()
+	// parentCuts is parentState's scratch: the parent block's cut heights,
+	// overwritten by the next proposal built or validated.
+	parentCuts []uint64
 	// quorum is the cutting rule's: n_c−f, or 1 in stream mode. paced and
 	// drain are stream mode under a paced or a chained engine (SetEngine).
 	quorum       int
@@ -184,14 +188,20 @@ func (p *Predis) Start(ctx env.Context) {
 	p.fetch.Start(ctx)
 	p.catchup.Start(ctx)
 	p.sealLater = p.sealQueue
+	p.produceTick = p.onProduceTick
 	p.armProduceTimer()
 }
 
+//predis:hotpath
 func (p *Predis) armProduceTimer() {
-	p.produceTimer = p.ctx.After(p.mp.params.BundleInterval, func() {
-		p.produceBundle()
-		p.armProduceTimer()
-	})
+	p.produceTimer = p.ctx.After(p.mp.params.BundleInterval, p.produceTick)
+}
+
+// onProduceTick is the bundle interval timer: seal what is queued (or a
+// heartbeat) and re-arm.
+func (p *Predis) onProduceTick() {
+	p.produceBundle()
+	p.armProduceTimer()
 }
 
 // SubmitTx enqueues a client transaction for bundling; full bundles are
@@ -277,7 +287,10 @@ func (p *Predis) produceBundle() {
 	if p.opts.StripeRoot != nil {
 		stripeRoot = p.opts.StripeRoot(txs)
 	}
-	b := PackBundleStriped(p.mp.params.Signer, p.opts.Self, parent, txs, tips, stripeRoot)
+	s := new(sealedBundle)
+	b := &s.b
+	b.pack(p.mp.params.Signer, p.opts.Self, parent, txs, tips, stripeRoot)
+	s.msg.Bundle = b
 	// Self-insertion skips signature/body verification.
 	if _, _, _, err := p.mp.AddBundle(b, false); err != nil {
 		p.ctx.Logf("predis: self bundle rejected: %v", err)
@@ -294,8 +307,15 @@ func (p *Predis) produceBundle() {
 		p.sealWait += now.Sub(firstQueued)
 	}
 	p.lastAdvertised = b.Header.Tips // private to the sealed header, which is immutable
-	p.disseminate(b)
+	env.Multicast(p.ctx, p.opts.Peers, &s.msg)
 	p.poke()
+}
+
+// sealedBundle is a bundle this node produced, allocated together with
+// the message that disseminates it.
+type sealedBundle struct {
+	b   Bundle
+	msg BundleMsg
 }
 
 func tipsEqual(a, b TipList) bool {
@@ -308,10 +328,6 @@ func tipsEqual(a, b TipList) bool {
 		}
 	}
 	return true
-}
-
-func (p *Predis) disseminate(b *Bundle) {
-	env.Multicast(p.ctx, p.opts.Peers, &BundleMsg{Bundle: b})
 }
 
 // Receive handles Predis data-plane messages. The node layer routes
@@ -419,7 +435,8 @@ func (p *Predis) poke() {
 // --- consensus.Application ---
 
 // parentState resolves the baseline cut vector and parent hash from a
-// parent payload (nil = genesis).
+// parent payload (nil = genesis). A parent's cuts are read into
+// p.parentCuts, so they hold until the next call.
 func (p *Predis) parentState(parent wire.Message) ([]uint64, crypto.Hash, error) {
 	if parent == nil {
 		return ZeroCuts(p.mp.params.NC), crypto.ZeroHash, nil
@@ -428,7 +445,8 @@ func (p *Predis) parentState(parent wire.Message) ([]uint64, crypto.Hash, error)
 	if !ok {
 		return nil, crypto.ZeroHash, fmt.Errorf("%w: parent payload is %T", ErrBlockShape, parent)
 	}
-	return pb.CutHeights(), pb.Hash(), nil
+	p.parentCuts = pb.CutHeights(p.parentCuts[:0])
+	return p.parentCuts, pb.Hash(), nil
 }
 
 // BuildProposal implements consensus.Application: cut the chains relative

@@ -1,0 +1,5 @@
+//go:build race
+
+package harness
+
+const raceEnabled = true

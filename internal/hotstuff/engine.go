@@ -102,6 +102,12 @@ type Engine struct {
 	pacemaker env.Timer
 	repropose env.Timer
 	backoff   int
+	// reproposeTick is the repropose timer's callback, bound once.
+	// pacemakerFire is the pacemaker's for pacemakerView: every timer
+	// armed in one view shares it, and a new view binds a new one.
+	reproposeTick func()
+	pacemakerFire func()
+	pacemakerView uint64
 
 	peers []wire.NodeID
 
@@ -181,6 +187,7 @@ func (e *Engine) isLeader() bool { return e.Leader() == e.cfg.Self }
 // Start implements env.Handler.
 func (e *Engine) Start(ctx env.Context) {
 	e.ctx = ctx
+	e.reproposeTick = e.onRepropose
 	e.armRepropose()
 	e.tryPropose()
 }
@@ -198,26 +205,45 @@ func (e *Engine) Poke() {
 	}
 }
 
+//predis:hotpath
 func (e *Engine) armRepropose() {
-	e.repropose = e.ctx.After(reproposeInterval, func() {
-		e.tryPropose()
-		e.armRepropose()
-	})
+	e.repropose = e.ctx.After(reproposeInterval, e.reproposeTick)
 }
 
+// onRepropose is the repropose timer: an idle leader re-asks the app.
+func (e *Engine) onRepropose() {
+	e.tryPropose()
+	e.armRepropose()
+}
+
+// armPacemaker arms the view timer. A timer checks the view it was armed
+// in, and one armed earlier can outlive its handle (a commit re-arms
+// without stopping), so the callback carries its view: re-arming within a
+// view reuses the view's callback.
+//
+//predis:hotpath
 func (e *Engine) armPacemaker() {
-	timeout := e.cfg.ViewTimeout << uint(e.backoff)
-	view := e.curView
-	e.pacemaker = e.ctx.After(timeout, func() {
-		e.pacemaker = nil
-		if e.curView != view {
-			return // progress happened; a fresh timer was armed
-		}
-		if !e.cfg.App.HasPendingWork() && len(e.commitQueue) == 0 {
-			return
-		}
-		e.onTimeout()
-	})
+	if e.pacemakerFire == nil || e.pacemakerView != e.curView {
+		view := e.curView
+		e.pacemakerView = view
+		e.pacemakerFire = func() { e.onPacemaker(view) } //predis:allocok once per view
+	}
+	e.pacemaker = e.ctx.After(e.cfg.ViewTimeout<<uint(e.backoff), e.pacemakerFire)
+}
+
+// onPacemaker is a view timer armed in view: no progress since, with work
+// pending, times the view out.
+//
+//predis:coldpath
+func (e *Engine) onPacemaker(view uint64) {
+	e.pacemaker = nil
+	if e.curView != view {
+		return // progress happened; a fresh timer was armed
+	}
+	if !e.cfg.App.HasPendingWork() && len(e.commitQueue) == 0 {
+		return
+	}
+	e.onTimeout()
 }
 
 func (e *Engine) resetPacemaker() {

@@ -11,6 +11,7 @@ import (
 
 	"predis/internal/consensus"
 	"predis/internal/crypto"
+	"predis/internal/env"
 	"predis/internal/faults"
 	"predis/internal/simnet"
 	"predis/internal/wire"
@@ -626,3 +627,28 @@ func TestHotStuffEquivocatingLeaderDetectedAndOutrun(t *testing.T) {
 		}
 	}
 }
+
+// TestTimerRearmAllocs: the repropose timer re-arms with a callback bound
+// once, and the pacemaker with its view's, so re-arming within a view
+// allocates nothing.
+func TestTimerRearmAllocs(t *testing.T) {
+	r := newHSRig(t, 4, 0)
+	r.net.Start()
+	e := r.engines[1]
+	e.ctx = &idleCtx{e.ctx}
+	e.armPacemaker() // binds the view's callback
+	for _, timer := range []struct {
+		name string
+		arm  func()
+	}{{"repropose", e.armRepropose}, {"pacemaker", e.armPacemaker}} {
+		if a := testing.AllocsPerRun(100, timer.arm); a != 0 {
+			t.Errorf("re-arming the %s timer allocates %.1f, want 0", timer.name, a)
+		}
+	}
+}
+
+// idleCtx wraps a node's context with timers that never fire, so a test
+// counts a re-arm's own allocations, not the runtime's.
+type idleCtx struct{ env.Context }
+
+func (*idleCtx) After(time.Duration, func()) env.Timer { return nil }

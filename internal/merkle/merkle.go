@@ -161,20 +161,33 @@ func (t *Tree) Proof(i int) ([]crypto.Hash, error) {
 	return proof, nil
 }
 
-// ProofsOfHashes returns the root over pre-hashed leaves and every leaf's
-// sibling path, each exactly what NewTreeFromHashes(leaves).Proof(i) would
-// return. The interior nodes and all paths are carved out of one slab, so
-// a caller that hands every leaf its proof (the stripe encoder) pays two
-// allocations per tree instead of one per level plus one per leaf. The
-// paths alias the slab and must be treated as read-only.
-func ProofsOfHashes(leaves []crypto.Hash) (crypto.Hash, [][]crypto.Hash) {
+// ProofSlabLen returns how many digests ProofsInto needs for a tree of n
+// leaves: its interior nodes, then every leaf's sibling path.
+func ProofSlabLen(n int) int {
+	total := 0
+	for level := n; level > 1; {
+		level = (level + 1) / 2
+		total += level
+	}
+	for i := 0; i < n; i++ {
+		total += PathLen(n, i)
+	}
+	return total
+}
+
+// ProofsInto computes the root over pre-hashed leaves and every leaf's
+// sibling path without allocating, so a caller that hands every leaf its
+// proof (the stripe encoder) pays for one slab per tree: the interior nodes
+// and the paths are carved out of slab, which must hold
+// ProofSlabLen(len(leaves)) digests. It returns the paths back to back in
+// leaf order (leaf i's is the next PathLen(n, i) digests), each exactly
+// what NewTreeFromHashes(leaves).Proof(i) would return.
+func ProofsInto(slab, leaves []crypto.Hash) (crypto.Hash, []crypto.Hash) {
 	n := len(leaves)
 	if n == 0 {
 		return crypto.ZeroHash, nil
 	}
-	// Fewer than n interior nodes, and at most ⌈log2 n⌉ siblings per path.
-	slab := make([]crypto.Hash, n+n*bits.Len(uint(n-1))) //predis:allocok the per-tree slab
-	var levels [bits.UintSize + 1][]crypto.Hash          // levels[0] = leaves, last = [root]
+	var levels [bits.UintSize + 1][]crypto.Hash // levels[0] = leaves, last = [root]
 	depth := 1
 	levels[0] = leaves
 	for level := leaves; len(level) > 1; depth++ {
@@ -190,34 +203,32 @@ func ProofsOfHashes(leaves []crypto.Hash) (crypto.Hash, [][]crypto.Hash) {
 		levels[depth] = next
 		level = next
 	}
-	proofs := make([][]crypto.Hash, n) //predis:allocok the result
-	for i := range proofs {
-		proof := slab[:0]
+	paths := slab[:0]
+	for i := 0; i < n; i++ {
 		for lvl, idx := 0, i; lvl < depth-1; lvl, idx = lvl+1, idx>>1 {
 			if sib := idx ^ 1; sib < len(levels[lvl]) {
-				proof = append(proof, levels[lvl][sib])
+				paths = append(paths, levels[lvl][sib])
 			}
 		}
-		proofs[i] = proof[:len(proof):len(proof)]
-		slab = slab[len(proof):]
 	}
-	return levels[depth-1][0], proofs
+	return levels[depth-1][0], paths[:len(paths):len(paths)]
+}
+
+// PathLen returns how many digests leaf i's proof holds in a tree of n
+// leaves.
+func PathLen(n, i int) int {
+	count := 0
+	for idx := i; n > 1; idx, n = idx>>1, (n+1)/2 {
+		if idx^1 < n {
+			count++
+		}
+	}
+	return count
 }
 
 // ProofSize returns the wire size in bytes of a proof for a tree of n
 // leaves at leaf index i (each element is one digest).
-func ProofSize(n, i int) int {
-	count := 0
-	idx := i
-	for n > 1 {
-		if idx^1 < n {
-			count++
-		}
-		idx >>= 1
-		n = (n + 1) / 2
-	}
-	return count * crypto.HashSize
-}
+func ProofSize(n, i int) int { return PathLen(n, i) * crypto.HashSize }
 
 // Verify checks that leaf payload data sits at index i of a tree with the
 // given total leaf count and root.

@@ -3,6 +3,7 @@ package merkle
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -207,12 +208,15 @@ func BenchmarkProofVerify(b *testing.B) {
 	}
 }
 
-// TestProofsOfHashesMatchesTree: the slab-backed proof set is exactly
-// the tree's root and per-leaf paths, for every shape up to 33 leaves
-// (odd promotions at several levels included), and the paths verify.
-func TestProofsOfHashesMatchesTree(t *testing.T) {
-	if root, proofs := ProofsOfHashes(nil); root != crypto.ZeroHash || proofs != nil {
-		t.Fatal("empty leaf set must yield the zero root and no proofs")
+// TestProofsIntoMatchesTree: the slab-carved proof set is exactly the
+// tree's root and per-leaf paths, for every shape up to 33 leaves (odd
+// promotions at several levels included); the paths verify, end at the
+// slab's last digest, and — carved with their capacity capped, as the
+// stripe encoder does — an append to one cannot overwrite its neighbour.
+// Computing them allocates nothing.
+func TestProofsIntoMatchesTree(t *testing.T) {
+	if root, paths := ProofsInto(nil, nil); root != crypto.ZeroHash || paths != nil {
+		t.Fatal("empty leaf set must yield the zero root and no paths")
 	}
 	for n := 1; n <= 33; n++ {
 		leaves := make([]crypto.Hash, n)
@@ -220,25 +224,30 @@ func TestProofsOfHashesMatchesTree(t *testing.T) {
 			leaves[i] = HashLeaf([]byte{byte(n), byte(i)})
 		}
 		tree := NewTreeFromHashes(leaves)
-		root, proofs := ProofsOfHashes(leaves)
-		if root != tree.Root() || len(proofs) != n {
-			t.Fatalf("n=%d: root or proof count differs from the tree", n)
+		slab := make([]crypto.Hash, ProofSlabLen(n))
+		root, paths := ProofsInto(slab, leaves)
+		if root != tree.Root() {
+			t.Fatalf("n=%d: root differs from the tree", n)
+		}
+		if len(slab) > 0 && &paths[len(paths)-1] != &slab[len(slab)-1] {
+			t.Fatalf("n=%d: the paths do not end at the slab's last digest", n)
+		}
+		proofs := make([][]crypto.Hash, n)
+		for i := range proofs {
+			l := PathLen(n, i)
+			proofs[i], paths = paths[:l:l], paths[l:]
+		}
+		if len(paths) != 0 {
+			t.Fatalf("n=%d: %d digests past the last path", n, len(paths))
 		}
 		for i := 0; i < n; i++ {
 			want, _ := tree.Proof(i)
-			if len(proofs[i]) != len(want) || len(proofs[i])*crypto.HashSize != ProofSize(n, i) {
-				t.Fatalf("n=%d leaf %d: path length %d, tree says %d", n, i, len(proofs[i]), len(want))
-			}
-			for j := range want {
-				if proofs[i][j] != want[j] {
-					t.Fatalf("n=%d leaf %d: sibling %d differs", n, i, j)
-				}
+			if !slices.Equal(proofs[i], want) || len(want)*crypto.HashSize != ProofSize(n, i) {
+				t.Fatalf("n=%d leaf %d: path %d long, tree says %d", n, i, len(proofs[i]), len(want))
 			}
 			if !VerifyHash(root, leaves[i], i, n, proofs[i]) {
 				t.Fatalf("n=%d leaf %d: path does not verify", n, i)
 			}
-			// A path is capped at its own length: appending to it must not
-			// overwrite its neighbour in the slab.
 			_ = append(proofs[i], crypto.Hash{})
 		}
 		for i := 0; i < n; i++ {
@@ -247,11 +256,9 @@ func TestProofsOfHashesMatchesTree(t *testing.T) {
 			}
 		}
 	}
-	if a := testing.AllocsPerRun(100, func() { _, _ = ProofsOfHashes(make([]crypto.Hash, 0)) }); a != 0 {
-		t.Errorf("empty set allocates %.1f", a)
-	}
-	leaves := make([]crypto.Hash, 4)
-	if a := testing.AllocsPerRun(100, func() { _, _ = ProofsOfHashes(leaves) }); a != 2 {
-		t.Errorf("ProofsOfHashes allocates %.1f for 4 leaves, want 2 (slab + path headers)", a)
+	leaves := make([]crypto.Hash, 16)
+	slab := make([]crypto.Hash, ProofSlabLen(len(leaves)))
+	if a := testing.AllocsPerRun(100, func() { _, _ = ProofsInto(slab, leaves) }); a != 0 {
+		t.Errorf("ProofsInto allocates %.1f for 16 leaves, want 0", a)
 	}
 }

@@ -1,6 +1,7 @@
 package multizone
 
 import (
+	"bytes"
 	"encoding/binary"
 	"sync"
 
@@ -53,6 +54,9 @@ type StripeMsg struct {
 	// immutable once sent, so the proof needs checking once per stripe,
 	// not once per full node. Failures are never cached.
 	verified bool
+	// stamped marks a stripe set's slot that StripeSet.Stripe has given
+	// a header.
+	stamped bool
 	// assembled memoizes the bundle reconstructed from a stripe set
 	// containing this message: every valid n_c−f subset reconstructs the
 	// same body (Reed–Solomon), and the result is checked against the
@@ -62,6 +66,15 @@ type StripeMsg struct {
 }
 
 var _ wire.Message = (*StripeMsg)(nil)
+
+// names reports whether the message stands for h: a reference to h's
+// hash, or a carrier of h with its signature.
+func (m *StripeMsg) names(h *core.BundleHeader) bool {
+	if m.Ref {
+		return m.RefHash == h.Hash()
+	}
+	return m.Header.Hash() == h.Hash() && bytes.Equal(m.Header.Sig, h.Sig)
+}
 
 // refSize is what a reference stripe sends instead of the header:
 // producer, height and header hash.

@@ -28,6 +28,9 @@ import (
 type Striper struct {
 	coder *erasure.Coder
 	nc, f int
+	// digests is a stripe set's digest slab length: the n_c leaf hashes,
+	// then merkle.ProofsInto's interior nodes and proof paths.
+	digests int
 }
 
 // NewStriper builds a striper for n_c consensus nodes tolerating f faults.
@@ -39,7 +42,7 @@ func NewStriper(nc, f int) (*Striper, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Striper{coder: coder, nc: nc, f: f}, nil
+	return &Striper{coder: coder, nc: nc, f: f, digests: nc + merkle.ProofSlabLen(nc)}, nil
 }
 
 // NC returns the stripe count (one per consensus node).
@@ -48,16 +51,30 @@ func (s *Striper) NC() int { return s.nc }
 // MinStripes returns how many stripes reconstruct a bundle (n_c − f).
 func (s *Striper) MinStripes() int { return s.nc - s.f }
 
-// StripeSet is the encoded form of one bundle: the shards plus every
-// shard's Merkle proof. It is immutable once built and owns two slabs —
-// Shards slice one byte slab (the body, zero-padded, then the parity), the
-// proofs slice one digest slab — which live as long as any stripe message
-// cut from the set is referenced.
+// stackShards is how many shard headers the coder calls take from the
+// stack; only a wider striper allocates them.
+const stackShards = 64
+
+// shardHeaders returns n_c shard headers for a coder call: stack's, when
+// they fit.
+func (s *Striper) shardHeaders(stack *[stackShards][]byte) [][]byte {
+	if s.nc > stackShards {
+		return make([][]byte, s.nc) //predis:allocok stripers wider than the stack headers
+	}
+	return stack[:s.nc]
+}
+
+// StripeSet is the encoded form of one bundle: one stripe message per
+// index, with its shard and Merkle proof. The set owns three slabs — the
+// shard bytes (the body, zero-padded, then the parity), the digests (leaf
+// hashes, interior nodes, then every proof path) and the messages — and
+// each message's Shard and Proof slice the first two. Only Stripe writes
+// to a set once it is built, and the slabs live as long as any message cut
+// from the set is referenced.
 type StripeSet struct {
-	Shards     [][]byte
 	PayloadLen int
 	Root       crypto.Hash
-	proofs     [][]crypto.Hash
+	msgs       []StripeMsg
 	f          int // the striper's f, which picks the header carriers
 }
 
@@ -76,31 +93,47 @@ func (s *Striper) Encode(txs []*types.Transaction) (*StripeSet, error) {
 	slab := make([]byte, size*s.nc) //predis:allocok the per-bundle shard slab: every stripe's payload is a sub-slice of it
 	copy(slab, e.Bytes())
 	wire.PutEncoder(e)
-	shards := make([][]byte, s.nc) //predis:allocok per-bundle shard headers
+	var stack [stackShards][]byte
+	shards := s.shardHeaders(&stack)
 	for i := range shards {
 		shards[i] = slab[i*size : (i+1)*size : (i+1)*size]
 	}
 	if err := s.coder.Encode(shards); err != nil {
 		return nil, err
 	}
-	leaves := make([]crypto.Hash, len(shards)) //predis:allocok per-bundle leaf digests, level 0 of the proof tree
-	root, proofs := merkle.ProofsOfHashes(merkle.HashLeaves(leaves, shards))
-	return &StripeSet{Shards: shards, PayloadLen: payloadLen, Root: root, proofs: proofs, f: s.f}, nil //predis:allocok the result
+	digests := make([]crypto.Hash, s.digests) //predis:allocok the per-bundle digest slab: leaves, interior nodes, proof paths
+	leaves := merkle.HashLeaves(digests[:s.nc], shards)
+	root, paths := merkle.ProofsInto(digests[s.nc:], leaves)
+	msgs := make([]StripeMsg, s.nc) //predis:allocok the per-bundle message slab: Stripe hands out its slots
+	for i, shard := range shards {
+		n := merkle.PathLen(s.nc, i)
+		msgs[i] = StripeMsg{Index: uint8(i), PayloadLen: uint32(payloadLen), Shard: shard, Proof: paths[:n:n]}
+		paths = paths[n:]
+	}
+	return &StripeSet{PayloadLen: payloadLen, Root: root, msgs: msgs, f: s.f}, nil //predis:allocok the result
 }
 
-// Stripe extracts stripe i as a wire message for the given bundle header:
+// Stripe returns stripe i as a wire message for the given bundle header:
 // a carrier of the header or a reference to it, as headerCarrier decides.
+// The first call for an index stamps the header on the set's own slot and
+// returns it; later calls with the same header return the same message,
+// which is what crosses the network for (bundle, index) either way. A
+// different header over the same body gets a message of its own.
+//
+//predis:hotpath
 func (set *StripeSet) Stripe(header core.BundleHeader, i int) (*StripeMsg, error) {
-	if i < 0 || i >= len(set.Shards) {
-		return nil, fmt.Errorf("multizone: stripe index %d out of range", i)
+	if i < 0 || i >= len(set.msgs) {
+		return nil, fmt.Errorf("multizone: stripe index %d out of range", i) //predis:allocok caller bug
 	}
-	m := &StripeMsg{
-		Index:      uint8(i),
-		PayloadLen: uint32(set.PayloadLen),
-		Shard:      set.Shards[i],
-		Proof:      set.proofs[i],
+	m := &set.msgs[i]
+	if m.stamped {
+		if m.names(&header) {
+			return m, nil
+		}
+		m = &StripeMsg{Index: m.Index, PayloadLen: m.PayloadLen, Shard: m.Shard, Proof: m.Proof} //predis:allocok a second header over one body
 	}
-	if headerCarrier(i, header.Producer, len(set.Shards), set.f) {
+	m.stamped = true
+	if headerCarrier(i, header.Producer, len(set.msgs), set.f) {
 		m.Header = header
 	} else {
 		m.Header.Producer, m.Header.Height = header.Producer, header.Height
@@ -176,7 +209,8 @@ func (s *Striper) Reassemble(header core.BundleHeader, stripes []*StripeMsg) (*c
 //
 //predis:coldpath
 func (s *Striper) decode(header core.BundleHeader, stripes []*StripeMsg, payloadLen int) (*core.Bundle, error) {
-	shards := make([][]byte, s.nc)
+	var stack [stackShards][]byte
+	shards := s.shardHeaders(&stack)
 	for i, st := range stripes {
 		if st != nil {
 			shards[i] = st.Shard

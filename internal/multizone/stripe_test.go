@@ -329,3 +329,45 @@ func TestReassembleMemoHitReturnsSameBundle(t *testing.T) {
 		t.Fatalf("two stripes with a memo = %v, want ErrStripeCount", err)
 	}
 }
+
+// TestStripeSetAllocs pins the per-bundle budget of a stripe set: Encode
+// allocates the shard slab, the digest slab, the message slab and the set
+// at n_c = 4 and at n_c = 16, and Stripe allocates nothing — a repeated
+// index with the same header returns the same message. A second header
+// over the same body gets a message of its own.
+func TestStripeSetAllocs(t *testing.T) {
+	suite := crypto.NewSimSuite(16, 84)
+	txs := mkTxs(4, 0)
+	for _, g := range []struct{ nc, f int }{{4, 1}, {16, 5}} {
+		s, _ := NewStriper(g.nc, g.f)
+		set, _ := s.Encode(txs)
+		b := core.PackBundleStriped(suite.Signer(1), 1, nil, txs, make(core.TipList, g.nc), set.Root)
+		first := make([]*StripeMsg, g.nc)
+		for i := range first {
+			first[i], _ = set.Stripe(b.Header, i)
+			if again, _ := set.Stripe(b.Header, i); again != first[i] {
+				t.Fatalf("nc=%d stripe %d: a repeated call returned another message", g.nc, i)
+			}
+			if err := s.VerifyStripe(set.Root, first[i]); err != nil {
+				t.Fatalf("nc=%d stripe %d: %v", g.nc, i, err)
+			}
+		}
+		other := core.PackBundleStriped(suite.Signer(2), 2, nil, txs, make(core.TipList, g.nc), set.Root)
+		if m, _ := set.Stripe(other.Header, 0); m == first[0] || m.BundleHash() != other.Header.Hash() {
+			t.Fatalf("nc=%d: another header's stripe reused the slot", g.nc)
+		}
+		if first[0].BundleHash() != b.Header.Hash() {
+			t.Fatalf("nc=%d: another header's stripe restamped the slot", g.nc)
+		}
+		if raceEnabled {
+			continue
+		}
+		if a := testing.AllocsPerRun(50, func() { _, _ = s.Encode(txs) }); a > 4 {
+			t.Errorf("nc=%d: Encode allocates %.1f, want ≤ 4", g.nc, a)
+		}
+		i := 0
+		if a := testing.AllocsPerRun(50, func() { _, _ = set.Stripe(b.Header, i%g.nc); i++ }); a != 0 {
+			t.Errorf("nc=%d: Stripe allocates %.1f, want 0", g.nc, a)
+		}
+	}
+}

@@ -324,8 +324,8 @@ func (n *Node) handleCommit(height uint64, txs []*types.Transaction) {
 	// One batched BlockReply per client (replies are real traffic; §III-F),
 	// in client-ID order so map iteration never affects the wire: a counting
 	// sort, next holding each client's count, then its offset in one slab.
-	// The grouping lives on the node; the seqs slab is per block, since the
-	// replies sent alias it.
+	// The grouping lives on the node; the replies and the seqs they alias
+	// are two slabs per block, since the replies sent reference them.
 	next, clients := n.replyNext, n.replyClients[:0]
 	clear(next)
 	for _, tx := range txs {
@@ -345,14 +345,12 @@ func (n *Node) handleCommit(height uint64, txs []*types.Transaction) {
 		seqs[next[tx.Client]] = tx.Seq
 		next[tx.Client]++
 	}
+	replies := make([]types.BlockReply, len(clients))
 	off = 0
-	for _, client := range clients {
+	for i, client := range clients {
 		end := next[client]
-		n.ctx.Send(client, &types.BlockReply{
-			Height:  height,
-			Replica: n.cfg.Self,
-			Seqs:    seqs[off:end:end],
-		})
+		replies[i] = types.BlockReply{Height: height, Replica: n.cfg.Self, Seqs: seqs[off:end:end]}
+		n.ctx.Send(client, &replies[i])
 		off = end
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"predis/internal/core"
 	"predis/internal/crypto"
+	"predis/internal/env"
 	"predis/internal/faults"
 	"predis/internal/pbft"
 	"predis/internal/simnet"
@@ -524,5 +525,36 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 	if c1[0] == 0 {
 		t.Fatal("no commits to compare")
+	}
+}
+
+// sinkCtx discards what a node sends, so a test counts the node's
+// allocations alone.
+type sinkCtx struct{ env.Context }
+
+func (sinkCtx) Send(wire.NodeID, wire.Message) {}
+
+// TestReplyFanOutAllocs pins handleCommit's reply fan-out at two
+// allocations per block — the replies and the seqs they alias — for one
+// client and for eight.
+func TestReplyFanOutAllocs(t *testing.T) {
+	n, err := New(Config{
+		Mode: ModePredis, Engine: EnginePBFT, NC: 4, F: 1, Self: 0,
+		Signer: crypto.NewSimSuite(4, 7).Signer(0), BundleSize: 50,
+		BundleInterval: 20 * time.Millisecond, ReplyToClients: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.ctx = sinkCtx{}
+	for _, clients := range []int{1, 8} {
+		txs := make([]*types.Transaction, 17)
+		for i := range txs {
+			txs[i] = types.NewTransaction(wire.NodeID(100+i%clients), uint64(i), 512, 0)
+		}
+		n.handleCommit(1, txs) // sizes the node's grouping scratch
+		if a := testing.AllocsPerRun(100, func() { n.handleCommit(1, txs) }); a != 2 {
+			t.Errorf("replying to %d clients allocates %.1f per block, want 2", clients, a)
+		}
 	}
 }

@@ -85,7 +85,7 @@ func (t *Tracer) Begin(stage Stage, key uint64, node wire.NodeID, at time.Time) 
 	if _, ok := t.byKey[sk]; ok {
 		return
 	}
-	sp := &Span{Stage: stage, Key: key, Node: node, Start: at, open: true}
+	sp := &Span{Stage: stage, Key: key, Node: node, Start: at, open: true} //predis:allocok one per traced span; a nil tracer returned above
 	t.byKey[sk] = sp
 	t.order = append(t.order, sp)
 }

@@ -3,6 +3,7 @@ package pbft
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -56,15 +57,32 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// instance is one consensus slot (sequence number).
+// maxReplicas is the widest group a voteSet can count.
+const maxReplicas = 64
+
+// voteSet is a set of replica indexes in [0, maxReplicas), one bit each.
+type voteSet uint64
+
+func (s *voteSet) add(r wire.NodeID) { *s |= 1 << r }
+
+func (s voteSet) count() int { return bits.OnesCount64(uint64(s)) }
+
+// instance is one consensus slot (sequence number): one allocation per
+// slot per replica, its vote sets and this replica's own two votes inline.
+// Instances are never recycled: a multicast vote the instance embeds can
+// still be in flight after the slot executes.
 type instance struct {
 	view    uint64
 	seq     uint64
 	digest  crypto.Hash
 	payload wire.Message
 
-	prepares map[wire.NodeID]struct{}
-	commits  map[wire.NodeID]struct{}
+	prepares voteSet
+	commits  voteSet
+	// prepare and commit are this replica's votes for the slot, the
+	// messages maybeVote and sendCommit multicast.
+	prepare Prepare
+	commit  Commit
 
 	validated    bool // app accepted the payload
 	invalid      bool // app rejected the payload permanently
@@ -110,6 +128,10 @@ type Engine struct {
 
 	suspicion env.Timer
 	repropose env.Timer
+	// reproposeTick and suspect are the repropose and leader-suspicion
+	// timer callbacks, bound once.
+	reproposeTick func()
+	suspect       func()
 
 	// Pace of a pipelined leader (see paceOpen): the smoothed
 	// propose→execute latency of its own slots in this view (0 = no
@@ -145,8 +167,8 @@ var _ consensus.FastForwarder = (*Engine)(nil)
 // New builds a PBFT replica engine.
 func New(cfg Config) (*Engine, error) {
 	c := cfg.withDefaults()
-	if c.N < 1 || int(c.Self) >= c.N {
-		return nil, fmt.Errorf("pbft: bad N=%d Self=%d", c.N, c.Self)
+	if c.N < 1 || c.N > maxReplicas || int(c.Self) >= c.N {
+		return nil, fmt.Errorf("pbft: bad N=%d Self=%d (N at most %d)", c.N, c.Self, maxReplicas)
 	}
 	if c.App == nil || c.Signer == nil {
 		return nil, errors.New("pbft: App and Signer are required")
@@ -205,6 +227,8 @@ func (e *Engine) isLeader() bool { return e.Leader() == e.cfg.Self }
 func (e *Engine) Start(ctx env.Context) {
 	e.ctx = ctx
 	e.propose = e.tryPropose
+	e.reproposeTick = e.onRepropose
+	e.suspect = e.onSuspicion
 	e.armRepropose()
 	e.tryPropose()
 }
@@ -234,21 +258,29 @@ func (e *Engine) Poke() {
 	}
 }
 
+//predis:hotpath
 func (e *Engine) armRepropose() {
-	e.repropose = e.ctx.After(reproposeInterval, func() {
-		e.tryPropose()
-		e.armRepropose()
-	})
+	e.repropose = e.ctx.After(reproposeInterval, e.reproposeTick)
 }
 
+// onRepropose is the repropose timer: an idle leader re-asks the app.
+func (e *Engine) onRepropose() {
+	e.tryPropose()
+	e.armRepropose()
+}
+
+//predis:hotpath
 func (e *Engine) armSuspicion() {
-	timeout := e.cfg.ViewTimeout << uint(e.vcBackoff)
-	e.suspicion = e.ctx.After(timeout, func() {
-		e.suspicion = nil
-		if e.cfg.App.HasPendingWork() || len(e.window) > 0 {
-			e.startViewChange(e.view + 1)
-		}
-	})
+	e.suspicion = e.ctx.After(e.cfg.ViewTimeout<<uint(e.vcBackoff), e.suspect)
+}
+
+// onSuspicion is the leader-suspicion timer: no progress with work
+// pending starts a view change.
+func (e *Engine) onSuspicion() {
+	e.suspicion = nil
+	if e.cfg.App.HasPendingWork() || len(e.window) > 0 {
+		e.startViewChange(e.view + 1)
+	}
 }
 
 func (e *Engine) resetSuspicion() {
@@ -348,13 +380,7 @@ func (e *Engine) getInstance(seq, view uint64, digest crypto.Hash) *instance {
 		e.window = append(e.window, nil)
 		copy(e.window[i+1:], e.window[i:])
 	}
-	inst = &instance{
-		view:     view,
-		seq:      seq,
-		digest:   digest,
-		prepares: make(map[wire.NodeID]struct{}),
-		commits:  make(map[wire.NodeID]struct{}),
-	}
+	inst = &instance{view: view, seq: seq, digest: digest} //predis:allocok the slot, once per sequence number and view
 	e.window[i] = inst
 	return inst
 }
@@ -510,15 +536,16 @@ func (e *Engine) maybeVote(inst *instance) {
 		return
 	}
 	inst.sentPrepare = true
-	p := &Prepare{View: inst.view, Seq: inst.seq, Digest: inst.digest, Replica: e.cfg.Self}
-	p.Sig = e.cfg.Signer.Sign(p.signDigest())
+	p := &inst.prepare
+	*p = Prepare{View: inst.view, Seq: inst.seq, Digest: inst.digest, Replica: e.cfg.Self}
+	p.Sig = e.cfg.Signer.Sign(p.signDigest()) //predis:allocok the signature
 	env.Multicast(e.ctx, e.peers, p)
 	e.recordPrepare(inst, e.cfg.Self)
 }
 
 func (e *Engine) recordPrepare(inst *instance, replica wire.NodeID) {
-	inst.prepares[replica] = struct{}{}
-	if !inst.prepared && len(inst.prepares) >= e.quo {
+	inst.prepares.add(replica)
+	if !inst.prepared && inst.prepares.count() >= e.quo {
 		inst.prepared = true
 		// Prepare quorum reached: close block_proposed, open
 		// prepare_commit (quorum → execution) on this replica.
@@ -534,14 +561,20 @@ func (e *Engine) sendCommit(inst *instance) {
 		return
 	}
 	inst.sentCommit = true
-	c := &Commit{View: inst.view, Seq: inst.seq, Digest: inst.digest, Replica: e.cfg.Self}
-	c.Sig = e.cfg.Signer.Sign(c.signDigest())
+	c := &inst.commit
+	*c = Commit{View: inst.view, Seq: inst.seq, Digest: inst.digest, Replica: e.cfg.Self}
+	c.Sig = e.cfg.Signer.Sign(c.signDigest()) //predis:allocok the signature
 	env.Multicast(e.ctx, e.peers, c)
 	e.recordCommit(inst, e.cfg.Self)
 }
 
+// onPrepare counts a peer's prepare vote. A vote counts only from a
+// replica index in [0, N), checked before the slot is looked up, so a
+// signed vote from outside the group opens no slot.
+//
+//predis:hotpath
 func (e *Engine) onPrepare(from wire.NodeID, m *Prepare) {
-	if m.Seq <= e.lastExec || m.Replica != from {
+	if m.Seq <= e.lastExec || m.Replica != from || int(m.Replica) >= e.cfg.N {
 		return
 	}
 	if !e.cfg.Signer.Verify(int(m.Replica), m.signDigest(), m.Sig) {
@@ -555,8 +588,12 @@ func (e *Engine) onPrepare(from wire.NodeID, m *Prepare) {
 	e.recordPrepare(inst, m.Replica)
 }
 
+// onCommit counts a peer's commit vote, from a replica index in [0, N)
+// only (see onPrepare).
+//
+//predis:hotpath
 func (e *Engine) onCommit(from wire.NodeID, m *Commit) {
-	if m.Seq <= e.lastExec || m.Replica != from {
+	if m.Seq <= e.lastExec || m.Replica != from || int(m.Replica) >= e.cfg.N {
 		return
 	}
 	if !e.cfg.Signer.Verify(int(m.Replica), m.signDigest(), m.Sig) {
@@ -576,6 +613,8 @@ func (e *Engine) onCommit(from wire.NodeID, m *Commit) {
 // so the replica broadcasts its leader-signed half as a ProposalProof;
 // any peer holding the conflicting half assembles Evidence, which is
 // proof.
+//
+//predis:coldpath
 func (e *Engine) suspectEquivocation(inst *instance, view uint64, digest crypto.Hash) {
 	if inst.proofSent || inst.ppSig == nil || inst.view != view || inst.ppDigest == digest {
 		return
@@ -639,8 +678,8 @@ func (e *Engine) onEvidence(from wire.NodeID, m *Evidence) {
 }
 
 func (e *Engine) recordCommit(inst *instance, replica wire.NodeID) {
-	inst.commits[replica] = struct{}{}
-	if !inst.commitQuorum && len(inst.commits) >= e.quo {
+	inst.commits.add(replica)
+	if !inst.commitQuorum && inst.commits.count() >= e.quo {
 		inst.commitQuorum = true
 		e.tryExecute()
 	}
@@ -648,7 +687,10 @@ func (e *Engine) recordCommit(inst *instance, replica wire.NodeID) {
 
 // tryExecute delivers committed instances in sequence order. An instance
 // with a commit quorum but unvalidated payload (missing bundles) waits
-// until the app can validate it — Poke retries.
+// until the app can validate it — Poke retries. It is the commit boundary:
+// the application's work on a block is its own budget.
+//
+//predis:coldpath
 func (e *Engine) tryExecute() {
 	for {
 		inst := e.instance(e.lastExec + 1)

@@ -7,6 +7,7 @@ import (
 
 	"predis/internal/consensus"
 	"predis/internal/crypto"
+	"predis/internal/env"
 	"predis/internal/faults"
 	"predis/internal/simnet"
 	"predis/internal/wire"
@@ -327,6 +328,9 @@ func TestPBFTConfigValidation(t *testing.T) {
 	if _, err := New(Config{N: 4, Self: 0, App: app}); err == nil {
 		t.Fatal("nil signer accepted")
 	}
+	if _, err := New(Config{N: maxReplicas + 1, Self: 0, App: app, Signer: suite.Signer(0)}); err == nil {
+		t.Fatal("a group wider than the vote bitset accepted")
+	}
 }
 
 func TestPBFTByzantineVoteCannotPoisonSlot(t *testing.T) {
@@ -544,3 +548,146 @@ func TestWindowStaysOrdered(t *testing.T) {
 	e.dropInstances(0, 100)
 	check("drop everything")
 }
+
+// TestVoteFromOutsideGroupIgnored: a Prepare and a Commit correctly
+// signed for replica index N — a SimSigner verifies a tag for any index —
+// and sent from node N open no slot and move no quorum.
+func TestVoteFromOutsideGroupIgnored(t *testing.T) {
+	r := newPBFTRig(t, 4, 0)
+	r.net.Start()
+	e := r.engines[2]
+	outsider := crypto.NewSimSigner(4, 5)
+	d := crypto.HashBytes([]byte("d"))
+	p := &Prepare{View: 0, Seq: 1, Digest: d, Replica: 4}
+	p.Sig = outsider.Sign(p.signDigest())
+	c := &Commit{View: 0, Seq: 1, Digest: d, Replica: 4}
+	c.Sig = outsider.Sign(c.signDigest())
+	e.Receive(4, p)
+	e.Receive(4, c)
+	if len(e.window) != 0 {
+		t.Fatalf("votes from outside the group opened %d slots", len(e.window))
+	}
+	// Two in-group votes of each kind are one short of the quorum of 3;
+	// the outsider's must not complete it, and a third in-group one does.
+	suite := crypto.NewSimSuite(4, 5)
+	vote := func(replica wire.NodeID) {
+		p := &Prepare{View: 0, Seq: 1, Digest: d, Replica: replica}
+		p.Sig = suite.Signer(int(replica)).Sign(p.signDigest())
+		e.Receive(replica, p)
+		c := &Commit{View: 0, Seq: 1, Digest: d, Replica: replica}
+		c.Sig = suite.Signer(int(replica)).Sign(c.signDigest())
+		e.Receive(replica, c)
+	}
+	vote(1)
+	vote(3)
+	e.Receive(4, p)
+	e.Receive(4, c)
+	inst := e.instance(1)
+	if inst == nil || inst.prepared || inst.commitQuorum || inst.sentCommit {
+		t.Fatal("a vote from outside the group completed a quorum")
+	}
+	vote(0)
+	if !inst.prepared || !inst.commitQuorum {
+		t.Fatal("three in-group votes of each kind did not complete the quorums")
+	}
+}
+
+// TestSlotAllocs pins a warm replica's full slot — the leader's
+// pre-prepare, 2f+1 prepares, 2f+1 commits, execution — at one instance
+// plus this replica's two vote signatures, on top of the application's own
+// work on the slot, pinned beside it.
+func TestSlotAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	registerPayload()
+	RegisterMessages()
+	net := simnet.New(simnet.Config{Latency: simnet.UniformLatency(5 * time.Millisecond), Seed: 3})
+	suite := crypto.NewSimSuite(4, 5)
+	app := &echoApp{commits: make([]uint64, 0, 512)}
+	e, err := New(Config{N: 4, Self: 1, App: app, Signer: suite.Signer(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.AddNode(1, e) // the peers are not on the network: votes to them drop
+	net.Start()
+	type slot struct {
+		pp     *PrePrepare
+		votes  []wire.Message
+		voters []wire.NodeID
+	}
+	const slots = 300
+	all := make([]slot, slots)
+	for i := range all {
+		seq := uint64(i + 1)
+		payload := &payloadMsg{N: seq}
+		s := slot{pp: &PrePrepare{View: 0, Seq: seq, Digest: digestOf(payload), Payload: payload}}
+		s.pp.Sig = suite.Signer(0).Sign(s.pp.signDigest())
+		for _, r := range []wire.NodeID{2, 3} {
+			p := &Prepare{View: 0, Seq: seq, Digest: s.pp.Digest, Replica: r}
+			p.Sig = suite.Signer(int(r)).Sign(p.signDigest())
+			s.votes, s.voters = append(s.votes, p), append(s.voters, r)
+		}
+		for _, r := range []wire.NodeID{0, 2, 3} {
+			c := &Commit{View: 0, Seq: seq, Digest: s.pp.Digest, Replica: r}
+			c.Sig = suite.Signer(int(r)).Sign(c.signDigest())
+			s.votes, s.voters = append(s.votes, c), append(s.voters, r)
+		}
+		all[i] = s
+	}
+	i := 0
+	run := func() {
+		s := all[i]
+		e.Receive(0, s.pp)
+		for k, m := range s.votes {
+			e.Receive(s.voters[k], m)
+		}
+		i++
+		net.Run(net.Elapsed()) // drain the dropped sends' events
+	}
+	for i < 100 { // warm-up: the window, the event queue's free list
+		run()
+	}
+	got := testing.AllocsPerRun(100, run)
+	if e.LastExecuted() != uint64(i) {
+		t.Fatalf("executed %d slots, want %d", e.LastExecuted(), i)
+	}
+	j := i
+	appWork := testing.AllocsPerRun(50, func() {
+		s := all[j]
+		if _, err := app.ValidateProposal(s.pp.Seq, s.pp.Payload, nil); err != nil {
+			t.Fatal(err)
+		}
+		app.OnCommit(s.pp.Seq, s.pp.Payload)
+		j++
+	})
+	if appWork != 1 {
+		t.Errorf("the test app's work on a slot allocates %.1f, want 1 (its digest encoder)", appWork)
+	}
+	if want := 3 + appWork; got != want {
+		t.Errorf("a full slot allocates %.1f, want %.0f: the instance, two signatures and the app's %.0f", got, want, appWork)
+	}
+}
+
+// TestTimerRearmAllocs: the repropose and leader-suspicion timers re-arm
+// with callbacks bound once, so a re-arm allocates nothing.
+func TestTimerRearmAllocs(t *testing.T) {
+	r := newPBFTRig(t, 4, 0)
+	r.net.Start()
+	e := r.engines[1]
+	e.ctx = &idleCtx{e.ctx}
+	for _, timer := range []struct {
+		name string
+		arm  func()
+	}{{"repropose", e.armRepropose}, {"suspicion", e.armSuspicion}} {
+		if a := testing.AllocsPerRun(100, timer.arm); a != 0 {
+			t.Errorf("re-arming the %s timer allocates %.1f, want 0", timer.name, a)
+		}
+	}
+}
+
+// idleCtx wraps a node's context with timers that never fire, so a test
+// counts a re-arm's own allocations, not the runtime's.
+type idleCtx struct{ env.Context }
+
+func (*idleCtx) After(time.Duration, func()) env.Timer { return nil }

@@ -165,6 +165,8 @@ type Client struct {
 	seq  uint64
 	next int // round-robin cursor
 	frac float64
+	// onTick is tick bound once, the ticker's callback.
+	onTick func()
 
 	pending map[uint64]*pendingTx
 	replies replySlab
@@ -281,11 +283,12 @@ func (c *Client) Resubmits() (onEvidence, onTimer uint64) { return c.onEvidence,
 // Start implements env.Handler.
 func (c *Client) Start(ctx env.Context) {
 	c.ctx = ctx
+	c.onTick = c.tick
 	delay := c.cfg.GenStart.Sub(ctx.Now())
 	if delay < 0 {
 		delay = 0
 	}
-	ctx.After(delay, c.tick)
+	ctx.After(delay, c.onTick)
 }
 
 // tick generates the current interval's transactions and re-arms. When
@@ -306,7 +309,7 @@ func (c *Client) tick() {
 		c.resubmitOverdue(now)
 	}
 	if generating || (c.cfg.ResubmitAfter > 0 && len(c.pending) > 0) {
-		c.ctx.After(c.cfg.Tick, c.tick)
+		c.ctx.After(c.cfg.Tick, c.onTick)
 	}
 }
 

@@ -449,3 +449,20 @@ func TestSubmitAllocatesOncePerTransaction(t *testing.T) {
 		t.Fatalf("%d resends in 21 rounds, want %d", got, 21*pending)
 	}
 }
+
+// TestTickRearmAllocs: the generation ticker re-arms with a callback bound
+// once, so a tick that generates nothing allocates nothing.
+func TestTickRearmAllocs(t *testing.T) {
+	ctx := &sinkCtx{now: simnet.Epoch}
+	cl := NewClient(ClientConfig{
+		Self: 100, Targets: []wire.NodeID{0, 1, 2, 3}, TxSize: 512, F: 1, Epoch: simnet.Epoch,
+		GenStop: simnet.Epoch.Add(time.Hour),
+	})
+	cl.Start(ctx)
+	if a := testing.AllocsPerRun(100, cl.tick); a != 0 {
+		t.Errorf("an idle tick allocates %.1f, want 0", a)
+	}
+	if cl.Submitted() != 0 {
+		t.Fatalf("an idle client submitted %d transactions", cl.Submitted())
+	}
+}
