@@ -39,8 +39,9 @@ type Application interface {
 	// BuildProposal asks the application for the payload of the block at
 	// the given height extending parent (nil for the first block). It
 	// returns the payload, its digest (the value replicas sign), and
-	// ok=false when there is nothing to propose yet; the engine will
-	// retry after Poke or on its re-proposal timer.
+	// ok=false when there is nothing to propose yet. Engines do not poll:
+	// an application that returned ok=false must Poke the engine once it
+	// could build.
 	BuildProposal(height uint64, parent wire.Message) (payload wire.Message, digest crypto.Hash, ok bool)
 
 	// ValidateProposal checks a payload proposed by the leader for the

@@ -32,10 +32,6 @@ type Config struct {
 	Trace *obs.Tracer
 }
 
-// reproposeInterval is how often an idle leader re-asks the app for a
-// proposal.
-const reproposeInterval = 10 * time.Millisecond
-
 func (c *Config) withDefaults() Config {
 	out := *c
 	if out.ViewTimeout <= 0 {
@@ -99,15 +95,12 @@ type Engine struct {
 	// so one attack counts (and broadcasts) once.
 	evidenced map[uint64]bool
 
-	pacemaker env.Timer
-	repropose env.Timer
-	backoff   int
-	// reproposeTick is the repropose timer's callback, bound once.
-	// pacemakerFire is the pacemaker's for pacemakerView: every timer
-	// armed in one view shares it, and a new view binds a new one.
-	reproposeTick func()
+	// pacemaker is the one liveness timer, the view timer; pacemakerFire
+	// is its callback, bound once. At most one is pending: armPacemaker
+	// stops a live one, and a view change restarts it.
+	pacemaker     env.Timer
 	pacemakerFire func()
-	pacemakerView uint64
+	backoff       int
 
 	peers []wire.NodeID
 
@@ -187,8 +180,7 @@ func (e *Engine) isLeader() bool { return e.Leader() == e.cfg.Self }
 // Start implements env.Handler.
 func (e *Engine) Start(ctx env.Context) {
 	e.ctx = ctx
-	e.reproposeTick = e.onRepropose
-	e.armRepropose()
+	e.pacemakerFire = e.onPacemaker
 	e.tryPropose()
 }
 
@@ -205,45 +197,25 @@ func (e *Engine) Poke() {
 	}
 }
 
-//predis:hotpath
-func (e *Engine) armRepropose() {
-	e.repropose = e.ctx.After(reproposeInterval, e.reproposeTick)
-}
-
-// onRepropose is the repropose timer: an idle leader re-asks the app.
-func (e *Engine) onRepropose() {
-	e.tryPropose()
-	e.armRepropose()
-}
-
-// armPacemaker arms the view timer. A timer checks the view it was armed
-// in, and one armed earlier can outlive its handle (a commit re-arms
-// without stopping), so the callback carries its view: re-arming within a
-// view reuses the view's callback.
+// armPacemaker (re)arms the view timer for the current backoff; a live
+// one is stopped first, so the handle is the only timer pending.
 //
 //predis:hotpath
 func (e *Engine) armPacemaker() {
-	if e.pacemakerFire == nil || e.pacemakerView != e.curView {
-		view := e.curView
-		e.pacemakerView = view
-		e.pacemakerFire = func() { e.onPacemaker(view) } //predis:allocok once per view
-	}
+	e.resetPacemaker()
 	e.pacemaker = e.ctx.After(e.cfg.ViewTimeout<<uint(e.backoff), e.pacemakerFire)
 }
 
-// onPacemaker is a view timer armed in view: no progress since, with work
-// pending, times the view out.
+// onPacemaker is the view timer: no progress in this view, with work
+// pending, times it out. A timer pending at a view change is restarted,
+// so the one that fires belongs to the current view.
 //
 //predis:coldpath
-func (e *Engine) onPacemaker(view uint64) {
+func (e *Engine) onPacemaker() {
 	e.pacemaker = nil
-	if e.curView != view {
-		return // progress happened; a fresh timer was armed
+	if e.hasWork() {
+		e.onTimeout()
 	}
-	if !e.cfg.App.HasPendingWork() && len(e.commitQueue) == 0 {
-		return
-	}
-	e.onTimeout()
 }
 
 func (e *Engine) resetPacemaker() {
@@ -251,6 +223,21 @@ func (e *Engine) resetPacemaker() {
 		e.pacemaker.Stop()
 		e.pacemaker = nil
 	}
+}
+
+// restartPacemaker starts the view timer afresh while work is pending and
+// stops it otherwise: a new view or a commit is progress.
+func (e *Engine) restartPacemaker() {
+	e.resetPacemaker()
+	if e.hasWork() {
+		e.armPacemaker()
+	}
+}
+
+// hasWork reports whether the application or the commit queue still
+// waits on consensus.
+func (e *Engine) hasWork() bool {
+	return e.cfg.App.HasPendingWork() || len(e.commitQueue) > 0
 }
 
 // onTimeout advances the view and tells the new leader.
@@ -275,10 +262,7 @@ func (e *Engine) advanceView(view uint64) {
 		return
 	}
 	e.curView = view
-	e.resetPacemaker()
-	if e.cfg.App.HasPendingWork() || len(e.commitQueue) > 0 {
-		e.armPacemaker()
-	}
+	e.restartPacemaker()
 }
 
 // tryPropose proposes in the current view when this replica leads it and
@@ -484,25 +468,18 @@ func (e *Engine) votePending() {
 	e.voteScratch = snap[:0]
 }
 
-// OnRestart implements env.Restartable: a crash suppressed the repropose
-// and pacemaker timer chains (they re-arm inside their own callbacks), so
-// re-arm them. The restarted replica stays consensus-passive until its
-// application fast-forwards it or the chain reaches it again; full
-// HotStuff restart recovery would additionally need block-tree sync and
-// is out of scope (see EXPERIMENTS.md).
+// OnRestart implements env.Restartable: a crash suppressed the pending
+// pacemaker, so restart it with its backoff cleared, and Poke. The
+// restarted replica stays consensus-passive until its application
+// fast-forwards it or the chain reaches it again; full HotStuff restart
+// recovery would additionally need block-tree sync and is out of scope
+// (see EXPERIMENTS.md).
 func (e *Engine) OnRestart() {
 	if e.ctx == nil {
 		return
 	}
-	if e.repropose != nil {
-		e.repropose.Stop()
-	}
-	e.armRepropose()
-	e.resetPacemaker()
 	e.backoff = 0
-	if e.cfg.App.HasPendingWork() || len(e.commitQueue) > 0 {
-		e.armPacemaker()
-	}
+	e.restartPacemaker()
 	e.Poke()
 }
 
@@ -768,13 +745,10 @@ func (e *Engine) tryExecute() {
 		e.execHead = ent.hash
 		e.execHeight = ent.block.Height
 		e.committed++
-		e.resetPacemaker()
 		e.cfg.Trace.End(obs.StagePrepareCommit, obs.BlockKey(ent.block.Height), e.cfg.Self, e.ctx.Now())
 		e.cfg.App.OnCommit(ent.block.Height, ent.block.Payload)
 		e.pruneBelow(ent.block.Height)
-		if e.cfg.App.HasPendingWork() || len(e.commitQueue) > 0 {
-			e.armPacemaker()
-		}
+		e.restartPacemaker()
 	}
 }
 

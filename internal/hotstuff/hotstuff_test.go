@@ -27,6 +27,9 @@ type chainApp struct {
 	pendOnce map[uint64]bool
 	// hold, when set, keeps validation of the heights it accepts pending.
 	hold func(height uint64) bool
+	// engine, when set, is poked on every commit, as Predis pokes its
+	// engine when a commit frees work.
+	engine *Engine
 }
 
 type payloadMsg struct {
@@ -91,6 +94,9 @@ func (a *chainApp) ValidateProposal(height uint64, payload, parent wire.Message)
 
 func (a *chainApp) OnCommit(height uint64, payload wire.Message) {
 	a.commits = append(a.commits, height)
+	if a.engine != nil {
+		a.engine.Poke()
+	}
 }
 
 func (a *chainApp) HasPendingWork() bool { return a.wantWork && len(a.commits) < int(a.max) }
@@ -117,6 +123,7 @@ func newHSRig(t *testing.T, n int, maxBlocks uint64) *rig {
 		if err != nil {
 			t.Fatal(err)
 		}
+		app.engine = e
 		r.apps = append(r.apps, app)
 		r.engines = append(r.engines, e)
 		net.AddNode(wire.NodeID(i), e)
@@ -628,22 +635,15 @@ func TestHotStuffEquivocatingLeaderDetectedAndOutrun(t *testing.T) {
 	}
 }
 
-// TestTimerRearmAllocs: the repropose timer re-arms with a callback bound
-// once, and the pacemaker with its view's, so re-arming within a view
-// allocates nothing.
+// TestTimerRearmAllocs: the pacemaker re-arms with a callback bound once,
+// so a re-arm allocates nothing.
 func TestTimerRearmAllocs(t *testing.T) {
 	r := newHSRig(t, 4, 0)
 	r.net.Start()
 	e := r.engines[1]
 	e.ctx = &idleCtx{e.ctx}
-	e.armPacemaker() // binds the view's callback
-	for _, timer := range []struct {
-		name string
-		arm  func()
-	}{{"repropose", e.armRepropose}, {"pacemaker", e.armPacemaker}} {
-		if a := testing.AllocsPerRun(100, timer.arm); a != 0 {
-			t.Errorf("re-arming the %s timer allocates %.1f, want 0", timer.name, a)
-		}
+	if a := testing.AllocsPerRun(100, e.armPacemaker); a != 0 {
+		t.Errorf("re-arming the pacemaker allocates %.1f, want 0", a)
 	}
 }
 
@@ -652,3 +652,93 @@ func TestTimerRearmAllocs(t *testing.T) {
 type idleCtx struct{ env.Context }
 
 func (*idleCtx) After(time.Duration, func()) env.Timer { return nil }
+
+// TestIdleGroupGoesQuiet: once the applications have nothing left to
+// propose and report no pending work, the replicas schedule nothing more —
+// a proposal waits for a Poke, a vote or a QC — so the event queue drains.
+func TestIdleGroupGoesQuiet(t *testing.T) {
+	r := newHSRig(t, 4, 20)
+	r.net.Start()
+	r.net.Run(10 * time.Second)
+	for i, a := range r.apps {
+		if a.produced != a.max || len(a.commits) == 0 {
+			t.Fatalf("replica %d produced %d of %d blocks and committed %d", i, a.produced, a.max, len(a.commits))
+		}
+	}
+	const bound = 10000
+	n := r.net.RunUntilIdle(bound)
+	if n >= bound {
+		t.Fatalf("an idle group ran %d more events without draining", n)
+	}
+	t.Logf("drained in %d events", n)
+}
+
+// TestOnePacemakerPending: a commit pokes the engine from inside OnCommit,
+// as Predis does, and the poke and the commit both start the view timer;
+// the second must replace the first, so at most one pacemaker is pending
+// per replica.
+func TestOnePacemakerPending(t *testing.T) {
+	r := newHSRig(t, 4, 20)
+	for _, a := range r.apps {
+		a.wantWork = true
+	}
+	r.net.Start()
+	counters := make([]*liveTimers, len(r.engines))
+	for i, e := range r.engines {
+		counters[i] = &liveTimers{Context: e.ctx, min: e.cfg.ViewTimeout}
+		e.ctx = counters[i]
+	}
+	r.net.Run(10 * time.Second)
+	for i, c := range counters {
+		if len(r.apps[i].commits) == 0 {
+			t.Fatalf("replica %d committed nothing", i)
+		}
+		if c.max > 1 {
+			t.Errorf("replica %d had %d pacemaker timers pending at once, want at most 1", i, c.max)
+		}
+		t.Logf("replica %d: %d commits, at most %d pacemaker pending", i, len(r.apps[i].commits), c.max)
+	}
+}
+
+// liveTimers wraps a node's context and counts its pending timers of at
+// least min: a fired or stopped timer leaves the count.
+type liveTimers struct {
+	env.Context
+	min       time.Duration
+	live, max int
+}
+
+func (c *liveTimers) After(d time.Duration, fn func()) env.Timer {
+	if d < c.min {
+		return c.Context.After(d, fn)
+	}
+	c.live++
+	c.max = max(c.max, c.live)
+	lt := &liveTimer{c: c}
+	lt.t = c.Context.After(d, func() {
+		lt.leave()
+		fn()
+	})
+	return lt
+}
+
+type liveTimer struct {
+	c    *liveTimers
+	t    env.Timer
+	gone bool
+}
+
+func (t *liveTimer) leave() {
+	if !t.gone {
+		t.gone = true
+		t.c.live--
+	}
+}
+
+func (t *liveTimer) Stop() bool {
+	if !t.t.Stop() {
+		return false
+	}
+	t.leave()
+	return true
+}

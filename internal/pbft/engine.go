@@ -42,10 +42,6 @@ type Config struct {
 	Trace *obs.Tracer
 }
 
-// reproposeInterval is how often an idle leader re-asks the app for a
-// proposal.
-const reproposeInterval = 10 * time.Millisecond
-
 func (c *Config) withDefaults() Config {
 	out := *c
 	if out.ViewTimeout <= 0 {
@@ -126,12 +122,10 @@ type Engine struct {
 	viewChanges  map[uint64]map[wire.NodeID]*ViewChange
 	vcBackoff    int
 
+	// suspicion is the one liveness timer: leader suspicion outside a view
+	// change, escalation inside one. suspect is its callback, bound once.
 	suspicion env.Timer
-	repropose env.Timer
-	// reproposeTick and suspect are the repropose and leader-suspicion
-	// timer callbacks, bound once.
-	reproposeTick func()
-	suspect       func()
+	suspect   func()
 
 	// Pace of a pipelined leader (see paceOpen): the smoothed
 	// propose→execute latency of its own slots in this view (0 = no
@@ -227,9 +221,7 @@ func (e *Engine) isLeader() bool { return e.Leader() == e.cfg.Self }
 func (e *Engine) Start(ctx env.Context) {
 	e.ctx = ctx
 	e.propose = e.tryPropose
-	e.reproposeTick = e.onRepropose
 	e.suspect = e.onSuspicion
-	e.armRepropose()
 	e.tryPropose()
 }
 
@@ -258,31 +250,31 @@ func (e *Engine) Poke() {
 	}
 }
 
-//predis:hotpath
-func (e *Engine) armRepropose() {
-	e.repropose = e.ctx.After(reproposeInterval, e.reproposeTick)
-}
-
-// onRepropose is the repropose timer: an idle leader re-asks the app.
-func (e *Engine) onRepropose() {
-	e.tryPropose()
-	e.armRepropose()
-}
-
+// armSuspicion (re)arms the liveness timer for the current backoff; a
+// live one is stopped first, so the handle is the only timer pending.
+//
 //predis:hotpath
 func (e *Engine) armSuspicion() {
+	if e.suspicion != nil {
+		e.suspicion.Stop()
+	}
 	e.suspicion = e.ctx.After(e.cfg.ViewTimeout<<uint(e.vcBackoff), e.suspect)
 }
 
-// onSuspicion is the leader-suspicion timer: no progress with work
-// pending starts a view change.
+// onSuspicion is the liveness timer. Outside a view change it suspects
+// the leader: no progress with work pending starts a view change. Inside
+// one, the next leader never assembled the new view, so it escalates.
 func (e *Engine) onSuspicion() {
 	e.suspicion = nil
-	if e.cfg.App.HasPendingWork() || len(e.window) > 0 {
+	if e.inViewChange {
+		e.startViewChange(e.proposedView + 1)
+	} else if e.cfg.App.HasPendingWork() || len(e.window) > 0 {
 		e.startViewChange(e.view + 1)
 	}
 }
 
+// resetSuspicion stops the liveness timer and clears its backoff:
+// progress was made.
 func (e *Engine) resetSuspicion() {
 	if e.suspicion != nil {
 		e.suspicion.Stop()
@@ -734,7 +726,6 @@ func (e *Engine) startViewChange(newView uint64) {
 	e.inViewChange = true
 	e.proposedView = newView
 	e.vcBackoff++
-	e.resetTimersForViewChange()
 
 	vc := &ViewChange{NewViewNum: newView, LastExec: e.lastExec, Replica: e.cfg.Self}
 	for _, inst := range e.window {
@@ -747,19 +738,7 @@ func (e *Engine) startViewChange(newView uint64) {
 	vc.Sig = e.cfg.Signer.Sign(vc.signDigest())
 	env.Multicast(e.ctx, e.peers, vc)
 	e.storeViewChange(vc)
-	// If the next leader never assembles the new view, escalate.
-	timeout := e.cfg.ViewTimeout << uint(e.vcBackoff)
-	e.suspicion = e.ctx.After(timeout, func() {
-		e.suspicion = nil
-		e.startViewChange(e.proposedView + 1)
-	})
-}
-
-func (e *Engine) resetTimersForViewChange() {
-	if e.suspicion != nil {
-		e.suspicion.Stop()
-		e.suspicion = nil
-	}
+	e.armSuspicion() // escalates if the next leader never assembles the new view
 }
 
 func (e *Engine) storeViewChange(vc *ViewChange) {
@@ -855,24 +834,16 @@ func (e *Engine) FastForward(height uint64, payload wire.Message) {
 }
 
 // OnRestart implements env.Restartable. A crashed replica loses every
-// pending timer (the repropose chain re-arms inside its own callback, so
-// a crash kills it permanently) and may have missed view changes. Re-arm
-// the timer chain, drop half-finished view-change state, and broadcast a
-// StatusRequest to resynchronize the view.
+// pending timer and may have missed view changes. Drop the liveness timer
+// and half-finished view-change state, broadcast a StatusRequest to
+// resynchronize the view, and Poke, which re-arms suspicion if work is
+// pending.
 func (e *Engine) OnRestart() {
 	if e.ctx == nil {
 		return
 	}
 	e.restarts++
-	if e.repropose != nil {
-		e.repropose.Stop()
-	}
-	e.armRepropose()
-	if e.suspicion != nil {
-		e.suspicion.Stop()
-		e.suspicion = nil
-	}
-	e.vcBackoff = 0
+	e.resetSuspicion()
 	e.inViewChange = false
 	e.proposedView = e.view
 	e.statusViews = make(map[wire.NodeID]uint64)
@@ -922,9 +893,8 @@ func (e *Engine) adoptView(newView uint64) {
 	e.inViewChange = false
 	e.proposedView = newView
 	e.viewChanged++
-	e.resetTimersForViewChange()
+	e.resetSuspicion()
 	e.paceLat = 0 // the old view's latency must not delay the new leader
-	e.vcBackoff = 0
 	// Committed instances survive view changes; the rest drop their stale
 	// vote state and the new leader re-proposes.
 	kept := e.window[:0]

@@ -669,20 +669,15 @@ func TestSlotAllocs(t *testing.T) {
 	}
 }
 
-// TestTimerRearmAllocs: the repropose and leader-suspicion timers re-arm
-// with callbacks bound once, so a re-arm allocates nothing.
+// TestTimerRearmAllocs: the suspicion timer re-arms with a callback bound
+// once, so a re-arm allocates nothing.
 func TestTimerRearmAllocs(t *testing.T) {
 	r := newPBFTRig(t, 4, 0)
 	r.net.Start()
 	e := r.engines[1]
 	e.ctx = &idleCtx{e.ctx}
-	for _, timer := range []struct {
-		name string
-		arm  func()
-	}{{"repropose", e.armRepropose}, {"suspicion", e.armSuspicion}} {
-		if a := testing.AllocsPerRun(100, timer.arm); a != 0 {
-			t.Errorf("re-arming the %s timer allocates %.1f, want 0", timer.name, a)
-		}
+	if a := testing.AllocsPerRun(100, e.armSuspicion); a != 0 {
+		t.Errorf("re-arming the suspicion timer allocates %.1f, want 0", a)
 	}
 }
 
@@ -691,3 +686,49 @@ func TestTimerRearmAllocs(t *testing.T) {
 type idleCtx struct{ env.Context }
 
 func (*idleCtx) After(time.Duration, func()) env.Timer { return nil }
+
+// TestIdleGroupGoesQuiet: once the application's work is committed, the
+// replicas schedule nothing more — a proposal waits for a Poke, a commit
+// or a protocol message — so the event queue drains.
+func TestIdleGroupGoesQuiet(t *testing.T) {
+	r := newPBFTRig(t, 4, 5)
+	r.net.Start()
+	r.net.Run(3 * time.Second)
+	for i, app := range r.apps {
+		if len(app.commits) != 5 {
+			t.Fatalf("node %d committed %d blocks, want 5", i, len(app.commits))
+		}
+	}
+	const bound = 10000
+	n := r.net.RunUntilIdle(bound)
+	if n >= bound {
+		t.Fatalf("an idle group ran %d more events without draining", n)
+	}
+	t.Logf("drained in %d events", n)
+}
+
+// TestViewChangeEscalatesPastSilentLeader: with the leaders of views 0 and
+// 1 both crashed, the view change to 1 never completes, so the suspicion
+// timer escalates to view 2, whose live leader takes over.
+func TestViewChangeEscalatesPastSilentLeader(t *testing.T) {
+	r := newPBFTRig(t, 7, 5)
+	r.net.Crash(0)
+	r.net.Crash(1)
+	for i := 2; i < 7; i++ {
+		r.apps[i].wantWork = true
+	}
+	r.net.Start()
+	for i := 2; i < 7; i++ {
+		r.engines[i].Poke()
+	}
+	r.net.Run(10 * time.Second)
+	for i := 2; i < 7; i++ {
+		if v := r.engines[i].View(); v < 2 {
+			t.Fatalf("node %d is in view %d, want at least 2", i, v)
+		}
+		if len(r.apps[i].commits) == 0 {
+			t.Fatalf("node %d made no progress past two silent leaders", i)
+		}
+		t.Logf("node %d: view %d, %d commits", i, r.engines[i].View(), len(r.apps[i].commits))
+	}
+}
