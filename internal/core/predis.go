@@ -15,24 +15,18 @@ import (
 )
 
 // Options configures a Predis instance (the active component wrapping a
-// Mempool).
+// Mempool). The consensus nodes are 0..NC−1.
 type Options struct {
 	// Params are the data-structure parameters.
 	Params Params
 	// Self is this consensus node's ID (= chain index).
 	Self wire.NodeID
-	// Peers lists all consensus node IDs, including Self.
-	Peers []wire.NodeID
-	// OnCommit, when non-nil, receives every committed block in order.
-	OnCommit func(CommitInfo)
-	// StripeRoot, when non-nil, computes the stripe Merkle root of a
-	// bundle body so it can be committed in the header before signing
-	// (Multi-Zone: full nodes verify stripes against it).
-	StripeRoot func(txs []*types.Transaction) crypto.Hash
-	// OnBundleStored, when non-nil, fires for every bundle that links
-	// into the mempool (own and peer bundles alike); Multi-Zone ships
-	// stripes to full nodes from here.
-	OnBundleStored func(b *Bundle)
+	// OnCommit, when non-nil, receives every committed block's height and
+	// transactions in order.
+	OnCommit func(height uint64, txs []*types.Transaction)
+	// Dist, when non-nil, serves full nodes from this consensus node
+	// (Multi-Zone); nil leaves stripe roots zero.
+	Dist Distribution
 	// Stream enables streaming commit mode (StreamChain-style): every
 	// submitted transaction seals into a bundle immediately instead of
 	// waiting for the BundleInterval tick, and proposals cut chains at
@@ -49,11 +43,16 @@ type Options struct {
 	Trace *obs.Tracer
 }
 
-// CommitInfo describes one committed Predis block.
-type CommitInfo struct {
-	Height uint64
-	Block  *PredisBlock
-	Txs    []*types.Transaction
+// Distribution is the one seam between Predis and full-node distribution
+// (Multi-Zone, §IV-D). StripeRoot computes the stripe Merkle root an own
+// bundle's header commits to before signing; OnBundleStored receives the
+// bundles that link into the mempool (own always, peers' only while no
+// catch-up runs); OnBlockCommit receives every committed block, just before
+// Options.OnCommit.
+type Distribution interface {
+	StripeRoot(txs []*types.Transaction) crypto.Hash
+	OnBundleStored(b *Bundle)
+	OnBlockCommit(blk *PredisBlock)
 }
 
 // Predis is the per-node data production component (§III). It owns the
@@ -66,6 +65,8 @@ type Predis struct {
 	opts Options
 	ctx  env.Context
 	mp   *Mempool
+	// peers are the consensus nodes, 0..NC−1.
+	peers []wire.NodeID
 
 	queue []*types.Transaction
 	// queueTimes parallels queue with each transaction's enqueue time, so
@@ -116,21 +117,22 @@ func NewPredis(opts Options) (*Predis, error) {
 	if err := opts.Params.Validate(); err != nil {
 		return nil, err
 	}
-	if len(opts.Peers) != opts.Params.NC {
-		return nil, fmt.Errorf("core: %d peers for NC=%d", len(opts.Peers), opts.Params.NC)
-	}
 	mp, err := NewMempool(opts.Params)
 	if err != nil {
 		return nil, err
 	}
-	if opts.OnBundleStored != nil {
-		mp.SetOnLink(opts.OnBundleStored)
-	}
 	p := &Predis{
 		opts:   opts,
 		mp:     mp,
+		peers:  make([]wire.NodeID, opts.Params.NC),
 		quorum: opts.Params.NC - opts.Params.F,
 		retry:  env.DefaultBackoff(2 * opts.Params.BundleInterval),
+	}
+	for i := range p.peers {
+		p.peers[i] = wire.NodeID(i)
+	}
+	if opts.Dist != nil {
+		mp.SetOnLink(p.distribute)
 	}
 	if opts.Stream {
 		p.quorum = 1
@@ -284,8 +286,8 @@ func (p *Predis) produceBundle() {
 	parent := p.mp.TipHeader(p.opts.Self)
 	tips[p.opts.Self]++ // the producer holds the bundle it is creating
 	stripeRoot := crypto.ZeroHash
-	if p.opts.StripeRoot != nil {
-		stripeRoot = p.opts.StripeRoot(txs)
+	if p.opts.Dist != nil {
+		stripeRoot = p.opts.Dist.StripeRoot(txs)
 	}
 	s := new(sealedBundle)
 	b := &s.b
@@ -307,7 +309,7 @@ func (p *Predis) produceBundle() {
 		p.sealWait += now.Sub(firstQueued)
 	}
 	p.lastAdvertised = b.Header.Tips // private to the sealed header, which is immutable
-	env.Multicast(p.ctx, p.opts.Peers, &s.msg)
+	env.Multicast(p.ctx, p.peers, &s.msg)
 	p.poke()
 }
 
@@ -316,6 +318,18 @@ func (p *Predis) produceBundle() {
 type sealedBundle struct {
 	b   Bundle
 	msg BundleMsg
+}
+
+// distribute is the mempool's link hook under a Distribution. A node
+// catching up after a restart stores the bundles it missed, which the zones
+// already hold; striping them would queue its fresh stripes behind the
+// stale ones. Until it is live its index is silent for its peers' bundles,
+// and full nodes cover it with a spare; its own bundles are fresh, and only
+// it stripes them at its index.
+func (p *Predis) distribute(b *Bundle) {
+	if b.Header.Producer == p.opts.Self || !p.CatchingUp() {
+		p.opts.Dist.OnBundleStored(b)
+	}
 }
 
 func tipsEqual(a, b TipList) bool {
@@ -366,7 +380,7 @@ func (p *Predis) onBundle(from wire.NodeID, b *Bundle) bool {
 		}
 	case res == Conflicting:
 		// Spread the evidence so every honest node bans the producer.
-		env.Multicast(p.ctx, p.opts.Peers, ev)
+		env.Multicast(p.ctx, p.peers, ev)
 	case res == Buffered:
 		p.need(miss)
 	case res == Added:
@@ -391,7 +405,7 @@ func (p *Predis) onEvidence(from wire.NodeID, ev *ConflictEvidence) {
 		return
 	}
 	p.mp.Ban(producer, ev)
-	env.Multicast(p.ctx, p.opts.Peers, ev)
+	env.Multicast(p.ctx, p.peers, ev)
 }
 
 // need states a missing range to the fetch plane (nil: nothing missing).
@@ -538,7 +552,10 @@ func (p *Predis) commitBlock(blk *PredisBlock) {
 	}
 	txs := BlockTxs(bundles)
 	p.txsCommitted += uint64(len(txs))
+	if p.opts.Dist != nil {
+		p.opts.Dist.OnBlockCommit(blk)
+	}
 	if p.opts.OnCommit != nil {
-		p.opts.OnCommit(CommitInfo{Height: blk.Height, Block: blk, Txs: txs})
+		p.opts.OnCommit(blk.Height, txs)
 	}
 }

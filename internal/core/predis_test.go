@@ -37,10 +37,6 @@ func newPredisNetWith(t *testing.T, nc, f int, adjust func(i int, o *Options)) *
 		Latency: simnet.UniformLatency(5 * time.Millisecond), Seed: 3,
 	})
 	suite := crypto.NewSimSuite(nc, 23)
-	ids := make([]wire.NodeID, nc)
-	for i := range ids {
-		ids[i] = wire.NodeID(i)
-	}
 	pn := &predisNet{net: net}
 	for i := 0; i < nc; i++ {
 		opts := Options{
@@ -49,8 +45,7 @@ func newPredisNetWith(t *testing.T, nc, f int, adjust func(i int, o *Options)) *
 				BundleInterval: 10 * time.Millisecond,
 				Signer:         suite.Signer(i),
 			},
-			Self:  wire.NodeID(i),
-			Peers: ids,
+			Self: wire.NodeID(i),
 		}
 		adjust(i, &opts)
 		p, err := NewPredis(opts)
@@ -276,7 +271,6 @@ func TestCommitRefusesGap(t *testing.T) {
 	suite := crypto.NewSimSuite(4, 23)
 	p, err := NewPredis(Options{
 		Params: Params{NC: 4, F: 1, BundleSize: 10, BundleInterval: 10 * time.Millisecond, Signer: suite.Signer(0)},
-		Peers:  []wire.NodeID{0, 1, 2, 3},
 	})
 	if err != nil {
 		t.Fatal(err)

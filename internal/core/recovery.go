@@ -18,7 +18,7 @@ var _ env.Restartable = (*Predis)(nil)
 // nodes in ascending order, f+1 vouchers.
 func (p *Predis) catchupOwner() CatchupOwner {
 	return CatchupOwner{
-		Peers:  CatchupPeers(p.opts.Self, nil, p.opts.Peers),
+		Peers:  CatchupPeers(p.opts.Self, nil, p.peers),
 		K:      p.mp.params.F + 1,
 		Apply:  func(wire.NodeID, []*PredisBlock) { p.advanceCatchup() },
 		Anchor: p.adoptAnchor,

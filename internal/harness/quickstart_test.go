@@ -13,7 +13,7 @@ import (
 // TestQuickstartAllStagesFire runs the quickstart deployment in both
 // commit modes and asserts every pipeline stage recorded at least one span
 // — the property the trace row of `make smoke` also checks from the CLI
-// side.
+// side — and that the stage table's percentiles are ordered on every row.
 func TestQuickstartAllStagesFire(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -34,6 +34,16 @@ func TestQuickstartAllStagesFire(t *testing.T) {
 			for _, stage := range obs.Stages() {
 				if s := sink.Trace.StageSummary(stage); s.Count == 0 {
 					t.Errorf("stage %s recorded no spans", stage)
+				}
+			}
+			cols := map[string][]stats.Point{}
+			for _, s := range tables[1].Series {
+				cols[s.Name] = s.Points
+			}
+			for i, stage := range obs.Stages() {
+				p50, p90, p99 := cols["p50_ms"][i].Y, cols["p90_ms"][i].Y, cols["p99_ms"][i].Y
+				if p50 > p90 || p90 > p99 {
+					t.Errorf("stage %s: p50 %.2f, p90 %.2f, p99 %.2f ms; want p50 ≤ p90 ≤ p99", stage, p50, p90, p99)
 				}
 			}
 			// The exported Chrome trace parses and carries every stage name.

@@ -1,8 +1,10 @@
 package microblock
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"predis/internal/consensus"
@@ -144,15 +146,24 @@ func (a *App) Start(ctx env.Context) {
 	a.armTick()
 }
 
-// OnRestart implements env.Restartable: a crash suppressed the production
-// tick, and nothing else re-arms it, so a queue shorter than MBSize would
-// never seal again.
+// OnRestart implements env.Restartable: re-arm the production tick, which
+// the crash suppressed, and re-send, in Seq order, each own microblock
+// whose acks the crash dropped (a Narwhal producer waits on its
+// certificate).
 func (a *App) OnRestart() {
 	if a.ctx == nil {
 		return
 	}
 	a.tick.Stop()
 	a.armTick()
+	uncertified := make([]*Microblock, 0, len(a.ackSets))
+	for digest := range a.ackSets {
+		uncertified = append(uncertified, a.store[digest])
+	}
+	slices.SortFunc(uncertified, func(x, y *Microblock) int { return cmp.Compare(x.Seq, y.Seq) })
+	for _, mb := range uncertified {
+		env.Multicast(a.ctx, a.peers, mb)
+	}
 }
 
 func (a *App) armTick() {
@@ -210,7 +221,7 @@ func (a *App) tryProduce() {
 func (a *App) Receive(from wire.NodeID, m wire.Message) {
 	switch msg := m.(type) {
 	case *Microblock:
-		a.onMicroblock(from, msg)
+		a.onMicroblock(msg, from == msg.Producer)
 	case *Ack:
 		a.onAck(from, msg)
 	case *CertMsg:
@@ -219,14 +230,17 @@ func (a *App) Receive(from wire.NodeID, m wire.Message) {
 		a.onRequest(from, msg)
 	case *MBResponse:
 		for _, mb := range msg.Microblocks {
-			a.onMicroblock(from, mb)
+			a.onMicroblock(mb, false)
 		}
 	default:
 		a.ctx.Logf("microblock: unexpected %s from %d", wire.TypeName(m.Type()), from)
 	}
 }
 
-func (a *App) onMicroblock(from wire.NodeID, mb *Microblock) {
+// onMicroblock stores a microblock and acknowledges it to its producer.
+// direct: it came straight from its producer, which re-sends only after a
+// restart lost the acks, so a stored one is acknowledged again.
+func (a *App) onMicroblock(mb *Microblock, direct bool) {
 	if int(mb.Producer) >= a.opts.NC {
 		return
 	}
@@ -235,19 +249,26 @@ func (a *App) onMicroblock(from wire.NodeID, mb *Microblock) {
 		a.learnCert(mb.PrevCert, true)
 	}
 	if _, ok := a.store[digest]; ok {
+		if direct {
+			a.ack(mb.Producer, digest)
+		}
 		return
 	}
 	if !a.opts.Signer.Verify(int(mb.Producer), digest, mb.Sig) {
 		return
 	}
 	a.store[digest] = mb
-	// Acknowledge to the producer.
-	if mb.Producer != a.opts.Self {
+	a.ack(mb.Producer, digest)
+	a.poke() // a pending proposal may now validate
+}
+
+// ack acknowledges a stored microblock to its producer.
+func (a *App) ack(producer wire.NodeID, digest crypto.Hash) {
+	if producer != a.opts.Self {
 		ack := &Ack{Digest: digest, Replica: a.opts.Self}
 		ack.Sig = a.opts.Signer.Sign(ackDigest(digest))
-		a.ctx.Send(mb.Producer, ack)
+		a.ctx.Send(producer, ack)
 	}
-	a.poke() // a pending proposal may now validate
 }
 
 func (a *App) onAck(from wire.NodeID, m *Ack) {

@@ -37,8 +37,8 @@ type Distributor struct {
 	// the spans on arrival/completion). Nil disables tracing at zero cost.
 	trace *obs.Tracer
 
-	// cacheSet avoids encoding the same bundle twice (StripeRoot hook +
-	// dissemination). The header commits to the set's root, so the root is
+	// cacheSet avoids encoding the same bundle twice (StripeRoot +
+	// OnBundleStored). The header commits to the set's root, so the root is
 	// the cache key.
 	cacheSet *StripeSet
 
@@ -100,8 +100,8 @@ func (d *Distributor) SpecStats() (specs, discards uint64) { return 0, 0 }
 // distributor (zero on benign runs).
 func (d *Distributor) Unexpected() uint64 { return d.unexpected }
 
-// StripeRoot implements core.Options.StripeRoot: encode the body, cache
-// the shard set, and return the stripe Merkle root for the header.
+// StripeRoot implements core.Distribution: encode the body, cache the
+// shard set, and return the stripe Merkle root for the header.
 func (d *Distributor) StripeRoot(txs []*types.Transaction) crypto.Hash {
 	set, err := d.striper.Encode(txs)
 	if err != nil {
@@ -111,7 +111,7 @@ func (d *Distributor) StripeRoot(txs []*types.Transaction) crypto.Hash {
 	return set.Root
 }
 
-// OnBundleStored implements core's bundle hook: ship our stripe of every
+// OnBundleStored implements core.Distribution: ship our stripe of every
 // bundle that enters the mempool (own or peer-produced) to subscribers.
 func (d *Distributor) OnBundleStored(b *core.Bundle) {
 	if d.ctx == nil || len(d.subs) == 0 {
@@ -152,7 +152,8 @@ func (d *Distributor) OnBundleStored(b *core.Bundle) {
 	}
 }
 
-// OnBlockCommit pushes a committed Predis block to subscribers.
+// OnBlockCommit implements core.Distribution: push a committed Predis block
+// to subscribers.
 func (d *Distributor) OnBlockCommit(blk *core.PredisBlock) {
 	if d.ctx == nil {
 		return

@@ -3,7 +3,6 @@ package multizone
 import (
 	"time"
 
-	"predis/internal/core"
 	"predis/internal/crypto"
 	"predis/internal/env"
 	"predis/internal/exec"
@@ -13,15 +12,15 @@ import (
 	"predis/internal/wire"
 )
 
-// ConsensusHost wraps a consensus node with a Multi-Zone distributor:
-// consensus traffic routes to the node, zone-plane traffic to the
-// distributor, and the node's bundle/block hooks feed the distributor.
+// ConsensusHost is a Predis consensus node and its Multi-Zone distributor,
+// which the node starts, restarts, feeds and routes the zone plane to.
 type ConsensusHost struct {
-	Node *node.Node
+	*node.Node
 	Dist *Distributor
 }
 
 var _ env.Handler = (*ConsensusHost)(nil)
+var _ env.Restartable = (*ConsensusHost)(nil)
 
 // HostConfig assembles a Multi-Zone consensus node.
 type HostConfig struct {
@@ -65,17 +64,6 @@ type HostConfig struct {
 func NewConsensusHost(cfg HostConfig) (*ConsensusHost, error) {
 	dist := NewDistributor(cfg.Self, cfg.Striper)
 	dist.SetTrace(cfg.Trace)
-	var n *node.Node
-	// A node catching up after a restart stores the bundles it missed, which
-	// the zones already hold; striping them would queue its fresh stripes
-	// behind the stale ones. Until it is live its index is silent for its
-	// peers' bundles, and full nodes cover it with a spare; its own bundles
-	// are fresh, and only it stripes them at its index.
-	onStored := func(b *core.Bundle) {
-		if b.Header.Producer == cfg.Self || !n.Predis().CatchingUp() {
-			dist.OnBundleStored(b)
-		}
-	}
 	n, err := node.New(node.Config{
 		Mode:           node.ModePredis,
 		Engine:         cfg.Engine,
@@ -88,9 +76,7 @@ func NewConsensusHost(cfg HostConfig) (*ConsensusHost, error) {
 		ViewTimeout:    cfg.ViewTimeout,
 		Stream:         cfg.Stream,
 		ReplyToClients: cfg.ReplyToClients,
-		StripeRoot:     dist.StripeRoot,
-		OnBundleStored: onStored,
-		OnBlockCommit:  dist.OnBlockCommit,
+		Dist:           dist,
 		Trace:          cfg.Trace,
 		Executor:       cfg.Executor,
 		OnExecute:      cfg.OnExecute,
@@ -104,29 +90,4 @@ func NewConsensusHost(cfg HostConfig) (*ConsensusHost, error) {
 		return nil, err
 	}
 	return &ConsensusHost{Node: n, Dist: dist}, nil
-}
-
-// Start implements env.Handler.
-func (h *ConsensusHost) Start(ctx env.Context) {
-	h.Dist.Start(ctx)
-	h.Node.Start(ctx)
-}
-
-var _ env.Restartable = (*ConsensusHost)(nil)
-
-// OnRestart implements env.Restartable: the consensus node re-arms its
-// timers and catches up; the distributor keeps its subscribers and renews
-// their leases (relayers re-subscribe if they expired us).
-func (h *ConsensusHost) OnRestart() {
-	h.Dist.OnRestart()
-	h.Node.OnRestart()
-}
-
-// Receive implements env.Handler.
-func (h *ConsensusHost) Receive(from wire.NodeID, m wire.Message) {
-	if m.Type()&0xff00 == wire.TypeRangeZone {
-		h.Dist.Receive(from, m)
-		return
-	}
-	h.Node.Receive(from, m)
 }

@@ -80,7 +80,7 @@ type StripeSet struct {
 
 // Encode erasure-codes a bundle body into n_c shards and builds the stripe
 // Merkle proofs. Call it before signing the header so StripeRoot can be
-// embedded (core.Options.StripeRoot does this). The body is serialized
+// embedded (core.Distribution.StripeRoot does this). The body is serialized
 // exactly as the wire codec does, so reassembled bundles decode with the
 // standard path.
 //

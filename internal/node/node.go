@@ -97,15 +97,10 @@ type Config struct {
 	// OnCommit observes every committed block's transactions (harness
 	// measurement hook), with the commit time implied by ctx.Now.
 	OnCommit func(height uint64, txs []*types.Transaction)
-	// StripeRoot commits a stripe Merkle root into bundle headers before
-	// signing (Multi-Zone; see core.Options.StripeRoot).
-	StripeRoot func(txs []*types.Transaction) crypto.Hash
-	// OnBundleStored observes every bundle entering the Predis mempool
-	// (Multi-Zone ships stripes from here).
-	OnBundleStored func(b *core.Bundle)
-	// OnBlockCommit observes committed Predis blocks (Multi-Zone pushes
-	// them to relayers from here). Predis mode only.
-	OnBlockCommit func(blk *core.PredisBlock)
+	// Dist, when non-nil, is this node's Multi-Zone distributor (Predis
+	// mode only), which Predis feeds and the node starts, restarts and
+	// routes the zone plane to.
+	Dist dist
 	// Trace, when non-nil, records lifecycle stages (submit arrival here;
 	// bundle/consensus stages in the wrapped components). Nil disables
 	// tracing at zero cost.
@@ -136,6 +131,14 @@ type app interface {
 	env.Restartable
 	SubmitTx(tx *types.Transaction)
 	SetEngine(e consensus.Engine)
+}
+
+// dist is a consensus node's full-node distribution: the core.Distribution
+// seam plus its own message range and restart.
+type dist interface {
+	core.Distribution
+	env.Handler
+	env.Restartable
 }
 
 var (
@@ -181,10 +184,6 @@ func New(cfg Config) (*Node, error) {
 			OnCommit:  n.handleCommit,
 		})
 	case ModePredis:
-		peers := make([]wire.NodeID, cfg.NC)
-		for i := range peers {
-			peers[i] = wire.NodeID(i)
-		}
 		n.app, err = core.NewPredis(core.Options{
 			Params: core.Params{
 				NC: cfg.NC, F: cfg.F,
@@ -192,18 +191,11 @@ func New(cfg Config) (*Node, error) {
 				BundleInterval: cfg.BundleInterval,
 				Signer:         cfg.Signer,
 			},
-			Self:           cfg.Self,
-			Peers:          peers,
-			Stream:         cfg.Stream,
-			StripeRoot:     cfg.StripeRoot,
-			OnBundleStored: cfg.OnBundleStored,
-			Trace:          cfg.Trace,
-			OnCommit: func(ci core.CommitInfo) {
-				if cfg.OnBlockCommit != nil {
-					cfg.OnBlockCommit(ci.Block)
-				}
-				n.handleCommit(ci.Height, ci.Txs)
-			},
+			Self:     cfg.Self,
+			Stream:   cfg.Stream,
+			Dist:     cfg.Dist,
+			Trace:    cfg.Trace,
+			OnCommit: n.handleCommit,
 		})
 	case ModeNarwhal, ModeStratus:
 		scheme := microblock.SchemeNarwhal
@@ -264,9 +256,12 @@ func (n *Node) Predis() *core.Predis {
 // Engine exposes the consensus engine.
 func (n *Node) Engine() consensus.Engine { return n.engine }
 
-// Start implements env.Handler.
+// Start implements env.Handler: distributor, application, then engine.
 func (n *Node) Start(ctx env.Context) {
 	n.ctx = ctx
+	if n.cfg.Dist != nil {
+		n.cfg.Dist.Start(ctx)
+	}
 	n.app.Start(ctx)
 	n.engine.Start(ctx)
 }
@@ -274,9 +269,13 @@ func (n *Node) Start(ctx env.Context) {
 var _ env.Restartable = (*Node)(nil)
 
 // OnRestart implements env.Restartable: fan the restart out to the
-// engine (timer re-arm + view resync) and the application (timer re-arm,
-// and under Predis the committed-block catch-up).
+// distributor (lease renewal), the engine (timer re-arm + view resync) and
+// the application (timer re-arm, and under Predis the committed-block
+// catch-up).
 func (n *Node) OnRestart() {
+	if n.cfg.Dist != nil {
+		n.cfg.Dist.OnRestart()
+	}
 	n.engine.OnRestart()
 	n.app.OnRestart()
 }
@@ -296,6 +295,12 @@ func (n *Node) Receive(from wire.NodeID, m wire.Message) {
 				obs.TxKey(sub.Tx.Client, sub.Tx.Seq), n.cfg.Self, n.ctx.Now())
 			n.app.SubmitTx(sub.Tx)
 		}
+	case wire.TypeRangeZone:
+		if n.cfg.Dist != nil {
+			n.cfg.Dist.Receive(from, m)
+			break
+		}
+		fallthrough
 	default:
 		n.ctx.Logf("node: unroutable message %s from %d", wire.TypeName(m.Type()), from)
 	}

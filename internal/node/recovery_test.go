@@ -112,13 +112,11 @@ func TestRecoveryDeterministic(t *testing.T) {
 // TestRestartRearmsEveryApplication crashes replica 3 for [1 s, 2 s) under
 // every data production mode on PBFT. A crash suppresses the timers that
 // fall inside it, so each application must re-arm its own on restart: the
-// replicas agree, and under Predis, baseline and Stratus every transaction
-// confirms (clients re-send what the crash dropped), which needs the
-// restarted Stratus producer to seal a queue shorter than MBSize on its
-// tick again. A restarted Narwhal producer
-// waits for acks to the microblock it had outstanding, which the crash
-// lost and nobody re-sends (DESIGN.md §5), so that row checks agreement
-// only.
+// replicas agree, and under every mode every transaction confirms (clients
+// re-send what the crash dropped). That needs the restarted Stratus
+// producer to seal a queue shorter than MBSize on its tick again, and the
+// restarted Narwhal producer to re-send the microblock it had outstanding,
+// whose acks the crash lost.
 func TestRestartRearmsEveryApplication(t *testing.T) {
 	const victim = 3
 	restart := 2 * time.Second
@@ -129,7 +127,7 @@ func TestRestartRearmsEveryApplication(t *testing.T) {
 	}{
 		{"predis", ModePredis, true},
 		{"baseline", ModeBaseline, true},
-		{"narwhal", ModeNarwhal, false},
+		{"narwhal", ModeNarwhal, true},
 		{"stratus", ModeStratus, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {

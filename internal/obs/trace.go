@@ -207,17 +207,6 @@ func (t *Tracer) StageSummary(stage Stage) stats.Summary {
 	return stats.Summarize(t.StageDurations(stage))
 }
 
-// stageHistogram folds one stage's closed durations into a streaming
-// histogram; p50/p90 in tables and CSV come from it (≤5% bucket error)
-// while mean/p99/max stay exact via Summarize.
-func (t *Tracer) stageHistogram(stage Stage) *stats.Histogram {
-	h := &stats.Histogram{}
-	for _, d := range t.StageDurations(stage) {
-		h.Observe(d)
-	}
-	return h
-}
-
 // WriteStageCSV writes the per-stage latency breakdown as CSV, one row
 // per pipeline stage in data-flow order. A stage that recorded nothing
 // renders a zero row, so its absence stays visible.
@@ -227,11 +216,10 @@ func (t *Tracer) WriteStageCSV(w io.Writer) error {
 	}
 	for _, stage := range Stages() {
 		s := t.StageSummary(stage)
-		h := t.stageHistogram(stage)
 		if _, err := fmt.Fprintf(w, "%s,%d,%s,%s,%s,%s,%s\n",
 			stage, s.Count,
-			formatFloat(durMS(s.Mean)), formatFloat(durMS(h.Percentile(50))),
-			formatFloat(durMS(h.Percentile(90))), formatFloat(durMS(s.P99)),
+			formatFloat(durMS(s.Mean)), formatFloat(durMS(s.P50)),
+			formatFloat(durMS(s.P90)), formatFloat(durMS(s.P99)),
 			formatFloat(durMS(s.Max))); err != nil {
 			return err
 		}
@@ -242,8 +230,7 @@ func (t *Tracer) WriteStageCSV(w io.Writer) error {
 // StageTable renders the per-stage latency breakdown as a stats.Table for
 // terminal output: one row per stage (X = position in the pipeline), one
 // column per statistic; a stage that recorded nothing keeps its zero row.
-// Mean and p99 are exact (Summarize); p50/p90 come from the streaming
-// stats.Histogram.
+// Every statistic is exact (Summarize).
 func (t *Tracer) StageTable() *stats.Table {
 	title := "Stage latency breakdown (rows:"
 	tbl := &stats.Table{XLabel: "stage"}
@@ -254,13 +241,12 @@ func (t *Tracer) StageTable() *stats.Table {
 	p99 := &stats.Series{Name: "p99_ms"}
 	for _, stage := range Stages() {
 		s := t.StageSummary(stage)
-		h := t.stageHistogram(stage)
 		x := float64(stage) + 1
 		title += fmt.Sprintf(" %d=%s", int(stage)+1, stage)
 		count.Add(x, float64(s.Count))
 		mean.Add(x, durMS(s.Mean))
-		p50.Add(x, durMS(h.Percentile(50)))
-		p90.Add(x, durMS(h.Percentile(90)))
+		p50.Add(x, durMS(s.P50))
+		p90.Add(x, durMS(s.P90))
 		p99.Add(x, durMS(s.P99))
 	}
 	title += ")"
