@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -135,6 +136,70 @@ func TestProduceTimerRearmAllocs(t *testing.T) {
 		t.Errorf("re-arming the produce timer allocates %.1f, want 0", a)
 	}
 }
+
+// TestCommitBlockAllocs: once warm, committing a block that confirms a held
+// bundle allocates nothing. The mempool hands back the bundles in its
+// scratch, the transactions are flattened into the component's, and the
+// distribution and the OnCommit hook see the block and the list as they
+// are. PredisBlock.Hash encodes through the wire encoder pool, whose
+// sync.Pool drops entries at random under the race detector, so the count
+// holds only without it.
+func TestCommitBlockAllocs(t *testing.T) {
+	const n = 128
+	suite := crypto.NewSimSuite(4, 23)
+	tap, committed := &blockTap{}, 0
+	p, err := NewPredis(Options{
+		Params: Params{NC: 4, F: 1, BundleSize: 10, BundleInterval: 10 * time.Millisecond, Signer: suite.Signer(0)},
+		Dist:   tap,
+		OnCommit: func(_ uint64, txs []*types.Transaction) {
+			committed += len(txs)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start(&fakeCtx{rng: rand.New(rand.NewSource(1))})
+	blocks := make([]*PredisBlock, n)
+	var tail *BundleHeader
+	var parent crypto.Hash
+	for h := range blocks {
+		txs := make([]*types.Transaction, 10)
+		for k := range txs {
+			txs[k] = types.NewTransaction(500, uint64(10*h+k), 512, 0)
+		}
+		b := PackBundle(suite.Signer(0), 0, tail, txs, TipList{uint64(h + 1), 0, 0, 0})
+		if _, _, _, err := p.mp.AddBundle(b, false); err != nil {
+			t.Fatal(err)
+		}
+		tail = &b.Header
+		blk := &PredisBlock{Height: uint64(h + 1), Parent: parent, Cuts: make([]Cut, 4)}
+		blk.Cuts[0] = Cut{Height: uint64(h + 1), Head: b.Header.Hash()}
+		parent = blk.Hash()
+		blocks[h] = blk
+	}
+	for _, blk := range blocks[:n/2] {
+		p.commitBlock(blk)
+	}
+	i := n / 2
+	if a := testing.AllocsPerRun(n/2-1, func() { p.commitBlock(blocks[i]); i++ }); a != 0 && !raceEnabled {
+		t.Errorf("committing a block allocates %.2f, want 0", a)
+	}
+	if p.LastHeight() != n || committed != 10*n || tap.blocks != n || tap.last != blocks[n-1] {
+		t.Fatalf("head %d, %d txs committed, %d blocks distributed (last %p); want %d, %d, %d (last %p)",
+			p.LastHeight(), committed, tap.blocks, tap.last, n, 10*n, n, blocks[n-1])
+	}
+}
+
+// blockTap is a Distribution that counts the committed blocks it gets and
+// keeps the last, allocating nothing.
+type blockTap struct {
+	blocks int
+	last   *PredisBlock
+}
+
+func (*blockTap) StripeRoot([]*types.Transaction) crypto.Hash { return crypto.ZeroHash }
+func (*blockTap) OnBundleStored(*Bundle)                      {}
+func (d *blockTap) OnBlockCommit(blk *PredisBlock)            { d.blocks, d.last = d.blocks+1, blk }
 
 // idleCtx wraps a node's context with timers that never fire, so a test
 // counts a re-arm's own allocations, not the runtime's.

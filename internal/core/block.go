@@ -232,15 +232,18 @@ func (m *Mempool) blockBundles(dst []*Bundle, blk *PredisBlock, prev []uint64) [
 	return out
 }
 
-// BlockTxs flattens a block's bundles into its transaction list.
-func BlockTxs(bundles []*Bundle) []*types.Transaction {
-	n := 0
+// BlockTxs appends a block's bundles' transactions to dst, in bundle order,
+// and returns the extended slice: a caller that flattens every block passes
+// its previous result, truncated, as dst and allocates only when a block
+// is larger than any before it.
+func BlockTxs(dst []*types.Transaction, bundles []*Bundle) []*types.Transaction {
+	n := len(dst)
 	for _, b := range bundles {
 		n += len(b.Txs)
 	}
-	out := make([]*types.Transaction, 0, n)
+	dst = slices.Grow(dst, n-len(dst))
 	for _, b := range bundles {
-		out = append(out, b.Txs...)
+		dst = append(dst, b.Txs...)
 	}
-	return out
+	return dst
 }

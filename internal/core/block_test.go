@@ -329,7 +329,7 @@ func TestBuildValidateCommitRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("node %d commit: %v", n, err)
 		}
-		txs := BlockTxs(bundles)
+		txs := BlockTxs(nil, bundles)
 		if wantTxs == 0 {
 			wantTxs = len(txs)
 		} else if len(txs) != wantTxs {

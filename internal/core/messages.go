@@ -203,7 +203,12 @@ type PredisBlock struct {
 	Sig []byte
 }
 
-var _ wire.Message = (*PredisBlock)(nil)
+var _ wire.Metadata = (*PredisBlock)(nil)
+
+// Metadata implements wire.Metadata: a committed block travelling down the
+// Multi-Zone relayer tree takes every uplink's consensus lane, so it never
+// waits behind the stripes queued for the same subscribers.
+func (m *PredisBlock) Metadata() {}
 
 // Type implements wire.Message.
 func (m *PredisBlock) Type() wire.Type { return TypePredisBlock }

@@ -22,7 +22,8 @@ type Options struct {
 	// Self is this consensus node's ID (= chain index).
 	Self wire.NodeID
 	// OnCommit, when non-nil, receives every committed block's height and
-	// transactions in order.
+	// transactions in order. txs is the component's scratch: it stays valid
+	// until the next commit, so a hook that keeps the list copies it.
 	OnCommit func(height uint64, txs []*types.Transaction)
 	// Dist, when non-nil, serves full nodes from this consensus node
 	// (Multi-Zone); nil leaves stripe roots zero.
@@ -83,6 +84,9 @@ type Predis struct {
 	// parentCuts is parentState's scratch: the parent block's cut heights,
 	// overwritten by the next proposal built or validated.
 	parentCuts []uint64
+	// blockTxs is commitBlock's scratch: the committed block's
+	// transactions, overwritten by the next commit.
+	blockTxs []*types.Transaction
 	// quorum is the cutting rule's: n_c−f, or 1 in stream mode. paced and
 	// drain are stream mode under a paced or a chained engine (SetEngine).
 	quorum       int
@@ -126,7 +130,7 @@ func NewPredis(opts Options) (*Predis, error) {
 		mp:     mp,
 		peers:  make([]wire.NodeID, opts.Params.NC),
 		quorum: opts.Params.NC - opts.Params.F,
-		retry:  env.DefaultBackoff(2 * opts.Params.BundleInterval),
+		retry:  env.DefaultBackoff(2 * mp.params.BundleInterval),
 	}
 	for i := range p.peers {
 		p.peers[i] = wire.NodeID(i)
@@ -550,7 +554,8 @@ func (p *Predis) commitBlock(blk *PredisBlock) {
 		p.ctx.Logf("predis: commit refused: %v", err)
 		return
 	}
-	txs := BlockTxs(bundles)
+	txs := BlockTxs(p.blockTxs[:0], bundles)
+	p.blockTxs = txs
 	p.txsCommitted += uint64(len(txs))
 	if p.opts.Dist != nil {
 		p.opts.Dist.OnBlockCommit(blk)

@@ -296,3 +296,34 @@ func TestCommitRefusesGap(t *testing.T) {
 		t.Fatalf("head %d after blocks 2 and 3, logs %q; want 3", height, ctx.logs)
 	}
 }
+
+// TestRetryBaseUsesDefaultInterval: a node left at the default
+// BundleInterval (0, which the mempool reads as 20 ms) paces its catch-up
+// rounds on twice that default. Its peers are silent, so only the retry
+// timer asks again: within 30 ms that is the first round alone, where a
+// zero base waited 1, 2, 4, 8 ms between rounds.
+func TestRetryBaseUsesDefaultInterval(t *testing.T) {
+	pn := newPredisNetWith(t, 4, 1, func(_ int, o *Options) { o.Params.BundleInterval = 0 })
+	const window = 30 * time.Millisecond
+	faults.Install(pn.net, faults.Schedule{Actions: []faults.Action{
+		faults.Silent{Node: 1, To: time.Second}, faults.Silent{Node: 2, To: time.Second},
+		faults.Silent{Node: 3, To: time.Second},
+	}})
+	var landed []time.Duration
+	pn.net.OnDeliver = func(from, _ wire.NodeID, m wire.Message, at time.Time) {
+		if _, ok := m.(*CatchupRequest); ok && from == 0 {
+			landed = append(landed, at.Sub(simnet.Epoch))
+		}
+	}
+	pn.net.Start()
+	pn.net.Run(0)
+	pn.peers[0].StartCatchup()
+	pn.net.Run(window + 5*time.Millisecond) // each request lands 5 ms after it is sent
+
+	// A round asks f+1 peers.
+	const perRound = 2
+	if len(landed) != perRound {
+		t.Fatalf("%d catch-up requests sent in the first %v, landing at %v; want one round of %d",
+			len(landed), window, landed, perRound)
+	}
+}

@@ -7,6 +7,7 @@ import (
 
 	"predis/internal/core"
 	"predis/internal/crypto"
+	"predis/internal/env"
 	"predis/internal/gossip"
 	"predis/internal/multizone"
 	"predis/internal/stats"
@@ -188,19 +189,25 @@ func runFig8MultiZone(spec fig8Spec, zones int) (map[float64]time.Duration, erro
 	published := make(map[uint64]time.Time)
 
 	// Consensus-side sources: produce bundles, exchange them, stripe them
-	// to subscribers, and publish Predis blocks.
-	sources := make([]*blockSource, spec.nc)
-	for i := 0; i < spec.nc; i++ {
-		src, err := newBlockSource(blockSourceConfig{
-			self: wire.NodeID(i), nc: spec.nc, f: spec.f,
-			suite: suite, striper: striper,
-			bundleSize: 50,
+	// to subscribers, and commit the Predis blocks source 0 cuts.
+	sources := make([]*fig8Source, spec.nc)
+	for i := range sources {
+		src := &fig8Source{self: wire.NodeID(i), dist: multizone.NewDistributor(wire.NodeID(i), striper)}
+		src.p, err = core.NewPredis(core.Options{
+			Params: core.Params{
+				NC: spec.nc, F: spec.f, BundleSize: fig8BundleSize,
+				BundleInterval: fig8NoTick,
+				Signer:         suite.Signer(i),
+				KeepConfirmed:  64,
+			},
+			Self: src.self,
+			Dist: src.dist,
 		})
 		if err != nil {
 			return nil, err
 		}
 		sources[i] = src
-		net.AddNode(wire.NodeID(i), src)
+		net.AddNode(src.self, src)
 	}
 
 	// Full nodes dealt over the zones, joining incrementally.
@@ -225,17 +232,18 @@ func runFig8MultiZone(spec fig8Spec, zones int) (map[float64]time.Duration, erro
 	settle := time.Duration(spec.fullNodes)*zoned.JoinSpacing + 2*time.Second
 	net.Run(settle)
 
-	bundleBytes := 50 * types.DefaultTxSize
+	bundleBytes := fig8BundleSize * types.DefaultTxSize
 	bundlesPerBlock := (spec.blockMB << 20) / bundleBytes
 	perSource := (bundlesPerBlock + spec.nc - 1) / spec.nc
 	interval := blockInterval(spec.blockMB)
 
+	var parent wire.Message // the last committed block; nil before the first
 	for b := 1; b <= spec.blocks; b++ {
 		// Pre-distribute the block's bundles (this is continuous traffic in
 		// steady state; its cost is *not* part of block propagation).
 		for k := 0; k < perSource; k++ {
 			for _, src := range sources {
-				src.ProduceBundle()
+				src.seal()
 			}
 			// Pace production so uplinks are not modeled as infinitely
 			// deep queues.
@@ -243,20 +251,74 @@ func runFig8MultiZone(spec fig8Spec, zones int) (map[float64]time.Duration, erro
 		}
 		// One tip-exchange round so the leader can prove availability.
 		for _, src := range sources {
-			src.ProduceBundle()
+			src.seal()
 		}
 		net.Run(net.Elapsed() + 300*time.Millisecond)
 
-		blk, ok := sources[0].BuildBlock()
+		leader := sources[0]
+		payload, _, ok := leader.p.BuildProposal(leader.p.LastHeight()+1, parent)
 		if !ok {
 			return nil, fmt.Errorf("fig8: leader could not cut a block at height %d", b)
 		}
+		blk := payload.(*core.PredisBlock)
 		published[blk.Height] = net.Now()
-		sources[0].PublishBlock(blk)
+		for _, src := range sources[1:] {
+			leader.ctx.Send(src.self, blk)
+		}
+		leader.p.OnCommit(blk.Height, blk)
+		parent = blk
 		net.Run(net.Elapsed() + interval/2)
 	}
 	net.Run(net.Elapsed() + 30*time.Second)
 	return averageCoverage(arrivals, spec.fullNodes), nil
+}
+
+// fig8BundleSize is the sources' bundle size, and fig8NoTick their
+// BundleInterval: longer than any run, because the figure fixes the
+// production schedule (§V-B) and the tick must never seal a heartbeat.
+const (
+	fig8BundleSize = 50
+	fig8NoTick     = 24 * time.Hour
+)
+
+// fig8Source is one of Fig. 8's consensus nodes: a core.Predis and its
+// Multi-Zone distributor, driven by the figure's schedule in place of a
+// consensus engine. Fig. 8 measures only the distribution layer, and the
+// paper does the same by fixing the block production schedule.
+type fig8Source struct {
+	self  wire.NodeID
+	p     *core.Predis
+	dist  *multizone.Distributor
+	ctx   env.Context
+	txSeq uint64
+}
+
+// Start implements env.Handler.
+func (s *fig8Source) Start(ctx env.Context) {
+	s.ctx = ctx
+	s.dist.Start(ctx)
+	s.p.Start(ctx)
+}
+
+// Receive implements env.Handler: a block is committed, the zone plane
+// goes to the distributor, and the rest to Predis.
+func (s *fig8Source) Receive(from wire.NodeID, m wire.Message) {
+	if blk, ok := m.(*core.PredisBlock); ok {
+		s.p.OnCommit(blk.Height, blk)
+	} else if m.Type()&0xff00 == wire.TypeRangeZone {
+		s.dist.Receive(from, m)
+	} else {
+		s.p.Receive(from, m)
+	}
+}
+
+// seal submits one bundle of synthetic transactions, which Predis seals at
+// once: stored (so striped to subscribers) and sent to the other sources.
+func (s *fig8Source) seal() {
+	for i := 0; i < fig8BundleSize; i++ {
+		s.txSeq++
+		s.p.SubmitTx(types.NewTransaction(9000+s.self, s.txSeq, types.DefaultTxSize, time.Duration(s.txSeq)))
+	}
 }
 
 // averageCoverage averages per-block coverage latencies across blocks.

@@ -306,12 +306,12 @@ func (s *burstSender) Start(ctx env.Context) {
 }
 func (s *burstSender) Receive(wire.NodeID, wire.Message) {}
 
-// TestZoneBlockOvertakesStripeBurst: a consensus node's uplink holds a
+// TestBlockOvertakesStripeBurst: a consensus node's uplink holds a
 // burst of stripes for a relayer when a Predis block commits. The block is
 // metadata and leaves on the consensus lane, so the relayer has it before
 // the first stripe of the burst; the stripes follow in send order. (At
 // the parent commit the block waited behind all sixteen.)
-func TestZoneBlockOvertakesStripeBurst(t *testing.T) {
+func TestBlockOvertakesStripeBurst(t *testing.T) {
 	r := newRelayRig(t, 1)
 	set, err := r.striper.Encode(mkTxs(50, 7))
 	if err != nil {
@@ -325,7 +325,7 @@ func TestZoneBlockOvertakesStripeBurst(t *testing.T) {
 		st, _ := set.Stripe(b.Header, i%4)
 		src.msgs = append(src.msgs, st)
 	}
-	src.msgs = append(src.msgs, &ZoneBlock{Block: blk})
+	src.msgs = append(src.msgs, blk)
 
 	net := simnet.New(simnet.Config{Uplink: simnet.Mbps100, Latency: simnet.UniformLatency(time.Millisecond)})
 	var got []wire.Message
@@ -336,7 +336,7 @@ func TestZoneBlockOvertakesStripeBurst(t *testing.T) {
 	if len(got) != len(src.msgs) {
 		t.Fatalf("received %d of %d messages", len(got), len(src.msgs))
 	}
-	if _, ok := got[0].(*ZoneBlock); !ok {
+	if got[0] != wire.Message(blk) {
 		t.Fatalf("first delivery is %T, want the block queued behind %d stripes", got[0], len(src.msgs)-1)
 	}
 	for i, m := range got[1:] {
@@ -442,7 +442,7 @@ func TestLateDuplicateBlockDropped(t *testing.T) {
 	fn := r.fn
 	forwarded := 0
 	r.net.OnDeliver = func(_, to wire.NodeID, m wire.Message, _ time.Time) {
-		if _, ok := m.(*ZoneBlock); ok && to >= 300 {
+		if _, ok := m.(*core.PredisBlock); ok && to >= 300 {
 			forwarded++
 		}
 	}
@@ -454,7 +454,7 @@ func TestLateDuplicateBlockDropped(t *testing.T) {
 		blk.Sig = r.suite.Signer(1).Sign(blk.Hash())
 		blocks = append(blocks, blk)
 		parent = blk.Hash()
-		fn.Receive(1, &ZoneBlock{Block: blk})
+		fn.Receive(1, blk)
 	}
 	r.drain()
 	if fn.LastHeight() != head || forwarded != 2*head {
@@ -462,7 +462,7 @@ func TestLateDuplicateBlockDropped(t *testing.T) {
 	}
 	fn.sweepDataPlane()
 	forwarded = 0
-	fn.Receive(1, &ZoneBlock{Block: blocks[0]})
+	fn.Receive(1, blocks[0])
 	r.drain()
 	if forwarded != 0 || len(fn.pendBlocks) != 0 {
 		t.Fatalf("a late copy of block 1 at head %d: forwarded %d times, %d blocks pending; want neither",
@@ -474,8 +474,8 @@ func TestLateDuplicateBlockDropped(t *testing.T) {
 // executor: once warm, a Predis block that confirms a held bundle is
 // verified, relayed, committed and counted without allocating — the
 // mempool hands back its bundles in scratch and no transaction list is
-// flattened — and every subscriber receives the very *ZoneBlock this node
-// received, not a re-wrapped copy.
+// flattened — and every subscriber receives the very *core.PredisBlock this
+// node received, not a re-wrapped copy.
 func TestBlockCompletionAllocs(t *testing.T) {
 	const n = 128
 	r := newRelayRig(t, n)
@@ -485,7 +485,7 @@ func TestBlockCompletionAllocs(t *testing.T) {
 			fn.onStripe(wire.NodeID(s), r.stripes[h][s])
 		}
 	}
-	msgs := make([]*ZoneBlock, n)
+	msgs := make([]*core.PredisBlock, n)
 	var parent crypto.Hash
 	for h := range msgs {
 		hh := r.bundles[h].Header.Hash()
@@ -494,13 +494,13 @@ func TestBlockCompletionAllocs(t *testing.T) {
 		blk.Cuts[0] = core.Cut{Height: uint64(h + 1), Head: hh}
 		blk.Sig = r.suite.Signer(1).Sign(blk.Hash())
 		parent = blk.Hash()
-		msgs[h] = &ZoneBlock{Block: blk}
+		msgs[h] = blk
 	}
 	forwards, same := 0, 0
 	r.net.OnDeliver = func(_, to wire.NodeID, m wire.Message, _ time.Time) {
-		if zb, ok := m.(*ZoneBlock); ok && to >= 300 {
+		if blk, ok := m.(*core.PredisBlock); ok && to >= 300 {
 			forwards++
-			if zb == msgs[zb.Block.Height-1] {
+			if blk == msgs[blk.Height-1] {
 				same++
 			}
 		}

@@ -152,20 +152,21 @@ func (d *Distributor) OnBundleStored(b *core.Bundle) {
 	}
 }
 
-// OnBlockCommit implements core.Distribution: push a committed Predis block
-// to subscribers.
+// OnBlockCommit implements core.Distribution: push the committed Predis
+// block itself to subscribers.
+//
+//predis:hotpath
 func (d *Distributor) OnBlockCommit(blk *core.PredisBlock) {
 	if d.ctx == nil {
 		return
 	}
-	msg := &ZoneBlock{Block: blk}
 	// Anchor the fullnode_delivered stage at block push time; full nodes
 	// close the span when they assemble the block's transactions.
 	d.trace.Mark(obs.StageFullNodeDelivered,
 		obs.BlockKey(blk.Height), d.ctx.Now())
 	d.expire()
 	for _, l := range d.subs {
-		d.ctx.Send(l.id, msg)
+		d.ctx.Send(l.id, blk)
 		d.blocksOut++
 	}
 }
@@ -178,7 +179,7 @@ func (d *Distributor) expire() {
 		return
 	}
 	d.expireAt = now.Add(heartbeatInterval)
-	d.subs = slices.DeleteFunc(d.subs, func(l lease) bool { return now.Sub(l.seen) > leaseAfter })
+	d.subs = slices.DeleteFunc(d.subs, func(l lease) bool { return now.Sub(l.seen) > leaseAfter }) //predis:allocok the literal does not escape (go build -gcflags=-m), and runs once per heartbeat interval
 }
 
 // find returns where id is, or would be, in subs.

@@ -153,13 +153,13 @@ func TestFetchLiveness(t *testing.T) {
 		prev := zc.net.OnDeliver
 		zc.net.OnDeliver = func(from, to wire.NodeID, m wire.Message, at time.Time) {
 			prev(from, to, m, at)
-			if zb, ok := m.(*ZoneBlock); ok && to == fn.ID() && blockAt.IsZero() &&
-				zb.Block.Cuts[victim].Height >= lostHeight {
+			if pb, ok := m.(*core.PredisBlock); ok && to == fn.ID() && blockAt.IsZero() &&
+				pb.Cuts[victim].Height >= lostHeight {
 				blockAt = at
 				inner := fn.cfg.OnBlockComplete
 				fn.cfg.OnBlockComplete = func(blk *core.PredisBlock, txs int) {
 					inner(blk, txs)
-					if doneAt.IsZero() && blk.Height == zb.Block.Height {
+					if doneAt.IsZero() && blk.Height == pb.Height {
 						doneAt = zc.net.Now()
 					}
 				}

@@ -11,6 +11,7 @@ import (
 	"predis/internal/exec"
 	"predis/internal/ledger"
 	"predis/internal/obs"
+	"predis/internal/types"
 	"predis/internal/wire"
 )
 
@@ -193,6 +194,7 @@ type FullNode struct {
 	// Block plane; the committed head is the mempool's.
 	seenBlocks map[crypto.Hash]uint64 // block hash → height, for blocks above the head
 	pendBlocks []*core.PredisBlock    // completable once bundles arrive, in arrival order
+	blockTxs   []*types.Transaction   // the executed block's transactions, overwritten per block
 	fetch      *core.FetchPlane       // asks for bundles stripes did not bring (see holders)
 	catchup    *core.Catchup          // recovers missed blocks, serves peers' (recovery.go)
 
@@ -546,7 +548,7 @@ func (f *FullNode) Receive(from wire.NodeID, m wire.Message) {
 	switch msg := m.(type) {
 	case *StripeMsg:
 		f.onStripe(from, msg)
-	case *ZoneBlock:
+	case *core.PredisBlock:
 		f.onBlock(from, msg)
 	case *Subscribe:
 		f.onSubscribe(from, msg)

@@ -286,10 +286,9 @@ func (f *FullNode) storeBundle(b *core.Bundle, verify bool) bool {
 }
 
 // onBlock handles a Predis block arriving over the relayer tree: verify,
-// forward the very message received, and complete once every referenced
+// forward the very block received, and complete once every referenced
 // bundle is locally held.
-func (f *FullNode) onBlock(from wire.NodeID, msg *ZoneBlock) {
-	blk := msg.Block
+func (f *FullNode) onBlock(from wire.NodeID, blk *core.PredisBlock) {
 	head := f.LastHeight()
 	if blk.Height <= head {
 		return // completed here already, or off the committed chain
@@ -315,7 +314,7 @@ func (f *FullNode) onBlock(from wire.NodeID, msg *ZoneBlock) {
 	// Forward to every subscriber (each at most once, in ID order).
 	for _, id := range f.subscribers {
 		if id != from {
-			f.ctx.Send(id, msg)
+			f.ctx.Send(id, blk)
 		}
 	}
 	f.pendBlocks = append(f.pendBlocks, blk)
@@ -360,7 +359,8 @@ func (f *FullNode) tryCompleteBlocks() {
 				var stateRoot crypto.Hash
 				if f.cfg.Executor != nil {
 					intact := f.cfg.Executor.Stats().Gaps == 0
-					r := f.cfg.Executor.ExecuteBlock(nil, blk.Height, core.BlockTxs(bundles))
+					f.blockTxs = core.BlockTxs(f.blockTxs[:0], bundles)
+					r := f.cfg.Executor.ExecuteBlock(nil, blk.Height, f.blockTxs)
 					stateRoot = r.StateRoot
 					if intact && stateRoot.IsZero() {
 						f.ctx.Logf("multizone: node %d executes height %d across a gap; its state roots are zero from here on",
@@ -510,7 +510,7 @@ func (f *FullNode) armDigest() {
 
 // onDigest pulls bundles we miss from a digest sender; when the digest
 // also reveals we are behind on blocks (e.g. the relayer tree dropped a
-// ZoneBlock, or we just restarted), request the missing block run too.
+// Predis block, or we just restarted), request the missing block run too.
 func (f *FullNode) onDigest(from wire.NodeID, m *BlockDigest) {
 	for i, remote := range m.Tips {
 		if i >= f.cfg.NC {

@@ -14,7 +14,7 @@ import (
 var zoneTypes = []wire.Type{
 	TypeStripe, TypeSubscribe, TypeAcceptSubscribe, TypeRejectSubscribe,
 	TypeUnsubscribe, TypeRelayerAlive, TypeLeave, TypeHeartbeat,
-	TypeZoneBlock, TypeBlockDigest,
+	TypeBlockDigest,
 }
 
 // FuzzZoneMessages decodes arbitrary bytes as the body of every message
@@ -41,8 +41,6 @@ func FuzzZoneMessages(f *testing.F) {
 	b := core.PackBundleStriped(suite.Signer(0), 0, nil, txs, make(core.TipList, 4), set.Root)
 	carrier, _ := set.Stripe(b.Header, 0)
 	reference, _ := set.Stripe(b.Header, 1)
-	blk := &core.PredisBlock{Height: 3, Leader: 1, Cuts: []core.Cut{{Height: 1, Head: b.Header.Hash()}, {}, {}, {}}}
-	blk.Sig = suite.Signer(1).Sign(blk.Hash())
 	for _, m := range []wire.Message{
 		carrier,
 		reference,
@@ -53,7 +51,6 @@ func FuzzZoneMessages(f *testing.F) {
 		&RelayerAlive{Relayer: 42, Zone: 3},
 		&Leave{},
 		&Heartbeat{},
-		&ZoneBlock{Block: blk},
 		&BlockDigest{Height: 9, Tips: []uint64{1, 2, 3, 4}},
 	} {
 		f.Add(wire.Marshal(m)[wire.FrameOverhead:])

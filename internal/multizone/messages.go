@@ -21,13 +21,14 @@ const (
 	TypeRelayerAlive    = wire.TypeRangeZone + 6
 	TypeLeave           = wire.TypeRangeZone + 7
 	TypeHeartbeat       = wire.TypeRangeZone + 8
-	TypeZoneBlock       = wire.TypeRangeZone + 9
 	TypeBlockDigest     = wire.TypeRangeZone + 10
-	// TypeRangeZone+11 and +12 were the relayer-table bootstrap pair
-	// (placement is computed from membership now), +13 and +14 the full
-	// nodes' own catch-up pair (now core's CatchupRequest/CatchupResponse),
-	// +15 and +16 the retired speculative block push and its retraction;
-	// they stay unused so no old frame decodes as a new type.
+	// TypeRangeZone+9 was the zone block wrapper (the relayer tree carries
+	// the committed core.PredisBlock itself now), +11 and +12 the
+	// relayer-table bootstrap pair (placement is computed from membership
+	// now), +13 and +14 the full nodes' own catch-up pair (now core's
+	// CatchupRequest/CatchupResponse), +15 and +16 the retired speculative
+	// block push and its retraction; they stay unused so no old frame
+	// decodes as a new type.
 )
 
 // StripeMsg carries one erasure-coded stripe of a bundle and the Merkle
@@ -367,38 +368,6 @@ func (m *Heartbeat) EncodeBody(e *wire.Encoder) {}
 
 func decodeHeartbeat(d *wire.Decoder) (wire.Message, error) { return &Heartbeat{}, nil }
 
-// ZoneBlock carries a Predis block through the relayer tree. It is
-// metadata (wire.Metadata): every uplink sends it on the consensus lane, so
-// it never waits behind the stripes queued for the same subscribers.
-type ZoneBlock struct {
-	Block *core.PredisBlock
-}
-
-var _ wire.Metadata = (*ZoneBlock)(nil)
-
-// Metadata implements wire.Metadata.
-func (m *ZoneBlock) Metadata() {}
-
-// Type implements wire.Message.
-func (m *ZoneBlock) Type() wire.Type { return TypeZoneBlock }
-
-// WireSize implements wire.Message.
-func (m *ZoneBlock) WireSize() int {
-	// Same body as the inner block, under this message's own frame.
-	return m.Block.WireSize()
-}
-
-// EncodeBody implements wire.Message.
-func (m *ZoneBlock) EncodeBody(e *wire.Encoder) { m.Block.EncodeBody(e) }
-
-func decodeZoneBlock(d *wire.Decoder) (wire.Message, error) {
-	blk, err := core.DecodePredisBlockBody(d)
-	if err != nil {
-		return nil, err
-	}
-	return &ZoneBlock{Block: blk}, nil
-}
-
 // BlockDigest synchronizes ledger state over backup connections to
 // neighbor zones (§IV-F): it lists the sender's latest block height and
 // bundle tips so receivers can pull what they miss.
@@ -439,7 +408,6 @@ func RegisterMessages() {
 		wire.Register(TypeRelayerAlive, "zone.relayer_alive", decodeRelayerAlive)
 		wire.Register(TypeLeave, "zone.leave", decodeLeave)
 		wire.Register(TypeHeartbeat, "zone.heartbeat", decodeHeartbeat)
-		wire.Register(TypeZoneBlock, "zone.block", decodeZoneBlock)
 		wire.Register(TypeBlockDigest, "zone.block_digest", decodeBlockDigest)
 	})
 }

@@ -107,7 +107,7 @@ func (f *FullNode) applyCaughtUp(from wire.NodeID, blocks []*core.PredisBlock) {
 // cuts have been pruned network-wide, so the node resumes from the
 // anchor instead of replaying them (its local history keeps a gap, like
 // any pruning node). The anchor carries the consensus leader's signature
-// — the same trust the live ZoneBlock path places in a block sender —
+// — the same trust the live block path places in a block sender —
 // and every subsequent block must chain from it and validate, so a bogus
 // anchor dead-ends instead of forking us silently.
 func (f *FullNode) adoptAnchor(anchor *core.PredisBlock) {

@@ -8,6 +8,7 @@ import (
 
 	"predis/internal/core"
 	"predis/internal/crypto"
+	"predis/internal/env"
 	"predis/internal/node"
 	"predis/internal/simnet"
 	"predis/internal/wire"
@@ -95,6 +96,41 @@ func TestDistributorLeasesOnlySubscribers(t *testing.T) {
 		if !want[id] {
 			t.Fatalf("%d holds a lease without a subscription", id)
 		}
+	}
+}
+
+// TestBlockCommitAllocs: a distributor sends every subscriber the committed
+// block itself, so a block's fan-out allocates nothing.
+func TestBlockCommitAllocs(t *testing.T) {
+	subs := []wire.NodeID{50, 51, 52}
+	d, h, _ := newDistRig(subs...)
+	for _, id := range subs {
+		h.inject(id, &Subscribe{Stripes: []uint8{2}})
+	}
+	blk := &core.PredisBlock{Height: 1, Cuts: make([]core.Cut, 4)}
+	tap := &sendTap{Context: d.ctx, want: blk}
+	d.ctx = tap
+	const runs = 100
+	if a := testing.AllocsPerRun(runs, func() { d.OnBlockCommit(blk) }); a != 0 {
+		t.Errorf("a block's fan-out to %d subscribers allocates %.1f, want 0", len(subs), a)
+	}
+	if want := len(subs) * (runs + 1); tap.sends != want || tap.same != want {
+		t.Fatalf("%d sends, %d of them the committed block; want %d, all", tap.sends, tap.same, want)
+	}
+}
+
+// sendTap counts what a node sends, and how much of it is want, instead of
+// sending it.
+type sendTap struct {
+	env.Context
+	want        wire.Message
+	sends, same int
+}
+
+func (s *sendTap) Send(_ wire.NodeID, m wire.Message) {
+	s.sends++
+	if m == s.want {
+		s.same++
 	}
 }
 

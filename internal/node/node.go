@@ -95,7 +95,8 @@ type Config struct {
 	// paper notes in §III-F).
 	ReplyToClients bool
 	// OnCommit observes every committed block's transactions (harness
-	// measurement hook), with the commit time implied by ctx.Now.
+	// measurement hook), with the commit time implied by ctx.Now. txs stays
+	// valid until the next commit, so a hook that keeps the list copies it.
 	OnCommit func(height uint64, txs []*types.Transaction)
 	// Dist, when non-nil, is this node's Multi-Zone distributor (Predis
 	// mode only), which Predis feeds and the node starts, restarts and

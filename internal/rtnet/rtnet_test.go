@@ -344,8 +344,8 @@ func TestLaneFrameWrittenFirst(t *testing.T) {
 				}
 				return 0, false
 			},
-			lane: &multizone.ZoneBlock{Block: blk},
-			isIt: func(m wire.Message) bool { zb, ok := m.(*multizone.ZoneBlock); return ok && zb.Block.Height == 7 },
+			lane: blk,
+			isIt: func(m wire.Message) bool { b, ok := m.(*core.PredisBlock); return ok && b.Height == 7 },
 		},
 	}
 	for _, c := range cases {

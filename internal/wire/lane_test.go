@@ -40,8 +40,9 @@ func batch() *txpool.Batch {
 }
 
 // TestLaneFrame pins the lane rule: Predis proposals, every vote and the
-// Predis block on its way to full nodes ride the consensus lane; a proposal that carries its batch, and every
-// other data-plane, zone and client frame, is bulk.
+// Predis block on its way to full nodes ride the consensus lane; a proposal
+// that carries its batch, a block too large to be metadata, and every other
+// data-plane, zone and client frame, is bulk.
 func TestLaneFrame(t *testing.T) {
 	sig := make([]byte, crypto.SignatureSize)
 	lane := map[string]wire.Message{
@@ -54,8 +55,8 @@ func TestLaneFrame(t *testing.T) {
 		"HotStuff new-view":     &hotstuff.NewViewMsg{HighQC: hsProposal(16, predisBlock(16)).Block.Justify, Sig: sig},
 		"PBFT status request":   &pbft.StatusRequest{},
 		"HotStuff genesis vote": &hotstuff.Vote{},
-		"zone block nc=16":      &multizone.ZoneBlock{Block: predisBlock(16)},
-		"zone block nc=80":      &multizone.ZoneBlock{Block: predisBlock(80)},
+		"Predis block nc=16":    predisBlock(16),
+		"Predis block nc=80":    predisBlock(80),
 	}
 	for name, m := range lane {
 		if !wire.LaneFrame(m, m.WireSize()) {
@@ -67,17 +68,16 @@ func TestLaneFrame(t *testing.T) {
 	}
 
 	bulk := map[string]wire.Message{
-		"PBFT pre-prepare with a batch":      &pbft.PrePrepare{Payload: batch(), Sig: sig},
-		"HotStuff proposal with a batch":     hsProposal(4, batch()),
-		"bundle request":                     &core.BundleRequest{},
-		"bare Predis block":                  predisBlock(16),
-		"zone block of a 100-producer group": &multizone.ZoneBlock{Block: predisBlock(100)},
-		"stripe":                             &multizone.StripeMsg{Shard: make([]byte, 1024)},
-		"catch-up block response":            &core.CatchupResponse{Blocks: []*core.PredisBlock{predisBlock(16)}},
-		"zone heartbeat":                     &multizone.Heartbeat{},
-		"client submit":                      &types.SubmitTx{Tx: types.NewTransaction(5000, 1, 512, 0)},
-		"client reply":                       &types.BlockReply{},
-		"transaction batch outside a block":  batch(),
+		"PBFT pre-prepare with a batch":        &pbft.PrePrepare{Payload: batch(), Sig: sig},
+		"HotStuff proposal with a batch":       hsProposal(4, batch()),
+		"bundle request":                       &core.BundleRequest{},
+		"Predis block of a 100-producer group": predisBlock(100),
+		"stripe":                               &multizone.StripeMsg{Shard: make([]byte, 1024)},
+		"catch-up block response":              &core.CatchupResponse{Blocks: []*core.PredisBlock{predisBlock(16)}},
+		"zone heartbeat":                       &multizone.Heartbeat{},
+		"client submit":                        &types.SubmitTx{Tx: types.NewTransaction(5000, 1, 512, 0)},
+		"client reply":                         &types.BlockReply{},
+		"transaction batch outside a block":    batch(),
 	}
 	for name, m := range bulk {
 		if wire.LaneFrame(m, m.WireSize()) {
