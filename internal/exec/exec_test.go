@@ -26,13 +26,16 @@ func opaque(seq uint64) *types.Transaction {
 	return types.NewTransaction(wire.NodeID(1+seq%4), seq, types.DefaultTxSize, time.Duration(seq))
 }
 
-// levelsOf extracts each transaction's level index for comparison.
+// levelsOf extracts each semantic transaction's level index for
+// comparison.
 func levelsOf(m *Machine, txs []*types.Transaction) map[uint64]int {
-	sem := m.semantic(txs)
+	m.levelize(txs)
 	got := map[uint64]int{}
-	for lvl, idxs := range m.levelize(txs, sem) {
-		for _, ti := range idxs {
-			got[txs[ti].Seq] = lvl
+	i := 0
+	for _, tx := range txs {
+		if !tx.Op.IsNoop() {
+			got[tx.Seq] = int(m.levelOf[i])
+			i++
 		}
 	}
 	return got
@@ -100,25 +103,6 @@ func TestExecuteBlockTransferSemantics(t *testing.T) {
 	}
 }
 
-func TestMVCacheVersioning(t *testing.T) {
-	c := NewMVCache()
-	if c.Version(7) != -1 || c.Len() != 0 {
-		t.Fatal("empty cache must report no versions")
-	}
-	c.Merge(0, []WriteOp{{Key: 7, Val: 10}, {Key: 8, Val: 11}})
-	c.Merge(2, []WriteOp{{Key: 7, Val: 20}})
-	if c.Version(7) != 2 || c.Version(8) != 0 || c.Len() != 2 {
-		t.Fatalf("versions = %d,%d len %d", c.Version(7), c.Version(8), c.Len())
-	}
-	base := &stateTree{}
-	base.set(8, 1)
-	base.set(9, 2)
-	snap := Snapshot{base: base, cache: c.entries, genesis: genesis}
-	if snap.Get(7) != 20 || snap.Get(8) != 11 || snap.Get(9) != 2 || snap.Get(10) != genesis {
-		t.Fatal("snapshot must read cache, then base, then genesis")
-	}
-}
-
 // highConflictBlock is a schedule where nearly every transaction
 // conflicts with a predecessor: long RAW/WAW chains over a tiny account
 // set, interleaved with independent work and deterministic aborts.
@@ -166,7 +150,7 @@ func foldResults(rs []Result) crypto.Hash {
 	return h
 }
 
-func runBlocks(serial bool, blocks [][]*types.Transaction) ([]Result, crypto.Hash, *Machine) {
+func runBlocks(serial bool, blocks [][]*types.Transaction) ([]Result, *Machine) {
 	m := NewMachine(genesis)
 	var rs []Result
 	for i, blk := range blocks {
@@ -176,14 +160,78 @@ func runBlocks(serial bool, blocks [][]*types.Transaction) ([]Result, crypto.Has
 			rs = append(rs, m.ExecuteBlock(nil, uint64(i+1), blk))
 		}
 	}
-	return rs, m.StateRoot(), m
+	return rs, m
+}
+
+// oracle is the reference state machine the committer is checked
+// against: a plain map that applies each operation on its own, in
+// commit order. It shares no code with Machine.
+type oracle map[uint64]uint64
+
+func (o oracle) get(key uint64) uint64 {
+	if v, ok := o[key]; ok {
+		return v
+	}
+	return genesis
+}
+
+// block applies one block and counts its applied and aborted semantic
+// transactions.
+func (o oracle) block(txs []*types.Transaction) (applied, aborted int) {
+	for _, tx := range txs {
+		op := tx.Op
+		switch op.Kind {
+		case types.OpTransfer:
+			if op.From == op.To {
+				applied++ // moves nothing, whatever the balance
+				continue
+			}
+			if o.get(op.From) < op.Amount {
+				aborted++
+				continue
+			}
+			applied++
+			o[op.From] = o.get(op.From) - op.Amount
+			o[op.To] = o.get(op.To) + op.Amount
+		case types.OpRMW:
+			applied++
+			before := map[uint64]uint64{}
+			for _, k := range op.Writes {
+				before[k] = o.get(k)
+			}
+			for k, v := range before {
+				o[k] = v + op.Delta
+			}
+		}
+	}
+	return applied, aborted
+}
+
+// checkAgainstOracle executes blocks on a fresh machine with both entry
+// points and compares every block's state root and apply/abort counts
+// with the oracle's. It returns ExecuteBlock's results and machine.
+func checkAgainstOracle(t *testing.T, name string, blocks [][]*types.Transaction) ([]Result, *Machine) {
+	t.Helper()
+	o := oracle{}
+	rs, m := runBlocks(false, blocks)
+	serial, _ := runBlocks(true, blocks)
+	for i, blk := range blocks {
+		applied, aborted := o.block(blk)
+		want := oracleRoot(genesis, o)
+		for _, r := range []Result{rs[i], serial[i]} {
+			if r.StateRoot != want || r.Applied != applied || r.Aborted != aborted {
+				t.Fatalf("%s block %d: %+v, oracle root %s applied %d aborted %d",
+					name, i+1, r, want.Short(), applied, aborted)
+			}
+		}
+	}
+	return rs, m
 }
 
 // TestLevelizedMatchesSerial is the determinism pin: the same block
-// sequence executed twice by the levelized committer must produce
-// byte-identical state roots and result counters, on both a
-// high-conflict and a conflict-free schedule — and both must equal the
-// serial reference committer.
+// sequence executed twice must produce byte-identical state roots and
+// result counters, on both a high-conflict and a conflict-free schedule
+// — and every block must equal the in-test oracle's root and counts.
 func TestLevelizedMatchesSerial(t *testing.T) {
 	blocks := [][]*types.Transaction{
 		highConflictBlock(64),
@@ -191,24 +239,15 @@ func TestLevelizedMatchesSerial(t *testing.T) {
 		highConflictBlock(31),
 		{opaque(0), opaque(1)}, // all-opaque block
 		{},                     // empty block
+		{
+			rmw(0, []uint64{1}, []uint64{9, 9}, 10), // names 9 twice: +10 once
+			transfer(1, 9, 9, 1<<40),                // self-transfer above the balance: applies
+			transfer(2, 9, 1, 5),
+		},
 	}
-	serialRes, serialRoot, _ := runBlocks(true, blocks)
-
 	var fold crypto.Hash
 	for run := 1; run <= 2; run++ {
-		rs, root, m := runBlocks(false, blocks)
-		if root != serialRoot {
-			t.Fatalf("run %d: state root %s != serial %s", run, root.Short(), serialRoot.Short())
-		}
-		for i := range rs {
-			if rs[i].StateRoot != serialRes[i].StateRoot ||
-				rs[i].Applied != serialRes[i].Applied ||
-				rs[i].Aborted != serialRes[i].Aborted {
-				t.Fatalf("run %d block %d: %+v != serial %+v", run, i+1, rs[i], serialRes[i])
-			}
-		}
-		// Levelized runs share one fold too (serial differs only in the
-		// Levels/MaxWidth shape counters, checked separately below).
+		rs, m := checkAgainstOracle(t, "hand-built", blocks)
 		if run == 1 {
 			fold = foldResults(rs)
 		} else if f := foldResults(rs); f != fold {
@@ -223,8 +262,8 @@ func TestLevelizedMatchesSerial(t *testing.T) {
 // TestLevelizedMatchesSerialSkewShapes runs the contention experiment's
 // four skew shapes (harness's contentionScenarios at seed 1, with its
 // 1 000-unit genesis and 50-unit transfers): Zipf op streams cut into
-// blocks of 128 transactions must give the serial reference's state root
-// and apply/abort counts at every block.
+// blocks of 128 transactions must give the oracle's state root and
+// apply/abort counts at every block.
 func TestLevelizedMatchesSerialSkewShapes(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -247,14 +286,7 @@ func TestLevelizedMatchesSerialSkewShapes(t *testing.T) {
 					WithOp(ops.Op(client, seq)))
 			}
 		}
-		serial, _, _ := runBlocks(true, blocks)
-		par, _, m := runBlocks(false, blocks)
-		for i := range par {
-			if par[i].StateRoot != serial[i].StateRoot ||
-				par[i].Applied != serial[i].Applied || par[i].Aborted != serial[i].Aborted {
-				t.Fatalf("%s block %d: %+v != serial %+v", sh.name, i+1, par[i], serial[i])
-			}
-		}
+		_, m := checkAgainstOracle(t, sh.name, blocks)
 		if st := m.Stats(); st.Txs != blockTxs*nblocks {
 			t.Fatalf("%s: executed %d semantic txs, want %d", sh.name, st.Txs, blockTxs*nblocks)
 		}
@@ -292,7 +324,7 @@ func TestStateRootCommitsToState(t *testing.T) {
 	}
 	b.ExecuteBlockSerial(1, []*types.Transaction{transfer(0, 1, 2, 5)})
 	if a.StateRoot() != b.StateRoot() {
-		t.Fatal("serial and parallel committers diverged on one transfer")
+		t.Fatal("ExecuteBlock and ExecuteBlockSerial diverged on one transfer")
 	}
 	c := NewMachine(genesis + 1)
 	if c.StateRoot() == b.StateRoot() && c.Touched() == 0 {
@@ -324,5 +356,11 @@ func TestRMWDelta(t *testing.T) {
 	})
 	if got := m.Balance(5); got != genesis+20 {
 		t.Fatalf("Balance(5) = %d, want %d", got, genesis+20)
+	}
+	// New values come from the state before the op: a key named twice
+	// gains Delta once.
+	m.ExecuteBlock(nil, 2, []*types.Transaction{rmw(2, nil, []uint64{6, 7, 6}, 10)})
+	if got := m.Balance(6); got != genesis+10 {
+		t.Fatalf("Balance(6) = %d, want %d", got, genesis+10)
 	}
 }

@@ -141,15 +141,15 @@ func runContention(o Options, zipf workload.ZipfConfig) (contentionResult, error
 	return res, nil
 }
 
-// Contention sweeps workload skew against the execution plane's
-// two-phase parallel committer and checks that the consensus hosts, the
-// full nodes and the persisted ledger agree on the state root at every
-// height (exec's tests pin the committer to its serial reference). The
-// dependency-level width columns report the parallelism the leveler
-// exposes (the meaningful measure of the Octopus-style committer even on
-// a single-core host): conflict-free workloads collapse to one wide level
-// per block, a global hotspot serializes into many narrow ones. The rows
-// skip number 2 so that each keeps the number EXPERIMENTS.md cites.
+// Contention sweeps workload skew against the execution plane and
+// checks that the consensus hosts, the full nodes and the persisted
+// ledger agree on the state root at every height (exec's tests pin the
+// committer to an in-test oracle that applies each operation in commit
+// order). The dependency-level width columns report the parallelism the
+// levelizer counts — what an Octopus-style levelized committer could run
+// at once: conflict-free workloads collapse to one wide level per block,
+// a global hotspot serializes into many narrow ones. The rows skip
+// number 2 so that each keeps the number EXPERIMENTS.md cites.
 func Contention(o Options) ([]*stats.Table, error) {
 	tbl := &stats.Table{
 		Title: "Contention: parallel execution under skew (rows: " +

@@ -24,7 +24,7 @@ type Config struct {
 	// Signer signs and verifies protocol messages.
 	Signer crypto.Signer
 	// ViewTimeout is the base pacemaker timeout; it doubles per
-	// consecutive timeout. Default 2s.
+	// consecutive timeout, up to 16 × ViewTimeout. Default 2s.
 	ViewTimeout time.Duration
 	// Trace, when non-nil, records the block_proposed (proposal learned →
 	// QC formed) and prepare_commit (QC → execution) lifecycle stages on
@@ -197,13 +197,15 @@ func (e *Engine) Poke() {
 	}
 }
 
-// armPacemaker (re)arms the view timer for the current backoff; a live
+// armPacemaker (re)arms the view timer for the current backoff, capped
+// at 16 × ViewTimeout and without jitter, so it draws no Rand; a live
 // one is stopped first, so the handle is the only timer pending.
 //
 //predis:hotpath
 func (e *Engine) armPacemaker() {
 	e.resetPacemaker()
-	e.pacemaker = e.ctx.After(e.cfg.ViewTimeout<<uint(e.backoff), e.pacemakerFire)
+	d := env.Backoff{Base: e.cfg.ViewTimeout, Max: 16 * e.cfg.ViewTimeout}.Delay(e.backoff, nil)
+	e.pacemaker = e.ctx.After(d, e.pacemakerFire)
 }
 
 // onPacemaker is the view timer: no progress in this view, with work
@@ -349,8 +351,9 @@ func (e *Engine) onProposal(from wire.NodeID, m *Proposal) {
 	}
 	parent, ok := e.blocks[b.Parent]
 	if !ok || b.Height != parent.block.Height+1 {
-		// Unknown parent (we fell behind) — chained HotStuff recovers via
-		// subsequent QCs; without the parent we cannot validate.
+		// Unknown parent (we fell behind): without it the proposal cannot
+		// be validated, so it is dropped, and nothing fetches the parent
+		// (ROADMAP item 8(b)).
 		return
 	}
 	ent := &blockEnt{block: b, hash: hash}

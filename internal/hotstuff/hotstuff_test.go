@@ -700,12 +700,44 @@ func TestOnePacemakerPending(t *testing.T) {
 	}
 }
 
+// TestViewTimerCapped: with two of four replicas crashed no QC forms,
+// so the live replicas' pacemakers time out again and again; their
+// backoff must stop growing at 16 × ViewTimeout.
+func TestViewTimerCapped(t *testing.T) {
+	r := newHSRig(t, 4, 10)
+	r.net.Crash(2)
+	r.net.Crash(3)
+	r.net.Start()
+	counters := make([]*liveTimers, 2)
+	for i := range counters {
+		r.apps[i].wantWork = true
+		e := r.engines[i]
+		counters[i] = &liveTimers{Context: e.ctx, min: e.cfg.ViewTimeout}
+		e.ctx = counters[i]
+		e.Poke()
+	}
+	r.net.Run(20 * time.Second)
+	for i, c := range counters {
+		e := r.engines[i]
+		_, timeouts := e.Stats()
+		if limit := 16 * e.cfg.ViewTimeout; c.longest > limit {
+			t.Errorf("replica %d armed a %v view timer, want at most %v", i, c.longest, limit)
+		}
+		if timeouts < 6 {
+			t.Errorf("replica %d timed out %d times, want at least 6", i, timeouts)
+		}
+		t.Logf("replica %d: %d timeouts, longest view timer %v", i, timeouts, c.longest)
+	}
+}
+
 // liveTimers wraps a node's context and counts its pending timers of at
-// least min: a fired or stopped timer leaves the count.
+// least min — a fired or stopped timer leaves the count — and records
+// the longest of them.
 type liveTimers struct {
 	env.Context
 	min       time.Duration
 	live, max int
+	longest   time.Duration
 }
 
 func (c *liveTimers) After(d time.Duration, fn func()) env.Timer {
@@ -714,6 +746,7 @@ func (c *liveTimers) After(d time.Duration, fn func()) env.Timer {
 	}
 	c.live++
 	c.max = max(c.max, c.live)
+	c.longest = max(c.longest, d)
 	lt := &liveTimer{c: c}
 	lt.t = c.Context.After(d, func() {
 		lt.leave()

@@ -25,7 +25,7 @@ type Config struct {
 	// Signer signs and verifies protocol messages.
 	Signer crypto.Signer
 	// ViewTimeout is the base leader-suspicion timeout; it doubles on
-	// consecutive failed view changes. Default 2s.
+	// consecutive failed view changes, up to 16 × ViewTimeout. Default 2s.
 	ViewTimeout time.Duration
 	// Pipeline is the maximum number of in-flight instances (sequence
 	// numbers past lastExec the leader may have proposed but not yet
@@ -250,7 +250,8 @@ func (e *Engine) Poke() {
 	}
 }
 
-// armSuspicion (re)arms the liveness timer for the current backoff; a
+// armSuspicion (re)arms the liveness timer for the current backoff,
+// capped at 16 × ViewTimeout and without jitter, so it draws no Rand; a
 // live one is stopped first, so the handle is the only timer pending.
 //
 //predis:hotpath
@@ -258,7 +259,8 @@ func (e *Engine) armSuspicion() {
 	if e.suspicion != nil {
 		e.suspicion.Stop()
 	}
-	e.suspicion = e.ctx.After(e.cfg.ViewTimeout<<uint(e.vcBackoff), e.suspect)
+	d := env.Backoff{Base: e.cfg.ViewTimeout, Max: 16 * e.cfg.ViewTimeout}.Delay(e.vcBackoff, nil)
+	e.suspicion = e.ctx.After(d, e.suspect)
 }
 
 // onSuspicion is the liveness timer. Outside a view change it suspects

@@ -732,3 +732,43 @@ func TestViewChangeEscalatesPastSilentLeader(t *testing.T) {
 		t.Logf("node %d: view %d, %d commits", i, r.engines[i].View(), len(r.apps[i].commits))
 	}
 }
+
+// TestViewTimerCapped: with two of four replicas crashed no view change
+// completes, so the live replicas' suspicion timers escalate again and
+// again; their backoff must stop growing at 16 × ViewTimeout.
+func TestViewTimerCapped(t *testing.T) {
+	r := newPBFTRig(t, 4, 5)
+	r.net.Crash(0)
+	r.net.Crash(1)
+	r.net.Start()
+	timers := make([]*longestTimer, 4)
+	for i := 2; i < 4; i++ {
+		r.apps[i].wantWork = true
+		timers[i] = &longestTimer{Context: r.engines[i].ctx}
+		r.engines[i].ctx = timers[i]
+		r.engines[i].Poke()
+	}
+	r.net.Run(30 * time.Second)
+	for i := 2; i < 4; i++ {
+		e, c := r.engines[i], timers[i]
+		if limit := 16 * e.cfg.ViewTimeout; c.longest > limit {
+			t.Errorf("node %d armed a %v timer, want at most %v", i, c.longest, limit)
+		}
+		if e.vcBackoff < 6 {
+			t.Errorf("node %d escalated %d times, want at least 6", i, e.vcBackoff)
+		}
+		t.Logf("node %d: %d escalations, longest timer %v", i, e.vcBackoff, c.longest)
+	}
+}
+
+// longestTimer wraps a node's context and records the longest timer it
+// arms.
+type longestTimer struct {
+	env.Context
+	longest time.Duration
+}
+
+func (c *longestTimer) After(d time.Duration, fn func()) env.Timer {
+	c.longest = max(c.longest, d)
+	return c.Context.After(d, fn)
+}
