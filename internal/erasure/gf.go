@@ -10,8 +10,10 @@
 // the sub-matrix corresponding to the surviving shards.
 package erasure
 
-// GF(2^8) arithmetic with the AES polynomial x^8+x^4+x^3+x+1 (0x11d is the
-// Rijndael-ish polynomial used by most storage RS codes).
+// GF(2^8) arithmetic modulo x^8+x^4+x^3+x^2+1 (0x11d), the polynomial of
+// most storage Reed–Solomon codes, Backblaze's included. It is not the AES
+// polynomial x^8+x^4+x^3+x+1 (0x11b), which is why GFNI's GF2P8MULB, fixed
+// to 0x11b, cannot serve as the multiply kernel here.
 const gfPoly = 0x11d
 
 var (

@@ -8,20 +8,36 @@ import "encoding/binary"
 // bounds check out of the inner loop, and XOR word-wide when the
 // coefficient is 1. gf.go's scalar versions are kept as the reference
 // implementation the cross-check tests compare against (and the cold
-// matrix algebra still uses them).
+// matrix algebra still uses them). On AVX2 CPUs a row's whole 32-byte
+// blocks go through kernels_amd64.s first (DESIGN.md §4, "GF(2⁸) row
+// kernels").
 
 // mulTable[c][x] = c·x in GF(2^8). 64 KiB, filled by initTables.
 var mulTable [256][256]byte
 
-// initMulTable fills mulTable; must run after the exp/log tables are
-// ready (initTables calls it last).
+// mulNib[c] holds the two 16-entry product tables of the AVX2 kernels:
+// c·x for the low nibble x, then c·(x<<4) for the high nibble. c·b is
+// lo[b&15] ^ hi[b>>4] since multiplication distributes over XOR.
+var mulNib [256][32]byte
+
+// simd selects the AVX2 kernels. initMulTable sets it once from the CPU
+// (haveAVX2); tests clear it to run the table loop alone.
+var simd bool
+
+// initMulTable fills mulTable and mulNib; must run after the exp/log
+// tables are ready (initTables calls it last).
 func initMulTable() {
 	for c := 1; c < 256; c++ {
 		row := &mulTable[c]
 		for x := 1; x < 256; x++ {
 			row[x] = gfExp[int(gfLog[c])+int(gfLog[x])]
 		}
+		for x := 0; x < 16; x++ {
+			mulNib[c][x] = row[x]
+			mulNib[c][16+x] = row[x<<4]
+		}
 	}
+	simd = haveAVX2()
 }
 
 // mulAndAdd computes dst[i] ^= c·src[i] over len(src) bytes.
@@ -35,8 +51,10 @@ func mulAndAdd(dst, src []byte, c byte) {
 		xorBytes(dst, src)
 		return
 	}
-	mt := &mulTable[c]
 	dst = dst[:len(src)] // hoist the bounds check
+	n := mulAndAddBulk(dst, src, c)
+	mt := &mulTable[c]
+	dst, src = dst[n:], src[n:]
 	for i, s := range src {
 		dst[i] ^= mt[s]
 	}
@@ -54,8 +72,10 @@ func mulSet(dst, src []byte, c byte) {
 		copy(dst, src)
 		return
 	}
-	mt := &mulTable[c]
 	dst = dst[:len(src)]
+	n := mulSetBulk(dst, src, c)
+	mt := &mulTable[c]
+	dst, src = dst[n:], src[n:]
 	for i, s := range src {
 		dst[i] = mt[s]
 	}

@@ -6,35 +6,170 @@ import (
 	"testing"
 )
 
-// TestKernelsMatchScalar cross-checks the table-driven mulAndAdd/mulSet
-// kernels against the scalar log/exp reference (mulRowAdd/mulRowSet)
-// over every coefficient and awkward slice lengths (word-remainder
-// tails, length 0/1).
-func TestKernelsMatchScalar(t *testing.T) {
+// kernelPaths lists the row-kernel paths this machine runs: the table
+// loop always, and AVX2 when the CPU has it.
+func kernelPaths() []bool {
 	tablesOnce.Do(initTables)
+	if haveAVX2() {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+// onPath runs f with the AVX2 kernels on or off, then restores the CPU's
+// choice.
+func onPath(useSIMD bool, f func()) {
+	defer func() { simd = haveAVX2() }()
+	simd = useSIMD
+	f()
+}
+
+func pathName(useSIMD bool) string {
+	if useSIMD {
+		return "avx2"
+	}
+	return "table"
+}
+
+// checkKernels compares mulAndAdd and mulSet with the scalar log/exp
+// reference (mulRowAdd/mulRowSet) for one coefficient on one source.
+func checkKernels(t *testing.T, src, base []byte, c byte) {
+	t.Helper()
+	want := append([]byte(nil), base...)
+	got := append([]byte(nil), base...)
+	mulRowAdd(want, src, c)
+	mulAndAdd(got, src, c)
+	if !bytes.Equal(want, got) {
+		t.Fatalf("mulAndAdd(c=%d, n=%d) diverges from scalar reference", c, len(src))
+	}
+	copy(want, base)
+	copy(got, base)
+	mulRowSet(want, src, c)
+	mulSet(got, src, c)
+	if !bytes.Equal(want, got) {
+		t.Fatalf("mulSet(c=%d, n=%d) diverges from scalar reference", c, len(src))
+	}
+}
+
+// TestKernelsMatchScalar cross-checks the mulAndAdd/mulSet kernels on
+// every path against the scalar log/exp reference, over every coefficient,
+// every length up to 130 (the AVX2 blocks, the word and byte tails), a
+// 25.6 kB body's stripe at n_c = 16 and at n_c = 4, and start offsets 0–31
+// (unaligned source and destination). Each length runs every coefficient,
+// and the offset turns with the coefficient, so each length also runs
+// every offset.
+func TestKernelsMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
-	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 63, 64, 65, 1000} {
-		src := make([]byte, n)
-		base := make([]byte, n)
-		rng.Read(src)
-		rng.Read(base)
-		for c := 0; c < 256; c++ {
-			wantAdd := append([]byte(nil), base...)
-			gotAdd := append([]byte(nil), base...)
-			mulRowAdd(wantAdd, src, byte(c))
-			mulAndAdd(gotAdd, src, byte(c))
-			if !bytes.Equal(wantAdd, gotAdd) {
-				t.Fatalf("mulAndAdd(c=%d, n=%d) diverges from scalar reference", c, n)
+	lengths := []int{2328, 8534}
+	for n := 0; n <= 130; n++ {
+		lengths = append(lengths, n)
+	}
+	const maxOff = 31
+	src := make([]byte, 8534+maxOff)
+	base := make([]byte, 8534+maxOff)
+	rng.Read(src)
+	rng.Read(base)
+	for _, useSIMD := range kernelPaths() {
+		onPath(useSIMD, func() {
+			for _, n := range lengths {
+				for c := 0; c < 256; c++ {
+					off := (c + n) % (maxOff + 1)
+					checkKernels(t, src[off:off+n], base[maxOff-off:maxOff-off+n], byte(c))
+				}
 			}
-			wantSet := append([]byte(nil), base...)
-			gotSet := append([]byte(nil), base...)
-			mulRowSet(wantSet, src, byte(c))
-			mulSet(gotSet, src, byte(c))
-			if !bytes.Equal(wantSet, gotSet) {
-				t.Fatalf("mulSet(c=%d, n=%d) diverges from scalar reference", c, n)
+		})
+	}
+}
+
+// TestCodecPathsAgree checks that Encode, DecodeData and Reconstruct give
+// byte-equal output on every kernel path, at shard lengths with and
+// without a tail, and that DecodeData into a dirty reused buffer matches a
+// fresh decode.
+func TestCodecPathsAgree(t *testing.T) {
+	for _, p := range []struct{ data, parity int }{{3, 1}, {11, 5}, {2, 2}} {
+		c, err := New(p.data, p.parity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range []int{1, 97, 25600} {
+			rng := rand.New(rand.NewSource(int64(size)))
+			payload := make([]byte, size)
+			rng.Read(payload)
+			lost := rng.Perm(c.TotalShards())[:p.parity]
+			// outputs[path] is the encoded shards, the decoded payload,
+			// then the reconstructed shards.
+			var outputs [][][]byte
+			for _, useSIMD := range kernelPaths() {
+				onPath(useSIMD, func() {
+					shards := c.Split(payload)
+					if err := c.Encode(shards); err != nil {
+						t.Fatal(err)
+					}
+					out := clone2D(shards)
+					for _, i := range lost {
+						shards[i] = nil
+					}
+					fresh, err := c.DecodeData(shards, len(payload), nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					dirty := make([]byte, 0, len(payload)+c.TotalShards())
+					rng.Read(dirty[:cap(dirty)])
+					reused, err := c.DecodeData(shards, len(payload), dirty)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if &reused[:1][0] != &dirty[:1][0] {
+						t.Fatalf("(%d,%d) n=%d: DecodeData allocated despite a large enough buffer",
+							p.data, p.parity, size)
+					}
+					if !bytes.Equal(fresh, payload) || !bytes.Equal(reused, payload) {
+						t.Fatalf("(%d,%d) n=%d %s: DecodeData does not return the payload",
+							p.data, p.parity, size, pathName(useSIMD))
+					}
+					if err := c.Reconstruct(shards); err != nil {
+						t.Fatal(err)
+					}
+					outputs = append(outputs, append(append(out, fresh), shards...))
+				})
+			}
+			for _, out := range outputs[1:] {
+				for i := range out {
+					if !bytes.Equal(outputs[0][i], out[i]) {
+						t.Fatalf("(%d,%d) n=%d: output %d (shards, payload, rebuilt shards) differs between kernel paths",
+							p.data, p.parity, size, i)
+					}
+				}
 			}
 		}
 	}
+}
+
+func clone2D(in [][]byte) [][]byte {
+	out := make([][]byte, len(in))
+	for i, b := range in {
+		out[i] = append([]byte(nil), b...)
+	}
+	return out
+}
+
+// FuzzGFKernels checks both row kernels on every path against the scalar
+// reference for an arbitrary coefficient, start offset and row.
+func FuzzGFKernels(f *testing.F) {
+	f.Add(byte(2), uint8(0), []byte("split-nibble kernels need at least one 32-byte block"))
+	f.Add(byte(1), uint8(5), make([]byte, 200))
+	f.Add(byte(0x8e), uint8(31), []byte{0xff, 0x10, 0x01})
+	f.Fuzz(func(t *testing.T, c byte, off uint8, row []byte) {
+		o := min(int(off)%32, len(row))
+		src := row[o:]
+		base := make([]byte, len(src))
+		for i := range base {
+			base[i] = row[len(row)-1-i] ^ byte(i)
+		}
+		for _, useSIMD := range kernelPaths() {
+			onPath(useSIMD, func() { checkKernels(t, src, base, c) })
+		}
+	})
 }
 
 // scalarReconstruct is the pre-cache, pre-kernel reference decoder: it

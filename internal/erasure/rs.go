@@ -123,8 +123,10 @@ func (c *Coder) Reconstruct(shards [][]byte) error {
 // DecodeData returns the original byte string of length outLen from any
 // `data` of the shards, rebuilding missing data shards straight into the
 // result: bundle reassembly needs neither the parity shards nor a copy of
-// a rebuilt shard. No shard is modified.
-func (c *Coder) DecodeData(shards [][]byte, outLen int) ([]byte, error) {
+// a rebuilt shard. The result is buf[:outLen] when buf has the capacity
+// the decode needs (data × shard size), and a new slice otherwise, so a
+// caller can reuse one buffer across decodes. No shard is modified.
+func (c *Coder) DecodeData(shards [][]byte, outLen int, buf []byte) ([]byte, error) {
 	size, err := c.survivors(shards)
 	if err != nil {
 		return nil, err
@@ -135,9 +137,13 @@ func (c *Coder) DecodeData(shards [][]byte, outLen int) ([]byte, error) {
 	if size*c.data < outLen {
 		return nil, fmt.Errorf("erasure: shards hold %d bytes, need %d", size*c.data, outLen)
 	}
-	out := make([]byte, size*c.data)
-	var buf [256]byte
-	idx := c.decodeRows(shards, buf[:0])
+	out := buf[:0]
+	if cap(out) < size*c.data {
+		out = make([]byte, size*c.data)
+	}
+	out = out[:size*c.data]
+	var idxBuf [256]byte
+	idx := c.decodeRows(shards, idxBuf[:0])
 	var dec *matrix
 	for d := 0; d < c.data; d++ {
 		dst := out[d*size : (d+1)*size]
@@ -151,7 +157,8 @@ func (c *Coder) DecodeData(shards [][]byte, outLen int) ([]byte, error) {
 			}
 		}
 		row := dec.row(d)
-		for k := 0; k < c.data; k++ {
+		mulSet(dst, shards[idx[0]], row[0])
+		for k := 1; k < c.data; k++ {
 			mulAndAdd(dst, shards[idx[k]], row[k])
 		}
 	}

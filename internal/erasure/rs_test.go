@@ -278,7 +278,7 @@ func TestQuickRoundtrip(t *testing.T) {
 			shards[i] = nil
 		}
 		// DecodeData rebuilds the payload and fills in no shard.
-		direct, err := c.DecodeData(shards, len(payload))
+		direct, err := c.DecodeData(shards, len(payload), nil)
 		if err != nil || !bytes.Equal(direct, payload) || slices.IndexFunc(shards, func(b []byte) bool { return b == nil }) < 0 {
 			return false
 		}

@@ -11,6 +11,7 @@ package multizone
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"predis/internal/core"
 	"predis/internal/crypto"
@@ -204,6 +205,13 @@ func (s *Striper) Reassemble(header core.BundleHeader, stripes []*StripeMsg) (*c
 	return s.decode(header, stripes, payloadLen)
 }
 
+// bodyPool recycles decode's body buffers. A body is dead once
+// types.DecodeTxs returns, since decoded transactions copy every field out
+// of it; buffers above pooledBodyCap are dropped rather than pooled.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const pooledBodyCap = 1 << 20
+
 // decode is Reassemble's slow half: erasure-decode the body, parse it and
 // check it against the header.
 //
@@ -216,11 +224,17 @@ func (s *Striper) decode(header core.BundleHeader, stripes []*StripeMsg, payload
 			shards[i] = st.Shard
 		}
 	}
-	body, err := s.coder.DecodeData(shards, payloadLen)
+	buf := bodyPool.Get().(*[]byte)
+	body, err := s.coder.DecodeData(shards, payloadLen, *buf)
 	if err != nil {
+		bodyPool.Put(buf)
 		return nil, err
 	}
 	txs, err := types.DecodeTxs(wire.NewDecoder(body))
+	if cap(body) <= pooledBodyCap {
+		*buf = body[:0]
+		bodyPool.Put(buf)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStripeBundle, err)
 	}

@@ -3,6 +3,7 @@ package multizone
 import (
 	"errors"
 	"math/bits"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -368,6 +369,51 @@ func TestStripeSetAllocs(t *testing.T) {
 		i := 0
 		if a := testing.AllocsPerRun(50, func() { _, _ = set.Stripe(b.Header, i%g.nc); i++ }); a != 0 {
 			t.Errorf("nc=%d: Stripe allocates %.1f, want 0", g.nc, a)
+		}
+	}
+}
+
+// TestDecodeBorrowsBody pins that reassembly decodes into a pooled body:
+// what a decode allocates (the transactions and the bundle) stays below
+// the size of the body itself, at both group sizes.
+func TestDecodeBorrowsBody(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	suite := crypto.NewSimSuite(4, 80)
+	txs := mkTxs(50, 0)
+	for _, g := range []struct{ nc, f int }{{4, 1}, {16, 5}} {
+		s, _ := NewStriper(g.nc, g.f)
+		set, _ := s.Encode(txs)
+		b := core.PackBundleStriped(suite.Signer(0), 0, nil, txs, make(core.TipList, g.nc), set.Root)
+		// The first f stripes, data stripes all, are missing, so every
+		// decode rebuilds f data shards.
+		pristine := make([]StripeMsg, g.nc)
+		for i := g.f; i < g.nc; i++ {
+			m, _ := set.Stripe(b.Header, i)
+			pristine[i] = *m
+		}
+		stripes := make([]*StripeMsg, g.nc)
+		reassemble := func() {
+			for i := g.f; i < g.nc; i++ {
+				cp := pristine[i] // fresh messages: Reassemble memoizes on them
+				stripes[i] = &cp
+			}
+			if _, err := s.Reassemble(b.Header, stripes); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reassemble() // the pool's first buffer
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			reassemble()
+		}
+		runtime.ReadMemStats(&after)
+		perDecode := (after.TotalAlloc - before.TotalAlloc) / runs
+		if perDecode >= uint64(set.PayloadLen) {
+			t.Errorf("nc=%d: a decode allocates %d B, not below the %d-B body", g.nc, perDecode, set.PayloadLen)
 		}
 	}
 }
