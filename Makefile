@@ -94,15 +94,16 @@ smoke_replay = go run ./tools/replaydiff all
 
 # fuzz: short coverage-guided runs on top of the checked-in corpora
 # (testdata/fuzz): Unmarshal never panics and re-marshals canonically,
-# on arbitrary frames and on arbitrary bodies of every core and zone
-# message; a transaction and a transaction list decode and re-encode
-# canonically; the state commitment matches its from-scratch oracle
+# on arbitrary frames and on arbitrary bodies of every core, zone and
+# microblock message; a transaction and a transaction list decode and
+# re-encode canonically; the state commitment matches its from-scratch oracle
 # however the writes were batched; the GF(2^8) row kernels match the
 # scalar reference for any coefficient, offset and row.
 smoke_fuzz = go test ./internal/wire/ -run '^$$' -fuzz FuzzUnmarshal -fuzztime 10s \
 	&& go test ./internal/types/ -run '^$$' -fuzz FuzzDecodeTx -fuzztime 5s \
 	&& go test ./internal/core/ -run '^$$' -fuzz FuzzCoreMessages -fuzztime 5s \
 	&& go test ./internal/multizone/ -run '^$$' -fuzz FuzzZoneMessages -fuzztime 5s \
+	&& go test ./internal/microblock/ -run '^$$' -fuzz FuzzMicroblockMessages -fuzztime 5s \
 	&& go test ./internal/exec/ -run '^$$' -fuzz FuzzStateCommitment -fuzztime 5s \
 	&& go test ./internal/erasure/ -run '^$$' -fuzz FuzzGFKernels -fuzztime 5s
 

@@ -1,7 +1,8 @@
 // Package consensus defines the contract between BFT consensus engines
 // (internal/pbft, internal/hotstuff) and the applications that feed them
-// proposals (the baseline transaction-batch app in internal/txpool and the
-// Predis app in internal/core).
+// proposals: the baseline transaction-batch app in internal/txpool, the
+// Predis app in internal/core, and the Narwhal/Stratus shared mempool in
+// internal/microblock.
 //
 // The engine owns ordering: it decides when the local node should propose,
 // validates ordering-level rules (views, quorums, signatures), and delivers

@@ -42,6 +42,33 @@ const maxServe = 64
 // to leave out; either may be wire.NoNode.
 type HolderFunc func(producer, first, avoid wire.NodeID) []wire.NodeID
 
+// ChainHolders is a consensus node's rotation for producer's bundles, over
+// its mempool: the producer, the one node certain to hold them; then the
+// peers whose advertised tip lists prove they hold the next missing height
+// (§III-D: the cutting rule leaves n_c−2f honest holders); then the rest,
+// each group in ring order from the producer. Tips ride on bundles and can
+// lag the bundles themselves, so an unproven peer may hold them too.
+func ChainHolders(mp *Mempool, self wire.NodeID) HolderFunc {
+	return func(producer, _, _ wire.NodeID) []wire.NodeID {
+		nc := mp.params.NC
+		need := mp.Tip(producer) + 1
+		out := make([]wire.NodeID, 0, nc)
+		if producer != self {
+			out = append(out, producer)
+		}
+		for _, proven := range []bool{true, false} {
+			for i := 1; i < nc; i++ {
+				id := wire.NodeID((int(producer) + i) % nc)
+				th := mp.TipHeader(id)
+				if id != self && (th != nil && th.Tips[producer] >= need) == proven {
+					out = append(out, id)
+				}
+			}
+		}
+		return out
+	}
+}
+
 // fetchState is one producer's fetch: what is wanted, the one request
 // outstanding for it, and where the holder rotation stands.
 type fetchState struct {

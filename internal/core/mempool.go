@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -480,22 +481,7 @@ func (m *Mempool) FastForward(anchor *PredisBlock) {
 	for i, c := range m.chains {
 		cut := anchor.Cuts[i].Height
 		if cut > c.tip() {
-			// Unconfirmed payload bundles being skipped leave the pending
-			// count (banned chains were already discounted by Ban).
-			if !m.banned[i] {
-				for h := c.confirmed + 1; h <= c.tip(); h++ {
-					if b := c.at(h); b != nil && b.Header.TxCount > 0 {
-						m.liveTxBundles--
-					}
-				}
-			}
-			c.bundles = nil
-			c.base = cut
-			for ph, b := range c.buffered {
-				if b.Header.Height <= cut {
-					delete(c.buffered, ph)
-				}
-			}
+			m.reset(i, cut)
 		}
 		if cut > c.confirmed {
 			c.confirmed = cut
@@ -504,6 +490,55 @@ func (m *Mempool) FastForward(anchor *PredisBlock) {
 	clear(m.blocks)
 	m.blocks = append(m.blocks[:0], anchor)
 	m.headHash = anchor.Hash()
+}
+
+// reset empties chain i at cut, above its tip: base = cut, and what is
+// parked at or below cut goes.
+func (m *Mempool) reset(i int, cut uint64) {
+	c := m.chains[i]
+	// Unconfirmed payload bundles being skipped leave the pending count
+	// (banned chains were already discounted by Ban).
+	if !m.banned[i] {
+		for h := c.confirmed + 1; h <= c.tip(); h++ {
+			if b := c.at(h); b != nil && b.Header.TxCount > 0 {
+				m.liveTxBundles--
+			}
+		}
+	}
+	c.bundles = nil
+	c.base = cut
+	for ph, b := range c.buffered {
+		if b.Header.Height <= cut {
+			delete(c.buffered, ph)
+		}
+	}
+}
+
+// SkipTo gives up producer's heights up to height when its tip is below,
+// as FastForward does at an anchor's cut: the chain restarts empty at
+// height, which counts as confirmed, and the bundle parked at height+1
+// links, with the run parked above it (of two parked there, which only an
+// equivocating producer makes, the lower hash). A shared-mempool baseline,
+// which commits no blocks to anchor on, resumes with it a chain whose hole
+// every holder has pruned.
+func (m *Mempool) SkipTo(producer wire.NodeID, height uint64) {
+	c := m.chains[producer]
+	if height <= c.tip() {
+		return
+	}
+	m.reset(int(producer), height)
+	c.confirmed = height
+	var next *Bundle
+	var low crypto.Hash
+	for _, b := range c.buffered {
+		if h := b.Header.Hash(); b.Header.Height == height+1 && (next == nil || bytes.Compare(h[:], low[:]) < 0) {
+			next, low = b, h
+		}
+	}
+	if next != nil {
+		delete(c.buffered, next.Header.Parent)
+		m.AddBundle(next, false)
+	}
 }
 
 // Range returns the bundles (from, to] on a chain if all are present,

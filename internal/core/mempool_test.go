@@ -319,6 +319,48 @@ func TestConflictEvidenceVerifyRejectsForgeries(t *testing.T) {
 	}
 }
 
+// TestSkipToLinksTheParkedRun: a chain skipped past its hole restarts at
+// the skip height, counted confirmed, and the run parked right above links
+// at once, each bundle through the link hook; parked bundles at or below
+// the skip height go, and a skip to or below the tip changes nothing.
+func TestSkipToLinksTheParkedRun(t *testing.T) {
+	r := newRig(t, 4, 1, 50)
+	bs := make([]*Bundle, 10) // bs[h] is height h
+	for h := 1; h < len(bs); h++ {
+		bs[h] = r.pack(0, 1)
+	}
+	mp := r.pools[1]
+	var linked []uint64
+	mp.SetOnLink(func(b *Bundle) { linked = append(linked, b.Header.Height) })
+	r.give(1, bs[1])
+	for _, h := range []int{4, 7, 8} {
+		if res, _, _, err := mp.AddBundle(bs[h], true); err != nil || res != Buffered {
+			t.Fatalf("height %d: res=%d err=%v", h, res, err)
+		}
+	}
+	mp.SkipTo(0, 1) // at the tip: nothing to skip
+	if mp.Tip(0) != 1 || mp.ConfirmedHeight(0) != 0 || mp.BufferedCount(0) != 3 {
+		t.Fatalf("skip to the tip moved the chain: tip %d, confirmed %d, %d parked",
+			mp.Tip(0), mp.ConfirmedHeight(0), mp.BufferedCount(0))
+	}
+	linked = nil
+	mp.SkipTo(0, 6)
+	if mp.Tip(0) != 8 || mp.ConfirmedHeight(0) != 6 || mp.Bases()[0] != 6 || mp.BufferedCount(0) != 0 {
+		t.Fatalf("after skipping to 6: tip %d, confirmed %d, base %d, %d parked; want 8, 6, 6, 0",
+			mp.Tip(0), mp.ConfirmedHeight(0), mp.Bases()[0], mp.BufferedCount(0))
+	}
+	if len(linked) != 2 || linked[0] != 7 || linked[1] != 8 {
+		t.Fatalf("linked %v on the skip, want [7 8]", linked)
+	}
+	if mp.Hole(0) != nil || mp.Bundle(0, 7) != bs[7] {
+		t.Fatal("the parked run did not become the chain")
+	}
+	r.give(1, bs[9])
+	if mp.Tip(0) != 9 {
+		t.Fatalf("tip %d after the next bundle, want 9", mp.Tip(0))
+	}
+}
+
 func TestMarkConfirmedPruning(t *testing.T) {
 	suite := crypto.NewSimSuite(4, 1)
 	mp, err := NewMempool(Params{NC: 4, F: 1, BundleSize: 10, Signer: suite.Signer(0), KeepConfirmed: 2})

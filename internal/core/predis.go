@@ -141,7 +141,7 @@ func NewPredis(opts Options) (*Predis, error) {
 	if opts.Stream {
 		p.quorum = 1
 	}
-	p.fetch = NewFetchPlane(mp, p.retry, p.holders)
+	p.fetch = NewFetchPlane(mp, p.retry, ChainHolders(mp, opts.Self))
 	p.catchup = NewCatchup(mp, p.retry, p.catchupOwner())
 	return p, nil
 }
@@ -417,31 +417,6 @@ func (p *Predis) need(miss *MissingRange) {
 	if miss != nil {
 		p.fetch.Need(miss.Producer, miss.To, wire.NoNode, wire.NoNode)
 	}
-}
-
-// holders is a consensus node's rotation for producer's bundles: the
-// producer, the one node certain to hold them; then the peers whose
-// advertised tip lists prove they hold the next missing height (§III-D: the
-// cutting rule leaves n_c−2f honest holders); then the rest, each group in
-// ring order from the producer. Tips ride on bundles and can lag the
-// bundles themselves, so an unproven peer may hold them too.
-func (p *Predis) holders(producer, _, _ wire.NodeID) []wire.NodeID {
-	nc := p.mp.params.NC
-	need := p.mp.Tip(producer) + 1
-	out := make([]wire.NodeID, 0, nc)
-	if producer != p.opts.Self {
-		out = append(out, producer)
-	}
-	for _, proven := range []bool{true, false} {
-		for i := 1; i < nc; i++ {
-			id := wire.NodeID((int(producer) + i) % nc)
-			th := p.mp.TipHeader(id)
-			if id != p.opts.Self && (th != nil && th.Tips[producer] >= need) == proven {
-				out = append(out, id)
-			}
-		}
-	}
-	return out
 }
 
 func (p *Predis) poke() {

@@ -126,11 +126,12 @@ func TestPacedStreamIdle(t *testing.T) {
 // in block and in stream mode, and quick contention, whose row also
 // carries a digest of every per-height state root. Two runs each must
 // reproduce them. The experiment rows — quick recovery and byzantine
-// through Options.Replay, and fig7, fig8 and scale, which take no trace,
-// as a SHA-256 of their rendered quick tables (scale's without its
-// machine-cost table) — run once: same-seed determinism is the first six
-// rows' and TestReplayRecoveryDeterministic's business, these hold every
-// Multi-Zone deployment shape and the scale sweep still. A change
+// through Options.Replay, and fig7, fig8, scale and fig5 (WAN and LAN),
+// which take no trace, as a SHA-256 of their rendered quick tables
+// (scale's without its machine-cost table) — run once: same-seed
+// determinism is the first six rows' and TestReplayRecoveryDeterministic's
+// business, these hold every Multi-Zone deployment shape, the scale sweep
+// and Fig. 5's Narwhal and Stratus columns still. A change
 // that moves the model on purpose re-pins the rows it moves; a host-only
 // change must leave all of them alone. (All ten rows moved together with
 // simnet's NIC model, which re-timed every delivery; seven moved again
@@ -151,7 +152,8 @@ func TestPacedStreamIdle(t *testing.T) {
 // committed Predis block under its own type tag instead of a zone wrapper;
 // folding the old tag into the new one in ReplayTrace.record reproduces
 // their new digests from the old code, and fig8's tables, whose sources
-// became core.Predis, did not move.)
+// became core.Predis, did not move. The fig5 rows were pinned when
+// Narwhal's and Stratus's batches became bundles on Predis's data plane.)
 func TestReplayPinned(t *testing.T) {
 	sum := func(tr *ReplayTrace) string { return fmt.Sprintf("%s %d", tr.Sum(), tr.Deliveries()) }
 	point := func() string {
@@ -232,6 +234,8 @@ func TestReplayPinned(t *testing.T) {
 		{"quick fig7 tables", 1, experiment(Fig7, false), "ac9c141acd77195dcdac0c438b8cbf3f7adb1959643784fe942b494f565073c8"},
 		{"quick fig8 tables", 1, experiment(Fig8, false), "25c836b4b099b21edbf1fcc14feef2ece20fa589b544d9656efc333f22f5bb70"},
 		{"quick scale tables", 1, experiment(scaleTables, false), "3bbb870433738b118300d524b760b1029e3248dbadadd1d0f5be84b3c5f51f9f"},
+		{"quick fig5wan tables", 1, experiment(Fig5WAN, false), "a1f329ea71e4399f26b75a774abe9faab6b0b3bb1a03fe52e7e72e67caf46458"},
+		{"quick fig5lan tables", 1, experiment(Fig5LAN, false), "5e2cbee6cc067fa0da77a385825c8e7da85a31e05da8c71d9b7897da84bf6e32"},
 	} {
 		for run := 1; run <= c.runs; run++ {
 			if got := c.run(); got != c.want {

@@ -1,13 +1,14 @@
 package microblock
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 
 	"predis/internal/consensus"
+	"predis/internal/core"
 	"predis/internal/crypto"
 	"predis/internal/env"
 	"predis/internal/types"
@@ -75,26 +76,28 @@ type App struct {
 
 	queue []*types.Transaction
 
-	store     map[crypto.Hash]*Microblock
+	// mp holds each producer's batches as its bundle chain, whose confirmed
+	// height is its committed prefix; above, per producer, the heights
+	// committed past it; opened, where its last holder rotation began.
+	mp     *core.Mempool
+	fetch  *core.FetchPlane
+	above  []map[uint64]bool
+	opened []uint64
+
+	// certified holds each certified, uncommitted batch's certificate, and
+	// certOrder their ids in arrival order (OnCommit drops committed ones).
 	certified map[crypto.Hash]*Cert
 	certOrder []crypto.Hash
-	committed map[crypto.Hash]struct{}
 	inflight  map[crypto.Hash]uint64
 
-	// producer state
-	nextSeq     uint64
-	outstanding crypto.Hash // digest awaiting certification (Narwhal)
-	hasOutst    bool
-	ackSets     map[crypto.Hash]*Cert // partial certs being collected
-	lastCert    *Cert                 // to piggyback on the next microblock
+	// producer state: certificates of own batches being collected (one at
+	// most under Narwhal), and the last one formed
+	ackSets     map[crypto.Hash]*Cert
+	lastCert    *Cert // to piggyback on the next microblock
 	certCarried bool
 
-	lastCommitted uint64
-	engine        consensus.Engine
-	tick          env.Timer
-
-	// stats
-	produced  uint64
+	engine    consensus.Engine
+	tick      env.Timer
 	txsCommit uint64
 }
 
@@ -105,25 +108,32 @@ func New(opts Options) (*App, error) {
 	if opts.Scheme != SchemeNarwhal && opts.Scheme != SchemeStratus {
 		return nil, fmt.Errorf("microblock: unknown scheme %d", opts.Scheme)
 	}
-	if opts.NC <= 0 || opts.F < 0 || opts.Signer == nil || opts.MBSize <= 0 {
-		return nil, errors.New("microblock: NC, Signer, and MBSize are required")
+	mp, err := core.NewMempool(core.Params{
+		NC: opts.NC, F: opts.F,
+		BundleSize:     opts.MBSize,
+		BundleInterval: opts.MBInterval,
+		Signer:         opts.Signer,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("microblock: %w", err)
 	}
-	if opts.MBInterval <= 0 {
-		opts.MBInterval = 20 * time.Millisecond
-	}
-	peers := make([]wire.NodeID, opts.NC)
-	for i := range peers {
-		peers[i] = wire.NodeID(i)
-	}
-	return &App{
+	a := &App{
 		opts:      opts,
-		peers:     peers,
-		store:     make(map[crypto.Hash]*Microblock),
+		peers:     make([]wire.NodeID, opts.NC),
+		mp:        mp,
+		above:     make([]map[uint64]bool, opts.NC),
+		opened:    make([]uint64, opts.NC),
 		certified: make(map[crypto.Hash]*Cert),
-		committed: make(map[crypto.Hash]struct{}),
 		inflight:  make(map[crypto.Hash]uint64),
 		ackSets:   make(map[crypto.Hash]*Cert),
-	}, nil
+	}
+	for i := range a.peers {
+		a.peers[i] = wire.NodeID(i)
+		a.above[i] = make(map[uint64]bool)
+	}
+	a.fetch = core.NewFetchPlane(mp, env.DefaultBackoff(2*mp.Params().BundleInterval), core.ChainHolders(mp, opts.Self))
+	mp.SetOnLink(a.onLink)
+	return a, nil
 }
 
 // threshold returns the ack quorum for the scheme.
@@ -138,36 +148,38 @@ func (a *App) threshold() int {
 func (a *App) SetEngine(e consensus.Engine) { a.engine = e }
 
 // Stats returns (microblocks produced, transactions committed).
-func (a *App) Stats() (produced, committed uint64) { return a.produced, a.txsCommit }
+func (a *App) Stats() (produced, committed uint64) { return a.mp.Tip(a.opts.Self), a.txsCommit }
+
+// Mempool exposes the batch store (read-only).
+func (a *App) Mempool() *core.Mempool { return a.mp }
 
 // Start arms the production timer.
 func (a *App) Start(ctx env.Context) {
 	a.ctx = ctx
+	a.fetch.Start(ctx)
 	a.armTick()
 }
 
-// OnRestart implements env.Restartable: re-arm the production tick, which
-// the crash suppressed, and re-send, in Seq order, each own microblock
-// whose acks the crash dropped (a Narwhal producer waits on its
-// certificate).
+// OnRestart implements env.Restartable: re-arm the production tick, drop
+// the fetches whose timers died with the crash, and re-send, in height
+// order, each own microblock whose acks the crash dropped.
 func (a *App) OnRestart() {
 	if a.ctx == nil {
 		return
 	}
 	a.tick.Stop()
 	a.armTick()
-	uncertified := make([]*Microblock, 0, len(a.ackSets))
-	for digest := range a.ackSets {
-		uncertified = append(uncertified, a.store[digest])
-	}
-	slices.SortFunc(uncertified, func(x, y *Microblock) int { return cmp.Compare(x.Seq, y.Seq) })
-	for _, mb := range uncertified {
-		env.Multicast(a.ctx, a.peers, mb)
+	a.fetch.Reset()
+	clear(a.opened)
+	for h := a.mp.ConfirmedHeight(a.opts.Self) + 1; h <= a.mp.Tip(a.opts.Self); h++ {
+		if b := a.mp.Bundle(a.opts.Self, h); a.ackSets[b.Header.Hash()] != nil {
+			env.Multicast(a.ctx, a.peers, &Microblock{Bundle: b})
+		}
 	}
 }
 
 func (a *App) armTick() {
-	a.tick = a.ctx.After(a.opts.MBInterval, func() {
+	a.tick = a.ctx.After(a.mp.Params().BundleInterval, func() {
 		a.tryProduce()
 		a.armTick()
 	})
@@ -176,99 +188,121 @@ func (a *App) armTick() {
 // SubmitTx enqueues a client transaction.
 func (a *App) SubmitTx(tx *types.Transaction) {
 	a.queue = append(a.queue, tx)
-	if len(a.queue) >= a.opts.MBSize {
+	if len(a.queue) >= a.mp.Params().BundleSize {
 		a.tryProduce()
 	}
 }
 
-// tryProduce emits the next microblock when allowed: Narwhal requires the
-// previous one to be certified first; Stratus produces freely.
+// tryProduce emits the next microblock, the next bundle on this node's
+// chain, when allowed: Narwhal requires the previous one to be certified
+// first; Stratus produces freely.
 func (a *App) tryProduce() {
+	self := a.opts.Self
 	for len(a.queue) > 0 {
-		if a.opts.Scheme == SchemeNarwhal && a.hasOutst {
+		if a.opts.Scheme == SchemeNarwhal && len(a.ackSets) > 0 {
 			return // RBC chaining: wait for the certificate
 		}
-		n := a.opts.MBSize
-		if n > len(a.queue) {
-			n = len(a.queue)
-		}
+		n := min(a.mp.Params().BundleSize, len(a.queue))
 		txs := a.queue[:n:n]
 		a.queue = a.queue[n:]
-		a.nextSeq++
-		mb := &Microblock{Producer: a.opts.Self, Seq: a.nextSeq, Txs: txs}
+		tips := a.mp.Tips()
+		tips[self]++ // the producer holds the bundle it is creating
+		b := core.PackBundle(a.opts.Signer, self, a.mp.TipHeader(self), txs, tips)
+		if _, _, _, err := a.mp.AddBundle(b, false); err != nil {
+			a.ctx.Logf("microblock: own batch rejected: %v", err)
+			return
+		}
+		mb := &Microblock{Bundle: b}
 		if a.lastCert != nil && !a.certCarried {
 			mb.PrevCert = a.lastCert
 			a.certCarried = true
 		}
-		digest := mb.Digest()
-		mb.Sig = a.opts.Signer.Sign(digest)
-		a.store[digest] = mb
-		a.produced++
 		// Seed the ack set with our own signature.
-		cert := &Cert{Digest: digest}
-		cert.Signers = append(cert.Signers, a.opts.Self)
-		cert.Sigs = append(cert.Sigs, a.opts.Signer.Sign(ackDigest(digest)))
-		a.ackSets[digest] = cert
-		if a.opts.Scheme == SchemeNarwhal {
-			a.outstanding = digest
-			a.hasOutst = true
+		id := b.Header.Hash()
+		a.ackSets[id] = &Cert{
+			Digest: id, Producer: self, Height: b.Header.Height,
+			Signers: []wire.NodeID{self},
+			Sigs:    [][]byte{a.opts.Signer.Sign(ackDigest(id, self, b.Header.Height))},
 		}
 		env.Multicast(a.ctx, a.peers, mb)
 	}
 }
 
-// Receive handles data-plane messages (routed by the node layer).
+// Receive handles data-plane messages (routed by the node layer), the fetch
+// plane's included.
 func (a *App) Receive(from wire.NodeID, m wire.Message) {
 	switch msg := m.(type) {
 	case *Microblock:
-		a.onMicroblock(msg, from == msg.Producer)
+		a.learnCert(msg.PrevCert, true)
+		a.onBundle(from, msg.Bundle, from == msg.Bundle.Header.Producer)
 	case *Ack:
 		a.onAck(from, msg)
 	case *CertMsg:
 		a.learnCert(msg.Cert, true)
-	case *MBRequest:
-		a.onRequest(from, msg)
-	case *MBResponse:
-		for _, mb := range msg.Microblocks {
-			a.onMicroblock(mb, false)
+	case *core.BundleRequest:
+		core.ServeBundles(a.ctx, a.mp, from, msg)
+	case *core.BundleResponse:
+		fresh := false
+		for _, b := range msg.Bundles {
+			fresh = a.onBundle(from, b, false) || fresh
 		}
+		a.fetch.Answered(from, msg.Bundles, fresh)
 	default:
 		a.ctx.Logf("microblock: unexpected %s from %d", wire.TypeName(m.Type()), from)
 	}
 }
 
-// onMicroblock stores a microblock and acknowledges it to its producer.
-// direct: it came straight from its producer, which re-sends only after a
-// restart lost the acks, so a stored one is acknowledged again.
-func (a *App) onMicroblock(mb *Microblock, direct bool) {
-	if int(mb.Producer) >= a.opts.NC {
-		return
+// onBundle stores a batch and reports whether it linked into its chain
+// (onLink acknowledges it); a gap its chain now shows below held batches
+// goes to the fetch plane. direct: it came straight from its producer,
+// which re-sends only after a restart lost the acks, so one already held
+// is acknowledged again.
+func (a *App) onBundle(from wire.NodeID, b *core.Bundle, direct bool) bool {
+	res, _, _, err := a.mp.AddBundle(b, true)
+	if err != nil {
+		a.ctx.Logf("microblock: batch from %d rejected: %v", from, err)
+		return false
 	}
-	digest := mb.Digest()
-	if mb.PrevCert != nil {
-		a.learnCert(mb.PrevCert, true)
+	if res == core.Duplicate && direct {
+		a.ack(b)
 	}
-	if _, ok := a.store[digest]; ok {
-		if direct {
-			a.ack(mb.Producer, digest)
-		}
-		return
+	if hole := a.mp.Hole(b.Header.Producer); hole != nil {
+		a.need(hole.Producer, hole.To)
 	}
-	if !a.opts.Signer.Verify(int(mb.Producer), digest, mb.Sig) {
-		return
-	}
-	a.store[digest] = mb
-	a.ack(mb.Producer, digest)
-	a.poke() // a pending proposal may now validate
+	return res == core.Added
 }
 
-// ack acknowledges a stored microblock to its producer.
-func (a *App) ack(producer wire.NodeID, digest crypto.Hash) {
-	if producer != a.opts.Self {
-		ack := &Ack{Digest: digest, Replica: a.opts.Self}
-		ack.Sig = a.opts.Signer.Sign(ackDigest(digest))
-		a.ctx.Send(producer, ack)
+// need asks the fetch plane for producer's chain up to height to. A rotation
+// that opens where the last one did means that one found nothing: every
+// holder pruned the hole while this node was down. With no committed block to
+// anchor on, the chain skips the hole, as committed, and links what is above.
+func (a *App) need(producer wire.NodeID, to uint64) {
+	from := a.mp.Tip(producer) + 1
+	if !a.fetch.Need(producer, to, wire.NoNode, wire.NoNode) {
+		return
 	}
+	if hole := a.mp.Hole(producer); hole != nil && a.opened[producer] == from {
+		a.mp.SkipTo(producer, hole.To)
+		clear(a.above[producer])
+		a.forget()
+	}
+	a.opened[producer] = from
+}
+
+// onLink is the mempool's link hook: a peer's batch that joins its chain is
+// acknowledged to its producer, and a pending proposal may now validate.
+func (a *App) onLink(b *core.Bundle) {
+	if b.Header.Producer != a.opts.Self {
+		a.ack(b)
+		a.poke()
+	}
+}
+
+// ack acknowledges a held peer's batch to its producer.
+func (a *App) ack(b *core.Bundle) {
+	id := b.Header.Hash()
+	sig := a.opts.Signer.Sign(ackDigest(id, b.Header.Producer, b.Header.Height))
+	a.ctx.Send(b.Header.Producer, &Ack{Digest: id, Replica: a.opts.Self, Sig: sig})
 }
 
 func (a *App) onAck(from wire.NodeID, m *Ack) {
@@ -279,13 +313,9 @@ func (a *App) onAck(from wire.NodeID, m *Ack) {
 	if !ok {
 		return // not ours or already certified
 	}
-	if !a.opts.Signer.Verify(int(m.Replica), ackDigest(m.Digest), m.Sig) {
+	if slices.Contains(cert.Signers, m.Replica) ||
+		!a.opts.Signer.Verify(int(m.Replica), ackDigest(m.Digest, cert.Producer, cert.Height), m.Sig) {
 		return
-	}
-	for _, id := range cert.Signers {
-		if id == m.Replica {
-			return
-		}
 	}
 	cert.Signers = append(cert.Signers, m.Replica)
 	cert.Sigs = append(cert.Sigs, m.Sig)
@@ -299,9 +329,6 @@ func (a *App) onAck(from wire.NodeID, m *Ack) {
 // microblocks.
 func (a *App) onCertified(cert *Cert) {
 	a.learnCert(cert, false)
-	if a.hasOutst && cert.Digest == a.outstanding {
-		a.hasOutst = false
-	}
 	a.lastCert = cert
 	a.certCarried = false
 	switch a.opts.Scheme {
@@ -313,9 +340,8 @@ func (a *App) onCertified(cert *Cert) {
 		// RBC: the next microblock piggybacks it; a timer covers the tail.
 		a.tryProduce()
 		if !a.certCarried {
-			d := cert.Digest
 			a.ctx.After(certTimeout, func() {
-				if a.lastCert != nil && a.lastCert.Digest == d && !a.certCarried {
+				if a.lastCert == cert && !a.certCarried {
 					env.Multicast(a.ctx, a.peers, &CertMsg{Cert: cert})
 					a.certCarried = true
 				}
@@ -324,16 +350,11 @@ func (a *App) onCertified(cert *Cert) {
 	}
 }
 
-// learnCert records a certificate. verify controls signature checking
-// (skipped for certs we assembled ourselves).
+// learnCert records a certificate, if any. verify controls signature
+// checking (skipped for certs we assembled ourselves).
 func (a *App) learnCert(cert *Cert, verify bool) {
-	if _, ok := a.certified[cert.Digest]; ok {
-		return
-	}
-	if _, ok := a.committed[cert.Digest]; ok {
-		return
-	}
-	if verify && !cert.Verify(a.opts.Signer, a.opts.NC, a.threshold()) {
+	if cert == nil || a.certified[cert.Digest] != nil ||
+		verify && !cert.Verify(a.opts.Signer, a.opts.NC, a.threshold()) || a.committed(cert.Producer, cert.Height) {
 		return
 	}
 	a.certified[cert.Digest] = cert
@@ -341,16 +362,44 @@ func (a *App) learnCert(cert *Cert, verify bool) {
 	a.poke()
 }
 
-func (a *App) onRequest(from wire.NodeID, m *MBRequest) {
-	resp := &MBResponse{}
-	for _, id := range m.IDs {
-		if mb, ok := a.store[id]; ok {
-			resp.Microblocks = append(resp.Microblocks, mb)
+// find returns the held batch whose header hash is id, or nil. It scans
+// every chain newest first (Mempool.Bundle is nil past a tip or base): a
+// proposal names recent batches and can overtake their certificates.
+func (a *App) find(id crypto.Hash) *core.Bundle {
+	for depth, held := uint64(0), true; held; depth++ {
+		held = false
+		for _, p := range a.peers {
+			b := a.mp.Bundle(p, a.mp.Tip(p)-depth)
+			if b != nil && b.Header.Hash() == id {
+				return b
+			}
+			held = held || b != nil
 		}
 	}
-	if len(resp.Microblocks) > 0 {
-		a.ctx.Send(from, resp)
+	return nil
+}
+
+// committed reports whether the batch at (producer, height) has committed.
+func (a *App) committed(producer wire.NodeID, height uint64) bool {
+	return a.above[producer][height] || height <= a.mp.ConfirmedHeight(producer)
+}
+
+// confirm records the batch at (producer, height) as committed, and moves
+// its chain's confirmed height, which prunes, over the run now contiguous.
+func (a *App) confirm(producer wire.NodeID, height uint64) {
+	a.above[producer][height] = true
+	c := a.mp.ConfirmedHeight(producer)
+	for a.committed(producer, c+1) {
+		delete(a.above[producer], c+1)
+		c++
 	}
+	a.mp.MarkConfirmed(producer, c)
+}
+
+// forget drops the certificates of committed batches.
+func (a *App) forget() {
+	maps.DeleteFunc(a.certified, func(_ crypto.Hash, c *Cert) bool { return a.committed(c.Producer, c.Height) })
+	a.certOrder = slices.DeleteFunc(a.certOrder, func(id crypto.Hash) bool { return a.certified[id] == nil })
 }
 
 func (a *App) poke() {
@@ -359,39 +408,28 @@ func (a *App) poke() {
 	}
 }
 
-// HasPendingWork implements consensus.Application.
-func (a *App) HasPendingWork() bool {
-	if len(a.queue) > 0 {
-		return true
-	}
-	for _, id := range a.certOrder {
-		if _, done := a.committed[id]; !done {
-			if _, fly := a.inflight[id]; !fly {
-				return true
-			}
-		}
-	}
-	return false
+// proposable reports whether a certified id is not in flight.
+func (a *App) proposable(id crypto.Hash) bool {
+	_, fly := a.inflight[id]
+	return !fly
 }
 
-// --- consensus.Application ---
+// HasPendingWork implements consensus.Application.
+func (a *App) HasPendingWork() bool {
+	return len(a.queue) > 0 || slices.ContainsFunc(a.certOrder, a.proposable)
+}
 
 // BuildProposal implements consensus.Application: propose up to maxIDs
 // certified, uncommitted, not-in-flight identifiers.
 func (a *App) BuildProposal(height uint64, parent wire.Message) (wire.Message, crypto.Hash, bool) {
-	a.releaseInflight()
 	ids := make([]crypto.Hash, 0, maxIDs)
 	for _, id := range a.certOrder {
 		if len(ids) >= maxIDs {
 			break
 		}
-		if _, done := a.committed[id]; done {
-			continue
+		if a.proposable(id) {
+			ids = append(ids, id)
 		}
-		if _, fly := a.inflight[id]; fly {
-			continue
-		}
-		ids = append(ids, id)
 	}
 	if len(ids) == 0 {
 		return nil, crypto.ZeroHash, false
@@ -403,46 +441,33 @@ func (a *App) BuildProposal(height uint64, parent wire.Message) (wire.Message, c
 	return payload, payload.Digest(), true
 }
 
-// releaseInflight frees identifiers stranded in abandoned proposals: any
-// id proposed at a height that has since committed (without including it)
-// is proposable again.
-func (a *App) releaseInflight() {
-	for id, h := range a.inflight {
-		if h <= a.lastCommitted {
-			delete(a.inflight, id)
-		}
-	}
-}
-
-// ValidateProposal implements consensus.Application.
+// ValidateProposal implements consensus.Application. A batch it does not
+// hold is fetched up to its certificate's hint; with no certificate known,
+// the gap its chain shows once a later batch arrives covers it.
 func (a *App) ValidateProposal(height uint64, payload, parent wire.Message) (crypto.Hash, error) {
 	list, ok := payload.(*IDList)
-	if !ok {
-		return crypto.ZeroHash, fmt.Errorf("microblock: payload is %T", payload)
+	if !ok || list.Height != height || len(list.IDs) == 0 || len(list.IDs) > maxIDs {
+		return crypto.ZeroHash, fmt.Errorf("microblock: malformed payload %T at height %d", payload, height)
 	}
-	if list.Height != height {
-		return crypto.ZeroHash, fmt.Errorf("microblock: payload height %d at %d", list.Height, height)
-	}
-	if len(list.IDs) == 0 || len(list.IDs) > maxIDs {
-		return crypto.ZeroHash, fmt.Errorf("microblock: %d ids out of bounds", len(list.IDs))
-	}
-	var missing []crypto.Hash
+	missing := false
 	seen := make(map[crypto.Hash]struct{}, len(list.IDs))
 	for _, id := range list.IDs {
 		if _, dup := seen[id]; dup {
 			return crypto.ZeroHash, errors.New("microblock: duplicate id in proposal")
 		}
 		seen[id] = struct{}{}
-		if _, done := a.committed[id]; done {
-			return crypto.ZeroHash, errors.New("microblock: proposal re-includes committed id")
+		if b := a.find(id); b != nil {
+			if a.committed(b.Header.Producer, b.Header.Height) {
+				return crypto.ZeroHash, errors.New("microblock: proposal re-includes committed id")
+			}
+			continue
 		}
-		if _, have := a.store[id]; !have {
-			missing = append(missing, id)
+		missing = true
+		if c := a.certified[id]; c != nil {
+			a.need(c.Producer, c.Height)
 		}
 	}
-	if len(missing) > 0 {
-		// Certificates guarantee availability; fetch from any peer.
-		env.Multicast(a.ctx, a.peers, &MBRequest{IDs: missing})
+	if missing {
 		return crypto.ZeroHash, consensus.ErrPending
 	}
 	return list.Digest(), nil
@@ -456,39 +481,24 @@ func (a *App) OnCommit(height uint64, payload wire.Message) {
 	}
 	var txs []*types.Transaction
 	for _, id := range list.IDs {
-		if _, done := a.committed[id]; done {
-			continue
-		}
-		mb := a.store[id]
-		if mb == nil {
+		b := a.find(id)
+		if b == nil {
 			a.ctx.Logf("microblock: commit with unfetched id %s", id.Short())
 			continue
 		}
-		a.committed[id] = struct{}{}
-		delete(a.certified, id)
-		delete(a.inflight, id)
-		txs = append(txs, mb.Txs...)
+		if a.committed(b.Header.Producer, b.Header.Height) {
+			continue
+		}
+		a.confirm(b.Header.Producer, b.Header.Height)
+		txs = append(txs, b.Txs...)
 	}
-	a.lastCommitted = height
 	a.txsCommit += uint64(len(txs))
-	a.compactCertOrder()
+	a.forget()
+	// An id proposed at this height or below is in the chain now, or was
+	// stranded in an abandoned proposal and is proposable again.
+	maps.DeleteFunc(a.inflight, func(_ crypto.Hash, h uint64) bool { return h <= height })
 	if a.opts.OnCommit != nil {
 		a.opts.OnCommit(height, txs)
 	}
 	a.poke()
-}
-
-// compactCertOrder drops committed ids from the proposal queue when the
-// dead prefix grows large.
-func (a *App) compactCertOrder() {
-	if len(a.certOrder) < 256 {
-		return
-	}
-	kept := a.certOrder[:0]
-	for _, id := range a.certOrder {
-		if _, done := a.committed[id]; !done {
-			kept = append(kept, id)
-		}
-	}
-	a.certOrder = kept
 }

@@ -4,7 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"predis/internal/core"
 	"predis/internal/crypto"
+	"predis/internal/env"
+	"predis/internal/simnet"
 	"predis/internal/types"
 	"predis/internal/wire"
 )
@@ -49,8 +52,8 @@ func TestThresholds(t *testing.T) {
 func TestCertVerify(t *testing.T) {
 	suite := crypto.NewSimSuite(4, 3)
 	digest := crypto.HashBytes([]byte("mb"))
-	ad := ackDigest(digest)
-	cert := &Cert{Digest: digest}
+	ad := ackDigest(digest, 1, 5)
+	cert := &Cert{Digest: digest, Producer: 1, Height: 5}
 	for i := 0; i < 3; i++ {
 		cert.Signers = append(cert.Signers, wire.NodeID(i))
 		cert.Sigs = append(cert.Sigs, suite.Signer(i).Sign(ad))
@@ -61,13 +64,20 @@ func TestCertVerify(t *testing.T) {
 	if cert.Verify(suite.Signer(3), 4, 4) {
 		t.Fatal("under-quorum cert accepted")
 	}
-	dup := &Cert{Digest: digest,
+	for _, moved := range []Cert{{Producer: 2, Height: 5}, {Producer: 1, Height: 6}} {
+		forged := *cert
+		forged.Producer, forged.Height = moved.Producer, moved.Height
+		if forged.Verify(suite.Signer(3), 4, 3) {
+			t.Fatalf("cert accepted with its place moved to (%d, %d)", moved.Producer, moved.Height)
+		}
+	}
+	dup := &Cert{Digest: digest, Producer: 1, Height: 5,
 		Signers: []wire.NodeID{0, 0, 1},
 		Sigs:    [][]byte{cert.Sigs[0], cert.Sigs[0], cert.Sigs[1]}}
 	if dup.Verify(suite.Signer(3), 4, 3) {
 		t.Fatal("duplicate-signer cert accepted")
 	}
-	bad := &Cert{Digest: digest,
+	bad := &Cert{Digest: digest, Producer: 1, Height: 5,
 		Signers: append([]wire.NodeID(nil), cert.Signers...),
 		Sigs:    [][]byte{cert.Sigs[0], cert.Sigs[1], append([]byte(nil), cert.Sigs[2]...)}}
 	bad.Sigs[2][1] ^= 1
@@ -84,27 +94,44 @@ func mkTxs(n int, base uint64) []*types.Transaction {
 	return out
 }
 
+// batch packs a signed batch of n transactions on producer's chain, after
+// parent (nil for the first).
+func batch(suite *crypto.SignerSuite, producer wire.NodeID, parent *core.Bundle, n int, base uint64) *core.Bundle {
+	var ph *core.BundleHeader
+	tips := core.TipList{0, 0, 0, 0}
+	if parent != nil {
+		ph = &parent.Header
+		tips = parent.Header.Tips.Clone()
+	}
+	tips[producer]++
+	return core.PackBundle(suite.Signer(int(producer)), producer, ph, mkTxs(n, base), tips)
+}
+
+// certFor signs a certificate over b by nodes 0..signers-1.
+func certFor(suite *crypto.SignerSuite, b *core.Bundle, signers int) *Cert {
+	id := b.Header.Hash()
+	cert := &Cert{Digest: id, Producer: b.Header.Producer, Height: b.Header.Height}
+	for i := 0; i < signers; i++ {
+		cert.Signers = append(cert.Signers, wire.NodeID(i))
+		cert.Sigs = append(cert.Sigs, suite.Signer(i).Sign(ackDigest(id, cert.Producer, cert.Height)))
+	}
+	return cert
+}
+
 func TestMessageCodecs(t *testing.T) {
 	RegisterMessages()
 	suite := crypto.NewSimSuite(4, 3)
-	mb := &Microblock{Producer: 1, Seq: 7, Txs: mkTxs(3, 0)}
-	digest := mb.Digest()
-	mb.Sig = suite.Signer(1).Sign(digest)
-	cert := &Cert{Digest: digest}
-	for i := 0; i < 3; i++ {
-		cert.Signers = append(cert.Signers, wire.NodeID(i))
-		cert.Sigs = append(cert.Sigs, suite.Signer(i).Sign(ackDigest(digest)))
-	}
-	mb2 := &Microblock{Producer: 1, Seq: 8, PrevCert: cert, Txs: mkTxs(2, 10)}
-	mb2.Sig = suite.Signer(1).Sign(mb2.Digest())
+	b1 := batch(suite, 1, nil, 3, 0)
+	cert := certFor(suite, b1, 3)
+	b2 := batch(suite, 1, b1, 2, 10)
+	mb := &Microblock{Bundle: b1}
+	mb2 := &Microblock{Bundle: b2, PrevCert: cert}
 
 	for _, m := range []wire.Message{
 		mb, mb2,
-		&Ack{Digest: digest, Replica: 2, Sig: make([]byte, 64)},
+		&Ack{Digest: cert.Digest, Replica: 2, Sig: make([]byte, 64)},
 		&CertMsg{Cert: cert},
-		&IDList{Height: 3, IDs: []crypto.Hash{digest, mb2.Digest()}},
-		&MBRequest{IDs: []crypto.Hash{digest}},
-		&MBResponse{Microblocks: []*Microblock{mb, mb2}},
+		&IDList{Height: 3, IDs: []crypto.Hash{cert.Digest, b2.Header.Hash()}},
 	} {
 		got, err := wire.Roundtrip(m)
 		if err != nil {
@@ -117,24 +144,31 @@ func TestMessageCodecs(t *testing.T) {
 		_ = got
 	}
 
-	// Digest stability across roundtrip, and PrevCert preserved.
+	// Identity stable across roundtrip, and PrevCert (hint included)
+	// preserved.
 	got, _ := wire.Roundtrip(mb2)
 	g := got.(*Microblock)
-	if g.Digest() != mb2.Digest() {
-		t.Fatal("microblock digest changed across roundtrip")
+	if g.Bundle.Header.Hash() != b2.Header.Hash() || g.Bundle.VerifyBody() != nil {
+		t.Fatal("batch identity or body changed across roundtrip")
 	}
-	if g.PrevCert == nil || !g.PrevCert.Verify(suite.Signer(0), 4, 3) {
+	if g.PrevCert == nil || !g.PrevCert.Verify(suite.Signer(0), 4, 3) ||
+		g.PrevCert.Producer != 1 || g.PrevCert.Height != 1 {
 		t.Fatal("piggybacked cert broken after roundtrip")
 	}
 }
 
+// TestDigestExcludesCertAndSig: a microblock's identifier is its bundle's
+// header hash, which neither the piggybacked certificate nor the
+// producer's signature enters, so acks do not depend on either.
 func TestDigestExcludesCertAndSig(t *testing.T) {
-	mb := &Microblock{Producer: 1, Seq: 7, Txs: mkTxs(3, 0)}
-	d := mb.Digest()
-	mb.Sig = []byte("whatever")
+	suite := crypto.NewSimSuite(4, 3)
+	b := batch(suite, 1, nil, 3, 0)
+	mb := &Microblock{Bundle: b}
+	d := b.Header.HashStateless()
+	mb.Bundle.Header.Sig = []byte("whatever")
 	mb.PrevCert = &Cert{Digest: crypto.HashBytes([]byte("x"))}
-	if mb.Digest() != d {
-		t.Fatal("digest must not cover PrevCert or Sig")
+	if mb.Bundle.Header.HashStateless() != d {
+		t.Fatal("identifier must not cover PrevCert or Sig")
 	}
 }
 
@@ -162,5 +196,44 @@ func TestProposalSizeGrowsLinearly(t *testing.T) {
 	half := &IDList{Height: 1, IDs: ids[:500]}
 	if l.WireSize()-half.WireSize() != 500*32 {
 		t.Fatal("proposal size must grow linearly in ids")
+	}
+}
+
+// TestForgedPlaceNotReproposed: the acks of a certificate sign the batch's
+// place on its chain with its identifier, so a copy of a committed batch's
+// certificate that names another, uncommitted height fails verification,
+// and the batch is not proposed again.
+func TestForgedPlaceNotReproposed(t *testing.T) {
+	RegisterMessages()
+	suite := crypto.NewSimSuite(4, 3)
+	app, err := New(Options{Scheme: SchemeStratus, NC: 4, F: 1, Signer: suite.Signer(0),
+		MBSize: 50, MBInterval: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := simnet.New(simnet.Config{Latency: simnet.UniformLatency(time.Millisecond)})
+	net.AddNode(0, app)
+	for id := wire.NodeID(1); id < 4; id++ {
+		net.AddNode(id, &env.HandlerFunc{})
+	}
+	net.Start()
+	b := batch(suite, 1, nil, 3, 0)
+	cert := certFor(suite, b, 2)
+	app.Receive(1, &Microblock{Bundle: b})
+	app.Receive(2, &CertMsg{Cert: cert})
+	list, _, ok := app.BuildProposal(1, nil)
+	if !ok || len(list.(*IDList).IDs) != 1 || list.(*IDList).IDs[0] != cert.Digest {
+		t.Fatalf("proposal %v, want the certified batch", list)
+	}
+	app.OnCommit(1, list)
+
+	forged := *cert
+	forged.Height = 2
+	app.Receive(3, &CertMsg{Cert: &forged})
+	if app.HasPendingWork() {
+		t.Fatal("a re-placed certificate of a committed batch became pending work")
+	}
+	if list, _, ok := app.BuildProposal(2, nil); ok {
+		t.Fatalf("committed batch proposed again: %v", list)
 	}
 }

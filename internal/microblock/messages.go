@@ -15,13 +15,19 @@
 // microblock identifiers (default cap 1000, the systems' default), so
 // proposal size grows linearly with the transaction volume — the contrast
 // to Predis's constant-size blocks.
+//
+// The data plane is Predis's: a batch is a core.Bundle on its producer's
+// chain, identified by its header hash, stored in a core.Mempool and
+// fetched through core.FetchPlane.
 package microblock
 
 import (
+	"encoding/binary"
+	"slices"
 	"sync"
 
+	"predis/internal/core"
 	"predis/internal/crypto"
-	"predis/internal/types"
 	"predis/internal/wire"
 )
 
@@ -31,25 +37,29 @@ const (
 	TypeAck        = wire.TypeRangeNarwhal + 2
 	TypeCertMsg    = wire.TypeRangeNarwhal + 3
 	TypeIDList     = wire.TypeRangeNarwhal + 4
-	TypeMBRequest  = wire.TypeRangeNarwhal + 5
-	TypeMBResponse = wire.TypeRangeNarwhal + 6
 )
 
-// ackDigest is what replicas sign to acknowledge a microblock.
-func ackDigest(mb crypto.Hash) crypto.Hash {
-	return crypto.HashConcat([]byte("mb-ack"), mb[:])
+// ackDigest is what replicas sign to acknowledge a microblock: its
+// identifier and its place on its producer's chain.
+func ackDigest(mb crypto.Hash, producer wire.NodeID, height uint64) crypto.Hash {
+	place := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32(mb[:], uint32(producer)), height)
+	return crypto.HashConcat([]byte("mb-ack"), place)
 }
 
-// Cert is a quorum of acknowledgement signatures over a microblock digest.
+// Cert is a quorum of acknowledgement signatures over a microblock's
+// identifier and its place, Producer and Height, which the certificate's
+// holders use as a fetch hint.
 type Cert struct {
-	Digest  crypto.Hash
-	Signers []wire.NodeID
-	Sigs    [][]byte
+	Digest   crypto.Hash
+	Producer wire.NodeID
+	Height   uint64
+	Signers  []wire.NodeID
+	Sigs     [][]byte
 }
 
 // EncodedSize returns the certificate's wire size.
 func (c *Cert) EncodedSize() int {
-	n := 32 + 4
+	n := 32 + 4 + 8 + 4
 	for _, s := range c.Sigs {
 		n += 4 + wire.SizeVarBytes(s)
 	}
@@ -59,6 +69,8 @@ func (c *Cert) EncodedSize() int {
 // EncodeTo appends the certificate.
 func (c *Cert) EncodeTo(e *wire.Encoder) {
 	e.Bytes32(c.Digest)
+	e.Node(c.Producer)
+	e.U64(c.Height)
 	e.U32(uint32(len(c.Signers)))
 	for i, id := range c.Signers {
 		e.Node(id)
@@ -68,7 +80,7 @@ func (c *Cert) EncodeTo(e *wire.Encoder) {
 
 // DecodeCert reads a certificate.
 func DecodeCert(d *wire.Decoder) (*Cert, error) {
-	c := &Cert{Digest: d.Bytes32()}
+	c := &Cert{Digest: d.Bytes32(), Producer: d.Node(), Height: d.U64()}
 	n := int(d.U32())
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -86,62 +98,26 @@ func DecodeCert(d *wire.Decoder) (*Cert, error) {
 }
 
 // Verify checks the certificate holds at least `threshold` distinct valid
-// signatures.
+// signatures from nodes below n, and names a producer below n.
 func (c *Cert) Verify(signer crypto.Signer, n, threshold int) bool {
-	if len(c.Signers) < threshold || len(c.Signers) != len(c.Sigs) {
+	if int(c.Producer) >= n || len(c.Signers) < threshold || len(c.Signers) != len(c.Sigs) {
 		return false
 	}
-	digest := ackDigest(c.Digest)
-	seen := make(map[wire.NodeID]struct{}, len(c.Signers))
+	digest := ackDigest(c.Digest, c.Producer, c.Height)
 	for i, id := range c.Signers {
-		if int(id) >= n {
-			return false
-		}
-		if _, dup := seen[id]; dup {
-			return false
-		}
-		seen[id] = struct{}{}
-		if !signer.Verify(int(id), digest, c.Sigs[i]) {
+		if int(id) >= n || slices.Contains(c.Signers[:i], id) || !signer.Verify(int(id), digest, c.Sigs[i]) {
 			return false
 		}
 	}
 	return true
 }
 
-// Microblock is a producer's batch of transactions. PrevCert certifies the
-// producer's previous microblock (nil for the first, or always nil under
-// PAB).
+// Microblock carries a producer's batch, a bundle on its chain, and
+// PrevCert, the certificate of the producer's previous batch (nil for the
+// first, or always nil under PAB).
 type Microblock struct {
-	Producer wire.NodeID
-	Seq      uint64
+	Bundle   *core.Bundle
 	PrevCert *Cert
-	Txs      []*types.Transaction
-	Sig      []byte
-
-	digest    crypto.Hash
-	digestSet bool
-}
-
-// Digest returns the microblock identity (excluding PrevCert and Sig, so
-// acks do not depend on the piggybacked certificate). The digest is
-// memoized: the simulator delivers the same pointer to every recipient,
-// and all identity fields are immutable once the microblock is sent, so
-// re-hashing per recipient (and per retry) would only rebuild the same
-// value.
-func (m *Microblock) Digest() crypto.Hash {
-	if m.digestSet {
-		return m.digest
-	}
-	e := wire.NewEncoder(12 + 32*len(m.Txs))
-	e.Node(m.Producer)
-	e.U64(m.Seq)
-	for _, t := range m.Txs {
-		h := t.Hash()
-		e.Bytes32(h)
-	}
-	m.digest = crypto.HashBytes(e.Bytes())
-	m.digestSet = true
-	return m.digest
 }
 
 var _ wire.Message = (*Microblock)(nil)
@@ -151,7 +127,7 @@ func (m *Microblock) Type() wire.Type { return TypeMicroblock }
 
 // WireSize implements wire.Message.
 func (m *Microblock) WireSize() int {
-	n := wire.FrameOverhead + 4 + 8 + 1 + types.SizeTxs(m.Txs) + wire.SizeVarBytes(m.Sig)
+	n := wire.FrameOverhead + 1 + m.Bundle.EncodedSize()
 	if m.PrevCert != nil {
 		n += m.PrevCert.EncodedSize()
 	}
@@ -160,18 +136,15 @@ func (m *Microblock) WireSize() int {
 
 // EncodeBody implements wire.Message.
 func (m *Microblock) EncodeBody(e *wire.Encoder) {
-	e.Node(m.Producer)
-	e.U64(m.Seq)
 	e.Bool(m.PrevCert != nil)
 	if m.PrevCert != nil {
 		m.PrevCert.EncodeTo(e)
 	}
-	types.EncodeTxs(e, m.Txs)
-	e.VarBytes(m.Sig)
+	m.Bundle.EncodeTo(e)
 }
 
 func decodeMicroblock(d *wire.Decoder) (wire.Message, error) {
-	m := &Microblock{Producer: d.Node(), Seq: d.U64()}
+	m := &Microblock{}
 	if d.Bool() {
 		cert, err := DecodeCert(d)
 		if err != nil {
@@ -179,12 +152,11 @@ func decodeMicroblock(d *wire.Decoder) (wire.Message, error) {
 		}
 		m.PrevCert = cert
 	}
-	txs, err := types.DecodeTxs(d)
+	b, err := core.DecodeBundle(d)
 	if err != nil {
 		return nil, err
 	}
-	m.Txs = txs
-	m.Sig = d.VarBytes()
+	m.Bundle = b
 	return m, d.Err()
 }
 
@@ -284,9 +256,9 @@ func decodeIDList(d *wire.Decoder) (wire.Message, error) {
 	return m, d.Err()
 }
 
-// Digest returns the payload identity, memoized for the same reason as
-// Microblock.Digest: the list is immutable once proposed and every
-// replica (per consensus phase) would recompute the identical value.
+// Digest returns the payload identity, memoized: the list is immutable once
+// proposed, the simulator delivers the same pointer to every replica, and
+// each (per consensus phase) would recompute the identical value.
 func (m *IDList) Digest() crypto.Hash {
 	if m.digestSet {
 		return m.digest
@@ -301,98 +273,15 @@ func (m *IDList) Digest() crypto.Hash {
 	return m.digest
 }
 
-// MBRequest asks a peer for microblocks by id.
-type MBRequest struct {
-	IDs []crypto.Hash
-}
-
-var _ wire.Message = (*MBRequest)(nil)
-
-// Type implements wire.Message.
-func (m *MBRequest) Type() wire.Type { return TypeMBRequest }
-
-// WireSize implements wire.Message.
-func (m *MBRequest) WireSize() int { return wire.FrameOverhead + 4 + 32*len(m.IDs) }
-
-// EncodeBody implements wire.Message.
-func (m *MBRequest) EncodeBody(e *wire.Encoder) {
-	e.U32(uint32(len(m.IDs)))
-	for _, id := range m.IDs {
-		e.Bytes32(id)
-	}
-}
-
-func decodeMBRequest(d *wire.Decoder) (wire.Message, error) {
-	n := int(d.U32())
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if n > d.Remaining()/32 {
-		return nil, wire.ErrTruncated
-	}
-	m := &MBRequest{IDs: make([]crypto.Hash, n)}
-	for i := range m.IDs {
-		m.IDs[i] = d.Bytes32()
-	}
-	return m, d.Err()
-}
-
-// MBResponse returns fetched microblocks.
-type MBResponse struct {
-	Microblocks []*Microblock
-}
-
-var _ wire.Message = (*MBResponse)(nil)
-
-// Type implements wire.Message.
-func (m *MBResponse) Type() wire.Type { return TypeMBResponse }
-
-// WireSize implements wire.Message.
-func (m *MBResponse) WireSize() int {
-	n := wire.FrameOverhead + 4
-	for _, mb := range m.Microblocks {
-		n += mb.WireSize() - wire.FrameOverhead
-	}
-	return n
-}
-
-// EncodeBody implements wire.Message.
-func (m *MBResponse) EncodeBody(e *wire.Encoder) {
-	e.U32(uint32(len(m.Microblocks)))
-	for _, mb := range m.Microblocks {
-		mb.EncodeBody(e)
-	}
-}
-
-func decodeMBResponse(d *wire.Decoder) (wire.Message, error) {
-	n := int(d.U32())
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if n > d.Remaining() {
-		return nil, wire.ErrTruncated
-	}
-	m := &MBResponse{}
-	for i := 0; i < n; i++ {
-		mb, err := decodeMicroblock(d)
-		if err != nil {
-			return nil, err
-		}
-		m.Microblocks = append(m.Microblocks, mb.(*Microblock))
-	}
-	return m, d.Err()
-}
-
 var registerOnce sync.Once
 
-// RegisterMessages registers microblock message types; idempotent.
+// RegisterMessages registers microblock message types; idempotent. The
+// fetch plane's messages are core's.
 func RegisterMessages() {
 	registerOnce.Do(func() {
 		wire.Register(TypeMicroblock, "mb.microblock", decodeMicroblock)
 		wire.Register(TypeAck, "mb.ack", decodeAck)
 		wire.Register(TypeCertMsg, "mb.cert", decodeCertMsg)
 		wire.Register(TypeIDList, "mb.idlist", decodeIDList)
-		wire.Register(TypeMBRequest, "mb.request", decodeMBRequest)
-		wire.Register(TypeMBResponse, "mb.response", decodeMBResponse)
 	})
 }

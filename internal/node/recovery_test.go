@@ -1,11 +1,14 @@
 package node
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"predis/internal/core"
 	"predis/internal/faults"
 	"predis/internal/microblock"
+	"predis/internal/simnet"
 	"predis/internal/wire"
 )
 
@@ -168,6 +171,104 @@ func TestRestartRearmsEveryApplication(t *testing.T) {
 			}
 			t.Logf("%d of %d transactions unconfirmed, p99 %v, commits %v, victim microblocks %d → %d",
 				pending, submitted, cl.collector.Latency().P99, cl.commits, atRestart, produced())
+		})
+	}
+}
+
+// TestFetchUnderCrashMatchesPredis crashes replica 3 from 1 s to 2 s at
+// 4 000 tx/s on HotStuff and counts the fetch responses every node
+// receives. Narwhal and Stratus fetch through Predis's plane — one request
+// per producer at a time, to one holder, with backoff — so each one's
+// response bytes stay within twice P-HS's on the same schedule; a fetch
+// multicast to every holder on every validation pass sends several times
+// that. The restarted replica misses a second of batches on every chain,
+// so each mode must fetch something, or the bound says nothing.
+func TestFetchUnderCrashMatchesPredis(t *testing.T) {
+	fetched := func(mode Mode) (responses, bytes int) {
+		cfg := clusterConfig{
+			mode: mode, engine: EngineHotStuff,
+			nc: 4, f: 1, rate: 1000, clients: 4,
+			duration: 4 * time.Second,
+			schedule: []faults.Action{
+				faults.CrashWindow{Node: 3, From: time.Second, To: 2 * time.Second},
+			},
+		}
+		c := buildCluster(t, cfg)
+		c.net.OnDeliver = func(_, _ wire.NodeID, m wire.Message, _ time.Time) {
+			if m.Type() == core.TypeBundleResponse {
+				responses++
+				bytes += m.WireSize()
+			}
+		}
+		c.run(cfg.duration)
+		return responses, bytes
+	}
+	n, predis := fetched(ModePredis)
+	t.Logf("P-HS: %d responses, %d B", n, predis)
+	for _, c := range []struct {
+		name string
+		mode Mode
+	}{{"Narwhal", ModeNarwhal}, {"Stratus", ModeStratus}} {
+		n, b := fetched(c.mode)
+		t.Logf("%s: %d responses, %d B", c.name, n, b)
+		if n == 0 {
+			t.Errorf("%s: the restarted replica fetched nothing", c.name)
+		}
+		if b > 2*predis {
+			t.Errorf("%s: %d B of fetch responses, over twice P-HS's %d B", c.name, b, predis)
+		}
+	}
+}
+
+// TestLongCrashResumesAcking crashes replica 3 for 8 s at 4 000 tx/s, long
+// enough for more than KeepConfirmed batches of every chain to commit, so
+// its peers have pruned the start of every hole it comes back to. It must
+// give those heights up and link the batches that arrive after the restart,
+// and so acknowledge every other producer's batches again.
+func TestLongCrashResumesAcking(t *testing.T) {
+	const victim = 3
+	crash, restart, end := time.Second, 9*time.Second, 12*time.Second
+	for _, c := range []struct {
+		name string
+		mode Mode
+	}{{"narwhal", ModeNarwhal}, {"stratus", ModeStratus}} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := clusterConfig{
+				mode: c.mode, engine: EnginePBFT,
+				nc: 4, f: 1, rate: 1000, clients: 4,
+				duration: end,
+				schedule: []faults.Action{
+					faults.CrashWindow{Node: victim, From: crash, To: restart},
+				},
+			}
+			cl := buildCluster(t, cfg)
+			keep := uint64(cl.nodes[0].app.(*microblock.App).Mempool().Params().KeepConfirmed)
+			acks := make([]int, cfg.nc)
+			cl.net.OnDeliver = func(from, to wire.NodeID, m wire.Message, at time.Time) {
+				if _, ok := m.(*microblock.Ack); ok && from == victim && at.Sub(simnet.Epoch) >= restart+time.Second {
+					acks[to]++
+				}
+			}
+			cl.net.Start()
+			cl.net.Run(restart)
+			confirmed := cl.nodes[0].app.(*microblock.App).Mempool().Confirmed()
+			cl.net.Run(end)
+			for p := 0; p < cfg.nc; p++ {
+				if p == victim {
+					continue
+				}
+				if confirmed[p] <= keep+1 {
+					t.Errorf("producer %d: only %d batches committed by the restart, want over %d", p, confirmed[p], keep+1)
+				}
+				if acks[p] == 0 {
+					t.Errorf("producer %d: no ack from the victim in the 2 s after its restart settled", p)
+				}
+			}
+			tips, victimTips := cl.nodes[0].app.(*microblock.App).Mempool().Tips(), cl.nodes[victim].app.(*microblock.App).Mempool().Tips()
+			if !slices.Equal(tips, victimTips) {
+				t.Errorf("victim holds chains up to %v, node 0 up to %v", victimTips, tips)
+			}
+			t.Logf("committed by the restart %v, victim's acks in the last 2 s %v", confirmed, acks)
 		})
 	}
 }
