@@ -60,29 +60,12 @@ race:
 
 # smoke: the checks no `go test` runs, one row each. `make smoke` runs
 # every row and names the one that failed; `make smoke ROW=replay` runs one.
-SMOKE_ROWS = trace bench replay fuzz scale examples
+SMOKE_ROWS = bench replay fuzz scale examples
 ROW ?= $(SMOKE_ROWS)
 
-# trace: the exported Chrome trace of a quickstart run parses and has a
-# span for every pipeline stage (submit … fullnode_delivered), the
-# exported metrics CSV has its header and a non-zero txs_committed for
-# consensus node 0, the counters the harness publishes after the run, and
-# the sampler's per-link CSV has its header and a link that delivered bytes,
-# and the stage CSV has its header and seven stage rows, each with
-# p50 ≤ p90 ≤ p99 ≤ max.
-smoke_trace = go run ./cmd/predis-bench -quick quickstart -trace -metrics \
-		-trace-out bin/trace-smoke.json -metrics-out bin/trace-smoke >/dev/null \
-	&& go run ./tools/tracecheck bin/trace-smoke.json \
-	&& head -n 1 bin/trace-smoke-metrics.csv | grep -qx 'metric,node,field,value' \
-	&& grep -Eq '^txs_committed,0,value,[1-9]' bin/trace-smoke-metrics.csv \
-	&& head -n 1 bin/trace-smoke-links.csv | grep -qx 'from,to,bytes' \
-	&& grep -Eq '^[0-9]+,[0-9]+,[1-9]' bin/trace-smoke-links.csv \
-	&& awk -F, 'NR == 1 { ok = $$0 == "stage,count,mean_ms,p50_ms,p90_ms,p99_ms,max_ms"; next } \
-		{ rows++; if ($$4+0 > $$5+0 || $$5+0 > $$6+0 || $$6+0 > $$7+0) ok = 0 } \
-		END { exit !(ok && rows == 7) }' bin/trace-smoke-stages.csv
-
-# bench: every root benchmark (bench_*_test.go: kernels, figures, scale,
-# stream) still builds and survives one iteration.
+# bench: every root benchmark (bench_test.go, one per figure and claim;
+# bench_scale_test.go, population cost) still builds and survives one
+# iteration.
 smoke_bench = go test -run '^$$' -bench . -benchtime=1x .
 
 # replay: cross-process determinism. replaydiff builds predis-bench -race

@@ -469,12 +469,6 @@ func TestPredisBlockCodecAndSize(t *testing.T) {
 // confirms 50,000 transactions.
 func TestPredisBlockConstantSize(t *testing.T) {
 	nc := 80
-	suite := crypto.NewSimSuite(nc, 9)
-	mp, err := NewMempool(Params{NC: nc, F: 26, BundleSize: 50, Signer: suite.Signer(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = mp
 	cuts := make([]Cut, nc)
 	for i := range cuts {
 		cuts[i] = Cut{Height: 1000, Head: crypto.HashBytes([]byte{byte(i)})}

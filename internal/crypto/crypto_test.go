@@ -122,3 +122,18 @@ func TestSignHashQuick(t *testing.T) {
 }
 
 func quickCfg() *quick.Config { return &quick.Config{MaxCount: 20} }
+
+// BenchmarkHashConcatShort measures the Merkle node combiner's digest
+// path: two 32-byte children plus a domain prefix, the stack-buffer fast
+// path in HashConcat.
+func BenchmarkHashConcatShort(b *testing.B) {
+	l := HashBytes([]byte("left"))
+	r := HashBytes([]byte("right"))
+	prefix := []byte{1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if HashConcat(prefix, l[:], r[:]).IsZero() {
+			b.Fatal("zero digest")
+		}
+	}
+}

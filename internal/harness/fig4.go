@@ -63,7 +63,7 @@ func fig4SizeVariants(o Options, baseline, predis System, title string) ([]*stat
 			Duration:   fig4Duration(o),
 			Seed:       o.seed(),
 		}
-		ts, ls, err := LoadSweep(base, fig4Loads(o, v.bundle > 0), 1)
+		ts, ls, err := LoadSweep(base, fig4Loads(o, v.bundle > 0))
 		if err != nil {
 			return sweep{}, err
 		}

@@ -30,7 +30,7 @@ func fig5(o Options, wan bool, title string) ([]*stats.Table, error) {
 			Duration:   duration,
 			Seed:       o.seed(),
 		}
-		ts, ls, err := LoadSweep(base, loads, 1)
+		ts, ls, err := LoadSweep(base, loads)
 		if err != nil {
 			return sweep{}, err
 		}

@@ -78,9 +78,9 @@ type PointSpec struct {
 	// seal per transaction, cuts are eager, and consensus pipelines. Off,
 	// the point is byte-for-byte the historical block-mode measurement.
 	Stream bool
-	// Trace, when non-nil, folds every delivery into a replay hash so
+	// Replay, when non-nil, folds every delivery into a replay hash so
 	// tests can assert two same-seed runs are byte-identical.
-	Trace *ReplayTrace
+	Replay *ReplayTrace
 	// Metrics, when non-nil, receives the nodes' counters after the run
 	// (see publish).
 	Metrics *obs.Registry
@@ -133,7 +133,7 @@ func RunPoint(spec PointSpec) (PointResult, error) {
 	if err != nil {
 		return PointResult{}, err
 	}
-	net := newNet(s.Seed, s.WAN, s.Trace)
+	net := newNet(s.Seed, s.WAN, s.Replay)
 	warm := simnet.Epoch.Add(s.Duration / 4)
 	end := simnet.Epoch.Add(s.Duration)
 	col := workload.NewCollector(warm, end)
@@ -286,25 +286,19 @@ func RunPoints(specs []PointSpec, workers int) ([]PointResult, error) {
 	})
 }
 
-// LoadSweep runs a spec across offered loads and returns (throughput,
-// latency-ms) pairs — one line of a throughput-latency figure. Points
-// are independent simulations, fanned out over `workers` goroutines and
-// merged back in load order.
-func LoadSweep(base PointSpec, loads []float64, workers int) (*stats.Series, *stats.Series, error) {
-	specs := make([]PointSpec, len(loads))
-	for i, load := range loads {
-		spec := base
-		spec.Offered = load
-		specs[i] = spec
-	}
-	results, err := RunPoints(specs, workers)
-	if err != nil {
-		return nil, nil, err
-	}
+// LoadSweep runs a spec across offered loads, in order, and returns
+// (throughput, latency-ms) pairs — one line of a throughput-latency
+// figure.
+func LoadSweep(base PointSpec, loads []float64) (*stats.Series, *stats.Series, error) {
 	tl := &stats.Series{Name: string(base.System)}
 	lat := &stats.Series{Name: string(base.System)}
-	for i, load := range loads {
-		res := results[i]
+	for _, load := range loads {
+		spec := base
+		spec.Offered = load
+		res, err := RunPoint(spec)
+		if err != nil {
+			return nil, nil, err
+		}
 		ms := float64(res.Latency.Mean) / float64(time.Millisecond)
 		tl.Add(load, res.Throughput)
 		lat.Add(res.Throughput, ms)

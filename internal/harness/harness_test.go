@@ -59,7 +59,7 @@ func TestRunPointWithFaults(t *testing.T) {
 func TestLoadSweepShape(t *testing.T) {
 	tp, lat, err := LoadSweep(PointSpec{
 		System: SysPPBFT, NC: 4, Duration: 2 * time.Second,
-	}, []float64{1000, 3000}, 2)
+	}, []float64{1000, 3000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +167,6 @@ func TestRandomAdjacency(t *testing.T) {
 }
 
 func TestTableRendering(t *testing.T) {
-	o := Options{Quick: true}
-	_ = o
 	tbl, err := Fig4c(Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ func TestConsensusLaneWAN(t *testing.T) {
 		tr, reg := NewReplayTrace(), obs.NewRegistry()
 		res, err := RunPoint(PointSpec{
 			System: SysPHS, NC: 16, WAN: true, Offered: 18000,
-			Duration: 3 * time.Second, Seed: 1, Trace: tr, Metrics: reg,
+			Duration: 3 * time.Second, Seed: 1, Replay: tr, Metrics: reg,
 		})
 		if err != nil {
 			t.Fatal(err)

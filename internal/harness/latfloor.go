@@ -85,7 +85,7 @@ func latfloorRun(o Options) ([]float64, [][]PointResult, error) {
 		// the points must run (and attach) in a fixed order: sequential.
 		workers = 1
 		for i := range flat {
-			flat[i].Trace = o.Replay
+			flat[i].Replay = o.Replay
 		}
 	}
 	results, err := RunPoints(flat, workers)

@@ -27,7 +27,7 @@ func TestReplayQuickstartDeterministic(t *testing.T) {
 			Offered:  1000,
 			Duration: 1500 * time.Millisecond,
 			Seed:     42,
-			Trace:    tr,
+			Replay:   tr,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -61,7 +61,7 @@ func replayHashOnce(t *testing.T) (string, uint64) {
 		Offered:  1000,
 		Duration: 1500 * time.Millisecond,
 		Seed:     42,
-		Trace:    tr,
+		Replay:   tr,
 	}); err != nil {
 		t.Fatal(err)
 	}

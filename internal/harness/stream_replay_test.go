@@ -20,7 +20,7 @@ func streamReplayOnce(t *testing.T) (string, uint64, string) {
 		Duration: 1500 * time.Millisecond,
 		Seed:     42,
 		Stream:   true,
-		Trace:    tr,
+		Replay:   tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func TestStreamBlockModesDiverge(t *testing.T) {
 	tr := NewReplayTrace()
 	if _, err := RunPoint(PointSpec{
 		System: SysPPBFT, NC: 4, Offered: 1200,
-		Duration: 1500 * time.Millisecond, Seed: 42, Trace: tr,
+		Duration: 1500 * time.Millisecond, Seed: 42, Replay: tr,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -476,7 +476,7 @@ func (e *Engine) votePending() {
 // restarted replica stays consensus-passive until its application
 // fast-forwards it or the chain reaches it again; full HotStuff restart
 // recovery would additionally need block-tree sync and is out of scope
-// (see EXPERIMENTS.md).
+// (DESIGN.md §5, item 10).
 func (e *Engine) OnRestart() {
 	if e.ctx == nil {
 		return

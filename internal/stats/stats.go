@@ -83,8 +83,10 @@ type Series struct {
 // Add appends a point.
 func (s *Series) Add(x, y float64) { s.Points = append(s.Points, Point{X: x, Y: y}) }
 
-// Table renders series as an aligned text table with one row per X value
-// and one column per series, for terminal output and EXPERIMENTS.md.
+// Table renders series as an aligned text table with one column per series
+// and one row per X value, for terminal output and EXPERIMENTS.md. An X at
+// which some series has k points gets k rows, the i-th holding each
+// series' i-th point there, so no point is dropped.
 type Table struct {
 	Title  string
 	XLabel string
@@ -115,18 +117,29 @@ func (t *Table) Render() string {
 	}
 	rows := [][]string{header}
 	for _, x := range xs {
-		row := []string{trimFloat(x)}
-		for _, s := range t.Series {
-			cell := ""
+		// ys[j] holds series j's points at x in the order they were added;
+		// x gets as many rows as the longest of them has points.
+		ys := make([][]string, len(t.Series))
+		k := 0
+		for j, s := range t.Series {
 			for _, p := range s.Points {
 				if p.X == x {
-					cell = trimFloat(p.Y)
-					break
+					ys[j] = append(ys[j], trimFloat(p.Y))
 				}
 			}
-			row = append(row, cell)
+			k = max(k, len(ys[j]))
 		}
-		rows = append(rows, row)
+		for i := 0; i < k; i++ {
+			row := []string{trimFloat(x)}
+			for _, cells := range ys {
+				cell := ""
+				if i < len(cells) {
+					cell = cells[i]
+				}
+				row = append(row, cell)
+			}
+			rows = append(rows, row)
+		}
 	}
 	widths := make([]int, len(header))
 	for _, row := range rows {

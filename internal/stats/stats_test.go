@@ -132,6 +132,26 @@ func TestSeriesAndTable(t *testing.T) {
 	}
 }
 
+// TestTableKeepsEveryPoint pins that a second point of one series at an X
+// already seen gets a row of its own instead of vanishing.
+func TestTableKeepsEveryPoint(t *testing.T) {
+	a := &Series{Name: "a"}
+	a.Add(1, 10)
+	a.Add(2, 20)
+	a.Add(1, 30)
+	b := &Series{Name: "b"}
+	b.Add(1, 5)
+	tbl := &Table{XLabel: "x", Series: []*Series{a, b}}
+	want := "" +
+		"x   a  b\n" +
+		"1  10  5\n" +
+		"1  30   \n" +
+		"2  20   \n"
+	if got := tbl.Render(); got != want {
+		t.Fatalf("Render:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestTrimFloat(t *testing.T) {
 	cases := map[float64]string{
 		1:       "1",
