@@ -186,10 +186,12 @@ type Bundle struct {
 	Header BundleHeader
 	Txs    []*types.Transaction
 
-	// bodyOK memoizes a successful VerifyBody. Bundles are immutable once
-	// packed or decoded, and the simulator hands the same *Bundle to every
-	// recipient, so re-deriving the Merkle root per recipient is pure
-	// waste. Failures are never cached.
+	// bodyOK records that the body matches the header's commitments. pack
+	// sets it by construction: the header's TxRoot, TxCount and TxBytes
+	// are computed from the very Txs it stores, and a bundle is immutable
+	// once packed, so the simulator's recipients of the producer's own
+	// *Bundle re-derive nothing. A decoded or hand-built bundle earns it
+	// from a successful VerifyBody; failures are never cached.
 	bodyOK bool
 	// stripeCache holds the erasure-coded form of this bundle (stored as
 	// any to keep core free of a multizone dependency). Erasure encoding
@@ -250,6 +252,7 @@ func (b *Bundle) pack(signer crypto.Signer, producer wire.NodeID, parent *Bundle
 	}
 	h.Sig = signer.Sign(h.Hash())
 	b.Txs = txs
+	b.bodyOK = true
 }
 
 // TxMerkleRoot computes the Merkle root over transaction hashes.
@@ -272,7 +275,9 @@ func TxMerkleRoot(txs []*types.Transaction) crypto.Hash {
 }
 
 // VerifyBody checks that the body matches the header's commitments:
-// count, bytes, then root.
+// count, bytes, then root. A packed bundle passes without hashing (see
+// bodyOK), so the root is recomputed only for a bundle this process did
+// not build: one decoded from a frame or assembled from stripes.
 func (b *Bundle) VerifyBody() error {
 	if b.bodyOK {
 		return nil

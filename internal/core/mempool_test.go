@@ -146,6 +146,25 @@ func TestAddBundleBodyMismatch(t *testing.T) {
 	if _, _, _, err := r.pools[1].AddBundle(tampered, true); !errors.Is(err, ErrBadBody) {
 		t.Fatalf("err = %v, want ErrBadBody", err)
 	}
+
+	// A decoded bundle is checked in full: flip one byte of the second
+	// transaction's Seq on the wire, so count and byte total still match
+	// and only the root can catch it.
+	e := wire.NewEncoder(b.EncodedSize())
+	b.EncodeTo(e)
+	frame := e.Bytes()
+	frame[b.Header.EncodedSize()+4+b.Txs[0].EncodedSize()+4+7] ^= 1
+	decoded, err := DecodeBundle(wire.NewDecoder(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if decoded.Txs[1].Seq == b.Txs[1].Seq || len(decoded.Txs) != len(b.Txs) ||
+		types.TotalBytes(decoded.Txs) != types.TotalBytes(b.Txs) {
+		t.Fatal("flipped byte did not land in the second transaction's Seq")
+	}
+	if _, _, _, err := r.pools[1].AddBundle(decoded, true); !errors.Is(err, ErrBadBody) {
+		t.Fatalf("root-only mismatch: err = %v, want ErrBadBody", err)
+	}
 }
 
 func TestAddBundleWrongProducerOrTips(t *testing.T) {

@@ -43,21 +43,24 @@ type StripeMsg struct {
 	Header core.BundleHeader
 	// Ref marks a reference stripe, and RefHash is then its bundle's
 	// header hash.
-	Ref        bool
-	RefHash    crypto.Hash
-	Index      uint8
+	Ref     bool
+	RefHash crypto.Hash
+	Index   uint8
+	// stamped marks a stripe set's slot that StripeSet.Stripe has given
+	// a header. It sits in Index's padding so that the struct stays 312
+	// bytes: an n_c = 4 message slab plus the allocator's 8-byte header
+	// then fits the 1 280-byte size class, and one word more would move it
+	// to the 1 408-byte class.
+	stamped    bool
 	PayloadLen uint32
 	Shard      []byte
 	Proof      []crypto.Hash
 
-	// verified memoizes a successful Merkle-proof check. The simulator
-	// hands the same *StripeMsg to every recipient and messages are
-	// immutable once sent, so the proof needs checking once per stripe,
-	// not once per full node. Failures are never cached.
-	verified bool
-	// stamped marks a stripe set's slot that StripeSet.Stripe has given
-	// a header.
-	stamped bool
+	// set is the stripe set whose slot this message was built as; nil on
+	// a decoded message and on the copies TamperShard, TamperProof and
+	// a second header's StripeSet.Stripe make. A value copy keeps the
+	// pointer but is not the slot, so VerifyStripe compares addresses.
+	set *StripeSet
 	// assembled memoizes the bundle reconstructed from a stripe set
 	// containing this message: every valid n_c−f subset reconstructs the
 	// same body (Reed–Solomon), and the result is checked against the

@@ -105,13 +105,14 @@ func (s *Striper) Encode(txs []*types.Transaction) (*StripeSet, error) {
 	digests := make([]crypto.Hash, s.digests) //predis:allocok the per-bundle digest slab: leaves, interior nodes, proof paths
 	leaves := merkle.HashLeaves(digests[:s.nc], shards)
 	root, paths := merkle.ProofsInto(digests[s.nc:], leaves)
-	msgs := make([]StripeMsg, s.nc) //predis:allocok the per-bundle message slab: Stripe hands out its slots
+	set := &StripeSet{PayloadLen: payloadLen, Root: root, f: s.f} //predis:allocok the result
+	set.msgs = make([]StripeMsg, s.nc)                            //predis:allocok the per-bundle message slab: Stripe hands out its slots
 	for i, shard := range shards {
 		n := merkle.PathLen(s.nc, i)
-		msgs[i] = StripeMsg{Index: uint8(i), PayloadLen: uint32(payloadLen), Shard: shard, Proof: paths[:n:n]}
+		set.msgs[i] = StripeMsg{Index: uint8(i), PayloadLen: uint32(payloadLen), Shard: shard, Proof: paths[:n:n], set: set}
 		paths = paths[n:]
 	}
-	return &StripeSet{PayloadLen: payloadLen, Root: root, msgs: msgs, f: s.f}, nil //predis:allocok the result
+	return set, nil
 }
 
 // Stripe returns stripe i as a wire message for the given bundle header:
@@ -152,21 +153,24 @@ var (
 
 // VerifyStripe checks a stripe against root, the StripeRoot of the
 // authenticated header whose hash the stripe names (a carrier's own
-// header, or the one a reference points to). Success is memoized on the
-// message: the simulator delivers one *StripeMsg to every recipient, and
-// the header hash the message names fixes the root, so the Merkle proof is
-// checked once per stripe rather than once per full node.
+// header, or the one a reference points to). A stripe set's own slot is
+// verified by construction: Encode computed the set's Root from the very
+// shards and proofs the slot holds, and nothing writes them afterwards, so
+// the slot checked against that root passes without hashing. The
+// simulator delivers those slots themselves to every recipient. Any other
+// message — decoded from a frame, copied, tampered, a second header's copy
+// from Stripe, or a slot checked against another root — runs the full
+// Merkle check.
 func (s *Striper) VerifyStripe(root crypto.Hash, m *StripeMsg) error {
-	if m.verified {
-		return nil
-	}
 	if int(m.Index) >= s.nc {
 		return fmt.Errorf("%w: index %d of %d", ErrStripeProof, m.Index, s.nc) //predis:allocok reject path
+	}
+	if set := m.set; set != nil && int(m.Index) < len(set.msgs) && m == &set.msgs[m.Index] && root == set.Root {
+		return nil
 	}
 	if !merkle.Verify(root, m.Shard, int(m.Index), s.nc, m.Proof) {
 		return ErrStripeProof
 	}
-	m.verified = true
 	return nil
 }
 

@@ -119,6 +119,31 @@ func TestVerifyStripeRejectsTampering(t *testing.T) {
 	if err := s.VerifyStripe(root, m); err != nil {
 		t.Fatalf("honest stripe rejected: %v", err)
 	}
+
+	// The trust boundary of verification by construction: the set's own
+	// slot m has passed above, unhashed, and nothing else may. A value
+	// copy carries m's set pointer but is not the slot, and the slot
+	// against another root is checked in full.
+	flipped := *m
+	flipped.Shard = append([]byte(nil), m.Shard...)
+	flipped.Shard[len(flipped.Shard)/2] ^= 0x80
+	reindexed := *m
+	reindexed.Index = 1
+	for _, c := range []struct {
+		name string
+		root crypto.Hash
+		m    *StripeMsg
+	}{
+		{"value copy with a shard byte flipped", root, &flipped},
+		{"value copy under another index", root, &reindexed},
+		{"own slot against another bundle's root", other.Root, m},
+		{"TamperShard copy", root, m.TamperShard(7).(*StripeMsg)},
+		{"TamperProof copy", root, m.TamperProof(7).(*StripeMsg)},
+	} {
+		if err := s.VerifyStripe(c.root, c.m); !errors.Is(err, ErrStripeProof) {
+			t.Errorf("%s: err = %v, want ErrStripeProof", c.name, err)
+		}
+	}
 }
 
 // TestStripeMsgCodec round-trips both stripe kinds of one bundle: producer
