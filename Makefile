@@ -63,9 +63,8 @@ race:
 SMOKE_ROWS = bench replay fuzz scale examples
 ROW ?= $(SMOKE_ROWS)
 
-# bench: every root benchmark (bench_test.go, one per figure and claim;
-# bench_scale_test.go, population cost) still builds and survives one
-# iteration.
+# bench: the root benchmarks (bench_scale_test.go, population cost) still
+# build and survive one iteration.
 smoke_bench = go test -run '^$$' -bench . -benchtime=1x .
 
 # replay: cross-process determinism. replaydiff builds predis-bench -race

@@ -34,7 +34,8 @@
 // Measurement: internal/workload (open-loop clients, latency collection),
 // internal/harness (one experiment per paper figure), internal/stats.
 //
-// The benchmarks in this package (bench_test.go) regenerate every figure
-// of the paper's evaluation; see DESIGN.md for the system inventory and
+// cmd/predis-bench regenerates every figure of the paper's evaluation, and
+// the benchmarks in this package (bench_scale_test.go) measure the cost of
+// a large client population; see DESIGN.md for the system inventory and
 // EXPERIMENTS.md for paper-vs-measured results.
 package predis

@@ -99,14 +99,14 @@ func runContention(o Options, zipf workload.ZipfConfig) (contentionResult, error
 	led := ledger.New()
 	var observer *exec.Machine // consensus node 0's
 	dep, err := Deploy{
-		Engine: node.EngineHotStuff, NC: 4, Fulls: zoneMajor(1, 2),
+		System: SysPHS, NC: 4, Fulls: zoneMajor(1, 2),
 		ViewTimeout:   2 * time.Second,
 		AliveInterval: 300 * time.Millisecond,
 		JoinSpacing:   20 * time.Millisecond,
 		Offered:       offered, Load: load, Seed: o.seed(),
 		Ops:    workload.NewZipfOps(zipf).Op,
 		Replay: o.Replay,
-		Host: func(cfg *multizone.HostConfig) {
+		Host: func(cfg *node.Config) {
 			cfg.Executor = exec.NewMachine(execGenesis)
 			cfg.OnExecute = recordRoot
 			if cfg.Self == 0 {

@@ -1,8 +1,11 @@
 package harness
 
 import (
+	"cmp"
+	"fmt"
 	"time"
 
+	"predis/internal/consensus"
 	"predis/internal/crypto"
 	"predis/internal/multizone"
 	"predis/internal/node"
@@ -14,23 +17,36 @@ import (
 	"predis/internal/workload"
 )
 
-// Deploy describes the paper's testbed (§V): NC consensus nodes running
-// Predis on 100 Mbps LAN links, zones of full nodes joining one by one,
-// and NC open-loop clients that start once the last full node has joined.
-// Every Multi-Zone experiment is one Deploy value; Build turns it into a
-// network. A value is a field here only because two experiments set it
-// differently — what they all agree on (bundle size 50, a 20 ms seal
-// interval, f = (NC-1)/3, clients 5000+k replied to by every node) is a
+// Deploy describes the paper's testbed (§V): NC consensus nodes on 100 Mbps
+// links, on the emulated LAN or the 4-region WAN, zones of Multi-Zone full
+// nodes joining one by one, and NC open-loop clients that start once the
+// last full node has joined. Every experiment except Fig. 8's scripted
+// sources is one Deploy value; Build turns it into a network. A value is a
+// field here only because two experiments set it differently — what they
+// all agree on (f = (NC-1)/3, clients 5000+k replied to by every node) is a
 // constant of the builder, and what one experiment observes or plugs in
-// (commit bucketing, executors, a ledger, subscriber caps) goes through
-// the Host and Full callbacks.
+// (commit bucketing, executors, a ledger, subscriber caps) goes through the
+// Host and Full callbacks.
 type Deploy struct {
-	Engine node.EngineKind
+	// System is the data production strategy and engine; the clients
+	// broadcast every transaction under the txpool baselines (PBFT,
+	// HotStuff) and submit round-robin under the rest.
+	System System
 	NC     int
+	WAN    bool
+	// BundleSize bounds Predis bundles and Narwhal/Stratus batches,
+	// BatchSize baseline proposals, and BundleInterval is the producers'
+	// seal tick; zero means 50, 800 and 20 ms.
+	BundleSize     int
+	BatchSize      int
+	BundleInterval time.Duration
 	// Fulls places the full nodes, in join order (see zoneMajor and
 	// roundRobin); the wiring between them follows from it (zoneWiring).
+	// With full nodes every consensus node runs a multizone.Distributor,
+	// which only a Predis system feeds.
 	Fulls []Slot
-	// Stream runs the consensus group in streaming-commit mode.
+	// Stream runs the consensus group in streaming-commit mode, and
+	// ViewTimeout is the engines' (zero: their 2 s default).
 	Stream      bool
 	ViewTimeout time.Duration
 	// AliveInterval and DigestInterval are the full nodes' relayer
@@ -48,20 +64,20 @@ type Deploy struct {
 	// transaction (see workload.ClientConfig.Ops).
 	Ops func(client wire.NodeID, seq uint64) types.Op
 	// Replay, when non-nil, folds every delivery into its hash; Trace,
-	// when non-nil, records lifecycle stages at hosts, full nodes and
-	// clients.
+	// when non-nil, records lifecycle stages at consensus nodes,
+	// distributors, full nodes and clients.
 	Replay *ReplayTrace
 	Trace  *obs.Tracer
 	// Host and Full, when non-nil, see each node's finished configuration
 	// before the node is built and may change it.
-	Host func(*multizone.HostConfig)
+	Host func(*node.Config)
 	Full func(*multizone.FullNodeConfig)
 }
 
 // Deployment is a built Deploy: the nodes are added, nothing has started.
 type Deployment struct {
 	Net   *simnet.Network
-	Hosts []*multizone.ConsensusHost
+	Hosts []*node.Node
 	Fulls []*multizone.FullNode
 	// Col measures the last three quarters of the load; consensus node 0
 	// reports its commits to it unless Deploy.Host replaced OnCommit.
@@ -158,7 +174,7 @@ func newNet(seed int64, wan bool, replay *ReplayTrace) *simnet.Network {
 }
 
 // f is the fault bound every experiment runs its group size at.
-func (d Deploy) f() int { return (d.NC - 1) / 3 }
+func (d Deploy) f() int { return consensus.FaultBound(d.NC) }
 
 // suite is the deployment's signer set; an experiment that scripts a
 // signing adversary derives the same keys from it.
@@ -173,6 +189,57 @@ func (d Deploy) loadStart() time.Duration {
 
 // end is when the load stops and the run with it.
 func (d Deploy) end() time.Duration { return d.loadStart() + d.Load }
+
+// deployment is the empty deployment: its network and its timeline.
+func (d Deploy) deployment() *Deployment {
+	return &Deployment{Net: newNet(d.Seed, d.WAN, d.Replay), LoadStart: d.loadStart(), End: d.end()}
+}
+
+// group builds consensus nodes 0..NC-1 into dep.Hosts with node.New — the
+// system's mode and engine, the builder's constants, the deployment's
+// settings, a distributor over striper unless it is nil, node 0 reporting
+// its commits to dep.Col — after the Host callback has seen each config.
+// The caller adds them to dep.Net.
+func (d Deploy) group(dep *Deployment, suite *crypto.SignerSuite, striper *multizone.Striper) error {
+	mode, engine, err := modeEngine(d.System)
+	if err != nil {
+		return err
+	}
+	if striper != nil && mode != node.ModePredis {
+		return fmt.Errorf("harness: full nodes need a Predis system, not %s", d.System)
+	}
+	for i := 0; i < d.NC; i++ {
+		cfg := node.Config{
+			Mode: mode, Engine: engine,
+			NC: d.NC, F: d.f(), Self: wire.NodeID(i),
+			Signer:         suite.Signer(i),
+			BundleSize:     cmp.Or(d.BundleSize, 50),
+			BatchSize:      cmp.Or(d.BatchSize, 800),
+			BundleInterval: cmp.Or(d.BundleInterval, 20*time.Millisecond),
+			ViewTimeout:    d.ViewTimeout,
+			Stream:         d.Stream,
+			ReplyToClients: true,
+			Trace:          d.Trace,
+		}
+		if striper != nil {
+			dist := multizone.NewDistributor(cfg.Self, striper)
+			dist.SetTrace(d.Trace)
+			cfg.Dist = dist
+		}
+		if i == 0 {
+			cfg.OnCommit = func(_ uint64, txs []*types.Transaction) { dep.Col.RecordNodeCommit(dep.Net.Now(), len(txs)) }
+		}
+		if d.Host != nil {
+			d.Host(&cfg)
+		}
+		n, err := node.New(cfg)
+		if err != nil {
+			return err
+		}
+		dep.Hosts = append(dep.Hosts, n)
+	}
+	return nil
+}
 
 // addZones adds the full nodes to net, wired and timed by zoneWiring.
 func (d Deploy) addZones(net *simnet.Network, striper *multizone.Striper, signer crypto.Signer) ([]*multizone.FullNode, error) {
@@ -202,85 +269,78 @@ func (d Deploy) addZones(net *simnet.Network, striper *multizone.Striper, signer
 	return fulls, nil
 }
 
-// addClients adds n open-loop clients base..base+n-1 that share offered
-// tx/s over the nc consensus nodes, and returns them. The rest of their
-// configuration — policy, f, the generation window, collector, ops, trace —
-// is the caller's, in tmpl.
-func addClients(net *simnet.Network, base wire.NodeID, n, nc int, offered float64, tmpl workload.ClientConfig) []*workload.Client {
-	tmpl.Targets = make([]wire.NodeID, nc)
-	for i := range tmpl.Targets {
-		tmpl.Targets[i] = wire.NodeID(i)
-	}
-	tmpl.Rate = offered / float64(n)
-	tmpl.TxSize = types.DefaultTxSize
-	tmpl.Epoch = simnet.Epoch
-	clients := make([]*workload.Client, n)
-	for k := range clients {
-		tmpl.Self = base + wire.NodeID(k)
-		clients[k] = workload.NewClient(tmpl)
-		net.AddNode(tmpl.Self, clients[k])
-	}
-	return clients
-}
-
-// addLoad adds the deployment's clients — 5000+k, one per consensus node,
-// submitting round-robin from loadStart to end — and returns the collector
-// they report to, which measures the last three quarters of the load, and
-// the clients.
-func (d Deploy) addLoad(net *simnet.Network) (*workload.Collector, []*workload.Client) {
-	start, end := simnet.Epoch.Add(d.loadStart()), simnet.Epoch.Add(d.end())
-	col := workload.NewCollector(start.Add(d.Load/4), end)
-	clients := addClients(net, 5000, d.NC, d.NC, d.Offered, workload.ClientConfig{
+// addLoad adds n open-loop clients 5000+k to dep, which share Offered over
+// the consensus nodes from LoadStart to End, and the collector they report
+// to, which measures the last three quarters of the load.
+func (d Deploy) addLoad(dep *Deployment, n int) {
+	start, end := simnet.Epoch.Add(dep.LoadStart), simnet.Epoch.Add(dep.End)
+	dep.Col = workload.NewCollector(start.Add(d.Load/4), end)
+	cfg := workload.ClientConfig{
+		Targets:   make([]wire.NodeID, d.NC),
 		Policy:    workload.RoundRobin,
+		Rate:      d.Offered / float64(n),
+		TxSize:    types.DefaultTxSize,
 		F:         d.f(),
+		Epoch:     simnet.Epoch,
 		GenStart:  start,
 		GenStop:   end,
-		Collector: col,
+		Collector: dep.Col,
 		Ops:       d.Ops,
 		Trace:     d.Trace,
-	})
-	return col, clients
+	}
+	for i := range cfg.Targets {
+		cfg.Targets[i] = wire.NodeID(i)
+	}
+	if mode, _, _ := modeEngine(d.System); mode == node.ModeBaseline {
+		cfg.Policy = workload.Broadcast
+	}
+	dep.Clients = make([]*workload.Client, n)
+	for k := range dep.Clients {
+		cfg.Self = wire.NodeID(5000 + k)
+		dep.Clients[k] = workload.NewClient(cfg)
+		dep.Net.AddNode(cfg.Self, dep.Clients[k])
+	}
 }
 
-// Build adds the consensus group, the zones and the clients to a fresh
+// Build adds the consensus group, the zones and the NC clients to a fresh
 // network. The caller installs what is its own (faults, samplers), then
-// starts the network and runs it to End.
+// runs it (Run, or Net.Run to End).
 func (d Deploy) Build() (*Deployment, error) {
-	striper, err := multizone.NewStriper(d.NC, d.f())
-	if err != nil {
-		return nil, err
-	}
-	suite := d.suite()
-	dep := &Deployment{Net: newNet(d.Seed, false, d.Replay), LoadStart: d.loadStart(), End: d.end()}
-	for i := 0; i < d.NC; i++ {
-		cfg := multizone.HostConfig{
-			NC: d.NC, F: d.f(), Self: wire.NodeID(i),
-			Signer:         suite.Signer(i),
-			Engine:         d.Engine,
-			BundleSize:     50,
-			BundleInterval: 20 * time.Millisecond,
-			ViewTimeout:    d.ViewTimeout,
-			Stream:         d.Stream,
-			Striper:        striper,
-			ReplyToClients: true,
-			Trace:          d.Trace,
-		}
-		if i == 0 {
-			cfg.OnCommit = func(_ uint64, txs int) { dep.Col.RecordNodeCommit(dep.Net.Now(), txs) }
-		}
-		if d.Host != nil {
-			d.Host(&cfg)
-		}
-		host, err := multizone.NewConsensusHost(cfg)
-		if err != nil {
+	dep, suite := d.deployment(), d.suite()
+	var striper *multizone.Striper
+	var err error
+	if len(d.Fulls) > 0 {
+		if striper, err = multizone.NewStriper(d.NC, d.f()); err != nil {
 			return nil, err
 		}
-		dep.Hosts = append(dep.Hosts, host)
-		dep.Net.AddNode(cfg.Self, host)
+	}
+	if err = d.group(dep, suite, striper); err != nil {
+		return nil, err
+	}
+	for i, n := range dep.Hosts {
+		dep.Net.AddNode(wire.NodeID(i), n)
 	}
 	if dep.Fulls, err = d.addZones(dep.Net, striper, suite.Signer(0)); err != nil {
 		return nil, err
 	}
-	dep.Col, dep.Clients = d.addLoad(dep.Net)
+	d.addLoad(dep, d.NC)
 	return dep, nil
+}
+
+// Run starts the network, runs it to End and measures the load.
+func (dep *Deployment) Run() PointResult {
+	dep.Net.Start()
+	dep.Net.Run(dep.End)
+	_, _, _, blocks := dep.Col.Counts()
+	res := PointResult{
+		Throughput:       dep.Col.Throughput(),
+		ClientThroughput: dep.Col.ClientThroughput(),
+		Latency:          dep.Col.Latency(),
+		Blocks:           blocks,
+	}
+	for _, n := range dep.Hosts {
+		_, changes := n.Engine().Stats()
+		res.ViewOrTimeouts = max(res.ViewOrTimeouts, changes)
+	}
+	return res
 }

@@ -5,7 +5,8 @@ import (
 	"testing"
 	"time"
 
-	"predis/internal/node"
+	"predis/internal/core"
+	"predis/internal/crypto"
 	"predis/internal/pbft"
 	"predis/internal/simnet"
 	"predis/internal/wire"
@@ -128,7 +129,7 @@ func TestBuildTimeline(t *testing.T) {
 	const spacing, load = 20 * time.Millisecond, 4 * time.Second
 	for _, fulls := range [][]Slot{nil, zoneMajor(2, 3), zoneMajor(8, 12)} {
 		dep, err := Deploy{
-			Engine: node.EnginePBFT, NC: 4, Fulls: fulls,
+			System: SysPPBFT, NC: 4, Fulls: fulls,
 			ViewTimeout: time.Second, AliveInterval: 300 * time.Millisecond,
 			JoinSpacing: spacing, Offered: 100, Load: load, Seed: 1,
 		}.Build()
@@ -154,7 +155,7 @@ func TestBuildTimeline(t *testing.T) {
 func TestDeployStreamPBFT(t *testing.T) {
 	for _, stream := range []bool{false, true} {
 		dep, err := Deploy{
-			Engine: node.EnginePBFT, NC: 4, Fulls: zoneMajor(1, 2), Stream: stream,
+			System: SysPPBFT, NC: 4, Fulls: zoneMajor(1, 2), Stream: stream,
 			ViewTimeout: time.Second, AliveInterval: 250 * time.Millisecond,
 			JoinSpacing: 20 * time.Millisecond, Offered: 400, Load: time.Second, Seed: 1,
 		}.Build()
@@ -166,7 +167,7 @@ func TestDeployStreamPBFT(t *testing.T) {
 			want = 16
 		}
 		for i, h := range dep.Hosts {
-			if w := h.Node.Engine().(*pbft.Engine).Window(); w != want {
+			if w := h.Engine().(*pbft.Engine).Window(); w != want {
 				t.Fatalf("stream %v: host %d PBFT window %d, want %d", stream, i, w, want)
 			}
 		}
@@ -174,6 +175,60 @@ func TestDeployStreamPBFT(t *testing.T) {
 		dep.Net.Run(dep.End)
 		if _, confirmed, _, _ := dep.Col.Counts(); confirmed == 0 {
 			t.Fatalf("stream %v: nothing confirmed", stream)
+		}
+	}
+}
+
+// TestBuildRejectsFullNodesWithoutPredis: only Predis feeds a distributor,
+// so full nodes under any other system are a configuration error, while
+// the same systems build without them.
+func TestBuildRejectsFullNodesWithoutPredis(t *testing.T) {
+	for _, sys := range []System{SysPBFT, SysHotStuff, SysNarwhal, SysStratus} {
+		d := Deploy{
+			System: sys, NC: 4, Fulls: zoneMajor(1, 2),
+			ViewTimeout: time.Second, AliveInterval: 300 * time.Millisecond,
+			JoinSpacing: 20 * time.Millisecond, Offered: 100, Load: time.Second, Seed: 1,
+		}
+		if _, err := d.Build(); err == nil {
+			t.Errorf("%s: full nodes accepted", sys)
+		}
+		d.Fulls = nil
+		if _, err := d.Build(); err != nil {
+			t.Errorf("%s without full nodes: %v", sys, err)
+		}
+	}
+}
+
+// TestDistributorOnlyWithFullNodes: a consensus node runs a distributor
+// exactly when the deployment has full nodes, so only then does an own
+// bundle's header commit to a stripe root; a bare group's bundles carry a
+// zero StripeRoot.
+func TestDistributorOnlyWithFullNodes(t *testing.T) {
+	for _, fulls := range [][]Slot{nil, zoneMajor(1, 2)} {
+		dep, err := Deploy{
+			System: SysPPBFT, NC: 4, Fulls: fulls,
+			ViewTimeout: time.Second, AliveInterval: 300 * time.Millisecond,
+			JoinSpacing: 20 * time.Millisecond, Offered: 400, Load: time.Second, Seed: 1,
+		}.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bundles, striped := 0, 0
+		dep.Net.OnDeliver = func(from, _ wire.NodeID, m wire.Message, _ time.Time) {
+			if b, ok := m.(*core.BundleMsg); ok && b.Bundle.Header.Producer == from {
+				bundles++
+				if b.Bundle.Header.StripeRoot != (crypto.Hash{}) {
+					striped++
+				}
+			}
+		}
+		dep.Run()
+		want := 0
+		if len(fulls) > 0 {
+			want = bundles
+		}
+		if bundles == 0 || striped != want {
+			t.Errorf("%d full nodes: %d of %d own bundles carry a stripe root, want %d", len(fulls), striped, bundles, want)
 		}
 	}
 }

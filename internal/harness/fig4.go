@@ -54,14 +54,10 @@ func fig4SizeVariants(o Options, baseline, predis System, title string) ([]*stat
 	type sweep struct{ tl, lat *stats.Series }
 	sweeps, err := parRun(len(variants), o.parallel(), func(i int) (sweep, error) {
 		v := variants[i]
-		base := PointSpec{
-			System:     v.sys,
-			NC:         4,
-			WAN:        true,
-			BundleSize: v.bundle,
-			BatchSize:  v.batch,
-			Duration:   fig4Duration(o),
-			Seed:       o.seed(),
+		base := Deploy{
+			System: v.sys, NC: 4, WAN: true,
+			BundleSize: v.bundle, BatchSize: v.batch,
+			Load: fig4Duration(o), Seed: o.seed(),
 		}
 		ts, ls, err := LoadSweep(base, fig4Loads(o, v.bundle > 0))
 		if err != nil {
@@ -125,14 +121,10 @@ func fig4Scalability(o Options, baseline, predis System, title string) ([]*stats
 	// sequential loop.
 	caps, err := parRun(len(systems)*len(ncs), o.parallel(), func(i int) (float64, error) {
 		sys, nc := systems[i/len(ncs)], ncs[i%len(ncs)]
-		return capacity(PointSpec{
-			System:   sys,
-			NC:       nc,
-			WAN:      true,
-			Clients:  nc,
-			Duration: fig4Duration(o),
-			Seed:     o.seed(),
-		}, fig4Rungs(sys == predis), RunPoint)
+		return capacity(Deploy{
+			System: sys, NC: nc, WAN: true,
+			Load: fig4Duration(o), Seed: o.seed(),
+		}, fig4Rungs(sys == predis), measure)
 	})
 	if err != nil {
 		return nil, err
@@ -150,7 +142,7 @@ func fig4Scalability(o Options, baseline, predis System, title string) ([]*stats
 // capacity climbs an ascending ladder of offered loads and returns the
 // highest that was sustained, below the first that was not (0 when the
 // first fails). Rungs past the first miss are not run.
-func capacity(base PointSpec, rungs []float64, run func(PointSpec) (PointResult, error)) (float64, error) {
+func capacity(base Deploy, rungs []float64, run func(Deploy) (PointResult, error)) (float64, error) {
 	best := 0.0
 	for _, offered := range rungs {
 		base.Offered = offered

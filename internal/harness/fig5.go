@@ -22,13 +22,8 @@ func fig5(o Options, wan bool, title string) ([]*stats.Table, error) {
 	type sweep struct{ tl, lat *stats.Series }
 	sweeps, err := parRun(len(systems), o.parallel(), func(i int) (sweep, error) {
 		sys := systems[i]
-		base := PointSpec{
-			System:     sys,
-			NC:         4,
-			WAN:        wan,
-			BundleSize: 50,
-			Duration:   duration,
-			Seed:       o.seed(),
+		base := Deploy{
+			System: sys, NC: 4, WAN: wan, Load: duration, Seed: o.seed(),
 		}
 		ts, ls, err := LoadSweep(base, loads)
 		if err != nil {

@@ -26,10 +26,15 @@ func Fig6(o Options) ([]*stats.Table, error) {
 		duration = 3 * time.Second
 		offered = 10000
 	}
+	// Every point is this deployment; the faults last as long as its load.
+	d := Deploy{
+		System: SysPPBFT, NC: nc, Offered: offered, Load: duration, Seed: o.seed(),
+	}
+	end := d.end()
 	// adversary returns the schedule of faulty node id among f of them.
 	type adversary func(id wire.NodeID, f int) []faults.Action
 	silent := func(id wire.NodeID, _ int) []faults.Action {
-		return []faults.Action{faults.Silent{Node: id, To: duration}}
+		return []faults.Action{faults.Silent{Node: id, To: end}}
 	}
 	rng := rand.New(rand.NewSource(o.seed()))
 	partial := func(id wire.NodeID, f int) []faults.Action {
@@ -39,7 +44,7 @@ func Fig6(o Options) ([]*stats.Table, error) {
 		for i, k := range rng.Perm(nc - f)[:f] {
 			victims[i] = wire.NodeID(k)
 		}
-		return partialSender(id, victims, duration)
+		return partialSender(id, victims, end)
 	}
 	cases := []struct {
 		name  string
@@ -58,7 +63,7 @@ func Fig6(o Options) ([]*stats.Table, error) {
 		f       int
 	}
 	var keys []pointKey
-	var specs []PointSpec
+	var schedules [][]faults.Action
 	for ci, c := range cases {
 		for _, f := range []int{0, 1, 2} {
 			if c.fault == nil && f > 0 {
@@ -72,18 +77,17 @@ func Fig6(o Options) ([]*stats.Table, error) {
 				schedule = append(schedule, c.fault(wire.NodeID(nc-1-k), f)...)
 			}
 			keys = append(keys, pointKey{ci, f})
-			specs = append(specs, PointSpec{
-				System:   SysPPBFT,
-				NC:       nc,
-				Offered:  offered,
-				Clients:  8,
-				Duration: duration,
-				Seed:     o.seed(),
-				Faults:   schedule,
-			})
+			schedules = append(schedules, schedule)
 		}
 	}
-	results, err := RunPoints(specs, o.parallel())
+	results, err := parRun(len(keys), o.parallel(), func(i int) (PointResult, error) {
+		dep, err := d.Build()
+		if err != nil {
+			return PointResult{}, err
+		}
+		faults.Install(dep.Net, faults.Schedule{Seed: d.Seed, Actions: schedules[i]})
+		return dep.Run(), nil
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,6 @@ import (
 	"predis/internal/stats"
 	"predis/internal/types"
 	"predis/internal/wire"
-	"predis/internal/workload"
 )
 
 // starHost couples a P-PBFT consensus node with the root of its star: a
@@ -39,49 +38,39 @@ func runFig7Point(d Deploy, star bool) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		dep.Net.Start()
-		dep.Net.Run(dep.End)
-		return dep.Col.Throughput(), nil
+		return dep.Run().Throughput, nil
 	}
 
-	net := newNet(d.Seed, false, nil)
-	var col *workload.Collector
-	suite := d.suite()
 	fulls := make([]wire.NodeID, len(d.Fulls))
 	for i, s := range d.Fulls {
 		fulls[i] = s.ID
 	}
 	trees := starTrees(d.NC, fulls)
-	for i := 0; i < d.NC; i++ {
-		i := i
-		root := NewTreeRelay(trees[i], nil)
-		n, err := node.New(node.Config{
-			Mode: node.ModePredis, Engine: d.Engine,
-			NC: d.NC, F: d.f(), Self: wire.NodeID(i),
-			Signer:         suite.Signer(i),
-			BundleSize:     50,
-			BundleInterval: 20 * time.Millisecond,
-			ViewTimeout:    d.ViewTimeout,
-			ReplyToClients: true,
-			OnCommit: func(height uint64, txs []*types.Transaction) {
-				root.Publish(height, wire.NodeID(i), types.TotalBytes(txs))
-				if i == 0 {
-					col.RecordNodeCommit(net.Now(), len(txs))
-				}
-			},
-		})
-		if err != nil {
-			return 0, err
+	roots := make([]*TreeRelay, d.NC)
+	for i := range roots {
+		roots[i] = NewTreeRelay(trees[i], nil)
+	}
+	d.Host = func(cfg *node.Config) {
+		self, commit := cfg.Self, cfg.OnCommit
+		cfg.OnCommit = func(height uint64, txs []*types.Transaction) {
+			roots[self].Publish(height, self, types.TotalBytes(txs))
+			if commit != nil {
+				commit(height, txs)
+			}
 		}
-		net.AddNode(wire.NodeID(i), &starHost{n: n, relay: root})
+	}
+	dep := d.deployment()
+	if err := d.group(dep, d.suite(), nil); err != nil {
+		return 0, err
+	}
+	for i, n := range dep.Hosts {
+		dep.Net.AddNode(wire.NodeID(i), &starHost{n: n, relay: roots[i]})
 	}
 	for i, id := range fulls {
-		net.AddNode(id, NewTreeRelay(trees[i%d.NC], nil))
+		dep.Net.AddNode(id, NewTreeRelay(trees[i%d.NC], nil))
 	}
-	col, _ = d.addLoad(net)
-	net.Start()
-	net.Run(d.end())
-	return col.Throughput(), nil
+	d.addLoad(dep, d.NC)
+	return dep.Run().Throughput, nil
 }
 
 // Fig7 reproduces "Effect on Throughput": offered load fixed (26,000 tx/s
@@ -109,7 +98,7 @@ func Fig7(o Options) ([]*stats.Table, error) {
 	for _, nc := range ncs {
 		for _, n := range fullCounts {
 			points = append(points, Deploy{
-				Engine: node.EnginePBFT, NC: nc, Fulls: roundRobin(n, zones),
+				System: SysPPBFT, NC: nc, Fulls: roundRobin(n, zones),
 				ViewTimeout:   2 * time.Second,
 				AliveInterval: 300 * time.Millisecond, DigestInterval: 2 * time.Second,
 				JoinSpacing: 20 * time.Millisecond,

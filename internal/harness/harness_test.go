@@ -7,17 +7,18 @@ import (
 
 	"predis/internal/faults"
 	"predis/internal/stats"
+	"predis/internal/wire"
 )
 
+// TestRunPointAllSystems measures one point of every system on a bare
+// consensus group.
 func TestRunPointAllSystems(t *testing.T) {
 	for _, sys := range []System{SysPBFT, SysPPBFT, SysHotStuff, SysPHS, SysNarwhal, SysStratus} {
 		sys := sys
 		t.Run(string(sys), func(t *testing.T) {
-			res, err := RunPoint(PointSpec{
-				System:   sys,
-				NC:       4,
-				Offered:  2000,
-				Duration: 3 * time.Second,
+			res, err := measure(Deploy{
+				System: sys, NC: 4,
+				Offered: 2000, Load: 3 * time.Second, Seed: 1,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -34,31 +35,39 @@ func TestRunPointAllSystems(t *testing.T) {
 }
 
 func TestRunPointUnknownSystem(t *testing.T) {
-	if _, err := RunPoint(PointSpec{System: "bogus"}); err == nil {
+	if _, err := (Deploy{System: "bogus", NC: 4}).Build(); err == nil {
 		t.Fatal("unknown system accepted")
 	}
 }
 
-func TestRunPointWithFaults(t *testing.T) {
-	res, err := RunPoint(PointSpec{
-		System:   SysPPBFT,
-		NC:       8,
-		Offered:  3000,
-		Clients:  8,
-		Duration: 3 * time.Second,
-		Faults:   []faults.Action{faults.Silent{Node: 7, To: 3 * time.Second}},
-	})
+// fig6Point measures P-PBFT at n_c = 8 over 4 s of load at the offered
+// rate, with the nodes in silent silenced while the load runs.
+func fig6Point(t *testing.T, offered float64, silent ...wire.NodeID) PointResult {
+	t.Helper()
+	dep, err := Deploy{
+		System: SysPPBFT, NC: 8,
+		Offered: offered, Load: 4 * time.Second, Seed: 1,
+	}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Throughput <= 0 {
+	var actions []faults.Action
+	for _, id := range silent {
+		actions = append(actions, faults.Silent{Node: id, To: dep.End})
+	}
+	faults.Install(dep.Net, faults.Schedule{Seed: 1, Actions: actions})
+	return dep.Run()
+}
+
+func TestRunPointWithFaults(t *testing.T) {
+	if res := fig6Point(t, 3000, 7); res.Throughput <= 0 {
 		t.Fatal("no throughput with one silent node")
 	}
 }
 
 func TestLoadSweepShape(t *testing.T) {
-	tp, lat, err := LoadSweep(PointSpec{
-		System: SysPPBFT, NC: 4, Duration: 2 * time.Second,
+	tp, lat, err := LoadSweep(Deploy{
+		System: SysPPBFT, NC: 4, Load: 2 * time.Second, Seed: 1,
 	}, []float64{1000, 3000})
 	if err != nil {
 		t.Fatal(err)
@@ -101,19 +110,7 @@ func TestFig6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation")
 	}
-	normal, err := RunPoint(PointSpec{
-		System: SysPPBFT, NC: 8, Offered: 8000, Clients: 8, Duration: 4 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	silent1, err := RunPoint(PointSpec{
-		System: SysPPBFT, NC: 8, Offered: 8000, Clients: 8, Duration: 4 * time.Second,
-		Faults: []faults.Action{faults.Silent{Node: 7, To: 4 * time.Second}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	normal, silent1 := fig6Point(t, 8000), fig6Point(t, 8000, 7)
 	ratio := silent1.Throughput / normal.Throughput
 	t.Logf("normal=%.0f silent(f=1)=%.0f ratio=%.2f (paper predicts ≈ 7/8 = 0.875)", normal.Throughput, silent1.Throughput, ratio)
 	if ratio < 0.6 || ratio > 1.05 {
@@ -193,9 +190,9 @@ func TestCapacityStopsAtFirstMiss(t *testing.T) {
 		{[]float64{1000, 2000, 2950, 3880}, 4000, 4},
 	} {
 		runs := 0
-		got, err := capacity(PointSpec{}, rungs, func(s PointSpec) (PointResult, error) {
-			if s.Offered != rungs[runs] {
-				t.Errorf("run %d offered %v, want %v", runs, s.Offered, rungs[runs])
+		got, err := capacity(Deploy{}, rungs, func(d Deploy) (PointResult, error) {
+			if d.Offered != rungs[runs] {
+				t.Errorf("run %d offered %v, want %v", runs, d.Offered, rungs[runs])
 			}
 			runs++
 			return PointResult{Throughput: c.tput[runs-1]}, nil

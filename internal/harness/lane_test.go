@@ -18,13 +18,15 @@ import (
 func TestConsensusLaneWAN(t *testing.T) {
 	run := func() (PointResult, *obs.Registry, string) {
 		tr, reg := NewReplayTrace(), obs.NewRegistry()
-		res, err := RunPoint(PointSpec{
-			System: SysPHS, NC: 16, WAN: true, Offered: 18000,
-			Duration: 3 * time.Second, Seed: 1, Replay: tr, Metrics: reg,
-		})
+		dep, err := Deploy{
+			System: SysPHS, NC: 16, WAN: true,
+			Offered: 18000, Load: 3 * time.Second, Seed: 1, Replay: tr,
+		}.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := dep.Run()
+		dep.publish(reg)
 		return res, reg, tr.Sum()
 	}
 	res, reg, sum := run()

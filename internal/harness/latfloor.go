@@ -7,23 +7,18 @@ import (
 	"predis/internal/stats"
 )
 
-// latfloorSpecs builds the measurement grid for LatencyFloor: for one
-// network profile, block mode and streaming commit run over the same
-// offered loads on the same P-PBFT deployment. Streaming uses an
-// in-flight PBFT window so ordering never gates on the previous commit;
-// block mode is the classic single-slot protocol every other experiment
-// measures.
-func latfloorSpecs(o Options, wan bool, stream bool, loads []float64, duration time.Duration) []PointSpec {
-	specs := make([]PointSpec, len(loads))
+// latfloorRow is one row of LatencyFloor's grid: for one network profile
+// and commit mode, the same P-PBFT deployment over every offered load.
+// Streaming uses an in-flight PBFT window so ordering never gates on the
+// previous commit; block mode is the classic single-slot protocol every
+// other experiment measures.
+func latfloorRow(o Options, wan bool, stream bool, loads []float64, duration time.Duration) []Deploy {
+	row := make([]Deploy, len(loads))
 	for i, load := range loads {
-		specs[i] = PointSpec{
-			System:   SysPPBFT,
-			NC:       4,
-			WAN:      wan,
-			Offered:  load,
-			Duration: duration,
-			Seed:     o.seed(),
-			Stream:   stream,
+		row[i] = Deploy{
+			System: SysPPBFT, NC: 4, WAN: wan, Stream: stream,
+			Offered: load, Load: duration, Seed: o.seed(),
+			Replay: o.Replay,
 			// A moderate production batching interval (Fabric defaults to
 			// hundreds of ms; 50 ms is generous). Block mode's latency
 			// floor includes it — transactions wait for the seal tick —
@@ -32,7 +27,7 @@ func latfloorSpecs(o Options, wan bool, stream bool, loads []float64, duration t
 			BundleInterval: 50 * time.Millisecond,
 		}
 	}
-	return specs
+	return row
 }
 
 // LatencyFloor contrasts block-granularity commit with streaming commit
@@ -63,32 +58,35 @@ func latfloorRun(o Options) ([]float64, [][]PointResult, error) {
 
 	// Grid order: LAN block, LAN stream, WAN block, WAN stream — each a
 	// row of len(loads) points.
-	grid := [][]PointSpec{
-		latfloorSpecs(o, false, false, loads, duration),
-		latfloorSpecs(o, false, true, loads, duration),
-		latfloorSpecs(o, true, false, loads, duration),
-		latfloorSpecs(o, true, true, loads, duration),
+	var flat []Deploy
+	for _, wan := range []bool{false, true} {
+		for _, stream := range []bool{false, true} {
+			flat = append(flat, latfloorRow(o, wan, stream, loads, duration)...)
+		}
 	}
-	flat := make([]PointSpec, 0, 4*len(loads))
-	for _, row := range grid {
-		flat = append(flat, row...)
-	}
+	// -metrics: the registry of the busiest LAN stream point, which carries
+	// the producers' seal counters and the PBFT proposal pace.
+	busiest := 2*len(loads) - 1
 	if o.Obs != nil {
-		// -metrics: the registry of the busiest LAN stream point, which
-		// carries the producers' seal counters and the PBFT proposal pace.
 		o.Obs.Metrics = obs.NewRegistry()
-		flat[2*len(loads)-1].Metrics = o.Obs.Metrics
 	}
 	workers := o.parallel()
 	if o.Replay != nil {
 		// Replay hashes fold every delivery into one running digest, so
 		// the points must run (and attach) in a fixed order: sequential.
 		workers = 1
-		for i := range flat {
-			flat[i].Replay = o.Replay
-		}
 	}
-	results, err := RunPoints(flat, workers)
+	results, err := parRun(len(flat), workers, func(i int) (PointResult, error) {
+		dep, err := flat[i].Build()
+		if err != nil {
+			return PointResult{}, err
+		}
+		res := dep.Run()
+		if i == busiest && o.Obs != nil {
+			dep.publish(o.Obs.Metrics)
+		}
+		return res, nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"predis/internal/multizone"
-	"predis/internal/node"
 	"predis/internal/wire"
 )
 
@@ -19,30 +18,25 @@ import (
 func placementRun(t *testing.T, seed int64, jitter time.Duration) [][]*multizone.FullNode {
 	t.Helper()
 	d := Deploy{
-		Engine: node.EnginePBFT, NC: 4, Fulls: zoneMajor(8, 12),
+		System: SysPPBFT, NC: 4, Fulls: zoneMajor(8, 12),
 		ViewTimeout: 2 * time.Second, AliveInterval: 200 * time.Millisecond,
 		DigestInterval: time.Second, JoinSpacing: 20 * time.Millisecond,
 		Offered: 1000, Load: time.Second, Seed: seed,
 	}
 	// Deploy.Build, but with the full nodes joining on a jittered schedule.
-	net := newNet(d.Seed, false, nil)
+	dep, suite := d.deployment(), d.suite()
 	striper, err := multizone.NewStriper(d.NC, d.f())
 	if err != nil {
 		t.Fatal(err)
 	}
-	suite := d.suite()
-	for i := 0; i < d.NC; i++ {
-		host, err := multizone.NewConsensusHost(multizone.HostConfig{
-			NC: d.NC, F: d.f(), Self: wire.NodeID(i), Signer: suite.Signer(i),
-			Engine: d.Engine, BundleSize: 50, BundleInterval: 20 * time.Millisecond,
-			ViewTimeout: d.ViewTimeout, Striper: striper, ReplyToClients: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		net.AddNode(wire.NodeID(i), host)
+	if err := d.group(dep, suite, striper); err != nil {
+		t.Fatal(err)
 	}
-	d.addLoad(net)
+	for i, n := range dep.Hosts {
+		dep.Net.AddNode(wire.NodeID(i), n)
+	}
+	d.addLoad(dep, d.NC)
+	net := dep.Net
 	rng := rand.New(rand.NewSource(seed))
 	zones := make([][]*multizone.FullNode, 8)
 	for join, w := range zoneWiring(d.Fulls, d.JoinSpacing) {

@@ -8,20 +8,19 @@ import (
 	"testing"
 	"time"
 
-	"predis/internal/node"
 	"predis/internal/obs"
 	"predis/internal/pbft"
 	"predis/internal/wire"
 )
 
-// TestPublishMatchesAccessors: publish is the one path from the
+// TestPublishMatchesAccessors: Deployment.publish is the one path from the
 // components' counters to a registry. After a small P-PBFT stream run with
 // two zones of full nodes, the registry holds exactly one row per counter
 // an accessor exposes, under its name and with its value: a counter
 // published twice, under a wrong name, or not at all fails.
 func TestPublishMatchesAccessors(t *testing.T) {
 	dep, err := Deploy{
-		Engine: node.EnginePBFT, NC: 4, Fulls: zoneMajor(2, 2), Stream: true,
+		System: SysPPBFT, NC: 4, Fulls: zoneMajor(2, 2), Stream: true,
 		ViewTimeout: 2 * time.Second, AliveInterval: 300 * time.Millisecond,
 		JoinSpacing: 20 * time.Millisecond,
 		Offered:     1000, Load: time.Second, Seed: 1,
@@ -29,14 +28,9 @@ func TestPublishMatchesAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep.Net.Start()
-	dep.Net.Run(dep.End)
-	nodes := make([]*node.Node, len(dep.Hosts))
-	for i, host := range dep.Hosts {
-		nodes[i] = host.Node
-	}
+	dep.Run()
 	reg := obs.NewRegistry()
-	publish(reg, dep.Net, nodes, dep.Fulls, dep.Clients)
+	dep.publish(reg)
 
 	// want maps "metric,node" to the value its accessor reports.
 	want := map[string]float64{}
@@ -49,7 +43,7 @@ func TestPublishMatchesAccessors(t *testing.T) {
 	}
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	var committed, sealed uint64
-	for i, n := range nodes {
+	for i, n := range dep.Hosts {
 		id := wire.NodeID(i)
 		produced, accepted, txs := n.Predis().Stats()
 		seals, wait := n.Predis().Seals()

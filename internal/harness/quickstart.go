@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"predis/internal/exec"
-	"predis/internal/multizone"
 	"predis/internal/node"
 	"predis/internal/obs"
 	"predis/internal/simnet"
@@ -59,13 +58,13 @@ func quickstart(o Options, stream bool) ([]*stats.Table, error) {
 	// nodes with one cross-zone backup each (the Fig. 7 deployment shape,
 	// scaled down).
 	dep, err := Deploy{
-		Engine: node.EngineHotStuff, NC: 4, Fulls: zoneMajor(2, 3),
+		System: SysPHS, NC: 4, Fulls: zoneMajor(2, 3),
 		Stream: stream, ViewTimeout: 2 * time.Second,
 		AliveInterval: 300 * time.Millisecond, DigestInterval: 2 * time.Second,
 		JoinSpacing: 20 * time.Millisecond,
 		Offered:     offered, Load: load, Seed: o.seed(),
 		Replay: o.Replay, Trace: tracer,
-		Host: func(cfg *multizone.HostConfig) {
+		Host: func(cfg *node.Config) {
 			cfg.Executor = exec.NewMachine(execGenesis)
 		},
 	}.Build()
@@ -74,13 +73,8 @@ func quickstart(o Options, stream bool) ([]*stats.Table, error) {
 	}
 	sampler := obs.NewSampler(dep.Net, 100*time.Millisecond)
 	sampler.Start(dep.End)
-	dep.Net.Start()
-	dep.Net.Run(dep.End)
-	nodes := make([]*node.Node, len(dep.Hosts))
-	for i, host := range dep.Hosts {
-		nodes[i] = host.Node
-	}
-	publish(registry, dep.Net, nodes, dep.Fulls, dep.Clients)
+	res := dep.Run()
+	dep.publish(registry)
 
 	if o.Obs != nil {
 		o.Obs.Trace = tracer
@@ -89,8 +83,7 @@ func quickstart(o Options, stream bool) ([]*stats.Table, error) {
 	}
 
 	// Headline numbers plus the per-stage latency breakdown.
-	col := dep.Col
-	lat := col.Latency()
+	lat := res.Latency
 	summary := &stats.Table{
 		Title: "Quickstart: P-HS + Multi-Zone (rows: 1=committed tx/s, " +
 			"2=confirmed tx/s, 3=mean latency ms, 4=p99 latency ms, 5=blocks, " +
@@ -102,12 +95,11 @@ func quickstart(o Options, stream bool) ([]*stats.Table, error) {
 		name = "P-HS+MZ stream"
 	}
 	sum := &stats.Series{Name: name}
-	_, _, _, blocks := col.Counts()
-	sum.Add(1, col.Throughput())
-	sum.Add(2, col.ClientThroughput())
+	sum.Add(1, res.Throughput)
+	sum.Add(2, res.ClientThroughput)
 	sum.Add(3, float64(lat.Mean)/float64(time.Millisecond))
 	sum.Add(4, float64(lat.P99)/float64(time.Millisecond))
-	sum.Add(5, float64(blocks))
+	sum.Add(5, float64(res.Blocks))
 	sum.Add(6, float64(lat.P50)/float64(time.Millisecond))
 	sum.Add(7, float64(lat.P90)/float64(time.Millisecond))
 	summary.Series = append(summary.Series, sum)

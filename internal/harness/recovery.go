@@ -12,6 +12,7 @@ import (
 	"predis/internal/obs"
 	"predis/internal/simnet"
 	"predis/internal/stats"
+	"predis/internal/types"
 	"predis/internal/wire"
 )
 
@@ -45,7 +46,7 @@ type recoverySpec struct {
 // the whole run and the load fills what the join window leaves of it.
 func recoveryDeploy(perZone int, offered float64, run time.Duration, seed int64) Deploy {
 	d := Deploy{
-		Engine: node.EnginePBFT, NC: 4, Fulls: zoneMajor(2, perZone),
+		System: SysPPBFT, NC: 4, Fulls: zoneMajor(2, perZone),
 		ViewTimeout:   1 * time.Second,
 		AliveInterval: 200 * time.Millisecond, DigestInterval: 1 * time.Second,
 		JoinSpacing: 20 * time.Millisecond,
@@ -121,14 +122,14 @@ func runRecovery(spec recoverySpec) (recoveryResult, error) {
 	// catch-up. Per-node last-commit heights feed the leader scenario's
 	// head comparison.
 	lastCommit := make([]uint64, d.NC)
-	d.Host = func(cfg *multizone.HostConfig) {
+	d.Host = func(cfg *node.Config) {
 		i := int(cfg.Self)
-		cfg.OnCommit = func(height uint64, txs int) {
+		cfg.OnCommit = func(height uint64, txs []*types.Transaction) {
 			if height > lastCommit[i] {
 				lastCommit[i] = height
 			}
 			if spec.victimConsensus && i == d.NC-1 {
-				record(txs)
+				record(len(txs))
 			}
 		}
 	}
@@ -171,7 +172,7 @@ func runRecovery(spec recoverySpec) (recoveryResult, error) {
 	}
 	res.undecodable = net.Dropped().Undecodable
 	for _, h := range hosts {
-		res.equivocations += h.Node.Engine().Equivocations()
+		res.equivocations += h.Engine().Equivocations()
 	}
 	if spec.victimConsensus {
 		res.victimHead = lastCommit[0]

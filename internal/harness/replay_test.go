@@ -21,13 +21,9 @@ import (
 func TestReplayQuickstartDeterministic(t *testing.T) {
 	run := func() (string, uint64, string) {
 		tr := NewReplayTrace()
-		res, err := RunPoint(PointSpec{
-			System:   SysPHS,
-			NC:       4,
-			Offered:  1000,
-			Duration: 1500 * time.Millisecond,
-			Seed:     42,
-			Replay:   tr,
+		res, err := measure(Deploy{
+			System: SysPHS, NC: 4,
+			Offered: 1000, Load: 1500 * time.Millisecond, Seed: 42, Replay: tr,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -55,13 +51,9 @@ func TestReplayQuickstartDeterministic(t *testing.T) {
 func replayHashOnce(t *testing.T) (string, uint64) {
 	t.Helper()
 	tr := NewReplayTrace()
-	if _, err := RunPoint(PointSpec{
-		System:   SysPHS,
-		NC:       4,
-		Offered:  1000,
-		Duration: 1500 * time.Millisecond,
-		Seed:     42,
-		Replay:   tr,
+	if _, err := measure(Deploy{
+		System: SysPHS, NC: 4,
+		Offered: 1000, Load: 1500 * time.Millisecond, Seed: 42, Replay: tr,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -13,14 +13,9 @@ import (
 func streamReplayOnce(t *testing.T) (string, uint64, string) {
 	t.Helper()
 	tr := NewReplayTrace()
-	res, err := RunPoint(PointSpec{
-		System:   SysPPBFT,
-		NC:       4,
-		Offered:  1200,
-		Duration: 1500 * time.Millisecond,
-		Seed:     42,
-		Stream:   true,
-		Replay:   tr,
+	res, err := measure(Deploy{
+		System: SysPPBFT, NC: 4, Stream: true,
+		Offered: 1200, Load: 1500 * time.Millisecond, Seed: 42, Replay: tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,9 +43,9 @@ func TestStreamReplayDeterministic(t *testing.T) {
 // latency-floor comparison would be measuring nothing).
 func TestStreamBlockModesDiverge(t *testing.T) {
 	tr := NewReplayTrace()
-	if _, err := RunPoint(PointSpec{
-		System: SysPPBFT, NC: 4, Offered: 1200,
-		Duration: 1500 * time.Millisecond, Seed: 42, Replay: tr,
+	if _, err := measure(Deploy{
+		System: SysPPBFT, NC: 4,
+		Offered: 1200, Load: 1500 * time.Millisecond, Seed: 42, Replay: tr,
 	}); err != nil {
 		t.Fatal(err)
 	}
