@@ -119,7 +119,12 @@ func (m *Mempool) BuildPredisBlock(height uint64, parentHash crypto.Hash, prev [
 		Cuts:   cuts,
 		TxRoot: m.blockRoot(prev, cuts),
 	}
-	blk.Sig = m.params.Signer.Sign(blk.Hash())
+	signer := m.params.Signer
+	blk.Sig = signer.Sign(blk.Hash())
+	blk.rootOK = true
+	if signer.Index() == int(leader) {
+		blk.memo.MarkSigned(blk.Sig)
+	}
 	return blk, true
 }
 
@@ -128,6 +133,7 @@ func (m *Mempool) BuildPredisBlock(height uint64, parentHash crypto.Hash, prev [
 // bundle's TxRoot, so the root binds the block's full transaction set
 // (Theorem 3.3's "identical candidate blocks").
 func (m *Mempool) blockRoot(prev []uint64, cuts []Cut) crypto.Hash {
+	m.roots++
 	n := newlyCut(prev, cuts)
 	if n == 0 {
 		return crypto.ZeroHash
@@ -161,15 +167,26 @@ func newlyCut(prev []uint64, cuts []Cut) int {
 // ValidatePredisBlock runs the replica-side checks (§III-B) against the
 // expected parent hash and baseline cuts. On ErrBlockMissing the returned
 // ranges say which bundles to fetch.
+//
+// The leader's signature and the TxRoot are checked once per block (see
+// PredisBlock.memo); the checks against this node's own state run every
+// time: parent hash, cut regression, banned chains, and every cut head
+// present and equal to the local header at its height. They are what make
+// the root memo sound: the parent hash fixes the baseline cuts, and a
+// matching head hash fixes every hash-chained header below it, so two
+// nodes whose checks pass confirm the same headers and compute the same
+// root.
+//
+//predis:hotpath
 func (m *Mempool) ValidatePredisBlock(blk *PredisBlock, wantParent crypto.Hash,
 	prev []uint64) ([]MissingRange, error) {
 	if len(blk.Cuts) != m.params.NC || len(prev) != m.params.NC {
-		return nil, fmt.Errorf("%w: %d cuts for %d chains", ErrBlockShape, len(blk.Cuts), m.params.NC)
+		return nil, fmt.Errorf("%w: %d cuts for %d chains", ErrBlockShape, len(blk.Cuts), m.params.NC) //predis:allocok reject path
 	}
 	if int(blk.Leader) >= m.params.NC {
-		return nil, fmt.Errorf("%w: leader %d out of range", ErrBlockShape, blk.Leader)
+		return nil, fmt.Errorf("%w: leader %d out of range", ErrBlockShape, blk.Leader) //predis:allocok reject path
 	}
-	if !m.params.Signer.Verify(int(blk.Leader), blk.Hash(), blk.Sig) {
+	if !blk.VerifySig(m.params.Signer) {
 		return nil, ErrBlockSignature
 	}
 	if blk.Parent != wantParent {
@@ -179,33 +196,35 @@ func (m *Mempool) ValidatePredisBlock(blk *PredisBlock, wantParent crypto.Hash,
 	for i, c := range blk.Cuts {
 		ch := m.chains[i]
 		if c.Height < prev[i] {
-			return nil, fmt.Errorf("%w: chain %d cut %d < parent cut %d",
-				ErrBlockRegressed, i, c.Height, prev[i])
+			return nil, fmt.Errorf("%w: chain %d cut %d < parent cut %d", ErrBlockRegressed, i, c.Height, prev[i]) //predis:allocok reject path
 		}
 		if c.Height == prev[i] {
 			continue // no new bundles on this chain
 		}
 		if m.banned[i] {
-			return nil, fmt.Errorf("%w: chain %d", ErrBlockBanned, i)
+			return nil, fmt.Errorf("%w: chain %d", ErrBlockBanned, i) //predis:allocok reject path
 		}
 		if c.Height > ch.tip() {
 			if missing == nil {
-				missing = make([]MissingRange, 0, len(blk.Cuts)-i)
+				missing = make([]MissingRange, 0, len(blk.Cuts)-i) //predis:allocok bundles missing: the fetch path
 			}
-			missing = append(missing, MissingRange{
+			missing = append(missing, MissingRange{ //predis:allocok bundles missing: the fetch path
 				Producer: wire.NodeID(i), From: ch.tip() + 1, To: c.Height,
 			})
 			continue
 		}
 		if ch.at(c.Height).Header.Hash() != c.Head {
-			return nil, fmt.Errorf("%w: chain %d height %d", ErrBlockHead, i, c.Height)
+			return nil, fmt.Errorf("%w: chain %d height %d", ErrBlockHead, i, c.Height) //predis:allocok reject path
 		}
 	}
 	if len(missing) > 0 {
 		return missing, ErrBlockMissing
 	}
-	if m.blockRoot(prev, blk.Cuts) != blk.TxRoot {
-		return nil, ErrBlockRoot
+	if !blk.rootOK {
+		if m.blockRoot(prev, blk.Cuts) != blk.TxRoot {
+			return nil, ErrBlockRoot
+		}
+		blk.rootOK = true
 	}
 	return nil, nil
 }

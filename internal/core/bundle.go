@@ -94,6 +94,9 @@ type BundleHeader struct {
 	// Producer is the bundle chain this header extends (consensus node
 	// ID, which equals the chain index).
 	Producer wire.NodeID
+	// hashSet marks hash as Hash()'s memo (see hash). It sits in
+	// Producer's padding, so a Bundle stays 256 bytes with its memo.
+	hashSet bool
 	// Height starts at 1; the height-1 bundle has a zero Parent.
 	Height uint64
 	// Parent is the header hash of the previous bundle on this chain.
@@ -116,8 +119,7 @@ type BundleHeader struct {
 	// hash memoizes Hash(): the signature is excluded from the digest, so
 	// the memo is valid as soon as the unsigned fields are set, and headers
 	// are immutable once packed or decoded.
-	hash    crypto.Hash
-	hashSet bool
+	hash crypto.Hash
 }
 
 // encodeUnsigned writes every field except the signature.
@@ -186,13 +188,17 @@ type Bundle struct {
 	Header BundleHeader
 	Txs    []*types.Transaction
 
-	// bodyOK records that the body matches the header's commitments. pack
-	// sets it by construction: the header's TxRoot, TxCount and TxBytes
-	// are computed from the very Txs it stores, and a bundle is immutable
-	// once packed, so the simulator's recipients of the producer's own
-	// *Bundle re-derive nothing. A decoded or hand-built bundle earns it
-	// from a successful VerifyBody; failures are never cached.
-	bodyOK bool
+	// memo is owned (crypto.Memo.Own) once the body matched the header's
+	// commitments, and records the header signature that then passed the
+	// producer check. pack sets both by construction: the header's TxRoot,
+	// TxCount and TxBytes are computed from the very Txs it stores, and the
+	// producer's own signer signed it; a bundle is immutable once packed,
+	// so the simulator's recipients of the producer's own *Bundle re-derive
+	// nothing. A decoded or hand-built bundle earns the body memo from a
+	// successful VerifyBody and the signature memo from AddBundle. A value
+	// copy or a replaced Header.Sig checks afresh; failures are never
+	// cached.
+	memo crypto.Memo
 	// stripeCache holds the erasure-coded form of this bundle (stored as
 	// any to keep core free of a multizone dependency). Erasure encoding
 	// is deterministic in Txs, so every consensus node would compute the
@@ -252,7 +258,10 @@ func (b *Bundle) pack(signer crypto.Signer, producer wire.NodeID, parent *Bundle
 	}
 	h.Sig = signer.Sign(h.Hash())
 	b.Txs = txs
-	b.bodyOK = true
+	b.memo.Claim()
+	if signer.Index() == int(producer) {
+		b.memo.MarkSigned(h.Sig)
+	}
 }
 
 // TxMerkleRoot computes the Merkle root over transaction hashes.
@@ -276,10 +285,10 @@ func TxMerkleRoot(txs []*types.Transaction) crypto.Hash {
 
 // VerifyBody checks that the body matches the header's commitments:
 // count, bytes, then root. A packed bundle passes without hashing (see
-// bodyOK), so the root is recomputed only for a bundle this process did
+// memo), so the root is recomputed only for a bundle this process did
 // not build: one decoded from a frame or assembled from stripes.
 func (b *Bundle) VerifyBody() error {
-	if b.bodyOK {
+	if b.memo.Own() {
 		return nil
 	}
 	if int(b.Header.TxCount) != len(b.Txs) {
@@ -291,7 +300,24 @@ func (b *Bundle) VerifyBody() error {
 	if TxMerkleRoot(b.Txs) != b.Header.TxRoot {
 		return fmt.Errorf("core: bundle tx root mismatch")
 	}
-	b.bodyOK = true
+	b.memo.Claim()
+	return nil
+}
+
+// verify runs AddBundle's checks, once per bundle: the producer's
+// signature over the header, then the body. Both results are memoized
+// together, so the signature memo implies the body memo.
+func (b *Bundle) verify(signer crypto.Signer) error {
+	if b.memo.Signed(b.Header.Sig) {
+		return nil
+	}
+	if !signer.Verify(int(b.Header.Producer), b.Header.Hash(), b.Header.Sig) {
+		return ErrBadSignature
+	}
+	if err := b.VerifyBody(); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadBody, err)
+	}
+	b.memo.MarkSigned(b.Header.Sig)
 	return nil
 }
 

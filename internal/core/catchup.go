@@ -164,7 +164,7 @@ func (c *Catchup) tally(from wire.NodeID, blk *PredisBlock, anchor bool) (adopte
 	vs := c.votes[blk.Height]
 	i := slices.IndexFunc(vs, func(v *vouch) bool { return v.hash == h && v.anchor == anchor })
 	if i < 0 {
-		if int(blk.Leader) >= c.mp.params.NC || !c.mp.params.Signer.Verify(int(blk.Leader), h, blk.Sig) {
+		if int(blk.Leader) >= c.mp.params.NC || !blk.VerifySig(c.mp.params.Signer) {
 			c.ctx.Logf("catchup: block %d with a bad signature from %d", blk.Height, from)
 			return false, false
 		}

@@ -94,6 +94,9 @@ type Mempool struct {
 	headHash  crypto.Hash
 	prev      []uint64
 	committed []*Bundle
+
+	// roots counts blockRoot runs (see BlockRoots).
+	roots uint64
 }
 
 // SetOnLink installs the bundle-linked observer; pass nil to clear.
@@ -116,6 +119,12 @@ func NewMempool(params Params) (*Mempool, error) {
 		evidence: make(map[wire.NodeID]*ConflictEvidence),
 	}, nil
 }
+
+// BlockRoots returns how many Predis block roots this mempool computed,
+// building blocks or checking them. A block's root is computed once per
+// process (see PredisBlock.memo), so a mempool that validates a block
+// another mempool in the process built or checked computes none.
+func (m *Mempool) BlockRoots() uint64 { return m.roots }
 
 // Params returns the mempool's configuration.
 func (m *Mempool) Params() Params { return m.params }
@@ -228,11 +237,8 @@ func (m *Mempool) AddBundle(b *Bundle, verify bool) (AddResult, *ConflictEvidenc
 		return 0, nil, nil, fmt.Errorf("core: bundle height 0 invalid")
 	}
 	if verify {
-		if !m.params.Signer.Verify(int(p), b.Header.Hash(), b.Header.Sig) {
-			return 0, nil, nil, ErrBadSignature
-		}
-		if err := b.VerifyBody(); err != nil {
-			return 0, nil, nil, fmt.Errorf("%w: %v", ErrBadBody, err)
+		if err := b.verify(m.params.Signer); err != nil {
+			return 0, nil, nil, err
 		}
 	}
 

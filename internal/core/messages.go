@@ -193,6 +193,10 @@ type PredisBlock struct {
 	Parent crypto.Hash
 	// Leader is the proposing node.
 	Leader wire.NodeID
+	// rootOK records that TxRoot matched the bundles the cuts confirm
+	// (see ValidatePredisBlock); valid while memo is owned. It sits in
+	// Leader's padding.
+	rootOK bool
 	// Cuts has one entry per bundle chain, indexed by producer.
 	Cuts []Cut
 	// TxRoot is the Merkle root over the header hashes of every newly
@@ -201,6 +205,15 @@ type PredisBlock struct {
 	TxRoot crypto.Hash
 	// Sig is the leader's signature over Hash().
 	Sig []byte
+
+	// memo is owned (crypto.Memo.Own) once hash holds Hash(), and records
+	// the leader signature that passed VerifySig. BuildPredisBlock sets
+	// hash, signature and root memos by construction; a received block
+	// earns them from its first successful check. A value copy starts
+	// over: its first Hash claims the memo and drops the copied signature
+	// and root memos.
+	memo crypto.Memo
+	hash crypto.Hash
 }
 
 var _ wire.Metadata = (*PredisBlock)(nil)
@@ -268,13 +281,36 @@ func decodePredisBlock(d *wire.Decoder) (wire.Message, error) {
 	return m, d.Err()
 }
 
-// Hash returns the block identity (all fields except the signature).
+// Hash returns the block's identity: the digest of every field but the
+// signature, memoized on the block.
+//
+//predis:hotpath
 func (m *PredisBlock) Hash() crypto.Hash {
+	if m.memo.Own() {
+		return m.hash
+	}
 	e := wire.GetEncoder()
 	m.encodeUnsigned(e)
-	h := crypto.HashBytes(e.Bytes())
+	m.hash = crypto.HashBytes(e.Bytes())
 	wire.PutEncoder(e)
-	return h
+	m.memo.Claim()
+	m.rootOK = false
+	return m.hash
+}
+
+// VerifySig checks the leader's signature over Hash(), once per block:
+// a block that passed, and one this process built with the leader's own
+// signer, answer from the memo. The caller checks that Leader is in range.
+func (m *PredisBlock) VerifySig(signer crypto.Signer) bool {
+	h := m.Hash()
+	if m.memo.Signed(m.Sig) {
+		return true
+	}
+	if !signer.Verify(int(m.Leader), h, m.Sig) {
+		return false
+	}
+	m.memo.MarkSigned(m.Sig)
+	return true
 }
 
 // CatchupRequest asks a peer for the committed Predis blocks above Height,

@@ -26,10 +26,23 @@ import (
 type ReplayTrace struct {
 	h hash.Hash
 	n uint64
-	// buf is record's scratch: a local array would escape through the
-	// hash.Hash interface, one heap allocation per delivered message.
-	buf [28]byte
+	// buf holds the records not yet hashed, fill bytes of them: record
+	// appends one and hashes the buffer whole when it is full, and Sum
+	// hashes what is left. The digest is that of the records written one
+	// by one, at a hash call per replayBatch deliveries instead of per
+	// delivery. Held in the struct, since a local array would escape
+	// through the hash.Hash interface.
+	buf  [replayBatch * replayRecord]byte
+	fill int
 }
+
+// replayRecord is one delivery's record: from and to (4 bytes each), the
+// type (2), the wire size and the virtual delivery time (8 each), then two
+// zero bytes, which every pinned digest includes.
+const replayRecord = 28
+
+// replayBatch is how many records ReplayTrace hashes at a time.
+const replayBatch = 128
 
 // NewReplayTrace returns an empty trace.
 func NewReplayTrace() *ReplayTrace {
@@ -50,18 +63,29 @@ func (t *ReplayTrace) Attach(net *simnet.Network) {
 
 //predis:hotpath
 func (t *ReplayTrace) record(from, to wire.NodeID, m wire.Message, at time.Time) {
-	buf := t.buf[:]
+	buf := t.buf[t.fill : t.fill+replayRecord]
 	binary.LittleEndian.PutUint32(buf[0:], uint32(from))
 	binary.LittleEndian.PutUint32(buf[4:], uint32(to))
 	binary.LittleEndian.PutUint16(buf[8:], uint16(m.Type()))
 	binary.LittleEndian.PutUint64(buf[10:], uint64(m.WireSize()))
 	binary.LittleEndian.PutUint64(buf[18:], uint64(at.Sub(simnet.Epoch)))
-	t.h.Write(buf)
+	buf[26], buf[27] = 0, 0
+	t.fill += replayRecord
+	if t.fill == len(t.buf) {
+		t.flush()
+	}
 	t.n++
+}
+
+// flush hashes the buffered records.
+func (t *ReplayTrace) flush() {
+	t.h.Write(t.buf[:t.fill])
+	t.fill = 0
 }
 
 // Sum returns the hex digest of everything recorded so far.
 func (t *ReplayTrace) Sum() string {
+	t.flush()
 	return hex.EncodeToString(t.h.Sum(nil))
 }
 

@@ -1,7 +1,11 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"os/exec"
 	"strings"
@@ -10,6 +14,7 @@ import (
 
 	"predis/internal/core"
 	"predis/internal/simnet"
+	"predis/internal/wire"
 )
 
 // TestReplayQuickstartDeterministic runs the quickstart-style experiment
@@ -162,5 +167,47 @@ func TestReplayTraceRecordAllocs(t *testing.T) {
 	b.record(5, 4, m, at)
 	if a.Sum() == b.Sum() {
 		t.Fatal("digest ignored a delivery")
+	}
+}
+
+// stubMsg is a message with a chosen type and wire size, for feeding
+// ReplayTrace arbitrary deliveries.
+type stubMsg struct {
+	typ  wire.Type
+	size int
+}
+
+func (m stubMsg) Type() wire.Type          { return m.typ }
+func (m stubMsg) WireSize() int            { return m.size }
+func (m stubMsg) EncodeBody(*wire.Encoder) {}
+
+// TestReplayTraceBatchesRecords: the buffered trace hashes to exactly the
+// digest of its 28-byte records written one by one, over a random stream
+// that crosses the buffer boundary several times, with a Sum taken midway
+// (a partial buffer hashed early must not change what follows).
+func TestReplayTraceBatchesRecords(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 55))
+	tr, ref := NewReplayTrace(), sha256.New()
+	var rec [replayRecord]byte
+	n := 3*replayBatch + replayBatch/2 + 3
+	for i := range n {
+		from, to := wire.NodeID(rng.Uint32N(200)), wire.NodeID(rng.Uint32N(200))
+		m := stubMsg{typ: wire.Type(rng.Uint32N(1 << 16)), size: int(rng.Uint32N(1 << 20))}
+		at := simnet.Epoch.Add(time.Duration(rng.Int64N(int64(time.Hour))))
+		tr.record(from, to, m, at)
+		binary.LittleEndian.PutUint32(rec[0:], uint32(from))
+		binary.LittleEndian.PutUint32(rec[4:], uint32(to))
+		binary.LittleEndian.PutUint16(rec[8:], uint16(m.typ))
+		binary.LittleEndian.PutUint64(rec[10:], uint64(m.size))
+		binary.LittleEndian.PutUint64(rec[18:], uint64(at.Sub(simnet.Epoch)))
+		ref.Write(rec[:])
+		if i == replayBatch+replayBatch/3 || i == n-1 {
+			if got, want := tr.Sum(), hex.EncodeToString(ref.Sum(nil)); got != want {
+				t.Fatalf("after %d records: buffered digest %s, per-record digest %s", i+1, got, want)
+			}
+		}
+	}
+	if tr.Deliveries() != uint64(n) {
+		t.Fatalf("Deliveries() = %d, want %d", tr.Deliveries(), n)
 	}
 }

@@ -10,6 +10,7 @@
 package hotstuff
 
 import (
+	"encoding/binary"
 	"sync"
 
 	"predis/internal/crypto"
@@ -24,12 +25,13 @@ const (
 	TypeEvidence = wire.TypeRangeHotStuff + 4
 )
 
-// voteDigest is what replicas sign to vote for a block in a view.
+// voteDigest is what replicas sign to vote for a block in a view: the
+// digest of (view, block) as the wire encodes them.
 func voteDigest(view uint64, block crypto.Hash) crypto.Hash {
-	e := wire.NewEncoder(8 + 32)
-	e.U64(view)
-	e.Bytes32(block)
-	return crypto.HashBytes(e.Bytes())
+	var buf [8 + crypto.HashSize]byte
+	binary.BigEndian.PutUint64(buf[:], view)
+	copy(buf[8:], block[:])
+	return crypto.HashBytes(buf[:])
 }
 
 // QC is a quorum certificate: n−f signature shares over (View, Block).
@@ -38,6 +40,15 @@ type QC struct {
 	Block   crypto.Hash
 	Signers []wire.NodeID
 	Sigs    [][]byte
+
+	// verified is the QC's own address once every share's signature
+	// passed Verify, or once the collector assembled it from verified
+	// votes (see Engine.onVote): every replica receives the same *QC inside
+	// proposals and NewViews. A value copy or a decoded QC is not at it, so
+	// it checks afresh; a failure is never recorded. A certificate is
+	// immutable once complete. Verify's count, range and duplicate checks
+	// run every time, since they depend on the caller's n and quorum.
+	verified *QC
 }
 
 // GenesisQC certifies the implicit genesis block.
@@ -85,8 +96,16 @@ func DecodeQC(d *wire.Decoder) (*QC, error) {
 	return q, d.Err()
 }
 
-// Verify checks the certificate: at least quorum distinct signers, each
-// share valid over (View, Block). The genesis QC is always valid.
+// stackSignerWords is how many 64-bit words of signer bitset Verify keeps
+// on the stack: groups up to 256 replicas check a QC without allocating.
+const stackSignerWords = 4
+
+// Verify checks the certificate: at least quorum distinct signers below
+// n, each share valid over (View, Block). The genesis QC is always valid,
+// and the shares of a QC that passed once are not checked again (see
+// verified).
+//
+//predis:hotpath
 func (q *QC) Verify(signer crypto.Signer, n int, quorum int) bool {
 	if q.IsGenesis() {
 		return true
@@ -94,20 +113,31 @@ func (q *QC) Verify(signer crypto.Signer, n int, quorum int) bool {
 	if len(q.Signers) < quorum || len(q.Signers) != len(q.Sigs) {
 		return false
 	}
-	digest := voteDigest(q.View, q.Block)
-	seen := make(map[wire.NodeID]struct{}, len(q.Signers))
-	for i, id := range q.Signers {
+	var stack [stackSignerWords]uint64
+	seen := stack[:]
+	if words := (n + 63) / 64; words > len(stack) {
+		seen = make([]uint64, words) //predis:allocok groups above 256 replicas
+	}
+	for _, id := range q.Signers {
 		if int(id) >= n {
 			return false
 		}
-		if _, dup := seen[id]; dup {
+		w, bit := id/64, uint64(1)<<(id%64)
+		if seen[w]&bit != 0 {
 			return false
 		}
-		seen[id] = struct{}{}
+		seen[w] |= bit
+	}
+	if q.verified == q {
+		return true
+	}
+	digest := voteDigest(q.View, q.Block)
+	for i, id := range q.Signers {
 		if !signer.Verify(int(id), digest, q.Sigs[i]) {
 			return false
 		}
 	}
+	q.verified = q
 	return true
 }
 
@@ -131,6 +161,11 @@ type Block struct {
 	// Sig is the leader's signature over Hash().
 	Sig []byte
 
+	// auth records the leader signature that passed onProposal's check,
+	// or that the leader's own signer made: every replica receives the
+	// same *Block. A value copy or a replaced Sig checks afresh (see
+	// crypto.Memo).
+	auth crypto.Memo
 	// payloadEnc memoizes the marshaled Payload frame: proposing to n
 	// replicas (and hashing, and re-proposing) encodes the block payload
 	// once instead of once per phase per recipient.

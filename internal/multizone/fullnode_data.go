@@ -60,10 +60,14 @@ func (f *FullNode) onStripe(from wire.NodeID, m *StripeMsg) {
 			f.rejectStripe(from, m, false, err)
 			return
 		}
-		// Verify the header signature once per bundle.
-		if !f.headerAuthentic(&m.Header) {
-			f.rejectStripe(from, m, false, nil)
-			return
+		// Verify the header signature once per bundle here, and once per
+		// bundle in the process (see StripeSet.authentic).
+		if !m.headerAuthenticated() {
+			if !f.headerAuthentic(&m.Header) {
+				f.rejectStripe(from, m, false, nil)
+				return
+			}
+			m.markAuthentic()
 		}
 		p = f.openPartial(p, headerHash, m)
 		f.accept(p, from, m)
@@ -287,7 +291,11 @@ func (f *FullNode) storeBundle(b *core.Bundle, verify bool) bool {
 
 // onBlock handles a Predis block arriving over the relayer tree: verify,
 // forward the very block received, and complete once every referenced
-// bundle is locally held.
+// bundle is locally held. The block's hash, signature and root are checked
+// once per process (see core.PredisBlock), so the node after the first
+// pays only for the checks against its own chains.
+//
+//predis:hotpath
 func (f *FullNode) onBlock(from wire.NodeID, blk *core.PredisBlock) {
 	head := f.LastHeight()
 	if blk.Height <= head {
@@ -297,9 +305,8 @@ func (f *FullNode) onBlock(from wire.NodeID, blk *core.PredisBlock) {
 	if _, seen := f.seenBlocks[h]; seen {
 		return
 	}
-	if int(blk.Leader) >= f.cfg.NC ||
-		!f.cfg.Signer.Verify(int(blk.Leader), h, blk.Sig) {
-		f.ctx.Logf("multizone: block with bad signature from %d", from)
+	if int(blk.Leader) >= f.cfg.NC || !blk.VerifySig(f.cfg.Signer) {
+		f.ctx.Logf("multizone: block with bad signature from %d", from) //predis:allocok reject path
 		return
 	}
 	f.seenBlocks[h] = blk.Height
@@ -326,7 +333,11 @@ func (f *FullNode) onBlock(from wire.NodeID, blk *core.PredisBlock) {
 
 // tryCompleteBlocks completes every pending block whose bundles are all
 // held, in chain order, and states a fetch need for what the next one
-// still misses.
+// still misses. Completion allocates by design (execution, the ledger,
+// fetch needs), so onBlock's zero-allocation region ends here; the block
+// checks it runs are hot-path roots of their own.
+//
+//predis:coldpath
 func (f *FullNode) tryCompleteBlocks() {
 	progress := true
 	for progress {

@@ -47,10 +47,10 @@ type StripeMsg struct {
 	RefHash crypto.Hash
 	Index   uint8
 	// stamped marks a stripe set's slot that StripeSet.Stripe has given
-	// a header. It sits in Index's padding so that the struct stays 312
+	// a header. It sits in Index's padding so that the struct stays 304
 	// bytes: an n_c = 4 message slab plus the allocator's 8-byte header
-	// then fits the 1 280-byte size class, and one word more would move it
-	// to the 1 408-byte class.
+	// then fits the 1 280-byte size class, and two words more would move
+	// it to the 1 408-byte class.
 	stamped    bool
 	PayloadLen uint32
 	Shard      []byte
@@ -100,6 +100,33 @@ func headerCarrier(i int, producer wire.NodeID, nc, f int) bool {
 	d := (i - int(producer)%nc + nc) % nc
 	j := (d*(f+1) + nc - 1) / nc // the one j whose offset can equal d
 	return j <= f && j*nc/(f+1) == d
+}
+
+// isSlot reports whether m is its stripe set's own message at m.Index,
+// the object Encode built and only Stripe writes, rather than a copy.
+func (m *StripeMsg) isSlot() bool {
+	set := m.set
+	return set != nil && int(m.Index) < len(set.msgs) && m == &set.msgs[m.Index]
+}
+
+// headerAuthenticated reports whether m is a stripe set's slot carrying
+// the header whose signature passed on a slot of the same set (see
+// StripeSet.authentic): the same hash and the same signature bytes, so
+// the same check with the same outcome. A copy of a slot checks afresh.
+func (m *StripeMsg) headerAuthenticated() bool {
+	if !m.isSlot() {
+		return false
+	}
+	a := m.set.authentic
+	return a > 0 && m.names(&m.set.msgs[a-1].Header)
+}
+
+// markAuthentic records that the header signature of m passed, when m is
+// a stripe set's slot.
+func (m *StripeMsg) markAuthentic() {
+	if m.isSlot() {
+		m.set.authentic = int32(m.Index) + 1
+	}
 }
 
 // BundleHash returns the hash of the header the stripe belongs to.

@@ -76,6 +76,8 @@ func (f *FullNode) OnRestart() {
 
 // StartCatchup begins (or restarts) block catch-up; idempotent while one
 // is running.
+//
+//predis:coldpath
 func (f *FullNode) StartCatchup() { f.catchup.Begin() }
 
 // applyCaughtUp feeds caught-up blocks into the normal completion path.

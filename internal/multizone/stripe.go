@@ -76,7 +76,14 @@ type StripeSet struct {
 	PayloadLen int
 	Root       crypto.Hash
 	msgs       []StripeMsg
-	f          int // the striper's f, which picks the header carriers
+	f          int32 // the striper's f, which picks the header carriers
+	// authentic is 1 + the index of a slot whose header signature passed
+	// a full node's check (0: none yet). Every full node receives the
+	// set's own slots, and a slot's header is written once, by Stripe, so
+	// a carrier slot naming the same header needs no second check (see
+	// StripeMsg.headerAuthenticated): one check per bundle per process.
+	// It shares f's word, so the set stays 72 bytes.
+	authentic int32
 }
 
 // Encode erasure-codes a bundle body into n_c shards and builds the stripe
@@ -105,8 +112,8 @@ func (s *Striper) Encode(txs []*types.Transaction) (*StripeSet, error) {
 	digests := make([]crypto.Hash, s.digests) //predis:allocok the per-bundle digest slab: leaves, interior nodes, proof paths
 	leaves := merkle.HashLeaves(digests[:s.nc], shards)
 	root, paths := merkle.ProofsInto(digests[s.nc:], leaves)
-	set := &StripeSet{PayloadLen: payloadLen, Root: root, f: s.f} //predis:allocok the result
-	set.msgs = make([]StripeMsg, s.nc)                            //predis:allocok the per-bundle message slab: Stripe hands out its slots
+	set := &StripeSet{PayloadLen: payloadLen, Root: root, f: int32(s.f)} //predis:allocok the result
+	set.msgs = make([]StripeMsg, s.nc)                                   //predis:allocok the per-bundle message slab: Stripe hands out its slots
 	for i, shard := range shards {
 		n := merkle.PathLen(s.nc, i)
 		set.msgs[i] = StripeMsg{Index: uint8(i), PayloadLen: uint32(payloadLen), Shard: shard, Proof: paths[:n:n], set: set}
@@ -135,7 +142,7 @@ func (set *StripeSet) Stripe(header core.BundleHeader, i int) (*StripeMsg, error
 		m = &StripeMsg{Index: m.Index, PayloadLen: m.PayloadLen, Shard: m.Shard, Proof: m.Proof} //predis:allocok a second header over one body
 	}
 	m.stamped = true
-	if headerCarrier(i, header.Producer, len(set.msgs), set.f) {
+	if headerCarrier(i, header.Producer, len(set.msgs), int(set.f)) {
 		m.Header = header
 	} else {
 		m.Header.Producer, m.Header.Height = header.Producer, header.Height
@@ -165,7 +172,7 @@ func (s *Striper) VerifyStripe(root crypto.Hash, m *StripeMsg) error {
 	if int(m.Index) >= s.nc {
 		return fmt.Errorf("%w: index %d of %d", ErrStripeProof, m.Index, s.nc) //predis:allocok reject path
 	}
-	if set := m.set; set != nil && int(m.Index) < len(set.msgs) && m == &set.msgs[m.Index] && root == set.Root {
+	if m.isSlot() && root == m.set.Root {
 		return nil
 	}
 	if !merkle.Verify(root, m.Shard, int(m.Index), s.nc, m.Proof) {

@@ -52,6 +52,8 @@ type zoneConfig struct {
 	exec bool
 	// throttle replaces the 100 Mbps downlink of the listed full nodes.
 	throttle map[wire.NodeID]simnet.Bandwidth
+	// signer, when set, wraps every node's signer.
+	signer func(crypto.Signer) crypto.Signer
 }
 
 func fullNodeID(zone, idx int) wire.NodeID {
@@ -92,11 +94,17 @@ func buildZoneCluster(t testing.TB, cfg zoneConfig) *zoneCluster {
 		ledgers:   make(map[wire.NodeID]*ledger.Ledger),
 	}
 	suite := crypto.NewSimSuite(cfg.nc, 17)
+	signer := func(i int) crypto.Signer {
+		if cfg.signer != nil {
+			return cfg.signer(suite.Signer(i))
+		}
+		return suite.Signer(i)
+	}
 	for i := 0; i < cfg.nc; i++ {
 		observer := i == 0
 		host, err := NewConsensusHost(HostConfig{
 			NC: cfg.nc, F: cfg.f, Self: wire.NodeID(i),
-			Signer:         suite.Signer(i),
+			Signer:         signer(i),
 			Engine:         node.EnginePBFT,
 			BundleSize:     50,
 			BundleInterval: 20 * time.Millisecond,
@@ -140,7 +148,7 @@ func buildZoneCluster(t testing.TB, cfg zoneConfig) *zoneCluster {
 				NC:             cfg.nc,
 				F:              cfg.f,
 				Striper:        striper,
-				Signer:         suite.Signer(0),
+				Signer:         signer(0),
 				ZonePeers:      peers,
 				BackupPeers:    backups,
 				MaxSubscribers: cfg.maxSubs,

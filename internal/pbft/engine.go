@@ -87,14 +87,13 @@ type instance struct {
 	sentCommit   bool
 	prepared     bool
 	commitQuorum bool
-
-	// ppDigest/ppSig hold the leader-signed proposal seen for this slot
-	// (nil ppSig until one arrives). A second leader-signed digest, or a
-	// ProposalProof naming one, is equivocation evidence.
-	ppDigest crypto.Hash
-	ppSig    []byte
 	// proofSent throttles the ProposalProof broadcast to once per slot.
 	proofSent bool
+
+	// pp is the leader-signed proposal seen for this slot (nil until one
+	// arrives). A second leader-signed digest, or a ProposalProof naming
+	// one, is equivocation evidence.
+	pp *PrePrepare
 	// proposedAt is when this replica, as a pipelined leader, sent the
 	// slot's pre-prepare; its execution samples the pace estimate.
 	proposedAt time.Time
@@ -342,11 +341,11 @@ func (e *Engine) paceOpen() bool {
 func (e *Engine) proposeAt(seq uint64, digest crypto.Hash, payload wire.Message) {
 	pp := &PrePrepare{View: e.view, Seq: seq, Digest: digest, Payload: payload, Leader: e.cfg.Self}
 	pp.Sig = e.cfg.Signer.Sign(pp.signDigest())
+	e.signedByMe(&pp.auth, pp.Sig)
 	inst := e.getInstance(seq, e.view, digest)
 	inst.payload = payload
 	inst.validated = true // leader trusts its own proposal
-	inst.ppDigest = digest
-	inst.ppSig = pp.Sig
+	inst.pp = pp
 	now := e.ctx.Now()
 	if e.cfg.Pipeline > 1 {
 		inst.proposedAt, e.lastPropose = now, now
@@ -448,15 +447,18 @@ func (e *Engine) onPrePrepare(from wire.NodeID, m *PrePrepare) {
 	if m.Seq <= e.lastExec {
 		return
 	}
-	if !e.cfg.Signer.Verify(int(m.Leader), m.signDigest(), m.Sig) {
-		e.ctx.Logf("pbft: bad pre-prepare signature from %d", from)
-		return
+	if !m.auth.Signed(m.Sig) {
+		if !e.cfg.Signer.Verify(int(m.Leader), m.signDigest(), m.Sig) {
+			e.ctx.Logf("pbft: bad pre-prepare signature from %d", from)
+			return
+		}
+		m.auth.MarkSigned(m.Sig)
 	}
 	inst := e.getInstance(m.Seq, m.View, m.Digest)
-	if inst.ppSig != nil && inst.view == m.View && inst.ppDigest != m.Digest {
+	if inst.pp != nil && inst.view == m.View && inst.pp.Digest != m.Digest {
 		// Two leader-signed digests for one slot: first-hand proof of
 		// equivocation. Publish it and vote the leader out.
-		e.foundEquivocation(m.View, m.Seq, m.Leader, inst.ppDigest, inst.ppSig, m.Digest, m.Sig)
+		e.foundEquivocation(m.View, m.Seq, m.Leader, inst.pp.Digest, inst.pp.Sig, m.Digest, m.Sig)
 		return
 	}
 	if inst.digest != m.Digest {
@@ -470,9 +472,8 @@ func (e *Engine) onPrePrepare(from wire.NodeID, m *PrePrepare) {
 		e.dropInstances(m.Seq, m.Seq)
 		inst = e.getInstance(m.Seq, m.View, m.Digest)
 	}
-	if inst.ppSig == nil && inst.view == m.View {
-		inst.ppDigest = m.Digest
-		inst.ppSig = m.Sig
+	if inst.pp == nil && inst.view == m.View {
+		inst.pp = m
 	}
 	// block_proposed: this replica learned an authenticated proposal for
 	// the height (first learn wins; re-proposals are idempotent).
@@ -525,6 +526,15 @@ func (e *Engine) validateInstance(inst *instance) {
 	}
 }
 
+// signedByMe records on a message this replica just signed that its
+// signature is valid, so its receivers do not verify it: by construction,
+// when the signer is this replica's own.
+func (e *Engine) signedByMe(auth *crypto.Memo, sig []byte) {
+	if e.cfg.Signer.Index() == int(e.cfg.Self) {
+		auth.MarkSigned(sig)
+	}
+}
+
 func (e *Engine) maybeVote(inst *instance) {
 	if !inst.validated || inst.sentPrepare || e.inViewChange || inst.view != e.view {
 		return
@@ -533,6 +543,7 @@ func (e *Engine) maybeVote(inst *instance) {
 	p := &inst.prepare
 	*p = Prepare{View: inst.view, Seq: inst.seq, Digest: inst.digest, Replica: e.cfg.Self}
 	p.Sig = e.cfg.Signer.Sign(p.signDigest()) //predis:allocok the signature
+	e.signedByMe(&p.auth, p.Sig)
 	env.Multicast(e.ctx, e.peers, p)
 	e.recordPrepare(inst, e.cfg.Self)
 }
@@ -558,6 +569,7 @@ func (e *Engine) sendCommit(inst *instance) {
 	c := &inst.commit
 	*c = Commit{View: inst.view, Seq: inst.seq, Digest: inst.digest, Replica: e.cfg.Self}
 	c.Sig = e.cfg.Signer.Sign(c.signDigest()) //predis:allocok the signature
+	e.signedByMe(&c.auth, c.Sig)
 	env.Multicast(e.ctx, e.peers, c)
 	e.recordCommit(inst, e.cfg.Self)
 }
@@ -571,8 +583,11 @@ func (e *Engine) onPrepare(from wire.NodeID, m *Prepare) {
 	if m.Seq <= e.lastExec || m.Replica != from || int(m.Replica) >= e.cfg.N {
 		return
 	}
-	if !e.cfg.Signer.Verify(int(m.Replica), m.signDigest(), m.Sig) {
-		return
+	if !m.auth.Signed(m.Sig) {
+		if !e.cfg.Signer.Verify(int(m.Replica), m.signDigest(), m.Sig) {
+			return
+		}
+		m.auth.MarkSigned(m.Sig)
 	}
 	inst := e.getInstance(m.Seq, m.View, m.Digest)
 	if inst.view != m.View || inst.digest != m.Digest {
@@ -590,8 +605,11 @@ func (e *Engine) onCommit(from wire.NodeID, m *Commit) {
 	if m.Seq <= e.lastExec || m.Replica != from || int(m.Replica) >= e.cfg.N {
 		return
 	}
-	if !e.cfg.Signer.Verify(int(m.Replica), m.signDigest(), m.Sig) {
-		return
+	if !m.auth.Signed(m.Sig) {
+		if !e.cfg.Signer.Verify(int(m.Replica), m.signDigest(), m.Sig) {
+			return
+		}
+		m.auth.MarkSigned(m.Sig)
 	}
 	inst := e.getInstance(m.Seq, m.View, m.Digest)
 	if inst.view != m.View || inst.digest != m.Digest {
@@ -610,7 +628,7 @@ func (e *Engine) onCommit(from wire.NodeID, m *Commit) {
 //
 //predis:coldpath
 func (e *Engine) suspectEquivocation(inst *instance, view uint64, digest crypto.Hash) {
-	if inst.proofSent || inst.ppSig == nil || inst.view != view || inst.ppDigest == digest {
+	if inst.proofSent || inst.pp == nil || inst.view != view || inst.pp.Digest == digest {
 		return
 	}
 	if e.evidenced[inst.seq] {
@@ -618,8 +636,8 @@ func (e *Engine) suspectEquivocation(inst *instance, view uint64, digest crypto.
 	}
 	inst.proofSent = true
 	env.Multicast(e.ctx, e.peers, &ProposalProof{
-		View: inst.view, Seq: inst.seq, Digest: inst.ppDigest,
-		Leader: consensus.LeaderOf(inst.view, e.cfg.N), Sig: inst.ppSig,
+		View: inst.view, Seq: inst.seq, Digest: inst.pp.Digest,
+		Leader: consensus.LeaderOf(inst.view, e.cfg.N), Sig: inst.pp.Sig,
 	})
 }
 
@@ -645,10 +663,10 @@ func (e *Engine) onProposalProof(from wire.NodeID, m *ProposalProof) {
 		return
 	}
 	inst := e.instance(m.Seq)
-	if inst == nil || inst.ppSig == nil || inst.view != m.View || inst.ppDigest == m.Digest {
+	if inst == nil || inst.pp == nil || inst.view != m.View || inst.pp.Digest == m.Digest {
 		return // no conflicting half here; nothing to prove
 	}
-	e.foundEquivocation(m.View, m.Seq, m.Leader, inst.ppDigest, inst.ppSig, m.Digest, m.Sig)
+	e.foundEquivocation(m.View, m.Seq, m.Leader, inst.pp.Digest, inst.pp.Sig, m.Digest, m.Sig)
 }
 
 func (e *Engine) onEvidence(from wire.NodeID, m *Evidence) {

@@ -65,6 +65,11 @@ type PrePrepare struct {
 	Leader  wire.NodeID
 	Sig     []byte
 
+	// auth records the leader signature that passed a replica's check, or
+	// that the leader's own signer made (see crypto.Memo): every replica
+	// receives the same multicast message, so it is verified once per
+	// process.
+	auth crypto.Memo
 	// payloadEnc memoizes the marshaled Payload frame so proposing to n
 	// replicas across three phases encodes the block once, not O(n) times
 	// — and so WireSize stops re-walking the payload on every Send.
@@ -139,6 +144,10 @@ type Prepare struct {
 	Digest  crypto.Hash
 	Replica wire.NodeID
 	Sig     []byte
+
+	// auth records the signature that passed a replica's check, or that
+	// the voter's own signer made, as PrePrepare's does.
+	auth crypto.Memo
 }
 
 var _ wire.Message = (*Prepare)(nil)
@@ -176,6 +185,10 @@ type Commit struct {
 	Digest  crypto.Hash
 	Replica wire.NodeID
 	Sig     []byte
+
+	// auth records the signature that passed a replica's check, or that
+	// the voter's own signer made, as PrePrepare's does.
+	auth crypto.Memo
 }
 
 var _ wire.Message = (*Commit)(nil)
