@@ -1,10 +1,10 @@
 // Command predis-lint runs the repository's custom static-analysis suite
-// — per-function checks (wiresym, lockorder, errchecklite, encodecache)
-// plus the analyzers built on the call-graph engine (detflow, hotalloc,
-// handlercomplete) — which
-// mechanically enforces the simnet determinism contract, the zero-alloc
-// hot-path contract, and the wire-symmetry invariant (see DESIGN.md,
-// "The determinism contract").
+// — per-function checks (wiresym, lockorder, errchecklite, encodecache,
+// memoguard) plus the analyzers built on the call-graph engine (detflow,
+// hotalloc, handlercomplete) — which mechanically enforces the simnet
+// determinism contract, the zero-alloc hot-path contract, the
+// wire-symmetry invariant and address-guarded memos (see DESIGN.md, "The
+// determinism contract" and "Verified once per object").
 //
 // Standalone (the Makefile's `make lint`):
 //

@@ -94,12 +94,12 @@ func forkingAttack() error {
 	a := core.PackBundle(suite.Signer(0), 0, nil, mkTxs(1), tips)
 	b := core.PackBundle(suite.Signer(0), 0, nil, mkTxs(100), tips)
 
-	if res, _, _, err := mp.AddBundle(a, true); err != nil || res != core.Added {
+	if res, _, _, err := mp.AddBundle(a); err != nil || res != core.Added {
 		return fmt.Errorf("first bundle: res=%v err=%v", res, err)
 	}
 	fmt.Printf("  honest node accepted bundle %s at height 1\n", a.Header.Hash().Short())
 
-	res, evidence, _, err := mp.AddBundle(b, true)
+	res, evidence, _, err := mp.AddBundle(b)
 	if err != nil || res != core.Conflicting {
 		return fmt.Errorf("conflict not detected: res=%v err=%v", res, err)
 	}
@@ -112,7 +112,7 @@ func forkingAttack() error {
 		return fmt.Errorf("producer not banned")
 	}
 	next := core.PackBundle(suite.Signer(0), 0, &a.Header, mkTxs(200), tips)
-	if _, _, _, err := mp.AddBundle(next, true); err == nil {
+	if _, _, _, err := mp.AddBundle(next); err == nil {
 		return fmt.Errorf("banned producer's bundle accepted")
 	}
 	fmt.Println("  follow-up bundle from the banned producer rejected ✓")

@@ -119,12 +119,8 @@ func (m *Mempool) BuildPredisBlock(height uint64, parentHash crypto.Hash, prev [
 		Cuts:   cuts,
 		TxRoot: m.blockRoot(prev, cuts),
 	}
-	signer := m.params.Signer
-	blk.Sig = signer.Sign(blk.Hash())
+	blk.Sig = blk.memo.Sign(m.params.Signer, int(leader), blk.Hash())
 	blk.rootOK = true
-	if signer.Index() == int(leader) {
-		blk.memo.MarkSigned(blk.Sig)
-	}
 	return blk, true
 }
 

@@ -256,7 +256,7 @@ func TestCutChainsIsBothRules(t *testing.T) {
 				tails[p] = &b.Header
 				for n := range pools {
 					if n == p || rng.Intn(3) > 0 {
-						pools[n].AddBundle(b, n != p)
+						pools[n].AddBundle(b)
 					}
 				}
 			}

@@ -94,9 +94,10 @@ type BundleHeader struct {
 	// Producer is the bundle chain this header extends (consensus node
 	// ID, which equals the chain index).
 	Producer wire.NodeID
-	// hashSet marks hash as Hash()'s memo (see hash). It sits in
-	// Producer's padding, so a Bundle stays 256 bytes with its memo.
-	hashSet bool
+	// bodyOK records that the body of the bundle holding this header
+	// matched its commitments (see Bundle.VerifyBody); valid while memo is
+	// owned. It sits in Producer's padding, so a Bundle stays 256 bytes.
+	bodyOK bool
 	// Height starts at 1; the height-1 bundle has a zero Parent.
 	Height uint64
 	// Parent is the header hash of the previous bundle on this chain.
@@ -116,9 +117,11 @@ type BundleHeader struct {
 	// Sig is the producer's signature over Hash().
 	Sig []byte
 
-	// hash memoizes Hash(): the signature is excluded from the digest, so
-	// the memo is valid as soon as the unsigned fields are set, and headers
-	// are immutable once packed or decoded.
+	// memo is owned (crypto.Memo.Own) once hash holds Hash(), and records
+	// the producer signature that passed VerifySig. pack sets all three
+	// memos by construction, a received header earns them from its first
+	// successful check, and CopyTo hands the hash and signature on.
+	memo crypto.Memo
 	hash crypto.Hash
 }
 
@@ -162,25 +165,39 @@ func (h *BundleHeader) EncodedSize() int {
 }
 
 // Hash returns the header's identity: the digest of all fields except the
-// signature. Theorem 3.1 (bundle header consistency) rests on this hash
-// committing to TxRoot.
+// signature, memoized on the header. Theorem 3.1 (bundle header
+// consistency) rests on this hash committing to TxRoot.
+//
+//predis:hotpath
 func (h *BundleHeader) Hash() crypto.Hash {
-	if h.hashSet {
+	if h.memo.Own() {
 		return h.hash
 	}
-	h.hash = h.HashStateless()
-	h.hashSet = true
+	e := wire.GetEncoder()
+	h.encodeUnsigned(e)
+	h.hash = crypto.HashBytes(e.Bytes())
+	wire.PutEncoder(e)
+	h.memo.Claim()
+	h.bodyOK = false
 	return h.hash
 }
 
-// HashStateless computes the header identity without reading or writing
-// the memo.
-func (h *BundleHeader) HashStateless() crypto.Hash {
-	e := wire.GetEncoder()
-	h.encodeUnsigned(e)
-	hash := crypto.HashBytes(e.Bytes())
-	wire.PutEncoder(e)
-	return hash
+// VerifySig checks the producer's signature over Hash(), once per header:
+// a header that passed, one its producer packed, and a carrier's copy of
+// either answer from the memo. The caller checks that Producer is in
+// range.
+func (h *BundleHeader) VerifySig(signer crypto.Signer) bool {
+	return h.memo.Verify(signer, int(h.Producer), h.Hash(), h.Sig)
+}
+
+// CopyTo makes *dst an unchanged copy of h that keeps h's hash and
+// signature memos (crypto.Memo.Keep), for a constructor that builds a
+// message or bundle around a header it already checked. The body memo
+// stays behind: it belongs to the bundle that held h.
+func (h *BundleHeader) CopyTo(dst *BundleHeader) {
+	*dst = *h
+	dst.memo.Keep(&h.memo)
+	dst.bodyOK = false
 }
 
 // Bundle is a header plus its transaction body.
@@ -188,17 +205,6 @@ type Bundle struct {
 	Header BundleHeader
 	Txs    []*types.Transaction
 
-	// memo is owned (crypto.Memo.Own) once the body matched the header's
-	// commitments, and records the header signature that then passed the
-	// producer check. pack sets both by construction: the header's TxRoot,
-	// TxCount and TxBytes are computed from the very Txs it stores, and the
-	// producer's own signer signed it; a bundle is immutable once packed,
-	// so the simulator's recipients of the producer's own *Bundle re-derive
-	// nothing. A decoded or hand-built bundle earns the body memo from a
-	// successful VerifyBody and the signature memo from AddBundle. A value
-	// copy or a replaced Header.Sig checks afresh; failures are never
-	// cached.
-	memo crypto.Memo
 	// stripeCache holds the erasure-coded form of this bundle (stored as
 	// any to keep core free of a multizone dependency). Erasure encoding
 	// is deterministic in Txs, so every consensus node would compute the
@@ -256,12 +262,12 @@ func (b *Bundle) pack(signer crypto.Signer, producer wire.NodeID, parent *Bundle
 		h.Height = parent.Height + 1
 		h.Parent = parent.Hash()
 	}
-	h.Sig = signer.Sign(h.Hash())
+	// TxRoot, TxCount and TxBytes come from the very Txs the bundle stores,
+	// and a packed bundle is immutable: the simulator's recipients of the
+	// producer's own *Bundle re-derive nothing.
+	h.Sig = h.memo.Sign(signer, int(producer), h.Hash())
+	h.bodyOK = true
 	b.Txs = txs
-	b.memo.Claim()
-	if signer.Index() == int(producer) {
-		b.memo.MarkSigned(h.Sig)
-	}
 }
 
 // TxMerkleRoot computes the Merkle root over transaction hashes.
@@ -284,11 +290,12 @@ func TxMerkleRoot(txs []*types.Transaction) crypto.Hash {
 }
 
 // VerifyBody checks that the body matches the header's commitments:
-// count, bytes, then root. A packed bundle passes without hashing (see
-// memo), so the root is recomputed only for a bundle this process did
-// not build: one decoded from a frame or assembled from stripes.
+// count, bytes, then root, once per bundle (the header's body memo). A
+// packed bundle passes without hashing, so the root is recomputed only
+// for a bundle this process did not build: one decoded from a frame or
+// assembled from stripes.
 func (b *Bundle) VerifyBody() error {
-	if b.memo.Own() {
+	if b.Header.memo.Own() && b.Header.bodyOK {
 		return nil
 	}
 	if int(b.Header.TxCount) != len(b.Txs) {
@@ -300,24 +307,8 @@ func (b *Bundle) VerifyBody() error {
 	if TxMerkleRoot(b.Txs) != b.Header.TxRoot {
 		return fmt.Errorf("core: bundle tx root mismatch")
 	}
-	b.memo.Claim()
-	return nil
-}
-
-// verify runs AddBundle's checks, once per bundle: the producer's
-// signature over the header, then the body. Both results are memoized
-// together, so the signature memo implies the body memo.
-func (b *Bundle) verify(signer crypto.Signer) error {
-	if b.memo.Signed(b.Header.Sig) {
-		return nil
-	}
-	if !signer.Verify(int(b.Header.Producer), b.Header.Hash(), b.Header.Sig) {
-		return ErrBadSignature
-	}
-	if err := b.VerifyBody(); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadBody, err)
-	}
-	b.memo.MarkSigned(b.Header.Sig)
+	b.Header.Hash() // owns the memo the body bit is read under
+	b.Header.bodyOK = true
 	return nil
 }
 

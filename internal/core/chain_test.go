@@ -134,7 +134,7 @@ func (r *chainRig) grow() {
 			tips := r.mp.Tips()
 			tips[p]++
 			b := PackBundle(r.suite.Signer(p), wire.NodeID(p), r.tails[p], nil, tips)
-			if res, _, _, err := r.mp.AddBundle(b, false); err != nil || res != Added {
+			if res, _, _, err := r.mp.AddBundle(b); err != nil || res != Added {
 				r.t.Fatalf("AddBundle(%d, %d): res %d, err %v", p, b.Header.Height, res, err)
 			}
 			r.tails[p] = &b.Header

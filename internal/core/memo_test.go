@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"predis/internal/crypto"
+	"predis/internal/types"
 	"predis/internal/wire"
 )
 
@@ -140,9 +141,11 @@ func TestPredisBlockCheckedOncePerObject(t *testing.T) {
 
 // TestBundleCheckedOncePerObject: a packed bundle enters every peer's
 // mempool without a signature check, and each input below gets the full
-// check and is rejected: a value copy with a shorter body, a verified
-// bundle whose Header.Sig is replaced, and a frame decoded by the wire
-// with a flipped signature byte. The honest decoded frame is checked once.
+// check and is rejected: a value copy with a shorter body, a frame decoded
+// by the wire with a flipped signature byte, a bundle around a value copy
+// of the header with another Height, a bundle whose first transaction is a
+// value copy with another Seq, and a verified bundle whose Header.Sig is
+// replaced. The honest decoded frame is checked once.
 func TestBundleCheckedOncePerObject(t *testing.T) {
 	r := newRig(t, 4, 1, 50)
 	verifies := countVerifies(r)
@@ -154,29 +157,42 @@ func TestBundleCheckedOncePerObject(t *testing.T) {
 
 	short := *b
 	short.Txs = b.Txs[:2]
-	if _, _, _, err := r.pools[2].AddBundle(&short, true); !errors.Is(err, ErrBadBody) {
-		t.Fatalf("value copy with a shorter body: err = %v, want %v", err, ErrBadBody)
-	}
-	dec := roundTrip(t, &BundleMsg{Bundle: b}, flipIn(t, b.Header.Sig)).(*BundleMsg).Bundle
-	if _, _, _, err := r.pools[2].AddBundle(dec, true); !errors.Is(err, ErrBadSignature) {
-		t.Fatalf("decoded bundle with a flipped Sig byte: err = %v, want %v", err, ErrBadSignature)
-	}
-	if v := verifies[b.Header.Hash()]; v != 2 {
-		t.Fatalf("the copy and the tampered frame took %d signature checks, want 2", v)
-	}
+	lifted := b.Header
+	lifted.Height = 99
+	tx := *b.Txs[0]
+	tx.Seq += 1000
+	reseq := &Bundle{Header: b.Header, Txs: append([]*types.Transaction{&tx}, b.Txs[1:]...)}
 	replaced := r.pack(1, 2)
 	replaced.Header.Sig = r.suite.Signer(2).Sign(replaced.Header.Hash())
-	if _, _, _, err := r.pools[3].AddBundle(replaced, true); !errors.Is(err, ErrBadSignature) {
-		t.Fatalf("packed bundle with its Sig replaced: err = %v, want %v", err, ErrBadSignature)
+	cases := []struct {
+		name string
+		b    *Bundle
+		want error
+	}{
+		{"value copy with a shorter body", &short, ErrBadBody},
+		{"decoded bundle with a flipped Sig byte", roundTrip(t, &BundleMsg{Bundle: b}, flipIn(t, b.Header.Sig)).(*BundleMsg).Bundle, ErrBadSignature},
+		{"header value copy with Height 99", &Bundle{Header: lifted, Txs: b.Txs}, ErrBadSignature},
+		{"transaction value copy with another Seq", reseq, ErrBadBody},
+		{"packed bundle with its Sig replaced", replaced, ErrBadSignature},
+	}
+	for _, c := range cases {
+		before := verifies[c.b.Header.Hash()]
+		if _, _, _, err := r.pools[2].AddBundle(c.b); !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+		if verifies[c.b.Header.Hash()] != before+1 {
+			t.Errorf("%s: the signature was not checked", c.name)
+		}
 	}
 
 	honest := roundTrip(t, &BundleMsg{Bundle: b}, nil).(*BundleMsg).Bundle
+	before := verifies[b.Header.Hash()]
 	for i := 2; i < 4; i++ {
-		if res, _, _, err := r.pools[i].AddBundle(honest, true); err != nil || res != Added {
+		if res, _, _, err := r.pools[i].AddBundle(honest); err != nil || res != Added {
 			t.Fatalf("decoded bundle, pool %d: res %d, err %v", i, res, err)
 		}
 	}
-	if v := verifies[b.Header.Hash()]; v != 3 {
-		t.Fatalf("decoded bundle stored by two pools: %d signature checks in all, want 3 (one more)", v)
+	if v := verifies[b.Header.Hash()] - before; v != 1 {
+		t.Fatalf("decoded bundle stored by two pools: %d signature checks, want 1", v)
 	}
 }

@@ -219,10 +219,10 @@ type MissingRange struct {
 
 // AddBundle validates and stores a bundle (§III-A validity rules). On
 // Conflicting, the returned evidence must be multicast; on Buffered, the
-// returned MissingRange tells the caller what to fetch. The verify flag
-// allows skipping signature/body checks for bundles this node produced
-// itself.
-func (m *Mempool) AddBundle(b *Bundle, verify bool) (AddResult, *ConflictEvidence, *MissingRange, error) {
+// returned MissingRange tells the caller what to fetch. The signature and
+// body checks run once per bundle (see BundleHeader.memo): a bundle this
+// process packed or already checked passes them without hashing.
+func (m *Mempool) AddBundle(b *Bundle) (AddResult, *ConflictEvidence, *MissingRange, error) {
 	p := b.Header.Producer
 	if int(p) >= len(m.chains) {
 		return 0, nil, nil, fmt.Errorf("%w: %d", ErrUnknownProducer, p)
@@ -236,10 +236,11 @@ func (m *Mempool) AddBundle(b *Bundle, verify bool) (AddResult, *ConflictEvidenc
 	if b.Header.Height == 0 {
 		return 0, nil, nil, fmt.Errorf("core: bundle height 0 invalid")
 	}
-	if verify {
-		if err := b.verify(m.params.Signer); err != nil {
-			return 0, nil, nil, err
-		}
+	if !b.Header.VerifySig(m.params.Signer) {
+		return 0, nil, nil, ErrBadSignature
+	}
+	if err := b.VerifyBody(); err != nil {
+		return 0, nil, nil, fmt.Errorf("%w: %v", ErrBadBody, err)
 	}
 
 	c := m.chains[p]
@@ -543,7 +544,7 @@ func (m *Mempool) SkipTo(producer wire.NodeID, height uint64) {
 	}
 	if next != nil {
 		delete(c.buffered, next.Header.Parent)
-		m.AddBundle(next, false)
+		m.AddBundle(next)
 	}
 }
 

@@ -60,7 +60,7 @@ func (r *testRig) pack(producer int, n int) *Bundle {
 // give adds a bundle to a node's mempool expecting success.
 func (r *testRig) give(node int, b *Bundle) {
 	r.t.Helper()
-	res, _, _, err := r.pools[node].AddBundle(b, true)
+	res, _, _, err := r.pools[node].AddBundle(b)
 	if err != nil {
 		r.t.Fatalf("node %d AddBundle: %v", node, err)
 	}
@@ -123,7 +123,7 @@ func TestAddBundleDuplicate(t *testing.T) {
 	r := newRig(t, 4, 1, 50)
 	b := r.pack(0, 2)
 	r.give(1, b)
-	res, _, _, err := r.pools[1].AddBundle(b, true)
+	res, _, _, err := r.pools[1].AddBundle(b)
 	if err != nil || res != Duplicate {
 		t.Fatalf("duplicate add: res=%d err=%v", res, err)
 	}
@@ -134,7 +134,7 @@ func TestAddBundleBadSignature(t *testing.T) {
 	b := r.pack(0, 2)
 	b.Header.Sig = append([]byte(nil), b.Header.Sig...)
 	b.Header.Sig[0] ^= 1
-	if _, _, _, err := r.pools[1].AddBundle(b, true); !errors.Is(err, ErrBadSignature) {
+	if _, _, _, err := r.pools[1].AddBundle(b); !errors.Is(err, ErrBadSignature) {
 		t.Fatalf("err = %v, want ErrBadSignature", err)
 	}
 }
@@ -143,7 +143,7 @@ func TestAddBundleBodyMismatch(t *testing.T) {
 	r := newRig(t, 4, 1, 50)
 	b := r.pack(0, 3)
 	tampered := &Bundle{Header: b.Header, Txs: b.Txs[:2]}
-	if _, _, _, err := r.pools[1].AddBundle(tampered, true); !errors.Is(err, ErrBadBody) {
+	if _, _, _, err := r.pools[1].AddBundle(tampered); !errors.Is(err, ErrBadBody) {
 		t.Fatalf("err = %v, want ErrBadBody", err)
 	}
 
@@ -162,7 +162,7 @@ func TestAddBundleBodyMismatch(t *testing.T) {
 		types.TotalBytes(decoded.Txs) != types.TotalBytes(b.Txs) {
 		t.Fatal("flipped byte did not land in the second transaction's Seq")
 	}
-	if _, _, _, err := r.pools[1].AddBundle(decoded, true); !errors.Is(err, ErrBadBody) {
+	if _, _, _, err := r.pools[1].AddBundle(decoded); !errors.Is(err, ErrBadBody) {
 		t.Fatalf("root-only mismatch: err = %v, want ErrBadBody", err)
 	}
 }
@@ -172,13 +172,13 @@ func TestAddBundleWrongProducerOrTips(t *testing.T) {
 	b := r.pack(0, 1)
 	b2 := *b
 	b2.Header.Producer = 9
-	if _, _, _, err := r.pools[1].AddBundle(&b2, true); !errors.Is(err, ErrUnknownProducer) {
+	if _, _, _, err := r.pools[1].AddBundle(&b2); !errors.Is(err, ErrUnknownProducer) {
 		t.Fatalf("err = %v, want ErrUnknownProducer", err)
 	}
 	// Wrong tip list length.
 	tips := make(TipList, 3)
 	bad := PackBundle(r.suite.Signer(0), 0, nil, r.txs(1), tips)
-	if _, _, _, err := r.pools[1].AddBundle(bad, true); !errors.Is(err, ErrBadTipsLen) {
+	if _, _, _, err := r.pools[1].AddBundle(bad); !errors.Is(err, ErrBadTipsLen) {
 		t.Fatalf("err = %v, want ErrBadTipsLen", err)
 	}
 }
@@ -189,18 +189,18 @@ func TestAddBundleOutOfOrderBuffersAndCascades(t *testing.T) {
 	b2 := r.pack(0, 1)
 	b3 := r.pack(0, 1)
 	// Deliver out of order: 3 then 2 then 1.
-	res, _, miss, err := r.pools[1].AddBundle(b3, true)
+	res, _, miss, err := r.pools[1].AddBundle(b3)
 	if err != nil || res != Buffered {
 		t.Fatalf("b3: res=%d err=%v", res, err)
 	}
 	if miss == nil || miss.From != 1 || miss.To != 2 {
 		t.Fatalf("b3 missing range = %+v", miss)
 	}
-	res, _, _, err = r.pools[1].AddBundle(b2, true)
+	res, _, _, err = r.pools[1].AddBundle(b2)
 	if err != nil || res != Buffered {
 		t.Fatalf("b2: res=%d err=%v", res, err)
 	}
-	res, _, _, err = r.pools[1].AddBundle(b1, true)
+	res, _, _, err = r.pools[1].AddBundle(b1)
 	if err != nil || res != Added {
 		t.Fatalf("b1: res=%d err=%v", res, err)
 	}
@@ -231,7 +231,7 @@ func TestMissingRangeEndsBelowBufferedRun(t *testing.T) {
 		{3, 2, 2}, // a bundle inside the hole shrinks it
 		{9, 2, 2}, // a second hole opens above the run; the first is named
 	} {
-		res, _, miss, err := mp.AddBundle(bs[step.h], true)
+		res, _, miss, err := mp.AddBundle(bs[step.h])
 		if err != nil || res != Buffered {
 			t.Fatalf("height %d: res=%d err=%v", step.h, res, err)
 		}
@@ -246,7 +246,7 @@ func TestMissingRangeEndsBelowBufferedRun(t *testing.T) {
 	if tip := mp.Tip(0); tip != 6 {
 		t.Fatalf("tip after filling the hole = %d, want 6", tip)
 	}
-	_, _, miss, _ := mp.AddBundle(bs[8], true)
+	_, _, miss, _ := mp.AddBundle(bs[8])
 	if miss == nil || miss.From != 7 || miss.To != 7 {
 		t.Fatalf("second hole: missing range %+v, want 7–7", miss)
 	}
@@ -269,11 +269,11 @@ func TestAddBundleTipMonotonicity(t *testing.T) {
 	}
 	reg[0] = 0
 	childBad := PackBundle(r.suite.Signer(0), 0, &b1.Header, r.txs(1), reg)
-	if _, _, _, err := r.pools[1].AddBundle(childBad, true); !errors.Is(err, ErrBadTips) {
+	if _, _, _, err := r.pools[1].AddBundle(childBad); !errors.Is(err, ErrBadTips) {
 		t.Fatalf("err = %v, want ErrBadTips", err)
 	}
 	// The well-formed child still links.
-	res, _, _, err := r.pools[1].AddBundle(child, true)
+	res, _, _, err := r.pools[1].AddBundle(child)
 	if err != nil || res != Added {
 		t.Fatalf("good child: res=%d err=%v", res, err)
 	}
@@ -288,7 +288,7 @@ func TestConflictDetectionAndBan(t *testing.T) {
 	if conflict.Header.Hash() == b1.Header.Hash() {
 		t.Fatal("setup: conflicting bundles must differ")
 	}
-	res, ev, _, err := r.pools[1].AddBundle(conflict, true)
+	res, ev, _, err := r.pools[1].AddBundle(conflict)
 	if err != nil || res != Conflicting {
 		t.Fatalf("res=%d err=%v", res, err)
 	}
@@ -303,7 +303,7 @@ func TestConflictDetectionAndBan(t *testing.T) {
 	}
 	// Further bundles from the banned producer are rejected.
 	b2 := r.pack(0, 1)
-	if _, _, _, err := r.pools[1].AddBundle(b2, true); !errors.Is(err, ErrBannedProducer) {
+	if _, _, _, err := r.pools[1].AddBundle(b2); !errors.Is(err, ErrBannedProducer) {
 		t.Fatalf("err = %v, want ErrBannedProducer", err)
 	}
 	// Unban restores acceptance.
@@ -353,7 +353,7 @@ func TestSkipToLinksTheParkedRun(t *testing.T) {
 	mp.SetOnLink(func(b *Bundle) { linked = append(linked, b.Header.Height) })
 	r.give(1, bs[1])
 	for _, h := range []int{4, 7, 8} {
-		if res, _, _, err := mp.AddBundle(bs[h], true); err != nil || res != Buffered {
+		if res, _, _, err := mp.AddBundle(bs[h]); err != nil || res != Buffered {
 			t.Fatalf("height %d: res=%d err=%v", h, res, err)
 		}
 	}
@@ -392,7 +392,7 @@ func TestMarkConfirmedPruning(t *testing.T) {
 		tips[0]++
 		b := PackBundle(suite.Signer(0), 0, tail, nil, tips)
 		tail = &b.Header
-		if _, _, _, err := mp.AddBundle(b, false); err != nil {
+		if _, _, _, err := mp.AddBundle(b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -412,7 +412,7 @@ func TestMarkConfirmedPruning(t *testing.T) {
 	}
 	// Old bundles re-delivered after pruning count as duplicates.
 	old := mp.Bundle(0, 7)
-	res, _, _, err := mp.AddBundle(old, false)
+	res, _, _, err := mp.AddBundle(old)
 	if err != nil || res != Duplicate {
 		t.Fatalf("re-add pruned-era bundle: res=%d err=%v", res, err)
 	}
@@ -445,10 +445,10 @@ func TestHeaderHashExcludesSignature(t *testing.T) {
 	if b.Header.Hash() != h1 {
 		t.Fatal("signature must not affect the header hash")
 	}
-	// Headers are immutable once packed (Hash memoizes), so derive a
-	// sibling header that differs only in Height and compare fresh.
+	// A value copy re-derives its hash (the memo is guarded by the
+	// header's address), so a sibling differing only in Height hashes
+	// fresh.
 	h2 := b.Header
-	h2.hashSet = false
 	h2.Height++
 	if h2.Hash() == h1 {
 		t.Fatal("height must affect the header hash")

@@ -158,18 +158,8 @@ func decodeConflictEvidence(d *wire.Decoder) (wire.Message, error) {
 // Verify checks the evidence cryptographically: both headers validly
 // signed by the same producer, same parent, different identity.
 func (m *ConflictEvidence) Verify(signer crypto.Signer) bool {
-	if m.A.Producer != m.B.Producer {
-		return false
-	}
-	if m.A.Parent != m.B.Parent {
-		return false
-	}
-	ha, hb := m.A.Hash(), m.B.Hash()
-	if ha == hb {
-		return false
-	}
-	idx := int(m.A.Producer)
-	return signer.Verify(idx, ha, m.A.Sig) && signer.Verify(idx, hb, m.B.Sig)
+	return m.A.Producer == m.B.Producer && m.A.Parent == m.B.Parent && m.A.Hash() != m.B.Hash() &&
+		m.A.VerifySig(signer) && m.B.VerifySig(signer)
 }
 
 // Cut pins one chain in a Predis block: every bundle at height ≤ Height is
@@ -302,15 +292,7 @@ func (m *PredisBlock) Hash() crypto.Hash {
 // a block that passed, and one this process built with the leader's own
 // signer, answer from the memo. The caller checks that Leader is in range.
 func (m *PredisBlock) VerifySig(signer crypto.Signer) bool {
-	h := m.Hash()
-	if m.memo.Signed(m.Sig) {
-		return true
-	}
-	if !signer.Verify(int(m.Leader), h, m.Sig) {
-		return false
-	}
-	m.memo.MarkSigned(m.Sig)
-	return true
+	return m.memo.Verify(signer, int(m.Leader), m.Hash(), m.Sig)
 }
 
 // CatchupRequest asks a peer for the committed Predis blocks above Height,

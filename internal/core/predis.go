@@ -297,8 +297,7 @@ func (p *Predis) produceBundle() {
 	b := &s.b
 	b.pack(p.mp.params.Signer, p.opts.Self, parent, txs, tips, stripeRoot)
 	s.msg.Bundle = b
-	// Self-insertion skips signature/body verification.
-	if _, _, _, err := p.mp.AddBundle(b, false); err != nil {
+	if _, _, _, err := p.mp.AddBundle(b); err != nil {
 		p.ctx.Logf("predis: self bundle rejected: %v", err)
 		return
 	}
@@ -376,7 +375,7 @@ func (p *Predis) Receive(from wire.NodeID, m wire.Message) {
 // onBundle stores a peer's bundle and reports whether it linked into its
 // chain.
 func (p *Predis) onBundle(from wire.NodeID, b *Bundle) bool {
-	res, ev, miss, err := p.mp.AddBundle(b, true)
+	res, ev, miss, err := p.mp.AddBundle(b)
 	switch {
 	case err != nil:
 		if !errors.Is(err, ErrBannedProducer) {

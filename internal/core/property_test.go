@@ -72,7 +72,7 @@ func TestQuickCuttingRuleSafety(t *testing.T) {
 		}
 
 		deliver := func(b *Bundle, to int) {
-			res, _, _, err := pools[to].AddBundle(b, to != int(b.Header.Producer))
+			res, _, _, err := pools[to].AddBundle(b)
 			if err == nil && (res == Added || res == Duplicate) {
 				if holders[b.Header.Producer][b.Header.Height] == nil {
 					holders[b.Header.Producer][b.Header.Height] = make(map[int]bool)
@@ -219,7 +219,7 @@ func TestQuickPruningMatchesReference(t *testing.T) {
 					tips[0]++
 					b := PackBundle(suite.Signer(0), 0, tail, nil, tips)
 					tail = &b.Header
-					if res, _, _, err := mp.AddBundle(b, false); err != nil || res != Added {
+					if res, _, _, err := mp.AddBundle(b); err != nil || res != Added {
 						t.Logf("seed %d step %d: AddBundle at %d: res=%d err=%v", seed, step, b.Header.Height, res, err)
 						return false
 					}

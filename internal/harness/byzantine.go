@@ -54,7 +54,7 @@ func (s *stripeSink) Receive(from wire.NodeID, m wire.Message) {
 	if !isStripe {
 		return
 	}
-	if !s.signer.Verify(int(sm.Header.Producer), sm.Header.Hash(), sm.Header.Sig) {
+	if !sm.Header.VerifySig(s.signer) {
 		return
 	}
 	if s.striper.VerifyStripe(sm.Header.StripeRoot, sm) == nil {

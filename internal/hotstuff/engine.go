@@ -295,10 +295,7 @@ func (e *Engine) tryPropose() {
 		Payload: payload,
 		Leader:  e.cfg.Self,
 	}
-	b.Sig = e.cfg.Signer.Sign(b.Hash())
-	if e.cfg.Signer.Index() == int(e.cfg.Self) {
-		b.auth.MarkSigned(b.Sig)
-	}
+	b.Sig = b.auth.Sign(e.cfg.Signer, int(e.cfg.Self), b.Hash())
 	e.proposedInView = e.curView
 	prop := &Proposal{Block: b}
 	env.Multicast(e.ctx, e.peers, prop)
@@ -330,11 +327,8 @@ func (e *Engine) onProposal(from wire.NodeID, m *Proposal) {
 	if _, seen := e.blocks[hash]; seen {
 		return
 	}
-	if !b.auth.Signed(b.Sig) {
-		if !e.cfg.Signer.Verify(int(b.Leader), hash, b.Sig) {
-			return
-		}
-		b.auth.MarkSigned(b.Sig)
+	if !b.auth.Verify(e.cfg.Signer, int(b.Leader), hash, b.Sig) {
+		return
 	}
 	// Record the first authenticated proposal per view — before the
 	// justify/parent checks, so a forged variant that cannot extend the
@@ -544,7 +538,7 @@ func (e *Engine) onVote(from wire.NodeID, m *Vote) {
 		// Complete, and valid by construction: each share was verified on
 		// arrival, from a distinct replica below N. Nothing appends to it
 		// after this.
-		qc.verified = qc
+		qc.memo.Claim()
 		delete(e.votes, key)
 		e.processQC(qc)
 		e.advanceView(qc.View + 1)

@@ -72,8 +72,55 @@ func TestQCVerifiedOncePerObject(t *testing.T) {
 	}
 }
 
+// TestBlockCopyRehashes: a value copy of a hashed, leader-signed block
+// with one identity field changed hashes afresh, to the hash of a new
+// block with the same fields, so the leader's signature over the original
+// does not verify over the copy, while the original still answers from
+// its memo. The Payload cases also cover the cached payload frame, from a
+// block the leader hashed and from one decoded off the wire.
+func TestBlockCopyRehashes(t *testing.T) {
+	registerPayload()
+	RegisterMessages()
+	suite := crypto.NewSimSuite(4, 21)
+	signed := func() *Block {
+		b := &Block{Height: 1, View: 3, Justify: GenesisQC(), Payload: &payloadMsg{Height: 1}, Leader: 3}
+		b.Sig = suite.Signer(3).Sign(b.Hash())
+		return b
+	}
+	decoded := func() *Block {
+		m, _, err := wire.Unmarshal(wire.Marshal(&Proposal{Block: signed()}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.(*Proposal).Block
+	}
+	for _, c := range []struct {
+		name string
+		orig func() *Block
+		edit func(*Block)
+	}{
+		{"height", signed, func(b *Block) { b.Height = 99 }},
+		{"payload", signed, func(b *Block) { b.Payload = &payloadMsg{Height: 99} }},
+		{"decoded payload", decoded, func(b *Block) { b.Payload = &payloadMsg{Height: 99} }},
+	} {
+		b := c.orig()
+		cp := *b
+		c.edit(&cp)
+		fresh := &Block{Height: cp.Height, View: cp.View, Justify: cp.Justify, Payload: cp.Payload, Leader: cp.Leader}
+		if cp.Hash() != fresh.Hash() || cp.Hash() == b.Hash() {
+			t.Fatalf("%s: the edited copy kept a stale hash", c.name)
+		}
+		if suite.Signer(0).Verify(3, cp.Hash(), cp.Sig) {
+			t.Fatalf("%s: the leader's signature verifies over the edited copy", c.name)
+		}
+		if !suite.Signer(0).Verify(3, b.Hash(), b.Sig) {
+			t.Fatalf("%s: the original's signature no longer verifies", c.name)
+		}
+	}
+}
+
 // TestQCVerifyAllocs: checking a QC allocates nothing, the first time
-// (duplicate signers found in a stack bitset) and from the memo after.
+// and from the memo after.
 func TestQCVerifyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -82,7 +129,7 @@ func TestQCVerifyAllocs(t *testing.T) {
 	signer := suite.Signer(3)
 	qc := quorumCert(suite, 3, crypto.HashBytes([]byte("block")))
 	fresh := testing.AllocsPerRun(100, func() {
-		qc.verified = nil
+		qc.memo = crypto.Memo{}
 		if !qc.Verify(signer, 4, 3) {
 			t.Fatal("valid QC rejected")
 		}

@@ -41,14 +41,12 @@ type QC struct {
 	Signers []wire.NodeID
 	Sigs    [][]byte
 
-	// verified is the QC's own address once every share's signature
-	// passed Verify, or once the collector assembled it from verified
-	// votes (see Engine.onVote): every replica receives the same *QC inside
-	// proposals and NewViews. A value copy or a decoded QC is not at it, so
-	// it checks afresh; a failure is never recorded. A certificate is
-	// immutable once complete. Verify's count, range and duplicate checks
-	// run every time, since they depend on the caller's n and quorum.
-	verified *QC
+	// memo is owned once every share's signature passed Verify, or once
+	// the collector completed the QC from verified votes (see
+	// Engine.onVote): every replica receives the same *QC inside proposals
+	// and NewViews. A value copy or a decoded QC checks afresh. A
+	// certificate is immutable once complete.
+	memo crypto.Memo
 }
 
 // GenesisQC certifies the implicit genesis block.
@@ -96,49 +94,20 @@ func DecodeQC(d *wire.Decoder) (*QC, error) {
 	return q, d.Err()
 }
 
-// stackSignerWords is how many 64-bit words of signer bitset Verify keeps
-// on the stack: groups up to 256 replicas check a QC without allocating.
-const stackSignerWords = 4
-
 // Verify checks the certificate: at least quorum distinct signers below
-// n, each share valid over (View, Block). The genesis QC is always valid,
-// and the shares of a QC that passed once are not checked again (see
-// verified).
+// n, each share valid over (View, Block), the signatures once per QC
+// (crypto.VerifyShares). The genesis QC is always valid.
 //
 //predis:hotpath
 func (q *QC) Verify(signer crypto.Signer, n int, quorum int) bool {
 	if q.IsGenesis() {
 		return true
 	}
-	if len(q.Signers) < quorum || len(q.Signers) != len(q.Sigs) {
-		return false
+	var digest crypto.Hash // needed only while the shares are unchecked
+	if !q.memo.Own() {
+		digest = voteDigest(q.View, q.Block)
 	}
-	var stack [stackSignerWords]uint64
-	seen := stack[:]
-	if words := (n + 63) / 64; words > len(stack) {
-		seen = make([]uint64, words) //predis:allocok groups above 256 replicas
-	}
-	for _, id := range q.Signers {
-		if int(id) >= n {
-			return false
-		}
-		w, bit := id/64, uint64(1)<<(id%64)
-		if seen[w]&bit != 0 {
-			return false
-		}
-		seen[w] |= bit
-	}
-	if q.verified == q {
-		return true
-	}
-	digest := voteDigest(q.View, q.Block)
-	for i, id := range q.Signers {
-		if !signer.Verify(int(id), digest, q.Sigs[i]) {
-			return false
-		}
-	}
-	q.verified = q
-	return true
+	return crypto.VerifyShares(signer, &q.memo, n, quorum, q.Signers, q.Sigs, digest)
 }
 
 // Block is a chained-HotStuff block: each proposal extends the block
@@ -161,40 +130,56 @@ type Block struct {
 	// Sig is the leader's signature over Hash().
 	Sig []byte
 
-	// auth records the leader signature that passed onProposal's check,
-	// or that the leader's own signer made: every replica receives the
-	// same *Block. A value copy or a replaced Sig checks afresh (see
-	// crypto.Memo).
+	// auth is owned once hash holds Hash(), and records the leader
+	// signature that passed onProposal's check, or that the leader's own
+	// signer made: every replica receives the same *Block. A value copy or
+	// a replaced Sig checks afresh (see crypto.Memo).
 	auth crypto.Memo
+	hash crypto.Hash
 	// payloadEnc memoizes the marshaled Payload frame: proposing to n
 	// replicas (and hashing, and re-proposing) encodes the block payload
-	// once instead of once per phase per recipient.
+	// once instead of once per phase per recipient. Hash drops it whenever
+	// it re-derives, so a value copy never hashes another Payload's frame.
 	payloadEnc wire.EncCache
-	// hash memoizes Hash(); valid once hashSet. Safe because every
-	// identity field (everything but Sig, which Hash excludes) is set
-	// before the first Hash call and blocks are immutable once built.
-	hash    crypto.Hash
-	hashSet bool
 }
 
 // Hash returns the block identity (header fields + payload digest binding
-// via the encoded payload, excluding the signature). The digest is
-// memoized: verification paths call Hash repeatedly per block.
+// via the encoded payload, excluding the signature), memoized on the
+// block: verification paths call Hash repeatedly per block.
+//
+//predis:hotpath
 func (b *Block) Hash() crypto.Hash {
-	if b.hashSet {
-		return b.hash
+	if !b.auth.Own() {
+		// Not hashed at this address: a new block, or a value copy whose
+		// cached frame may be another Payload's.
+		b.payloadEnc.Invalidate()
+		b.seal(b.payloadFrame())
 	}
-	e := wire.NewEncoder(128)
+	return b.hash
+}
+
+// seal memoizes the block's hash over payload, the frame of its Payload,
+// and claims the block's memo.
+func (b *Block) seal(payload []byte) {
+	e := wire.GetEncoder()
 	e.U64(b.Height)
 	e.U64(b.View)
 	e.Bytes32(b.Parent)
 	e.U64(b.Justify.View)
 	e.Bytes32(b.Justify.Block)
 	e.Node(b.Leader)
-	e.Bytes32(crypto.HashBytes(b.payloadEnc.Frame(b.Payload)))
+	e.Bytes32(crypto.HashBytes(payload))
 	b.hash = crypto.HashBytes(e.Bytes())
-	b.hashSet = true
-	return b.hash
+	wire.PutEncoder(e)
+	b.auth.Claim()
+}
+
+// payloadFrame encodes the payload once (payloadEnc), for the hash and
+// then for every send.
+//
+//predis:coldpath
+func (b *Block) payloadFrame() []byte {
+	return b.payloadEnc.Frame(b.Payload)
 }
 
 // Proposal carries a block from its leader to all replicas.
@@ -243,9 +228,11 @@ func decodeProposal(d *wire.Decoder) (wire.Message, error) {
 		return nil, err
 	}
 	b.Payload = payload
-	// The decoder copied raw, so the cache can own it: relaying or
-	// re-hashing the block reuses the received payload bytes.
+	// The decoder copied raw, so the cache can own it: relaying the block
+	// reuses the received payload bytes, and the block is hashed over them
+	// here, which keeps the frame its own.
 	b.payloadEnc.Prime(raw)
+	b.seal(raw)
 	b.Sig = d.VarBytes()
 	return &Proposal{Block: b}, d.Err()
 }

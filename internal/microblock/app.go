@@ -208,7 +208,7 @@ func (a *App) tryProduce() {
 		tips := a.mp.Tips()
 		tips[self]++ // the producer holds the bundle it is creating
 		b := core.PackBundle(a.opts.Signer, self, a.mp.TipHeader(self), txs, tips)
-		if _, _, _, err := a.mp.AddBundle(b, false); err != nil {
+		if _, _, _, err := a.mp.AddBundle(b); err != nil {
 			a.ctx.Logf("microblock: own batch rejected: %v", err)
 			return
 		}
@@ -233,12 +233,12 @@ func (a *App) tryProduce() {
 func (a *App) Receive(from wire.NodeID, m wire.Message) {
 	switch msg := m.(type) {
 	case *Microblock:
-		a.learnCert(msg.PrevCert, true)
+		a.learnCert(msg.PrevCert)
 		a.onBundle(from, msg.Bundle, from == msg.Bundle.Header.Producer)
 	case *Ack:
 		a.onAck(from, msg)
 	case *CertMsg:
-		a.learnCert(msg.Cert, true)
+		a.learnCert(msg.Cert)
 	case *core.BundleRequest:
 		core.ServeBundles(a.ctx, a.mp, from, msg)
 	case *core.BundleResponse:
@@ -258,7 +258,7 @@ func (a *App) Receive(from wire.NodeID, m wire.Message) {
 // which re-sends only after a restart lost the acks, so one already held
 // is acknowledged again.
 func (a *App) onBundle(from wire.NodeID, b *core.Bundle, direct bool) bool {
-	res, _, _, err := a.mp.AddBundle(b, true)
+	res, _, _, err := a.mp.AddBundle(b)
 	if err != nil {
 		a.ctx.Logf("microblock: batch from %d rejected: %v", from, err)
 		return false
@@ -320,6 +320,9 @@ func (a *App) onAck(from wire.NodeID, m *Ack) {
 	cert.Signers = append(cert.Signers, m.Replica)
 	cert.Sigs = append(cert.Sigs, m.Sig)
 	if len(cert.Signers) >= a.threshold() {
+		// Valid by construction: each share was verified on arrival, from a
+		// distinct replica below NC, and nothing appends to it after this.
+		cert.memo.Claim()
 		delete(a.ackSets, m.Digest)
 		a.onCertified(cert)
 	}
@@ -328,7 +331,7 @@ func (a *App) onAck(from wire.NodeID, m *Ack) {
 // onCertified handles a freshly formed certificate for one of our own
 // microblocks.
 func (a *App) onCertified(cert *Cert) {
-	a.learnCert(cert, false)
+	a.learnCert(cert)
 	a.lastCert = cert
 	a.certCarried = false
 	switch a.opts.Scheme {
@@ -350,11 +353,11 @@ func (a *App) onCertified(cert *Cert) {
 	}
 }
 
-// learnCert records a certificate, if any. verify controls signature
-// checking (skipped for certs we assembled ourselves).
-func (a *App) learnCert(cert *Cert, verify bool) {
+// learnCert records a certificate, if any, once it verifies (our own
+// certificates answer from their memo).
+func (a *App) learnCert(cert *Cert) {
 	if cert == nil || a.certified[cert.Digest] != nil ||
-		verify && !cert.Verify(a.opts.Signer, a.opts.NC, a.threshold()) || a.committed(cert.Producer, cert.Height) {
+		!cert.Verify(a.opts.Signer, a.opts.NC, a.threshold()) || a.committed(cert.Producer, cert.Height) {
 		return
 	}
 	a.certified[cert.Digest] = cert

@@ -86,6 +86,40 @@ func TestCertVerify(t *testing.T) {
 	}
 }
 
+// countingSigner counts signature checks.
+type countingSigner struct {
+	crypto.Signer
+	n int
+}
+
+func (s *countingSigner) Verify(idx int, h crypto.Hash, sig []byte) bool {
+	s.n++
+	return s.Signer.Verify(idx, h, sig)
+}
+
+// TestCertCheckedOncePerObject: a certificate's shares are checked once;
+// a value copy is checked in full, and rejected when its place moved.
+func TestCertCheckedOncePerObject(t *testing.T) {
+	suite := crypto.NewSimSuite(4, 3)
+	cs := &countingSigner{Signer: suite.Signer(3)}
+	cert := certFor(suite, batch(suite, 1, nil, 2, 0), 3)
+	if !cert.Verify(cs, 4, 3) || !cert.Verify(cs, 4, 3) || cs.n != 3 {
+		t.Fatalf("valid cert verified twice: %d share checks, want 3", cs.n)
+	}
+	if cert.Verify(cs, 4, 4) || cs.n != 3 {
+		t.Fatal("the memo answered for a quorum the cert does not meet")
+	}
+	moved := *cert
+	moved.Height++
+	if moved.Verify(cs, 4, 3) || cs.n == 3 {
+		t.Fatal("value copy with another Height accepted or not checked")
+	}
+	plain := *cert
+	if !plain.Verify(cs, 4, 3) {
+		t.Fatal("honest value copy rejected")
+	}
+}
+
 func mkTxs(n int, base uint64) []*types.Transaction {
 	out := make([]*types.Transaction, n)
 	for i := range out {
@@ -164,10 +198,11 @@ func TestDigestExcludesCertAndSig(t *testing.T) {
 	suite := crypto.NewSimSuite(4, 3)
 	b := batch(suite, 1, nil, 3, 0)
 	mb := &Microblock{Bundle: b}
-	d := b.Header.HashStateless()
-	mb.Bundle.Header.Sig = []byte("whatever")
+	d := b.Header.Hash()
+	cp := b.Header // a value copy hashes afresh
+	cp.Sig = []byte("whatever")
 	mb.PrevCert = &Cert{Digest: crypto.HashBytes([]byte("x"))}
-	if mb.Bundle.Header.HashStateless() != d {
+	if cp.Hash() != d {
 		t.Fatal("identifier must not cover PrevCert or Sig")
 	}
 }
@@ -178,6 +213,12 @@ func TestIDListDigestOrderSensitive(t *testing.T) {
 	l2 := &IDList{Height: 1, IDs: []crypto.Hash{b, a}}
 	if l1.Digest() == l2.Digest() {
 		t.Fatal("id order must affect the digest")
+	}
+	// A value copy of a digested list re-derives its digest.
+	cp := *l1
+	cp.IDs = l2.IDs
+	if cp.Digest() != l2.Digest() {
+		t.Fatal("a value copy with other ids kept the original's digest")
 	}
 }
 

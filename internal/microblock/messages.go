@@ -23,7 +23,6 @@ package microblock
 
 import (
 	"encoding/binary"
-	"slices"
 	"sync"
 
 	"predis/internal/core"
@@ -55,6 +54,12 @@ type Cert struct {
 	Height   uint64
 	Signers  []wire.NodeID
 	Sigs     [][]byte
+
+	// memo is owned once every share's signature passed Verify, or once
+	// the producer completed the certificate from acks it verified on
+	// arrival (see App.onAck): every replica receives the same *Cert. A
+	// value copy or a decoded certificate checks afresh.
+	memo crypto.Memo
 }
 
 // EncodedSize returns the certificate's wire size.
@@ -98,18 +103,17 @@ func DecodeCert(d *wire.Decoder) (*Cert, error) {
 }
 
 // Verify checks the certificate holds at least `threshold` distinct valid
-// signatures from nodes below n, and names a producer below n.
+// signatures from nodes below n, and names a producer below n. The
+// signatures are checked once per certificate (crypto.VerifyShares).
 func (c *Cert) Verify(signer crypto.Signer, n, threshold int) bool {
-	if int(c.Producer) >= n || len(c.Signers) < threshold || len(c.Signers) != len(c.Sigs) {
+	if int(c.Producer) >= n {
 		return false
 	}
-	digest := ackDigest(c.Digest, c.Producer, c.Height)
-	for i, id := range c.Signers {
-		if int(id) >= n || slices.Contains(c.Signers[:i], id) || !signer.Verify(int(id), digest, c.Sigs[i]) {
-			return false
-		}
+	var digest crypto.Hash // needed only while the shares are unchecked
+	if !c.memo.Own() {
+		digest = ackDigest(c.Digest, c.Producer, c.Height)
 	}
-	return true
+	return crypto.VerifyShares(signer, &c.memo, n, threshold, c.Signers, c.Sigs, digest)
 }
 
 // Microblock carries a producer's batch, a bundle on its chain, and
@@ -219,8 +223,9 @@ type IDList struct {
 	Height uint64
 	IDs    []crypto.Hash
 
-	digest    crypto.Hash
-	digestSet bool
+	// digest memoizes Digest(), valid while memo is owned.
+	digest crypto.Hash
+	memo   crypto.Memo
 }
 
 var _ wire.Message = (*IDList)(nil)
@@ -260,7 +265,7 @@ func decodeIDList(d *wire.Decoder) (wire.Message, error) {
 // proposed, the simulator delivers the same pointer to every replica, and
 // each (per consensus phase) would recompute the identical value.
 func (m *IDList) Digest() crypto.Hash {
-	if m.digestSet {
+	if m.memo.Own() {
 		return m.digest
 	}
 	e := wire.NewEncoder(8 + 32*len(m.IDs))
@@ -269,7 +274,7 @@ func (m *IDList) Digest() crypto.Hash {
 		e.Bytes32(id)
 	}
 	m.digest = crypto.HashBytes(e.Bytes())
-	m.digestSet = true
+	m.memo.Claim()
 	return m.digest
 }
 

@@ -73,14 +73,16 @@ func TestSignaturesAndRootsCheckedOncePerProcess(t *testing.T) {
 	}
 }
 
-// TestSlotHeaderCheckedOncePerBundle: a carrier slot's header signature
-// is checked once, and another carrier slot of the same stripe set naming
-// the same header answers from the set's memo. Each input below gets the
-// full check and is rejected when bad: a value copy of the authenticated
-// slot with its header signature replaced, a second header's copy from
-// StripeSet.Stripe, a decoded frame with a flipped signature byte, and a
-// TamperShard copy (its proof fails first, and it carries no memo). An
-// honest decoded frame and an honest value copy are checked and accepted.
+// TestSlotHeaderCheckedOncePerBundle: a carrier slot stamped from its
+// producer's packed bundle keeps the header's signature memo, so no
+// carrier slot of the set is checked. Each input below gets the full check
+// and is rejected when bad: a value copy of the slot with its header
+// signature replaced, one with its header's Height changed, a second
+// header's copy from StripeSet.Stripe, a fresh set's slot stamped with a
+// value copy of the header with its Height changed, a decoded frame with a
+// flipped signature byte, and a TamperShard copy (its proof fails first,
+// and it carries no memo). An honest decoded frame and an honest value
+// copy are checked and accepted.
 func TestSlotHeaderCheckedOncePerBundle(t *testing.T) {
 	r := newRelayRig(t, 1)
 	fn := r.fn
@@ -101,16 +103,18 @@ func TestSlotHeaderCheckedOncePerBundle(t *testing.T) {
 		fn.onStripe(0, m)
 		return fn.rejected == rejected && fn.partials[hash] != nil
 	}
-	if !feed(slot) || verifies[hash] != 1 {
-		t.Fatalf("first carrier: accepted with %d header checks, want 1", verifies[hash])
+	if !feed(slot) || verifies[hash] != 0 {
+		t.Fatalf("first carrier: accepted with %d header checks, want 0", verifies[hash])
 	}
-	if !feed(r.stripes[0][2]) || !feed(slot) || verifies[hash] != 1 {
-		t.Fatalf("the set's carrier slots again: %d header checks in all, want still 1", verifies[hash])
+	if !feed(r.stripes[0][2]) || !feed(slot) || verifies[hash] != 0 {
+		t.Fatalf("the set's carrier slots again: %d header checks in all, want still 0", verifies[hash])
 	}
 
 	copied := *slot
 	copied.Header.Sig = forged
-	second, err := r.stripes[0][0].set.Stripe(core.BundleHeader{
+	lifted := *slot
+	lifted.Header.Height = 99
+	second, err := r.stripes[0][0].set.stripe(&core.BundleHeader{
 		Producer: b.Header.Producer, Height: b.Header.Height, Parent: b.Header.Parent,
 		TxRoot: b.Header.TxRoot, StripeRoot: b.Header.StripeRoot, TxCount: b.Header.TxCount,
 		TxBytes: b.Header.TxBytes, Tips: b.Header.Tips, Sig: forged,
@@ -120,6 +124,16 @@ func TestSlotHeaderCheckedOncePerBundle(t *testing.T) {
 	}
 	if second.isSlot() {
 		t.Fatal("a second header's stripe took the slot")
+	}
+	liftedHdr := b.Header
+	liftedHdr.Height = 99
+	fresh, err := r.striper.Encode(b.Txs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	third, err := fresh.stripe(&liftedHdr, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	frame := wire.Marshal(slot)
 	frame[bytes.Index(frame, b.Header.Sig)] ^= 1
@@ -132,20 +146,23 @@ func TestSlotHeaderCheckedOncePerBundle(t *testing.T) {
 		m    *StripeMsg
 	}{
 		{"value copy with its Sig replaced", &copied},
+		{"value copy with its header's Height 99", &lifted},
 		{"second header's copy from Stripe", second},
+		{"a fresh set's slot for a header value copy with Height 99", third},
 		{"decoded frame with a flipped Sig byte", dec.(*StripeMsg)},
 	} {
-		before := verifies[hash]
+		key := c.m.Header.Hash()
+		before := verifies[key]
 		if feed(c.m) {
 			t.Errorf("%s: accepted", c.name)
 		}
-		if verifies[hash] != before+1 {
+		if verifies[key] != before+1 {
 			t.Errorf("%s: the header signature was not checked", c.name)
 		}
 	}
 	tampered := slot.TamperShard(5).(*StripeMsg)
-	if tampered.headerAuthenticated() || feed(tampered) {
-		t.Fatal("TamperShard copy: authenticated by the slot's memo, or accepted")
+	if feed(tampered) {
+		t.Fatal("TamperShard copy accepted")
 	}
 	honest, _, _ := wire.Unmarshal(wire.Marshal(slot))
 	plain := *slot

@@ -1,7 +1,6 @@
 package multizone
 
 import (
-	"predis/internal/core"
 	"predis/internal/wire"
 )
 
@@ -77,11 +76,4 @@ func (f *FullNode) quarantine(id wire.NodeID) {
 		f.cfg.Self, id, f.quarantineTTL())
 	f.fetch.DropHolder(id)
 	f.place()
-}
-
-// headerAuthentic checks a bundle header's producer signature (used
-// before trusting the coordinates of a stripe that failed verification).
-func (f *FullNode) headerAuthentic(h *core.BundleHeader) bool {
-	return int(h.Producer) < f.cfg.NC &&
-		f.cfg.Signer.Verify(int(h.Producer), h.Hash(), h.Sig)
 }

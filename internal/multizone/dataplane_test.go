@@ -78,7 +78,7 @@ func (r *relayRig) addChain(t testing.TB, producer wire.NodeID, n int) {
 		parent = &b.Header
 		msgs := make([]*StripeMsg, 4)
 		for i := range msgs {
-			msgs[i], _ = set.Stripe(b.Header, i)
+			msgs[i], _ = set.stripe(&b.Header, i)
 		}
 		r.bundles = append(r.bundles, b)
 		r.stripes = append(r.stripes, msgs)
@@ -147,13 +147,13 @@ func TestRelayPathAllocs(t *testing.T) {
 	r.drain()
 
 	// Another node reassembled every bundle first: the memo rides on the
-	// shared stripe messages.
+	// shared stripe sets.
 	for h, st := range r.stripes {
-		if _, err := r.striper.Reassemble(r.bundles[h].Header, st); err != nil {
+		if _, err := r.striper.reassemble(&r.bundles[h].Header, st); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if a := testing.AllocsPerRun(100, func() { _, _ = r.striper.Reassemble(r.bundles[3].Header, r.stripes[3]) }); a != 0 {
+	if a := testing.AllocsPerRun(100, func() { _, _ = r.striper.reassemble(&r.bundles[3].Header, r.stripes[3]) }); a != 0 {
 		t.Errorf("Reassemble on a memo hit allocates %.2f, want 0", a)
 	}
 	i = 0
@@ -322,7 +322,7 @@ func TestBlockOvertakesStripeBurst(t *testing.T) {
 	blk.Sig = r.suite.Signer(1).Sign(blk.Hash())
 	src := &burstSender{to: 2}
 	for i := 0; i < 16; i++ {
-		st, _ := set.Stripe(b.Header, i%4)
+		st, _ := set.stripe(&b.Header, i%4)
 		src.msgs = append(src.msgs, st)
 	}
 	src.msgs = append(src.msgs, blk)

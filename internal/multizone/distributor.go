@@ -135,7 +135,7 @@ func (d *Distributor) OnBundleStored(b *core.Bundle) {
 	}
 	b.SetStripeCache(set)
 	d.cacheSet = nil
-	msg, err := set.Stripe(b.Header, int(d.self))
+	msg, err := set.stripe(&b.Header, int(d.self))
 	if err != nil {
 		d.ctx.Logf("multizone: stripe extract: %v", err)
 		return

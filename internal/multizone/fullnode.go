@@ -575,7 +575,7 @@ func (f *FullNode) Receive(from wire.NodeID, m wire.Message) {
 	case *core.BundleResponse:
 		fresh := false
 		for _, b := range msg.Bundles {
-			fresh = f.storeBundle(b, true) || fresh
+			fresh = f.storeBundle(b) || fresh
 		}
 		f.fetch.Answered(from, msg.Bundles, fresh)
 		f.tryCompleteBlocks()

@@ -60,14 +60,11 @@ func (f *FullNode) onStripe(from wire.NodeID, m *StripeMsg) {
 			f.rejectStripe(from, m, false, err)
 			return
 		}
-		// Verify the header signature once per bundle here, and once per
-		// bundle in the process (see StripeSet.authentic).
-		if !m.headerAuthenticated() {
-			if !f.headerAuthentic(&m.Header) {
-				f.rejectStripe(from, m, false, nil)
-				return
-			}
-			m.markAuthentic()
+		// The header signature, once per header in the process: a carrier
+		// stamped from a verified bundle answers from its memo (see stripe).
+		if int(m.Header.Producer) >= f.cfg.NC || !m.Header.VerifySig(f.cfg.Signer) {
+			f.rejectStripe(from, m, false, nil)
+			return
 		}
 		p = f.openPartial(p, headerHash, m)
 		f.accept(p, from, m)
@@ -105,7 +102,7 @@ func (f *FullNode) rejectStripe(from wire.NodeID, m *StripeMsg, known bool, err 
 	// when the header itself is authentic (a partial we already
 	// signature-checked, or one that verifies now); a forged header's
 	// coordinates are not worth chasing.
-	if err != nil && (known || f.headerAuthentic(&m.Header)) &&
+	if err != nil && (known || int(m.Header.Producer) < f.cfg.NC && m.Header.VerifySig(f.cfg.Signer)) &&
 		f.fetch.Need(m.Header.Producer, m.Header.Height, wire.NoNode, from) {
 		f.refetches++
 	}
@@ -223,7 +220,7 @@ func (f *FullNode) dropPartial(h crypto.Hash, p *partialBundle) {
 //
 //predis:coldpath
 func (f *FullNode) completeBundle(headerHash crypto.Hash, p *partialBundle) {
-	b, err := f.cfg.Striper.Reassemble(p.stripes[p.first].Header, p.stripes)
+	b, err := f.cfg.Striper.reassemble(&p.stripes[p.first].Header, p.stripes)
 	if err != nil {
 		// Possible with exactly n_c−f stripes if one was forged with a
 		// colliding proof; wait for more stripes.
@@ -237,7 +234,7 @@ func (f *FullNode) completeBundle(headerHash crypto.Hash, p *partialBundle) {
 	// arrives before the bundle is confirmed (see backfill).
 	p.done = true
 	f.leaveInflight(p)
-	f.storeBundle(b, false)
+	f.storeBundle(b)
 	f.tryCompleteBlocks()
 }
 
@@ -253,11 +250,11 @@ func (f *FullNode) forwardStripe(from wire.NodeID, m *StripeMsg) {
 
 // storeBundle inserts an assembled or pulled bundle into the local chains
 // and reports whether it was new. Out-of-order arrivals are buffered by the
-// mempool and linked when the gap fills; verify selects full verification
-// for pulled bundles (stripe reassembly already verified body and
-// signature).
-func (f *FullNode) storeBundle(b *core.Bundle, verify bool) bool {
-	res, _, miss, err := f.mp.AddBundle(b, verify)
+// mempool and linked when the gap fills. A reassembled bundle's header
+// keeps its carrier's signature memo and reassembly checked its body, so
+// only a pulled bundle pays the checks.
+func (f *FullNode) storeBundle(b *core.Bundle) bool {
+	res, _, miss, err := f.mp.AddBundle(b)
 	switch {
 	case err != nil:
 		if !errors.Is(err, core.ErrBannedProducer) {

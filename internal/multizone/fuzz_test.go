@@ -39,8 +39,8 @@ func FuzzZoneMessages(f *testing.F) {
 		f.Fatal(err)
 	}
 	b := core.PackBundleStriped(suite.Signer(0), 0, nil, txs, make(core.TipList, 4), set.Root)
-	carrier, _ := set.Stripe(b.Header, 0)
-	reference, _ := set.Stripe(b.Header, 1)
+	carrier, _ := set.stripe(&b.Header, 0)
+	reference, _ := set.stripe(&b.Header, 1)
 	for _, m := range []wire.Message{
 		carrier,
 		reference,

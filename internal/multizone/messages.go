@@ -46,10 +46,10 @@ type StripeMsg struct {
 	Ref     bool
 	RefHash crypto.Hash
 	Index   uint8
-	// stamped marks a stripe set's slot that StripeSet.Stripe has given
-	// a header. It sits in Index's padding so that the struct stays 304
+	// stamped marks a stripe set's slot that StripeSet.stripe has given
+	// a header. It sits in Index's padding so that the struct stays 312
 	// bytes: an n_c = 4 message slab plus the allocator's 8-byte header
-	// then fits the 1 280-byte size class, and two words more would move
+	// then fits the 1 280-byte size class, and one word more would move
 	// it to the 1 408-byte class.
 	stamped    bool
 	PayloadLen uint32
@@ -58,15 +58,9 @@ type StripeMsg struct {
 
 	// set is the stripe set whose slot this message was built as; nil on
 	// a decoded message and on the copies TamperShard, TamperProof and
-	// a second header's StripeSet.Stripe make. A value copy keeps the
+	// a second header's StripeSet.stripe make. A value copy keeps the
 	// pointer but is not the slot, so VerifyStripe compares addresses.
 	set *StripeSet
-	// assembled memoizes the bundle reconstructed from a stripe set
-	// containing this message: every valid n_c−f subset reconstructs the
-	// same body (Reed–Solomon), and the result is checked against the
-	// header's commitments before caching, so the memo is value-identical
-	// for every node that could reassemble it.
-	assembled *core.Bundle
 }
 
 var _ wire.Message = (*StripeMsg)(nil)
@@ -107,26 +101,6 @@ func headerCarrier(i int, producer wire.NodeID, nc, f int) bool {
 func (m *StripeMsg) isSlot() bool {
 	set := m.set
 	return set != nil && int(m.Index) < len(set.msgs) && m == &set.msgs[m.Index]
-}
-
-// headerAuthenticated reports whether m is a stripe set's slot carrying
-// the header whose signature passed on a slot of the same set (see
-// StripeSet.authentic): the same hash and the same signature bytes, so
-// the same check with the same outcome. A copy of a slot checks afresh.
-func (m *StripeMsg) headerAuthenticated() bool {
-	if !m.isSlot() {
-		return false
-	}
-	a := m.set.authentic
-	return a > 0 && m.names(&m.set.msgs[a-1].Header)
-}
-
-// markAuthentic records that the header signature of m passed, when m is
-// a stripe set's slot.
-func (m *StripeMsg) markAuthentic() {
-	if m.isSlot() {
-		m.set.authentic = int32(m.Index) + 1
-	}
 }
 
 // BundleHash returns the hash of the header the stripe belongs to.

@@ -77,13 +77,13 @@ type StripeSet struct {
 	Root       crypto.Hash
 	msgs       []StripeMsg
 	f          int32 // the striper's f, which picks the header carriers
-	// authentic is 1 + the index of a slot whose header signature passed
-	// a full node's check (0: none yet). Every full node receives the
-	// set's own slots, and a slot's header is written once, by Stripe, so
-	// a carrier slot naming the same header needs no second check (see
-	// StripeMsg.headerAuthenticated): one check per bundle per process.
-	// It shares f's word, so the set stays 72 bytes.
-	authentic int32
+	// assembled memoizes the bundle reconstructed from the set's own
+	// slots (StripeMsg.isSlot; a copy of a slot decodes afresh): every
+	// valid n_c−f subset reconstructs the same body (Reed–Solomon), and
+	// the result is checked against the header's commitments before
+	// caching, so the memo is value-identical for every node that could
+	// reassemble it.
+	assembled *core.Bundle
 }
 
 // Encode erasure-codes a bundle body into n_c shards and builds the stripe
@@ -122,31 +122,39 @@ func (s *Striper) Encode(txs []*types.Transaction) (*StripeSet, error) {
 	return set, nil
 }
 
-// Stripe returns stripe i as a wire message for the given bundle header:
-// a carrier of the header or a reference to it, as headerCarrier decides.
+// Stripe is stripe for a header value (a benchmark kernel's, a forged
+// one): the copy carries no memo, so a carrier's header is checked afresh.
+func (set *StripeSet) Stripe(header core.BundleHeader, i int) (*StripeMsg, error) {
+	return set.stripe(&header, i)
+}
+
+// stripe returns stripe i as a wire message for the bundle header h: a
+// carrier of the header or a reference to it, as headerCarrier decides.
 // The first call for an index stamps the header on the set's own slot and
 // returns it; later calls with the same header return the same message,
 // which is what crosses the network for (bundle, index) either way. A
-// different header over the same body gets a message of its own.
+// different header over the same body gets a message of its own. A
+// carrier's header keeps h's memos (BundleHeader.CopyTo): the distributor
+// stamps a verified bundle's header, so no full node checks it again.
 //
 //predis:hotpath
-func (set *StripeSet) Stripe(header core.BundleHeader, i int) (*StripeMsg, error) {
+func (set *StripeSet) stripe(h *core.BundleHeader, i int) (*StripeMsg, error) {
 	if i < 0 || i >= len(set.msgs) {
 		return nil, fmt.Errorf("multizone: stripe index %d out of range", i) //predis:allocok caller bug
 	}
 	m := &set.msgs[i]
 	if m.stamped {
-		if m.names(&header) {
+		if m.names(h) {
 			return m, nil
 		}
 		m = &StripeMsg{Index: m.Index, PayloadLen: m.PayloadLen, Shard: m.Shard, Proof: m.Proof} //predis:allocok a second header over one body
 	}
 	m.stamped = true
-	if headerCarrier(i, header.Producer, len(set.msgs), int(set.f)) {
-		m.Header = header
+	if headerCarrier(i, h.Producer, len(set.msgs), int(set.f)) {
+		h.CopyTo(&m.Header)
 	} else {
-		m.Header.Producer, m.Header.Height = header.Producer, header.Height
-		m.Ref, m.RefHash = true, header.Hash()
+		m.Header.Producer, m.Header.Height = h.Producer, h.Height
+		m.Ref, m.RefHash = true, h.Hash()
 	}
 	return m, nil
 }
@@ -181,12 +189,17 @@ func (s *Striper) VerifyStripe(root crypto.Hash, m *StripeMsg) error {
 	return nil
 }
 
-// Reassemble reconstructs a bundle from any n_c−f verified stripes of the
-// same header. stripes is indexed by stripe index; nil entries are
-// missing.
+// Reassemble is reassemble for a header value, as a benchmark kernel holds
+// one.
+func (s *Striper) Reassemble(header core.BundleHeader, stripes []*StripeMsg) (*core.Bundle, error) {
+	return s.reassemble(&header, stripes)
+}
+
+// reassemble reconstructs a bundle from any n_c−f verified stripes of the
+// header h. stripes is indexed by stripe index; nil entries are missing.
 //
 //predis:hotpath
-func (s *Striper) Reassemble(header core.BundleHeader, stripes []*StripeMsg) (*core.Bundle, error) {
+func (s *Striper) reassemble(h *core.BundleHeader, stripes []*StripeMsg) (*core.Bundle, error) {
 	have := 0
 	payloadLen := -1
 	for _, st := range stripes {
@@ -202,18 +215,19 @@ func (s *Striper) Reassemble(header core.BundleHeader, stripes []*StripeMsg) (*c
 		return nil, fmt.Errorf("%w: have %d, need %d", ErrStripeCount, have, s.MinStripes()) //predis:allocok caller bug
 	}
 	// With enough stripes in hand, a bundle another node already
-	// reconstructed from a set containing one of them is exactly what
-	// decoding would produce: every valid n_c−f subset yields the same
-	// body (Reed–Solomon), and the memo was checked against the header's
-	// commitments before caching. In the simulator all but the first full
-	// node to assemble a bundle leave here, having allocated nothing.
-	headerHash := header.Hash()
+	// reconstructed from a set one of these slots belongs to is exactly
+	// what decoding would produce: every valid n_c−f subset yields the
+	// same body (Reed–Solomon), and the memo was checked against the
+	// header's commitments before caching. In the simulator all but the
+	// first full node to assemble a bundle leave here, having allocated
+	// nothing.
+	headerHash := h.Hash()
 	for _, st := range stripes {
-		if st != nil && st.assembled != nil && st.assembled.Header.Hash() == headerHash {
-			return st.assembled, nil
+		if st != nil && st.isSlot() && st.set.assembled != nil && st.set.assembled.Header.Hash() == headerHash {
+			return st.set.assembled, nil
 		}
 	}
-	return s.decode(header, stripes, payloadLen)
+	return s.decode(h, stripes, payloadLen)
 }
 
 // bodyPool recycles decode's body buffers. A body is dead once
@@ -223,11 +237,12 @@ var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
 const pooledBodyCap = 1 << 20
 
-// decode is Reassemble's slow half: erasure-decode the body, parse it and
-// check it against the header.
+// decode is reassemble's slow half: erasure-decode the body, parse it and
+// check it against the header. The bundle's header is a copy of h with
+// h's memos: h is its carrier's authenticated header.
 //
 //predis:coldpath
-func (s *Striper) decode(header core.BundleHeader, stripes []*StripeMsg, payloadLen int) (*core.Bundle, error) {
+func (s *Striper) decode(h *core.BundleHeader, stripes []*StripeMsg, payloadLen int) (*core.Bundle, error) {
 	var stack [stackShards][]byte
 	shards := s.shardHeaders(&stack)
 	for i, st := range stripes {
@@ -249,13 +264,14 @@ func (s *Striper) decode(header core.BundleHeader, stripes []*StripeMsg, payload
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStripeBundle, err)
 	}
-	b := &core.Bundle{Header: header, Txs: txs}
+	b := &core.Bundle{Txs: txs}
+	h.CopyTo(&b.Header)
 	if err := b.VerifyBody(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStripeBundle, err)
 	}
 	for _, st := range stripes {
-		if st != nil {
-			st.assembled = b
+		if st != nil && st.isSlot() {
+			st.set.assembled = b
 		}
 	}
 	return b, nil

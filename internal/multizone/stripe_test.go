@@ -53,7 +53,7 @@ func TestStripeRoundtripAllLossPatterns(t *testing.T) {
 
 	all := make([]*StripeMsg, 4)
 	for i := 0; i < 4; i++ {
-		m, err := set.Stripe(b.Header, i)
+		m, err := set.stripe(&b.Header, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestStripeRoundtripAllLossPatterns(t *testing.T) {
 		stripes := make([]*StripeMsg, 4)
 		copy(stripes, all)
 		stripes[drop] = nil
-		got, err := s.Reassemble(b.Header, stripes)
+		got, err := s.reassemble(&b.Header, stripes)
 		if err != nil {
 			t.Fatalf("drop %d: %v", drop, err)
 		}
@@ -82,7 +82,7 @@ func TestStripeRoundtripAllLossPatterns(t *testing.T) {
 	stripes := make([]*StripeMsg, 4)
 	copy(stripes, all)
 	stripes[0], stripes[1] = nil, nil
-	if _, err := s.Reassemble(b.Header, stripes); err == nil {
+	if _, err := s.reassemble(&b.Header, stripes); err == nil {
 		t.Fatal("reconstructed from too few stripes")
 	}
 }
@@ -93,7 +93,7 @@ func TestVerifyStripeRejectsTampering(t *testing.T) {
 	txs := mkTxs(10, 0)
 	set, _ := s.Encode(txs)
 	b := core.PackBundleStriped(suite.Signer(0), 0, nil, txs, make(core.TipList, 4), set.Root)
-	m, _ := set.Stripe(b.Header, 2)
+	m, _ := set.stripe(&b.Header, 2)
 
 	tampered := *m
 	tampered.Shard = append([]byte(nil), m.Shard...)
@@ -159,7 +159,7 @@ func TestStripeMsgCodec(t *testing.T) {
 	set, _ := s.Encode(txs)
 	b := core.PackBundleStriped(suite.Signer(1), 1, nil, txs, make(core.TipList, 4), set.Root)
 	for i, wantRef := range []bool{true, false, true, false} {
-		m, _ := set.Stripe(b.Header, i)
+		m, _ := set.stripe(&b.Header, i)
 		if m.Ref != wantRef {
 			t.Fatalf("stripe %d: Ref = %v, want %v", i, m.Ref, wantRef)
 		}
@@ -182,8 +182,8 @@ func TestStripeMsgCodec(t *testing.T) {
 			t.Fatalf("stripe %d: WireSize %d, frame %d", i, m.WireSize(), n)
 		}
 	}
-	carrier, _ := set.Stripe(b.Header, 1)
-	ref, _ := set.Stripe(b.Header, 0)
+	carrier, _ := set.stripe(&b.Header, 1)
+	ref, _ := set.stripe(&b.Header, 0)
 	if saved := carrier.WireSize() - ref.WireSize(); saved != b.Header.EncodedSize()-refSize {
 		t.Fatalf("a reference saves %d B, want the header's %d less the %d B reference",
 			saved, b.Header.EncodedSize(), refSize)
@@ -277,12 +277,12 @@ func TestQuickStripeReassembly(t *testing.T) {
 		b := core.PackBundleStriped(suite.Signer(0), 0, nil, txs, make(core.TipList, 8), set.Root)
 		stripes := make([]*StripeMsg, 8)
 		for i := 0; i < 8; i++ {
-			stripes[i], _ = set.Stripe(b.Header, i)
+			stripes[i], _ = set.stripe(&b.Header, i)
 		}
 		// Drop up to f=2 stripes.
 		stripes[int(dropRaw)%8] = nil
 		stripes[int(dropRaw/8)%8] = nil
-		got, err := s.Reassemble(b.Header, stripes)
+		got, err := s.reassemble(&b.Header, stripes)
 		if err != nil {
 			return false
 		}
@@ -296,8 +296,11 @@ func TestQuickStripeReassembly(t *testing.T) {
 // TestReassembleForeignShardIsErrStripeBundle: with exactly n_c−f stripes,
 // one of them carrying another bundle's shard under this header, the
 // erasure decode succeeds but the body does not match the header — the
-// result must be ErrStripeBundle and no stripe may be left holding an
-// assembled memo that later callers would trust.
+// result must be ErrStripeBundle and no stripe set may be left holding an
+// assembled memo that later callers would trust. The carrier's header is
+// stamped from the packed bundle's, as a distributor's is: it keeps the
+// hash and signature memos, but the packed body's memo must not travel
+// into the decoded bundle.
 func TestReassembleForeignShardIsErrStripeBundle(t *testing.T) {
 	s, _ := NewStriper(4, 1)
 	suite := crypto.NewSimSuite(4, 82)
@@ -306,21 +309,19 @@ func TestReassembleForeignShardIsErrStripeBundle(t *testing.T) {
 	b := core.PackBundleStriped(suite.Signer(0), 0, nil, txs, make(core.TipList, 4), set.Root)
 	other, _ := s.Encode(mkTxs(10, 500))
 	stripes := make([]*StripeMsg, 4)
-	stripes[0], _ = set.Stripe(b.Header, 0)
-	stripes[1], _ = set.Stripe(b.Header, 1)
-	stripes[2], _ = other.Stripe(b.Header, 2) // this header, the other bundle's shard and proof
-	got, err := s.Reassemble(b.Header, stripes)
+	stripes[0], _ = set.stripe(&b.Header, 0) // a carrier
+	stripes[1], _ = set.stripe(&b.Header, 1)
+	stripes[2], _ = other.stripe(&b.Header, 2) // this header, the other bundle's shard and proof
+	got, err := s.reassemble(&stripes[0].Header, stripes)
 	if !errors.Is(err, ErrStripeBundle) || got != nil {
 		t.Fatalf("Reassemble = (%v, %v), want ErrStripeBundle", got, err)
 	}
-	for i, st := range stripes {
-		if st != nil && st.assembled != nil {
-			t.Fatalf("failed reassembly left an assembled memo on stripe %d", i)
-		}
+	if set.assembled != nil || other.assembled != nil {
+		t.Fatal("failed reassembly left an assembled memo on a stripe set")
 	}
 	// The honest fourth stripe makes a valid subset available again.
-	stripes[2], _ = set.Stripe(b.Header, 2)
-	if _, err := s.Reassemble(b.Header, stripes); err != nil {
+	stripes[2], _ = set.stripe(&b.Header, 2)
+	if _, err := s.reassemble(&b.Header, stripes); err != nil {
 		t.Fatalf("honest stripes after the failed attempt: %v", err)
 	}
 }
@@ -336,22 +337,22 @@ func TestReassembleMemoHitReturnsSameBundle(t *testing.T) {
 	b := core.PackBundleStriped(suite.Signer(0), 0, nil, txs, make(core.TipList, 4), set.Root)
 	all := make([]*StripeMsg, 4)
 	for i := range all {
-		all[i], _ = set.Stripe(b.Header, i)
+		all[i], _ = set.stripe(&b.Header, i)
 	}
-	first, err := s.Reassemble(b.Header, []*StripeMsg{all[0], all[1], all[2], nil})
+	first, err := s.reassemble(&b.Header, []*StripeMsg{all[0], all[1], all[2], nil})
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := s.Reassemble(b.Header, []*StripeMsg{all[0], all[1], all[2], nil})
+	again, err := s.reassemble(&b.Header, []*StripeMsg{all[0], all[1], all[2], nil})
 	if err != nil || again != first {
 		t.Fatalf("second reassembly = (%p, %v), want the memoized %p", again, err, first)
 	}
-	subset, err := s.Reassemble(b.Header, []*StripeMsg{nil, all[1], all[2], all[3]})
+	subset, err := s.reassemble(&b.Header, []*StripeMsg{nil, all[1], all[2], all[3]})
 	if err != nil || subset != first {
 		t.Fatalf("reassembly from another subset = (%p, %v), want the memoized %p", subset, err, first)
 	}
 	// Too few stripes is still an error, memo or not.
-	if _, err := s.Reassemble(b.Header, []*StripeMsg{all[0], all[1], nil, nil}); !errors.Is(err, ErrStripeCount) {
+	if _, err := s.reassemble(&b.Header, []*StripeMsg{all[0], all[1], nil, nil}); !errors.Is(err, ErrStripeCount) {
 		t.Fatalf("two stripes with a memo = %v, want ErrStripeCount", err)
 	}
 }
@@ -370,8 +371,8 @@ func TestStripeSetAllocs(t *testing.T) {
 		b := core.PackBundleStriped(suite.Signer(1), 1, nil, txs, make(core.TipList, g.nc), set.Root)
 		first := make([]*StripeMsg, g.nc)
 		for i := range first {
-			first[i], _ = set.Stripe(b.Header, i)
-			if again, _ := set.Stripe(b.Header, i); again != first[i] {
+			first[i], _ = set.stripe(&b.Header, i)
+			if again, _ := set.stripe(&b.Header, i); again != first[i] {
 				t.Fatalf("nc=%d stripe %d: a repeated call returned another message", g.nc, i)
 			}
 			if err := s.VerifyStripe(set.Root, first[i]); err != nil {
@@ -379,7 +380,7 @@ func TestStripeSetAllocs(t *testing.T) {
 			}
 		}
 		other := core.PackBundleStriped(suite.Signer(2), 2, nil, txs, make(core.TipList, g.nc), set.Root)
-		if m, _ := set.Stripe(other.Header, 0); m == first[0] || m.BundleHash() != other.Header.Hash() {
+		if m, _ := set.stripe(&other.Header, 0); m == first[0] || m.BundleHash() != other.Header.Hash() {
 			t.Fatalf("nc=%d: another header's stripe reused the slot", g.nc)
 		}
 		if first[0].BundleHash() != b.Header.Hash() {
@@ -392,7 +393,7 @@ func TestStripeSetAllocs(t *testing.T) {
 			t.Errorf("nc=%d: Encode allocates %.1f, want ≤ 4", g.nc, a)
 		}
 		i := 0
-		if a := testing.AllocsPerRun(50, func() { _, _ = set.Stripe(b.Header, i%g.nc); i++ }); a != 0 {
+		if a := testing.AllocsPerRun(50, func() { _, _ = set.stripe(&b.Header, i%g.nc); i++ }); a != 0 {
 			t.Errorf("nc=%d: Stripe allocates %.1f, want 0", g.nc, a)
 		}
 	}
@@ -415,18 +416,24 @@ func TestDecodeBorrowsBody(t *testing.T) {
 		// decode rebuilds f data shards.
 		pristine := make([]StripeMsg, g.nc)
 		for i := g.f; i < g.nc; i++ {
-			m, _ := set.Stripe(b.Header, i)
+			m, _ := set.stripe(&b.Header, i)
 			pristine[i] = *m
 		}
 		stripes := make([]*StripeMsg, g.nc)
+		var last *core.Bundle
 		reassemble := func() {
 			for i := g.f; i < g.nc; i++ {
-				cp := pristine[i] // fresh messages: Reassemble memoizes on them
+				cp := pristine[i] // copies, not the set's slots: each call decodes
 				stripes[i] = &cp
 			}
-			if _, err := s.Reassemble(b.Header, stripes); err != nil {
+			got, err := s.reassemble(&b.Header, stripes)
+			if err != nil {
 				t.Fatal(err)
 			}
+			if got == last {
+				t.Fatalf("nc=%d: copies of the slots were answered from the set's memo, not decoded", g.nc)
+			}
+			last = got
 		}
 		reassemble() // the pool's first buffer
 		const runs = 50

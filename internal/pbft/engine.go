@@ -340,8 +340,7 @@ func (e *Engine) paceOpen() bool {
 // proposeAt broadcasts a pre-prepare for (view, seq) with the payload.
 func (e *Engine) proposeAt(seq uint64, digest crypto.Hash, payload wire.Message) {
 	pp := &PrePrepare{View: e.view, Seq: seq, Digest: digest, Payload: payload, Leader: e.cfg.Self}
-	pp.Sig = e.cfg.Signer.Sign(pp.signDigest())
-	e.signedByMe(&pp.auth, pp.Sig)
+	pp.Sig = pp.auth.Sign(e.cfg.Signer, int(e.cfg.Self), pp.signDigest())
 	inst := e.getInstance(seq, e.view, digest)
 	inst.payload = payload
 	inst.validated = true // leader trusts its own proposal
@@ -447,12 +446,10 @@ func (e *Engine) onPrePrepare(from wire.NodeID, m *PrePrepare) {
 	if m.Seq <= e.lastExec {
 		return
 	}
-	if !m.auth.Signed(m.Sig) {
-		if !e.cfg.Signer.Verify(int(m.Leader), m.signDigest(), m.Sig) {
-			e.ctx.Logf("pbft: bad pre-prepare signature from %d", from)
-			return
-		}
-		m.auth.MarkSigned(m.Sig)
+	// The digest is hashed only while no check of this message is recorded.
+	if !m.auth.Signed(m.Sig) && !m.auth.Verify(e.cfg.Signer, int(m.Leader), m.signDigest(), m.Sig) {
+		e.ctx.Logf("pbft: bad pre-prepare signature from %d", from)
+		return
 	}
 	inst := e.getInstance(m.Seq, m.View, m.Digest)
 	if inst.pp != nil && inst.view == m.View && inst.pp.Digest != m.Digest {
@@ -526,15 +523,6 @@ func (e *Engine) validateInstance(inst *instance) {
 	}
 }
 
-// signedByMe records on a message this replica just signed that its
-// signature is valid, so its receivers do not verify it: by construction,
-// when the signer is this replica's own.
-func (e *Engine) signedByMe(auth *crypto.Memo, sig []byte) {
-	if e.cfg.Signer.Index() == int(e.cfg.Self) {
-		auth.MarkSigned(sig)
-	}
-}
-
 func (e *Engine) maybeVote(inst *instance) {
 	if !inst.validated || inst.sentPrepare || e.inViewChange || inst.view != e.view {
 		return
@@ -542,8 +530,7 @@ func (e *Engine) maybeVote(inst *instance) {
 	inst.sentPrepare = true
 	p := &inst.prepare
 	*p = Prepare{View: inst.view, Seq: inst.seq, Digest: inst.digest, Replica: e.cfg.Self}
-	p.Sig = e.cfg.Signer.Sign(p.signDigest()) //predis:allocok the signature
-	e.signedByMe(&p.auth, p.Sig)
+	p.Sig = p.auth.Sign(e.cfg.Signer, int(e.cfg.Self), p.signDigest()) //predis:allocok the signature
 	env.Multicast(e.ctx, e.peers, p)
 	e.recordPrepare(inst, e.cfg.Self)
 }
@@ -568,8 +555,7 @@ func (e *Engine) sendCommit(inst *instance) {
 	inst.sentCommit = true
 	c := &inst.commit
 	*c = Commit{View: inst.view, Seq: inst.seq, Digest: inst.digest, Replica: e.cfg.Self}
-	c.Sig = e.cfg.Signer.Sign(c.signDigest()) //predis:allocok the signature
-	e.signedByMe(&c.auth, c.Sig)
+	c.Sig = c.auth.Sign(e.cfg.Signer, int(e.cfg.Self), c.signDigest()) //predis:allocok the signature
 	env.Multicast(e.ctx, e.peers, c)
 	e.recordCommit(inst, e.cfg.Self)
 }
@@ -583,11 +569,8 @@ func (e *Engine) onPrepare(from wire.NodeID, m *Prepare) {
 	if m.Seq <= e.lastExec || m.Replica != from || int(m.Replica) >= e.cfg.N {
 		return
 	}
-	if !m.auth.Signed(m.Sig) {
-		if !e.cfg.Signer.Verify(int(m.Replica), m.signDigest(), m.Sig) {
-			return
-		}
-		m.auth.MarkSigned(m.Sig)
+	if !m.auth.Signed(m.Sig) && !m.auth.Verify(e.cfg.Signer, int(m.Replica), m.signDigest(), m.Sig) {
+		return
 	}
 	inst := e.getInstance(m.Seq, m.View, m.Digest)
 	if inst.view != m.View || inst.digest != m.Digest {
@@ -605,11 +588,8 @@ func (e *Engine) onCommit(from wire.NodeID, m *Commit) {
 	if m.Seq <= e.lastExec || m.Replica != from || int(m.Replica) >= e.cfg.N {
 		return
 	}
-	if !m.auth.Signed(m.Sig) {
-		if !e.cfg.Signer.Verify(int(m.Replica), m.signDigest(), m.Sig) {
-			return
-		}
-		m.auth.MarkSigned(m.Sig)
+	if !m.auth.Signed(m.Sig) && !m.auth.Verify(e.cfg.Signer, int(m.Replica), m.signDigest(), m.Sig) {
+		return
 	}
 	inst := e.getInstance(m.Seq, m.View, m.Digest)
 	if inst.view != m.View || inst.digest != m.Digest {

@@ -64,7 +64,7 @@ func (o *Op) payloadLen() int {
 }
 
 // appendPayload appends the op payload (everything after the kind byte)
-// to b. It is the single encoding definition: EncodeTo and HashStateless
+// to b. It is the single encoding definition: EncodeTo and Hash
 // both feed from it, so wire identity and hash identity cannot drift.
 func (o *Op) appendPayload(b []byte) []byte {
 	switch o.Kind {

@@ -34,10 +34,10 @@ const MinTxSize = txFixedLen
 type Transaction struct {
 	// Client identifies the submitting client (a node ID in the runtime).
 	Client wire.NodeID
-	// Seq is the client-local sequence number; (Client, Seq) is unique.
-	Seq uint64
 	// Size is the full encoded size of the transaction in bytes.
 	Size uint32
+	// Seq is the client-local sequence number; (Client, Seq) is unique.
+	Seq uint64
 	// Submitted is the submission time as nanoseconds since the simulation
 	// epoch; carried on the wire so any replica can compute end-to-end
 	// latency for measurement.
@@ -46,8 +46,11 @@ type Transaction struct {
 	// the zero value (OpOpaque) keeps the transaction a pure payload.
 	Op Op
 
-	hash    crypto.Hash
-	hashSet bool
+	// hash memoizes Hash(), valid while memo is owned (see crypto.Memo):
+	// a value copy re-derives it, so a copy with an edited field never
+	// answers with the original's identity.
+	hash crypto.Hash
+	memo crypto.Memo
 }
 
 // NewTransaction builds a transaction with the given identity and size.
@@ -66,20 +69,16 @@ func MakeTransaction(client wire.NodeID, seq uint64, size uint32, submitted time
 	return Transaction{Client: client, Seq: seq, Size: size, Submitted: int64(submitted)}
 }
 
-// Hash returns the transaction identity, computed lazily and cached. It
+// Hash returns the transaction identity, memoized on the transaction. It
 // covers the real fields only (padding is deterministic).
+//
+//predis:hotpath
 func (t *Transaction) Hash() crypto.Hash {
-	if !t.hashSet {
-		t.hash = t.HashStateless()
-		t.hashSet = true
+	if t.memo.Own() {
+		return t.hash
 	}
-	return t.hash
-}
-
-// HashStateless computes the transaction identity without reading or
-// writing the memo. The identity covers the op: two transactions
-// differing only in their semantic effect must not collide.
-func (t *Transaction) HashStateless() crypto.Hash {
+	// The identity covers the op: two transactions differing only in
+	// their semantic effect must not collide.
 	var arr [txFixedLen + maxOpPayload]byte
 	b := arr[:0]
 	b = binary.BigEndian.AppendUint32(b, uint32(t.Client))
@@ -88,7 +87,9 @@ func (t *Transaction) HashStateless() crypto.Hash {
 	b = binary.BigEndian.AppendUint64(b, uint64(t.Submitted))
 	b = append(b, byte(t.Op.Kind))
 	b = t.Op.appendPayload(b)
-	return crypto.HashBytes(b)
+	t.hash = crypto.HashBytes(b)
+	t.memo.Claim()
+	return t.hash
 }
 
 // WithOp attaches a semantic operation, growing Size when the op payload

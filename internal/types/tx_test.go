@@ -25,6 +25,12 @@ func TestTransactionHashIdentity(t *testing.T) {
 	if a.Hash() == d.Hash() {
 		t.Fatal("different client must hash differently")
 	}
+	// A value copy of a hashed transaction re-derives its identity.
+	e := *a
+	e.Seq = 3
+	if e.Hash() != c.Hash() {
+		t.Fatal("a value copy with another seq kept the original's hash")
+	}
 }
 
 func TestTransactionMinSize(t *testing.T) {

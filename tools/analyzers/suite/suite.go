@@ -10,6 +10,7 @@ import (
 	"predis/tools/analyzers/handlercomplete"
 	"predis/tools/analyzers/hotalloc"
 	"predis/tools/analyzers/lockorder"
+	"predis/tools/analyzers/memoguard"
 	"predis/tools/analyzers/wiresym"
 )
 
@@ -22,6 +23,7 @@ func All() []*analysis.Analyzer {
 		handlercomplete.Analyzer,
 		hotalloc.Analyzer,
 		lockorder.Analyzer,
+		memoguard.Analyzer,
 		wiresym.Analyzer,
 	}
 }
