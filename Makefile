@@ -60,7 +60,7 @@ race:
 
 # smoke: the checks no `go test` runs, one row each. `make smoke` runs
 # every row and names the one that failed; `make smoke ROW=replay` runs one.
-SMOKE_ROWS = bench replay fuzz scale examples
+SMOKE_ROWS = bench replay fuzz scale examples rt
 ROW ?= $(SMOKE_ROWS)
 
 # bench: the root benchmarks (bench_scale_test.go, population cost) still
@@ -94,17 +94,23 @@ smoke_fuzz = go test ./internal/wire/ -run '^$$' -fuzz FuzzUnmarshal -fuzztime 1
 smoke_scale = go build -o bin/predis-bench ./cmd/predis-bench \
 	&& timeout 60 ./bin/predis-bench -quick -parallel 4 scale >/dev/null
 
-# examples: every example runs and checks its own outcome, exiting non-zero
-# on a violation: quickstart when nothing confirms, bank unless all replicas
-# agree on the balances, multizone when a full node completes no block or a
-# zone lacks exactly one relayer per stripe index (the placement rule), and
-# faults' narrated scenarios (partition, leader crash, relayer outage,
-# corrupting relayer) assert internally; scenario 3's skip-sync anchor is
-# sensitive to pull timing.
+# examples: every example is a harness.Deploy that runs and checks its own
+# outcome, exiting non-zero on a violation: quickstart when nothing
+# confirms, bank unless all replicas end on the same height and state root,
+# multizone when a full node completes no block or a zone lacks exactly one
+# relayer per stripe index (the placement rule), and faults' narrated
+# scenarios (forking attack, silent leader, relayer crash, corrupting
+# relayer) assert internally.
 smoke_examples = go run ./examples/quickstart >/dev/null \
 	&& go run ./examples/bank >/dev/null \
 	&& go run ./examples/multizone >/dev/null \
 	&& go run ./examples/faults >/dev/null
+
+# rt: the same node and client over real loopback TCP with Ed25519 keys —
+# four predis-node processes and a predis-client at 300 tx/s for 3 s; fails
+# unless something confirms, and kills every node when it ends.
+smoke_rt = go build -o bin/ ./cmd/predis-node ./cmd/predis-client \
+	&& timeout 30 tools/rtsmoke.sh bin
 
 smoke:
 	@mkdir -p bin

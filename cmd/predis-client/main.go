@@ -1,6 +1,7 @@
-// Command predis-client is a TCP load generator: it submits transactions
-// to a running predis-node deployment at a fixed rate, waits for f+1
-// matching replies per transaction, and reports throughput and latency.
+// Command predis-client is a TCP load generator: it runs the simulator's
+// open-loop workload.Client, with a workload.Collector, against a running
+// predis-node deployment over the rtnet runtime, and reports throughput and
+// latency (submit → f+1 matching replies).
 package main
 
 import (
@@ -9,154 +10,101 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
-	"predis/internal/env"
+	"predis/internal/consensus"
 	"predis/internal/node"
 	"predis/internal/rtnet"
-	"predis/internal/stats"
-	"predis/internal/types"
 	"predis/internal/wire"
+	"predis/internal/workload"
 )
 
-// clientHandler implements the reply side of the client protocol over
-// rtnet. Unlike the simulator's workload.Client it runs in real time.
-type clientHandler struct {
-	mu      sync.Mutex
-	ctx     env.Context
-	f       int
-	pending map[uint64]*pendingTx
-	lats    []time.Duration
-	done    int
-}
+// drain is how long the client keeps collecting replies after it stops
+// generating.
+const drain = 2 * time.Second
 
-type pendingTx struct {
-	submitted time.Time
-	replies   map[wire.NodeID]struct{}
-}
-
-func (c *clientHandler) Start(ctx env.Context) { c.ctx = ctx }
-
-func (c *clientHandler) Receive(from wire.NodeID, m wire.Message) {
-	reply, ok := m.(*types.BlockReply)
-	if !ok {
-		return
-	}
-	now := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, seq := range reply.Seqs {
-		p, ok := c.pending[seq]
-		if !ok {
-			continue
-		}
-		p.replies[reply.Replica] = struct{}{}
-		if len(p.replies) >= c.f+1 {
-			c.lats = append(c.lats, now.Sub(p.submitted))
-			c.done++
-			delete(c.pending, seq)
-		}
-	}
+var policies = map[string]workload.TargetPolicy{
+	"roundrobin": workload.RoundRobin, "first": workload.FirstOnly, "broadcast": workload.Broadcast,
 }
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
+// run returns the exit status: 2 for a bad command line, 1 when the client
+// cannot start.
+func run(args []string) int {
+	fs := flag.NewFlagSet("predis-client", flag.ContinueOnError)
 	var (
-		id       = flag.Uint("id", 1000, "client node id (distinct from consensus ids)")
-		targets  = flag.String("targets", "", "comma-separated id=host:port of consensus nodes")
-		rate     = flag.Float64("rate", 200, "offered load, tx/s")
-		txSize   = flag.Uint("txsize", 512, "transaction size in bytes")
-		duration = flag.Duration("duration", 10*time.Second, "generation duration")
-		policy   = flag.String("policy", "roundrobin", "target policy: roundrobin|first|broadcast")
+		id       = fs.Uint("id", 1000, "client node id (distinct from consensus ids)")
+		targets  = fs.String("targets", "", "comma-separated id=host:port of the consensus nodes and of this client, where it listens for replies")
+		rate     = fs.Float64("rate", 200, "offered load, tx/s")
+		txSize   = fs.Uint("txsize", 512, "transaction size in bytes")
+		duration = fs.Duration("duration", 10*time.Second, "generation duration")
+		policy   = fs.String("policy", "roundrobin", "target policy: roundrobin|first|broadcast")
 	)
-	flag.Parse()
-
-	peerMap := make(map[wire.NodeID]string)
-	var ids []wire.NodeID
-	for _, part := range strings.Split(*targets, ",") {
-		if part == "" {
-			continue
-		}
-		kv := strings.SplitN(part, "=", 2)
-		if len(kv) != 2 {
-			fmt.Fprintf(os.Stderr, "predis-client: bad target %q\n", part)
-			return 2
-		}
-		tid, err := strconv.ParseUint(kv[0], 10, 32)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "predis-client: bad target id %q\n", kv[0])
-			return 2
-		}
-		peerMap[wire.NodeID(tid)] = kv[1]
-		ids = append(ids, wire.NodeID(tid))
-	}
-	if len(ids) == 0 {
-		fmt.Fprintln(os.Stderr, "predis-client: -targets is required")
+	if fs.Parse(args) != nil {
 		return 2
 	}
-	f := (len(ids) - 1) / 3
+	self := wire.NodeID(*id)
+	peers, ids, err := parseTargets(*targets, self)
+	pol, ok := policies[*policy]
+	if err == nil && !ok {
+		err = fmt.Errorf("unknown policy %q", *policy)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "predis-client:", err)
+		return 2
+	}
 
 	node.RegisterAllMessages()
-	h := &clientHandler{f: f, pending: make(map[uint64]*pendingTx)}
-	rt, err := rtnet.New(rtnet.Config{
-		Self: wire.NodeID(*id), Listen: "127.0.0.1:0", Peers: peerMap, LogWriter: os.Stderr,
-	}, h)
+	start := time.Now()
+	col := workload.NewCollector(start, start.Add(*duration+drain))
+	f := consensus.FaultBound(len(ids))
+	cl := workload.NewClient(workload.ClientConfig{
+		Self: self, Targets: ids, Policy: pol,
+		Rate: *rate, TxSize: uint32(*txSize), F: f,
+		Epoch: start, GenStart: start, GenStop: start.Add(*duration),
+		Collector: col,
+	})
+	rt, err := rtnet.New(rtnet.Config{Self: self, Listen: peers[self], Peers: peers, LogWriter: os.Stderr}, cl)
+	if err == nil {
+		err = rt.Start()
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "predis-client:", err)
 		return 1
 	}
-	if err := rt.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, "predis-client:", err)
-		return 1
-	}
-	defer rt.Close()
+	fmt.Printf("client %d: %.0f tx/s for %v against %d nodes (f=%d)\n", *id, *rate, *duration, len(ids), f)
+	time.Sleep(*duration + drain)
+	rt.Close() // no callback runs after Close, so the collector is ours
 
-	fmt.Printf("client %d: %0.f tx/s for %v against %d nodes (f=%d)\n",
-		*id, *rate, *duration, len(ids), f)
-	start := time.Now()
-	interval := time.Duration(float64(time.Second) / *rate)
-	if interval <= 0 {
-		interval = time.Millisecond
-	}
-	var seq uint64
-	next := 0
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for now := range ticker.C {
-		if now.Sub(start) > *duration {
-			break
-		}
-		seq++
-		tx := types.NewTransaction(wire.NodeID(*id), seq, uint32(*txSize), now.Sub(start))
-		h.mu.Lock()
-		h.pending[seq] = &pendingTx{submitted: now, replies: make(map[wire.NodeID]struct{})}
-		h.mu.Unlock()
-		switch *policy {
-		case "broadcast":
-			for _, t := range ids {
-				h.ctx.Send(t, &types.SubmitTx{Tx: tx, Target: t})
-			}
-		case "first":
-			h.ctx.Send(ids[0], &types.SubmitTx{Tx: tx, Target: ids[0]})
-		default:
-			t := ids[next%len(ids)]
-			next++
-			h.ctx.Send(t, &types.SubmitTx{Tx: tx, Target: t})
-		}
-	}
-
-	// Drain window for in-flight transactions.
-	time.Sleep(2 * time.Second)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	elapsed := time.Since(start) - 2*time.Second
-	sum := stats.Summarize(h.lats)
+	submitted, confirmed, _, _ := col.Counts()
+	lat := col.Latency()
 	fmt.Printf("submitted=%d confirmed=%d throughput=%.0f tx/s\n",
-		seq, h.done, float64(h.done)/elapsed.Seconds())
-	fmt.Printf("latency: mean=%v p50=%v p90=%v p99=%v\n", sum.Mean, sum.P50, sum.P90, sum.P99)
+		submitted, confirmed, float64(confirmed)/duration.Seconds())
+	fmt.Printf("latency: mean=%v p50=%v p90=%v p99=%v\n", lat.Mean, lat.P50, lat.P90, lat.P99)
 	return 0
+}
+
+// parseTargets reads the id=host:port list: every entry but self's is a
+// consensus node, in the order given, and self's is the reply address.
+func parseTargets(s string, self wire.NodeID) (map[wire.NodeID]string, []wire.NodeID, error) {
+	peers := make(map[wire.NodeID]string)
+	var ids []wire.NodeID
+	for _, part := range strings.Split(s, ",") {
+		kv := strings.SplitN(part, "=", 2)
+		tid, err := strconv.ParseUint(kv[0], 10, 32)
+		if len(kv) != 2 || err != nil {
+			return nil, nil, fmt.Errorf("bad target %q (want id=host:port)", part)
+		}
+		peers[wire.NodeID(tid)] = kv[1]
+		if wire.NodeID(tid) != self {
+			ids = append(ids, wire.NodeID(tid))
+		}
+	}
+	if len(ids) == 0 || peers[self] == "" {
+		return nil, nil, fmt.Errorf("-targets must list the consensus nodes and this client (%d), where it listens for replies", self)
+	}
+	return peers, ids, nil
 }

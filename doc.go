@@ -24,7 +24,8 @@
 //   - internal/simnet — a deterministic discrete-event simulator with
 //     per-NIC bandwidth serialization, latency matrices, and fault
 //     injection; every figure is measured here.
-//   - internal/rtnet — the same handlers over real TCP (cmd/predis-node).
+//   - internal/rtnet — the same handlers over real TCP (cmd/predis-node
+//     and cmd/predis-client, which runs the simulator's workload.Client).
 //
 // Substrates: internal/wire (binary codec with wire-size accounting),
 // internal/crypto (ed25519 + simulation signers), internal/merkle,

@@ -1,9 +1,10 @@
-// Bank: a payment ledger replicated with Predis-on-PBFT (P-PBFT). Each
-// transaction encodes a transfer between accounts derived from its
-// identity; every replica applies committed transfers to its own balance
-// table, and the program verifies at the end that all four replicas
-// computed identical balances — the state-machine-replication guarantee
-// built on Theorem 3.3 (identical candidate blocks).
+// Bank: a payment ledger replicated with Predis-on-PBFT (P-PBFT), built by
+// harness.Deploy with its sim keys. Every transaction carries a transfer
+// between two of 16 accounts, drawn uniformly (a Zipf generator at θ = 0);
+// each replica executes committed blocks on its own exec.Machine, and the
+// program verifies at the end that all four replicas reached the same
+// height and state root — the state-machine-replication guarantee built on
+// Theorem 3.3 (identical candidate blocks).
 //
 //	go run ./examples/bank
 package main
@@ -13,45 +14,17 @@ import (
 	"os"
 	"time"
 
-	"predis/internal/crypto"
+	"predis/internal/exec"
+	"predis/internal/harness"
 	"predis/internal/node"
-	"predis/internal/simnet"
-	"predis/internal/types"
-	"predis/internal/wire"
 	"predis/internal/workload"
 )
 
-const accounts = 16
-
-// ledger is one replica's application state.
-type ledger struct {
-	balances [accounts]int64
-	applied  int
-}
-
-// apply executes one transaction as a transfer: the payer, payee, and
-// amount are derived deterministically from the transaction identity, so
-// every replica computes the same transition without any payload parsing.
-func (l *ledger) apply(tx *types.Transaction) {
-	h := tx.Hash()
-	payer := int(h[0]) % accounts
-	payee := int(h[1]) % accounts
-	amount := int64(h[2]%9) + 1
-	l.balances[payer] -= amount
-	l.balances[payee] += amount
-	l.applied++
-}
-
-// digest summarizes the balance table for cross-replica comparison.
-func (l *ledger) digest() crypto.Hash {
-	e := make([]byte, 0, accounts*8)
-	for _, b := range l.balances {
-		v := uint64(b)
-		e = append(e, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-			byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-	}
-	return crypto.HashBytes(e)
-}
+const (
+	nc       = 4
+	accounts = 16
+	genesis  = 1000 // every account's opening balance
+)
 
 func main() {
 	if err := run(); err != nil {
@@ -61,80 +34,39 @@ func main() {
 }
 
 func run() error {
-	const (
-		nc       = 4
-		f        = 1
-		duration = 3 * time.Second
-	)
-	node.RegisterAllMessages()
-	net := simnet.New(simnet.Config{
-		Uplink: simnet.Mbps100, Downlink: simnet.Mbps100,
-		Latency: simnet.LANLatency(), Seed: 7,
-	})
-	suite := crypto.NewEd25519Suite(nc, 99)
-
-	ledgers := make([]*ledger, nc)
-	for i := 0; i < nc; i++ {
-		i := i
-		ledgers[i] = &ledger{}
-		n, err := node.New(node.Config{
-			Mode:           node.ModePredis,
-			Engine:         node.EnginePBFT,
-			NC:             nc,
-			F:              f,
-			Self:           wire.NodeID(i),
-			Signer:         suite.Signer(i),
-			BundleSize:     50,
-			BundleInterval: 20 * time.Millisecond,
-			ViewTimeout:    time.Second,
-			ReplyToClients: true,
-			OnCommit: func(height uint64, txs []*types.Transaction) {
-				for _, tx := range txs {
-					ledgers[i].apply(tx)
-				}
-			},
-		})
-		if err != nil {
-			return err
-		}
-		net.AddNode(wire.NodeID(i), n)
-	}
-
-	for k := 0; k < 2; k++ {
-		net.AddNode(wire.NodeID(200+k), workload.NewClient(workload.ClientConfig{
-			Self:     wire.NodeID(200 + k),
-			Targets:  []wire.NodeID{0, 1, 2, 3},
-			Policy:   workload.RoundRobin,
-			Rate:     400,
-			TxSize:   types.DefaultTxSize,
-			F:        f,
-			Epoch:    simnet.Epoch,
-			GenStart: simnet.Epoch.Add(50 * time.Millisecond),
-			GenStop:  simnet.Epoch.Add(duration),
-		}))
+	machines := make([]*exec.Machine, nc)
+	dep, err := harness.Deploy{
+		System: harness.SysPPBFT, NC: nc, ViewTimeout: time.Second,
+		Offered: 800, Load: 3 * time.Second, Seed: 7,
+		Ops: workload.NewZipfOps(workload.ZipfConfig{Accounts: accounts, Amount: 5, Seed: 99}).Op,
+		Host: func(cfg *node.Config) {
+			machines[cfg.Self] = exec.NewMachine(genesis)
+			cfg.Executor = machines[cfg.Self]
+		},
+	}.Build()
+	if err != nil {
+		return err
 	}
 
 	fmt.Println("bank: replicating transfers over P-PBFT…")
-	net.Start()
-	net.Run(duration + 2*time.Second)
+	dep.Net.Start()
+	dep.Net.Run(dep.End + 2*time.Second) // the load, then drain in-flight blocks
 
-	ref := ledgers[0].digest()
-	for i := 1; i < nc; i++ {
-		if ledgers[i].applied != ledgers[0].applied {
-			return fmt.Errorf("replica %d applied %d transfers, replica 0 applied %d",
-				i, ledgers[i].applied, ledgers[0].applied)
-		}
-		if ledgers[i].digest() != ref {
-			return fmt.Errorf("replica %d diverged from replica 0", i)
+	ref := machines[0]
+	for i, m := range machines[1:] {
+		if m.Height() != ref.Height() || m.StateRoot() != ref.StateRoot() {
+			return fmt.Errorf("replica %d at height %d, root %s; replica 0 at height %d, root %s",
+				i+1, m.Height(), m.StateRoot().Short(), ref.Height(), ref.StateRoot().Short())
 		}
 	}
-	fmt.Printf("all %d replicas applied %d transfers and agree (state digest %s)\n",
-		nc, ledgers[0].applied, ref.Short())
+	st := ref.Stats()
+	fmt.Printf("all %d replicas executed %d blocks (%d transfers applied, %d aborted) and agree (state root %s)\n",
+		nc, ref.Height(), st.Applied, st.Aborted, ref.StateRoot().Short())
 	fmt.Println("sample balances at replica 0:")
-	for a := 0; a < 4; a++ {
-		fmt.Printf("  account %2d: %+d\n", a, ledgers[0].balances[a])
+	for a := uint64(0); a < 4; a++ {
+		fmt.Printf("  account %2d: %d\n", a, ref.Balance(a))
 	}
-	if ledgers[0].applied == 0 {
+	if st.Applied == 0 {
 		return fmt.Errorf("nothing committed")
 	}
 	return nil

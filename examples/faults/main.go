@@ -1,4 +1,6 @@
-// Faults: four failure scenarios from the paper, end to end.
+// Faults: four failure scenarios from the paper, end to end. Scenario 1
+// drives the core data structures with Ed25519 keys; scenarios 2–4 are
+// harness.Deploy deployments (sim keys) under a faults schedule.
 //
 // Scenario 1 — forking attack (§III-E): a malicious producer signs two
 // conflicting bundles at the same height. The first honest node to see
@@ -32,17 +34,17 @@ import (
 	"os"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"predis/internal/core"
 	"predis/internal/crypto"
 	"predis/internal/faults"
+	"predis/internal/harness"
 	"predis/internal/multizone"
 	"predis/internal/node"
-	"predis/internal/simnet"
 	"predis/internal/types"
 	"predis/internal/wire"
-	"predis/internal/workload"
 )
 
 func main() {
@@ -122,63 +124,33 @@ func forkingAttack() error {
 // silentLeader runs a live network whose first leader is silent.
 func silentLeader() error {
 	fmt.Println("scenario 2: silent leader → view change")
-	const (
-		nc       = 4
-		f        = 1
-		duration = 6 * time.Second
-	)
-	node.RegisterAllMessages()
-	net := simnet.New(simnet.Config{
-		Uplink: simnet.Mbps100, Downlink: simnet.Mbps100,
-		Latency: simnet.LANLatency(), Seed: 5,
-	})
-	suite := crypto.NewEd25519Suite(nc, 12)
-
+	const nc = 4
 	commits := make([]int, nc)
-	nodes := make([]*node.Node, nc)
-	for i := 0; i < nc; i++ {
-		i := i
-		n, err := node.New(node.Config{
-			Mode:           node.ModePredis,
-			Engine:         node.EnginePBFT,
-			NC:             nc,
-			F:              f,
-			Self:           wire.NodeID(i),
-			Signer:         suite.Signer(i),
-			BundleSize:     25,
-			BundleInterval: 20 * time.Millisecond,
-			ViewTimeout:    time.Second,
-			ReplyToClients: true,
-			OnCommit: func(height uint64, txs []*types.Transaction) {
-				commits[i] += len(txs)
-			},
-		})
-		if err != nil {
-			return err
-		}
-		nodes[i] = n
-		net.AddNode(wire.NodeID(i), n)
+	dep, err := harness.Deploy{
+		System: harness.SysPPBFT, NC: nc, BundleSize: 25, ViewTimeout: time.Second,
+		Offered: 300, Load: 6 * time.Second, Seed: 5,
+		Host: func(cfg *node.Config) {
+			self, record := cfg.Self, cfg.OnCommit
+			cfg.OnCommit = func(height uint64, txs []*types.Transaction) {
+				commits[self] += len(txs)
+				if record != nil {
+					record(height, txs)
+				}
+			}
+		},
+	}.Build()
+	if err != nil {
+		return err
 	}
-	net.AddNode(300, workload.NewClient(workload.ClientConfig{
-		Self:     300,
-		Targets:  []wire.NodeID{1, 2, 3}, // honest nodes only
-		Policy:   workload.RoundRobin,
-		Rate:     300,
-		TxSize:   types.DefaultTxSize,
-		F:        f,
-		Epoch:    simnet.Epoch,
-		GenStart: simnet.Epoch.Add(50 * time.Millisecond),
-		GenStop:  simnet.Epoch.Add(duration),
-	}))
 
 	// The view-0 leader says nothing for the whole run.
-	faults.Install(net, faults.Schedule{Actions: []faults.Action{
-		faults.Silent{Node: 0, To: duration + time.Second}}})
+	faults.Install(dep.Net, faults.Schedule{Actions: []faults.Action{
+		faults.Silent{Node: 0, To: dep.End + time.Second}}})
 	fmt.Println("  node 0 leads view 0 but is silent; followers must replace it…")
-	net.Start()
-	net.Run(duration + time.Second)
+	dep.Net.Start()
+	dep.Net.Run(dep.End + time.Second)
 
-	v := nodes[1].Engine().View()
+	v := dep.Hosts[1].Engine().View()
 	fmt.Printf("  node 1 is now in view %d (0 would mean no view change)\n", v)
 	if v == 0 {
 		return fmt.Errorf("no view change happened")
@@ -200,12 +172,15 @@ func silentLeader() error {
 func relayerCrash() error {
 	fmt.Println("scenario 3: relayer crash → hand-over → catch-up")
 	crashAt, restartAt := 4*time.Second, 7*time.Second
-	victim := zoneFull(0) // first joiner: claims stripes, relays
-	z, err := buildZone(21, faults.CrashWindow{Node: victim, From: crashAt, To: restartAt})
+	d := zone(21)
+	victim := d.Fulls[0].ID // first joiner: claims stripes, relays
+	dists := make([]*multizone.Distributor, d.NC)
+	d.Host = func(cfg *node.Config) { dists[cfg.Self] = cfg.Dist.(*multizone.Distributor) }
+	dep, inj, err := build(d, faults.CrashWindow{Node: victim, From: crashAt, To: restartAt})
 	if err != nil {
 		return err
 	}
-	net, hosts, fulls := z.net, z.hosts, z.fulls
+	net, fulls := dep.Net, dep.Fulls
 
 	// Timeline probe: every second, report who relays, whom each consensus
 	// node streams to, and where the victim's chain head is relative to the
@@ -213,8 +188,8 @@ func relayerCrash() error {
 	// the victim before the crash dropped it during the outage.
 	var streamed []int
 	net.At(crashAt-time.Millisecond, func() {
-		for i, h := range hosts {
-			if slices.Contains(h.Dist.Subscribers(), victim) {
+		for i, dist := range dists {
+			if slices.Contains(dist.Subscribers(), victim) {
 				streamed = append(streamed, i)
 			}
 		}
@@ -223,7 +198,7 @@ func relayerCrash() error {
 	for at := crashAt; at < restartAt; at += 10 * time.Millisecond {
 		net.At(at, func() {
 			for _, i := range streamed {
-				dropped = dropped || !slices.Contains(hosts[i].Dist.Subscribers(), victim)
+				dropped = dropped || !slices.Contains(dists[i].Subscribers(), victim)
 			}
 		})
 	}
@@ -237,7 +212,7 @@ func relayerCrash() error {
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		return ids
 	}
-	for s := 1; s <= int(zoneRun/time.Second); s++ {
+	for s := 1; s <= int(dep.End/time.Second); s++ {
 		at := time.Duration(s) * time.Second
 		net.At(at, func() {
 			var live uint64
@@ -254,9 +229,9 @@ func relayerCrash() error {
 			case v.CatchingUp():
 				state = "catching up"
 			}
-			streams := make([][]wire.NodeID, len(hosts))
-			for i, h := range hosts {
-				streams[i] = h.Dist.Subscribers()
+			streams := make([][]wire.NodeID, len(dists))
+			for i, dist := range dists {
+				streams[i] = dist.Subscribers()
 			}
 			fmt.Printf("  t=%2.0fs  relayers=%v  streams=%v  victim head=%3d (%s)  live head=%3d\n",
 				at.Seconds(), relayers(), streams, v.LastHeight(), state, live)
@@ -266,10 +241,10 @@ func relayerCrash() error {
 	fmt.Printf("  victim %d is the zone's first relayer; crash window [%v, %v)\n",
 		victim, crashAt, restartAt)
 	net.Start()
-	net.Run(zoneRun)
+	net.Run(dep.End)
 
 	fmt.Println("  fault schedule trace:")
-	fmt.Print(indent(z.inj.TraceString(), "    "))
+	fmt.Print(indent(inj.TraceString()))
 
 	var live uint64
 	for _, fn := range fulls {
@@ -299,21 +274,22 @@ func relayerCrash() error {
 func corruptingRelayer() error {
 	fmt.Println("scenario 4: corrupting relayer → reject → refetch → quarantine")
 	attackFrom, attackTo := 4*time.Second, 7*time.Second
-	evil := zoneFull(0) // first joiner: claims stripes, so its forgeries fan out widest
-	z, err := buildZone(23, faults.CorruptStripe{Node: evil, From: attackFrom, To: attackTo})
+	d := zone(23)
+	evil := d.Fulls[0].ID // first joiner: claims stripes, so its forgeries fan out widest
+	dep, inj, err := build(d, faults.CorruptStripe{Node: evil, From: attackFrom, To: attackTo})
 	if err != nil {
 		return err
 	}
-	net, fulls := z.net, z.fulls
 
 	fmt.Printf("  node %d's outgoing stripes are forged during [%v, %v)\n",
 		evil, attackFrom, attackTo)
-	net.Start()
-	net.Run(zoneRun)
+	dep.Net.Start()
+	dep.Net.Run(dep.End)
 
 	fmt.Println("  fault schedule trace:")
-	fmt.Print(indent(z.inj.TraceString(), "    "))
+	fmt.Print(indent(inj.TraceString()))
 
+	fulls := dep.Fulls
 	var rejected, refetches, quarantines uint64
 	for _, fn := range fulls {
 		rj, rf, q, _ := fn.ByzStats()
@@ -340,109 +316,29 @@ func corruptingRelayer() error {
 	return nil
 }
 
-// zoneRun is how long scenarios 3 and 4 run their zone.
-const zoneRun = 12 * time.Second
-
-// zoneFull is the ID of the k-th full node to join the zone.
-func zoneFull(k int) wire.NodeID { return wire.NodeID(100 + k) }
-
 // zone is the deployment scenarios 3 and 4 share: four P-PBFT consensus
-// hosts, one zone of six full nodes joining 20 ms apart, one 300 tx/s
-// client, and a fault schedule of one action.
-type zone struct {
-	net   *simnet.Network
-	hosts []*multizone.ConsensusHost
-	fulls []*multizone.FullNode
-	inj   *faults.Injector
+// nodes, one zone of six full nodes 100..105 joining 20 ms apart, and
+// 300 tx/s of load for 12 s.
+func zone(seed int64) harness.Deploy {
+	return harness.Deploy{
+		System: harness.SysPPBFT, NC: 4, Fulls: harness.ZoneMajor(1, 6),
+		BundleSize: 25, ViewTimeout: time.Second, JoinSpacing: 20 * time.Millisecond,
+		AliveInterval: 200 * time.Millisecond, DigestInterval: time.Second,
+		Offered: 300, Load: 12 * time.Second, Seed: seed,
+	}
 }
 
-// buildZone builds the shared zone deployment; seed drives the network
-// and the fault schedule.
-func buildZone(seed int64, fault faults.Action) (*zone, error) {
-	const (
-		nc, f   = 4, 1
-		perZone = 6
-		rate    = 300.0
-	)
-	node.RegisterAllMessages()
-	multizone.RegisterMessages()
-	z := &zone{net: simnet.New(simnet.Config{
-		Uplink: simnet.Mbps100, Downlink: simnet.Mbps100,
-		Latency: simnet.LANLatency(), Seed: seed,
-	})}
-	suite := crypto.NewSimSuite(nc, 31)
-	striper, err := multizone.NewStriper(nc, f)
+// build builds d and installs a fault schedule of one action, seeded like
+// the network.
+func build(d harness.Deploy, fault faults.Action) (*harness.Deployment, *faults.Injector, error) {
+	dep, err := d.Build()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	for i := 0; i < nc; i++ {
-		host, err := multizone.NewConsensusHost(multizone.HostConfig{
-			NC: nc, F: f, Self: wire.NodeID(i),
-			Signer:         suite.Signer(i),
-			Engine:         node.EnginePBFT,
-			BundleSize:     25,
-			BundleInterval: 20 * time.Millisecond,
-			ViewTimeout:    time.Second,
-			Striper:        striper,
-			ReplyToClients: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		z.hosts = append(z.hosts, host)
-		z.net.AddNode(wire.NodeID(i), host)
-	}
-	for k := 0; k < perZone; k++ {
-		peers := make([]wire.NodeID, 0, perZone-1)
-		for p := 0; p < perZone; p++ {
-			if p != k {
-				peers = append(peers, zoneFull(p))
-			}
-		}
-		fn, err := multizone.NewFullNode(multizone.FullNodeConfig{
-			Self: zoneFull(k), Zone: 0, JoinSeq: uint64(k),
-			NC: nc, F: f,
-			Striper:        striper,
-			Signer:         suite.Signer(0),
-			ZonePeers:      peers,
-			AliveInterval:  200 * time.Millisecond,
-			DigestInterval: time.Second,
-		})
-		if err != nil {
-			return nil, err
-		}
-		z.fulls = append(z.fulls, fn)
-		z.net.AddNode(zoneFull(k), &multizone.Delayed{Inner: fn, Delay: time.Duration(k) * 20 * time.Millisecond})
-	}
-
-	z.inj = faults.Install(z.net, faults.Schedule{Seed: seed, Actions: []faults.Action{fault}})
-
-	targets := make([]wire.NodeID, nc)
-	for i := range targets {
-		targets[i] = wire.NodeID(i)
-	}
-	z.net.AddNode(400, workload.NewClient(workload.ClientConfig{
-		Self: 400, Targets: targets, Policy: workload.RoundRobin,
-		Rate: rate, TxSize: types.DefaultTxSize, F: f,
-		Epoch:    simnet.Epoch,
-		GenStart: simnet.Epoch.Add(300 * time.Millisecond),
-		GenStop:  simnet.Epoch.Add(zoneRun),
-	}))
-	return z, nil
+	return dep, faults.Install(dep.Net, faults.Schedule{Seed: d.Seed, Actions: []faults.Action{fault}}), nil
 }
 
-// indent prefixes every line of s.
-func indent(s, pre string) string {
-	out := ""
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			out += pre + s[start:i+1]
-			start = i + 1
-		}
-	}
-	if start < len(s) {
-		out += pre + s[start:] + "\n"
-	}
-	return out
+// indent prefixes every line of a fault trace.
+func indent(s string) string {
+	return "    " + strings.ReplaceAll(strings.TrimSuffix(s, "\n"), "\n", "\n    ") + "\n"
 }

@@ -1,7 +1,7 @@
 // Quickstart: a four-node Predis-on-HotStuff (P-HS) network running in the
-// deterministic simulator. Clients offer 1,000 tx/s for three simulated
-// seconds; the program prints committed blocks and the final
-// throughput/latency summary.
+// deterministic simulator, built by harness.Deploy with its sim keys.
+// Clients offer 1,000 tx/s for three simulated seconds; the program prints
+// committed blocks and the final throughput/latency summary.
 //
 //	go run ./examples/quickstart
 package main
@@ -11,12 +11,9 @@ import (
 	"os"
 	"time"
 
-	"predis/internal/crypto"
+	"predis/internal/harness"
 	"predis/internal/node"
-	"predis/internal/simnet"
 	"predis/internal/types"
-	"predis/internal/wire"
-	"predis/internal/workload"
 )
 
 func main() {
@@ -27,76 +24,34 @@ func main() {
 }
 
 func run() error {
-	const (
-		nc       = 4
-		f        = 1
-		duration = 3 * time.Second
-	)
-	node.RegisterAllMessages()
-
-	// A 100 Mbps network with the paper's LAN emulation (25 ms links).
-	net := simnet.New(simnet.Config{
-		Uplink:   simnet.Mbps100,
-		Downlink: simnet.Mbps100,
-		Latency:  simnet.LANLatency(),
-		Seed:     1,
-	})
-	collector := workload.NewCollector(simnet.Epoch, simnet.Epoch.Add(duration))
-
-	// Real ed25519 keys: the examples run the production crypto path.
-	suite := crypto.NewEd25519Suite(nc, 2024)
-	for i := 0; i < nc; i++ {
-		i := i
-		n, err := node.New(node.Config{
-			Mode:           node.ModePredis,
-			Engine:         node.EngineHotStuff,
-			NC:             nc,
-			F:              f,
-			Self:           wire.NodeID(i),
-			Signer:         suite.Signer(i),
-			BundleSize:     50,
-			BundleInterval: 20 * time.Millisecond,
-			ViewTimeout:    time.Second,
-			ReplyToClients: true,
-			OnCommit: func(height uint64, txs []*types.Transaction) {
-				if i == 0 { // one replica narrates
-					fmt.Printf("  block %-3d committed with %3d txs at t=%v\n",
-						height, len(txs), net.Elapsed().Round(time.Millisecond))
-					collector.RecordNodeCommit(net.Now(), len(txs))
-				}
-			},
-		})
-		if err != nil {
-			return err
-		}
-		net.AddNode(wire.NodeID(i), n)
+	var dep *harness.Deployment
+	dep, err := harness.Deploy{
+		System: harness.SysPHS, NC: 4, ViewTimeout: time.Second,
+		Offered: 1000, Load: 3 * time.Second, Seed: 1,
+		Host: func(cfg *node.Config) {
+			if cfg.Self != 0 { // one replica narrates
+				return
+			}
+			record := cfg.OnCommit
+			cfg.OnCommit = func(height uint64, txs []*types.Transaction) {
+				fmt.Printf("  block %-3d committed with %3d txs at t=%v\n",
+					height, len(txs), dep.Net.Elapsed().Round(time.Millisecond))
+				record(height, txs)
+			}
+		},
+	}.Build()
+	if err != nil {
+		return err
 	}
 
-	client := workload.NewClient(workload.ClientConfig{
-		Self:      wire.NodeID(100),
-		Targets:   []wire.NodeID{0, 1, 2, 3},
-		Policy:    workload.RoundRobin,
-		Rate:      1000,
-		TxSize:    types.DefaultTxSize,
-		F:         f,
-		Epoch:     simnet.Epoch,
-		GenStart:  simnet.Epoch.Add(50 * time.Millisecond),
-		GenStop:   simnet.Epoch.Add(duration),
-		Collector: collector,
-	})
-	net.AddNode(100, client)
-
 	fmt.Println("quickstart: 4-node P-HS, 1000 tx/s offered for 3s (simulated)")
-	net.Start()
-	net.Run(duration + time.Second) // drain in-flight work
-
-	sub, confirmed, committed, blocks := collector.Counts()
-	lat := collector.Latency()
-	fmt.Printf("\nsubmitted=%d confirmed=%d committed=%d blocks=%d\n",
-		sub, confirmed, committed, blocks)
+	res := dep.Run()
+	sub, confirmed, committed, _ := dep.Col.Counts()
+	fmt.Printf("\nmeasured over the last 3/4 of the load: submitted=%d confirmed=%d committed=%d blocks=%d\n",
+		sub, confirmed, committed, res.Blocks)
 	fmt.Printf("throughput=%.0f tx/s  latency: mean=%v p50=%v p99=%v\n",
-		collector.Throughput(), lat.Mean.Round(time.Millisecond),
-		lat.P50.Round(time.Millisecond), lat.P99.Round(time.Millisecond))
+		res.Throughput, res.Latency.Mean.Round(time.Millisecond),
+		res.Latency.P50.Round(time.Millisecond), res.Latency.P99.Round(time.Millisecond))
 	if confirmed == 0 {
 		return fmt.Errorf("no transactions confirmed")
 	}

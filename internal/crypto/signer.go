@@ -23,7 +23,9 @@ type Signer interface {
 }
 
 // Ed25519Signer signs with a real private key and verifies against a
-// keyring. It is the default for correctness tests and the examples.
+// keyring. cmd/predis-node signs with it over real sockets (the smoke
+// row rt runs it end to end), and the forking-attack scenario of
+// examples/faults forges with it; simulated deployments use SimSigner.
 type Ed25519Signer struct {
 	idx  int
 	pair *KeyPair

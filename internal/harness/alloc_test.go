@@ -24,7 +24,7 @@ func TestStreamAllocBudget(t *testing.T) {
 		t.Skip("the race detector changes allocation counts")
 	}
 	dep, err := Deploy{
-		System: SysPPBFT, NC: 4, Fulls: zoneMajor(2, 3), Stream: true,
+		System: SysPPBFT, NC: 4, Fulls: ZoneMajor(2, 3), Stream: true,
 		ViewTimeout: 2 * time.Second, AliveInterval: 200 * time.Millisecond, DigestInterval: time.Second,
 		JoinSpacing: 20 * time.Millisecond, Offered: 4000, Load: time.Second, Seed: 1,
 	}.Build()

@@ -214,7 +214,7 @@ func Byzantine(o Options) ([]*stats.Table, error) {
 			name:      "equivocate-leader",
 			consensus: true,
 			actions: []faults.Action{faults.EquivocateLeader{
-				Node: 0, Signer: spec.suite().Signer(0),
+				Node: 0, Signer: spec.signer(0),
 				Victims: []wire.NodeID{2, 3},
 				From:    spec.crashFrom, To: spec.crashTo}},
 			check: func(r recoveryResult) error {

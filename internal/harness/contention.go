@@ -99,7 +99,7 @@ func runContention(o Options, zipf workload.ZipfConfig) (contentionResult, error
 	led := ledger.New()
 	var observer *exec.Machine // consensus node 0's
 	dep, err := Deploy{
-		System: SysPHS, NC: 4, Fulls: zoneMajor(1, 2),
+		System: SysPHS, NC: 4, Fulls: ZoneMajor(1, 2),
 		ViewTimeout:   2 * time.Second,
 		AliveInterval: 300 * time.Millisecond,
 		JoinSpacing:   20 * time.Millisecond,

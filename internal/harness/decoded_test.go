@@ -19,7 +19,7 @@ func TestDecodedDeliveryMatchesShared(t *testing.T) {
 			run := func(decoded bool) (string, uint64) {
 				tr := NewReplayTrace()
 				dep, err := Deploy{
-					System: sys, NC: 4, Fulls: zoneMajor(2, 3), Stream: stream,
+					System: sys, NC: 4, Fulls: ZoneMajor(2, 3), Stream: stream,
 					Offered: 1000, Load: time.Second, Seed: 3, Replay: tr,
 				}.Build()
 				if err != nil {

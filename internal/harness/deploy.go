@@ -40,7 +40,7 @@ type Deploy struct {
 	BundleSize     int
 	BatchSize      int
 	BundleInterval time.Duration
-	// Fulls places the full nodes, in join order (see zoneMajor and
+	// Fulls places the full nodes, in join order (see ZoneMajor and
 	// roundRobin); the wiring between them follows from it (zoneWiring).
 	// With full nodes every consensus node runs a multizone.Distributor,
 	// which only a Predis system feeds.
@@ -95,8 +95,8 @@ type Slot struct {
 	Zone int
 }
 
-// zoneMajor fills zone after zone: IDs 100+100z+k, zone 0 joins first.
-func zoneMajor(zones, perZone int) []Slot {
+// ZoneMajor fills zone after zone: IDs 100+100z+k, zone 0 joins first.
+func ZoneMajor(zones, perZone int) []Slot {
 	slots := make([]Slot, 0, zones*perZone)
 	for z := 0; z < zones; z++ {
 		for k := 0; k < perZone; k++ {
@@ -176,11 +176,9 @@ func newNet(seed int64, wan bool, replay *ReplayTrace) *simnet.Network {
 // f is the fault bound every experiment runs its group size at.
 func (d Deploy) f() int { return consensus.FaultBound(d.NC) }
 
-// suite is the deployment's signer set; an experiment that scripts a
-// signing adversary derives the same keys from it.
-func (d Deploy) suite() *crypto.SignerSuite {
-	return crypto.NewSimSuite(d.NC, uint64(d.Seed)+7)
-}
+// signer is node i's sim key in the deployment's suite; an experiment that
+// scripts a signing adversary derives the same keys from it.
+func (d Deploy) signer(i int) crypto.Signer { return crypto.NewSimSigner(i, uint64(d.Seed)+7) }
 
 // loadStart is when the clients start: 200 ms after the last join.
 func (d Deploy) loadStart() time.Duration {
@@ -195,33 +193,43 @@ func (d Deploy) deployment() *Deployment {
 	return &Deployment{Net: newNet(d.Seed, d.WAN, d.Replay), LoadStart: d.loadStart(), End: d.end()}
 }
 
-// group builds consensus nodes 0..NC-1 into dep.Hosts with node.New — the
-// system's mode and engine, the builder's constants, the deployment's
-// settings, a distributor over striper unless it is nil, node 0 reporting
-// its commits to dep.Col — after the Host callback has seen each config.
-// The caller adds them to dep.Net.
-func (d Deploy) group(dep *Deployment, suite *crypto.SignerSuite, striper *multizone.Striper) error {
+// NodeConfig is consensus node i's configuration: the system's mode and
+// engine, f, sim keys, the deployment's settings and the bundle, batch and
+// seal-tick defaults. group builds every consensus node from it, and
+// cmd/predis-node runs one over TCP.
+func (d Deploy) NodeConfig(i int) (node.Config, error) {
 	mode, engine, err := modeEngine(d.System)
 	if err != nil {
-		return err
+		return node.Config{}, err
 	}
-	if striper != nil && mode != node.ModePredis {
-		return fmt.Errorf("harness: full nodes need a Predis system, not %s", d.System)
-	}
+	return node.Config{
+		Mode: mode, Engine: engine,
+		NC: d.NC, F: d.f(), Self: wire.NodeID(i),
+		Signer:         d.signer(i),
+		BundleSize:     cmp.Or(d.BundleSize, 50),
+		BatchSize:      cmp.Or(d.BatchSize, 800),
+		BundleInterval: cmp.Or(d.BundleInterval, 20*time.Millisecond),
+		ViewTimeout:    d.ViewTimeout,
+		Stream:         d.Stream,
+		ReplyToClients: true,
+		Trace:          d.Trace,
+	}, nil
+}
+
+// group builds consensus nodes 0..NC-1 into dep.Hosts with node.New — each
+// NodeConfig, with a distributor over striper unless it is nil and node 0
+// reporting its commits to dep.Col — after the Host callback has seen each
+// config. The caller adds them to dep.Net.
+func (d Deploy) group(dep *Deployment, striper *multizone.Striper) error {
 	for i := 0; i < d.NC; i++ {
-		cfg := node.Config{
-			Mode: mode, Engine: engine,
-			NC: d.NC, F: d.f(), Self: wire.NodeID(i),
-			Signer:         suite.Signer(i),
-			BundleSize:     cmp.Or(d.BundleSize, 50),
-			BatchSize:      cmp.Or(d.BatchSize, 800),
-			BundleInterval: cmp.Or(d.BundleInterval, 20*time.Millisecond),
-			ViewTimeout:    d.ViewTimeout,
-			Stream:         d.Stream,
-			ReplyToClients: true,
-			Trace:          d.Trace,
+		cfg, err := d.NodeConfig(i)
+		if err != nil {
+			return err
 		}
 		if striper != nil {
+			if cfg.Mode != node.ModePredis {
+				return fmt.Errorf("harness: full nodes need a Predis system, not %s", d.System)
+			}
 			dist := multizone.NewDistributor(cfg.Self, striper)
 			dist.SetTrace(d.Trace)
 			cfg.Dist = dist
@@ -306,7 +314,7 @@ func (d Deploy) addLoad(dep *Deployment, n int) {
 // network. The caller installs what is its own (faults, samplers), then
 // runs it (Run, or Net.Run to End).
 func (d Deploy) Build() (*Deployment, error) {
-	dep, suite := d.deployment(), d.suite()
+	dep := d.deployment()
 	var striper *multizone.Striper
 	var err error
 	if len(d.Fulls) > 0 {
@@ -314,13 +322,13 @@ func (d Deploy) Build() (*Deployment, error) {
 			return nil, err
 		}
 	}
-	if err = d.group(dep, suite, striper); err != nil {
+	if err = d.group(dep, striper); err != nil {
 		return nil, err
 	}
 	for i, n := range dep.Hosts {
 		dep.Net.AddNode(wire.NodeID(i), n)
 	}
-	if dep.Fulls, err = d.addZones(dep.Net, striper, suite.Signer(0)); err != nil {
+	if dep.Fulls, err = d.addZones(dep.Net, striper, d.signer(0)); err != nil {
 		return nil, err
 	}
 	d.addLoad(dep, d.NC)

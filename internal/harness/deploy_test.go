@@ -5,8 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"predis/internal/consensus"
 	"predis/internal/core"
 	"predis/internal/crypto"
+	"predis/internal/node"
 	"predis/internal/pbft"
 	"predis/internal/simnet"
 	"predis/internal/wire"
@@ -91,9 +93,9 @@ func TestZoneWiring(t *testing.T) {
 		name      string
 		got, want []wiring
 	}{
-		{"zone-major 2x3", zoneWiring(zoneMajor(2, 3), 20*ms), refZoneMajor(2, 3)},
-		{"zone-major 8x12", zoneWiring(zoneMajor(8, 12), 20*ms), refZoneMajor(8, 12)},
-		{"zone-major 1x2", zoneWiring(zoneMajor(1, 2), 20*ms), refZoneMajor(1, 2)},
+		{"zone-major 2x3", zoneWiring(ZoneMajor(2, 3), 20*ms), refZoneMajor(2, 3)},
+		{"zone-major 8x12", zoneWiring(ZoneMajor(8, 12), 20*ms), refZoneMajor(8, 12)},
+		{"zone-major 1x2", zoneWiring(ZoneMajor(1, 2), 20*ms), refZoneMajor(1, 2)},
 		{"round-robin 24/4", zoneWiring(roundRobin(24, 4), 20*ms), refRoundRobin(24, 4, 20*ms)},
 		{"round-robin 36/3", zoneWiring(roundRobin(36, 3), 15*ms), refRoundRobin(36, 3, 15*ms)},
 		{"round-robin 100/3", zoneWiring(roundRobin(100, 3), 15*ms), refRoundRobin(100, 3, 15*ms)},
@@ -127,7 +129,7 @@ func TestZoneWiring(t *testing.T) {
 // quarters of the load.
 func TestBuildTimeline(t *testing.T) {
 	const spacing, load = 20 * time.Millisecond, 4 * time.Second
-	for _, fulls := range [][]Slot{nil, zoneMajor(2, 3), zoneMajor(8, 12)} {
+	for _, fulls := range [][]Slot{nil, ZoneMajor(2, 3), ZoneMajor(8, 12)} {
 		dep, err := Deploy{
 			System: SysPPBFT, NC: 4, Fulls: fulls,
 			ViewTimeout: time.Second, AliveInterval: 300 * time.Millisecond,
@@ -155,7 +157,7 @@ func TestBuildTimeline(t *testing.T) {
 func TestDeployStreamPBFT(t *testing.T) {
 	for _, stream := range []bool{false, true} {
 		dep, err := Deploy{
-			System: SysPPBFT, NC: 4, Fulls: zoneMajor(1, 2), Stream: stream,
+			System: SysPPBFT, NC: 4, Fulls: ZoneMajor(1, 2), Stream: stream,
 			ViewTimeout: time.Second, AliveInterval: 250 * time.Millisecond,
 			JoinSpacing: 20 * time.Millisecond, Offered: 400, Load: time.Second, Seed: 1,
 		}.Build()
@@ -185,7 +187,7 @@ func TestDeployStreamPBFT(t *testing.T) {
 func TestBuildRejectsFullNodesWithoutPredis(t *testing.T) {
 	for _, sys := range []System{SysPBFT, SysHotStuff, SysNarwhal, SysStratus} {
 		d := Deploy{
-			System: sys, NC: 4, Fulls: zoneMajor(1, 2),
+			System: sys, NC: 4, Fulls: ZoneMajor(1, 2),
 			ViewTimeout: time.Second, AliveInterval: 300 * time.Millisecond,
 			JoinSpacing: 20 * time.Millisecond, Offered: 100, Load: time.Second, Seed: 1,
 		}
@@ -204,7 +206,7 @@ func TestBuildRejectsFullNodesWithoutPredis(t *testing.T) {
 // bundle's header commit to a stripe root; a bare group's bundles carry a
 // zero StripeRoot.
 func TestDistributorOnlyWithFullNodes(t *testing.T) {
-	for _, fulls := range [][]Slot{nil, zoneMajor(1, 2)} {
+	for _, fulls := range [][]Slot{nil, ZoneMajor(1, 2)} {
 		dep, err := Deploy{
 			System: SysPPBFT, NC: 4, Fulls: fulls,
 			ViewTimeout: time.Second, AliveInterval: 300 * time.Millisecond,
@@ -230,5 +232,42 @@ func TestDistributorOnlyWithFullNodes(t *testing.T) {
 		if bundles == 0 || striped != want {
 			t.Errorf("%d full nodes: %d of %d own bundles carry a stripe root, want %d", len(fulls), striped, bundles, want)
 		}
+	}
+}
+
+// TestNodeConfig: every system maps to its mode and engine, f is the fault
+// bound of n_c, the bundle, batch and seal-tick defaults are 50, 800 and
+// 20 ms, and an unknown system is an error.
+func TestNodeConfig(t *testing.T) {
+	for _, c := range []struct {
+		sys    System
+		mode   node.Mode
+		engine node.EngineKind
+	}{
+		{SysPBFT, node.ModeBaseline, node.EnginePBFT},
+		{SysPPBFT, node.ModePredis, node.EnginePBFT},
+		{SysHotStuff, node.ModeBaseline, node.EngineHotStuff},
+		{SysPHS, node.ModePredis, node.EngineHotStuff},
+		{SysNarwhal, node.ModeNarwhal, node.EngineHotStuff},
+		{SysStratus, node.ModeStratus, node.EngineHotStuff},
+	} {
+		for _, nc := range []int{4, 7, 16} {
+			cfg, err := Deploy{System: c.sys, NC: nc}.NodeConfig(nc - 1)
+			if err != nil {
+				t.Fatalf("%s: %v", c.sys, err)
+			}
+			if cfg.Mode != c.mode || cfg.Engine != c.engine {
+				t.Errorf("%s: mode %v engine %v, want %v %v", c.sys, cfg.Mode, cfg.Engine, c.mode, c.engine)
+			}
+			if cfg.NC != nc || cfg.F != consensus.FaultBound(nc) || cfg.Self != wire.NodeID(nc-1) {
+				t.Errorf("%s n_c=%d: NC %d F %d Self %d", c.sys, nc, cfg.NC, cfg.F, cfg.Self)
+			}
+			if cfg.BundleSize != 50 || cfg.BatchSize != 800 || cfg.BundleInterval != 20*time.Millisecond {
+				t.Errorf("%s: defaults %d / %d / %v, want 50 / 800 / 20ms", c.sys, cfg.BundleSize, cfg.BatchSize, cfg.BundleInterval)
+			}
+		}
+	}
+	if _, err := (Deploy{System: "bogus", NC: 4}).NodeConfig(0); err == nil {
+		t.Error("unknown system: no error")
 	}
 }

@@ -60,7 +60,7 @@ func runFig7Point(d Deploy, star bool) (float64, error) {
 		}
 	}
 	dep := d.deployment()
-	if err := d.group(dep, d.suite(), nil); err != nil {
+	if err := d.group(dep, nil); err != nil {
 		return 0, err
 	}
 	for i, n := range dep.Hosts {

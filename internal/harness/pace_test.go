@@ -59,7 +59,7 @@ func pacedStreamPoint(t *testing.T, offered float64, clients int) pacedPoint {
 			}
 		}
 	}
-	if err := d.group(dep, d.suite(), nil); err != nil {
+	if err := d.group(dep, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i, n := range dep.Hosts {

@@ -18,18 +18,18 @@ import (
 func placementRun(t *testing.T, seed int64, jitter time.Duration) [][]*multizone.FullNode {
 	t.Helper()
 	d := Deploy{
-		System: SysPPBFT, NC: 4, Fulls: zoneMajor(8, 12),
+		System: SysPPBFT, NC: 4, Fulls: ZoneMajor(8, 12),
 		ViewTimeout: 2 * time.Second, AliveInterval: 200 * time.Millisecond,
 		DigestInterval: time.Second, JoinSpacing: 20 * time.Millisecond,
 		Offered: 1000, Load: time.Second, Seed: seed,
 	}
 	// Deploy.Build, but with the full nodes joining on a jittered schedule.
-	dep, suite := d.deployment(), d.suite()
+	dep := d.deployment()
 	striper, err := multizone.NewStriper(d.NC, d.f())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.group(dep, suite, striper); err != nil {
+	if err := d.group(dep, striper); err != nil {
 		t.Fatal(err)
 	}
 	for i, n := range dep.Hosts {
@@ -42,7 +42,7 @@ func placementRun(t *testing.T, seed int64, jitter time.Duration) [][]*multizone
 	for join, w := range zoneWiring(d.Fulls, d.JoinSpacing) {
 		fn, err := multizone.NewFullNode(multizone.FullNodeConfig{
 			Self: w.ID, Zone: w.Zone, JoinSeq: uint64(join), NC: d.NC, F: d.f(),
-			Striper: striper, Signer: suite.Signer(0),
+			Striper: striper, Signer: d.signer(0),
 			ZonePeers: w.Peers, BackupPeers: w.Backups,
 			AliveInterval: d.AliveInterval, DigestInterval: d.DigestInterval,
 		})

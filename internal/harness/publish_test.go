@@ -20,7 +20,7 @@ import (
 // published twice, under a wrong name, or not at all fails.
 func TestPublishMatchesAccessors(t *testing.T) {
 	dep, err := Deploy{
-		System: SysPPBFT, NC: 4, Fulls: zoneMajor(2, 2), Stream: true,
+		System: SysPPBFT, NC: 4, Fulls: ZoneMajor(2, 2), Stream: true,
 		ViewTimeout: 2 * time.Second, AliveInterval: 300 * time.Millisecond,
 		JoinSpacing: 20 * time.Millisecond,
 		Offered:     1000, Load: time.Second, Seed: 1,

@@ -58,7 +58,7 @@ func quickstart(o Options, stream bool) ([]*stats.Table, error) {
 	// nodes with one cross-zone backup each (the Fig. 7 deployment shape,
 	// scaled down).
 	dep, err := Deploy{
-		System: SysPHS, NC: 4, Fulls: zoneMajor(2, 3),
+		System: SysPHS, NC: 4, Fulls: ZoneMajor(2, 3),
 		Stream: stream, ViewTimeout: 2 * time.Second,
 		AliveInterval: 300 * time.Millisecond, DigestInterval: 2 * time.Second,
 		JoinSpacing: 20 * time.Millisecond,

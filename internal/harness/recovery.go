@@ -46,7 +46,7 @@ type recoverySpec struct {
 // the whole run and the load fills what the join window leaves of it.
 func recoveryDeploy(perZone int, offered float64, run time.Duration, seed int64) Deploy {
 	d := Deploy{
-		System: SysPPBFT, NC: 4, Fulls: zoneMajor(2, perZone),
+		System: SysPPBFT, NC: 4, Fulls: ZoneMajor(2, perZone),
 		ViewTimeout:   1 * time.Second,
 		AliveInterval: 200 * time.Millisecond, DigestInterval: 1 * time.Second,
 		JoinSpacing: 20 * time.Millisecond,

@@ -13,7 +13,11 @@ import (
 )
 
 // ConsensusHost is a Predis consensus node and its Multi-Zone distributor,
-// which the node starts, restarts, feeds and routes the zone plane to.
+// which the node starts, restarts, feeds and routes the zone plane to. It
+// is held only for cmd/predis-perf and tests (this package's, and the
+// harness overload tests, which set per-node link rates): every other
+// deployment is a harness.Deploy, whose node.Config carries the
+// distributor itself.
 type ConsensusHost struct {
 	*node.Node
 	Dist *Distributor

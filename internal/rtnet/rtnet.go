@@ -181,8 +181,9 @@ func (r *Runtime) Addr() net.Addr {
 	return r.listener.Addr()
 }
 
-// Close shuts the runtime down and waits for its goroutines; frames still
-// queued for a peer are dropped (the env contract permits loss). Idempotent.
+// Close shuts the runtime down and waits for its goroutines; no handler
+// code runs once it returns, and frames still queued for a peer are dropped
+// (the env contract permits loss). Idempotent.
 func (r *Runtime) Close() {
 	r.connMu.Lock()
 	if r.closed {
@@ -200,6 +201,10 @@ func (r *Runtime) Close() {
 	r.conns = make(map[wire.NodeID]*peerConn)
 	r.connMu.Unlock()
 	r.wg.Wait()
+	// A timer callback holding the lock finishes before this fence; one
+	// that takes the lock later sees stop closed.
+	r.mu.Lock()
+	r.mu.Unlock()
 }
 
 func (r *Runtime) logf(format string, args ...any) {
@@ -404,13 +409,13 @@ func (c *rtContext) After(d time.Duration, fn func()) env.Timer {
 	r := (*Runtime)(c)
 	t := &rtTimer{}
 	t.t = time.AfterFunc(d, func() {
+		r.mu.Lock() // check stop under the lock: Close fences on it
+		defer r.mu.Unlock()
 		select {
 		case <-r.stop:
 			return
 		default:
 		}
-		r.mu.Lock()
-		defer r.mu.Unlock()
 		if !t.stopped {
 			fn()
 		}

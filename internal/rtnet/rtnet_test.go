@@ -3,6 +3,7 @@ package rtnet
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -107,6 +108,46 @@ func TestRuntimeSelfSendAndTimer(t *testing.T) {
 	}
 	if h.count() < 2 {
 		t.Fatalf("got %d messages, want 2", h.count())
+	}
+}
+
+// rearmHandler keeps timers re-arming themselves at zero delay and counts
+// the callbacks that ran.
+type rearmHandler struct{ fired atomic.Int64 }
+
+func (h *rearmHandler) Start(ctx env.Context) {
+	var tick func()
+	tick = func() {
+		h.fired.Add(1)
+		ctx.After(0, tick)
+	}
+	for i := 0; i < 64; i++ {
+		ctx.After(0, tick)
+	}
+}
+
+func (h *rearmHandler) Receive(wire.NodeID, wire.Message) {}
+
+// TestNoCallbackAfterClose closes a runtime whose timers are firing and
+// checks that no handler code runs once Close has returned: a timer that
+// fired just before Close must not take the lock after it.
+func TestNoCallbackAfterClose(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		h := &rearmHandler{}
+		r, err := New(Config{Self: 0}, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Start(); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+		r.Close()
+		closed := h.fired.Load()
+		time.Sleep(5 * time.Millisecond)
+		if late := h.fired.Load() - closed; late != 0 {
+			t.Fatalf("trial %d: %d callbacks ran after Close returned", trial, late)
+		}
 	}
 }
 
